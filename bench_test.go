@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation (§5) and the ablations
-// called out in DESIGN.md. Each Benchmark maps to one experiment:
+// PERF.md reports. Each Benchmark maps to one experiment:
 //
 //	E1  BenchmarkJoinPlain / BenchmarkJoinSecure   — §5 join overhead (≈81.76% in the paper)
 //	F2  BenchmarkMsgPeerPlain / BenchmarkMsgPeerSecure — Figure 2 (overhead vs size)

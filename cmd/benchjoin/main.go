@@ -8,8 +8,8 @@
 //	benchjoin [-iters 20] [-profile lan|wan|local] [-keysizes 1024,2048]
 //
 // Output is a paper-style table: plain time, secure time, overhead %.
-// The paper reports ≈81.76% on its testbed; see EXPERIMENTS.md for the
-// shape comparison.
+// The paper reports ≈81.76% on its testbed; cmd/perf/README.md ("The
+// paper's two rows") compares this repository's number with it.
 package main
 
 import (

@@ -11,9 +11,10 @@
 // secureMsgPeerGroup, XMLdsig-signed advertisements, and the secured
 // executable primitives the paper lists as further work).
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the reproduction of the paper's evaluation. The
-// benchmarks in bench_test.go regenerate every number the paper reports.
+// See PERF.md for architecture and measured numbers, SECURITY.md for
+// the trust models, and cmd/perf/README.md for the end-to-end benchmark.
+// The benchmarks in bench_test.go regenerate every number the paper
+// reports.
 //
 // # Fast path
 //

@@ -73,7 +73,7 @@ func (j *Journal) DebugHandler() http.Handler {
 		}
 
 		page := PageJSON{Events: []RecordJSON{}}
-		j.mu.Lock()
+		j.log.Lock()
 		page.Seq = j.seq
 		page.Head = base64.StdEncoding.EncodeToString(j.head[:])
 		page.Records = j.appended
@@ -106,7 +106,7 @@ func (j *Journal) DebugHandler() http.Handler {
 			}
 			page.Events = append(page.Events, js)
 		}
-		j.mu.Unlock()
+		j.log.Unlock()
 
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

@@ -18,10 +18,10 @@
 // reports the first bad segment+offset; see SECURITY.md, "Audit trust
 // model", for exactly what each layer does and does not prove.
 //
-// The storage machinery is patterned on internal/relay/wal — CRC +
-// length-prefix framing, numbered segments, staged appends drained by a
-// background flusher with the fsync off the append lock — with one
-// deliberate difference: rotation NEVER deletes. The WAL compacts
+// Storage — the frame, the segment files, the write/fsync discipline,
+// fail-stop and the durability contract — is internal/seglog, shared
+// with the relay WAL; see its package doc. The journal's rotation policy
+// is seglog's history-keeping one, deliberately: the WAL compacts
 // because it tracks live queue state; an audit journal's whole point is
 // history, so outgrowing SegmentBytes just starts a fresh segment and
 // the old ones stay, hash-chained across the boundary.
@@ -31,14 +31,11 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/seglog"
 )
 
 // Event kinds. The vocabulary is part of the operational surface
@@ -91,7 +88,7 @@ type Event struct {
 // failed (an I/O error). Appends after a failure are silently counted
 // as lost — the security surface keeps working; the journal just stops
 // being written, exactly like a dying disk.
-var ErrJournalFailed = errors.New("audit: journal failed")
+var ErrJournalFailed = seglog.ErrFailed
 
 // ErrJournalDamaged is returned by Open when a non-final segment (or a
 // non-tail region) fails to replay. Unlike the relay WAL, the journal
@@ -151,23 +148,10 @@ type Stats struct {
 
 // Journal is an open audit journal.
 type Journal struct {
-	opts  Options
-	every int
+	opts Options
 
-	// syncMu serializes batched fsyncs (the flusher and Sync), acquired
-	// BEFORE mu and never while holding it — the write+fsync run with mu
-	// released so appends keep flowing while the disk catches up (same
-	// split as the relay WAL).
-	syncMu sync.Mutex
+	log *seglog.Log // its append lock guards the fields below
 
-	mu        sync.Mutex
-	f         *os.File
-	segFirst  int // lowest on-disk segment index (history floor)
-	segIndex  int // active segment index
-	segBytes  int64
-	buf       []byte // reusable encode buffer (inline mode + checkpoints)
-	stage     []byte // batched mode: encoded records awaiting the flusher
-	spare     []byte // recycled staging buffer
 	seq       uint64
 	head      [HashSize]byte
 	sinceCkpt int // records since the last checkpoint
@@ -176,13 +160,9 @@ type Journal struct {
 	ckpts     uint64
 	lost      uint64
 	tornBytes int64
-	err       error // sticky failure
 
 	ring     []ringEntry
 	ringNext int
-
-	stop chan struct{}
-	wg   sync.WaitGroup
 }
 
 type ringEntry struct {
@@ -191,21 +171,18 @@ type ringEntry struct {
 	ev   Event
 }
 
-const defaultSegmentBytes = 4 << 20
-
-func segName(i int) string { return fmt.Sprintf("audit-%08d.seg", i) }
-
 // Open replays the segments in dir (creating it if needed) and returns
 // the journal ready for appends, its chain state restored. A torn tail
 // on the final segment is truncated away (crash artifact); any other
 // damage fails with ErrJournalDamaged — run Verify on the directory to
 // locate it.
-func Open(opts Options) (*Journal, error) {
+func Open(opts Options) (*Journal, error) { return open(opts, nil) }
+
+// open is Open plus the fault-injection hook, which is the crash
+// matrix's and not a deployment option.
+func open(opts Options, faults seglog.FaultFunc) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("audit: Options.Dir is required")
-	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -216,118 +193,68 @@ func Open(opts Options) (*Journal, error) {
 	if opts.Signer != nil && len(opts.Chain) == 0 {
 		return nil, errors.New("audit: Signer requires a credential Chain")
 	}
-	every := opts.CheckpointEvery
-	if every == 0 {
-		every = 256
+	if opts.CheckpointEvery == 0 {
+		opts.CheckpointEvery = 256
 	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, err
+
+	j := &Journal{opts: opts, ring: make([]ringEntry, opts.RingSize)}
+	stopped := func(seg seglog.Segment, later []seglog.Segment, stop seglog.Stop) (bool, error) {
+		// Only a short record is a crash artifact, and only in the last
+		// segment holding any data, not merely the last file: rotation
+		// opens the next segment the moment the old one fills, so a
+		// crash (or a truncation) right at the boundary leaves the torn
+		// record in a segment followed only by empty ones. Anything else
+		// is damage.
+		torn := errors.Is(stop.Err, ErrShortRecord)
+		for _, l := range later {
+			torn = torn && l.Size == 0
+		}
+		if !torn {
+			return false, fmt.Errorf("%w: %s@%d: %v", ErrJournalDamaged, seg.Name, stop.Offset, stop.Err)
+		}
+		j.tornBytes = stop.Size - stop.Offset
+		return true, nil
 	}
-	segs, err := listSegments(opts.Dir)
+	// The flusher may run PreFlush before j.log is assigned; that is safe
+	// because nothing is due for sealing until the first Record.
+	var err error
+	j.log, err = seglog.Open(seglog.Options{
+		Dir: opts.Dir, Format: format, Replay: j.replay, Stopped: stopped,
+		SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
+		Faults: faults, PreFlush: j.maybeCheckpointLocked,
+	})
 	if err != nil {
 		return nil, err
-	}
-
-	j := &Journal{
-		opts:  opts,
-		every: every,
-		ring:  make([]ringEntry, opts.RingSize),
-		stop:  make(chan struct{}),
-	}
-	// The torn-tail allowance applies to the last segment holding any
-	// data, not merely the last file: rotation opens the next segment
-	// the moment the old one fills, so a crash (or a truncation) right
-	// at the boundary leaves the torn record in a segment followed only
-	// by empty ones.
-	lastData := -1
-	for si, seg := range segs {
-		if fi, serr := os.Stat(filepath.Join(opts.Dir, segName(seg))); serr == nil && fi.Size() > 0 {
-			lastData = si
-		}
-	}
-	for si, seg := range segs {
-		final := si >= lastData
-		if err := j.replaySegment(filepath.Join(opts.Dir, segName(seg)), final); err != nil {
-			return nil, err
-		}
-	}
-
-	j.segFirst, j.segIndex = 0, 0
-	if len(segs) > 0 {
-		j.segFirst = segs[0]
-		j.segIndex = segs[len(segs)-1]
-	}
-	path := filepath.Join(opts.Dir, segName(j.segIndex))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if fi, err := f.Stat(); err == nil {
-		j.segBytes = fi.Size()
-	}
-	j.f = f
-
-	if opts.SyncInterval > 0 {
-		j.wg.Add(1)
-		go j.flusher(j.stop)
 	}
 	return j, nil
 }
 
-func listSegments(dir string) ([]int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []int
-	for _, e := range entries {
-		var i int
-		if n, _ := fmt.Sscanf(e.Name(), "audit-%d.seg", &i); n == 1 {
-			segs = append(segs, i)
-		}
-	}
-	sort.Ints(segs)
-	return segs, nil
-}
-
-// replaySegment re-derives the chain state (seq, head) across one
-// segment. The chain links are re-checked during replay: appending onto
-// an already broken chain would launder the break into "it verified
-// when written".
-func (j *Journal) replaySegment(path string, final bool) error {
-	data, err := os.ReadFile(path)
+// replay re-derives the chain state (seq, head) over one record. The
+// chain links are re-checked during replay: appending onto an already
+// broken chain would launder the break into "it verified when written".
+func (j *Journal) replay(_ int64, framed []byte) error {
+	rec, err := decodeBody(framed[seglog.HeaderSize:])
 	if err != nil {
 		return err
 	}
-	off := 0
-	for off < len(data) {
-		rec, n, derr := DecodeRecord(data[off:])
-		if derr != nil {
-			if final && errors.Is(derr, ErrShortRecord) {
-				// Crash artifact: truncate so appends resume at a clean
-				// boundary. Anything else is damage, not a crash.
-				j.tornBytes = int64(len(data) - off)
-				if terr := os.Truncate(path, int64(off)); terr != nil {
-					return terr
-				}
-				return nil
-			}
-			return fmt.Errorf("%w: %s@%d: %v", ErrJournalDamaged, filepath.Base(path), off, derr)
-		}
-		if rec.Seq != j.seq+1 || rec.Prev != j.head {
-			return fmt.Errorf("%w: %s@%d: hash chain break at seq %d", ErrJournalDamaged, filepath.Base(path), off, rec.Seq)
-		}
-		j.head = sha256.Sum256(data[off : off+n])
-		j.seq = rec.Seq
-		j.recovered++
-		if rec.Frame == FrameEvent {
-			j.storeRing(rec.Seq, rec.Time, Event{
-				Kind: rec.Kind, Peer: rec.Peer, Op: rec.Op, Reason: rec.Reason, Trace: rec.Trace,
-			})
-		}
-		off += n
+	if rec.Seq != j.seq+1 || rec.Prev != j.head {
+		return fmt.Errorf("hash chain break at seq %d", rec.Seq)
 	}
+	j.recovered++
+	j.advance(rec, framed)
 	return nil
+}
+
+// advance moves the chain head over one record's framed bytes.
+func (j *Journal) advance(rec Record, framed []byte) {
+	j.head = sha256.Sum256(framed)
+	j.seq = rec.Seq
+	if rec.Frame == FrameEvent {
+		j.ring[j.ringNext] = ringEntry{seq: rec.Seq, time: rec.Time, ev: Event{
+			Kind: rec.Kind, Peer: rec.Peer, Op: rec.Op, Reason: rec.Reason, Trace: rec.Trace,
+		}}
+		j.ringNext = (j.ringNext + 1) % len(j.ring)
+	}
 }
 
 // Record appends one event and returns its sequence number (0 when the
@@ -341,34 +268,22 @@ func (j *Journal) Record(e Event) uint64 {
 		return 0
 	}
 	clampEvent(&e)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		j.lost++
-		return 0
-	}
+	j.log.Lock()
+	defer j.log.Unlock()
 	rec := Record{
 		Frame: FrameEvent, Seq: j.seq + 1, Prev: j.head,
 		Time:  j.opts.Clock().UnixNano(),
 		Trace: e.Trace, Kind: e.Kind, Peer: e.Peer, Op: e.Op, Reason: e.Reason,
 	}
-	if j.opts.SyncInterval > 0 {
-		start := len(j.stage)
-		var err error
-		j.stage, err = AppendRecord(j.stage, rec)
-		if err != nil {
-			j.fail(err)
-			j.lost++
-			return 0
-		}
-		j.commitLocked(rec, j.stage[start:])
-		return rec.Seq
-	}
-	if err := j.writeLocked(rec); err != nil {
+	if j.appendLocked(rec) != nil {
 		j.lost++
 		return 0
 	}
-	j.maybeCheckpointLocked()
+	if j.opts.SyncInterval <= 0 {
+		// Staged mode seals from the flusher instead (seglog's PreFlush),
+		// keeping the signature off the emit path.
+		j.maybeCheckpointLocked()
+	}
 	return rec.Seq
 }
 
@@ -388,109 +303,57 @@ func clampEvent(e *Event) {
 	}
 }
 
-// commitLocked advances the chain over one encoded record.
-func (j *Journal) commitLocked(rec Record, framed []byte) {
-	j.head = sha256.Sum256(framed)
-	j.seq = rec.Seq
+// appendLocked encodes rec straight into the log's buffer, commits it,
+// and advances the chain over the framed bytes in the same critical
+// section — that is what keeps the head (and any checkpoint signed over
+// it) consistent with the chain position without a reservation
+// protocol. A record that cannot be encoded fails the journal.
+func (j *Journal) appendLocked(rec Record) error {
+	buf, err := j.log.Begin()
+	if err != nil {
+		return err
+	}
+	if buf, err = AppendRecord(buf, rec); err != nil {
+		return j.log.Fail(err)
+	}
+	framed, err := j.log.Commit(buf)
+	if err != nil {
+		return err
+	}
+	j.advance(rec, framed)
 	j.appended++
 	j.sinceCkpt++
-	if rec.Frame == FrameEvent {
-		j.storeRing(rec.Seq, rec.Time, Event{
-			Kind: rec.Kind, Peer: rec.Peer, Op: rec.Op, Reason: rec.Reason, Trace: rec.Trace,
-		})
-	} else {
+	if rec.Frame == FrameCheckpoint {
 		j.ckpts++
 		j.sinceCkpt = 0
 	}
-}
-
-func (j *Journal) storeRing(seq uint64, ts int64, ev Event) {
-	j.ring[j.ringNext] = ringEntry{seq: seq, time: ts, ev: ev}
-	j.ringNext = (j.ringNext + 1) % len(j.ring)
-}
-
-// writeLocked encodes and writes one record inline (sync-per-append and
-// never-sync modes), fsyncing when SyncInterval is 0.
-func (j *Journal) writeLocked(rec Record) error {
-	var err error
-	j.buf, err = AppendRecord(j.buf[:0], rec)
-	if err != nil {
-		j.fail(err)
-		return err
-	}
-	n, err := j.f.Write(j.buf)
-	j.segBytes += int64(n)
-	if err != nil {
-		j.fail(err)
-		return err
-	}
-	j.commitLocked(rec, j.buf)
-	if j.opts.SyncInterval == 0 {
-		if err := j.f.Sync(); err != nil {
-			j.fail(err)
-			return err
-		}
-	}
-	return j.maybeRotateLocked()
+	return nil
 }
 
 // maybeCheckpointLocked seals the chain when enough records have
-// accumulated. The RSA signature runs with mu held — a deliberate
-// trade: a checkpoint every CheckpointEvery records stalls appends for
-// one signature (~hundreds of µs), amortizing to well under the cost of
-// the events it covers, and keeping the signed head exactly consistent
-// with the chain position without a reservation protocol.
+// accumulated. The RSA signature runs with the append lock held — a
+// deliberate trade: a checkpoint every CheckpointEvery records stalls
+// appends for one signature (~hundreds of µs), amortizing to well under
+// the cost of the events it covers, and keeping the signed head exactly
+// consistent with the chain position.
 func (j *Journal) maybeCheckpointLocked() {
-	if j.opts.Signer == nil || j.every < 0 || j.sinceCkpt < j.every {
-		return
+	if every := j.opts.CheckpointEvery; every > 0 && j.sinceCkpt >= every {
+		j.checkpointLocked()
 	}
-	j.checkpointLocked()
 }
 
 func (j *Journal) checkpointLocked() {
-	if j.opts.Signer == nil || j.sinceCkpt == 0 || j.err != nil {
+	if j.opts.Signer == nil || j.sinceCkpt == 0 || j.log.Err() != nil {
 		return
 	}
 	rec := Record{Frame: FrameCheckpoint, Seq: j.seq + 1, Prev: j.head, Time: j.opts.Clock().UnixNano()}
 	payload, err := buildCheckpoint(rec.Seq, rec.Prev, time.Unix(0, rec.Time), j.opts.Signer, j.opts.Chain)
 	if err != nil {
-		j.fail(err)
+		j.log.Fail(err)
 		return
 	}
 	rec.Checkpoint = payload
-	if j.opts.SyncInterval > 0 {
-		start := len(j.stage)
-		if j.stage, err = AppendRecord(j.stage, rec); err != nil {
-			j.fail(err)
-			return
-		}
-		j.commitLocked(rec, j.stage[start:])
-		return
-	}
-	_ = j.writeLocked(rec)
-}
-
-// maybeRotateLocked starts a fresh segment once the active one outgrows
-// its budget. Nothing is deleted — the journal is history.
-func (j *Journal) maybeRotateLocked() error {
-	if j.segBytes < j.opts.SegmentBytes {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		j.fail(err)
-		return err
-	}
-	next := j.segIndex + 1
-	nf, err := os.OpenFile(filepath.Join(j.opts.Dir, segName(next)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.fail(err)
-		return err
-	}
-	j.f.Close()
-	j.f = nf
-	j.segIndex = next
-	j.segBytes = 0
-	return nil
+	_ = j.appendLocked(rec) // a failure is sticky; Sync and Close report it
 }
 
 // Sync forces the staged batch (if any) to disk.
@@ -498,95 +361,19 @@ func (j *Journal) Sync() error {
 	if j == nil {
 		return nil
 	}
-	return j.syncBatch(false)
-}
-
-// syncBatch drains the staging buffer with one write+fsync, mu released
-// during the syscalls (the WAL's lock split). With checkpoint=true a
-// due (or final) checkpoint is staged first.
-func (j *Journal) syncBatch(checkpoint bool) error {
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
-	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
-		return err
-	}
-	if checkpoint {
-		j.checkpointLocked()
-	} else if j.opts.Signer != nil && j.every > 0 && j.sinceCkpt >= j.every {
-		j.checkpointLocked()
-	}
-	if len(j.stage) == 0 {
-		j.mu.Unlock()
-		return nil
-	}
-	batch := j.stage
-	j.stage = j.spare[:0]
-	j.spare = nil
-	f := j.f
-	j.mu.Unlock()
-
-	written, werr := f.Write(batch)
-	var serr error
-	if werr == nil {
-		serr = f.Sync()
-	}
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if cap(batch) > cap(j.spare) {
-		j.spare = batch[:0]
-	}
-	j.segBytes += int64(written)
-	if werr != nil {
-		j.fail(werr)
-		return werr
-	}
-	if serr != nil {
-		j.fail(serr)
-		return serr
-	}
-	return j.maybeRotateLocked()
-}
-
-func (j *Journal) fail(err error) {
-	if j.err == nil {
-		j.err = fmt.Errorf("%w: %w", ErrJournalFailed, err)
-	}
-}
-
-func (j *Journal) flusher(stop <-chan struct{}) {
-	defer j.wg.Done()
-	t := time.NewTicker(j.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			_ = j.syncBatch(false)
-		}
-	}
+	return j.log.Sync()
 }
 
 // Checkpoint seals the chain now, regardless of cadence (tests, and
-// operators wanting a fresh attestation before archiving).
+// operators wanting a fresh attestation before archiving), and syncs it.
 func (j *Journal) Checkpoint() error {
 	if j == nil {
 		return nil
 	}
-	if j.opts.SyncInterval > 0 {
-		return j.syncBatch(true)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
+	j.log.Lock()
 	j.checkpointLocked()
-	return j.err
+	j.log.Unlock()
+	return j.log.Sync()
 }
 
 // Close seals the chain with a final checkpoint, flushes and closes.
@@ -594,51 +381,21 @@ func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	if j.stop != nil {
-		close(j.stop)
-		j.stop = nil
-	}
-	failed := j.err != nil
-	j.mu.Unlock()
-	j.wg.Wait()
-	var err error
-	if !failed {
-		if j.opts.SyncInterval > 0 {
-			err = j.syncBatch(true)
-		} else {
-			j.mu.Lock()
-			j.checkpointLocked()
-			err = j.err
-			j.mu.Unlock()
-		}
-		if err == nil {
-			j.mu.Lock()
-			if j.f != nil {
-				err = j.f.Sync()
-			}
-			j.mu.Unlock()
-		}
-	}
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f != nil {
-		if cerr := j.f.Close(); err == nil {
-			err = cerr
-		}
-		j.f = nil
-	}
-	return err
+	j.log.Lock()
+	j.checkpointLocked()
+	j.log.Unlock()
+	return j.log.Close()
 }
 
 // Head returns the current chain head — the externally rememberable
 // trust point that makes rollback provable (pass it to Verify as
 // ExpectHead).
 func (j *Journal) Head() [HashSize]byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	if j == nil {
+		return [HashSize]byte{}
+	}
+	j.log.Lock()
+	defer j.log.Unlock()
 	return j.head
 }
 
@@ -647,8 +404,8 @@ func (j *Journal) Seq() uint64 {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.log.Lock()
+	defer j.log.Unlock()
 	return j.seq
 }
 
@@ -657,16 +414,16 @@ func (j *Journal) Stats() Stats {
 	if j == nil {
 		return Stats{}
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.log.Lock()
+	defer j.log.Unlock()
 	return Stats{
 		Records:     j.appended,
 		Recovered:   j.recovered,
 		Checkpoints: j.ckpts,
 		Lost:        j.lost,
 		TornBytes:   j.tornBytes,
-		Segments:    j.segIndex - j.segFirst + 1,
+		Segments:    j.log.Segments(),
 		Seq:         j.seq,
-		Failed:      j.err != nil,
+		Failed:      j.log.Err() != nil,
 	}
 }

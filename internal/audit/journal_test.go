@@ -108,7 +108,7 @@ func TestRotationKeepsHistory(t *testing.T) {
 	if st.Segments < 3 {
 		t.Fatalf("expected rotation across >=3 segments, got %d", st.Segments)
 	}
-	segs, err := listSegments(dir)
+	segs, err := format.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestStagedModeFlushes(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if fi, err := os.Stat(filepath.Join(dir, segName(0))); err == nil && fi.Size() > 0 {
+		if fi, err := os.Stat(filepath.Join(dir, format.Name(0))); err == nil && fi.Size() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -252,7 +252,7 @@ func TestNilJournalIsInert(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if j.Seq() != 0 || (j.Stats() != Stats{}) {
+	if j.Seq() != 0 || (j.Stats() != Stats{}) || (j.Head() != [HashSize]byte{}) {
 		t.Fatal("nil journal reported state")
 	}
 }

@@ -2,12 +2,12 @@ package audit
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"jxtaoverlay/internal/seglog"
 )
 
-// Wire layout of one record:
+// Wire layout of one record (the header is the seglog frame):
 //
 //	uint32 LE  body length
 //	uint32 LE  CRC-32C (Castagnoli) of body
@@ -52,7 +52,6 @@ const (
 
 const (
 	recordVersion = 1
-	headerSize    = 8 // length + CRC
 
 	// HashSize is the width of the prev-hash chain link (SHA-256).
 	HashSize = 32
@@ -71,18 +70,18 @@ const (
 	MaxCheckpointBytes = 1 << 20
 )
 
-// Codec errors.
+// Codec errors are the frame layer's (see seglog.ErrShort and
+// seglog.ErrCorrupt), so one errors.Is covers a bad frame and a bad
+// body alike.
 var (
-	// ErrShortRecord: the buffer ends before the record does — the torn
-	// tail a crash mid-append leaves behind.
-	ErrShortRecord = errors.New("audit: truncated record")
-	// ErrCorruptRecord: framing decoded but the contents are invalid —
-	// CRC mismatch, bad version/frame, or fields that do not tile the
-	// body exactly.
-	ErrCorruptRecord = errors.New("audit: corrupt record")
+	ErrShortRecord   = seglog.ErrShort
+	ErrCorruptRecord = seglog.ErrCorrupt
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// format is the journal's on-disk identity: audit-%08d.seg segments,
+// bodies from the fixed fields up to the largest checkpoint plus its
+// envelope.
+var format = seglog.Format{Prefix: "audit-", Suffix: ".seg", MinBody: fixedBody, MaxBody: MaxCheckpointBytes + 64}
 
 // Record is one journal entry.
 type Record struct {
@@ -108,8 +107,7 @@ type Record struct {
 // AppendRecord encodes rec onto dst and returns the extended slice.
 func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header backfilled below
-	bodyStart := len(dst)
+	dst = seglog.BeginFrame(dst)
 	dst = append(dst, recordVersion, byte(rec.Frame))
 	dst = binary.LittleEndian.AppendUint64(dst, rec.Seq)
 	dst = append(dst, rec.Prev[:]...)
@@ -134,10 +132,7 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	default:
 		return dst[:start], fmt.Errorf("%w: bad frame %d", ErrCorruptRecord, rec.Frame)
 	}
-	body := dst[bodyStart:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, crcTable))
-	return dst, nil
+	return seglog.EndFrame(dst, start), nil
 }
 
 // DecodeRecord decodes one record from the front of b, returning the
@@ -146,23 +141,20 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 // framed but invalid (CRC mismatch included). The returned record's
 // Checkpoint aliases b.
 func DecodeRecord(b []byte) (Record, int, error) {
+	body, n, err := format.Decode(b)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	rec, err := decodeBody(body)
+	return rec, n, err
+}
+
+// decodeBody decodes a CRC-checked body of at least fixedBody bytes
+// (format.Decode guarantees both).
+func decodeBody(body []byte) (Record, error) {
 	var rec Record
-	if len(b) < headerSize {
-		return rec, 0, ErrShortRecord
-	}
-	bodyLen := binary.LittleEndian.Uint32(b)
-	if bodyLen < fixedBody || bodyLen > MaxCheckpointBytes+64 {
-		return rec, 0, fmt.Errorf("%w: implausible body length %d", ErrCorruptRecord, bodyLen)
-	}
-	if uint32(len(b)-headerSize) < bodyLen {
-		return rec, 0, ErrShortRecord
-	}
-	body := b[headerSize : headerSize+int(bodyLen)]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
-		return rec, 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
-	}
 	if body[0] != recordVersion {
-		return rec, 0, fmt.Errorf("%w: version %d", ErrCorruptRecord, body[0])
+		return rec, fmt.Errorf("%w: version %d", ErrCorruptRecord, body[0])
 	}
 	rec.Frame = Frame(body[1])
 	rec.Seq = binary.LittleEndian.Uint64(body[2:])
@@ -172,7 +164,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	switch rec.Frame {
 	case FrameEvent:
 		if len(rest) < 8 {
-			return rec, 0, fmt.Errorf("%w: short event body", ErrCorruptRecord)
+			return rec, fmt.Errorf("%w: short event body", ErrCorruptRecord)
 		}
 		rec.Trace = binary.LittleEndian.Uint64(rest)
 		rest = rest[8:]
@@ -180,29 +172,29 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		var err error
 		for _, dst := range [...]*string{&rec.Kind, &rec.Peer, &rec.Op, &rec.Reason} {
 			if field, rest, err = take16(rest); err != nil {
-				return rec, 0, err
+				return rec, err
 			}
 			*dst = string(field)
 		}
 		if len(rest) != 0 {
 			// Trailing garbage: accepting it would break encode∘decode
 			// identity AND let an adversary smuggle unhashed bytes.
-			return rec, 0, fmt.Errorf("%w: event fields do not tile body", ErrCorruptRecord)
+			return rec, fmt.Errorf("%w: event fields do not tile body", ErrCorruptRecord)
 		}
 	case FrameCheckpoint:
 		if len(rest) < 4 {
-			return rec, 0, fmt.Errorf("%w: short checkpoint length", ErrCorruptRecord)
+			return rec, fmt.Errorf("%w: short checkpoint length", ErrCorruptRecord)
 		}
 		plen := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
 		if uint32(len(rest)) != plen {
-			return rec, 0, fmt.Errorf("%w: checkpoint does not tile body", ErrCorruptRecord)
+			return rec, fmt.Errorf("%w: checkpoint does not tile body", ErrCorruptRecord)
 		}
 		rec.Checkpoint = rest
 	default:
-		return rec, 0, fmt.Errorf("%w: bad frame %d", ErrCorruptRecord, body[1])
+		return rec, fmt.Errorf("%w: bad frame %d", ErrCorruptRecord, body[1])
 	}
-	return rec, headerSize + int(bodyLen), nil
+	return rec, nil
 }
 
 func take16(b []byte) (field, rest []byte, err error) {

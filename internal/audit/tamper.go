@@ -1,10 +1,11 @@
 package audit
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"jxtaoverlay/internal/seglog"
 )
 
 // Disk-adversary helpers: the attack suite (and the property test)
@@ -14,87 +15,73 @@ import (
 
 // ErrNoRecords is returned when a tamper helper needs records the
 // journal does not have.
-var ErrNoRecords = errors.New("audit: journal has no records")
+var ErrNoRecords = seglog.ErrNoRecords
 
-// Loc names one record's position on disk.
+// Loc names one record's position on disk (seglog's segment, offset and
+// size) and in the chain.
 type Loc struct {
-	Segment string // file name within the journal directory
-	Offset  int64  // byte offset of the record's header
-	Size    int64  // framed size (header + body)
-	Seq     uint64
-	Frame   Frame
+	seglog.Loc
+	Seq   uint64
+	Frame Frame
 }
 
 // scan decodes every record in every segment, returning their
 // locations in order. Damage mid-scan stops the scan (the helpers
 // only need the intact prefix).
 func scan(dir string) ([]Loc, error) {
-	segs, err := listSegments(dir)
+	segs, err := format.List(dir)
 	if err != nil {
 		return nil, err
 	}
 	var locs []Loc
 	for _, seg := range segs {
-		name := segName(seg)
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		var off int64
-		for off < int64(len(data)) {
-			rec, n, derr := DecodeRecord(data[off:])
-			if derr != nil {
-				return locs, nil
+		stop, err := format.Walk(filepath.Join(dir, seg.Name), func(off int64, framed []byte) error {
+			rec, err := decodeBody(framed[seglog.HeaderSize:])
+			if err == nil {
+				locs = append(locs, Loc{
+					Loc: seglog.Loc{Segment: seg.Name, Offset: off, Size: int64(len(framed))},
+					Seq: rec.Seq, Frame: rec.Frame,
+				})
 			}
-			locs = append(locs, Loc{Segment: name, Offset: off, Size: int64(n), Seq: rec.Seq, Frame: rec.Frame})
-			off += int64(n)
+			return err
+		})
+		if err != nil || stop.Err != nil {
+			return locs, err
 		}
 	}
 	return locs, nil
 }
 
-// FlipBit flips one bit in the middle of the last record's body — the
-// single-bit disk error (or the crudest tamper). The CRC catches it.
-func FlipBit(dir string) (Loc, error) {
+// last returns the journal's final intact record.
+func last(dir string) (Loc, error) {
 	locs, err := scan(dir)
+	if err == nil && len(locs) == 0 {
+		err = ErrNoRecords
+	}
 	if err != nil {
 		return Loc{}, err
 	}
-	if len(locs) == 0 {
-		return Loc{}, ErrNoRecords
-	}
-	loc := locs[len(locs)-1]
-	pos := loc.Offset + headerSize + (loc.Size-headerSize)/2
-	return loc, flipBitAt(filepath.Join(dir, loc.Segment), pos)
+	return locs[len(locs)-1], nil
 }
 
-func flipBitAt(path string, pos int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+// FlipBit flips one bit in the middle of the last record's body — the
+// single-bit disk error (or the crudest tamper). The CRC catches it.
+func FlipBit(dir string) (Loc, error) {
+	loc, err := last(dir)
 	if err != nil {
-		return err
+		return Loc{}, err
 	}
-	defer f.Close()
-	var b [1]byte
-	if _, err := f.ReadAt(b[:], pos); err != nil {
-		return err
-	}
-	b[0] ^= 0x10
-	_, err = f.WriteAt(b[:], pos)
-	return err
+	return loc, loc.FlipBit(dir)
 }
 
 // TearRecord truncates the final segment halfway through its last
 // record — the torn write a crash (or a truncation attack) leaves.
 func TearRecord(dir string) (Loc, error) {
-	locs, err := scan(dir)
+	loc, err := last(dir)
 	if err != nil {
 		return Loc{}, err
 	}
-	if len(locs) == 0 {
-		return Loc{}, ErrNoRecords
-	}
-	loc := locs[len(locs)-1]
-	return loc, os.Truncate(filepath.Join(dir, loc.Segment), loc.Offset+loc.Size/2)
+	return loc, loc.Tear(dir)
 }
 
 // SwapRecords swaps the last two records that share a segment — a
@@ -153,19 +140,18 @@ func Rollback(dir string) (Loc, error) {
 		return Loc{}, err
 	}
 	// Drop every segment after the one we truncated into.
-	segs, err := listSegments(dir)
+	segs, err := format.List(dir)
 	if err != nil {
 		return Loc{}, err
 	}
 	cut := false
 	for _, seg := range segs {
-		name := segName(seg)
 		if cut {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			if err := os.Remove(filepath.Join(dir, seg.Name)); err != nil {
 				return Loc{}, err
 			}
 		}
-		if name == loc.Segment {
+		if seg.Name == loc.Segment {
 			cut = true
 		}
 	}

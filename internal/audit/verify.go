@@ -4,11 +4,11 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
 	"jxtaoverlay/internal/cred"
+	"jxtaoverlay/internal/seglog"
 )
 
 // VerifyOptions parameterizes a full-chain verification.
@@ -97,7 +97,7 @@ func Verify(dir string, opts VerifyOptions) (*Report, error) {
 	if opts.Now.IsZero() {
 		opts.Now = time.Now()
 	}
-	segs, err := listSegments(dir)
+	segs, err := format.List(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -107,53 +107,49 @@ func Verify(dir string, opts VerifyOptions) (*Report, error) {
 	lastSegName := ""
 	var lastSegEnd int64
 
-walk:
+	// check holds one record against the chain state computed so far;
+	// its error is the fault's reason.
+	check := func(_ int64, framed []byte) error {
+		rec, err := decodeBody(framed[seglog.HeaderSize:])
+		if err != nil {
+			return err
+		}
+		if rec.Seq != seq+1 {
+			return fmt.Errorf("sequence break: got seq %d, want %d", rec.Seq, seq+1)
+		}
+		if rec.Prev != head {
+			return fmt.Errorf("hash chain break at seq %d: prev-hash does not match the preceding record", rec.Seq)
+		}
+		if rec.Frame == FrameCheckpoint {
+			claim, err := parseCheckpoint(rec.Checkpoint)
+			if err != nil {
+				return err
+			}
+			signer, err := claim.verify(rec, head, opts.Trust, opts.Now)
+			if err != nil {
+				return err
+			}
+			r.Checkpoints++
+			r.LastCheckpointSeq = rec.Seq
+			r.Signer = signer.SubjectName
+		} else {
+			r.Events++
+		}
+		head = sha256.Sum256(framed)
+		seq = rec.Seq
+		r.Records++
+		return nil
+	}
 	for _, seg := range segs {
-		name := segName(seg)
-		data, err := os.ReadFile(filepath.Join(dir, name))
+		stop, err := format.Walk(filepath.Join(dir, seg.Name), check)
 		if err != nil {
 			return nil, err
 		}
 		r.Segments++
-		lastSegName, lastSegEnd = name, int64(len(data))
-		var off int64
-		for off < int64(len(data)) {
-			rec, n, derr := DecodeRecord(data[off:])
-			if derr != nil {
-				r.Fault = &Fault{Segment: name, Offset: off, Seq: seq, Reason: derr.Error()}
-				break walk
-			}
-			if rec.Seq != seq+1 {
-				r.Fault = &Fault{Segment: name, Offset: off, Seq: seq,
-					Reason: fmt.Sprintf("sequence break: got seq %d, want %d", rec.Seq, seq+1)}
-				break walk
-			}
-			if rec.Prev != head {
-				r.Fault = &Fault{Segment: name, Offset: off, Seq: seq,
-					Reason: fmt.Sprintf("hash chain break at seq %d: prev-hash does not match the preceding record", rec.Seq)}
-				break walk
-			}
-			if rec.Frame == FrameCheckpoint {
-				claim, cerr := parseCheckpoint(rec.Checkpoint)
-				if cerr != nil {
-					r.Fault = &Fault{Segment: name, Offset: off, Seq: seq, Reason: cerr.Error()}
-					break walk
-				}
-				signer, cerr := claim.verify(rec, head, opts.Trust, opts.Now)
-				if cerr != nil {
-					r.Fault = &Fault{Segment: name, Offset: off, Seq: seq, Reason: cerr.Error()}
-					break walk
-				}
-				r.Checkpoints++
-				r.LastCheckpointSeq = rec.Seq
-				r.Signer = signer.SubjectName
-			} else {
-				r.Events++
-			}
-			head = sha256.Sum256(data[off : off+int64(n)])
-			seq = rec.Seq
-			r.Records++
-			off += int64(n)
+		lastSegName, lastSegEnd = seg.Name, stop.Size
+		if stop.Err != nil {
+			r.Fault = &Fault{Segment: seg.Name, Offset: stop.Offset, Seq: seq, Reason: stop.Err.Error()}
+			break
 		}
 	}
 	r.Head = head

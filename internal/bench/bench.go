@@ -3,14 +3,13 @@
 // fabric, measures primitive costs, and reprices wire time under
 // arbitrary link profiles.
 //
-// Methodology (documented in EXPERIMENTS.md): operations run on a
-// zero-latency network so the measured wall time is pure compute
-// (crypto, XML, framing — the part the paper ran on a 1.20 GHz
-// Pentium M). The frames and bytes each operation exchanged are counted
-// from fabric statistics, and wire time is added analytically per link
-// profile (frames × latency + bytes ÷ bandwidth). This keeps the
-// reported shapes deterministic while preserving the compute/transport
-// trade-off the paper measures.
+// Methodology: operations run on a zero-latency network so the measured
+// wall time is pure compute (crypto, XML, framing — the part the paper
+// ran on a 1.20 GHz Pentium M). The frames and bytes each operation
+// exchanged are counted from fabric statistics, and wire time is added
+// analytically per link profile (frames × latency + bytes ÷ bandwidth).
+// This keeps the reported shapes deterministic while preserving the
+// compute/transport trade-off the paper measures.
 package bench
 
 import (

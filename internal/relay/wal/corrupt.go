@@ -1,98 +1,32 @@
 package wal
 
-import (
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-)
+import "jxtaoverlay/internal/seglog"
 
 // Deterministic on-disk corruption, used by the fault-injection matrix
 // (internal/attack, internal/integration) to simulate the two damage
-// shapes recovery must absorb: a record torn in half by a crash
-// mid-write, and a bit flipped by the disk (or an attacker) under an
-// intact length frame. These operate on a CLOSED log's directory.
+// shapes recovery must absorb; the damage itself is seglog's. These
+// operate on a CLOSED log's directory.
 
 // ErrNoRecords means the directory holds no complete record to corrupt.
-var ErrNoRecords = errors.New("wal: no records to corrupt")
-
-// finalSegment returns the path of the highest-numbered segment.
-func finalSegment(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", err
-	}
-	var segs []int
-	for _, e := range entries {
-		var i int
-		if n, _ := fmt.Sscanf(e.Name(), "seg-%d.wal", &i); n == 1 {
-			segs = append(segs, i)
-		}
-	}
-	if len(segs) == 0 {
-		return "", ErrNoRecords
-	}
-	sort.Ints(segs)
-	return filepath.Join(dir, segName(segs[len(segs)-1])), nil
-}
-
-// lastRecordOffset scans the final segment and returns its path, the
-// offset of the last complete record, and that record's length.
-func lastRecordOffset(dir string) (path string, off, size int, err error) {
-	path, err = finalSegment(dir)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	pos, found := 0, false
-	for pos < len(data) {
-		_, n, derr := DecodeRecord(data[pos:])
-		if derr != nil {
-			break
-		}
-		off, size, found = pos, n, true
-		pos += n
-	}
-	if !found {
-		return "", 0, 0, ErrNoRecords
-	}
-	return path, off, size, nil
-}
+var ErrNoRecords = seglog.ErrNoRecords
 
 // TearFinalRecord truncates the final segment mid-way through its last
 // record — the torn tail an interrupted append leaves behind.
 func TearFinalRecord(dir string) error {
-	path, off, size, err := lastRecordOffset(dir)
+	loc, err := format.Last(dir)
 	if err != nil {
 		return err
 	}
-	return os.Truncate(path, int64(off+size/2))
+	return loc.Tear(dir)
 }
 
 // FlipTailCRC flips one bit inside the last record's body, leaving the
 // length frame intact, so the record decodes far enough to fail its CRC
 // check rather than its framing.
 func FlipTailCRC(dir string) error {
-	path, off, size, err := lastRecordOffset(dir)
+	loc, err := format.Last(dir)
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	// Flip a bit in the middle of the body (past the 8-byte header).
-	pos := int64(off + headerSize + (size-headerSize)/2)
-	b := make([]byte, 1)
-	if _, err := f.ReadAt(b, pos); err != nil {
-		return err
-	}
-	b[0] ^= 0x10
-	_, err = f.WriteAt(b, pos)
-	return err
+	return loc.FlipBit(dir)
 }

@@ -2,15 +2,14 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/seglog"
 )
 
-// Wire layout of one record:
+// Wire layout of one record (the header is the seglog frame):
 //
 //	uint32 LE  body length
 //	uint32 LE  CRC-32C (Castagnoli) of body
@@ -60,7 +59,10 @@ const (
 
 const (
 	recordVersion = 1
-	headerSize    = 8 // length + CRC
+
+	// fixedBody is the length of the fields every body starts with:
+	// version, kind, seq.
+	fixedBody = 2 + 8
 
 	// flagForwarded marks an item received through federation hand-off;
 	// it must never be forwarded again (one-hop loop guard).
@@ -75,18 +77,17 @@ const (
 	maxIDLen = 1 << 12
 )
 
-// Codec errors.
+// Codec errors are the frame layer's (see seglog.ErrShort and
+// seglog.ErrCorrupt), so one errors.Is covers a bad frame and a bad
+// body alike.
 var (
-	// ErrShortRecord: the buffer ends before the record does — the torn
-	// tail a crash mid-append leaves behind.
-	ErrShortRecord = errors.New("wal: truncated record")
-	// ErrCorruptRecord: framing decoded but the contents are invalid —
-	// CRC mismatch, bad version/kind, or fields that do not tile the
-	// body exactly.
-	ErrCorruptRecord = errors.New("wal: corrupt record")
+	ErrShortRecord   = seglog.ErrShort
+	ErrCorruptRecord = seglog.ErrCorrupt
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// format is the WAL's on-disk identity: seg-%08d.wal segments, bodies
+// from the fixed fields up to the largest payload plus its envelope.
+var format = seglog.Format{Prefix: "seg-", Suffix: ".wal", MinBody: fixedBody, MaxBody: MaxPayload + 64}
 
 // Record is one WAL entry.
 type Record struct {
@@ -111,8 +112,7 @@ type Seq uint64
 // AppendRecord encodes rec onto dst and returns the extended slice.
 func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // header backfilled below
-	bodyStart := len(dst)
+	dst = seglog.BeginFrame(dst)
 	dst = append(dst, recordVersion, byte(rec.Kind))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Seq))
 	switch rec.Kind {
@@ -145,10 +145,7 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 	default:
 		return dst[:start], fmt.Errorf("%w: bad kind %d", ErrCorruptRecord, rec.Kind)
 	}
-	body := dst[bodyStart:]
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(body, crcTable))
-	return dst, nil
+	return seglog.EndFrame(dst, start), nil
 }
 
 // DecodeRecord decodes one record from the front of b, returning the
@@ -157,79 +154,76 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 // framed but invalid (CRC mismatch included). The returned record's
 // Payload aliases b.
 func DecodeRecord(b []byte) (Record, int, error) {
+	body, n, err := format.Decode(b)
+	if err != nil {
+		return Record{}, 0, err
+	}
+	rec, err := decodeBody(body)
+	return rec, n, err
+}
+
+// decodeBody decodes a CRC-checked body of at least fixedBody bytes
+// (format.Decode guarantees both).
+func decodeBody(body []byte) (Record, error) {
 	var rec Record
-	if len(b) < headerSize {
-		return rec, 0, ErrShortRecord
-	}
-	bodyLen := binary.LittleEndian.Uint32(b)
-	if bodyLen < 10 || bodyLen > MaxPayload+64 {
-		return rec, 0, fmt.Errorf("%w: implausible body length %d", ErrCorruptRecord, bodyLen)
-	}
-	if uint32(len(b)-headerSize) < bodyLen {
-		return rec, 0, ErrShortRecord
-	}
-	body := b[headerSize : headerSize+int(bodyLen)]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(b[4:]) {
-		return rec, 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
-	}
 	if body[0] != recordVersion {
-		return rec, 0, fmt.Errorf("%w: version %d", ErrCorruptRecord, body[0])
+		return rec, fmt.Errorf("%w: version %d", ErrCorruptRecord, body[0])
 	}
 	rec.Kind = Kind(body[1])
 	rec.Seq = Seq(binary.LittleEndian.Uint64(body[2:]))
-	rest := body[10:]
+	rest := body[fixedBody:]
 	switch rec.Kind {
 	case KindAdd:
 		if len(rest) < 9 {
-			return rec, 0, fmt.Errorf("%w: short add body", ErrCorruptRecord)
+			return rec, fmt.Errorf("%w: short add body", ErrCorruptRecord)
 		}
 		rec.Expires = time.Unix(0, int64(binary.LittleEndian.Uint64(rest)))
 		flags := rest[8]
 		if flags&^byte(flagForwarded) != 0 {
-			return rec, 0, fmt.Errorf("%w: unknown flags %#x", ErrCorruptRecord, flags)
+			return rec, fmt.Errorf("%w: unknown flags %#x", ErrCorruptRecord, flags)
 		}
 		rec.Forwarded = flags&flagForwarded != 0
 		rest = rest[9:]
 		var field []byte
 		var err error
 		if field, rest, err = take16(rest); err != nil {
-			return rec, 0, err
+			return rec, err
 		}
 		rec.To = keys.PeerID(field)
 		if field, rest, err = take16(rest); err != nil {
-			return rec, 0, err
+			return rec, err
 		}
 		rec.From = keys.PeerID(field)
 		if field, rest, err = take16(rest); err != nil {
-			return rec, 0, err
+			return rec, err
 		}
 		rec.Group = string(field)
 		if len(rec.To) > maxIDLen || len(rec.From) > maxIDLen || len(rec.Group) > maxIDLen {
-			return rec, 0, fmt.Errorf("%w: oversized identifier", ErrCorruptRecord)
+			return rec, fmt.Errorf("%w: oversized identifier", ErrCorruptRecord)
 		}
 		if len(rest) < 4 {
-			return rec, 0, fmt.Errorf("%w: short payload length", ErrCorruptRecord)
+			return rec, fmt.Errorf("%w: short payload length", ErrCorruptRecord)
 		}
 		plen := binary.LittleEndian.Uint32(rest)
 		rest = rest[4:]
 		if uint32(len(rest)) != plen {
 			// Too short OR trailing garbage: either way the body does not
 			// tile, and accepting it would break encode∘decode identity.
-			return rec, 0, fmt.Errorf("%w: payload does not tile body", ErrCorruptRecord)
+			return rec, fmt.Errorf("%w: payload does not tile body", ErrCorruptRecord)
 		}
 		rec.Payload = rest
 	case KindAck:
 		if len(rest) != 1 {
-			return rec, 0, fmt.Errorf("%w: ack body must be exactly 1 byte", ErrCorruptRecord)
+			return rec, fmt.Errorf("%w: ack body must be exactly 1 byte", ErrCorruptRecord)
 		}
 		rec.Reason = AckReason(rest[0])
 		if rec.Reason < AckDelivered || rec.Reason > AckDropped {
-			return rec, 0, fmt.Errorf("%w: bad ack reason %d", ErrCorruptRecord, rest[0])
+			return rec, fmt.Errorf("%w: bad ack reason %d", ErrCorruptRecord, rest[0])
 		}
 	default:
-		return rec, 0, fmt.Errorf("%w: bad kind %d", ErrCorruptRecord, body[1])
+		return rec, fmt.Errorf("%w: bad kind %d", ErrCorruptRecord, body[1])
 	}
-	return rec, headerSize + int(bodyLen), nil
+	return rec, nil
 }
 
 func take16(b []byte) (field, rest []byte, err error) {

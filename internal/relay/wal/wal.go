@@ -5,88 +5,55 @@
 // KindAck when it is delivered, expires or is dropped — so replaying
 // the log reconstructs exactly the set of undelivered items.
 //
-// Durability contract: an append is durable once it has been fsynced
-// (SyncInterval == 0 syncs every append before returning; a positive
-// interval batches appends in memory and a background flusher writes
-// and fsyncs each batch that often; Sync() forces one). Recovery never
-// loses an fsynced add, never resurrects an item whose ack was
-// fsynced, and treats a torn or corrupt tail as the crash artifact it
-// is: replay stops at the last valid record and the tail is truncated
-// away. Un-fsynced records MAY survive (the OS got them to disk
-// anyway) or may be lost entirely (a batched append that never left
-// the staging buffer); that asymmetry is safe because the relay is
-// at-least-once and the recipient's replay guard deduplicates (see
-// SECURITY.md, "Durable queue trust model").
+// Storage — the frame, the segment files, the write/fsync discipline,
+// fail-stop and the durability contract — is internal/seglog; see its
+// package doc. What is the WAL's own: recovery never loses an fsynced
+// add, never resurrects an item whose ack was fsynced, and treats a torn
+// or corrupt tail as the crash artifact it is: replay stops at the last
+// valid record and the tail is truncated away. That un-fsynced records
+// may or may not survive is safe because the relay is at-least-once and
+// the recipient's replay guard deduplicates (see SECURITY.md, "Durable
+// queue trust model").
 //
-// The log is segmented: the active segment takes appends; when it
-// outgrows SegmentBytes the log compacts — live records are rewritten
-// into a fresh segment and every older segment is deleted — so disk
-// usage tracks the live queue, not lifetime traffic.
+// Rotation is compaction: when the active segment outgrows SegmentBytes
+// the live records are rewritten into a fresh segment and every older
+// segment is deleted, so disk usage tracks the live queue, not lifetime
+// traffic.
 package wal
 
 import (
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"sort"
-	"sync"
 	"time"
+
+	"jxtaoverlay/internal/seglog"
 )
 
 // FaultPoint names an instant the fault-injection hook can observe (and
-// kill the log at). The points bracket the two operations whose
-// ordering recovery invariants depend on: the buffered write of a
-// record and the fsync that makes it durable.
-type FaultPoint int
+// kill the log at); see seglog.FaultPoint.
+type FaultPoint = seglog.FaultPoint
 
 // Fault points.
 const (
-	// BeforeAppend fires before a record's bytes are written (or, with
-	// batched syncing, staged): a crash here loses the record entirely.
-	BeforeAppend FaultPoint = iota
-	// AfterAppend fires after the write but before any fsync: the record
-	// is in the OS page cache (or, with batched syncing, the staging
-	// buffer), durable only by luck.
-	AfterAppend
-	// BeforeSync fires on entry to fsync: everything written is still
-	// only as durable as the page cache.
-	BeforeSync
-	// AfterSync fires after a successful fsync: everything appended so
-	// far is durable.
-	AfterSync
+	BeforeAppend = seglog.BeforeAppend
+	AfterAppend  = seglog.AfterAppend
+	BeforeSync   = seglog.BeforeSync
+	AfterSync    = seglog.AfterSync
 )
 
-// String names the point for test output.
-func (p FaultPoint) String() string {
-	switch p {
-	case BeforeAppend:
-		return "before-append"
-	case AfterAppend:
-		return "after-append"
-	case BeforeSync:
-		return "before-sync"
-	case AfterSync:
-		return "after-sync"
-	default:
-		return fmt.Sprintf("fault-point-%d", int(p))
-	}
-}
-
-// FaultFunc is the deterministic fault-injection hook: return a non-nil
-// error to simulate the process dying at that point. The log goes
-// sticky-failed — every later append or sync fails with ErrLogFailed —
-// so the test can then reopen the directory and assert what recovery
-// reconstructs from the bytes that made it to disk.
-type FaultFunc func(p FaultPoint) error
+// FaultFunc is the deterministic fault-injection hook: a non-nil return
+// kills the log at that point (every later append or sync fails with
+// ErrLogFailed); see seglog.FaultFunc.
+type FaultFunc = seglog.FaultFunc
 
 // ErrInjected is a convenient error for FaultFunc implementations.
-var ErrInjected = errors.New("wal: injected crash")
+var ErrInjected = seglog.ErrInjected
 
 // ErrLogFailed is returned by appends after the log has failed (an
 // injected crash or a real I/O error). The in-memory relay keeps
 // working; the WAL just stops being written, exactly like a dying disk.
-var ErrLogFailed = errors.New("wal: log failed")
+var ErrLogFailed = seglog.ErrFailed
 
 // Options parameterizes a Log.
 type Options struct {
@@ -129,131 +96,34 @@ type RecoveryStats struct {
 
 // Log is an open write-ahead queue log.
 type Log struct {
-	opts Options
+	log *seglog.Log // its append lock guards the fields below
 
-	// syncMu serializes batched fsyncs (the flusher and Sync). It is
-	// acquired BEFORE mu, never while holding it: the fsync itself runs
-	// with mu released, so appends keep flowing while the disk catches
-	// up — holding the append lock across an fsync would turn every
-	// flush interval into a queue-wide stall.
-	syncMu sync.Mutex
-
-	mu       sync.Mutex
-	f        *os.File
-	segIndex int
-	segBytes int64
-	buf      []byte // reusable encode buffer (guarded by mu)
-	stage    []byte // batched mode: encoded records awaiting the flusher
-	spare    []byte // recycled staging buffer (swapped with stage per flush)
-	nextSeq  Seq
-	live     map[Seq]Record // undelivered adds, for compaction
-	dirty    bool           // written but not fsynced
-	err      error          // sticky failure
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	buf     []byte // compaction's reusable encode buffer
+	nextSeq Seq
+	live    map[Seq]Record // undelivered adds, for compaction
 }
-
-const defaultSegmentBytes = 4 << 20
-
-func segName(i int) string { return fmt.Sprintf("seg-%08d.wal", i) }
 
 // Open replays the segments in dir (creating it if needed), returning
 // the log ready for appends plus the recovered live records and replay
 // stats. Live records come back sorted by sequence number — enqueue
 // order — with payloads copied out of the read buffer.
+//
+// A torn or corrupt record in the FINAL segment is a crash artifact:
+// replay stops there and the tail is truncated so new appends start at
+// a clean boundary. The same damage mid-way through an earlier segment
+// cannot come from a crash (later segments were created after it) —
+// replay still keeps everything before the damage but counts the
+// segment so callers can surface the tampering.
 func Open(opts Options) (*Log, []Record, RecoveryStats, error) {
 	var stats RecoveryStats
 	if opts.Dir == "" {
 		return nil, nil, stats, errors.New("wal: Options.Dir is required")
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, nil, stats, err
-	}
-	entries, err := os.ReadDir(opts.Dir)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	var segs []int
-	for _, e := range entries {
-		var i int
-		if n, _ := fmt.Sscanf(e.Name(), "seg-%d.wal", &i); n == 1 {
-			segs = append(segs, i)
-		}
-	}
-	sort.Ints(segs)
-
-	l := &Log{opts: opts, live: make(map[Seq]Record), nextSeq: 1, stop: make(chan struct{})}
-	for si, seg := range segs {
-		final := si == len(segs)-1
-		path := filepath.Join(opts.Dir, segName(seg))
-		if err := l.replaySegment(path, final, &stats); err != nil {
-			return nil, nil, stats, err
-		}
-	}
-
-	// Open (or create) the active segment.
-	l.segIndex = 0
-	if len(segs) > 0 {
-		l.segIndex = segs[len(segs)-1]
-	}
-	path := filepath.Join(opts.Dir, segName(l.segIndex))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	if fi, err := f.Stat(); err == nil {
-		l.segBytes = fi.Size()
-	}
-	l.f = f
-
-	recovered := make([]Record, 0, len(l.live))
-	for _, rec := range l.live {
-		rec.Payload = append([]byte(nil), rec.Payload...)
-		recovered = append(recovered, rec)
-	}
-	sort.Slice(recovered, func(i, j int) bool { return recovered[i].Seq < recovered[j].Seq })
-	// The live map must not alias the replay buffers either.
-	for _, rec := range recovered {
-		l.live[rec.Seq] = rec
-	}
-	stats.Live = len(recovered)
-
-	if opts.SyncInterval > 0 {
-		l.wg.Add(1)
-		go l.flusher(l.stop)
-	}
-	return l, recovered, stats, nil
-}
-
-// replaySegment folds one segment's records into l.live. A torn or
-// corrupt record in the FINAL segment is a crash artifact: replay stops
-// there and the tail is truncated so new appends start at a clean
-// boundary. The same damage mid-way through an earlier segment cannot
-// come from a crash (later segments were created after it) — replay
-// still keeps everything before the damage but counts the segment so
-// callers can surface the tampering.
-func (l *Log) replaySegment(path string, final bool, stats *RecoveryStats) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	off := 0
-	for off < len(data) {
-		rec, n, err := DecodeRecord(data[off:])
+	l := &Log{live: make(map[Seq]Record), nextSeq: 1}
+	replay := func(_ int64, framed []byte) error {
+		rec, err := decodeBody(framed[seglog.HeaderSize:])
 		if err != nil {
-			if final {
-				stats.TornBytes += int64(len(data) - off)
-				if terr := os.Truncate(path, int64(off)); terr != nil {
-					return terr
-				}
-			} else {
-				stats.CorruptSegments++
-			}
-			break
+			return err
 		}
 		switch rec.Kind {
 		case KindAdd:
@@ -267,9 +137,39 @@ func (l *Log) replaySegment(path string, final bool, stats *RecoveryStats) error
 		if rec.Seq >= l.nextSeq {
 			l.nextSeq = rec.Seq + 1
 		}
-		off += n
+		return nil
 	}
-	return nil
+	stopped := func(_ seglog.Segment, later []seglog.Segment, stop seglog.Stop) (bool, error) {
+		if len(later) > 0 {
+			stats.CorruptSegments++
+			return false, nil
+		}
+		stats.TornBytes += stop.Size - stop.Offset
+		return true, nil
+	}
+	var err error
+	l.log, err = seglog.Open(seglog.Options{
+		Dir: opts.Dir, Format: format, Replay: replay, Stopped: stopped,
+		SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
+		Faults: opts.Faults, OnSync: opts.OnSync,
+		Compact: l.compact,
+	})
+	if err != nil {
+		return nil, nil, stats, err
+	}
+
+	recovered := make([]Record, 0, len(l.live))
+	for _, rec := range l.live {
+		rec.Payload = append([]byte(nil), rec.Payload...)
+		recovered = append(recovered, rec)
+	}
+	sort.Slice(recovered, func(i, j int) bool { return recovered[i].Seq < recovered[j].Seq })
+	// The live map must not alias the replay buffers either.
+	for _, rec := range recovered {
+		l.live[rec.Seq] = rec
+	}
+	stats.Live = len(recovered)
+	return l, recovered, stats, nil
 }
 
 // AppendAdd persists one enqueued item and returns its sequence number.
@@ -278,27 +178,14 @@ func (l *Log) replaySegment(path string, final bool, stats *RecoveryStats) error
 // retained (for compaction) until the matching AppendAck; the caller
 // must not mutate it in between.
 func (l *Log) AppendAdd(rec Record) (Seq, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return 0, l.err
-	}
+	l.log.Lock()
+	defer l.log.Unlock()
 	rec.Kind = KindAdd
 	rec.Seq = l.nextSeq
-	if l.opts.SyncInterval > 0 {
-		if err := l.stageLocked(rec); err != nil {
-			return 0, err
-		}
-		l.nextSeq++
-		l.live[rec.Seq] = rec
-		return rec.Seq, nil
-	}
 	if err := l.appendLocked(rec); err != nil {
 		return 0, err
 	}
-	l.nextSeq++
-	l.live[rec.Seq] = rec
-	return rec.Seq, l.maybeRotateLocked()
+	return rec.Seq, nil
 }
 
 // AppendAck retires a previously appended item. Acks for sequence 0
@@ -308,299 +195,68 @@ func (l *Log) AppendAck(seq Seq, reason AckReason) error {
 	if seq == 0 {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
+	l.log.Lock()
+	defer l.log.Unlock()
+	return l.appendLocked(Record{Kind: KindAck, Seq: seq, Reason: reason})
+}
+
+// appendLocked encodes rec straight into the log's buffer and commits
+// it. The live set is brought up to date BEFORE the commit because a
+// commit that fills the segment compacts on the spot, and the
+// compaction must carry an add just written and drop one just acked; a
+// commit that fails leaves the log dead, so the set is never read again.
+func (l *Log) appendLocked(rec Record) error {
+	buf, err := l.log.Begin()
+	if err != nil {
+		return err
 	}
-	rec := Record{Kind: KindAck, Seq: seq, Reason: reason}
-	if l.opts.SyncInterval > 0 {
-		if err := l.stageLocked(rec); err != nil {
+	if buf, err = AppendRecord(buf, rec); err != nil {
+		return err
+	}
+	if rec.Kind == KindAdd {
+		l.nextSeq++
+		l.live[rec.Seq] = rec
+	} else {
+		delete(l.live, rec.Seq)
+	}
+	_, err = l.log.Commit(buf)
+	return err
+}
+
+// compact is the rotation policy (seglog.Options.Compact): the fresh
+// segment holds only undelivered adds, in enqueue order — delivered and
+// expired records are reclaimed here.
+func (l *Log) compact(w io.Writer) error {
+	seqs := make([]Seq, 0, len(l.live))
+	for seq := range l.live {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for _, seq := range seqs {
+		var err error
+		if l.buf, err = AppendRecord(l.buf[:0], l.live[seq]); err != nil {
 			return err
 		}
-		delete(l.live, seq)
-		return nil
-	}
-	if err := l.appendLocked(rec); err != nil {
-		return err
-	}
-	delete(l.live, seq)
-	return l.maybeRotateLocked()
-}
-
-// stageLocked encodes rec into the in-memory staging buffer instead of
-// writing it: the flusher (or Sync) drains the whole batch with a
-// single write() immediately before its fsync. Until then the record
-// exists only in process memory — lost in a crash, which the
-// durability contract allows for anything not yet fsynced — so the
-// append path costs an encode and nothing else.
-func (l *Log) stageLocked(rec Record) error {
-	if err := l.fault(BeforeAppend); err != nil {
-		return err
-	}
-	var err error
-	l.stage, err = AppendRecord(l.stage, rec)
-	if err != nil {
-		return err
-	}
-	return l.fault(AfterAppend)
-}
-
-func (l *Log) appendLocked(rec Record) error {
-	if err := l.fault(BeforeAppend); err != nil {
-		return err
-	}
-	var err error
-	l.buf, err = AppendRecord(l.buf[:0], rec)
-	if err != nil {
-		return err
-	}
-	n, err := l.f.Write(l.buf)
-	l.segBytes += int64(n)
-	if err != nil {
-		l.fail(err)
-		return err
-	}
-	l.dirty = true
-	if err := l.fault(AfterAppend); err != nil {
-		return err
-	}
-	if l.opts.SyncInterval == 0 {
-		return l.syncLocked()
+		if _, err = w.Write(l.buf); err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-func (l *Log) syncLocked() error {
-	if !l.dirty {
-		return nil
-	}
-	if err := l.fault(BeforeSync); err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		l.fail(err)
-		return err
-	}
-	if l.opts.OnSync != nil {
-		l.opts.OnSync(start, time.Since(start))
-	}
-	l.dirty = false
-	return l.fault(AfterSync)
 }
 
 // Sync forces an fsync of everything appended before the call. Unlike
 // the append-synchronous path (SyncInterval == 0), the fsync runs with
 // the append lock released, so concurrent appends are not stalled —
 // they are simply not covered by this sync.
-func (l *Log) Sync() error {
-	return l.syncBatch()
-}
+func (l *Log) Sync() error { return l.log.Sync() }
 
-// syncBatch is the batched-fsync path shared by the background flusher
-// and Sync. It swaps out the staging buffer under mu, then writes and
-// fsyncs with mu released, so appends keep flowing while the disk
-// catches up — batched mode never touches the file outside syncMu, so
-// the two syscalls here cannot race anything. The post-fsync
-// re-validation covers the sync-per-append configuration, where an
-// append can rotate the segment while a concurrent Sync() call is
-// inside fsync: the synced file has already been compacted away
-// (rotation fsyncs its replacement before deleting anything), so both
-// the result and any error from the stale file are moot.
-func (l *Log) syncBatch() error {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	if len(l.stage) == 0 && !l.dirty {
-		l.mu.Unlock()
-		return nil
-	}
-	batch := l.stage
-	l.stage = l.spare[:0]
-	l.spare = nil
-	f := l.f
-	l.dirty = false
-	l.mu.Unlock()
-
-	var written int
-	var werr error
-	if len(batch) > 0 {
-		written, werr = f.Write(batch)
-	}
-
-	l.mu.Lock()
-	if cap(batch) > cap(l.spare) {
-		l.spare = batch[:0]
-	}
-	l.segBytes += int64(written)
-	if werr != nil {
-		l.fail(werr)
-		l.mu.Unlock()
-		return werr
-	}
-	if err := l.fault(BeforeSync); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.mu.Unlock()
-
-	start := time.Now()
-	serr := f.Sync()
-	if serr == nil && l.opts.OnSync != nil {
-		l.opts.OnSync(start, time.Since(start))
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f != f {
-		return nil // rotated mid-sync; the synced file is gone
-	}
-	if serr != nil {
-		l.dirty = true
-		l.fail(serr)
-		return serr
-	}
-	if err := l.fault(AfterSync); err != nil {
-		return err
-	}
-	return l.maybeRotateLocked()
-}
-
-// fault runs the injection hook; a non-nil result kills the log.
-func (l *Log) fault(p FaultPoint) error {
-	if l.opts.Faults == nil {
-		return nil
-	}
-	if err := l.opts.Faults(p); err != nil {
-		l.fail(err)
-		return err
-	}
-	return nil
-}
-
-func (l *Log) fail(err error) {
-	if l.err == nil {
-		l.err = fmt.Errorf("%w: %w", ErrLogFailed, err)
-	}
-}
-
-// maybeRotateLocked compacts once the active segment outgrows its
-// budget: the live set is rewritten into a fresh segment (fsynced
-// before it becomes authoritative) and every older segment is deleted.
-// Delivered and expired records are reclaimed here — the new segment
-// holds only undelivered adds.
-func (l *Log) maybeRotateLocked() error {
-	if l.segBytes < l.opts.SegmentBytes {
-		return nil
-	}
-	lo := l.segIndex
-	l.segIndex++
-	path := filepath.Join(l.opts.Dir, segName(l.segIndex))
-	nf, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		l.fail(err)
-		return err
-	}
-	seqs := make([]Seq, 0, len(l.live))
-	for seq := range l.live {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	var written int64
-	for _, seq := range seqs {
-		l.buf, err = AppendRecord(l.buf[:0], l.live[seq])
-		if err == nil {
-			var n int
-			n, err = nf.Write(l.buf)
-			written += int64(n)
-		}
-		if err != nil {
-			nf.Close()
-			os.Remove(path)
-			l.segIndex--
-			l.fail(err)
-			return err
-		}
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(path)
-		l.segIndex--
-		l.fail(err)
-		return err
-	}
-	// The new segment is durable; retire the history.
-	old := l.f
-	l.f = nf
-	l.segBytes = written
-	l.dirty = false
-	old.Close()
-	for i := lo; i < l.segIndex; i++ {
-		os.Remove(filepath.Join(l.opts.Dir, segName(i)))
-	}
-	return nil
-}
-
-// LiveCount reports how many adds are currently un-acked (tests).
-func (l *Log) LiveCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.live)
-}
+// Close writes and syncs pending appends — including any staged batch
+// — then releases the file; a failed log just reports its failure.
+func (l *Log) Close() error { return l.log.Close() }
 
 // SegmentIndex reports the active segment's index (tests).
 func (l *Log) SegmentIndex() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.segIndex
-}
-
-func (l *Log) flusher(stop <-chan struct{}) {
-	defer l.wg.Done()
-	t := time.NewTicker(l.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			_ = l.syncBatch()
-		}
-	}
-}
-
-// Close writes and syncs pending appends — including any staged batch
-// — unless the log already failed, then releases the file. A failed
-// log closes without touching the file again — its on-disk state is
-// whatever the "crash" left.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	if l.stop != nil {
-		close(l.stop)
-		l.stop = nil
-	}
-	failed := l.err != nil
-	l.mu.Unlock()
-	l.wg.Wait()
-	var err error
-	if !failed {
-		err = l.syncBatch()
-	}
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f != nil {
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
-		}
-		l.f = nil
-	}
-	return err
+	l.log.Lock()
+	defer l.log.Unlock()
+	return l.log.Index()
 }

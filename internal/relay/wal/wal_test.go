@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/seglog"
 )
 
 func addRec(to, payload string) Record {
@@ -70,7 +71,7 @@ func TestDecodeRejectsTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Any single bit flip in the body must fail the CRC.
-	for i := headerSize; i < len(enc); i++ {
+	for i := seglog.HeaderSize; i < len(enc); i++ {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x04
 		if _, _, err := DecodeRecord(mut); !errors.Is(err, ErrCorruptRecord) {
@@ -299,10 +300,10 @@ func TestBatchedSyncIntervalFlushes(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		l.mu.Lock()
-		dirty, n := l.dirty, syncs
-		l.mu.Unlock()
-		if !dirty && n >= 1 {
+		l.log.Lock()
+		n := syncs
+		l.log.Unlock()
+		if n >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -310,9 +311,9 @@ func TestBatchedSyncIntervalFlushes(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	l.mu.Lock()
+	l.log.Lock()
 	n := syncs
-	l.mu.Unlock()
+	l.log.Unlock()
 	if n >= 10 {
 		t.Fatalf("%d fsyncs for 10 appends: batching is not batching", n)
 	}

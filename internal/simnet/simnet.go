@@ -76,8 +76,7 @@ var (
 	// ProfilePaperLAN approximates the paper's testbed: a 100 Mb/s LAN
 	// driven by a Java-era network stack, with ~1 ms effective
 	// per-message latency. Calibrated so the compute/wire balance of the
-	// join experiment matches the environment the paper reports
-	// (EXPERIMENTS.md discusses the calibration).
+	// join experiment matches the environment the paper reports.
 	ProfilePaperLAN = LinkProfile{Latency: time.Millisecond, Bandwidth: 12_500_000}
 	// ProfileWAN approximates a broadband Internet path.
 	ProfileWAN = LinkProfile{Latency: 40 * time.Millisecond, Jitter: 5 * time.Millisecond, Bandwidth: 1_250_000}
