@@ -125,3 +125,54 @@ func TestRoundTamperedKeyWrapRejected(t *testing.T) {
 		t.Fatalf("untampered recipient rejected: %v", err)
 	}
 }
+
+// TestReplayOfEvictedWhileFreshRoundAdmittedAndCounted pins the replay
+// guard's documented limit (SECURITY.md, "Freshness vs. queue TTL") and
+// the counter that makes it visible. A guard is a bounded table: once
+// it is full, every admit costs it the entry closest to expiry, fresh
+// or not. Mallory, who kept alice's round, pushes it out of bob's guard
+// with traffic of her own and replays it inside the freshness window —
+// and it opens again. core.ReplayEvictions moves by exactly the entries
+// the flood cost the guard, and not at all while the replay was still
+// being refused: the operator's signal that the guard's effective
+// window has dropped below the freshness window.
+func TestReplayOfEvictedWhileFreshRoundAdmittedAndCounted(t *testing.T) {
+	alice, bob := newRoundParty(t), newRoundParty(t)
+	sealed, err := core.SealGroup(alice.kp, alice.id, "math", []byte("round secret"),
+		[]*keys.PublicKey{bob.kp.Public()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const capacity = 8
+	guard := core.NewReplayGuard(time.Minute, capacity)
+	before := core.ReplayEvictions()
+	if _, err := core.OpenGroup(bob.kp, sealed.Bytes(), guard); err != nil {
+		t.Fatalf("legitimate round rejected: %v", err)
+	}
+	// Later traffic, short of the capacity: the round stays tracked.
+	now := time.Now().Add(time.Second)
+	for i := 0; guard.Len() < capacity; i++ {
+		if err := guard.Check([]byte{'f', byte(i)}, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := core.OpenGroup(bob.kp, sealed.Bytes(), guard); !errors.Is(err, core.ErrMessageReplayed) {
+		t.Fatalf("replay while tracked = %v, want ErrMessageReplayed", err)
+	}
+	if got := core.ReplayEvictions() - before; got != 0 {
+		t.Fatalf("ReplayEvictions moved by %d with the guard not yet over capacity", got)
+	}
+	// Two more admits evict the two entries with the least time left:
+	// the round's wire digest and its nonce, signed a second earlier.
+	for i := 0; i < 2; i++ {
+		if err := guard.Check([]byte{'e', byte(i)}, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := core.ReplayEvictions() - before; got != 2 {
+		t.Fatalf("ReplayEvictions moved by %d over two admits into a full guard, want 2", got)
+	}
+	if _, err := core.OpenGroup(bob.kp, sealed.Bytes(), guard); err != nil {
+		t.Fatalf("replay of an evicted-while-fresh round = %v; the guard no longer holds it and (as before this counter existed) admits it", err)
+	}
+}

@@ -124,7 +124,7 @@ type Broker struct {
 	auditor atomic.Pointer[audit.Journal]
 
 	// Idempotency dedup window for retried mutating ops (see idem.go).
-	idem idemCache
+	idem *idemCache
 
 	// Operation counters (see Stats). Plain atomics on the dispatch
 	// path; the telemetry layer reads them through pull collectors.
@@ -209,6 +209,7 @@ func New(cfg Config) (*Broker, error) {
 		groups: peergroup.NewRegistry(),
 		peers:  make(map[keys.PeerID]*PeerInfo),
 		ops:    make(map[string]OpHandler),
+		idem:   newIdemCache(),
 	}
 	b.registerDefaultOps()
 	b.registerFederationOps()

@@ -10,13 +10,15 @@ package broker
 // message opens, enforced one layer earlier so the mutation itself
 // (a relay enqueue, a group create) is not repeated.
 //
-// The table is bounded exactly like core.ReplayGuard: entries expire a
-// window after caching, an amortized sweep (every window/4, or
-// whenever the table is full) prunes them, and overflow evicts the
-// entry closest to expiry. Only successful responses are cached — a
-// refused operation performed no mutation, so retrying it must
-// re-execute, and transient refusals (rate-limited, quota) must not be
-// pinned for the window.
+// The table is bounded the way core.ReplayGuard is, on the same
+// container (lru.Window): an entry expires a window after caching,
+// every store first drops what has expired, and a store into a full
+// table evicts the entry closest to expiry (counted: a retry of that
+// mutation inside its window would now re-execute). A lookup is one
+// map probe; a store is O(log idemMaxEntries), full or not. Only
+// successful responses are cached — a refused operation performed no
+// mutation, so retrying it must re-execute, and transient refusals
+// (rate-limited, quota) must not be pinned for the window.
 
 import (
 	"sync"
@@ -24,6 +26,7 @@ import (
 
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/lru"
 )
 
 const (
@@ -37,118 +40,48 @@ const (
 	idemMaxEntries = 4096
 )
 
-type idemEntry struct {
-	resp   *endpoint.Message
-	expiry time.Time
+// idemKey scopes a client-minted key to the peer that presented it:
+// peers cannot collide with (or probe) each other's cached responses,
+// and the lookup — which runs on EVERY mutating dispatch carrying a
+// key, hits and misses alike — compares two strings instead of
+// building one (zero allocations, bench-gated).
+type idemKey struct {
+	peer keys.PeerID
+	key  string
 }
 
-// idemCache is the broker's dedup table, keyed peer-first so the
-// lookup — which runs on EVERY mutating dispatch carrying a key, hits
-// and misses alike — indexes two maps instead of concatenating a
-// scoped string key (zero allocations, bench-gated). The per-peer
-// outer level is also the isolation boundary: peers cannot collide
-// with (or probe) each other's cached responses. The zero value is
-// ready to use (lazily initialized under its own mutex, off the
+// idemCache is the broker's dedup table, under its own mutex (off the
 // read-mostly broker lock).
 type idemCache struct {
-	mu        sync.Mutex
-	seen      map[keys.PeerID]map[string]idemEntry
-	count     int
-	nextSweep time.Time
-	clock     func() time.Time
+	mu          sync.Mutex
+	seen        lru.Window[idemKey, *endpoint.Message]
+	evictedLive uint64
+	clock       func() time.Time
 }
 
-func (c *idemCache) now() time.Time {
-	if c.clock != nil {
-		return c.clock()
+func newIdemCache() *idemCache {
+	return &idemCache{
+		seen:  lru.NewWindow[idemKey, *endpoint.Message](idemMaxEntries),
+		clock: time.Now,
 	}
-	return time.Now()
 }
 
 // lookup returns the cached response for a live (peer, key) entry.
 func (c *idemCache) lookup(from keys.PeerID, key string) (*endpoint.Message, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.seen[from][key]
-	if !ok || c.now().After(e.expiry) {
-		return nil, false
-	}
-	return e.resp, true
+	return c.seen.Get(idemKey{from, key}, c.clock())
 }
 
-// store caches a response under (peer, key), sweeping amortizedly and
-// evicting the soonest-to-expire entry on overflow.
+// store caches a response under (peer, key) for idemWindow; storing a
+// key again replaces the response and restarts its window.
 func (c *idemCache) store(from keys.PeerID, key string, resp *endpoint.Message) {
-	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.seen == nil {
-		c.seen = make(map[keys.PeerID]map[string]idemEntry)
+	now := c.clock()
+	if c.seen.Put(idemKey{from, key}, resp, now.Add(idemWindow), now) {
+		c.evictedLive++
 	}
-	if !now.Before(c.nextSweep) || c.count >= idemMaxEntries {
-		c.sweepLocked(now)
-		c.nextSweep = now.Add(idemWindow / 4)
-	}
-	if c.count >= idemMaxEntries {
-		var oldFrom keys.PeerID
-		var oldKey string
-		var soonest time.Time
-		first := true
-		for f, inner := range c.seen {
-			for k, e := range inner {
-				if first || e.expiry.Before(soonest) {
-					oldFrom, oldKey, soonest = f, k, e.expiry
-					first = false
-				}
-			}
-		}
-		if !first {
-			c.deleteLocked(oldFrom, oldKey)
-		}
-	}
-	inner := c.seen[from]
-	if inner == nil {
-		inner = make(map[string]idemEntry)
-		c.seen[from] = inner
-	}
-	if _, exists := inner[key]; !exists {
-		c.count++
-	}
-	inner[key] = idemEntry{resp: resp, expiry: now.Add(idemWindow)}
-}
-
-// sweepLocked prunes expired entries and empty per-peer tables.
-func (c *idemCache) sweepLocked(now time.Time) {
-	for f, inner := range c.seen {
-		for k, e := range inner {
-			if now.After(e.expiry) {
-				delete(inner, k)
-				c.count--
-			}
-		}
-		if len(inner) == 0 {
-			delete(c.seen, f)
-		}
-	}
-}
-
-// deleteLocked removes one entry, dropping its peer table when empty.
-func (c *idemCache) deleteLocked(from keys.PeerID, key string) {
-	inner := c.seen[from]
-	if _, ok := inner[key]; ok {
-		delete(inner, key)
-		c.count--
-		if len(inner) == 0 {
-			delete(c.seen, from)
-		}
-	}
-}
-
-// entries reports the live table size (telemetry gauge).
-func (c *idemCache) entries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.count
 }
 
 // SetIdemClock overrides the dedup window's time source (tests).
@@ -158,5 +91,17 @@ func (b *Broker) SetIdemClock(now func() time.Time) {
 	b.idem.mu.Unlock()
 }
 
-// IdemEntries reports the idempotency dedup window's live entry count.
-func (b *Broker) IdemEntries() int { return b.idem.entries() }
+// IdemEntries reports the idempotency dedup window's entry count.
+func (b *Broker) IdemEntries() int {
+	b.idem.mu.Lock()
+	defer b.idem.mu.Unlock()
+	return b.idem.seen.Len()
+}
+
+// IdemEvictions reports how many cached responses the dedup window gave
+// up while still live, to make room in a full table.
+func (b *Broker) IdemEvictions() uint64 {
+	b.idem.mu.Lock()
+	defer b.idem.mu.Unlock()
+	return b.idem.evictedLive
+}

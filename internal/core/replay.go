@@ -1,12 +1,13 @@
 package core
 
 import (
-	"encoding/hex"
+	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/lru"
 )
 
 // Process-wide replay-guard rejection counters, aggregated across every
@@ -14,8 +15,9 @@ import (
 // secure message is a security signal wherever it lands, and the
 // telemetry export reads these with zero per-guard bookkeeping.
 var (
-	replayRejectedTotal atomic.Uint64
-	staleRejectedTotal  atomic.Uint64
+	replayRejectedTotal    atomic.Uint64
+	staleRejectedTotal     atomic.Uint64
+	replayEvictedLiveTotal atomic.Uint64
 )
 
 // ReplayStats reports how many messages all ReplayGuards in the process
@@ -24,6 +26,13 @@ var (
 func ReplayStats() (replayed, stale uint64) {
 	return replayRejectedTotal.Load(), staleRejectedTotal.Load()
 }
+
+// ReplayEvictions reports how many entries all ReplayGuards in the
+// process have given up while a replay of them would still pass the
+// freshness check: each is a message the guard can no longer refuse
+// (SECURITY.md, "Freshness vs. queue TTL"). It moves only on a guard
+// that is admitting more than maxEntries messages per window.
+func ReplayEvictions() uint64 { return replayEvictedLiveTotal.Load() }
 
 // The paper's messenger primitives are deliberately stateless and
 // best-effort (§4.3): no handshake, no sequence numbers — which means a
@@ -39,22 +48,36 @@ type ReplayGuard struct {
 	// Window is how far in the past (and future, for clock skew) a
 	// message timestamp may lie.
 	window time.Duration
-	// maxEntries bounds memory; oldest entries are evicted first.
-	maxEntries int
 
 	mu sync.Mutex
-	// seen maps each admitted digest/nonce to the instant it stops
+	// seen holds each admitted digest/nonce until the instant it stops
 	// mattering: sentAt + window, the moment the freshness check alone
 	// would reject any replay. Keying expiry to the SIGNED timestamp
 	// (not the admission clock) is what makes pruning safe: an entry is
-	// only ever dropped once a replay of it would fail ErrMessageStale
+	// only ever pruned once a replay of it would fail ErrMessageStale
 	// anyway, so a future-dated message (allowed clock skew) stays
 	// tracked for up to 2×window rather than being pruned while still
-	// replayable.
-	seen      map[string]time.Time
-	nextSweep time.Time
-	clock     func() time.Time
+	// replayable. The one exception is a full table: then each admit
+	// evicts the live entry closest to expiry (counted by
+	// ReplayEvictions). An admit costs O(log maxEntries), full or not.
+	seen  lru.Window[replayKey, struct{}]
+	clock func() time.Time
 }
+
+// replayKey is a full SHA-256 under a tag that keeps the two things a
+// guard remembers apart: wire digests, and sha256(sender ‖ 0 ‖ nonce)
+// for group rounds (a sender ID is XML character data, so it holds no
+// zero byte to blur the boundary). Fixed size, so admitting builds no
+// string.
+type replayKey struct {
+	kind byte
+	sum  [sha256.Size]byte
+}
+
+const (
+	replayWire byte = iota
+	replayRound
+)
 
 // NewReplayGuard creates a guard accepting messages within the given
 // freshness window (0 = 2 minutes) and remembering up to maxEntries
@@ -67,10 +90,9 @@ func NewReplayGuard(window time.Duration, maxEntries int) *ReplayGuard {
 		maxEntries = 4096
 	}
 	return &ReplayGuard{
-		window:     window,
-		maxEntries: maxEntries,
-		seen:       make(map[string]time.Time),
-		clock:      time.Now,
+		window: window,
+		seen:   lru.NewWindow[replayKey, struct{}](maxEntries),
+		clock:  time.Now,
 	}
 }
 
@@ -86,7 +108,7 @@ func (g *ReplayGuard) SetClock(now func() time.Time) {
 // decryption or signature checks); sentAt is the signed timestamp from
 // the opened envelope.
 func (g *ReplayGuard) Check(wire []byte, sentAt time.Time) error {
-	return g.admit(hex.EncodeToString(keys.SHA256(wire)), sentAt)
+	return g.admit(replayKey{replayWire, sha256.Sum256(wire)}, sentAt)
 }
 
 // CheckRound admits a group round nonce exactly once per sender within
@@ -96,10 +118,12 @@ func (g *ReplayGuard) Check(wire []byte, sentAt time.Time) error {
 // recipient set — the signed nonce can: it is single-use, and any reuse
 // across rounds is a replay.
 func (g *ReplayGuard) CheckRound(sender keys.PeerID, nonce []byte, sentAt time.Time) error {
-	return g.admit("round\x00"+string(sender)+"\x00"+hex.EncodeToString(nonce), sentAt)
+	var buf [128]byte // sender and nonce fit: hashing them allocates nothing
+	b := append(append(append(buf[:0], sender...), 0), nonce...)
+	return g.admit(replayKey{replayRound, sha256.Sum256(b)}, sentAt)
 }
 
-func (g *ReplayGuard) admit(key string, sentAt time.Time) error {
+func (g *ReplayGuard) admit(key replayKey, sentAt time.Time) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	now := g.clock()
@@ -107,36 +131,13 @@ func (g *ReplayGuard) admit(key string, sentAt time.Time) error {
 		staleRejectedTotal.Add(1)
 		return ErrMessageStale
 	}
-	if _, dup := g.seen[key]; dup {
+	if _, dup := g.seen.Get(key, now); dup {
 		replayRejectedTotal.Add(1)
 		return ErrMessageReplayed
 	}
-	// Prune entries whose window has fully passed. The sweep is
-	// amortized — at most every window/4, or when the map hits its
-	// budget — so a long-lived broker's per-message cost stays O(1)
-	// while its memory tracks live traffic, not lifetime traffic.
-	if !now.Before(g.nextSweep) || len(g.seen) >= g.maxEntries {
-		for k, exp := range g.seen {
-			if now.After(exp) {
-				delete(g.seen, k)
-			}
-		}
-		g.nextSweep = now.Add(g.window / 4)
+	if g.seen.Put(key, struct{}{}, sentAt.Add(g.window), now) {
+		replayEvictedLiveTotal.Add(1)
 	}
-	if len(g.seen) >= g.maxEntries {
-		// Still over budget after pruning: evict the entry closest to
-		// expiry (the shortest remaining replay exposure).
-		var soonestK string
-		var soonestT time.Time
-		first := true
-		for k, exp := range g.seen {
-			if first || exp.Before(soonestT) {
-				soonestK, soonestT, first = k, exp, false
-			}
-		}
-		delete(g.seen, soonestK)
-	}
-	g.seen[key] = sentAt.Add(g.window)
 	return nil
 }
 
@@ -144,5 +145,5 @@ func (g *ReplayGuard) admit(key string, sentAt time.Time) error {
 func (g *ReplayGuard) Len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.seen)
+	return g.seen.Len()
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -113,29 +115,77 @@ func TestReplayGuardPrunedNonceStillRejected(t *testing.T) {
 	}
 }
 
-// TestReplayGuardSweepAmortized: the expired-entry sweep must not run
-// on every admit — only when overdue (window/4) or over budget.
-func TestReplayGuardSweepAmortized(t *testing.T) {
-	const window = time.Minute
-	g := NewReplayGuard(window, 1024)
-	base := time.Now()
-	now := base
-	g.SetClock(func() time.Time { return now })
-	g.Check([]byte("early"), now)
-
-	// Let the early entry expire, then admit within one sweep period:
-	// the dead entry lingers (no sweep yet)...
-	now = base.Add(window + time.Second)
-	g.nextSweep = now.Add(window / 4)
-	g.Check([]byte("mid"), now)
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (sweep must be deferred)", g.Len())
+// distinctWires returns a source of wires that never repeats and, so
+// that it can feed an allocation count, reuses one buffer.
+func distinctWires() (next func() []byte) {
+	wire := make([]byte, 8)
+	var n uint64
+	return func() []byte {
+		n++
+		binary.BigEndian.PutUint64(wire, n)
+		return wire
 	}
-	// ...and the next overdue admit reclaims it.
-	now = now.Add(window / 2)
-	g.Check([]byte("late"), now)
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (expired entry swept)", g.Len())
+}
+
+// fillGuard admits wires stamped now until the table stops growing.
+func fillGuard(g *ReplayGuard, now time.Time, next func() []byte) {
+	for prev := -1; g.Len() > prev; {
+		prev = g.Len()
+		g.Check(next(), now)
+	}
+}
+
+// TestReplayGuardAdmitDoesNotScan: a full guard is the steady state
+// under load, so an admit there must cost what it costs on an empty
+// one — no allocation, and no walk over the table. The time bound is
+// taken from this machine: 10,000 admits must beat 10,000 walks of a
+// map the guard's size by a wide margin (the code this replaced walked
+// its map twice per admit).
+func TestReplayGuardAdmitDoesNotScan(t *testing.T) {
+	const admits = 10000
+	g := NewReplayGuard(0, 0)
+	now := time.Now()
+	g.SetClock(func() time.Time { return now })
+	next := distinctWires()
+	fillGuard(g, now, next)
+	size := g.Len()
+	if size != 4096 {
+		t.Fatalf("full default guard holds %d entries, want 4096", size)
+	}
+
+	if a := testing.AllocsPerRun(1000, func() { g.Check(next(), now) }); a != 0 {
+		t.Errorf("admit on a full guard allocates %v times, want 0", a)
+	}
+
+	table := make(map[replayKey]int64, size)
+	for i := 0; i < size; i++ {
+		table[replayKey{sum: sha256.Sum256(next())}] = 0
+	}
+	start := time.Now()
+	visited := 0
+	for i := 0; i < admits/100; i++ {
+		for range table {
+			visited++
+		}
+	}
+	scan := time.Since(start) * 100
+	if visited != size*admits/100 {
+		t.Fatalf("walked %d entries, want %d", visited, size*admits/100)
+	}
+
+	start = time.Now()
+	for i := 0; i < admits; i++ {
+		if err := g.Check(next(), now); err != nil {
+			t.Fatalf("admit %d on a full guard: %v", i, err)
+		}
+	}
+	took := time.Since(start)
+	t.Logf("%d admits %v, %d table walks %v", admits, took, admits, scan)
+	if took > scan/4 {
+		t.Errorf("%d admits on a full guard took %v; one table walk per admit would take %v", admits, took, scan)
+	}
+	if g.Len() != size {
+		t.Errorf("Len = %d after admits at capacity, want %d", g.Len(), size)
 	}
 }
 

@@ -69,6 +69,9 @@ func RegisterBrokerTelemetry(reg *telemetry.Registry, b *broker.Broker, bs *Brok
 	reg.GaugeFunc("broker_idem_entries",
 		"Responses currently cached in the idempotency dedup window.",
 		func() float64 { return float64(b.IdemEntries()) })
+	reg.CounterFunc("broker_idem_evicted_live_total",
+		"Cached responses evicted from a full dedup window while still live (their retries would re-execute).",
+		func() float64 { return u(b.IdemEvictions()) })
 
 	// Security extension: replay guard, signature caches, parsers. The
 	// replay and parse counters are process-wide aggregates (see their
@@ -80,6 +83,9 @@ func RegisterBrokerTelemetry(reg *telemetry.Registry, b *broker.Broker, bs *Brok
 	reg.CounterFunc("core_stale_rejected_total",
 		"Secure messages rejected as stale (outside freshness window).",
 		func() float64 { _, s := ReplayStats(); return u(s) })
+	reg.CounterFunc("core_replay_evicted_live_total",
+		"Replay-guard entries evicted from a full guard while a replay of them would still be fresh.",
+		func() float64 { return u(ReplayEvictions()) })
 	reg.CounterFunc("xmldoc_parse_canonical_total",
 		"ParseCanonical invocations.",
 		func() float64 { c, _ := xmldoc.ParseCanonicalStats(); return u(c) })

@@ -6,6 +6,11 @@
 // expiry timestamp on every entry and the caller-supplied clock on
 // lookup (the security layer verifies against a caller-chosen "now",
 // not the wall clock).
+//
+// Window (window.go) is the package's other bounded table: ordered by
+// expiry instead of by use, caller-locked, for tables that must give up
+// the entry with the least time left rather than the least recently
+// read — the replay guard and the idempotency dedup window.
 package lru
 
 import (

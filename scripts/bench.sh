@@ -25,8 +25,8 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 # The root package holds the paper-reproduction benchmarks; the two
 # internal packages export nothing bench-worthy through the public
-# surface, so their hot-path ceilings (lease renewal, idem dedup) are
-# benchmarked in-package.
+# surface, so their hot-path ceilings (lease renewal, replay-guard
+# admit, idem dedup) are benchmarked in-package.
 go test -bench="${BENCH:-.}" -benchtime="${BENCHTIME:-1s}" -run='^$' . ./internal/core ./internal/broker | tee "$raw"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v goversion="$(go version)" -v gomaxprocs="$gomaxprocs" '

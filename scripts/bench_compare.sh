@@ -69,7 +69,7 @@ if [ -z "$current" ]; then
     current=$(mktemp --suffix=.json)
     trap 'rm -f "$current"' EXIT
     echo "bench_compare: running gated benchmarks (baseline: $baseline)"
-    BENCH="${BENCH:-BenchmarkVerifyTrusted|BenchmarkFanOutSecure|BenchmarkSignedAdvertisement|BenchmarkParseCold|BenchmarkOpenSlice|BenchmarkRelayDelivery|BenchmarkRelayDrainDurable|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkAuditOverhead|BenchmarkLivenessOverhead|BenchmarkIdemOverhead}" \
+    BENCH="${BENCH:-BenchmarkVerifyTrusted|BenchmarkFanOutSecure|BenchmarkSignedAdvertisement|BenchmarkParseCold|BenchmarkOpenSlice|BenchmarkRelayDelivery|BenchmarkRelayDrainDurable|BenchmarkTelemetryOverhead|BenchmarkTraceOverhead|BenchmarkAuditOverhead|BenchmarkLivenessOverhead|BenchmarkIdemOverhead|BenchmarkReplayGuardAdmit}" \
         BENCHTIME="${BENCHTIME:-1s}" BENCH_OUT="$current" ./scripts/bench.sh >/dev/null
 fi
 [ -r "$current" ] || { echo "bench_compare: unreadable current $current" >&2; exit 2; }
@@ -234,13 +234,26 @@ gate_ceiling_ns "BenchmarkTraceOverhead/read" "$trace_read_max" "Trace ring snap
 # with exactly zero allocations, same regime as the telemetry
 # instruments: keeping a fleet's sessions alive must not cost GC
 # pressure. "idem store" caches one acknowledged response; a map
-# insert allocates by design, so it gets a wall-clock ceiling only.
+# insert may grow the map, so it gets a wall-clock ceiling only, the
+# same one below the table's cap ("store") and at it ("store-full",
+# every store evicting the entry closest to expiry).
 lease_renew_max="${BENCH_LEASE_RENEW_MAX_NS:-1000}"
 idem_hit_max="${BENCH_IDEM_HIT_MAX_NS:-1000}"
 idem_store_max="${BENCH_IDEM_STORE_MAX_NS:-3000}"
 gate_ceiling "BenchmarkLivenessOverhead/renew" "$lease_renew_max" "Lease renew (heartbeat bookkeeping)"
 gate_ceiling "BenchmarkIdemOverhead/hit" "$idem_hit_max" "Idem dedup hit (retry fast path)"
 gate_ceiling_ns "BenchmarkIdemOverhead/store" "$idem_store_max" "Idem dedup store"
+gate_ceiling_ns "BenchmarkIdemOverhead/store-full" "$idem_store_max" "Idem dedup store (table full)"
+
+# Replay guard ceiling: one Check on a FULL guard — the state every
+# recipient is in under sustained load, each admit evicting the entry
+# closest to expiry. A unicast open pays it once and a round open twice,
+# beside an RSA unwrap of several hundred microseconds, so it is held
+# to an absolute ceiling and exactly zero allocations: a table walk per
+# admit (two of them cost ~100 µs here before the guard moved onto
+# lru.Window) fails this by a factor of ten or more.
+replay_admit_max="${BENCH_REPLAY_ADMIT_MAX_NS:-5000}"
+gate_ceiling "BenchmarkReplayGuardAdmit/full" "$replay_admit_max" "Replay guard admit (guard full)"
 
 # Audit journal ceilings: Record on the staged path is what every
 # offense, refusal and auth outcome pays inline — one encode into a
