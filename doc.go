@@ -43,4 +43,14 @@
 //     TTL-expiring, drained on login — for offline ones. The relay
 //     holds no keys and no plaintext; SECURITY.md states what a
 //     compromised relay can and cannot do.
+//
+// # One open path
+//
+// Every secure wire — envelope, round, slice — is accepted or refused
+// by one receive pipeline (openWire in internal/core/open.go; SECURITY.md
+// lists its steps): core.Open/OpenGroup/OpenSlice, the messenger push
+// handler and the secure task service are one-line callers of it, and
+// the replay guard covers all of them. Likewise one verifier checks
+// every credential-signed broker request (secureRenew, heartbeat) and
+// one loop seals every fan-out round.
 package jxtaoverlay

@@ -1,0 +1,109 @@
+// Secure task replay negative: the executable primitive travels in the
+// same sign-then-encrypt envelope as the messenger primitives, so a
+// captured request decrypts and verifies again — and, unlike a replayed
+// chat line, runs something. The executor's replay guard must cover it.
+package attack_test
+
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"jxtaoverlay/internal/attack"
+	"jxtaoverlay/internal/client"
+	"jxtaoverlay/internal/core"
+	"jxtaoverlay/internal/endpoint"
+	"jxtaoverlay/internal/membership"
+	"jxtaoverlay/internal/proto"
+	"jxtaoverlay/internal/simnet"
+	"jxtaoverlay/internal/taskexec"
+	"jxtaoverlay/internal/waituntil"
+)
+
+// joinWith is secureStack.join for a client built with options.
+func joinWith(t *testing.T, s *secureStack, alias, password string, opts ...core.Option) *core.SecureClient {
+	t.Helper()
+	cl, err := client.New(s.net, membership.NewPSE("", 0), alias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	trust, _ := s.dep.TrustStore()
+	sc, err := core.NewSecureClient(cl, trust, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	if err := sc.SecureConnection(ctx, s.br.PeerID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.SecureLogin(ctx, password); err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// TestSecureTaskRequestReplay: eve captures alice's SecureExecTask
+// request to bob and re-sends the frame verbatim. On an executor built
+// WithReplayGuard the second execution is refused and the task body
+// runs once; without a guard the stateless primitive runs it again, as
+// the messenger primitives accept a replayed message (the paper's
+// best-effort design, TestSecureMessageReplay).
+func TestSecureTaskRequestReplay(t *testing.T) {
+	replay := func(t *testing.T, opts ...core.Option) (runs int64, answer *endpoint.Message) {
+		s := newSecureStack(t)
+		alice := s.join(t, "alice", "alice-secret-pw")
+		bob := joinWith(t, s, "bob", "bob-secret-pw", opts...)
+		var ran atomic.Int64
+		reg := taskexec.NewRegistry()
+		reg.Register("charge", func(args []string) (string, error) {
+			ran.Add(1)
+			return "charged " + args[0], nil
+		})
+		bob.EnableSecureTasks(reg)
+
+		eve := attack.NewEavesdropper(s.net)
+		out, err := alice.SecureExecTask(testCtx(t), bob.PeerID(), "math", "charge", []string{"42"})
+		if err != nil || out != "charged 42" {
+			t.Fatalf("genuine request: %q, %v", out, err)
+		}
+		aliceNode, bobNode := simnet.NodeID(alice.PeerID()), simnet.NodeID(bob.PeerID())
+		captured := eve.FramesTo(bobNode)
+		answered := len(eve.FramesTo(aliceNode))
+
+		raw, err := attack.NewRawNode(s.net, "attacker-node")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frame := range captured {
+			_ = raw.Replay(bobNode, frame)
+		}
+		// Bob answers the replayed request to its claimed source, alice —
+		// the only traffic she receives once her own call has returned.
+		waituntil.Must(t, 5*time.Second, func() bool {
+			return len(eve.FramesTo(aliceNode)) > answered
+		}, "the executor never answered the replayed request")
+		frames := eve.FramesTo(aliceNode)
+		answer, err = endpoint.ParseMessage(frames[len(frames)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ran.Load(), answer
+	}
+
+	t.Run("guarded executor refuses", func(t *testing.T) {
+		runs, answer := replay(t, core.WithReplayGuard(core.NewReplayGuard(time.Minute, 64)))
+		if ok, token := proto.IsOK(answer); ok || token != proto.ErrBadRequest {
+			t.Fatalf("replayed request answered ok=%v token=%q, want a bad-request refusal", ok, token)
+		}
+		if runs != 1 {
+			t.Fatalf("task body ran %d times, want 1", runs)
+		}
+	})
+	t.Run("stateless executor runs it again", func(t *testing.T) {
+		runs, answer := replay(t)
+		if ok, _ := proto.IsOK(answer); !ok || runs != 2 {
+			t.Fatalf("unguarded replay: ok=%v, task body ran %d times; the stateless primitive should have run it twice", ok, runs)
+		}
+	})
+}

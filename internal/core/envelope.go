@@ -171,17 +171,17 @@ type Opened struct {
 	Group  string
 	Body   []byte
 	SentAt time.Time
-	// Nonce is the single-use round nonce (ModeGroup only, nil
-	// otherwise). Receivers feed it to ReplayGuard.CheckRound.
+	// Nonce is the single-use round nonce (ModeGroup and ModeSlice, nil
+	// otherwise), which the open path feeds to ReplayGuard.CheckRound.
 	Nonce []byte
 
 	sigDoc   []byte          // canonical signed header bytes
 	sig      []byte          // detached signature, nil for ModeEncrypt
-	headerEl *xmldoc.Element // parsed header incl. signature (ModeGroup)
+	headerEl *xmldoc.Element // parsed header incl. signature (rounds)
 }
 
 // HeaderXML returns the full canonical header bytes, signature included
-// (ModeGroup only, nil otherwise). It exists for diagnostics and for the
+// (rounds only, nil otherwise). It exists for diagnostics and for the
 // attack suite, which uses it to act as a malicious round recipient
 // splicing a validly signed header into forged wires. Serialization is
 // deferred to this call so the production receive path never pays it.
@@ -192,78 +192,12 @@ func (o *Opened) HeaderXML() []byte {
 	return o.headerEl.Canonical()
 }
 
-// Open decrypts and parses a secure envelope addressed to own. The body
-// digest in the header is always checked; the header signature is
-// deferred to VerifySignature.
+// Open decrypts and parses a secure envelope addressed to own (the
+// pipeline in open.go). The body digest in the header is always checked;
+// the header signature is deferred to VerifySignature. Round wires are
+// refused: callers on round-tracking surfaces use OpenGroup/OpenSlice.
 func Open(own *keys.KeyPair, wire []byte) (*Opened, error) {
-	if len(wire) < 2 {
-		return nil, ErrEnvelope
-	}
-	mode := Mode(wire[0])
-	payload := wire[1:]
-	var block []byte
-	switch mode {
-	case ModeGroup:
-		// Round envelopes carry extra semantics (single-use nonce,
-		// recipient-set binding) that only make sense on surfaces that
-		// track round replays. Callers must opt in via OpenGroup with a
-		// guard; surfaces that never expect rounds (e.g. the secure task
-		// service, which is strictly point-to-point) reject them here.
-		return nil, fmt.Errorf("%w: group round requires OpenGroup", ErrEnvelope)
-	case ModeSlice:
-		// Same reasoning as ModeGroup: slices carry round semantics and
-		// are only accepted by OpenSlice on round-tracking surfaces.
-		return nil, fmt.Errorf("%w: round slice requires OpenSlice", ErrEnvelope)
-	case ModeSign:
-		block = payload
-	case ModeFull, ModeEncrypt:
-		if own == nil {
-			return nil, ErrNotRecipient
-		}
-		env, err := keys.ParseEnvelope(payload)
-		if err != nil {
-			return nil, ErrEnvelope
-		}
-		block, err = own.Decrypt(env)
-		if err != nil {
-			return nil, ErrNotRecipient
-		}
-	default:
-		return nil, fmt.Errorf("%w: mode %q", ErrEnvelope, byte(mode))
-	}
-	header, body, err := unpackBlock(block, "SecureMessage")
-	if err != nil {
-		return nil, err
-	}
-	wantDigest, err := base64.StdEncoding.DecodeString(header.ChildText("BodyDigest"))
-	if err != nil {
-		return nil, ErrEnvelope
-	}
-	if !keys.ConstantTimeEqual(keys.SHA256(body), wantDigest) {
-		return nil, ErrBodyDigest
-	}
-	sentAt, err := time.Parse(time.RFC3339Nano, header.ChildText("Time"))
-	if err != nil {
-		return nil, ErrEnvelope
-	}
-	o := &Opened{
-		Mode:   mode,
-		Sender: keys.PeerID(header.ChildText("Sender")),
-		Group:  header.ChildText("Group"),
-		Body:   body,
-		SentAt: sentAt,
-	}
-	if sigText := header.ChildText("Signature"); sigText != "" {
-		sig, err := base64.StdEncoding.DecodeString(sigText)
-		if err != nil {
-			return nil, ErrEnvelope
-		}
-		o.sig = sig
-		// Signed bytes are the header minus its Signature child —
-		// serialized directly, no deep copy per message.
-		o.sigDoc = header.CanonicalSkip("Signature")
-	}
-	return o, nil
+	return openOnly(openWire(own, wire, formEnvelope, nil, nil))
 }
 
 // Signed reports whether the message carries a signature.

@@ -30,7 +30,6 @@ import (
 
 	"jxtaoverlay/internal/audit"
 	"jxtaoverlay/internal/client"
-	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
@@ -183,27 +182,12 @@ func (bs *BrokerSecurity) expireLapsed() {
 // injected clock past the TTL and call this instead of sleeping).
 func (bs *BrokerSecurity) ExpireLapsedNow() { bs.expireLapsed() }
 
-// heartbeatRequest is the signed renewal body.
-func heartbeatRequest(c *cred.Credential, leaseID string, seq uint64) (*xmldoc.Element, error) {
-	credDoc, err := c.Document()
-	if err != nil {
-		return nil, err
-	}
-	doc := xmldoc.New("HeartbeatRequest", "")
-	doc.AddText("Lease", leaseID)
-	doc.AddText("Seq", strconv.FormatUint(seq, 10))
-	doc.AddText("Timestamp", time.Now().UTC().Format(time.RFC3339Nano))
-	doc.Add(credDoc)
-	return doc, nil
-}
-
 // SecureHeartbeat renews the presence lease granted at SecureLogin.
 // Returns ErrLeaseLost when the broker no longer holds the lease (the
 // session expired or was superseded) — the caller must re-establish
 // the session, not retry the heartbeat.
 func (s *SecureClient) SecureHeartbeat(ctx context.Context) error {
-	current := s.Identity().Credential
-	if current == nil {
+	if s.Identity().Credential == nil {
 		return ErrNoCredential
 	}
 	s.mu.Lock()
@@ -214,19 +198,10 @@ func (s *SecureClient) SecureHeartbeat(ctx context.Context) error {
 	if leaseID == "" {
 		return ErrNoLease
 	}
-	doc, err := heartbeatRequest(current, leaseID, seq)
-	if err != nil {
-		return err
-	}
-	sig, err := s.kp.Sign(doc.Canonical())
-	if err != nil {
-		return err
-	}
-	msg := endpoint.NewMessage().
-		AddString(proto.ElemOp, OpHeartbeat).
-		AddXML(proto.ElemBody, doc.Canonical()).
-		Add(proto.ElemSig, sig)
-	_, err = s.Call(ctx, msg)
+	doc := xmldoc.New("HeartbeatRequest", "")
+	doc.AddText("Lease", leaseID)
+	doc.AddText("Seq", strconv.FormatUint(seq, 10))
+	_, err := s.callCredentialed(ctx, OpHeartbeat, doc)
 	if err != nil {
 		var opErr *client.OpError
 		if errors.As(err, &opErr) && opErr.Token == proto.ErrLeaseExpired {
@@ -245,61 +220,25 @@ func (s *SecureClient) Lease() (string, time.Duration) {
 	return s.leaseID, s.leaseTTL
 }
 
-// handleHeartbeat is the broker side: the secureRenew validation
-// pipeline (own-issuance, possession, CBID, freshness) plus the
-// lease-id and sequence binding, then a lease renewal.
+// handleHeartbeat is the broker side: a verified credentialed request
+// (the secureRenew pipeline) plus the lease-id and sequence binding,
+// then a lease renewal.
 func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	body, ok := msg.Get(proto.ElemBody)
-	if !ok {
-		return proto.Fail(proto.ErrBadRequest)
+	doc, current, token := bs.credentialedRequest(from, msg, "HeartbeatRequest", audit.KindHeartbeat, OpHeartbeat)
+	if token == "" {
+		seq, err := strconv.ParseUint(doc.ChildText("Seq"), 10, 64)
+		if err != nil {
+			token = proto.ErrBadRequest
+		} else {
+			token = bs.renewLease(current.Subject, doc.ChildText("Lease"), seq)
+		}
+		if token != "" {
+			bs.auditAuth(audit.KindHeartbeat, current.Subject, OpHeartbeat, token)
+		}
 	}
-	sig, ok := msg.Get(proto.ElemSig)
-	if !ok {
-		return proto.Fail(proto.ErrBadRequest)
-	}
-	doc, err := xmldoc.ParseCanonical(body)
-	if err != nil || doc.Name != "HeartbeatRequest" {
-		return proto.Fail(proto.ErrBadRequest)
-	}
-	credDoc := doc.Child(cred.ElementName)
-	if credDoc == nil {
-		return proto.Fail(proto.ErrBadRequest)
-	}
-	current, err := cred.Parse(credDoc)
-	if err != nil {
+	if token != "" {
 		bs.heartbeatsRejected.Add(1)
-		bs.auditAuth(audit.KindHeartbeat, from, OpHeartbeat, proto.ErrBadCredential)
-		return proto.Fail(proto.ErrBadCredential)
-	}
-	refuse := func(token string) *endpoint.Message {
-		bs.heartbeatsRejected.Add(1)
-		bs.auditAuth(audit.KindHeartbeat, current.Subject, OpHeartbeat, token)
 		return proto.Fail(token)
-	}
-	// Only credentials this broker issued, still within validity.
-	if current.Issuer != bs.cfg.Credential.Subject {
-		return refuse(proto.ErrBadCredential)
-	}
-	if err := current.Verify(bs.cfg.KeyPair.Public(), bs.now()); err != nil {
-		return refuse(proto.ErrBadCredential)
-	}
-	// Proof of key possession over the whole request.
-	if err := current.Key.Verify(body, sig); err != nil {
-		return refuse(proto.ErrBadSignature)
-	}
-	if err := keys.VerifyCBID(current.Subject, current.Key); err != nil {
-		return refuse(proto.ErrCBIDMismatch)
-	}
-	ts, err := time.Parse(time.RFC3339Nano, doc.ChildText("Timestamp"))
-	if err != nil || absDuration(bs.now().Sub(ts)) > 2*time.Minute {
-		return refuse(proto.ErrBadRequest)
-	}
-	seq, err := strconv.ParseUint(doc.ChildText("Seq"), 10, 64)
-	if err != nil {
-		return refuse(proto.ErrBadRequest)
-	}
-	if token := bs.renewLease(current.Subject, doc.ChildText("Lease"), seq); token != "" {
-		return refuse(token)
 	}
 	bs.heartbeatsRenewed.Add(1)
 	bs.b.TouchPeer(current.Subject)

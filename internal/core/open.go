@@ -1,0 +1,259 @@
+package core
+
+import (
+	"encoding/base64"
+	"errors"
+	"fmt"
+	"time"
+
+	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/xmldoc"
+)
+
+// The open path. Every secure wire a stranger can hand this peer — a
+// unicast envelope, a full group round, a relay-cut slice — is accepted
+// or refused by openWire, and nowhere else: Open, OpenGroup, OpenSlice,
+// the messenger push handler and the secure task service all call it,
+// differing only in which wire forms they accept. The steps and their
+// order are the security argument (SECURITY.md, "Round header
+// semantics"):
+//
+//	split wire            the one per-format step: pick out this peer's
+//	                      own key wrap and the AEAD inputs
+//	UnwrapKey, AEADOpen   nothing below runs on bytes this peer's private
+//	                      key did not release
+//	unpackBlock           canonical header of the form's root name + body
+//	body digest           the header's BodyDigest covers the body
+//	recipient binding     none (envelope) / flat Recipients digest (round)
+//	                      / Merkle SliceRoot (slice) — BEFORE any signed
+//	                      field is read, so a validly signed header spliced
+//	                      onto other wraps vouches for nothing
+//	time, nonce, signature fields
+//	claimed group         rounds only, and BEFORE the guard: a mislabelled
+//	                      delivery must not burn the single-use nonce
+//	replay                Check(wire), then for rounds CheckRound(nonce)
+//
+// The sender signature itself is checked by Opened.VerifySignature,
+// which needs the sender's certified key and therefore a lookup; both
+// guard admits come before that lookup.
+
+// ErrRoundGroup is returned when a round is delivered under a group
+// label other than the one its signed header names.
+var ErrRoundGroup = errors.New("core: round delivered under wrong group")
+
+// wireForms is the set of wire forms an entry point accepts.
+type wireForms uint8
+
+const (
+	formEnvelope wireForms = 1 << iota // ModeFull, ModeSign, ModeEncrypt
+	formGroup                          // ModeGroup
+	formSlice                          // ModeSlice
+)
+
+// splitWire is a wire cut into the pipeline's inputs.
+type splitWire struct {
+	mode     Mode
+	wrap     []byte // this peer's own wrapped content key (unused by ModeSign)
+	gcmNonce []byte
+	ct       []byte       // AEAD ciphertext of the block; for ModeSign the block itself
+	fps      [][32]byte   // ModeGroup: every recipient, for the flat Recipients digest
+	slice    *parsedSlice // ModeSlice: the leaf and its sibling path, for the SliceRoot
+}
+
+// split parses wire according to its mode byte and selects own's wrap.
+// Round forms are refused on surfaces that did not ask for them: they
+// carry a single-use nonce and a recipient-set binding that only mean
+// something where round replays are tracked.
+func split(own *keys.KeyPair, wire []byte, accept wireForms) (sw splitWire, err error) {
+	if len(wire) < 2 {
+		return sw, ErrEnvelope
+	}
+	sw.mode = Mode(wire[0])
+	payload := wire[1:]
+	form := formEnvelope
+	switch sw.mode {
+	case ModeFull, ModeSign, ModeEncrypt:
+	case ModeGroup:
+		form = formGroup
+	case ModeSlice:
+		form = formSlice
+	default:
+		return sw, fmt.Errorf("%w: mode %q", ErrEnvelope, byte(sw.mode))
+	}
+	if accept&form == 0 {
+		return sw, fmt.Errorf("%w: %s not accepted here", ErrEnvelope, sw.mode)
+	}
+	if sw.mode == ModeSign {
+		sw.ct = payload
+		return sw, nil
+	}
+	if own == nil {
+		return sw, ErrNotRecipient
+	}
+	if form == formEnvelope {
+		env, err := keys.ParseEnvelope(payload)
+		if err != nil {
+			return sw, ErrEnvelope
+		}
+		sw.wrap, sw.gcmNonce, sw.ct = env.WrappedKey, env.Nonce, env.Ciphertext
+		return sw, nil
+	}
+	ownFP, err := own.Public().Fingerprint()
+	if err != nil {
+		return sw, err
+	}
+	if form == formSlice {
+		ps, err := parseSliceWire(payload)
+		if err != nil {
+			return sw, err
+		}
+		if ps.fp != ownFP {
+			return sw, ErrNotRecipient
+		}
+		sw.slice, sw.wrap, sw.gcmNonce, sw.ct = ps, ps.wrap, ps.gcmNonce, ps.ct
+		return sw, nil
+	}
+	d, err := parseRoundWire(payload)
+	if err != nil {
+		return sw, err
+	}
+	for i := range d.fps {
+		if d.fps[i] == ownFP {
+			sw.fps, sw.wrap, sw.gcmNonce, sw.ct = d.fps, d.wraps[i], d.gcmNonce, d.ct
+			return sw, nil
+		}
+	}
+	return sw, ErrNotRecipient
+}
+
+// openWire decrypts, parses and admits one secure wire addressed to own.
+// claimed, when set, is the group label the delivery arrived under;
+// guard, when set, admits the wire (and a round's nonce) exactly once.
+// A refusal by either of those two steps comes after the header parsed,
+// so it returns the Opened beside the error: callers attribute it to
+// the signed sender rather than to whoever delivered the bytes.
+func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string, guard *ReplayGuard) (*Opened, error) {
+	sw, err := split(own, wire, accept)
+	if err != nil {
+		return nil, err
+	}
+	round := sw.mode == ModeGroup || sw.mode == ModeSlice
+	block, rootName := sw.ct, "SecureMessage"
+	if round {
+		rootName = roundHeaderName
+	}
+	if sw.mode != ModeSign {
+		cek, err := own.UnwrapKey(sw.wrap)
+		if err != nil {
+			return nil, ErrNotRecipient
+		}
+		if block, err = keys.AEADOpen(cek, sw.gcmNonce, sw.ct); err != nil {
+			// A round's wrap was found by fingerprint and just unwrapped,
+			// so its ciphertext is damaged; an envelope names no recipient,
+			// so all this peer can say is that it was not sealed to it.
+			if round {
+				return nil, ErrEnvelope
+			}
+			return nil, ErrNotRecipient
+		}
+	}
+	header, body, err := unpackBlock(block, rootName)
+	if err != nil {
+		return nil, err
+	}
+	wantDigest, err := headerBytes(header, "BodyDigest")
+	if err != nil {
+		return nil, ErrEnvelope
+	}
+	if !keys.ConstantTimeEqual(keys.SHA256(body), wantDigest) {
+		return nil, ErrBodyDigest
+	}
+	switch sw.mode {
+	case ModeGroup:
+		// The signed Recipients digest must cover exactly the wraps this
+		// wire carries.
+		want, err := headerBytes(header, "Recipients")
+		if err != nil {
+			return nil, ErrEnvelope
+		}
+		if !keys.ConstantTimeEqual(recipientsDigest(sw.fps), want) {
+			return nil, ErrRoundBinding
+		}
+	case ModeSlice:
+		// Recompute the tree root from this slice's own materials. A
+		// header without a SliceRoot cannot authorize any slice.
+		want, err := headerBytes(header, sliceRootName)
+		if err != nil || len(want) == 0 {
+			return nil, ErrRoundBinding
+		}
+		ps := sw.slice
+		root, ok := verifySliceProof(ps.n, ps.index, ps.fp, ps.wrap, ps.proof)
+		if !ok || !keys.ConstantTimeEqual(root, want) {
+			return nil, ErrRoundBinding
+		}
+	}
+	sentAt, err := time.Parse(time.RFC3339Nano, header.ChildText("Time"))
+	if err != nil {
+		return nil, ErrEnvelope
+	}
+	o := &Opened{
+		Mode:   sw.mode,
+		Sender: keys.PeerID(header.ChildText("Sender")),
+		Group:  header.ChildText("Group"),
+		Body:   body,
+		SentAt: sentAt,
+	}
+	if round {
+		if o.Nonce, err = headerBytes(header, "Nonce"); err != nil || len(o.Nonce) != roundNonceSize {
+			return nil, ErrEnvelope
+		}
+		o.headerEl = header
+	}
+	if header.ChildText("Signature") != "" {
+		if o.sig, err = headerBytes(header, "Signature"); err != nil {
+			return nil, ErrEnvelope
+		}
+		// Signed bytes are the header minus its Signature child —
+		// serialized directly, no deep copy per message.
+		o.sigDoc = header.CanonicalSkip("Signature")
+	} else if round {
+		// Rounds are always signed; an unsigned round header is
+		// malformed, not a degraded mode.
+		return nil, ErrNoSignature
+	}
+	if round && claimed != nil && o.Group != *claimed {
+		// A round's group label is a remote claim (the relay push or the
+		// propagate fan-out carries it), not the receiver's own pipe
+		// registration: a two-group insider must not get a round sealed
+		// for group Y surfaced to the application as group X traffic.
+		return o, fmt.Errorf("%w: signed %s, claimed %s", ErrRoundGroup, o.Group, *claimed)
+	}
+	if guard != nil {
+		err := guard.Check(wire, o.SentAt)
+		if err == nil && round {
+			// Round wires are identical across recipients (and a slice is a
+			// re-cut of the same round), so a replay can arrive as different
+			// bytes — re-encrypted by a malicious round member, or re-sliced
+			// by a compromised relay; the signed single-use nonce catches both.
+			err = guard.CheckRound(o.Sender, o.Nonce, o.SentAt)
+		}
+		if err != nil {
+			return o, err
+		}
+	}
+	return o, nil
+}
+
+// headerBytes decodes one Base64 header field ("" decodes to nothing).
+func headerBytes(header *xmldoc.Element, name string) ([]byte, error) {
+	return base64.StdEncoding.DecodeString(header.ChildText(name))
+}
+
+// openOnly adapts openWire to the exported entry points' contract: no
+// Opened beside an error.
+func openOnly(o *Opened, err error) (*Opened, error) {
+	if err != nil {
+		return nil, err
+	}
+	return o, nil
+}

@@ -10,7 +10,6 @@ import (
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/parallel"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/trace"
 )
@@ -57,88 +56,53 @@ func (s *SecureClient) SecureMsgPeersViaRelay(ctx context.Context, group, text s
 	if len(peers) == 0 {
 		return 0, 0, nil
 	}
-	recipients := make([]*keys.PublicKey, len(peers))
-	errs := make([]error, len(peers))
-	parallel.ForEach(fanOutParallelism(), len(peers), func(i int) {
-		key, _, kerr := s.verifiedPeerKey(ctx, peers[i], group)
-		if kerr != nil {
-			errs[i] = kerr
-			return
+	targets, errs := s.verifiedTargets(ctx, group, peers)
+	var roundErr error
+	s.sealRounds(group, text, targets, errs, func(d *DetachedRound, chunk []int, tid uint64) {
+		resp, rerr := s.Call(ctx, relayRoundMsg(group, peers, d, chunk, tid))
+		switch {
+		case rerr == nil:
+			var di, qi int
+			di, qi, rerr = relayCounts(resp, len(chunk))
+			direct += di
+			queued += qi
+		case errors.Is(rerr, client.ErrRelayQuota):
+			rerr = ErrRelayQuota
+		default:
+			rerr = ErrRelayUnavailable
 		}
-		recipients[i] = key
+		if roundErr == nil {
+			roundErr = rerr
+		}
 	})
-	var firstErr error
-	for _, e := range errs {
-		if e != nil {
-			firstErr = e
-			break
-		}
+	// Unverifiable recipients (and rounds that failed to seal) are
+	// reported ahead of what the relay said about the rest.
+	if _, err := tallyFanOut(errs); err != nil {
+		return direct, queued, err
 	}
-	verified := make([]int, 0, len(peers))
-	for i := range peers {
-		if recipients[i] != nil {
-			verified = append(verified, i)
-		}
+	return direct, queued, roundErr
+}
+
+// relayRoundMsg is the single upload of one sealed round: one wire for
+// the whole chunk, recipient IDs paired in wrap order so the broker can
+// address the slices. The round's trace ID rides the upload (Call reuses
+// it for the send span) and then every slice cut from the round, tying
+// seal, broker dispatch, queueing and the eventual opens into one
+// waterfall.
+func relayRoundMsg(group string, peers []keys.PeerID, d *DetachedRound, chunk []int, tid uint64) *endpoint.Message {
+	idList := make([]string, len(chunk))
+	for j, i := range chunk {
+		idList[j] = string(peers[i])
 	}
-	for start := 0; start < len(verified); start += maxRoundRecipients {
-		chunk := verified[start:min(start+maxRoundRecipients, len(verified))]
-		keyList := make([]*keys.PublicKey, len(chunk))
-		idList := make([]string, len(chunk))
-		for j, i := range chunk {
-			keyList[j] = recipients[i]
-			idList[j] = string(peers[i])
-		}
-		// Each chunk is its own round, so each gets its own trace: the ID
-		// minted here rides the upload (Call reuses it for the send span)
-		// and then every slice cut from the round, tying seal, broker
-		// dispatch, queueing and the eventual opens into one waterfall.
-		tr := s.Tracer()
-		var tid uint64
-		if tr != nil {
-			tid = tr.NewID()
-		}
-		var spSeal trace.Span
-		if tid != 0 {
-			spSeal = trace.Begin(tid, trace.StageSeal)
-		}
-		d, serr := SealGroupDetached(s.kp, s.PeerID(), group, []byte(text), keyList)
-		if serr != nil {
-			tr.End(spSeal, trace.OutcomeError)
-			if firstErr == nil {
-				firstErr = serr
-			}
-			continue
-		}
-		tr.End(spSeal, trace.OutcomeOK)
-		// The single upload: one wire for the whole chunk, recipient IDs
-		// paired in wrap order so the broker can address the slices.
-		msg := endpoint.NewMessage().
-			AddString(proto.ElemOp, proto.OpRelayRound).
-			AddString(proto.ElemGroup, group).
-			AddString(proto.ElemRecipients, strings.Join(idList, ",")).
-			Add(proto.ElemEnvelope, d.Wire())
-		if tid != 0 {
-			msg.AddString(proto.ElemTrace, trace.FormatID(tid))
-		}
-		resp, cerr := s.Call(ctx, msg)
-		if cerr != nil {
-			if firstErr == nil {
-				if errors.Is(cerr, client.ErrRelayQuota) {
-					firstErr = ErrRelayQuota
-				} else {
-					firstErr = ErrRelayUnavailable
-				}
-			}
-			continue
-		}
-		di, qi, rerr := relayCounts(resp, len(chunk))
-		direct += di
-		queued += qi
-		if rerr != nil && firstErr == nil {
-			firstErr = rerr
-		}
+	msg := endpoint.NewMessage().
+		AddString(proto.ElemOp, proto.OpRelayRound).
+		AddString(proto.ElemGroup, group).
+		AddString(proto.ElemRecipients, strings.Join(idList, ",")).
+		Add(proto.ElemEnvelope, d.Wire())
+	if tid != 0 {
+		msg.AddString(proto.ElemTrace, trace.FormatID(tid))
 	}
-	return direct, queued, firstErr
+	return msg
 }
 
 // relayCounts unpacks a relayRound response: recipients reached

@@ -29,17 +29,55 @@ const OpSecureRenew = "secureRenew"
 // ErrRenewRejected is returned when the broker declines to renew.
 var ErrRenewRejected = errors.New("core: credential renewal rejected")
 
-// renewRequest is the signed renewal body.
-func renewRequest(c *cred.Credential, nonce []byte) (*xmldoc.Element, error) {
-	credDoc, err := c.Document()
+// callCredentialed is the client half of every credential-signed broker
+// request (secureRenew, heartbeat): it closes the body with a timestamp
+// and the session credential, signs the whole with the client key as
+// proof of possession, and calls op.
+func (s *SecureClient) callCredentialed(ctx context.Context, op string, doc *xmldoc.Element) (*endpoint.Message, error) {
+	current := s.Identity().Credential
+	if current == nil {
+		return nil, ErrNoCredential
+	}
+	credDoc, err := current.Document()
 	if err != nil {
 		return nil, err
 	}
-	doc := xmldoc.New("SecureRenewRequest", "")
-	doc.AddText("Nonce", base64.StdEncoding.EncodeToString(nonce))
-	doc.AddText("Timestamp", time.Now().UTC().Format(time.RFC3339Nano))
+	doc.AddText("Timestamp", nowUTCRFC3339())
 	doc.Add(credDoc)
-	return doc, nil
+	sig, err := s.kp.Sign(doc.Canonical())
+	if err != nil {
+		return nil, err
+	}
+	return s.Call(ctx, endpoint.NewMessage().
+		AddString(proto.ElemOp, op).
+		AddXML(proto.ElemBody, doc.Canonical()).
+		Add(proto.ElemSig, sig))
+}
+
+// issuedCredential takes the credential out of a secureLogin or
+// secureRenew response and checks it is this peer's: its key and peer
+// ID, signed by the verified broker, valid now. A response without a
+// well-formed credential is the caller's rejected error.
+func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Credential, rejected error) (*cred.Credential, error) {
+	credRaw, ok := resp.Get(proto.ElemCred)
+	if !ok {
+		return nil, rejected
+	}
+	credDoc, err := xmldoc.ParseCanonical(credRaw)
+	if err != nil {
+		return nil, rejected
+	}
+	issued, err := cred.Parse(credDoc)
+	if err != nil {
+		return nil, rejected
+	}
+	if !issued.Key.Equal(s.kp.Public()) || issued.Subject != s.PeerID() {
+		return nil, ErrCredUnexpected
+	}
+	if err := issued.Verify(brCred.Key, time.Now()); err != nil {
+		return nil, ErrCredUnexpected
+	}
+	return issued, nil
 }
 
 // SecureRenewCredential asks the connected broker for a fresh credential
@@ -48,52 +86,25 @@ func renewRequest(c *cred.Credential, nonce []byte) (*xmldoc.Element, error) {
 // both and re-issues with a new validity window.
 func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
 	current := s.Identity().Credential
-	if current == nil {
-		return ErrNoCredential
-	}
 	s.mu.RLock()
 	brCred := s.brokerCred
 	s.mu.RUnlock()
-	if brCred == nil {
+	if current == nil || brCred == nil {
 		return ErrNoCredential
 	}
 	nonce, err := keys.RandomBytes(16)
 	if err != nil {
 		return err
 	}
-	doc, err := renewRequest(current, nonce)
-	if err != nil {
-		return err
-	}
-	sig, err := s.kp.Sign(doc.Canonical())
-	if err != nil {
-		return err
-	}
-	msg := endpoint.NewMessage().
-		AddString(proto.ElemOp, OpSecureRenew).
-		AddXML(proto.ElemBody, doc.Canonical()).
-		Add(proto.ElemSig, sig)
-	resp, err := s.Call(ctx, msg)
+	doc := xmldoc.New("SecureRenewRequest", "")
+	doc.AddText("Nonce", base64.StdEncoding.EncodeToString(nonce))
+	resp, err := s.callCredentialed(ctx, OpSecureRenew, doc)
 	if err != nil {
 		return errors.Join(ErrRenewRejected, err)
 	}
-	credRaw, ok := resp.Get(proto.ElemCred)
-	if !ok {
-		return ErrRenewRejected
-	}
-	credDoc, err := xmldoc.ParseCanonical(credRaw)
+	fresh, err := s.issuedCredential(resp, brCred, ErrRenewRejected)
 	if err != nil {
-		return ErrRenewRejected
-	}
-	fresh, err := cred.Parse(credDoc)
-	if err != nil {
-		return ErrRenewRejected
-	}
-	if !fresh.Key.Equal(s.kp.Public()) || fresh.Subject != s.PeerID() {
-		return ErrCredUnexpected
-	}
-	if err := fresh.Verify(brCred.Key, time.Now()); err != nil {
-		return ErrCredUnexpected
+		return err
 	}
 	if fresh.NotAfter.Before(current.NotAfter) {
 		return ErrCredUnexpected
@@ -108,52 +119,61 @@ func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
 	return nil
 }
 
-// handleSecureRenew is the broker side: validate the presented
-// credential (own issuance, unexpired), the proof-of-possession
-// signature, and the CBID binding, then re-issue.
-func (bs *BrokerSecurity) handleSecureRenew(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	body, ok := msg.Get(proto.ElemBody)
-	if !ok {
-		return proto.Fail(proto.ErrBadRequest)
-	}
-	sig, ok := msg.Get(proto.ElemSig)
-	if !ok {
-		return proto.Fail(proto.ErrBadRequest)
+// credentialedRequest is the broker half: the one verifier of requests
+// signed under a session credential. In order: body and signature
+// present; canonical parse under the op's root name; an embedded
+// credential; that credential issued by this broker and within validity;
+// the proof-of-possession signature over the whole body; the CBID
+// binding; a timestamp within two minutes of the broker clock. It
+// returns the parsed body and the verified credential, or the refusal
+// token. Once the request names a claimant every refusal is audited
+// (auditAuth's rule) — against the sender while the credential does not
+// parse, against the credential's subject after.
+func (bs *BrokerSecurity) credentialedRequest(from keys.PeerID, msg *endpoint.Message, root, kind, op string) (*xmldoc.Element, *cred.Credential, string) {
+	body, okBody := msg.Get(proto.ElemBody)
+	sig, okSig := msg.Get(proto.ElemSig)
+	if !okBody || !okSig {
+		return nil, nil, proto.ErrBadRequest
 	}
 	doc, err := xmldoc.ParseCanonical(body)
-	if err != nil || doc.Name != "SecureRenewRequest" {
-		return proto.Fail(proto.ErrBadRequest)
+	if err != nil || doc.Name != root {
+		return nil, nil, proto.ErrBadRequest
 	}
 	credDoc := doc.Child(cred.ElementName)
 	if credDoc == nil {
-		return proto.Fail(proto.ErrBadRequest)
+		return nil, nil, proto.ErrBadRequest
 	}
 	current, err := cred.Parse(credDoc)
 	if err != nil {
-		bs.auditAuth(audit.KindRenew, from, OpSecureRenew, proto.ErrBadCredential)
-		return proto.Fail(proto.ErrBadCredential)
+		bs.auditAuth(kind, from, op, proto.ErrBadCredential)
+		return nil, nil, proto.ErrBadCredential
 	}
-	// Only credentials this broker issued, still within validity.
-	if current.Issuer != bs.cfg.Credential.Subject {
-		bs.auditAuth(audit.KindRenew, current.Subject, OpSecureRenew, proto.ErrBadCredential)
-		return proto.Fail(proto.ErrBadCredential)
+	now := bs.now()
+	ts, tsErr := time.Parse(time.RFC3339Nano, doc.ChildText("Timestamp"))
+	token := ""
+	switch {
+	case current.Issuer != bs.cfg.Credential.Subject || current.Verify(bs.cfg.KeyPair.Public(), now) != nil:
+		token = proto.ErrBadCredential
+	case current.Key.Verify(body, sig) != nil:
+		token = proto.ErrBadSignature
+	case keys.VerifyCBID(current.Subject, current.Key) != nil:
+		token = proto.ErrCBIDMismatch
+	case tsErr != nil || absDuration(now.Sub(ts)) > 2*time.Minute:
+		token = proto.ErrBadRequest
 	}
-	if err := current.Verify(bs.cfg.KeyPair.Public(), bs.now()); err != nil {
-		bs.auditAuth(audit.KindRenew, current.Subject, OpSecureRenew, proto.ErrBadCredential)
-		return proto.Fail(proto.ErrBadCredential)
+	if token != "" {
+		bs.auditAuth(kind, current.Subject, op, token)
+		return nil, nil, token
 	}
-	// Proof of key possession over the whole request.
-	if err := current.Key.Verify(body, sig); err != nil {
-		bs.auditAuth(audit.KindRenew, current.Subject, OpSecureRenew, proto.ErrBadSignature)
-		return proto.Fail(proto.ErrBadSignature)
-	}
-	if err := keys.VerifyCBID(current.Subject, current.Key); err != nil {
-		bs.auditAuth(audit.KindRenew, current.Subject, OpSecureRenew, proto.ErrCBIDMismatch)
-		return proto.Fail(proto.ErrCBIDMismatch)
-	}
-	ts, err := time.Parse(time.RFC3339Nano, doc.ChildText("Timestamp"))
-	if err != nil || absDuration(bs.now().Sub(ts)) > 2*time.Minute {
-		return proto.Fail(proto.ErrBadRequest)
+	return doc, current, ""
+}
+
+// handleSecureRenew is the broker side: a verified credentialed request
+// is answered with a re-issued credential.
+func (bs *BrokerSecurity) handleSecureRenew(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+	_, current, token := bs.credentialedRequest(from, msg, "SecureRenewRequest", audit.KindRenew, OpSecureRenew)
+	if token != "" {
+		return proto.Fail(token)
 	}
 	fresh, err := bs.IssueClientCredential(current.Subject, current.SubjectName, current.Key)
 	if err != nil {

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -317,63 +316,42 @@ func (r *ResilientClient) SendGroupRelay(ctx context.Context, group, text string
 	if len(ids) == 0 {
 		return 0, 0, nil
 	}
-	recipients := make([]*keys.PublicKey, len(ids))
+	targets := make([]roundTarget, len(ids))
 	for i, id := range ids {
 		i, id := i, id
 		if err := r.Do(ctx, func(ctx context.Context) error {
 			key, _, kerr := r.verifiedPeerKey(ctx, id, group)
-			if kerr != nil {
-				return kerr
-			}
-			recipients[i] = key
-			return nil
+			targets[i].key = key
+			return kerr
 		}); err != nil {
 			return 0, 0, err
 		}
 	}
-
-	for start := 0; start < len(ids); start += maxRoundRecipients {
-		end := min(start+maxRoundRecipients, len(ids))
-		keyList := recipients[start:end]
-		idList := make([]string, 0, end-start)
-		for _, id := range ids[start:end] {
-			idList = append(idList, string(id))
+	errs := make([]error, len(ids))
+	var callErr error
+	r.sealRounds(group, text, targets, errs, func(d *DetachedRound, chunk []int, tid uint64) {
+		if callErr != nil {
+			return // an upload already failed for good: send nothing further
 		}
-		tr := r.Tracer()
-		var tid uint64
-		if tr != nil {
-			tid = tr.NewID()
-		}
-		var spSeal trace.Span
-		if tid != 0 {
-			spSeal = trace.Begin(tid, trace.StageSeal)
-		}
-		d, serr := SealGroupDetached(r.kp, r.PeerID(), group, []byte(text), keyList)
-		if serr != nil {
-			tr.End(spSeal, trace.OutcomeError)
-			return direct, queued, serr
-		}
-		tr.End(spSeal, trace.OutcomeOK)
-		msg := endpoint.NewMessage().
-			AddString(proto.ElemOp, proto.OpRelayRound).
-			AddString(proto.ElemGroup, group).
-			AddString(proto.ElemRecipients, strings.Join(idList, ",")).
-			Add(proto.ElemEnvelope, d.Wire())
-		if tid != 0 {
-			msg.AddString(proto.ElemTrace, trace.FormatID(tid))
-		}
-		// One key per sealed chunk, stamped before the retry loop: every
+		// One key per sealed round, stamped before the retry loop: every
 		// resubmission of this wire presents the same key.
-		resp, cerr := r.CallIdempotent(ctx, msg)
+		resp, cerr := r.CallIdempotent(ctx, relayRoundMsg(group, ids, d, chunk, tid))
 		if cerr != nil {
-			return direct, queued, cerr
+			callErr = cerr
+			return
 		}
-		di, qi, rerr := relayCounts(resp, end-start)
+		di, qi, rerr := relayCounts(resp, len(chunk))
 		direct += di
 		queued += qi
-		if rerr != nil && err == nil {
+		if err == nil {
 			err = rerr
 		}
+	})
+	if callErr != nil {
+		return direct, queued, callErr
+	}
+	if _, serr := tallyFanOut(errs); serr != nil {
+		return direct, queued, serr
 	}
 	return direct, queued, err
 }

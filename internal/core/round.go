@@ -1,13 +1,11 @@
 package core
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"time"
 
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // Group fan-out round sealing. The paper's secureMsgGroupPeer is N
@@ -49,8 +47,8 @@ var ErrRoundBinding = errors.New("core: round header does not match recipient se
 // roundNonceSize is the length of the single-use round nonce.
 const roundNonceSize = 16
 
-// maxRoundRecipients bounds the wrap count parsed from the wire, so a
-// hostile length prefix cannot force a huge allocation.
+// maxRoundRecipients bounds the recipients of one round (senders split
+// larger groups into consecutive rounds; parsers refuse a larger count).
 const maxRoundRecipients = 4096
 
 // roundHeaderName is the XML element name of the signed round header.
@@ -84,24 +82,19 @@ func SealGroup(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 // nowUTCRFC3339 renders the signed round timestamp.
 func nowUTCRFC3339() string { return time.Now().UTC().Format(time.RFC3339Nano) }
 
-// roundWire is the parsed (but not yet decrypted) group round.
-type roundWire struct {
-	fps      [][32]byte
-	wraps    [][]byte
-	gcmNonce []byte
-	ct       []byte
-}
-
-func parseRoundWire(payload []byte) (*roundWire, error) {
+// parseRoundWire reads a ModeGroup payload into sliceable form. The
+// count prefix is checked against the bytes that follow before it sizes
+// anything, so a hostile prefix cannot drive the allocation.
+func parseRoundWire(payload []byte) (*DetachedRound, error) {
 	if len(payload) < 4 {
 		return nil, ErrEnvelope
 	}
 	n := binary.BigEndian.Uint32(payload[:4])
 	payload = payload[4:]
-	if n == 0 || n > maxRoundRecipients {
+	if n == 0 || n > maxRoundRecipients || uint64(len(payload)) < 36*uint64(n) {
 		return nil, ErrEnvelope
 	}
-	rw := &roundWire{fps: make([][32]byte, n), wraps: make([][]byte, n)}
+	rw := &DetachedRound{fps: make([][32]byte, n), wraps: make([][]byte, n)}
 	for i := uint32(0); i < n; i++ {
 		if len(payload) < 36 {
 			return nil, ErrEnvelope
@@ -129,108 +122,12 @@ func parseRoundWire(payload []byte) (*roundWire, error) {
 }
 
 // OpenGroup decrypts and parses a group round envelope addressed (among
-// others) to own. Beyond the checks Open performs, it enforces the round
-// semantics: the signed recipient-set digest must match the key wraps on
-// the wire, and — when a ReplayGuard is supplied — the signed round
-// nonce must be fresh for the sender (single use within the guard's
-// window). The header signature itself is deferred to VerifySignature,
-// exactly as in the unicast path.
+// others) to own (the pipeline in open.go). Beyond the checks Open
+// performs, it enforces the round semantics: the signed recipient-set
+// digest must match the key wraps on the wire, and — when a ReplayGuard
+// is supplied — the wire and the signed round nonce must both be fresh
+// (single use within the guard's window). The header signature itself is
+// deferred to VerifySignature, exactly as in the unicast path.
 func OpenGroup(own *keys.KeyPair, wire []byte, guard *ReplayGuard) (*Opened, error) {
-	if len(wire) < 2 || Mode(wire[0]) != ModeGroup {
-		return nil, ErrEnvelope
-	}
-	if own == nil {
-		return nil, ErrNotRecipient
-	}
-	rw, err := parseRoundWire(wire[1:])
-	if err != nil {
-		return nil, err
-	}
-	ownFP, err := own.Public().Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	var wrap []byte
-	for i := range rw.fps {
-		if rw.fps[i] == ownFP {
-			wrap = rw.wraps[i]
-			break
-		}
-	}
-	if wrap == nil {
-		return nil, ErrNotRecipient
-	}
-	cek, err := own.UnwrapKey(wrap)
-	if err != nil {
-		return nil, ErrNotRecipient
-	}
-	block, err := keys.AEADOpen(cek, rw.gcmNonce, rw.ct)
-	if err != nil {
-		return nil, ErrEnvelope
-	}
-	header, body, err := unpackBlock(block, roundHeaderName)
-	if err != nil {
-		return nil, err
-	}
-	wantDigest, err := base64.StdEncoding.DecodeString(header.ChildText("BodyDigest"))
-	if err != nil {
-		return nil, ErrEnvelope
-	}
-	if !keys.ConstantTimeEqual(keys.SHA256(body), wantDigest) {
-		return nil, ErrBodyDigest
-	}
-	// The signed Recipients digest must cover exactly the wraps carried
-	// by this wire: a signed header spliced onto a different recipient
-	// set dies here, before any signature check succeeds on it.
-	wantRecipients, err := base64.StdEncoding.DecodeString(header.ChildText("Recipients"))
-	if err != nil {
-		return nil, ErrEnvelope
-	}
-	if !keys.ConstantTimeEqual(recipientsDigest(rw.fps), wantRecipients) {
-		return nil, ErrRoundBinding
-	}
-	return finishRoundOpen(header, body, ModeGroup, guard)
-}
-
-// finishRoundOpen is the tail shared by OpenGroup and OpenSlice once the
-// recipient binding specific to the wire form has been checked: parse
-// the signed timestamp, nonce and signature out of the round header,
-// build the Opened, and (when a guard is supplied) enforce the
-// single-use round nonce.
-func finishRoundOpen(header *xmldoc.Element, body []byte, mode Mode, guard *ReplayGuard) (*Opened, error) {
-	sentAt, err := time.Parse(time.RFC3339Nano, header.ChildText("Time"))
-	if err != nil {
-		return nil, ErrEnvelope
-	}
-	nonce, err := base64.StdEncoding.DecodeString(header.ChildText("Nonce"))
-	if err != nil || len(nonce) != roundNonceSize {
-		return nil, ErrEnvelope
-	}
-	sigText := header.ChildText("Signature")
-	if sigText == "" {
-		// Rounds are always signed; an unsigned round header is malformed,
-		// not a degraded mode.
-		return nil, ErrNoSignature
-	}
-	sig, err := base64.StdEncoding.DecodeString(sigText)
-	if err != nil {
-		return nil, ErrEnvelope
-	}
-	o := &Opened{
-		Mode:     mode,
-		Sender:   keys.PeerID(header.ChildText("Sender")),
-		Group:    header.ChildText("Group"),
-		Body:     body,
-		SentAt:   sentAt,
-		Nonce:    nonce,
-		sig:      sig,
-		sigDoc:   header.CanonicalSkip("Signature"),
-		headerEl: header,
-	}
-	if guard != nil {
-		if err := guard.CheckRound(o.Sender, o.Nonce, o.SentAt); err != nil {
-			return nil, err
-		}
-	}
-	return o, nil
+	return openOnly(openWire(own, wire, formGroup, nil, guard))
 }

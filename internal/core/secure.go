@@ -292,23 +292,9 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	}
 
 	// Step 9-10: receive and validate cr = Cred_Cl^Br.
-	credRaw, ok := resp.Get(proto.ElemCred)
-	if !ok {
-		return ErrLoginRejected
-	}
-	credDoc, err := xmldoc.ParseCanonical(credRaw)
+	myCred, err := s.issuedCredential(resp, brCred, ErrLoginRejected)
 	if err != nil {
-		return ErrLoginRejected
-	}
-	myCred, err := cred.Parse(credDoc)
-	if err != nil {
-		return ErrLoginRejected
-	}
-	if !myCred.Key.Equal(s.kp.Public()) || myCred.Subject != s.PeerID() {
-		return ErrCredUnexpected
-	}
-	if err := myCred.Verify(brCred.Key, time.Now()); err != nil {
-		return ErrCredUnexpected
+		return err
 	}
 
 	// Install the credential into the identity (and keystore, for PSE).
@@ -365,7 +351,7 @@ func (s *SecureClient) SecureMsgPeer(ctx context.Context, peer keys.PeerID, grou
 // SecureMsgPeerGroup fans a secure message out over the group's online
 // members (§4.3.1). In ModeFull it uses the group round format: every
 // recipient's signed pipe advertisement is verified in parallel (cached
-// after the first encounter), then SealGroup signs ONE round header and
+// after the first encounter), then sealRounds signs ONE round header and
 // wraps the content key to each recipient — a 100-member round costs one
 // RSA signature instead of one hundred, and every member receives the
 // same wire bytes. Degraded modes keep the per-recipient path. The
@@ -375,73 +361,98 @@ func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text strin
 	if err != nil {
 		return 0, err
 	}
-	targets := members[:0]
+	ids := make([]keys.PeerID, 0, len(members))
 	for _, m := range members {
 		if m.ID != s.PeerID() {
-			targets = append(targets, m)
+			ids = append(ids, m.ID)
 		}
 	}
-	if s.mode != ModeFull || len(targets) == 0 {
-		return s.fanOutPerRecipient(ctx, group, text, targets)
+	if s.mode != ModeFull {
+		return s.fanOutPerRecipient(ctx, group, text, ids)
 	}
-
-	// Resolve and verify every recipient's certified key in parallel
-	// (steps 1-3 of §4.3.1, once per member, verification cached).
-	type recipient struct {
-		key     *keys.PublicKey
-		pipeAdv *advert.Pipe
-	}
-	recipients := make([]recipient, len(targets))
-	errs := make([]error, len(targets))
-	parallel.ForEach(fanOutParallelism(), len(targets), func(i int) {
-		key, pipeAdv, err := s.verifiedPeerKey(ctx, targets[i].ID, group)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		recipients[i] = recipient{key: key, pipeAdv: pipeAdv}
+	targets, errs := s.verifiedTargets(ctx, group, ids)
+	s.sealRounds(group, text, targets, errs, func(d *DetachedRound, chunk []int, _ uint64) {
+		msg := endpoint.NewMessage().
+			Add(proto.ElemEnvelope, d.Wire()).
+			AddString(proto.ElemGroup, group)
+		parallel.ForEach(fanOutParallelism(), len(chunk), func(j int) {
+			i := chunk[j]
+			errs[i] = s.Control().SendOnPipe(targets[i].pipe, msg)
+		})
 	})
+	return tallyFanOut(errs)
+}
 
-	verified := make([]int, 0, len(recipients))
-	for i, r := range recipients {
-		if r.key != nil {
+// roundTarget is one fan-out recipient; key and pipe are set once its
+// signed pipe advertisement verified.
+type roundTarget struct {
+	key  *keys.PublicKey
+	pipe *advert.Pipe
+}
+
+// verifiedTargets resolves and verifies every peer's certified key in
+// parallel (steps 1-3 of §4.3.1, once per peer, verification cached).
+// Both results are indexed like peers.
+func (s *SecureClient) verifiedTargets(ctx context.Context, group string, peers []keys.PeerID) ([]roundTarget, []error) {
+	targets := make([]roundTarget, len(peers))
+	errs := make([]error, len(peers))
+	parallel.ForEach(fanOutParallelism(), len(peers), func(i int) {
+		targets[i].key, targets[i].pipe, errs[i] = s.verifiedPeerKey(ctx, peers[i], group)
+	})
+	return targets, errs
+}
+
+// sealRounds is the one round fan-out loop, under SecureMsgPeerGroup
+// (deliver = send the full wire down each member's pipe) and
+// SecureMsgPeersViaRelay (deliver = upload it once to the broker). One
+// signature per round; only the key wraps differ. Targets beyond the
+// wire format's recipient cap are split into consecutive rounds, so
+// arbitrarily large groups still deliver (at one signature per
+// maxRoundRecipients members). Each round is its own trace: the ID minted
+// here times the seal and is handed to deliver, which may attach it to
+// what it sends. chunk lists the round's recipients in wrap order as
+// indices into targets; a round that fails to seal is recorded against
+// each of them in errs and not delivered.
+func (s *SecureClient) sealRounds(group, text string, targets []roundTarget, errs []error, deliver func(d *DetachedRound, chunk []int, tid uint64)) {
+	verified := make([]int, 0, len(targets))
+	for i := range targets {
+		if targets[i].key != nil {
 			verified = append(verified, i)
 		}
 	}
-	// One signature per round; only the key wraps differ. Groups larger
-	// than the wire format's recipient cap are split into consecutive
-	// rounds, so arbitrarily large groups still deliver (at one
-	// signature per maxRoundRecipients members).
+	tr := s.Tracer()
 	for start := 0; start < len(verified); start += maxRoundRecipients {
 		chunk := verified[start:min(start+maxRoundRecipients, len(verified))]
 		keyList := make([]*keys.PublicKey, len(chunk))
 		for j, i := range chunk {
-			keyList[j] = recipients[i].key
+			keyList[j] = targets[i].key
 		}
-		sealed, err := SealGroup(s.kp, s.PeerID(), group, []byte(text), keyList)
+		var tid uint64
+		var spSeal trace.Span
+		if tr != nil {
+			if tid = tr.NewID(); tid != 0 {
+				spSeal = trace.Begin(tid, trace.StageSeal)
+			}
+		}
+		d, err := SealGroupDetached(s.kp, s.PeerID(), group, []byte(text), keyList)
 		if err != nil {
+			tr.End(spSeal, trace.OutcomeError)
 			for _, i := range chunk {
 				errs[i] = err
 			}
 			continue
 		}
-		msg := endpoint.NewMessage().
-			Add(proto.ElemEnvelope, sealed.Bytes()).
-			AddString(proto.ElemGroup, group)
-		parallel.ForEach(fanOutParallelism(), len(chunk), func(j int) {
-			i := chunk[j]
-			errs[i] = s.Control().SendOnPipe(recipients[i].pipeAdv, msg)
-		})
+		tr.End(spSeal, trace.OutcomeOK)
+		deliver(d, chunk, tid)
 	}
-	return tallyFanOut(errs)
 }
 
 // fanOutPerRecipient is the pre-round fan-out: one Seal (and in signed
 // modes, one signature) per recipient.
-func (s *SecureClient) fanOutPerRecipient(ctx context.Context, group, text string, targets []client.PeerSummary) (int, error) {
-	errs := make([]error, len(targets))
-	parallel.ForEach(fanOutParallelism(), len(targets), func(i int) {
-		errs[i] = s.SecureMsgPeer(ctx, targets[i].ID, group, text)
+func (s *SecureClient) fanOutPerRecipient(ctx context.Context, group, text string, peers []keys.PeerID) (int, error) {
+	errs := make([]error, len(peers))
+	parallel.ForEach(fanOutParallelism(), len(peers), func(i int) {
+		errs[i] = s.SecureMsgPeer(ctx, peers[i], group, text)
 	})
 	return tallyFanOut(errs)
 }
@@ -527,50 +538,16 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 		}
 		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: from, Group: group, Payload: payload})
 	}
-	var opened *Opened
-	var err error
-	switch {
-	case len(wire) > 0 && Mode(wire[0]) == ModeGroup:
-		// Group rounds are only accepted on this messaging surface, which
-		// tracks round nonces below; Open rejects them everywhere else.
-		opened, err = OpenGroup(s.kp, wire, nil)
-	case len(wire) > 0 && Mode(wire[0]) == ModeSlice:
-		// A per-recipient cut of a round, relayed by the broker. Same
-		// round semantics (and the same nonce tracking below) with the
-		// slice Merkle binding in place of the full recipient digest.
-		opened, err = OpenSlice(s.kp, wire, nil)
-	default:
-		opened, err = Open(s.kp, wire)
-	}
+	opened, err := openWire(s.kp, wire, formEnvelope|formGroup|formSlice, &group, s.replayGuard)
 	if err != nil {
-		alert(d.From, "secure envelope rejected: "+err.Error())
-		return true
-	}
-	if (opened.Mode == ModeGroup || opened.Mode == ModeSlice) && opened.Group != group {
-		// Round delivery is the one surface where the group label is a
-		// remote claim (the relay push / propagate fan-out carries it),
-		// not the receiver's own pipe registration. The signed header
-		// names the real group: a two-group insider must not get a round
-		// sealed for group Y surfaced to the application as group X
-		// traffic. Checked before the replay guard so a mislabeled
-		// delivery does not burn the round's single-use nonce.
-		alert(opened.Sender, "round delivered under wrong group: signed "+opened.Group+", claimed "+group)
-		return true
-	}
-	if s.replayGuard != nil {
-		err := s.replayGuard.Check(wire, opened.SentAt)
-		if err == nil && (opened.Mode == ModeGroup || opened.Mode == ModeSlice) {
-			// Round wires are identical across recipients (and a slice is a
-			// re-cut of the same round), so a replay can arrive as different
-			// bytes — re-encrypted by a malicious round member, or the same
-			// round re-sliced and re-sent by a compromised relay; the signed
-			// single-use nonce catches both.
-			err = s.replayGuard.CheckRound(opened.Sender, opened.Nonce, opened.SentAt)
-		}
-		if err != nil {
+		// Refused after the header parsed (wrong group label, replay): the
+		// signed sender is known. Before that, only the deliverer is.
+		if opened != nil {
 			alert(opened.Sender, err.Error())
-			return true
+		} else {
+			alert(d.From, "secure envelope rejected: "+err.Error())
 		}
+		return true
 	}
 	authenticated := false
 	user := ""

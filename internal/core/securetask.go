@@ -46,7 +46,10 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 	if !ok {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	opened, err := Open(s.kp, wire)
+	// The open path of the messenger primitives, envelopes only, under
+	// the same replay guard: a captured request re-sent verbatim must not
+	// run the task again.
+	opened, err := openWire(s.kp, wire, formEnvelope, nil, s.replayGuard)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}

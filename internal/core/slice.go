@@ -290,11 +290,7 @@ func SliceRound(wire []byte) (*DetachedRound, error) {
 	if len(wire) < 2 || Mode(wire[0]) != ModeGroup {
 		return nil, ErrEnvelope
 	}
-	rw, err := parseRoundWire(wire[1:])
-	if err != nil {
-		return nil, err
-	}
-	return &DetachedRound{fps: rw.fps, wraps: rw.wraps, gcmNonce: rw.gcmNonce, ct: rw.ct}, nil
+	return parseRoundWire(wire[1:])
 }
 
 // parsedSlice is the wire-level view of one ModeSlice payload.
@@ -357,61 +353,12 @@ func parseSliceWire(payload []byte) (*parsedSlice, error) {
 	return ps, nil
 }
 
-// OpenSlice decrypts and parses one per-recipient round slice. Beyond
-// the full-wire OpenGroup checks it enforces the slice binding: the
-// Merkle path from this slice's (index, fingerprint, wrap) leaf must
-// reach the signed SliceRoot, so a slice re-cut for a different
-// recipient set — or with swapped wraps or reordered leaves — fails
-// ErrRoundBinding no matter who relayed it. The header signature itself
-// is deferred to VerifySignature, exactly as in the other open paths.
+// OpenSlice decrypts and parses one per-recipient round slice (the
+// pipeline in open.go). Beyond the full-wire OpenGroup checks it
+// enforces the slice binding: the Merkle path from this slice's (index,
+// fingerprint, wrap) leaf must reach the signed SliceRoot, so a slice
+// re-cut for a different recipient set — or with swapped wraps or
+// reordered leaves — fails ErrRoundBinding no matter who relayed it.
 func OpenSlice(own *keys.KeyPair, wire []byte, guard *ReplayGuard) (*Opened, error) {
-	if len(wire) < 2 || Mode(wire[0]) != ModeSlice {
-		return nil, ErrEnvelope
-	}
-	if own == nil {
-		return nil, ErrNotRecipient
-	}
-	ps, err := parseSliceWire(wire[1:])
-	if err != nil {
-		return nil, err
-	}
-	ownFP, err := own.Public().Fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	if ps.fp != ownFP {
-		return nil, ErrNotRecipient
-	}
-	cek, err := own.UnwrapKey(ps.wrap)
-	if err != nil {
-		return nil, ErrNotRecipient
-	}
-	block, err := keys.AEADOpen(cek, ps.gcmNonce, ps.ct)
-	if err != nil {
-		return nil, ErrEnvelope
-	}
-	header, body, err := unpackBlock(block, roundHeaderName)
-	if err != nil {
-		return nil, err
-	}
-	wantDigest, err := base64.StdEncoding.DecodeString(header.ChildText("BodyDigest"))
-	if err != nil {
-		return nil, ErrEnvelope
-	}
-	if !keys.ConstantTimeEqual(keys.SHA256(body), wantDigest) {
-		return nil, ErrBodyDigest
-	}
-	// The slice binding: recompute the tree root from this slice's own
-	// materials and compare against the signed value. A header without a
-	// SliceRoot (or with a root over a different recipient set) cannot
-	// authorize any slice.
-	wantRoot, err := base64.StdEncoding.DecodeString(header.ChildText(sliceRootName))
-	if err != nil || len(wantRoot) == 0 {
-		return nil, ErrRoundBinding
-	}
-	root, ok := verifySliceProof(ps.n, ps.index, ps.fp, ps.wrap, ps.proof)
-	if !ok || !keys.ConstantTimeEqual(root, wantRoot) {
-		return nil, ErrRoundBinding
-	}
-	return finishRoundOpen(header, body, ModeSlice, guard)
+	return openOnly(openWire(own, wire, formSlice, nil, guard))
 }
