@@ -53,4 +53,15 @@
 // the replay guard covers all of them. Likewise one verifier checks
 // every credential-signed broker request (secureRenew, heartbeat) and
 // one loop seals every fan-out round.
+//
+// # One buffer per hop
+//
+// A message body is copied three times between the sender's text and the
+// recipient's application: into the buffer core.Seal encrypts in place,
+// into the frame (endpoint.Message.Marshal), and by the fabric
+// (simnet.Send). Nothing is copied on the way in: a delivered frame
+// belongs to its handler alone (package endpoint states the rule), parsed
+// elements are views of it, and the open pipeline decrypts where the
+// bytes lie. Code that keeps parsed bytes longer than its handler runs
+// (advertisement caches, session credentials) parses from a copy.
 package jxtaoverlay

@@ -37,6 +37,7 @@ type Eavesdropper struct {
 func NewEavesdropper(net *simnet.Network) *Eavesdropper {
 	e := &Eavesdropper{}
 	net.AddTap(func(p simnet.Packet) {
+		p.Payload = append([]byte(nil), p.Payload...) // a tap copies what it keeps
 		e.mu.Lock()
 		e.frames = append(e.frames, p)
 		e.mu.Unlock()

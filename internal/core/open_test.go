@@ -406,7 +406,9 @@ func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
 		wire := forgeWire(t, m, []byte("labelled"), nil)
 		guard := NewReplayGuard(time.Minute, 16)
 		wrong, right := "art", "g"
-		o, err := openWire(recvKP, wire, formGroup|formSlice, &wrong, guard)
+		// openWire consumes what it is handed; every delivery is its own
+		// copy of the bytes, as every frame the fabric delivers is.
+		o, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &wrong, guard)
 		if !errors.Is(err, ErrRoundGroup) {
 			t.Fatalf("%s under the wrong label: err = %v, want ErrRoundGroup", m, err)
 		}
@@ -416,13 +418,13 @@ func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
 		if guard.Len() != 0 {
 			t.Fatalf("%s: wrong-label delivery left %d guard entries, want 0", m, guard.Len())
 		}
-		if _, err := openWire(recvKP, wire, formGroup|formSlice, &right, guard); err != nil {
+		if _, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard); err != nil {
 			t.Fatalf("%s under the right label after a wrong one: %v", m, err)
 		}
 		if guard.Len() != 2 {
 			t.Fatalf("%s: admitted round left %d guard entries, want 2 (wire digest + nonce)", m, guard.Len())
 		}
-		o, err = openWire(recvKP, wire, formGroup|formSlice, &right, guard)
+		o, err = openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard)
 		if !errors.Is(err, ErrMessageReplayed) || o == nil {
 			t.Fatalf("%s delivered twice under the right label: (%v, %v), want the Opened and ErrMessageReplayed", m, o, err)
 		}
@@ -496,7 +498,7 @@ func TestOpenSharedGuardAdmitsOnce(t *testing.T) {
 	errs := make(chan error, deliveries)
 	for i := 0; i < deliveries; i++ {
 		go func(wire []byte) {
-			_, err := openWire(recvKP, wire, formGroup|formSlice, nil, guard)
+			_, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, nil, guard)
 			errs <- err
 		}(wires[i%2])
 	}

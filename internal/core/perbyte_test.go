@@ -1,0 +1,223 @@
+package core
+
+import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
+	"errors"
+	"os"
+	"testing"
+	"time"
+
+	"jxtaoverlay/internal/endpoint"
+	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/proto"
+	"jxtaoverlay/internal/simnet"
+)
+
+// The per-byte path: what moving one large body costs, that the bytes on
+// the wire are the ones older peers wrote and read, and that opening in
+// place changed neither what a caller's wire looks like afterwards nor
+// what the replay guard remembers.
+
+// TestBulkPathAllocBytes: Seal → Service.Send → simnet → deliver → owned
+// open of a 256 KiB body allocates three buffers of the body's size —
+// the sealed wire, the frame, the fabric's copy — and small change. A
+// fourth copy anywhere on the path (there were ten) breaks the bound.
+func TestBulkPathAllocBytes(t *testing.T) {
+	const bodyBytes = 256 << 10
+	net := simnet.NewNetwork(simnet.ProfileLocal)
+	defer net.Close()
+	a, err := endpoint.NewService(net, "urn:jxta:bulk-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := endpoint.NewService(net, "urn:jxta:bulk-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(bytes.Repeat([]byte("0123456789abcdef"), bodyBytes/16))
+	opened := make(chan error, 1)
+	b.RegisterHandler("bulk", func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+		wire, _ := msg.Get(proto.ElemEnvelope)
+		o, err := openWire(recvKP, wire, formEnvelope, nil, nil)
+		if err == nil && string(o.Body) != text {
+			err = errors.New("opened body differs from the one sealed")
+		}
+		opened <- err
+		return nil
+	})
+	res := testing.Benchmark(func(tb *testing.B) {
+		tb.ReportAllocs()
+		for i := 0; i < tb.N; i++ {
+			sealed, err := Seal(senderKP, "urn:jxta:bulk-a", "g", readOnlyBytes(text), recvKP.Public(), ModeFull)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := a.Send(b.PeerID(), "bulk", endpoint.NewMessage().Add(proto.ElemEnvelope, sealed.Bytes())); err != nil {
+				tb.Fatal(err)
+			}
+			if err := <-opened; err != nil {
+				tb.Fatal(err)
+			}
+		}
+	})
+	if got, limit := res.AllocedBytesPerOp(), int64(bodyBytes*33/10); got > limit {
+		t.Fatalf("a %d-byte body allocated %d bytes end to end (%.2f× the body), limit %d (3.3×)",
+			bodyBytes, got, float64(got)/bodyBytes, limit)
+	}
+}
+
+// TestSealWireLayoutUnchanged: the envelope wire is, byte for byte, the
+// layout the sealers have always written — asserted against offsets
+// worked out here by hand, not against the helpers Seal itself uses. A
+// wire assembled from the documented layout opens; a wire Seal made
+// splits at exactly those offsets. Old peers and new ones interoperate.
+func TestSealWireLayoutUnchanged(t *testing.T) {
+	pem, err := os.ReadFile("testdata/fuzz_open_key.pem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := keys.ParseKeyPairPEM(pem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte("the body travels raw, behind the header")
+	u32 := func(b []byte, v int) []byte { return binary.BigEndian.AppendUint32(b, uint32(v)) }
+
+	// By hand: mode ‖ 4 B len ‖ wrap ‖ 4 B len ‖ nonce ‖ 4 B len ‖ ct,
+	// ct = AES-GCM( u32 hlen ‖ header ‖ body ).
+	h := headerDoc("urn:jxta:sender", "g", keys.SHA256(body), time.Now())
+	sig, err := senderKP.Sign(h.Canonical())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
+	hdr := h.Canonical()
+	block := append(append(u32(nil, len(hdr)), hdr...), body...)
+	cek, err := keys.NewContentKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrap, err := own.Public().WrapKey(cek)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce, ct, err := keys.AEADSeal(cek, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := []byte{byte(ModeFull)}
+	wire = append(u32(wire, len(wrap)), wrap...)
+	wire = append(u32(wire, len(nonce)), nonce...)
+	wire = append(u32(wire, len(ct)), ct...)
+	o, err := Open(own, wire)
+	if err != nil {
+		t.Fatalf("a wire assembled from the documented layout does not open: %v", err)
+	}
+	if !bytes.Equal(o.Body, body) || o.Sender != "urn:jxta:sender" || o.VerifySignature(senderKP.Public()) != nil {
+		t.Fatalf("hand-assembled wire opened to %+v", o)
+	}
+
+	// And back: cut a wire Seal made at the documented offsets.
+	sealed, err := Seal(senderKP, "urn:jxta:sender", "g", body, own.Public(), ModeFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sealed.Bytes()
+	if w[0] != byte(ModeFull) {
+		t.Fatalf("mode byte %q", w[0])
+	}
+	off := 1
+	section := func(name string, want int) []byte {
+		t.Helper()
+		n := int(binary.BigEndian.Uint32(w[off:]))
+		if want >= 0 && n != want {
+			t.Fatalf("%s section at offset %d is %d bytes, want %d", name, off, n, want)
+		}
+		off += 4 + n
+		return w[off-n : off]
+	}
+	gotWrap := section("wrapped key", own.Bits()/8)
+	gotNonce := section("nonce", keys.AEADNonceSize)
+	gotCT := section("ciphertext", -1)
+	if off != len(w) {
+		t.Fatalf("%d bytes follow the ciphertext section", len(w)-off)
+	}
+	gotCEK, err := own.UnwrapKey(gotWrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBlock, err := keys.AEADOpen(gotCEK, gotNonce, gotCT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlen := int(binary.BigEndian.Uint32(gotBlock))
+	if len(gotCT) != 4+hlen+len(body)+keys.AEADOverhead || !bytes.Equal(gotBlock[4+hlen:], body) {
+		t.Fatalf("block is not u32 hlen ‖ header ‖ body: %d ciphertext bytes for a %d-byte header and %d-byte body", len(gotCT), hlen, len(body))
+	}
+	if !bytes.HasPrefix(gotBlock[4:], []byte("<SecureMessage>")) {
+		t.Fatalf("header does not start the block: %q", gotBlock[4:24])
+	}
+	if cap(w) != len(w) {
+		t.Errorf("Seal sized its one buffer %d bytes too large", cap(w)-len(w))
+	}
+}
+
+// TestOpenDoesNotMutateWire: the exported entry points leave the
+// caller's wire as it was (tests, tools and the benchmark open one wire
+// many times), and the body they return is not a view of it.
+func TestOpenDoesNotMutateWire(t *testing.T) {
+	for _, m := range pipelineForms {
+		wire := forgeWire(t, m, []byte("read-only to its caller"), nil)
+		before := bytes.Clone(wire)
+		for i := 0; i < 2; i++ {
+			o, err := openAs(m, recvKP, wire)
+			if err != nil {
+				t.Fatalf("%s, open %d: %v", m, i+1, err)
+			}
+			if !bytes.Equal(wire, before) {
+				t.Fatalf("%s: the exported entry point wrote to its caller's wire", m)
+			}
+			o.Body[0] ^= 0xFF
+			if !bytes.Equal(wire, before) {
+				t.Fatalf("%s: the returned body aliases the caller's wire", m)
+			}
+		}
+	}
+}
+
+// TestOwnedOpenReplayDigestIsOverReceivedBytes: the owned open overwrites
+// the ciphertext it was handed, and the guard still remembers the wire
+// AS RECEIVED — the same bytes delivered again are a replay, and nothing
+// was admitted under the digest of the half-plaintext buffer.
+func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
+	for _, m := range []Mode{ModeFull, ModeEncrypt, ModeGroup, ModeSlice} {
+		wire := forgeWire(t, m, bytes.Repeat([]byte("opened where it lies "), 8), nil)
+		guard := NewReplayGuard(time.Minute, 16)
+		frame := bytes.Clone(wire)
+		o, err := openWire(recvKP, frame, formEnvelope|formGroup|formSlice, nil, guard)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if bytes.Equal(frame, wire) {
+			t.Fatalf("%s: the owned open left the ciphertext in place — it did not open in place", m)
+		}
+		if !bytes.Contains(frame, o.Body) || !bytes.Contains(o.Body, []byte("opened where it lies")) {
+			t.Fatalf("%s: the body is not a view of the delivered frame", m)
+		}
+		admitted := guard.Len()
+		if _, err := openWire(recvKP, bytes.Clone(wire), formEnvelope|formGroup|formSlice, nil, guard); !errors.Is(err, ErrMessageReplayed) {
+			t.Fatalf("%s: the same wire delivered twice: %v, want ErrMessageReplayed", m, err)
+		}
+		if err := guard.Check(wire, o.SentAt); !errors.Is(err, ErrMessageReplayed) {
+			t.Fatalf("%s: the guard does not hold the digest of the wire as received: Check = %v", m, err)
+		}
+		if guard.Len() != admitted {
+			t.Fatalf("%s: guard grew from %d to %d entries on refused replays", m, admitted, guard.Len())
+		}
+		if err := guard.Check(frame, o.SentAt); err != nil {
+			t.Fatalf("%s: the overwritten buffer's digest was admitted by the open: Check = %v", m, err)
+		}
+	}
+}

@@ -164,6 +164,9 @@ func fedRelaySliceHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		if to == "" || !ok {
 			return nil
 		}
+		// payload is a view of the partner's frame, and a queued item
+		// holds it until delivery or expiry: the frame is the slice plus
+		// its addressing, so nothing larger than the item is pinned.
 		it := relay.Item{
 			To: keys.PeerID(to), From: keys.PeerID(sender),
 			Group: group, Payload: payload, Forwarded: true,
@@ -256,7 +259,8 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		// counters — direct, queued, handoff, quota or skipped — so the
 		// sender can detect a shortfall instead of a silent drop. Slices
 		// are cut lazily: only accepted recipients pay for their copy of
-		// the ciphertext.
+		// the ciphertext — a copy, so no queued slice keeps the upload
+		// frame (which d is views of) alive.
 		direct, queued, handoff, quota, skipped := 0, 0, 0, 0, 0
 		var spSlice trace.Span
 		if tid != 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"errors"
@@ -63,7 +64,9 @@ func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Cre
 	if !ok {
 		return nil, rejected
 	}
-	credDoc, err := xmldoc.ParseCanonical(credRaw)
+	// The credential is held for the session and is views of what it was
+	// parsed from: a copy, so that it does not hold the response frame.
+	credDoc, err := xmldoc.ParseCanonical(bytes.Clone(credRaw))
 	if err != nil {
 		return nil, rejected
 	}

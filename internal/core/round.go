@@ -95,29 +95,19 @@ func parseRoundWire(payload []byte) (*DetachedRound, error) {
 		return nil, ErrEnvelope
 	}
 	rw := &DetachedRound{fps: make([][32]byte, n), wraps: make([][]byte, n)}
-	for i := uint32(0); i < n; i++ {
-		if len(payload) < 36 {
+	var ok bool
+	for i := range rw.wraps {
+		if len(payload) < 32 {
 			return nil, ErrEnvelope
 		}
-		copy(rw.fps[i][:], payload[:32])
-		wl := binary.BigEndian.Uint32(payload[32:36])
-		payload = payload[36:]
-		if uint32(len(payload)) < wl {
+		copy(rw.fps[i][:], payload)
+		if rw.wraps[i], payload, ok = keys.CutSection(payload[32:]); !ok {
 			return nil, ErrEnvelope
 		}
-		rw.wraps[i] = payload[:wl:wl]
-		payload = payload[wl:]
 	}
-	if len(payload) < 4 {
+	if rw.gcmNonce, rw.ct, ok = keys.CutSection(payload); !ok || len(rw.gcmNonce) > 64 {
 		return nil, ErrEnvelope
 	}
-	nl := binary.BigEndian.Uint32(payload[:4])
-	payload = payload[4:]
-	if nl > 64 || uint32(len(payload)) < nl {
-		return nil, ErrEnvelope
-	}
-	rw.gcmNonce = payload[:nl:nl]
-	rw.ct = payload[nl:]
 	return rw, nil
 }
 
@@ -129,5 +119,5 @@ func parseRoundWire(payload []byte) (*DetachedRound, error) {
 // (single use within the guard's window). The header signature itself is
 // deferred to VerifySignature, exactly as in the unicast path.
 func OpenGroup(own *keys.KeyPair, wire []byte, guard *ReplayGuard) (*Opened, error) {
-	return openOnly(openWire(own, wire, formGroup, nil, guard))
+	return openCopy(own, wire, formGroup, guard)
 }

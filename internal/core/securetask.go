@@ -82,7 +82,7 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 		return proto.Fail(err.Error())
 	}
 	// Seal the result back to the caller's certified key.
-	sealed, err := Seal(s.kp, s.PeerID(), opened.Group, []byte(out), senderKey, ModeFull)
+	sealed, err := Seal(s.kp, s.PeerID(), opened.Group, readOnlyBytes(out), senderKey, ModeFull)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -100,7 +100,7 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	// The request is sealed in the client's configured mode; the executor
 	// enforces that executable requests arrive signed, so degraded modes
 	// are rejected remotely rather than silently upgraded here.
-	sealed, err := Seal(signerFor(s.kp, s.mode), s.PeerID(), group, []byte(body), recipientKey, s.mode)
+	sealed, err := Seal(signerFor(s.kp, s.mode), s.PeerID(), group, readOnlyBytes(body), recipientKey, s.mode)
 	if err != nil {
 		return "", err
 	}
@@ -116,7 +116,7 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	if !ok {
 		return "", ErrTaskRejected
 	}
-	opened, err := Open(s.kp, wire)
+	opened, err := openWire(s.kp, wire, formEnvelope, nil, nil) // the response frame is this caller's own
 	if err != nil {
 		return "", err
 	}

@@ -208,7 +208,12 @@ func SealGroupDetached(signer *keys.KeyPair, sender keys.PeerID, group string, b
 	}
 	header.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
 
-	gcmNonce, ct, err := keys.AEADSeal(cek, packBlock(header, body))
+	gcmNonce, err := keys.RandomBytes(keys.AEADNonceSize)
+	if err != nil {
+		return nil, err
+	}
+	h := header.Canonical()
+	ct, err := keys.AEADSealInPlace(cek, gcmNonce, packBlock(make([]byte, 0, sealedLen(h, body)), h, body), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -229,14 +234,9 @@ func (d *DetachedRound) Wire() []byte {
 	wire = append(wire, byte(ModeGroup))
 	wire = binary.BigEndian.AppendUint32(wire, uint32(len(d.wraps)))
 	for i := range d.wraps {
-		wire = append(wire, d.fps[i][:]...)
-		wire = binary.BigEndian.AppendUint32(wire, uint32(len(d.wraps[i])))
-		wire = append(wire, d.wraps[i]...)
+		wire = keys.AppendSection(append(wire, d.fps[i][:]...), d.wraps[i])
 	}
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(d.gcmNonce)))
-	wire = append(wire, d.gcmNonce...)
-	wire = append(wire, d.ct...)
-	return wire
+	return append(keys.AppendSection(wire, d.gcmNonce), d.ct...)
 }
 
 // Slices cuts the round into one ModeSlice wire per recipient, in
@@ -270,17 +270,12 @@ func (d *DetachedRound) slice(i int, proof [][]byte) []byte {
 	wire = append(wire, byte(ModeSlice))
 	wire = binary.BigEndian.AppendUint32(wire, uint32(len(d.fps)))
 	wire = binary.BigEndian.AppendUint32(wire, uint32(i))
-	wire = append(wire, d.fps[i][:]...)
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(d.wraps[i])))
-	wire = append(wire, d.wraps[i]...)
+	wire = keys.AppendSection(append(wire, d.fps[i][:]...), d.wraps[i])
 	wire = append(wire, byte(len(proof)))
 	for _, h := range proof {
 		wire = append(wire, h...)
 	}
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(d.gcmNonce)))
-	wire = append(wire, d.gcmNonce...)
-	wire = append(wire, d.ct...)
-	return wire
+	return append(keys.AppendSection(wire, d.gcmNonce), d.ct...)
 }
 
 // SliceRound parses a full ModeGroup wire back into sliceable form — the
@@ -305,29 +300,19 @@ type parsedSlice struct {
 }
 
 func parseSliceWire(payload []byte) (*parsedSlice, error) {
-	if len(payload) < 8 {
+	if len(payload) < 8+32 {
 		return nil, ErrEnvelope
 	}
 	ps := &parsedSlice{}
 	n := binary.BigEndian.Uint32(payload[:4])
 	ps.index = binary.BigEndian.Uint32(payload[4:8])
-	payload = payload[8:]
 	if n == 0 || n > maxRoundRecipients || ps.index >= n {
 		return nil, ErrEnvelope
 	}
 	ps.n = int(n)
-	if len(payload) < 36 {
-		return nil, ErrEnvelope
-	}
-	copy(ps.fp[:], payload[:32])
-	wl := binary.BigEndian.Uint32(payload[32:36])
-	payload = payload[36:]
-	if uint32(len(payload)) < wl {
-		return nil, ErrEnvelope
-	}
-	ps.wrap = payload[:wl:wl]
-	payload = payload[wl:]
-	if len(payload) < 1 {
+	copy(ps.fp[:], payload[8:])
+	var ok bool
+	if ps.wrap, payload, ok = keys.CutSection(payload[8+32:]); !ok || len(payload) < 1 {
 		return nil, ErrEnvelope
 	}
 	pl := int(payload[0])
@@ -340,16 +325,9 @@ func parseSliceWire(payload []byte) (*parsedSlice, error) {
 		ps.proof[i] = payload[:32:32]
 		payload = payload[32:]
 	}
-	if len(payload) < 4 {
+	if ps.gcmNonce, ps.ct, ok = keys.CutSection(payload); !ok || len(ps.gcmNonce) > 64 {
 		return nil, ErrEnvelope
 	}
-	nl := binary.BigEndian.Uint32(payload[:4])
-	payload = payload[4:]
-	if nl > 64 || uint32(len(payload)) < nl {
-		return nil, ErrEnvelope
-	}
-	ps.gcmNonce = payload[:nl:nl]
-	ps.ct = payload[nl:]
 	return ps, nil
 }
 
@@ -360,5 +338,5 @@ func parseSliceWire(payload []byte) (*parsedSlice, error) {
 // re-cut for a different recipient set — or with swapped wraps or
 // reordered leaves — fails ErrRoundBinding no matter who relayed it.
 func OpenSlice(own *keys.KeyPair, wire []byte, guard *ReplayGuard) (*Opened, error) {
-	return openOnly(openWire(own, wire, formSlice, nil, guard))
+	return openCopy(own, wire, formSlice, guard)
 }

@@ -44,12 +44,28 @@ func TestMessageAccessors(t *testing.T) {
 	}
 }
 
-func TestMessageCloneIndependent(t *testing.T) {
-	m := NewMessage().Add("k", []byte("abc"))
-	c := m.Clone()
-	c.Elements[0].Data[0] = 'X'
-	if b, _ := m.Get("k"); b[0] != 'a' {
-		t.Fatal("Clone shares data with original")
+// TestParsedFrameIsViewsAndTwoAllocations pins the receive half of the
+// per-byte path: element data is the frame's own memory, and a frame
+// whose names are all in the vocabulary costs the Message and its
+// element slice, nothing per element.
+func TestParsedFrameIsViewsAndTwoAllocations(t *testing.T) {
+	m := NewMessage().Add("sec:env", bytes.Repeat([]byte{7}, 4096)).AddString("group", "g")
+	m.Set(elemSrc, []byte("urn:jxta:a")).Set(elemDst, []byte("urn:jxta:b")).Set(elemSvc, []byte("jxta:pipe:p"))
+	frame := m.Marshal()
+	back, err := ParseMessage(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range back.Elements {
+		if !within(e.Data, frame) {
+			t.Errorf("element %q was copied out of the frame", e.Name)
+		}
+	}
+	if env, _ := back.Get("sec:env"); cap(env) != len(env) {
+		t.Error("a view's capacity reaches past its element: an append would overwrite the next one")
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseMessage(frame) }); n != 2 {
+		t.Errorf("ParseMessage allocates %.0f times per frame, want 2", n)
 	}
 }
 
@@ -176,6 +192,31 @@ func TestRequestResponse(t *testing.T) {
 	}
 	if body, _ := resp.GetString("body"); body != "re:ping" {
 		t.Fatalf("body = %q", body)
+	}
+}
+
+// TestSendStampsACopy: routing and correlation elements go onto a copy
+// of the element list, so neither a caller's message nor a response a
+// handler hands out twice (the broker's idempotency cache does) is
+// written to by the endpoint.
+func TestSendStampsACopy(t *testing.T) {
+	_, a, b := pair(t)
+	shared := NewMessage().AddString("body", "same")
+	b.RegisterHandler("echo", func(keys.PeerID, *Message) *Message { return shared })
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req := NewMessage().AddString("body", "ping")
+	for i := 0; i < 2; i++ {
+		resp, err := a.Request(ctx, b.PeerID(), "echo", req)
+		if err != nil {
+			t.Fatalf("Request: %v", err)
+		}
+		if body, _ := resp.GetString("body"); body != "same" || !resp.Has(elemRspID) || !resp.Has(elemSrc) {
+			t.Fatalf("response %d = %+v", i, resp)
+		}
+	}
+	if len(req.Elements) != 1 || len(shared.Elements) != 1 {
+		t.Fatalf("the endpoint wrote to its caller's messages: request %+v, response %+v", req, shared)
 	}
 }
 

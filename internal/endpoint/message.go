@@ -4,6 +4,26 @@
 // brokers can carry traffic between peers that cannot reach each other
 // directly (the "beyond broadcast range or NAT" role of JXTA-Overlay
 // brokers).
+//
+// # Frame ownership
+//
+// One buffer per hop. Sending, Marshal makes the one copy of a message's
+// element data (the frame) and the fabric makes one more (the delivered
+// packet); Send never copies the data to stamp its routing elements.
+// Receiving, nothing is copied at all: ParseMessage returns elements
+// whose Data are views into the packet, under one rule —
+//
+//	a delivered frame belongs to its handler alone; the fabric never
+//	reuses or exposes it afterwards.
+//
+// The handler a message is dispatched to (or the Request it answers)
+// therefore owns every byte its elements show. It may keep them: a
+// retained view keeps the whole frame alive, so copy a small element out
+// of a large frame before holding it long. It may overwrite them: the
+// secure open path decrypts a sec:env element where it lies. It must not
+// assume they are still what the sender sent once it has handed them to
+// code that does. Names and MIME types are never views (ParseMessage
+// interns or copies them), and a message being SENT is only read.
 package endpoint
 
 import (
@@ -109,17 +129,6 @@ func (m *Message) Size() int {
 	return n
 }
 
-// Clone deep-copies the message.
-func (m *Message) Clone() *Message {
-	out := &Message{Elements: make([]Element, len(m.Elements))}
-	for i, e := range m.Elements {
-		data := make([]byte, len(e.Data))
-		copy(data, e.Data)
-		out.Elements[i] = Element{Name: e.Name, MimeType: e.MimeType, Data: data}
-	}
-	return out
-}
-
 // Wire format: magic "JXM1", u16 element count, then per element
 // u16 name length + name, u16 mime length + mime, u32 data length + data.
 // All integers big-endian.
@@ -154,61 +163,83 @@ func (m *Message) Marshal() []byte {
 	return out
 }
 
-// ParseMessage decodes a wire frame produced by Marshal.
+// ParseMessage decodes a wire frame produced by Marshal. The elements'
+// Data are views into data (see the package comment for who may hold
+// them); names and MIME types come from the interned vocabulary, so a
+// frame costs the Message and its element slice and nothing per element.
 func ParseMessage(data []byte) (*Message, error) {
 	if len(data) < 6 || [4]byte(data[:4]) != wireMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrWire)
 	}
 	count := int(binary.BigEndian.Uint16(data[4:6]))
-	if count > maxElements {
-		return nil, fmt.Errorf("%w: %d elements", ErrWire, count)
-	}
 	data = data[6:]
-	msg := &Message{Elements: make([]Element, 0, count)}
-	readLen16 := func() (int, error) {
-		if len(data) < 2 {
-			return 0, fmt.Errorf("%w: truncated length", ErrWire)
-		}
-		n := int(binary.BigEndian.Uint16(data[:2]))
-		data = data[2:]
-		return n, nil
+	// An element is at least its 8 bytes of lengths: the count is held
+	// against the bytes behind it before it sizes anything.
+	if count > maxElements || count > len(data)/8 {
+		return nil, fmt.Errorf("%w: %d elements in %d bytes", ErrWire, count, len(data))
 	}
-	for i := 0; i < count; i++ {
-		nameLen, err := readLen16()
-		if err != nil {
-			return nil, err
+	msg := &Message{Elements: make([]Element, count)}
+	for i := range msg.Elements {
+		e := &msg.Elements[i]
+		name, rest, _ := cutField(data, 2)
+		mime, rest, _ := cutField(rest, 2)
+		var ok bool
+		if e.Data, data, ok = cutField(rest, 4); !ok || len(e.Data) > maxElemData {
+			return nil, fmt.Errorf("%w: element %d truncated", ErrWire, i)
 		}
-		if len(data) < nameLen {
-			return nil, fmt.Errorf("%w: truncated name", ErrWire)
-		}
-		name := string(data[:nameLen])
-		data = data[nameLen:]
-
-		mimeLen, err := readLen16()
-		if err != nil {
-			return nil, err
-		}
-		if len(data) < mimeLen {
-			return nil, fmt.Errorf("%w: truncated mime", ErrWire)
-		}
-		mime := string(data[:mimeLen])
-		data = data[mimeLen:]
-
-		if len(data) < 4 {
-			return nil, fmt.Errorf("%w: truncated data length", ErrWire)
-		}
-		dataLen := int(binary.BigEndian.Uint32(data[:4]))
-		data = data[4:]
-		if dataLen > maxElemData || len(data) < dataLen {
-			return nil, fmt.Errorf("%w: truncated data", ErrWire)
-		}
-		payload := make([]byte, dataLen)
-		copy(payload, data[:dataLen])
-		data = data[dataLen:]
-		msg.Elements = append(msg.Elements, Element{Name: name, MimeType: mime, Data: payload})
+		e.Name, e.MimeType = intern(name), intern(mime)
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(data))
 	}
 	return msg, nil
+}
+
+// cutField reads one big-endian length of the given width and the field
+// it counts, as a capacity-clipped view. A short input leaves nothing
+// behind it, so down a chain of cuts only the last ok needs reading.
+func cutField(data []byte, width int) (field, rest []byte, ok bool) {
+	if len(data) < width {
+		return nil, nil, false
+	}
+	n := int(binary.BigEndian.Uint16(data))
+	if width == 4 {
+		n = int(binary.BigEndian.Uint32(data))
+	}
+	if data = data[width:]; n < 0 || len(data) < n {
+		return nil, nil, false
+	}
+	return data[:n:n], data[n:], true
+}
+
+// vocabulary is the fixed element-name and MIME-type vocabulary of the
+// overlay (this package's routing elements, internal/proto's, the user
+// database's). A map lookup keyed by a converted byte slice does not
+// allocate, so a hit costs no string; a miss copies the name, which never
+// pins the frame.
+var vocabulary = func(names ...string) map[string]string {
+	m := make(map[string]string, len(names))
+	for _, n := range names {
+		m[n] = n
+	}
+	return m
+}(
+	"application/octet-stream", "text/plain", "text/xml",
+	elemSrc, elemDst, elemSvc, elemReqID, elemRspID, relayTo, relayPayload,
+	"op", "ok", "err", "user", "pass", "group", "groups", "desc", "adv", "advtype",
+	"advid", "peer", "peers", "keyword", "broker", "msg:body", "all",
+	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:chain", "sec:env",
+	"file:name", "file:chunk", "file:data", "file:size", "file:nchunks", "file:digest",
+	"task:name", "task:args", "task:out",
+	"relay:rcpt", "relay:direct", "relay:queued", "relay:skipped", "relay:handoff",
+	"relay:quota", "relay:to", "relay:exp", "fed:session", "trace:id",
+	"lease:id", "lease:ttl", "idem:key", "retry:after",
+	"db:env", "db:sig", "db:cred", "db:body",
+)
+
+func intern(b []byte) string {
+	if s, ok := vocabulary[string(b)]; ok {
+		return s
+	}
+	return string(b)
 }

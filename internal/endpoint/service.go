@@ -24,7 +24,9 @@ const (
 	// svcRelay is the internal service relay-enabled nodes (brokers)
 	// forward for NATed peers.
 	svcRelay = "jxta:relay"
-	// relayPayload carries the original frame inside a relay message.
+	// relayTo and relayPayload carry the final destination and the
+	// original frame inside a relay message.
+	relayTo      = "jxta:relay:to"
 	relayPayload = "jxta:relay:frame"
 )
 
@@ -132,7 +134,18 @@ func (s *Service) Counters() (tx, rx, txBytes, rxBytes uint64) {
 // If the destination is not directly reachable (NAT) the frame is routed
 // through the configured relay.
 func (s *Service) Send(to keys.PeerID, service string, msg *Message) error {
-	m := msg.Clone()
+	return s.send(to, service, msg, "", "")
+}
+
+// send stamps a copy of msg's element list — never the caller's message,
+// and never the element data, which Marshal copies into the frame once —
+// with the routing elements and, when corr names one, the request or
+// response correlation ID.
+func (s *Service) send(to keys.PeerID, service string, msg *Message, corr, id string) error {
+	m := Message{Elements: append(make([]Element, 0, len(msg.Elements)+4), msg.Elements...)}
+	if corr != "" {
+		m.Set(corr, []byte(id))
+	}
 	m.Set(elemSrc, []byte(s.peerID))
 	m.Set(elemDst, []byte(to))
 	m.Set(elemSvc, []byte(service))
@@ -156,7 +169,7 @@ func (s *Service) sendFrame(to keys.PeerID, frame []byte) error {
 		wrapper.Set(elemSrc, []byte(s.peerID))
 		wrapper.Set(elemDst, []byte(relay))
 		wrapper.Set(elemSvc, []byte(svcRelay))
-		wrapper.AddString("jxta:relay:to", string(to))
+		wrapper.AddString(relayTo, string(to))
 		wrapper.Add(relayPayload, frame)
 		err = s.net.Send(NodeID(s.peerID), NodeID(relay), wrapper.Marshal())
 	}
@@ -190,9 +203,7 @@ func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, m
 		s.mu.Unlock()
 	}()
 
-	m := msg.Clone()
-	m.Set(elemReqID, []byte(reqID))
-	if err := s.Send(to, service, m); err != nil {
+	if err := s.send(to, service, msg, elemReqID, reqID); err != nil {
 		return nil, err
 	}
 	select {
@@ -223,7 +234,7 @@ func (s *Service) deliver(pkt simnet.Packet) {
 		if !s.relaying.Load() {
 			return
 		}
-		to, ok1 := msg.GetString("jxta:relay:to")
+		to, ok1 := msg.GetString(relayTo)
 		frame, ok2 := msg.Get(relayPayload)
 		if !ok1 || !ok2 {
 			return
@@ -257,8 +268,7 @@ func (s *Service) deliver(pkt simnet.Packet) {
 		return
 	}
 	if reqID, ok := msg.GetString(elemReqID); ok && from != "" {
-		resp.Set(elemRspID, []byte(reqID))
-		_ = s.Send(from, svcResponse, resp)
+		_ = s.send(from, svcResponse, resp, elemRspID, reqID)
 	}
 }
 

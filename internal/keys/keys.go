@@ -204,11 +204,7 @@ type Envelope struct {
 // fresh AES-256 content key wrapped under RSA-OAEP (the paper's
 // E_PKi(x) wrapped key encryption scheme).
 func (p *PublicKey) Encrypt(plain []byte) (*Envelope, error) {
-	cek, err := NewContentKey()
-	if err != nil {
-		return nil, err
-	}
-	wrapped, err := p.WrapKey(cek)
+	cek, wrapped, err := p.NewWrappedKey()
 	if err != nil {
 		return nil, err
 	}
@@ -217,6 +213,15 @@ func (p *PublicKey) Encrypt(plain []byte) (*Envelope, error) {
 		return nil, err
 	}
 	return &Envelope{WrappedKey: wrapped, Nonce: nonce, Ciphertext: ct}, nil
+}
+
+// NewWrappedKey draws a fresh content key and wraps it to this public
+// key: the first step of every one-recipient hybrid encryption.
+func (p *PublicKey) NewWrappedKey() (cek, wrapped []byte, err error) {
+	if cek, err = NewContentKey(); err == nil {
+		wrapped, err = p.WrapKey(cek)
+	}
+	return cek, wrapped, err
 }
 
 // WrapKey encrypts a content key to this public key under RSA-OAEP. The
@@ -240,30 +245,55 @@ func NewContentKey() ([]byte, error) {
 	return cek, nil
 }
 
+// AEAD sizes: the nonce a sealing takes and the tag it appends.
+const (
+	AEADNonceSize = 12
+	AEADOverhead  = 16
+)
+
 // AEADSeal encrypts plain under the content key with AES-GCM and a
 // fresh random nonce, returning nonce and ciphertext.
 func AEADSeal(cek, plain []byte) (nonce, ciphertext []byte, err error) {
-	gcm, err := newGCM(cek)
-	if err != nil {
+	if nonce, err = RandomBytes(AEADNonceSize); err != nil {
 		return nil, nil, err
 	}
-	nonce = make([]byte, gcm.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
-		return nil, nil, fmt.Errorf("keys: nonce: %w", err)
-	}
-	return nonce, gcm.Seal(nil, nonce, plain, nil), nil
+	ciphertext, err = aeadSeal(nil, cek, nonce, plain)
+	return nonce, ciphertext, err
 }
 
-// AEADOpen reverses AEADSeal.
-func AEADOpen(cek, nonce, ciphertext []byte) ([]byte, error) {
+// AEADSealInPlace encrypts buf[from:] where it lies and appends the tag:
+// a caller that sized buf with AEADOverhead to spare seals a message in
+// the one buffer it assembled it in.
+func AEADSealInPlace(cek, nonce, buf []byte, from int) ([]byte, error) {
+	return aeadSeal(buf[:from], cek, nonce, buf[from:])
+}
+
+func aeadSeal(dst, cek, nonce, plain []byte) ([]byte, error) {
 	gcm, err := newGCM(cek)
 	if err != nil {
+		return nil, err
+	}
+	return gcm.Seal(dst, nonce, plain, nil), nil
+}
+
+// AEADOpen reverses AEADSeal. The ciphertext is left as it was.
+func AEADOpen(cek, nonce, ciphertext []byte) ([]byte, error) {
+	return aeadOpen(nil, cek, nonce, ciphertext)
+}
+
+// AEADOpenInPlace is AEADOpen writing the plaintext over the ciphertext
+// it reads: the result is a view of ciphertext, whose old contents are
+// gone — after a failure too. Only the owner of the bytes may call it.
+func AEADOpenInPlace(cek, nonce, ciphertext []byte) ([]byte, error) {
+	return aeadOpen(ciphertext[:0], cek, nonce, ciphertext)
+}
+
+func aeadOpen(dst, cek, nonce, ciphertext []byte) ([]byte, error) {
+	gcm, err := newGCM(cek)
+	if err != nil || len(nonce) != gcm.NonceSize() {
 		return nil, ErrDecrypt
 	}
-	if len(nonce) != gcm.NonceSize() {
-		return nil, ErrDecrypt
-	}
-	plain, err := gcm.Open(nil, nonce, ciphertext, nil)
+	plain, err := gcm.Open(dst, nonce, ciphertext, nil)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
@@ -275,45 +305,46 @@ func newGCM(cek []byte) (cipher.AEAD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("keys: cipher: %w", err)
 	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("keys: gcm: %w", err)
+	return cipher.NewGCM(block)
+}
+
+// AppendSection appends part behind its big-endian u32 length — the one
+// framing the envelope, round and slice wires and the sealed block inside
+// them are written in. CutSection is its reader; no other code knows it.
+func AppendSection(dst, part []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(part))), part...)
+}
+
+// CutSection reverses AppendSection: the section at the head of data, as
+// a capacity-clipped view, and the bytes that follow it.
+func CutSection(data []byte) (part, rest []byte, ok bool) {
+	if len(data) < 4 {
+		return nil, nil, false
 	}
-	return gcm, nil
+	n := uint64(binary.BigEndian.Uint32(data))
+	if data = data[4:]; uint64(len(data)) < n {
+		return nil, nil, false
+	}
+	return data[:n:n], data[n:], true
 }
 
 // Marshal flattens the envelope into a single self-describing byte
-// string (length-prefixed sections) for transport inside messages.
+// string (three sections) for transport inside messages.
 func (e *Envelope) Marshal() []byte {
 	out := make([]byte, 0, 12+len(e.WrappedKey)+len(e.Nonce)+len(e.Ciphertext))
-	for _, part := range [][]byte{e.WrappedKey, e.Nonce, e.Ciphertext} {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(part)))
-		out = append(out, n[:]...)
-		out = append(out, part...)
-	}
-	return out
+	return AppendSection(AppendSection(AppendSection(out, e.WrappedKey), e.Nonce), e.Ciphertext)
 }
 
-// ParseEnvelope reverses Envelope.Marshal.
+// ParseEnvelope reverses Envelope.Marshal; the fields are views of data.
 func ParseEnvelope(data []byte) (*Envelope, error) {
-	parts := make([][]byte, 3)
-	for i := range parts {
-		if len(data) < 4 {
-			return nil, errors.New("keys: short envelope")
-		}
-		n := binary.BigEndian.Uint32(data[:4])
-		data = data[4:]
-		if uint32(len(data)) < n {
-			return nil, errors.New("keys: truncated envelope section")
-		}
-		parts[i] = data[:n:n]
-		data = data[n:]
+	var e Envelope
+	var ok bool
+	e.WrappedKey, data, _ = CutSection(data)
+	e.Nonce, data, _ = CutSection(data) // a failed cut leaves nothing to cut
+	if e.Ciphertext, data, ok = CutSection(data); !ok || len(data) != 0 {
+		return nil, errors.New("keys: malformed envelope")
 	}
-	if len(data) != 0 {
-		return nil, errors.New("keys: trailing bytes after envelope")
-	}
-	return &Envelope{WrappedKey: parts[0], Nonce: parts[1], Ciphertext: parts[2]}, nil
+	return &e, nil
 }
 
 // MarshalPublic serializes a public key as PKIX DER.

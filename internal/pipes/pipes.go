@@ -69,6 +69,8 @@ func CreateInputPipe(svc *endpoint.Service, adv *advert.Pipe, buffer int) (*Inpu
 		done: make(chan struct{}),
 	}
 	svc.RegisterHandler(servicePrefix+adv.PipeID, func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+		// A buffered delivery's elements are views of its frame: the queue
+		// holds each frame whole, as many bytes as the copies it used to.
 		select {
 		case <-ip.done:
 		case ip.ch <- Delivery{From: from, Msg: msg}:

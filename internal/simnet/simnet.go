@@ -35,13 +35,18 @@ type Packet struct {
 }
 
 // Handler receives delivered packets. Handlers run on delivery
-// goroutines and must be safe for concurrent invocation.
+// goroutines and must be safe for concurrent invocation. The packet's
+// Payload is the handler's own: the network made it for this delivery
+// and keeps no reference, so the handler may retain or overwrite it.
 type Handler func(Packet)
 
 // Tap observes every packet at transmission time, before loss or
 // delivery — exactly what a passive eavesdropper on the wire sees. The
 // attack harness uses taps to demonstrate the paper's eavesdropping
-// vulnerability.
+// vulnerability. A tap is shown the sender's own buffer for the length
+// of the call: it copies what it keeps. It never sees the delivered
+// packet, which belongs to the receiving handler alone (who may, and
+// the secure open path does, overwrite it).
 type Tap func(Packet)
 
 // LinkProfile describes one direction of a link.
@@ -269,12 +274,9 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 	n.wg.Add(1)
 	n.mu.RUnlock()
 
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	pkt := Packet{From: from, To: to, Payload: buf, SentAt: time.Now()}
-
+	pkt := Packet{From: from, To: to, Payload: payload, SentAt: time.Now()}
 	n.sent.Add(1)
-	n.bytesTot.Add(uint64(len(buf)))
+	n.bytesTot.Add(uint64(len(payload)))
 	for _, t := range taps {
 		t(pkt)
 	}
@@ -285,7 +287,10 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 		return nil // loss is silent, as on a real wire
 	}
 
-	delay := profile.TransferTime(len(buf))
+	// The one fabric copy: what is delivered is the recipient's alone.
+	pkt.Payload = make([]byte, len(payload))
+	copy(pkt.Payload, payload)
+	delay := profile.TransferTime(len(payload))
 	if profile.Jitter > 0 {
 		delay += time.Duration(n.randFloat() * float64(profile.Jitter))
 	}
