@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"jxtaoverlay/internal/bench"
+	"jxtaoverlay/internal/simnet"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 	keySizes := flag.String("keysizes", "1024", "comma-separated RSA modulus sizes (A1 ablation)")
 	flag.Parse()
 
-	profile, err := bench.ProfileByName(*profileName)
+	profile, err := simnet.ProfileByName(*profileName)
 	if err != nil {
 		fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"jxtaoverlay/internal/bench"
 	"jxtaoverlay/internal/core"
+	"jxtaoverlay/internal/simnet"
 )
 
 func main() {
@@ -47,7 +48,7 @@ func main() {
 			fatal(err)
 		}
 		for _, profName := range strings.Split(*profilesFlag, ",") {
-			profile, err := bench.ProfileByName(strings.TrimSpace(profName))
+			profile, err := simnet.ProfileByName(strings.TrimSpace(profName))
 			if err != nil {
 				fatal(err)
 			}
@@ -89,7 +90,7 @@ func main() {
 	}
 
 	if *group {
-		profile, _ := bench.ProfileByName("lan")
+		profile, _ := simnet.ProfileByName("lan")
 		results, err := bench.RunGroupFanOut(env, profile, []int{2, 4, 8}, *iters)
 		if err != nil {
 			fatal(err)

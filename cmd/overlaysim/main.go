@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/audit"
-	"jxtaoverlay/internal/bench"
 	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
@@ -213,7 +212,7 @@ func run(nClients int, secure bool, profileName string, messages int, churn, res
 	if restart && !churn {
 		return fmt.Errorf("-restart demonstrates crash recovery of queued slices; run with -churn")
 	}
-	profile, err := bench.ProfileByName(profileName)
+	profile, err := simnet.ProfileByName(profileName)
 	if err != nil {
 		return err
 	}

@@ -13,8 +13,7 @@
 //
 // See PERF.md for architecture and measured numbers, SECURITY.md for
 // the trust models, and cmd/perf/README.md for the end-to-end benchmark.
-// The benchmarks in bench_test.go regenerate every number the paper
-// reports.
+// cmd/benchjoin and cmd/benchmsg regenerate the paper's §5 tables.
 //
 // # Fast path
 //

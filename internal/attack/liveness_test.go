@@ -233,6 +233,57 @@ func TestReplayedIdempotencyKeyCannotDoubleExecute(t *testing.T) {
 	}
 }
 
+// The dedup window belongs to logged-in peers. connect answers OK to
+// anyone, so a stranger's keyed connects used to be cached: 4,096 of
+// them filled the table, pinned it for the window and evicted honest
+// peers' live entries, whose retries then re-executed. A stranger's
+// keys are ignored — nothing stored, nothing evicted.
+func TestStrangerCannotSeedIdempotencyWindow(t *testing.T) {
+	s := newLeaseStack(t)
+	alice := s.join(t, "alice", "alice-secret-pw")
+	ctx := testCtx(t)
+	create := endpoint.NewMessage().
+		AddString(proto.ElemOp, proto.OpGroupCreate).
+		AddString(proto.ElemGroup, "proj").
+		AddString(proto.ElemDesc, "project").
+		AddString(proto.ElemIdem, "ik-honest-1")
+	if _, err := alice.Call(ctx, create); err != nil {
+		t.Fatalf("first create: %v", err)
+	}
+	if n := s.br.IdemEntries(); n != 1 {
+		t.Fatalf("IdemEntries = %d after one acknowledged keyed mutation, want 1", n)
+	}
+
+	stranger, err := endpoint.NewService(s.net, "urn:jxta:stranger")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stranger.Close()
+	for i := 0; i < 4096; i++ {
+		flood := endpoint.NewMessage().
+			AddString(proto.ElemOp, proto.OpConnect).
+			AddString(proto.ElemIdem, "ik-flood-"+strconv.Itoa(i))
+		resp, err := stranger.Request(ctx, s.br.PeerID(), proto.BrokerService, flood)
+		if err != nil {
+			t.Fatalf("connect %d: %v", i, err)
+		}
+		if ok, tok := proto.IsOK(resp); !ok {
+			t.Fatalf("connect %d refused (%s): the flood must be one the broker acknowledges", i, tok)
+		}
+	}
+	if n := s.br.IdemEntries(); n != 1 {
+		t.Fatalf("IdemEntries = %d after a stranger's 4,096 keyed connects, want alice's 1", n)
+	}
+	// Alice's retry is still answered from the window: a second
+	// execution would be refused as group-exists.
+	if _, err := alice.Call(ctx, create); err != nil {
+		t.Fatalf("retry after the flood re-executed: %v", err)
+	}
+	if got := s.br.Stats().IdemDeduped; got != 1 {
+		t.Fatalf("IdemDeduped = %d, want 1", got)
+	}
+}
+
 // Presence is monotonic in session-start time. A peer-down describing
 // an OLD session — a forger outside the federation, or a lagging /
 // compromised partner replaying history — must not take down the

@@ -261,8 +261,8 @@ func (j *Journal) advance(rec Record, framed []byte) {
 // journal is nil or has failed — the event is counted lost, never
 // blocks the caller). This is the hot emit path: with a positive
 // SyncInterval it costs one encode, one SHA-256 and a ring store under
-// a mutex — no syscalls, no allocations steady-state (bench-gated by
-// BenchmarkAuditOverhead/append).
+// a mutex — no syscalls, no allocations steady-state (held by
+// TestGateRecordStaged).
 func (j *Journal) Record(e Event) uint64 {
 	if j == nil {
 		return 0

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"jxtaoverlay/internal/perfgate"
 )
 
 // TestAppendReopenContinuesChain: a journal reopened after a clean
@@ -283,4 +285,40 @@ func TestOversizedEventClamped(t *testing.T) {
 	if !rep.OK() || rep.Events != 1 {
 		t.Fatalf("clamped event journal: %+v (fault %v)", rep, rep.Fault)
 	}
+}
+
+// One Record call is what every offense, refusal and auth outcome pays
+// inline. On the staged path — one encode into a reused stage buffer,
+// one SHA-256 to advance the chain head, one ring slot — it may not
+// allocate: attribution must not cost garbage. With an fdatasync per
+// append the price is the disk's, and only time is held.
+
+func benchRecord(b *testing.B, syncInterval time.Duration) {
+	j, err := Open(Options{
+		Dir: b.TempDir(), SyncInterval: syncInterval,
+		SegmentBytes: 1 << 30, CheckpointEvery: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	event := Event{
+		Kind: KindRateLimited, Peer: "urn:jxta:cbid-bench",
+		Op: "publishAdv", Reason: "rate-limited", Trace: 0xfeed,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if j.Record(event) == 0 {
+			b.Fatal("append failed")
+		}
+	}
+}
+
+func BenchmarkRecordStaged(b *testing.B) { benchRecord(b, 50*time.Millisecond) }
+func BenchmarkRecordSynced(b *testing.B) { benchRecord(b, 0) }
+
+func TestGateRecordStaged(t *testing.T) { perfgate.Run(t, BenchmarkRecordStaged, 0, 5000) }
+func TestGateRecordSynced(t *testing.T) {
+	perfgate.Run(t, BenchmarkRecordSynced, perfgate.NoLimit, 20e6)
 }

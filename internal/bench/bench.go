@@ -20,7 +20,6 @@ import (
 	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
-	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/simnet"
@@ -142,9 +141,6 @@ func (e *Env) SecureClient(alias string, mode core.Mode) (*core.SecureClient, er
 	return core.NewSecureClient(cl, trust, core.WithMode(mode))
 }
 
-// TrustStore returns a fresh trust store for verification tasks.
-func (e *Env) TrustStore() (*cred.TrustStore, error) { return e.Dep.TrustStore() }
-
 // OpCost is the measured cost of one operation: compute wall time plus
 // the traffic it generated.
 type OpCost struct {
@@ -177,22 +173,6 @@ func (e *Env) Measure(op func() error) (OpCost, error) {
 		Frames: after.Sent - before.Sent,
 		Bytes:  after.Bytes - before.Bytes,
 	}, nil
-}
-
-// ProfileByName resolves the link profiles the bench tools accept.
-func ProfileByName(name string) (simnet.LinkProfile, error) {
-	switch name {
-	case "local":
-		return simnet.ProfileLocal, nil
-	case "lan":
-		return simnet.ProfileLAN, nil
-	case "paperlan":
-		return simnet.ProfilePaperLAN, nil
-	case "wan":
-		return simnet.ProfileWAN, nil
-	default:
-		return simnet.LinkProfile{}, fmt.Errorf("bench: unknown profile %q (local, lan, paperlan, wan)", name)
-	}
 }
 
 // Overhead returns (secure-plain)/plain in percent.

@@ -418,10 +418,14 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 	// window already acknowledged gets the original response back —
 	// the mutation is not executed twice. Checked after admission
 	// (dedup hits are cheap, but a flooder must not bypass its bucket
-	// by replaying one key) and only for logged-in peers' keys (the
-	// table is per-peer, so strangers can't seed it).
-	idemK, hasIdem := msg.GetString(proto.ElemIdem)
-	if hasIdem && idemK != "" {
+	// by replaying one key) and only for logged-in peers' keys of a
+	// sane length: connect answers OK to anyone, so without the login
+	// check a stranger could fill the table, pin that memory for the
+	// window and evict honest peers' live entries. Any other key is
+	// ignored — the request is dispatched as if it carried none.
+	idemK, _ := msg.GetString(proto.ElemIdem)
+	honoured := idemK != "" && len(idemK) <= idemMaxKeyLen && b.loggedIn(from)
+	if honoured {
 		if cached, ok := b.idem.lookup(from, idemK); ok {
 			b.idemDeduped.Add(1)
 			b.Audit(audit.Event{Kind: audit.KindIdemDedup, Peer: string(from), Op: op, Reason: "replayed-key", Trace: tid})
@@ -432,7 +436,7 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 	if resp != nil {
 		if ok, _ := proto.IsOK(resp); !ok {
 			b.opsFailed.Add(1)
-		} else if hasIdem && idemK != "" {
+		} else if honoured {
 			// Only acknowledged successes are cached: a refused op
 			// performed no mutation, so its retry must re-execute. No
 			// handler answers with bytes of its request, so a cached

@@ -38,13 +38,16 @@ const (
 	// idemMaxEntries bounds table memory; at the default window this
 	// admits ~34 acknowledged mutations/sec before eviction pressure.
 	idemMaxEntries = 4096
+	// idemMaxKeyLen bounds what one entry can pin: clients mint
+	// "ik-" + a base-36 counter, 16 bytes at most.
+	idemMaxKeyLen = 64
 )
 
 // idemKey scopes a client-minted key to the peer that presented it:
 // peers cannot collide with (or probe) each other's cached responses,
 // and the lookup — which runs on EVERY mutating dispatch carrying a
 // key, hits and misses alike — compares two strings instead of
-// building one (zero allocations, bench-gated).
+// building one (zero allocations, held by TestGateIdemHit).
 type idemKey struct {
 	peer keys.PeerID
 	key  string

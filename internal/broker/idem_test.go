@@ -2,11 +2,15 @@ package broker
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"jxtaoverlay/internal/endpoint"
+	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/perfgate"
+	"jxtaoverlay/internal/proto"
 )
 
 // idemAt returns a cache on a clock the test moves by assigning *now.
@@ -133,4 +137,102 @@ func TestIdemStoreRacesSetIdemClock(t *testing.T) {
 	if n := b.IdemEntries(); n < 1 || n > 64 {
 		t.Fatalf("IdemEntries = %d, want 1..64", n)
 	}
+}
+
+// TestDispatchHonoursOnlyLoggedInBoundedKeys: a key is looked up and
+// stored only for a logged-in peer and only up to idemMaxKeyLen bytes;
+// any other keyed request is dispatched as if it carried no key — it
+// executes every time and leaves nothing behind.
+func TestDispatchHonoursOnlyLoggedInBoundedKeys(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		loggedIn bool
+		key      string
+		honoured bool
+	}{
+		{"logged-in, client-minted key", true, "ik-1z141z3", true},
+		{"logged-in, key at the bound", true, strings.Repeat("k", idemMaxKeyLen), true},
+		{"logged-in, oversized key", true, strings.Repeat("k", idemMaxKeyLen+1), false},
+		{"stranger, client-minted key", false, "ik-1z141z3", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, net := newBroker(t)
+			c := newCaller(t, net, b, "urn:jxta:peer")
+			if tc.loggedIn {
+				c.login("alice")
+			}
+			for i := 0; i < 2; i++ {
+				if ok, tok := proto.IsOK(c.op(proto.OpConnect, proto.ElemIdem, tc.key)); !ok {
+					t.Fatalf("keyed connect %d refused: %s", i, tok)
+				}
+			}
+			entries, deduped := 0, uint64(0)
+			if tc.honoured {
+				entries, deduped = 1, 1
+			}
+			if got := b.IdemEntries(); got != entries {
+				t.Errorf("IdemEntries = %d, want %d", got, entries)
+			}
+			if got := b.Stats().IdemDeduped; got != deduped {
+				t.Errorf("IdemDeduped = %d, want %d", got, deduped)
+			}
+		})
+	}
+}
+
+// The dedup window at its operating points. A hit is the retry fast
+// path, a resubmitted mutation answered from the table: the key is a
+// struct of two strings so that the lookup builds nothing. A store
+// caches one acknowledged response; inserting may grow the map, so it
+// is held on time only, by the same ceiling under the cap (every store
+// replaces a live entry) and at it (every store is a new key and evicts
+// the entry closest to expiry).
+
+const idemBenchPeer = keys.PeerID("urn:jxta:bench-peer")
+
+func BenchmarkIdemHit(b *testing.B) {
+	c := newIdemCache()
+	c.store(idemBenchPeer, "ik-bench", endpoint.NewMessage())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.lookup(idemBenchPeer, "ik-bench"); !ok {
+			b.Fatal("cached response missing")
+		}
+	}
+}
+
+// benchIdemStore stores nKeys distinct keys round-robin into a table
+// that has seen them all once.
+func benchIdemStore(b *testing.B, nKeys int) *idemCache {
+	c := newIdemCache()
+	resp := endpoint.NewMessage()
+	ks := make([]string, nKeys)
+	for i := range ks {
+		ks[i] = fmt.Sprintf("ik-bench-%04d", i)
+		c.store(idemBenchPeer, ks[i], resp)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.store(idemBenchPeer, ks[i%len(ks)], resp)
+	}
+	return c
+}
+
+func BenchmarkIdemStore(b *testing.B) { benchIdemStore(b, 1024) }
+
+// Twice the cap: by the time a key comes round again it has long been
+// evicted, so no store finds its key present.
+func BenchmarkIdemStoreFull(b *testing.B) {
+	c := benchIdemStore(b, 2*idemMaxEntries)
+	if n := c.seen.Len(); n != idemMaxEntries {
+		b.Fatalf("%d entries, want the cap %d", n, idemMaxEntries)
+	}
+}
+
+func TestGateIdemHit(t *testing.T)   { perfgate.Run(t, BenchmarkIdemHit, 0, 1000) }
+func TestGateIdemStore(t *testing.T) { perfgate.Run(t, BenchmarkIdemStore, perfgate.NoLimit, 3000) }
+func TestGateIdemStoreFull(t *testing.T) {
+	perfgate.Run(t, BenchmarkIdemStoreFull, perfgate.NoLimit, 3000)
 }

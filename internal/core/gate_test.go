@@ -1,0 +1,164 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"jxtaoverlay/internal/advert"
+	"jxtaoverlay/internal/cred"
+	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/parallel"
+	"jxtaoverlay/internal/perfgate"
+	"jxtaoverlay/internal/xdsig"
+	"jxtaoverlay/internal/xmldoc"
+)
+
+// The regression gates of this package's hot paths. Each Benchmark is
+// the one loop its gate test runs under the ceilings beside it.
+
+// BenchmarkOpenSlice is one recipient's whole receive path for a slice
+// of a 100-member relayed round: unwrap the content key, open the AEAD
+// in place, parse the signed header, check body digest and Merkle slice
+// binding, verify the header signature.
+func BenchmarkOpenSlice(b *testing.B) {
+	recipients := make([]*keys.PublicKey, 100)
+	for i := range recipients {
+		recipients[i] = recvKP.Public()
+	}
+	d, err := SealGroupDetached(senderKP, "urn:jxta:cbid-sender", "bench", make([]byte, 1024), recipients)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire := d.Slice(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o, err := OpenSlice(recvKP, wire, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := o.VerifySignature(senderKP.Public()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func TestGateOpenSlice(t *testing.T) { perfgate.Run(t, BenchmarkOpenSlice, 43, perfgate.NoLimit) }
+
+// BenchmarkFanOutRound is a sender's work for one 100-recipient round:
+// verify every recipient's signed pipe advertisement (cached after the
+// first encounter) and seal the 1 KiB body for the whole set with one
+// header signature and one key wrap per recipient.
+func BenchmarkFanOutRound(b *testing.B) {
+	const n = 100
+	dep, err := NewDeploymentFromKey(mustKey(410), "admin")
+	if err != nil {
+		b.Fatal(err)
+	}
+	brokerKP := mustKey(411)
+	brokerCred, err := dep.IssueBrokerCredential(brokerKP.Public(), "broker", time.Hour)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recvID, _ := keys.CBID(recvKP.Public())
+	recvCred, err := cred.Issue(brokerKP, brokerCred.Subject, recvID, "recv", cred.RoleClient, recvKP.Public(), time.Hour)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trust, err := dep.TrustStore()
+	if err != nil {
+		b.Fatal(err)
+	}
+	docs := make([]*xmldoc.Element, n)
+	for i := range docs {
+		doc, err := (&advert.Pipe{
+			PipeID:   fmt.Sprintf("urn:jxta:pipe-fan-%d", i),
+			PipeType: advert.PipeUnicast,
+			PeerID:   recvID,
+			Group:    "bench",
+		}).Document()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := xdsig.Sign(doc, recvKP, recvCred, brokerCred); err != nil {
+			b.Fatal(err)
+		}
+		docs[i] = doc
+	}
+	body := make([]byte, 1024)
+	now := time.Now()
+	vc := xdsig.NewVerifyCache(trust, 256)
+	round := func() {
+		recipients := make([]*keys.PublicKey, n)
+		parallel.ForEach(runtime.GOMAXPROCS(0), n, func(j int) {
+			res, err := vc.VerifyTrusted(docs[j], now)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			recipients[j] = res.Signer.Key
+		})
+		if b.Failed() {
+			return
+		}
+		if _, err := SealGroup(senderKP, "urn:jxta:cbid-sender", "bench", body, recipients); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The first round meets every advertisement cold (three RSA
+	// verifications each); the steady state is what is measured.
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N && !b.Failed(); i++ {
+		round()
+	}
+}
+
+func TestGateFanOutRound(t *testing.T) { perfgate.Run(t, BenchmarkFanOutRound, 2200, perfgate.NoLimit) }
+
+// BenchmarkLeaseRenew is the bookkeeping every heartbeat pays once its
+// signature is verified: one locked table lookup, the lease and
+// sequence checks, the expiry bump. A fleet heartbeating at TTL/3 must
+// cost the broker table work, not garbage.
+func BenchmarkLeaseRenew(b *testing.B) {
+	bs := &BrokerSecurity{
+		cfg:    BrokerConfig{LeaseTTL: time.Minute},
+		leases: make(map[keys.PeerID]*lease),
+		clock:  time.Now,
+	}
+	peer := keys.PeerID("urn:jxta:bench-peer")
+	bs.leases[peer] = &lease{id: "ls-bench", expiry: time.Now().Add(time.Hour)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tok := bs.renewLease(peer, "ls-bench", uint64(i)+1); tok != "" {
+			b.Fatalf("heartbeat refused: %s", tok)
+		}
+	}
+}
+
+func TestGateLeaseRenew(t *testing.T) { perfgate.Run(t, BenchmarkLeaseRenew, 0, 1000) }
+
+// BenchmarkReplayAdmitFull is one Check on a full guard — the state a
+// recipient is in under sustained load: 4096 live entries, every admit
+// evicting the one closest to expiry. A unicast open pays it once and a
+// round open twice, beside an RSA unwrap it must stay invisible next to.
+func BenchmarkReplayAdmitFull(b *testing.B) {
+	g := NewReplayGuard(0, 0)
+	now := time.Now()
+	g.SetClock(func() time.Time { return now })
+	next := distinctWires()
+	fillGuard(g, now, next)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.Check(next(), now); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func TestGateReplayAdmitFull(t *testing.T) { perfgate.Run(t, BenchmarkReplayAdmitFull, 0, 5000) }

@@ -82,7 +82,7 @@ func (bs *BrokerSecurity) grantLease(peer keys.PeerID) (string, time.Duration, b
 
 // renewLease is the heartbeat's bookkeeping hot path: one mutex-guarded
 // table lookup, the lease/seq checks, and an expiry bump. Zero
-// allocations steady-state (bench-gated); the RSA work lives in the
+// allocations steady-state (TestGateLeaseRenew); the RSA work lives in the
 // caller. Returns the refusal token ("" = renewed).
 func (bs *BrokerSecurity) renewLease(peer keys.PeerID, leaseID string, seq uint64) string {
 	bs.mu.Lock()

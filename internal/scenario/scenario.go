@@ -18,7 +18,6 @@ import (
 
 	"jxtaoverlay/internal/admission"
 	"jxtaoverlay/internal/audit"
-	"jxtaoverlay/internal/bench"
 	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
@@ -163,7 +162,7 @@ func Run(name string, opt Options) (*Summary, error) {
 		// run a private one when the caller did not supply theirs.
 		opt.Registry = telemetry.New()
 	}
-	profile, err := bench.ProfileByName(opt.Profile)
+	profile, err := simnet.ProfileByName(opt.Profile)
 	if err != nil {
 		return nil, err
 	}

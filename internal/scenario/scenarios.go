@@ -629,9 +629,21 @@ func partitionChurn(ctx context.Context, opt Options, profile simnet.LinkProfile
 	// Convergence: every addressed slice delivered, queues empty. The
 	// expired peers come back through their heartbeat loops (lease-lost
 	// triggers a background resume), not through any scenario nudge.
+	// A resume is counted only after its SecureLogin has returned, and
+	// it is that login's flush which delivers the last queued slices:
+	// delivery can be complete a moment before the counter moves. So
+	// the wait also covers the liveness evidence asserted below — a
+	// resume counted for every lease that expired.
 	expected := int64(n*rounds) * int64(n-1)
+	resumed := func() (total uint64) {
+		for _, rc := range rclients {
+			total += rc.Stats().Resumes
+		}
+		return total
+	}
 	waitFor(ctx, 90*time.Second, func() bool {
-		return rec.count() >= expected && s.rly.QueuedTotal() == 0
+		return rec.count() >= expected && s.rly.QueuedTotal() == 0 &&
+			resumed() >= s.bs.LivenessStats().LeasesExpired
 	})
 	dur := time.Since(start)
 

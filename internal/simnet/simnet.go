@@ -89,6 +89,23 @@ var (
 	ProfileLossy = LinkProfile{Latency: 40 * time.Millisecond, Jitter: 10 * time.Millisecond, Bandwidth: 1_250_000, Loss: 0.05}
 )
 
+// ProfileByName resolves the profile names the command-line tools
+// accept.
+func ProfileByName(name string) (LinkProfile, error) {
+	switch name {
+	case "local":
+		return ProfileLocal, nil
+	case "lan":
+		return ProfileLAN, nil
+	case "paperlan":
+		return ProfilePaperLAN, nil
+	case "wan":
+		return ProfileWAN, nil
+	default:
+		return LinkProfile{}, fmt.Errorf("simnet: unknown profile %q (local, lan, paperlan, wan)", name)
+	}
+}
+
 // Errors reported by Send.
 var (
 	ErrClosed       = errors.New("simnet: network closed")

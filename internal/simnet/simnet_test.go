@@ -301,3 +301,16 @@ func TestConcurrentSends(t *testing.T) {
 		t.Fatalf("delivered %d, want %d", got, senders*per)
 	}
 }
+
+func TestProfileByName(t *testing.T) {
+	for name, want := range map[string]LinkProfile{
+		"local": ProfileLocal, "lan": ProfileLAN, "paperlan": ProfilePaperLAN, "wan": ProfileWAN,
+	} {
+		if got, err := ProfileByName(name); err != nil || got != want {
+			t.Errorf("ProfileByName(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if _, err := ProfileByName("lossy"); err == nil {
+		t.Error("an unknown profile name resolved")
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"jxtaoverlay/internal/perfgate"
 )
 
 func TestCounterGaugeSnapshot(t *testing.T) {
@@ -199,3 +201,28 @@ func TestConcurrentInstruments(t *testing.T) {
 		t.Fatalf("counter = %d, want 16000", c.Value())
 	}
 }
+
+// The inline instruments are what an instrumented hot path pays per
+// event, so they are held to nanoseconds and no allocation at all:
+// free, next to the microsecond-scale paths they count.
+
+func BenchmarkCounterInc(b *testing.B) {
+	c := New().Counter("bench_events_total", "benchmark instrument")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Inc()
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := New().Histogram("bench_latency_ms", "benchmark instrument", LatencyBucketsMS)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(i % 400))
+	}
+}
+
+func TestGateCounterInc(t *testing.T)       { perfgate.Run(t, BenchmarkCounterInc, 0, 50) }
+func TestGateHistogramObserve(t *testing.T) { perfgate.Run(t, BenchmarkHistogramObserve, 0, 150) }

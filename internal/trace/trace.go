@@ -16,8 +16,7 @@
 // client, as long as they share the seed or the decision is made once
 // at the head — agrees. The unsampled fast path is a seeded hash
 // compare plus ONE atomic load (the forced-trace probe): no locks, no
-// allocations, no syscalls. BenchmarkTraceOverhead/unsampled pins that
-// claim in the bench gate.
+// allocations, no syscalls. TestGateSpanUnsampled pins that claim.
 //
 // Anomalies override sampling: spans whose outcome is anomalous
 // (rate-limited, relay-quota-exceeded, WAL errors, security alerts)

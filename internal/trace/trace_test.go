@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"jxtaoverlay/internal/perfgate"
 )
 
 func TestSamplingDeterminism(t *testing.T) {
@@ -296,3 +298,45 @@ func TestStageOutcomeNames(t *testing.T) {
 		}
 	}
 }
+
+// The span recorder at its three operating points. Unsampled is what
+// every instrumented operation pays when its trace lost the sampling
+// decision: two clock reads, the seeded hash compare and one atomic
+// load. Sampled adds the write into a preallocated ring under a shard
+// mutex. Neither may allocate. Reading a full 4096-span ring, the
+// /debug/traces scrape, builds a sorted copy and is held on time only.
+
+func benchSpan(b *testing.B, cfg Config) {
+	rec := New(cfg)
+	id := rec.NewID()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp := Begin(id, StageSend)
+		rec.End(sp, OutcomeOK)
+	}
+}
+
+func BenchmarkSpanUnsampled(b *testing.B) { benchSpan(b, Config{SampleRate: 0, Seed: 42}) }
+func BenchmarkSpanSampled(b *testing.B) {
+	benchSpan(b, Config{SampleRate: 1, Seed: 42, Shards: 4, ShardCap: 4096})
+}
+
+func BenchmarkRingRead(b *testing.B) {
+	rec := New(Config{SampleRate: 1, Seed: 42, Shards: 4, ShardCap: 1024})
+	for i := 0; i < 4096; i++ {
+		sp := Begin(rec.NewID(), StageSend)
+		rec.End(sp, OutcomeOK)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := rec.Snapshot(); len(s) == 0 {
+			b.Fatal("empty snapshot")
+		}
+	}
+}
+
+func TestGateSpanUnsampled(t *testing.T) { perfgate.Run(t, BenchmarkSpanUnsampled, 0, 500) }
+func TestGateSpanSampled(t *testing.T)   { perfgate.Run(t, BenchmarkSpanSampled, 0, 1000) }
+func TestGateRingRead(t *testing.T)      { perfgate.Run(t, BenchmarkRingRead, perfgate.NoLimit, 20e6) }

@@ -7,6 +7,7 @@ import (
 
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/perfgate"
 )
 
 func TestVerifyCacheHit(t *testing.T) {
@@ -157,4 +158,31 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("concurrent verification never hit the cache")
 	}
+}
+
+// BenchmarkVerifyTrustedWarm is a trusted verification answered by the
+// cache: one digest of the memoized serialization and one map probe in
+// place of three RSA verifications.
+func BenchmarkVerifyTrustedWarm(b *testing.B) {
+	f := newFixture(b)
+	doc := pipeAdv()
+	if err := Sign(doc, clientKP, f.cl, f.br); err != nil {
+		b.Fatal(err)
+	}
+	vc := NewVerifyCache(f.ts, 0)
+	now := time.Now()
+	if _, err := vc.VerifyTrusted(doc, now); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := vc.VerifyTrusted(doc, now); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func TestGateVerifyTrustedWarm(t *testing.T) {
+	perfgate.Run(t, BenchmarkVerifyTrustedWarm, 2, perfgate.NoLimit)
 }

@@ -31,7 +31,7 @@ type fixture struct {
 	ts          *cred.TrustStore
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	adm, err := cred.SelfSigned(adminKP, "admin", time.Hour)
 	if err != nil {

@@ -69,8 +69,8 @@ func canonErr(pos int, what string) error {
 // Process-wide ingest counters. ParseCanonical guards every wire
 // receive surface in the system, so its failure count IS the "malformed
 // input reaching us" signal operators watch; two uncontended atomic
-// adds against a multi-microsecond parse are measurement noise (the
-// gated ParseCold benchmark holds this path to its baseline).
+// adds against a multi-microsecond parse are measurement noise, and
+// they do not allocate (TestGateParseCold counts).
 var (
 	parseCanonCalls    atomic.Uint64
 	parseCanonFailures atomic.Uint64

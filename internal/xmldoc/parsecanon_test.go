@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"jxtaoverlay/internal/perfgate"
 )
 
 // signedAdvBytes builds the canonical bytes of a signed-advertisement
@@ -362,6 +364,22 @@ func TestParseCanonicalAllocBudget(t *testing.T) {
 		t.Fatalf("ParseCanonical allocs = %.0f, reference = %.0f; want ≥3× fewer", fast, ref)
 	}
 }
+
+// BenchmarkParseCold is the receive-side parse every inbound wire
+// funnels through, on a signed advertisement: zero-copy lexing into one
+// slab, memos seeded from the input.
+func BenchmarkParseCold(b *testing.B) {
+	raw := signedAdvBytes()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseCanonical(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func TestGateParseCold(t *testing.T) { perfgate.Run(t, BenchmarkParseCold, 10, perfgate.NoLimit) }
 
 // FuzzParseCanonical is the differential fuzzer: on every input, if the
 // fast path accepts, the reference parser must accept with an identical
