@@ -12,6 +12,8 @@
 package advert
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -86,13 +88,36 @@ func Parse(doc *xmldoc.Element) (Advertisement, error) {
 }
 
 // NewID mints a random identifier with the given URN prefix, e.g.
-// NewID("pipe") → "urn:jxta:pipe-<32 hex chars>".
+// NewID("group") → "urn:jxta:group-<32 hex chars>".
 func NewID(kind string) (string, error) {
 	b, err := keys.RandomBytes(16)
 	if err != nil {
 		return "", err
 	}
 	return "urn:jxta:" + kind + "-" + hex.EncodeToString(b), nil
+}
+
+// GroupPipeID is the identifier of a peer's input pipe in a group:
+// "urn:jxta:pipe-" and the first 16 bytes, in hex, of SHA-256 over a
+// domain tag, the length-prefixed peer ID and the group. It is derived,
+// not minted, so that a peer has one pipe advertisement per group however
+// often it joins: a re-join's advertisement has its predecessor's AdvID
+// and replaces it in every cache, and an identifier the holder cannot
+// choose is not a way to fill those caches. Nothing rests on the ID being
+// unguessable — who may publish under it is decided by the signature and
+// ownership checks, as for the peer/group-keyed advertisement types.
+func GroupPipeID(peer keys.PeerID, group string) string {
+	const prefix = "urn:jxta:pipe-"
+	buf := make([]byte, 0, 160) // on the stack for any real peer ID and group
+	buf = append(buf, "jxta-overlay/group-pipe/v1"...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(peer)))
+	buf = append(buf, peer...)
+	buf = append(buf, group...)
+	sum := sha256.Sum256(buf)
+	var id [len(prefix) + 32]byte
+	copy(id[:], prefix)
+	hex.Encode(id[len(prefix):], sum[:16])
+	return string(id[:])
 }
 
 // --- PeerAdvertisement ---

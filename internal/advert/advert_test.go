@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/xmldoc"
 )
 
@@ -172,19 +173,46 @@ func TestParseToleratesForeignChildren(t *testing.T) {
 }
 
 func TestNewID(t *testing.T) {
-	a, err := NewID("pipe")
+	a, err := NewID("group")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewID("pipe")
+	b, err := NewID("group")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a == b {
 		t.Fatal("NewID returned duplicate")
 	}
-	if !strings.HasPrefix(a, "urn:jxta:pipe-") {
+	if !strings.HasPrefix(a, "urn:jxta:group-") {
 		t.Fatalf("NewID format: %q", a)
+	}
+}
+
+func TestGroupPipeID(t *testing.T) {
+	peer := keys.PeerID("urn:jxta:cbid-0123456789abcdef0123456789abcdef")
+	id := GroupPipeID(peer, "math")
+	if id != GroupPipeID(peer, "math") {
+		t.Fatal("GroupPipeID is not a function of (peer, group)")
+	}
+	// The shape of the ID a session used to mint at random (prefix and
+	// 32 hex digits), so no signed document or frame that carries one
+	// changes size.
+	if !strings.HasPrefix(id, "urn:jxta:pipe-") || len(id) != len("urn:jxta:pipe-")+32 {
+		t.Fatalf("GroupPipeID = %q, want urn:jxta:pipe-<32 hex digits>", id)
+	}
+	for _, other := range []string{
+		GroupPipeID(peer, "art"),
+		GroupPipeID(peer+"0", "math"),
+		GroupPipeID("urn:jxta:cbid-0", "0math"), // the pair is framed, not concatenated
+		GroupPipeID("urn:jxta:cbid-00", "math"),
+	} {
+		if other == id {
+			t.Fatalf("distinct (peer, group) pairs share the ID %q", id)
+		}
+	}
+	if GroupPipeID("ab", "c") == GroupPipeID("a", "bc") {
+		t.Fatal("peer/group boundary not part of the derivation")
 	}
 }
 

@@ -271,6 +271,13 @@ type secureStack struct {
 
 func newSecureStack(t *testing.T) *secureStack {
 	t.Helper()
+	return newSecureStackWith(t, nil)
+}
+
+// newSecureStackWith lets a test adjust the broker's security
+// configuration before it is enabled.
+func newSecureStackWith(t *testing.T, tweak func(*core.BrokerConfig)) *secureStack {
+	t.Helper()
 	net := simnet.NewNetwork(simnet.ProfileLocal)
 	t.Cleanup(net.Close)
 	dep, err := core.NewDeployment("admin", 0)
@@ -298,9 +305,11 @@ func newSecureStack(t *testing.T) *secureStack {
 		t.Fatal(err)
 	}
 	t.Cleanup(br.Close)
-	brSec, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true,
-	})
+	cfg := core.BrokerConfig{KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	brSec, err := core.EnableBrokerSecurity(br, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +317,16 @@ func newSecureStack(t *testing.T) *secureStack {
 }
 
 func (s *secureStack) join(t *testing.T, alias, password string) *core.SecureClient {
+	t.Helper()
+	sc := s.connected(t, alias)
+	if err := sc.SecureLogin(testCtx(t), password); err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+// connected is a secure client that has run secureConnection only.
+func (s *secureStack) connected(t *testing.T, alias string) *core.SecureClient {
 	t.Helper()
 	cl, err := client.New(s.net, membership.NewPSE("", 0), alias)
 	if err != nil {
@@ -319,11 +338,7 @@ func (s *secureStack) join(t *testing.T, alias, password string) *core.SecureCli
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := testCtx(t)
-	if err := sc.SecureConnection(ctx, s.br.PeerID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.SecureLogin(ctx, password); err != nil {
+	if err := sc.SecureConnection(testCtx(t), s.br.PeerID()); err != nil {
 		t.Fatal(err)
 	}
 	return sc

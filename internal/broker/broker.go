@@ -715,10 +715,11 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	// serialize with Canonical() — so the hardened fast-path parser is
 	// both the cheap and the strict choice at this, the broker's most
 	// exposed ingest surface. The parsed tree and advertisement are
-	// views of what they were parsed from and live in the cache for the
-	// advertisement's lifetime, so they are parsed from a copy: a view
-	// of the request frame would keep the whole frame (measured: +5.6 %
-	// live heap on join-churn) for as long.
+	// views of what they were parsed from and are what the cache keeps for
+	// the advertisement's lifetime (discovery's ownership rule), so they
+	// are parsed from a copy made for the cache: a view of the request
+	// frame would keep the whole frame (measured: +5.6 % live heap on
+	// join-churn) for as long.
 	if tid != 0 {
 		sp = trace.Begin(tid, trace.StageParse)
 	}
@@ -846,7 +847,8 @@ func (b *Broker) pushPresence(id keys.PeerID, username, group, status string) {
 	if err != nil {
 		return
 	}
-	b.ctl.Cache().PutAdv(pres)
+	// One document, built once: indexed as it is and pushed as it is.
+	b.ctl.Cache().PutParsed(doc, pres)
 	b.propagateLocal(doc, group, id)
 }
 
@@ -875,14 +877,16 @@ func (b *Broker) handleLookupPipe(from keys.PeerID, msg *endpoint.Message) *endp
 	if !b.memberOf(from, group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
-	recs := b.ctl.Cache().Find(advert.TypePipe, func(a advert.Advertisement) bool {
-		p := a.(*advert.Pipe)
-		return string(p.PeerID) == peer && p.Group == group
-	})
-	if len(recs) == 0 {
+	rec, err := b.ctl.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(keys.PeerID(peer), group))
+	if err != nil {
 		return proto.Fail(proto.ErrNotFound)
 	}
-	return proto.OK().AddXML(proto.ElemAdv, recs[0].Doc.Canonical())
+	// Without the signed-advertisement policy anyone may publish under
+	// any ID: a record that names another peer or group is not this pipe.
+	if p := rec.Adv.(*advert.Pipe); string(p.PeerID) != peer || p.Group != group {
+		return proto.Fail(proto.ErrNotFound)
+	}
+	return proto.OK().AddXML(proto.ElemAdv, rec.Doc.Canonical())
 }
 
 func (b *Broker) handleListPeers(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
@@ -932,7 +936,9 @@ func (b *Broker) handleGroupCreate(from keys.PeerID, msg *endpoint.Message) *end
 		return proto.Fail(proto.ErrGroupExists)
 	}
 	ga := &advert.Group{GroupID: id, Name: name, Desc: desc, Creator: from}
-	b.ctl.Cache().PutAdv(ga)
+	if doc, err := ga.Document(); err == nil {
+		b.ctl.Cache().PutParsed(doc, ga)
+	}
 	b.ctl.Emit(events.GroupUpdated, from, name, map[string]string{"action": "create"}, nil)
 	return proto.OK()
 }

@@ -105,6 +105,7 @@ type Client struct {
 	// Observability (see observe.go): nil/unset means disabled.
 	tracer   atomic.Pointer[trace.Recorder]
 	delivery atomic.Pointer[telemetry.Histogram]
+	unbind   func() // detaches the cache collectors; guarded by mu
 }
 
 // New attaches a client peer to the network. The membership service
@@ -472,14 +473,13 @@ func (c *Client) LookupAdv(ctx context.Context, advType, advID string) (advert.A
 	return c.cacheAdvResponse(resp)
 }
 
-// LookupPipe finds the unicast pipe advertisement of a peer in a group.
+// LookupPipe finds the unicast pipe advertisement of a peer in a group:
+// the one record cached under the pair's derived ID, else the broker's.
 func (c *Client) LookupPipe(ctx context.Context, peer keys.PeerID, group string) (*advert.Pipe, *xmldoc.Element, error) {
-	recs := c.ctl.Cache().Find(advert.TypePipe, func(a advert.Advertisement) bool {
-		p := a.(*advert.Pipe)
-		return p.PeerID == peer && p.Group == group
-	})
-	if len(recs) > 0 {
-		return recs[0].Adv.(*advert.Pipe), recs[0].Doc, nil
+	if rec, err := c.ctl.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(peer, group)); err == nil {
+		if p := rec.Adv.(*advert.Pipe); p.PeerID == peer && p.Group == group {
+			return p, rec.Doc, nil
+		}
 	}
 	msg := endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpLookupPipe).
@@ -710,10 +710,17 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 	return nil
 }
 
-// Close detaches the peer from the network.
+// Close detaches the peer from the network and from telemetry.
 func (c *Client) Close() {
 	c.ctl.Close()
 	c.ep.Close()
+	c.mu.Lock()
+	unbind := c.unbind
+	c.unbind = nil
+	c.mu.Unlock()
+	if unbind != nil {
+		unbind()
+	}
 }
 
 func splitCSV(s string) []string {

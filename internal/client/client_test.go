@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
+	"jxtaoverlay/internal/waituntil"
 )
 
 // harness assembles one broker, a local user database and n clients on a
@@ -372,4 +374,70 @@ func contains(ss []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// A recipient that logs out and in again keeps its group pipe: the pipe
+// ID is derived from (peer, group), so the advertisement a correspondent
+// cached during an earlier session still leads to the live pipe and the
+// re-join's advertisement replaces it instead of lying beside it. With a
+// minted ID per session the correspondent held one record per session
+// and sent to whichever sorted first — most often a pipe that was gone,
+// with Send returning nil.
+func TestSendReachesRecipientAfterRejoin(t *testing.T) {
+	h := newHarness(t)
+	alice := h.client("alice")
+	bob := h.client("bob")
+	h.login(alice, "pw-alice")
+	h.login(bob, "pw-bob")
+	bobEvents := events.NewCollector(bob.Bus())
+	ctx := testCtx(t)
+
+	delivered := func(text string) bool {
+		return waituntil.True(5*time.Second, func() bool {
+			for _, e := range bobEvents.OfType(events.MessageReceived) {
+				if string(e.Data) == text {
+					return true
+				}
+			}
+			return false
+		})
+	}
+	// alice caches the advertisement of bob's first session.
+	if err := alice.SendMsgPeer(ctx, bob.PeerID(), "math", "round 0"); err != nil || !delivered("round 0") {
+		t.Fatalf("first message: err=%v", err)
+	}
+
+	// What a re-join leaves behind must not depend on how many came before.
+	var aliceLen, brokerLen int
+	for round := 1; round <= 12; round++ {
+		if err := bob.Logout(ctx); err != nil {
+			t.Fatalf("round %d logout: %v", round, err)
+		}
+		h.login(bob, "pw-bob")
+		text := fmt.Sprintf("round %d", round)
+		if err := alice.SendMsgPeer(ctx, bob.PeerID(), "math", text); err != nil {
+			t.Fatalf("round %d send: %v", round, err)
+		}
+		if !delivered(text) {
+			t.Fatalf("round %d: message sent without error and never delivered", round)
+		}
+		// The re-join's pushes (presence off, presence on, pipe) land on
+		// alice late and in any order, but each replaces a record she
+		// already holds: once both of bob's are there, no key is missing.
+		settled := func() bool {
+			_, errPres := alice.Cache().Lookup(advert.TypePresence, string(bob.PeerID())+"/math")
+			_, errPipe := alice.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(bob.PeerID(), "math"))
+			return errPres == nil && errPipe == nil
+		}
+		switch round {
+		case 1:
+			waituntil.Must(t, 5*time.Second, settled, "alice holds no presence and pipe record for bob")
+			aliceLen, brokerLen = alice.Cache().Len(), h.br.Cache().Len()
+		case 10:
+			waituntil.Must(t, 5*time.Second, settled, "alice holds no presence and pipe record for bob")
+			if a, b := alice.Cache().Len(), h.br.Cache().Len(); a != aliceLen || b != brokerLen {
+				t.Fatalf("records after re-join 10: alice %d, broker %d; after re-join 1: %d, %d", a, b, aliceLen, brokerLen)
+			}
+		}
+	}
 }

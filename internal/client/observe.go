@@ -17,11 +17,20 @@ import (
 // instrument.
 const DeliveryLatencyMetric = "client_delivery_latency_ms"
 
+// Registry names of the discovery-cache metrics: records held and
+// expired records swept, summed over the clients bound to the registry.
+const (
+	DiscoveryRecordsMetric = "client_discovery_records"
+	DiscoverySweptMetric   = "client_discovery_swept_total"
+)
+
 // BindTelemetry registers the client's delivery-latency histogram on
-// reg and starts feeding it. Registration is idempotent by name, so
-// every client bound to one registry shares one histogram — the
-// process-wide delivery quantiles. Safe to call concurrently with
-// deliveries.
+// reg and starts feeding it, and attaches its discovery cache to the
+// registry's record gauge and sweep counter (pull collectors: nothing
+// is counted until a snapshot asks; Close detaches them). Registration
+// is idempotent by name, so every client bound to one registry shares
+// one histogram — the process-wide delivery quantiles — and one pair of
+// cache metrics. Safe to call concurrently with deliveries.
 func (c *Client) BindTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -29,6 +38,20 @@ func (c *Client) BindTelemetry(reg *telemetry.Registry) {
 	c.delivery.Store(reg.Histogram(DeliveryLatencyMetric,
 		"end-to-end secure delivery latency: signed seal time to local open (ms)",
 		telemetry.LatencyBucketsMS))
+	cache := c.ctl.Cache()
+	records := reg.GaugeSum(DiscoveryRecordsMetric,
+		"Advertisement records held in client discovery caches.").
+		Attach(func() float64 { return float64(cache.Len()) })
+	swept := reg.CounterSum(DiscoverySweptMetric,
+		"Expired advertisement records swept from client discovery caches.").
+		Attach(func() float64 { return float64(cache.Swept()) })
+	c.mu.Lock()
+	prev := c.unbind
+	c.unbind = func() { records(); swept() }
+	c.mu.Unlock()
+	if prev != nil {
+		prev()
+	}
 }
 
 // DeliveryLatency returns the bound histogram (nil before

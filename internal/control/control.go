@@ -75,7 +75,9 @@ var ErrClosed = errors.New("control: module closed")
 
 // BindGroupPipe creates (or returns) the input pipe for a group and its
 // advertisement. The advertisement is cached locally; publishing it to
-// the broker is the caller's job.
+// the broker is the caller's job. The pipe's ID is advert.GroupPipeID of
+// this peer and the group: every session binds the same pipe, so what a
+// correspondent cached during an earlier one still reaches this one.
 func (m *Module) BindGroupPipe(group string) (*advert.Pipe, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -85,12 +87,8 @@ func (m *Module) BindGroupPipe(group string) (*advert.Pipe, error) {
 	if adv, ok := m.pipeAdvs[group]; ok {
 		return adv, nil
 	}
-	pipeID, err := advert.NewID("pipe")
-	if err != nil {
-		return nil, err
-	}
 	adv := &advert.Pipe{
-		PipeID:   pipeID,
+		PipeID:   advert.GroupPipeID(m.ep.PeerID(), group),
 		PipeType: advert.PipeUnicast,
 		Name:     fmt.Sprintf("msg/%s/%s", group, m.ep.PeerID()),
 		PeerID:   m.ep.PeerID(),
@@ -129,16 +127,17 @@ func (m *Module) pump(group string, in *pipes.InputPipe) {
 	}
 }
 
-// UnbindGroupPipe closes and forgets the group's input pipe.
+// UnbindGroupPipe closes and forgets the group's input pipe. The pipe is
+// closed under the lock: a re-bind registers the same endpoint handler
+// name, which a close running after it would take away again.
 func (m *Module) UnbindGroupPipe(group string) {
 	m.mu.Lock()
-	in := m.inPipes[group]
-	delete(m.inPipes, group)
-	delete(m.pipeAdvs, group)
-	m.mu.Unlock()
-	if in != nil {
+	defer m.mu.Unlock()
+	if in := m.inPipes[group]; in != nil {
 		in.Close()
 	}
+	delete(m.inPipes, group)
+	delete(m.pipeAdvs, group)
 }
 
 // GroupPipeAdv returns the local pipe advertisement for a group.

@@ -16,6 +16,7 @@ import (
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/lru"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/xdsig"
 	"jxtaoverlay/internal/xmldoc"
@@ -61,6 +62,12 @@ type BrokerSecurity struct {
 	// and federation forward, which the cache turns into a digest lookup.
 	vcache *xdsig.VerifyCache
 
+	// credWire is Cred_Br^Adm as secureConnection sends it, rendered once.
+	credWire []byte
+	// issued holds, per subject, the credential last issued to it (see
+	// loginCredential).
+	issued *lru.Cache[keys.PeerID, *issuedCred]
+
 	mu     sync.Mutex
 	sids   map[string]time.Time
 	leases map[keys.PeerID]*lease
@@ -98,13 +105,19 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 	if cfg.SidTTL <= 0 {
 		cfg.SidTTL = 2 * time.Minute
 	}
+	credDoc, err := cfg.Credential.Document()
+	if err != nil {
+		return nil, err
+	}
 	bs := &BrokerSecurity{
-		cfg:    cfg,
-		b:      b,
-		vcache: xdsig.NewVerifyCache(cfg.Trust, cfg.VerifyCacheSize),
-		sids:   make(map[string]time.Time),
-		leases: make(map[keys.PeerID]*lease),
-		clock:  time.Now,
+		cfg:      cfg,
+		b:        b,
+		vcache:   xdsig.NewVerifyCache(cfg.Trust, cfg.VerifyCacheSize),
+		credWire: credDoc.Canonical(),
+		issued:   lru.New[keys.PeerID, *issuedCred](issuedCredCapacity),
+		sids:     make(map[string]time.Time),
+		leases:   make(map[keys.PeerID]*lease),
+		clock:    time.Now,
 	}
 	b.RegisterOp(proto.OpSecureConnect, bs.handleSecureConnect)
 	b.RegisterOp(proto.OpSecureLogin, bs.handleSecureLogin)
@@ -184,14 +197,10 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	credDoc, err := bs.cfg.Credential.Document()
-	if err != nil {
-		return proto.Fail(proto.ErrBadRequest)
-	}
 	return proto.OK().
 		AddString(proto.ElemSid, sid).
 		Add(proto.ElemSig, sig).
-		AddXML(proto.ElemCred, credDoc.Canonical())
+		AddXML(proto.ElemCred, bs.credWire)
 }
 
 func (bs *BrokerSecurity) now() time.Time {
@@ -283,12 +292,8 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 		return proto.Fail(proto.ErrAuthFailed)
 	}
 
-	// Step 8: issue cr = Cred_Cl^Br containing PK_Cl and the username.
-	clientCred, err := cred.Issue(bs.cfg.KeyPair, bs.cfg.Credential.Subject, peerID, user, cred.RoleClient, clientKey, bs.cfg.CredValidity)
-	if err != nil {
-		return proto.Fail(proto.ErrBadRequest)
-	}
-	credDoc, err := clientCred.Document()
+	// Step 8: cr = Cred_Cl^Br containing PK_Cl and the username.
+	credWire, err := bs.loginCredential(peerID, user, clientKey)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -298,7 +303,7 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 
 	resp := proto.OK().
 		AddString(proto.ElemGroups, joinCSV(groups)).
-		AddXML(proto.ElemCred, credDoc.Canonical())
+		AddXML(proto.ElemCred, credWire)
 	// Liveness: the response carries the presence lease the session
 	// must heartbeat to keep. Granted AFTER RegisterPeer so the lease
 	// records the session's ConnectedAt — the monotonic guard key a
@@ -310,9 +315,56 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 	return resp
 }
 
+// issuedCred is a client credential and the bytes it is sent as.
+type issuedCred struct {
+	cred *cred.Credential
+	wire []byte
+}
+
+// issuedCredCapacity bounds the credentials kept for reuse; a subject
+// that was evicted is issued a fresh one.
+const issuedCredCapacity = 1024
+
+// issueClient issues Cred_Cl^Br, renders it and remembers it as the
+// subject's current credential. The entry lapses once less than half the
+// validity is left, so what loginCredential hands out always has at least
+// that much to run.
+func (bs *BrokerSecurity) issueClient(subject keys.PeerID, username string, key *keys.PublicKey) (*issuedCred, error) {
+	c, err := bs.IssueClientCredential(subject, username, key)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := c.Document()
+	if err != nil {
+		return nil, err
+	}
+	ic := &issuedCred{cred: c, wire: doc.Canonical()}
+	bs.issued.Put(subject, ic, c.NotAfter.Add(-bs.cfg.CredValidity/2))
+	return ic, nil
+}
+
+// loginCredential answers a login that has passed every check — session
+// identifier, request signature, CBID binding, password — with the
+// credential the subject was last issued, when that one certifies the
+// same username and key and has at least half its validity left, and with
+// a fresh one otherwise. A credential states nothing a second issuance
+// would change except its validity window, so within the window one
+// signature serves every re-join; logging in again does not extend it.
+func (bs *BrokerSecurity) loginCredential(subject keys.PeerID, username string, key *keys.PublicKey) ([]byte, error) {
+	if ic, ok := bs.issued.Get(subject, bs.now()); ok && ic.cred.SubjectName == username && ic.cred.Key.Equal(key) {
+		return ic.wire, nil
+	}
+	ic, err := bs.issueClient(subject, username, key)
+	if err != nil {
+		return nil, err
+	}
+	return ic.wire, nil
+}
+
 // verifyAdv is the signed-advertisement acceptance policy: structural
-// XMLdsig validity, a trusted credential chain, CBID binding, and
-// ownership (the signer must be the peer the advertisement describes).
+// XMLdsig validity, a trusted credential chain, CBID binding, ownership
+// (the signer must be the peer the advertisement describes) and, for a
+// pipe, the derived ID (one record per peer and group).
 // Verdicts ride the broker's verification cache, so a re-published or
 // federation-forwarded advertisement costs a digest lookup. The parsed
 // advertisement — needed for the ownership check anyway — is returned
@@ -328,6 +380,11 @@ func (bs *BrokerSecurity) verifyAdv(doc *xmldoc.Element) (advert.Advertisement, 
 	}
 	if err := CheckParsedAdvOwnership(adv, res.Signer.Subject); err != nil {
 		return nil, err
+	}
+	// A pipe's ID is not the publisher's to choose: under any other ID
+	// one credential could fill every cache with correctly signed records.
+	if p, ok := adv.(*advert.Pipe); ok && p.PipeID != advert.GroupPipeID(p.PeerID, p.Group) {
+		return nil, errors.New("core: pipe advertisement ID is not derived from its peer and group")
 	}
 	return adv, nil
 }

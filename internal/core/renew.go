@@ -178,16 +178,13 @@ func (bs *BrokerSecurity) handleSecureRenew(from keys.PeerID, msg *endpoint.Mess
 	if token != "" {
 		return proto.Fail(token)
 	}
-	fresh, err := bs.IssueClientCredential(current.Subject, current.SubjectName, current.Key)
-	if err != nil {
-		return proto.Fail(proto.ErrBadRequest)
-	}
-	freshDoc, err := fresh.Document()
+	// A renewal always issues: a new window is what it asks for.
+	fresh, err := bs.issueClient(current.Subject, current.SubjectName, current.Key)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	bs.auditAuth(audit.KindRenew, current.Subject, OpSecureRenew, "ok")
-	return proto.OK().AddXML(proto.ElemCred, freshDoc.Canonical())
+	return proto.OK().AddXML(proto.ElemCred, fresh.wire)
 }
 
 func absDuration(d time.Duration) time.Duration {

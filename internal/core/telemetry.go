@@ -73,6 +73,16 @@ func RegisterBrokerTelemetry(reg *telemetry.Registry, b *broker.Broker, bs *Brok
 		"Cached responses evicted from a full dedup window while still live (their retries would re-execute).",
 		func() float64 { return u(b.IdemEvictions()) })
 
+	// Advertisement index: one record per (type, id), replaced by the next
+	// publication under it and otherwise gone one lifetime later — a value
+	// that follows the number of joins rather than of identities is a leak.
+	reg.GaugeFunc("broker_discovery_records",
+		"Advertisement records held in the broker's index.",
+		func() float64 { return float64(b.Cache().Len()) })
+	reg.CounterFunc("broker_discovery_swept_total",
+		"Expired advertisement records swept from the broker's index.",
+		func() float64 { return u(b.Cache().Swept()) })
+
 	// Security extension: replay guard, signature caches, parsers. The
 	// replay and parse counters are process-wide aggregates (see their
 	// packages); on a one-broker-per-process deployment they are broker

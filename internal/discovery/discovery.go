@@ -3,6 +3,22 @@
 // XML document: signature verification (xdsig) must run over the exact
 // bytes that crossed the wire, not a re-serialization.
 //
+// Ownership: a document or advertisement given to the cache is shared
+// and read-only from then on. The cache stores the tree it is handed —
+// no copy — and hands the same tree to every reader, on any goroutine,
+// for the record's lifetime; neither the giver nor a reader may change
+// it (a changed copy is a Clone). Reading is safe as it stands: an
+// element's canonical memo is atomic, and xdsig verifies through
+// CanonicalSkip without detaching anything. A tree parsed from a received
+// frame is views of the bytes it was parsed from, so whoever caches one
+// parses it from a copy made for the cache (client.cacheAdv, the broker's
+// publish and federation ingest), not from the frame.
+//
+// A record is replaced by the next one put under its (type, id) and
+// otherwise lives one advertisement lifetime: lookups drop an expired
+// record they touch, and a put sweeps the whole cache when a minute of
+// the cache's clock has passed since the last sweep.
+//
 // Remote discovery — asking a broker for advertisements the local cache
 // lacks — lives in the client/broker modules; this package is the shared
 // storage layer.
@@ -18,7 +34,7 @@ import (
 	"jxtaoverlay/internal/xmldoc"
 )
 
-// Record is one cached advertisement.
+// Record is one cached advertisement, shared and read-only.
 type Record struct {
 	// Doc is the document exactly as received (signatures included).
 	Doc *xmldoc.Element
@@ -36,11 +52,18 @@ func (r *Record) Expired(now time.Time) bool {
 
 type cacheKey struct{ typ, id string }
 
-// Cache is a concurrency-safe advertisement store with lazy expiry.
+// sweepInterval is how much of the cache's clock passes between the
+// sweeps that puts trigger.
+const sweepInterval = time.Minute
+
+// Cache is a concurrency-safe advertisement store. Expiry is lazy on the
+// read side and swept on the write side.
 type Cache struct {
-	mu   sync.RWMutex
-	recs map[cacheKey]*Record
-	now  func() time.Time
+	mu        sync.RWMutex
+	recs      map[cacheKey]*Record
+	now       func() time.Time
+	lastSweep time.Time
+	swept     uint64
 }
 
 // NewCache returns an empty cache.
@@ -48,15 +71,17 @@ func NewCache() *Cache {
 	return &Cache{recs: make(map[cacheKey]*Record), now: time.Now}
 }
 
-// SetClock overrides the cache's time source (tests).
+// SetClock overrides the cache's time source (tests). The next put
+// sweeps against the new clock.
 func (c *Cache) SetClock(now func() time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.now = now
+	c.lastSweep = time.Time{}
 }
 
 // Put parses and stores a document, replacing any record with the same
-// (type, id). The stored Doc is a private clone.
+// (type, id).
 func (c *Cache) Put(doc *xmldoc.Element) (advert.Advertisement, error) {
 	adv, err := advert.Parse(doc)
 	if err != nil {
@@ -67,15 +92,17 @@ func (c *Cache) Put(doc *xmldoc.Element) (advert.Advertisement, error) {
 
 // PutParsed stores a document whose parsed form the caller already has
 // (the broker publish path parses exactly once — in its acceptance
-// policy — and hands both forms here). adv must be the parse of doc.
+// policy — and hands both forms here). adv must be the parse of doc, or
+// what doc was serialized from. Both are the cache's from here on (see
+// the package comment).
 func (c *Cache) PutParsed(doc *xmldoc.Element, adv advert.Advertisement) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.recs[cacheKey{adv.AdvType(), adv.AdvID()}] = &Record{
-		Doc:      doc.Clone(),
-		Adv:      adv,
-		Received: c.now(),
+	now := c.now()
+	if now.Sub(c.lastSweep) >= sweepInterval {
+		c.sweep(now)
 	}
+	c.recs[cacheKey{adv.AdvType(), adv.AdvID()}] = &Record{Doc: doc, Adv: adv, Received: now}
 	return nil
 }
 
@@ -140,10 +167,14 @@ func (c *Cache) Remove(advType, id string) {
 }
 
 // Sweep evicts every expired record and returns how many were removed.
+// Puts run it once a minute; nothing else needs to.
 func (c *Cache) Sweep() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
+	return c.sweep(c.now())
+}
+
+func (c *Cache) sweep(now time.Time) int {
 	n := 0
 	for key, rec := range c.recs {
 		if rec.Expired(now) {
@@ -151,7 +182,16 @@ func (c *Cache) Sweep() int {
 			n++
 		}
 	}
+	c.lastSweep = now
+	c.swept += uint64(n)
 	return n
+}
+
+// Swept returns how many expired records sweeps have evicted.
+func (c *Cache) Swept() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.swept
 }
 
 // Len returns the number of records currently stored (including any not

@@ -1,10 +1,12 @@
 package discovery
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"jxtaoverlay/internal/advert"
+	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/xmldoc"
 )
 
@@ -59,11 +61,14 @@ func TestPutRejectsGarbage(t *testing.T) {
 
 func TestDocStoredVerbatim(t *testing.T) {
 	// The cache must preserve the received document (with signature),
-	// not a re-serialization.
+	// not a re-serialization — and it keeps the tree it is handed, not a
+	// copy of it: one tree per record, shared and read-only from the put
+	// on (the package comment's ownership rule).
 	c := NewCache()
 	adv := pipeAdv("urn:jxta:pipe-1", "g")
 	doc, _ := adv.Document()
 	doc.Add(xmldoc.New("Signature", "SIGBYTES"))
+	wire := string(doc.Canonical())
 	if _, err := c.Put(doc); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -71,14 +76,56 @@ func TestDocStoredVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Doc.Child("Signature") == nil {
-		t.Fatal("signature element lost in cache")
+	if rec.Doc != doc {
+		t.Fatal("cache stored a copy of the tree it was given")
 	}
-	// And mutating the caller's doc must not reach the cache.
-	doc.Child("Signature").SetText("TAMPERED")
-	if rec.Doc.Child("Signature").Text != "SIGBYTES" {
-		t.Fatal("cache shares memory with caller document")
+	if got := string(rec.Doc.Canonical()); got != wire {
+		t.Fatalf("stored bytes differ from the received ones:\n got %s\nwant %s", got, wire)
 	}
+	again, err := c.Lookup(advert.TypePipe, "urn:jxta:pipe-1")
+	if err != nil || again.Doc != doc {
+		t.Fatal("two readers of one record were handed different trees")
+	}
+
+	// PutParsed keeps the caller's advertisement as well as its document.
+	pres := &advert.Presence{PeerID: "urn:jxta:cbid-9", Group: "g", Status: advert.StatusOnline, Seen: time.Now()}
+	pdoc, _ := pres.Document()
+	if err := c.PutParsed(pdoc, pres); err != nil {
+		t.Fatal(err)
+	}
+	prec, err := c.Lookup(advert.TypePresence, pres.AdvID())
+	if err != nil || prec.Doc != pdoc || prec.Adv != advert.Advertisement(pres) {
+		t.Fatal("PutParsed did not store the tree and advertisement it was given")
+	}
+}
+
+// Shared trees are read from many goroutines at once while puts replace
+// them; the race detector watches the rule.
+func TestSharedTreeConcurrentReaders(t *testing.T) {
+	c := NewCache()
+	c.PutAdv(pipeAdv("urn:jxta:pipe-1", "g"))
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				rec, err := c.Lookup(advert.TypePipe, "urn:jxta:pipe-1")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(rec.Doc.Canonical()) == 0 || len(rec.Doc.CanonicalSkip("Signature")) == 0 {
+					t.Error("empty canonical form")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		c.PutAdv(pipeAdv("urn:jxta:pipe-1", "g"))
+	}
+	wg.Wait()
 }
 
 func TestExpiry(t *testing.T) {
@@ -111,6 +158,42 @@ func TestSweep(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len after sweep = %d", c.Len())
+	}
+}
+
+// A departed peer's records go without anyone looking them up: the puts
+// of the peers that remain sweep the cache once a minute of its clock.
+func TestPutSweepsDepartedPeer(t *testing.T) {
+	c := NewCache()
+	now := time.Now()
+	c.SetClock(func() time.Time { return now })
+	gone := keys.PeerID("urn:jxta:cbid-gone")
+	c.PutAdv(&advert.Pipe{PipeID: advert.GroupPipeID(gone, "g"), PipeType: advert.PipeUnicast, PeerID: gone, Group: "g"})
+	c.PutAdv(&advert.Presence{PeerID: gone, Group: "g", Status: advert.StatusOffline, Seen: now})
+	c.PutAdv(&advert.Stats{PeerID: gone, Group: "g"})
+
+	// A resident keeps announcing itself; nothing reads the departed
+	// peer's records.
+	resident := func() {
+		c.PutAdv(&advert.Presence{PeerID: "urn:jxta:cbid-here", Group: "g", Status: advert.StatusOnline, Seen: now})
+	}
+	for step := 0; step < 14; step++ {
+		now = now.Add(time.Minute)
+		resident()
+	}
+	if _, err := c.Lookup(advert.TypePipe, advert.GroupPipeID(gone, "g")); err != nil {
+		t.Fatalf("pipe record gone before its lifetime was over: %v", err)
+	}
+	if c.Len() != 2 { // presence (2m) and stats (5m) swept, pipe (15m) and the resident left
+		t.Fatalf("Len after 14 minutes = %d, want 2", c.Len())
+	}
+	now = now.Add(advert.DefaultLifetime - 14*time.Minute + time.Second)
+	resident()
+	if c.Len() != 1 {
+		t.Fatalf("Len one lifetime after departure = %d, want 1 (the resident)", c.Len())
+	}
+	if got := c.Swept(); got != 3 {
+		t.Fatalf("Swept = %d, want the departed peer's 3 records", got)
 	}
 }
 

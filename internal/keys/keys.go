@@ -13,6 +13,7 @@
 package keys
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/aes"
 	"crypto/cipher"
@@ -173,11 +174,30 @@ func ParseKeyPairPEM(data []byte) (*KeyPair, error) {
 // credentials and signed advertisements.
 type PublicKey struct {
 	pub *rsa.PublicKey
-	// fp memoizes Fingerprint: the digest keys of the verification
-	// caches include the key fingerprint, so it is recomputed far too
-	// often to re-serialize the PKIX encoding each time. Keys are
-	// immutable after construction, so the memo never goes stale.
-	fp atomic.Pointer[[32]byte]
+	// enc memoizes the PKIX encoding and its digest: every credential
+	// document embeds the first and every verification-cache key and CBID
+	// check takes the second, far too often to serialize the key each
+	// time. Keys are immutable after construction, so the memo never goes
+	// stale.
+	enc atomic.Pointer[pkixMemo]
+}
+
+type pkixMemo struct {
+	der []byte
+	fp  [32]byte
+}
+
+func (p *PublicKey) pkix() (*pkixMemo, error) {
+	if m := p.enc.Load(); m != nil {
+		return m, nil
+	}
+	der, err := x509.MarshalPKIXPublicKey(p.pub)
+	if err != nil {
+		return nil, fmt.Errorf("keys: marshal public: %w", err)
+	}
+	m := &pkixMemo{der: der, fp: sha256.Sum256(der)}
+	p.enc.Store(m)
+	return m, nil
 }
 
 // Verify checks a detached signature produced by KeyPair.Sign.
@@ -347,23 +367,24 @@ func ParseEnvelope(data []byte) (*Envelope, error) {
 	return &e, nil
 }
 
-// MarshalPublic serializes a public key as PKIX DER.
+// MarshalDER serializes a public key as PKIX DER. The encoding is
+// memoized; each caller gets its own copy.
 func (p *PublicKey) MarshalDER() ([]byte, error) {
-	der, err := x509.MarshalPKIXPublicKey(p.pub)
+	m, err := p.pkix()
 	if err != nil {
-		return nil, fmt.Errorf("keys: marshal public: %w", err)
+		return nil, err
 	}
-	return der, nil
+	return bytes.Clone(m.der), nil
 }
 
 // MarshalBase64 serializes a public key as base64(PKIX DER), the form
 // embedded in XML credentials and advertisements.
 func (p *PublicKey) MarshalBase64() (string, error) {
-	der, err := p.MarshalDER()
+	m, err := p.pkix()
 	if err != nil {
 		return "", err
 	}
-	return base64.StdEncoding.EncodeToString(der), nil
+	return base64.StdEncoding.EncodeToString(m.der), nil
 }
 
 // ParsePublicDER reads a PKIX DER public key.
@@ -391,16 +412,11 @@ func ParsePublicBase64(s string) (*PublicKey, error) {
 // Fingerprint returns the SHA-256 digest of the PKIX encoding; CBIDs and
 // verification-cache keys are derived from it. The digest is memoized.
 func (p *PublicKey) Fingerprint() ([32]byte, error) {
-	if fp := p.fp.Load(); fp != nil {
-		return *fp, nil
-	}
-	der, err := p.MarshalDER()
+	m, err := p.pkix()
 	if err != nil {
 		return [32]byte{}, err
 	}
-	sum := sha256.Sum256(der)
-	p.fp.Store(&sum)
-	return sum, nil
+	return m.fp, nil
 }
 
 // Equal reports whether two public keys are the same key.

@@ -38,7 +38,10 @@ type entry[K comparable, V any] struct {
 }
 
 // New creates a cache holding at most capacity entries. Capacities below
-// one are raised to one.
+// one are raised to one. The capacity is a bound, not a forecast: the
+// table grows as it fills (as Window's does), so a cache that is built
+// for every client session and sees sixteen keys does not hold — or, per
+// join, allocate — room for a thousand.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity < 1 {
 		capacity = 1
@@ -46,7 +49,7 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	return &Cache[K, V]{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[K]*list.Element, capacity),
+		items: make(map[K]*list.Element),
 	}
 }
 

@@ -13,7 +13,9 @@
 //     keys.SignCalls). Registration costs the hot path nothing at all:
 //     the closure runs only when a snapshot is taken. This is how the
 //     existing per-subsystem counters are unified without touching
-//     their fast paths — see core.RegisterBrokerTelemetry.
+//     their fast paths — see core.RegisterBrokerTelemetry. GaugeSum and
+//     CounterSum are the same for sources that come and go: each
+//     attaches its collector and detaches it when it closes.
 //
 // Snapshots are point-in-time and internally consistent per metric
 // (each value is one atomic load or one collector call); they are not
@@ -129,6 +131,45 @@ type Sample struct {
 	Buckets []uint64  `json:"buckets,omitempty"`
 }
 
+// Sum is a pull metric with any number of sources that come and go —
+// the clients of a simulation sharing one registry, each reporting its
+// own cache. Its value is the sum of what the attached sources read at
+// snapshot time. A counter keeps the last reading of a source that has
+// detached, so it stays monotonic; a gauge forgets it.
+type Sum struct {
+	mu      sync.Mutex
+	counter bool
+	retired float64
+	srcs    map[*func() float64]struct{}
+}
+
+// Attach adds a source and returns the function that removes it. A
+// source is held, with everything its closure reaches, until then.
+func (s *Sum) Attach(fn func() float64) (detach func()) {
+	src := &fn
+	s.mu.Lock()
+	s.srcs[src] = struct{}{}
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if _, ok := s.srcs[src]; ok && s.counter {
+			s.retired += fn()
+		}
+		delete(s.srcs, src)
+	}
+}
+
+func (s *Sum) value() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v := s.retired
+	for src := range s.srcs {
+		v += (*src)()
+	}
+	return v
+}
+
 type metric struct {
 	name    string
 	help    string
@@ -137,6 +178,7 @@ type metric struct {
 	gauge   *Gauge
 	hist    *Histogram
 	collect func() float64 // GaugeFunc
+	sum     *Sum           // GaugeSum
 }
 
 // Registry holds a set of named metrics. Registration takes a lock;
@@ -162,7 +204,7 @@ func (r *Registry) register(m *metric) *metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if old, ok := r.metrics[m.name]; ok {
-		if old.kind != m.kind {
+		if old.kind != m.kind || (old.sum == nil) != (m.sum == nil) {
 			panic(fmt.Sprintf("telemetry: metric %q re-registered as %s (was %s)", m.name, m.kind, old.kind))
 		}
 		// Instruments are idempotent by name (the same counter is
@@ -204,6 +246,18 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&metric{name: name, help: help, kind: "counter", collect: fn})
 }
 
+// GaugeSum returns the attachable gauge registered under name, creating
+// it on first use: pull collection, like GaugeFunc, for any number of
+// sources.
+func (r *Registry) GaugeSum(name, help string) *Sum {
+	return r.register(&metric{name: name, help: help, kind: "gauge", sum: &Sum{srcs: map[*func() float64]struct{}{}}}).sum
+}
+
+// CounterSum is GaugeSum for monotonic sources.
+func (r *Registry) CounterSum(name, help string) *Sum {
+	return r.register(&metric{name: name, help: help, kind: "counter", sum: &Sum{counter: true, srcs: map[*func() float64]struct{}{}}}).sum
+}
+
 // Histogram returns the histogram registered under name with the given
 // ascending bucket upper bounds (defensively copied).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
@@ -233,6 +287,8 @@ func (r *Registry) Snapshot() []Sample {
 		switch {
 		case m.collect != nil:
 			s.Value = m.collect()
+		case m.sum != nil:
+			s.Value = m.sum.value()
 		case m.counter != nil:
 			s.Value = float64(m.counter.Value())
 		case m.gauge != nil:

@@ -79,6 +79,37 @@ func TestGaugeFuncRebind(t *testing.T) {
 	}
 }
 
+func TestSumSourcesComeAndGo(t *testing.T) {
+	r := New()
+	records := r.GaugeSum("records", "held by the attached caches")
+	swept := r.CounterSum("swept_total", "evicted by the attached caches")
+	if r.GaugeSum("records", "") != records {
+		t.Fatal("GaugeSum not idempotent by name")
+	}
+	a, b := 3.0, 4.0
+	detachA := records.Attach(func() float64 { return a })
+	records.Attach(func() float64 { return b })
+	detachSweptA := swept.Attach(func() float64 { return a })
+	swept.Attach(func() float64 { return b })
+	if v, _ := r.Get("records"); v != 7 {
+		t.Fatalf("records = %v, want 7", v)
+	}
+	a = 5
+	detachA()
+	detachA() // idempotent
+	detachSweptA()
+	detachSweptA()
+	b = 6
+	// The gauge forgets a detached source; the counter keeps its last
+	// reading and stays monotonic.
+	if v, _ := r.Get("records"); v != 6 {
+		t.Fatalf("records after detach = %v, want 6", v)
+	}
+	if v, _ := r.Get("swept_total"); v != 11 {
+		t.Fatalf("swept_total after detach = %v, want 5 retired + 6", v)
+	}
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	r := New()
 	h := r.Histogram("delivery_ms", "", []float64{1, 2, 4, 8, 16})

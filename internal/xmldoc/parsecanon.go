@@ -147,11 +147,17 @@ type canonParser struct {
 	depth int
 
 	// Chunked slabs. Addresses handed out stay valid because chunks are
-	// only ever resliced forward, never reallocated in place.
+	// only ever resliced forward, never reallocated in place. A tree that
+	// is kept (discovery keeps the one it is handed) keeps its slabs whole,
+	// so each kind's first slab is sized from the document's element
+	// count, not to a fixed minimum: a document has one child pointer and
+	// at most one memo per element.
 	elemChunk    []Element
 	elemEstimate int // size of the next element chunk to allocate
 	kidChunk     []*Element
+	kidEstimate  int // likewise, child pointers
 	seedChunk    [][]byte
+	seedEstimate int // likewise, seeded memos
 
 	// Scratch stacks shared across the recursion; each frame works on
 	// its tail past a saved mark.
@@ -186,15 +192,13 @@ func parseCanonical(data []byte) (*Element, error) {
 		data: data,
 		s:    unsafe.String(unsafe.SliceData(data), len(data)),
 	}
-	// One pass over the input sizes the first element slab; done once
-	// here (not per chunk refill) so parse work stays linear even on
+	// One pass over the input sizes the first slab of each kind; done
+	// once here (not per chunk refill) so parse work stays linear even on
 	// element-dense input.
-	p.elemEstimate = bytes.Count(data, []byte{'<'})/2 + 1
-	if p.elemEstimate > 256 {
-		p.elemEstimate = 256
-	} else if p.elemEstimate < 8 {
-		p.elemEstimate = 8
-	}
+	elems := bytes.Count(data, []byte{'<'})/2 + 1
+	p.elemEstimate = min(max(elems, 8), 256)
+	p.kidEstimate = min(elems, 256)
+	p.seedEstimate = min(elems, 256)
 	p.skipOuterSpace()
 	if p.pos >= len(p.s) {
 		return nil, ErrEmptyDocument
@@ -287,11 +291,10 @@ func (p *canonParser) takeKids(mark int) []*Element {
 		return nil
 	}
 	if len(p.kidChunk) < n {
-		c := n
-		if c < 64 {
-			c = 64
-		}
-		p.kidChunk = make([]*Element, c)
+		// What is left of the previous chunk is abandoned; refills have a
+		// fixed size, like the element slab's.
+		p.kidChunk = make([]*Element, max(n, p.kidEstimate))
+		p.kidEstimate = 64
 	}
 	out := p.kidChunk[:n:n]
 	p.kidChunk = p.kidChunk[n:]
@@ -306,7 +309,8 @@ func (p *canonParser) takeKids(mark int) []*Element {
 // memos exactly like computed ones — it is the same atomic slot.
 func (p *canonParser) seedMemo(e *Element, b []byte) {
 	if len(p.seedChunk) == 0 {
-		p.seedChunk = make([][]byte, 16)
+		p.seedChunk = make([][]byte, p.seedEstimate)
+		p.seedEstimate = 16
 	}
 	sp := &p.seedChunk[0]
 	p.seedChunk = p.seedChunk[1:]
