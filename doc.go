@@ -45,13 +45,26 @@
 //
 // # One open path
 //
-// Every secure wire — envelope, round, slice — is accepted or refused
-// by one receive pipeline (openWire in internal/core/open.go; SECURITY.md
+// Every secure wire — envelope, round, slice, session-channel frame — is
+// accepted or refused by one receive pipeline (openWire in internal/core/open.go; SECURITY.md
 // lists its steps): core.Open/OpenGroup/OpenSlice, the messenger push
 // handler and the secure task service are one-line callers of it, and
 // the replay guard covers all of them. Likewise one verifier checks
 // every credential-signed broker request (secureRenew, heartbeat) and
 // one loop seals every fan-out round.
+//
+// # Session channels
+//
+// The paper's secureMsgPeer signs and key-wraps every message. By default
+// a SecureClient pays that once per peer: the first envelope's signed
+// header carries an X25519 share, the peer answers with a signed accept,
+// and every later message to it is one AEAD frame under the derived key —
+// no RSA operation at either end (internal/core/channel.go; SECURITY.md
+// "Session channels" has the transcript, what is given up — per-message
+// non-repudiation — and what is gained). A peer that has lost the channel
+// refuses the frame and gets the message again as an envelope.
+// core.WithMode(core.ModeFull) is the paper's stateless primitive on
+// every message; cmd/benchmsg and internal/bench pass it.
 //
 // # One buffer per hop
 //

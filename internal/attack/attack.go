@@ -12,6 +12,7 @@ package attack
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/binary"
 	"sync"
 	"time"
@@ -151,11 +152,22 @@ func ForgePresence(victim keys.PeerID, name, group, status string) *xmldoc.Eleme
 // the "no source authenticity" threat. The element names mirror the
 // endpoint layer's wire vocabulary.
 func SpoofedPipeMessage(claimedFrom, to keys.PeerID, pipeID, group, body string) []byte {
+	return spoofedPipeFrame(claimedFrom, to, pipeID, group, proto.ElemBody, []byte(body))
+}
+
+// SpoofedPipeEnvelope is SpoofedPipeMessage for a secure wire: the frame
+// SecureMsgPeer puts on a pipe, with a source of the attacker's choosing.
+// What the wire proves about its sender is the secure primitives' to say.
+func SpoofedPipeEnvelope(claimedFrom, to keys.PeerID, group string, wire []byte) []byte {
+	return spoofedPipeFrame(claimedFrom, to, advert.GroupPipeID(to, group), group, proto.ElemEnvelope, wire)
+}
+
+func spoofedPipeFrame(claimedFrom, to keys.PeerID, pipeID, group, elem string, payload []byte) []byte {
 	msg := endpoint.NewMessage().
 		AddString("jxta:src", string(claimedFrom)).
 		AddString("jxta:dst", string(to)).
 		AddString("jxta:svc", "jxta:pipe:"+pipeID).
-		AddString(proto.ElemBody, body).
+		Add(elem, payload).
 		AddString(proto.ElemGroup, group)
 	return msg.Marshal()
 }
@@ -173,11 +185,7 @@ func ForgeRound(headerXML, body []byte, recipients []*keys.PublicKey) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	block := make([]byte, 0, 4+len(headerXML)+len(body))
-	block = binary.BigEndian.AppendUint32(block, uint32(len(headerXML)))
-	block = append(block, headerXML...)
-	block = append(block, body...)
-	nonce, ct, err := keys.AEADSeal(cek, block)
+	nonce, ct, err := keys.AEADSeal(cek, Block(headerXML, body))
 	if err != nil {
 		return nil, err
 	}
@@ -215,11 +223,7 @@ func ForgeSlice(headerXML, body []byte, target *keys.PublicKey) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	block := make([]byte, 0, 4+len(headerXML)+len(body))
-	block = binary.BigEndian.AppendUint32(block, uint32(len(headerXML)))
-	block = append(block, headerXML...)
-	block = append(block, body...)
-	nonce, ct, err := keys.AEADSeal(cek, block)
+	nonce, ct, err := keys.AEADSeal(cek, Block(headerXML, body))
 	if err != nil {
 		return nil, err
 	}
@@ -241,6 +245,106 @@ func ForgeSlice(headerXML, body []byte, target *keys.PublicKey) ([]byte, error) 
 	wire = binary.BigEndian.AppendUint32(wire, uint32(len(nonce)))
 	wire = append(wire, nonce...)
 	return append(wire, ct...), nil
+}
+
+// ForwardEnvelope acts as a malicious recipient of a sign-then-encrypt
+// envelope: it opens the envelope with its own key, which it may, and
+// seals the block it finds — the sender's signed header and the body,
+// untouched — to another peer's key. Whether the target takes the result
+// for a message the sender sent it is decided by what the signed header
+// says about its recipient.
+func ForwardEnvelope(own *keys.KeyPair, wire []byte, target *keys.PublicKey) ([]byte, error) {
+	env, err := keys.ParseEnvelope(wire[1:])
+	if err != nil {
+		return nil, err
+	}
+	block, err := own.Decrypt(env)
+	if err != nil {
+		return nil, err
+	}
+	if env, err = target.Encrypt(block); err != nil {
+		return nil, err
+	}
+	return append([]byte{wire[0]}, env.Marshal()...), nil
+}
+
+// The session-channel adversaries (internal/core, channel.go) work from
+// the four helpers below, which mirror core's layouts by hand: a header
+// with children of the attacker's choosing, signed with whatever key the
+// attacker holds; the block a header and a body make; a channel frame
+// under a key of the attacker's choosing; and the key schedule, which is
+// no secret — only its X25519 input is.
+
+// Header builds a <SecureMessage> header as core's sealers do — Sender,
+// Group, BodyDigest, Time, then the extra children in order — and, with a
+// signer, signs it.
+func Header(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, extra ...[2]string) ([]byte, error) {
+	doc := xmldoc.New("SecureMessage", "")
+	doc.AddText("Sender", string(sender))
+	doc.AddText("Group", group)
+	doc.AddText("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256(body)))
+	doc.AddText("Time", time.Now().UTC().Format(time.RFC3339Nano))
+	for _, kv := range extra {
+		doc.AddText(kv[0], kv[1])
+	}
+	if signer != nil {
+		sig, err := signer.Sign(doc.Canonical())
+		if err != nil {
+			return nil, err
+		}
+		doc.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
+	}
+	return doc.Canonical(), nil
+}
+
+// Block packs a header and a body the way every secure wire carries them.
+func Block(header, body []byte) []byte {
+	return append(keys.AppendSection(nil, header), body...)
+}
+
+// ReadHeader is the reverse, for an attacker that has a block in the
+// clear: the parsed header of a sign-only wire, or of an envelope it holds
+// the recipient's key to.
+func ReadHeader(block []byte) (*xmldoc.Element, error) {
+	header, _, ok := keys.CutSection(block)
+	if !ok {
+		return nil, keys.ErrDecrypt
+	}
+	return xmldoc.ParseCanonical(bytes.Clone(header))
+}
+
+// ForgeFrame seals a block as frame seq of a channel under key, in the
+// layout of core's channel frames.
+func ForgeFrame(key []byte, channel []byte, seq uint64, block []byte) ([]byte, error) {
+	aead, err := keys.NewAEAD(key)
+	if err != nil {
+		return nil, err
+	}
+	wire := append([]byte{byte(core.ModeChannel)}, channel...)
+	wire = binary.BigEndian.AppendUint64(wire, seq)
+	prefix := len(wire)
+	wire = binary.BigEndian.AppendUint32(wire, uint32(len(block)+keys.AEADOverhead))
+	var nonce [keys.AEADNonceSize]byte
+	binary.BigEndian.PutUint64(nonce[keys.AEADNonceSize-8:], seq)
+	return aead.Seal(wire, nonce[:], block, wire[:prefix]), nil
+}
+
+// ChannelKey is core's channel key schedule, from whatever X25519 secret
+// the attacker could compute.
+func ChannelKey(secret, channel []byte, initiator, responder keys.PeerID, initiatorKey, responderKey *keys.PublicKey, group string, initiatorShare, responderShare []byte) ([]byte, error) {
+	info := []byte("jxta-overlay/session-channel/v1")
+	info = keys.AppendSection(info, []byte(initiator))
+	info = keys.AppendSection(info, []byte(responder))
+	for _, k := range []*keys.PublicKey{initiatorKey, responderKey} {
+		fp, err := k.Fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		info = append(info, fp[:]...)
+	}
+	info = keys.AppendSection(info, []byte(group))
+	info = append(append(info, initiatorShare...), responderShare...)
+	return keys.HKDF(secret, channel, info, 32), nil
 }
 
 // NewFakeBroker stands up a broker that accepts every login — the

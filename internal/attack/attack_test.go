@@ -316,9 +316,9 @@ func newSecureStackWith(t *testing.T, tweak func(*core.BrokerConfig)) *secureSta
 	return &secureStack{net: net, dep: dep, br: br, db: db, brKP: brKP, brSec: brSec}
 }
 
-func (s *secureStack) join(t *testing.T, alias, password string) *core.SecureClient {
+func (s *secureStack) join(t *testing.T, alias, password string, opts ...core.Option) *core.SecureClient {
 	t.Helper()
-	sc := s.connected(t, alias)
+	sc := s.connected(t, alias, opts...)
 	if err := sc.SecureLogin(testCtx(t), password); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func (s *secureStack) join(t *testing.T, alias, password string) *core.SecureCli
 }
 
 // connected is a secure client that has run secureConnection only.
-func (s *secureStack) connected(t *testing.T, alias string) *core.SecureClient {
+func (s *secureStack) connected(t *testing.T, alias string, opts ...core.Option) *core.SecureClient {
 	t.Helper()
 	cl, err := client.New(s.net, membership.NewPSE("", 0), alias)
 	if err != nil {
@@ -334,7 +334,7 @@ func (s *secureStack) connected(t *testing.T, alias string) *core.SecureClient {
 	}
 	t.Cleanup(cl.Close)
 	trust, _ := s.dep.TrustStore()
-	sc, err := core.NewSecureClient(cl, trust)
+	sc, err := core.NewSecureClient(cl, trust, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,577 @@
+// Session-channel negatives. A channel replaces a signature and a key
+// unwrap per message with one AEAD frame under a key two peers agreed on
+// once; these tests are what an adversary gets for trying it on: the
+// holder of the recipient's RSA key, a replayer, a reflector, a
+// credentialed third member, a forger of refusals, an offer flooder, a
+// peer whose credential has run out.
+package attack_test
+
+import (
+	"encoding/base64"
+	"encoding/binary"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"jxtaoverlay/internal/attack"
+	"jxtaoverlay/internal/core"
+	"jxtaoverlay/internal/endpoint"
+	"jxtaoverlay/internal/events"
+	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/proto"
+	"jxtaoverlay/internal/simnet"
+	"jxtaoverlay/internal/telemetry"
+	"jxtaoverlay/internal/waituntil"
+	"jxtaoverlay/internal/xmldoc"
+)
+
+var b64 = base64.StdEncoding
+
+// wiresTo returns the secure wires of the given mode among the frames
+// eve captured on their way to a peer.
+func wiresTo(eve *attack.Eavesdropper, to keys.PeerID, mode core.Mode) [][]byte {
+	var out [][]byte
+	for _, frame := range eve.FramesTo(simnet.NodeID(to)) {
+		msg, err := endpoint.ParseMessage(frame)
+		if err != nil {
+			continue
+		}
+		if wire, ok := msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == mode {
+			out = append(out, wire)
+		}
+	}
+	return out
+}
+
+func texts(c *events.Collector) []string {
+	var out []string
+	for _, e := range c.OfType(events.SecureMessage) {
+		out = append(out, string(e.Data))
+	}
+	return out
+}
+
+func count(c *events.Collector, text string) int {
+	n := 0
+	for _, got := range texts(c) {
+		if got == text {
+			n++
+		}
+	}
+	return n
+}
+
+// say sends text and waits until it is raised at the other end.
+func say(t *testing.T, from *core.SecureClient, to keys.PeerID, got *events.Collector, text string) events.Event {
+	t.Helper()
+	if err := from.SecureMsgPeer(testCtx(t), to, "math", text); err != nil {
+		t.Fatalf("send %q: %v", text, err)
+	}
+	waituntil.Must(t, 5*time.Second, func() bool { return count(got, text) > 0 }, "%q never delivered", text)
+	for _, e := range got.OfType(events.SecureMessage) {
+		if string(e.Data) == text {
+			return e
+		}
+	}
+	panic("unreachable")
+}
+
+// channelPair is alice and bob with a channel up from alice to bob, and
+// everything that crossed the wire while it came up.
+type channelPair struct {
+	s          *secureStack
+	alice, bob *core.SecureClient
+	atBob      *events.Collector
+	eve        *attack.Eavesdropper
+	raw        *attack.RawNode
+	reg        *telemetry.Registry
+}
+
+// newChannelPair brings the pair up on s; guarded gives each of them a
+// replay guard.
+func newChannelPair(t *testing.T, s *secureStack, guarded bool) *channelPair {
+	t.Helper()
+	p := &channelPair{s: s, reg: telemetry.New()}
+	p.eve = attack.NewEavesdropper(s.net)
+	opts := func() []core.Option {
+		if !guarded {
+			return nil
+		}
+		return []core.Option{core.WithReplayGuard(core.NewReplayGuard(time.Minute, 4096))}
+	}
+	p.alice = s.join(t, "alice", "alice-secret-pw", opts()...)
+	p.bob = s.join(t, "bob", "bob-secret-pw", opts()...)
+	p.alice.BindTelemetry(p.reg)
+	p.bob.BindTelemetry(p.reg)
+	p.atBob = events.NewCollector(p.bob.Bus())
+	var err error
+	if p.raw, err = attack.NewRawNode(s.net, "attacker-node"); err != nil {
+		t.Fatal(err)
+	}
+	if e := say(t, p.alice, p.bob.PeerID(), p.atBob, "hello"); e.Attr("mode") != core.ModeFull.String() {
+		t.Fatalf("first message travelled as %q", e.Attr("mode"))
+	}
+	p.waitUp(t)
+	return p
+}
+
+// waitUp waits until alice's messages to bob travel as frames.
+func (p *channelPair) waitUp(t *testing.T) {
+	t.Helper()
+	waituntil.Must(t, 5*time.Second, func() bool {
+		text := fmt.Sprintf("probe %d", time.Now().UnixNano())
+		return say(t, p.alice, p.bob.PeerID(), p.atBob, text).Attr("mode") == core.ModeChannel.String()
+	}, "no channel came up")
+}
+
+// inject puts a secure wire on a peer's math pipe from the attacker's
+// node, claiming to come from claimedFrom.
+func (p *channelPair) inject(t *testing.T, claimedFrom, to keys.PeerID, wire []byte) {
+	t.Helper()
+	if err := p.raw.Replay(simnet.NodeID(to), attack.SpoofedPipeEnvelope(claimedFrom, to, "math", wire)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (p *channelPair) metric(t *testing.T, name string) float64 {
+	t.Helper()
+	v, ok := p.reg.Get(name)
+	if !ok {
+		t.Fatalf("metric %s not registered", name)
+	}
+	return v
+}
+
+// alerts waits for n SecurityAlerts at c and returns them.
+func alerts(t *testing.T, c *events.Collector, n int) []events.Event {
+	t.Helper()
+	waituntil.Must(t, 5*time.Second, func() bool { return len(c.OfType(events.SecurityAlert)) >= n }, "fewer than %d alerts", n)
+	time.Sleep(20 * time.Millisecond)
+	got := c.OfType(events.SecurityAlert)
+	if len(got) != n {
+		t.Fatalf("%d alerts, want %d: %v", len(got), n, got[len(got)-1].Payload)
+	}
+	return got
+}
+
+// handshakeOf reads the handshake the two peers exchanged out of eve's
+// capture, the way the holder of bob's RSA key can: alice's offer from
+// the envelope to bob, bob's accept from the sign-only wire to alice.
+func handshakeOf(t *testing.T, p *channelPair) (offer, accept *xmldoc.Element) {
+	t.Helper()
+	for _, wire := range wiresTo(p.eve, p.bob.PeerID(), core.ModeFull) {
+		env, err := keys.ParseEnvelope(wire[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		block, err := p.bob.Identity().Keys.Decrypt(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, err := attack.ReadHeader(block); err == nil && h.ChildText("Channel") != "" {
+			offer = h
+		}
+	}
+	for _, wire := range wiresTo(p.eve, p.alice.PeerID(), core.ModeSign) {
+		if h, err := attack.ReadHeader(wire[1:]); err == nil && h.ChildText("Offer") != "" {
+			accept = h
+		}
+	}
+	if offer == nil || accept == nil || offer.ChildText("Channel") != accept.ChildText("Channel") {
+		t.Fatalf("handshake not on the wire: offer %v, accept %v", offer, accept)
+	}
+	return offer, accept
+}
+
+func unb64(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := b64.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// (a) Key-compromise impersonation. The attacker holds bob's RSA private
+// key and a full capture of the handshake: it reads the offer, knows the
+// channel ID, both shares and the key schedule. What it lacks is either
+// ephemeral private key, and bob's RSA key is no help in getting one: it
+// cannot make a frame bob opens as alice's. (Under an RSA-transported
+// session key it could: it would unwrap the key alice sent.)
+func TestChannelKeyCompromiseImpersonation(t *testing.T) {
+	p := newChannelPair(t, newSecureStack(t), false)
+	offer, accept := handshakeOf(t, p)
+	channel := unb64(t, offer.ChildText("Channel"))
+	aliceShare, bobShare := unb64(t, offer.ChildText("Share")), unb64(t, accept.ChildText("Share"))
+	aliceKey, bobKey := p.alice.Identity().Keys.Public(), p.bob.Identity().Keys.Public()
+
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte("wire the money to mallory")
+	header, err := attack.Header(nil, p.alice.PeerID(), "math", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(500) // ahead of anything alice has sent
+	for _, guess := range []struct {
+		name      string
+		peerShare []byte
+	}{
+		{"own share against alice's", aliceShare},
+		{"own share against bob's", bobShare},
+	} {
+		secret, err := eph.Agree(guess.peerShare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := attack.ChannelKey(secret, channel, p.alice.PeerID(), p.bob.PeerID(), aliceKey, bobKey, "math", aliceShare, bobShare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := attack.ForgeFrame(key, channel, seq, attack.Block(header, body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.inject(t, p.alice.PeerID(), p.bob.PeerID(), frame)
+		seq++
+	}
+	for _, a := range alerts(t, p.atBob, 2) {
+		if !strings.Contains(a.Attr("reason"), core.ErrEnvelope.Error()) {
+			t.Errorf("forged frame refused with %q, want %q", a.Attr("reason"), core.ErrEnvelope)
+		}
+	}
+	if n := count(p.atBob, string(body)); n != 0 {
+		t.Fatalf("bob raised the attacker's message %d times", n)
+	}
+	// The channel is none the worse for it.
+	if e := say(t, p.alice, p.bob.PeerID(), p.atBob, "still here"); e.Attr("mode") != core.ModeChannel.String() {
+		t.Fatalf("alice's next message travelled as %q", e.Attr("mode"))
+	}
+}
+
+// (b) Replay. A captured frame delivered again is refused, with and
+// without a replay guard at the recipient; so is a frame re-labelled for
+// another channel, and a frame of a channel that has since been replaced.
+// A replayed accept changes nothing.
+func TestChannelReplays(t *testing.T) {
+	for _, guarded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("guard=%v", guarded), func(t *testing.T) {
+			p := newChannelPair(t, newSecureStack(t), guarded)
+			atAlice := events.NewCollector(p.alice.Bus())
+			say(t, p.alice, p.bob.PeerID(), p.atBob, "pay invoice 42")
+			frames := wiresTo(p.eve, p.bob.PeerID(), core.ModeChannel)
+			old := frames[len(frames)-1]
+
+			// The same frame again.
+			p.inject(t, p.alice.PeerID(), p.bob.PeerID(), old)
+			if a := alerts(t, p.atBob, 1)[0]; a.Attr("reason") != core.ErrMessageReplayed.Error() || a.From != p.alice.PeerID() {
+				t.Fatalf("replayed frame refused as %v from %s", a.Payload, a.From)
+			}
+
+			// The accept again: alice holds the channel it answers.
+			accepts := wiresTo(p.eve, p.alice.PeerID(), core.ModeSign)
+			if len(accepts) != 1 {
+				t.Fatalf("%d accepts on the wire, want 1", len(accepts))
+			}
+			established := p.metric(t, core.ChannelEstablishedMetric)
+			p.inject(t, p.bob.PeerID(), p.alice.PeerID(), accepts[0])
+			say(t, p.alice, p.bob.PeerID(), p.atBob, "after the replayed accept")
+			if got := p.metric(t, core.ChannelEstablishedMetric); got != established {
+				t.Fatalf("a replayed accept established something: %v -> %v", established, got)
+			}
+
+			// bob loses the channel; alice's next message brings up another.
+			if err := p.bob.Logout(testCtx(t)); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.bob.SecureConnection(testCtx(t), p.s.br.PeerID()); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.bob.SecureLogin(testCtx(t), "bob-secret-pw"); err != nil {
+				t.Fatal(err)
+			}
+			say(t, p.alice, p.bob.PeerID(), p.atBob, "after bob's logout")
+			p.waitUp(t)
+			frames = wiresTo(p.eve, p.bob.PeerID(), core.ModeChannel)
+			current := frames[len(frames)-1]
+			if string(current[1:17]) == string(old[1:17]) {
+				t.Fatal("the second channel has the first one's ID")
+			}
+
+			// The old frame as it was: a channel bob no longer holds, so he opens
+			// nothing (and says so at most once a second, to alice, who holds no
+			// such channel either).
+			p.inject(t, p.alice.PeerID(), p.bob.PeerID(), old)
+			// The old frame relabelled for the new channel, at a fresh number.
+			relabelled := append([]byte{old[0]}, current[1:17]...)
+			relabelled = binary.BigEndian.AppendUint64(relabelled, 900)
+			relabelled = append(relabelled, old[25:]...)
+			p.inject(t, p.alice.PeerID(), p.bob.PeerID(), relabelled)
+			if a := alerts(t, p.atBob, 2)[1]; !strings.Contains(a.Attr("reason"), core.ErrEnvelope.Error()) {
+				t.Fatalf("frame replayed into another channel refused as %v", a.Payload)
+			}
+			// The accept of the first channel, now that a second is up.
+			p.inject(t, p.bob.PeerID(), p.alice.PeerID(), accepts[0])
+			if e := say(t, p.alice, p.bob.PeerID(), p.atBob, "last"); e.Attr("mode") != core.ModeChannel.String() {
+				t.Fatalf("after a stale accept alice's message travelled as %q", e.Attr("mode"))
+			}
+			if n := count(p.atBob, "pay invoice 42"); n != 1 {
+				t.Fatalf("the replayed message was raised %d times", n)
+			}
+			if got := atAlice.OfType(events.SecureMessage); len(got) != 0 {
+				t.Fatalf("an accept surfaced as a message at alice: %+v", got[0])
+			}
+			// Replayed while alice held the channel it answers, the accept is
+			// what bob sends again when he sees the offer again, and is dropped
+			// quietly. Replayed after that, it answers nothing: dropped quietly
+			// still, unless a guard remembers the wire — then it is the replay it is.
+			got := atAlice.OfType(events.SecurityAlert)
+			if guarded && (len(got) != 1 || got[0].Attr("reason") != core.ErrMessageReplayed.Error()) || !guarded && len(got) != 0 {
+				t.Fatalf("replayed accepts raised %d alerts at alice: %v", len(got), got)
+			}
+		})
+	}
+}
+
+// (c) Reflection. Channels are directional: a frame bounced back at its
+// sender names a channel the sender holds no inbound end of, and an offer
+// bounced back is an envelope sealed to someone else.
+func TestChannelReflection(t *testing.T) {
+	p := newChannelPair(t, newSecureStack(t), false)
+	atAlice := events.NewCollector(p.alice.Bus())
+	say(t, p.alice, p.bob.PeerID(), p.atBob, "to bob")
+	frames := wiresTo(p.eve, p.bob.PeerID(), core.ModeChannel)
+	p.inject(t, p.bob.PeerID(), p.alice.PeerID(), frames[len(frames)-1])
+	p.inject(t, p.bob.PeerID(), p.alice.PeerID(), wiresTo(p.eve, p.bob.PeerID(), core.ModeFull)[0])
+	if a := alerts(t, atAlice, 1)[0]; !strings.Contains(a.Attr("reason"), core.ErrNotRecipient.Error()) {
+		t.Fatalf("reflected offer refused as %v", a.Payload)
+	}
+	if got := atAlice.OfType(events.SecureMessage); len(got) != 0 {
+		t.Fatalf("alice opened a reflected wire: %q", got[0].Data)
+	}
+	if e := say(t, p.alice, p.bob.PeerID(), p.atBob, "still up"); e.Attr("mode") != core.ModeChannel.String() {
+		t.Fatalf("after the reflection alice's message travelled as %q", e.Attr("mode"))
+	}
+}
+
+// (d) An accept by anyone but the offered peer. alice's offer to bob is
+// pending (bob's accept is lost). mallory, a credentialed member who has
+// learned the offer's fields, signs an accept of her own; bob's key signs
+// one for another initiator, and one over another share. None completes
+// the channel.
+func TestChannelAcceptByThirdPartyRefused(t *testing.T) {
+	s := newSecureStack(t)
+	eve := attack.NewEavesdropper(s.net)
+	alice := s.join(t, "alice", "alice-secret-pw")
+	bob := s.join(t, "bob", "bob-secret-pw")
+	mallory := s.join(t, "mallory", "mallory-pw")
+	atBob, atAlice := events.NewCollector(bob.Bus()), events.NewCollector(alice.Bus())
+	s.net.SetLinkOneWay(simnet.NodeID(bob.PeerID()), simnet.NodeID(alice.PeerID()), simnet.LinkProfile{Loss: 1})
+	say(t, alice, bob.PeerID(), atBob, "hello")
+	p := &channelPair{s: s, alice: alice, bob: bob, eve: eve}
+	var err error
+	if p.raw, err = attack.NewRawNode(s.net, "attacker-node"); err != nil {
+		t.Fatal(err)
+	}
+	// bob answers once the message is out; his accept crosses eve's tap,
+	// and is lost on the way to alice.
+	waituntil.Must(t, 5*time.Second, func() bool { return len(wiresTo(eve, alice.PeerID(), core.ModeSign)) == 1 }, "bob sent no accept")
+	offer, _ := handshakeOf(t, p)
+	lostAccept := wiresTo(eve, alice.PeerID(), core.ModeSign)[0]
+	channel, aliceShare := offer.ChildText("Channel"), unb64(t, offer.ChildText("Share"))
+	aliceFP, _ := alice.Identity().Keys.Public().Fingerprint()
+	malloryFP, _ := mallory.Identity().Keys.Public().Fingerprint()
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := func(to [32]byte, answers []byte) [][2]string {
+		return [][2]string{{"To", b64.EncodeToString(to[:])}, {"Channel", channel},
+			{"Share", b64.EncodeToString(eph.Share())}, {"Offer", b64.EncodeToString(keys.SHA256(answers))}}
+	}
+	for _, tc := range []struct {
+		name      string
+		signer    *core.SecureClient
+		sender    keys.PeerID
+		fields    [][2]string
+		wantAlert string // "" = dropped without one
+	}{
+		{"mallory answers in her own name", mallory, mallory.PeerID(), fields(aliceFP, aliceShare), ""},
+		{"mallory answers in bob's name", mallory, bob.PeerID(), fields(aliceFP, aliceShare), core.ErrMessageTampered.Error()},
+		{"bob's accept for another initiator", bob, bob.PeerID(), fields(malloryFP, aliceShare), "does not match the offer"},
+		{"bob's accept of another share", bob, bob.PeerID(), fields(aliceFP, eph.Share()), "does not match the offer"},
+	} {
+		before := len(atAlice.OfType(events.SecurityAlert))
+		header, err := attack.Header(tc.signer.Identity().Keys, tc.sender, "math", nil, tc.fields...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.inject(t, tc.sender, alice.PeerID(), append([]byte{byte(core.ModeSign)}, attack.Block(header, nil)...))
+		if tc.wantAlert != "" {
+			waituntil.Must(t, 5*time.Second, func() bool { return len(atAlice.OfType(events.SecurityAlert)) > before }, "%s: no alert", tc.name)
+			if a := atAlice.OfType(events.SecurityAlert)[before]; !strings.Contains(a.Attr("reason"), tc.wantAlert) {
+				t.Errorf("%s: refused as %q, want %q", tc.name, a.Attr("reason"), tc.wantAlert)
+			}
+		}
+		// Whatever was said about it, no channel: the next message is an envelope.
+		if e := say(t, alice, bob.PeerID(), atBob, tc.name); e.Attr("mode") != core.ModeFull.String() {
+			t.Fatalf("%s: alice's next message travelled as %q", tc.name, e.Attr("mode"))
+		}
+		if n := len(atAlice.OfType(events.SecurityAlert)) - before; (tc.wantAlert == "") != (n == 0) {
+			t.Errorf("%s: %d alerts", tc.name, n)
+		}
+	}
+	if got := atAlice.OfType(events.SecureMessage); len(got) != 0 {
+		t.Fatalf("an accept surfaced as a message: %+v", got[0])
+	}
+	// bob's own accept, the one that was lost, still completes it.
+	p.inject(t, bob.PeerID(), alice.PeerID(), lostAccept)
+	waituntil.Must(t, 5*time.Second, func() bool {
+		return say(t, alice, bob.PeerID(), atBob, fmt.Sprintf("probe %d", time.Now().UnixNano())).Attr("mode") == core.ModeChannel.String()
+	}, "bob's own accept did not complete the channel")
+}
+
+// (e) Forged refusals at line rate. Channel ID and sequence number cross
+// the wire in the clear, so anyone can refuse alice's every frame in
+// bob's name. Each refusal costs her the channel and one envelope — the
+// paper's primitive, the price of every message before this change — and
+// nothing else: every message is delivered exactly once, and neither end
+// accumulates anything.
+func TestChannelForgedRefusals(t *testing.T) {
+	p := newChannelPair(t, newSecureStack(t), true)
+	// The attacker refuses every frame to bob the moment it is on the wire.
+	var mu sync.Mutex
+	forged := 0
+	p.s.net.AddTap(func(pkt simnet.Packet) {
+		if pkt.To != simnet.NodeID(p.bob.PeerID()) {
+			return
+		}
+		msg, err := endpoint.ParseMessage(append([]byte(nil), pkt.Payload...))
+		if err != nil {
+			return
+		}
+		if wire, ok := msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeChannel {
+			refusal := append([]byte{byte(core.ModeRefusal)}, wire[1:25]...)
+			mu.Lock()
+			forged++
+			mu.Unlock()
+			_ = p.raw.Replay(simnet.NodeID(p.alice.PeerID()), attack.SpoofedPipeEnvelope(p.bob.PeerID(), p.alice.PeerID(), "math", refusal))
+		}
+	})
+	const n = 40
+	signed := p.alice.Identity().Keys.SignCalls()
+	sent := make([]string, n)
+	for i := range sent {
+		sent[i] = fmt.Sprintf("under fire %d", i)
+		if err := p.alice.SecureMsgPeer(testCtx(t), p.bob.PeerID(), "math", sent[i]); err != nil {
+			t.Fatal(err)
+		}
+		// alice is a closed loop, as an application awaiting each delivery is.
+		waituntil.Must(t, 5*time.Second, func() bool { return count(p.atBob, sent[i]) > 0 }, "%q never delivered", sent[i])
+	}
+	time.Sleep(100 * time.Millisecond)
+	for _, text := range sent {
+		if c := count(p.atBob, text); c != 1 {
+			t.Errorf("%q delivered %d times, want once", text, c)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := p.alice.Identity().Keys.SignCalls() - signed; got > n {
+		t.Errorf("alice signed %d times for %d messages under %d forged refusals: more than an envelope a message", got, n, forged)
+	}
+	if open := p.metric(t, core.ChannelsOpenMetric); open > 2 {
+		t.Errorf("%v channels open after %d forged refusals, want at most alice's one and bob's one", open, forged)
+	}
+	t.Logf("%d forged refusals, %v fallbacks, alice signed %d times", forged, p.metric(t, core.ChannelFallbacksMetric), p.alice.Identity().Keys.SignCalls()-signed)
+}
+
+// (f) An offer flood. mallory, credentialed, sends bob envelopes that
+// each carry a fresh offer. They are messages, and are delivered; but bob
+// holds one inbound channel for her and signs at most one accept a
+// second, however many she offers.
+func TestChannelOfferFlood(t *testing.T) {
+	s := newSecureStack(t)
+	reg := telemetry.New()
+	bob := s.join(t, "bob", "bob-secret-pw")
+	mallory := s.join(t, "mallory", "mallory-pw")
+	bob.BindTelemetry(reg)
+	atBob := events.NewCollector(bob.Bus())
+	bobFP, _ := bob.Identity().Keys.Public().Fingerprint()
+	bobPipe, _, err := mallory.LookupPipe(testCtx(t), bob.PeerID(), "math")
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed := bob.Identity().Keys.SignCalls()
+	start := time.Now()
+	const n = 30
+	for i := 0; i < n; i++ {
+		id, _ := keys.RandomBytes(16)
+		eph, err := keys.NewAgreementKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := []byte(fmt.Sprintf("flood %d", i))
+		header, err := attack.Header(mallory.Identity().Keys, mallory.PeerID(), "math", body,
+			[2]string{"To", b64.EncodeToString(bobFP[:])}, [2]string{"Channel", b64.EncodeToString(id)}, [2]string{"Share", b64.EncodeToString(eph.Share())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := bob.Identity().Keys.Public().Encrypt(attack.Block(header, body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := endpoint.NewMessage().Add(proto.ElemEnvelope, append([]byte{byte(core.ModeFull)}, env.Marshal()...)).AddString(proto.ElemGroup, "math")
+		if err := mallory.Control().SendOnPipe(bobPipe, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waituntil.Must(t, 10*time.Second, func() bool { return len(atBob.OfType(events.SecureMessage)) == n }, "not every flooding envelope was delivered")
+	allowed := uint64(time.Since(start)/time.Second) + 1
+	if got := bob.Identity().Keys.SignCalls() - signed; got > allowed {
+		t.Errorf("bob signed %d accepts in %v, want at most one a second", got, time.Since(start))
+	}
+	if open, _ := reg.Get(core.ChannelsOpenMetric); open != 1 {
+		t.Errorf("bob holds %v channels after %d offers from one peer, want 1", open, n)
+	}
+	if got := atBob.OfType(events.SecurityAlert); len(got) != 0 {
+		t.Errorf("the flood raised %d alerts, first %v", len(got), got[0].Payload)
+	}
+}
+
+// (g) A channel does not outlive the credentials it was agreed under. By
+// bob's clock alice's credential has run out — hers, ahead of his, says
+// otherwise, so she still sends a frame: bob refuses it. (The message is
+// not lost: she sends it again as an envelope, whose credential check is
+// the paper's.)
+func TestChannelFrameAfterCredentialExpiryRefused(t *testing.T) {
+	s := newSecureStackWith(t, func(cfg *core.BrokerConfig) { cfg.CredValidity = 5 * time.Minute })
+	p := newChannelPair(t, s, false)
+	notAfter := p.alice.Identity().Credential.NotAfter
+	if until := time.Until(notAfter); until > 5*time.Minute || until < 4*time.Minute {
+		t.Fatalf("alice's credential runs for %v, want the 5 minutes configured", until)
+	}
+	// Inside the channel's lifetime, past the credential's.
+	p.bob.SetClock(func() time.Time { return notAfter.Add(time.Second) })
+	refusals := p.metric(t, core.ChannelRefusalsSentMetric)
+	if e := say(t, p.alice, p.bob.PeerID(), p.atBob, "late"); e.Attr("mode") == core.ModeChannel.String() {
+		t.Fatal("bob opened a frame on a channel whose credentials have expired")
+	}
+	if got := p.metric(t, core.ChannelRefusalsSentMetric); got != refusals+1 {
+		t.Fatalf("refusals sent %v -> %v, want one more", refusals, got)
+	}
+	if c := count(p.atBob, "late"); c != 1 {
+		t.Fatalf("the refused frame's message was delivered %d times", c)
+	}
+}
+
+// (h) The forwarded envelope of forward_test.go, carrying an offer: the
+// offer is as bound to its recipient as the message is. bob refuses the
+// envelope and answers no offer.
+func TestForwardedOfferRefused(t *testing.T) {
+	forwardedEnvelopeRefused(t)
+}

@@ -67,6 +67,11 @@ const (
 	// KindHeartbeat: a presence-lease heartbeat outcome (reason "ok"
 	// or the refusal token — a replayed or stale heartbeat lands here).
 	KindHeartbeat = "heartbeat"
+	// KindChannel: a session-channel event at a client — a handshake
+	// outcome (op "offer" at the responder, "accept" at the initiator), a
+	// channel dropped on a refusal (op "refusal") or the message sent
+	// again as an envelope after it (op "fallback"). Never per message.
+	KindChannel = "channel"
 	// KindIdemDedup: a retried mutating op was answered from the
 	// idempotency dedup window instead of re-executing.
 	KindIdemDedup = "idem-dedup"

@@ -105,7 +105,8 @@ type Client struct {
 	// Observability (see observe.go): nil/unset means disabled.
 	tracer   atomic.Pointer[trace.Recorder]
 	delivery atomic.Pointer[telemetry.Histogram]
-	unbind   func() // detaches the cache collectors; guarded by mu
+	reg      *telemetry.Registry // what BindTelemetry bound; guarded by mu
+	unbind   func()              // detaches the collectors on reg; guarded by mu
 }
 
 // New attaches a client peer to the network. The membership service
@@ -716,7 +717,7 @@ func (c *Client) Close() {
 	c.ep.Close()
 	c.mu.Lock()
 	unbind := c.unbind
-	c.unbind = nil
+	c.unbind, c.reg = nil, nil
 	c.mu.Unlock()
 	if unbind != nil {
 		unbind()

@@ -47,11 +47,29 @@ func (c *Client) BindTelemetry(reg *telemetry.Registry) {
 		Attach(func() float64 { return float64(cache.Swept()) })
 	c.mu.Lock()
 	prev := c.unbind
+	c.reg = reg
 	c.unbind = func() { records(); swept() }
 	c.mu.Unlock()
 	if prev != nil {
 		prev()
 	}
+}
+
+// AttachCollectors lets the security extension put pull collectors of
+// its own on the registry this client is bound to: attach runs at once,
+// and the detach it returns joins what Close detaches. It reports false,
+// without calling attach, when no registry is bound (or the client is
+// closed) — so an extension can attach when it first has something to
+// count, and a client that never does pays nothing.
+func (c *Client) AttachCollectors(attach func(reg *telemetry.Registry) (detach func())) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.reg == nil {
+		return false
+	}
+	prev, detach := c.unbind, attach(c.reg)
+	c.unbind = func() { prev(); detach() }
+	return true
 }
 
 // DeliveryLatency returns the bound histogram (nil before

@@ -1,0 +1,595 @@
+package core
+
+import (
+	"crypto/cipher"
+	"encoding/base64"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/lru"
+	"jxtaoverlay/internal/xmldoc"
+)
+
+// Session channels. The paper's secureMsgPeer is E_PK(m, S_SK(m)) on
+// every message: one RSA signature at the sender and one OAEP unwrap at
+// the recipient, nine tenths of what a message costs. A channel pays
+// them once per pair of peers: the first envelope to a peer carries,
+// inside its signed header, an offer — a random channel ID and an
+// ephemeral X25519 share — and the recipient answers with a signed
+// accept carrying its own share. Every later message to that peer is
+// one AEAD frame under the key both derive (SECURITY.md, "Session
+// channels", has the transcript and what each signed field binds).
+//
+//	offer    ModeFull envelope; signed header adds To, Channel, Share
+//	         (and Refused, when it sends a refused frame's message again)
+//	accept   ModeSign envelope, empty body; signed header adds To,
+//	         Channel, Share, Offer (SHA-256 of the initiator's share)
+//	frame    ModeChannel ‖ Channel[16] ‖ seq u64 ‖ u32 ctlen ‖
+//	         AES-256-GCM(key, nonce = seq, aad = the 25 bytes before
+//	         ctlen, u32 hlen ‖ <SecureMessage> header ‖ body)
+//	refusal  ModeRefusal ‖ Channel[16] ‖ seq u64 — unsigned
+//
+// Channels are directional: the initiator seals, the responder opens.
+// A peer that answers has to make an offer of its own, so no key is
+// ever used by two sealers and a frame bounced at its sender finds no
+// inbound channel. This file holds the wire forms, the key schedule and
+// the table; signing, verifying and sending are secure.go's.
+
+const (
+	channelIDSize = 16
+	// framePrefix is mode ‖ Channel ‖ seq: the part of a frame in front of
+	// its ciphertext section, and the whole of a refusal.
+	framePrefix = 1 + channelIDSize + 8
+
+	// channelLifetime bounds what one derived key protects in time. It is
+	// far below any credential validity, so that a credential's NotAfter
+	// decides only near its end.
+	channelLifetime = 10 * time.Minute
+	// channelBudget bounds it in messages: a counter nonce under AES-GCM is
+	// sound to 2^32 messages, and this stays well below.
+	channelBudget = 1 << 24
+	// channelSkew is how much earlier the initiator retires a channel than
+	// the responder drops it: the replay guard's default freshness window,
+	// since clocks further apart already fail the time check.
+	channelSkew = 2 * time.Minute
+	// offerLifetime is how long an unanswered offer is repeated before a
+	// new one replaces it: an ephemeral private key is not kept longer.
+	offerLifetime = time.Minute
+	// seqWindow is the reordering a channel tolerates, in messages. The
+	// fabric delivers each packet on its own goroutine, so order is lost
+	// among the messages in flight; a pipe queues at most 128 of them.
+	seqWindow = 1024
+	// channelTableCap bounds each direction's table: as many peers as the
+	// client keeps advertisement verdicts for (xdsig.DefaultVerifyCacheSize).
+	channelTableCap = 1024
+	// handshakeEvery spaces what a stranger can make this peer do: accept
+	// signatures and re-sent accepts per (peer, group), refusals per channel.
+	handshakeEvery = time.Second
+	// refusalTableCap bounds the channels whose last refusal is remembered.
+	refusalTableCap = 64
+
+	channelKeyLabel = "jxta-overlay/session-channel/v1"
+)
+
+// ErrChannelPeer is returned for a frame whose header names a sender or
+// group other than the ones its channel was established for.
+var ErrChannelPeer = errors.New("core: channel frame not from the channel's peer")
+
+type channelID [channelIDSize]byte
+
+// pairKey names a channel's far end: one channel per direction, peer and
+// group.
+type pairKey struct {
+	peer  keys.PeerID
+	group string
+}
+
+// frameRef names one frame of one channel.
+type frameRef struct {
+	id  channelID
+	seq uint64
+}
+
+// unknownChannelError refuses a frame for a channel this peer does not
+// hold (it restarted, logged out, or let the channel lapse): not an
+// attack, and answered with a refusal rather than an alert.
+type unknownChannelError struct{ frame frameRef }
+
+func (e *unknownChannelError) Error() string {
+	return fmt.Sprintf("core: no channel %x for frame %d", e.frame.id[:4], e.frame.seq)
+}
+
+// channelPart is what an Opened carries for session channels.
+type channelPart struct {
+	to      []byte     // the recipient key fingerprint a signed header with a handshake names
+	hs      *handshake // the offer or accept a signed header carries
+	resends *frameRef  // the refused frame whose message a signed header says it sends again
+	via     *inChannel // ModeChannel: the channel whose key opened the frame
+	refusal frameRef   // ModeRefusal: the frame refused
+}
+
+// noChannelPart is the part of every wire that has nothing to do with
+// channels. It is only ever read.
+var noChannelPart channelPart
+
+// handshake is what a signed header carries to agree on a channel: an
+// offer, or (answers set) the accept of one.
+type handshake struct {
+	id      channelID
+	share   []byte // the signer's ephemeral X25519 share
+	answers []byte // accept: SHA-256 of the share it answers
+}
+
+func (h *handshake) accept() bool { return h.answers != nil }
+
+// write adds the handshake's children to a header about to be signed.
+func (h *handshake) write(header *xmldoc.Element) {
+	header.AddText("Channel", base64.StdEncoding.EncodeToString(h.id[:]))
+	header.AddText("Share", base64.StdEncoding.EncodeToString(h.share))
+	if h.answers != nil {
+		header.AddText("Offer", base64.StdEncoding.EncodeToString(h.answers))
+	}
+}
+
+// writeResends marks a header about to be signed as sending again the
+// message of a refused frame.
+func writeResends(header *xmldoc.Element, frame frameRef) {
+	header.AddText("Refused", base64.StdEncoding.EncodeToString(appendFrameRef(nil, ModeRefusal, frame)[1:]))
+}
+
+// parseChannelFields reads what write and writeResends put in a header;
+// nil where it has none. A header with a Channel and no well-formed Share
+// is malformed.
+func parseChannelFields(header *xmldoc.Element) (hs *handshake, resends *frameRef, err error) {
+	if header.ChildText("Refused") != "" {
+		ref, err := headerBytes(header, "Refused")
+		if err != nil || len(ref) != framePrefix-1 {
+			return nil, nil, ErrEnvelope
+		}
+		resends = &frameRef{channelID(ref[:channelIDSize]), binary.BigEndian.Uint64(ref[channelIDSize:])}
+	}
+	if header.ChildText("Channel") == "" {
+		return nil, resends, nil
+	}
+	id, err := headerBytes(header, "Channel")
+	if err != nil || len(id) != channelIDSize {
+		return nil, nil, ErrEnvelope
+	}
+	hs = &handshake{id: channelID(id)}
+	if hs.share, err = headerBytes(header, "Share"); err != nil || len(hs.share) != keys.ShareSize {
+		return nil, nil, ErrEnvelope
+	}
+	if header.ChildText("Offer") != "" {
+		if hs.answers, err = headerBytes(header, "Offer"); err != nil || len(hs.answers) != 32 {
+			return nil, nil, ErrEnvelope
+		}
+	}
+	return hs, resends, nil
+}
+
+// channelEnds is what the two signed headers of a handshake bound: both
+// peers, both certified keys, the group, both ephemeral shares.
+type channelEnds struct {
+	initiator, responder           keys.PeerID
+	initiatorFP, responderFP       [32]byte
+	group                          string
+	initiatorShare, responderShare []byte
+}
+
+// channelKey derives a channel's AEAD from the X25519 secret: HKDF with
+// the channel ID as salt and the ends as info, so two peers that disagree
+// on any of it derive different keys. secret is zeroed.
+func channelKey(secret []byte, id channelID, e channelEnds) (cipher.AEAD, error) {
+	info := make([]byte, 0, 384)
+	info = append(info, channelKeyLabel...)
+	info = keys.AppendSection(info, []byte(e.initiator))
+	info = keys.AppendSection(info, []byte(e.responder))
+	info = append(append(info, e.initiatorFP[:]...), e.responderFP[:]...)
+	info = keys.AppendSection(info, []byte(e.group))
+	info = append(append(info, e.initiatorShare...), e.responderShare...)
+	key := keys.HKDF(secret, id[:], info, 32)
+	aead, err := keys.NewAEAD(key)
+	clear(key)
+	clear(secret)
+	return aead, err
+}
+
+// frameNonce is the AEAD nonce of frame seq: a channel's key seals each
+// sequence number once, in one direction.
+func frameNonce(seq uint64) (n [keys.AEADNonceSize]byte) {
+	binary.BigEndian.PutUint64(n[keys.AEADNonceSize-8:], seq)
+	return n
+}
+
+// sealFrame builds one frame in one buffer: prefix, length, then the
+// block of header and body, encrypted where it lies. body is only read.
+func sealFrame(aead cipher.AEAD, frame frameRef, sender keys.PeerID, group string, body []byte) []byte {
+	h := headerDoc(sender, group, keys.SHA256(body), time.Now()).Canonical()
+	n := sealedLen(h, body)
+	wire := appendFrameRef(make([]byte, 0, framePrefix+4+n), ModeChannel, frame)
+	wire = binary.BigEndian.AppendUint32(wire, uint32(n))
+	wire = packBlock(wire, h, body)
+	nonce := frameNonce(frame.seq)
+	return aead.Seal(wire[:framePrefix+4], nonce[:], wire[framePrefix+4:], wire[:framePrefix])
+}
+
+// parseFrame cuts a frame or a refusal (everything behind the mode byte)
+// into its reference and, for a frame, its ciphertext.
+func parseFrame(payload []byte, refusal bool) (frame frameRef, ct []byte, ok bool) {
+	if len(payload) < framePrefix-1 {
+		return frame, nil, false
+	}
+	frame = frameRef{channelID(payload[:channelIDSize]), binary.BigEndian.Uint64(payload[channelIDSize:])}
+	rest := payload[framePrefix-1:]
+	if refusal {
+		return frame, nil, len(rest) == 0
+	}
+	ct, rest, ok = keys.CutSection(rest)
+	return frame, ct, ok && len(rest) == 0 && len(ct) >= keys.AEADOverhead
+}
+
+// appendFrameRef writes the prefix of a frame, or a whole refusal — the
+// unsigned answer to a frame this peer cannot open.
+func appendFrameRef(dst []byte, mode Mode, frame frameRef) []byte {
+	dst = append(append(dst, byte(mode)), frame.id[:]...)
+	return binary.BigEndian.AppendUint64(dst, frame.seq)
+}
+
+// outChannel is the initiator's end: an offer waiting for its accept
+// (eph set), then the established channel (aead set).
+type outChannel struct {
+	id channelID
+	// route is secure.go's way to the peer (its verified pipe
+	// advertisement), kept here so a frame needs no lookup.
+	route any
+	// dies is the latest the channel to come may be used, fixed from both
+	// credential chains when the offer was made.
+	dies time.Time
+
+	eph   *keys.AgreementKey
+	share []byte
+
+	aead cipher.AEAD
+	seq  uint64
+	// last is the text of frame seq: a reference to the caller's string,
+	// kept so that the one message a refusal can name is sent again.
+	last string
+}
+
+// inChannel is the responder's end.
+type inChannel struct {
+	id   channelID
+	pair pairKey
+	user string // the initiator credential's subject name
+	aead cipher.AEAD
+
+	// accept is the signed accept as sent, kept to answer a repeated offer
+	// without a second signature; signed and sent space those answers.
+	accept []byte
+	signed time.Time
+	sent   time.Time
+
+	// The sliding window over sequence numbers: top is the highest
+	// admitted, seen the admitted ones among (top-seqWindow, top].
+	top  uint64
+	seen [seqWindow / 64]uint64
+
+	// opened is what every frame opened on this channel carries (via = the
+	// channel itself; set by install), so that a frame allocates none.
+	opened channelPart
+}
+
+func (c *inChannel) has(seq uint64) bool {
+	return seq <= c.top && c.top-seq < seqWindow && c.seen[seq%seqWindow/64]&(1<<(seq%64)) != 0
+}
+
+// admit records seq, once: false for a number already admitted, one that
+// has fallen out of the window, or one no sender may use.
+func (c *inChannel) admit(seq uint64) bool {
+	switch {
+	case seq == 0 || seq > channelBudget:
+		return false
+	case seq > c.top:
+		if seq-c.top >= seqWindow {
+			c.seen = [seqWindow / 64]uint64{}
+		} else {
+			for s := c.top + 1; s < seq; s++ {
+				c.seen[s%seqWindow/64] &^= 1 << (s % 64)
+			}
+		}
+		c.top = seq
+	case c.top-seq >= seqWindow || c.has(seq):
+		return false
+	}
+	c.seen[seq%seqWindow/64] |= 1 << (seq % 64)
+	return true
+}
+
+// channelTable is one client's channels, both directions. Nothing in it
+// is allocated until the client makes or receives its first offer: the
+// zero windows and the nil map answer every lookup with "none", and ready
+// comes before every insert. The counters are read by the telemetry
+// collectors.
+type channelTable struct {
+	mu    sync.Mutex
+	clock func() time.Time // nil: time.Now
+	out   lru.Window[pairKey, *outChannel]
+	in    lru.Window[pairKey, *inChannel]
+	// byID finds a frame's channel. It may briefly hold a channel the
+	// window has dropped; inbound checks, and install sweeps.
+	byID map[channelID]*inChannel
+	// refusals holds, for a second each, the channels a refusal was sent for.
+	refusals lru.Window[channelID, struct{}]
+
+	established  atomic.Uint64
+	fallbacks    atomic.Uint64
+	refusalsSent atomic.Uint64
+}
+
+func (t *channelTable) now() time.Time {
+	if t.clock != nil {
+		return t.clock()
+	}
+	return time.Now()
+}
+
+// ready allocates the tables on first use (byID set says they are).
+func (t *channelTable) ready() {
+	if t.byID != nil {
+		return
+	}
+	t.out = lru.NewWindow[pairKey, *outChannel](channelTableCap)
+	t.in = lru.NewWindow[pairKey, *inChannel](channelTableCap)
+	t.byID = make(map[channelID]*inChannel)
+	t.refusals = lru.NewWindow[channelID, struct{}](refusalTableCap)
+}
+
+// open counts the channels held in either direction, unanswered offers
+// included.
+func (t *channelTable) open() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.out.Len() + t.in.Len()
+}
+
+// reset drops every channel and offer: Logout and Close. The AEADs and
+// ephemeral keys become unreachable; Go gives no way to wipe them.
+func (t *channelTable) reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.byID = nil
+	t.out, t.in = lru.Window[pairKey, *outChannel]{}, lru.Window[pairKey, *inChannel]{}
+}
+
+// --- initiator ---
+
+// nextFrame seals text as the next frame of the established channel to
+// pair, if there is one with budget left.
+func (t *channelTable) nextFrame(pair pairKey, sender keys.PeerID, text string) (wire []byte, route any, ok bool) {
+	frame, aead, route, ok := t.claimFrame(pair, text)
+	if !ok {
+		return nil, nil, false
+	}
+	return sealFrame(aead, frame, sender, pair.group, readOnlyBytes(text)), route, true
+}
+
+// claimFrame takes the next sequence number of the channel to pair.
+func (t *channelTable) claimFrame(pair pairKey, text string) (frame frameRef, aead cipher.AEAD, route any, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ok := t.out.Get(pair, t.now())
+	if !ok || c.aead == nil {
+		return frame, nil, nil, false
+	}
+	if c.seq >= channelBudget {
+		t.out.Delete(pair)
+		return frame, nil, nil, false
+	}
+	c.seq++
+	c.last = text
+	return frameRef{c.id, c.seq}, c.aead, c.route, true
+}
+
+// offer returns the offer to put on an envelope to pair: the pending one,
+// or a new one when there is none. notAfter is the earliest expiry of the
+// two credential chains. It returns nil once the channel is established
+// (an envelope racing the accept needs no offer), and when the
+// credentials have too little time left for a channel to be of any use.
+func (t *channelTable) offer(pair pairKey, route any, notAfter time.Time) (*handshake, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ready()
+	now := t.now()
+	c, ok := t.out.Get(pair, now)
+	if ok && c.aead != nil && c.seq < channelBudget || !notAfter.Add(-channelSkew).After(now) {
+		return nil, nil
+	}
+	if !ok || c.aead != nil {
+		id, err := keys.RandomBytes(channelIDSize)
+		if err != nil {
+			return nil, err
+		}
+		eph, err := keys.NewAgreementKey()
+		if err != nil {
+			return nil, err
+		}
+		c = &outChannel{id: channelID(id), route: route, dies: notAfter.Add(-channelSkew), eph: eph, share: eph.Share()}
+		t.out.Put(pair, c, now.Add(offerLifetime), now)
+	}
+	return &handshake{id: c.id, share: c.share}, nil
+}
+
+// Outcomes of an accept, as the initiator sees it.
+const (
+	acceptEstablished = iota
+	acceptIgnored     // it answers a channel already up (a re-sent accept) or no offer pending
+	acceptInvalid     // it names a pending offer and does not match it
+)
+
+// accepted completes the pending offer to pair with the responder's
+// verified accept, signed at signedAt. derive is handed the offer's
+// ephemeral key and share, and returns the channel key.
+func (t *channelTable) accepted(pair pairKey, h *handshake, signedAt time.Time, derive func(eph *keys.AgreementKey, share []byte) (cipher.AEAD, error)) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := t.now()
+	c, ok := t.out.Get(pair, now)
+	if !ok || c.id != h.id || c.aead != nil {
+		return acceptIgnored
+	}
+	if !keys.ConstantTimeEqual(h.answers, keys.SHA256(c.share)) {
+		return acceptInvalid
+	}
+	dies := signedAt.Add(channelLifetime - channelSkew)
+	if c.dies.Before(dies) {
+		dies = c.dies
+	}
+	if !dies.After(now) {
+		return acceptIgnored // too late to be of use: the next envelope makes a new offer
+	}
+	aead, err := derive(c.eph, c.share)
+	if err != nil {
+		return acceptInvalid
+	}
+	c.aead, c.eph = aead, nil
+	t.out.Put(pair, c, dies, now)
+	t.established.Add(1)
+	return acceptEstablished
+}
+
+// refused handles a refusal claiming to come from pair. The channel it
+// names, if it is this peer's channel to pair, is dropped; and if the
+// frame it names is the last one sent, resend is that frame's text.
+func (t *channelTable) refused(pair pairKey, frame frameRef) (text string, resend, dropped bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ok := t.out.Get(pair, t.now())
+	if !ok || c.id != frame.id || c.aead == nil {
+		return "", false, false
+	}
+	t.out.Delete(pair)
+	return c.last, c.seq > 0 && c.seq == frame.seq, true
+}
+
+// holdsOffer reports whether id is this peer's offer or channel to pair.
+func (t *channelTable) holdsOffer(pair pairKey, id channelID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ok := t.out.Get(pair, t.now())
+	return ok && c.id == id
+}
+
+// --- responder ---
+
+// inbound finds the live channel a frame names.
+func (t *channelTable) inbound(id channelID) *inChannel {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.liveInbound(id)
+}
+
+// liveInbound is inbound under the lock: byID's channel, if the window
+// still holds it.
+func (t *channelTable) liveInbound(id channelID) *inChannel {
+	c := t.byID[id]
+	if c == nil {
+		return nil
+	}
+	if cur, ok := t.in.Get(c.pair, t.now()); !ok || cur != c {
+		delete(t.byID, id)
+		return nil
+	}
+	return c
+}
+
+func (t *channelTable) admit(c *inChannel, seq uint64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return c.admit(seq)
+}
+
+// alreadyOpened is asked about an envelope that re-sends the message of a
+// refused frame: true when this peer holds that channel from pair and
+// has opened the frame — the refusal was not this peer's, and the message
+// must not be delivered twice. Otherwise the frame is marked as opened,
+// so that it is refused should it still arrive.
+func (t *channelTable) alreadyOpened(pair pairKey, frame frameRef) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.liveInbound(frame.id)
+	return c != nil && c.pair == pair && !c.admit(frame.seq)
+}
+
+// offered decides what an authenticated offer from pair calls for: the
+// cached accept to send again (a repeated offer, and the last answer is
+// old enough), a new accept, or nothing. notAfter is the earliest expiry
+// of the two credential chains: no channel is agreed past it.
+func (t *channelTable) offered(pair pairKey, id channelID, notAfter time.Time) (resend []byte, accept bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ready()
+	now := t.now()
+	c, ok := t.in.Get(pair, now)
+	switch {
+	case !ok:
+		return nil, notAfter.After(now)
+	case c.id == id:
+		if now.Sub(c.sent) < handshakeEvery {
+			return nil, false
+		}
+		c.sent = now
+		return c.accept, false
+	default:
+		return nil, notAfter.After(now) && now.Sub(c.signed) >= handshakeEvery
+	}
+}
+
+// install stores an accepted channel in place of whatever its pair held
+// before, until its lifetime is over or, sooner, notAfter: the earliest
+// expiry of the two credential chains.
+func (t *channelTable) install(c *inChannel, notAfter time.Time) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ready()
+	now := t.now()
+	c.signed, c.sent = now, now
+	c.opened.via = c
+	dies := now.Add(channelLifetime)
+	if notAfter.Before(dies) {
+		dies = notAfter
+	}
+	if old, ok := t.in.Get(c.pair, now); ok {
+		delete(t.byID, old.id)
+	}
+	t.in.Put(c.pair, c, dies, now)
+	t.byID[c.id] = c
+	if len(t.byID) > t.in.Len() {
+		// The window expired or evicted channels on its own: forget them.
+		for id, c := range t.byID {
+			if cur, ok := t.in.Get(c.pair, now); !ok || cur != c {
+				delete(t.byID, id)
+			}
+		}
+	}
+	t.established.Add(1)
+}
+
+// mayRefuse reports whether a refusal for id is due: none was sent in the
+// last second.
+func (t *channelTable) mayRefuse(id channelID) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ready()
+	now := t.now()
+	if _, recent := t.refusals.Get(id, now); recent {
+		return false
+	}
+	t.refusals.Put(id, struct{}{}, now.Add(handshakeEvery), now)
+	t.refusalsSent.Add(1)
+	return true
+}

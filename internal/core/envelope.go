@@ -38,7 +38,25 @@ const (
 	// relay produces slices from an uploaded round without holding keys
 	// or plaintext. See SliceRound/OpenSlice in slice.go.
 	ModeSlice Mode = 'L'
+	// ModeChannel is one message on an established session channel: a
+	// single AEAD frame under the key the two peers agreed on, no
+	// signature and no key wrap. As a sending mode (the default) it is
+	// ModeFull with the agreement riding the first envelope to a peer and
+	// frames afterwards; everything that is not a unicast message treats it
+	// as ModeFull. See channel.go.
+	ModeChannel Mode = 'C'
+	// ModeRefusal is the unsigned answer to a channel frame whose channel
+	// the recipient does not hold; it carries no message.
+	ModeRefusal Mode = 'R'
 )
+
+// envelope is the mode Seal is called with under sending mode m.
+func (m Mode) envelope() Mode {
+	if m == ModeChannel {
+		return ModeFull
+	}
+	return m
+}
 
 func (m Mode) String() string {
 	switch m {
@@ -52,6 +70,10 @@ func (m Mode) String() string {
 		return "group-round"
 	case ModeSlice:
 		return "round-slice"
+	case ModeChannel:
+		return "channel"
+	case ModeRefusal:
+		return "channel-refusal"
 	default:
 		return fmt.Sprintf("mode(%c)", byte(m))
 	}
@@ -76,9 +98,11 @@ var (
 //	u32 header length | header (canonical <SecureMessage> XML) | raw body
 //
 // The header carries the sender, group, timestamp and the body's SHA-256
-// digest; in signed modes it also carries the sender's signature over
-// the header (digest included), which transitively authenticates the
-// body. Keeping the body out of the XML avoids Base64 inflation, so the
+// digest; a ModeFull header also names its recipient (To, the fingerprint
+// of the key it is sealed to), so that the signed block means nothing
+// re-encrypted to anyone else; in signed modes it also carries the
+// sender's signature over the header (digest included), which
+// transitively authenticates the body. Keeping the body out of the XML avoids Base64 inflation, so the
 // secure message adds only a small constant to the wire size — the
 // property behind Figure 2's falling overhead curve.
 type Sealed struct {
@@ -134,7 +158,23 @@ func sealedLen(header, body []byte) int {
 // ModeSign. signer may be nil only for ModeEncrypt. body is only read,
 // and read into the wire exactly once.
 func Seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipient *keys.PublicKey, mode Mode) (*Sealed, error) {
+	return seal(signer, sender, group, body, recipient, mode, nil)
+}
+
+// seal is Seal with room for what a session-channel handshake adds to the
+// header: extra, when set, adds its children before the header is signed.
+func seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipient *keys.PublicKey, mode Mode, extra func(header *xmldoc.Element)) (*Sealed, error) {
 	header := headerDoc(sender, group, keys.SHA256(body), time.Now())
+	if mode == ModeFull && recipient != nil {
+		fp, err := recipient.Fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		header.AddText("To", base64.StdEncoding.EncodeToString(fp[:]))
+	}
+	if extra != nil {
+		extra(header)
+	}
 	if mode == ModeFull || mode == ModeSign {
 		if signer == nil {
 			return nil, errors.New("core: mode requires a signing key")
@@ -195,6 +235,11 @@ type Opened struct {
 	sigDoc   []byte          // canonical signed header bytes
 	sig      []byte          // detached signature, nil for ModeEncrypt
 	headerEl *xmldoc.Element // parsed header incl. signature (rounds)
+
+	// What session channels add (channel.go), behind one pointer so that
+	// an Opened — one is allocated per open, of a slice as of a frame — is
+	// no larger for it. Never nil on an Opened that openWire made.
+	*channelPart
 }
 
 // HeaderXML returns the full canonical header bytes, signature included

@@ -1,10 +1,99 @@
 package core
 
-import "jxtaoverlay/internal/keys"
+import (
+	"bytes"
+	"crypto/cipher"
+	"encoding/base64"
+	"time"
+
+	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/xmldoc"
+)
+
+// The session channel this package's open-path tests and the external
+// package's fuzz target send frames on: established, as far as the open
+// path can tell, by "urn:jxta:sender" for group "g".
+var (
+	tableChannelID  = channelID{0xc4, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	tableChannelKey = bytes.Repeat([]byte{0x5c}, 32)
+)
+
+func tableAEAD() cipher.AEAD {
+	aead, err := keys.NewAEAD(tableChannelKey)
+	if err != nil {
+		panic(err)
+	}
+	return aead
+}
+
+// holdTableChannel installs that channel, inbound, in t.
+func holdTableChannel(t *channelTable) {
+	t.install(&inChannel{id: tableChannelID, pair: pairKey{"urn:jxta:sender", "g"}, user: "sender", aead: tableAEAD()}, time.Now().Add(time.Hour))
+}
+
+// tableChannels is a fresh table holding that channel and nothing else:
+// every open gets its own, so that a frame opens again.
+func tableChannels() *channelTable {
+	t := &channelTable{}
+	holdTableChannel(t)
+	return t
+}
 
 // OpenAnyForm runs the open pipeline accepting every wire form — what
 // the messenger push handler hands it, minus the group label and the
-// guard — for the external test package's fuzz target.
+// guard, with the table channel as the one channel held — for the
+// external test package's fuzz target.
 func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {
-	return openCopy(own, wire, formEnvelope|formGroup|formSlice, nil)
+	o, err := openWire(own, bytes.Clone(wire), formEnvelope|formGroup|formSlice|formChannel, nil, nil, tableChannels())
+	if err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// TableChannelWires returns one valid wire of each form a session channel
+// adds: a frame of the table channel carrying body, an accept signed by
+// signer, and a refusal.
+func TableChannelWires(signer *keys.KeyPair, body []byte) (frame, accept, refusal []byte, err error) {
+	frame = sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, "urn:jxta:sender", "g", body)
+	sealed, err := seal(signer, "urn:jxta:sender", "g", nil, nil, ModeSign, func(h *xmldoc.Element) {
+		h.AddText("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("initiator key"))))
+		(&handshake{id: tableChannelID, share: make([]byte, keys.ShareSize), answers: keys.SHA256([]byte("share"))}).write(h)
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return frame, sealed.Bytes(), appendFrameRef(nil, ModeRefusal, frameRef{tableChannelID, 7}), nil
+}
+
+// ChannelTo reports whether s holds an established channel to peer for
+// group.
+func ChannelTo(s *SecureClient, peer keys.PeerID, group string) bool {
+	s.chans.mu.Lock()
+	defer s.chans.mu.Unlock()
+	c, ok := s.chans.out.Get(pairKey{peer, group}, s.chans.now())
+	return ok && c.aead != nil
+}
+
+// OpenOnDerivedChannel derives a channel key the way a handshake's two
+// ends do and opens wire on the inbound channel that results, for the
+// external package's check that the attack suite's hand-written mirror of
+// the frame layout and key schedule (attack.ForgeFrame, attack.ChannelKey)
+// is a faithful one.
+func OpenOnDerivedChannel(secret []byte, id [16]byte, initiator, responder keys.PeerID, initiatorKey, responderKey *keys.PublicKey, group string, initiatorShare, responderShare, wire []byte) (*Opened, error) {
+	e := channelEnds{initiator: initiator, responder: responder, group: group, initiatorShare: initiatorShare, responderShare: responderShare}
+	var err error
+	if e.initiatorFP, err = initiatorKey.Fingerprint(); err != nil {
+		return nil, err
+	}
+	if e.responderFP, err = responderKey.Fingerprint(); err != nil {
+		return nil, err
+	}
+	aead, err := channelKey(secret, id, e)
+	if err != nil {
+		return nil, err
+	}
+	t := &channelTable{}
+	t.install(&inChannel{id: id, pair: pairKey{initiator, group}, aead: aead}, time.Now().Add(time.Hour))
+	return openWire(nil, bytes.Clone(wire), formChannel, nil, nil, t)
 }

@@ -8,9 +8,11 @@ import (
 
 	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/cred"
+	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/parallel"
 	"jxtaoverlay/internal/perfgate"
+	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/xdsig"
 	"jxtaoverlay/internal/xmldoc"
 )
@@ -162,3 +164,45 @@ func BenchmarkReplayAdmitFull(b *testing.B) {
 }
 
 func TestGateReplayAdmitFull(t *testing.T) { perfgate.Run(t, BenchmarkReplayAdmitFull, 0, 5000) }
+
+// BenchmarkChannelMessage is one 64 B message on an established session
+// channel, end to end without the fabric: seal the frame, put it in an
+// endpoint message and marshal that, parse the message as its recipient
+// does, and open the frame where it lies, replay guard and sequence
+// window included. No RSA operation at either end, which the gate
+// asserts by count.
+func BenchmarkChannelMessage(b *testing.B) {
+	pair := pairKey{"urn:jxta:cbid-recipient", "bench"}
+	var out, in channelTable
+	out.ready()
+	now := time.Now()
+	out.out.Put(pair, &outChannel{id: tableChannelID, aead: tableAEAD()}, now.Add(time.Hour), now)
+	in.install(&inChannel{id: tableChannelID, pair: pairKey{"urn:jxta:cbid-sender", "bench"}, aead: tableAEAD()}, now.Add(time.Hour))
+	guard := NewReplayGuard(0, 0)
+	text := string(make([]byte, 64))
+	signed, unwrapped := senderKP.SignCalls()+recvKP.SignCalls(), senderKP.UnwrapCalls()+recvKP.UnwrapCalls()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wire, _, ok := out.nextFrame(pair, "urn:jxta:cbid-sender", text)
+		if !ok {
+			b.Fatal("no channel")
+		}
+		frame := endpoint.NewMessage().Add(proto.ElemEnvelope, wire).AddString(proto.ElemGroup, "bench").Marshal()
+		msg, err := endpoint.ParseMessage(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env, _ := msg.Get(proto.ElemEnvelope)
+		o, err := openWire(recvKP, env, formEnvelope|formGroup|formSlice|formChannel, nil, guard, &in)
+		if err != nil || len(o.Body) != len(text) || o.via == nil {
+			b.Fatalf("open: (%+v, %v)", o, err)
+		}
+	}
+	b.StopTimer()
+	if s, u := senderKP.SignCalls()+recvKP.SignCalls()-signed, senderKP.UnwrapCalls()+recvKP.UnwrapCalls()-unwrapped; s != 0 || u != 0 {
+		b.Fatalf("%d signatures and %d unwraps on an established channel, want none", s, u)
+	}
+}
+
+func TestGateChannelMessage(t *testing.T) { perfgate.Run(t, BenchmarkChannelMessage, 31, 150000) }

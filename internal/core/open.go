@@ -13,27 +13,33 @@ import (
 )
 
 // The open path. Every secure wire a stranger can hand this peer — a
-// unicast envelope, a full group round, a relay-cut slice — is accepted
-// or refused by openWire, and nowhere else: Open, OpenGroup, OpenSlice,
-// the messenger push handler and the secure task service all call it,
-// differing only in which wire forms they accept. The steps and their
-// order are the security argument (SECURITY.md, "Round header
-// semantics"):
+// unicast envelope, a full group round, a relay-cut slice, a session
+// channel's frame or refusal — is accepted or refused by openWire, and
+// nowhere else: Open, OpenGroup, OpenSlice, the messenger push handler
+// and the secure task service all call it, differing only in which wire
+// forms they accept. The steps and their order are the security argument
+// (SECURITY.md, "Round header semantics"):
 //
 //	split wire            the one per-format step: pick out this peer's
-//	                      own key wrap and the AEAD inputs
-//	UnwrapKey, AEAD open  nothing below runs on bytes this peer's private
-//	                      key did not release
+//	                      own key wrap — or, for a frame, the channel it
+//	                      names — and the AEAD inputs
+//	content key, AEAD open  UnwrapKey, or the channel's key from the
+//	                      table: nothing below runs on bytes that neither
+//	                      this peer's private key nor a key agreed under
+//	                      it released
 //	unpackBlock           canonical header of the form's root name + body
 //	body digest           the header's BodyDigest covers the body
-//	recipient binding     none (envelope) / flat Recipients digest (round)
-//	                      / Merkle SliceRoot (slice) — BEFORE any signed
-//	                      field is read, so a validly signed header spliced
-//	                      onto other wraps vouches for nothing
-//	time, nonce, signature fields
+//	recipient binding     To = own key (signed envelope) / flat Recipients
+//	                      digest (round) / Merkle SliceRoot (slice) —
+//	                      BEFORE any signed field is read, so a validly
+//	                      signed header spliced onto other wraps, or
+//	                      re-encrypted to another peer, vouches for nothing
+//	time, nonce, signature, handshake fields; a frame's Sender and Group
+//	                      are its channel's
 //	claimed group         rounds only, and BEFORE the guard: a mislabelled
 //	                      delivery must not burn the single-use nonce
-//	replay                Check(wire), then for rounds CheckRound(nonce)
+//	replay                a frame's sequence number, once per channel; then
+//	                      Check(wire), then for rounds CheckRound(nonce)
 //
 // The sender signature itself is checked by Opened.VerifySignature,
 // which needs the sender's certified key and therefore a lookup; both
@@ -59,6 +65,7 @@ const (
 	formEnvelope wireForms = 1 << iota // ModeFull, ModeSign, ModeEncrypt
 	formGroup                          // ModeGroup
 	formSlice                          // ModeSlice
+	formChannel                        // ModeChannel, ModeRefusal
 )
 
 // splitWire is a wire cut into the pipeline's inputs.
@@ -69,13 +76,16 @@ type splitWire struct {
 	ct       []byte       // AEAD ciphertext of the block; for ModeSign the block itself
 	fps      [][32]byte   // ModeGroup: every recipient, for the flat Recipients digest
 	slice    *parsedSlice // ModeSlice: the leaf and its sibling path, for the SliceRoot
+	via      *inChannel   // ModeChannel: the channel the frame names, holder of its key
+	frame    frameRef     // ModeChannel, ModeRefusal
 }
 
-// split parses wire according to its mode byte and selects own's wrap.
+// split parses wire according to its mode byte and selects own's wrap,
+// or the channel in chans a frame names.
 // Round forms are refused on surfaces that did not ask for them: they
 // carry a single-use nonce and a recipient-set binding that only mean
 // something where round replays are tracked.
-func split(own *keys.KeyPair, wire []byte, accept wireForms) (sw splitWire, err error) {
+func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable) (sw splitWire, err error) {
 	if len(wire) < 2 {
 		return sw, ErrEnvelope
 	}
@@ -88,11 +98,25 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms) (sw splitWire, err 
 		form = formGroup
 	case ModeSlice:
 		form = formSlice
+	case ModeChannel, ModeRefusal:
+		form = formChannel
 	default:
 		return sw, fmt.Errorf("%w: mode %q", ErrEnvelope, byte(sw.mode))
 	}
-	if accept&form == 0 {
+	if accept&form == 0 || (form == formChannel && chans == nil) {
 		return sw, fmt.Errorf("%w: %s not accepted here", ErrEnvelope, sw.mode)
+	}
+	if form == formChannel {
+		var ok bool
+		if sw.frame, sw.ct, ok = parseFrame(payload, sw.mode == ModeRefusal); !ok {
+			return sw, ErrEnvelope
+		}
+		if sw.mode == ModeChannel {
+			if sw.via = chans.inbound(sw.frame.id); sw.via == nil {
+				return sw, &unknownChannelError{sw.frame}
+			}
+		}
+		return sw, nil
 	}
 	if sw.mode == ModeSign {
 		sw.ct = payload
@@ -144,10 +168,15 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms) (sw splitWire, err 
 // A refusal by either of those two steps comes after the header parsed,
 // so it returns the Opened beside the error: callers attribute it to
 // the signed sender rather than to whoever delivered the bytes.
-func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string, guard *ReplayGuard) (*Opened, error) {
-	sw, err := split(own, wire, accept)
+func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string, guard *ReplayGuard, chans *channelTable) (*Opened, error) {
+	sw, err := split(own, wire, accept, chans)
 	if err != nil {
 		return nil, err
+	}
+	if sw.mode == ModeRefusal {
+		// Nothing to open: an unsigned claim, which the initiator acts on
+		// only as far as a stranger may make it act (handleRefusal).
+		return &Opened{Mode: ModeRefusal, channelPart: &channelPart{refusal: sw.frame}}, nil
 	}
 	round := sw.mode == ModeGroup || sw.mode == ModeSlice
 	block, rootName := sw.ct, "SecureMessage"
@@ -158,7 +187,15 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if guard != nil {
 		received = replayKey{replayWire, sha256.Sum256(wire)}
 	}
-	if sw.mode != ModeSign {
+	switch {
+	case sw.mode == ModeSign:
+	case sw.via != nil:
+		// The fourth source of the content key: the table lookup split made.
+		nonce := frameNonce(sw.frame.seq)
+		if block, err = sw.via.aead.Open(sw.ct[:0], nonce[:], sw.ct, wire[:framePrefix]); err != nil {
+			return nil, ErrEnvelope
+		}
+	default:
 		cek, err := own.UnwrapKey(sw.wrap)
 		if err != nil {
 			return nil, ErrNotRecipient
@@ -184,7 +221,26 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if !keys.ConstantTimeEqual(keys.SHA256(body), wantDigest) {
 		return nil, ErrBodyDigest
 	}
+	var to []byte
 	switch sw.mode {
+	case ModeFull, ModeSign:
+		if to, err = headerBytes(header, "To"); err != nil {
+			return nil, ErrEnvelope
+		}
+		if sw.mode == ModeSign {
+			// Anyone can read a sign-only envelope; one that names a
+			// recipient (an accept does) is checked by its consumer.
+			break
+		}
+		// The signed To must name this peer's key: a block signed for
+		// another recipient and re-encrypted to this one is refused.
+		ownFP, err := own.Public().Fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		if !keys.ConstantTimeEqual(to, ownFP[:]) {
+			return nil, ErrNotRecipient
+		}
 	case ModeGroup:
 		// The signed Recipients digest must cover exactly the wraps this
 		// wire carries.
@@ -218,6 +274,8 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		Group:  header.ChildText("Group"),
 		Body:   body,
 		SentAt: sentAt,
+
+		channelPart: &noChannelPart,
 	}
 	if round {
 		if o.Nonce, err = headerBytes(header, "Nonce"); err != nil || len(o.Nonce) != roundNonceSize {
@@ -226,7 +284,9 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		o.headerEl = header
 	}
 	if header.ChildText("Signature") != "" {
-		if o.sig, err = headerBytes(header, "Signature"); err != nil {
+		if o.sig, err = headerBytes(header, "Signature"); err != nil || sw.via != nil {
+			// A frame is authenticated by its channel's key and carries no
+			// signature; one that does is malformed.
 			return nil, ErrEnvelope
 		}
 		// Signed bytes are the header minus its Signature child —
@@ -237,12 +297,33 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		// malformed, not a degraded mode.
 		return nil, ErrNoSignature
 	}
+	switch {
+	case sw.via != nil:
+		// The channel's key says who sealed the frame; a header naming
+		// anyone else, or another group, is that peer's misdeed.
+		o.channelPart = &sw.via.opened
+		if o.Sender != sw.via.pair.peer || o.Group != sw.via.pair.group {
+			return o, ErrChannelPeer
+		}
+	case !round:
+		hs, resends, err := parseChannelFields(header)
+		if err != nil {
+			return nil, err
+		}
+		if hs != nil || resends != nil {
+			o.channelPart = &channelPart{to: to, hs: hs, resends: resends}
+		}
+	}
 	if round && claimed != nil && o.Group != *claimed {
 		// A round's group label is a remote claim (the relay push or the
 		// propagate fan-out carries it), not the receiver's own pipe
 		// registration: a two-group insider must not get a round sealed
 		// for group Y surfaced to the application as group X traffic.
 		return o, fmt.Errorf("%w: signed %s, claimed %s", ErrRoundGroup, o.Group, *claimed)
+	}
+	if sw.via != nil && !chans.admit(sw.via, sw.frame.seq) {
+		replayRejectedTotal.Add(1)
+		return o, ErrMessageReplayed
 	}
 	if guard != nil {
 		err := guard.admit(received, o.SentAt) // = guard.Check(wire as received)
@@ -268,7 +349,7 @@ func headerBytes(header *xmldoc.Element, name string) ([]byte, error) {
 // openCopy adapts openWire to the exported entry points' contract: the
 // caller's wire is left as it was, and no Opened comes beside an error.
 func openCopy(own *keys.KeyPair, wire []byte, accept wireForms, guard *ReplayGuard) (*Opened, error) {
-	o, err := openWire(own, bytes.Clone(wire), accept, nil, guard)
+	o, err := openWire(own, bytes.Clone(wire), accept, nil, guard, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -29,8 +29,9 @@ func fuzzOpenKey(tb testing.TB) *keys.KeyPair {
 
 // FuzzOpen feeds arbitrary bytes to the one open pipeline, accepting
 // every wire form (core.OpenAnyForm), under a fixed recipient key. The
-// seeds are one valid wire per mode plus the forged wires a malicious
-// round member or relay can build around a validly signed header.
+// seeds are one valid wire per mode — a session channel's frame, accept
+// and refusal among them — plus the forged wires a malicious round member
+// or relay can build around a validly signed header.
 // Properties: it never panics; it returns exactly one of an Opened and an
 // error; what it allocates is bounded by the input's size, so no count or
 // length prefix a stranger writes can drive a make; and a wire that opens
@@ -76,6 +77,15 @@ func FuzzOpen(f *testing.F) {
 		}
 		f.Add(wire)
 	}
+	// The wires of a session channel: a frame (of the one channel
+	// core.OpenAnyForm holds), an accept, a refusal.
+	frame, accept, refusal, err := core.TableChannelWires(sender, body)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame)
+	f.Add(accept)
+	f.Add(refusal)
 	// A count prefix claiming the maximum round with nothing behind it.
 	f.Add([]byte{byte(core.ModeGroup), 0, 0, 0x10, 0})
 	f.Add([]byte{byte(core.ModeSlice), 0, 0, 0x10, 0, 0, 0, 0, 0})

@@ -19,26 +19,36 @@ import (
 	"jxtaoverlay/internal/xmldoc"
 )
 
-// The five wire forms, in the column order of the pipeline table.
-var pipelineForms = [5]Mode{ModeFull, ModeSign, ModeEncrypt, ModeGroup, ModeSlice}
+// The six wire forms that carry a message, in the column order of the
+// pipeline table.
+var pipelineForms = [6]Mode{ModeFull, ModeSign, ModeEncrypt, ModeGroup, ModeSlice, ModeChannel}
 
-func isRound(m Mode) bool { return m == ModeGroup || m == ModeSlice }
+func isRound(m Mode) bool    { return m == ModeGroup || m == ModeSlice }
+func isEnvelope(m Mode) bool { return m == ModeFull || m == ModeSign || m == ModeEncrypt }
 
-// openAs is the exported entry point that accepts m.
+// openAs is the exported entry point that accepts m — for a frame, which
+// has none, openWire under the exported entry points' contract.
 func openAs(m Mode, own *keys.KeyPair, wire []byte) (*Opened, error) {
 	switch m {
 	case ModeGroup:
 		return OpenGroup(own, wire, nil)
 	case ModeSlice:
 		return OpenSlice(own, wire, nil)
+	case ModeChannel:
+		o, err := openWire(own, bytes.Clone(wire), formChannel, nil, nil, tableChannels())
+		if err != nil {
+			return nil, err
+		}
+		return o, nil
 	default:
 		return Open(own, wire)
 	}
 }
 
 // forgeWire seals body to recvKP (and, for rounds, evilKP beside it so a
-// slice carries a non-empty proof) in form m, the way Seal and
-// SealGroupDetached do, except that the finished header passes through
+// slice carries a non-empty proof; for a frame, under the table channel's
+// key as its frame 1) in form m, the way Seal, SealGroupDetached and
+// sealFrame do, except that the finished header passes through
 // edit (nil = unchanged) before it is packed — so a test can hand the
 // pipeline a header no honest sender would produce behind a wire that
 // is otherwise sound: right wraps, right bindings, authentic ciphertext.
@@ -61,11 +71,26 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) [
 	}
 	if !isRound(m) {
 		h := headerDoc("urn:jxta:sender", "g", keys.SHA256(body), time.Now())
-		if m != ModeEncrypt {
+		if m == ModeFull {
+			fp, err := recvKP.Public().Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.AddText("To", base64.StdEncoding.EncodeToString(fp[:]))
+		}
+		if m == ModeFull || m == ModeSign {
 			sign(h)
 		}
 		if m == ModeSign {
 			return append([]byte{byte(m)}, pack(h)...)
+		}
+		if m == ModeChannel {
+			aead := tableAEAD()
+			block := pack(h)
+			wire := appendFrameRef(nil, ModeChannel, frameRef{tableChannelID, 1})
+			wire = binary.BigEndian.AppendUint32(wire, uint32(len(block)+keys.AEADOverhead))
+			nonce := frameNonce(1)
+			return aead.Seal(wire, nonce[:], block, wire[:framePrefix])
 		}
 		env, err := recvKP.Public().Encrypt(pack(h))
 		if err != nil {
@@ -130,6 +155,13 @@ func prefixBoundaries(wire []byte) []int {
 			skip(u32()) // wrap
 		}
 		skip(u32()) // GCM nonce; the ciphertext runs to the end
+	case ModeChannel:
+		skip(channelIDSize)
+		skip(8)     // sequence number
+		skip(u32()) // ciphertext
+	case ModeRefusal:
+		skip(channelIDSize)
+		skip(8) // sequence number
 	case ModeSlice:
 		u32()       // recipient count
 		skip(4)     // leaf index
@@ -176,13 +208,13 @@ func TestOpenPipelineTable(t *testing.T) {
 		name string
 		wire func(t *testing.T, m Mode) []byte
 		key  *keys.KeyPair // recvKP unless set
-		want [5]error      // Full, Sign, Encrypt, Group, Slice
+		want [6]error      // Full, Sign, Encrypt, Group, Slice, Channel
 	}{
 		{name: "valid", wire: valid},
 		{
 			name: "flipped ciphertext byte", // for ModeSign the last byte is body
 			wire: flip(func(w []byte) int { return len(w) - 1 }),
-			want: [5]error{ErrNotRecipient, ErrBodyDigest, ErrNotRecipient, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrNotRecipient, ErrBodyDigest, ErrNotRecipient, ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			name: "flipped wrap byte",
@@ -196,24 +228,24 @@ func TestOpenPipelineTable(t *testing.T) {
 					return 1 + 4 + 9
 				}
 			}),
-			want: [5]error{ErrNotRecipient, na, ErrNotRecipient, ErrNotRecipient, ErrNotRecipient},
+			want: [6]error{ErrNotRecipient, na, ErrNotRecipient, ErrNotRecipient, ErrNotRecipient, na},
 		},
 		{
 			name: "body digest mismatch",
 			wire: header(with("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("other"))))),
-			want: [5]error{ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest},
+			want: [6]error{ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest},
 		},
 		{
 			name: "body digest not base64",
 			wire: header(with("BodyDigest", "!!")),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			name: "wrong header root name",
 			wire: header(func(h *xmldoc.Element) []byte {
 				return bytes.ReplaceAll(h.Canonical(), []byte(h.Name), []byte("SecureBogus"))
 			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			name: "round header in an envelope, envelope header in a round",
@@ -224,59 +256,59 @@ func TestOpenPipelineTable(t *testing.T) {
 				}
 				return bytes.ReplaceAll(h.Canonical(), []byte(h.Name), []byte(other))
 			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			name: "header not well-formed",
 			wire: header(func(h *xmldoc.Element) []byte { c := h.Canonical(); return c[:len(c)-1] }),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			name: "missing Time",
 			wire: header(without("Time")),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			name: "garbled Time",
 			wire: header(with("Time", "yesterday")),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			// An envelope without a signature is the degraded, unauthenticated
 			// delivery (Signed() false); a round is always signed.
 			name: "missing Signature",
 			wire: header(without("Signature")),
-			want: [5]error{nil, nil, nil, ErrNoSignature, ErrNoSignature},
+			want: [6]error{nil, nil, nil, ErrNoSignature, ErrNoSignature, nil},
 		},
 		{
 			name: "Signature not base64",
 			wire: header(with("Signature", "!!")),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			name: "bad nonce length", // envelopes carry no nonce and ignore one
 			wire: header(with("Nonce", base64.StdEncoding.EncodeToString([]byte("short")))),
-			want: [5]error{nil, nil, nil, ErrEnvelope, ErrEnvelope},
+			want: [6]error{nil, nil, nil, ErrEnvelope, ErrEnvelope, nil},
 		},
 		{
 			name: "missing Nonce",
 			wire: header(without("Nonce")),
-			want: [5]error{nil, nil, nil, ErrEnvelope, ErrEnvelope},
+			want: [6]error{nil, nil, nil, ErrEnvelope, ErrEnvelope, nil},
 		},
 		{
 			name: "flat Recipients digest over another set", // a slice does not read it
 			wire: header(with("Recipients", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("others"))))),
-			want: [5]error{nil, nil, nil, ErrRoundBinding, nil},
+			want: [6]error{nil, nil, nil, ErrRoundBinding, nil, nil},
 		},
 		{
 			name: "SliceRoot over another set", // a full round does not read it
 			wire: header(with(sliceRootName, base64.StdEncoding.EncodeToString(keys.SHA256([]byte("others"))))),
-			want: [5]error{nil, nil, nil, nil, ErrRoundBinding},
+			want: [6]error{nil, nil, nil, nil, ErrRoundBinding, nil},
 		},
 		{
 			name: "missing SliceRoot",
 			wire: header(without(sliceRootName)),
-			want: [5]error{nil, nil, nil, nil, ErrRoundBinding},
+			want: [6]error{nil, nil, nil, nil, ErrRoundBinding, nil},
 		},
 		{
 			// The binding is checked before any signed field is trusted: a
@@ -287,13 +319,13 @@ func TestOpenPipelineTable(t *testing.T) {
 				with(sliceRootName, "")(h)
 				return with("Time", "yesterday")(h)
 			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrRoundBinding, ErrRoundBinding},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrRoundBinding, ErrRoundBinding, ErrEnvelope},
 		},
 		{
 			name: "wrong recipient", // a sign-only envelope names none
 			wire: valid,
 			key:  senderKP,
-			want: [5]error{ErrNotRecipient, nil, ErrNotRecipient, ErrNotRecipient, ErrNotRecipient},
+			want: [6]error{ErrNotRecipient, nil, ErrNotRecipient, ErrNotRecipient, ErrNotRecipient, nil},
 		},
 		{
 			name: "slice re-addressed to another member's fingerprint",
@@ -305,7 +337,68 @@ func TestOpenPipelineTable(t *testing.T) {
 				}
 				return wire
 			},
-			want: [5]error{na, na, na, na, ErrNotRecipient},
+			want: [6]error{na, na, na, na, ErrNotRecipient, na},
+		},
+		{
+			// Only a signed-and-encrypted envelope must name its recipient;
+			// absent is refused, like any other name.
+			name: "missing To",
+			wire: header(without("To")),
+			want: [6]error{ErrNotRecipient, nil, nil, nil, nil, nil},
+		},
+		{
+			name: "To names another key", // a sign-only envelope's To is its consumer's to check
+			wire: header(with("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("another key"))))),
+			want: [6]error{ErrNotRecipient, nil, nil, nil, nil, nil},
+		},
+		{
+			name: "To not base64",
+			wire: header(with("To", "!!")),
+			want: [6]error{ErrEnvelope, ErrEnvelope, nil, nil, nil, nil},
+		},
+		{
+			// The recipient is bound before a signed field is trusted.
+			name: "To names another key and garbled Time",
+			wire: header(func(h *xmldoc.Element) []byte {
+				with("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("another key"))))(h)
+				return with("Time", "yesterday")(h)
+			}),
+			want: [6]error{ErrNotRecipient, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+		},
+		{
+			// A frame is authenticated by its channel's key and carries no
+			// signature; everywhere else the field is checked later, against
+			// the sender's certified key.
+			name: "another Signature",
+			wire: header(with("Signature", base64.StdEncoding.EncodeToString([]byte("not a signature")))),
+			want: [6]error{nil, nil, nil, nil, nil, ErrEnvelope},
+		},
+		{
+			name: "channel fields: Channel without Share", // rounds and frames carry no handshake and read none
+			wire: header(with("Channel", base64.StdEncoding.EncodeToString(tableChannelID[:]))),
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, nil},
+		},
+		{
+			name: "channel fields: short Channel",
+			wire: header(func(h *xmldoc.Element) []byte {
+				with("Share", base64.StdEncoding.EncodeToString(make([]byte, keys.ShareSize)))(h)
+				return with("Channel", base64.StdEncoding.EncodeToString([]byte("short")))(h)
+			}),
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, nil},
+		},
+		{
+			name: "channel fields: Offer not a digest",
+			wire: header(func(h *xmldoc.Element) []byte {
+				with("Share", base64.StdEncoding.EncodeToString(make([]byte, keys.ShareSize)))(h)
+				with("Offer", base64.StdEncoding.EncodeToString([]byte("short")))(h)
+				return with("Channel", base64.StdEncoding.EncodeToString(tableChannelID[:]))(h)
+			}),
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, nil},
+		},
+		{
+			name: "channel fields: Refused not a frame reference",
+			wire: header(with("Refused", base64.StdEncoding.EncodeToString([]byte("short")))),
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, nil},
 		},
 	} {
 		for i, m := range pipelineForms {
@@ -330,10 +423,32 @@ func TestOpenPipelineTable(t *testing.T) {
 		}
 	}
 
-	// No key at all: only the form that is not encrypted opens.
+	// A frame whose header names another sender, or another group, than
+	// its channel's: refused with the Opened beside the error, so that the
+	// refusal is the channel peer's (TestChannelFrameFromAnotherSenderAlerted).
+	for _, field := range []string{"Sender", "Group"} {
+		wire := forgeWire(t, ModeChannel, body, with(field, "urn:jxta:another"))
+		if o, err := openWire(nil, wire, formChannel, nil, nil, tableChannels()); !errors.Is(err, ErrChannelPeer) || o == nil || o.via == nil {
+			t.Errorf("frame with another %s: (%v, %v), want the Opened and ErrChannelPeer", field, o, err)
+		}
+	}
+	// A frame of a channel the table does not hold, and a table that is not
+	// there at all.
+	var unknown *unknownChannelError
+	wire := valid(t, ModeChannel)
+	wire[1] ^= 0x01
+	if _, err := openAs(ModeChannel, recvKP, wire); !errors.As(err, &unknown) || unknown.frame.seq != 1 {
+		t.Errorf("frame of an unknown channel: err = %v, want an unknownChannelError naming frame 1", err)
+	}
+	if _, err := openWire(recvKP, valid(t, ModeChannel), formChannel, nil, nil, nil); !errors.Is(err, ErrEnvelope) {
+		t.Errorf("frame on a surface without channels: err = %v, want ErrEnvelope", err)
+	}
+
+	// No key at all: only the forms no private key opens do — the one that
+	// is not encrypted, and the one under a channel's key.
 	for _, m := range pipelineForms {
 		want := ErrNotRecipient
-		if m == ModeSign {
+		if m == ModeSign || m == ModeChannel {
 			want = nil
 		}
 		if _, err := openAs(m, nil, valid(t, m)); !errors.Is(err, want) {
@@ -345,8 +460,8 @@ func TestOpenPipelineTable(t *testing.T) {
 	// malformed there, whatever else is right about it.
 	for _, m := range pipelineForms {
 		wire := valid(t, m)
-		for _, entry := range pipelineForms[2:] { // Open, OpenGroup, OpenSlice
-			accepts := entry == m || (!isRound(entry) && !isRound(m))
+		for _, entry := range pipelineForms[2:] { // Open, OpenGroup, OpenSlice, and a frame's
+			accepts := entry == m || (isEnvelope(entry) && isEnvelope(m))
 			_, err := openAs(entry, recvKP, wire)
 			if accepts && err != nil {
 				t.Errorf("%s at its own entry point: %v", m, err)
@@ -361,17 +476,42 @@ func TestOpenPipelineTable(t *testing.T) {
 	}
 }
 
-// TestOpenPipelineTruncation cuts a valid wire of each form at (and one
-// byte either side of) every count/length-prefix boundary. Every cut is
-// ErrEnvelope, with one exception that follows from the layout: a
-// sign-only envelope's body is the unframed tail of the wire, so a cut
-// there leaves a well-formed block whose digest no longer matches.
+// TestOpenPipelineTruncation cuts a valid wire of each form — and the two
+// wires of a session channel that carry no message, an accept and a
+// refusal — at (and one byte either side of) every count/length-prefix
+// boundary. Every cut is ErrEnvelope, with one exception that follows
+// from the layout: a sign-only envelope's body is the unframed tail of
+// the wire, so a cut there leaves a well-formed block whose digest no
+// longer matches.
 func TestOpenPipelineTruncation(t *testing.T) {
+	type wireCase struct {
+		name string
+		wire []byte
+		open func(wire []byte) (*Opened, error)
+	}
+	var cases []wireCase
 	for _, m := range pipelineForms {
-		wire := forgeWire(t, m, []byte("truncate me"), nil)
+		m := m
+		cases = append(cases, wireCase{m.String(), forgeWire(t, m, []byte("truncate me"), nil),
+			func(wire []byte) (*Opened, error) { return openAs(m, recvKP, wire) }})
+	}
+	_, accept, refusal, err := TableChannelWires(senderKP, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	openChannelForm := func(wire []byte) (*Opened, error) { return openAs(ModeChannel, recvKP, wire) }
+	cases = append(cases,
+		wireCase{"accept", accept, func(wire []byte) (*Opened, error) { return Open(recvKP, wire) }},
+		wireCase{"refusal", refusal, openChannelForm})
+
+	for _, tc := range cases {
+		wire := tc.wire
+		if o, err := tc.open(wire); err != nil || o.Mode != Mode(wire[0]) {
+			t.Fatalf("%s uncut: (%v, %v)", tc.name, o, err)
+		}
 		bounds := prefixBoundaries(wire)
 		signBody := -1
-		if m == ModeSign {
+		if Mode(wire[0]) == ModeSign {
 			signBody = bounds[len(bounds)-1]
 		}
 		cuts := map[int]bool{0: true, 1: true, len(wire) - 1: true}
@@ -382,18 +522,34 @@ func TestOpenPipelineTruncation(t *testing.T) {
 				}
 			}
 		}
-		if len(cuts) < 8 {
-			t.Fatalf("%s: only %d cut points from boundaries %v", m, len(cuts), bounds)
+		if len(cuts) < 6 {
+			t.Fatalf("%s: only %d cut points from boundaries %v", tc.name, len(cuts), bounds)
 		}
 		for cut := range cuts {
 			want := ErrEnvelope
 			if signBody >= 0 && cut >= signBody {
 				want = ErrBodyDigest
 			}
-			if o, err := openAs(m, recvKP, wire[:cut]); !errors.Is(err, want) || o != nil {
-				t.Errorf("%s cut at %d/%d: (%v, %v), want %v", m, cut, len(wire), o, err, want)
+			if o, err := tc.open(wire[:cut]); !errors.Is(err, want) || o != nil {
+				t.Errorf("%s cut at %d/%d: (%v, %v), want %v", tc.name, cut, len(wire), o, err, want)
 			}
 		}
+		// The forms whose last section is length-prefixed, or of fixed
+		// length, end where it ends.
+		if m := Mode(wire[0]); m == ModeFull || m == ModeEncrypt || m == ModeChannel || m == ModeRefusal {
+			if o, err := tc.open(append(bytes.Clone(wire), 0)); !errors.Is(err, ErrEnvelope) || o != nil {
+				t.Errorf("%s with a byte behind it: (%v, %v), want ErrEnvelope", tc.name, o, err)
+			}
+		}
+	}
+	// An accept opens as what it is on the wire, a sign-only envelope with
+	// nothing in it; what it carries is read, and is its consumer's to check.
+	o, err := Open(recvKP, accept)
+	if err != nil || o.hs == nil || !o.hs.accept() || o.hs.id != tableChannelID || len(o.Body) != 0 || len(o.to) != 32 {
+		t.Fatalf("accept opened to (%+v, %v)", o, err)
+	}
+	if o, err := openChannelForm(refusal); err != nil || o.refusal != (frameRef{tableChannelID, 7}) {
+		t.Fatalf("refusal opened to (%+v, %v)", o, err)
 	}
 }
 
@@ -402,13 +558,13 @@ func TestOpenPipelineTruncation(t *testing.T) {
 // refused without spending its single-use nonce — the same round then
 // opens under the right label, once.
 func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
-	for _, m := range pipelineForms[3:] {
+	for _, m := range pipelineForms[3:5] {
 		wire := forgeWire(t, m, []byte("labelled"), nil)
 		guard := NewReplayGuard(time.Minute, 16)
 		wrong, right := "art", "g"
 		// openWire consumes what it is handed; every delivery is its own
 		// copy of the bytes, as every frame the fabric delivers is.
-		o, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &wrong, guard)
+		o, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &wrong, guard, nil)
 		if !errors.Is(err, ErrRoundGroup) {
 			t.Fatalf("%s under the wrong label: err = %v, want ErrRoundGroup", m, err)
 		}
@@ -418,19 +574,19 @@ func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
 		if guard.Len() != 0 {
 			t.Fatalf("%s: wrong-label delivery left %d guard entries, want 0", m, guard.Len())
 		}
-		if _, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard); err != nil {
+		if _, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard, nil); err != nil {
 			t.Fatalf("%s under the right label after a wrong one: %v", m, err)
 		}
 		if guard.Len() != 2 {
 			t.Fatalf("%s: admitted round left %d guard entries, want 2 (wire digest + nonce)", m, guard.Len())
 		}
-		o, err = openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard)
+		o, err = openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard, nil)
 		if !errors.Is(err, ErrMessageReplayed) || o == nil {
 			t.Fatalf("%s delivered twice under the right label: (%v, %v), want the Opened and ErrMessageReplayed", m, o, err)
 		}
 		// An envelope's label is the receiver's own pipe registration, not
 		// a claim: it is not compared.
-		if _, err := openWire(recvKP, forgeWire(t, ModeFull, []byte("x"), nil), formEnvelope, &wrong, nil); err != nil {
+		if _, err := openWire(recvKP, forgeWire(t, ModeFull, []byte("x"), nil), formEnvelope, &wrong, nil, nil); err != nil {
 			t.Fatalf("envelope under another label: %v", err)
 		}
 	}
@@ -498,7 +654,7 @@ func TestOpenSharedGuardAdmitsOnce(t *testing.T) {
 	errs := make(chan error, deliveries)
 	for i := 0; i < deliveries; i++ {
 		go func(wire []byte) {
-			_, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, nil, guard)
+			_, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, nil, guard, nil)
 			errs <- err
 		}(wires[i%2])
 	}

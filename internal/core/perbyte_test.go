@@ -40,7 +40,7 @@ func TestBulkPathAllocBytes(t *testing.T) {
 	opened := make(chan error, 1)
 	b.RegisterHandler("bulk", func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 		wire, _ := msg.Get(proto.ElemEnvelope)
-		o, err := openWire(recvKP, wire, formEnvelope, nil, nil)
+		o, err := openWire(recvKP, wire, formEnvelope, nil, nil, nil)
 		if err == nil && string(o.Body) != text {
 			err = errors.New("opened body differs from the one sealed")
 		}
@@ -86,8 +86,14 @@ func TestSealWireLayoutUnchanged(t *testing.T) {
 	u32 := func(b []byte, v int) []byte { return binary.BigEndian.AppendUint32(b, uint32(v)) }
 
 	// By hand: mode ‖ 4 B len ‖ wrap ‖ 4 B len ‖ nonce ‖ 4 B len ‖ ct,
-	// ct = AES-GCM( u32 hlen ‖ header ‖ body ).
+	// ct = AES-GCM( u32 hlen ‖ header ‖ body ). The header names the key
+	// it is sealed to.
 	h := headerDoc("urn:jxta:sender", "g", keys.SHA256(body), time.Now())
+	ownFP, err := own.Public().Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.AddText("To", base64.StdEncoding.EncodeToString(ownFP[:]))
 	sig, err := senderKP.Sign(h.Canonical())
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +202,7 @@ func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
 		wire := forgeWire(t, m, bytes.Repeat([]byte("opened where it lies "), 8), nil)
 		guard := NewReplayGuard(time.Minute, 16)
 		frame := bytes.Clone(wire)
-		o, err := openWire(recvKP, frame, formEnvelope|formGroup|formSlice, nil, guard)
+		o, err := openWire(recvKP, frame, formEnvelope|formGroup|formSlice, nil, guard, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -207,7 +213,7 @@ func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
 			t.Fatalf("%s: the body is not a view of the delivered frame", m)
 		}
 		admitted := guard.Len()
-		if _, err := openWire(recvKP, bytes.Clone(wire), formEnvelope|formGroup|formSlice, nil, guard); !errors.Is(err, ErrMessageReplayed) {
+		if _, err := openWire(recvKP, bytes.Clone(wire), formEnvelope|formGroup|formSlice, nil, guard, nil); !errors.Is(err, ErrMessageReplayed) {
 			t.Fatalf("%s: the same wire delivered twice: %v, want ErrMessageReplayed", m, err)
 		}
 		if err := guard.Check(wire, o.SentAt); !errors.Is(err, ErrMessageReplayed) {

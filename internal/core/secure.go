@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/cipher"
 	"encoding/base64"
 	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +27,7 @@ import (
 	"jxtaoverlay/internal/parallel"
 	"jxtaoverlay/internal/pipes"
 	"jxtaoverlay/internal/proto"
+	"jxtaoverlay/internal/telemetry"
 	"jxtaoverlay/internal/trace"
 	"jxtaoverlay/internal/xdsig"
 	"jxtaoverlay/internal/xmldoc"
@@ -48,8 +51,13 @@ var (
 // Option configures a SecureClient.
 type Option func(*SecureClient)
 
-// WithMode selects the envelope mode for outgoing secure messages
-// (default ModeFull — the paper's primitive).
+// WithMode selects the mode of outgoing secure messages. The default is
+// ModeChannel: the paper's primitive on the first message to a peer, with
+// a key agreement in its signed header, and one AEAD frame per message
+// once the peer has answered (channel.go). ModeFull is the paper's
+// stateless primitive on every message — for an application that needs
+// each message signed (SECURITY.md, "Session channels") — and offers no
+// channel. Whatever it sends, a client answers offers and opens frames.
 func WithMode(m Mode) Option { return func(s *SecureClient) { s.mode = m } }
 
 // WithChallengeSize sets the secureConnection challenge length in bytes.
@@ -84,6 +92,12 @@ type SecureClient struct {
 	// advertisement rather than once per message.
 	vcache *xdsig.VerifyCache
 
+	// chans holds the session channels, both directions (channel.go);
+	// empty until the first offer is made or received.
+	chans channelTable
+	// chanMetrics is set once the channel collectors are attached.
+	chanMetrics atomic.Bool
+
 	// auditor receives every client-side security refusal (the
 	// SecurityAlert surface: open, replay and verification failures) as
 	// a tamper-evident audit record. Nil = off; loads are nil-tolerant.
@@ -114,7 +128,7 @@ func NewSecureClient(cl *client.Client, trust *cred.TrustStore, opts ...Option) 
 		Client:        cl,
 		kp:            id.Keys,
 		trust:         trust,
-		mode:          ModeFull,
+		mode:          ModeChannel,
 		challengeSize: 32,
 	}
 	for _, opt := range opts {
@@ -145,6 +159,35 @@ func (s *SecureClient) alertAudit(peer keys.PeerID, op, reason string, tid uint6
 		payload["audit"] = strconv.FormatUint(seq, 10)
 	}
 	return payload
+}
+
+// auditChannel records one session-channel event: a handshake outcome, a
+// teardown by refusal, a fallback. Never on the per-message path. peer is
+// copied: it may be a view of a delivered frame, which the journal's ring
+// would otherwise hold whole.
+func (s *SecureClient) auditChannel(peer keys.PeerID, op, reason string) {
+	s.auditor.Load().Record(audit.Event{Kind: audit.KindChannel, Peer: strings.Clone(string(peer)), Op: op, Reason: reason})
+}
+
+// SetClock overrides the time source of the session-channel table
+// (tests), as ReplayGuard.SetClock does for the guard.
+func (s *SecureClient) SetClock(now func() time.Time) {
+	s.chans.mu.Lock()
+	defer s.chans.mu.Unlock()
+	s.chans.clock = now
+}
+
+// Logout closes the session and with it every session channel, in both
+// directions: a peer that logs out keeps no key of the session.
+func (s *SecureClient) Logout(ctx context.Context) error {
+	s.chans.reset()
+	return s.Client.Logout(ctx)
+}
+
+// Close detaches the peer and drops its session channels.
+func (s *SecureClient) Close() {
+	s.chans.reset()
+	s.Client.Close()
 }
 
 // VerifyCache exposes the client's advertisement verification cache for
@@ -336,20 +379,64 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 
 // SecureMsgPeer implements §4.3.1: fetch and verify the destination's
 // signed pipe advertisement, extract PK from the enclosed credential,
-// then send E_PK(m, S_SK(m)).
+// then send E_PK(m, S_SK(m)). In the default mode that envelope also
+// offers the peer a session channel, and once the peer has accepted, a
+// message is one frame on it: no lookup, no signature, no key wrap.
 func (s *SecureClient) SecureMsgPeer(ctx context.Context, peer keys.PeerID, group, text string) error {
-	recipientKey, pipeAdv, err := s.verifiedPeerKey(ctx, peer, group)
+	if s.mode == ModeChannel {
+		if wire, route, ok := s.chans.nextFrame(pairKey{peer, group}, s.PeerID(), text); ok {
+			return s.sendSecure(route.(*advert.Pipe), group, wire)
+		}
+	}
+	return s.sendEnvelope(ctx, peer, group, text, nil)
+}
+
+// sendEnvelope is the paper's primitive. In the default mode the signed
+// header carries the pending offer to the peer; resends, when set, names
+// the refused frame whose message this is.
+func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group, text string, resends *frameRef) error {
+	res, pipeAdv, err := s.verifiedPeer(ctx, peer, group)
 	if err != nil {
 		return err
 	}
-	sealed, err := Seal(s.kp, s.PeerID(), group, readOnlyBytes(text), recipientKey, s.mode)
+	var hs *handshake
+	if s.mode == ModeChannel {
+		if hs, err = s.chans.offer(pairKey{peer, group}, pipeAdv, s.channelNotAfter(res)); err != nil {
+			return err
+		}
+		s.attachChannelMetrics()
+	}
+	var extra func(*xmldoc.Element)
+	if hs != nil || resends != nil {
+		extra = func(header *xmldoc.Element) {
+			if hs != nil {
+				hs.write(header)
+			}
+			if resends != nil {
+				writeResends(header, *resends)
+			}
+		}
+	}
+	sealed, err := seal(s.kp, s.PeerID(), group, readOnlyBytes(text), res.Signer.Key, s.mode.envelope(), extra)
 	if err != nil {
 		return err
 	}
+	return s.sendSecure(pipeAdv, group, sealed.Bytes())
+}
+
+// sendSecure puts one secure wire on a peer's group pipe.
+func (s *SecureClient) sendSecure(pipe *advert.Pipe, group string, wire []byte) error {
 	msg := endpoint.NewMessage().
-		Add(proto.ElemEnvelope, sealed.Bytes()).
+		Add(proto.ElemEnvelope, wire).
 		AddString(proto.ElemGroup, group)
-	return s.Control().SendOnPipe(pipeAdv, msg)
+	return s.Control().SendOnPipe(pipe, msg)
+}
+
+// groupPipe is peer's input pipe for group. Its ID is derived
+// (advert.GroupPipeID), so an answer to a peer — an accept, a refusal —
+// needs no lookup; nothing about it is trusted.
+func groupPipe(peer keys.PeerID, group string) *advert.Pipe {
+	return &advert.Pipe{PipeID: advert.GroupPipeID(peer, group), PipeType: advert.PipeUnicast, PeerID: peer, Group: group}
 }
 
 // readOnlyBytes views a message text as the []byte the sealers take,
@@ -378,7 +465,7 @@ func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text strin
 			ids = append(ids, m.ID)
 		}
 	}
-	if s.mode != ModeFull {
+	if s.mode.envelope() != ModeFull {
 		return s.fanOutPerRecipient(ctx, group, text, ids)
 	}
 	targets, errs := s.verifiedTargets(ctx, group, ids)
@@ -496,6 +583,16 @@ func fanOutParallelism() int {
 // verifiedPeerKey resolves a peer's signed pipe advertisement and
 // returns the certified public key (steps 1-3 of §4.3.1).
 func (s *SecureClient) verifiedPeerKey(ctx context.Context, peer keys.PeerID, group string) (*keys.PublicKey, *advert.Pipe, error) {
+	res, pipeAdv, err := s.verifiedPeer(ctx, peer, group)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Signer.Key, pipeAdv, nil
+}
+
+// verifiedPeer is verifiedPeerKey returning the whole verdict: the
+// credential chain beside the key.
+func (s *SecureClient) verifiedPeer(ctx context.Context, peer keys.PeerID, group string) (*xdsig.Result, *advert.Pipe, error) {
 	pipeAdv, rawDoc, err := s.LookupPipe(ctx, peer, group)
 	if err != nil {
 		return nil, nil, err
@@ -513,7 +610,7 @@ func (s *SecureClient) verifiedPeerKey(ctx context.Context, peer keys.PeerID, gr
 			Payload: s.alertAudit(peer, "lookupPipe", "pipe advertisement signer does not own the advertisement", 0)})
 		return nil, nil, ErrPeerAdvInvalid
 	}
-	return res.Signer.Key, pipeAdv, nil
+	return res, pipeAdv, nil
 }
 
 // handleEnvelope is the receiving side of §4.3.1 (steps 5-7): decrypt
@@ -549,59 +646,301 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 		}
 		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: from, Group: group, Payload: payload})
 	}
-	opened, err := openWire(s.kp, wire, formEnvelope|formGroup|formSlice, &group, s.replayGuard)
+	opened, err := openWire(s.kp, wire, formEnvelope|formGroup|formSlice|formChannel, &group, s.replayGuard, &s.chans)
 	if err != nil {
-		// Refused after the header parsed (wrong group label, replay): the
-		// signed sender is known. Before that, only the deliverer is.
-		if opened != nil {
-			alert(opened.Sender, err.Error())
-		} else {
+		var unknown *unknownChannelError
+		switch {
+		case errors.As(err, &unknown):
+			// This peer restarted, logged out or let the channel lapse: the
+			// sender is told, and sends the message again as an envelope.
+			s.refuseFrame(d.From, group, unknown.frame)
+		case opened == nil:
+			// Refused before the header parsed: only the deliverer is known.
 			alert(d.From, "secure envelope rejected: "+err.Error())
+		case opened.via != nil:
+			alert(opened.via.pair.peer, err.Error())
+		case opened.hs != nil && opened.hs.accept() && errors.Is(err, ErrMessageReplayed) &&
+			s.chans.holdsOffer(pairKey{opened.Sender, opened.Group}, opened.hs.id):
+			// The accept of a channel this peer holds, sent again because the
+			// peer saw the offer again: the guard remembers the first.
+		default:
+			// Refused after the header parsed (wrong group label, replay):
+			// the signed sender is known.
+			alert(opened.Sender, err.Error())
 		}
+		return true
+	}
+	if opened.Mode == ModeRefusal {
+		s.handleRefusal(d.From, group, opened.refusal)
 		return true
 	}
 	authenticated := false
 	user := ""
-	if opened.Signed() {
+	var sender *xdsig.Result
+	switch {
+	case opened.via != nil:
+		// openWire held the frame's Sender to the peer whose verified
+		// signature established the channel.
+		authenticated, user = true, opened.via.user
+	case opened.Signed():
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		senderKey, senderCred, err := s.senderKeyPatient(ctx, opened.Sender, group)
+		sender, err = s.senderKeyPatient(ctx, opened.Sender, group)
 		cancel()
 		if err != nil {
 			alert(opened.Sender, ErrSenderUnknown.Error())
 			return true
 		}
-		if err := opened.VerifySignature(senderKey); err != nil {
+		if err := opened.VerifySignature(sender.Signer.Key); err != nil {
 			alert(opened.Sender, ErrMessageTampered.Error())
 			return true
 		}
-		authenticated = true
-		user = senderCred.SubjectName
+		authenticated, user = true, sender.Signer.SubjectName
+	}
+	if hs := opened.hs; hs != nil && hs.accept() {
+		// An accept carries no message and never surfaces as one.
+		if reason := s.handleAccept(opened, sender); reason != "" {
+			alert(opened.Sender, reason)
+		}
+		return true
 	}
 	if tid != 0 {
 		tr.End(spOpen, trace.OutcomeOK)
 	}
-	// End-to-end delivery latency, measured against the signed (and
-	// replay-guarded) send timestamp — this feeds the client-side
-	// histogram that scenario quantiles read.
-	if !opened.SentAt.IsZero() {
-		s.ObserveDelivery(time.Since(opened.SentAt))
+	// A message sent again after a refusal that was not this peer's (it
+	// holds the channel and opened the frame) has been delivered already.
+	delivered := authenticated && opened.resends != nil &&
+		s.chans.alreadyOpened(pairKey{opened.Sender, opened.Group}, *opened.resends)
+	if !delivered {
+		// End-to-end delivery latency, measured against the signed (and
+		// replay-guarded) send timestamp — this feeds the client-side
+		// histogram that scenario quantiles read.
+		if !opened.SentAt.IsZero() {
+			s.ObserveDelivery(time.Since(opened.SentAt))
+		}
+		// Data is a view of the delivered frame, opened where it lay: a
+		// subscriber that keeps the body keeps the frame, which is that body
+		// and under a kilobyte of header and routing.
+		s.Bus().Emit(events.Event{
+			Type:  events.SecureMessage,
+			From:  opened.Sender,
+			Group: group,
+			Payload: map[string]string{
+				"authenticated": boolStr(authenticated),
+				"mode":          opened.Mode.String(),
+				"user":          user,
+			},
+			Data: opened.Body,
+		})
 	}
-	// Data is a view of the delivered frame, opened where it lay: a
-	// subscriber that keeps the body keeps the frame, which is that body
-	// and under a kilobyte of header and routing.
-	s.Bus().Emit(events.Event{
-		Type:  events.SecureMessage,
-		From:  opened.Sender,
-		Group: group,
-		Payload: map[string]string{
-			"authenticated": boolStr(authenticated),
-			"mode":          opened.Mode.String(),
-			"user":          user,
-		},
-		Data: opened.Body,
-	})
+	// The message is out; now the offer it carried, whose answer costs a
+	// signature the message's latency must not carry.
+	if sender != nil && opened.Mode == ModeFull && opened.hs != nil {
+		if reason := s.answerOffer(opened, sender); reason != "" {
+			alert(opened.Sender, reason)
+		}
+	}
 	return true
 }
+
+// answerOffer is the responder's half of the handshake, for an offer
+// whose envelope passed every check: derive the channel key from a fresh
+// share, store the inbound channel, and send the signed accept down the
+// initiator's group pipe. A repeated offer is answered with the accept
+// already signed. It returns the reason for an alert, if any.
+func (s *SecureClient) answerOffer(o *Opened, initiator *xdsig.Result) (alert string) {
+	// o's strings are views of the frame its header was parsed from, and
+	// the table would hold that frame for as long as it holds the channel:
+	// the certified subject (verified equal to o.Sender) and a copy of the
+	// group stand in.
+	pair := pairKey{initiator.Signer.Subject, strings.Clone(o.Group)}
+	pipe := groupPipe(pair.peer, pair.group)
+	notAfter := s.channelNotAfter(initiator)
+	resend, accept := s.chans.offered(pair, o.hs.id, notAfter)
+	if resend != nil {
+		_ = s.sendSecure(pipe, pair.group, resend) // best effort, as the first was
+	}
+	if !accept {
+		return ""
+	}
+	s.attachChannelMetrics()
+	fail := func(err error) string {
+		s.auditChannel(pair.peer, "offer", "failed: "+err.Error())
+		return "channel offer refused: " + err.Error()
+	}
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		return fail(err)
+	}
+	secret, err := eph.Agree(o.hs.share)
+	if err != nil {
+		return fail(err)
+	}
+	ends, err := s.channelEnds(initiator.Signer.Key, pair.peer, pair.group, o.hs.share, eph.Share(), false)
+	if err != nil {
+		return fail(err)
+	}
+	aead, err := channelKey(secret, o.hs.id, ends)
+	if err != nil {
+		return fail(err)
+	}
+	answer := &handshake{id: o.hs.id, share: ends.responderShare, answers: keys.SHA256(o.hs.share)}
+	sealed, err := seal(s.kp, s.PeerID(), pair.group, nil, nil, ModeSign, func(header *xmldoc.Element) {
+		header.AddText("To", base64.StdEncoding.EncodeToString(ends.initiatorFP[:]))
+		answer.write(header)
+	})
+	if err != nil {
+		return fail(err)
+	}
+	s.chans.install(&inChannel{id: o.hs.id, pair: pair, user: initiator.Signer.SubjectName, aead: aead, accept: sealed.Bytes()}, notAfter)
+	s.auditChannel(pair.peer, "offer", "accepted")
+	_ = s.sendSecure(pipe, pair.group, sealed.Bytes()) // a lost accept is sent again when the offer is
+	return ""
+}
+
+// handleAccept is the initiator's second half: o is an accept whose
+// signature verified under responder's certified key (nil: it carried
+// none). It must name this peer's key, the pending offer to that peer and
+// the share offered; then both ends hold the same key. A duplicate, or
+// the answer to an offer long gone, is dropped without a word.
+func (s *SecureClient) handleAccept(o *Opened, responder *xdsig.Result) (alert string) {
+	pair := pairKey{o.Sender, o.Group}
+	if responder == nil || o.Mode != ModeSign || len(o.Body) != 0 {
+		return "channel accept malformed or unsigned"
+	}
+	ownFP, err := s.kp.Public().Fingerprint()
+	if err != nil {
+		return err.Error()
+	}
+	outcome := acceptInvalid
+	if keys.ConstantTimeEqual(o.to, ownFP[:]) {
+		outcome = s.chans.accepted(pair, o.hs, o.SentAt, func(eph *keys.AgreementKey, share []byte) (cipher.AEAD, error) {
+			secret, err := eph.Agree(o.hs.share)
+			if err != nil {
+				return nil, err
+			}
+			ends, err := s.channelEnds(responder.Signer.Key, o.Sender, o.Group, share, o.hs.share, true)
+			if err != nil {
+				return nil, err
+			}
+			return channelKey(secret, o.hs.id, ends)
+		})
+	} else if !s.chans.holdsOffer(pair, o.hs.id) {
+		outcome = acceptIgnored
+	}
+	switch outcome {
+	case acceptEstablished:
+		s.auditChannel(o.Sender, "accept", "established")
+	case acceptInvalid:
+		s.auditChannel(o.Sender, "accept", "refused: does not match the offer")
+		return "channel accept does not match the offer"
+	}
+	return ""
+}
+
+// channelNotAfter is the latest a channel with peer may live: the
+// earliest NotAfter of the peer's credential chain and this peer's own —
+// credential expiry honoured as xdsig.VerifyCache honours it.
+func (s *SecureClient) channelNotAfter(peer *xdsig.Result) time.Time {
+	_, notAfter := cred.ChainWindow(peer.Chain)
+	if _, own := cred.ChainWindow(s.Identity().Chain); own.Before(notAfter) {
+		notAfter = own
+	}
+	return notAfter
+}
+
+// channelEnds names the two ends of a channel between this peer and
+// peer, whose certified key is peerKey, for the key derivation.
+func (s *SecureClient) channelEnds(peerKey *keys.PublicKey, peer keys.PeerID, group string, initiatorShare, responderShare []byte, initiating bool) (channelEnds, error) {
+	e := channelEnds{initiator: peer, responder: s.PeerID(), group: group, initiatorShare: initiatorShare, responderShare: responderShare}
+	var err error
+	if e.initiatorFP, err = peerKey.Fingerprint(); err != nil {
+		return e, err
+	}
+	if e.responderFP, err = s.kp.Public().Fingerprint(); err != nil {
+		return e, err
+	}
+	if initiating {
+		e.initiator, e.responder = e.responder, e.initiator
+		e.initiatorFP, e.responderFP = e.responderFP, e.initiatorFP
+	}
+	return e, nil
+}
+
+// refuseFrame answers a frame for a channel this peer does not hold: an
+// unsigned refusal to the frame's claimed source, at most one a second
+// per channel. It proves nothing and asks for nothing but the paper's
+// primitive (handleRefusal), so it needs no signature.
+func (s *SecureClient) refuseFrame(from keys.PeerID, group string, frame frameRef) {
+	if !s.chans.mayRefuse(frame.id) {
+		return
+	}
+	s.attachChannelMetrics()
+	_ = s.sendSecure(groupPipe(from, group), group, appendFrameRef(nil, ModeRefusal, frame)) // best effort
+}
+
+// handleRefusal is the initiator's reaction to a refusal that claims to
+// come from peer: if it names this peer's channel to peer, the channel is
+// dropped, and if it names the last frame sent, that frame's message goes
+// out again as an envelope — signed, wrapped, and saying which frame it
+// replaces, so that a peer which did open the frame drops it. Whoever
+// sent the refusal has bought the paper's primitive, and nothing else.
+func (s *SecureClient) handleRefusal(peer keys.PeerID, group string, frame frameRef) {
+	text, resend, dropped := s.chans.refused(pairKey{peer, group}, frame)
+	if !dropped {
+		return
+	}
+	s.auditChannel(peer, "refusal", "channel dropped")
+	if !resend {
+		return
+	}
+	s.chans.fallbacks.Add(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	reason := "sent again as an envelope"
+	if err := s.sendEnvelope(ctx, peer, group, text, &frame); err != nil {
+		reason = "failed: " + err.Error()
+	}
+	s.auditChannel(peer, "fallback", reason)
+}
+
+// attachChannelMetrics puts this client's channels on the registry its
+// Client is bound to, the first time there is something to count: a
+// client that never makes or answers an offer attaches nothing.
+func (s *SecureClient) attachChannelMetrics() {
+	if !s.chanMetrics.CompareAndSwap(false, true) {
+		return
+	}
+	attached := s.AttachCollectors(func(reg *telemetry.Registry) (detach func()) {
+		t := &s.chans
+		detaches := []func(){
+			reg.GaugeSum(ChannelsOpenMetric, "Session channels held by clients, both directions, unanswered offers included.").
+				Attach(func() float64 { return float64(t.open()) }),
+			reg.CounterSum(ChannelEstablishedMetric, "Session-channel handshakes completed, counted at each end.").
+				Attach(func() float64 { return float64(t.established.Load()) }),
+			reg.CounterSum(ChannelFallbacksMetric, "Messages sent again as envelopes after their channel frame was refused.").
+				Attach(func() float64 { return float64(t.fallbacks.Load()) }),
+			reg.CounterSum(ChannelRefusalsSentMetric, "Refusals sent for frames of channels not held.").
+				Attach(func() float64 { return float64(t.refusalsSent.Load()) }),
+		}
+		return func() {
+			for _, d := range detaches {
+				d()
+			}
+		}
+	})
+	if !attached {
+		s.chanMetrics.Store(false) // no registry bound yet: try again next time
+	}
+}
+
+// Registry names of the session-channel metrics, summed over the clients
+// bound to the registry.
+const (
+	ChannelsOpenMetric        = "client_channels_open"
+	ChannelEstablishedMetric  = "client_channel_established_total"
+	ChannelFallbacksMetric    = "client_channel_fallbacks_total"
+	ChannelRefusalsSentMetric = "client_channel_refusals_sent_total"
+)
 
 // senderKeyPatient resolves the sender's certified key for an inbound
 // push, absorbing transient lookup failures. This is the one surface
@@ -619,44 +958,44 @@ const (
 	openLookupTimeout  = 1 * time.Second
 )
 
-func (s *SecureClient) senderKeyPatient(ctx context.Context, sender keys.PeerID, group string) (*keys.PublicKey, *cred.Credential, error) {
+func (s *SecureClient) senderKeyPatient(ctx context.Context, sender keys.PeerID, group string) (*xdsig.Result, error) {
 	pol := backoff.Policy{Base: 100 * time.Millisecond, Cap: 800 * time.Millisecond}
 	var lastErr error
 	for attempt := 0; attempt < openLookupAttempts; attempt++ {
 		actx, cancel := context.WithTimeout(ctx, openLookupTimeout)
-		key, c, err := s.senderKey(actx, sender, group)
+		res, err := s.senderKey(actx, sender, group)
 		cancel()
 		if err == nil {
-			return key, c, nil
+			return res, nil
 		}
 		lastErr = err
 		if class, _ := classify(err); class == classTerminal {
-			return nil, nil, err
+			return nil, err
 		}
 		select {
 		case <-ctx.Done():
-			return nil, nil, lastErr
+			return nil, lastErr
 		case <-time.After(pol.Delay(attempt, nil)):
 		}
 	}
-	return nil, nil, lastErr
+	return nil, lastErr
 }
 
-// senderKey resolves the sender's certified key via its signed pipe
-// advertisement (steps 6-7 of §4.3.1).
-func (s *SecureClient) senderKey(ctx context.Context, sender keys.PeerID, group string) (*keys.PublicKey, *cred.Credential, error) {
+// senderKey resolves the sender's certified key (the verdict's
+// Signer.Key) via its signed pipe advertisement (steps 6-7 of §4.3.1).
+func (s *SecureClient) senderKey(ctx context.Context, sender keys.PeerID, group string) (*xdsig.Result, error) {
 	_, rawDoc, err := s.LookupPipe(ctx, sender, group)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res, err := s.vcache.VerifyTrusted(rawDoc, time.Now())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if res.Signer.Subject != sender {
-		return nil, nil, ErrPeerAdvInvalid
+		return nil, ErrPeerAdvInvalid
 	}
-	return res.Signer.Key, res.Signer, nil
+	return res, nil
 }
 
 func boolStr(b bool) string {

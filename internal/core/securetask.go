@@ -49,7 +49,7 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 	// The open path of the messenger primitives, envelopes only, under
 	// the same replay guard: a captured request re-sent verbatim must not
 	// run the task again.
-	opened, err := openWire(s.kp, wire, formEnvelope, nil, s.replayGuard)
+	opened, err := openWire(s.kp, wire, formEnvelope, nil, s.replayGuard, nil)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -60,10 +60,11 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	senderKey, senderCred, err := s.senderKey(ctx, opened.Sender, opened.Group)
+	sender, err := s.senderKey(ctx, opened.Sender, opened.Group)
 	if err != nil {
 		return proto.Fail(proto.ErrBadCredential)
 	}
+	senderKey := sender.Signer.Key
 	if err := opened.VerifySignature(senderKey); err != nil {
 		return proto.Fail(proto.ErrBadSignature)
 	}
@@ -71,7 +72,6 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 	if !containsGroup(s.Groups(), opened.Group) {
 		return proto.Fail("unauthorized")
 	}
-	_ = senderCred
 
 	name, args, ok := splitTaskBody(string(opened.Body))
 	if !ok {
@@ -100,7 +100,8 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	// The request is sealed in the client's configured mode; the executor
 	// enforces that executable requests arrive signed, so degraded modes
 	// are rejected remotely rather than silently upgraded here.
-	sealed, err := Seal(signerFor(s.kp, s.mode), s.PeerID(), group, readOnlyBytes(body), recipientKey, s.mode)
+	mode := s.mode.envelope()
+	sealed, err := Seal(signerFor(s.kp, mode), s.PeerID(), group, readOnlyBytes(body), recipientKey, mode)
 	if err != nil {
 		return "", err
 	}
@@ -116,7 +117,7 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	if !ok {
 		return "", ErrTaskRejected
 	}
-	opened, err := openWire(s.kp, wire, formEnvelope, nil, nil) // the response frame is this caller's own
+	opened, err := openWire(s.kp, wire, formEnvelope, nil, nil, nil) // the response frame is this caller's own
 	if err != nil {
 		return "", err
 	}

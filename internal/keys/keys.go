@@ -60,6 +60,9 @@ type KeyPair struct {
 	// cost of the secure primitives, so tests and benchmarks assert on
 	// this counter (e.g. "one header signature per fan-out round").
 	sigCalls atomic.Uint64
+	// unwrapCalls counts UnwrapKey invocations — the other private-key
+	// operation of the messaging path, asserted the same way.
+	unwrapCalls atomic.Uint64
 }
 
 // NewKeyPair generates a key pair of DefaultRSABits using crypto/rand.
@@ -136,12 +139,17 @@ func (k *KeyPair) Decrypt(env *Envelope) ([]byte, error) {
 // UnwrapKey recovers a content key wrapped with PublicKey.WrapKey for
 // this key pair.
 func (k *KeyPair) UnwrapKey(wrapped []byte) ([]byte, error) {
+	k.unwrapCalls.Add(1)
 	cek, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, k.priv, wrapped, oaepLabel)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
 	return cek, nil
 }
+
+// UnwrapCalls reports how many times UnwrapKey has been invoked on this
+// key pair: with SignCalls, every RSA private-key operation it performed.
+func (k *KeyPair) UnwrapCalls() uint64 { return k.unwrapCalls.Load() }
 
 // MarshalPEM serializes the private key as PKCS#8 PEM, for keystore
 // persistence (the PSE-like membership service).

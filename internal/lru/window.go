@@ -8,8 +8,8 @@ import "time"
 // expiry plus a key → heap-position index, so the two things a window
 // does on every insert — drop what has expired, and at capacity give up
 // the entry with the least time left — both start at the heap's root.
-// Get is O(1); Put is O(log n) per entry it inserts or removes, and no
-// operation walks the table.
+// Get is O(1); Put and Delete are O(log n) per entry they insert or
+// remove, and no operation walks the table.
 //
 // Window takes no lock: its owner already holds one around the
 // check-then-insert it needs to be atomic. The clock is the caller's,
@@ -79,15 +79,33 @@ func (w *Window[K, V]) Put(key K, val V, expiry, now time.Time) (evictedLive boo
 	return evictedLive
 }
 
+// Delete drops key's entry, live or expired, and reports whether there
+// was one. O(log n): the last entry takes the hole and settles from it.
+func (w *Window[K, V]) Delete(key K) bool {
+	i, ok := w.at[key]
+	if ok {
+		w.remove(int(i))
+	}
+	return ok
+}
+
 // pop removes the root: the entry with the earliest expiry.
-func (w *Window[K, V]) pop() {
-	delete(w.at, w.heap[0].key)
+func (w *Window[K, V]) pop() { w.remove(0) }
+
+// remove takes out the entry at position i.
+func (w *Window[K, V]) remove(i int) {
+	delete(w.at, w.heap[i].key)
 	last := len(w.heap) - 1
 	s := w.heap[last]
 	w.heap[last] = slot[K, V]{} // release the key and value to the collector
 	w.heap = w.heap[:last]
-	if last > 0 {
-		w.down(0, s)
+	if i == last {
+		return
+	}
+	if i > 0 && s.exp < w.heap[(i-1)/2].exp {
+		w.up(i, s)
+	} else {
+		w.down(i, s)
 	}
 }
 

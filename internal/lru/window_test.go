@@ -72,7 +72,7 @@ func checkHeap(t *testing.T, w *Window[int, int]) {
 }
 
 // TestWindowMatchesScanModel drives Window and the two-scan table with
-// the same seeded Get/Put sequences — expiries out of order, already
+// the same seeded Get/Put/Delete sequences — expiries out of order, already
 // past and far ahead, keys stored again while live and after expiry, a
 // clock that creeps and jumps — and requires the same answer to every
 // Get, the same Len after every step, eviction on the same steps, and
@@ -92,6 +92,15 @@ func TestWindowMatchesScanModel(t *testing.T) {
 					now = now.Add(time.Duration(rng.Intn(3)) * time.Second)
 				}
 				k := rng.Intn(3*capacity + 2)
+				if rng.Intn(8) == 0 {
+					_, had := ref.m[k]
+					delete(ref.m, k)
+					if got := w.Delete(k); got != had || w.Len() != len(ref.m) {
+						t.Fatalf("cap %d seed %d step %d: Delete(%d) = %v, Len %d; model %v, %d", capacity, seed, step, k, got, w.Len(), had, len(ref.m))
+					}
+					checkHeap(t, &w)
+					continue
+				}
 				if rng.Intn(2) == 0 {
 					gv, gok := w.Get(k, now)
 					rv, rok := ref.get(k, now)
@@ -149,5 +158,85 @@ func TestWindowRestoreAfterExpiry(t *testing.T) {
 	}
 	if _, ok := w.Get("b", late); ok {
 		t.Fatal("b expires first and should have been the one evicted")
+	}
+}
+
+// TestWindowDelete: an entry can be dropped from anywhere in the heap —
+// the root, the last slot, the middle, the only one — and the heap, the
+// index and the capacity accounting stay sound; a deleted key stored
+// again is a fresh insert.
+func TestWindowDelete(t *testing.T) {
+	at := func(sec int) time.Time { return t0.Add(time.Duration(sec) * time.Second) }
+	// Inserted in expiry order, so key i sits at heap position i.
+	fill := func(n int) Window[int, int] {
+		w := NewWindow[int, int](8)
+		for i := 0; i < n; i++ {
+			w.Put(i, i, at(10+i), t0)
+		}
+		return w
+	}
+	for _, tc := range []struct {
+		name string
+		n    int
+		del  []int
+		want []bool
+	}{
+		{"root", 5, []int{0}, []bool{true}},
+		{"last", 5, []int{4}, []bool{true}},
+		{"middle", 7, []int{1, 2}, []bool{true, true}},
+		{"only entry", 1, []int{0}, []bool{true}},
+		{"absent", 3, []int{9}, []bool{false}},
+		{"twice", 3, []int{1, 1}, []bool{true, false}},
+		{"all, root first", 4, []int{0, 1, 2, 3}, []bool{true, true, true, true}},
+		{"empty window", 0, []int{0}, []bool{false}},
+	} {
+		w := fill(tc.n)
+		left := tc.n
+		for i, k := range tc.del {
+			if got := w.Delete(k); got != tc.want[i] {
+				t.Fatalf("%s: Delete(%d) = %v, want %v", tc.name, k, got, tc.want[i])
+			}
+			if tc.want[i] {
+				left--
+			}
+			if _, ok := w.Get(k, t0); ok {
+				t.Fatalf("%s: Get(%d) hits after Delete", tc.name, k)
+			}
+			if w.Len() != left {
+				t.Fatalf("%s: Len = %d after deleting %v, want %d", tc.name, w.Len(), tc.del[:i+1], left)
+			}
+			checkHeap(t, &w)
+		}
+		for k := 0; k < tc.n; k++ {
+			deleted := false
+			for _, d := range tc.del {
+				deleted = deleted || d == k
+			}
+			if v, ok := w.Get(k, t0); ok == deleted || (ok && v != k) {
+				t.Fatalf("%s: Get(%d) = %d, %v", tc.name, k, v, ok)
+			}
+		}
+	}
+
+	// Delete then Put of the same key: a fresh insert under the new
+	// expiry, and the freed slot counts toward the capacity again.
+	w := NewWindow[int, int](2)
+	w.Put(1, 1, at(10), t0)
+	w.Put(2, 2, at(20), t0)
+	if !w.Delete(1) {
+		t.Fatal("Delete(1) found nothing")
+	}
+	if w.Put(1, 3, at(30), t0) {
+		t.Fatal("storing a deleted key again evicted a live entry: its slot was not freed")
+	}
+	if v, ok := w.Get(1, at(25)); !ok || v != 3 {
+		t.Fatalf("Get(1) = %d, %v, want 3 under the new expiry", v, ok)
+	}
+	checkHeap(t, &w)
+	if !w.Put(3, 4, at(40), t0) {
+		t.Fatal("a third key into a full window of two must evict")
+	}
+	if _, ok := w.Get(2, t0); ok {
+		t.Fatal("key 2 expires first and should have been the one evicted")
 	}
 }
