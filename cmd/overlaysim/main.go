@@ -6,17 +6,8 @@
 //
 // Usage:
 //
-//	overlaysim [-clients 6] [-secure] [-profile lan] [-messages 3] [-churn] [-restart] [-metrics addr] [-v]
-//	overlaysim -scenario join-storm|drain-spike|parse-flood|slow-sender [-clients N] [-messages N] [-out summary.json]
-//
-// With -churn (requires -secure) a third of the peers log out before
-// the group chatter, each round is uploaded ONCE to the broker's
-// store-and-forward relay, and the departed peers log back in at the
-// end to drain their queued slices — the offline-delivery path the
-// original client-side fan-out silently dropped. With -restart the
-// relay additionally runs on a durable WAL and is torn down and
-// recovered mid-churn, while the queues are full, before the departed
-// peers return — the crash-recovery path end to end.
+//	overlaysim [-clients 6] [-secure] [-profile lan] [-messages 3] [-metrics addr] [-v]
+//	overlaysim -scenario join-storm|drain-spike|parse-flood|slow-sender|partition-churn [-clients N] [-messages N] [-out summary.json]
 //
 // With -scenario the tool becomes a scenario driver: it runs one named
 // traffic shape against a full in-process deployment and emits a
@@ -45,7 +36,6 @@ import (
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/filesvc"
-	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/scenario"
 	"jxtaoverlay/internal/simnet"
@@ -59,8 +49,6 @@ func main() {
 	secure := flag.Bool("secure", false, "use the secure primitives")
 	profileName := flag.String("profile", "lan", "link profile: local, lan, wan")
 	messages := flag.Int("messages", 3, "group messages per client")
-	churn := flag.Bool("churn", false, "take a third of the peers offline mid-run; deliver via the broker relay queues (requires -secure)")
-	restart := flag.Bool("restart", false, "run the relay on a durable WAL and restart it mid-churn: queued slices must survive into the recovered queues (requires -churn)")
 	scenarioName := flag.String("scenario", "", "run one named scenario instead of the smoke sim: "+strings.Join(scenario.Names(), ", "))
 	out := flag.String("out", "", "write the scenario summary JSON to FILE (default stdout)")
 	metricsAddr := flag.String("metrics", "", "serve the telemetry registry over HTTP on ADDR (e.g. localhost:9090)")
@@ -122,7 +110,7 @@ func main() {
 		lingerFor(*linger, *metricsAddr)
 		return
 	}
-	if err := run(*nClients, *secure, *profileName, *messages, *churn, *restart, *verbose, reg); err != nil {
+	if err := run(*nClients, *secure, *profileName, *messages, *verbose, reg); err != nil {
 		log.Fatal(err)
 	}
 	lingerFor(*linger, *metricsAddr)
@@ -205,13 +193,7 @@ func explicitFlag(name string) bool {
 	return set
 }
 
-func run(nClients int, secure bool, profileName string, messages int, churn, restart, verbose bool, reg *telemetry.Registry) error {
-	if churn && !secure {
-		return fmt.Errorf("-churn demonstrates relayed secure rounds; run with -secure")
-	}
-	if restart && !churn {
-		return fmt.Errorf("-restart demonstrates crash recovery of queued slices; run with -churn")
-	}
+func run(nClients int, secure bool, profileName string, messages int, verbose bool, reg *telemetry.Registry) error {
 	profile, err := simnet.ProfileByName(profileName)
 	if err != nil {
 		return err
@@ -234,54 +216,16 @@ func run(nClients int, secure bool, profileName string, messages int, churn, res
 		}
 	}
 
-	brKP, err := keys.NewKeyPair()
+	site, err := dep.StartBroker(
+		broker.Config{Name: "sim-broker", Net: net, DB: broker.LocalDB(db), RequireSecureLogin: secure},
+		core.BrokerConfig{RequireSignedAdvs: secure})
 	if err != nil {
 		return err
 	}
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "sim-broker", 24*time.Hour)
-	if err != nil {
-		return err
-	}
-	trust, err := dep.TrustStore()
-	if err != nil {
-		return err
-	}
-	br, err := broker.New(broker.Config{
-		Name:   "sim-broker",
-		PeerID: brCred.Subject,
-		Net:    net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: secure,
-	})
-	if err != nil {
-		return err
-	}
-	defer br.Close()
-	bs, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: secure,
-	})
-	if err != nil {
-		return err
-	}
-	relayCfg := core.RelayConfig{}
-	if restart {
-		walDir, err := os.MkdirTemp("", "overlaysim-wal-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(walDir)
-		relayCfg.WAL.Dir = walDir
-		relayCfg.WAL.SyncInterval = 2 * time.Millisecond
-	}
-	rly, err := core.EnableBrokerRelay(br, relayCfg)
-	if err != nil {
-		return err
-	}
-	defer func() { rly.Close() }()
-	core.RegisterBrokerTelemetry(reg, br, bs, rly, nil, nil)
-	fmt.Printf("broker %q up (secure=%v, profile=%s, churn=%v)\n", br.Name(), secure, profileName, churn)
+	defer site.Close()
+	br := site.Broker
+	core.RegisterBrokerTelemetry(reg, br, site.Security, nil, nil, nil)
+	fmt.Printf("broker %q up (secure=%v, profile=%s)\n", br.Name(), secure, profileName)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -297,27 +241,17 @@ func run(nClients int, secure bool, profileName string, messages int, churn, res
 	for i := 0; i < nClients; i++ {
 		var p peer
 		if secure {
-			cl, err := client.New(net, membership.NewPSE("", 0), user(i))
+			sc, err := dep.NewClient(net, user(i))
 			if err != nil {
 				return err
 			}
-			clTrust, err := dep.TrustStore()
-			if err != nil {
+			if err := sc.Join(ctx, br.PeerID(), pw(i)); err != nil {
+				sc.Close()
 				return err
 			}
-			sc, err := core.NewSecureClient(cl, clTrust)
-			if err != nil {
-				return err
-			}
-			if err := sc.SecureConnection(ctx, br.PeerID()); err != nil {
-				return fmt.Errorf("%s secureConnection: %w", user(i), err)
-			}
-			if err := sc.SecureLogin(ctx, pw(i)); err != nil {
-				return fmt.Errorf("%s secureLogin: %w", user(i), err)
-			}
-			p.plain = cl
+			p.plain = sc.Client
 			p.secure = sc
-			p.files = filesvc.New(cl)
+			p.files = filesvc.New(sc.Client)
 		} else {
 			cl, err := client.New(net, membership.NewNone(), user(i))
 			if err != nil {
@@ -359,51 +293,15 @@ func run(nClients int, secure bool, profileName string, messages int, churn, res
 		}
 	}
 
-	// With churn, a third of the peers drop offline BEFORE the chatter:
-	// their traffic must survive in the broker's store-and-forward
-	// queues instead of being silently dropped.
-	var churned []int
-	if churn {
-		for i := range peersList {
-			if i%3 == 2 {
-				churned = append(churned, i)
-			}
-		}
-		for _, i := range churned {
-			if err := peersList[i].secure.Logout(ctx); err != nil {
-				return fmt.Errorf("%s logout: %w", user(i), err)
-			}
-		}
-		fmt.Printf("churn: %d of %d peers logged out mid-run\n", len(churned), len(peersList))
-	}
-	offline := make(map[int]bool, len(churned))
-	for _, i := range churned {
-		offline[i] = true
-	}
-
 	// Group chatter.
-	var relayDirect, relayQueued int
 	for round := 0; round < messages; round++ {
 		for i, p := range peersList {
-			if offline[i] {
-				continue
-			}
 			text := fmt.Sprintf("round %d greetings from %s", round, user(i))
 			var sent int
 			var err error
-			switch {
-			case churn:
-				// The send-once path: ONE sealed round uploaded to the
-				// broker, which slices it per recipient — online members
-				// get a direct push, offline ones a queued slice.
-				var direct, queued int
-				direct, queued, err = p.secure.SecureMsgPeerGroupRelay(ctx, "plenary", text)
-				relayDirect += direct
-				relayQueued += queued
-				sent = direct + queued
-			case secure:
+			if secure {
 				sent, err = p.secure.SecureMsgPeerGroup(ctx, "plenary", text)
-			default:
+			} else {
 				sent, err = p.plain.SendMsgPeerGroup(ctx, "plenary", text)
 			}
 			if err != nil {
@@ -413,49 +311,6 @@ func run(nClients int, secure bool, profileName string, messages int, churn, res
 				fmt.Printf("  %s sent to %d peers\n", user(i), sent)
 			}
 		}
-	}
-
-	// The churned peers return: their fresh logins trigger presence
-	// events, and the relay's shard workers drain each queue in order.
-	if churn {
-		fmt.Printf("relay:   %d slices delivered directly, %d queued for offline peers\n", relayDirect, relayQueued)
-		// With -restart the relay "crashes" here, while the churned
-		// peers' slices sit in its queues: close it, then bring up a
-		// fresh relay on the same WAL directory. Recovery must rebuild
-		// the queues — delivery below proceeds from the recovered state.
-		if restart {
-			queuedBefore := rly.QueuedTotal()
-			rly.Close()
-			rly, err = core.EnableBrokerRelay(br, relayCfg)
-			if err != nil {
-				return fmt.Errorf("relay restart: %w", err)
-			}
-			// Rebind the relay collectors to the recovered instance — the
-			// registry replaces same-name collectors in place.
-			core.RegisterBrokerTelemetry(reg, br, bs, rly, nil, nil)
-			m := rly.Metrics()
-			fmt.Printf("restart: relay recovered %d of %d queued slices (%d expired while down, %d already acked)\n",
-				m.RecoveryReplayed, queuedBefore, m.RecoveryDiscardedTTL, m.RecoveryDiscardedGuard)
-			if int(m.RecoveryReplayed) != queuedBefore {
-				return fmt.Errorf("recovery lost slices: had %d queued, recovered %d", queuedBefore, m.RecoveryReplayed)
-			}
-		}
-		for _, i := range churned {
-			sc := peersList[i].secure
-			if err := sc.SecureConnection(ctx, br.PeerID()); err != nil {
-				return fmt.Errorf("%s re-connect: %w", user(i), err)
-			}
-			if err := sc.SecureLogin(ctx, pw(i)); err != nil {
-				return fmt.Errorf("%s re-login: %w", user(i), err)
-			}
-		}
-		drainDeadline := time.Now().Add(10 * time.Second)
-		for rly.QueuedTotal() > 0 && time.Now().Before(drainDeadline) {
-			time.Sleep(20 * time.Millisecond)
-		}
-		m := rly.Metrics()
-		fmt.Printf("relay:   flushed %d queued slices on re-login (%d expired, %d dropped, residual %d)\n",
-			m.DeliveredFlushed, m.Expired, m.DroppedOverflow, rly.QueuedTotal())
 	}
 
 	// One cross-peer download.

@@ -15,6 +15,27 @@
 // the trust models, and cmd/perf/README.md for the end-to-end benchmark.
 // cmd/benchjoin and cmd/benchmsg regenerate the paper's §5 tables.
 //
+// # System setup
+//
+// The paper's §4.1 is written once, in internal/core/setup.go, and ends
+// at a running broker and a joined client. Every command, example,
+// harness and test brings a deployment up through these calls:
+//
+//	dep, _ := core.NewDeployment("admin", 0) // PK/SK_Adm, Cred_Adm^Adm
+//	site, _ := dep.StartBroker(              // SK_Br, Cred_Br^Adm, extension attached
+//		broker.Config{Name: "broker-1", Net: net, DB: broker.LocalDB(users)},
+//		core.BrokerConfig{RequireSignedAdvs: true})
+//	defer site.Close() // the lease sweeper, then the broker
+//	alice, _ := dep.NewClient(net, "alice") // SK_Cl, provisioned with the anchor
+//	defer alice.Close()
+//	err := alice.Join(ctx, site.Broker.PeerID(), "alice-pw") // secureConnection + secureLogin
+//
+// The broker's PeerID is the CBID its credential certifies; a key,
+// credential or trust store the caller passes in core.BrokerConfig is used
+// as given (and checked), what it leaves nil is generated. Relay,
+// admission, audit and tracing are optional subsystems with their own
+// lifetimes: separate calls on site.Broker (core.EnableBrokerRelay, …).
+//
 // # Fast path
 //
 // The sign/verify pipeline — the cost center the paper measures — is

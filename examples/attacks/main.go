@@ -52,9 +52,7 @@ func plainNetwork() (*simnet.Network, *broker.Broker, *userdb.Store, error) {
 	db.Register("mallory", "mallory-pw", "demo")
 	br, err := broker.New(broker.Config{
 		Name: "broker-1", PeerID: keys.LegacyPeerID("broker-1"), Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
+		DB: broker.LocalDB(db),
 	})
 	if err != nil {
 		net.Close()
@@ -64,53 +62,23 @@ func plainNetwork() (*simnet.Network, *broker.Broker, *userdb.Store, error) {
 }
 
 // secureNetwork stands up the extended middleware.
-func secureNetwork() (*simnet.Network, *broker.Broker, *core.Deployment, error) {
-	net := simnet.NewNetwork(simnet.ProfileLocal)
+func secureNetwork() (*simnet.Network, *core.BrokerSite, *core.Deployment, error) {
 	dep, err := core.NewDeployment("admin", 0)
 	if err != nil {
-		net.Close()
 		return nil, nil, nil, err
 	}
 	db := userdb.NewStore()
 	db.Register("alice", "alice-secret", "demo")
 	db.Register("mallory", "mallory-pw", "demo")
-	brKP, _ := keys.NewKeyPair()
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "broker-1", time.Hour)
+	net := simnet.NewNetwork(simnet.ProfileLocal)
+	site, err := dep.StartBroker(
+		broker.Config{Name: "broker-1", Net: net, DB: broker.LocalDB(db), RequireSecureLogin: true},
+		core.BrokerConfig{RequireSignedAdvs: true})
 	if err != nil {
 		net.Close()
 		return nil, nil, nil, err
 	}
-	trust, _ := dep.TrustStore()
-	br, err := broker.New(broker.Config{
-		Name: "broker-1", PeerID: brCred.Subject, Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		net.Close()
-		return nil, nil, nil, err
-	}
-	if _, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true,
-	}); err != nil {
-		net.Close()
-		return nil, nil, nil, err
-	}
-	return net, br, dep, nil
-}
-
-func securePeer(net *simnet.Network, dep *core.Deployment, alias string) (*core.SecureClient, error) {
-	cl, err := client.New(net, membership.NewPSE("", 0), alias)
-	if err != nil {
-		return nil, err
-	}
-	trust, err := dep.TrustStore()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSecureClient(cl, trust)
+	return net, site, dep, nil
 }
 
 func eavesdropDemo(ctx context.Context) error {
@@ -143,15 +111,12 @@ func eavesdropDemo(ctx context.Context) error {
 	defer snet.Close()
 	defer sbr.Close()
 	eve2 := attack.NewEavesdropper(snet)
-	sAlice, err := securePeer(snet, dep, "alice")
+	sAlice, err := dep.NewClient(snet, "alice")
 	if err != nil {
 		return err
 	}
 	defer sAlice.Close()
-	if err := sAlice.SecureConnection(ctx, sbr.PeerID()); err != nil {
-		return err
-	}
-	if err := sAlice.SecureLogin(ctx, "alice-secret"); err != nil {
+	if err := sAlice.Join(ctx, sbr.Broker.PeerID(), "alice-secret"); err != nil {
 		return err
 	}
 	fmt.Printf("  secure login: eve read the password off the wire: %v (frames captured: %d)\n",
@@ -200,33 +165,24 @@ func fakeBrokerDemo(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	fkKP, _ := keys.NewKeyPair()
-	fkCred, err := fakeDep.IssueBrokerCredential(fkKP.Public(), "broker-1", time.Hour)
-	if err != nil {
-		return err
-	}
-	fkTrust, _ := fakeDep.TrustStore()
-	fakeSec, err := broker.New(broker.Config{
-		Name: "broker-1", PeerID: fkCred.Subject, Net: snet,
+	// The fake administrator can bring up a broker of its own, under the
+	// real one's well-known name — but not one alice's anchor certifies.
+	fakeSec, err := fakeDep.StartBroker(broker.Config{
+		Name: "broker-1", Net: snet,
 		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
 			return []string{"demo"}, nil
 		}),
-	})
+	}, core.BrokerConfig{})
 	if err != nil {
 		return err
 	}
 	defer fakeSec.Close()
-	if _, err := core.EnableBrokerSecurity(fakeSec, core.BrokerConfig{
-		KeyPair: fkKP, Credential: fkCred, Trust: fkTrust,
-	}); err != nil {
-		return err
-	}
-	sAlice, err := securePeer(snet, dep, "alice")
+	sAlice, err := dep.NewClient(snet, "alice")
 	if err != nil {
 		return err
 	}
 	defer sAlice.Close()
-	err = sAlice.SecureConnection(ctx, fakeSec.PeerID())
+	err = sAlice.SecureConnection(ctx, fakeSec.Broker.PeerID())
 	fmt.Printf("  secureConnection to the fake broker rejected: %v\n", err != nil)
 	return nil
 }
@@ -273,25 +229,20 @@ func forgeryDemo(ctx context.Context) error {
 	}
 	defer snet.Close()
 	defer sbr.Close()
-	sAlice, err := securePeer(snet, dep, "alice")
+	sAlice, err := dep.NewClient(snet, "alice")
 	if err != nil {
 		return err
 	}
 	defer sAlice.Close()
-	sMallory, err := securePeer(snet, dep, "mallory")
+	sMallory, err := dep.NewClient(snet, "mallory")
 	if err != nil {
 		return err
 	}
 	defer sMallory.Close()
-	for _, p := range []*core.SecureClient{sAlice, sMallory} {
-		if err := p.SecureConnection(ctx, sbr.PeerID()); err != nil {
-			return err
-		}
-	}
-	if err := sAlice.SecureLogin(ctx, "alice-secret"); err != nil {
+	if err := sAlice.Join(ctx, sbr.Broker.PeerID(), "alice-secret"); err != nil {
 		return err
 	}
-	if err := sMallory.SecureLogin(ctx, "mallory-pw"); err != nil {
+	if err := sMallory.Join(ctx, sbr.Broker.PeerID(), "mallory-pw"); err != nil {
 		return err
 	}
 	forged2 := attack.ForgePresence(sAlice.PeerID(), "alice", "demo", "offline")

@@ -17,12 +17,9 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/broker"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/filesvc"
-	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/taskexec"
 	"jxtaoverlay/internal/userdb"
@@ -57,55 +54,24 @@ func run() error {
 	db.Register("ben", "b-pw", "algebra")
 	db.Register("gil", "g-pw", "geometry")
 
-	brKP, err := keys.NewKeyPair()
+	site, err := dep.StartBroker(
+		broker.Config{Name: "school-broker", Net: net, DB: broker.LocalDB(db), RequireSecureLogin: true},
+		core.BrokerConfig{RequireSignedAdvs: true})
 	if err != nil {
 		return err
 	}
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "school-broker", 24*time.Hour)
-	if err != nil {
-		return err
-	}
-	trust, err := dep.TrustStore()
-	if err != nil {
-		return err
-	}
-	br, err := broker.New(broker.Config{
-		Name: "school-broker", PeerID: brCred.Subject, Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		return err
-	}
-	defer br.Close()
-	if _, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true,
-	}); err != nil {
-		return err
-	}
+	defer site.Close()
 
 	join := func(alias, password string) (*participant, error) {
-		cl, err := client.New(net, membership.NewPSE("", 0), alias)
+		sc, err := dep.NewClient(net, alias)
 		if err != nil {
 			return nil, err
 		}
-		clTrust, err := dep.TrustStore()
-		if err != nil {
+		if err := sc.Join(ctx, site.Broker.PeerID(), password); err != nil {
+			sc.Close()
 			return nil, err
 		}
-		sc, err := core.NewSecureClient(cl, clTrust)
-		if err != nil {
-			return nil, err
-		}
-		if err := sc.SecureConnection(ctx, br.PeerID()); err != nil {
-			return nil, err
-		}
-		if err := sc.SecureLogin(ctx, password); err != nil {
-			return nil, err
-		}
-		return &participant{sc: sc, files: filesvc.New(cl)}, nil
+		return &participant{sc: sc, files: filesvc.New(sc.Client)}, nil
 	}
 
 	teacher, err := join("teacher", "t-pw")

@@ -43,9 +43,7 @@ func run() error {
 	}
 	br, err := broker.New(broker.Config{
 		Name: "file-broker", PeerID: keys.LegacyPeerID("file-broker"), Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
+		DB: broker.LocalDB(db),
 	})
 	if err != nil {
 		return err

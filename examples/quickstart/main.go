@@ -17,11 +17,8 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/broker"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/events"
-	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
 )
@@ -52,67 +49,39 @@ func run() error {
 	db.Register("alice", "alice-pw", "demo")
 	db.Register("bob", "bob-pw", "demo")
 
-	// The broker gets a key pair and an administrator-issued credential.
-	brKP, err := keys.NewKeyPair()
-	if err != nil {
-		return err
-	}
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "broker-1", 24*time.Hour)
-	if err != nil {
-		return err
-	}
-	brTrust, err := dep.TrustStore()
-	if err != nil {
-		return err
-	}
-	br, err := broker.New(broker.Config{
-		Name:   "broker-1",
-		PeerID: brCred.Subject,
-		Net:    net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
+	// The broker gets a key pair and an administrator-issued credential,
+	// and comes up with the security extension attached.
+	site, err := dep.StartBroker(broker.Config{
+		Name:               "broker-1",
+		Net:                net,
+		DB:                 broker.LocalDB(db),
 		RequireSecureLogin: true, // plaintext login is turned off
+	}, core.BrokerConfig{
+		RequireSignedAdvs: true, // unsigned advertisements are rejected
 	})
 	if err != nil {
 		return err
 	}
-	defer br.Close()
-	if _, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair:           brKP,
-		Credential:        brCred,
-		Trust:             brTrust,
-		RequireSignedAdvs: true, // unsigned advertisements are rejected
-	}); err != nil {
-		return err
-	}
+	defer site.Close()
+	br := site.Broker
 	fmt.Println("2. broker credentialed and up:", br.PeerID())
 
 	// --- 2. Client boot ----------------------------------------------
 	// Each client uses PSE membership: a key pair is created at boot and
 	// the peer ID is the key's crypto-based identifier (CBID).
-	newPeer := func(alias string) (*core.SecureClient, error) {
-		cl, err := client.New(net, membership.NewPSE("", 0), alias)
-		if err != nil {
-			return nil, err
-		}
-		trust, err := dep.TrustStore()
-		if err != nil {
-			return nil, err
-		}
-		return core.NewSecureClient(cl, trust)
-	}
-	alice, err := newPeer("alice")
+	alice, err := dep.NewClient(net, "alice")
 	if err != nil {
 		return err
 	}
 	defer alice.Close()
-	bob, err := newPeer("bob")
+	bob, err := dep.NewClient(net, "bob")
 	if err != nil {
 		return err
 	}
 	defer bob.Close()
 
+	// Steps 3 and 4 are what (*SecureClient).Join does in one call; they
+	// are spelled out here to show the state between them.
 	// --- 3. secureConnection (§4.2.1) --------------------------------
 	// Challenge/response proves the broker holds SK_Br and an
 	// administrator-issued credential before any password is typed.

@@ -46,9 +46,7 @@ func newPlainStack(t *testing.T) *plainStack {
 	db.Register("mallory", "mallory-pw", "math") // a legitimate but malicious user
 	br, err := broker.New(broker.Config{
 		Name: "broker-1", PeerID: keys.LegacyPeerID("broker-1"), Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
+		DB: broker.LocalDB(db),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,12 +269,12 @@ type secureStack struct {
 
 func newSecureStack(t *testing.T) *secureStack {
 	t.Helper()
-	return newSecureStackWith(t, nil)
+	return newSecureStackWith(t, core.BrokerConfig{RequireSignedAdvs: true})
 }
 
-// newSecureStackWith lets a test adjust the broker's security
-// configuration before it is enabled.
-func newSecureStackWith(t *testing.T, tweak func(*core.BrokerConfig)) *secureStack {
+// newSecureStackWith lets a test choose the broker's security
+// configuration.
+func newSecureStackWith(t *testing.T, sc core.BrokerConfig) *secureStack {
 	t.Helper()
 	net := simnet.NewNetwork(simnet.ProfileLocal)
 	t.Cleanup(net.Close)
@@ -288,38 +286,19 @@ func newSecureStackWith(t *testing.T, tweak func(*core.BrokerConfig)) *secureSta
 	db.Register("alice", "alice-secret-pw", "math")
 	db.Register("bob", "bob-secret-pw", "math")
 	db.Register("mallory", "mallory-pw", "math")
-	brKP, _ := keys.NewKeyPair()
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "broker-1", time.Hour)
+	site, err := dep.StartBroker(
+		broker.Config{Name: "broker-1", Net: net, DB: broker.LocalDB(db), RequireSecureLogin: true}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trust, _ := dep.TrustStore()
-	br, err := broker.New(broker.Config{
-		Name: "broker-1", PeerID: brCred.Subject, Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(br.Close)
-	cfg := core.BrokerConfig{KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true}
-	if tweak != nil {
-		tweak(&cfg)
-	}
-	brSec, err := core.EnableBrokerSecurity(br, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &secureStack{net: net, dep: dep, br: br, db: db, brKP: brKP, brSec: brSec}
+	t.Cleanup(site.Close)
+	return &secureStack{net: net, dep: dep, br: site.Broker, db: db, brKP: site.KeyPair, brSec: site.Security}
 }
 
 func (s *secureStack) join(t *testing.T, alias, password string, opts ...core.Option) *core.SecureClient {
 	t.Helper()
-	sc := s.connected(t, alias, opts...)
-	if err := sc.SecureLogin(testCtx(t), password); err != nil {
+	sc := s.client(t, alias, opts...)
+	if err := sc.Join(testCtx(t), s.br.PeerID(), password); err != nil {
 		t.Fatal(err)
 	}
 	return sc
@@ -328,19 +307,20 @@ func (s *secureStack) join(t *testing.T, alias, password string, opts ...core.Op
 // connected is a secure client that has run secureConnection only.
 func (s *secureStack) connected(t *testing.T, alias string, opts ...core.Option) *core.SecureClient {
 	t.Helper()
-	cl, err := client.New(s.net, membership.NewPSE("", 0), alias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	trust, _ := s.dep.TrustStore()
-	sc, err := core.NewSecureClient(cl, trust, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := s.client(t, alias, opts...)
 	if err := sc.SecureConnection(testCtx(t), s.br.PeerID()); err != nil {
 		t.Fatal(err)
 	}
+	return sc
+}
+
+func (s *secureStack) client(t *testing.T, alias string, opts ...core.Option) *core.SecureClient {
+	t.Helper()
+	sc, err := s.dep.NewClient(s.net, alias, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sc.Close)
 	return sc
 }
 

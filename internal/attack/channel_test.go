@@ -288,10 +288,7 @@ func TestChannelReplays(t *testing.T) {
 			if err := p.bob.Logout(testCtx(t)); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.bob.SecureConnection(testCtx(t), p.s.br.PeerID()); err != nil {
-				t.Fatal(err)
-			}
-			if err := p.bob.SecureLogin(testCtx(t), "bob-secret-pw"); err != nil {
+			if err := p.bob.Join(testCtx(t), p.s.br.PeerID(), "bob-secret-pw"); err != nil {
 				t.Fatal(err)
 			}
 			say(t, p.alice, p.bob.PeerID(), p.atBob, "after bob's logout")
@@ -549,7 +546,7 @@ func TestChannelOfferFlood(t *testing.T) {
 // not lost: she sends it again as an envelope, whose credential check is
 // the paper's.)
 func TestChannelFrameAfterCredentialExpiryRefused(t *testing.T) {
-	s := newSecureStackWith(t, func(cfg *core.BrokerConfig) { cfg.CredValidity = 5 * time.Minute })
+	s := newSecureStackWith(t, core.BrokerConfig{RequireSignedAdvs: true, CredValidity: 5 * time.Minute})
 	p := newChannelPair(t, s, false)
 	notAfter := p.alice.Identity().Credential.NotAfter
 	if until := time.Until(notAfter); until > 5*time.Minute || until < 4*time.Minute {

@@ -5,9 +5,11 @@ package attack_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
+	"jxtaoverlay/internal/perfgate"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/waituntil"
 	"jxtaoverlay/internal/xmldoc"
@@ -209,7 +212,7 @@ func TestStoredCredentialOnlyForSameKeyAndUser(t *testing.T) {
 // stored credential is replaced by a fresh issuance.
 func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 	const validity = 10 * time.Minute
-	s := newSecureStackWith(t, func(cfg *core.BrokerConfig) { cfg.CredValidity = validity })
+	s := newSecureStackWith(t, core.BrokerConfig{RequireSignedAdvs: true, CredValidity: validity})
 	var skew atomic.Int64
 	s.brSec.SetClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
 	alice := s.join(t, "alice", "alice-secret-pw")
@@ -222,10 +225,7 @@ func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := s.brKP.SignCalls()
-		if err := alice.SecureConnection(ctx, s.br.PeerID()); err != nil {
-			t.Fatal(err)
-		}
-		if err := alice.SecureLogin(ctx, "alice-secret-pw"); err != nil {
+		if err := alice.Join(ctx, s.br.PeerID(), "alice-secret-pw"); err != nil {
 			t.Fatal(err)
 		}
 		return s.brKP.SignCalls() - before
@@ -247,4 +247,46 @@ func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 	if fresh := alice.Identity().Credential; !fresh.NotAfter.After(first.NotAfter) {
 		t.Fatalf("stale credential handed out: NotAfter %v, first %v", fresh.NotAfter, first.NotAfter)
 	}
+}
+
+// (e) secureConnection needs no login, and every call is handed a session
+// identifier the broker must remember until it is presented. A flood of
+// them from strangers — each from a peer ID never seen before, so that no
+// per-peer limit applies — fills the table to its bound and no further,
+// and the join of an honest client behind it is served. Each call costs
+// the broker a signature, so under the race detector, where CI repeats
+// the test, the flood is three tables' worth.
+func TestSecureConnectFloodBoundsSidTable(t *testing.T) {
+	const sidCapacity = 4096 // core's bound on the table
+	calls := 50000
+	if perfgate.Race {
+		calls = 3 * sidCapacity
+	}
+	s := newSecureStack(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	chall := make([]byte, 32)
+	most := 0
+	for i := 0; i < calls; i++ {
+		stranger, err := endpoint.NewService(s.net, keys.PeerID("urn:jxta:stranger-"+strconv.Itoa(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := stranger.Request(ctx, s.br.PeerID(), proto.BrokerService, endpoint.NewMessage().
+			AddString(proto.ElemOp, proto.OpSecureConnect).
+			Add(proto.ElemChallenge, chall))
+		stranger.Close()
+		if err != nil {
+			t.Fatalf("secureConnection %d: %v", i, err)
+		}
+		if ok, tok := proto.IsOK(resp); !ok {
+			t.Fatalf("secureConnection %d refused (%s): the flood must be one the broker answers", i, tok)
+		}
+		most = max(most, s.brSec.PendingSids())
+	}
+	if most > sidCapacity {
+		t.Fatalf("%d secureConnection calls left %d session identifiers pending, want at most %d", calls, most, sidCapacity)
+	}
+	t.Logf("%d secureConnection calls: at most %d session identifiers pending", calls, most)
+	s.join(t, "alice", "alice-secret-pw")
 }

@@ -16,7 +16,6 @@ package attack_test
 //     federation work, now also carrying lease expiries).
 
 import (
-	"context"
 	"errors"
 	"strconv"
 	"sync"
@@ -24,15 +23,11 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/attack"
-	"jxtaoverlay/internal/broker"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
-	"jxtaoverlay/internal/userdb"
 	"jxtaoverlay/internal/waituntil"
 )
 
@@ -41,52 +36,15 @@ const attackLeaseTTL = 30 * time.Second
 // leaseStack is a secureStack with liveness enabled and a movable
 // broker clock, so lease expiry is driven deterministically.
 type leaseStack struct {
-	net   *simnet.Network
-	dep   *core.Deployment
-	br    *broker.Broker
-	brSec *core.BrokerSecurity
-	mu    sync.Mutex
-	now   time.Time
+	*secureStack
+	mu  sync.Mutex
+	now time.Time
 }
 
 func newLeaseStack(t *testing.T) *leaseStack {
 	t.Helper()
 	s := &leaseStack{now: time.Now()}
-	s.net = simnet.NewNetwork(simnet.ProfileLocal)
-	t.Cleanup(s.net.Close)
-	dep, err := core.NewDeployment("admin", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.dep = dep
-	db := userdb.NewStoreIter(4)
-	db.Register("alice", "alice-secret-pw", "math")
-	db.Register("mallory", "mallory-pw", "math")
-	brKP, _ := keys.NewKeyPair()
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "broker-1", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust, _ := dep.TrustStore()
-	s.br, err = broker.New(broker.Config{
-		Name: "broker-1", PeerID: brCred.Subject, Net: s.net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.br.Close)
-	s.brSec, err = core.EnableBrokerSecurity(s.br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust,
-		RequireSignedAdvs: true, LeaseTTL: attackLeaseTTL,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.brSec.Close)
+	s.secureStack = newSecureStackWith(t, core.BrokerConfig{RequireSignedAdvs: true, LeaseTTL: attackLeaseTTL})
 	s.brSec.SetClock(func() time.Time {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -99,28 +57,6 @@ func (s *leaseStack) advance(d time.Duration) {
 	s.mu.Lock()
 	s.now = s.now.Add(d)
 	s.mu.Unlock()
-}
-
-func (s *leaseStack) join(t *testing.T, alias, password string) *core.SecureClient {
-	t.Helper()
-	cl, err := client.New(s.net, membership.NewPSE("", 0), alias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	trust, _ := s.dep.TrustStore()
-	sc, err := core.NewSecureClient(cl, trust)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := testCtx(t)
-	if err := sc.SecureConnection(ctx, s.br.PeerID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.SecureLogin(ctx, password); err != nil {
-		t.Fatal(err)
-	}
-	return sc
 }
 
 // A heartbeat captured off the wire and replayed carries an

@@ -10,38 +10,13 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/attack"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/taskexec"
 	"jxtaoverlay/internal/waituntil"
 )
-
-// joinWith is secureStack.join for a client built with options.
-func joinWith(t *testing.T, s *secureStack, alias, password string, opts ...core.Option) *core.SecureClient {
-	t.Helper()
-	cl, err := client.New(s.net, membership.NewPSE("", 0), alias)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	trust, _ := s.dep.TrustStore()
-	sc, err := core.NewSecureClient(cl, trust, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := testCtx(t)
-	if err := sc.SecureConnection(ctx, s.br.PeerID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.SecureLogin(ctx, password); err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
 
 // TestSecureTaskRequestReplay: eve captures alice's SecureExecTask
 // request to bob and re-sends the frame verbatim. On an executor built
@@ -53,7 +28,7 @@ func TestSecureTaskRequestReplay(t *testing.T) {
 	replay := func(t *testing.T, opts ...core.Option) (runs int64, answer *endpoint.Message) {
 		s := newSecureStack(t)
 		alice := s.join(t, "alice", "alice-secret-pw")
-		bob := joinWith(t, s, "bob", "bob-secret-pw", opts...)
+		bob := s.join(t, "bob", "bob-secret-pw", opts...)
 		var ran atomic.Int64
 		reg := taskexec.NewRegistry()
 		reg.Register("charge", func(args []string) (string, error) {

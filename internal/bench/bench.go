@@ -13,7 +13,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -60,44 +59,19 @@ func NewEnv(opts ...EnvOption) (*Env, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	net := simnet.NewNetwork(simnet.ProfileLocal)
 	dep, err := core.NewDeployment("bench-admin", cfg.keyBits)
 	if err != nil {
 		return nil, err
 	}
 	db := userdb.NewStoreIter(cfg.dbIters)
-	brKP, err := keys.KeyPairBits(cfg.keyBits)
+	net := simnet.NewNetwork(simnet.ProfileLocal)
+	site, err := dep.StartBroker(
+		broker.Config{Name: "bench-broker", Net: net, DB: broker.LocalDB(db)}, core.BrokerConfig{})
 	if err != nil {
+		net.Close()
 		return nil, err
 	}
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "bench-broker", 24*time.Hour)
-	if err != nil {
-		return nil, err
-	}
-	trust, err := dep.TrustStore()
-	if err != nil {
-		return nil, err
-	}
-	br, err := broker.New(broker.Config{
-		Name:   "bench-broker",
-		PeerID: brCred.Subject,
-		Net:    net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-	})
-	if err != nil {
-		return nil, err
-	}
-	sec, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair:    brKP,
-		Credential: brCred,
-		Trust:      trust,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Env{Net: net, Dep: dep, Broker: br, Sec: sec, DB: db, keyBits: cfg.keyBits}, nil
+	return &Env{Net: net, Dep: dep, Broker: site.Broker, Sec: site.Security, DB: db, keyBits: cfg.keyBits}, nil
 }
 
 // Close tears the deployment down.
@@ -129,16 +103,7 @@ func (e *Env) PlainClient(alias string) (*client.Client, error) {
 // generation happens here — at "boot time" per §4.1 — so join
 // measurements exclude it, as the paper's do.
 func (e *Env) SecureClient(alias string, mode core.Mode) (*core.SecureClient, error) {
-	cl, err := client.New(e.Net, membership.NewPSE("", e.keyBits), alias)
-	if err != nil {
-		return nil, err
-	}
-	trust, err := e.Dep.TrustStore()
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
-	return core.NewSecureClient(cl, trust, core.WithMode(mode))
+	return e.Dep.NewClient(e.Net, alias, core.WithMode(mode))
 }
 
 // OpCost is the measured cost of one operation: compute wall time plus

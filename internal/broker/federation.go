@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -36,7 +37,7 @@ const (
 func (b *Broker) Federate(partners ...keys.PeerID) {
 	b.mu.Lock()
 	for _, p := range partners {
-		if p != b.cfg.PeerID && !containsPeer(b.federation, p) {
+		if p != b.cfg.PeerID && !slices.Contains(b.federation, p) {
 			b.federation = append(b.federation, p)
 		}
 	}
@@ -60,15 +61,6 @@ func (b *Broker) FederationPartners() []keys.PeerID {
 	return append([]keys.PeerID(nil), b.federation...)
 }
 
-func containsPeer(list []keys.PeerID, p keys.PeerID) bool {
-	for _, v := range list {
-		if v == p {
-			return true
-		}
-	}
-	return false
-}
-
 // fedBroadcast pushes a federation message to every partner.
 func (b *Broker) fedBroadcast(msg *endpoint.Message) {
 	b.mu.RLock()
@@ -88,7 +80,7 @@ func (b *Broker) fedBroadcast(msg *endpoint.Message) {
 func (b *Broker) IsPartner(id keys.PeerID) bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return containsPeer(b.federation, id)
+	return slices.Contains(b.federation, id)
 }
 
 func peerUpMessage(info *PeerInfo) *endpoint.Message {

@@ -33,9 +33,7 @@ func newFedHarness(t *testing.T) *fedHarness {
 	db := userdb.NewStoreIter(4)
 	db.Register("alice", "pw", "math")
 	db.Register("bob", "pw", "math")
-	auth := broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-		return db.Authenticate(u, p)
-	})
+	auth := broker.LocalDB(db)
 	mk := func(name string) *broker.Broker {
 		b, err := broker.New(broker.Config{
 			Name: name, PeerID: keys.LegacyPeerID(name), Net: net, DB: auth,
@@ -202,9 +200,7 @@ func TestFederateAnnouncesExistingPeers(t *testing.T) {
 	t.Cleanup(net.Close)
 	db := userdb.NewStoreIter(4)
 	db.Register("alice", "pw", "math")
-	auth := broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-		return db.Authenticate(u, p)
-	})
+	auth := broker.LocalDB(db)
 	brA, err := broker.New(broker.Config{Name: "a", PeerID: keys.LegacyPeerID("a"), Net: net, DB: auth})
 	if err != nil {
 		t.Fatal(err)
@@ -259,9 +255,7 @@ func TestFederationStalePresenceIgnored(t *testing.T) {
 	db.Register("bob", "pw", "math")
 	br, err := broker.New(broker.Config{
 		Name: "b", PeerID: keys.LegacyPeerID("b"), Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
+		DB: broker.LocalDB(db),
 	})
 	if err != nil {
 		t.Fatal(err)

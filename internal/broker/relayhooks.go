@@ -10,6 +10,7 @@ package broker
 // delivery needs.
 
 import (
+	"slices"
 	"sort"
 
 	"jxtaoverlay/internal/keys"
@@ -69,7 +70,7 @@ func (b *Broker) KnownMember(id keys.PeerID, group string) bool {
 	}
 	// Groups is mutated in place by join/leave, so it must be read
 	// while still holding the lock.
-	return group == "" || contains(p.Groups, group)
+	return group == "" || slices.Contains(p.Groups, group)
 }
 
 // KnownPeers lists every peer the broker has a session record for —
@@ -81,7 +82,7 @@ func (b *Broker) KnownPeers(group string) []PeerInfo {
 	defer b.mu.RUnlock()
 	var out []PeerInfo
 	for _, p := range b.peers {
-		if group != "" && !contains(p.Groups, group) {
+		if group != "" && !slices.Contains(p.Groups, group) {
 			continue
 		}
 		out = append(out, *p)

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -588,7 +589,7 @@ func (c *Client) JoinGroup(ctx context.Context, name string) error {
 		return err
 	}
 	c.mu.Lock()
-	if !containsString(c.groups, name) {
+	if !slices.Contains(c.groups, name) {
 		c.groups = append(c.groups, name)
 	}
 	c.mu.Unlock()
@@ -604,7 +605,7 @@ func (c *Client) LeaveGroup(ctx context.Context, name string) error {
 		return err
 	}
 	c.mu.Lock()
-	c.groups = removeString(c.groups, name)
+	c.groups = slices.DeleteFunc(c.groups, func(g string) bool { return g == name })
 	c.mu.Unlock()
 	c.ctl.UnbindGroupPipe(name)
 	return nil
@@ -729,23 +730,4 @@ func splitCSV(s string) []string {
 		return nil
 	}
 	return strings.Split(s, ",")
-}
-
-func containsString(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-func removeString(ss []string, s string) []string {
-	out := ss[:0]
-	for _, v := range ss {
-		if v != s {
-			out = append(out, v)
-		}
-	}
-	return out
 }

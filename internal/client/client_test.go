@@ -39,9 +39,7 @@ func newHarness(t *testing.T) *harness {
 		Name:   "broker-1",
 		PeerID: keys.LegacyPeerID("broker-1"),
 		Net:    net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
+		DB:     broker.LocalDB(db),
 	})
 	if err != nil {
 		t.Fatal(err)

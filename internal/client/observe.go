@@ -72,11 +72,6 @@ func (c *Client) AttachCollectors(attach func(reg *telemetry.Registry) (detach f
 	return true
 }
 
-// DeliveryLatency returns the bound histogram (nil before
-// BindTelemetry). The scenario driver reads its quantiles; admin
-// metrics scrapes it over /metrics like any other instrument.
-func (c *Client) DeliveryLatency() *telemetry.Histogram { return c.delivery.Load() }
-
 // ObserveDelivery records one end-to-end delivery latency. The
 // security extension calls it with (now - opened.SentAt) — the signed
 // seal timestamp — after a successful open. Negative skew clamps to

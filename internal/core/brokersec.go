@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,22 +34,16 @@ type BrokerConfig struct {
 	// CredValidity is the lifetime of client credentials issued at
 	// secureLogin (0 = DefaultCredValidity).
 	CredValidity time.Duration
-	// SidTTL bounds how long an unused session identifier stays valid
-	// (0 = 2 minutes).
-	SidTTL time.Duration
 	// RequireSignedAdvs makes the broker reject unsigned or untrusted
 	// advertisement publications.
 	RequireSignedAdvs bool
-	// VerifyCacheSize bounds the broker's signed-advertisement
-	// verification cache (0 = xdsig.DefaultVerifyCacheSize).
-	VerifyCacheSize int
 	// LeaseTTL enables presence leases: secureLogin grants a lease of
 	// this duration, the signed heartbeat op renews it, and a session
 	// that misses its heartbeats long enough for the lease to lapse is
 	// taken offline (audited peer-down "lease-expired", relay flips to
 	// queueing). 0 disables leases — presence then never expires, the
-	// pre-liveness behaviour. Deployments that set it must Close() the
-	// BrokerSecurity to stop the expiry sweeper.
+	// pre-liveness behaviour. Whoever sets it must Close() the
+	// BrokerSecurity to stop the expiry sweeper (BrokerSite.Close does).
 	LeaseTTL time.Duration
 }
 
@@ -68,8 +63,10 @@ type BrokerSecurity struct {
 	// loginCredential).
 	issued *lru.Cache[keys.PeerID, *issuedCred]
 
-	mu     sync.Mutex
-	sids   map[string]time.Time
+	mu sync.Mutex
+	// sids holds the session identifiers handed out and not yet
+	// presented, each until sidTTL after its issue.
+	sids   lru.Window[string, struct{}]
 	leases map[keys.PeerID]*lease
 	clock  func() time.Time
 
@@ -85,6 +82,15 @@ type BrokerSecurity struct {
 	sweepDone chan struct{}
 	closeOnce sync.Once
 }
+
+// sidTTL bounds how long an unused session identifier stays valid: a
+// client presents it in the request that follows, so minutes are ample.
+const sidTTL = 2 * time.Minute
+
+// sidCapacity bounds the session identifiers outstanding at once:
+// secureConnection needs no login, so without a bound a stranger could
+// grow the table for sidTTL. Full, the identifier closest to expiry goes.
+const sidCapacity = 4096
 
 // EnableBrokerSecurity attaches the secure primitives to a broker:
 // it registers the secureConnection and secureLogin operations and,
@@ -102,9 +108,6 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 	if cfg.CredValidity <= 0 {
 		cfg.CredValidity = DefaultCredValidity
 	}
-	if cfg.SidTTL <= 0 {
-		cfg.SidTTL = 2 * time.Minute
-	}
 	credDoc, err := cfg.Credential.Document()
 	if err != nil {
 		return nil, err
@@ -112,10 +115,10 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 	bs := &BrokerSecurity{
 		cfg:      cfg,
 		b:        b,
-		vcache:   xdsig.NewVerifyCache(cfg.Trust, cfg.VerifyCacheSize),
+		vcache:   xdsig.NewVerifyCache(cfg.Trust, 0),
 		credWire: credDoc.Canonical(),
 		issued:   lru.New[keys.PeerID, *issuedCred](issuedCredCapacity),
-		sids:     make(map[string]time.Time),
+		sids:     lru.NewWindow[string, struct{}](sidCapacity),
 		leases:   make(map[keys.PeerID]*lease),
 		clock:    time.Now,
 	}
@@ -166,7 +169,7 @@ func (bs *BrokerSecurity) IssueClientCredential(subject keys.PeerID, username st
 func (bs *BrokerSecurity) PendingSids() int {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	return len(bs.sids)
+	return bs.sids.Len()
 }
 
 // handleSecureConnect implements the broker side of §4.2.1: receive the
@@ -182,16 +185,7 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	sid := hex.EncodeToString(sidBytes)
-
-	now := bs.now()
-	bs.mu.Lock()
-	for s, t := range bs.sids { // lazy expiry sweep
-		if now.Sub(t) > bs.cfg.SidTTL {
-			delete(bs.sids, s)
-		}
-	}
-	bs.sids[sid] = now
-	bs.mu.Unlock()
+	bs.issueSid(sid)
 
 	sig, err := bs.cfg.KeyPair.Sign(chall)
 	if err != nil {
@@ -203,6 +197,14 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 		AddXML(proto.ElemCred, bs.credWire)
 }
 
+// issueSid records a session identifier as handed out, good for sidTTL.
+func (bs *BrokerSecurity) issueSid(sid string) {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	now := bs.clock()
+	bs.sids.Put(sid, struct{}{}, now.Add(sidTTL), now)
+}
+
 func (bs *BrokerSecurity) now() time.Time {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -212,15 +214,11 @@ func (bs *BrokerSecurity) now() time.Time {
 // consumeSid enforces single use: a sid is deleted the moment it is
 // presented (§4.2.2 step 5), which is what blocks login replay.
 func (bs *BrokerSecurity) consumeSid(sid string) bool {
-	now := bs.now()
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	issued, ok := bs.sids[sid]
-	if !ok {
-		return false
-	}
-	delete(bs.sids, sid)
-	return now.Sub(issued) <= bs.cfg.SidTTL
+	_, live := bs.sids.Get(sid, bs.clock())
+	bs.sids.Delete(sid)
+	return live
 }
 
 // auditAuth records one authentication outcome — "ok", or the proto
@@ -284,7 +282,7 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 	}
 
 	// Step 6: username/password against the central database.
-	ctx, cancel := context.WithTimeout(context.Background(), bs.b.OpTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), broker.OpTimeout)
 	defer cancel()
 	groups, err := bs.b.DB().Authenticate(ctx, user, pass)
 	if err != nil {
@@ -302,7 +300,7 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 	bs.auditAuth(audit.KindLogin, peerID, proto.OpSecureLogin, "ok")
 
 	resp := proto.OK().
-		AddString(proto.ElemGroups, joinCSV(groups)).
+		AddString(proto.ElemGroups, strings.Join(groups, ",")).
 		AddXML(proto.ElemCred, credWire)
 	// Liveness: the response carries the presence lease the session
 	// must heartbeat to keep. Granted AFTER RegisterPeer so the lease
@@ -397,20 +395,9 @@ func (bs *BrokerSecurity) VerifyCache() *xdsig.VerifyCache { return bs.vcache }
 // cache statistics).
 func (bs *BrokerSecurity) Trust() *cred.TrustStore { return bs.cfg.Trust }
 
-// CheckAdvOwnership rejects signed advertisements whose signer is not
-// the peer the advertisement describes — without it, any credentialed
+// CheckParsedAdvOwnership rejects signed advertisements whose signer is
+// not the peer the advertisement describes — without it, any credentialed
 // user could still publish advertisements impersonating another peer.
-func CheckAdvOwnership(doc *xmldoc.Element, signer keys.PeerID) error {
-	adv, err := advert.Parse(doc)
-	if err != nil {
-		return err
-	}
-	return CheckParsedAdvOwnership(adv, signer)
-}
-
-// CheckParsedAdvOwnership is CheckAdvOwnership for callers that already
-// hold the parsed advertisement (the broker's single-parse publish
-// path).
 func CheckParsedAdvOwnership(adv advert.Advertisement, signer keys.PeerID) error {
 	owner := advOwner(adv)
 	if owner != "" && owner != signer {
@@ -436,15 +423,4 @@ func advOwner(adv advert.Advertisement) keys.PeerID {
 	default:
 		return ""
 	}
-}
-
-func joinCSV(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
-	return out
 }

@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/broker"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
 
@@ -36,37 +34,23 @@ func TestSecureConnectionRejectsExpiredBrokerCredential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trust, _ := dep.TrustStore()
-	br, err := broker.New(broker.Config{
-		Name: "broker-1", PeerID: brCred.Subject, Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-	})
+	site, err := dep.StartBroker(
+		broker.Config{Name: "broker-1", Net: net, DB: broker.LocalDB(db)},
+		core.BrokerConfig{KeyPair: brKP, Credential: brCred})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(br.Close)
-	if _, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(site.Close)
 	time.Sleep(5 * time.Millisecond) // let the credential lapse
 
-	cl, err := client.New(net, membership.NewPSE("", 0), "alice")
+	sc, err := dep.NewClient(net, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(cl.Close)
-	clTrust, _ := dep.TrustStore()
-	sc, err := core.NewSecureClient(cl, clTrust)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(sc.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := sc.SecureConnection(ctx, br.PeerID()); err == nil {
+	if err := sc.SecureConnection(ctx, site.Broker.PeerID()); err == nil {
 		t.Fatal("secureConnection accepted an expired broker credential")
 	}
 }

@@ -6,19 +6,14 @@ package core_test
 // ExpireLapsedNow, never wall-clock sleeps.
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
 	"time"
 
-	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
-	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
-	"jxtaoverlay/internal/simnet"
-	"jxtaoverlay/internal/userdb"
 )
 
 // leaseHarness is a secureHarness with liveness enabled and a movable
@@ -34,55 +29,7 @@ const testLeaseTTL = 30 * time.Second
 func newLeaseHarness(t *testing.T) *leaseHarness {
 	t.Helper()
 	h := &leaseHarness{now: time.Now()}
-	h.secureHarness = &secureHarness{t: t, signAdv: true}
-	h.net = simnet.NewNetwork(simnet.ProfileLocal)
-	t.Cleanup(h.net.Close)
-
-	var err error
-	h.dep, err = core.NewDeployment("uoc-admin", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.db = userdb.NewStoreIter(4)
-	h.db.Register("alice", "pw-alice", "math")
-	h.db.Register("bob", "pw-bob", "math")
-
-	h.brKP, err = keys.NewKeyPair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.brCred, err = h.dep.IssueBrokerCredential(h.brKP.Public(), "broker-1", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust, err := h.dep.TrustStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.br, err = broker.New(broker.Config{
-		Name:   "broker-1",
-		PeerID: h.brCred.Subject,
-		Net:    h.net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return h.db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h.br.Close)
-	h.brSec, err = core.EnableBrokerSecurity(h.br, core.BrokerConfig{
-		KeyPair:           h.brKP,
-		Credential:        h.brCred,
-		Trust:             trust,
-		RequireSignedAdvs: true,
-		LeaseTTL:          testLeaseTTL,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h.brSec.Close)
+	h.secureHarness = newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: true, LeaseTTL: testLeaseTTL})
 	h.brSec.SetClock(h.clock)
 	return h
 }

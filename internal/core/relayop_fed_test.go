@@ -31,9 +31,7 @@ func TestRelayHandsOffFederationResidentRecipients(t *testing.T) {
 	db := userdb.NewStoreIter(4)
 	db.Register("alice", "pw", "math")
 	db.Register("bob", "pw", "math")
-	auth := broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-		return db.Authenticate(u, p)
-	})
+	auth := broker.LocalDB(db)
 	mk := func(name string) *broker.Broker {
 		b, err := broker.New(broker.Config{Name: name, PeerID: keys.LegacyPeerID(name), Net: net, DB: auth})
 		if err != nil {

@@ -161,7 +161,7 @@ func (bs *BrokerSecurity) credentialedRequest(from keys.PeerID, msg *endpoint.Me
 		token = proto.ErrBadSignature
 	case keys.VerifyCBID(current.Subject, current.Key) != nil:
 		token = proto.ErrCBIDMismatch
-	case tsErr != nil || absDuration(now.Sub(ts)) > 2*time.Minute:
+	case tsErr != nil || now.Sub(ts).Abs() > 2*time.Minute:
 		token = proto.ErrBadRequest
 	}
 	if token != "" {
@@ -185,11 +185,4 @@ func (bs *BrokerSecurity) handleSecureRenew(from keys.PeerID, msg *endpoint.Mess
 	}
 	bs.auditAuth(audit.KindRenew, current.Subject, OpSecureRenew, "ok")
 	return proto.OK().AddXML(proto.ElemCred, fresh.wire)
-}
-
-func absDuration(d time.Duration) time.Duration {
-	if d < 0 {
-		return -d
-	}
-	return d
 }

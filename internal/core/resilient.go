@@ -69,9 +69,6 @@ type ResilientConfig struct {
 	RetryBudget int
 	// ResumeBudget caps login attempts per outage (default 8).
 	ResumeBudget int
-	// HeartbeatEvery overrides the renewal cadence (default: a third
-	// of the granted lease TTL).
-	HeartbeatEvery time.Duration
 	// AttemptTimeout bounds each individual attempt (0 = rely on the
 	// underlying client timeout or the caller's deadline). Set it when
 	// the caller context carries a long deadline: without a per-attempt
@@ -159,10 +156,7 @@ func (r *ResilientClient) Stats() ResilienceStats {
 // lease. The initial connect is not retried — a broker that is down at
 // startup is a deployment problem, not churn.
 func (r *ResilientClient) Connect(ctx context.Context) error {
-	if err := r.SecureConnection(ctx, r.brokerID); err != nil {
-		return err
-	}
-	if err := r.SecureLogin(ctx, r.password); err != nil {
+	if err := r.Join(ctx, r.brokerID, r.password); err != nil {
 		return err
 	}
 	r.startHeartbeat()
@@ -460,10 +454,7 @@ func (r *ResilientClient) resume(ctx context.Context) error {
 		}
 		r.resumeAttempts.Add(1)
 		err := r.attempt(ctx, func(ctx context.Context) error {
-			if cerr := r.SecureConnection(ctx, r.brokerID); cerr != nil {
-				return cerr
-			}
-			return r.SecureLogin(ctx, r.password)
+			return r.Join(ctx, r.brokerID, r.password)
 		})
 		if err == nil {
 			r.resumes.Add(1)
@@ -517,15 +508,12 @@ func (r *ResilientClient) startHeartbeat() {
 
 // heartbeatLoop renews the lease at a third of its TTL (three misses
 // before expiry). Transport failures are tolerated — the next tick
-// retries; lease loss triggers a background resume so the session
-// comes back even when the application is idle.
+// retries; lease loss, or the credential's expiry, triggers a background
+// resume so the session comes back even when the application is idle.
 func (r *ResilientClient) heartbeatLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	interval := r.cfg.HeartbeatEvery
-	if interval <= 0 {
-		_, ttl := r.Lease()
-		interval = ttl / 3
-	}
+	_, ttl := r.Lease()
+	interval := ttl / 3
 	if interval <= 0 {
 		return
 	}
@@ -544,7 +532,12 @@ func (r *ResilientClient) heartbeatLoop(stop <-chan struct{}, done chan<- struct
 				continue
 			}
 			r.heartbeatFailures.Add(1)
-			if errors.Is(err, ErrLeaseLost) || errors.Is(err, ErrNoLease) || errors.Is(err, client.ErrNotConnected) {
+			// bad-credential is the session credential past its NotAfter:
+			// the broker refuses it before it looks at the lease, and the
+			// re-login a resume makes is what issues the next one.
+			var opErr *client.OpError
+			expired := errors.As(err, &opErr) && opErr.Token == proto.ErrBadCredential
+			if expired || errors.Is(err, ErrLeaseLost) || errors.Is(err, ErrNoLease) || errors.Is(err, client.ErrNotConnected) {
 				// The session is gone; resume in the background. A failed
 				// resume is retried at the next lease-lost heartbeat.
 				rctx, rcancel := context.WithTimeout(context.Background(), time.Minute)

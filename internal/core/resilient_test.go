@@ -16,6 +16,7 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
+	"jxtaoverlay/internal/waituntil"
 )
 
 func listPeersReq(group string) *endpoint.Message {
@@ -154,5 +155,50 @@ func TestResilientIdempotentCallMintsDistinctKeys(t *testing.T) {
 	}
 	if h.br.IdemEntries() != 2 {
 		t.Fatalf("IdemEntries = %d, want 2", h.br.IdemEntries())
+	}
+}
+
+// TestResilientSurvivesCredentialExpiry: past its NotAfter a session's
+// credential gets every heartbeat refused bad-credential before the lease
+// is looked at, so the client is never told the lease is lost. That
+// refusal must resume the session too — the re-login is issued the next
+// credential and re-publishes the pipe advertisements under it — or the
+// lease lapses and the client stays dark. Real time: the expiry that
+// matters is the one cred.Verify reads off the wall clock.
+func TestResilientSurvivesCredentialExpiry(t *testing.T) {
+	const validity = 2 * time.Second
+	h := newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: true, CredValidity: validity, LeaseTTL: 900 * time.Millisecond})
+	rc := core.NewResilientClient(h.secureClient("alice"), h.br.PeerID(), "pw-alice", resilientCfg())
+	connected := time.Now()
+	if err := rc.Connect(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rc.Close)
+	got := events.NewCollector(rc.Bus())
+	// Each message comes from a sender that has just booted, so it asks
+	// the broker for alice's signed pipe advertisement: the send goes
+	// through only while the credential she last published is good.
+	send := func(text string) {
+		t.Helper()
+		bob := h.secureClient("bob")
+		defer bob.Close()
+		h.join(bob, "pw-bob")
+		sendAndWait(t, bob, rc.SecureClient, got, text)
+	}
+
+	send("before expiry")
+	waituntil.Must(t, validity+5*time.Second, func() bool { return rc.Stats().Resumes > 0 }, "no resume after the credential expired")
+	if st := rc.Stats(); st.Resumes != 1 {
+		t.Fatalf("stats = %+v, want exactly 1 resume for one expiry", st)
+	}
+	if up := time.Since(connected); up < validity {
+		t.Fatalf("resumed %v after connecting, before the credential's %v were over", up, validity)
+	}
+	// The sender verifies alice's chain: she published under a credential
+	// that is good now, so the resume was issued a fresh one.
+	send("after expiry")
+	// One resume per credential, not one per refused heartbeat.
+	if st, most := rc.Stats(), uint64(time.Since(connected)/validity); st.Resumes > most {
+		t.Fatalf("stats = %+v, want at most %d resumes over %v", st, most, time.Since(connected))
 	}
 }

@@ -60,17 +60,10 @@ type Option func(*SecureClient)
 // channel. Whatever it sends, a client answers offers and opens frames.
 func WithMode(m Mode) Option { return func(s *SecureClient) { s.mode = m } }
 
-// WithChallengeSize sets the secureConnection challenge length in bytes.
-func WithChallengeSize(n int) Option { return func(s *SecureClient) { s.challengeSize = n } }
-
 // WithReplayGuard enables receive-side replay protection for the
 // messenger primitives — the paper leaves them stateless best-effort;
 // this is the further-work hardening (see ReplayGuard).
 func WithReplayGuard(g *ReplayGuard) Option { return func(s *SecureClient) { s.replayGuard = g } }
-
-// WithVerifyCacheSize sizes the client's signed-advertisement
-// verification cache (0 = xdsig.DefaultVerifyCacheSize).
-func WithVerifyCacheSize(n int) Option { return func(s *SecureClient) { s.verifyCacheSize = n } }
 
 // SecureClient layers the paper's secure primitives over a client peer.
 // The embedded Client keeps every original primitive available, so an
@@ -82,9 +75,7 @@ type SecureClient struct {
 	trust *cred.TrustStore
 	mode  Mode
 
-	challengeSize   int
-	replayGuard     *ReplayGuard
-	verifyCacheSize int
+	replayGuard *ReplayGuard
 
 	// vcache memoizes VerifyTrusted verdicts on peers' signed pipe
 	// advertisements, so messaging the same peers repeatedly (or a group
@@ -116,6 +107,10 @@ type SecureClient struct {
 	hbSeq    uint64
 }
 
+// challengeSize is the secureConnection challenge length in bytes: as
+// long as the digest the broker signs it under.
+const challengeSize = 32
+
 // NewSecureClient wraps a client whose membership identity carries a key
 // pair (PSE). The trust store must be anchored at the deployment's
 // administrator credential.
@@ -125,16 +120,15 @@ func NewSecureClient(cl *client.Client, trust *cred.TrustStore, opts ...Option) 
 		return nil, ErrNotSecure
 	}
 	s := &SecureClient{
-		Client:        cl,
-		kp:            id.Keys,
-		trust:         trust,
-		mode:          ModeChannel,
-		challengeSize: 32,
+		Client: cl,
+		kp:     id.Keys,
+		trust:  trust,
+		mode:   ModeChannel,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.vcache = xdsig.NewVerifyCache(trust, s.verifyCacheSize)
+	s.vcache = xdsig.NewVerifyCache(trust, 0)
 	cl.SetEnvelopeHandler(s.handleEnvelope)
 	return s, nil
 }
@@ -222,7 +216,7 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 		return err
 	}
 	// Step 2: choose a random challenge.
-	chall, err := keys.RandomBytes(s.challengeSize)
+	chall, err := keys.RandomBytes(challengeSize)
 	if err != nil {
 		return err
 	}
@@ -373,8 +367,11 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	s.leaseTTL = leaseTTL
 	s.mu.Unlock()
 
-	groupsCSV, _ := resp.GetString(proto.ElemGroups)
-	return s.FinishLogin(ctx, splitCSV(groupsCSV))
+	var groups []string
+	if csv, _ := resp.GetString(proto.ElemGroups); csv != "" {
+		groups = strings.Split(csv, ",")
+	}
+	return s.FinishLogin(ctx, groups)
 }
 
 // SecureMsgPeer implements §4.3.1: fetch and verify the destination's
@@ -725,7 +722,7 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 			From:  opened.Sender,
 			Group: group,
 			Payload: map[string]string{
-				"authenticated": boolStr(authenticated),
+				"authenticated": strconv.FormatBool(authenticated),
 				"mode":          opened.Mode.String(),
 				"user":          user,
 			},
@@ -996,26 +993,4 @@ func (s *SecureClient) senderKey(ctx context.Context, sender keys.PeerID, group 
 		return nil, ErrPeerAdvInvalid
 	}
 	return res, nil
-}
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
-}
-
-func splitCSV(s string) []string {
-	if s == "" {
-		return nil
-	}
-	out := []string{}
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,20 +25,24 @@ import (
 // secureHarness is a full §4.1 deployment: administrator, credentialed
 // broker with the security extension, user database, PSE clients.
 type secureHarness struct {
-	t       *testing.T
-	net     *simnet.Network
-	dep     *core.Deployment
-	br      *broker.Broker
-	brSec   *core.BrokerSecurity
-	brKP    *keys.KeyPair
-	brCred  *cred.Credential
-	db      *userdb.Store
-	signAdv bool
+	t      *testing.T
+	net    *simnet.Network
+	dep    *core.Deployment
+	br     *broker.Broker
+	brSec  *core.BrokerSecurity
+	brKP   *keys.KeyPair
+	brCred *cred.Credential
+	db     *userdb.Store
 }
 
 func newSecureHarness(t *testing.T, requireSigned bool) *secureHarness {
 	t.Helper()
-	h := &secureHarness{t: t, signAdv: requireSigned}
+	return newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: requireSigned})
+}
+
+func newSecureHarnessWith(t *testing.T, sc core.BrokerConfig) *secureHarness {
+	t.Helper()
+	h := &secureHarness{t: t}
 	h.net = simnet.NewNetwork(simnet.ProfileLocal)
 	t.Cleanup(h.net.Close)
 
@@ -49,69 +55,30 @@ func newSecureHarness(t *testing.T, requireSigned bool) *secureHarness {
 	h.db.Register("alice", "pw-alice", "math")
 	h.db.Register("bob", "pw-bob", "math")
 
-	h.brKP, err = keys.NewKeyPair()
+	site, err := h.dep.StartBroker(
+		broker.Config{Name: "broker-1", Net: h.net, DB: broker.LocalDB(h.db), RequireSecureLogin: true}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.brCred, err = h.dep.IssueBrokerCredential(h.brKP.Public(), "broker-1", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust, err := h.dep.TrustStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.br, err = broker.New(broker.Config{
-		Name:   "broker-1",
-		PeerID: h.brCred.Subject,
-		Net:    h.net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return h.db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(h.br.Close)
-	h.brSec, err = core.EnableBrokerSecurity(h.br, core.BrokerConfig{
-		KeyPair:           h.brKP,
-		Credential:        h.brCred,
-		Trust:             trust,
-		RequireSignedAdvs: requireSigned,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(site.Close)
+	h.br, h.brSec, h.brKP, h.brCred = site.Broker, site.Security, site.KeyPair, site.Credential
 	return h
 }
 
 func (h *secureHarness) secureClient(alias string, opts ...core.Option) *core.SecureClient {
 	h.t.Helper()
-	cl, err := client.New(h.net, membership.NewPSE("", 0), alias)
+	sc, err := h.dep.NewClient(h.net, alias, opts...)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	h.t.Cleanup(cl.Close)
-	trust, err := h.dep.TrustStore()
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	sc, err := core.NewSecureClient(cl, trust, opts...)
-	if err != nil {
-		h.t.Fatal(err)
-	}
+	h.t.Cleanup(sc.Close)
 	return sc
 }
 
 func (h *secureHarness) join(sc *core.SecureClient, password string) {
 	h.t.Helper()
-	ctx := testCtx(h.t)
-	if err := sc.SecureConnection(ctx, h.br.PeerID()); err != nil {
-		h.t.Fatalf("SecureConnection: %v", err)
-	}
-	if err := sc.SecureLogin(ctx, password); err != nil {
-		h.t.Fatalf("SecureLogin: %v", err)
+	if err := sc.Join(testCtx(h.t), h.br.PeerID(), password); err != nil {
+		h.t.Fatal(err)
 	}
 }
 
@@ -153,29 +120,18 @@ func TestSecureConnectionRejectsFakeBroker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fakeKP, _ := keys.NewKeyPair()
-	fakeCred, err := fakeDep.IssueBrokerCredential(fakeKP.Public(), "broker-1", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fakeTrust, _ := fakeDep.TrustStore()
-	fakeBroker, err := broker.New(broker.Config{
-		Name:   "broker-1", // same well-known name!
-		PeerID: fakeCred.Subject,
-		Net:    h.net,
+	fake, err := fakeDep.StartBroker(broker.Config{
+		Name: "broker-1", // same well-known name!
+		Net:  h.net,
 		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
 			return []string{"math"}, nil // accepts anyone, to harvest credentials
 		}),
-	})
+	}, core.BrokerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(fakeBroker.Close)
-	if _, err := core.EnableBrokerSecurity(fakeBroker, core.BrokerConfig{
-		KeyPair: fakeKP, Credential: fakeCred, Trust: fakeTrust,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(fake.Close)
+	fakeBroker := fake.Broker
 
 	sc := h.secureClient("alice")
 	col := events.NewCollector(sc.Bus())
@@ -300,6 +256,26 @@ func TestSidIsSingleUse(t *testing.T) {
 	if err := sc.SecureLogin(ctx, "pw-alice"); err != nil {
 		t.Fatalf("re-login after fresh secureConnection: %v", err)
 	}
+}
+
+// TestSidExpires: a session identifier not presented within its
+// lifetime is refused, and a fresh secureConnection gets another.
+func TestSidExpires(t *testing.T) {
+	h := newSecureHarness(t, true)
+	sc := h.secureClient("alice")
+	ctx := testCtx(t)
+	if err := sc.SecureConnection(ctx, h.br.PeerID()); err != nil {
+		t.Fatal(err)
+	}
+	late := time.Now().Add(3 * time.Minute)
+	h.brSec.SetClock(func() time.Time { return late })
+	if err := sc.SecureLogin(ctx, "pw-alice"); !errors.Is(err, core.ErrLoginRejected) || !strings.Contains(err.Error(), proto.ErrBadSid) {
+		t.Fatalf("secureLogin with an expired sid = %v, want %s", err, proto.ErrBadSid)
+	}
+	if h.brSec.PendingSids() != 0 {
+		t.Fatal("broker kept the expired sid")
+	}
+	h.join(sc, "pw-alice")
 }
 
 func TestPlainLoginRejectedWhenSecureRequired(t *testing.T) {

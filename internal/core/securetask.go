@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -69,7 +70,7 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 		return proto.Fail(proto.ErrBadSignature)
 	}
 	// Authorization: the caller must share the group it claims.
-	if !containsGroup(s.Groups(), opened.Group) {
+	if !slices.Contains(s.Groups(), opened.Group) {
 		return proto.Fail("unauthorized")
 	}
 
@@ -141,13 +142,4 @@ func signerFor(kp *keys.KeyPair, mode Mode) *keys.KeyPair {
 		return nil
 	}
 	return kp
-}
-
-func containsGroup(groups []string, g string) bool {
-	for _, v := range groups {
-		if v == g {
-			return true
-		}
-	}
-	return false
 }

@@ -31,9 +31,7 @@ func newHarness(t *testing.T) *harness {
 	db.Register("bob", "pw", "lab")
 	br, err := broker.New(broker.Config{
 		Name: "b", PeerID: keys.LegacyPeerID("b"), Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
+		DB: broker.LocalDB(db),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,49 @@ func ctxT(t *testing.T, d time.Duration) context.Context {
 	return ctx
 }
 
+// newDeployment is a fresh administrator.
+func newDeployment(t *testing.T) *core.Deployment {
+	t.Helper()
+	dep, err := core.NewDeployment("admin", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dep
+}
+
+// startBroker brings a broker of dep up on net, secure login only,
+// serving db, and closes it with the test.
+func startBroker(t *testing.T, dep *core.Deployment, net *simnet.Network, name string, db *userdb.Store, sc core.BrokerConfig) *core.BrokerSite {
+	t.Helper()
+	site, err := dep.StartBroker(
+		broker.Config{Name: name, Net: net, DB: broker.LocalDB(db), RequireSecureLogin: true}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(site.Close)
+	return site
+}
+
+// newClient boots alias's secure client and closes it with the test.
+func newClient(t *testing.T, dep *core.Deployment, net *simnet.Network, alias string, opts ...core.Option) *core.SecureClient {
+	t.Helper()
+	sc, err := dep.NewClient(net, alias, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sc.Close)
+	return sc
+}
+
+// join logs sc in at br; every user of these tests has the password "pw".
+func join(t *testing.T, sc *core.SecureClient, br *broker.Broker) *core.SecureClient {
+	t.Helper()
+	if err := sc.Join(ctxT(t, 30*time.Second), br.PeerID(), "pw"); err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 func TestSecureSessionOverWAN(t *testing.T) {
 	// Full secure join + messaging with 40ms latency and jitter. This is
 	// wall-clock real: each round trip actually sleeps.
@@ -36,58 +79,14 @@ func TestSecureSessionOverWAN(t *testing.T) {
 	}, 7)
 	defer net.Close()
 
-	dep, err := core.NewDeployment("admin", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := newDeployment(t)
 	db := userdb.NewStoreIter(4)
 	db.Register("alice", "pw", "g")
 	db.Register("bob", "pw", "g")
-	brKP, _ := keys.NewKeyPair()
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "wan-broker", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust, _ := dep.TrustStore()
-	br, err := broker.New(broker.Config{
-		Name: "wan-broker", PeerID: brCred.Subject, Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	if _, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	br := startBroker(t, dep, net, "wan-broker", db, core.BrokerConfig{RequireSignedAdvs: true}).Broker
 
-	join := func(alias string) *core.SecureClient {
-		cl, err := client.New(net, membership.NewPSE("", 0), alias)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cl.Close)
-		clTrust, _ := dep.TrustStore()
-		sc, err := core.NewSecureClient(cl, clTrust)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := ctxT(t, 30*time.Second)
-		if err := sc.SecureConnection(ctx, br.PeerID()); err != nil {
-			t.Fatalf("%s secureConnection over WAN: %v", alias, err)
-		}
-		if err := sc.SecureLogin(ctx, "pw"); err != nil {
-			t.Fatalf("%s secureLogin over WAN: %v", alias, err)
-		}
-		return sc
-	}
-	alice := join("alice")
-	bob := join("bob")
+	alice := join(t, newClient(t, dep, net, "alice"), br)
+	bob := join(t, newClient(t, dep, net, "bob"), br)
 
 	bobEvents := events.NewCollector(bob.Bus())
 	ctx := ctxT(t, 30*time.Second)
@@ -116,9 +115,7 @@ func TestBestEffortMessagingUnderLoss(t *testing.T) {
 	db.Register("bob", "pw", "g")
 	br, err := broker.New(broker.Config{
 		Name: "lossy-broker", PeerID: keys.LegacyPeerID("lossy-broker"), Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
+		DB: broker.LocalDB(db),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,9 +178,7 @@ func TestPartitionAndHealSession(t *testing.T) {
 	db.Register("alice", "pw", "g")
 	br, err := broker.New(broker.Config{
 		Name: "b", PeerID: keys.LegacyPeerID("b"), Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
+		DB: broker.LocalDB(db),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,17 +6,12 @@
 package integration_test
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
 
-	"jxtaoverlay/internal/broker"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/events"
-	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
 	"jxtaoverlay/internal/waituntil"
@@ -27,38 +22,12 @@ func TestExpiredLeasePeerIsQueuedForNotBlackHoled(t *testing.T) {
 	net := simnet.NewNetwork(simnet.LinkProfile{})
 	defer net.Close()
 
-	dep, err := core.NewDeployment("admin", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := newDeployment(t)
 	db := userdb.NewStoreIter(4)
 	db.Register("alice", "pw", "g")
 	db.Register("bob", "pw", "g")
-	brKP, _ := keys.NewKeyPair()
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "lease-broker", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust, _ := dep.TrustStore()
-	br, err := broker.New(broker.Config{
-		Name: "lease-broker", PeerID: brCred.Subject, Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	brSec, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust,
-		RequireSignedAdvs: true, LeaseTTL: leaseTTL,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer brSec.Close()
+	site := startBroker(t, dep, net, "lease-broker", db, core.BrokerConfig{RequireSignedAdvs: true, LeaseTTL: leaseTTL})
+	br, brSec := site.Broker, site.Security
 	var mu sync.Mutex
 	now := time.Now()
 	brSec.SetClock(func() time.Time {
@@ -77,27 +46,7 @@ func TestExpiredLeasePeerIsQueuedForNotBlackHoled(t *testing.T) {
 	}
 	defer rly.Close()
 
-	mkClient := func(name string) *core.SecureClient {
-		cl, err := client.New(net, membership.NewPSE("", 0), name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cl.Close)
-		clTrust, _ := dep.TrustStore()
-		sc, err := core.NewSecureClient(cl, clTrust)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := ctxT(t, 30*time.Second)
-		if err := sc.SecureConnection(ctx, br.PeerID()); err != nil {
-			t.Fatalf("%s secureConnection: %v", name, err)
-		}
-		if err := sc.SecureLogin(ctx, "pw"); err != nil {
-			t.Fatalf("%s secureLogin: %v", name, err)
-		}
-		return sc
-	}
-	alice, bob := mkClient("alice"), mkClient("bob")
+	alice, bob := join(t, newClient(t, dep, net, "alice"), br), join(t, newClient(t, dep, net, "bob"), br)
 	bobEvents := events.NewCollector(bob.Bus())
 
 	// Bob silently dies: no logout, no disconnect — his heartbeats just
@@ -133,13 +82,7 @@ func TestExpiredLeasePeerIsQueuedForNotBlackHoled(t *testing.T) {
 	// Bob comes back with a full re-login (his sid and lease are gone).
 	// The login presence event drains his queue: the message that was
 	// sent while he was dead arrives now.
-	ctx := ctxT(t, 30*time.Second)
-	if err := bob.SecureConnection(ctx, br.PeerID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := bob.SecureLogin(ctx, "pw"); err != nil {
-		t.Fatal(err)
-	}
+	join(t, bob, br)
 	e, ok := bobEvents.WaitFor(events.SecureMessage, 10*time.Second)
 	if !ok {
 		t.Fatalf("queued slice never delivered after re-login (relay %+v)", rly.Metrics())

@@ -8,18 +8,13 @@
 package integration_test
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"jxtaoverlay/internal/broker"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/events"
-	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
 	"jxtaoverlay/internal/waituntil"
@@ -30,63 +25,19 @@ func TestReconnectDuringRelayDrain(t *testing.T) {
 	net := simnet.NewNetwork(simnet.LinkProfile{})
 	defer net.Close()
 
-	dep, err := core.NewDeployment("admin", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := newDeployment(t)
 	db := userdb.NewStoreIter(4)
 	db.Register("alice", "pw", "g")
 	db.Register("bob", "pw", "g")
-	brKP, _ := keys.NewKeyPair()
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "race-broker", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust, _ := dep.TrustStore()
-	br, err := broker.New(broker.Config{
-		Name: "race-broker", PeerID: brCred.Subject, Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	if _, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	br := startBroker(t, dep, net, "race-broker", db, core.BrokerConfig{RequireSignedAdvs: true}).Broker
 	rly, err := core.EnableBrokerRelay(br, core.RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rly.Close()
 
-	mkClient := func(name string, opts ...core.Option) *core.SecureClient {
-		cl, err := client.New(net, membership.NewPSE("", 0), name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cl.Close)
-		clTrust, _ := dep.TrustStore()
-		sc, err := core.NewSecureClient(cl, clTrust, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := ctxT(t, 30*time.Second)
-		if err := sc.SecureConnection(ctx, br.PeerID()); err != nil {
-			t.Fatalf("%s secureConnection: %v", name, err)
-		}
-		if err := sc.SecureLogin(ctx, "pw"); err != nil {
-			t.Fatalf("%s secureLogin: %v", name, err)
-		}
-		return sc
-	}
-	alice := mkClient("alice")
-	bob := mkClient("bob", core.WithReplayGuard(core.NewReplayGuard(time.Minute, 256)))
+	alice := join(t, newClient(t, dep, net, "alice"), br)
+	bob := join(t, newClient(t, dep, net, "bob", core.WithReplayGuard(core.NewReplayGuard(time.Minute, 256))), br)
 	bobEvents := events.NewCollector(bob.Bus())
 
 	// Bob leaves; alice queues a backlog of distinct rounds for him.
@@ -110,15 +61,7 @@ func TestReconnectDuringRelayDrain(t *testing.T) {
 	// is still pushing. The second login races the shard worker: its
 	// fresh session must keep (or re-trigger) the drain, and the replay
 	// guard must absorb any redelivered overlap.
-	relogin := func() {
-		ctx := ctxT(t, 30*time.Second)
-		if err := bob.SecureConnection(ctx, br.PeerID()); err != nil {
-			t.Fatalf("re-secureConnection: %v", err)
-		}
-		if err := bob.SecureLogin(ctx, "pw"); err != nil {
-			t.Fatalf("re-secureLogin: %v", err)
-		}
-	}
+	relogin := func() { join(t, bob, br) }
 	relogin()
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -6,16 +6,12 @@
 package integration_test
 
 import (
-	"context"
 	"testing"
 	"time"
 
 	"jxtaoverlay/internal/broker"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/events"
-	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/relay"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
@@ -26,38 +22,13 @@ func TestQueuedSliceFollowsPeerToPartnerBroker(t *testing.T) {
 	net := simnet.NewNetwork(simnet.LinkProfile{})
 	defer net.Close()
 
-	dep, err := core.NewDeployment("admin", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := newDeployment(t)
 	db := userdb.NewStoreIter(8)
 	db.Register("alice", "pw", "g")
 	db.Register("bob", "pw", "g")
-	trust, _ := dep.TrustStore()
 
 	mkBroker := func(name string) *broker.Broker {
-		kp, _ := keys.NewKeyPair()
-		cred, err := dep.IssueBrokerCredential(kp.Public(), name, time.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := broker.New(broker.Config{
-			Name: name, PeerID: cred.Subject, Net: net,
-			DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-				return db.Authenticate(u, p)
-			}),
-			RequireSecureLogin: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(b.Close)
-		if _, err := core.EnableBrokerSecurity(b, core.BrokerConfig{
-			KeyPair: kp, Credential: cred, Trust: trust, RequireSignedAdvs: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return startBroker(t, dep, net, name, db, core.BrokerConfig{RequireSignedAdvs: true}).Broker
 	}
 	brA, brB := mkBroker("origin-broker"), mkBroker("partner-broker")
 	brA.Federate(brB.PeerID())
@@ -72,31 +43,9 @@ func TestQueuedSliceFollowsPeerToPartnerBroker(t *testing.T) {
 	}
 	rlyA, rlyB := mkRelay(brA), mkRelay(brB)
 
-	mkClient := func(name string) *core.SecureClient {
-		cl, err := client.New(net, membership.NewPSE("", 0), name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cl.Close)
-		clTrust, _ := dep.TrustStore()
-		sc, err := core.NewSecureClient(cl, clTrust)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sc
-	}
-	loginAt := func(sc *core.SecureClient, br *broker.Broker) {
-		ctx := ctxT(t, 30*time.Second)
-		if err := sc.SecureConnection(ctx, br.PeerID()); err != nil {
-			t.Fatal(err)
-		}
-		if err := sc.SecureLogin(ctx, "pw"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	alice, bob := mkClient("alice"), mkClient("bob")
-	loginAt(alice, brA)
-	loginAt(bob, brA)
+	alice, bob := newClient(t, dep, net, "alice"), newClient(t, dep, net, "bob")
+	join(t, alice, brA)
+	join(t, bob, brA)
 	bobEvents := events.NewCollector(bob.Bus())
 
 	// Bob leaves broker A; alice's round queues his slice there.
@@ -117,7 +66,7 @@ func TestQueuedSliceFollowsPeerToPartnerBroker(t *testing.T) {
 	// Bob resurfaces at broker B. The fedPeerUp reaching A re-registers
 	// him as partner-resident and fires the presence event that drains
 	// his queue — into a federation hand-off, not a local push.
-	loginAt(bob, brB)
+	join(t, bob, brB)
 	e, ok := bobEvents.WaitFor(events.SecureMessage, 10*time.Second)
 	if !ok {
 		t.Fatalf("queued slice never followed bob to the partner broker (origin relay %+v, partner relay %+v, partner sees bob online=%v)",

@@ -7,17 +7,12 @@
 package integration_test
 
 import (
-	"context"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"jxtaoverlay/internal/broker"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/events"
-	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/relay/wal"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
@@ -44,37 +39,13 @@ func runCrashRecovery(t *testing.T, point wal.FaultPoint) {
 	net := simnet.NewNetwork(simnet.LinkProfile{})
 	defer net.Close()
 
-	dep, err := core.NewDeployment("admin", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := newDeployment(t)
 	db := userdb.NewStoreIter(8)
 	names := []string{"alice", "bob", "carol"}
 	for _, n := range names {
 		db.Register(n, "pw", "g")
 	}
-	brKP, _ := keys.NewKeyPair()
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "crash-broker", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust, _ := dep.TrustStore()
-	br, err := broker.New(broker.Config{
-		Name: "crash-broker", PeerID: brCred.Subject, Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	if _, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	br := startBroker(t, dep, net, "crash-broker", db, core.BrokerConfig{RequireSignedAdvs: true}).Broker
 
 	// Sync-per-append relay on a durable log, with an armable crash.
 	walDir := t.TempDir()
@@ -95,24 +66,7 @@ func runCrashRecovery(t *testing.T, point wal.FaultPoint) {
 
 	clients := make([]*core.SecureClient, len(names))
 	for i, name := range names {
-		cl, err := client.New(net, membership.NewPSE("", 0), name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cl.Close)
-		clTrust, _ := dep.TrustStore()
-		sc, err := core.NewSecureClient(cl, clTrust)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := ctxT(t, 30*time.Second)
-		if err := sc.SecureConnection(ctx, br.PeerID()); err != nil {
-			t.Fatalf("%s secureConnection: %v", name, err)
-		}
-		if err := sc.SecureLogin(ctx, "pw"); err != nil {
-			t.Fatalf("%s secureLogin: %v", name, err)
-		}
-		clients[i] = sc
+		clients[i] = join(t, newClient(t, dep, net, name), br)
 	}
 	alice, bob, carol := clients[0], clients[1], clients[2]
 	bobEvents := events.NewCollector(bob.Bus())
@@ -156,13 +110,7 @@ func runCrashRecovery(t *testing.T, point wal.FaultPoint) {
 
 	// Carol returns; her recovered queue drains through the real login
 	// presence pipeline.
-	ctx := ctxT(t, 30*time.Second)
-	if err := carol.SecureConnection(ctx, br.PeerID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := carol.SecureLogin(ctx, "pw"); err != nil {
-		t.Fatal(err)
-	}
+	join(t, carol, br)
 	waituntil.True(10*time.Second, func() bool {
 		return uint64(len(carolEvents.OfType(events.SecureMessage))) >= wantRecovered
 	})

@@ -6,19 +6,15 @@
 package integration_test
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
 	"time"
 
-	"jxtaoverlay/internal/broker"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
@@ -33,10 +29,7 @@ func TestRelayedRoundSurvivesChurn(t *testing.T) {
 	net := simnet.NewNetwork(simnet.LinkProfile{})
 	defer net.Close()
 
-	dep, err := core.NewDeployment("admin", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := newDeployment(t)
 	db := userdb.NewStoreIter(16)
 	names := make([]string, nPeers)
 	for i := range names {
@@ -45,28 +38,7 @@ func TestRelayedRoundSurvivesChurn(t *testing.T) {
 		// that legitimately belongs to both.
 		db.Register(names[i], "pw", "g", "g2")
 	}
-	brKP, _ := keys.NewKeyPair()
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "relay-broker", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trust, _ := dep.TrustStore()
-	br, err := broker.New(broker.Config{
-		Name: "relay-broker", PeerID: brCred.Subject, Net: net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	if _, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	br := startBroker(t, dep, net, "relay-broker", db, core.BrokerConfig{RequireSignedAdvs: true}).Broker
 	rly, err := core.EnableBrokerRelay(br, core.RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -75,24 +47,7 @@ func TestRelayedRoundSurvivesChurn(t *testing.T) {
 
 	clients := make([]*core.SecureClient, nPeers)
 	for i, name := range names {
-		cl, err := client.New(net, membership.NewPSE("", 0), name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(cl.Close)
-		clTrust, _ := dep.TrustStore()
-		sc, err := core.NewSecureClient(cl, clTrust)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := ctxT(t, 30*time.Second)
-		if err := sc.SecureConnection(ctx, br.PeerID()); err != nil {
-			t.Fatalf("%s secureConnection: %v", name, err)
-		}
-		if err := sc.SecureLogin(ctx, "pw"); err != nil {
-			t.Fatalf("%s secureLogin: %v", name, err)
-		}
-		clients[i] = sc
+		clients[i] = join(t, newClient(t, dep, net, name), br)
 	}
 	sender, online, offline := clients[0], clients[1:nPeers-nOffline], clients[nPeers-nOffline:]
 
@@ -139,13 +94,7 @@ func TestRelayedRoundSurvivesChurn(t *testing.T) {
 
 	// They return; the login presence event drains each queue.
 	for _, c := range offline {
-		ctx := ctxT(t, 30*time.Second)
-		if err := c.SecureConnection(ctx, br.PeerID()); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.SecureLogin(ctx, "pw"); err != nil {
-			t.Fatal(err)
-		}
+		join(t, c, br)
 	}
 	for _, c := range offline {
 		e, ok := collectors[c].WaitFor(events.SecureMessage, 10*time.Second)

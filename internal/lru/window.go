@@ -3,13 +3,13 @@ package lru
 import "time"
 
 // Window is a bounded table whose entries die at a caller-given expiry:
-// the container under the replay guard (internal/core) and the
-// idempotency dedup table (internal/broker). It is a binary min-heap on
-// expiry plus a key → heap-position index, so the two things a window
-// does on every insert — drop what has expired, and at capacity give up
-// the entry with the least time left — both start at the heap's root.
-// Get is O(1); Put and Delete are O(log n) per entry they insert or
-// remove, and no operation walks the table.
+// the container under the replay guard and the session-identifier table
+// (internal/core) and the idempotency dedup table (internal/broker). It
+// is a binary min-heap on expiry plus a key → heap-position index, so the
+// two things a window does on every insert — drop what has expired, and
+// at capacity give up the entry with the least time left — both start at
+// the heap's root. Get is O(1); Put and Delete are O(log n) per entry they
+// insert or remove, and no operation walks the table.
 //
 // Window takes no lock: its owner already holds one around the
 // check-then-insert it needs to be atomic. The clock is the caller's,

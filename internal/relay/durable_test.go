@@ -238,4 +238,4 @@ func TestCloseCancelsArmedRetry(t *testing.T) {
 	}
 }
 
-func retryDelayForTest() time.Duration { return relay.DefaultRetryBackoff.Ceiling(1) }
+func retryDelayForTest() time.Duration { return relay.RetryBackoff.Ceiling(1) }

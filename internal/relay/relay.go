@@ -117,24 +117,17 @@ type Config struct {
 	// and WAL write failures (nil = off). Ordinary deliveries are not
 	// audited: the audit log records refusals and faults, not traffic.
 	Auditor *audit.Journal
-	// RetryBackoff spaces the re-drain attempts armed after delivery
-	// failures against a still-online peer: capped exponential with
-	// full jitter, per-peer attempt counters resetting on a successful
-	// delivery (zero = DefaultRetryBackoff). A fixed spacing here
-	// re-synchronizes every stuck peer's retries; the jitter spreads
-	// them out.
-	RetryBackoff backoff.Policy
-	// RetrySeed seeds the retry jitter for deterministic scenarios
-	// (0 = the global entropy source).
-	RetrySeed int64
 	// Clock overrides the time source (tests).
 	Clock func() time.Time
 }
 
-// DefaultRetryBackoff keeps the first re-drain as prompt as the old
-// fixed 250ms timer while letting a persistently failing peer's
-// retries stretch to 5s instead of hammering every quarter second.
-var DefaultRetryBackoff = backoff.Policy{Base: 250 * time.Millisecond, Cap: 5 * time.Second}
+// RetryBackoff spaces the re-drain attempts armed after delivery
+// failures against a still-online peer: capped exponential with full
+// jitter, per-peer attempt counters resetting on a successful delivery.
+// A fixed spacing re-synchronizes every stuck peer's retries; the jitter
+// spreads them out. The first re-drain is as prompt as a quarter-second
+// timer, while a persistently failing peer's retries stretch to 5s.
+var RetryBackoff = backoff.Policy{Base: 250 * time.Millisecond, Cap: 5 * time.Second}
 
 // Metrics is a snapshot of the relay's counters.
 type Metrics struct {
@@ -191,11 +184,10 @@ type Relay struct {
 
 	// Armed mid-drain retry timers, cancelled by Close so a retry can
 	// never fire against a closed relay. retryAttempts drives the
-	// per-peer backoff schedule; retryUnit is the jitter draw.
+	// per-peer backoff schedule.
 	retryMu       sync.Mutex
 	retryTimers   map[keys.PeerID]*time.Timer
 	retryAttempts map[keys.PeerID]int
-	retryUnit     func() float64
 
 	bus       *events.Bus // optional, set by BindBus; emits RelayFlushed
 	busCancel func()      // unsubscribes from the bus; called by Close
@@ -245,9 +237,6 @@ func New(cfg Config, online OnlineFunc, deliver DeliverFunc) (*Relay, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.RetryBackoff == (backoff.Policy{}) {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
 	r := &Relay{
 		cfg:           cfg,
 		deliver:       deliver,
@@ -257,9 +246,6 @@ func New(cfg Config, online OnlineFunc, deliver DeliverFunc) (*Relay, error) {
 		byGroup:       make(map[string]int),
 		retryTimers:   make(map[keys.PeerID]*time.Timer),
 		retryAttempts: make(map[keys.PeerID]int),
-	}
-	if cfg.RetrySeed != 0 {
-		r.retryUnit = backoff.NewSource(cfg.RetryBackoff, cfg.RetrySeed).Unit
 	}
 	r.shards = make([]*shard, cfg.Shards)
 	for i := range r.shards {
@@ -516,7 +502,7 @@ func (r *Relay) SenderOverQuota(id keys.PeerID) bool {
 func (r *Relay) TTL() time.Duration { return r.cfg.TTL }
 
 // retryFlush arms a delayed re-drain of the peer's queue, spaced by
-// the capped-exponential-with-jitter schedule (Config.RetryBackoff) on
+// the capped-exponential-with-jitter schedule (RetryBackoff) on
 // the peer's attempt counter. The timer is tracked so Close can cancel
 // it: without that, a retry armed just before shutdown could fire
 // against a closed relay (and, under -race, against freed state). One
@@ -532,7 +518,7 @@ func (r *Relay) retryFlush(id keys.PeerID) {
 	}
 	attempt := r.retryAttempts[id]
 	r.retryAttempts[id] = attempt + 1
-	delay := r.cfg.RetryBackoff.Delay(attempt, r.retryUnit)
+	delay := RetryBackoff.Delay(attempt, nil)
 	var tm *time.Timer
 	tm = time.AfterFunc(delay, func() {
 		r.retryMu.Lock()
@@ -552,14 +538,6 @@ func (r *Relay) resetRetry(id keys.PeerID) {
 	r.retryMu.Lock()
 	delete(r.retryAttempts, id)
 	r.retryMu.Unlock()
-}
-
-// RetryAttempt reports the peer's current backoff attempt counter
-// (tests and diagnostics).
-func (r *Relay) RetryAttempt(id keys.PeerID) int {
-	r.retryMu.Lock()
-	defer r.retryMu.Unlock()
-	return r.retryAttempts[id]
 }
 
 // Flush schedules an asynchronous drain of the peer's queue on its
@@ -661,15 +639,6 @@ func (r *Relay) QueuedTotal() int {
 		s.mu.Unlock()
 	}
 	return total
-}
-
-// QueuedFor reports how many items a sender has queued across all
-// recipients (0 when quotas are disabled — occupancy is only tracked
-// under a quota).
-func (r *Relay) QueuedFor(sender keys.PeerID) int {
-	r.quotaMu.Lock()
-	defer r.quotaMu.Unlock()
-	return r.bySender[sender]
 }
 
 // Metrics returns a snapshot of the counters.

@@ -24,7 +24,6 @@ import (
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/relay"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/telemetry"
@@ -230,32 +229,29 @@ func newStack(nClients int, profile simnet.LinkProfile, admCfg *admission.Config
 			return nil, err
 		}
 	}
-	brKP, err := keys.NewKeyPair()
+	site, err := dep.StartBroker(
+		broker.Config{Name: "scn-broker", Net: s.net, DB: broker.LocalDB(s.db), RequireSecureLogin: true},
+		core.BrokerConfig{RequireSignedAdvs: true, LeaseTTL: leaseTTL})
 	if err != nil {
 		return nil, err
 	}
-	brCred, err := dep.IssueBrokerCredential(brKP.Public(), "scn-broker", time.Hour)
-	if err != nil {
-		return nil, err
-	}
-	trust, err := dep.TrustStore()
-	if err != nil {
-		return nil, err
-	}
+	br, bs := site.Broker, site.Security
+	s.br, s.bs = br, bs
 	if opt.AuditDir != "" {
-		// Opened (and its closer appended) before the broker so it
-		// closes after broker and relay — their shutdown still emits
-		// presence and drop records. Small segments + frequent
-		// checkpoints make a normal run exercise rotation and sealing.
+		// Its closer goes in before the broker's so that it closes after
+		// broker and relay — their shutdown still emits presence and drop
+		// records. Small segments + frequent checkpoints make a normal
+		// run exercise rotation and sealing.
 		aud, aerr := audit.Open(audit.Options{
 			Dir:             opt.AuditDir,
 			SyncInterval:    2 * time.Millisecond,
 			SegmentBytes:    8 << 10,
 			CheckpointEvery: 32,
-			Signer:          brKP,
-			Chain:           []*cred.Credential{brCred},
+			Signer:          site.KeyPair,
+			Chain:           []*cred.Credential{site.Credential},
 		})
 		if aerr != nil {
+			site.Close()
 			return nil, aerr
 		}
 		s.aud = aud
@@ -264,26 +260,7 @@ func newStack(nClients int, profile simnet.LinkProfile, admCfg *admission.Config
 			opt.OnAudit(aud)
 		}
 	}
-	br, err := broker.New(broker.Config{
-		Name: "scn-broker", PeerID: brCred.Subject, Net: s.net,
-		DB: broker.AuthenticatorFunc(func(_ context.Context, u, p string) ([]string, error) {
-			return s.db.Authenticate(u, p)
-		}),
-		RequireSecureLogin: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.br = br
-	s.closers = append(s.closers, br.Close)
-	bs, err := core.EnableBrokerSecurity(br, core.BrokerConfig{
-		KeyPair: brKP, Credential: brCred, Trust: trust, RequireSignedAdvs: true,
-		LeaseTTL: leaseTTL,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.bs = bs
+	s.closers = append(s.closers, site.Close)
 	// The broker's recorder (and audit journal) are installed before
 	// the relay attaches so EnableBrokerRelay inherits them for the
 	// queue-side stages and drop records.
@@ -325,33 +302,31 @@ func (s *stack) onClose(f func()) {
 
 // join brings one secure client up: connect, verify, login.
 func (s *stack) join(ctx context.Context, i int, rec *recorder) (*core.SecureClient, error) {
-	cl, err := client.New(s.net, membership.NewPSE("", 0), user(i))
-	if err != nil {
-		return nil, err
-	}
-	s.onClose(func() { cl.Close() })
-	trust, err := s.dep.TrustStore()
-	if err != nil {
-		return nil, err
-	}
-	sc, err := core.NewSecureClient(cl, trust)
+	sc, err := s.client(i)
 	if err != nil {
 		return nil, err
 	}
 	if rec != nil {
-		rec.watch(cl.Bus())
+		rec.watch(sc.Bus())
 	}
-	// Every client shares the registry's delivery histogram (idempotent
-	// registration) and the deployment's span recorder.
-	cl.BindTelemetry(s.reg)
-	cl.SetTracer(s.tr)
+	if err := sc.Join(ctx, s.br.PeerID(), pw(i)); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// client boots peer i's client, closed with the stack. Every client
+// shares the registry's delivery histogram (idempotent registration),
+// the deployment's span recorder and its audit journal.
+func (s *stack) client(i int, opts ...core.Option) (*core.SecureClient, error) {
+	sc, err := s.dep.NewClient(s.net, user(i), opts...)
+	if err != nil {
+		return nil, err
+	}
+	s.onClose(sc.Close)
+	sc.BindTelemetry(s.reg)
+	sc.SetTracer(s.tr)
 	sc.SetAuditor(s.aud)
-	if err := sc.SecureConnection(ctx, s.br.PeerID()); err != nil {
-		return nil, fmt.Errorf("%s secureConnection: %w", user(i), err)
-	}
-	if err := sc.SecureLogin(ctx, pw(i)); err != nil {
-		return nil, fmt.Errorf("%s secureLogin: %w", user(i), err)
-	}
 	return sc, nil
 }
 

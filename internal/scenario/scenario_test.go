@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"encoding/json"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"jxtaoverlay/internal/telemetry"
 )
@@ -95,5 +98,34 @@ func TestScenarioFeedsTelemetry(t *testing.T) {
 func TestUnknownScenarioRejected(t *testing.T) {
 	if _, err := Run("no-such-scenario", Options{}); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// A scenario that enables presence leases must stop the lease sweeper
+// when it closes its stack: afterwards no sweepLeases goroutine is left
+// and the leases of the closed clients are never expired. Not parallel:
+// it reads every goroutine's stack, and a partition-churn run beside it
+// would have a sweeper of its own.
+func TestPartitionChurnStopsLeaseSweeper(t *testing.T) {
+	reg := telemetry.New()
+	sum, err := Run("partition-churn", Options{Clients: 4, Rounds: 1, Profile: "local", Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Anomalies) != 0 {
+		t.Fatalf("anomalies: %v", sum.Anomalies)
+	}
+	buf := make([]byte, 1<<20)
+	if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "sweepLeases") {
+		t.Error("a lease sweeper is still running after the scenario closed its stack")
+	}
+	expired, ok := reg.Get("core_leases_expired_total")
+	if !ok {
+		t.Fatal("liveness collectors not registered")
+	}
+	// The closed clients' leases (TTL 2s, swept every 500ms) lapse now.
+	time.Sleep(3 * time.Second)
+	if after, _ := reg.Get("core_leases_expired_total"); after != expired {
+		t.Errorf("leases expired after close: %v -> %v", expired, after)
 	}
 }

@@ -10,12 +10,10 @@ import (
 
 	"jxtaoverlay/internal/admission"
 	"jxtaoverlay/internal/backoff"
-	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 )
@@ -161,13 +159,8 @@ func drainSpike(ctx context.Context, opt Options, profile simnet.LinkProfile) (*
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sc := clients[i]
-			if err := sc.SecureConnection(ctx, s.br.PeerID()); err != nil {
-				sum.anomaly("%s re-connect: %v", user(i), err)
-				return
-			}
-			if err := sc.SecureLogin(ctx, pw(i)); err != nil {
-				sum.anomaly("%s re-login: %v", user(i), err)
+			if err := clients[i].Join(ctx, s.br.PeerID(), pw(i)); err != nil {
+				sum.anomaly("re-join: %v", err)
 			}
 		}(i)
 	}
@@ -394,22 +387,10 @@ func slowSender(ctx context.Context, opt Options, profile simnet.LinkProfile) (*
 // retry, not a stall), heartbeat loop running against the broker's
 // lease.
 func (s *stack) joinResilient(ctx context.Context, i int, rcfg core.ResilientConfig) (*core.ResilientClient, error) {
-	cl, err := client.New(s.net, membership.NewPSE("", 0), user(i))
+	sc, err := s.client(i, core.WithReplayGuard(core.NewReplayGuard(time.Minute, 512)))
 	if err != nil {
 		return nil, err
 	}
-	s.onClose(func() { cl.Close() })
-	trust, err := s.dep.TrustStore()
-	if err != nil {
-		return nil, err
-	}
-	sc, err := core.NewSecureClient(cl, trust, core.WithReplayGuard(core.NewReplayGuard(time.Minute, 512)))
-	if err != nil {
-		return nil, err
-	}
-	cl.BindTelemetry(s.reg)
-	cl.SetTracer(s.tr)
-	sc.SetAuditor(s.aud)
 	sc.SetTimeout(500 * time.Millisecond)
 	rc := core.NewResilientClient(sc, s.br.PeerID(), pw(i), rcfg)
 	if err := rc.Connect(ctx); err != nil {

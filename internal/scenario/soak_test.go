@@ -57,11 +57,8 @@ func TestJoinSoakLeavesNothingBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl.BindTelemetry(reg)
-		if err := sc.SecureConnection(ctx, s.br.PeerID()); err != nil {
-			t.Fatalf("%s secureConnection: %v", user(i), err)
-		}
-		if err := sc.SecureLogin(ctx, pw(i)); err != nil {
-			t.Fatalf("%s secureLogin: %v", user(i), err)
+		if err := sc.Join(ctx, s.br.PeerID(), pw(i)); err != nil {
+			t.Fatal(err)
 		}
 		return sc
 	}
