@@ -98,7 +98,7 @@ func cmdAuditVerify(args []string) error {
 		if err != nil {
 			return err
 		}
-		doc, err := xmldoc.ParseBytes(raw)
+		doc, err := xmldoc.ParseCanonical(raw) // as admin init wrote it
 		if err != nil {
 			return fmt.Errorf("audit verify: parse %s: %w", *anchor, err)
 		}

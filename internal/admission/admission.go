@@ -43,7 +43,8 @@ type Config struct {
 	// buckets (refilled to capacity) are evicted first — forgetting an
 	// idle credential is free, its next bucket starts full anyway.
 	MaxTracked int
-	// Clock overrides the time source (tests).
+	// Clock is what buckets refill by, fixed at construction (nil: the
+	// wall). Allow(who) takes no time, so the limiter keeps its own.
 	Clock func() time.Time
 }
 

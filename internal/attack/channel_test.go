@@ -541,10 +541,11 @@ func TestChannelOfferFlood(t *testing.T) {
 }
 
 // (g) A channel does not outlive the credentials it was agreed under. By
-// bob's clock alice's credential has run out — hers, ahead of his, says
-// otherwise, so she still sends a frame: bob refuses it. (The message is
-// not lost: she sends it again as an envelope, whose credential check is
-// the paper's.)
+// bob's clock alice's credential has run out — hers, behind his, says
+// otherwise, so she still sends a frame: bob refuses it. She sends the
+// message again as an envelope, and bob, who has one clock, refuses that
+// too, by the paper's own check: the credential under her advertisement
+// has expired. Nothing of hers reaches his application on either path.
 func TestChannelFrameAfterCredentialExpiryRefused(t *testing.T) {
 	s := newSecureStackWith(t, core.BrokerConfig{RequireSignedAdvs: true, CredValidity: 5 * time.Minute})
 	p := newChannelPair(t, s, false)
@@ -552,17 +553,22 @@ func TestChannelFrameAfterCredentialExpiryRefused(t *testing.T) {
 	if until := time.Until(notAfter); until > 5*time.Minute || until < 4*time.Minute {
 		t.Fatalf("alice's credential runs for %v, want the 5 minutes configured", until)
 	}
-	// Inside the channel's lifetime, past the credential's.
-	p.bob.SetClock(func() time.Time { return notAfter.Add(time.Second) })
+	// bob's clock: inside the channel's lifetime, past the credential's.
+	p.bob.Endpoint().SetClock(func() time.Time { return notAfter.Add(time.Second) })
 	refusals := p.metric(t, core.ChannelRefusalsSentMetric)
-	if e := say(t, p.alice, p.bob.PeerID(), p.atBob, "late"); e.Attr("mode") == core.ModeChannel.String() {
-		t.Fatal("bob opened a frame on a channel whose credentials have expired")
+	if err := p.alice.SecureMsgPeer(testCtx(t), p.bob.PeerID(), "math", "late"); err != nil {
+		t.Fatal(err)
 	}
+	waituntil.Must(t, 10*time.Second, func() bool { return len(p.atBob.OfType(events.SecurityAlert)) > 0 },
+		"bob raised no alert for the envelope of an expired credential")
 	if got := p.metric(t, core.ChannelRefusalsSentMetric); got != refusals+1 {
-		t.Fatalf("refusals sent %v -> %v, want one more", refusals, got)
+		t.Fatalf("refusals sent %v -> %v, want one more: the frame's", refusals, got)
 	}
-	if c := count(p.atBob, "late"); c != 1 {
-		t.Fatalf("the refused frame's message was delivered %d times", c)
+	if reason := p.atBob.OfType(events.SecurityAlert)[0].Payload["reason"]; reason != core.ErrSenderUnknown.Error() {
+		t.Fatalf("the envelope was refused with %q, want the sender's expired chain: %q", reason, core.ErrSenderUnknown)
+	}
+	if c := count(p.atBob, "late"); c != 0 {
+		t.Fatalf("a message under an expired credential was delivered %d times", c)
 	}
 }
 

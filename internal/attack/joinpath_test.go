@@ -22,7 +22,6 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
-	"jxtaoverlay/internal/perfgate"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/waituntil"
 	"jxtaoverlay/internal/xmldoc"
@@ -213,9 +212,17 @@ func TestStoredCredentialOnlyForSameKeyAndUser(t *testing.T) {
 func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 	const validity = 10 * time.Minute
 	s := newSecureStackWith(t, core.BrokerConfig{RequireSignedAdvs: true, CredValidity: validity})
-	var skew atomic.Int64
-	s.brSec.SetClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) })
-	alice := s.join(t, "alice", "alice-secret-pw")
+	// Time passes for the broker and for alice alike: a broker minutes
+	// ahead of its client would issue her a credential that, by her clock,
+	// is not valid yet.
+	var passed atomic.Int64
+	later := func() time.Time { return time.Now().Add(time.Duration(passed.Load())) }
+	s.br.Endpoint().SetClock(later)
+	alice := s.client(t, "alice")
+	alice.Endpoint().SetClock(later)
+	if err := alice.Join(testCtx(t), s.br.PeerID(), "alice-secret-pw"); err != nil {
+		t.Fatal(err)
+	}
 	first := alice.Identity().Credential
 	ctx := testCtx(t)
 
@@ -231,7 +238,7 @@ func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 		return s.brKP.SignCalls() - before
 	}
 
-	skew.Store(int64(validity/2 - time.Minute))
+	passed.Store(int64(validity/2 - time.Minute))
 	if signs := rejoin(); signs != 1 || !alice.Identity().Credential.Equal(first) {
 		t.Fatalf("with more than half the validity left: %d broker signatures, same credential = %v; want 1, true",
 			signs, alice.Identity().Credential.Equal(first))
@@ -240,12 +247,13 @@ func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 		t.Fatalf("re-join moved NotAfter %v -> %v", first.NotAfter, got)
 	}
 
-	skew.Store(int64(validity/2 + time.Minute))
+	passed.Store(int64(validity/2 + time.Minute))
 	if signs := rejoin(); signs != 2 {
 		t.Fatalf("with less than half the validity left: %d broker signatures, want 2 (challenge + issuance)", signs)
 	}
-	if fresh := alice.Identity().Credential; !fresh.NotAfter.After(first.NotAfter) {
-		t.Fatalf("stale credential handed out: NotAfter %v, first %v", fresh.NotAfter, first.NotAfter)
+	// The fresh credential runs a full validity from the broker's now.
+	if fresh, want := alice.Identity().Credential, s.br.Now().Add(validity); fresh.NotAfter.Sub(want).Abs() > time.Second {
+		t.Fatalf("fresh credential's NotAfter %v, want the broker's now + %v = %v (first ran to %v)", fresh.NotAfter, validity, want, first.NotAfter)
 	}
 }
 
@@ -254,14 +262,11 @@ func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 // them from strangers — each from a peer ID never seen before, so that no
 // per-peer limit applies — fills the table to its bound and no further,
 // and the join of an honest client behind it is served. Each call costs
-// the broker a signature, so under the race detector, where CI repeats
-// the test, the flood is three tables' worth.
+// the broker a signature, and the flood is three tables' worth: past that
+// a full table meets nothing it has not met.
 func TestSecureConnectFloodBoundsSidTable(t *testing.T) {
 	const sidCapacity = 4096 // core's bound on the table
-	calls := 50000
-	if perfgate.Race {
-		calls = 3 * sidCapacity
-	}
+	const calls = 3 * sidCapacity
 	s := newSecureStack(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()

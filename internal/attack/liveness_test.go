@@ -45,7 +45,7 @@ func newLeaseStack(t *testing.T) *leaseStack {
 	t.Helper()
 	s := &leaseStack{now: time.Now()}
 	s.secureStack = newSecureStackWith(t, core.BrokerConfig{RequireSignedAdvs: true, LeaseTTL: attackLeaseTTL})
-	s.brSec.SetClock(func() time.Time {
+	s.br.Endpoint().SetClock(func() time.Time {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return s.now

@@ -13,7 +13,9 @@ import (
 
 	"jxtaoverlay/internal/attack"
 	"jxtaoverlay/internal/core"
+	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/simnet"
 )
 
 type roundParty struct {
@@ -68,7 +70,10 @@ func TestRoundHeaderRetargetedRecipientSetRejected(t *testing.T) {
 // round nonce distinguishes the forgery from the round bob already
 // accepted. The receive-side guard must reject the reuse.
 func TestRoundHeaderStaleNonceReuseRejected(t *testing.T) {
-	alice, bob, mallory := newRoundParty(t), newRoundParty(t), newRoundParty(t)
+	// bob is also a node, with a guard of its own, for the last step.
+	s := newSecureStack(t)
+	bobNode := s.join(t, "bob", "bob-secret-pw", core.WithReplayGuard(core.NewReplayGuard(time.Minute, 64)))
+	alice, bob, mallory := newRoundParty(t), roundParty{kp: bobNode.Identity().Keys, id: bobNode.PeerID()}, newRoundParty(t)
 	recipients := []*keys.PublicKey{bob.kp.Public(), mallory.kp.Public()}
 	sealed, err := core.SealGroup(alice.kp, alice.id, "math", []byte("round secret"), recipients)
 	if err != nil {
@@ -93,11 +98,23 @@ func TestRoundHeaderStaleNonceReuseRejected(t *testing.T) {
 		t.Fatalf("nonce-reusing round = %v, want ErrMessageReplayed", err)
 	}
 	// And even without prior delivery, the forgery cannot outlive the
-	// freshness window: well past the signed timestamp it is stale.
-	lateGuard := core.NewReplayGuard(time.Minute, 64)
-	lateGuard.SetClock(func() time.Time { return time.Now().Add(10 * time.Minute) })
-	if _, err := core.OpenGroup(bob.kp, forged, lateGuard); !errors.Is(err, core.ErrMessageStale) {
-		t.Fatalf("aged round = %v, want ErrMessageStale", err)
+	// freshness window: the node's guard has never seen the round, and ten
+	// minutes on by the node's clock it is stale.
+	bobNode.Endpoint().SetClock(func() time.Time { return time.Now().Add(10 * time.Minute) })
+	atBob := events.NewCollector(bobNode.Bus())
+	raw, err := attack.NewRawNode(s.net, "attacker-node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Replay(simnet.NodeID(bob.id), attack.SpoofedPipeEnvelope(mallory.id, bob.id, "math", forged)); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := atBob.WaitFor(events.SecurityAlert, 5*time.Second)
+	if !ok || e.Payload["reason"] != core.ErrMessageStale.Error() || e.From != alice.id {
+		t.Fatalf("aged round raised %+v (%v), want an alert against its signer: %v", e, ok, core.ErrMessageStale)
+	}
+	if got := atBob.OfType(events.SecureMessage); len(got) != 0 {
+		t.Fatalf("aged round delivered: %q", got[0].Data)
 	}
 }
 

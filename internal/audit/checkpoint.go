@@ -45,7 +45,10 @@ type checkpointClaim struct {
 }
 
 func parseCheckpoint(payload []byte) (*checkpointClaim, error) {
-	doc, err := xmldoc.ParseBytes(payload)
+	// The payload is what buildCheckpoint wrote with Canonical(), read back
+	// from a disk an adversary may have reached: the canonical subset and
+	// nothing else (no DTD, no entity, bounded depth).
+	doc, err := xmldoc.ParseCanonical(payload)
 	if err != nil {
 		return nil, fmt.Errorf("audit: checkpoint payload: %w", err)
 	}

@@ -123,8 +123,6 @@ type Options struct {
 	// Chain is the signer's credential chain, leaf first; Chain[0].Key
 	// must be Signer's public key. Required when Signer is set.
 	Chain []*cred.Credential
-	// Clock overrides time.Now (tests).
-	Clock func() time.Time
 	// RingSize bounds the in-memory query ring backing /debug/audit
 	// (0 = 4096).
 	RingSize int
@@ -188,9 +186,6 @@ func Open(opts Options) (*Journal, error) { return open(opts, nil) }
 func open(opts Options, faults seglog.FaultFunc) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("audit: Options.Dir is required")
-	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
 	}
 	if opts.RingSize <= 0 {
 		opts.RingSize = 4096
@@ -277,7 +272,7 @@ func (j *Journal) Record(e Event) uint64 {
 	defer j.log.Unlock()
 	rec := Record{
 		Frame: FrameEvent, Seq: j.seq + 1, Prev: j.head,
-		Time:  j.opts.Clock().UnixNano(),
+		Time:  time.Now().UnixNano(),
 		Trace: e.Trace, Kind: e.Kind, Peer: e.Peer, Op: e.Op, Reason: e.Reason,
 	}
 	if j.appendLocked(rec) != nil {
@@ -351,7 +346,7 @@ func (j *Journal) checkpointLocked() {
 	if j.opts.Signer == nil || j.sinceCkpt == 0 || j.log.Err() != nil {
 		return
 	}
-	rec := Record{Frame: FrameCheckpoint, Seq: j.seq + 1, Prev: j.head, Time: j.opts.Clock().UnixNano()}
+	rec := Record{Frame: FrameCheckpoint, Seq: j.seq + 1, Prev: j.head, Time: time.Now().UnixNano()}
 	payload, err := buildCheckpoint(rec.Seq, rec.Prev, time.Unix(0, rec.Time), j.opts.Signer, j.opts.Chain)
 	if err != nil {
 		j.log.Fail(err)

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"jxtaoverlay/internal/perfgate"
+	"jxtaoverlay/internal/xmldoc"
 )
 
 // TestAppendReopenContinuesChain: a journal reopened after a clean
@@ -321,4 +323,20 @@ func BenchmarkRecordSynced(b *testing.B) { benchRecord(b, 0) }
 func TestGateRecordStaged(t *testing.T) { perfgate.Run(t, BenchmarkRecordStaged, 0, 5000) }
 func TestGateRecordSynced(t *testing.T) {
 	perfgate.Run(t, BenchmarkRecordSynced, perfgate.NoLimit, 20e6)
+}
+
+// TestHostileCheckpointPayloadRefusedAtFirstByte: a checkpoint payload is
+// read back from a disk an adversary may have reached (internal/attack's
+// disk-adversary suite), so it goes through the canonical-subset parser,
+// not encoding/xml: a payload opening with a DTD dies on its '<!' with
+// work bounded by the prefix scanned — a megabyte of entity definitions
+// behind it costs nothing (attack/parser_test.go's bound, by allocation).
+func TestHostileCheckpointPayloadRefusedAtFirstByte(t *testing.T) {
+	bomb := []byte(`<!DOCTYPE c [` + strings.Repeat(`<!ENTITY x "&y;&y;&y;&y;&y;&y;&y;&y;">`, 1<<15) + `]><` + CheckpointElement + `>&x;</` + CheckpointElement + `>`)
+	if _, err := parseCheckpoint(bomb); !errors.Is(err, xmldoc.ErrCanonicalSyntax) {
+		t.Fatalf("hostile checkpoint payload = %v, want it refused as outside the canonical subset", err)
+	}
+	if a := testing.AllocsPerRun(10, func() { parseCheckpoint(bomb) }); a > 16 {
+		t.Fatalf("refusing a %d-byte hostile payload allocates %v times: work beyond its first bytes", len(bomb), a)
+	}
 }

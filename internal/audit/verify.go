@@ -5,6 +5,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"jxtaoverlay/internal/cred"
@@ -131,7 +132,7 @@ func Verify(dir string, opts VerifyOptions) (*Report, error) {
 			}
 			r.Checkpoints++
 			r.LastCheckpointSeq = rec.Seq
-			r.Signer = signer.SubjectName
+			r.Signer = strings.Clone(signer.SubjectName) // a view of the segment read
 		} else {
 			r.Events++
 		}

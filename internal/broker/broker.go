@@ -216,7 +216,7 @@ func New(cfg Config) (*Broker, error) {
 	b := &Broker{
 		cfg:    cfg,
 		ep:     ep,
-		ctl:    control.New(ep, discovery.NewCache(), events.NewBus()),
+		ctl:    control.New(ep, discovery.NewCache(ep.Now), events.NewBus()),
 		groups: peergroup.NewRegistry(),
 		peers:  make(map[keys.PeerID]*PeerInfo),
 		ops:    make(map[string]OpHandler),
@@ -238,6 +238,11 @@ func (b *Broker) PeerID() keys.PeerID { return b.cfg.PeerID }
 
 // Endpoint returns the broker's endpoint service.
 func (b *Broker) Endpoint() *endpoint.Service { return b.ep }
+
+// Now is the time at this broker (its endpoint's clock): what sessions,
+// leases, credentials, the dedup window, the advertisement index and the
+// relay attached to it are stamped and expired by.
+func (b *Broker) Now() time.Time { return b.ep.Now() }
 
 // Cache returns the broker's advertisement index.
 func (b *Broker) Cache() *discovery.Cache { return b.ctl.Cache() }
@@ -433,7 +438,7 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 	idemK, _ := msg.GetString(proto.ElemIdem)
 	honoured := idemK != "" && len(idemK) <= idemMaxKeyLen && b.loggedIn(from)
 	if honoured {
-		if cached, ok := b.idem.lookup(from, idemK); ok {
+		if cached, ok := b.idem.lookup(from, idemK, b.Now()); ok {
 			b.idemDeduped.Add(1)
 			b.Audit(audit.Event{Kind: audit.KindIdemDedup, Peer: string(from), Op: op, Reason: "replayed-key", Trace: tid})
 			return cached
@@ -448,7 +453,7 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 			// performed no mutation, so its retry must re-execute. No
 			// handler answers with bytes of its request, so a cached
 			// response holds no view of a frame.
-			b.idem.store(from, idemK, resp)
+			b.idem.store(from, idemK, resp, b.Now())
 		}
 	}
 	return resp
@@ -510,7 +515,7 @@ func (b *Broker) RegisterPeer(id keys.PeerID, username string, groups []string) 
 }
 
 func (b *Broker) registerPeer(id keys.PeerID, username string, groups []string, origin keys.PeerID) {
-	b.registerPeerAt(id, username, groups, origin, time.Now())
+	b.registerPeerAt(id, username, groups, origin, b.Now())
 }
 
 // registerPeerAt records a session that began at the given time. The
@@ -560,7 +565,7 @@ func (b *Broker) UnregisterPeer(id keys.PeerID) {
 }
 
 func (b *Broker) unregisterPeer(id keys.PeerID, announce bool) {
-	b.unregisterPeerAt(id, announce, time.Now(), "")
+	b.unregisterPeerAt(id, announce, b.Now(), "")
 }
 
 // ExpirePeer takes an online peer's presence down for a liveness
@@ -587,7 +592,7 @@ func (b *Broker) ExpirePeer(id keys.PeerID, reason string, session time.Time) bo
 func (b *Broker) TouchPeer(id keys.PeerID) {
 	b.mu.Lock()
 	if p, ok := b.peers[id]; ok {
-		p.LastSeen = time.Now()
+		p.LastSeen = b.Now()
 	}
 	b.mu.Unlock()
 }
@@ -849,7 +854,7 @@ func (b *Broker) propagateLocal(doc *xmldoc.Element, group string, except keys.P
 var sendParallelism = max(4, runtime.GOMAXPROCS(0))
 
 func (b *Broker) pushPresence(id keys.PeerID, username, group, status string) {
-	pres := &advert.Presence{PeerID: id, Name: username, Group: group, Status: status, Seen: time.Now()}
+	pres := &advert.Presence{PeerID: id, Name: username, Group: group, Status: status, Seen: b.Now()}
 	doc, err := pres.Document()
 	if err != nil {
 		return

@@ -98,15 +98,15 @@ func peerUpMessage(info *PeerInfo) *endpoint.Message {
 // and discards updates an intervening (re-)login made stale — without
 // this, a slow peer-up from a recipient's previous session can clobber
 // its live local registration and misroute relay traffic. A message
-// without the element (never produced here) falls back to "now", the
-// pre-timestamp behavior.
-func fedSession(msg *endpoint.Message) time.Time {
+// without the element (never produced here) falls back to this broker's
+// "now", the pre-timestamp behavior.
+func (b *Broker) fedSession(msg *endpoint.Message) time.Time {
 	if s, _ := msg.GetString(proto.ElemFedSession); s != "" {
 		if ns, err := strconv.ParseInt(s, 10, 64); err == nil {
 			return time.Unix(0, ns)
 		}
 	}
-	return time.Now()
+	return b.Now()
 }
 
 func (b *Broker) registerFederationOps() {
@@ -126,7 +126,7 @@ func (b *Broker) handleFedPeerUp(from keys.PeerID, msg *endpoint.Message) *endpo
 	if groupsCSV != "" {
 		groups = strings.Split(groupsCSV, ",")
 	}
-	b.registerPeerAt(keys.PeerID(peer), user, groups, from, fedSession(msg))
+	b.registerPeerAt(keys.PeerID(peer), user, groups, from, b.fedSession(msg))
 	return nil
 }
 
@@ -135,7 +135,7 @@ func (b *Broker) handleFedPeerDown(from keys.PeerID, msg *endpoint.Message) *end
 		return nil
 	}
 	peer, _ := msg.GetString(proto.ElemPeer)
-	b.unregisterPeerAt(keys.PeerID(peer), false, fedSession(msg), "")
+	b.unregisterPeerAt(keys.PeerID(peer), false, b.fedSession(msg), "")
 	return nil
 }
 

@@ -59,39 +59,28 @@ type idemCache struct {
 	mu          sync.Mutex
 	seen        lru.Window[idemKey, *endpoint.Message]
 	evictedLive uint64
-	clock       func() time.Time
 }
 
 func newIdemCache() *idemCache {
-	return &idemCache{
-		seen:  lru.NewWindow[idemKey, *endpoint.Message](idemMaxEntries),
-		clock: time.Now,
-	}
+	return &idemCache{seen: lru.NewWindow[idemKey, *endpoint.Message](idemMaxEntries)}
 }
 
-// lookup returns the cached response for a live (peer, key) entry.
-func (c *idemCache) lookup(from keys.PeerID, key string) (*endpoint.Message, bool) {
+// lookup returns the cached response for a (peer, key) entry live at now,
+// the broker's time.
+func (c *idemCache) lookup(from keys.PeerID, key string, now time.Time) (*endpoint.Message, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.seen.Get(idemKey{from, key}, c.clock())
+	return c.seen.Get(idemKey{from, key}, now)
 }
 
-// store caches a response under (peer, key) for idemWindow; storing a
-// key again replaces the response and restarts its window.
-func (c *idemCache) store(from keys.PeerID, key string, resp *endpoint.Message) {
+// store caches a response under (peer, key) for idemWindow from now;
+// storing a key again replaces the response and restarts its window.
+func (c *idemCache) store(from keys.PeerID, key string, resp *endpoint.Message, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.clock()
 	if c.seen.Put(idemKey{from, key}, resp, now.Add(idemWindow), now) {
 		c.evictedLive++
 	}
-}
-
-// SetIdemClock overrides the dedup window's time source (tests).
-func (b *Broker) SetIdemClock(now func() time.Time) {
-	b.idem.mu.Lock()
-	b.idem.clock = now
-	b.idem.mu.Unlock()
 }
 
 // IdemEntries reports the idempotency dedup window's entry count.

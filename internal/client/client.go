@@ -124,12 +124,12 @@ func New(net *simnet.Network, mem membership.Service, alias string) (*Client, er
 	}
 	c := &Client{
 		ep:       ep,
-		ctl:      control.New(ep, discovery.NewCache(), events.NewBus()),
+		ctl:      control.New(ep, discovery.NewCache(ep.Now), events.NewBus()),
 		mem:      mem,
 		identity: id,
 		username: alias,
 		timeout:  10 * time.Second,
-		started:  time.Now(),
+		started:  ep.Now(),
 	}
 	c.ctl.SetMessageHandler(c.onPipeDelivery)
 	ep.RegisterHandler(proto.ClientService, c.onBrokerPush)
@@ -163,6 +163,10 @@ func (c *Client) Cache() *discovery.Cache { return c.ctl.Cache() }
 // Endpoint returns the peer's endpoint service.
 func (c *Client) Endpoint() *endpoint.Service { return c.ep }
 
+// Now is the time at this peer (its endpoint's clock): what it signs,
+// checks credentials and freshness against, and expires its tables by.
+func (c *Client) Now() time.Time { return c.ep.Now() }
+
 // Control returns the control module (used by the security extension).
 func (c *Client) Control() *control.Module { return c.ctl }
 
@@ -188,7 +192,7 @@ func (c *Client) LoggedIn() bool {
 }
 
 // Uptime reports how long the peer has been up (statistics primitives).
-func (c *Client) Uptime() time.Duration { return time.Since(c.started) }
+func (c *Client) Uptime() time.Duration { return c.Now().Sub(c.started) }
 
 // SetEnvelopeHandler installs the security extension's interceptor for
 // secure message envelopes.

@@ -202,7 +202,7 @@ func (m *Module) StartAnnouncer(interval time.Duration, name string, groupsFn fu
 						Name:   name,
 						Group:  g,
 						Status: advert.StatusOnline,
-						Seen:   time.Now(),
+						Seen:   m.ep.Now(),
 					}
 					pubCtx, pubCancel := context.WithTimeout(ctx, interval)
 					_ = publish(pubCtx, pres)

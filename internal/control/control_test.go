@@ -21,7 +21,7 @@ func newModule(t *testing.T, net *simnet.Network, id string) *Module {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(ep, discovery.NewCache(), events.NewBus())
+	m := New(ep, discovery.NewCache(ep.Now), events.NewBus())
 	t.Cleanup(m.Close)
 	return m
 }

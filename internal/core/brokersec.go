@@ -68,7 +68,6 @@ type BrokerSecurity struct {
 	// presented, each until sidTTL after its issue.
 	sids   lru.Window[string, struct{}]
 	leases map[keys.PeerID]*lease
-	clock  func() time.Time
 
 	// Liveness counters (see LivenessStats). Atomics: the telemetry
 	// pull collectors read them without the mutex.
@@ -120,7 +119,6 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 		issued:   lru.New[keys.PeerID, *issuedCred](issuedCredCapacity),
 		sids:     lru.NewWindow[string, struct{}](sidCapacity),
 		leases:   make(map[keys.PeerID]*lease),
-		clock:    time.Now,
 	}
 	b.RegisterOp(proto.OpSecureConnect, bs.handleSecureConnect)
 	b.RegisterOp(proto.OpSecureLogin, bs.handleSecureLogin)
@@ -148,21 +146,14 @@ func (bs *BrokerSecurity) Close() {
 	})
 }
 
-// SetClock overrides the time source (tests).
-func (bs *BrokerSecurity) SetClock(now func() time.Time) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	bs.clock = now
-}
-
 // Credential returns the broker's administrator-issued credential.
 func (bs *BrokerSecurity) Credential() *cred.Credential { return bs.cfg.Credential }
 
 // IssueClientCredential issues Cred_Cl^Br for a key out of band — the
-// same credential secureLogin would issue, exposed for tooling and for
-// pre-provisioned deployments.
+// same credential secureLogin would issue, valid from the broker's now —
+// exposed for tooling and for pre-provisioned deployments.
 func (bs *BrokerSecurity) IssueClientCredential(subject keys.PeerID, username string, key *keys.PublicKey) (*cred.Credential, error) {
-	return cred.Issue(bs.cfg.KeyPair, bs.cfg.Credential.Subject, subject, username, cred.RoleClient, key, bs.cfg.CredValidity)
+	return cred.IssueAt(bs.b.Now(), bs.cfg.KeyPair, bs.cfg.Credential.Subject, subject, username, cred.RoleClient, key, bs.cfg.CredValidity)
 }
 
 // PendingSids reports how many session identifiers are outstanding.
@@ -185,7 +176,7 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	sid := hex.EncodeToString(sidBytes)
-	bs.issueSid(sid)
+	bs.issueSid(sid, bs.b.Now())
 
 	sig, err := bs.cfg.KeyPair.Sign(chall)
 	if err != nil {
@@ -197,26 +188,20 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 		AddXML(proto.ElemCred, bs.credWire)
 }
 
-// issueSid records a session identifier as handed out, good for sidTTL.
-func (bs *BrokerSecurity) issueSid(sid string) {
+// issueSid records a session identifier as handed out, good for sidTTL
+// from now.
+func (bs *BrokerSecurity) issueSid(sid string, now time.Time) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	now := bs.clock()
 	bs.sids.Put(sid, struct{}{}, now.Add(sidTTL), now)
-}
-
-func (bs *BrokerSecurity) now() time.Time {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.clock()
 }
 
 // consumeSid enforces single use: a sid is deleted the moment it is
 // presented (§4.2.2 step 5), which is what blocks login replay.
-func (bs *BrokerSecurity) consumeSid(sid string) bool {
+func (bs *BrokerSecurity) consumeSid(sid string, now time.Time) bool {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	_, live := bs.sids.Get(sid, bs.clock())
+	_, live := bs.sids.Get(sid, now)
 	bs.sids.Delete(sid)
 	return live
 }
@@ -263,7 +248,7 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 	}
 
 	// Step 5: single-use session identifier (anti-replay).
-	if !bs.consumeSid(sid) {
+	if !bs.consumeSid(sid, bs.b.Now()) {
 		bs.auditAuth(audit.KindLogin, peerID, proto.OpSecureLogin, proto.ErrBadSid)
 		return proto.Fail(proto.ErrBadSid)
 	}
@@ -349,7 +334,7 @@ func (bs *BrokerSecurity) issueClient(subject keys.PeerID, username string, key 
 // would change except its validity window, so within the window one
 // signature serves every re-join; logging in again does not extend it.
 func (bs *BrokerSecurity) loginCredential(subject keys.PeerID, username string, key *keys.PublicKey) ([]byte, error) {
-	if ic, ok := bs.issued.Get(subject, bs.now()); ok && ic.cred.SubjectName == username && ic.cred.Key.Equal(key) {
+	if ic, ok := bs.issued.Get(subject, bs.b.Now()); ok && ic.cred.SubjectName == username && ic.cred.Key.Equal(key) {
 		return ic.wire, nil
 	}
 	ic, err := bs.issueClient(subject, username, key)
@@ -368,7 +353,7 @@ func (bs *BrokerSecurity) loginCredential(subject keys.PeerID, username string, 
 // advertisement — needed for the ownership check anyway — is returned
 // to the broker, which makes this the publish path's only parse.
 func (bs *BrokerSecurity) verifyAdv(doc *xmldoc.Element) (advert.Advertisement, error) {
-	res, err := bs.vcache.VerifyTrusted(doc, bs.now())
+	res, err := bs.vcache.VerifyTrusted(doc, bs.b.Now())
 	if err != nil {
 		return nil, err
 	}

@@ -207,9 +207,10 @@ func frameNonce(seq uint64) (n [keys.AEADNonceSize]byte) {
 }
 
 // sealFrame builds one frame in one buffer: prefix, length, then the
-// block of header and body, encrypted where it lies. body is only read.
-func sealFrame(aead cipher.AEAD, frame frameRef, sender keys.PeerID, group string, body []byte) []byte {
-	h := headerDoc(sender, group, keys.SHA256(body), time.Now()).Canonical()
+// block of header and body, encrypted where it lies. body is only read;
+// now is the sender's time, the frame's Time.
+func sealFrame(aead cipher.AEAD, frame frameRef, sender keys.PeerID, group string, body []byte, now time.Time) []byte {
+	h := headerDoc(sender, group, keys.SHA256(body), now).Canonical()
 	n := sealedLen(h, body)
 	wire := appendFrameRef(make([]byte, 0, framePrefix+4+n), ModeChannel, frame)
 	wire = binary.BigEndian.AppendUint32(wire, uint32(n))
@@ -313,13 +314,13 @@ func (c *inChannel) admit(seq uint64) bool {
 // channelTable is one client's channels, both directions. Nothing in it
 // is allocated until the client makes or receives its first offer: the
 // zero windows and the nil map answer every lookup with "none", and ready
-// comes before every insert. The counters are read by the telemetry
+// comes before every insert. It has no clock: whatever expires is judged
+// at the now its client hands in. The counters are read by the telemetry
 // collectors.
 type channelTable struct {
-	mu    sync.Mutex
-	clock func() time.Time // nil: time.Now
-	out   lru.Window[pairKey, *outChannel]
-	in    lru.Window[pairKey, *inChannel]
+	mu  sync.Mutex
+	out lru.Window[pairKey, *outChannel]
+	in  lru.Window[pairKey, *inChannel]
 	// byID finds a frame's channel. It may briefly hold a channel the
 	// window has dropped; inbound checks, and install sweeps.
 	byID map[channelID]*inChannel
@@ -329,13 +330,6 @@ type channelTable struct {
 	established  atomic.Uint64
 	fallbacks    atomic.Uint64
 	refusalsSent atomic.Uint64
-}
-
-func (t *channelTable) now() time.Time {
-	if t.clock != nil {
-		return t.clock()
-	}
-	return time.Now()
 }
 
 // ready allocates the tables on first use (byID set says they are).
@@ -370,19 +364,19 @@ func (t *channelTable) reset() {
 
 // nextFrame seals text as the next frame of the established channel to
 // pair, if there is one with budget left.
-func (t *channelTable) nextFrame(pair pairKey, sender keys.PeerID, text string) (wire []byte, route any, ok bool) {
-	frame, aead, route, ok := t.claimFrame(pair, text)
+func (t *channelTable) nextFrame(pair pairKey, sender keys.PeerID, text string, now time.Time) (wire []byte, route any, ok bool) {
+	frame, aead, route, ok := t.claimFrame(pair, text, now)
 	if !ok {
 		return nil, nil, false
 	}
-	return sealFrame(aead, frame, sender, pair.group, readOnlyBytes(text)), route, true
+	return sealFrame(aead, frame, sender, pair.group, readOnlyBytes(text), now), route, true
 }
 
 // claimFrame takes the next sequence number of the channel to pair.
-func (t *channelTable) claimFrame(pair pairKey, text string) (frame frameRef, aead cipher.AEAD, route any, ok bool) {
+func (t *channelTable) claimFrame(pair pairKey, text string, now time.Time) (frame frameRef, aead cipher.AEAD, route any, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.out.Get(pair, t.now())
+	c, ok := t.out.Get(pair, now)
 	if !ok || c.aead == nil {
 		return frame, nil, nil, false
 	}
@@ -400,11 +394,10 @@ func (t *channelTable) claimFrame(pair pairKey, text string) (frame frameRef, ae
 // two credential chains. It returns nil once the channel is established
 // (an envelope racing the accept needs no offer), and when the
 // credentials have too little time left for a channel to be of any use.
-func (t *channelTable) offer(pair pairKey, route any, notAfter time.Time) (*handshake, error) {
+func (t *channelTable) offer(pair pairKey, route any, notAfter, now time.Time) (*handshake, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ready()
-	now := t.now()
 	c, ok := t.out.Get(pair, now)
 	if ok && c.aead != nil && c.seq < channelBudget || !notAfter.Add(-channelSkew).After(now) {
 		return nil, nil
@@ -434,10 +427,9 @@ const (
 // accepted completes the pending offer to pair with the responder's
 // verified accept, signed at signedAt. derive is handed the offer's
 // ephemeral key and share, and returns the channel key.
-func (t *channelTable) accepted(pair pairKey, h *handshake, signedAt time.Time, derive func(eph *keys.AgreementKey, share []byte) (cipher.AEAD, error)) int {
+func (t *channelTable) accepted(pair pairKey, h *handshake, signedAt, now time.Time, derive func(eph *keys.AgreementKey, share []byte) (cipher.AEAD, error)) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
 	c, ok := t.out.Get(pair, now)
 	if !ok || c.id != h.id || c.aead != nil {
 		return acceptIgnored
@@ -465,10 +457,10 @@ func (t *channelTable) accepted(pair pairKey, h *handshake, signedAt time.Time, 
 // refused handles a refusal claiming to come from pair. The channel it
 // names, if it is this peer's channel to pair, is dropped; and if the
 // frame it names is the last one sent, resend is that frame's text.
-func (t *channelTable) refused(pair pairKey, frame frameRef) (text string, resend, dropped bool) {
+func (t *channelTable) refused(pair pairKey, frame frameRef, now time.Time) (text string, resend, dropped bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.out.Get(pair, t.now())
+	c, ok := t.out.Get(pair, now)
 	if !ok || c.id != frame.id || c.aead == nil {
 		return "", false, false
 	}
@@ -477,30 +469,30 @@ func (t *channelTable) refused(pair pairKey, frame frameRef) (text string, resen
 }
 
 // holdsOffer reports whether id is this peer's offer or channel to pair.
-func (t *channelTable) holdsOffer(pair pairKey, id channelID) bool {
+func (t *channelTable) holdsOffer(pair pairKey, id channelID, now time.Time) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.out.Get(pair, t.now())
+	c, ok := t.out.Get(pair, now)
 	return ok && c.id == id
 }
 
 // --- responder ---
 
 // inbound finds the live channel a frame names.
-func (t *channelTable) inbound(id channelID) *inChannel {
+func (t *channelTable) inbound(id channelID, now time.Time) *inChannel {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.liveInbound(id)
+	return t.liveInbound(id, now)
 }
 
 // liveInbound is inbound under the lock: byID's channel, if the window
 // still holds it.
-func (t *channelTable) liveInbound(id channelID) *inChannel {
+func (t *channelTable) liveInbound(id channelID, now time.Time) *inChannel {
 	c := t.byID[id]
 	if c == nil {
 		return nil
 	}
-	if cur, ok := t.in.Get(c.pair, t.now()); !ok || cur != c {
+	if cur, ok := t.in.Get(c.pair, now); !ok || cur != c {
 		delete(t.byID, id)
 		return nil
 	}
@@ -518,10 +510,10 @@ func (t *channelTable) admit(c *inChannel, seq uint64) bool {
 // has opened the frame — the refusal was not this peer's, and the message
 // must not be delivered twice. Otherwise the frame is marked as opened,
 // so that it is refused should it still arrive.
-func (t *channelTable) alreadyOpened(pair pairKey, frame frameRef) bool {
+func (t *channelTable) alreadyOpened(pair pairKey, frame frameRef, now time.Time) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c := t.liveInbound(frame.id)
+	c := t.liveInbound(frame.id, now)
 	return c != nil && c.pair == pair && !c.admit(frame.seq)
 }
 
@@ -529,11 +521,10 @@ func (t *channelTable) alreadyOpened(pair pairKey, frame frameRef) bool {
 // cached accept to send again (a repeated offer, and the last answer is
 // old enough), a new accept, or nothing. notAfter is the earliest expiry
 // of the two credential chains: no channel is agreed past it.
-func (t *channelTable) offered(pair pairKey, id channelID, notAfter time.Time) (resend []byte, accept bool) {
+func (t *channelTable) offered(pair pairKey, id channelID, notAfter, now time.Time) (resend []byte, accept bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ready()
-	now := t.now()
 	c, ok := t.in.Get(pair, now)
 	switch {
 	case !ok:
@@ -552,11 +543,10 @@ func (t *channelTable) offered(pair pairKey, id channelID, notAfter time.Time) (
 // install stores an accepted channel in place of whatever its pair held
 // before, until its lifetime is over or, sooner, notAfter: the earliest
 // expiry of the two credential chains.
-func (t *channelTable) install(c *inChannel, notAfter time.Time) {
+func (t *channelTable) install(c *inChannel, notAfter, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ready()
-	now := t.now()
 	c.signed, c.sent = now, now
 	c.opened.via = c
 	dies := now.Add(channelLifetime)
@@ -581,11 +571,10 @@ func (t *channelTable) install(c *inChannel, notAfter time.Time) {
 
 // mayRefuse reports whether a refusal for id is due: none was sent in the
 // last second.
-func (t *channelTable) mayRefuse(id channelID) bool {
+func (t *channelTable) mayRefuse(id channelID, now time.Time) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ready()
-	now := t.now()
 	if _, recent := t.refusals.Get(id, now); recent {
 		return false
 	}

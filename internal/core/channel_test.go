@@ -282,7 +282,7 @@ func TestChannelAcceptLost(t *testing.T) {
 	got := events.NewCollector(bob.Bus())
 	now := time.Now()
 	var mu sync.Mutex
-	bob.SetClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return now })
+	bob.Endpoint().SetClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return now })
 
 	a, b := simnet.NodeID(alice.PeerID()), simnet.NodeID(bob.PeerID())
 	h.net.SetLinkOneWay(b, a, simnet.LinkProfile{Loss: 1})

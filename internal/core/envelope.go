@@ -118,7 +118,7 @@ func headerDoc(sender keys.PeerID, group string, bodyDigest []byte, at time.Time
 	doc.AddText("Sender", string(sender))
 	doc.AddText("Group", group)
 	doc.AddText("BodyDigest", base64.StdEncoding.EncodeToString(bodyDigest))
-	doc.AddText("Time", at.UTC().Format(time.RFC3339Nano))
+	doc.AddText("Time", signedTime(at))
 	return doc
 }
 
@@ -156,15 +156,17 @@ func sealedLen(header, body []byte) int {
 // Seal produces the secure envelope for body (paper §4.3.1 step 4:
 // Cl1 → Cl2: E_PKCl2(m, S_SKCl1(m))). recipient may be nil only for
 // ModeSign. signer may be nil only for ModeEncrypt. body is only read,
-// and read into the wire exactly once.
+// and read into the wire exactly once. The signed time is the wall's: a
+// peer seals through seal, at its own.
 func Seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipient *keys.PublicKey, mode Mode) (*Sealed, error) {
-	return seal(signer, sender, group, body, recipient, mode, nil)
+	return seal(signer, sender, group, body, recipient, mode, time.Now(), nil)
 }
 
-// seal is Seal with room for what a session-channel handshake adds to the
-// header: extra, when set, adds its children before the header is signed.
-func seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipient *keys.PublicKey, mode Mode, extra func(header *xmldoc.Element)) (*Sealed, error) {
-	header := headerDoc(sender, group, keys.SHA256(body), time.Now())
+// seal is Seal at the sender's time now, with room for what a
+// session-channel handshake adds to the header: extra, when set, adds its
+// children before the header is signed.
+func seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipient *keys.PublicKey, mode Mode, now time.Time, extra func(header *xmldoc.Element)) (*Sealed, error) {
+	header := headerDoc(sender, group, keys.SHA256(body), now)
 	if mode == ModeFull && recipient != nil {
 		fp, err := recipient.Fingerprint()
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"time"
 
+	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/xmldoc"
 )
@@ -28,7 +29,7 @@ func tableAEAD() cipher.AEAD {
 
 // holdTableChannel installs that channel, inbound, in t.
 func holdTableChannel(t *channelTable) {
-	t.install(&inChannel{id: tableChannelID, pair: pairKey{"urn:jxta:sender", "g"}, user: "sender", aead: tableAEAD()}, time.Now().Add(time.Hour))
+	t.install(&inChannel{id: tableChannelID, pair: pairKey{"urn:jxta:sender", "g"}, user: "sender", aead: tableAEAD()}, time.Now().Add(time.Hour), time.Now())
 }
 
 // tableChannels is a fresh table holding that channel and nothing else:
@@ -44,7 +45,7 @@ func tableChannels() *channelTable {
 // guard, with the table channel as the one channel held — for the
 // external test package's fuzz target.
 func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {
-	o, err := openWire(own, bytes.Clone(wire), formEnvelope|formGroup|formSlice|formChannel, nil, nil, tableChannels())
+	o, err := openWire(own, bytes.Clone(wire), formEnvelope|formGroup|formSlice|formChannel, nil, nil, tableChannels(), time.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -55,8 +56,8 @@ func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {
 // adds: a frame of the table channel carrying body, an accept signed by
 // signer, and a refusal.
 func TableChannelWires(signer *keys.KeyPair, body []byte) (frame, accept, refusal []byte, err error) {
-	frame = sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, "urn:jxta:sender", "g", body)
-	sealed, err := seal(signer, "urn:jxta:sender", "g", nil, nil, ModeSign, func(h *xmldoc.Element) {
+	frame = sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, "urn:jxta:sender", "g", body, time.Now())
+	sealed, err := seal(signer, "urn:jxta:sender", "g", nil, nil, ModeSign, time.Now(), func(h *xmldoc.Element) {
 		h.AddText("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("initiator key"))))
 		(&handshake{id: tableChannelID, share: make([]byte, keys.ShareSize), answers: keys.SHA256([]byte("share"))}).write(h)
 	})
@@ -66,12 +67,20 @@ func TableChannelWires(signer *keys.KeyPair, body []byte) (frame, accept, refusa
 	return frame, sealed.Bytes(), appendFrameRef(nil, ModeRefusal, frameRef{tableChannelID, 7}), nil
 }
 
+// SetSessionCredential replaces the credential s presents as its own, for
+// the tests that hand the broker one it must refuse.
+func SetSessionCredential(s *SecureClient, c *cred.Credential) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cred = c
+}
+
 // ChannelTo reports whether s holds an established channel to peer for
 // group.
 func ChannelTo(s *SecureClient, peer keys.PeerID, group string) bool {
 	s.chans.mu.Lock()
 	defer s.chans.mu.Unlock()
-	c, ok := s.chans.out.Get(pairKey{peer, group}, s.chans.now())
+	c, ok := s.chans.out.Get(pairKey{peer, group}, s.Now())
 	return ok && c.aead != nil
 }
 
@@ -94,6 +103,6 @@ func OpenOnDerivedChannel(secret []byte, id [16]byte, initiator, responder keys.
 		return nil, err
 	}
 	t := &channelTable{}
-	t.install(&inChannel{id: id, pair: pairKey{initiator, group}, aead: aead}, time.Now().Add(time.Hour))
-	return openWire(nil, bytes.Clone(wire), formChannel, nil, nil, t)
+	t.install(&inChannel{id: id, pair: pairKey{initiator, group}, aead: aead}, time.Now().Add(time.Hour), time.Now())
+	return openWire(nil, bytes.Clone(wire), formChannel, nil, nil, t, time.Now())
 }

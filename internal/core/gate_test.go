@@ -129,14 +129,13 @@ func BenchmarkLeaseRenew(b *testing.B) {
 	bs := &BrokerSecurity{
 		cfg:    BrokerConfig{LeaseTTL: time.Minute},
 		leases: make(map[keys.PeerID]*lease),
-		clock:  time.Now,
 	}
 	peer := keys.PeerID("urn:jxta:bench-peer")
 	bs.leases[peer] = &lease{id: "ls-bench", expiry: time.Now().Add(time.Hour)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if tok := bs.renewLease(peer, "ls-bench", uint64(i)+1); tok != "" {
+		if tok := bs.renewLease(peer, "ls-bench", uint64(i)+1, time.Now()); tok != "" {
 			b.Fatalf("heartbeat refused: %s", tok)
 		}
 	}
@@ -151,7 +150,6 @@ func TestGateLeaseRenew(t *testing.T) { perfgate.Run(t, BenchmarkLeaseRenew, 0, 
 func BenchmarkReplayAdmitFull(b *testing.B) {
 	g := NewReplayGuard(0, 0)
 	now := time.Now()
-	g.SetClock(func() time.Time { return now })
 	next := distinctWires()
 	fillGuard(g, now, next)
 	b.ReportAllocs()
@@ -177,14 +175,14 @@ func BenchmarkChannelMessage(b *testing.B) {
 	out.ready()
 	now := time.Now()
 	out.out.Put(pair, &outChannel{id: tableChannelID, aead: tableAEAD()}, now.Add(time.Hour), now)
-	in.install(&inChannel{id: tableChannelID, pair: pairKey{"urn:jxta:cbid-sender", "bench"}, aead: tableAEAD()}, now.Add(time.Hour))
+	in.install(&inChannel{id: tableChannelID, pair: pairKey{"urn:jxta:cbid-sender", "bench"}, aead: tableAEAD()}, now.Add(time.Hour), now)
 	guard := NewReplayGuard(0, 0)
 	text := string(make([]byte, 64))
 	signed, unwrapped := senderKP.SignCalls()+recvKP.SignCalls(), senderKP.UnwrapCalls()+recvKP.UnwrapCalls()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wire, _, ok := out.nextFrame(pair, "urn:jxta:cbid-sender", text)
+		wire, _, ok := out.nextFrame(pair, "urn:jxta:cbid-sender", text, time.Now())
 		if !ok {
 			b.Fatal("no channel")
 		}
@@ -194,7 +192,7 @@ func BenchmarkChannelMessage(b *testing.B) {
 			b.Fatal(err)
 		}
 		env, _ := msg.Get(proto.ElemEnvelope)
-		o, err := openWire(recvKP, env, formEnvelope|formGroup|formSlice|formChannel, nil, guard, &in)
+		o, err := openWire(recvKP, env, formEnvelope|formGroup|formSlice|formChannel, nil, guard, &in, time.Now())
 		if err != nil || len(o.Body) != len(text) || o.via == nil {
 			b.Fatalf("open: (%+v, %v)", o, err)
 		}

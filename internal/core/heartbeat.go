@@ -69,12 +69,13 @@ func (bs *BrokerSecurity) grantLease(peer keys.PeerID) (string, time.Duration, b
 		return "", 0, false
 	}
 	id := "ls-" + hex.EncodeToString(idBytes)
-	session := time.Now()
+	now := bs.b.Now()
+	session := now
 	if info, ok := bs.b.Peer(peer); ok {
 		session = info.ConnectedAt
 	}
 	bs.mu.Lock()
-	bs.leases[peer] = &lease{id: id, expiry: bs.clock().Add(bs.cfg.LeaseTTL), session: session}
+	bs.leases[peer] = &lease{id: id, expiry: now.Add(bs.cfg.LeaseTTL), session: session}
 	bs.mu.Unlock()
 	bs.leasesGranted.Add(1)
 	return id, bs.cfg.LeaseTTL, true
@@ -84,11 +85,10 @@ func (bs *BrokerSecurity) grantLease(peer keys.PeerID) (string, time.Duration, b
 // table lookup, the lease/seq checks, and an expiry bump. Zero
 // allocations steady-state (TestGateLeaseRenew); the RSA work lives in the
 // caller. Returns the refusal token ("" = renewed).
-func (bs *BrokerSecurity) renewLease(peer keys.PeerID, leaseID string, seq uint64) string {
+func (bs *BrokerSecurity) renewLease(peer keys.PeerID, leaseID string, seq uint64, now time.Time) string {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	l, ok := bs.leases[peer]
-	now := bs.clock()
 	if !ok || l.id != leaseID || now.After(l.expiry) {
 		return proto.ErrLeaseExpired
 	}
@@ -161,8 +161,8 @@ func (bs *BrokerSecurity) expireLapsed() {
 		session time.Time
 	}
 	var out []lapsed
+	now := bs.b.Now()
 	bs.mu.Lock()
-	now := bs.clock()
 	for peer, l := range bs.leases {
 		if now.After(l.expiry) {
 			out = append(out, lapsed{peer: peer, id: l.id, session: l.session})
@@ -179,7 +179,7 @@ func (bs *BrokerSecurity) expireLapsed() {
 }
 
 // ExpireLapsedNow runs one sweep pass synchronously (tests drive the
-// injected clock past the TTL and call this instead of sleeping).
+// broker's clock past the TTL and call this instead of sleeping).
 func (bs *BrokerSecurity) ExpireLapsedNow() { bs.expireLapsed() }
 
 // SecureHeartbeat renews the presence lease granted at SecureLogin.
@@ -187,7 +187,7 @@ func (bs *BrokerSecurity) ExpireLapsedNow() { bs.expireLapsed() }
 // session expired or was superseded) — the caller must re-establish
 // the session, not retry the heartbeat.
 func (s *SecureClient) SecureHeartbeat(ctx context.Context) error {
-	if s.Identity().Credential == nil {
+	if own, _ := s.credentials(); own == nil {
 		return ErrNoCredential
 	}
 	s.mu.Lock()
@@ -230,7 +230,7 @@ func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Messag
 		if err != nil {
 			token = proto.ErrBadRequest
 		} else {
-			token = bs.renewLease(current.Subject, doc.ChildText("Lease"), seq)
+			token = bs.renewLease(current.Subject, doc.ChildText("Lease"), seq, bs.b.Now())
 		}
 		if token != "" {
 			bs.auditAuth(audit.KindHeartbeat, current.Subject, OpHeartbeat, token)

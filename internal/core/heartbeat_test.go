@@ -2,7 +2,7 @@ package core_test
 
 // Liveness tests: lease grant at secureLogin, heartbeat renewal,
 // missed-heartbeat expiry, and the lease-expired refusal surfacing as
-// ErrLeaseLost. Time is driven through the injected broker clock +
+// ErrLeaseLost. Time is driven through the broker node's clock +
 // ExpireLapsedNow, never wall-clock sleeps.
 
 import (
@@ -30,7 +30,7 @@ func newLeaseHarness(t *testing.T) *leaseHarness {
 	t.Helper()
 	h := &leaseHarness{now: time.Now()}
 	h.secureHarness = newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: true, LeaseTTL: testLeaseTTL})
-	h.brSec.SetClock(h.clock)
+	h.br.Endpoint().SetClock(h.clock)
 	return h
 }
 

@@ -85,7 +85,7 @@ type splitWire struct {
 // Round forms are refused on surfaces that did not ask for them: they
 // carry a single-use nonce and a recipient-set binding that only mean
 // something where round replays are tracked.
-func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable) (sw splitWire, err error) {
+func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable, now time.Time) (sw splitWire, err error) {
 	if len(wire) < 2 {
 		return sw, ErrEnvelope
 	}
@@ -112,7 +112,7 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 			return sw, ErrEnvelope
 		}
 		if sw.mode == ModeChannel {
-			if sw.via = chans.inbound(sw.frame.id); sw.via == nil {
+			if sw.via = chans.inbound(sw.frame.id, now); sw.via == nil {
 				return sw, &unknownChannelError{sw.frame}
 			}
 		}
@@ -162,14 +162,15 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 }
 
 // openWire decrypts (in place: wire is consumed), parses and admits one
-// secure wire addressed to own.
+// secure wire addressed to own, at the time now: the opening peer's, the
+// one reading that the channel lookup and both guard admits judge by.
 // claimed, when set, is the group label the delivery arrived under;
 // guard, when set, admits the wire (and a round's nonce) exactly once.
 // A refusal by either of those two steps comes after the header parsed,
 // so it returns the Opened beside the error: callers attribute it to
 // the signed sender rather than to whoever delivered the bytes.
-func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string, guard *ReplayGuard, chans *channelTable) (*Opened, error) {
-	sw, err := split(own, wire, accept, chans)
+func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string, guard *ReplayGuard, chans *channelTable, now time.Time) (*Opened, error) {
+	sw, err := split(own, wire, accept, chans, now)
 	if err != nil {
 		return nil, err
 	}
@@ -326,13 +327,13 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		return o, ErrMessageReplayed
 	}
 	if guard != nil {
-		err := guard.admit(received, o.SentAt) // = guard.Check(wire as received)
+		err := guard.admit(received, o.SentAt, now) // the digest of the wire as received
 		if err == nil && round {
 			// Round wires are identical across recipients (and a slice is a
 			// re-cut of the same round), so a replay can arrive as different
 			// bytes — re-encrypted by a malicious round member, or re-sliced
 			// by a compromised relay; the signed single-use nonce catches both.
-			err = guard.CheckRound(o.Sender, o.Nonce, o.SentAt)
+			err = guard.admit(roundKey(o.Sender, o.Nonce), o.SentAt, now)
 		}
 		if err != nil {
 			return o, err
@@ -347,9 +348,10 @@ func headerBytes(header *xmldoc.Element, name string) ([]byte, error) {
 }
 
 // openCopy adapts openWire to the exported entry points' contract: the
-// caller's wire is left as it was, and no Opened comes beside an error.
+// caller's wire is left as it was, no Opened comes beside an error, and —
+// their callers being no node — a guard judges freshness by the wall.
 func openCopy(own *keys.KeyPair, wire []byte, accept wireForms, guard *ReplayGuard) (*Opened, error) {
-	o, err := openWire(own, bytes.Clone(wire), accept, nil, guard, nil)
+	o, err := openWire(own, bytes.Clone(wire), accept, nil, guard, nil, time.Now())
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,7 @@ func openAs(m Mode, own *keys.KeyPair, wire []byte) (*Opened, error) {
 	case ModeSlice:
 		return OpenSlice(own, wire, nil)
 	case ModeChannel:
-		o, err := openWire(own, bytes.Clone(wire), formChannel, nil, nil, tableChannels())
+		o, err := openWire(own, bytes.Clone(wire), formChannel, nil, nil, tableChannels(), time.Now())
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +116,7 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) [
 	h.AddText("Sender", "urn:jxta:sender")
 	h.AddText("Group", "g")
 	h.AddText("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256(body)))
-	h.AddText("Time", nowUTCRFC3339())
+	h.AddText("Time", signedTime(time.Now()))
 	h.AddText("Nonce", base64.StdEncoding.EncodeToString(bytes.Repeat([]byte{7}, roundNonceSize)))
 	h.AddText("Recipients", base64.StdEncoding.EncodeToString(recipientsDigest(d.fps)))
 	h.AddText(sliceRootName, base64.StdEncoding.EncodeToString(d.levels[len(d.levels)-1][0]))
@@ -428,7 +428,7 @@ func TestOpenPipelineTable(t *testing.T) {
 	// refusal is the channel peer's (TestChannelFrameFromAnotherSenderAlerted).
 	for _, field := range []string{"Sender", "Group"} {
 		wire := forgeWire(t, ModeChannel, body, with(field, "urn:jxta:another"))
-		if o, err := openWire(nil, wire, formChannel, nil, nil, tableChannels()); !errors.Is(err, ErrChannelPeer) || o == nil || o.via == nil {
+		if o, err := openWire(nil, wire, formChannel, nil, nil, tableChannels(), time.Now()); !errors.Is(err, ErrChannelPeer) || o == nil || o.via == nil {
 			t.Errorf("frame with another %s: (%v, %v), want the Opened and ErrChannelPeer", field, o, err)
 		}
 	}
@@ -440,7 +440,7 @@ func TestOpenPipelineTable(t *testing.T) {
 	if _, err := openAs(ModeChannel, recvKP, wire); !errors.As(err, &unknown) || unknown.frame.seq != 1 {
 		t.Errorf("frame of an unknown channel: err = %v, want an unknownChannelError naming frame 1", err)
 	}
-	if _, err := openWire(recvKP, valid(t, ModeChannel), formChannel, nil, nil, nil); !errors.Is(err, ErrEnvelope) {
+	if _, err := openWire(recvKP, valid(t, ModeChannel), formChannel, nil, nil, nil, time.Now()); !errors.Is(err, ErrEnvelope) {
 		t.Errorf("frame on a surface without channels: err = %v, want ErrEnvelope", err)
 	}
 
@@ -564,7 +564,7 @@ func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
 		wrong, right := "art", "g"
 		// openWire consumes what it is handed; every delivery is its own
 		// copy of the bytes, as every frame the fabric delivers is.
-		o, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &wrong, guard, nil)
+		o, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &wrong, guard, nil, time.Now())
 		if !errors.Is(err, ErrRoundGroup) {
 			t.Fatalf("%s under the wrong label: err = %v, want ErrRoundGroup", m, err)
 		}
@@ -574,19 +574,19 @@ func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
 		if guard.Len() != 0 {
 			t.Fatalf("%s: wrong-label delivery left %d guard entries, want 0", m, guard.Len())
 		}
-		if _, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard, nil); err != nil {
+		if _, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard, nil, time.Now()); err != nil {
 			t.Fatalf("%s under the right label after a wrong one: %v", m, err)
 		}
 		if guard.Len() != 2 {
 			t.Fatalf("%s: admitted round left %d guard entries, want 2 (wire digest + nonce)", m, guard.Len())
 		}
-		o, err = openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard, nil)
+		o, err = openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, &right, guard, nil, time.Now())
 		if !errors.Is(err, ErrMessageReplayed) || o == nil {
 			t.Fatalf("%s delivered twice under the right label: (%v, %v), want the Opened and ErrMessageReplayed", m, o, err)
 		}
 		// An envelope's label is the receiver's own pipe registration, not
 		// a claim: it is not compared.
-		if _, err := openWire(recvKP, forgeWire(t, ModeFull, []byte("x"), nil), formEnvelope, &wrong, nil, nil); err != nil {
+		if _, err := openWire(recvKP, forgeWire(t, ModeFull, []byte("x"), nil), formEnvelope, &wrong, nil, nil, time.Now()); err != nil {
 			t.Fatalf("envelope under another label: %v", err)
 		}
 	}
@@ -654,7 +654,7 @@ func TestOpenSharedGuardAdmitsOnce(t *testing.T) {
 	errs := make(chan error, deliveries)
 	for i := 0; i < deliveries; i++ {
 		go func(wire []byte) {
-			_, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, nil, guard, nil)
+			_, err := openWire(recvKP, bytes.Clone(wire), formGroup|formSlice, nil, guard, nil, time.Now())
 			errs <- err
 		}(wires[i%2])
 	}

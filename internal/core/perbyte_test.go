@@ -40,7 +40,7 @@ func TestBulkPathAllocBytes(t *testing.T) {
 	opened := make(chan error, 1)
 	b.RegisterHandler("bulk", func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 		wire, _ := msg.Get(proto.ElemEnvelope)
-		o, err := openWire(recvKP, wire, formEnvelope, nil, nil, nil)
+		o, err := openWire(recvKP, wire, formEnvelope, nil, nil, nil, time.Now())
 		if err == nil && string(o.Body) != text {
 			err = errors.New("opened body differs from the one sealed")
 		}
@@ -202,7 +202,7 @@ func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
 		wire := forgeWire(t, m, bytes.Repeat([]byte("opened where it lies "), 8), nil)
 		guard := NewReplayGuard(time.Minute, 16)
 		frame := bytes.Clone(wire)
-		o, err := openWire(recvKP, frame, formEnvelope|formGroup|formSlice, nil, guard, nil)
+		o, err := openWire(recvKP, frame, formEnvelope|formGroup|formSlice, nil, guard, nil, time.Now())
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -213,7 +213,7 @@ func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
 			t.Fatalf("%s: the body is not a view of the delivered frame", m)
 		}
 		admitted := guard.Len()
-		if _, err := openWire(recvKP, bytes.Clone(wire), formEnvelope|formGroup|formSlice, nil, guard, nil); !errors.Is(err, ErrMessageReplayed) {
+		if _, err := openWire(recvKP, bytes.Clone(wire), formEnvelope|formGroup|formSlice, nil, guard, nil, time.Now()); !errors.Is(err, ErrMessageReplayed) {
 			t.Fatalf("%s: the same wire delivered twice: %v, want ErrMessageReplayed", m, err)
 		}
 		if err := guard.Check(wire, o.SentAt); !errors.Is(err, ErrMessageReplayed) {

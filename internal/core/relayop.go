@@ -72,6 +72,11 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 		// the broker's tamper-evident log.
 		cfg.Auditor = b.Auditor()
 	}
+	if cfg.Clock == nil {
+		// And for time: the relay expires what it queues by its broker's
+		// clock, so the two cannot disagree about a TTL.
+		cfg.Clock = b.Now
+	}
 	tr := cfg.Tracer
 	var r *relay.Relay
 	deliver := func(it relay.Item) error {
@@ -262,6 +267,8 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		// the ciphertext — a copy, so no queued slice keeps the upload
 		// frame (which d is views of) alive.
 		direct, queued, handoff, quota, skipped := 0, 0, 0, 0, 0
+		// One reading a round: what is handed off expires together.
+		handoffExpires := b.Now().Add(r.TTL())
 		var spSlice trace.Span
 		if tid != 0 {
 			spSlice = trace.Begin(tid, trace.StageSlice)
@@ -283,7 +290,7 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 				// life past what a local queue would have allowed.
 				it := relay.Item{
 					To: id, From: from, Group: group, Payload: d.Slice(i),
-					Expires: time.Now().Add(r.TTL()), Trace: tid,
+					Expires: handoffExpires, Trace: tid,
 				}
 				if b.Endpoint().Send(b.PeerOrigin(id), proto.BrokerService, fedSliceMessage(it)) != nil {
 					skipped++

@@ -12,7 +12,6 @@ import (
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
-	"jxtaoverlay/internal/xdsig"
 	"jxtaoverlay/internal/xmldoc"
 )
 
@@ -35,7 +34,7 @@ var ErrRenewRejected = errors.New("core: credential renewal rejected")
 // and the session credential, signs the whole with the client key as
 // proof of possession, and calls op.
 func (s *SecureClient) callCredentialed(ctx context.Context, op string, doc *xmldoc.Element) (*endpoint.Message, error) {
-	current := s.Identity().Credential
+	current, _ := s.credentials()
 	if current == nil {
 		return nil, ErrNoCredential
 	}
@@ -43,7 +42,7 @@ func (s *SecureClient) callCredentialed(ctx context.Context, op string, doc *xml
 	if err != nil {
 		return nil, err
 	}
-	doc.AddText("Timestamp", nowUTCRFC3339())
+	doc.AddText("Timestamp", signedTime(s.Now()))
 	doc.Add(credDoc)
 	sig, err := s.kp.Sign(doc.Canonical())
 	if err != nil {
@@ -77,7 +76,7 @@ func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Cre
 	if !issued.Key.Equal(s.kp.Public()) || issued.Subject != s.PeerID() {
 		return nil, ErrCredUnexpected
 	}
-	if err := issued.Verify(brCred.Key, time.Now()); err != nil {
+	if err := issued.Verify(brCred.Key, s.Now()); err != nil {
 		return nil, ErrCredUnexpected
 	}
 	return issued, nil
@@ -88,10 +87,7 @@ func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Cre
 // credential and is signed with the client key; the broker validates
 // both and re-issues with a new validity window.
 func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
-	current := s.Identity().Credential
-	s.mu.RLock()
-	brCred := s.brokerCred
-	s.mu.RUnlock()
+	current, brCred := s.credentials()
 	if current == nil || brCred == nil {
 		return ErrNoCredential
 	}
@@ -113,13 +109,7 @@ func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
 		return ErrCredUnexpected
 	}
 	// Install and re-arm the advertisement signer with the new chain.
-	id := s.Identity()
-	id.Credential = fresh
-	id.Chain = []*cred.Credential{fresh, brCred}
-	s.SetAdvSigner(func(doc *xmldoc.Element) error {
-		return xdsig.Sign(doc, s.kp, fresh, brCred)
-	})
-	return nil
+	return s.installCredential(fresh, brCred)
 }
 
 // credentialedRequest is the broker half: the one verifier of requests
@@ -151,7 +141,7 @@ func (bs *BrokerSecurity) credentialedRequest(from keys.PeerID, msg *endpoint.Me
 		bs.auditAuth(kind, from, op, proto.ErrBadCredential)
 		return nil, nil, proto.ErrBadCredential
 	}
-	now := bs.now()
+	now := bs.b.Now()
 	ts, tsErr := time.Parse(time.RFC3339Nano, doc.ChildText("Timestamp"))
 	token := ""
 	switch {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/xdsig"
@@ -72,7 +73,7 @@ func TestSecureRenewRejectsForeignCredential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Identity().Credential = forged
+	core.SetSessionCredential(sc, forged)
 
 	ctx := testCtx(t)
 	if err := sc.SecureRenewCredential(ctx); err == nil {
@@ -94,7 +95,7 @@ func TestSecureRenewRejectsExpiredCredential(t *testing.T) {
 	// Re-sign with the broker key so only the validity check can fail.
 	reissued, err := cred.Issue(h.brKP, h.brCred.Subject, expired.Subject, expired.SubjectName, cred.RoleClient, expired.Key, -time.Hour)
 	if err == nil {
-		sc.Identity().Credential = reissued
+		core.SetSessionCredential(sc, reissued)
 		ctx := testCtx(t)
 		if err := sc.SecureRenewCredential(ctx); err == nil {
 			t.Fatal("broker renewed an expired credential")

@@ -60,8 +60,7 @@ type ReplayGuard struct {
 	// replayable. The one exception is a full table: then each admit
 	// evicts the live entry closest to expiry (counted by
 	// ReplayEvictions). An admit costs O(log maxEntries), full or not.
-	seen  lru.Window[replayKey, struct{}]
-	clock func() time.Time
+	seen lru.Window[replayKey, struct{}]
 }
 
 // replayKey is a full SHA-256 under a tag that keeps the two things a
@@ -92,23 +91,17 @@ func NewReplayGuard(window time.Duration, maxEntries int) *ReplayGuard {
 	return &ReplayGuard{
 		window: window,
 		seen:   lru.NewWindow[replayKey, struct{}](maxEntries),
-		clock:  time.Now,
 	}
-}
-
-// SetClock overrides the time source (tests).
-func (g *ReplayGuard) SetClock(now func() time.Time) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.clock = now
 }
 
 // Check admits a message exactly once within the freshness window. The
 // wire bytes identify the message (any bit flip would already fail
 // decryption or signature checks); sentAt is the signed timestamp from
-// the opened envelope.
+// the opened envelope. Check and CheckRound are for callers that are no
+// node and judge freshness by the wall; a peer's open path (openWire)
+// hands admit the peer's own time.
 func (g *ReplayGuard) Check(wire []byte, sentAt time.Time) error {
-	return g.admit(replayKey{replayWire, sha256.Sum256(wire)}, sentAt)
+	return g.admit(replayKey{replayWire, sha256.Sum256(wire)}, sentAt, time.Now())
 }
 
 // CheckRound admits a group round nonce exactly once per sender within
@@ -118,15 +111,19 @@ func (g *ReplayGuard) Check(wire []byte, sentAt time.Time) error {
 // recipient set — the signed nonce can: it is single-use, and any reuse
 // across rounds is a replay.
 func (g *ReplayGuard) CheckRound(sender keys.PeerID, nonce []byte, sentAt time.Time) error {
-	var buf [128]byte // sender and nonce fit: hashing them allocates nothing
-	b := append(append(append(buf[:0], sender...), 0), nonce...)
-	return g.admit(replayKey{replayRound, sha256.Sum256(b)}, sentAt)
+	return g.admit(roundKey(sender, nonce), sentAt, time.Now())
 }
 
-func (g *ReplayGuard) admit(key replayKey, sentAt time.Time) error {
+func roundKey(sender keys.PeerID, nonce []byte) replayKey {
+	var buf [128]byte // sender and nonce fit: hashing them allocates nothing
+	b := append(append(append(buf[:0], sender...), 0), nonce...)
+	return replayKey{replayRound, sha256.Sum256(b)}
+}
+
+// admit is the guard at the time now, the deciding peer's.
+func (g *ReplayGuard) admit(key replayKey, sentAt, now time.Time) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	now := g.clock()
 	if d := now.Sub(sentAt); d > g.window || d < -g.window {
 		staleRejectedTotal.Add(1)
 		return ErrMessageStale

@@ -1,11 +1,24 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
+
+	"jxtaoverlay/internal/keys"
 )
+
+// checkAt and checkRoundAt are Check and CheckRound at a time the test
+// chooses: what openWire asks of the guard, with its peer's now.
+func checkAt(g *ReplayGuard, wire []byte, sentAt, now time.Time) error {
+	return g.admit(replayKey{replayWire, sha256.Sum256(wire)}, sentAt, now)
+}
+
+func checkRoundAt(g *ReplayGuard, sender keys.PeerID, nonce []byte, sentAt, now time.Time) error {
+	return g.admit(roundKey(sender, nonce), sentAt, now)
+}
 
 func TestReplayGuardAdmitsOnce(t *testing.T) {
 	g := NewReplayGuard(time.Minute, 16)
@@ -26,14 +39,13 @@ func TestReplayGuardAdmitsOnce(t *testing.T) {
 func TestReplayGuardFreshness(t *testing.T) {
 	g := NewReplayGuard(time.Minute, 16)
 	base := time.Now()
-	g.SetClock(func() time.Time { return base })
-	if err := g.Check([]byte("old"), base.Add(-2*time.Minute)); err != ErrMessageStale {
+	if err := checkAt(g, []byte("old"), base.Add(-2*time.Minute), base); err != ErrMessageStale {
 		t.Fatalf("stale past = %v", err)
 	}
-	if err := g.Check([]byte("future"), base.Add(2*time.Minute)); err != ErrMessageStale {
+	if err := checkAt(g, []byte("future"), base.Add(2*time.Minute), base); err != ErrMessageStale {
 		t.Fatalf("stale future = %v", err)
 	}
-	if err := g.Check([]byte("fresh"), base.Add(-30*time.Second)); err != nil {
+	if err := checkAt(g, []byte("fresh"), base.Add(-30*time.Second), base); err != nil {
 		t.Fatalf("fresh = %v", err)
 	}
 }
@@ -41,12 +53,11 @@ func TestReplayGuardFreshness(t *testing.T) {
 func TestReplayGuardEvictsExpired(t *testing.T) {
 	g := NewReplayGuard(time.Minute, 16)
 	now := time.Now()
-	g.SetClock(func() time.Time { return now })
-	g.Check([]byte("a"), now)
-	g.Check([]byte("b"), now)
-	// Advance past the window; next Check sweeps expired entries.
+	checkAt(g, []byte("a"), now, now)
+	checkAt(g, []byte("b"), now, now)
+	// Advance past the window; the next admit sweeps expired entries.
 	now = now.Add(2 * time.Minute)
-	g.Check([]byte("c"), now)
+	checkAt(g, []byte("c"), now, now)
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (expired entries swept)", g.Len())
 	}
@@ -55,10 +66,9 @@ func TestReplayGuardEvictsExpired(t *testing.T) {
 func TestReplayGuardBoundsMemory(t *testing.T) {
 	g := NewReplayGuard(time.Hour, 8)
 	now := time.Now()
-	g.SetClock(func() time.Time { return now })
 	for i := 0; i < 50; i++ {
 		now = now.Add(time.Millisecond)
-		if err := g.Check([]byte(fmt.Sprintf("m%02d", i)), now); err != nil {
+		if err := checkAt(g, []byte(fmt.Sprintf("m%02d", i)), now, now); err != nil {
 			t.Fatalf("Check %d: %v", i, err)
 		}
 	}
@@ -78,12 +88,11 @@ func TestReplayGuardPrunedNonceStillRejected(t *testing.T) {
 	g := NewReplayGuard(window, 16)
 	base := time.Now()
 	now := base
-	g.SetClock(func() time.Time { return now })
 
 	nonce := []byte("round-nonce-1")
 	// Signed 50s in the future (skew within ±window), admitted at base.
 	sentAt := base.Add(50 * time.Second)
-	if err := g.CheckRound("alice", nonce, sentAt); err != nil {
+	if err := checkRoundAt(g, "alice", nonce, sentAt, now); err != nil {
 		t.Fatalf("first CheckRound: %v", err)
 	}
 
@@ -92,24 +101,24 @@ func TestReplayGuardPrunedNonceStillRejected(t *testing.T) {
 	// with unrelated traffic; the entry must survive them.
 	now = base.Add(70 * time.Second)
 	for i := 0; i < 3; i++ {
-		if err := g.Check([]byte{byte(i)}, now); err != nil {
+		if err := checkAt(g, []byte{byte(i)}, now, now); err != nil {
 			t.Fatalf("filler Check: %v", err)
 		}
 	}
-	if err := g.CheckRound("alice", nonce, sentAt); err != ErrMessageReplayed {
+	if err := checkRoundAt(g, "alice", nonce, sentAt, now); err != ErrMessageReplayed {
 		t.Fatalf("replay inside window = %v, want ErrMessageReplayed", err)
 	}
 
 	// Once sentAt+window has passed, the entry may be pruned — and is:
 	// staleness now rejects the replay, and memory is reclaimed.
 	now = base.Add(3 * time.Minute)
-	if err := g.Check([]byte("sweep-trigger"), now); err != nil {
+	if err := checkAt(g, []byte("sweep-trigger"), now, now); err != nil {
 		t.Fatalf("sweep trigger: %v", err)
 	}
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (all pre-window entries pruned)", g.Len())
 	}
-	if err := g.CheckRound("alice", nonce, sentAt); err != ErrMessageStale {
+	if err := checkRoundAt(g, "alice", nonce, sentAt, now); err != ErrMessageStale {
 		t.Fatalf("replay outside window = %v, want ErrMessageStale", err)
 	}
 }
@@ -144,7 +153,6 @@ func TestReplayGuardAdmitDoesNotScan(t *testing.T) {
 	const admits = 10000
 	g := NewReplayGuard(0, 0)
 	now := time.Now()
-	g.SetClock(func() time.Time { return now })
 	next := distinctWires()
 	fillGuard(g, now, next)
 	size := g.Len()

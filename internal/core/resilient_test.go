@@ -202,3 +202,43 @@ func TestResilientSurvivesCredentialExpiry(t *testing.T) {
 		t.Fatalf("stats = %+v, want at most %d resumes over %v", st, most, time.Since(connected))
 	}
 }
+
+// TestSessionCredentialReadAcrossResume: TestResilientSurvivesCredentialExpiry's
+// setup, with a foreground that keeps using the session credential while
+// the heartbeat loop's resume installs the next one — every heartbeat
+// presents it, and every envelope to a peer bounds the channel it offers
+// by its NotAfter (a two-second credential never leaves room for one, so
+// every send is an envelope). Run under -race: the credential used to be
+// written by the resume and read here through the membership identity,
+// under no common lock.
+func TestSessionCredentialReadAcrossResume(t *testing.T) {
+	const validity = 2 * time.Second
+	h := newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: true, CredValidity: validity, LeaseTTL: 900 * time.Millisecond})
+	rc := core.NewResilientClient(h.secureClient("alice"), h.br.PeerID(), "pw-alice", resilientCfg())
+	if err := rc.Connect(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rc.Close)
+	// bob joins half a validity later, so that his advertisement still
+	// verifies while alice's credential runs out and is replaced.
+	time.Sleep(validity / 2)
+	bob := h.secureClient("bob")
+	h.join(bob, "pw-bob")
+
+	ctx := testCtx(t)
+	sent, beats := 0, 0
+	for deadline := time.Now().Add(validity + 5*time.Second); rc.Stats().Resumes == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no resume after the credential expired")
+		}
+		if rc.SecureMsgPeer(ctx, bob.PeerID(), "math", "foreground") == nil {
+			sent++
+		}
+		if rc.SecureHeartbeat(ctx) == nil {
+			beats++
+		}
+	}
+	if sent == 0 || beats == 0 {
+		t.Fatalf("%d sends and %d heartbeats went through before the resume, want some of each", sent, beats)
+	}
+}

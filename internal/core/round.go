@@ -79,8 +79,8 @@ func SealGroup(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 	return &Sealed{Mode: ModeGroup, wire: d.Wire()}, nil
 }
 
-// nowUTCRFC3339 renders the signed round timestamp.
-func nowUTCRFC3339() string { return time.Now().UTC().Format(time.RFC3339Nano) }
+// signedTime renders a time the way every signed body carries one.
+func signedTime(at time.Time) string { return at.UTC().Format(time.RFC3339Nano) }
 
 // parseRoundWire reads a ModeGroup payload into sliceable form. The
 // count prefix is checked against the bytes that follow before it sizes

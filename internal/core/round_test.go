@@ -160,7 +160,6 @@ func TestOpenGroupNonceGuard(t *testing.T) {
 func TestReplayGuardCheckRound(t *testing.T) {
 	g := NewReplayGuard(time.Minute, 16)
 	base := time.Now()
-	g.SetClock(func() time.Time { return base })
 	nonce := []byte("0123456789abcdef")
 	if err := g.CheckRound("peerA", nonce, base); err != nil {
 		t.Fatalf("fresh round nonce: %v", err)

@@ -94,8 +94,14 @@ type SecureClient struct {
 	// a tamper-evident audit record. Nil = off; loads are nil-tolerant.
 	auditor atomic.Pointer[audit.Journal]
 
-	mu         sync.RWMutex
-	sid        string
+	mu  sync.RWMutex
+	sid string
+	// The session's credential chain: Cred_Cl^Br as last issued to this
+	// peer (login, renew, a background resume) and the Cred_Br^Adm it was
+	// issued under. Every reader — the heartbeat loop, a renew, the first
+	// envelope to a peer — goes through credentials(); the membership
+	// identity holds a copy for the keystore and for diagnostics only.
+	cred       *cred.Credential
 	brokerCred *cred.Credential
 
 	// Presence lease granted at SecureLogin (liveness; see
@@ -124,6 +130,7 @@ func NewSecureClient(cl *client.Client, trust *cred.TrustStore, opts ...Option) 
 		kp:     id.Keys,
 		trust:  trust,
 		mode:   ModeChannel,
+		cred:   id.Credential, // what the keystore kept, until a login replaces it
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -163,14 +170,6 @@ func (s *SecureClient) auditChannel(peer keys.PeerID, op, reason string) {
 	s.auditor.Load().Record(audit.Event{Kind: audit.KindChannel, Peer: strings.Clone(string(peer)), Op: op, Reason: reason})
 }
 
-// SetClock overrides the time source of the session-channel table
-// (tests), as ReplayGuard.SetClock does for the guard.
-func (s *SecureClient) SetClock(now func() time.Time) {
-	s.chans.mu.Lock()
-	defer s.chans.mu.Unlock()
-	s.chans.clock = now
-}
-
 // Logout closes the session and with it every session channel, in both
 // directions: a peer that logs out keeps no key of the session.
 func (s *SecureClient) Logout(ctx context.Context) error {
@@ -198,9 +197,38 @@ func (s *SecureClient) Sid() string {
 
 // BrokerCredential returns the verified broker credential.
 func (s *SecureClient) BrokerCredential() *cred.Credential {
+	_, broker := s.credentials()
+	return broker
+}
+
+// credentials returns the session credential and the broker's.
+func (s *SecureClient) credentials() (own, broker *cred.Credential) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.brokerCred
+	return s.cred, s.brokerCred
+}
+
+// installCredential makes issued, which brCred signed, the session
+// credential: in the keystore (PSE) or on the bare identity, then — under
+// the lock every reader takes — in this client, and from here on
+// everything published is signed with that chain.
+func (s *SecureClient) installCredential(issued, brCred *cred.Credential) error {
+	if pse, ok := s.Membership().(*membership.PSE); ok {
+		if err := pse.SetCredential(issued, brCred); err != nil {
+			return err
+		}
+	} else {
+		id := s.Identity()
+		id.Credential = issued
+		id.Chain = []*cred.Credential{issued, brCred}
+	}
+	s.mu.Lock()
+	s.cred = issued
+	s.mu.Unlock()
+	s.SetAdvSigner(func(doc *xmldoc.Element) error {
+		return xdsig.Sign(doc, s.kp, issued, brCred)
+	})
+	return nil
 }
 
 // Mode returns the configured envelope mode.
@@ -250,7 +278,8 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 		return ErrBrokerNotLegit
 	}
 	// Step 6: check Cred_Br^Adm authenticity using PK_Adm.
-	if err := s.trust.Verify(brCred, time.Now()); err != nil || brCred.Role != cred.RoleBroker {
+	now := s.Now()
+	if err := s.trust.Verify(brCred, now); err != nil || brCred.Role != cred.RoleBroker {
 		s.reject(brokerID, "broker credential not issued by administrator")
 		return ErrBrokerNotLegit
 	}
@@ -271,7 +300,7 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 	s.sid = sid
 	s.brokerCred = brCred
 	s.mu.Unlock()
-	s.trust.AddIssuer(brCred)
+	s.trust.AddIssuer(brCred, now)
 	s.Bus().Emit(events.Event{Type: events.BrokerVerified, From: brokerID, Payload: map[string]string{
 		"broker": brCred.SubjectName,
 	}})
@@ -338,21 +367,9 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 		return err
 	}
 
-	// Install the credential into the identity (and keystore, for PSE).
-	if pse, ok := s.Membership().(*membership.PSE); ok {
-		if err := pse.SetCredential(myCred, brCred); err != nil {
-			return err
-		}
-	} else {
-		id := s.Identity()
-		id.Credential = myCred
-		id.Chain = []*cred.Credential{myCred, brCred}
+	if err := s.installCredential(myCred, brCred); err != nil {
+		return err
 	}
-
-	// From here on, everything published is signed with the chain.
-	s.SetAdvSigner(func(doc *xmldoc.Element) error {
-		return xdsig.Sign(doc, s.kp, myCred, brCred)
-	})
 
 	// Liveness: record the presence lease, if the broker granted one.
 	leaseID, _ := resp.GetString(proto.ElemLease)
@@ -381,7 +398,7 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 // message is one frame on it: no lookup, no signature, no key wrap.
 func (s *SecureClient) SecureMsgPeer(ctx context.Context, peer keys.PeerID, group, text string) error {
 	if s.mode == ModeChannel {
-		if wire, route, ok := s.chans.nextFrame(pairKey{peer, group}, s.PeerID(), text); ok {
+		if wire, route, ok := s.chans.nextFrame(pairKey{peer, group}, s.PeerID(), text, s.Now()); ok {
 			return s.sendSecure(route.(*advert.Pipe), group, wire)
 		}
 	}
@@ -396,9 +413,11 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 	if err != nil {
 		return err
 	}
+	// One reading for the offer and the envelope that carries it.
+	now := s.Now()
 	var hs *handshake
 	if s.mode == ModeChannel {
-		if hs, err = s.chans.offer(pairKey{peer, group}, pipeAdv, s.channelNotAfter(res)); err != nil {
+		if hs, err = s.chans.offer(pairKey{peer, group}, pipeAdv, s.channelNotAfter(res), now); err != nil {
 			return err
 		}
 		s.attachChannelMetrics()
@@ -414,7 +433,7 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 			}
 		}
 	}
-	sealed, err := seal(s.kp, s.PeerID(), group, readOnlyBytes(text), res.Signer.Key, s.mode.envelope(), extra)
+	sealed, err := seal(s.kp, s.PeerID(), group, readOnlyBytes(text), res.Signer.Key, s.mode.envelope(), now, extra)
 	if err != nil {
 		return err
 	}
@@ -529,7 +548,7 @@ func (s *SecureClient) sealRounds(group, text string, targets []roundTarget, err
 				spSeal = trace.Begin(tid, trace.StageSeal)
 			}
 		}
-		d, err := SealGroupDetached(s.kp, s.PeerID(), group, readOnlyBytes(text), keyList)
+		d, err := sealRound(s.kp, s.PeerID(), group, readOnlyBytes(text), keyList, s.Now())
 		if err != nil {
 			tr.End(spSeal, trace.OutcomeError)
 			for _, i := range chunk {
@@ -594,7 +613,7 @@ func (s *SecureClient) verifiedPeer(ctx context.Context, peer keys.PeerID, group
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := s.vcache.VerifyTrusted(rawDoc, time.Now())
+	res, err := s.vcache.VerifyTrusted(rawDoc, s.Now())
 	if err != nil {
 		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: peer, Group: group,
 			Payload: s.alertAudit(peer, "lookupPipe", "pipe advertisement failed verification: "+err.Error(), 0)})
@@ -643,21 +662,22 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 		}
 		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: from, Group: group, Payload: payload})
 	}
-	opened, err := openWire(s.kp, wire, formEnvelope|formGroup|formSlice|formChannel, &group, s.replayGuard, &s.chans)
+	now := s.Now()
+	opened, err := openWire(s.kp, wire, formEnvelope|formGroup|formSlice|formChannel, &group, s.replayGuard, &s.chans, now)
 	if err != nil {
 		var unknown *unknownChannelError
 		switch {
 		case errors.As(err, &unknown):
 			// This peer restarted, logged out or let the channel lapse: the
 			// sender is told, and sends the message again as an envelope.
-			s.refuseFrame(d.From, group, unknown.frame)
+			s.refuseFrame(d.From, group, unknown.frame, now)
 		case opened == nil:
 			// Refused before the header parsed: only the deliverer is known.
 			alert(d.From, "secure envelope rejected: "+err.Error())
 		case opened.via != nil:
 			alert(opened.via.pair.peer, err.Error())
 		case opened.hs != nil && opened.hs.accept() && errors.Is(err, ErrMessageReplayed) &&
-			s.chans.holdsOffer(pairKey{opened.Sender, opened.Group}, opened.hs.id):
+			s.chans.holdsOffer(pairKey{opened.Sender, opened.Group}, opened.hs.id, now):
 			// The accept of a channel this peer holds, sent again because the
 			// peer saw the offer again: the guard remembers the first.
 		default:
@@ -668,7 +688,7 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 		return true
 	}
 	if opened.Mode == ModeRefusal {
-		s.handleRefusal(d.From, group, opened.refusal)
+		s.handleRefusal(d.From, group, opened.refusal, now)
 		return true
 	}
 	authenticated := false
@@ -706,13 +726,14 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 	// A message sent again after a refusal that was not this peer's (it
 	// holds the channel and opened the frame) has been delivered already.
 	delivered := authenticated && opened.resends != nil &&
-		s.chans.alreadyOpened(pairKey{opened.Sender, opened.Group}, *opened.resends)
+		s.chans.alreadyOpened(pairKey{opened.Sender, opened.Group}, *opened.resends, now)
 	if !delivered {
 		// End-to-end delivery latency, measured against the signed (and
 		// replay-guarded) send timestamp — this feeds the client-side
-		// histogram that scenario quantiles read.
+		// histogram that scenario quantiles read. A reading of its own: the
+		// open, and maybe a sender lookup, lie between now and here.
 		if !opened.SentAt.IsZero() {
-			s.ObserveDelivery(time.Since(opened.SentAt))
+			s.ObserveDelivery(s.Now().Sub(opened.SentAt))
 		}
 		// Data is a view of the delivered frame, opened where it lay: a
 		// subscriber that keeps the body keeps the frame, which is that body
@@ -752,7 +773,10 @@ func (s *SecureClient) answerOffer(o *Opened, initiator *xdsig.Result) (alert st
 	pair := pairKey{initiator.Signer.Subject, strings.Clone(o.Group)}
 	pipe := groupPipe(pair.peer, pair.group)
 	notAfter := s.channelNotAfter(initiator)
-	resend, accept := s.chans.offered(pair, o.hs.id, notAfter)
+	// One reading: the accept is signed, and the channel installed, at the
+	// time the offer was judged.
+	now := s.Now()
+	resend, accept := s.chans.offered(pair, o.hs.id, notAfter, now)
 	if resend != nil {
 		_ = s.sendSecure(pipe, pair.group, resend) // best effort, as the first was
 	}
@@ -781,14 +805,14 @@ func (s *SecureClient) answerOffer(o *Opened, initiator *xdsig.Result) (alert st
 		return fail(err)
 	}
 	answer := &handshake{id: o.hs.id, share: ends.responderShare, answers: keys.SHA256(o.hs.share)}
-	sealed, err := seal(s.kp, s.PeerID(), pair.group, nil, nil, ModeSign, func(header *xmldoc.Element) {
+	sealed, err := seal(s.kp, s.PeerID(), pair.group, nil, nil, ModeSign, now, func(header *xmldoc.Element) {
 		header.AddText("To", base64.StdEncoding.EncodeToString(ends.initiatorFP[:]))
 		answer.write(header)
 	})
 	if err != nil {
 		return fail(err)
 	}
-	s.chans.install(&inChannel{id: o.hs.id, pair: pair, user: initiator.Signer.SubjectName, aead: aead, accept: sealed.Bytes()}, notAfter)
+	s.chans.install(&inChannel{id: o.hs.id, pair: pair, user: initiator.Signer.SubjectName, aead: aead, accept: sealed.Bytes()}, notAfter, now)
 	s.auditChannel(pair.peer, "offer", "accepted")
 	_ = s.sendSecure(pipe, pair.group, sealed.Bytes()) // a lost accept is sent again when the offer is
 	return ""
@@ -808,9 +832,10 @@ func (s *SecureClient) handleAccept(o *Opened, responder *xdsig.Result) (alert s
 	if err != nil {
 		return err.Error()
 	}
+	now := s.Now()
 	outcome := acceptInvalid
 	if keys.ConstantTimeEqual(o.to, ownFP[:]) {
-		outcome = s.chans.accepted(pair, o.hs, o.SentAt, func(eph *keys.AgreementKey, share []byte) (cipher.AEAD, error) {
+		outcome = s.chans.accepted(pair, o.hs, o.SentAt, now, func(eph *keys.AgreementKey, share []byte) (cipher.AEAD, error) {
 			secret, err := eph.Agree(o.hs.share)
 			if err != nil {
 				return nil, err
@@ -821,7 +846,7 @@ func (s *SecureClient) handleAccept(o *Opened, responder *xdsig.Result) (alert s
 			}
 			return channelKey(secret, o.hs.id, ends)
 		})
-	} else if !s.chans.holdsOffer(pair, o.hs.id) {
+	} else if !s.chans.holdsOffer(pair, o.hs.id, now) {
 		outcome = acceptIgnored
 	}
 	switch outcome {
@@ -838,9 +863,13 @@ func (s *SecureClient) handleAccept(o *Opened, responder *xdsig.Result) (alert s
 // earliest NotAfter of the peer's credential chain and this peer's own —
 // credential expiry honoured as xdsig.VerifyCache honours it.
 func (s *SecureClient) channelNotAfter(peer *xdsig.Result) time.Time {
+	own, broker := s.credentials()
+	if own == nil || broker == nil {
+		return time.Time{} // no chain of its own, no channel
+	}
 	_, notAfter := cred.ChainWindow(peer.Chain)
-	if _, own := cred.ChainWindow(s.Identity().Chain); own.Before(notAfter) {
-		notAfter = own
+	if _, ours := cred.ChainWindow([]*cred.Credential{own, broker}); ours.Before(notAfter) {
+		notAfter = ours
 	}
 	return notAfter
 }
@@ -867,8 +896,8 @@ func (s *SecureClient) channelEnds(peerKey *keys.PublicKey, peer keys.PeerID, gr
 // unsigned refusal to the frame's claimed source, at most one a second
 // per channel. It proves nothing and asks for nothing but the paper's
 // primitive (handleRefusal), so it needs no signature.
-func (s *SecureClient) refuseFrame(from keys.PeerID, group string, frame frameRef) {
-	if !s.chans.mayRefuse(frame.id) {
+func (s *SecureClient) refuseFrame(from keys.PeerID, group string, frame frameRef, now time.Time) {
+	if !s.chans.mayRefuse(frame.id, now) {
 		return
 	}
 	s.attachChannelMetrics()
@@ -881,8 +910,8 @@ func (s *SecureClient) refuseFrame(from keys.PeerID, group string, frame frameRe
 // out again as an envelope — signed, wrapped, and saying which frame it
 // replaces, so that a peer which did open the frame drops it. Whoever
 // sent the refusal has bought the paper's primitive, and nothing else.
-func (s *SecureClient) handleRefusal(peer keys.PeerID, group string, frame frameRef) {
-	text, resend, dropped := s.chans.refused(pairKey{peer, group}, frame)
+func (s *SecureClient) handleRefusal(peer keys.PeerID, group string, frame frameRef, now time.Time) {
+	text, resend, dropped := s.chans.refused(pairKey{peer, group}, frame, now)
 	if !dropped {
 		return
 	}
@@ -985,7 +1014,7 @@ func (s *SecureClient) senderKey(ctx context.Context, sender keys.PeerID, group 
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.vcache.VerifyTrusted(rawDoc, time.Now())
+	res, err := s.vcache.VerifyTrusted(rawDoc, s.Now())
 	if err != nil {
 		return nil, err
 	}

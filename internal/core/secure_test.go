@@ -259,7 +259,8 @@ func TestSidIsSingleUse(t *testing.T) {
 }
 
 // TestSidExpires: a session identifier not presented within its
-// lifetime is refused, and a fresh secureConnection gets another.
+// lifetime is refused, and a fresh secureConnection gets another. The
+// three minutes pass for the broker and for alice alike.
 func TestSidExpires(t *testing.T) {
 	h := newSecureHarness(t, true)
 	sc := h.secureClient("alice")
@@ -267,8 +268,9 @@ func TestSidExpires(t *testing.T) {
 	if err := sc.SecureConnection(ctx, h.br.PeerID()); err != nil {
 		t.Fatal(err)
 	}
-	late := time.Now().Add(3 * time.Minute)
-	h.brSec.SetClock(func() time.Time { return late })
+	late := func() time.Time { return time.Now().Add(3 * time.Minute) }
+	h.br.Endpoint().SetClock(late)
+	sc.Endpoint().SetClock(late)
 	if err := sc.SecureLogin(ctx, "pw-alice"); !errors.Is(err, core.ErrLoginRejected) || !strings.Contains(err.Error(), proto.ErrBadSid) {
 		t.Fatalf("secureLogin with an expired sid = %v, want %s", err, proto.ErrBadSid)
 	}

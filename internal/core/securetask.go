@@ -50,7 +50,7 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 	// The open path of the messenger primitives, envelopes only, under
 	// the same replay guard: a captured request re-sent verbatim must not
 	// run the task again.
-	opened, err := openWire(s.kp, wire, formEnvelope, nil, s.replayGuard, nil)
+	opened, err := openWire(s.kp, wire, formEnvelope, nil, s.replayGuard, nil, s.Now())
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -83,7 +83,7 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 		return proto.Fail(err.Error())
 	}
 	// Seal the result back to the caller's certified key.
-	sealed, err := Seal(s.kp, s.PeerID(), opened.Group, readOnlyBytes(out), senderKey, ModeFull)
+	sealed, err := seal(s.kp, s.PeerID(), opened.Group, readOnlyBytes(out), senderKey, ModeFull, s.Now(), nil)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -102,7 +102,7 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	// enforces that executable requests arrive signed, so degraded modes
 	// are rejected remotely rather than silently upgraded here.
 	mode := s.mode.envelope()
-	sealed, err := Seal(signerFor(s.kp, mode), s.PeerID(), group, readOnlyBytes(body), recipientKey, mode)
+	sealed, err := seal(signerFor(s.kp, mode), s.PeerID(), group, readOnlyBytes(body), recipientKey, mode, s.Now(), nil)
 	if err != nil {
 		return "", err
 	}
@@ -118,7 +118,7 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	if !ok {
 		return "", ErrTaskRejected
 	}
-	opened, err := openWire(s.kp, wire, formEnvelope, nil, nil, nil) // the response frame is this caller's own
+	opened, err := openWire(s.kp, wire, formEnvelope, nil, nil, nil, s.Now()) // the response frame is this caller's own
 	if err != nil {
 		return "", err
 	}

@@ -16,6 +16,7 @@ import (
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
+	"jxtaoverlay/internal/waituntil"
 )
 
 func setupNet(t *testing.T) (*simnet.Network, *core.Deployment, *userdb.Store) {
@@ -144,14 +145,12 @@ func TestBrokerSiteCloseStopsSweeperAndIsIdempotent(t *testing.T) {
 		buf := make([]byte, 1<<20)
 		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "sweepLeases")
 	}
-	if !sweeping() {
-		t.Fatal("no lease sweeper with LeaseTTL set")
-	}
+	// A goroutine's dump names sweepLeases only between its first
+	// instruction and its last: both ends are waited for.
+	waituntil.Must(t, 5*time.Second, sweeping, "no lease sweeper with LeaseTTL set")
 	site.Close()
 	site.Close()
-	if sweeping() {
-		t.Fatal("lease sweeper still running after Close")
-	}
+	waituntil.Must(t, 5*time.Second, func() bool { return !sweeping() }, "lease sweeper still running after Close")
 	if net.Attached(simnet.NodeID(site.Broker.PeerID())) {
 		t.Fatal("broker still attached after Close")
 	}

@@ -9,12 +9,9 @@ import (
 )
 
 // sidTable is a BrokerSecurity with nothing but its session-identifier
-// table and a clock the test moves: what issueSid and consumeSid touch.
-func sidTable(now *time.Time) *BrokerSecurity {
-	return &BrokerSecurity{
-		sids:  lru.NewWindow[string, struct{}](sidCapacity),
-		clock: func() time.Time { return *now },
-	}
+// table: what issueSid and consumeSid touch, at the now they are handed.
+func sidTable() *BrokerSecurity {
+	return &BrokerSecurity{sids: lru.NewWindow[string, struct{}](sidCapacity)}
 }
 
 // TestSidTableStaysAtCapacity: secureConnection needs no login, so the
@@ -22,29 +19,29 @@ func sidTable(now *time.Time) *BrokerSecurity {
 // the identifier closest to expiry — the one issued first.
 func TestSidTableStaysAtCapacity(t *testing.T) {
 	now := time.Now()
-	bs := sidTable(&now)
-	bs.issueSid("first")
+	bs := sidTable()
+	bs.issueSid("first", now)
 	now = now.Add(time.Second)
-	bs.issueSid("second")
+	bs.issueSid("second", now)
 	now = now.Add(time.Second)
 	for i := 0; bs.PendingSids() < sidCapacity; i++ {
-		bs.issueSid("filler-" + strconv.Itoa(i))
+		bs.issueSid("filler-"+strconv.Itoa(i), now)
 	}
-	bs.issueSid("one more")
+	bs.issueSid("one more", now)
 	if got := bs.PendingSids(); got != sidCapacity {
 		t.Fatalf("table holds %d identifiers after an issue at capacity, want %d", got, sidCapacity)
 	}
-	if bs.consumeSid("first") {
+	if bs.consumeSid("first", now) {
 		t.Error("the identifier closest to expiry survived an issue at capacity")
 	}
 	for _, sid := range []string{"second", "one more"} {
-		if !bs.consumeSid(sid) {
+		if !bs.consumeSid(sid, now) {
 			t.Errorf("%q was evicted; only the identifier closest to expiry may be", sid)
 		}
 	}
 	// What has expired makes room before anything live is given up.
 	now = now.Add(sidTTL + time.Second)
-	bs.issueSid("after the window")
+	bs.issueSid("after the window", now)
 	if got := bs.PendingSids(); got != 1 {
 		t.Errorf("table holds %d identifiers after every other one expired, want 1", got)
 	}
@@ -57,19 +54,19 @@ func TestSidTableStaysAtCapacity(t *testing.T) {
 func TestSidIssueDoesNotScan(t *testing.T) {
 	const issues = 10000
 	now := time.Now()
-	bs := sidTable(&now)
+	bs := sidTable()
 	sids := make([]string, sidCapacity+issues)
 	for i := range sids {
 		sids[i] = "sid-" + strconv.Itoa(i)
 	}
 	for _, sid := range sids[:sidCapacity] {
-		bs.issueSid(sid)
+		bs.issueSid(sid, now)
 	}
 	scan := tableWalks(t, sidCapacity, issues)
 
 	start := time.Now()
 	for _, sid := range sids[sidCapacity:] {
-		bs.issueSid(sid)
+		bs.issueSid(sid, now)
 	}
 	took := time.Since(start)
 	t.Logf("%d issues %v, %d table walks %v", issues, took, issues, scan)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/xmldoc"
@@ -150,8 +151,14 @@ type DetachedRound struct {
 // one header signature, one content encryption, one wrap per recipient —
 // but returns the round in detached form so the caller can choose the
 // assembly: Wire for the classic every-recipient-gets-everything bytes,
-// Slices for relay-side per-recipient delivery.
+// Slices for relay-side per-recipient delivery. The signed time is the
+// wall's: a peer seals through sealRound, at its own.
 func SealGroupDetached(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipients []*keys.PublicKey) (*DetachedRound, error) {
+	return sealRound(signer, sender, group, body, recipients, time.Now())
+}
+
+// sealRound is SealGroupDetached at the sender's time now.
+func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipients []*keys.PublicKey, now time.Time) (*DetachedRound, error) {
 	if signer == nil {
 		return nil, errors.New("core: group round requires a signing key")
 	}
@@ -198,7 +205,7 @@ func SealGroupDetached(signer *keys.KeyPair, sender keys.PeerID, group string, b
 	header.AddText("Sender", string(sender))
 	header.AddText("Group", group)
 	header.AddText("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256(body)))
-	header.AddText("Time", nowUTCRFC3339())
+	header.AddText("Time", signedTime(now))
 	header.AddText("Nonce", base64.StdEncoding.EncodeToString(nonce))
 	header.AddText("Recipients", base64.StdEncoding.EncodeToString(recipientsDigest(fps)))
 	header.AddText(sliceRootName, base64.StdEncoding.EncodeToString(root))

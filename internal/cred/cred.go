@@ -194,9 +194,16 @@ func Parse(doc *xmldoc.Element) (*Credential, error) {
 	}, nil
 }
 
-// Issue creates a credential for subject signed by the issuer's key.
+// Issue creates a credential for subject signed by the issuer's key,
+// valid from the wall clock's now: for an issuer that is no node (the
+// administrator, tooling). A broker issues at its own time, with IssueAt.
 func Issue(issuer *keys.KeyPair, issuerID keys.PeerID, subject keys.PeerID, subjectName string, role Role, subjectKey *keys.PublicKey, validity time.Duration) (*Credential, error) {
-	now := time.Now().UTC()
+	return IssueAt(time.Now(), issuer, issuerID, subject, subjectName, role, subjectKey, validity)
+}
+
+// IssueAt is Issue at the issuer's time now.
+func IssueAt(now time.Time, issuer *keys.KeyPair, issuerID keys.PeerID, subject keys.PeerID, subjectName string, role Role, subjectKey *keys.PublicKey, validity time.Duration) (*Credential, error) {
+	now = now.UTC()
 	c := &Credential{
 		Subject:     subject,
 		SubjectName: subjectName,

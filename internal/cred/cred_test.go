@@ -182,7 +182,7 @@ func TestTrustStoreVerify(t *testing.T) {
 	if err := ts.Verify(cl, time.Now()); err == nil {
 		t.Fatal("client credential verified without issuer registration")
 	}
-	if err := ts.AddIssuer(br); err != nil {
+	if err := ts.AddIssuer(br, time.Now()); err != nil {
 		t.Fatalf("AddIssuer: %v", err)
 	}
 	if err := ts.Verify(cl, time.Now()); err != nil {

@@ -86,10 +86,10 @@ func NewTrustStore(anchors ...*Credential) (*TrustStore, error) {
 }
 
 // AddIssuer records a credential as an intermediate issuer after
-// verifying it against the store. Typically called with a broker
-// credential obtained during secureConnection.
-func (t *TrustStore) AddIssuer(c *Credential) error {
-	if err := t.Verify(c, time.Now()); err != nil {
+// verifying it against the store at the caller's time now. Typically
+// called with a broker credential obtained during secureConnection.
+func (t *TrustStore) AddIssuer(c *Credential, now time.Time) error {
+	if err := t.Verify(c, now); err != nil {
 		return err
 	}
 	t.mu.Lock()

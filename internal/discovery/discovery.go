@@ -16,8 +16,9 @@
 //
 // A record is replaced by the next one put under its (type, id) and
 // otherwise lives one advertisement lifetime: lookups drop an expired
-// record they touch, and a put sweeps the whole cache when a minute of
-// the cache's clock has passed since the last sweep.
+// record they touch, and a put sweeps the whole cache when a minute has
+// passed since the last sweep — all by the clock of the peer the cache
+// belongs to, fixed when it is made.
 //
 // Remote discovery — asking a broker for advertisements the local cache
 // lacks — lives in the client/broker modules; this package is the shared
@@ -52,8 +53,8 @@ func (r *Record) Expired(now time.Time) bool {
 
 type cacheKey struct{ typ, id string }
 
-// sweepInterval is how much of the cache's clock passes between the
-// sweeps that puts trigger.
+// sweepInterval is how much of its peer's time passes between the sweeps
+// that puts trigger.
 const sweepInterval = time.Minute
 
 // Cache is a concurrency-safe advertisement store. Expiry is lazy on the
@@ -66,18 +67,10 @@ type Cache struct {
 	swept     uint64
 }
 
-// NewCache returns an empty cache.
-func NewCache() *Cache {
-	return &Cache{recs: make(map[cacheKey]*Record), now: time.Now}
-}
-
-// SetClock overrides the cache's time source (tests). The next put
-// sweeps against the new clock.
-func (c *Cache) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
-	c.lastSweep = time.Time{}
+// NewCache returns an empty cache that receives and expires records at
+// the time now reports: its peer's clock (endpoint.Service.Now).
+func NewCache(now func() time.Time) *Cache {
+	return &Cache{recs: make(map[cacheKey]*Record), now: now}
 }
 
 // Put parses and stores a document, replacing any record with the same

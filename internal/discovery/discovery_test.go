@@ -20,7 +20,7 @@ func pipeAdv(id, group string) *advert.Pipe {
 }
 
 func TestPutLookup(t *testing.T) {
-	c := NewCache()
+	c := NewCache(time.Now)
 	if err := c.PutAdv(pipeAdv("urn:jxta:pipe-1", "g")); err != nil {
 		t.Fatalf("PutAdv: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestPutLookup(t *testing.T) {
 }
 
 func TestPutReplacesSameID(t *testing.T) {
-	c := NewCache()
+	c := NewCache(time.Now)
 	c.PutAdv(pipeAdv("urn:jxta:pipe-1", "old"))
 	c.PutAdv(pipeAdv("urn:jxta:pipe-1", "new"))
 	if c.Len() != 1 {
@@ -53,7 +53,7 @@ func TestPutReplacesSameID(t *testing.T) {
 }
 
 func TestPutRejectsGarbage(t *testing.T) {
-	c := NewCache()
+	c := NewCache(time.Now)
 	if _, err := c.Put(xmldoc.New("Nonsense", "")); err == nil {
 		t.Fatal("Put accepted unknown advertisement")
 	}
@@ -64,7 +64,7 @@ func TestDocStoredVerbatim(t *testing.T) {
 	// not a re-serialization — and it keeps the tree it is handed, not a
 	// copy of it: one tree per record, shared and read-only from the put
 	// on (the package comment's ownership rule).
-	c := NewCache()
+	c := NewCache(time.Now)
 	adv := pipeAdv("urn:jxta:pipe-1", "g")
 	doc, _ := adv.Document()
 	doc.Add(xmldoc.New("Signature", "SIGBYTES"))
@@ -102,7 +102,7 @@ func TestDocStoredVerbatim(t *testing.T) {
 // Shared trees are read from many goroutines at once while puts replace
 // them; the race detector watches the rule.
 func TestSharedTreeConcurrentReaders(t *testing.T) {
-	c := NewCache()
+	c := NewCache(time.Now)
 	c.PutAdv(pipeAdv("urn:jxta:pipe-1", "g"))
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -129,9 +129,8 @@ func TestSharedTreeConcurrentReaders(t *testing.T) {
 }
 
 func TestExpiry(t *testing.T) {
-	c := NewCache()
 	now := time.Now()
-	c.SetClock(func() time.Time { return now })
+	c := NewCache(func() time.Time { return now })
 	c.PutAdv(pipeAdv("urn:jxta:pipe-1", "g"))
 	// Advance past the pipe advertisement lifetime.
 	now = now.Add(advert.DefaultLifetime + time.Second)
@@ -144,9 +143,8 @@ func TestExpiry(t *testing.T) {
 }
 
 func TestSweep(t *testing.T) {
-	c := NewCache()
 	now := time.Now()
-	c.SetClock(func() time.Time { return now })
+	c := NewCache(func() time.Time { return now })
 	c.PutAdv(pipeAdv("urn:jxta:pipe-1", "g"))
 	c.PutAdv(pipeAdv("urn:jxta:pipe-2", "g"))
 	pres := &advert.Presence{PeerID: "urn:jxta:cbid-9", Group: "g", Status: advert.StatusOnline, Seen: now}
@@ -164,9 +162,8 @@ func TestSweep(t *testing.T) {
 // A departed peer's records go without anyone looking them up: the puts
 // of the peers that remain sweep the cache once a minute of its clock.
 func TestPutSweepsDepartedPeer(t *testing.T) {
-	c := NewCache()
 	now := time.Now()
-	c.SetClock(func() time.Time { return now })
+	c := NewCache(func() time.Time { return now })
 	gone := keys.PeerID("urn:jxta:cbid-gone")
 	c.PutAdv(&advert.Pipe{PipeID: advert.GroupPipeID(gone, "g"), PipeType: advert.PipeUnicast, PeerID: gone, Group: "g"})
 	c.PutAdv(&advert.Presence{PeerID: gone, Group: "g", Status: advert.StatusOffline, Seen: now})
@@ -198,7 +195,7 @@ func TestPutSweepsDepartedPeer(t *testing.T) {
 }
 
 func TestFindFilterAndSort(t *testing.T) {
-	c := NewCache()
+	c := NewCache(time.Now)
 	c.PutAdv(pipeAdv("urn:jxta:pipe-b", "g1"))
 	c.PutAdv(pipeAdv("urn:jxta:pipe-a", "g1"))
 	c.PutAdv(pipeAdv("urn:jxta:pipe-c", "g2"))
@@ -222,7 +219,7 @@ func TestFindFilterAndSort(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	c := NewCache()
+	c := NewCache(time.Now)
 	c.PutAdv(pipeAdv("urn:jxta:pipe-1", "g"))
 	c.Remove(advert.TypePipe, "urn:jxta:pipe-1")
 	if _, err := c.Lookup(advert.TypePipe, "urn:jxta:pipe-1"); err != ErrNotFound {
@@ -231,7 +228,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestTypesDoNotCollide(t *testing.T) {
-	c := NewCache()
+	c := NewCache(time.Now)
 	// Same AdvID string under two different types must coexist.
 	c.PutAdv(&advert.Presence{PeerID: "p", Group: "g", Status: advert.StatusOnline, Seen: time.Now()})
 	c.PutAdv(&advert.FileList{PeerID: "p", Group: "g"})

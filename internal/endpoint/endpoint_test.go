@@ -387,3 +387,34 @@ func TestUnregisterHandler(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 }
+
+// TestNodeClock: a node's time is the wall until its clock is set, and
+// each node's own after; setting it while the node's goroutines read it is
+// safe (run under -race).
+func TestNodeClock(t *testing.T) {
+	_, a, b := pair(t)
+	if d := time.Since(a.Now()).Abs(); d > time.Minute {
+		t.Fatalf("an unset clock is %v off the wall", d)
+	}
+	then := time.Date(2009, 9, 22, 0, 0, 0, 0, time.UTC)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 1000; j++ {
+				a.Now()
+			}
+		}()
+	}
+	for j := 0; j < 100; j++ {
+		a.SetClock(func() time.Time { return then })
+	}
+	wg.Wait()
+	if got := a.Now(); !got.Equal(then) {
+		t.Fatalf("a.Now() = %v after SetClock, want %v", got, then)
+	}
+	if d := time.Since(b.Now()).Abs(); d > time.Minute {
+		t.Fatalf("setting one node's clock moved another's by %v", d)
+	}
+}

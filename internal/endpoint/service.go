@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/simnet"
@@ -62,6 +63,10 @@ type Service struct {
 	relay    atomic.Value // keys.PeerID; relay hop for unreachable peers
 	relaying atomic.Bool  // whether this node forwards for others
 
+	// clock is the node's one time source (nil: the wall). Everything the
+	// node signs, compares with a signed time or expires is read from it.
+	clock atomic.Pointer[func() time.Time]
+
 	// RxCount / TxCount feed the statistics primitives.
 	rxCount atomic.Uint64
 	txCount atomic.Uint64
@@ -89,6 +94,21 @@ func (s *Service) PeerID() keys.PeerID { return s.peerID }
 
 // Network returns the underlying fabric (used by diagnostics and tests).
 func (s *Service) Network() *simnet.Network { return s.net }
+
+// Now is the time at this node: the broker, client or database attached
+// here reads every time it signs, checks or expires by from this call, so
+// a node is never in two times at once. Timers, tickers and duration
+// measurements are not its business and stay on the wall.
+func (s *Service) Now() time.Time {
+	if clock := s.clock.Load(); clock != nil {
+		return (*clock)()
+	}
+	return time.Now()
+}
+
+// SetClock replaces the node's time source (tests: a peer whose clock is
+// ahead, behind or stopped). now is called from every goroutine of the node.
+func (s *Service) SetClock(now func() time.Time) { s.clock.Store(&now) }
 
 // RegisterHandler installs the handler for a service name, replacing any
 // previous registration.

@@ -30,7 +30,7 @@ func TestExpiredLeasePeerIsQueuedForNotBlackHoled(t *testing.T) {
 	br, brSec := site.Broker, site.Security
 	var mu sync.Mutex
 	now := time.Now()
-	brSec.SetClock(func() time.Time {
+	br.Endpoint().SetClock(func() time.Time {
 		mu.Lock()
 		defer mu.Unlock()
 		return now

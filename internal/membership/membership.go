@@ -227,7 +227,7 @@ func (p *PSE) loadCred(alias string) (*cred.Credential, []*cred.Credential, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	doc, err := xmldoc.ParseBytes(data)
+	doc, err := xmldoc.ParseCanonical(data) // as saveCred wrote it
 	if err != nil {
 		return nil, nil, err
 	}

@@ -117,7 +117,9 @@ type Config struct {
 	// and WAL write failures (nil = off). Ordinary deliveries are not
 	// audited: the audit log records refusals and faults, not traffic.
 	Auditor *audit.Journal
-	// Clock overrides the time source (tests).
+	// Clock is what TTLs are stamped and expired by, fixed at construction:
+	// the wall when nil — core.EnableBrokerRelay fills a nil one with its
+	// broker's clock, so that the two agree about every expiry.
 	Clock func() time.Time
 }
 

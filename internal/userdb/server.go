@@ -12,6 +12,7 @@ import (
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/lru"
 	"jxtaoverlay/internal/xmldoc"
 )
 
@@ -29,6 +30,12 @@ const (
 // maxSkew bounds the accepted request timestamp drift.
 const maxSkew = 2 * time.Minute
 
+// nonceCapacity bounds the request nonces remembered at once: one per
+// login or group lookup a broker forwards inside 2·maxSkew, so 4,096 is
+// 17 a second sustained — the idempotency window's bound, for the same
+// kind of traffic.
+const nonceCapacity = 4096
+
 // Remote-protocol errors.
 var (
 	ErrUnauthorized = errors.New("userdb: caller is not an authorized broker")
@@ -39,7 +46,8 @@ var (
 
 // Server exposes a Store on the network under the paper's trust
 // topology: every request must be encrypted to the server's key and
-// signed by a broker holding an administrator-issued credential.
+// signed by a broker holding an administrator-issued credential. Its time
+// is its endpoint's.
 type Server struct {
 	store *Store
 	ep    *endpoint.Service
@@ -47,9 +55,15 @@ type Server struct {
 	crd   *cred.Credential
 	trust *cred.TrustStore
 
-	mu    sync.Mutex
-	seen  map[string]time.Time
-	clock func() time.Time
+	mu sync.Mutex
+	// seen holds each admitted request nonce for 2·maxSkew: as long as a
+	// replay could still pass the timestamp check, whichever way the
+	// broker's clock is off. Only a broker holding an administrator-issued
+	// credential gets this far, so the bound is housekeeping, not a
+	// defence against strangers. Full, the nonce closest to expiry goes —
+	// the least remaining exposure — and is counted.
+	seen        lru.Window[string, struct{}]
+	evictedLive uint64
 }
 
 // NewServer registers the database service on the given endpoint.
@@ -60,15 +74,11 @@ func NewServer(ep *endpoint.Service, store *Store, kp *keys.KeyPair, serverCred 
 		kp:    kp,
 		crd:   serverCred,
 		trust: trust,
-		seen:  make(map[string]time.Time),
-		clock: time.Now,
+		seen:  lru.NewWindow[string, struct{}](nonceCapacity),
 	}
 	ep.RegisterHandler(ServiceName, s.handle)
 	return s
 }
-
-// SetClock overrides the server's time source (tests).
-func (s *Server) SetClock(now func() time.Time) { s.clock = now }
 
 func (s *Server) handle(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 	resp, err := s.process(msg)
@@ -122,7 +132,8 @@ func (s *Server) process(msg *endpoint.Message) (*response, error) {
 	if err != nil {
 		return nil, ErrProtocol
 	}
-	if err := s.trust.Verify(callerCred, s.clock()); err != nil {
+	now := s.ep.Now()
+	if err := s.trust.Verify(callerCred, now); err != nil {
 		return nil, ErrUnauthorized
 	}
 	if callerCred.Role != cred.RoleBroker {
@@ -151,7 +162,6 @@ func (s *Server) process(msg *endpoint.Message) (*response, error) {
 	}
 
 	// 3. Freshness and replay checks.
-	now := s.clock()
 	if d := now.Sub(req.Timestamp); d > maxSkew || d < -maxSkew {
 		return nil, fmt.Errorf("%w: stale timestamp", ErrProtocol)
 	}
@@ -184,16 +194,24 @@ func (s *Server) checkNonce(nonce string, now time.Time) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for n, t := range s.seen {
-		if now.Sub(t) > 2*maxSkew {
-			delete(s.seen, n)
-		}
-	}
-	if _, dup := s.seen[nonce]; dup {
+	if _, dup := s.seen.Get(nonce, now); dup {
 		return ErrReplay
 	}
-	s.seen[nonce] = now
+	// nonce is a view of the decrypted request, password included: the
+	// table keeps a copy, not the request.
+	if s.seen.Put(strings.Clone(nonce), struct{}{}, now.Add(2*maxSkew), now) {
+		s.evictedLive++
+	}
 	return nil
+}
+
+// NonceEvictions reports how many request nonces the server gave up while
+// a replay of their request could still pass the timestamp check, to make
+// room in a full table (compare core.ReplayEvictions).
+func (s *Server) NonceEvictions() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.evictedLive
 }
 
 func (s *Server) marshalResponse(r *response) (*endpoint.Message, error) {
@@ -277,7 +295,7 @@ func (c *Client) call(ctx context.Context, op, user, pass string) ([]string, err
 	doc.AddText("Pass", pass)
 	doc.AddText("Broker", string(c.brokerCred.Subject))
 	doc.AddText("Nonce", nonce)
-	doc.AddText("Timestamp", time.Now().UTC().Format(time.RFC3339Nano))
+	doc.AddText("Timestamp", c.ep.Now().UTC().Format(time.RFC3339Nano))
 	body := doc.Canonical()
 
 	sig, err := c.kp.Sign(body)

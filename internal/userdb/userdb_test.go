@@ -5,12 +5,14 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/lru"
 	"jxtaoverlay/internal/simnet"
 )
 
@@ -355,6 +357,107 @@ func TestRemoteReplayRejected(t *testing.T) {
 	body, _ := resp.Get(elemBody)
 	if !bytes.Contains(body, []byte("<OK>0</OK>")) {
 		t.Fatalf("replayed request was accepted: %s", body)
+	}
+}
+
+// nonceTable is a Server with nothing but its request-nonce table: what
+// checkNonce touches, at the now it is handed.
+func nonceTable() *Server {
+	return &Server{seen: lru.NewWindow[string, struct{}](nonceCapacity)}
+}
+
+// TestNoncePastWindowForgotten: a nonce is refused for as long as a replay
+// of its request could pass the timestamp check, 2·maxSkew, and is then
+// dropped by the next admit, not kept against the bound.
+func TestNoncePastWindowForgotten(t *testing.T) {
+	s, base := nonceTable(), time.Now()
+	if err := s.checkNonce("n", base); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.checkNonce("n", base.Add(2*maxSkew)); err != ErrReplay {
+		t.Fatalf("nonce at the window's edge = %v, want ErrReplay", err)
+	}
+	past := base.Add(2*maxSkew + time.Nanosecond)
+	if err := s.checkNonce("other", past); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.seen.Len(); n != 1 {
+		t.Fatalf("%d nonces held after the first one's window, want 1", n)
+	}
+	if err := s.checkNonce("n", past); err != nil {
+		t.Fatalf("nonce past its window = %v, want it forgotten", err)
+	}
+}
+
+// TestNonceTableStaysAtCapacity: full, the table gives up the nonce closest
+// to expiry — the first admitted — and counts it.
+func TestNonceTableStaysAtCapacity(t *testing.T) {
+	s, base := nonceTable(), time.Now()
+	for i := 0; i < nonceCapacity; i++ {
+		if err := s.checkNonce("n"+strconv.Itoa(i), base.Add(time.Duration(i)*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.NonceEvictions(); got != 0 {
+		t.Fatalf("NonceEvictions = %d while filling, want 0", got)
+	}
+	now := base.Add(time.Minute)
+	if err := s.checkNonce("one more", now); err != nil {
+		t.Fatal(err)
+	}
+	if n, ev := s.seen.Len(), s.NonceEvictions(); n != nonceCapacity || ev != 1 {
+		t.Fatalf("%d nonces held, %d evicted live; want %d and 1", n, ev, nonceCapacity)
+	}
+	if err := s.checkNonce("n1", now); err != ErrReplay {
+		t.Fatalf("second-oldest nonce = %v, want ErrReplay: only the one closest to expiry may go", err)
+	}
+	if err := s.checkNonce("n0", now); err != nil {
+		t.Fatalf("oldest nonce = %v, want it given up", err)
+	}
+}
+
+// TestNonceAdmitDoesNotScan: an admit on a full table costs what it costs
+// on an empty one — no walk over the table, which is what every request
+// used to pay (core's TestReplayGuardAdmitDoesNotScan measure: 10,000
+// admits against 10,000 walks of a map the table's size).
+func TestNonceAdmitDoesNotScan(t *testing.T) {
+	const admits = 10000
+	s, now := nonceTable(), time.Now()
+	nonces := make([]string, nonceCapacity+admits)
+	for i := range nonces {
+		nonces[i] = "nonce-" + strconv.Itoa(i)
+	}
+	for _, n := range nonces[:nonceCapacity] {
+		s.checkNonce(n, now)
+	}
+	table := make(map[int]int64, nonceCapacity)
+	for i := 0; i < nonceCapacity; i++ {
+		table[i] = 0
+	}
+	start, visited := time.Now(), 0
+	for i := 0; i < admits/100; i++ {
+		for range table {
+			visited++
+		}
+	}
+	scan := time.Since(start) * 100
+	if visited != nonceCapacity*admits/100 {
+		t.Fatalf("walked %d entries, want %d", visited, nonceCapacity*admits/100)
+	}
+
+	start = time.Now()
+	for _, n := range nonces[nonceCapacity:] {
+		if err := s.checkNonce(n, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	took := time.Since(start)
+	t.Logf("%d admits %v, %d table walks %v", admits, took, admits, scan)
+	if took > scan/4 {
+		t.Errorf("%d admits on a full table took %v; one table walk per admit would take %v", admits, took, scan)
+	}
+	if n := s.seen.Len(); n != nonceCapacity {
+		t.Errorf("%d nonces held after admits at capacity, want %d", n, nonceCapacity)
 	}
 }
 
