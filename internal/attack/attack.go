@@ -313,26 +313,27 @@ func ReadHeader(block []byte) (*xmldoc.Element, error) {
 	return xmldoc.ParseCanonical(bytes.Clone(header))
 }
 
-// ForgeFrame seals a block as frame seq of a channel under key, in the
-// layout of core's channel frames.
-func ForgeFrame(key []byte, channel []byte, seq uint64, block []byte) ([]byte, error) {
+// ForgeFrame seals body, sent at sentAt, as frame seq of a channel under
+// key, in the layout of core's channel frames: mode, channel ID and
+// sequence number in the clear and authenticated, then the sent-at
+// (nanoseconds since the Unix epoch) and the body under the tag.
+func ForgeFrame(key []byte, channel []byte, seq uint64, sentAt time.Time, body []byte) ([]byte, error) {
 	aead, err := keys.NewAEAD(key)
 	if err != nil {
 		return nil, err
 	}
 	wire := append([]byte{byte(core.ModeChannel)}, channel...)
 	wire = binary.BigEndian.AppendUint64(wire, seq)
-	prefix := len(wire)
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(block)+keys.AEADOverhead))
+	plain := append(binary.BigEndian.AppendUint64(nil, uint64(sentAt.UnixNano())), body...)
 	var nonce [keys.AEADNonceSize]byte
 	binary.BigEndian.PutUint64(nonce[keys.AEADNonceSize-8:], seq)
-	return aead.Seal(wire, nonce[:], block, wire[:prefix]), nil
+	return aead.Seal(wire, nonce[:], plain, wire), nil
 }
 
 // ChannelKey is core's channel key schedule, from whatever X25519 secret
 // the attacker could compute.
 func ChannelKey(secret, channel []byte, initiator, responder keys.PeerID, initiatorKey, responderKey *keys.PublicKey, group string, initiatorShare, responderShare []byte) ([]byte, error) {
-	info := []byte("jxta-overlay/session-channel/v1")
+	info := []byte("jxta-overlay/session-channel/v2")
 	info = keys.AppendSection(info, []byte(initiator))
 	info = keys.AppendSection(info, []byte(responder))
 	for _, k := range []*keys.PublicKey{initiatorKey, responderKey} {

@@ -212,10 +212,6 @@ func TestChannelKeyCompromiseImpersonation(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := []byte("wire the money to mallory")
-	header, err := attack.Header(nil, p.alice.PeerID(), "math", body)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seq := uint64(500) // ahead of anything alice has sent
 	for _, guess := range []struct {
 		name      string
@@ -232,7 +228,7 @@ func TestChannelKeyCompromiseImpersonation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, err := attack.ForgeFrame(key, channel, seq, attack.Block(header, body))
+		frame, err := attack.ForgeFrame(key, channel, seq, time.Now(), body)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"crypto/cipher"
 	"encoding/base64"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -29,10 +28,13 @@ import (
 //	         (and Refused, when it sends a refused frame's message again)
 //	accept   ModeSign envelope, empty body; signed header adds To,
 //	         Channel, Share, Offer (SHA-256 of the initiator's share)
-//	frame    ModeChannel ‖ Channel[16] ‖ seq u64 ‖ u32 ctlen ‖
-//	         AES-256-GCM(key, nonce = seq, aad = the 25 bytes before
-//	         ctlen, u32 hlen ‖ <SecureMessage> header ‖ body)
+//	frame    ModeChannel ‖ Channel[16] ‖ seq u64 ‖
+//	         AES-256-GCM(key, nonce = seq, aad = the 25 bytes in front,
+//	         sent-at u64 (UnixNano) ‖ body) — to the end of the element
 //	refusal  ModeRefusal ‖ Channel[16] ‖ seq u64 — unsigned
+//
+// A frame is a counter, a ciphertext and a tag: its sender and group are
+// its channel's (open.go: what of the pipeline that makes unnecessary).
 //
 // Channels are directional: the initiator seals, the responder opens.
 // A peer that answers has to make an offer of its own, so no key is
@@ -45,6 +47,8 @@ const (
 	// framePrefix is mode ‖ Channel ‖ seq: the part of a frame in front of
 	// its ciphertext section, and the whole of a refusal.
 	framePrefix = 1 + channelIDSize + 8
+	// frameTimeSize is the sent-at in front of a frame's body, in UnixNano.
+	frameTimeSize = 8
 
 	// channelLifetime bounds what one derived key protects in time. It is
 	// far below any credential validity, so that a credential's NotAfter
@@ -73,12 +77,9 @@ const (
 	// refusalTableCap bounds the channels whose last refusal is remembered.
 	refusalTableCap = 64
 
-	channelKeyLabel = "jxta-overlay/session-channel/v1"
+	// channelKeyLabel names the frame layout the derived key protects.
+	channelKeyLabel = "jxta-overlay/session-channel/v2"
 )
-
-// ErrChannelPeer is returned for a frame whose header names a sender or
-// group other than the ones its channel was established for.
-var ErrChannelPeer = errors.New("core: channel frame not from the channel's peer")
 
 type channelID [channelIDSize]byte
 
@@ -206,32 +207,23 @@ func frameNonce(seq uint64) (n [keys.AEADNonceSize]byte) {
 	return n
 }
 
-// sealFrame builds one frame in one buffer: prefix, length, then the
-// block of header and body, encrypted where it lies. body is only read;
-// now is the sender's time, the frame's Time.
-func sealFrame(aead cipher.AEAD, frame frameRef, sender keys.PeerID, group string, body []byte, now time.Time) []byte {
-	h := headerDoc(sender, group, keys.SHA256(body), now).Canonical()
-	n := sealedLen(h, body)
-	wire := appendFrameRef(make([]byte, 0, framePrefix+4+n), ModeChannel, frame)
-	wire = binary.BigEndian.AppendUint32(wire, uint32(n))
-	wire = packBlock(wire, h, body)
+// sealFrame builds one frame in one buffer: prefix, then the sender's time
+// now and the body, encrypted where they lie. body is only read.
+func sealFrame(aead cipher.AEAD, frame frameRef, body []byte, now time.Time) []byte {
+	wire := appendFrameRef(make([]byte, 0, framePrefix+frameTimeSize+len(body)+keys.AEADOverhead), ModeChannel, frame)
+	wire = binary.BigEndian.AppendUint64(wire, uint64(now.UnixNano()))
+	wire = append(wire, body...)
 	nonce := frameNonce(frame.seq)
-	return aead.Seal(wire[:framePrefix+4], nonce[:], wire[framePrefix+4:], wire[:framePrefix])
+	return aead.Seal(wire[:framePrefix], nonce[:], wire[framePrefix:], wire[:framePrefix])
 }
 
 // parseFrame cuts a frame or a refusal (everything behind the mode byte)
-// into its reference and, for a frame, its ciphertext.
-func parseFrame(payload []byte, refusal bool) (frame frameRef, ct []byte, ok bool) {
+// into its reference and what follows: a frame's ciphertext.
+func parseFrame(payload []byte) (frame frameRef, ct []byte, ok bool) {
 	if len(payload) < framePrefix-1 {
 		return frame, nil, false
 	}
-	frame = frameRef{channelID(payload[:channelIDSize]), binary.BigEndian.Uint64(payload[channelIDSize:])}
-	rest := payload[framePrefix-1:]
-	if refusal {
-		return frame, nil, len(rest) == 0
-	}
-	ct, rest, ok = keys.CutSection(rest)
-	return frame, ct, ok && len(rest) == 0 && len(ct) >= keys.AEADOverhead
+	return frameRef{channelID(payload[:channelIDSize]), binary.BigEndian.Uint64(payload[channelIDSize:])}, payload[framePrefix-1:], true
 }
 
 // appendFrameRef writes the prefix of a frame, or a whole refusal — the
@@ -362,17 +354,8 @@ func (t *channelTable) reset() {
 
 // --- initiator ---
 
-// nextFrame seals text as the next frame of the established channel to
-// pair, if there is one with budget left.
-func (t *channelTable) nextFrame(pair pairKey, sender keys.PeerID, text string, now time.Time) (wire []byte, route any, ok bool) {
-	frame, aead, route, ok := t.claimFrame(pair, text, now)
-	if !ok {
-		return nil, nil, false
-	}
-	return sealFrame(aead, frame, sender, pair.group, readOnlyBytes(text), now), route, true
-}
-
-// claimFrame takes the next sequence number of the channel to pair.
+// claimFrame takes the next sequence number of the established channel to
+// pair, if there is one with budget left, for a frame carrying text.
 func (t *channelTable) claimFrame(pair pairKey, text string, now time.Time) (frame frameRef, aead cipher.AEAD, route any, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

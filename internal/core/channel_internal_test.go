@@ -2,16 +2,19 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
+	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/pipes"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // TestChannelSeqWindow: each sequence number is admitted once, in any
@@ -44,10 +47,12 @@ func TestChannelSeqWindow(t *testing.T) {
 	}
 }
 
-// TestChannelFrameFromAnotherSenderAlerted: a frame whose header names a
-// sender other than its channel's peer is the channel peer's doing — only
-// it holds the key — and is alerted against it, not against whoever the
-// header names or the frame claims to come from.
+// TestChannelFrameFromAnotherSenderAlerted: nothing in a frame can name a
+// sender — it is whoever holds the key of the channel the frame names. A
+// peer that holds one channel to this recipient and puts ANOTHER channel's
+// ID on a frame sealed under its own key has made a frame that fails that
+// channel's tag: refused before anything in it is read, alerted against
+// whoever delivered it, and raised in nobody's name.
 func TestChannelFrameFromAnotherSenderAlerted(t *testing.T) {
 	net := simnet.NewNetwork(simnet.ProfileLocal)
 	defer net.Close()
@@ -57,31 +62,72 @@ func TestChannelFrameFromAnotherSenderAlerted(t *testing.T) {
 	}
 	defer cl.Close()
 	s := &SecureClient{Client: cl, kp: recvKP}
+	// The attacker's channel (the table channel: its key is the attacker's
+	// to use) and the victim's, under a key the attacker does not hold.
 	holdTableChannel(&s.chans)
+	victimID := channelID{0xb0, 0xb}
+	victimAEAD, err := keys.NewAEAD(bytes.Repeat([]byte{0x7a}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.chans.install(&inChannel{id: victimID, pair: pairKey{"urn:jxta:victim", "g"}, user: "victim", aead: victimAEAD}, time.Now().Add(time.Hour), time.Now())
 	got := events.NewCollector(cl.Bus())
 	deliver := func(wire []byte) {
 		s.handleEnvelope("g", pipes.Delivery{From: "urn:jxta:deliverer", Msg: endpoint.NewMessage().Add(proto.ElemEnvelope, wire)})
 	}
-	deliver(forgeWire(t, ModeChannel, []byte("as someone else"), func(h *xmldoc.Element) []byte {
-		h.RemoveChildren("Sender")
-		h.AddText("Sender", "urn:jxta:victim")
-		return h.Canonical()
-	}))
+	deliver(forgeFrame(victimID, 1, framePlain(time.Now(), []byte("as someone else"))))
 	alerts := got.OfType(events.SecurityAlert)
 	if len(alerts) != 1 || len(got.OfType(events.SecureMessage)) != 0 {
 		t.Fatalf("%d alerts and %d messages, want 1 and 0", len(alerts), len(got.OfType(events.SecureMessage)))
 	}
-	if alerts[0].From != "urn:jxta:sender" || alerts[0].Payload["reason"] != ErrChannelPeer.Error() {
-		t.Fatalf("alert %v against %s, want %v against the channel's peer", alerts[0].Payload, alerts[0].From, ErrChannelPeer)
+	if alerts[0].From != "urn:jxta:deliverer" || !strings.Contains(alerts[0].Payload["reason"], ErrEnvelope.Error()) {
+		t.Fatalf("alert %v against %s, want %v against the deliverer: a frame that fails its tag is nobody's", alerts[0].Payload, alerts[0].From, ErrEnvelope)
 	}
-	// A header is held to its channel before the sequence number is
-	// admitted: the refused frame did not spend number 1.
+	// The tag is checked before the sequence number is admitted: the
+	// refused frame spent number 1 of neither channel.
+	deliver(sealFrame(victimAEAD, frameRef{victimID, 1}, []byte("the victim's own"), time.Now()))
 	deliver(forgeWire(t, ModeChannel, []byte("honest"), nil))
 	if alerts = got.OfType(events.SecurityAlert); len(alerts) != 1 {
-		t.Fatalf("the frame's sequence number was admitted before its header was held to the channel: %d alerts", len(alerts))
+		t.Fatalf("a frame's sequence number was admitted before its tag was checked: %d alerts", len(alerts))
 	}
-	if msgs := got.OfType(events.SecureMessage); len(msgs) != 1 || !bytes.Equal(msgs[0].Data, []byte("honest")) ||
-		msgs[0].Attr("authenticated") != "true" || msgs[0].Attr("user") != "sender" || msgs[0].Attr("mode") != ModeChannel.String() {
-		t.Fatalf("honest frame raised %+v", msgs)
+	msgs := got.OfType(events.SecureMessage)
+	if len(msgs) != 2 || msgs[0].From != "urn:jxta:victim" || msgs[0].Attr("user") != "victim" || !bytes.Equal(msgs[0].Data, []byte("the victim's own")) {
+		t.Fatalf("the victim's own frame raised %+v", msgs)
+	}
+	if !bytes.Equal(msgs[1].Data, []byte("honest")) || msgs[1].From != "urn:jxta:sender" ||
+		msgs[1].Attr("authenticated") != "true" || msgs[1].Attr("user") != "sender" || msgs[1].Attr("mode") != ModeChannel.String() {
+		t.Fatalf("honest frame raised %+v", msgs[1])
+	}
+}
+
+// TestFramesDoNotEvictGuardEntries: the guard's table is for wires that
+// carry no sequence number, and a channel's frames — thousands a second —
+// stay out of it. When every frame was admitted by wire digest, 5,000 of
+// them (0.2 s of unicast traffic) filled the 4,096 entries and evicted a
+// round nonce admitted just before them while it was still fresh: the
+// round could then be replayed.
+func TestFramesDoNotEvictGuardEntries(t *testing.T) {
+	guard := NewReplayGuard(0, 0)
+	now := time.Now()
+	nonce := bytes.Repeat([]byte{7}, roundNonceSize)
+	if err := guard.CheckRound("urn:jxta:sender", nonce, now); err != nil {
+		t.Fatal(err)
+	}
+	held, evicted := guard.Len(), ReplayEvictions()
+	chans, aead, body := tableChannels(), tableAEAD(), []byte("one of many")
+	for seq := uint64(1); seq <= 5000; seq++ {
+		wire := sealFrame(aead, frameRef{tableChannelID, seq}, body, now)
+		if _, err := openWire(nil, wire, formChannel, nil, guard, chans, now); err != nil {
+			t.Fatalf("frame %d: %v", seq, err)
+		}
+	}
+	if err := guard.CheckRound("urn:jxta:sender", nonce, now); !errors.Is(err, ErrMessageReplayed) {
+		t.Errorf("the round's nonce again, 5,000 frames later: err = %v, want ErrMessageReplayed", err)
+	}
+	if got := ReplayEvictions() - evicted; got != 0 {
+		t.Errorf("%d live guard entries evicted while the frames were opened, want none", got)
+	}
+	if got := guard.Len(); got != held {
+		t.Errorf("guard holds %d entries after the frames, %d before them", got, held)
 	}
 }

@@ -422,20 +422,26 @@ func TestChannelAuditAndMetrics(t *testing.T) {
 	sendAndWait(t, alice, bob, got, "after the logout")
 	waituntil.Must(t, 5*time.Second, func() bool { return core.ChannelTo(alice, bob.PeerID(), "math") }, "no second channel")
 
-	rr := httptest.NewRecorder()
-	jnl.DebugHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/audit?kind="+audit.KindChannel, nil))
-	var page audit.PageJSON
-	if err := json.Unmarshal(rr.Body.Bytes(), &page); err != nil {
-		t.Fatal(err)
-	}
+	// alice writes "accept: established" once the channel is up, which is
+	// what ChannelTo reads: wait for the record, not only for the channel.
 	var records []string
-	for _, e := range page.Events {
-		who := "alice"
-		if e.Peer == string(bob.PeerID()) {
-			who = "bob"
+	waituntil.Must(t, 5*time.Second, func() bool {
+		rr := httptest.NewRecorder()
+		jnl.DebugHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/audit?kind="+audit.KindChannel, nil))
+		var page audit.PageJSON
+		if err := json.Unmarshal(rr.Body.Bytes(), &page); err != nil {
+			t.Fatal(err)
 		}
-		records = append(records, fmt.Sprintf("%s %s: %s", who, e.Op, e.Reason))
-	}
+		records = records[:0]
+		for _, e := range page.Events {
+			who := "alice"
+			if e.Peer == string(bob.PeerID()) {
+				who = "bob"
+			}
+			records = append(records, fmt.Sprintf("%s %s: %s", who, e.Op, e.Reason))
+		}
+		return len(records) >= 6
+	}, "fewer than six channel audit records")
 	want := []string{
 		"alice offer: accepted", // recorded by bob, about alice's offer
 		"bob accept: established",
@@ -491,17 +497,13 @@ func TestAttackMirrorsChannelLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := []byte("built by hand")
-	header, err := attack.Header(nil, "urn:jxta:i", "g", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err := attack.ForgeFrame(key, id[:], 3, attack.Block(header, body))
+	body, sentAt := []byte("built by hand"), time.Now().Add(-time.Second)
+	frame, err := attack.ForgeFrame(key, id[:], 3, sentAt, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o, err := core.OpenOnDerivedChannel(secretB, id, "urn:jxta:i", "urn:jxta:r", initiatorKP.Public(), responderKP.Public(), "g", a.Share(), b.Share(), frame)
-	if err != nil || string(o.Body) != string(body) || o.Sender != "urn:jxta:i" {
+	if err != nil || string(o.Body) != string(body) || o.Sender != "urn:jxta:i" || o.Group != "g" || !o.SentAt.Equal(sentAt) {
 		t.Fatalf("a hand-built frame under the agreed key opened to (%+v, %v)", o, err)
 	}
 }

@@ -56,7 +56,7 @@ func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {
 // adds: a frame of the table channel carrying body, an accept signed by
 // signer, and a refusal.
 func TableChannelWires(signer *keys.KeyPair, body []byte) (frame, accept, refusal []byte, err error) {
-	frame = sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, "urn:jxta:sender", "g", body, time.Now())
+	frame = sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, body, time.Now())
 	sealed, err := seal(signer, "urn:jxta:sender", "g", nil, nil, ModeSign, time.Now(), func(h *xmldoc.Element) {
 		h.AddText("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("initiator key"))))
 		(&handshake{id: tableChannelID, share: make([]byte, keys.ShareSize), answers: keys.SHA256([]byte("share"))}).write(h)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -34,12 +35,23 @@ import (
 //	                      BEFORE any signed field is read, so a validly
 //	                      signed header spliced onto other wraps, or
 //	                      re-encrypted to another peer, vouches for nothing
-//	time, nonce, signature, handshake fields; a frame's Sender and Group
-//	                      are its channel's
+//	time, nonce, signature, handshake fields
 //	claimed group         rounds only, and BEFORE the guard: a mislabelled
 //	                      delivery must not burn the single-use nonce
-//	replay                a frame's sequence number, once per channel; then
-//	                      Check(wire), then for rounds CheckRound(nonce)
+//	replay                Check(wire), then for rounds CheckRound(nonce)
+//
+// A frame leaves the pipeline once its channel's key has opened it: four
+// steps prove for a signed wire what its channel already has. No header
+// to unpack: sender and group are the channel's, the table's own strings.
+// No body digest: that binds a body to the signature over the header, and
+// the tag covers the 25 bytes in front, the time and the body together. No
+// recipient binding: the key is derived from both peers, both certified
+// keys and the group (channelKey), so nobody else's opens it. No entry in
+// the guard's table, which is for wires without a sequence number: the
+// same bytes again are the same number again and the channel's window
+// refuses it, as it does a number below it; a channel replaced or a
+// recipient restarted is an unknown channel, a refusal. What a frame still
+// passes, in order: the guard's freshness window, then its number, once.
 //
 // The sender signature itself is checked by Opened.VerifySignature,
 // which needs the sender's certified key and therefore a lookup; both
@@ -108,7 +120,7 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 	}
 	if form == formChannel {
 		var ok bool
-		if sw.frame, sw.ct, ok = parseFrame(payload, sw.mode == ModeRefusal); !ok {
+		if sw.frame, sw.ct, ok = parseFrame(payload); !ok || (sw.mode == ModeRefusal && len(sw.ct) != 0) {
 			return sw, ErrEnvelope
 		}
 		if sw.mode == ModeChannel {
@@ -168,7 +180,8 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 // guard, when set, admits the wire (and a round's nonce) exactly once.
 // A refusal by either of those two steps comes after the header parsed,
 // so it returns the Opened beside the error: callers attribute it to
-// the signed sender rather than to whoever delivered the bytes.
+// the signed sender rather than to whoever delivered the bytes; and so
+// does a frame its channel's key opened, stale or replayed, to its peer.
 func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string, guard *ReplayGuard, chans *channelTable, now time.Time) (*Opened, error) {
 	sw, err := split(own, wire, accept, chans, now)
 	if err != nil {
@@ -179,6 +192,24 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		// only as far as a stranger may make it act (handleRefusal).
 		return &Opened{Mode: ModeRefusal, channelPart: &channelPart{refusal: sw.frame}}, nil
 	}
+	if c := sw.via; c != nil {
+		// The fourth source of the content key: the table lookup split made.
+		nonce := frameNonce(sw.frame.seq)
+		plain, err := c.aead.Open(sw.ct[:0], nonce[:], sw.ct, wire[:framePrefix])
+		if err != nil || len(plain) < frameTimeSize {
+			return nil, ErrEnvelope
+		}
+		sentAt := time.Unix(0, int64(binary.BigEndian.Uint64(plain)))
+		o := &Opened{Mode: ModeChannel, Sender: c.pair.peer, Group: c.pair.group, Body: plain[frameTimeSize:], SentAt: sentAt, channelPart: &c.opened}
+		if guard != nil && !guard.fresh(sentAt, now) {
+			return o, ErrMessageStale
+		}
+		if !chans.admit(c, sw.frame.seq) {
+			replayRejectedTotal.Add(1)
+			return o, ErrMessageReplayed
+		}
+		return o, nil
+	}
 	round := sw.mode == ModeGroup || sw.mode == ModeSlice
 	block, rootName := sw.ct, "SecureMessage"
 	if round {
@@ -188,15 +219,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if guard != nil {
 		received = replayKey{replayWire, sha256.Sum256(wire)}
 	}
-	switch {
-	case sw.mode == ModeSign:
-	case sw.via != nil:
-		// The fourth source of the content key: the table lookup split made.
-		nonce := frameNonce(sw.frame.seq)
-		if block, err = sw.via.aead.Open(sw.ct[:0], nonce[:], sw.ct, wire[:framePrefix]); err != nil {
-			return nil, ErrEnvelope
-		}
-	default:
+	if sw.mode != ModeSign {
 		cek, err := own.UnwrapKey(sw.wrap)
 		if err != nil {
 			return nil, ErrNotRecipient
@@ -285,9 +308,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		o.headerEl = header
 	}
 	if header.ChildText("Signature") != "" {
-		if o.sig, err = headerBytes(header, "Signature"); err != nil || sw.via != nil {
-			// A frame is authenticated by its channel's key and carries no
-			// signature; one that does is malformed.
+		if o.sig, err = headerBytes(header, "Signature"); err != nil {
 			return nil, ErrEnvelope
 		}
 		// Signed bytes are the header minus its Signature child —
@@ -298,15 +319,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		// malformed, not a degraded mode.
 		return nil, ErrNoSignature
 	}
-	switch {
-	case sw.via != nil:
-		// The channel's key says who sealed the frame; a header naming
-		// anyone else, or another group, is that peer's misdeed.
-		o.channelPart = &sw.via.opened
-		if o.Sender != sw.via.pair.peer || o.Group != sw.via.pair.group {
-			return o, ErrChannelPeer
-		}
-	case !round:
+	if !round {
 		hs, resends, err := parseChannelFields(header)
 		if err != nil {
 			return nil, err
@@ -321,10 +334,6 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		// registration: a two-group insider must not get a round sealed
 		// for group Y surfaced to the application as group X traffic.
 		return o, fmt.Errorf("%w: signed %s, claimed %s", ErrRoundGroup, o.Group, *claimed)
-	}
-	if sw.via != nil && !chans.admit(sw.via, sw.frame.seq) {
-		replayRejectedTotal.Add(1)
-		return o, ErrMessageReplayed
 	}
 	if guard != nil {
 		err := guard.admit(received, o.SentAt, now) // the digest of the wire as received

@@ -46,14 +46,21 @@ func openAs(m Mode, own *keys.KeyPair, wire []byte) (*Opened, error) {
 }
 
 // forgeWire seals body to recvKP (and, for rounds, evilKP beside it so a
-// slice carries a non-empty proof; for a frame, under the table channel's
-// key as its frame 1) in form m, the way Seal, SealGroupDetached and
-// sealFrame do, except that the finished header passes through
+// slice carries a non-empty proof) in form m, the way Seal and
+// SealGroupDetached do, except that the finished header passes through
 // edit (nil = unchanged) before it is packed — so a test can hand the
 // pipeline a header no honest sender would produce behind a wire that
 // is otherwise sound: right wraps, right bindings, authentic ciphertext.
+// A frame is the table channel's frame 1, and has no header to edit
+// (forgeFrame builds the defects a frame can have).
 func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) []byte) []byte {
 	t.Helper()
+	if m == ModeChannel {
+		if edit != nil {
+			t.Fatal("a frame has no header to edit")
+		}
+		return sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, body, time.Now())
+	}
 	sign := func(h *xmldoc.Element) {
 		sig, err := senderKP.Sign(h.Canonical())
 		if err != nil {
@@ -83,14 +90,6 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) [
 		}
 		if m == ModeSign {
 			return append([]byte{byte(m)}, pack(h)...)
-		}
-		if m == ModeChannel {
-			aead := tableAEAD()
-			block := pack(h)
-			wire := appendFrameRef(nil, ModeChannel, frameRef{tableChannelID, 1})
-			wire = binary.BigEndian.AppendUint32(wire, uint32(len(block)+keys.AEADOverhead))
-			nonce := frameNonce(1)
-			return aead.Seal(wire, nonce[:], block, wire[:framePrefix])
 		}
 		env, err := recvKP.Public().Encrypt(pack(h))
 		if err != nil {
@@ -130,6 +129,22 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) [
 	return d.Slice(0)
 }
 
+// forgeFrame seals plain — whatever the test wants behind the tag, a
+// sent-at and a body or not — as frame seq of channel id under the table
+// channel's key, byte by byte from the documented layout.
+func forgeFrame(id channelID, seq uint64, plain []byte) []byte {
+	wire := append([]byte{byte(ModeChannel)}, id[:]...)
+	wire = binary.BigEndian.AppendUint64(wire, seq)
+	var nonce [keys.AEADNonceSize]byte
+	binary.BigEndian.PutUint64(nonce[keys.AEADNonceSize-8:], seq)
+	return tableAEAD().Seal(wire, nonce[:], plain, wire[:1+16+8])
+}
+
+// framePlain is what an honest frame encrypts: sent-at, then the body.
+func framePlain(sentAt time.Time, body []byte) []byte {
+	return append(binary.BigEndian.AppendUint64(nil, uint64(sentAt.UnixNano())), body...)
+}
+
 // prefixBoundaries walks wire's layout and returns every offset at
 // which a count- or length-prefixed section starts or ends.
 func prefixBoundaries(wire []byte) []int {
@@ -157,8 +172,9 @@ func prefixBoundaries(wire []byte) []int {
 		skip(u32()) // GCM nonce; the ciphertext runs to the end
 	case ModeChannel:
 		skip(channelIDSize)
-		skip(8)     // sequence number
-		skip(u32()) // ciphertext
+		skip(8)             // sequence number
+		skip(frameTimeSize) // the sent-at, encrypted; the body runs to the tag
+		skip(len(wire) - keys.AEADOverhead - off)
 	case ModeRefusal:
 		skip(channelIDSize)
 		skip(8) // sequence number
@@ -201,8 +217,18 @@ func TestOpenPipelineTable(t *testing.T) {
 			return wire
 		}
 	}
-	// n/a marks a cell the defect cannot be built for.
+	// n/a marks a cell the defect cannot be built for. A frame is a counter,
+	// a ciphertext and a tag, so the rows that edit a header have no cell in
+	// its column; each says which field it is that a frame does not have.
 	na := errors.New("n/a")
+	var (
+		noHeader = na // no XML behind the tag: no root name, no well-formedness, no stray child to ignore
+		noDigest = na // no BodyDigest: the tag covers the body (flipped ciphertext byte, above, is the row)
+		noTime   = na // the sent-at is eight bytes and every value of them is a time: staleness, below
+		noSig    = na // no Signature to carry, or to refuse
+		noTo     = na // names no recipient and no recipient set: the key is derived from both ends
+		noFields = na // handshakes ride signed envelopes only
+	)
 
 	for _, tc := range []struct {
 		name string
@@ -233,19 +259,19 @@ func TestOpenPipelineTable(t *testing.T) {
 		{
 			name: "body digest mismatch",
 			wire: header(with("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("other"))))),
-			want: [6]error{ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest},
+			want: [6]error{ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, noDigest},
 		},
 		{
 			name: "body digest not base64",
 			wire: header(with("BodyDigest", "!!")),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noDigest},
 		},
 		{
 			name: "wrong header root name",
 			wire: header(func(h *xmldoc.Element) []byte {
 				return bytes.ReplaceAll(h.Canonical(), []byte(h.Name), []byte("SecureBogus"))
 			}),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "round header in an envelope, envelope header in a round",
@@ -256,59 +282,59 @@ func TestOpenPipelineTable(t *testing.T) {
 				}
 				return bytes.ReplaceAll(h.Canonical(), []byte(h.Name), []byte(other))
 			}),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "header not well-formed",
 			wire: header(func(h *xmldoc.Element) []byte { c := h.Canonical(); return c[:len(c)-1] }),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "missing Time",
 			wire: header(without("Time")),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noTime},
 		},
 		{
 			name: "garbled Time",
 			wire: header(with("Time", "yesterday")),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noTime},
 		},
 		{
 			// An envelope without a signature is the degraded, unauthenticated
 			// delivery (Signed() false); a round is always signed.
 			name: "missing Signature",
 			wire: header(without("Signature")),
-			want: [6]error{nil, nil, nil, ErrNoSignature, ErrNoSignature, nil},
+			want: [6]error{nil, nil, nil, ErrNoSignature, ErrNoSignature, noSig},
 		},
 		{
 			name: "Signature not base64",
 			wire: header(with("Signature", "!!")),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noSig},
 		},
 		{
 			name: "bad nonce length", // envelopes carry no nonce and ignore one
 			wire: header(with("Nonce", base64.StdEncoding.EncodeToString([]byte("short")))),
-			want: [6]error{nil, nil, nil, ErrEnvelope, ErrEnvelope, nil},
+			want: [6]error{nil, nil, nil, ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "missing Nonce",
 			wire: header(without("Nonce")),
-			want: [6]error{nil, nil, nil, ErrEnvelope, ErrEnvelope, nil},
+			want: [6]error{nil, nil, nil, ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "flat Recipients digest over another set", // a slice does not read it
 			wire: header(with("Recipients", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("others"))))),
-			want: [6]error{nil, nil, nil, ErrRoundBinding, nil, nil},
+			want: [6]error{nil, nil, nil, ErrRoundBinding, nil, noTo},
 		},
 		{
 			name: "SliceRoot over another set", // a full round does not read it
 			wire: header(with(sliceRootName, base64.StdEncoding.EncodeToString(keys.SHA256([]byte("others"))))),
-			want: [6]error{nil, nil, nil, nil, ErrRoundBinding, nil},
+			want: [6]error{nil, nil, nil, nil, ErrRoundBinding, noTo},
 		},
 		{
 			name: "missing SliceRoot",
 			wire: header(without(sliceRootName)),
-			want: [6]error{nil, nil, nil, nil, ErrRoundBinding, nil},
+			want: [6]error{nil, nil, nil, nil, ErrRoundBinding, noTo},
 		},
 		{
 			// The binding is checked before any signed field is trusted: a
@@ -319,7 +345,7 @@ func TestOpenPipelineTable(t *testing.T) {
 				with(sliceRootName, "")(h)
 				return with("Time", "yesterday")(h)
 			}),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrRoundBinding, ErrRoundBinding, ErrEnvelope},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrRoundBinding, ErrRoundBinding, noTime},
 		},
 		{
 			name: "wrong recipient", // a sign-only envelope names none
@@ -344,17 +370,17 @@ func TestOpenPipelineTable(t *testing.T) {
 			// absent is refused, like any other name.
 			name: "missing To",
 			wire: header(without("To")),
-			want: [6]error{ErrNotRecipient, nil, nil, nil, nil, nil},
+			want: [6]error{ErrNotRecipient, nil, nil, nil, nil, noTo},
 		},
 		{
 			name: "To names another key", // a sign-only envelope's To is its consumer's to check
 			wire: header(with("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("another key"))))),
-			want: [6]error{ErrNotRecipient, nil, nil, nil, nil, nil},
+			want: [6]error{ErrNotRecipient, nil, nil, nil, nil, noTo},
 		},
 		{
 			name: "To not base64",
 			wire: header(with("To", "!!")),
-			want: [6]error{ErrEnvelope, ErrEnvelope, nil, nil, nil, nil},
+			want: [6]error{ErrEnvelope, ErrEnvelope, nil, nil, nil, noTo},
 		},
 		{
 			// The recipient is bound before a signed field is trusted.
@@ -363,20 +389,18 @@ func TestOpenPipelineTable(t *testing.T) {
 				with("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("another key"))))(h)
 				return with("Time", "yesterday")(h)
 			}),
-			want: [6]error{ErrNotRecipient, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [6]error{ErrNotRecipient, ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noTo},
 		},
 		{
-			// A frame is authenticated by its channel's key and carries no
-			// signature; everywhere else the field is checked later, against
-			// the sender's certified key.
+			// The field is checked later, against the sender's certified key.
 			name: "another Signature",
 			wire: header(with("Signature", base64.StdEncoding.EncodeToString([]byte("not a signature")))),
-			want: [6]error{nil, nil, nil, nil, nil, ErrEnvelope},
+			want: [6]error{nil, nil, nil, nil, nil, noSig},
 		},
 		{
-			name: "channel fields: Channel without Share", // rounds and frames carry no handshake and read none
+			name: "channel fields: Channel without Share", // rounds carry no handshake and read none
 			wire: header(with("Channel", base64.StdEncoding.EncodeToString(tableChannelID[:]))),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, nil},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, noFields},
 		},
 		{
 			name: "channel fields: short Channel",
@@ -384,7 +408,7 @@ func TestOpenPipelineTable(t *testing.T) {
 				with("Share", base64.StdEncoding.EncodeToString(make([]byte, keys.ShareSize)))(h)
 				return with("Channel", base64.StdEncoding.EncodeToString([]byte("short")))(h)
 			}),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, nil},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, noFields},
 		},
 		{
 			name: "channel fields: Offer not a digest",
@@ -393,12 +417,12 @@ func TestOpenPipelineTable(t *testing.T) {
 				with("Offer", base64.StdEncoding.EncodeToString([]byte("short")))(h)
 				return with("Channel", base64.StdEncoding.EncodeToString(tableChannelID[:]))(h)
 			}),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, nil},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, noFields},
 		},
 		{
 			name: "channel fields: Refused not a frame reference",
 			wire: header(with("Refused", base64.StdEncoding.EncodeToString([]byte("short")))),
-			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, nil},
+			want: [6]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, nil, noFields},
 		},
 	} {
 		for i, m := range pipelineForms {
@@ -423,14 +447,88 @@ func TestOpenPipelineTable(t *testing.T) {
 		}
 	}
 
-	// A frame whose header names another sender, or another group, than
-	// its channel's: refused with the Opened beside the error, so that the
-	// refusal is the channel peer's (TestChannelFrameFromAnotherSenderAlerted).
-	for _, field := range []string{"Sender", "Group"} {
-		wire := forgeWire(t, ModeChannel, body, with(field, "urn:jxta:another"))
-		if o, err := openWire(nil, wire, formChannel, nil, nil, tableChannels(), time.Now()); !errors.Is(err, ErrChannelPeer) || o == nil || o.via == nil {
-			t.Errorf("frame with another %s: (%v, %v), want the Opened and ErrChannelPeer", field, o, err)
+	// The frame's own rows: what can be wrong with a counter, a ciphertext
+	// and a tag. Each row delivers its wires in order to ONE table holding
+	// the table channel and, under the same key, a second channel whose ID
+	// differs from it in one bit — so that a flipped ID bit reaches a tag
+	// check rather than "no such channel" — behind a guard with the default
+	// two-minute window, at the time now.
+	now := time.Now()
+	other := tableChannelID
+	other[3] ^= 0x10
+	honest := func(seq uint64) []byte { return forgeFrame(tableChannelID, seq, framePlain(now, body)) }
+	flipped := func(at int) []byte {
+		wire := honest(1)
+		wire[(at+len(wire))%len(wire)] ^= 0x10
+		return wire
+	}
+	for _, tc := range []struct {
+		name  string
+		wires [][]byte
+		want  []error       // per wire; a refusal that is the channel peer's (stale, replayed) comes with the Opened
+		fresh time.Duration // set: the wire, refused, opens at now+fresh — the refusal spent no sequence number
+	}{
+		{name: "honest", wires: [][]byte{honest(1)}, want: []error{nil}},
+		{name: "empty body", wires: [][]byte{forgeFrame(tableChannelID, 1, framePlain(now, nil))}, want: []error{nil}},
+		{name: "no plaintext", wires: [][]byte{forgeFrame(tableChannelID, 1, nil)}, want: []error{ErrEnvelope}},
+		{name: "plaintext of 7 bytes", wires: [][]byte{forgeFrame(tableChannelID, 1, framePlain(now, nil)[:7])}, want: []error{ErrEnvelope}},
+		{name: "sent 3 min ago", wires: [][]byte{forgeFrame(tableChannelID, 1, framePlain(now.Add(-3*time.Minute), body))}, want: []error{ErrMessageStale}, fresh: -3 * time.Minute},
+		{name: "sent 3 min from now", wires: [][]byte{forgeFrame(tableChannelID, 1, framePlain(now.Add(3*time.Minute), body))}, want: []error{ErrMessageStale}, fresh: 3 * time.Minute},
+		{name: "sent-at of all ones", wires: [][]byte{forgeFrame(tableChannelID, 1, append(bytes.Repeat([]byte{0xff}, 8), body...))}, want: []error{ErrMessageStale}},
+		{name: "flipped channel ID bit", wires: [][]byte{flipped(1 + 3)}, want: []error{ErrEnvelope}},
+		{name: "flipped sequence number bit", wires: [][]byte{flipped(1 + channelIDSize + 7)}, want: []error{ErrEnvelope}},
+		{name: "flipped sent-at bit", wires: [][]byte{flipped(framePrefix)}, want: []error{ErrEnvelope}},
+		{name: "flipped ciphertext bit", wires: [][]byte{flipped(framePrefix + frameTimeSize + 2)}, want: []error{ErrEnvelope}},
+		{name: "flipped tag bit", wires: [][]byte{flipped(-1)}, want: []error{ErrEnvelope}},
+		{name: "a byte behind the tag", wires: [][]byte{append(honest(1), 0)}, want: []error{ErrEnvelope}},
+		{name: "the tag's last byte missing", wires: [][]byte{honest(1)[:len(honest(1))-1]}, want: []error{ErrEnvelope}},
+		{name: "sealed for the other channel's ID", wires: [][]byte{forgeFrame(other, 1, framePlain(now, body))}, want: []error{nil}},
+		{name: "the same number twice", wires: [][]byte{honest(4), honest(4)}, want: []error{nil, ErrMessageReplayed}},
+		{name: "a number below the window", wires: [][]byte{honest(seqWindow + 9), honest(9)}, want: []error{nil, ErrMessageReplayed}},
+		{name: "number zero", wires: [][]byte{honest(0)}, want: []error{ErrMessageReplayed}},
+		{name: "a number beyond the budget", wires: [][]byte{honest(channelBudget + 1)}, want: []error{ErrMessageReplayed}},
+	} {
+		chans := tableChannels()
+		chans.install(&inChannel{id: other, pair: pairKey{"urn:jxta:other", "h"}, aead: tableAEAD()}, now.Add(time.Hour), now)
+		guard := NewReplayGuard(0, 0)
+		for i, wire := range tc.wires {
+			o, err := openWire(nil, bytes.Clone(wire), formChannel, nil, guard, chans, now)
+			if !errors.Is(err, tc.want[i]) {
+				t.Errorf("frame: %s, wire %d: err = %v, want %v", tc.name, i, err, tc.want[i])
+				continue
+			}
+			// Refused by the tag, nobody's; refused after it, the channel's peer's.
+			if peers := errors.Is(err, ErrMessageStale) || errors.Is(err, ErrMessageReplayed); (o != nil) != (err == nil || peers) {
+				t.Errorf("frame: %s, wire %d: returned (%v, %v)", tc.name, i, o, err)
+				continue
+			}
+			if o == nil {
+				continue
+			}
+			wantPair := pairKey{"urn:jxta:sender", "g"}
+			if wire[1+3] == other[3] {
+				wantPair = pairKey{"urn:jxta:other", "h"}
+			}
+			if o.Mode != ModeChannel || o.via == nil || (pairKey{o.Sender, o.Group}) != wantPair || !bytes.Equal(o.Body, body[:len(wire)-framePrefix-frameTimeSize-keys.AEADOverhead]) {
+				t.Errorf("frame: %s, wire %d: opened = %+v, want a frame from %v", tc.name, i, o, wantPair)
+			}
+			if err == nil && !o.SentAt.Equal(now) {
+				t.Errorf("frame: %s, wire %d: SentAt = %v, want %v", tc.name, i, o.SentAt, now)
+			}
 		}
+		if guard.Len() != 0 {
+			t.Errorf("frame: %s: %d guard entries, want none: a frame never enters the guard's table", tc.name, guard.Len())
+		}
+		if tc.fresh != 0 {
+			if _, err := openWire(nil, bytes.Clone(tc.wires[0]), formChannel, nil, guard, chans, now.Add(tc.fresh)); err != nil {
+				t.Errorf("frame: %s: the stale refusal spent the frame's sequence number: %v", tc.name, err)
+			}
+		}
+	}
+	// Without a guard no wire's time is judged, a frame's no more than an
+	// envelope's.
+	if _, err := openWire(nil, forgeFrame(tableChannelID, 1, framePlain(now.Add(-time.Hour), body)), formChannel, nil, nil, tableChannels(), now); err != nil {
+		t.Errorf("an hour-old frame on a surface without a guard: %v", err)
 	}
 	// A frame of a channel the table does not hold, and a table that is not
 	// there at all.
@@ -534,8 +632,8 @@ func TestOpenPipelineTruncation(t *testing.T) {
 				t.Errorf("%s cut at %d/%d: (%v, %v), want %v", tc.name, cut, len(wire), o, err, want)
 			}
 		}
-		// The forms whose last section is length-prefixed, or of fixed
-		// length, end where it ends.
+		// The forms whose last section is length-prefixed, of fixed length,
+		// or a ciphertext running to the end under one tag, end where it ends.
 		if m := Mode(wire[0]); m == ModeFull || m == ModeEncrypt || m == ModeChannel || m == ModeRefusal {
 			if o, err := tc.open(append(bytes.Clone(wire), 0)); !errors.Is(err, ErrEnvelope) || o != nil {
 				t.Errorf("%s with a byte behind it: (%v, %v), want ErrEnvelope", tc.name, o, err)

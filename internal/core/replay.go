@@ -120,14 +120,23 @@ func roundKey(sender keys.PeerID, nonce []byte) replayKey {
 	return replayKey{replayRound, sha256.Sum256(b)}
 }
 
-// admit is the guard at the time now, the deciding peer's.
-func (g *ReplayGuard) admit(key replayKey, sentAt, now time.Time) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// fresh is the guard's time check, and all of it a channel's frame passes:
+// the table is for wires with no sequence number to refuse them again by.
+func (g *ReplayGuard) fresh(sentAt, now time.Time) bool {
 	if d := now.Sub(sentAt); d > g.window || d < -g.window {
 		staleRejectedTotal.Add(1)
+		return false
+	}
+	return true
+}
+
+// admit is the guard at the time now, the deciding peer's.
+func (g *ReplayGuard) admit(key replayKey, sentAt, now time.Time) error {
+	if !g.fresh(sentAt, now) {
 		return ErrMessageStale
 	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if _, dup := g.seen.Get(key, now); dup {
 		replayRejectedTotal.Add(1)
 		return ErrMessageReplayed

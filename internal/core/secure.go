@@ -398,8 +398,9 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 // message is one frame on it: no lookup, no signature, no key wrap.
 func (s *SecureClient) SecureMsgPeer(ctx context.Context, peer keys.PeerID, group, text string) error {
 	if s.mode == ModeChannel {
-		if wire, route, ok := s.chans.nextFrame(pairKey{peer, group}, s.PeerID(), text, s.Now()); ok {
-			return s.sendSecure(route.(*advert.Pipe), group, wire)
+		now := s.Now()
+		if frame, aead, route, ok := s.chans.claimFrame(pairKey{peer, group}, text, now); ok {
+			return s.sendSecure(route.(*advert.Pipe), group, sealFrame(aead, frame, readOnlyBytes(text), now))
 		}
 	}
 	return s.sendEnvelope(ctx, peer, group, text, nil)
@@ -440,12 +441,12 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 	return s.sendSecure(pipeAdv, group, sealed.Bytes())
 }
 
-// sendSecure puts one secure wire on a peer's group pipe.
+// sendSecure puts one secure wire on a peer's group pipe: two elements,
+// allocated at once (the endpoint stamps its own on a copy of the list).
 func (s *SecureClient) sendSecure(pipe *advert.Pipe, group string, wire []byte) error {
-	msg := endpoint.NewMessage().
-		Add(proto.ElemEnvelope, wire).
-		AddString(proto.ElemGroup, group)
-	return s.Control().SendOnPipe(pipe, msg)
+	msg := endpoint.Message{Elements: make([]endpoint.Element, 0, 2)}
+	msg.Add(proto.ElemEnvelope, wire).AddString(proto.ElemGroup, group)
+	return s.Control().SendOnPipe(pipe, &msg)
 }
 
 // groupPipe is peer's input pipe for group. Its ID is derived
@@ -674,15 +675,13 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 		case opened == nil:
 			// Refused before the header parsed: only the deliverer is known.
 			alert(d.From, "secure envelope rejected: "+err.Error())
-		case opened.via != nil:
-			alert(opened.via.pair.peer, err.Error())
 		case opened.hs != nil && opened.hs.accept() && errors.Is(err, ErrMessageReplayed) &&
 			s.chans.holdsOffer(pairKey{opened.Sender, opened.Group}, opened.hs.id, now):
 			// The accept of a channel this peer holds, sent again because the
 			// peer saw the offer again: the guard remembers the first.
 		default:
-			// Refused after the header parsed (wrong group label, replay):
-			// the signed sender is known.
+			// Refused after the header parsed (wrong group label, replay), or
+			// after a channel's key opened it: the sender is known.
 			alert(opened.Sender, err.Error())
 		}
 		return true
@@ -696,8 +695,8 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 	var sender *xdsig.Result
 	switch {
 	case opened.via != nil:
-		// openWire held the frame's Sender to the peer whose verified
-		// signature established the channel.
+		// A frame's Sender is its channel's peer, whose verified signature
+		// established the channel.
 		authenticated, user = true, opened.via.user
 	case opened.Signed():
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
