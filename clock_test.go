@@ -18,8 +18,8 @@ import (
 // readings and are not listed.
 var wallReads = map[string]string{
 	"internal/core/envelope.go:Seal":                 "no node: cmd/perf and the unit tests seal without a peer; a peer calls seal with its own time",
-	"internal/core/slice.go:SealGroupDetached":       "no node: the same for rounds (SealGroup calls it); a peer calls sealRound",
-	"internal/core/open.go:openCopy":                 "no node: Open, OpenGroup and OpenSlice, for callers that hold a key and no peer; a peer calls openWire",
+	"internal/core/slice.go:SealGroupDetached":       "no node: the same for rounds; a peer calls sealRound",
+	"internal/core/open.go:openCopy":                 "no node: Open and OpenSlice, for callers that hold a key and no peer; a peer calls openWire",
 	"internal/core/replay.go:ReplayGuard.Check":      "no node: a guard used on its own; openWire calls admit with its peer's time",
 	"internal/core/replay.go:ReplayGuard.CheckRound": "no node: the same for a round nonce",
 	"internal/cred/cred.go:Issue":                    "no node: the administrator and tooling issue offline; a broker calls IssueAt",

@@ -55,10 +55,11 @@
 //     failures are never cached. internal/core and internal/broker
 //     thread these caches through messaging, advertisement acceptance
 //     and the (parallel) group fan-out.
-//   - Group fan-out seals ONE signed round per send (core.SealGroup);
+//   - Group fan-out seals ONE signed round per send and each member gets
+//     its own Merkle-bound slice of it (core.SealGroupDetached/OpenSlice);
 //     with the broker relay (internal/relay, core.EnableBrokerRelay)
-//     the sender uploads the round once and the broker slices it into
-//     per-recipient Merkle-bound wires (core.SliceRound/OpenSlice),
+//     the sender uploads the whole round once and the broker cuts the
+//     slices (core.SliceRound),
 //     delivering immediately to online members and queueing — bounded,
 //     TTL-expiring, drained on login — for offline ones. The relay
 //     holds no keys and no plaintext; SECURITY.md states what a
@@ -66,9 +67,9 @@
 //
 // # One open path
 //
-// Every secure wire — envelope, round, slice, session-channel frame — is
+// Every secure wire — envelope, round slice, session-channel frame — is
 // accepted or refused by one receive pipeline (openWire in internal/core/open.go; SECURITY.md
-// lists its steps): core.Open/OpenGroup/OpenSlice, the messenger push
+// lists its steps): core.Open/OpenSlice, the messenger push
 // handler and the secure task service are one-line callers of it, and
 // the replay guard covers all of them. Likewise one verifier checks
 // every credential-signed broker request (secureRenew, heartbeat) and

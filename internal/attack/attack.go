@@ -172,43 +172,6 @@ func spoofedPipeFrame(claimedFrom, to keys.PeerID, pipeID, group, elem string, p
 	return msg.Marshal()
 }
 
-// ForgeRound acts as a malicious group-round recipient: having opened a
-// round legitimately, the attacker holds the validly signed round header
-// (core.Opened.HeaderXML) and the plaintext body, and re-encrypts them
-// under a fresh content key wrapped to an arbitrary recipient set — the
-// "shared authenticated header" abuse the round format must resist. The
-// wire layout mirrors core.SealGroup exactly; only the signature cannot
-// be re-minted, which is what the recipient-set binding and single-use
-// nonce checks exploit.
-func ForgeRound(headerXML, body []byte, recipients []*keys.PublicKey) ([]byte, error) {
-	cek, err := keys.NewContentKey()
-	if err != nil {
-		return nil, err
-	}
-	nonce, ct, err := keys.AEADSeal(cek, Block(headerXML, body))
-	if err != nil {
-		return nil, err
-	}
-	wire := []byte{byte(core.ModeGroup)}
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(recipients)))
-	for _, r := range recipients {
-		fp, err := r.Fingerprint()
-		if err != nil {
-			return nil, err
-		}
-		wrap, err := r.WrapKey(cek)
-		if err != nil {
-			return nil, err
-		}
-		wire = append(wire, fp[:]...)
-		wire = binary.BigEndian.AppendUint32(wire, uint32(len(wrap)))
-		wire = append(wire, wrap...)
-	}
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(nonce)))
-	wire = append(wire, nonce...)
-	return append(wire, ct...), nil
-}
-
 // ForgeSlice acts as a malicious relay colluding with a round insider:
 // the insider legitimately opened its cut of the round and hands the
 // relay the validly signed header (core.Opened.HeaderXML) plus the
@@ -245,6 +208,58 @@ func ForgeSlice(headerXML, body []byte, target *keys.PublicKey) ([]byte, error) 
 	wire = binary.BigEndian.AppendUint32(wire, uint32(len(nonce)))
 	wire = append(wire, nonce...)
 	return append(wire, ct...), nil
+}
+
+// ResealSlice acts as a round member turned against another member: it
+// unwraps the round's content key from its own slice (ownSlice, which own
+// opens), decrypts the signed header and body, and seals them again under
+// that same key with a fresh GCM nonce — behind the victim's own leaf
+// (fingerprint, wrap, inclusion proof), cut from victimSlice. The victim's
+// wrap still unwraps to the key, the leaf still reaches the signed
+// SliceRoot and the signature still verifies; only the bytes are new, so
+// what can refuse the result is the round's single-use nonce.
+func ResealSlice(own *keys.KeyPair, ownSlice, victimSlice []byte) ([]byte, error) {
+	_, wrap, sealed, err := cutSlice(ownSlice)
+	if err != nil {
+		return nil, err
+	}
+	cek, err := own.UnwrapKey(wrap)
+	if err != nil {
+		return nil, err
+	}
+	nonce, ct, ok := keys.CutSection(sealed)
+	if !ok {
+		return nil, keys.ErrDecrypt
+	}
+	block, err := keys.AEADOpen(cek, nonce, ct)
+	if err != nil {
+		return nil, err
+	}
+	leaf, _, _, err := cutSlice(victimSlice)
+	if err != nil {
+		return nil, err
+	}
+	if nonce, ct, err = keys.AEADSeal(cek, block); err != nil {
+		return nil, err
+	}
+	return append(keys.AppendSection(bytes.Clone(leaf), nonce), ct...), nil
+}
+
+// cutSlice splits a ModeSlice wire where its leaf ends — mode byte,
+// recipient count, leaf index, fingerprint, wrap, proof — into the leaf,
+// the wrap inside it, and what follows: the GCM nonce section and the
+// ciphertext.
+func cutSlice(wire []byte) (leaf, wrap, sealed []byte, err error) {
+	const head = 1 + 4 + 4 + 32
+	if len(wire) < head || core.Mode(wire[0]) != core.ModeSlice {
+		return nil, nil, nil, core.ErrEnvelope
+	}
+	wrap, rest, ok := keys.CutSection(wire[head:])
+	if !ok || len(rest) < 1 || len(rest) < 1+32*int(rest[0]) {
+		return nil, nil, nil, core.ErrEnvelope
+	}
+	sealed = rest[1+32*int(rest[0]):]
+	return wire[:len(wire)-len(sealed)], wrap, sealed, nil
 }
 
 // ForwardEnvelope acts as a malicious recipient of a sign-then-encrypt

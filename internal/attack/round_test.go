@@ -1,12 +1,14 @@
 // Round-header replay negatives: the group fan-out round shares ONE
-// signed header across every recipient, which creates attack surface the
-// unicast envelope never had — a legitimate round member holds a validly
-// signed header plus the plaintext and can try to re-encrypt them. These
-// tests pin the two defenses (signed recipient-set binding, single-use
-// round nonce) and the wire-integrity baseline (tampered key wraps).
+// signed header across every recipient's slice, which creates attack
+// surface the unicast envelope never had — a legitimate round member holds
+// a validly signed header, the plaintext and the round's content key, and
+// can try to re-seal them. These tests pin the two defenses (the signed
+// slice tree root, the single-use round nonce) and the wire-integrity
+// baseline (tampered key wraps).
 package attack_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -37,65 +39,78 @@ func newRoundParty(t *testing.T) roundParty {
 }
 
 // TestRoundHeaderRetargetedRecipientSetRejected: mallory, a legitimate
-// recipient of alice's round, splices the signed header onto a wire
-// addressed to a different recipient set (bob alone). Bob decrypts
-// fine — mallory wrapped the fresh key for him — but the signed
-// Recipients digest still names {bob, mallory}, so OpenGroup rejects
-// the round before its valid signature can vouch for anything.
+// recipient of alice's round, splices the signed header onto a slice of
+// a round addressed to a different recipient set (bob alone) under a
+// fresh content key. Bob decrypts fine — mallory wrapped the key for him
+// — but the leaf (0, bob, wrap) of a one-member round does not reach the
+// signed SliceRoot over {bob, mallory}, so OpenSlice rejects the slice
+// before its valid signature can vouch for anything.
 func TestRoundHeaderRetargetedRecipientSetRejected(t *testing.T) {
 	alice, bob, mallory := newRoundParty(t), newRoundParty(t), newRoundParty(t)
-	sealed, err := core.SealGroup(alice.kp, alice.id, "math", []byte("round secret"),
+	d, err := core.SealGroupDetached(alice.kp, alice.id, "math", []byte("round secret"),
 		[]*keys.PublicKey{bob.kp.Public(), mallory.kp.Public()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mallory opens her copy and harvests the signed header + body.
-	opened, err := core.OpenGroup(mallory.kp, sealed.Bytes(), nil)
+	// Mallory opens her slice and harvests the signed header + body.
+	opened, err := core.OpenSlice(mallory.kp, d.Slice(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged, err := attack.ForgeRound(opened.HeaderXML(), opened.Body,
-		[]*keys.PublicKey{bob.kp.Public()})
+	forged, err := attack.ForgeSlice(opened.HeaderXML(), opened.Body, bob.kp.Public())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.OpenGroup(bob.kp, forged, nil); !errors.Is(err, core.ErrRoundBinding) {
+	if _, err := core.OpenSlice(bob.kp, forged, nil); !errors.Is(err, core.ErrRoundBinding) {
 		t.Fatalf("re-targeted round = %v, want ErrRoundBinding", err)
 	}
 }
 
-// TestRoundHeaderStaleNonceReuseRejected: mallory re-encrypts the round
-// to its ORIGINAL recipient set, so the recipient-set binding, the body
-// digest and the header signature all still hold — only the single-use
-// round nonce distinguishes the forgery from the round bob already
-// accepted. The receive-side guard must reject the reuse.
-func TestRoundHeaderStaleNonceReuseRejected(t *testing.T) {
+// TestSliceResealedByInsiderRefusedByNonce: mallory, a member of alice's
+// round, unwraps the round's content key from her own slice and seals the
+// signed header and body again under that key with a fresh GCM nonce,
+// behind bob's own leaf — his fingerprint, his wrap, his inclusion proof.
+// The binding holds (bob's wrap unwraps to the key, his leaf reaches the
+// signed SliceRoot), the signature verifies, and the bytes differ from the
+// slice bob was sent, so the wire digest does not know them: only the
+// signed single-use round nonce identifies the forgery. Bob's guard refuses
+// it as a replay after the original, and a node that never saw the round
+// refuses it as stale once the freshness window has passed, naming the
+// signer.
+func TestSliceResealedByInsiderRefusedByNonce(t *testing.T) {
 	// bob is also a node, with a guard of its own, for the last step.
 	s := newSecureStack(t)
 	bobNode := s.join(t, "bob", "bob-secret-pw", core.WithReplayGuard(core.NewReplayGuard(time.Minute, 64)))
 	alice, bob, mallory := newRoundParty(t), roundParty{kp: bobNode.Identity().Keys, id: bobNode.PeerID()}, newRoundParty(t)
-	recipients := []*keys.PublicKey{bob.kp.Public(), mallory.kp.Public()}
-	sealed, err := core.SealGroup(alice.kp, alice.id, "math", []byte("round secret"), recipients)
+	d, err := core.SealGroupDetached(alice.kp, alice.id, "math", []byte("round secret"),
+		[]*keys.PublicKey{bob.kp.Public(), mallory.kp.Public()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	toBob := d.Slice(0)
+	forged, err := attack.ResealSlice(mallory.kp, d.Slice(1), toBob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(forged, toBob) {
+		t.Fatal("the re-sealed slice is the slice bob was sent: a fresh GCM nonce must make new bytes")
+	}
+	// Nothing but the nonce tells it apart: on its own it opens, and the
+	// signature is alice's.
+	o, err := core.OpenSlice(bob.kp, forged, nil)
+	if err != nil {
+		t.Fatalf("re-sealed slice without a guard = %v; the binding and the block must hold", err)
+	}
+	if err := o.VerifySignature(alice.kp.Public()); err != nil || string(o.Body) != "round secret" {
+		t.Fatalf("re-sealed slice opened to %q, signature %v", o.Body, err)
+	}
+
 	guard := core.NewReplayGuard(time.Minute, 64)
-	if _, err := core.OpenGroup(bob.kp, sealed.Bytes(), guard); err != nil {
-		t.Fatalf("legitimate round rejected: %v", err)
+	if _, err := core.OpenSlice(bob.kp, toBob, guard); err != nil {
+		t.Fatalf("legitimate slice rejected: %v", err)
 	}
-	opened, err := core.OpenGroup(mallory.kp, sealed.Bytes(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged, err := attack.ForgeRound(opened.HeaderXML(), opened.Body, recipients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The forged wire differs byte-for-byte from the original (fresh
-	// content key and GCM nonce), so only the signed round nonce can
-	// identify it as a replay.
-	if _, err := core.OpenGroup(bob.kp, forged, guard); !errors.Is(err, core.ErrMessageReplayed) {
-		t.Fatalf("nonce-reusing round = %v, want ErrMessageReplayed", err)
+	if _, err := core.OpenSlice(bob.kp, forged, guard); !errors.Is(err, core.ErrMessageReplayed) {
+		t.Fatalf("re-sealed slice after the original = %v, want ErrMessageReplayed", err)
 	}
 	// And even without prior delivery, the forgery cannot outlive the
 	// freshness window: the node's guard has never seen the round, and ten
@@ -111,35 +126,42 @@ func TestRoundHeaderStaleNonceReuseRejected(t *testing.T) {
 	}
 	e, ok := atBob.WaitFor(events.SecurityAlert, 5*time.Second)
 	if !ok || e.Payload["reason"] != core.ErrMessageStale.Error() || e.From != alice.id {
-		t.Fatalf("aged round raised %+v (%v), want an alert against its signer: %v", e, ok, core.ErrMessageStale)
+		t.Fatalf("aged slice raised %+v (%v), want an alert against its signer: %v", e, ok, core.ErrMessageStale)
 	}
 	if got := atBob.OfType(events.SecureMessage); len(got) != 0 {
-		t.Fatalf("aged round delivered: %q", got[0].Data)
+		t.Fatalf("aged slice delivered: %q", got[0].Data)
 	}
 }
 
-// TestRoundTamperedKeyWrapRejected: an on-path attacker flips bits in a
-// recipient's key wrap. The recipient must fail to open the round —
-// OAEP unwrapping (or the AEAD under a corrupted key) cannot succeed.
+// TestRoundTamperedKeyWrapRejected: an on-path attacker flips bits in one
+// recipient's key wrap inside the round a sender uploads to the relay.
+// The relay cuts slices without looking at wraps, so the damage reaches
+// that recipient's slice, which must fail to open — OAEP unwrapping (or
+// the AEAD under a corrupted key) cannot succeed. Nor does any other
+// slice of that upload: the signed tree root commits to every wrap, so
+// the other member's path climbs from a sibling hashed over the damaged
+// wrap and reaches a root the signature does not cover.
 func TestRoundTamperedKeyWrapRejected(t *testing.T) {
 	alice, bob, mallory := newRoundParty(t), newRoundParty(t), newRoundParty(t)
-	sealed, err := core.SealGroup(alice.kp, alice.id, "math", []byte("round secret"),
+	d, err := core.SealGroupDetached(alice.kp, alice.id, "math", []byte("round secret"),
 		[]*keys.PublicKey{bob.kp.Public(), mallory.kp.Public()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := append([]byte(nil), sealed.Bytes()...)
+	upload := d.Wire()
 	// First wrap entry (bob's, wire order = recipient order) sits after
 	// the mode byte, wrap count and fingerprint: corrupt its payload.
 	wrapStart := 1 + 4 + 32 + 4
-	wire[wrapStart+7] ^= 0xff
-	if _, err := core.OpenGroup(bob.kp, wire, nil); err == nil {
+	upload[wrapStart+7] ^= 0xff
+	sliced, err := core.SliceRound(upload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.OpenSlice(bob.kp, sliced.Slice(0), nil); err == nil {
 		t.Fatal("tampered key wrap opened successfully")
 	}
-	// The untouched recipient still opens — corruption is contained to
-	// the targeted wrap.
-	if _, err := core.OpenGroup(mallory.kp, wire, nil); err != nil {
-		t.Fatalf("untampered recipient rejected: %v", err)
+	if _, err := core.OpenSlice(mallory.kp, sliced.Slice(1), nil); !errors.Is(err, core.ErrRoundBinding) {
+		t.Fatalf("the other member's slice of a tampered upload = %v, want ErrRoundBinding", err)
 	}
 }
 
@@ -147,23 +169,24 @@ func TestRoundTamperedKeyWrapRejected(t *testing.T) {
 // guard's documented limit (SECURITY.md, "Freshness vs. queue TTL") and
 // the counter that makes it visible. A guard is a bounded table: once
 // it is full, every admit costs it the entry closest to expiry, fresh
-// or not. Mallory, who kept alice's round, pushes it out of bob's guard
-// with traffic of her own and replays it inside the freshness window —
-// and it opens again. core.ReplayEvictions moves by exactly the entries
-// the flood cost the guard, and not at all while the replay was still
-// being refused: the operator's signal that the guard's effective
-// window has dropped below the freshness window.
+// or not. Mallory, who kept bob's slice of alice's round, pushes it out
+// of bob's guard with traffic of her own and replays it inside the
+// freshness window — and it opens again. core.ReplayEvictions moves by
+// exactly the entries the flood cost the guard, and not at all while the
+// replay was still being refused: the operator's signal that the guard's
+// effective window has dropped below the freshness window.
 func TestReplayOfEvictedWhileFreshRoundAdmittedAndCounted(t *testing.T) {
 	alice, bob := newRoundParty(t), newRoundParty(t)
-	sealed, err := core.SealGroup(alice.kp, alice.id, "math", []byte("round secret"),
+	d, err := core.SealGroupDetached(alice.kp, alice.id, "math", []byte("round secret"),
 		[]*keys.PublicKey{bob.kp.Public()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	slice := d.Slice(0)
 	const capacity = 8
 	guard := core.NewReplayGuard(time.Minute, capacity)
 	before := core.ReplayEvictions()
-	if _, err := core.OpenGroup(bob.kp, sealed.Bytes(), guard); err != nil {
+	if _, err := core.OpenSlice(bob.kp, slice, guard); err != nil {
 		t.Fatalf("legitimate round rejected: %v", err)
 	}
 	// Later traffic, short of the capacity: the round stays tracked.
@@ -173,14 +196,15 @@ func TestReplayOfEvictedWhileFreshRoundAdmittedAndCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := core.OpenGroup(bob.kp, sealed.Bytes(), guard); !errors.Is(err, core.ErrMessageReplayed) {
+	if _, err := core.OpenSlice(bob.kp, slice, guard); !errors.Is(err, core.ErrMessageReplayed) {
 		t.Fatalf("replay while tracked = %v, want ErrMessageReplayed", err)
 	}
 	if got := core.ReplayEvictions() - before; got != 0 {
 		t.Fatalf("ReplayEvictions moved by %d with the guard not yet over capacity", got)
 	}
 	// Two more admits evict the two entries with the least time left:
-	// the round's wire digest and its nonce, signed a second earlier.
+	// the slice's wire digest and the round's nonce, signed a second
+	// earlier.
 	for i := 0; i < 2; i++ {
 		if err := guard.Check([]byte{'e', byte(i)}, now); err != nil {
 			t.Fatal(err)
@@ -189,7 +213,7 @@ func TestReplayOfEvictedWhileFreshRoundAdmittedAndCounted(t *testing.T) {
 	if got := core.ReplayEvictions() - before; got != 2 {
 		t.Fatalf("ReplayEvictions moved by %d over two admits into a full guard, want 2", got)
 	}
-	if _, err := core.OpenGroup(bob.kp, sealed.Bytes(), guard); err != nil {
+	if _, err := core.OpenSlice(bob.kp, slice, guard); err != nil {
 		t.Fatalf("replay of an evicted-while-fresh round = %v; the guard no longer holds it and (as before this counter existed) admits it", err)
 	}
 }

@@ -829,7 +829,7 @@ func (b *Broker) propagateLocal(doc *xmldoc.Element, group string, except keys.P
 	// and shared by every recipient's message.
 	push := endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpAdvPush).
-		AddXML(proto.ElemAdv, doc.Canonical())
+		Add(proto.ElemAdv, doc.Canonical())
 	var targets []keys.PeerID
 	for _, p := range b.OnlinePeers(group) {
 		if p.ID == except || !p.Local() {
@@ -877,7 +877,7 @@ func (b *Broker) handleLookupAdv(from keys.PeerID, msg *endpoint.Message) *endpo
 	if group := advGroup(rec.Adv); group != "" && !b.memberOf(from, group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
-	return proto.OK().AddXML(proto.ElemAdv, rec.Doc.Canonical())
+	return proto.OK().Add(proto.ElemAdv, rec.Doc.Canonical())
 }
 
 func (b *Broker) handleLookupPipe(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
@@ -898,7 +898,7 @@ func (b *Broker) handleLookupPipe(from keys.PeerID, msg *endpoint.Message) *endp
 	if p := rec.Adv.(*advert.Pipe); string(p.PeerID) != peer || p.Group != group {
 		return proto.Fail(proto.ErrNotFound)
 	}
-	return proto.OK().AddXML(proto.ElemAdv, rec.Doc.Canonical())
+	return proto.OK().Add(proto.ElemAdv, rec.Doc.Canonical())
 }
 
 func (b *Broker) handleListPeers(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
@@ -1025,7 +1025,7 @@ func (b *Broker) handleFileSearch(from keys.PeerID, msg *endpoint.Message) *endp
 		}
 		for _, f := range fl.Files {
 			if keyword == "" || strings.Contains(f.Name, keyword) {
-				resp.AddXML(proto.ElemAdv, rec.Doc.Canonical())
+				resp.Add(proto.ElemAdv, rec.Doc.Canonical())
 				found++
 				break
 			}

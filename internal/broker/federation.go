@@ -176,6 +176,6 @@ func (b *Broker) forwardAdvToFederation(doc *xmldoc.Element, source keys.PeerID)
 	msg := endpoint.NewMessage().
 		AddString(proto.ElemOp, opFedAdv).
 		AddString(proto.ElemPeer, string(source)).
-		AddXML(proto.ElemAdv, doc.Canonical())
+		Add(proto.ElemAdv, doc.Canonical())
 	b.fedBroadcast(msg)
 }

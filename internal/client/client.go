@@ -456,7 +456,7 @@ func (c *Client) PublishAdvDoc(ctx context.Context, doc *xmldoc.Element) error {
 	}
 	msg := endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpPublishAdv).
-		AddXML(proto.ElemAdv, doc.Canonical())
+		Add(proto.ElemAdv, doc.Canonical())
 	_, err := c.Call(ctx, msg)
 	return err
 }

@@ -185,7 +185,7 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 	return proto.OK().
 		AddString(proto.ElemSid, sid).
 		Add(proto.ElemSig, sig).
-		AddXML(proto.ElemCred, bs.credWire)
+		Add(proto.ElemCred, bs.credWire)
 }
 
 // issueSid records a session identifier as handed out, good for sidTTL
@@ -286,7 +286,7 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 
 	resp := proto.OK().
 		AddString(proto.ElemGroups, strings.Join(groups, ",")).
-		AddXML(proto.ElemCred, credWire)
+		Add(proto.ElemCred, credWire)
 	// Liveness: the response carries the presence lease the session
 	// must heartbeat to keep. Granted AFTER RegisterPeer so the lease
 	// records the session's ConnectedAt — the monotonic guard key a

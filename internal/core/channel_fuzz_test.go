@@ -67,7 +67,7 @@ func FuzzChannelFrame(f *testing.F) {
 		touched := !bytes.Equal(wire, sealed)
 
 		chans, guard := tableChannels(), NewReplayGuard(0, 0)
-		const anyForm = formEnvelope | formGroup | formSlice | formChannel
+		const anyForm = formEnvelope | formSlice | formChannel
 		delivered := bytes.Clone(wire)
 		runtime.ReadMemStats(&before)
 		o, err := openWire(nil, delivered, anyForm, nil, guard, chans, now)

@@ -27,16 +27,17 @@ const (
 	ModeSign Mode = 'S'
 	// ModeEncrypt sends E_PK(m): privacy only, no authentication.
 	ModeEncrypt Mode = 'E'
-	// ModeGroup is the fan-out round format: one signed round header
-	// (timestamp + nonce + recipient-set binding) shared by every
-	// recipient, with only the per-recipient key wrap differing. See
-	// SealGroup/OpenGroup in round.go.
+	// ModeGroup is a whole fan-out round: one signed round header
+	// (timestamp + nonce + slice tree root) and every recipient's key
+	// wrap. It is the relayRound upload only, which the relay cuts into
+	// slices; no recipient opens it. See round.go.
 	ModeGroup Mode = 'G'
-	// ModeSlice is one recipient's cut of a ModeGroup round: the shared
-	// ciphertext plus only that recipient's key wrap and a Merkle
-	// inclusion proof binding the slice to the signed round header. A
-	// relay produces slices from an uploaded round without holding keys
-	// or plaintext. See SliceRound/OpenSlice in slice.go.
+	// ModeSlice is one recipient's cut of a round, and the one form a
+	// round reaches a recipient in: the shared ciphertext plus only that
+	// recipient's key wrap and a Merkle inclusion proof binding the slice
+	// to the signed round header. A sender cuts them for a direct fan-out;
+	// a relay cuts them from an uploaded round without holding keys or
+	// plaintext. See SliceRound/OpenSlice in slice.go.
 	ModeSlice Mode = 'L'
 	// ModeChannel is one message on an established session channel: a
 	// single AEAD frame under the key the two peers agreed on, no
@@ -230,13 +231,13 @@ type Opened struct {
 	Group  string
 	Body   []byte
 	SentAt time.Time
-	// Nonce is the single-use round nonce (ModeGroup and ModeSlice, nil
-	// otherwise), which the open path feeds to ReplayGuard.CheckRound.
+	// Nonce is the single-use round nonce (ModeSlice, nil otherwise),
+	// which the open path feeds to ReplayGuard.CheckRound.
 	Nonce []byte
 
 	sigDoc   []byte          // canonical signed header bytes
 	sig      []byte          // detached signature, nil for ModeEncrypt
-	headerEl *xmldoc.Element // parsed header incl. signature (rounds)
+	headerEl *xmldoc.Element // parsed header incl. signature (slices)
 
 	// What session channels add (channel.go), behind one pointer so that
 	// an Opened — one is allocated per open, of a slice as of a frame — is
@@ -245,10 +246,11 @@ type Opened struct {
 }
 
 // HeaderXML returns the full canonical header bytes, signature included
-// (rounds only, nil otherwise). It exists for diagnostics and for the
-// attack suite, which uses it to act as a malicious round recipient
-// splicing a validly signed header into forged wires. Serialization is
-// deferred to this call so the production receive path never pays it.
+// (slices only, nil otherwise): the one signed header every slice of the
+// round carries. It exists for diagnostics and for the attack suite,
+// which uses it to act as a malicious round member splicing a validly
+// signed header into forged wires. Serialization is deferred to this
+// call so the production receive path never pays it.
 func (o *Opened) HeaderXML() []byte {
 	if o.headerEl == nil {
 		return nil
@@ -259,7 +261,7 @@ func (o *Opened) HeaderXML() []byte {
 // Open decrypts and parses a secure envelope addressed to own (the
 // pipeline in open.go). The body digest in the header is always checked;
 // the header signature is deferred to VerifySignature. Round wires are
-// refused: callers on round-tracking surfaces use OpenGroup/OpenSlice.
+// refused: callers on round-tracking surfaces use OpenSlice.
 func Open(own *keys.KeyPair, wire []byte) (*Opened, error) {
 	return openCopy(own, wire, formEnvelope, nil)
 }

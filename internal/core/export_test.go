@@ -45,7 +45,7 @@ func tableChannels() *channelTable {
 // guard, with the table channel as the one channel held — for the
 // external test package's fuzz target.
 func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {
-	o, err := openWire(own, bytes.Clone(wire), formEnvelope|formGroup|formSlice|formChannel, nil, nil, tableChannels(), time.Now())
+	o, err := openWire(own, bytes.Clone(wire), formEnvelope|formSlice|formChannel, nil, nil, tableChannels(), time.Now())
 	if err != nil {
 		return nil, err
 	}

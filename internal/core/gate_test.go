@@ -105,7 +105,7 @@ func BenchmarkFanOutRound(b *testing.B) {
 		if b.Failed() {
 			return
 		}
-		if _, err := SealGroup(senderKP, "urn:jxta:cbid-sender", "bench", body, recipients); err != nil {
+		if _, err := SealGroupDetached(senderKP, "urn:jxta:cbid-sender", "bench", body, recipients); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func benchChannelMessage(b *testing.B, size int) {
 			b.Fatal(err)
 		}
 		env, _ := msg.Get(proto.ElemEnvelope)
-		o, err := openWire(recvKP, env, formEnvelope|formGroup|formSlice|formChannel, nil, guard, &in, time.Now())
+		o, err := openWire(recvKP, env, formEnvelope|formSlice|formChannel, nil, guard, &in, time.Now())
 		if err != nil || len(o.Body) != len(text) || o.via == nil {
 			b.Fatalf("open: (%+v, %v)", o, err)
 		}

@@ -310,7 +310,7 @@ func clientMovesAsOne(t *testing.T) {
 			if !secureDelivered(atBob, "to the group") {
 				return errors.New("bob's guard refused the round")
 			}
-			o, err := core.OpenGroup(bob.Identity().Keys, lastWire(core.ModeGroup), nil)
+			o, err := core.OpenSlice(bob.Identity().Keys, lastWire(core.ModeSlice), nil)
 			if err != nil {
 				return err
 			}

@@ -14,12 +14,14 @@ import (
 )
 
 // The open path. Every secure wire a stranger can hand this peer — a
-// unicast envelope, a full group round, a relay-cut slice, a session
-// channel's frame or refusal — is accepted or refused by openWire, and
-// nowhere else: Open, OpenGroup, OpenSlice, the messenger push handler
-// and the secure task service all call it, differing only in which wire
-// forms they accept. The steps and their order are the security argument
-// (SECURITY.md, "Round header semantics"):
+// unicast envelope, a round's per-member slice, a session channel's frame
+// or refusal — is accepted or refused by openWire, and nowhere else: Open,
+// OpenSlice, the messenger push handler and the secure task service all
+// call it, differing only in which wire forms they accept. A full round
+// (ModeGroup) is none of them: it is the relay's upload format, which
+// SliceRound cuts without keys, and no recipient surface opens one. The
+// steps and their order are the security argument (SECURITY.md, "Round
+// header semantics"):
 //
 //	split wire            the one per-format step: pick out this peer's
 //	                      own key wrap — or, for a frame, the channel it
@@ -30,15 +32,15 @@ import (
 //	                      it released
 //	unpackBlock           canonical header of the form's root name + body
 //	body digest           the header's BodyDigest covers the body
-//	recipient binding     To = own key (signed envelope) / flat Recipients
-//	                      digest (round) / Merkle SliceRoot (slice) —
-//	                      BEFORE any signed field is read, so a validly
-//	                      signed header spliced onto other wraps, or
-//	                      re-encrypted to another peer, vouches for nothing
+//	recipient binding     To = own key (signed envelope) / Merkle SliceRoot
+//	                      (slice) — BEFORE any signed field is read, so a
+//	                      validly signed header spliced onto another leaf,
+//	                      or re-encrypted to another peer, vouches for
+//	                      nothing
 //	time, nonce, signature, handshake fields
-//	claimed group         rounds only, and BEFORE the guard: a mislabelled
+//	claimed group         slices only, and BEFORE the guard: a mislabelled
 //	                      delivery must not burn the single-use nonce
-//	replay                Check(wire), then for rounds CheckRound(nonce)
+//	replay                Check(wire), then for slices CheckRound(nonce)
 //
 // A frame leaves the pipeline once its channel's key has opened it: four
 // steps prove for a signed wire what its channel already has. No header
@@ -62,11 +64,11 @@ import (
 // gone. Its two callers that own what they pass — the messenger push
 // handler and the secure task service, each holding a frame the fabric
 // delivered to it alone (package endpoint's ownership rule) — pass it
-// as it is; Open, OpenGroup and OpenSlice, whose callers keep their
-// wire, pass a copy. Nothing else differs: the replay digest is of the
-// wire as received, taken before the first byte is overwritten.
+// as it is; Open and OpenSlice, whose callers keep their wire, pass a
+// copy. Nothing else differs: the replay digest is of the wire as
+// received, taken before the first byte is overwritten.
 
-// ErrRoundGroup is returned when a round is delivered under a group
+// ErrRoundGroup is returned when a slice is delivered under a group
 // label other than the one its signed header names.
 var ErrRoundGroup = errors.New("core: round delivered under wrong group")
 
@@ -75,7 +77,6 @@ type wireForms uint8
 
 const (
 	formEnvelope wireForms = 1 << iota // ModeFull, ModeSign, ModeEncrypt
-	formGroup                          // ModeGroup
 	formSlice                          // ModeSlice
 	formChannel                        // ModeChannel, ModeRefusal
 )
@@ -86,7 +87,6 @@ type splitWire struct {
 	wrap     []byte // this peer's own wrapped content key (unused by ModeSign)
 	gcmNonce []byte
 	ct       []byte       // AEAD ciphertext of the block; for ModeSign the block itself
-	fps      [][32]byte   // ModeGroup: every recipient, for the flat Recipients digest
 	slice    *parsedSlice // ModeSlice: the leaf and its sibling path, for the SliceRoot
 	via      *inChannel   // ModeChannel: the channel the frame names, holder of its key
 	frame    frameRef     // ModeChannel, ModeRefusal
@@ -94,9 +94,9 @@ type splitWire struct {
 
 // split parses wire according to its mode byte and selects own's wrap,
 // or the channel in chans a frame names.
-// Round forms are refused on surfaces that did not ask for them: they
-// carry a single-use nonce and a recipient-set binding that only mean
-// something where round replays are tracked.
+// A slice is refused on surfaces that did not ask for it: it carries a
+// single-use nonce and a recipient-set binding that only mean something
+// where round replays are tracked. A full round is refused everywhere.
 func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable, now time.Time) (sw splitWire, err error) {
 	if len(wire) < 2 {
 		return sw, ErrEnvelope
@@ -106,8 +106,6 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 	form := formEnvelope
 	switch sw.mode {
 	case ModeFull, ModeSign, ModeEncrypt:
-	case ModeGroup:
-		form = formGroup
 	case ModeSlice:
 		form = formSlice
 	case ModeChannel, ModeRefusal:
@@ -149,28 +147,15 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 	if err != nil {
 		return sw, err
 	}
-	if form == formSlice {
-		ps, err := parseSliceWire(payload)
-		if err != nil {
-			return sw, err
-		}
-		if ps.fp != ownFP {
-			return sw, ErrNotRecipient
-		}
-		sw.slice, sw.wrap, sw.gcmNonce, sw.ct = ps, ps.wrap, ps.gcmNonce, ps.ct
-		return sw, nil
-	}
-	d, err := parseRoundWire(payload)
+	ps, err := parseSliceWire(payload)
 	if err != nil {
 		return sw, err
 	}
-	for i := range d.fps {
-		if d.fps[i] == ownFP {
-			sw.fps, sw.wrap, sw.gcmNonce, sw.ct = d.fps, d.wraps[i], d.gcmNonce, d.ct
-			return sw, nil
-		}
+	if ps.fp != ownFP {
+		return sw, ErrNotRecipient
 	}
-	return sw, ErrNotRecipient
+	sw.slice, sw.wrap, sw.gcmNonce, sw.ct = ps, ps.wrap, ps.gcmNonce, ps.ct
+	return sw, nil
 }
 
 // openWire decrypts (in place: wire is consumed), parses and admits one
@@ -193,7 +178,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		return &Opened{Mode: ModeRefusal, channelPart: &channelPart{refusal: sw.frame}}, nil
 	}
 	if c := sw.via; c != nil {
-		// The fourth source of the content key: the table lookup split made.
+		// The third source of the content key: the table lookup split made.
 		nonce := frameNonce(sw.frame.seq)
 		plain, err := c.aead.Open(sw.ct[:0], nonce[:], sw.ct, wire[:framePrefix])
 		if err != nil || len(plain) < frameTimeSize {
@@ -210,7 +195,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		}
 		return o, nil
 	}
-	round := sw.mode == ModeGroup || sw.mode == ModeSlice
+	round := sw.mode == ModeSlice
 	block, rootName := sw.ct, "SecureMessage"
 	if round {
 		rootName = roundHeaderName
@@ -225,7 +210,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 			return nil, ErrNotRecipient
 		}
 		if block, err = keys.AEADOpenInPlace(cek, sw.gcmNonce, sw.ct); err != nil {
-			// A round's wrap was found by fingerprint and just unwrapped,
+			// A slice's wrap was found by fingerprint and just unwrapped,
 			// so its ciphertext is damaged; an envelope names no recipient,
 			// so all this peer can say is that it was not sealed to it.
 			if round {
@@ -264,16 +249,6 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		}
 		if !keys.ConstantTimeEqual(to, ownFP[:]) {
 			return nil, ErrNotRecipient
-		}
-	case ModeGroup:
-		// The signed Recipients digest must cover exactly the wraps this
-		// wire carries.
-		want, err := headerBytes(header, "Recipients")
-		if err != nil {
-			return nil, ErrEnvelope
-		}
-		if !keys.ConstantTimeEqual(recipientsDigest(sw.fps), want) {
-			return nil, ErrRoundBinding
 		}
 	case ModeSlice:
 		// Recompute the tree root from this slice's own materials. A
@@ -338,10 +313,10 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if guard != nil {
 		err := guard.admit(received, o.SentAt, now) // the digest of the wire as received
 		if err == nil && round {
-			// Round wires are identical across recipients (and a slice is a
-			// re-cut of the same round), so a replay can arrive as different
-			// bytes — re-encrypted by a malicious round member, or re-sliced
-			// by a compromised relay; the signed single-use nonce catches both.
+			// Every slice of a round carries the one signed header, so a
+			// replay can arrive as different bytes — re-sealed behind a leaf
+			// by a member holding the round's content key, or re-cut by a
+			// compromised relay; the signed single-use nonce catches both.
 			err = guard.admit(roundKey(o.Sender, o.Nonce), o.SentAt, now)
 		}
 		if err != nil {

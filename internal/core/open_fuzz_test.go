@@ -28,10 +28,12 @@ func fuzzOpenKey(tb testing.TB) *keys.KeyPair {
 }
 
 // FuzzOpen feeds arbitrary bytes to the one open pipeline, accepting
-// every wire form (core.OpenAnyForm), under a fixed recipient key. The
-// seeds are one valid wire per mode — a session channel's frame, accept
-// and refusal among them — plus the forged wires a malicious round member
-// or relay can build around a validly signed header.
+// every wire form a recipient opens (core.OpenAnyForm), under a fixed
+// recipient key. The seeds are one valid wire per mode — a session
+// channel's frame, accept and refusal among them — plus the forged wires a
+// malicious round member or relay can build around a validly signed
+// header — and the relay's upload, a full round, which opens nowhere
+// (SliceRound's parse of it is FuzzSliceRound's).
 // Properties: it never panics; it returns exactly one of an Opened and an
 // error; what it allocates is bounded by the input's size, so no count or
 // length prefix a stranger writes can drive a make; and a wire that opens
@@ -59,24 +61,21 @@ func FuzzOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(round.Wire())
 	f.Add(round.Slice(1))
-	opened, err := core.OpenGroup(own, round.Wire(), nil)
+	opened, err := core.OpenSlice(own, round.Slice(1), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, forge := range []func() ([]byte, error){
-		func() ([]byte, error) {
-			return attack.ForgeRound(opened.HeaderXML(), opened.Body, []*keys.PublicKey{own.Public()})
-		},
-		func() ([]byte, error) { return attack.ForgeSlice(opened.HeaderXML(), opened.Body, own.Public()) },
-	} {
-		wire, err := forge()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(wire)
+	forged, err := attack.ForgeSlice(opened.HeaderXML(), opened.Body, own.Public())
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(forged)
+	resealed, err := attack.ResealSlice(sender, round.Slice(2), round.Slice(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(resealed)
 	// The wires of a session channel: a frame (of the one channel
 	// core.OpenAnyForm holds), an accept, a refusal.
 	frame, accept, refusal, err := core.TableChannelWires(sender, body)
@@ -87,8 +86,10 @@ func FuzzOpen(f *testing.F) {
 	f.Add(accept)
 	f.Add(refusal)
 	// A count prefix claiming the maximum round with nothing behind it.
-	f.Add([]byte{byte(core.ModeGroup), 0, 0, 0x10, 0})
 	f.Add([]byte{byte(core.ModeSlice), 0, 0, 0x10, 0, 0, 0, 0, 0})
+	// The relay's upload, whole and as a bare maximal count prefix.
+	f.Add(round.Wire())
+	f.Add([]byte{byte(core.ModeGroup), 0, 0, 0x10, 0})
 
 	// What one open may allocate: a few copies of the input (the AEAD
 	// plaintext, the parsed header, digests) plus the fixed cost of the

@@ -198,11 +198,11 @@ func TestOpenDoesNotMutateWire(t *testing.T) {
 // AS RECEIVED — the same bytes delivered again are a replay, and nothing
 // was admitted under the digest of the half-plaintext buffer.
 func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
-	for _, m := range []Mode{ModeFull, ModeEncrypt, ModeGroup, ModeSlice} {
+	for _, m := range []Mode{ModeFull, ModeEncrypt, ModeSlice} {
 		wire := forgeWire(t, m, bytes.Repeat([]byte("opened where it lies "), 8), nil)
 		guard := NewReplayGuard(time.Minute, 16)
 		frame := bytes.Clone(wire)
-		o, err := openWire(recvKP, frame, formEnvelope|formGroup|formSlice, nil, guard, nil, time.Now())
+		o, err := openWire(recvKP, frame, formEnvelope|formSlice, nil, guard, nil, time.Now())
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -213,7 +213,7 @@ func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
 			t.Fatalf("%s: the body is not a view of the delivered frame", m)
 		}
 		admitted := guard.Len()
-		if _, err := openWire(recvKP, bytes.Clone(wire), formEnvelope|formGroup|formSlice, nil, guard, nil, time.Now()); !errors.Is(err, ErrMessageReplayed) {
+		if _, err := openWire(recvKP, bytes.Clone(wire), formEnvelope|formSlice, nil, guard, nil, time.Now()); !errors.Is(err, ErrMessageReplayed) {
 			t.Fatalf("%s: the same wire delivered twice: %v, want ErrMessageReplayed", m, err)
 		}
 		if err := guard.Check(wire, o.SentAt); !errors.Is(err, ErrMessageReplayed) {

@@ -50,7 +50,7 @@ func (s *SecureClient) callCredentialed(ctx context.Context, op string, doc *xml
 	}
 	return s.Call(ctx, endpoint.NewMessage().
 		AddString(proto.ElemOp, op).
-		AddXML(proto.ElemBody, doc.Canonical()).
+		Add(proto.ElemBody, doc.Canonical()).
 		Add(proto.ElemSig, sig))
 }
 
@@ -174,5 +174,5 @@ func (bs *BrokerSecurity) handleSecureRenew(from keys.PeerID, msg *endpoint.Mess
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	bs.auditAuth(audit.KindRenew, current.Subject, OpSecureRenew, "ok")
-	return proto.OK().AddXML(proto.ElemCred, fresh.wire)
+	return proto.OK().Add(proto.ElemCred, fresh.wire)
 }

@@ -10,21 +10,22 @@ import (
 	"jxtaoverlay/internal/keys"
 )
 
+// TestSealGroupOpenGroupRoundtrip: a sealed round opens at each of its
+// recipients as that recipient's slice — the one way a round reaches a
+// recipient — with the signed header's fields, the round nonce and the
+// single sender signature intact. (The full round wire opens nowhere:
+// TestSliceFullWireInterop, TestFullRoundPushedToMemberRefused.)
 func TestSealGroupOpenGroupRoundtrip(t *testing.T) {
 	body := []byte("round payload")
-	sealed, err := SealGroup(senderKP, "urn:jxta:cbid-sender", "math", body,
+	d, err := SealGroupDetached(senderKP, "urn:jxta:cbid-sender", "math", body,
 		[]*keys.PublicKey{recvKP.Public(), evilKP.Public()})
 	if err != nil {
-		t.Fatalf("SealGroup: %v", err)
+		t.Fatalf("SealGroupDetached: %v", err)
 	}
-	if sealed.Mode != ModeGroup {
-		t.Fatalf("mode = %v", sealed.Mode)
-	}
-	// Every recipient opens the SAME wire bytes.
-	for _, kp := range []*keys.KeyPair{recvKP, evilKP} {
-		opened, err := OpenGroup(kp, sealed.Bytes(), nil)
+	for i, kp := range []*keys.KeyPair{recvKP, evilKP} {
+		opened, err := OpenSlice(kp, d.Slice(i), nil)
 		if err != nil {
-			t.Fatalf("OpenGroup: %v", err)
+			t.Fatalf("OpenSlice: %v", err)
 		}
 		if !bytes.Equal(opened.Body, body) || opened.Group != "math" || opened.Sender != "urn:jxta:cbid-sender" {
 			t.Fatalf("opened = %+v", opened)
@@ -42,10 +43,10 @@ func TestSealGroupOpenGroupRoundtrip(t *testing.T) {
 			t.Fatal("signature verified under wrong key")
 		}
 	}
-	// The generic Open must NOT accept group wires: surfaces without
-	// round replay tracking (secure tasks) opt out by construction.
-	if _, err := Open(recvKP, sealed.Bytes()); !errors.Is(err, ErrEnvelope) {
-		t.Fatalf("Open on group wire = %v, want ErrEnvelope", err)
+	// The generic Open must NOT accept round wires: surfaces without round
+	// replay tracking (secure tasks) opt out by construction.
+	if _, err := Open(recvKP, d.Slice(0)); !errors.Is(err, ErrEnvelope) {
+		t.Fatalf("Open on a slice = %v, want ErrEnvelope", err)
 	}
 }
 
@@ -55,7 +56,7 @@ func TestSealGroupOneSignaturePerRound(t *testing.T) {
 		recipients = append(recipients, recvKP.Public())
 	}
 	before := senderKP.SignCalls()
-	if _, err := SealGroup(senderKP, "s", "g", []byte("m"), recipients); err != nil {
+	if _, err := SealGroupDetached(senderKP, "s", "g", []byte("m"), recipients); err != nil {
 		t.Fatal(err)
 	}
 	if got := senderKP.SignCalls() - before; got != 1 {
@@ -63,44 +64,49 @@ func TestSealGroupOneSignaturePerRound(t *testing.T) {
 	}
 }
 
-func TestOpenGroupNotRecipient(t *testing.T) {
-	sealed, err := SealGroup(senderKP, "s", "g", []byte("m"), []*keys.PublicKey{recvKP.Public()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenGroup(evilKP, sealed.Bytes(), nil); !errors.Is(err, ErrNotRecipient) {
-		t.Fatalf("non-recipient open = %v, want ErrNotRecipient", err)
-	}
-}
-
+// TestOpenGroupTamperedWrapRejected: a wrap damaged in the upload reaches
+// its recipient's slice, which must not open.
 func TestOpenGroupTamperedWrapRejected(t *testing.T) {
-	sealed, err := SealGroup(senderKP, "s", "g", []byte("m"), []*keys.PublicKey{recvKP.Public()})
+	d, err := SealGroupDetached(senderKP, "s", "g", []byte("m"), []*keys.PublicKey{recvKP.Public()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := append([]byte(nil), sealed.Bytes()...)
+	wire := d.Wire()
 	// Flip a byte in the middle of the (only) wrapped key: offset = mode
 	// byte + wrap count + fingerprint + wrap length prefix + a bit.
 	wire[1+4+32+4+10] ^= 0xff
-	if _, err := OpenGroup(recvKP, wire, nil); err == nil {
+	sliced, err := SliceRound(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSlice(recvKP, sliced.Slice(0), nil); err == nil {
 		t.Fatal("tampered key wrap accepted")
 	}
 }
 
+// TestOpenGroupTamperedCiphertextRejected: the ciphertext is shared by
+// every slice of a round, so a byte damaged in the upload is damaged in
+// each slice cut from it, and none opens.
 func TestOpenGroupTamperedCiphertextRejected(t *testing.T) {
-	sealed, err := SealGroup(senderKP, "s", "g", []byte("m"), []*keys.PublicKey{recvKP.Public()})
+	d, err := SealGroupDetached(senderKP, "s", "g", []byte("m"), []*keys.PublicKey{recvKP.Public(), evilKP.Public()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := append([]byte(nil), sealed.Bytes()...)
+	wire := d.Wire()
 	wire[len(wire)-1] ^= 0xff
-	if _, err := OpenGroup(recvKP, wire, nil); !errors.Is(err, ErrEnvelope) {
-		t.Fatalf("tampered ciphertext open = %v, want ErrEnvelope", err)
+	sliced, err := SliceRound(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, kp := range []*keys.KeyPair{recvKP, evilKP} {
+		if _, err := OpenSlice(kp, sliced.Slice(i), nil); !errors.Is(err, ErrEnvelope) {
+			t.Fatalf("slice %d of a tampered ciphertext = %v, want ErrEnvelope", i, err)
+		}
 	}
 }
 
 // retargetWire rebuilds a round wire keeping only the wraps whose index
-// is listed — the wire a malicious party would forge by splicing a
+// is listed — the upload a malicious party would forge by splicing a
 // signed round onto a smaller recipient set.
 func retargetWire(t *testing.T, wire []byte, keep ...int) []byte {
 	t.Helper()
@@ -121,39 +127,20 @@ func retargetWire(t *testing.T, wire []byte, keep ...int) []byte {
 }
 
 func TestOpenGroupRecipientSetBinding(t *testing.T) {
-	// A round sealed to {recv, evil}, then stripped down to {recv}: the
-	// ciphertext still decrypts for recv, but the signed recipient-set
-	// digest no longer matches the wire's wraps.
-	sealed, err := SealGroup(senderKP, "s", "g", []byte("m"),
+	// A round sealed to {recv, evil}, stripped down to {recv} and sliced:
+	// the ciphertext still decrypts for recv, but the slice's one-leaf
+	// tree no longer reaches the signed SliceRoot.
+	d, err := SealGroupDetached(senderKP, "s", "g", []byte("m"),
 		[]*keys.PublicKey{recvKP.Public(), evilKP.Public()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := retargetWire(t, sealed.Bytes(), 0)
-	if _, err := OpenGroup(recvKP, forged, nil); !errors.Is(err, ErrRoundBinding) {
+	sliced, err := SliceRound(retargetWire(t, d.Wire(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSlice(recvKP, sliced.Slice(0), nil); !errors.Is(err, ErrRoundBinding) {
 		t.Fatalf("re-targeted round open = %v, want ErrRoundBinding", err)
-	}
-}
-
-func TestOpenGroupNonceGuard(t *testing.T) {
-	guard := NewReplayGuard(time.Minute, 16)
-	sealed, err := SealGroup(senderKP, "s", "g", []byte("m"), []*keys.PublicKey{recvKP.Public()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenGroup(recvKP, sealed.Bytes(), guard); err != nil {
-		t.Fatalf("first open: %v", err)
-	}
-	if _, err := OpenGroup(recvKP, sealed.Bytes(), guard); !errors.Is(err, ErrMessageReplayed) {
-		t.Fatalf("nonce reuse = %v, want ErrMessageReplayed", err)
-	}
-	// A fresh round from the same sender is unaffected.
-	sealed2, err := SealGroup(senderKP, "s", "g", []byte("m2"), []*keys.PublicKey{recvKP.Public()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenGroup(recvKP, sealed2.Bytes(), guard); err != nil {
-		t.Fatalf("fresh round after replay: %v", err)
 	}
 }
 

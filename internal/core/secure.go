@@ -468,9 +468,11 @@ func readOnlyBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), 
 // recipient's signed pipe advertisement is verified in parallel (cached
 // after the first encounter), then sealRounds signs ONE round header and
 // wraps the content key to each recipient — a 100-member round costs one
-// RSA signature instead of one hundred, and every member receives the
-// same wire bytes. Degraded modes keep the per-recipient path. The
-// returned count and first error match the sequential iteration order.
+// RSA signature instead of one hundred — and each member is sent its own
+// slice of the round: a message addressed to that member, its wrap alone
+// beside the shared ciphertext. Degraded modes keep the per-recipient
+// path. The returned count and first error match the sequential
+// iteration order.
 func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text string) (int, error) {
 	members, err := s.GetOnlinePeers(ctx, group)
 	if err != nil {
@@ -487,12 +489,12 @@ func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text strin
 	}
 	targets, errs := s.verifiedTargets(ctx, group, ids)
 	s.sealRounds(group, text, targets, errs, func(d *DetachedRound, chunk []int, _ uint64) {
-		msg := endpoint.NewMessage().
-			Add(proto.ElemEnvelope, d.Wire()).
-			AddString(proto.ElemGroup, group)
+		// Cut before fanning out: a DetachedRound is not safe for
+		// concurrent use. Leaf j is chunk[j]'s wrap.
+		slices := d.Slices()
 		parallel.ForEach(fanOutParallelism(), len(chunk), func(j int) {
 			i := chunk[j]
-			errs[i] = s.Control().SendOnPipe(targets[i].pipe, msg)
+			errs[i] = s.sendSecure(targets[i].pipe, group, slices[j])
 		})
 	})
 	return tallyFanOut(errs)
@@ -518,7 +520,7 @@ func (s *SecureClient) verifiedTargets(ctx context.Context, group string, peers 
 }
 
 // sealRounds is the one round fan-out loop, under SecureMsgPeerGroup
-// (deliver = send the full wire down each member's pipe) and
+// (deliver = send each member its slice down its pipe) and
 // SecureMsgPeersViaRelay (deliver = upload it once to the broker). One
 // signature per round; only the key wraps differ. Targets beyond the
 // wire format's recipient cap are split into consecutive rounds, so
@@ -664,7 +666,7 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: from, Group: group, Payload: payload})
 	}
 	now := s.Now()
-	opened, err := openWire(s.kp, wire, formEnvelope|formGroup|formSlice|formChannel, &group, s.replayGuard, &s.chans, now)
+	opened, err := openWire(s.kp, wire, formEnvelope|formSlice|formChannel, &group, s.replayGuard, &s.chans, now)
 	if err != nil {
 		var unknown *unknownChannelError
 		switch {

@@ -1,8 +1,11 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -175,7 +178,7 @@ func TestSecureConnectionRejectsKeylessImpersonator(t *testing.T) {
 		return proto.OK().
 			AddString(proto.ElemSid, "deadbeef").
 			Add(proto.ElemSig, sig).
-			AddXML(proto.ElemCred, realCredDoc.Canonical())
+			Add(proto.ElemCred, realCredDoc.Canonical())
 	})
 
 	sc := h.secureClient("alice")
@@ -396,6 +399,115 @@ func TestSecureMsgPeerGroup(t *testing.T) {
 	}
 	if _, ok := carolEvents.WaitFor(events.SecureMessage, 5*time.Second); !ok {
 		t.Fatal("carol missed the group message")
+	}
+}
+
+// TestSecureMsgPeerGroupSendsSlices: a direct group fan-out puts one
+// ModeSlice frame per member on the wire — that member's wrap alone,
+// addressed to its key — and nothing that carries the others'. Grown from
+// two members to seven, what each member is sent grows by the inclusion
+// proof's hashes and nothing else: O(N) bytes across a round, where the
+// full wire sent to every member would be O(N²).
+func TestSecureMsgPeerGroupSendsSlices(t *testing.T) {
+	h := newSecureHarness(t, true)
+	alice := h.secureClient("alice")
+	h.join(alice, "pw-alice")
+	var members []*core.SecureClient
+	var got []*events.Collector
+	// round fans a message out to n members and returns, over what each
+	// was sent, the most bytes beside the proof and the longest proof.
+	round := func(n int) (base, proof int) {
+		t.Helper()
+		text := fmt.Sprintf("round of %d", n) // one length for every n below
+		for len(members) < n {
+			name := fmt.Sprintf("m%d", len(members))
+			h.db.Register(name, "pw-"+name, "math")
+			m := h.secureClient(name)
+			h.join(m, "pw-"+name)
+			members = append(members, m)
+			got = append(got, events.NewCollector(m.Bus()))
+		}
+		eve := attack.NewEavesdropper(h.net)
+		if sent, err := alice.SecureMsgPeerGroup(testCtx(t), "math", text); err != nil || sent != n {
+			t.Fatalf("round of %d: sent %d, %v", n, sent, err)
+		}
+		for i, m := range members {
+			if !secureDelivered(got[i], text) {
+				t.Fatalf("round of %d: member %d missed it", n, i)
+			}
+			if mode := delivered(got[i], text)[0].Attr("mode"); mode != core.ModeSlice.String() {
+				t.Fatalf("round of %d: member %d was sent a %s", n, i, mode)
+			}
+			var wires [][]byte
+			for _, frame := range eve.FramesTo(simnet.NodeID(m.PeerID())) {
+				if msg, err := endpoint.ParseMessage(frame); err == nil {
+					if w, ok := msg.Get(proto.ElemEnvelope); ok {
+						wires = append(wires, w)
+					}
+				}
+			}
+			if len(wires) != 1 || core.Mode(wires[0][0]) != core.ModeSlice {
+				t.Fatalf("round of %d: member %d was sent %d secure wires, want one slice", n, i, len(wires))
+			}
+			// One wrap: count, leaf index and the member's fingerprint, one
+			// length-prefixed wrap, the proof, then the GCM nonce.
+			w := wires[0]
+			fp, err := m.Identity().Keys.Public().Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := 1 + 4 + 4 + 32 + 4 + int(binary.BigEndian.Uint32(w[1+4+4+32:]))
+			hashes := int(w[at])
+			at += 1 + 32*hashes
+			if int(binary.BigEndian.Uint32(w[1:])) != n || !bytes.Equal(w[1+4+4:1+4+4+32], fp[:]) || binary.BigEndian.Uint32(w[at:]) != keys.AEADNonceSize {
+				t.Fatalf("round of %d: member %d's wire is not one leaf addressed to it", n, i)
+			}
+			base, proof = max(base, len(w)-32*hashes), max(proof, hashes)
+		}
+		return base, proof
+	}
+	small, _ := round(2)
+	large, proof := round(7)
+	// The signed time inside the block is RFC 3339 with trailing zeros of
+	// the fraction dropped, so two rounds' blocks differ by up to ten bytes.
+	if large > small+10 || proof > 3 {
+		t.Fatalf("a member of 7 was sent %d bytes beside a proof of %d hashes, a member of 2 %d: want the same bytes and at most ceil(log2 7) = 3 hashes", large, proof, small)
+	}
+}
+
+// TestFullRoundPushedToMemberRefused: no recipient surface opens a full
+// round. Pushed onto a member's group pipe, the relay's upload format
+// raises one security alert and delivers nothing.
+func TestFullRoundPushedToMemberRefused(t *testing.T) {
+	h := newSecureHarness(t, true)
+	bob := h.secureClient("bob")
+	h.join(bob, "pw-bob")
+	atBob := events.NewCollector(bob.Bus())
+	kp, err := keys.NewKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, err := keys.CBID(kp.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.SealGroupDetached(kp, sender, "math", []byte("the whole round"), []*keys.PublicKey{bob.Identity().Keys.Public()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := attack.NewRawNode(h.net, "attacker-node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := raw.Replay(simnet.NodeID(bob.PeerID()), attack.SpoofedPipeEnvelope(sender, bob.PeerID(), "math", d.Wire())); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := atBob.WaitFor(events.SecurityAlert, 5*time.Second); !ok || !strings.Contains(e.Payload["reason"], core.ErrEnvelope.Error()) {
+		t.Fatalf("full round raised %+v (%v), want an alert: %v", e, ok, core.ErrEnvelope)
+	}
+	time.Sleep(50 * time.Millisecond) // a second alert, or a message, would be in flight no longer
+	if a, m := len(atBob.OfType(events.SecurityAlert)), len(atBob.OfType(events.SecureMessage)); a != 1 || m != 0 {
+		t.Fatalf("full round raised %d alerts and %d messages, want 1 and 0", a, m)
 	}
 }
 

@@ -11,28 +11,29 @@ import (
 	"jxtaoverlay/internal/xmldoc"
 )
 
-// Per-recipient round slicing. The full ModeGroup wire carries every
-// recipient's key wrap, so fanning the same bytes out to N members costs
-// O(N²) wire bytes across a round. Slicing fixes that: the sender seals
-// the round ONCE (SealGroupDetached), hands the full wire to a relay
-// (the broker), and the relay re-cuts it into per-recipient ModeSlice
-// wires — each carrying only that recipient's RSA-OAEP wrap, the shared
-// ciphertext, and an O(log N) inclusion proof. The relay never sees
+// Per-recipient round slicing: the one form in which a round reaches a
+// recipient. The full ModeGroup wire carries every recipient's key wrap,
+// so fanning it out to N members would cost O(N²) wire bytes across a
+// round; each member gets its own ModeSlice wire instead — only that
+// recipient's RSA-OAEP wrap, the shared ciphertext, and an O(log N)
+// inclusion proof. A sender fanning out directly cuts the slices itself
+// (SecureMsgPeerGroup); one that uses the relay uploads the full wire
+// ONCE and the broker re-cuts it (SliceRound). The relay never sees
 // plaintext or keys: the header (and the signature over it) stays inside
 // the ciphertext, and slicing is pure byte surgery.
 //
-// Binding. A slice omits the other recipients' wraps, so the recipient
-// can no longer recompute the signed Recipients digest the full-wire
-// OpenGroup checks. Instead the signed header carries a second binding,
-// SliceRoot: the root of a Merkle tree whose leaf i commits to
-// (i, fingerprint_i, SHA-256(wrap_i)). Each slice carries its leaf index
-// and sibling path, so the recipient recomputes the root from its OWN
-// materials alone and compares against the signed value. A relay (or a
-// malicious round member) that re-targets a slice to a non-recipient,
-// swaps wraps between recipients, or reorders leaves produces a root
-// that does not match the signature — ErrRoundBinding — before the
-// header signature can vouch for anything. Replayed slices die on the
-// signed single-use round nonce, exactly like full-wire rounds.
+// Binding. A slice omits the other recipients' wraps, so the signed
+// header carries a binding a single leaf can check, SliceRoot: the root
+// of a Merkle tree whose leaf i commits to (i, fingerprint_i,
+// SHA-256(wrap_i)). Each slice carries its leaf index and sibling path,
+// so the recipient recomputes the root from its OWN materials alone and
+// compares against the signed value. A relay (or a malicious round
+// member) that re-targets a slice to a non-recipient, swaps wraps
+// between recipients, or reorders leaves produces a root that does not
+// match the signature — ErrRoundBinding — before the header signature
+// can vouch for anything. Replayed slices, and slices re-sealed behind
+// an honest leaf by a member holding the round's content key, die on the
+// signed single-use round nonce.
 //
 // Slice wire layout (mode byte ModeSlice, then):
 //
@@ -138,7 +139,8 @@ func verifySliceProof(n int, index uint32, fp [32]byte, wrap []byte, proof [][]b
 
 // DetachedRound is one sealed fan-out round held in sliceable form: the
 // shared ciphertext plus the per-recipient wraps, before assembly into
-// either the full ModeGroup wire or per-recipient ModeSlice wires.
+// either the full ModeGroup wire (the relay upload) or per-recipient
+// ModeSlice wires.
 type DetachedRound struct {
 	fps      [][32]byte
 	wraps    [][]byte
@@ -147,12 +149,11 @@ type DetachedRound struct {
 	levels   [][][]byte // Merkle tree, built lazily on first Slice/Slices
 }
 
-// SealGroupDetached seals one fan-out round exactly as SealGroup does —
-// one header signature, one content encryption, one wrap per recipient —
-// but returns the round in detached form so the caller can choose the
-// assembly: Wire for the classic every-recipient-gets-everything bytes,
-// Slices for relay-side per-recipient delivery. The signed time is the
-// wall's: a peer seals through sealRound, at its own.
+// SealGroupDetached seals one fan-out round — one header signature, one
+// content encryption, one wrap per recipient — and returns it in
+// detached form so the caller can choose the assembly: Wire for the
+// relay upload, Slice/Slices for per-recipient delivery. The signed time
+// is the wall's: a peer seals through sealRound, at its own.
 func SealGroupDetached(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipients []*keys.PublicKey) (*DetachedRound, error) {
 	return sealRound(signer, sender, group, body, recipients, time.Now())
 }
@@ -199,15 +200,13 @@ func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 	root := levels[len(levels)-1][0]
 
 	// The round header: one timestamp + nonce + group + body digest +
-	// both recipient bindings (flat digest for full wires, tree root for
-	// slices), signed once.
+	// the slice tree root, signed once.
 	header := xmldoc.New(roundHeaderName, "")
 	header.AddText("Sender", string(sender))
 	header.AddText("Group", group)
 	header.AddText("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256(body)))
 	header.AddText("Time", signedTime(now))
 	header.AddText("Nonce", base64.StdEncoding.EncodeToString(nonce))
-	header.AddText("Recipients", base64.StdEncoding.EncodeToString(recipientsDigest(fps)))
 	header.AddText(sliceRootName, base64.StdEncoding.EncodeToString(root))
 	sig, err := signer.Sign(header.Canonical())
 	if err != nil {
@@ -230,8 +229,8 @@ func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 // Recipients reports how many recipients the round addresses.
 func (d *DetachedRound) Recipients() int { return len(d.fps) }
 
-// Wire assembles the full ModeGroup wire (identical bytes for every
-// recipient) — the layout documented in round.go.
+// Wire assembles the full ModeGroup wire — the layout documented in
+// round.go: the relayRound upload, which no recipient opens.
 func (d *DetachedRound) Wire() []byte {
 	wireLen := 1 + 4 + 4 + len(d.gcmNonce) + len(d.ct)
 	for _, w := range d.wraps {
@@ -339,11 +338,15 @@ func parseSliceWire(payload []byte) (*parsedSlice, error) {
 }
 
 // OpenSlice decrypts and parses one per-recipient round slice (the
-// pipeline in open.go). Beyond the full-wire OpenGroup checks it
-// enforces the slice binding: the Merkle path from this slice's (index,
+// pipeline in open.go). Beyond the checks Open performs it enforces the
+// round semantics: the Merkle path from this slice's (index,
 // fingerprint, wrap) leaf must reach the signed SliceRoot, so a slice
 // re-cut for a different recipient set — or with swapped wraps or
-// reordered leaves — fails ErrRoundBinding no matter who relayed it.
+// reordered leaves — fails ErrRoundBinding no matter who relayed it;
+// and, when a ReplayGuard is supplied, the wire and the signed round
+// nonce must both be fresh (single use within the guard's window). The
+// header signature itself is deferred to VerifySignature, exactly as in
+// the unicast path. A full round wire is refused (ErrEnvelope).
 func OpenSlice(own *keys.KeyPair, wire []byte, guard *ReplayGuard) (*Opened, error) {
 	return openCopy(own, wire, formSlice, guard)
 }

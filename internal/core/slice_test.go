@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"jxtaoverlay/internal/attack"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/keys"
 )
@@ -105,9 +106,9 @@ func TestSliceRoundRelaySide(t *testing.T) {
 	}
 }
 
-// TestSliceFullWireInterop: the same detached round opens both as a full
-// ModeGroup wire and as slices, and SealGroup still produces the classic
-// wire.
+// TestSliceFullWireInterop: the full ModeGroup wire is the relay's
+// upload and nothing else. Re-cut by SliceRound, it opens at every member
+// as that member's slice; the full wire itself opens at no entry point.
 func TestSliceFullWireInterop(t *testing.T) {
 	sender, members, pubs := newSliceParties(t, 3)
 	body := []byte("interop")
@@ -115,15 +116,21 @@ func TestSliceFullWireInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.OpenGroup(members[1].kp, d.Wire(), nil); err != nil {
-		t.Fatalf("full wire from detached round: %v", err)
-	}
-	sealed, err := core.SealGroup(sender.kp, sender.id, "g", body, pubs)
+	upload := d.Wire()
+	sliced, err := core.SliceRound(upload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.OpenGroup(members[0].kp, sealed.Bytes(), nil); err != nil {
-		t.Fatalf("SealGroup wire: %v", err)
+	for i, m := range members {
+		if o, err := core.OpenSlice(m.kp, sliced.Slice(i), nil); err != nil || !bytes.Equal(o.Body, body) {
+			t.Fatalf("member %d, slice of the upload: (%v, %v)", i, o, err)
+		}
+		if _, err := core.OpenSlice(m.kp, upload, nil); !errors.Is(err, core.ErrEnvelope) {
+			t.Fatalf("member %d, OpenSlice(full wire) = %v, want ErrEnvelope", i, err)
+		}
+		if _, err := core.Open(m.kp, upload); !errors.Is(err, core.ErrEnvelope) {
+			t.Fatalf("member %d, Open(full wire) = %v, want ErrEnvelope", i, err)
+		}
 	}
 }
 
@@ -161,20 +168,56 @@ func TestSliceReplayRejected(t *testing.T) {
 	if _, err := core.OpenSlice(members[0].kp, w, guard); !errors.Is(err, core.ErrMessageReplayed) {
 		t.Fatalf("replayed slice = %v, want ErrMessageReplayed", err)
 	}
-	// A recipient that accepted the full-wire round also rejects its
-	// slice of the same round: the nonce is shared.
-	guard2 := core.NewReplayGuard(time.Minute, 64)
-	if _, err := core.OpenGroup(members[1].kp, d.Wire(), guard2); err != nil {
-		t.Fatalf("full wire: %v", err)
+	// A fresh round from the same sender is unaffected.
+	d2, err := core.SealGroupDetached(sender.kp, sender.id, "g", []byte("x"), pubs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := core.OpenSlice(members[1].kp, d.Slices()[1], guard2); !errors.Is(err, core.ErrMessageReplayed) {
-		t.Fatalf("slice after full wire = %v, want ErrMessageReplayed", err)
+	if _, err := core.OpenSlice(members[0].kp, d2.Slice(0), guard); err != nil {
+		t.Fatalf("fresh round after replay: %v", err)
+	}
+}
+
+// TestOpenSharedGuardAdmitsOnce: the messenger handler and the task
+// service reach one guard from different goroutines. However many
+// deliveries of one round race — the same bytes, or the same signed
+// header re-sealed by another member behind the recipient's own leaf —
+// exactly one is admitted.
+func TestOpenSharedGuardAdmitsOnce(t *testing.T) {
+	sender, members, pubs := newSliceParties(t, 2)
+	d, err := core.SealGroupDetached(sender.kp, sender.id, "g", []byte("race"), pubs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wires := [2][]byte{d.Slice(0)}
+	// Same round, same nonce, different bytes.
+	if wires[1], err = attack.ResealSlice(members[1].kp, d.Slice(1), wires[0]); err != nil {
+		t.Fatal(err)
+	}
+	guard := core.NewReplayGuard(time.Minute, 64)
+	const deliveries = 8
+	errs := make(chan error, deliveries)
+	for i := 0; i < deliveries; i++ {
+		go func(wire []byte) {
+			_, err := core.OpenSlice(members[0].kp, wire, guard)
+			errs <- err
+		}(wires[i%2])
+	}
+	admitted := 0
+	for i := 0; i < deliveries; i++ {
+		if err := <-errs; err == nil {
+			admitted++
+		} else if !errors.Is(err, core.ErrMessageReplayed) {
+			t.Errorf("racing delivery refused with %v, want ErrMessageReplayed", err)
+		}
+	}
+	if admitted != 1 {
+		t.Fatalf("%d of %d racing deliveries admitted, want 1", admitted, deliveries)
 	}
 }
 
 // TestSliceModeConfinement: Open rejects slice wires (round semantics
-// need a guard-tracking surface), OpenSlice rejects non-slice wires, and
-// OpenGroup rejects slices.
+// need a guard-tracking surface) and OpenSlice rejects non-slice wires.
 func TestSliceModeConfinement(t *testing.T) {
 	sender, members, pubs := newSliceParties(t, 2)
 	d, err := core.SealGroupDetached(sender.kp, sender.id, "g", []byte("x"), pubs)
@@ -185,11 +228,12 @@ func TestSliceModeConfinement(t *testing.T) {
 	if _, err := core.Open(members[0].kp, w); !errors.Is(err, core.ErrEnvelope) {
 		t.Fatalf("Open(slice) = %v, want ErrEnvelope", err)
 	}
-	if _, err := core.OpenGroup(members[0].kp, w, nil); !errors.Is(err, core.ErrEnvelope) {
-		t.Fatalf("OpenGroup(slice) = %v, want ErrEnvelope", err)
+	env, err := core.Seal(sender.kp, sender.id, "g", []byte("x"), members[0].kp.Public(), core.ModeFull)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := core.OpenSlice(members[0].kp, d.Wire(), nil); !errors.Is(err, core.ErrEnvelope) {
-		t.Fatalf("OpenSlice(full wire) = %v, want ErrEnvelope", err)
+	if _, err := core.OpenSlice(members[0].kp, env.Bytes(), nil); !errors.Is(err, core.ErrEnvelope) {
+		t.Fatalf("OpenSlice(envelope) = %v, want ErrEnvelope", err)
 	}
 }
 
@@ -210,8 +254,8 @@ func TestSliceTruncatedWireRejected(t *testing.T) {
 }
 
 // TestSliceWireBytesScaleLinearly pins the whole point of slicing: the
-// full ModeGroup wire fanned to N recipients costs O(N^2) bytes on the
-// wire, slices cost O(N) (each slice is one wrap plus an O(log N)
+// full ModeGroup wire fanned to N recipients would cost O(N^2) bytes on
+// the wire, slices cost O(N) (each slice is one wrap plus an O(log N)
 // proof). At N=100 the per-recipient bytes must be at least 10x smaller
 // than the full wire, and the slice overhead over N=10 must be only the
 // logarithmic proof growth.

@@ -22,8 +22,8 @@
 // of a large frame before holding it long. It may overwrite them: the
 // secure open path decrypts a sec:env element where it lies. It must not
 // assume they are still what the sender sent once it has handed them to
-// code that does. Names and MIME types are never views (ParseMessage
-// interns or copies them), and a message being SENT is only read.
+// code that does. Names are never views (ParseMessage interns or copies
+// them), and a message being SENT is only read.
 package endpoint
 
 import (
@@ -32,13 +32,12 @@ import (
 	"fmt"
 )
 
-// Element is one named, typed payload inside a message — JXTA's message
+// Element is one named payload inside a message — JXTA's message
 // element. Security layers attach signatures and envelopes as additional
 // elements without disturbing the rest of the message.
 type Element struct {
-	Name     string
-	MimeType string
-	Data     []byte
+	Name string
+	Data []byte
 }
 
 // Message is an ordered multiset of elements.
@@ -49,26 +48,15 @@ type Message struct {
 // NewMessage returns an empty message.
 func NewMessage() *Message { return &Message{} }
 
-// Add appends an element with the default application/octet-stream type
-// and returns the message for chaining.
+// Add appends an element and returns the message for chaining.
 func (m *Message) Add(name string, data []byte) *Message {
-	return m.AddTyped(name, "application/octet-stream", data)
+	m.Elements = append(m.Elements, Element{Name: name, Data: data})
+	return m
 }
 
 // AddString appends a text element.
 func (m *Message) AddString(name, value string) *Message {
-	return m.AddTyped(name, "text/plain", []byte(value))
-}
-
-// AddXML appends an XML document element.
-func (m *Message) AddXML(name string, doc []byte) *Message {
-	return m.AddTyped(name, "text/xml", doc)
-}
-
-// AddTyped appends an element with an explicit MIME type.
-func (m *Message) AddTyped(name, mime string, data []byte) *Message {
-	m.Elements = append(m.Elements, Element{Name: name, MimeType: mime, Data: data})
-	return m
+	return m.Add(name, []byte(value))
 }
 
 // Get returns the data of the first element with the given name.
@@ -104,35 +92,10 @@ func (m *Message) Set(name string, data []byte) *Message {
 	return m.Add(name, data)
 }
 
-// Remove deletes every element with the given name; reports how many.
-func (m *Message) Remove(name string) int {
-	kept := m.Elements[:0]
-	n := 0
-	for _, e := range m.Elements {
-		if e.Name == name {
-			n++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	m.Elements = kept
-	return n
-}
-
-// Size returns the total payload bytes across elements (wire size is
-// slightly larger due to framing).
-func (m *Message) Size() int {
-	n := 0
-	for _, e := range m.Elements {
-		n += len(e.Data)
-	}
-	return n
-}
-
-// Wire format: magic "JXM1", u16 element count, then per element
-// u16 name length + name, u16 mime length + mime, u32 data length + data.
-// All integers big-endian.
-var wireMagic = [4]byte{'J', 'X', 'M', '1'}
+// Wire format: magic "JXM2", u16 element count, then per element
+// u16 name length + name, u32 data length + data. All integers
+// big-endian.
+var wireMagic = [4]byte{'J', 'X', 'M', '2'}
 
 // Codec limits guard against malformed frames.
 const (
@@ -147,7 +110,7 @@ var ErrWire = errors.New("endpoint: malformed wire message")
 func (m *Message) Marshal() []byte {
 	size := 6
 	for _, e := range m.Elements {
-		size += 2 + len(e.Name) + 2 + len(e.MimeType) + 4 + len(e.Data)
+		size += 2 + len(e.Name) + 4 + len(e.Data)
 	}
 	out := make([]byte, 0, size)
 	out = append(out, wireMagic[:]...)
@@ -155,8 +118,6 @@ func (m *Message) Marshal() []byte {
 	for _, e := range m.Elements {
 		out = binary.BigEndian.AppendUint16(out, uint16(len(e.Name)))
 		out = append(out, e.Name...)
-		out = binary.BigEndian.AppendUint16(out, uint16(len(e.MimeType)))
-		out = append(out, e.MimeType...)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(e.Data)))
 		out = append(out, e.Data...)
 	}
@@ -165,29 +126,28 @@ func (m *Message) Marshal() []byte {
 
 // ParseMessage decodes a wire frame produced by Marshal. The elements'
 // Data are views into data (see the package comment for who may hold
-// them); names and MIME types come from the interned vocabulary, so a
-// frame costs the Message and its element slice and nothing per element.
+// them); names come from the interned vocabulary, so a frame costs the
+// Message and its element slice and nothing per element.
 func ParseMessage(data []byte) (*Message, error) {
 	if len(data) < 6 || [4]byte(data[:4]) != wireMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrWire)
 	}
 	count := int(binary.BigEndian.Uint16(data[4:6]))
 	data = data[6:]
-	// An element is at least its 8 bytes of lengths: the count is held
+	// An element is at least its 6 bytes of lengths: the count is held
 	// against the bytes behind it before it sizes anything.
-	if count > maxElements || count > len(data)/8 {
+	if count > maxElements || count > len(data)/6 {
 		return nil, fmt.Errorf("%w: %d elements in %d bytes", ErrWire, count, len(data))
 	}
 	msg := &Message{Elements: make([]Element, count)}
 	for i := range msg.Elements {
 		e := &msg.Elements[i]
 		name, rest, _ := cutField(data, 2)
-		mime, rest, _ := cutField(rest, 2)
 		var ok bool
 		if e.Data, data, ok = cutField(rest, 4); !ok || len(e.Data) > maxElemData {
 			return nil, fmt.Errorf("%w: element %d truncated", ErrWire, i)
 		}
-		e.Name, e.MimeType = intern(name), intern(mime)
+		e.Name = intern(name)
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(data))
@@ -212,9 +172,8 @@ func cutField(data []byte, width int) (field, rest []byte, ok bool) {
 	return data[:n:n], data[n:], true
 }
 
-// vocabulary is the fixed element-name and MIME-type vocabulary of the
-// overlay (this package's routing elements, internal/proto's, the user
-// database's). A map lookup keyed by a converted byte slice does not
+// vocabulary is the fixed element-name vocabulary of the overlay (this
+// package's routing elements, internal/proto's, the user database's). A map lookup keyed by a converted byte slice does not
 // allocate, so a hit costs no string; a miss copies the name, which never
 // pins the frame.
 var vocabulary = func(names ...string) map[string]string {
@@ -224,7 +183,6 @@ var vocabulary = func(names ...string) map[string]string {
 	}
 	return m
 }(
-	"application/octet-stream", "text/plain", "text/xml",
 	elemSrc, elemDst, elemSvc, elemReqID, elemRspID, relayTo, relayPayload,
 	"op", "ok", "err", "user", "pass", "group", "groups", "desc", "adv", "advtype",
 	"advid", "peer", "peers", "keyword", "broker", "msg:body", "all",

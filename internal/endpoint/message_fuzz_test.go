@@ -25,17 +25,17 @@ func FuzzParseMessage(f *testing.F) {
 	secure.Set(elemSrc, []byte("urn:jxta:cbid-a")).Set(elemDst, []byte("urn:jxta:cbid-b")).Set(elemSvc, []byte("jxta:pipe:p1"))
 	f.Add(secure.Marshal())
 	request := NewMessage().AddString("op", "lookupPipe").AddString("peer", "urn:jxta:cbid-b").
-		AddXML("adv", []byte("<PipeAdvertisement><Id>p1</Id></PipeAdvertisement>"))
+		Add("adv", []byte("<PipeAdvertisement><Id>p1</Id></PipeAdvertisement>"))
 	request.Set(elemReqID, []byte("00112233445566778899aabb"))
 	f.Add(request.Marshal())
 	f.Add(NewMessage().AddString("jxta:relay:to", "urn:jxta:cbid-c").Add(relayPayload, secure.Marshal()).Marshal())
 	f.Add(NewMessage().Marshal())
-	f.Add(NewMessage().AddTyped("", "", nil).AddTyped("a", "text/xml", nil).AddTyped("a", "", []byte{0}).Marshal())
+	f.Add(NewMessage().Add("", nil).Add("a", nil).Add("a", []byte{0}).Marshal())
 	// A count prefix claiming the maximum message with nothing behind it.
-	f.Add([]byte("JXM1\x10\x00"))
+	f.Add([]byte("JXM2\x10\x00"))
 
 	// What one parse may allocate: the Message and its element slice,
-	// 56 bytes per element of at least 8 input bytes each, plus whatever
+	// 40 bytes per element of at least 6 input bytes each, plus whatever
 	// names fall outside the interned vocabulary (never longer than the
 	// input). The fixed part is slack for what the fuzzing worker itself
 	// allocates meanwhile (TotalAlloc is process-wide; 1 KiB tripped on
@@ -76,7 +76,7 @@ func FuzzParseMessage(f *testing.F) {
 			t.Fatalf("re-parse has %d elements, first parse %d", len(again.Elements), len(m.Elements))
 		}
 		for i, e := range m.Elements {
-			if a := again.Elements[i]; a.Name != e.Name || a.MimeType != e.MimeType || !bytes.Equal(a.Data, e.Data) {
+			if a := again.Elements[i]; a.Name != e.Name || !bytes.Equal(a.Data, e.Data) {
 				t.Fatalf("element %d: re-parse %+v, first parse %+v", i, a, e)
 			}
 		}

@@ -258,7 +258,7 @@ func parseFlood(ctx context.Context, opt Options, profile simnet.LinkProfile) (*
 	for i := 0; i < floods; i++ {
 		msg := endpoint.NewMessage().
 			AddString(proto.ElemOp, proto.OpPublishAdv).
-			AddXML(proto.ElemAdv, docs[i%len(docs)])
+			Add(proto.ElemAdv, docs[i%len(docs)])
 		if _, err := flooder.Call(ctx, msg); err == nil {
 			sum.anomaly("hostile document %d accepted by publishAdv", i)
 		} else {

@@ -230,7 +230,7 @@ func (s *Server) marshalResponse(r *response) (*endpoint.Message, error) {
 		return nil, err
 	}
 	msg := endpoint.NewMessage()
-	msg.AddXML(elemBody, body)
+	msg.Add(elemBody, body)
 	msg.Add(elemSig, sig)
 	return msg, nil
 }
@@ -314,7 +314,7 @@ func (c *Client) call(ctx context.Context, op, user, pass string) ([]string, err
 	msg := endpoint.NewMessage()
 	msg.Add(elemEnvelope, env.Marshal())
 	msg.Add(elemSig, sig)
-	msg.AddXML(elemCred, credDoc.Canonical())
+	msg.Add(elemCred, credDoc.Canonical())
 
 	resp, err := c.ep.Request(ctx, c.server, ServiceName, msg)
 	if err != nil {

@@ -89,7 +89,7 @@ func ParseCanonicalStats() (calls, failures uint64) {
 var internedNames = buildInterned(
 	// envelope / round headers
 	"SecureMessage", "SecureRound", "Sender", "Group", "BodyDigest",
-	"Time", "Nonce", "Recipients", "SliceRoot", "Signature",
+	"Time", "Nonce", "SliceRoot", "Signature",
 	// XMLdsig
 	"SignedInfo", "CanonicalizationMethod", "SignatureMethod",
 	"DigestMethod", "DigestValue", "SignatureValue", "KeyInfo",
