@@ -69,9 +69,11 @@
 //
 // Every secure wire — envelope, round slice, session-channel frame — is
 // accepted or refused by one receive pipeline (openWire in internal/core/open.go; SECURITY.md
-// lists its steps): core.Open/OpenSlice, the messenger push
-// handler and the secure task service are one-line callers of it, and
-// the replay guard covers all of them. Likewise one verifier checks
+// lists its steps): core.Open/OpenSlice, a client's two receivers and the
+// secure task service are one-line callers of it, and the replay guard
+// covers all of them, one key per form. A client's group pipes (in
+// internal/control) accept every form a peer sends; the relay's push
+// accepts slices only. Likewise one verifier checks
 // every credential-signed broker request (secureRenew, heartbeat) and
 // one loop seals every fan-out round.
 //

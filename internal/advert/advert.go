@@ -175,15 +175,12 @@ func ParsePeer(doc *xmldoc.Element) (*Peer, error) {
 
 // --- PipeAdvertisement ---
 
-// Pipe types.
-const (
-	PipeUnicast   = "JxtaUnicast"
-	PipePropagate = "JxtaPropagate"
-)
+// PipeUnicast is the one pipe type: a peer's input pipe for one group.
+const PipeUnicast = "JxtaUnicast"
 
 // Pipe describes a virtual communication channel endpoint: which peer
-// hosts it, its identifier, and the group it serves. Client peers have
-// one input pipe per group; brokers a single shared one.
+// hosts it, its identifier, and the group it serves. A client peer has
+// one input pipe per group; a broker has none.
 type Pipe struct {
 	PipeID   string
 	PipeType string
@@ -225,7 +222,7 @@ func ParsePipe(doc *xmldoc.Element) (*Pipe, error) {
 	if p.PipeID == "" || p.PeerID == "" {
 		return nil, errors.New("advert: pipe advertisement missing Id or PeerID")
 	}
-	if p.PipeType != PipeUnicast && p.PipeType != PipePropagate {
+	if p.PipeType != PipeUnicast {
 		return nil, fmt.Errorf("advert: unknown pipe type %q", p.PipeType)
 	}
 	return p, nil
@@ -236,7 +233,6 @@ func ParsePipe(doc *xmldoc.Element) (*Pipe, error) {
 // Presence statuses.
 const (
 	StatusOnline  = "online"
-	StatusAway    = "away"
 	StatusOffline = "offline"
 )
 

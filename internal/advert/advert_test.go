@@ -59,12 +59,16 @@ func TestPipeRoundTrip(t *testing.T) {
 }
 
 func TestPipeRejectsUnknownType(t *testing.T) {
-	doc := xmldoc.New(TypePipe, "")
-	doc.AddText("Id", "urn:jxta:pipe-1")
-	doc.AddText("Type", "JxtaCarrierPigeon")
-	doc.AddText("PeerID", "urn:jxta:cbid-1")
-	if _, err := ParsePipe(doc); err == nil {
-		t.Fatal("ParsePipe accepted unknown pipe type")
+	// A propagate pipe is JXTA's, not this overlay's: every pipe is a peer's
+	// unicast group pipe.
+	for _, typ := range []string{"JxtaCarrierPigeon", "JxtaPropagate"} {
+		doc := xmldoc.New(TypePipe, "")
+		doc.AddText("Id", "urn:jxta:pipe-1")
+		doc.AddText("Type", typ)
+		doc.AddText("PeerID", "urn:jxta:cbid-1")
+		if _, err := ParsePipe(doc); err == nil {
+			t.Fatalf("ParsePipe accepted pipe type %q", typ)
+		}
 	}
 }
 

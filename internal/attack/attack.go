@@ -162,6 +162,22 @@ func SpoofedPipeEnvelope(claimedFrom, to keys.PeerID, group string, wire []byte)
 	return spoofedPipeFrame(claimedFrom, to, advert.GroupPipeID(to, group), group, proto.ElemEnvelope, wire)
 }
 
+// SpoofedSlicePush fabricates the broker relay's push of one slice
+// (proto.OpSliceDeliver to the client service), with any secure wire and
+// any claimed origin: the client service takes pushes from whoever sends
+// them.
+func SpoofedSlicePush(claimedFrom, to keys.PeerID, group string, wire []byte) []byte {
+	return endpoint.NewMessage().
+		AddString("jxta:src", string(claimedFrom)).
+		AddString("jxta:dst", string(to)).
+		AddString("jxta:svc", proto.ClientService).
+		AddString(proto.ElemOp, proto.OpSliceDeliver).
+		AddString(proto.ElemGroup, group).
+		AddString(proto.ElemPeer, string(claimedFrom)).
+		Add(proto.ElemEnvelope, wire).
+		Marshal()
+}
+
 func spoofedPipeFrame(claimedFrom, to keys.PeerID, pipeID, group, elem string, payload []byte) []byte {
 	msg := endpoint.NewMessage().
 		AddString("jxta:src", string(claimedFrom)).

@@ -202,16 +202,13 @@ func TestReplayOfEvictedWhileFreshRoundAdmittedAndCounted(t *testing.T) {
 	if got := core.ReplayEvictions() - before; got != 0 {
 		t.Fatalf("ReplayEvictions moved by %d with the guard not yet over capacity", got)
 	}
-	// Two more admits evict the two entries with the least time left:
-	// the slice's wire digest and the round's nonce, signed a second
-	// earlier.
-	for i := 0; i < 2; i++ {
-		if err := guard.Check([]byte{'e', byte(i)}, now); err != nil {
-			t.Fatal(err)
-		}
+	// One more admit evicts the entry with the least time left: the
+	// round's nonce, signed a second earlier — a slice's only entry.
+	if err := guard.Check([]byte{'e'}, now); err != nil {
+		t.Fatal(err)
 	}
-	if got := core.ReplayEvictions() - before; got != 2 {
-		t.Fatalf("ReplayEvictions moved by %d over two admits into a full guard, want 2", got)
+	if got := core.ReplayEvictions() - before; got != 1 {
+		t.Fatalf("ReplayEvictions moved by %d over one admit into a full guard, want 1", got)
 	}
 	if _, err := core.OpenSlice(bob.kp, slice, guard); err != nil {
 		t.Fatalf("replay of an evicted-while-fresh round = %v; the guard no longer holds it and (as before this counter existed) admits it", err)

@@ -19,9 +19,6 @@ type VerifyOptions struct {
 	// broker key, not just "some RSA key"). Nil checks signatures
 	// structurally only.
 	Trust *cred.TrustStore
-	// Now is the instant credential validity is evaluated at (zero =
-	// time.Now).
-	Now time.Time
 	// ExpectHead and ExpectSeq are an externally remembered trust point
 	// — the chain head and sequence number scraped from /debug/audit or
 	// a prior Verify. When set, a journal that verifies internally but
@@ -95,9 +92,7 @@ func (r *Report) OK() bool { return r.Fault == nil }
 // The error return is reserved for harness problems (unreadable
 // directory); tamper findings land in Report.Fault.
 func Verify(dir string, opts VerifyOptions) (*Report, error) {
-	if opts.Now.IsZero() {
-		opts.Now = time.Now()
-	}
+	now := time.Now() // the instant every checkpoint's credential validity is judged at
 	segs, err := format.List(dir)
 	if err != nil {
 		return nil, err
@@ -126,7 +121,7 @@ func Verify(dir string, opts VerifyOptions) (*Report, error) {
 			if err != nil {
 				return err
 			}
-			signer, err := claim.verify(rec, head, opts.Trust, opts.Now)
+			signer, err := claim.verify(rec, head, opts.Trust, now)
 			if err != nil {
 				return err
 			}

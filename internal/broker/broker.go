@@ -216,7 +216,7 @@ func New(cfg Config) (*Broker, error) {
 	b := &Broker{
 		cfg:    cfg,
 		ep:     ep,
-		ctl:    control.New(ep, discovery.NewCache(ep.Now), events.NewBus()),
+		ctl:    control.New(ep, discovery.NewCache(ep.Now), events.NewBus(), nil),
 		groups: peergroup.NewRegistry(),
 		peers:  make(map[keys.PeerID]*PeerInfo),
 		ops:    make(map[string]OpHandler),

@@ -31,7 +31,6 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
-	"jxtaoverlay/internal/pipes"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/telemetry"
@@ -81,9 +80,10 @@ type PeerSummary struct {
 	Status   string
 }
 
-// EnvelopeHandler lets the security extension intercept pipe deliveries
-// carrying secure envelopes. Return true when the delivery was consumed.
-type EnvelopeHandler func(group string, d pipes.Delivery) bool
+// EnvelopeHandler is the security extension's receiver of a message that
+// carries a secure wire (proto.ElemEnvelope). from is whoever the routing
+// claims delivered it.
+type EnvelopeHandler func(group string, from keys.PeerID, msg *endpoint.Message)
 
 // Client is one client peer.
 type Client struct {
@@ -97,8 +97,10 @@ type Client struct {
 	username  string
 	groups    []string
 	loggedIn  bool
-	envelope  EnvelopeHandler
 	advSigner AdvSigner
+	// The security extension's two receivers: one for what arrives on a
+	// group pipe, one for a slice the relay pushes.
+	onPipeWire, onSliceWire EnvelopeHandler
 
 	timeout time.Duration
 	started time.Time
@@ -124,14 +126,13 @@ func New(net *simnet.Network, mem membership.Service, alias string) (*Client, er
 	}
 	c := &Client{
 		ep:       ep,
-		ctl:      control.New(ep, discovery.NewCache(ep.Now), events.NewBus()),
 		mem:      mem,
 		identity: id,
 		username: alias,
 		timeout:  10 * time.Second,
 		started:  ep.Now(),
 	}
-	c.ctl.SetMessageHandler(c.onPipeDelivery)
+	c.ctl = control.New(ep, discovery.NewCache(ep.Now), events.NewBus(), c.onPipeDelivery)
 	ep.RegisterHandler(proto.ClientService, c.onBrokerPush)
 	return c, nil
 }
@@ -194,12 +195,14 @@ func (c *Client) LoggedIn() bool {
 // Uptime reports how long the peer has been up (statistics primitives).
 func (c *Client) Uptime() time.Duration { return c.Now().Sub(c.started) }
 
-// SetEnvelopeHandler installs the security extension's interceptor for
-// secure message envelopes.
-func (c *Client) SetEnvelopeHandler(h EnvelopeHandler) {
+// SetEnvelopeHandlers installs the security extension's receivers of
+// secure wires: pipe for a group pipe's deliveries, slice for the relay's
+// pushes. Each entry accepts what its sender produces; until they are
+// set, a secure wire raises a SecurityAlert.
+func (c *Client) SetEnvelopeHandlers(pipe, slice EnvelopeHandler) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.envelope = h
+	c.onPipeWire, c.onSliceWire = pipe, slice
 }
 
 // AdvSigner mutates an advertisement document before publication; the
@@ -658,23 +661,31 @@ func (c *Client) GetPeerStats(ctx context.Context, peer keys.PeerID, group strin
 
 // --- inbound paths ---
 
-// onPipeDelivery converts pipe messages into events; secure envelopes
-// are offered to the security extension first.
-func (c *Client) onPipeDelivery(group string, d pipes.Delivery) {
-	c.mu.RLock()
-	envelope := c.envelope
-	c.mu.RUnlock()
-	if d.Msg.Has(proto.ElemEnvelope) {
-		if envelope == nil || !envelope(group, d) {
-			c.ctl.Emit(events.SecurityAlert, d.From, group, map[string]string{
-				"reason": "secure envelope received but security extension not enabled",
-			}, nil)
-		}
+// onPipeDelivery converts pipe messages into events; a secure wire goes
+// to the security extension.
+func (c *Client) onPipeDelivery(group string, from keys.PeerID, msg *endpoint.Message) {
+	if msg.Has(proto.ElemEnvelope) {
+		c.mu.RLock()
+		h := c.onPipeWire
+		c.mu.RUnlock()
+		c.openSecure(h, group, from, msg)
 		return
 	}
-	if body, ok := d.Msg.GetString(proto.ElemBody); ok {
-		c.ctl.Emit(events.MessageReceived, d.From, group, map[string]string{"authenticated": "false"}, []byte(body))
+	if body, ok := msg.GetString(proto.ElemBody); ok {
+		c.ctl.Emit(events.MessageReceived, from, group, map[string]string{"authenticated": "false"}, []byte(body))
 	}
+}
+
+// openSecure hands a secure wire to the security extension's receiver h,
+// or alerts when there is none.
+func (c *Client) openSecure(h EnvelopeHandler, group string, from keys.PeerID, msg *endpoint.Message) {
+	if h == nil {
+		c.ctl.Emit(events.SecurityAlert, from, group, map[string]string{
+			"reason": "secure envelope received but security extension not enabled",
+		}, nil)
+		return
+	}
+	h(group, from, msg)
 }
 
 // onBrokerPush handles advertisements propagated by the broker and
@@ -683,13 +694,19 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 	op, _ := msg.GetString(proto.ElemOp)
 	if op == proto.OpSliceDeliver {
 		// A per-recipient round slice cut by the broker relay — either a
-		// live push or a queued item drained at login. It rides the same
-		// envelope path as pipe deliveries; the claimed origin is the
-		// submitting peer (unauthenticated here — the signed sender is
-		// inside the envelope, checked by the security extension).
+		// live push or a queued item drained at login. The claimed origin
+		// is the submitting peer (unauthenticated here — the signed sender
+		// is inside the slice, checked by the security extension). The
+		// relay pushes nothing else, so its receiver opens nothing else.
+		if !msg.Has(proto.ElemEnvelope) {
+			return nil
+		}
 		group, _ := msg.GetString(proto.ElemGroup)
 		origin, _ := msg.GetString(proto.ElemPeer)
-		c.onPipeDelivery(group, pipes.Delivery{From: keys.PeerID(origin), Msg: msg})
+		c.mu.RLock()
+		h := c.onSliceWire
+		c.mu.RUnlock()
+		c.openSecure(h, group, keys.PeerID(origin), msg)
 		return nil
 	}
 	if op != proto.OpAdvPush {

@@ -2,76 +2,85 @@
 // between the Broker and Client Modules providing the generic group
 // management and messaging machinery (paper §2.2).
 //
-// Concretely it owns the per-group input pipes of a peer (client peers
-// bind one input pipe per group; brokers a single shared one), pumps
-// deliveries to registered message handlers, and runs the periodic
-// presence announcer each client uses to broadcast its advertisements.
+// Concretely it holds a peer's advertisement cache and event bus and, on
+// a client, its group pipes: the JXTA pipe is the virtual channel the
+// Control Module messages through, and a client binds one unicast input
+// pipe per group it belongs to. Other peers send to it by its pipe
+// advertisement. A broker binds no pipe. Presence travels on the broker's
+// pushes; a peer announces nothing on a timer.
 package control
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/discovery"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/pipes"
 )
 
-// MsgHandler consumes messages arriving on a group input pipe.
-type MsgHandler func(group string, d pipes.Delivery)
+// servicePrefix namespaces pipe traffic inside the endpoint demux.
+const servicePrefix = "jxta:pipe:"
+
+// pipeQueue is how many deliveries a group pipe holds for its pump.
+// Another one waits on its delivering goroutine until the pump takes one.
+const pipeQueue = 128
+
+// MsgHandler consumes messages arriving on a group input pipe. from is the
+// sender identifier claimed in the message's routing; absent the security
+// extension it is unauthenticated.
+type MsgHandler func(group string, from keys.PeerID, msg *endpoint.Message)
+
+// errClosed is returned by BindGroupPipe after Close.
+var errClosed = errors.New("control: module closed")
 
 // Module is the shared messaging substrate of a JXTA-Overlay entity.
 type Module struct {
-	ep    *endpoint.Service
-	cache *discovery.Cache
-	bus   *events.Bus
+	ep      *endpoint.Service
+	cache   *discovery.Cache
+	bus     *events.Bus
+	handler MsgHandler
 
-	mu       sync.Mutex
-	inPipes  map[string]*pipes.InputPipe // by group
-	pipeAdvs map[string]*advert.Pipe
-	handler  MsgHandler
-	pumpWG   sync.WaitGroup
-	closed   bool
-
-	announceCancel context.CancelFunc
+	mu     sync.Mutex
+	pipes  map[string]*groupPipe // by group
+	closed bool
 }
 
-// New creates a control module over an endpoint.
-func New(ep *endpoint.Service, cache *discovery.Cache, bus *events.Bus) *Module {
+// groupPipe is one bound group pipe. Its endpoint handler queues each
+// delivery, and the group's one pump goroutine hands them to the module's
+// handler in the order they were queued.
+type groupPipe struct {
+	adv  *advert.Pipe
+	ch   chan delivery
+	done chan struct{} // closed when the pipe is unbound
+}
+
+type delivery struct {
+	from keys.PeerID
+	msg  *endpoint.Message
+}
+
+// New creates a control module over an endpoint. handler consumes what
+// the module's group pipes deliver; a module that binds no pipe (a
+// broker's) passes nil.
+func New(ep *endpoint.Service, cache *discovery.Cache, bus *events.Bus, handler MsgHandler) *Module {
 	return &Module{
-		ep:       ep,
-		cache:    cache,
-		bus:      bus,
-		inPipes:  make(map[string]*pipes.InputPipe),
-		pipeAdvs: make(map[string]*advert.Pipe),
+		ep:      ep,
+		cache:   cache,
+		bus:     bus,
+		handler: handler,
+		pipes:   make(map[string]*groupPipe),
 	}
 }
-
-// Endpoint returns the underlying endpoint service.
-func (m *Module) Endpoint() *endpoint.Service { return m.ep }
 
 // Cache returns the local advertisement cache.
 func (m *Module) Cache() *discovery.Cache { return m.cache }
 
 // Bus returns the event bus.
 func (m *Module) Bus() *events.Bus { return m.bus }
-
-// SetMessageHandler installs the consumer for pipe deliveries. It must
-// be set before pipes are bound.
-func (m *Module) SetMessageHandler(h MsgHandler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handler = h
-}
-
-// ErrClosed is returned after Close.
-var ErrClosed = errors.New("control: module closed")
 
 // BindGroupPipe creates (or returns) the input pipe for a group and its
 // advertisement. The advertisement is cached locally; publishing it to
@@ -82,10 +91,10 @@ func (m *Module) BindGroupPipe(group string) (*advert.Pipe, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
-	if adv, ok := m.pipeAdvs[group]; ok {
-		return adv, nil
+	if p, ok := m.pipes[group]; ok {
+		return p.adv, nil
 	}
 	adv := &advert.Pipe{
 		PipeID:   advert.GroupPipeID(m.ep.PeerID(), group),
@@ -94,34 +103,31 @@ func (m *Module) BindGroupPipe(group string) (*advert.Pipe, error) {
 		PeerID:   m.ep.PeerID(),
 		Group:    group,
 	}
-	in, err := pipes.CreateInputPipe(m.ep, adv, 128)
-	if err != nil {
-		return nil, err
-	}
 	if err := m.cache.PutAdv(adv); err != nil {
-		in.Close()
 		return nil, err
 	}
-	m.inPipes[group] = in
-	m.pipeAdvs[group] = adv
-
-	m.pumpWG.Add(1)
-	go m.pump(group, in)
+	p := &groupPipe{adv: adv, ch: make(chan delivery, pipeQueue), done: make(chan struct{})}
+	m.ep.RegisterHandler(servicePrefix+adv.PipeID, func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+		// A queued delivery's elements are views of its frame: the queue
+		// holds each frame whole. A full queue holds the fabric's delivery
+		// goroutine here, so nothing a sender was told is sent is dropped.
+		select {
+		case p.ch <- delivery{from, msg}:
+		case <-p.done:
+		}
+		return nil
+	})
+	m.pipes[group] = p
+	go m.pump(group, p)
 	return adv, nil
 }
 
-func (m *Module) pump(group string, in *pipes.InputPipe) {
-	defer m.pumpWG.Done()
+func (m *Module) pump(group string, p *groupPipe) {
 	for {
 		select {
-		case d := <-in.Chan():
-			m.mu.Lock()
-			h := m.handler
-			m.mu.Unlock()
-			if h != nil {
-				h(group, d)
-			}
-		case <-in.Done():
+		case d := <-p.ch:
+			m.handler(group, d.from, d.msg)
+		case <-p.done:
 			return
 		}
 	}
@@ -133,120 +139,46 @@ func (m *Module) pump(group string, in *pipes.InputPipe) {
 func (m *Module) UnbindGroupPipe(group string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if in := m.inPipes[group]; in != nil {
-		in.Close()
+	if p := m.pipes[group]; p != nil {
+		m.closePipe(p)
+		delete(m.pipes, group)
 	}
-	delete(m.inPipes, group)
-	delete(m.pipeAdvs, group)
+}
+
+// closePipe unregisters p's endpoint handler and releases its pump and
+// any delivery waiting for room. Callers hold m.mu.
+func (m *Module) closePipe(p *groupPipe) {
+	m.ep.UnregisterHandler(servicePrefix + p.adv.PipeID)
+	close(p.done)
 }
 
 // GroupPipeAdv returns the local pipe advertisement for a group.
 func (m *Module) GroupPipeAdv(group string) (*advert.Pipe, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	adv, ok := m.pipeAdvs[group]
-	return adv, ok
-}
-
-// BoundGroups lists groups with bound pipes.
-func (m *Module) BoundGroups() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.inPipes))
-	for g := range m.inPipes {
-		out = append(out, g)
+	if p, ok := m.pipes[group]; ok {
+		return p.adv, true
 	}
-	return out
+	return nil, false
 }
 
-// SendOnPipe resolves a unicast pipe advertisement and sends one message
-// through it.
+// SendOnPipe sends one message to the peer hosting a pipe, through it.
 func (m *Module) SendOnPipe(adv *advert.Pipe, msg *endpoint.Message) error {
-	out, err := pipes.ResolveOutputPipe(m.ep, adv)
-	if err != nil {
-		return err
-	}
-	return out.Send(msg)
+	return m.ep.Send(adv.PeerID, servicePrefix+adv.PipeID, msg)
 }
 
-// PublishFunc pushes an advertisement document to the network (the
-// client module implements it as a broker publish).
-type PublishFunc func(ctx context.Context, adv advert.Advertisement) error
-
-// StartAnnouncer begins periodic presence broadcasting for the given
-// groups provider. It stops when the module closes or StopAnnouncer is
-// called. Each tick publishes one presence advertisement per group, as
-// JXTA-Overlay clients do.
-func (m *Module) StartAnnouncer(interval time.Duration, name string, groupsFn func() []string, publish PublishFunc) {
-	ctx, cancel := context.WithCancel(context.Background())
-	m.mu.Lock()
-	if m.announceCancel != nil {
-		m.announceCancel()
-	}
-	m.announceCancel = cancel
-	m.mu.Unlock()
-
-	m.pumpWG.Add(1)
-	go func() {
-		defer m.pumpWG.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				for _, g := range groupsFn() {
-					pres := &advert.Presence{
-						PeerID: m.ep.PeerID(),
-						Name:   name,
-						Group:  g,
-						Status: advert.StatusOnline,
-						Seen:   m.ep.Now(),
-					}
-					pubCtx, pubCancel := context.WithTimeout(ctx, interval)
-					_ = publish(pubCtx, pres)
-					pubCancel()
-				}
-			}
-		}
-	}()
-}
-
-// StopAnnouncer halts presence broadcasting.
-func (m *Module) StopAnnouncer() {
-	m.mu.Lock()
-	cancel := m.announceCancel
-	m.announceCancel = nil
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// Close unbinds every pipe and stops background work.
+// Close unbinds every pipe. Bind fails afterwards.
 func (m *Module) Close() {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return
 	}
 	m.closed = true
-	pipesToClose := make([]*pipes.InputPipe, 0, len(m.inPipes))
-	for _, in := range m.inPipes {
-		pipesToClose = append(pipesToClose, in)
+	for _, p := range m.pipes {
+		m.closePipe(p)
 	}
-	m.inPipes = map[string]*pipes.InputPipe{}
-	m.pipeAdvs = map[string]*advert.Pipe{}
-	cancel := m.announceCancel
-	m.announceCancel = nil
-	m.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	for _, in := range pipesToClose {
-		in.Close()
-	}
+	m.pipes = nil
 }
 
 // Emit is a convenience for modules above to publish an event.

@@ -1,8 +1,8 @@
 package control
 
 import (
-	"context"
-	"sync/atomic"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,17 +11,17 @@ import (
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/pipes"
 	"jxtaoverlay/internal/simnet"
+	"jxtaoverlay/internal/waituntil"
 )
 
-func newModule(t *testing.T, net *simnet.Network, id string) *Module {
+func newModule(t *testing.T, net *simnet.Network, id string, h MsgHandler) *Module {
 	t.Helper()
 	ep, err := endpoint.NewService(net, keys.PeerID(id))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(ep, discovery.NewCache(ep.Now), events.NewBus())
+	m := New(ep, discovery.NewCache(ep.Now), events.NewBus(), h)
 	t.Cleanup(m.Close)
 	return m
 }
@@ -35,41 +35,40 @@ func testNet(t *testing.T) *simnet.Network {
 
 func TestBindGroupPipe(t *testing.T) {
 	net := testNet(t)
-	m := newModule(t, net, "urn:jxta:m1")
+	m := newModule(t, net, "urn:jxta:m1", nil)
 	adv, err := m.BindGroupPipe("math")
 	if err != nil {
 		t.Fatalf("BindGroupPipe: %v", err)
 	}
-	if adv.Group != "math" || adv.PeerID != "urn:jxta:m1" || adv.PipeType != advert.PipeUnicast {
+	if adv.Group != "math" || adv.PeerID != "urn:jxta:m1" || adv.PipeType != advert.PipeUnicast ||
+		adv.PipeID != advert.GroupPipeID("urn:jxta:m1", "math") {
 		t.Fatalf("adv = %+v", adv)
 	}
 	// Idempotent: same group returns the same advertisement.
 	again, err := m.BindGroupPipe("math")
-	if err != nil || again.PipeID != adv.PipeID {
+	if err != nil || again != adv {
 		t.Fatalf("re-bind = %+v, %v", again, err)
 	}
 	// Cached locally.
 	if _, err := m.Cache().Lookup(advert.TypePipe, adv.PipeID); err != nil {
 		t.Fatal("pipe advertisement not cached")
 	}
-	if got, ok := m.GroupPipeAdv("math"); !ok || got.PipeID != adv.PipeID {
+	if got, ok := m.GroupPipeAdv("math"); !ok || got != adv {
 		t.Fatal("GroupPipeAdv mismatch")
 	}
-	if got := m.BoundGroups(); len(got) != 1 || got[0] != "math" {
-		t.Fatalf("BoundGroups = %v", got)
+	if _, ok := m.GroupPipeAdv("art"); ok {
+		t.Fatal("GroupPipeAdv found a group never bound")
 	}
 }
 
 func TestMessagePumpDelivers(t *testing.T) {
 	net := testNet(t)
-	recv := newModule(t, net, "urn:jxta:recv")
-	send := newModule(t, net, "urn:jxta:send")
-
 	got := make(chan string, 1)
-	recv.SetMessageHandler(func(group string, d pipes.Delivery) {
-		body, _ := d.Msg.GetString("body")
-		got <- group + "/" + string(d.From) + "/" + body
+	recv := newModule(t, net, "urn:jxta:recv", func(group string, from keys.PeerID, msg *endpoint.Message) {
+		body, _ := msg.GetString("body")
+		got <- group + "/" + string(from) + "/" + body
 	})
+	send := newModule(t, net, "urn:jxta:send", nil)
 	adv, err := recv.BindGroupPipe("g")
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +86,117 @@ func TestMessagePumpDelivers(t *testing.T) {
 	}
 }
 
+// TestGroupPipeSendReceive: a bound group pipe is a unicast endpoint
+// service any peer can reach, control module or not. The handler sees the
+// sender's ID and the message body.
+func TestGroupPipeSendReceive(t *testing.T) {
+	net := testNet(t)
+	got := make(chan delivery, 1)
+	recv := newModule(t, net, "urn:jxta:b", func(_ string, from keys.PeerID, msg *endpoint.Message) {
+		got <- delivery{from, msg}
+	})
+	a, err := endpoint.NewService(net, "urn:jxta:a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, err := recv.BindGroupPipe("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send(adv.PeerID, servicePrefix+adv.PipeID, endpoint.NewMessage().AddString("body", "ping")); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	select {
+	case d := <-got:
+		if d.from != a.PeerID() {
+			t.Fatalf("from = %q", d.from)
+		}
+		if body, _ := d.msg.GetString("body"); body != "ping" {
+			t.Fatalf("body = %q", body)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("nothing delivered")
+	}
+}
+
+// TestGroupPipeBurstDeliveredOnce: a group pipe does not drop what its
+// queue has no room for. While the handler is held, 300 messages — more
+// than twice the queue — are sent; once it is released, each is handed to
+// it exactly once. (The queue used to discard the overflow after the
+// sender's Send had returned nil, and count nothing.)
+func TestGroupPipeBurstDeliveredOnce(t *testing.T) {
+	const burst = 300
+	net := testNet(t)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	seen := make(map[string]int)
+	recv := newModule(t, net, "urn:jxta:recv", func(_ string, _ keys.PeerID, msg *endpoint.Message) {
+		<-release
+		body, _ := msg.GetString("body")
+		mu.Lock()
+		seen[body]++
+		mu.Unlock()
+	})
+	send := newModule(t, net, "urn:jxta:send", nil)
+	adv, err := recv.BindGroupPipe("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range burst {
+		if err := send.SendOnPipe(adv, endpoint.NewMessage().AddString("body", strconv.Itoa(i))); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	close(release)
+	waituntil.True(10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) == burst
+	})
+	net.Close() // every delivery has returned: nothing more can arrive
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != burst {
+		t.Fatalf("%d of %d messages delivered", len(seen), burst)
+	}
+	for body, n := range seen {
+		if n != 1 {
+			t.Fatalf("message %s delivered %d times", body, n)
+		}
+	}
+}
+
+// TestUnbindReleasesWaitingDeliveries: deliveries waiting for room in a
+// pipe whose handler never returns are let go when the pipe is unbound,
+// so the fabric's Close, which waits for every delivery, returns.
+func TestUnbindReleasesWaitingDeliveries(t *testing.T) {
+	net := testNet(t)
+	stuck := make(chan struct{})
+	t.Cleanup(func() { close(stuck) })
+	recv := newModule(t, net, "urn:jxta:recv", func(string, keys.PeerID, *endpoint.Message) { <-stuck })
+	send := newModule(t, net, "urn:jxta:send", nil)
+	adv, err := recv.BindGroupPipe("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*pipeQueue; i++ {
+		if err := send.SendOnPipe(adv, endpoint.NewMessage()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv.UnbindGroupPipe("g")
+	closed := make(chan struct{})
+	go func() { net.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("deliveries still waiting on an unbound pipe")
+	}
+}
+
 func TestUnbindGroupPipe(t *testing.T) {
 	net := testNet(t)
-	m := newModule(t, net, "urn:jxta:m1")
+	m := newModule(t, net, "urn:jxta:m1", nil)
 	if _, err := m.BindGroupPipe("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -97,54 +204,53 @@ func TestUnbindGroupPipe(t *testing.T) {
 	if _, ok := m.GroupPipeAdv("g"); ok {
 		t.Fatal("pipe adv survived unbind")
 	}
-	if len(m.BoundGroups()) != 0 {
-		t.Fatal("group survived unbind")
-	}
 	m.UnbindGroupPipe("g") // idempotent
+}
+
+// TestUnboundGroupPipeDiscards: closing a group pipe is idempotent, and a
+// message sent to it afterwards is discarded: the send succeeds (the peer
+// is there) and nothing is handed to the handler.
+func TestUnboundGroupPipeDiscards(t *testing.T) {
+	net := testNet(t)
+	got := make(chan struct{}, 1)
+	m := newModule(t, net, "urn:jxta:m1", func(string, keys.PeerID, *endpoint.Message) { got <- struct{}{} })
+	send := newModule(t, net, "urn:jxta:send", nil)
+	adv, err := m.BindGroupPipe("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.UnbindGroupPipe("g")
+	m.UnbindGroupPipe("g") // idempotent
+	if err := send.SendOnPipe(adv, endpoint.NewMessage()); err != nil {
+		t.Fatalf("SendOnPipe: %v", err)
+	}
+	net.Close()
+	select {
+	case <-got:
+		t.Fatal("an unbound pipe delivered")
+	default:
+	}
 }
 
 func TestCloseRejectsBind(t *testing.T) {
 	net := testNet(t)
-	m := newModule(t, net, "urn:jxta:m1")
+	m := newModule(t, net, "urn:jxta:m1", nil)
+	if _, err := m.BindGroupPipe("g"); err != nil {
+		t.Fatal(err)
+	}
 	m.Close()
-	if _, err := m.BindGroupPipe("g"); err != ErrClosed {
+	if _, ok := m.GroupPipeAdv("g"); ok {
+		t.Fatal("pipe adv survived Close")
+	}
+	if _, err := m.BindGroupPipe("g"); err != errClosed {
 		t.Fatalf("BindGroupPipe after Close = %v", err)
 	}
 	m.Close() // idempotent
 }
 
-func TestAnnouncer(t *testing.T) {
-	net := testNet(t)
-	m := newModule(t, net, "urn:jxta:m1")
-	var published atomic.Int32
-	m.StartAnnouncer(20*time.Millisecond, "alice",
-		func() []string { return []string{"g1", "g2"} },
-		func(_ context.Context, adv advert.Advertisement) error {
-			pres, ok := adv.(*advert.Presence)
-			if !ok || pres.Name != "alice" || pres.Status != advert.StatusOnline {
-				t.Errorf("unexpected announcement %+v", adv)
-			}
-			published.Add(1)
-			return nil
-		})
-	deadline := time.Now().Add(5 * time.Second)
-	for published.Load() < 4 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if published.Load() < 4 {
-		t.Fatalf("announcer published %d advertisements", published.Load())
-	}
-	m.StopAnnouncer()
-	count := published.Load()
-	time.Sleep(60 * time.Millisecond)
-	if published.Load() > count+1 { // one tick may be in flight
-		t.Fatal("announcer kept publishing after stop")
-	}
-}
-
 func TestEmit(t *testing.T) {
 	net := testNet(t)
-	m := newModule(t, net, "urn:jxta:m1")
+	m := newModule(t, net, "urn:jxta:m1", nil)
 	col := events.NewCollector(m.Bus())
 	m.Emit(events.GroupUpdated, "urn:jxta:x", "g", map[string]string{"k": "v"}, []byte("d"))
 	e, ok := col.WaitFor(events.GroupUpdated, 5*time.Second)

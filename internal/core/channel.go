@@ -66,7 +66,9 @@ const (
 	offerLifetime = time.Minute
 	// seqWindow is the reordering a channel tolerates, in messages. The
 	// fabric delivers each packet on its own goroutine, so order is lost
-	// among the messages in flight; a pipe queues at most 128 of them.
+	// among the messages in flight: a group pipe queues them in the order
+	// their goroutines reach it, and one that finds the queue full waits
+	// for room beside the others, in no order at all.
 	seqWindow = 1024
 	// channelTableCap bounds each direction's table: as many peers as the
 	// client keeps advertisement verdicts for (xdsig.DefaultVerifyCacheSize).

@@ -13,8 +13,8 @@ import (
 // BEHIND the tag, where FuzzOpen's byte mutations never get: the fuzzer
 // picks a sequence number, the plaintext, how far from now the frame says
 // it was sent, and bytes to flip afterwards; the harness seals that under
-// the table channel's key and opens it the way the push handler does, with
-// a guard. With refusal set it builds the unsigned refusal of frame seq
+// the table channel's key and opens it the way a group pipe's receiver
+// does, with a guard. With refusal set it builds the unsigned refusal of frame seq
 // instead, plain trailing it.
 //
 // Properties: it never panics; it returns exactly one of an Opened and an

@@ -12,7 +12,6 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
-	"jxtaoverlay/internal/pipes"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 )
@@ -73,7 +72,7 @@ func TestChannelFrameFromAnotherSenderAlerted(t *testing.T) {
 	s.chans.install(&inChannel{id: victimID, pair: pairKey{"urn:jxta:victim", "g"}, user: "victim", aead: victimAEAD}, time.Now().Add(time.Hour), time.Now())
 	got := events.NewCollector(cl.Bus())
 	deliver := func(wire []byte) {
-		s.handleEnvelope("g", pipes.Delivery{From: "urn:jxta:deliverer", Msg: endpoint.NewMessage().Add(proto.ElemEnvelope, wire)})
+		s.handleEnvelope("g", "urn:jxta:deliverer", endpoint.NewMessage().Add(proto.ElemEnvelope, wire), pipeForms)
 	}
 	deliver(forgeFrame(victimID, 1, framePlain(time.Now(), []byte("as someone else"))))
 	alerts := got.OfType(events.SecurityAlert)

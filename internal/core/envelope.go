@@ -82,12 +82,11 @@ func (m Mode) String() string {
 
 // Envelope errors.
 var (
-	ErrEnvelope      = errors.New("core: malformed secure envelope")
-	ErrNotRecipient  = errors.New("core: envelope not addressed to this peer")
-	ErrNoSignature   = errors.New("core: envelope carries no signature")
-	ErrSigInvalid    = errors.New("core: envelope signature invalid")
-	ErrBodyDigest    = errors.New("core: envelope body digest mismatch")
-	ErrModeForbidden = errors.New("core: envelope mode not accepted by policy")
+	ErrEnvelope     = errors.New("core: malformed secure envelope")
+	ErrNotRecipient = errors.New("core: envelope not addressed to this peer")
+	ErrNoSignature  = errors.New("core: envelope carries no signature")
+	ErrSigInvalid   = errors.New("core: envelope signature invalid")
+	ErrBodyDigest   = errors.New("core: envelope body digest mismatch")
 )
 
 // Sealed is the transportable secure message.

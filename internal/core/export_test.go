@@ -41,7 +41,7 @@ func tableChannels() *channelTable {
 }
 
 // OpenAnyForm runs the open pipeline accepting every wire form — what
-// the messenger push handler hands it, minus the group label and the
+// a group pipe's receiver hands it, minus the group label and the
 // guard, with the table channel as the one channel held — for the
 // external test package's fuzz target.
 func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {

@@ -16,8 +16,9 @@ import (
 // The open path. Every secure wire a stranger can hand this peer — a
 // unicast envelope, a round's per-member slice, a session channel's frame
 // or refusal — is accepted or refused by openWire, and nowhere else: Open,
-// OpenSlice, the messenger push handler and the secure task service all
-// call it, differing only in which wire forms they accept. A full round
+// OpenSlice, the client's two receivers (its group pipes, and the relay's
+// slice push) and the secure task service all call it, differing only in
+// which wire forms they accept. A full round
 // (ModeGroup) is none of them: it is the relay's upload format, which
 // SliceRound cuts without keys, and no recipient surface opens one. The
 // steps and their order are the security argument (SECURITY.md, "Round
@@ -40,7 +41,8 @@ import (
 //	time, nonce, signature, handshake fields
 //	claimed group         slices only, and BEFORE the guard: a mislabelled
 //	                      delivery must not burn the single-use nonce
-//	replay                Check(wire), then for slices CheckRound(nonce)
+//	replay                one guard key per form: an envelope's wire
+//	                      digest, a slice's signed round nonce
 //
 // A frame leaves the pipeline once its channel's key has opened it: four
 // steps prove for a signed wire what its channel already has. No header
@@ -54,19 +56,21 @@ import (
 // refuses it, as it does a number below it; a channel replaced or a
 // recipient restarted is an unknown channel, a refusal. What a frame still
 // passes, in order: the guard's freshness window, then its number, once.
+// So each form is admitted under one replay key: an envelope by its
+// digest, a slice by its nonce, a frame by its number.
 //
 // The sender signature itself is checked by Opened.VerifySignature,
-// which needs the sender's certified key and therefore a lookup; both
-// guard admits come before that lookup.
+// which needs the sender's certified key and therefore a lookup; the
+// guard admit comes before that lookup.
 //
 // openWire CONSUMES the wire: the AEAD opens in place, so the body it
 // hands back is a view of the bytes that came in and the ciphertext is
-// gone. Its two callers that own what they pass — the messenger push
-// handler and the secure task service, each holding a frame the fabric
-// delivered to it alone (package endpoint's ownership rule) — pass it
-// as it is; Open and OpenSlice, whose callers keep their wire, pass a
-// copy. Nothing else differs: the replay digest is of the wire as
-// received, taken before the first byte is overwritten.
+// gone. Its callers that own what they pass — the client's receivers and
+// the secure task service, each holding a frame the fabric delivered to
+// it alone (package endpoint's ownership rule) — pass it as it is; Open
+// and OpenSlice, whose callers keep their wire, pass a copy. Nothing else
+// differs: an envelope's replay digest is of the wire as received, taken
+// before the first byte is overwritten.
 
 // ErrRoundGroup is returned when a slice is delivered under a group
 // label other than the one its signed header names.
@@ -160,9 +164,9 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 
 // openWire decrypts (in place: wire is consumed), parses and admits one
 // secure wire addressed to own, at the time now: the opening peer's, the
-// one reading that the channel lookup and both guard admits judge by.
+// one reading that the channel lookup and the guard admit judge by.
 // claimed, when set, is the group label the delivery arrived under;
-// guard, when set, admits the wire (and a round's nonce) exactly once.
+// guard, when set, admits the wire exactly once.
 // A refusal by either of those two steps comes after the header parsed,
 // so it returns the Opened beside the error: callers attribute it to
 // the signed sender rather than to whoever delivered the bytes; and so
@@ -200,9 +204,11 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if round {
 		rootName = roundHeaderName
 	}
-	var received replayKey
-	if guard != nil {
-		received = replayKey{replayWire, sha256.Sum256(wire)}
+	// The guard's key: an envelope's is the digest of the wire as received,
+	// taken here, before the AEAD overwrites it; a slice's is its nonce.
+	var key replayKey
+	if guard != nil && !round {
+		key = replayKey{replayWire, sha256.Sum256(wire)}
 	}
 	if sw.mode != ModeSign {
 		cek, err := own.UnwrapKey(sw.wrap)
@@ -311,15 +317,15 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		return o, fmt.Errorf("%w: signed %s, claimed %s", ErrRoundGroup, o.Group, *claimed)
 	}
 	if guard != nil {
-		err := guard.admit(received, o.SentAt, now) // the digest of the wire as received
-		if err == nil && round {
+		if round {
 			// Every slice of a round carries the one signed header, so a
 			// replay can arrive as different bytes — re-sealed behind a leaf
 			// by a member holding the round's content key, or re-cut by a
-			// compromised relay; the signed single-use nonce catches both.
-			err = guard.admit(roundKey(o.Sender, o.Nonce), o.SentAt, now)
+			// compromised relay. The signed single-use nonce catches those
+			// and the same bytes again alike: a digest would add nothing.
+			key = roundKey(o.Sender, o.Nonce)
 		}
-		if err != nil {
+		if err := guard.admit(key, o.SentAt, now); err != nil {
 			return o, err
 		}
 	}

@@ -13,7 +13,6 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
-	"jxtaoverlay/internal/pipes"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/xmldoc"
@@ -652,8 +651,8 @@ func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
 	if _, err := openWire(recvKP, bytes.Clone(wire), formSlice, &right, guard, nil, time.Now()); err != nil {
 		t.Fatalf("under the right label after a wrong one: %v", err)
 	}
-	if guard.Len() != 2 {
-		t.Fatalf("admitted slice left %d guard entries, want 2 (wire digest + nonce)", guard.Len())
+	if guard.Len() != 1 {
+		t.Fatalf("admitted slice left %d guard entries, want 1 (its nonce)", guard.Len())
 	}
 	o, err = openWire(recvKP, bytes.Clone(wire), formSlice, &right, guard, nil, time.Now())
 	if !errors.Is(err, ErrMessageReplayed) || o == nil {
@@ -666,10 +665,10 @@ func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
 	}
 }
 
-// TestOpenReplayRefusedAlikeByHandlerAndEntryPoint: the messenger push
-// handler and an exported entry point handed a guard refuse a replay
-// with the same error and leave the guard in the same state — they are
-// the same code.
+// TestOpenReplayRefusedAlikeByHandlerAndEntryPoint: the relay-push
+// receiver and an exported entry point handed a guard refuse a replay
+// with the same error and leave the guard in the same state — one entry,
+// the slice's nonce — since they are the same code.
 func TestOpenReplayRefusedAlikeByHandlerAndEntryPoint(t *testing.T) {
 	net := simnet.NewNetwork(simnet.ProfileLocal)
 	defer net.Close()
@@ -687,14 +686,14 @@ func TestOpenReplayRefusedAlikeByHandlerAndEntryPoint(t *testing.T) {
 	}
 	_, directErr := OpenSlice(recvKP, wire, direct)
 
-	// Through the push handler, on a guard that admitted the same slice.
+	// Through the relay-push receiver, on a guard that admitted the same slice.
 	pushed := NewReplayGuard(time.Minute, 16)
 	if _, err := OpenSlice(recvKP, wire, pushed); err != nil {
 		t.Fatal(err)
 	}
 	s := &SecureClient{Client: cl, kp: recvKP, replayGuard: pushed}
 	alerts := events.NewCollector(cl.Bus())
-	s.handleEnvelope("g", pipes.Delivery{From: "urn:jxta:relay", Msg: endpoint.NewMessage().Add(proto.ElemEnvelope, wire)})
+	s.handleEnvelope("g", "urn:jxta:relay", endpoint.NewMessage().Add(proto.ElemEnvelope, wire), formSlice)
 	got := alerts.OfType(events.SecurityAlert)
 	if len(got) != 1 || len(alerts.OfType(events.SecureMessage)) != 0 {
 		t.Fatalf("replayed push raised %d alerts and %d messages, want 1 and 0", len(got), len(alerts.OfType(events.SecureMessage)))
@@ -706,7 +705,7 @@ func TestOpenReplayRefusedAlikeByHandlerAndEntryPoint(t *testing.T) {
 	if got[0].From != "urn:jxta:sender" {
 		t.Fatalf("replay alert attributed to %q, want the signed sender", got[0].From)
 	}
-	if direct.Len() != 2 || pushed.Len() != direct.Len() {
-		t.Fatalf("guard Len: entry point %d, handler %d, want 2 and 2", direct.Len(), pushed.Len())
+	if direct.Len() != 1 || pushed.Len() != direct.Len() {
+		t.Fatalf("guard Len: entry point %d, handler %d, want 1 and 1: a slice is admitted by its nonce alone", direct.Len(), pushed.Len())
 	}
 }

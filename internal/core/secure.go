@@ -25,7 +25,6 @@ import (
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/parallel"
-	"jxtaoverlay/internal/pipes"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/telemetry"
 	"jxtaoverlay/internal/trace"
@@ -136,7 +135,7 @@ func NewSecureClient(cl *client.Client, trust *cred.TrustStore, opts ...Option) 
 		opt(s)
 	}
 	s.vcache = xdsig.NewVerifyCache(trust, 0)
-	cl.SetEnvelopeHandler(s.handleEnvelope)
+	cl.SetEnvelopeHandlers(s.receiver(pipeForms), s.receiver(formSlice))
 	return s, nil
 }
 
@@ -632,13 +631,27 @@ func (s *SecureClient) verifiedPeer(ctx context.Context, peer keys.PeerID, group
 	return res, pipeAdv, nil
 }
 
+// pipeForms is what a group pipe carries: a peer sends envelopes, slices
+// of its own rounds, and its channels' frames and refusals. The relay's
+// push carries slices only (formSlice).
+const pipeForms = formEnvelope | formSlice | formChannel
+
+// receiver is the client's entry for one surface, which opens the forms
+// accept names and refuses the rest.
+func (s *SecureClient) receiver(accept wireForms) client.EnvelopeHandler {
+	return func(group string, from keys.PeerID, msg *endpoint.Message) {
+		s.handleEnvelope(group, from, msg, accept)
+	}
+}
+
 // handleEnvelope is the receiving side of §4.3.1 (steps 5-7): decrypt
 // with the own private key, then authenticate the sender through its
-// signed pipe advertisement.
-func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
-	wire, ok := d.Msg.Get(proto.ElemEnvelope)
+// signed pipe advertisement. from is whoever delivered msg; accept, the
+// wire forms its surface takes.
+func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpoint.Message, accept wireForms) {
+	wire, ok := msg.Get(proto.ElemEnvelope)
 	if !ok {
-		return false
+		return
 	}
 	// Trace correlation: the push may carry the sender's trace ID. A
 	// security rejection below ends the open span with OutcomeAlert
@@ -647,7 +660,7 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 	var tid uint64
 	tr := s.Tracer()
 	if tr != nil {
-		if idStr, _ := d.Msg.GetString(proto.ElemTrace); idStr != "" {
+		if idStr, _ := msg.GetString(proto.ElemTrace); idStr != "" {
 			tid = trace.ParseID(idStr)
 		}
 	}
@@ -666,17 +679,17 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: from, Group: group, Payload: payload})
 	}
 	now := s.Now()
-	opened, err := openWire(s.kp, wire, formEnvelope|formSlice|formChannel, &group, s.replayGuard, &s.chans, now)
+	opened, err := openWire(s.kp, wire, accept, &group, s.replayGuard, &s.chans, now)
 	if err != nil {
 		var unknown *unknownChannelError
 		switch {
 		case errors.As(err, &unknown):
 			// This peer restarted, logged out or let the channel lapse: the
 			// sender is told, and sends the message again as an envelope.
-			s.refuseFrame(d.From, group, unknown.frame, now)
+			s.refuseFrame(from, group, unknown.frame, now)
 		case opened == nil:
 			// Refused before the header parsed: only the deliverer is known.
-			alert(d.From, "secure envelope rejected: "+err.Error())
+			alert(from, "secure envelope rejected: "+err.Error())
 		case opened.hs != nil && opened.hs.accept() && errors.Is(err, ErrMessageReplayed) &&
 			s.chans.holdsOffer(pairKey{opened.Sender, opened.Group}, opened.hs.id, now):
 			// The accept of a channel this peer holds, sent again because the
@@ -686,11 +699,11 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 			// after a channel's key opened it: the sender is known.
 			alert(opened.Sender, err.Error())
 		}
-		return true
+		return
 	}
 	if opened.Mode == ModeRefusal {
-		s.handleRefusal(d.From, group, opened.refusal, now)
-		return true
+		s.handleRefusal(from, group, opened.refusal, now)
+		return
 	}
 	authenticated := false
 	user := ""
@@ -706,11 +719,11 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 		cancel()
 		if err != nil {
 			alert(opened.Sender, ErrSenderUnknown.Error())
-			return true
+			return
 		}
 		if err := opened.VerifySignature(sender.Signer.Key); err != nil {
 			alert(opened.Sender, ErrMessageTampered.Error())
-			return true
+			return
 		}
 		authenticated, user = true, sender.Signer.SubjectName
 	}
@@ -719,7 +732,7 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 		if reason := s.handleAccept(opened, sender); reason != "" {
 			alert(opened.Sender, reason)
 		}
-		return true
+		return
 	}
 	if tid != 0 {
 		tr.End(spOpen, trace.OutcomeOK)
@@ -758,7 +771,6 @@ func (s *SecureClient) handleEnvelope(group string, d pipes.Delivery) bool {
 			alert(opened.Sender, reason)
 		}
 	}
-	return true
 }
 
 // answerOffer is the responder's half of the handshake, for an offer

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/attack"
 	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/client"
@@ -22,6 +23,7 @@ import (
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
+	"jxtaoverlay/internal/waituntil"
 	"jxtaoverlay/internal/xdsig"
 )
 
@@ -554,8 +556,14 @@ func TestSecureMsgRejectsUnsignedPipeAdv(t *testing.T) {
 	h.join(alice, "pw-alice")
 	h.join(bob, "pw-bob")
 
-	// Poison alice's cache with an unsigned pipe adv for bob.
+	// Poison alice's cache with an unsigned pipe adv for bob — once the
+	// broker's push of bob's signed one has landed there. A push still in
+	// flight would overwrite the poison after the fact.
 	ctx := testCtx(t)
+	waituntil.Must(t, 5*time.Second, func() bool {
+		_, err := alice.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(bob.PeerID(), "math"))
+		return err == nil
+	}, "the broker never pushed bob's pipe advertisement to alice")
 	pipeAdv, _, err := alice.LookupPipe(ctx, bob.PeerID(), "math")
 	if err != nil {
 		t.Fatal(err)

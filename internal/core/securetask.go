@@ -22,11 +22,8 @@ import (
 // sign-then-encrypt envelope, with key distribution via signed pipe
 // advertisements.
 
-// Secure task errors.
-var (
-	ErrTaskRejected = errors.New("core: secure task rejected")
-	ErrTaskGroup    = errors.New("core: caller does not share the task group")
-)
+// ErrTaskRejected is a secure task refused by the executing peer.
+var ErrTaskRejected = errors.New("core: secure task rejected")
 
 // taskBodySep separates the task name from its packed arguments inside
 // the envelope body.

@@ -42,7 +42,6 @@ var (
 	ErrBadSignature = errors.New("cred: credential signature invalid")
 	ErrExpired      = errors.New("cred: credential expired or not yet valid")
 	ErrUntrusted    = errors.New("cred: issuer not trusted")
-	ErrRole         = errors.New("cred: unexpected credential role")
 )
 
 // Credential is the paper's Cred_i^j: subject i's identity and public

@@ -186,7 +186,7 @@ var vocabulary = func(names ...string) map[string]string {
 	elemSrc, elemDst, elemSvc, elemReqID, elemRspID, relayTo, relayPayload,
 	"op", "ok", "err", "user", "pass", "group", "groups", "desc", "adv", "advtype",
 	"advid", "peer", "peers", "keyword", "broker", "msg:body", "all",
-	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:chain", "sec:env",
+	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:env",
 	"file:name", "file:chunk", "file:data", "file:size", "file:nchunks", "file:digest",
 	"task:name", "task:args", "task:out",
 	"relay:rcpt", "relay:direct", "relay:queued", "relay:skipped", "relay:handoff",

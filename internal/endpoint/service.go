@@ -40,7 +40,6 @@ type Handler func(from keys.PeerID, msg *Message) *Message
 
 // Errors returned by Send/Request.
 var (
-	ErrNoHandler  = errors.New("endpoint: no handler for service")
 	ErrNoRelay    = errors.New("endpoint: destination unreachable and no relay configured")
 	ErrClosed     = errors.New("endpoint: service closed")
 	ErrBadRequest = errors.New("endpoint: malformed request")

@@ -33,7 +33,6 @@ const ChunkSize = 16 * 1024
 
 // Errors returned by the service.
 var (
-	ErrNotShared = errors.New("filesvc: file not shared")
 	ErrIntegrity = errors.New("filesvc: digest mismatch")
 	ErrTransfer  = errors.New("filesvc: transfer failed")
 )

@@ -46,7 +46,6 @@ const (
 	ElemSid       = "sec:sid"
 	ElemSig       = "sec:sig"
 	ElemCred      = "sec:cred"
-	ElemCredChain = "sec:chain"
 	ElemEnvelope  = "sec:env"
 
 	// File transfer elements.

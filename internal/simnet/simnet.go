@@ -85,8 +85,6 @@ var (
 	ProfilePaperLAN = LinkProfile{Latency: time.Millisecond, Bandwidth: 12_500_000}
 	// ProfileWAN approximates a broadband Internet path.
 	ProfileWAN = LinkProfile{Latency: 40 * time.Millisecond, Jitter: 5 * time.Millisecond, Bandwidth: 1_250_000}
-	// ProfileLossy is a WAN path with 5% loss, for failure injection.
-	ProfileLossy = LinkProfile{Latency: 40 * time.Millisecond, Jitter: 10 * time.Millisecond, Bandwidth: 1_250_000, Loss: 0.05}
 )
 
 // ProfileByName resolves the profile names the command-line tools
