@@ -90,14 +90,16 @@
 // core.WithMode(core.ModeFull) is the paper's stateless primitive on
 // every message; cmd/benchmsg and internal/bench pass it.
 //
-// # One buffer per hop
+// # One buffer per message
 //
-// A message body is copied three times between the sender's text and the
-// recipient's application: into the buffer core.Seal encrypts in place,
-// into the frame (endpoint.Message.Marshal), and by the fabric
-// (simnet.Send). Nothing is copied on the way in: a delivered frame
+// A message body is copied twice between the sender's text and the
+// recipient's application: into the buffer core.Seal (or a channel
+// frame's seal) encrypts in place, and into the endpoint frame
+// (endpoint.NewFrame), whose routing is a fixed prefix written into the
+// same buffer. The transport (endpoint.Transport; simnet.Network) delivers
+// that frame as it is. Nothing is copied on the way in: a delivered frame
 // belongs to its handler alone (package endpoint states the rule), parsed
-// elements are views of it, and the open pipeline decrypts where the
-// bytes lie. Code that keeps parsed bytes longer than its handler runs
+// fields and elements are views of it, and the open pipeline decrypts
+// where the bytes lie. Code that keeps parsed bytes longer than its handler runs
 // (advertisement caches, session credentials) parses from a copy.
 package jxtaoverlay

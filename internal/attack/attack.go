@@ -19,6 +19,7 @@ import (
 
 	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/broker"
+	"jxtaoverlay/internal/control"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
@@ -104,9 +105,12 @@ func NewRawNode(net *simnet.Network, id simnet.NodeID) (*RawNode, error) {
 	return r, nil
 }
 
-// Replay injects a previously captured frame verbatim.
+// Replay injects a previously captured frame verbatim. The fabric
+// delivers the buffer it is handed, which its recipient then owns and may
+// open in place; Replay hands it a copy, so that one capture replays any
+// number of times.
 func (r *RawNode) Replay(to simnet.NodeID, frame []byte) error {
-	return r.net.Send(r.id, to, frame)
+	return r.net.Send(r.id, to, bytes.Clone(frame))
 }
 
 // Received returns the frames delivered to the attacker node.
@@ -148,44 +152,39 @@ func ForgePresence(victim keys.PeerID, name, group, status string) *xmldoc.Eleme
 }
 
 // SpoofedPipeMessage fabricates a raw endpoint frame that delivers a
-// text message on the victim's group pipe with a forged source element —
-// the "no source authenticity" threat. The element names mirror the
-// endpoint layer's wire vocabulary.
-func SpoofedPipeMessage(claimedFrom, to keys.PeerID, pipeID, group, body string) []byte {
-	return spoofedPipeFrame(claimedFrom, to, pipeID, group, proto.ElemBody, []byte(body))
+// text message on the victim's group pipe with a forged source in its
+// routing prefix — the "no source authenticity" threat. It is built by
+// the endpoint's own frame builder, so it is byte for byte what a sender
+// of that name would put on the wire.
+func SpoofedPipeMessage(claimedFrom keys.PeerID, pipeID, group, body string) []byte {
+	return spoofedPipeFrame(claimedFrom, pipeID, group, proto.ElemBody, []byte(body))
 }
 
 // SpoofedPipeEnvelope is SpoofedPipeMessage for a secure wire: the frame
 // SecureMsgPeer puts on a pipe, with a source of the attacker's choosing.
 // What the wire proves about its sender is the secure primitives' to say.
 func SpoofedPipeEnvelope(claimedFrom, to keys.PeerID, group string, wire []byte) []byte {
-	return spoofedPipeFrame(claimedFrom, to, advert.GroupPipeID(to, group), group, proto.ElemEnvelope, wire)
+	return spoofedPipeFrame(claimedFrom, advert.GroupPipeID(to, group), group, proto.ElemEnvelope, wire)
 }
 
 // SpoofedSlicePush fabricates the broker relay's push of one slice
 // (proto.OpSliceDeliver to the client service), with any secure wire and
 // any claimed origin: the client service takes pushes from whoever sends
 // them.
-func SpoofedSlicePush(claimedFrom, to keys.PeerID, group string, wire []byte) []byte {
-	return endpoint.NewMessage().
-		AddString("jxta:src", string(claimedFrom)).
-		AddString("jxta:dst", string(to)).
-		AddString("jxta:svc", proto.ClientService).
-		AddString(proto.ElemOp, proto.OpSliceDeliver).
-		AddString(proto.ElemGroup, group).
-		AddString(proto.ElemPeer, string(claimedFrom)).
-		Add(proto.ElemEnvelope, wire).
-		Marshal()
+func SpoofedSlicePush(claimedFrom keys.PeerID, group string, wire []byte) []byte {
+	return endpoint.NewFrame(endpoint.Route{Src: claimedFrom, Service: proto.ClientService},
+		endpoint.Element{Name: proto.ElemOp, Data: []byte(proto.OpSliceDeliver)},
+		endpoint.Element{Name: proto.ElemGroup, Data: []byte(group)},
+		endpoint.Element{Name: proto.ElemPeer, Data: []byte(claimedFrom)},
+		endpoint.Element{Name: proto.ElemEnvelope, Data: wire})
 }
 
-func spoofedPipeFrame(claimedFrom, to keys.PeerID, pipeID, group, elem string, payload []byte) []byte {
-	msg := endpoint.NewMessage().
-		AddString("jxta:src", string(claimedFrom)).
-		AddString("jxta:dst", string(to)).
-		AddString("jxta:svc", "jxta:pipe:"+pipeID).
-		Add(elem, payload).
-		AddString(proto.ElemGroup, group)
-	return msg.Marshal()
+// spoofedPipeFrame is a frame to pipeID's service with one payload
+// element and the group label, as a pipe sender writes them.
+func spoofedPipeFrame(claimedFrom keys.PeerID, pipeID, group, elem string, payload []byte) []byte {
+	return endpoint.NewFrame(endpoint.Route{Src: claimedFrom, Service: control.PipeService, Param: pipeID},
+		endpoint.Element{Name: elem, Data: payload},
+		endpoint.Element{Name: proto.ElemGroup, Data: []byte(group)})
 }
 
 // ForgeSlice acts as a malicious relay colluding with a round insider:

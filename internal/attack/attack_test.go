@@ -151,7 +151,7 @@ func TestPlainMessageSourceSpoofing(t *testing.T) {
 		t.Fatal(err)
 	}
 	bobEvents := events.NewCollector(bob.Bus())
-	frame := attack.SpoofedPipeMessage(alice.PeerID(), bob.PeerID(), bobPipe.PipeID, "math", "wire me money")
+	frame := attack.SpoofedPipeMessage(alice.PeerID(), bobPipe.PipeID, "math", "wire me money")
 	if err := raw.Replay(simnet.NodeID(bob.PeerID()), frame); err != nil {
 		t.Fatalf("inject: %v", err)
 	}

@@ -34,11 +34,11 @@ var b64 = base64.StdEncoding
 func wiresTo(eve *attack.Eavesdropper, to keys.PeerID, mode core.Mode) [][]byte {
 	var out [][]byte
 	for _, frame := range eve.FramesTo(simnet.NodeID(to)) {
-		msg, err := endpoint.ParseMessage(frame)
+		f, err := endpoint.ParseFrame(frame)
 		if err != nil {
 			continue
 		}
-		if wire, ok := msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == mode {
+		if wire, ok := f.Msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == mode {
 			out = append(out, wire)
 		}
 	}
@@ -443,11 +443,11 @@ func TestChannelForgedRefusals(t *testing.T) {
 		if pkt.To != simnet.NodeID(p.bob.PeerID()) {
 			return
 		}
-		msg, err := endpoint.ParseMessage(append([]byte(nil), pkt.Payload...))
+		f, err := endpoint.ParseFrame(append([]byte(nil), pkt.Payload...))
 		if err != nil {
 			return
 		}
-		if wire, ok := msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeChannel {
+		if wire, ok := f.Msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeChannel {
 			refusal := append([]byte{byte(core.ModeRefusal)}, wire[1:25]...)
 			mu.Lock()
 			forged++
@@ -519,7 +519,7 @@ func TestChannelOfferFlood(t *testing.T) {
 			t.Fatal(err)
 		}
 		msg := endpoint.NewMessage().Add(proto.ElemEnvelope, append([]byte{byte(core.ModeFull)}, env.Marshal()...)).AddString(proto.ElemGroup, "math")
-		if err := mallory.Control().SendOnPipe(bobPipe, msg); err != nil {
+		if err := mallory.Control().SendOnPipe(bobPipe, msg.Elements...); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -41,11 +41,11 @@ func forwardedEnvelopeRefused(t *testing.T, aliceOpts ...core.Option) {
 	}
 	var forwarded []byte
 	for _, frame := range eve.FramesTo(simnet.NodeID(mallory.PeerID())) {
-		msg, err := endpoint.ParseMessage(frame)
+		f, err := endpoint.ParseFrame(frame)
 		if err != nil {
 			continue
 		}
-		if wire, ok := msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeFull {
+		if wire, ok := f.Msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeFull {
 			if forwarded, err = attack.ForwardEnvelope(mallory.Identity().Keys, wire, bob.Identity().Keys.Public()); err != nil {
 				t.Fatalf("mallory could not re-encrypt what she was sent: %v", err)
 			}
@@ -59,7 +59,7 @@ func forwardedEnvelopeRefused(t *testing.T, aliceOpts ...core.Option) {
 		t.Fatal(err)
 	}
 	msg := endpoint.NewMessage().Add(proto.ElemEnvelope, forwarded).AddString(proto.ElemGroup, "math")
-	if err := mallory.Control().SendOnPipe(bobPipe, msg); err != nil {
+	if err := mallory.Control().SendOnPipe(bobPipe, msg.Elements...); err != nil {
 		t.Fatal(err)
 	}
 	alertEv, ok := bobEvents.WaitFor(events.SecurityAlert, 5*time.Second)

@@ -35,7 +35,7 @@ func TestRelayPushRefusesEnvelopesAndFrames(t *testing.T) {
 	bobSigned, raised := p.bob.Identity().Keys.SignCalls(), len(p.atBob.OfType(events.SecureMessage))
 	push := func(wire []byte) {
 		t.Helper()
-		if err := p.raw.Replay(simnet.NodeID(p.bob.PeerID()), attack.SpoofedSlicePush(p.alice.PeerID(), p.bob.PeerID(), "math", wire)); err != nil {
+		if err := p.raw.Replay(simnet.NodeID(p.bob.PeerID()), attack.SpoofedSlicePush(p.alice.PeerID(), "math", wire)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -59,10 +59,11 @@ func TestSecureTaskRequestReplay(t *testing.T) {
 			return len(eve.FramesTo(aliceNode)) > answered
 		}, "the executor never answered the replayed request")
 		frames := eve.FramesTo(aliceNode)
-		answer, err = endpoint.ParseMessage(frames[len(frames)-1])
+		f, err := endpoint.ParseFrame(frames[len(frames)-1])
 		if err != nil {
 			t.Fatal(err)
 		}
+		answer = f.Msg
 		return ran.Load(), answer
 	}
 

@@ -104,8 +104,8 @@ type Config struct {
 	Name string
 	// PeerID is the broker's overlay identifier.
 	PeerID keys.PeerID
-	// Net is the fabric to attach to.
-	Net *simnet.Network
+	// Net is the transport to attach to.
+	Net endpoint.Transport
 	// DB is the central database connection.
 	DB Authenticator
 	// RequireSecureLogin rejects the plaintext login primitive, forcing

@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -26,9 +28,10 @@ const unknownOp = "no-such-op"
 // through Broker.dispatch, on one broker whose dedup table the whole run
 // fills. Properties: dispatch never panics; it never stores a key longer
 // than idemMaxKeyLen, nor one presented by a peer that was not logged in;
-// the table never holds more than idemMaxEntries; and a key it honoured
-// and stored, presented again by the same logged-in peer, is answered
-// with the cached response, not executed again.
+// the table never holds more than idemMaxEntries; a key it honoured and
+// stored, presented again by the same logged-in peer, is answered with
+// the cached response, not executed again; and what one dispatch
+// allocates is bounded by the input's size, the bound FuzzOpen holds.
 func FuzzIdemKey(f *testing.F) {
 	net := simnet.NewNetwork(simnet.ProfileLocal)
 	defer net.Close()
@@ -38,6 +41,11 @@ func FuzzIdemKey(f *testing.F) {
 	}
 	defer b.Close()
 	const member, stranger = keys.PeerID("urn:jxta:member"), keys.PeerID("urn:jxta:stranger")
+	// The table starts full, the state a busy broker's is in: it has done
+	// all its growing, and a store evicts.
+	for i := 0; i < idemMaxEntries; i++ {
+		b.idem.store("urn:jxta:filler", strconv.Itoa(i), endpoint.NewMessage(), b.Now())
+	}
 
 	f.Add("ik-1z141z3", uint8(0), true)
 	f.Add("ik-1z141z3", uint8(0), false)
@@ -48,6 +56,18 @@ func FuzzIdemKey(f *testing.F) {
 	f.Add("", uint8(6), true)
 	f.Add("\x00\xff\n", uint8(11), true)
 
+	// What one dispatch may allocate: the op's own work — under 4 KiB for
+	// every op here, a keyed login the most — about one copy of the key
+	// (a 100 KB key costs ≈ 107 KB), and, now and then, the full table's
+	// index rebuilt: Go's maps clear deleted slots by rehashing, ≈ 100 KB
+	// at 4,096 entries, about once a minute of fuzzing. The fixed part is
+	// that rehash and FuzzOpen's 32 KiB of slack for what other goroutines
+	// allocate meanwhile (TotalAlloc is process-wide).
+	const (
+		allocPerByte = 8
+		allocFixed   = 160 << 10
+	)
+	var before, after runtime.MemStats
 	f.Fuzz(func(t *testing.T, key string, opSel uint8, loggedIn bool) {
 		// Who is logged in is part of the input, not of the inputs before it.
 		b.dispatch(member, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpLogin).
@@ -72,7 +92,13 @@ func FuzzIdemKey(f *testing.F) {
 
 		_, held := b.idem.lookup(from, key, b.Now())
 		honoured := key != "" && len(key) <= idemMaxKeyLen && loggedIn
-		first := b.dispatch(from, request())
+		req := request()
+		runtime.ReadMemStats(&before)
+		first := b.dispatch(from, req)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(allocFixed+allocPerByte*len(key)); got > limit {
+			t.Fatalf("%s with a %d-byte key allocated %d bytes, limit %d", op, len(key), got, limit)
+		}
 		if n := b.IdemEntries(); n > idemMaxEntries {
 			t.Fatalf("%d entries in the dedup table, the cap is %d", n, idemMaxEntries)
 		}

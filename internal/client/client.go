@@ -32,7 +32,6 @@ import (
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/proto"
-	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/telemetry"
 	"jxtaoverlay/internal/trace"
 	"jxtaoverlay/internal/xmldoc"
@@ -115,7 +114,7 @@ type Client struct {
 // New attaches a client peer to the network. The membership service
 // establishes the peer identity for the alias (a legacy ID for None, a
 // CBID for PSE).
-func New(net *simnet.Network, mem membership.Service, alias string) (*Client, error) {
+func New(net endpoint.Transport, mem membership.Service, alias string) (*Client, error) {
 	id, err := mem.Join(alias)
 	if err != nil {
 		return nil, err
@@ -373,7 +372,9 @@ func (c *Client) enterGroup(ctx context.Context, group string) error {
 	return c.PublishAdv(ctx, adv)
 }
 
-// Logout closes the session.
+// Logout closes the session. It returns once the group pipes are
+// unbound and their pumps have exited: nothing of the session is being
+// handled after it.
 func (c *Client) Logout(ctx context.Context) error {
 	msg := endpoint.NewMessage().AddString(proto.ElemOp, proto.OpLogout)
 	_, err := c.Call(ctx, msg)
@@ -543,10 +544,9 @@ func (c *Client) SendMsgPeer(ctx context.Context, peer keys.PeerID, group, text 
 	if err != nil {
 		return err
 	}
-	msg := endpoint.NewMessage().
-		AddString(proto.ElemBody, text).
-		AddString(proto.ElemGroup, group)
-	return c.ctl.SendOnPipe(pipeAdv, msg)
+	return c.ctl.SendOnPipe(pipeAdv,
+		endpoint.Element{Name: proto.ElemBody, Data: []byte(text)},
+		endpoint.Element{Name: proto.ElemGroup, Data: []byte(group)})
 }
 
 // SendMsgPeerGroup sends a simple message to every online member of a
@@ -733,10 +733,12 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 	return nil
 }
 
-// Close detaches the peer from the network and from telemetry.
+// Close detaches the peer from the network and from telemetry, and
+// returns once its pipes' pumps have exited. The endpoint closes first,
+// so that a pump waiting on a request is answered at once.
 func (c *Client) Close() {
-	c.ctl.Close()
 	c.ep.Close()
+	c.ctl.Close()
 	c.mu.Lock()
 	unbind := c.unbind
 	c.unbind, c.reg = nil, nil

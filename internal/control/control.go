@@ -11,8 +11,11 @@
 package control
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
 	"sync"
 
 	"jxtaoverlay/internal/advert"
@@ -22,8 +25,9 @@ import (
 	"jxtaoverlay/internal/keys"
 )
 
-// servicePrefix namespaces pipe traffic inside the endpoint demux.
-const servicePrefix = "jxta:pipe:"
+// PipeService namespaces pipe traffic inside the endpoint demux: a pipe's
+// endpoint service is PipeService followed by the pipe's ID.
+const PipeService = "jxta:pipe:"
 
 // pipeQueue is how many deliveries a group pipe holds for its pump.
 // Another one waits on its delivering goroutine until the pump takes one.
@@ -47,15 +51,19 @@ type Module struct {
 	mu     sync.Mutex
 	pipes  map[string]*groupPipe // by group
 	closed bool
+	// pumps holds the goroutine IDs of the pumps still running, unbound
+	// pipes' included: an unbind called from one of them waits for none.
+	pumps map[uint64]struct{}
 }
 
 // groupPipe is one bound group pipe. Its endpoint handler queues each
 // delivery, and the group's one pump goroutine hands them to the module's
 // handler in the order they were queued.
 type groupPipe struct {
-	adv  *advert.Pipe
-	ch   chan delivery
-	done chan struct{} // closed when the pipe is unbound
+	adv    *advert.Pipe
+	ch     chan delivery
+	done   chan struct{} // closed when the pipe is unbound
+	exited chan struct{} // closed by the pump as it returns
 }
 
 type delivery struct {
@@ -73,6 +81,7 @@ func New(ep *endpoint.Service, cache *discovery.Cache, bus *events.Bus, handler 
 		bus:     bus,
 		handler: handler,
 		pipes:   make(map[string]*groupPipe),
+		pumps:   make(map[uint64]struct{}),
 	}
 }
 
@@ -106,8 +115,8 @@ func (m *Module) BindGroupPipe(group string) (*advert.Pipe, error) {
 	if err := m.cache.PutAdv(adv); err != nil {
 		return nil, err
 	}
-	p := &groupPipe{adv: adv, ch: make(chan delivery, pipeQueue), done: make(chan struct{})}
-	m.ep.RegisterHandler(servicePrefix+adv.PipeID, func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+	p := &groupPipe{adv: adv, ch: make(chan delivery, pipeQueue), done: make(chan struct{}), exited: make(chan struct{})}
+	m.ep.RegisterHandler(PipeService+adv.PipeID, func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 		// A queued delivery's elements are views of its frame: the queue
 		// holds each frame whole. A full queue holds the fabric's delivery
 		// goroutine here, so nothing a sender was told is sent is dropped.
@@ -123,7 +132,23 @@ func (m *Module) BindGroupPipe(group string) (*advert.Pipe, error) {
 }
 
 func (m *Module) pump(group string, p *groupPipe) {
+	id := goid()
+	m.mu.Lock()
+	m.pumps[id] = struct{}{}
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		delete(m.pumps, id)
+		m.mu.Unlock()
+		close(p.exited)
+	}()
 	for {
+		// An unbound pipe hands its handler nothing more, queued or not.
+		select {
+		case <-p.done:
+			return
+		default:
+		}
 		select {
 		case d := <-p.ch:
 			m.handler(group, d.from, d.msg)
@@ -133,23 +158,59 @@ func (m *Module) pump(group string, p *groupPipe) {
 	}
 }
 
-// UnbindGroupPipe closes and forgets the group's input pipe. The pipe is
-// closed under the lock: a re-bind registers the same endpoint handler
-// name, which a close running after it would take away again.
+// UnbindGroupPipe closes and forgets the group's input pipe, and returns
+// once its pump has exited: no delivery of the pipe is being handled
+// after it, so what a caller resets next (a session's channels) stays
+// reset. The pipe is closed under the lock — a re-bind registers the same
+// endpoint handler name, which a close running after it would take away
+// again — and waited for outside it.
 func (m *Module) UnbindGroupPipe(group string) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p := m.pipes[group]; p != nil {
+	p := m.pipes[group]
+	if p != nil {
 		m.closePipe(p)
 		delete(m.pipes, group)
+	}
+	m.mu.Unlock()
+	if p != nil {
+		m.awaitPumps(p)
 	}
 }
 
 // closePipe unregisters p's endpoint handler and releases its pump and
 // any delivery waiting for room. Callers hold m.mu.
 func (m *Module) closePipe(p *groupPipe) {
-	m.ep.UnregisterHandler(servicePrefix + p.adv.PipeID)
+	m.ep.UnregisterHandler(PipeService + p.adv.PipeID)
 	close(p.done)
+}
+
+// awaitPumps waits for the closed pipes' pumps to exit — unless the caller
+// is a pump itself (a handler that logs out): it would wait for itself,
+// or for a pump that waits for it. Callers do not hold m.mu, which an
+// exiting pump takes.
+func (m *Module) awaitPumps(closed ...*groupPipe) {
+	m.mu.Lock()
+	_, onPump := m.pumps[goid()]
+	m.mu.Unlock()
+	if onPump {
+		return
+	}
+	for _, p := range closed {
+		<-p.exited
+	}
+}
+
+// goid is the calling goroutine's ID, read from its stack trace's first
+// line ("goroutine 42 [running]:"). Only a pump's start and an unbind
+// ask.
+func goid() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	if i := bytes.IndexByte(b, ' '); i > 0 {
+		b = b[:i]
+	}
+	id, _ := strconv.ParseUint(string(b), 10, 64)
+	return id
 }
 
 // GroupPipeAdv returns the local pipe advertisement for a group.
@@ -162,23 +223,29 @@ func (m *Module) GroupPipeAdv(group string) (*advert.Pipe, bool) {
 	return nil, false
 }
 
-// SendOnPipe sends one message to the peer hosting a pipe, through it.
-func (m *Module) SendOnPipe(adv *advert.Pipe, msg *endpoint.Message) error {
-	return m.ep.Send(adv.PeerID, servicePrefix+adv.PipeID, msg)
+// SendOnPipe sends one message, made of elems, to the peer hosting a
+// pipe, through it.
+func (m *Module) SendOnPipe(adv *advert.Pipe, elems ...endpoint.Element) error {
+	return m.ep.SendElements(adv.PeerID, PipeService, adv.PipeID, elems...)
 }
 
-// Close unbinds every pipe. Bind fails afterwards.
+// Close unbinds every pipe and returns once their pumps have exited, as
+// UnbindGroupPipe does. Bind fails afterwards.
 func (m *Module) Close() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		return
 	}
 	m.closed = true
+	closed := make([]*groupPipe, 0, len(m.pipes))
 	for _, p := range m.pipes {
 		m.closePipe(p)
+		closed = append(closed, p)
 	}
 	m.pipes = nil
+	m.mu.Unlock()
+	m.awaitPumps(closed...)
 }
 
 // Emit is a convenience for modules above to publish an event.

@@ -3,6 +3,7 @@ package control
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,7 +74,7 @@ func TestMessagePumpDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := send.SendOnPipe(adv, endpoint.NewMessage().AddString("body", "hi")); err != nil {
+	if err := send.SendOnPipe(adv, endpoint.Element{Name: "body", Data: []byte("hi")}); err != nil {
 		t.Fatalf("SendOnPipe: %v", err)
 	}
 	select {
@@ -103,7 +104,7 @@ func TestGroupPipeSendReceive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send(adv.PeerID, servicePrefix+adv.PipeID, endpoint.NewMessage().AddString("body", "ping")); err != nil {
+	if err := a.Send(adv.PeerID, PipeService+adv.PipeID, endpoint.NewMessage().AddString("body", "ping")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	select {
@@ -143,7 +144,7 @@ func TestGroupPipeBurstDeliveredOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range burst {
-		if err := send.SendOnPipe(adv, endpoint.NewMessage().AddString("body", strconv.Itoa(i))); err != nil {
+		if err := send.SendOnPipe(adv, endpoint.Element{Name: "body", Data: []byte(strconv.Itoa(i))}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -167,12 +168,12 @@ func TestGroupPipeBurstDeliveredOnce(t *testing.T) {
 }
 
 // TestUnbindReleasesWaitingDeliveries: deliveries waiting for room in a
-// pipe whose handler never returns are let go when the pipe is unbound,
-// so the fabric's Close, which waits for every delivery, returns.
+// pipe whose handler is stuck are let go as soon as the pipe is unbound,
+// so the fabric's Close, which waits for every delivery, returns. The
+// unbind itself returns once the handler has, and the pump with it.
 func TestUnbindReleasesWaitingDeliveries(t *testing.T) {
 	net := testNet(t)
 	stuck := make(chan struct{})
-	t.Cleanup(func() { close(stuck) })
 	recv := newModule(t, net, "urn:jxta:recv", func(string, keys.PeerID, *endpoint.Message) { <-stuck })
 	send := newModule(t, net, "urn:jxta:send", nil)
 	adv, err := recv.BindGroupPipe("g")
@@ -180,17 +181,104 @@ func TestUnbindReleasesWaitingDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2*pipeQueue; i++ {
-		if err := send.SendOnPipe(adv, endpoint.NewMessage()); err != nil {
+		if err := send.SendOnPipe(adv); err != nil {
 			t.Fatal(err)
 		}
 	}
-	recv.UnbindGroupPipe("g")
+	unbound := make(chan struct{})
+	go func() { recv.UnbindGroupPipe("g"); close(unbound) }()
 	closed := make(chan struct{})
 	go func() { net.Close(); close(closed) }()
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("deliveries still waiting on an unbound pipe")
+	}
+	close(stuck)
+	select {
+	case <-unbound:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the unbind did not return once the handler had")
+	}
+}
+
+// TestUnbindWaitsForPump: UnbindGroupPipe and Close return only once the
+// pipe's pump has left its handler and exited, so that nothing the pipe
+// delivered is still being handled when its owner resets what the
+// handler writes to (a session's channels, at logout).
+func TestUnbindWaitsForPump(t *testing.T) {
+	for _, viaClose := range []bool{false, true} {
+		net := testNet(t)
+		entered, release := make(chan struct{}), make(chan struct{})
+		var handling atomic.Bool
+		recv := newModule(t, net, "urn:jxta:recv", func(string, keys.PeerID, *endpoint.Message) {
+			handling.Store(true)
+			close(entered)
+			<-release
+			time.Sleep(10 * time.Millisecond) // still inside when release is seen
+			handling.Store(false)
+		})
+		send := newModule(t, net, "urn:jxta:send", nil)
+		adv, err := recv.BindGroupPipe("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := send.SendOnPipe(adv); err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		unbound := make(chan struct{})
+		go func() {
+			if viaClose {
+				recv.Close()
+			} else {
+				recv.UnbindGroupPipe("g")
+			}
+			close(unbound)
+		}()
+		select {
+		case <-unbound:
+			t.Fatalf("close=%v: returned while the pump was inside its handler", viaClose)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(release)
+		<-unbound
+		if handling.Load() {
+			t.Fatalf("close=%v: returned before the handler did", viaClose)
+		}
+	}
+}
+
+// TestPumpUnbindsItsOwnPipe: a handler that unbinds pipes — its own among
+// them, as an application that logs out on a message does — is not made
+// to wait for its own pump, nor for another pump that might be waiting
+// for it.
+func TestPumpUnbindsItsOwnPipe(t *testing.T) {
+	net := testNet(t)
+	var m *Module
+	done := make(chan struct{})
+	m = newModule(t, net, "urn:jxta:recv", func(group string, _ keys.PeerID, _ *endpoint.Message) {
+		if group == "own" {
+			m.UnbindGroupPipe("own")
+			m.Close()
+			close(done)
+		}
+	})
+	send := newModule(t, net, "urn:jxta:send", nil)
+	adv, err := m.BindGroupPipe("own")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.BindGroupPipe("other"); err != nil {
+		t.Fatal(err)
+	}
+	if err := send.SendOnPipe(adv); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a pump unbinding its own pipe waited for itself")
 	}
 }
 
@@ -221,7 +309,7 @@ func TestUnboundGroupPipeDiscards(t *testing.T) {
 	}
 	m.UnbindGroupPipe("g")
 	m.UnbindGroupPipe("g") // idempotent
-	if err := send.SendOnPipe(adv, endpoint.NewMessage()); err != nil {
+	if err := send.SendOnPipe(adv); err != nil {
 		t.Fatalf("SendOnPipe: %v", err)
 	}
 	net.Close()

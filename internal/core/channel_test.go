@@ -292,8 +292,8 @@ func TestChannelAcceptLost(t *testing.T) {
 	// the link loses it.
 	waituntil.Must(t, 5*time.Second, func() bool {
 		for _, frame := range eve.FramesTo(a) {
-			if msg, err := endpoint.ParseMessage(frame); err == nil {
-				if wire, ok := msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeSign {
+			if f, err := endpoint.ParseFrame(frame); err == nil {
+				if wire, ok := f.Msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeSign {
 					return true
 				}
 			}

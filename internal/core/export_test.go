@@ -84,6 +84,13 @@ func ChannelTo(s *SecureClient, peer keys.PeerID, group string) bool {
 	return ok && c.aead != nil
 }
 
+// InboundChannels counts the channels s holds as a responder.
+func InboundChannels(s *SecureClient) int {
+	s.chans.mu.Lock()
+	defer s.chans.mu.Unlock()
+	return s.chans.in.Len()
+}
+
 // OpenOnDerivedChannel derives a channel key the way a handshake's two
 // ends do and opens wire on the inbound channel that results, for the
 // external package's check that the attack suite's hand-written mirror of

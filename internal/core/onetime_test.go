@@ -187,10 +187,11 @@ func brokerMovesAsOne(t *testing.T) {
 				return errors.New("handed off " + n + " slices, want 1")
 			}
 			for _, frame := range eve.FramesTo(simnet.NodeID(partner.PeerID())) {
-				msg, err := endpoint.ParseMessage(frame)
+				f, err := endpoint.ParseFrame(frame)
 				if err != nil {
 					continue
 				}
+				msg := f.Msg
 				if op, _ := msg.GetString(proto.ElemOp); op != proto.OpFedRelaySlice {
 					continue
 				}
@@ -251,8 +252,8 @@ func clientMovesAsOne(t *testing.T) {
 	lastWire := func(mode core.Mode) []byte {
 		frames := eve.FramesTo(simnet.NodeID(bob.PeerID()))
 		for i := len(frames) - 1; i >= 0; i-- {
-			if msg, err := endpoint.ParseMessage(frames[i]); err == nil {
-				if wire, ok := msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == mode {
+			if f, err := endpoint.ParseFrame(frames[i]); err == nil {
+				if wire, ok := f.Msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == mode {
 					return wire
 				}
 			}

@@ -9,6 +9,7 @@ package core_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,6 +101,63 @@ func TestSecureMsgReachesRecipientAfterRejoin(t *testing.T) {
 	// the broker verified it once and answered the rest from the digest.
 	if hits, _ := h.brSec.VerifyCache().Stats(); hits < 12 {
 		t.Fatalf("broker verify cache hits = %d, want one per re-join", hits)
+	}
+}
+
+// TestLogoutWaitsForPump: a pump still inside its handler as the session
+// ends — parked here in a SecureMessage subscriber, after the envelope
+// opened and before the channel offer it carried is answered — finishes
+// before Logout returns, and the channel its answer installs goes with
+// the session it belongs to. (Logout used to drop the channels first and
+// not wait: the answer installed an inbound channel of the old session
+// into the next one, whose peer then held that channel ID under another
+// key, and the next frame on it was lost.)
+func TestLogoutWaitsForPump(t *testing.T) {
+	h := newSecureHarness(t, true)
+	alice := h.secureClient("alice")
+	bob := h.secureClient("bob")
+	h.join(alice, "pw-alice")
+	h.join(bob, "pw-bob")
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	bob.Bus().Subscribe(events.SecureMessage, func(events.Event) {
+		once.Do(func() { close(parked); <-release })
+	})
+	ctx := testCtx(t)
+	if err := alice.SecureMsgPeer(ctx, bob.PeerID(), "math", "carries an offer"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the envelope never reached bob's subscriber")
+	}
+	loggedOut := make(chan error, 1)
+	go func() { loggedOut <- bob.Logout(ctx) }()
+	var err error
+	returned := false
+	select {
+	case err = <-loggedOut:
+		returned = true
+		t.Error("Logout returned while a pump was inside its handler")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	// The pump answers the offer either way; alice holding the channel
+	// says the answer has been installed and sent.
+	waituntil.Must(t, 5*time.Second, func() bool { return core.ChannelTo(alice, bob.PeerID(), "math") }, "bob never answered the offer")
+	if !returned {
+		select {
+		case err = <-loggedOut:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Logout never returned")
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := core.InboundChannels(bob); n != 0 {
+		t.Fatalf("%d inbound channels of the old session survived Logout", n)
 	}
 }
 

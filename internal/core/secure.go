@@ -170,16 +170,21 @@ func (s *SecureClient) auditChannel(peer keys.PeerID, op, reason string) {
 }
 
 // Logout closes the session and with it every session channel, in both
-// directions: a peer that logs out keeps no key of the session.
+// directions: a peer that logs out keeps no key of the session. The
+// channels go once the pipes are unbound and their pumps have exited, so
+// that an offer being answered as the session ends cannot install its
+// channel into the next one.
 func (s *SecureClient) Logout(ctx context.Context) error {
+	err := s.Client.Logout(ctx)
 	s.chans.reset()
-	return s.Client.Logout(ctx)
+	return err
 }
 
-// Close detaches the peer and drops its session channels.
+// Close detaches the peer and drops its session channels, after its
+// pumps have exited.
 func (s *SecureClient) Close() {
-	s.chans.reset()
 	s.Client.Close()
+	s.chans.reset()
 }
 
 // VerifyCache exposes the client's advertisement verification cache for
@@ -441,11 +446,11 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 }
 
 // sendSecure puts one secure wire on a peer's group pipe: two elements,
-// allocated at once (the endpoint stamps its own on a copy of the list).
+// which the endpoint reads into the frame it builds.
 func (s *SecureClient) sendSecure(pipe *advert.Pipe, group string, wire []byte) error {
-	msg := endpoint.Message{Elements: make([]endpoint.Element, 0, 2)}
-	msg.Add(proto.ElemEnvelope, wire).AddString(proto.ElemGroup, group)
-	return s.Control().SendOnPipe(pipe, &msg)
+	return s.Control().SendOnPipe(pipe,
+		endpoint.Element{Name: proto.ElemEnvelope, Data: wire},
+		endpoint.Element{Name: proto.ElemGroup, Data: readOnlyBytes(group)})
 }
 
 // groupPipe is peer's input pipe for group. Its ID is derived

@@ -442,8 +442,8 @@ func TestSecureMsgPeerGroupSendsSlices(t *testing.T) {
 			}
 			var wires [][]byte
 			for _, frame := range eve.FramesTo(simnet.NodeID(m.PeerID())) {
-				if msg, err := endpoint.ParseMessage(frame); err == nil {
-					if w, ok := msg.Get(proto.ElemEnvelope); ok {
+				if f, err := endpoint.ParseFrame(frame); err == nil {
+					if w, ok := f.Msg.Get(proto.ElemEnvelope); ok {
 						wires = append(wires, w)
 					}
 				}

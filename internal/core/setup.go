@@ -40,9 +40,9 @@ import (
 	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/cred"
+	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
-	"jxtaoverlay/internal/simnet"
 )
 
 // DefaultCredValidity is the default lifetime of issued credentials.
@@ -161,10 +161,10 @@ func (s *BrokerSite) Close() {
 	s.Broker.Close()
 }
 
-// NewClient boots a client peer of this deployment: a PSE identity with
-// a fresh key of the deployment's size, provisioned with the
-// administrator's credential as its trust anchor.
-func (d *Deployment) NewClient(net *simnet.Network, alias string, opts ...Option) (*SecureClient, error) {
+// NewClient boots a client peer of this deployment on net: a PSE
+// identity with a fresh key of the deployment's size, provisioned with
+// the administrator's credential as its trust anchor.
+func (d *Deployment) NewClient(net endpoint.Transport, alias string, opts ...Option) (*SecureClient, error) {
 	trust, err := d.TrustStore()
 	if err != nil {
 		return nil, err

@@ -29,34 +29,40 @@ func TestMessageAccessors(t *testing.T) {
 	if !m.Has("doc") || m.Has("nope") {
 		t.Fatal("Has misbehaved")
 	}
-	m.Set("txt", []byte("world"))
-	if s, _ := m.GetString("txt"); s != "world" {
-		t.Fatalf("after Set, txt = %q", s)
-	}
 }
 
 // TestParsedFrameIsViewsAndTwoAllocations pins the receive half of the
-// per-byte path: element data is the frame's own memory, and a frame
-// whose names are all in the vocabulary costs the Message and its
-// element slice, nothing per element.
+// per-byte path: the prefix's fields and the element data are the
+// frame's own memory, and a frame whose names are all in the vocabulary
+// costs the Message and its element slice, nothing per element.
 func TestParsedFrameIsViewsAndTwoAllocations(t *testing.T) {
-	m := NewMessage().Add("sec:env", bytes.Repeat([]byte{7}, 4096)).AddString("group", "g")
-	m.Set(elemSrc, []byte("urn:jxta:a")).Set(elemDst, []byte("urn:jxta:b")).Set(elemSvc, []byte("jxta:pipe:p"))
-	frame := m.Marshal()
-	back, err := ParseMessage(frame)
+	frame := NewFrame(Route{Src: "urn:jxta:a", Service: "jxta:pipe:", Param: "p", Corr: CorrRequest, CorrID: []byte("00aa")},
+		Element{"sec:env", bytes.Repeat([]byte{7}, 4096)}, Element{"group", []byte("g")})
+	f, err := ParseFrame(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range back.Elements {
+	if string(f.Src) != "urn:jxta:a" || string(f.Service) != "jxta:pipe:p" || f.Corr != CorrRequest || string(f.CorrID) != "00aa" {
+		t.Fatalf("prefix read back as %q %q %d %q", f.Src, f.Service, f.Corr, f.CorrID)
+	}
+	for _, v := range [][]byte{f.Src, f.Service, f.CorrID} {
+		if !within(v, frame) {
+			t.Errorf("prefix field %q was copied out of the frame", v)
+		}
+	}
+	for _, e := range f.Msg.Elements {
 		if !within(e.Data, frame) {
 			t.Errorf("element %q was copied out of the frame", e.Name)
 		}
 	}
-	if env, _ := back.Get("sec:env"); cap(env) != len(env) {
+	if env, _ := f.Msg.Get("sec:env"); cap(env) != len(env) {
 		t.Error("a view's capacity reaches past its element: an append would overwrite the next one")
 	}
-	if n := testing.AllocsPerRun(100, func() { _, _ = ParseMessage(frame) }); n != 2 {
-		t.Errorf("ParseMessage allocates %.0f times per frame, want 2", n)
+	if n := testing.AllocsPerRun(100, func() { _, _ = ParseFrame(frame) }); n != 2 {
+		t.Errorf("ParseFrame allocates %.0f times per frame, want 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = NewFrame(Route{Src: "urn:jxta:a", Service: "s"}, f.Msg.Elements...) }); n != 1 {
+		t.Errorf("NewFrame allocates %.0f times per frame, want 1: the frame", n)
 	}
 }
 
@@ -93,6 +99,28 @@ func TestParseMessageErrors(t *testing.T) {
 	for name, data := range cases {
 		if _, err := ParseMessage(data); err == nil {
 			t.Errorf("ParseMessage(%s) succeeded, want error", name)
+		}
+	}
+}
+
+func TestParseFrameErrors(t *testing.T) {
+	good := NewFrame(Route{Src: "a", Service: "s"}, Element{"k", []byte("v")})
+	cases := map[string][]byte{
+		"empty":         nil,
+		"element codec": NewMessage().Add("k", []byte("v")).Marshal(),
+		"relay frame":   relayFrame("b", good),
+		"truncated":     good[:len(good)-1],
+		"trailing":      append(bytes.Clone(good), 0),
+		"src cut":       good[:6],
+		"no corr":       good[:4+3+3],
+		"unknown corr":  append(append(bytes.Clone(good[:10]), 3), good[11:]...),
+		"id cut":        good[:4+3+3+2],
+		"no count":      good[:4+3+3+3],
+		"high count":    append(bytes.Clone(good[:13]), 0xFF, 0xFF),
+	}
+	for name, data := range cases {
+		if _, err := ParseFrame(data); err == nil {
+			t.Errorf("ParseFrame(%s) succeeded, want error", name)
 		}
 	}
 }
@@ -185,13 +213,27 @@ func TestRequestResponse(t *testing.T) {
 	}
 }
 
-// TestSendStampsACopy: routing and correlation elements go onto a copy
-// of the element list, so neither a caller's message nor a response a
-// handler hands out twice (the broker's idempotency cache does) is
-// written to by the endpoint.
-func TestSendStampsACopy(t *testing.T) {
-	_, a, b := pair(t)
-	shared := NewMessage().AddString("body", "same")
+// TestResponseSentTwiceIsIdentical: a handler's response is only read by
+// the endpoint, so one the broker's idempotency cache hands out twice
+// goes out byte-identical both times (but for the request it answers) and
+// is the same Message afterwards; nor is the caller's request written to.
+func TestResponseSentTwiceIsIdentical(t *testing.T) {
+	n, a, b := pair(t)
+	var mu sync.Mutex
+	var responses [][]byte
+	n.AddTap(func(p simnet.Packet) {
+		if f, err := ParseFrame(p.Payload); err == nil && string(f.Service) == svcResponse {
+			mu.Lock()
+			responses = append(responses, bytes.Clone(p.Payload))
+			mu.Unlock()
+		}
+	})
+	shared := NewMessage().AddString("body", "same").AddString("ok", "1")
+	before := NewMessage()
+	for _, e := range shared.Elements {
+		before.Add(e.Name, bytes.Clone(e.Data))
+	}
+	capBefore := cap(shared.Elements)
 	b.RegisterHandler("echo", func(keys.PeerID, *Message) *Message { return shared })
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -201,12 +243,31 @@ func TestSendStampsACopy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Request: %v", err)
 		}
-		if body, _ := resp.GetString("body"); body != "same" || !resp.Has(elemRspID) || !resp.Has(elemSrc) {
-			t.Fatalf("response %d = %+v", i, resp)
+		if !reflect.DeepEqual(resp.Elements, before.Elements) {
+			t.Fatalf("response %d = %+v, want %+v", i, resp.Elements, before.Elements)
 		}
 	}
-	if len(req.Elements) != 1 || len(shared.Elements) != 1 {
-		t.Fatalf("the endpoint wrote to its caller's messages: request %+v, response %+v", req, shared)
+	if !reflect.DeepEqual(shared.Elements, before.Elements) || cap(shared.Elements) != capBefore {
+		t.Fatalf("the endpoint wrote to the response it sent: %+v", shared.Elements)
+	}
+	if len(req.Elements) != 1 {
+		t.Fatalf("the endpoint wrote to its caller's request: %+v", req)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(responses) != 2 {
+		t.Fatalf("%d response frames on the wire, want 2", len(responses))
+	}
+	section := elementsLen(shared.Elements)
+	for i, frame := range responses {
+		f, _ := ParseFrame(frame)
+		want := NewFrame(Route{Src: b.PeerID(), Service: svcResponse, Corr: CorrResponse, CorrID: f.CorrID}, before.Elements...)
+		if !bytes.Equal(frame, want) {
+			t.Fatalf("response frame %d is not the frame of the unchanged response:\n got %x\nwant %x", i, frame, want)
+		}
+	}
+	if !bytes.Equal(responses[0][len(responses[0])-section:], responses[1][len(responses[1])-section:]) {
+		t.Fatal("the two responses' element sections differ")
 	}
 }
 

@@ -1,20 +1,22 @@
-// Package endpoint implements the JXTA endpoint abstraction over simnet:
-// messages made of named elements, a binary wire codec, per-service
-// demultiplexing, request/response correlation, and relay routing so
-// brokers can carry traffic between peers that cannot reach each other
-// directly (the "beyond broadcast range or NAT" role of JXTA-Overlay
-// brokers).
+// Package endpoint implements the JXTA endpoint abstraction over a
+// transport: messages made of named elements, a binary frame codec,
+// per-service demultiplexing, request/response correlation, and relay
+// routing so brokers can carry traffic between peers that cannot reach
+// each other directly (the "beyond broadcast range or NAT" role of
+// JXTA-Overlay brokers).
 //
-// # Frame ownership
+// # One buffer per message
 //
-// One buffer per hop. Sending, Marshal makes the one copy of a message's
-// element data (the frame) and the fabric makes one more (the delivered
-// packet); Send never copies the data to stamp its routing elements.
-// Receiving, nothing is copied at all: ParseMessage returns elements
-// whose Data are views into the packet, under one rule —
+// A sender builds a frame once: NewFrame sizes one buffer up front and
+// writes the routing prefix and the elements' data into it, reading the
+// caller's Message and writing nothing back. Send hands that buffer to
+// the Transport, which owns it from then on and delivers that same
+// buffer: nothing copies a frame between the sender's build and the
+// recipient's open. Receiving, ParseFrame returns the prefix's fields and
+// the elements' Data as views into the packet, under one rule —
 //
-//	a delivered frame belongs to its handler alone; the fabric never
-//	reuses or exposes it afterwards.
+//	a delivered frame belongs to its handler alone; neither the sender
+//	nor the fabric reads or writes it once Send has returned nil.
 //
 // The handler a message is dispatched to (or the Request it answers)
 // therefore owns every byte its elements show. It may keep them: a
@@ -22,8 +24,10 @@
 // of a large frame before holding it long. It may overwrite them: the
 // secure open path decrypts a sec:env element where it lies. It must not
 // assume they are still what the sender sent once it has handed them to
-// code that does. Names are never views (ParseMessage interns or copies
-// them), and a message being SENT is only read.
+// code that does. Names are never views (the parser interns or copies
+// them), and a message being SENT is only read. Whoever sends raw bytes
+// it means to use again (a replay of a captured frame) hands the
+// transport a copy.
 package endpoint
 
 import (
@@ -81,20 +85,13 @@ func (m *Message) Has(name string) bool {
 	return ok
 }
 
-// Set replaces the first element with the given name, or appends.
-func (m *Message) Set(name string, data []byte) *Message {
-	for i := range m.Elements {
-		if m.Elements[i].Name == name {
-			m.Elements[i].Data = data
-			return m
-		}
-	}
-	return m.Add(name, data)
-}
-
-// Wire format: magic "JXM2", u16 element count, then per element
-// u16 name length + name, u32 data length + data. All integers
-// big-endian.
+// The element section, shared by a frame and by Marshal's bare element
+// codec: u16 element count, then per element u16 name length + name, u32
+// data length + data. All integers big-endian.
+//
+// Marshal's codec is magic "JXM2" and the element section; a frame
+// (frame.go) puts its routing prefix between a magic of its own and the
+// same section.
 var wireMagic = [4]byte{'J', 'X', 'M', '2'}
 
 // Codec limits guard against malformed frames.
@@ -103,19 +100,51 @@ const (
 	maxElemData = 64 << 20
 )
 
-// ErrWire is wrapped by all codec parse failures.
+// ErrWire is wrapped by all codec parse failures. They carry no numbers:
+// the decoders run on every delivery goroutine, whose stack a formatted
+// error's arguments would grow.
 var ErrWire = errors.New("endpoint: malformed wire message")
 
-// Marshal encodes the message in the binary wire format.
+var (
+	errMagic     = fmt.Errorf("%w: bad magic", ErrWire)
+	errPrefix    = fmt.Errorf("%w: routing prefix truncated or unknown", ErrWire)
+	errCount     = fmt.Errorf("%w: element count missing or beyond the bytes behind it", ErrWire)
+	errTruncated = fmt.Errorf("%w: element truncated", ErrWire)
+	errTrailing  = fmt.Errorf("%w: trailing bytes", ErrWire)
+)
+
+// Marshal encodes the message's elements alone, without a routing prefix.
+// Frames are what travel (NewFrame); this codec prices the element
+// section on its own.
 func (m *Message) Marshal() []byte {
-	size := 6
-	for _, e := range m.Elements {
-		size += 2 + len(e.Name) + 4 + len(e.Data)
+	out := make([]byte, 0, len(wireMagic)+elementsLen(m.Elements))
+	return appendElements(append(out, wireMagic[:]...), m.Elements)
+}
+
+// ParseMessage decodes what Marshal produced. The elements' Data are
+// views into data (see the package comment for who may hold them); names
+// come from the interned vocabulary, so it costs the Message and its
+// element slice and nothing per element.
+func ParseMessage(data []byte) (*Message, error) {
+	if len(data) < len(wireMagic) || [4]byte(data[:4]) != wireMagic {
+		return nil, errMagic
 	}
-	out := make([]byte, 0, size)
-	out = append(out, wireMagic[:]...)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(m.Elements)))
-	for _, e := range m.Elements {
+	return parseElements(data[4:])
+}
+
+// elementsLen is the size of elems' element section.
+func elementsLen(elems []Element) int {
+	n := 2
+	for _, e := range elems {
+		n += 2 + len(e.Name) + 4 + len(e.Data)
+	}
+	return n
+}
+
+// appendElements writes elems' element section behind out.
+func appendElements(out []byte, elems []Element) []byte {
+	out = binary.BigEndian.AppendUint16(out, uint16(len(elems)))
+	for _, e := range elems {
 		out = binary.BigEndian.AppendUint16(out, uint16(len(e.Name)))
 		out = append(out, e.Name...)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(e.Data)))
@@ -124,20 +153,17 @@ func (m *Message) Marshal() []byte {
 	return out
 }
 
-// ParseMessage decodes a wire frame produced by Marshal. The elements'
-// Data are views into data (see the package comment for who may hold
-// them); names come from the interned vocabulary, so a frame costs the
-// Message and its element slice and nothing per element.
-func ParseMessage(data []byte) (*Message, error) {
-	if len(data) < 6 || [4]byte(data[:4]) != wireMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrWire)
+// parseElements decodes an element section that must fill data exactly.
+func parseElements(data []byte) (*Message, error) {
+	if len(data) < 2 {
+		return nil, errCount
 	}
-	count := int(binary.BigEndian.Uint16(data[4:6]))
-	data = data[6:]
+	count := int(binary.BigEndian.Uint16(data))
+	data = data[2:]
 	// An element is at least its 6 bytes of lengths: the count is held
 	// against the bytes behind it before it sizes anything.
 	if count > maxElements || count > len(data)/6 {
-		return nil, fmt.Errorf("%w: %d elements in %d bytes", ErrWire, count, len(data))
+		return nil, errCount
 	}
 	msg := &Message{Elements: make([]Element, count)}
 	for i := range msg.Elements {
@@ -145,12 +171,12 @@ func ParseMessage(data []byte) (*Message, error) {
 		name, rest, _ := cutField(data, 2)
 		var ok bool
 		if e.Data, data, ok = cutField(rest, 4); !ok || len(e.Data) > maxElemData {
-			return nil, fmt.Errorf("%w: element %d truncated", ErrWire, i)
+			return nil, errTruncated
 		}
 		e.Name = intern(name)
 	}
 	if len(data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(data))
+		return nil, errTrailing
 	}
 	return msg, nil
 }
@@ -172,10 +198,10 @@ func cutField(data []byte, width int) (field, rest []byte, ok bool) {
 	return data[:n:n], data[n:], true
 }
 
-// vocabulary is the fixed element-name vocabulary of the overlay (this
-// package's routing elements, internal/proto's, the user database's). A map lookup keyed by a converted byte slice does not
-// allocate, so a hit costs no string; a miss copies the name, which never
-// pins the frame.
+// vocabulary is the fixed element-name vocabulary of the overlay
+// (internal/proto's and the user database's). A map lookup keyed by a
+// converted byte slice does not allocate, so a hit costs no string; a
+// miss copies the name, which never pins the frame.
 var vocabulary = func(names ...string) map[string]string {
 	m := make(map[string]string, len(names))
 	for _, n := range names {
@@ -183,7 +209,6 @@ var vocabulary = func(names ...string) map[string]string {
 	}
 	return m
 }(
-	elemSrc, elemDst, elemSvc, elemReqID, elemRspID, relayTo, relayPayload,
 	"op", "ok", "err", "user", "pass", "group", "groups", "desc", "adv", "advtype",
 	"advid", "peer", "peers", "keyword", "broker", "msg:body", "all",
 	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:env",

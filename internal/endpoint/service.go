@@ -13,29 +13,30 @@ import (
 	"jxtaoverlay/internal/simnet"
 )
 
-// Reserved element names used by the endpoint layer itself.
-const (
-	elemSrc   = "jxta:src"
-	elemDst   = "jxta:dst"
-	elemSvc   = "jxta:svc"
-	elemReqID = "jxta:reqid"
-	elemRspID = "jxta:rspid"
-	// svcResponse is the internal service that resolves pending requests.
-	svcResponse = "jxta:resp"
-	// svcRelay is the internal service relay-enabled nodes (brokers)
-	// forward for NATed peers.
-	svcRelay = "jxta:relay"
-	// relayTo and relayPayload carry the final destination and the
-	// original frame inside a relay message.
-	relayTo      = "jxta:relay:to"
-	relayPayload = "jxta:relay:frame"
-)
+// svcResponse is the internal service that resolves pending requests.
+const svcResponse = "jxta:resp"
+
+// Transport is the fabric an endpoint sends frames over and receives
+// them from: exactly what a Service calls. *simnet.Network is one.
+type Transport interface {
+	// Attach registers id's receiver; Detach removes it.
+	Attach(id simnet.NodeID, h simnet.Handler) error
+	Detach(id simnet.NodeID)
+	// Attached reports whether id is attached now (advisory).
+	Attached(id simnet.NodeID) bool
+	// Send hands frame to the fabric for delivery to to. When it returns
+	// nil the frame is the transport's, then the receiving handler's, and
+	// the sender neither reads nor writes it again; when it fails the
+	// frame is still the sender's.
+	Send(from, to simnet.NodeID, frame []byte) error
+}
 
 // Handler processes a message delivered to a registered service. The
-// from argument is the peer ID claimed by the sender in the message
-// envelope — note that without the security extension nothing
+// from argument is the peer ID claimed by the sender in the frame's
+// routing prefix — note that without the security extension nothing
 // authenticates it. A non-nil return value is sent back as the response
-// when the message was a Request.
+// when the message was a Request; it is only read, so one response may
+// be handed out any number of times.
 type Handler func(from keys.PeerID, msg *Message) *Message
 
 // Errors returned by Send/Request.
@@ -45,19 +46,20 @@ var (
 	ErrBadRequest = errors.New("endpoint: malformed request")
 )
 
-// NodeID maps a peer ID onto its simnet attachment point.
+// NodeID maps a peer ID onto its transport attachment point.
 func NodeID(id keys.PeerID) simnet.NodeID { return simnet.NodeID(id) }
 
-// Service is one peer's endpoint: its attachment to the network plus the
-// demux table of named services.
+// Service is one peer's endpoint: its attachment to the transport plus
+// the demux table of named services.
 type Service struct {
 	peerID keys.PeerID
-	net    *simnet.Network
+	net    Transport
 
 	mu       sync.RWMutex
 	handlers map[string]Handler
 	pending  map[string]chan *Message
 	closed   bool
+	done     chan struct{} // closed by Close: pending requests fail at once
 
 	relay    atomic.Value // keys.PeerID; relay hop for unreachable peers
 	relaying atomic.Bool  // whether this node forwards for others
@@ -73,13 +75,14 @@ type Service struct {
 	txBytes atomic.Uint64
 }
 
-// NewService attaches a peer to the network and returns its endpoint.
-func NewService(net *simnet.Network, peerID keys.PeerID) (*Service, error) {
+// NewService attaches a peer to the transport and returns its endpoint.
+func NewService(net Transport, peerID keys.PeerID) (*Service, error) {
 	s := &Service{
 		peerID:   peerID,
 		net:      net,
 		handlers: make(map[string]Handler),
 		pending:  make(map[string]chan *Message),
+		done:     make(chan struct{}),
 	}
 	s.relay.Store(keys.PeerID(""))
 	if err := net.Attach(NodeID(peerID), s.deliver); err != nil {
@@ -90,9 +93,6 @@ func NewService(net *simnet.Network, peerID keys.PeerID) (*Service, error) {
 
 // PeerID returns the owning peer's identifier.
 func (s *Service) PeerID() keys.PeerID { return s.peerID }
-
-// Network returns the underlying fabric (used by diagnostics and tests).
-func (s *Service) Network() *simnet.Network { return s.net }
 
 // Now is the time at this node: the broker, client or database attached
 // here reads every time it signs, checks or expires by from this call, so
@@ -148,60 +148,49 @@ func (s *Service) Counters() (tx, rx, txBytes, rxBytes uint64) {
 	return s.txCount.Load(), s.rxCount.Load(), s.txBytes.Load(), s.rxBytes.Load()
 }
 
-// Send delivers msg to the named service on the destination peer. The
-// message is stamped with the source, destination and service elements.
-// If the destination is not directly reachable (NAT) the frame is routed
-// through the configured relay.
+// Send delivers msg to the named service on the destination peer, in a
+// frame whose prefix names this peer as its source. If the destination
+// is not directly reachable (NAT) the frame is routed through the
+// configured relay.
 func (s *Service) Send(to keys.PeerID, service string, msg *Message) error {
-	return s.send(to, service, msg, "", "")
+	return s.send(to, Route{Service: service}, msg.Elements)
 }
 
-// send stamps a copy of msg's element list — never the caller's message,
-// and never the element data, which Marshal copies into the frame once —
-// with the routing elements and, when corr names one, the request or
-// response correlation ID.
-func (s *Service) send(to keys.PeerID, service string, msg *Message, corr, id string) error {
-	m := Message{Elements: append(make([]Element, 0, len(msg.Elements)+4), msg.Elements...)}
-	if corr != "" {
-		m.Set(corr, []byte(id))
-	}
-	m.Set(elemSrc, []byte(s.peerID))
-	m.Set(elemDst, []byte(to))
-	m.Set(elemSvc, []byte(service))
-	return s.sendFrame(to, m.Marshal())
+// SendElements is Send for elements held in hand rather than in a
+// Message, to the service named service+param (param may be empty).
+func (s *Service) SendElements(to keys.PeerID, service, param string, elems ...Element) error {
+	return s.send(to, Route{Service: service, Param: param}, elems)
 }
 
-func (s *Service) sendFrame(to keys.PeerID, frame []byte) error {
+// send builds r's frame from this peer around elems and sends it.
+func (s *Service) send(to keys.PeerID, r Route, elems []Element) error {
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
 		return ErrClosed
 	}
+	r.Src = s.peerID
+	frame := NewFrame(r, elems...)
+	n := len(frame)
 	err := s.net.Send(NodeID(s.peerID), NodeID(to), frame)
 	if errors.Is(err, simnet.ErrNotReachable) {
 		relay := s.relay.Load().(keys.PeerID)
 		if relay == "" {
 			return fmt.Errorf("%w (dst %s)", ErrNoRelay, to)
 		}
-		wrapper := NewMessage()
-		wrapper.Set(elemSrc, []byte(s.peerID))
-		wrapper.Set(elemDst, []byte(relay))
-		wrapper.Set(elemSvc, []byte(svcRelay))
-		wrapper.AddString(relayTo, string(to))
-		wrapper.Add(relayPayload, frame)
-		err = s.net.Send(NodeID(s.peerID), NodeID(relay), wrapper.Marshal())
+		err = s.net.Send(NodeID(s.peerID), NodeID(relay), relayFrame(to, frame))
 	}
 	if err != nil {
 		return err
 	}
 	s.txCount.Add(1)
-	s.txBytes.Add(uint64(len(frame)))
+	s.txBytes.Add(uint64(n))
 	return nil
 }
 
 // Request sends msg and waits for the handler on the remote side to
-// return a response, or for ctx to end.
+// return a response, for ctx to end, or for the service to close.
 func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, msg *Message) (*Message, error) {
 	idBytes, err := keys.RandomBytes(12)
 	if err != nil {
@@ -222,7 +211,7 @@ func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, m
 		s.mu.Unlock()
 	}()
 
-	if err := s.send(to, service, msg, elemReqID, reqID); err != nil {
+	if err := s.send(to, Route{Service: service, Corr: CorrRequest, CorrID: []byte(reqID)}, msg.Elements); err != nil {
 		return nil, err
 	}
 	select {
@@ -230,69 +219,73 @@ func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, m
 		return resp, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	case <-s.done:
+		return nil, ErrClosed
 	}
 }
 
-// deliver runs on simnet delivery goroutines.
+// deliver runs on the transport's delivery goroutines. It reads the
+// prefix where it lies: the service and correlation lookups are keyed by
+// views and allocate nothing, and from is the one string it makes. What
+// it does besides the handler call is in helpers of their own, so that a
+// delivery goroutine's first stack holds the parse.
 func (s *Service) deliver(pkt simnet.Packet) {
-	msg, err := ParseMessage(pkt.Payload)
+	if to, inner, ok := cutRelay(pkt.Payload); ok {
+		s.forward(len(pkt.Payload), to, inner)
+		return
+	}
+	f, err := ParseFrame(pkt.Payload)
 	if err != nil {
 		return // malformed frames are dropped, as JXTA does
 	}
 	s.rxCount.Add(1)
 	s.rxBytes.Add(uint64(len(pkt.Payload)))
-
-	svc, _ := msg.GetString(elemSvc)
-	from := keys.PeerID("")
-	if src, ok := msg.GetString(elemSrc); ok {
-		from = keys.PeerID(src)
-	}
-
-	switch svc {
-	case svcRelay:
-		if !s.relaying.Load() {
-			return
-		}
-		to, ok1 := msg.GetString(relayTo)
-		frame, ok2 := msg.Get(relayPayload)
-		if !ok1 || !ok2 {
-			return
-		}
-		// Forward the original frame unchanged: the inner source element
-		// is preserved, so the receiver sees the original sender.
-		_ = s.net.Send(NodeID(s.peerID), simnet.NodeID(to), frame)
-		return
-	case svcResponse:
-		rspID, _ := msg.GetString(elemRspID)
-		s.mu.RLock()
-		ch, ok := s.pending[rspID]
-		s.mu.RUnlock()
-		if ok {
-			select {
-			case ch <- msg:
-			default:
-			}
-		}
+	if string(f.Service) == svcResponse {
+		s.resolve(f.Corr, f.CorrID, f.Msg)
 		return
 	}
-
 	s.mu.RLock()
-	h, ok := s.handlers[svc]
+	h, ok := s.handlers[string(f.Service)]
 	s.mu.RUnlock()
 	if !ok {
 		return
 	}
-	resp := h(from, msg)
-	if resp == nil {
-		return
-	}
-	if reqID, ok := msg.GetString(elemReqID); ok && from != "" {
-		_ = s.send(from, svcResponse, resp, elemRspID, reqID)
+	from := keys.PeerID(f.Src)
+	if resp := h(from, f.Msg); resp != nil && f.Corr == CorrRequest && from != "" {
+		s.respond(from, f.CorrID, resp)
 	}
 }
 
-// Close detaches the endpoint; pending requests fail when their contexts
-// expire.
+// forward relays the frame inside a relay frame of n bytes to to,
+// unchanged, so the receiver sees the original source: a view of a packet
+// this node owns and never touches again.
+func (s *Service) forward(n int, to, frame []byte) {
+	s.rxCount.Add(1)
+	s.rxBytes.Add(uint64(n))
+	if s.relaying.Load() {
+		_ = s.net.Send(NodeID(s.peerID), simnet.NodeID(to), frame)
+	}
+}
+
+// resolve hands a response to the Request waiting for it, if any.
+func (s *Service) resolve(corr Corr, id []byte, msg *Message) {
+	s.mu.RLock()
+	ch, ok := s.pending[string(id)]
+	s.mu.RUnlock()
+	if ok && corr == CorrResponse {
+		select {
+		case ch <- msg:
+		default:
+		}
+	}
+}
+
+// respond sends a handler's response to the request id from from.
+func (s *Service) respond(from keys.PeerID, id []byte, resp *Message) {
+	_ = s.send(from, Route{Service: svcResponse, Corr: CorrResponse, CorrID: id}, resp.Elements)
+}
+
+// Close detaches the endpoint and fails its pending requests.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -300,6 +293,7 @@ func (s *Service) Close() {
 		return
 	}
 	s.closed = true
+	close(s.done)
 	s.mu.Unlock()
 	s.net.Detach(NodeID(s.peerID))
 }

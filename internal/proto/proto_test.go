@@ -25,7 +25,7 @@ func TestIsOKNil(t *testing.T) {
 
 func TestIsOKMissingError(t *testing.T) {
 	m := OK()
-	m.Set(ElemOK, []byte("0"))
+	m.Elements[0].Data = []byte("0")
 	ok, errTok := IsOK(m)
 	if ok || errTok != "unknown" {
 		t.Fatalf("IsOK = %v, %q", ok, errTok)

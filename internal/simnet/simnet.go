@@ -36,17 +36,18 @@ type Packet struct {
 
 // Handler receives delivered packets. Handlers run on delivery
 // goroutines and must be safe for concurrent invocation. The packet's
-// Payload is the handler's own: the network made it for this delivery
-// and keeps no reference, so the handler may retain or overwrite it.
+// Payload is the very buffer its sender handed to Send, and it is the
+// handler's own: the sender gave it up and the network keeps no
+// reference, so the handler may retain or overwrite it.
 type Handler func(Packet)
 
 // Tap observes every packet at transmission time, before loss or
 // delivery — exactly what a passive eavesdropper on the wire sees. The
 // attack harness uses taps to demonstrate the paper's eavesdropping
-// vulnerability. A tap is shown the sender's own buffer for the length
-// of the call: it copies what it keeps. It never sees the delivered
-// packet, which belongs to the receiving handler alone (who may, and
-// the secure open path does, overwrite it).
+// vulnerability. A tap runs inside Send, before the delivery goroutine
+// starts, so it sees the bytes as sent; but the buffer it is shown is
+// the one then delivered, which the receiving handler owns and may (the
+// secure open path does) overwrite. A tap copies what it keeps.
 type Tap func(Packet)
 
 // LinkProfile describes one direction of a link.
@@ -256,7 +257,11 @@ func (n *Network) AddTap(t Tap) {
 
 // Send transmits payload from→to. It returns synchronously; delivery
 // happens after the modeled wire time on a separate goroutine. The
-// payload is copied, so callers may reuse their buffer.
+// network takes the payload as it is, without a copy: once Send returns
+// nil the buffer belongs to the receiving handler, and the caller
+// neither reads nor writes it again (a caller that means to send the
+// same bytes twice sends a copy). A Send that fails leaves the buffer
+// with its caller.
 func (n *Network) Send(from, to NodeID, payload []byte) error {
 	n.mu.RLock()
 	if n.closed {
@@ -302,9 +307,6 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 		return nil // loss is silent, as on a real wire
 	}
 
-	// The one fabric copy: what is delivered is the recipient's alone.
-	pkt.Payload = make([]byte, len(payload))
-	copy(pkt.Payload, payload)
 	delay := profile.TransferTime(len(payload))
 	if profile.Jitter > 0 {
 		delay += time.Duration(n.randFloat() * float64(profile.Jitter))

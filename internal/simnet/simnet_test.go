@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func collector() (Handler, *[][]byte, *sync.Mutex) {
@@ -51,22 +52,38 @@ func TestSendDeliver(t *testing.T) {
 	}
 }
 
-func TestPayloadCopied(t *testing.T) {
+// TestDeliveredPacketIsSentBuffer: the network delivers the buffer the
+// sender handed it, not a copy, and a tap sees its bytes as sent — the
+// ciphertext — before the receiving handler opens it where it lies.
+func TestDeliveredPacketIsSentBuffer(t *testing.T) {
 	n := NewNetwork(ProfileLocal)
 	defer n.Close()
-	h, got, mu := collector()
+	var tapped []byte
+	n.AddTap(func(p Packet) { tapped = bytes.Clone(p.Payload) })
+	delivered := make(chan []byte, 1)
 	n.Attach("a", func(Packet) {})
-	n.Attach("b", h)
-	buf := []byte("orig")
+	n.Attach("b", func(p Packet) {
+		copy(p.Payload, "plaintext!") // the recipient opens in place
+		delivered <- p.Payload
+	})
+	buf := []byte("ciphertext")
 	if err := n.Send("a", "b", buf); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	copy(buf, "XXXX") // mutate after send
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(*got) == 1 })
-	mu.Lock()
-	defer mu.Unlock()
-	if !bytes.Equal((*got)[0], []byte("orig")) {
-		t.Fatalf("payload mutated in flight: %q", (*got)[0])
+	var got []byte
+	select {
+	case got = <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("not delivered")
+	}
+	if unsafe.SliceData(got) != unsafe.SliceData(buf) || len(got) != len(buf) {
+		t.Fatal("the delivered packet is a copy of the sent buffer")
+	}
+	if string(tapped) != "ciphertext" {
+		t.Fatalf("the tap saw %q, want the bytes as sent", tapped)
+	}
+	if string(buf) != "plaintext!" {
+		t.Fatalf("the recipient's in-place open is not in the buffer sent: %q", buf)
 	}
 }
 

@@ -343,10 +343,11 @@ func TestRemoteReplayRejected(t *testing.T) {
 	got := make(chan *endpoint.Message, 1)
 	// Replay raw: parse the captured frame, re-send its elements as a
 	// fresh request from the attacker and watch the response.
-	msg, err := endpoint.ParseMessage(captured)
+	fr, err := endpoint.ParseFrame(captured)
 	if err != nil {
 		t.Fatal(err)
 	}
+	msg := fr.Msg
 	reqCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	resp, err := attacker.Request(reqCtx, f.dbEP.PeerID(), ServiceName, msg)
