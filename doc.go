@@ -56,7 +56,10 @@
 //     thread these caches through messaging, advertisement acceptance
 //     and the (parallel) group fan-out.
 //   - Group fan-out seals ONE signed round per send and each member gets
-//     its own Merkle-bound slice of it (core.SealGroupDetached/OpenSlice);
+//     its own Merkle-bound slice of it (core.SealGroupDetached/OpenSlice),
+//     its key wrapped to the X25519 agreement key the member's client
+//     credential certifies, so opening it takes no RSA operation
+//     (internal/keys/wrap.go; SECURITY.md "Certified agreement key");
 //     with the broker relay (internal/relay, core.EnableBrokerRelay)
 //     the sender uploads the whole round once and the broker cuts the
 //     slices (core.SliceRound),

@@ -180,7 +180,8 @@ const PipeUnicast = "JxtaUnicast"
 
 // Pipe describes a virtual communication channel endpoint: which peer
 // hosts it, its identifier, and the group it serves. A client peer has
-// one input pipe per group; a broker has none.
+// one input pipe per group; a broker has none. Name is free text nothing
+// reads: a group pipe leaves it empty, and an empty Name is not written.
 type Pipe struct {
 	PipeID   string
 	PipeType string
@@ -201,7 +202,9 @@ func (p *Pipe) Document() (*xmldoc.Element, error) {
 	doc := xmldoc.New(TypePipe, "")
 	doc.AddText("Id", p.PipeID)
 	doc.AddText("Type", p.PipeType)
-	doc.AddText("Name", p.Name)
+	if p.Name != "" {
+		doc.AddText("Name", p.Name)
+	}
 	doc.AddText("PeerID", string(p.PeerID))
 	doc.AddText("Group", p.Group)
 	return doc, nil

@@ -262,3 +262,25 @@ func TestFileListRejectsMalformedSize(t *testing.T) {
 		t.Fatal("ParseFileList accepted non-numeric size")
 	}
 }
+
+// TestPipeNameWrittenOnlyWhenSet: an empty Name is not written, and a
+// document that carries one — an older publisher's — still parses.
+func TestPipeNameWrittenOnlyWhenSet(t *testing.T) {
+	p := &Pipe{PipeID: "urn:jxta:pipe-1", PipeType: PipeUnicast, PeerID: "urn:jxta:peer-1", Group: "math"}
+	doc, err := p.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Child("Name") != nil {
+		t.Fatalf("empty Name written: %s", doc.Canonical())
+	}
+	named := *p
+	named.Name = "msg/math/urn:jxta:peer-1"
+	if doc, err = named.Document(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParsePipe(doc)
+	if err != nil || *back != named {
+		t.Fatalf("named pipe advertisement parsed to (%+v, %v), want %+v", back, err, named)
+	}
+}

@@ -192,10 +192,11 @@ func spoofedPipeFrame(claimedFrom keys.PeerID, pipeID, group, elem string, paylo
 // relay the validly signed header (core.Opened.HeaderXML) plus the
 // plaintext; the relay re-encrypts them under a fresh content key
 // wrapped to an arbitrary target — including peers the sender never
-// addressed — and cuts a single-recipient ModeSlice wire for it. The
-// layout mirrors core's slice wire exactly; what the pair cannot mint
-// is a header whose signed SliceRoot covers the new wrap, which is
-// precisely the binding OpenSlice enforces.
+// addressed — under an ephemeral key of its own, and cuts a
+// single-recipient ModeSlice wire for it. The layout mirrors core's slice
+// wire exactly; what the pair cannot mint is a header whose signed
+// SliceRoot covers the new leaf, which is precisely the binding
+// OpenSlice enforces.
 func ForgeSlice(headerXML, body []byte, target *keys.PublicKey) ([]byte, error) {
 	cek, err := keys.NewContentKey()
 	if err != nil {
@@ -205,76 +206,136 @@ func ForgeSlice(headerXML, body []byte, target *keys.PublicKey) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	fp, err := target.Fingerprint()
+	eph, err := keys.NewAgreementKey()
 	if err != nil {
 		return nil, err
 	}
-	wrap, err := target.WrapKey(cek)
+	fp, err := target.Fingerprint()
 	if err != nil {
 		return nil, err
 	}
 	wire := []byte{byte(core.ModeSlice)}
 	wire = binary.BigEndian.AppendUint32(wire, 1) // recipient count
 	wire = binary.BigEndian.AppendUint32(wire, 0) // leaf index
-	wire = append(wire, fp[:]...)
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(wrap)))
-	wire = append(wire, wrap...)
+	wire = append(append(wire, eph.Share()...), fp[:]...)
+	if wire, err = eph.WrapTo(wire, cek, target); err != nil {
+		return nil, err
+	}
 	wire = append(wire, 0) // empty proof: for n=1 the leaf IS the root
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(nonce)))
-	wire = append(wire, nonce...)
-	return append(wire, ct...), nil
+	return append(keys.AppendSection(wire, nonce), ct...), nil
 }
 
 // ResealSlice acts as a round member turned against another member: it
 // unwraps the round's content key from its own slice (ownSlice, which own
 // opens), decrypts the signed header and body, and seals them again under
 // that same key with a fresh GCM nonce — behind the victim's own leaf
-// (fingerprint, wrap, inclusion proof), cut from victimSlice. The victim's
-// wrap still unwraps to the key, the leaf still reaches the signed
-// SliceRoot and the signature still verifies; only the bytes are new, so
-// what can refuse the result is the round's single-use nonce.
+// (ephemeral share, fingerprint, wrap, inclusion proof), cut from
+// victimSlice. The victim's wrap still unwraps to the key, the leaf still
+// reaches the signed SliceRoot and the signature still verifies; only the
+// bytes are new, so what can refuse the result is the round's single-use
+// nonce.
 func ResealSlice(own *keys.KeyPair, ownSlice, victimSlice []byte) ([]byte, error) {
-	_, wrap, sealed, err := cutSlice(ownSlice)
+	cek, block, err := openOwnSlice(own, ownSlice)
 	if err != nil {
 		return nil, err
 	}
-	cek, err := own.UnwrapKey(wrap)
+	leaf, err := CutSlice(victimSlice)
 	if err != nil {
 		return nil, err
 	}
-	nonce, ct, ok := keys.CutSection(sealed)
-	if !ok {
-		return nil, keys.ErrDecrypt
-	}
-	block, err := keys.AEADOpen(cek, nonce, ct)
+	nonce, ct, err := keys.AEADSeal(cek[:], block)
 	if err != nil {
 		return nil, err
 	}
-	leaf, _, _, err := cutSlice(victimSlice)
-	if err != nil {
-		return nil, err
-	}
-	if nonce, ct, err = keys.AEADSeal(cek, block); err != nil {
-		return nil, err
-	}
-	return append(keys.AppendSection(bytes.Clone(leaf), nonce), ct...), nil
+	return append(keys.AppendSection(bytes.Clone(leaf.Head), nonce), ct...), nil
 }
 
-// cutSlice splits a ModeSlice wire where its leaf ends — mode byte,
-// recipient count, leaf index, fingerprint, wrap, proof — into the leaf,
-// the wrap inside it, and what follows: the GCM nonce section and the
-// ciphertext.
-func cutSlice(wire []byte) (leaf, wrap, sealed []byte, err error) {
-	const head = 1 + 4 + 4 + 32
-	if len(wire) < head || core.Mode(wire[0]) != core.ModeSlice {
-		return nil, nil, nil, core.ErrEnvelope
+// RewrapSlice acts as a round member that hands another member the round
+// key itself: it unwraps the content key from its own slice and wraps it
+// to victim under an ephemeral key of its own, behind the victim's index,
+// fingerprint and inclusion proof and in front of the round's untouched
+// ciphertext. The victim's new wrap opens, and the ciphertext under it is
+// the sender's; the leaf — which commits to the ephemeral share and the
+// wrap — no longer reaches the signed SliceRoot.
+func RewrapSlice(own *keys.KeyPair, ownSlice, victimSlice []byte, victim *keys.PublicKey) ([]byte, error) {
+	cek, _, err := openOwnSlice(own, ownSlice)
+	if err != nil {
+		return nil, err
 	}
-	wrap, rest, ok := keys.CutSection(wire[head:])
-	if !ok || len(rest) < 1 || len(rest) < 1+32*int(rest[0]) {
-		return nil, nil, nil, core.ErrEnvelope
+	leaf, err := CutSlice(victimSlice)
+	if err != nil {
+		return nil, err
 	}
-	sealed = rest[1+32*int(rest[0]):]
-	return wire[:len(wire)-len(sealed)], wrap, sealed, nil
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		return nil, err
+	}
+	wrap, err := eph.WrapTo(nil, cek[:], victim)
+	if err != nil {
+		return nil, err
+	}
+	wire := bytes.Clone(leaf.Head)
+	copy(wire[sliceEph:], eph.Share())
+	copy(wire[sliceWrap:], wrap)
+	return append(wire, leaf.Sealed...), nil
+}
+
+// openOwnSlice is a member's view of its own slice: the round's content
+// key, and the block it opens.
+func openOwnSlice(own *keys.KeyPair, wire []byte) (cek [keys.ContentKeySize]byte, block []byte, err error) {
+	leaf, err := CutSlice(wire)
+	if err != nil {
+		return cek, nil, err
+	}
+	if cek, err = own.UnwrapFrom(leaf.Ephemeral(), leaf.Wrap()); err != nil {
+		return cek, nil, err
+	}
+	nonce, ct, ok := keys.CutSection(leaf.Sealed)
+	if !ok {
+		return cek, nil, keys.ErrDecrypt
+	}
+	block, err = keys.AEADOpen(cek[:], nonce, ct)
+	return cek, block, err
+}
+
+// The offsets of a ModeSlice wire's fixed-size head, in core's layout:
+// mode byte, recipient count, leaf index, ephemeral share, fingerprint,
+// wrap, proof length.
+const (
+	sliceEph   = 1 + 4 + 4
+	sliceFP    = sliceEph + keys.ShareSize
+	sliceWrap  = sliceFP + 32
+	sliceProof = sliceWrap + keys.WrapSize
+)
+
+// SliceLeaf is a ModeSlice wire cut where its leaf ends.
+type SliceLeaf struct {
+	// Head is everything before the GCM nonce: the leaf and its proof.
+	Head []byte
+	// Sealed is the GCM nonce section and the ciphertext.
+	Sealed []byte
+}
+
+// Ephemeral is the round's ephemeral share, as the slice carries it.
+func (l SliceLeaf) Ephemeral() []byte { return l.Head[sliceEph:sliceFP] }
+
+// Wrap is the recipient's wrap.
+func (l SliceLeaf) Wrap() []byte { return l.Head[sliceWrap:sliceProof] }
+
+// Fingerprint is the recipient's key fingerprint.
+func (l SliceLeaf) Fingerprint() []byte { return l.Head[sliceFP:sliceWrap] }
+
+// CutSlice splits a ModeSlice wire where its proof ends. The parts are
+// views of wire.
+func CutSlice(wire []byte) (SliceLeaf, error) {
+	if len(wire) <= sliceProof || core.Mode(wire[0]) != core.ModeSlice {
+		return SliceLeaf{}, core.ErrEnvelope
+	}
+	end := sliceProof + 1 + 32*int(wire[sliceProof])
+	if len(wire) < end {
+		return SliceLeaf{}, core.ErrEnvelope
+	}
+	return SliceLeaf{Head: wire[:end:end], Sealed: wire[end:]}, nil
 }
 
 // ForwardEnvelope acts as a malicious recipient of a sign-then-encrypt
@@ -375,7 +436,9 @@ func ChannelKey(secret, channel []byte, initiator, responder keys.PeerID, initia
 	}
 	info = keys.AppendSection(info, []byte(group))
 	info = append(append(info, initiatorShare...), responderShare...)
-	return keys.HKDF(secret, channel, info, 32), nil
+	key := make([]byte, 32)
+	keys.HKDF(key, secret, channel, info)
+	return key, nil
 }
 
 // NewFakeBroker stands up a broker that accepts every login — the

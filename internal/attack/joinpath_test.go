@@ -55,12 +55,22 @@ func TestMintedPipeIDsRefused(t *testing.T) {
 	mallory := s.join(t, "mallory", "mallory-pw")
 	bobEvents := events.NewCollector(bob.Bus())
 	ctx := testCtx(t)
-	// bob holds mallory's one legitimate record before the attack starts.
+	// bob holds mallory's legitimate records before the attack starts: her
+	// pipe advertisement and her login's presence record. The broker pushes
+	// the two separately, each on a fabric goroutine of its own, so either
+	// may land last.
+	malloryPipe := advert.GroupPipeID(mallory.PeerID(), "math")
+	malloryPresence := (&advert.Presence{PeerID: mallory.PeerID(), Group: "math"}).AdvID()
 	waituntil.Must(t, 5*time.Second, func() bool {
-		_, err := bob.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(mallory.PeerID(), "math"))
-		return err == nil
-	}, "bob never received mallory's pipe advertisement")
+		_, errPipe := bob.Cache().Lookup(advert.TypePipe, malloryPipe)
+		_, errPresence := bob.Cache().Lookup(advert.TypePresence, malloryPresence)
+		return errPipe == nil && errPresence == nil
+	}, "bob never received mallory's pipe advertisement and presence")
 	brokerLen, bobLen := s.br.Cache().Len(), bob.Cache().Len()
+	// Those two and bob's own pipe: nothing else is in flight to bob.
+	if bobLen != 3 {
+		t.Fatalf("bob holds %d records before the attack, want 3: his pipe, mallory's pipe and her presence", bobLen)
+	}
 
 	for i := 0; i < 1000; i++ {
 		minted := fmt.Sprintf("urn:jxta:pipe-%032x", i) // the shape of a real ID
@@ -139,6 +149,7 @@ func rawSecureLogin(t *testing.T, sc *core.SecureClient, user, pass string, peer
 	doc.AddText("Pass", pass)
 	doc.AddText("PeerID", string(peer))
 	doc.AddText("Key", keyB64)
+	doc.AddText("Agree", kp.Public().ShareBase64())
 	doc.AddText("Sid", sc.Sid())
 	sig, err := kp.Sign(doc.Canonical())
 	if err != nil {

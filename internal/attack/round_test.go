@@ -136,8 +136,8 @@ func TestSliceResealedByInsiderRefusedByNonce(t *testing.T) {
 // TestRoundTamperedKeyWrapRejected: an on-path attacker flips bits in one
 // recipient's key wrap inside the round a sender uploads to the relay.
 // The relay cuts slices without looking at wraps, so the damage reaches
-// that recipient's slice, which must fail to open — OAEP unwrapping (or
-// the AEAD under a corrupted key) cannot succeed. Nor does any other
+// that recipient's slice, which must fail to open — the wrap's tag does
+// not verify, and nothing is decrypted under it. Nor does any other
 // slice of that upload: the signed tree root commits to every wrap, so
 // the other member's path climbs from a sibling hashed over the damaged
 // wrap and reaches a root the signature does not cover.
@@ -149,9 +149,9 @@ func TestRoundTamperedKeyWrapRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	upload := d.Wire()
-	// First wrap entry (bob's, wire order = recipient order) sits after
-	// the mode byte, wrap count and fingerprint: corrupt its payload.
-	wrapStart := 1 + 4 + 32 + 4
+	// First wrap (bob's, wire order = recipient order) sits after the mode
+	// byte, recipient count, ephemeral share and fingerprint: corrupt it.
+	wrapStart := 1 + 4 + keys.ShareSize + 32
 	upload[wrapStart+7] ^= 0xff
 	sliced, err := core.SliceRound(upload)
 	if err != nil {

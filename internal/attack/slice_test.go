@@ -76,9 +76,12 @@ func TestSliceReindexedByRelayRejected(t *testing.T) {
 	// Transplant slice 1's proof hashes into slice 0 (same length: both
 	// carry ceil(log2(3))-ish sibling paths of equal depth here).
 	proofAt := func(w []byte) (start, end int) {
-		wl := int(binary.BigEndian.Uint32(w[41:45]))
-		start = 45 + wl + 1
-		return start, start + 32*int(w[45+wl])
+		leaf, err := attack.CutSlice(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The hashes follow the proof length, which follows the wrap.
+		return 1 + 4 + 4 + keys.ShareSize + 32 + keys.WrapSize + 1, len(leaf.Head)
 	}
 	s0, e0 := proofAt(slices[0])
 	s1, e1 := proofAt(slices[1])

@@ -13,7 +13,6 @@ package control
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -108,7 +107,6 @@ func (m *Module) BindGroupPipe(group string) (*advert.Pipe, error) {
 	adv := &advert.Pipe{
 		PipeID:   advert.GroupPipeID(m.ep.PeerID(), group),
 		PipeType: advert.PipeUnicast,
-		Name:     fmt.Sprintf("msg/%s/%s", group, m.ep.PeerID()),
 		PeerID:   m.ep.PeerID(),
 		Group:    group,
 	}

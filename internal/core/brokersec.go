@@ -98,7 +98,7 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 	if cfg.KeyPair == nil || cfg.Credential == nil || cfg.Trust == nil {
 		return nil, errors.New("core: broker security requires key pair, credential and trust store")
 	}
-	if !cfg.Credential.Key.Equal(cfg.KeyPair.Public()) {
+	if !cfg.Credential.Key.SameIdentity(cfg.KeyPair.Public()) {
 		return nil, errors.New("core: broker credential does not match key pair")
 	}
 	if cfg.Credential.Role != cred.RoleBroker {
@@ -151,8 +151,13 @@ func (bs *BrokerSecurity) Credential() *cred.Credential { return bs.cfg.Credenti
 
 // IssueClientCredential issues Cred_Cl^Br for a key out of band — the
 // same credential secureLogin would issue, valid from the broker's now —
-// exposed for tooling and for pre-provisioned deployments.
+// exposed for tooling and for pre-provisioned deployments. The key must
+// carry its agreement key, which the credential certifies beside it: a
+// client credential without one could be sent no round.
 func (bs *BrokerSecurity) IssueClientCredential(subject keys.PeerID, username string, key *keys.PublicKey) (*cred.Credential, error) {
+	if _, ok := key.AgreementShare(); !ok {
+		return nil, keys.ErrNoAgreementKey
+	}
 	return cred.IssueAt(bs.b.Now(), bs.cfg.KeyPair, bs.cfg.Credential.Subject, subject, username, cred.RoleClient, key, bs.cfg.CredValidity)
 }
 
@@ -238,8 +243,11 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 	pass := doc.ChildText("Pass")
 	peerID := keys.PeerID(doc.ChildText("PeerID"))
 	sid := doc.ChildText("Sid")
-	clientKey, err := keys.ParsePublicBase64(doc.ChildText("Key"))
-	if err != nil {
+	// PK_Cl and the agreement key the credential will certify beside it,
+	// both under the request signature.
+	agree := doc.ChildText("Agree")
+	clientKey, err := keys.ParsePublicBase64(doc.ChildText("Key"), agree)
+	if err != nil || agree == "" {
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	sig, err := base64.StdEncoding.DecodeString(doc.ChildText("Signature"))
@@ -329,7 +337,8 @@ func (bs *BrokerSecurity) issueClient(subject keys.PeerID, username string, key 
 // loginCredential answers a login that has passed every check — session
 // identifier, request signature, CBID binding, password — with the
 // credential the subject was last issued, when that one certifies the
-// same username and key and has at least half its validity left, and with
+// same username, key and agreement key and has at least half its validity
+// left, and with
 // a fresh one otherwise. A credential states nothing a second issuance
 // would change except its validity window, so within the window one
 // signature serves every re-join; logging in again does not extend it.

@@ -195,9 +195,10 @@ func channelKey(secret []byte, id channelID, e channelEnds) (cipher.AEAD, error)
 	info = append(append(info, e.initiatorFP[:]...), e.responderFP[:]...)
 	info = keys.AppendSection(info, []byte(e.group))
 	info = append(append(info, e.initiatorShare...), e.responderShare...)
-	key := keys.HKDF(secret, id[:], info, 32)
-	aead, err := keys.NewAEAD(key)
-	clear(key)
+	var key [32]byte
+	keys.HKDF(key[:], secret, id[:], info)
+	aead, err := keys.NewAEAD(key[:])
+	clear(key[:])
 	clear(secret)
 	return aead, err
 }

@@ -27,10 +27,12 @@ import (
 //	split wire            the one per-format step: pick out this peer's
 //	                      own key wrap — or, for a frame, the channel it
 //	                      names — and the AEAD inputs
-//	content key, AEAD open  UnwrapKey, or the channel's key from the
-//	                      table: nothing below runs on bytes that neither
-//	                      this peer's private key nor a key agreed under
-//	                      it released
+//	content key, AEAD open  UnwrapKey (an envelope's RSA-OAEP wrap),
+//	                      UnwrapFrom (a slice's wrap to this peer's
+//	                      certified agreement key), or the channel's key
+//	                      from the table: nothing below runs on bytes that
+//	                      neither this peer's private key nor a key agreed
+//	                      under it released
 //	unpackBlock           canonical header of the form's root name + body
 //	body digest           the header's BodyDigest covers the body
 //	recipient binding     To = own key (signed envelope) / Merkle SliceRoot
@@ -88,7 +90,7 @@ const (
 // splitWire is a wire cut into the pipeline's inputs.
 type splitWire struct {
 	mode     Mode
-	wrap     []byte // this peer's own wrapped content key (unused by ModeSign)
+	wrap     []byte // an envelope's RSA-OAEP wrapped content key (unused by ModeSign)
 	gcmNonce []byte
 	ct       []byte       // AEAD ciphertext of the block; for ModeSign the block itself
 	slice    *parsedSlice // ModeSlice: the leaf and its sibling path, for the SliceRoot
@@ -155,10 +157,10 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 	if err != nil {
 		return sw, err
 	}
-	if ps.fp != ownFP {
+	if [32]byte(ps.entry) != ownFP {
 		return sw, ErrNotRecipient
 	}
-	sw.slice, sw.wrap, sw.gcmNonce, sw.ct = ps, ps.wrap, ps.gcmNonce, ps.ct
+	sw.slice, sw.gcmNonce, sw.ct = ps, ps.gcmNonce, ps.ct
 	return sw, nil
 }
 
@@ -211,8 +213,14 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		key = replayKey{replayWire, sha256.Sum256(wire)}
 	}
 	if sw.mode != ModeSign {
-		cek, err := own.UnwrapKey(sw.wrap)
-		if err != nil {
+		var cek []byte
+		if round {
+			k, err := own.UnwrapFrom(sw.slice.eph[:], sw.slice.entry[32:])
+			if err != nil {
+				return nil, ErrNotRecipient
+			}
+			cek = k[:]
+		} else if cek, err = own.UnwrapKey(sw.wrap); err != nil {
 			return nil, ErrNotRecipient
 		}
 		if block, err = keys.AEADOpenInPlace(cek, sw.gcmNonce, sw.ct); err != nil {
@@ -263,8 +271,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		if err != nil || len(want) == 0 {
 			return nil, ErrRoundBinding
 		}
-		ps := sw.slice
-		root, ok := verifySliceProof(ps.n, ps.index, ps.fp, ps.wrap, ps.proof)
+		root, ok := verifySliceProof(sw.slice)
 		if !ok || !keys.ConstantTimeEqual(root, want) {
 			return nil, ErrRoundBinding
 		}

@@ -32,8 +32,10 @@ func fuzzOpenKey(tb testing.TB) *keys.KeyPair {
 // recipient key. The seeds are one valid wire per mode — a session
 // channel's frame, accept and refusal among them — plus the forged wires a
 // malicious round member or relay can build around a validly signed
-// header — and the relay's upload, a full round, which opens nowhere
-// (SliceRound's parse of it is FuzzSliceRound's).
+// header (a slice re-targeted, re-sealed, re-wrapped, or carrying an
+// ephemeral share of small order) — and the relay's upload, a full
+// round, which opens nowhere (SliceRound's parse of it is
+// FuzzSliceRound's).
 // Properties: it never panics; it returns exactly one of an Opened and an
 // error; what it allocates is bounded by the input's size, so no count or
 // length prefix a stranger writes can drive a make; and a wire that opens
@@ -76,6 +78,14 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(resealed)
+	rewrapped, err := attack.RewrapSlice(sender, round.Slice(2), round.Slice(1), own.Public())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rewrapped)
+	lowOrder := round.Slice(1)
+	clear(lowOrder[1+4+4 : 1+4+4+keys.ShareSize]) // u = 0
+	f.Add(lowOrder)
 	// The wires of a session channel: a frame (of the one channel
 	// core.OpenAnyForm holds), an accept, a refusal.
 	frame, accept, refusal, err := core.TableChannelWires(sender, body)
@@ -92,9 +102,9 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte{byte(core.ModeGroup), 0, 0, 0x10, 0})
 
 	// What one open may allocate: a few copies of the input (the AEAD
-	// plaintext, the parsed header, digests) plus the fixed cost of the
-	// RSA unwrap. The seeds measure 2.5–5.5 KiB for wires of 0.4–1.1 KB;
-	// a maximal count prefix sized before it was checked would be 224 KiB.
+	// plaintext, the parsed header, digests) plus the fixed cost of the key
+	// unwrap — RSA-OAEP for an envelope, X25519 for a slice. A maximal
+	// count prefix sized before it was checked would be 224 KiB.
 	const (
 		allocPerByte = 8
 		allocFixed   = 32 << 10

@@ -98,16 +98,21 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &DetachedRound{fps: make([][32]byte, 2), wraps: make([][]byte, 2)}
-	for i, kp := range []*keys.KeyPair{recvKP, evilKP} {
-		if d.fps[i], err = kp.Public().Fingerprint(); err != nil {
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &DetachedRound{eph: [keys.ShareSize]byte(eph.Share())}
+	for _, kp := range []*keys.KeyPair{recvKP, evilKP} {
+		fp, err := kp.Public().Fingerprint()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if d.wraps[i], err = kp.Public().WrapKey(cek); err != nil {
+		if d.entries, err = eph.WrapTo(append(d.entries, fp[:]...), cek, kp.Public()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d.levels = sliceLevels(d.fps, d.wraps)
+	d.levels = d.sliceLevels()
 	h := xmldoc.New(roundHeaderName, "")
 	h.AddText("Sender", "urn:jxta:sender")
 	h.AddText("Group", "g")
@@ -166,10 +171,11 @@ func prefixBoundaries(wire []byte) []int {
 		skip(channelIDSize)
 		skip(8) // sequence number
 	case ModeSlice:
-		u32()       // recipient count
-		skip(4)     // leaf index
-		skip(32)    // fingerprint
-		skip(u32()) // wrap
+		u32()                // recipient count
+		skip(4)              // leaf index
+		skip(keys.ShareSize) // ephemeral share
+		skip(32)             // fingerprint
+		skip(keys.WrapSize)  // wrap
 		proofLen := int(wire[off])
 		skip(1)
 		skip(32 * proofLen)
@@ -233,11 +239,18 @@ func TestOpenPipelineTable(t *testing.T) {
 			name: "flipped wrap byte",
 			wire: flip(func(w []byte) int {
 				if Mode(w[0]) == ModeSlice {
-					return 1 + 4 + 4 + 32 + 4 + 9
+					return 1 + 4 + 4 + keys.ShareSize + 32 + 9
 				}
 				return 1 + 4 + 9
 			}),
 			want: [5]error{ErrNotRecipient, na, ErrNotRecipient, ErrNotRecipient, na},
+		},
+		{
+			// The round's ephemeral share is in every wrap's key derivation
+			// and under its tag: another one unwraps nothing.
+			name: "flipped ephemeral share byte",
+			wire: flip(func(w []byte) int { return 1 + 4 + 4 + 5 }),
+			want: [5]error{na, na, na, ErrNotRecipient, na},
 		},
 		{
 			name: "body digest mismatch",
@@ -336,7 +349,7 @@ func TestOpenPipelineTable(t *testing.T) {
 				wire := valid(t, m)
 				if m == ModeSlice {
 					fp, _ := evilKP.Public().Fingerprint()
-					copy(wire[1+4+4:], fp[:])
+					copy(wire[1+4+4+keys.ShareSize:], fp[:])
 				}
 				return wire
 			},

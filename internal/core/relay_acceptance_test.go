@@ -57,8 +57,10 @@ func TestRelayHundredRecipientsThirtyPercentOffline(t *testing.T) {
 	}
 	slices := sliced.Slices()
 	for i, s := range slices {
-		if len(s)*10 > len(upload) {
-			t.Fatalf("slice %d is %dB, not <1/10 of the %dB full wire", i, len(s), len(upload))
+		// The upload without the other recipients' entries, plus a leaf
+		// index and a proof of at most ceil(log2 100) = 7 hashes.
+		if most := len(upload) - (n-1)*(32+keys.WrapSize) + 4 + 1 + 7*32; len(s) > most {
+			t.Fatalf("slice %d is %dB, more than the %dB of one recipient's cut of the %dB full wire", i, len(s), most, len(upload))
 		}
 	}
 

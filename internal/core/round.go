@@ -14,8 +14,10 @@ import (
 // record. The round format amortizes that: ONE header (timestamp +
 // nonce + group + body digest + slice tree root) is signed once per
 // round, the block is encrypted once under a fresh AES-256 content key,
-// and the only per-recipient work is wrapping that key to each member
-// (a public-key operation, ~10× cheaper than a signature).
+// and the only per-recipient work is wrapping that key to each member:
+// ECIES to the X25519 agreement key the member's client credential
+// certifies (keys/wrap.go), one ephemeral key per round. Neither end
+// performs an RSA private-key operation per recipient.
 //
 // A recipient receives the round one way: as its own ModeSlice cut
 // (slice.go), carrying its wrap alone. The full wire below, every wrap
@@ -24,8 +26,9 @@ import (
 //
 // Full wire layout (mode byte ModeGroup, then):
 //
-//	u32 wrap count
-//	per wrap: 32-byte recipient key fingerprint | u32 length | RSA-OAEP wrapped CEK
+//	u32 recipient count
+//	32-byte ephemeral share E
+//	per recipient: 32-byte recipient key fingerprint | 48-byte wrap
 //	u32 nonce length | AES-GCM nonce
 //	AES-GCM ciphertext of ( u32 header length | header XML | raw body )
 //
@@ -37,8 +40,9 @@ import (
 // nonce, and the signature alone no longer binds the message to a single
 // recipient. Two mechanisms restore the per-recipient guarantees:
 //
-//   - the signed SliceRoot commits to every (index, fingerprint, wrap)
-//     leaf, so a signed header behind any other leaf fails OpenSlice
+//   - the signed SliceRoot commits to every (index, fingerprint, E, wrap)
+//     leaf, so a signed header behind any other leaf — another
+//     recipient, another wrap, another ephemeral — fails OpenSlice
 //     (ErrRoundBinding);
 //   - the signed Nonce is single-use per sender; receivers track it in
 //     their ReplayGuard (CheckRound), so a round member re-sealing the
@@ -56,6 +60,10 @@ const roundNonceSize = 16
 // larger groups into consecutive rounds; parsers refuse a larger count).
 const maxRoundRecipients = 4096
 
+// roundEntry is one recipient's part of a round: its key fingerprint and
+// its wrap.
+const roundEntry = 32 + keys.WrapSize
+
 // roundHeaderName is the XML element name of the signed round header.
 const roundHeaderName = "SecureRound"
 
@@ -63,29 +71,23 @@ const roundHeaderName = "SecureRound"
 func signedTime(at time.Time) string { return at.UTC().Format(time.RFC3339Nano) }
 
 // parseRoundWire reads a ModeGroup payload into sliceable form. The
-// count prefix is checked against the bytes that follow before it sizes
-// anything, so a hostile prefix cannot drive the allocation.
+// count prefix is checked against the bytes that follow before anything
+// is cut, and nothing is sized by it: the entries stay a view.
 func parseRoundWire(payload []byte) (*DetachedRound, error) {
-	if len(payload) < 4 {
+	if len(payload) < 4+keys.ShareSize {
 		return nil, ErrEnvelope
 	}
 	n := binary.BigEndian.Uint32(payload[:4])
 	payload = payload[4:]
-	if n == 0 || n > maxRoundRecipients || uint64(len(payload)) < 36*uint64(n) {
+	if n == 0 || n > maxRoundRecipients || uint64(len(payload)) < keys.ShareSize+roundEntry*uint64(n) {
 		return nil, ErrEnvelope
 	}
-	rw := &DetachedRound{fps: make([][32]byte, n), wraps: make([][]byte, n)}
+	rw := &DetachedRound{eph: [keys.ShareSize]byte(payload[:keys.ShareSize])}
+	payload = payload[keys.ShareSize:]
+	end := roundEntry * int(n)
+	rw.entries = payload[:end:end]
 	var ok bool
-	for i := range rw.wraps {
-		if len(payload) < 32 {
-			return nil, ErrEnvelope
-		}
-		copy(rw.fps[i][:], payload)
-		if rw.wraps[i], payload, ok = keys.CutSection(payload[32:]); !ok {
-			return nil, ErrEnvelope
-		}
-	}
-	if rw.gcmNonce, rw.ct, ok = keys.CutSection(payload); !ok || len(rw.gcmNonce) > 64 {
+	if rw.gcmNonce, rw.ct, ok = keys.CutSection(payload[end:]); !ok || len(rw.gcmNonce) > 64 {
 		return nil, ErrEnvelope
 	}
 	return rw, nil

@@ -72,9 +72,9 @@ func TestOpenGroupTamperedWrapRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := d.Wire()
-	// Flip a byte in the middle of the (only) wrapped key: offset = mode
-	// byte + wrap count + fingerprint + wrap length prefix + a bit.
-	wire[1+4+32+4+10] ^= 0xff
+	// Flip a byte in the middle of the (only) wrap: offset = mode byte +
+	// recipient count + ephemeral share + fingerprint + a bit.
+	wire[1+4+keys.ShareSize+32+10] ^= 0xff
 	sliced, err := SliceRound(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -116,10 +116,9 @@ func retargetWire(t *testing.T, wire []byte, keep ...int) []byte {
 	}
 	out := []byte{byte(ModeGroup)}
 	out = binary.BigEndian.AppendUint32(out, uint32(len(keep)))
+	out = append(out, rw.eph[:]...)
 	for _, i := range keep {
-		out = append(out, rw.fps[i][:]...)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(rw.wraps[i])))
-		out = append(out, rw.wraps[i]...)
+		out = append(out, rw.entry(i)...)
 	}
 	out = binary.BigEndian.AppendUint32(out, uint32(len(rw.gcmNonce)))
 	out = append(out, rw.gcmNonce...)

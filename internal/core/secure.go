@@ -334,16 +334,19 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	if sid == "" {
 		return ErrNoSid
 	}
-	keyB64, err := s.kp.Public().MarshalBase64()
+	pub := s.kp.Public()
+	keyB64, err := pub.MarshalBase64()
 	if err != nil {
 		return err
 	}
-	// Step 1: req = S_SKCl(username, password, PKCl).
+	// Step 1: req = S_SKCl(username, password, PKCl), and the agreement key
+	// derived from SK_Cl, which the broker certifies in Cred_Cl^Br.
 	doc := xmldoc.New("SecureLoginRequest", "")
 	doc.AddText("User", s.Username())
 	doc.AddText("Pass", password)
 	doc.AddText("PeerID", string(s.PeerID()))
 	doc.AddText("Key", keyB64)
+	doc.AddText("Agree", pub.ShareBase64())
 	doc.AddText("Sid", sid)
 	sig, err := s.kp.Sign(doc.Canonical())
 	if err != nil {
@@ -471,8 +474,9 @@ func readOnlyBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), 
 // members (§4.3.1). In ModeFull it uses the group round format: every
 // recipient's signed pipe advertisement is verified in parallel (cached
 // after the first encounter), then sealRounds signs ONE round header and
-// wraps the content key to each recipient — a 100-member round costs one
-// RSA signature instead of one hundred — and each member is sent its own
+// wraps the content key to each recipient's certified agreement key — a
+// 100-member round costs one RSA signature instead of one hundred, and no
+// recipient an RSA private-key operation — and each member is sent its own
 // slice of the round: a message addressed to that member, its wrap alone
 // beside the shared ciphertext. Degraded modes keep the per-recipient
 // path. The returned count and first error match the sequential
@@ -533,13 +537,20 @@ func (s *SecureClient) verifiedTargets(ctx context.Context, group string, peers 
 // here times the seal and is handed to deliver, which may attach it to
 // what it sends. chunk lists the round's recipients in wrap order as
 // indices into targets; a round that fails to seal is recorded against
-// each of them in errs and not delivered.
+// each of them in errs and not delivered. A verified key that certifies
+// no usable agreement key is recorded against its recipient as an
+// unverifiable one is, and that recipient is sent nothing.
 func (s *SecureClient) sealRounds(group, text string, targets []roundTarget, errs []error, deliver func(d *DetachedRound, chunk []int, tid uint64)) {
 	verified := make([]int, 0, len(targets))
 	for i := range targets {
-		if targets[i].key != nil {
-			verified = append(verified, i)
+		if targets[i].key == nil {
+			continue
 		}
+		if err := targets[i].key.CheckAgreementKey(); err != nil {
+			errs[i] = err
+			continue
+		}
+		verified = append(verified, i)
 	}
 	tr := s.Tracer()
 	for start := 0; start < len(verified); start += maxRoundRecipients {

@@ -451,17 +451,18 @@ func TestSecureMsgPeerGroupSendsSlices(t *testing.T) {
 			if len(wires) != 1 || core.Mode(wires[0][0]) != core.ModeSlice {
 				t.Fatalf("round of %d: member %d was sent %d secure wires, want one slice", n, i, len(wires))
 			}
-			// One wrap: count, leaf index and the member's fingerprint, one
-			// length-prefixed wrap, the proof, then the GCM nonce.
+			// One wrap: count, leaf index, the round's ephemeral share, the
+			// member's fingerprint and its wrap, the proof, then the GCM nonce.
 			w := wires[0]
 			fp, err := m.Identity().Keys.Public().Fingerprint()
 			if err != nil {
 				t.Fatal(err)
 			}
-			at := 1 + 4 + 4 + 32 + 4 + int(binary.BigEndian.Uint32(w[1+4+4+32:]))
+			const fpAt = 1 + 4 + 4 + keys.ShareSize
+			at := fpAt + 32 + keys.WrapSize
 			hashes := int(w[at])
 			at += 1 + 32*hashes
-			if int(binary.BigEndian.Uint32(w[1:])) != n || !bytes.Equal(w[1+4+4:1+4+4+32], fp[:]) || binary.BigEndian.Uint32(w[at:]) != keys.AEADNonceSize {
+			if int(binary.BigEndian.Uint32(w[1:])) != n || !bytes.Equal(w[fpAt:fpAt+32], fp[:]) || binary.BigEndian.Uint32(w[at:]) != keys.AEADNonceSize {
 				t.Fatalf("round of %d: member %d's wire is not one leaf addressed to it", n, i)
 			}
 			base, proof = max(base, len(w)-32*hashes), max(proof, hashes)
@@ -623,5 +624,79 @@ func TestNewSecureClientRequiresKeys(t *testing.T) {
 	trust, _ := h.dep.TrustStore()
 	if _, err := core.NewSecureClient(cl, trust); err == nil {
 		t.Fatal("NewSecureClient accepted a keyless identity")
+	}
+}
+
+// TestSecureLoginCertifiesAgreementKey: the login request carries the
+// X25519 agreement key derived from the client's RSA key, under the
+// request's signature, and the credential the broker issues certifies it
+// in its Agree field — without a private-key operation beyond the one
+// issuing signature. A re-join finds the derived key unchanged, so the
+// broker answers it with the credential it already signed.
+func TestSecureLoginCertifiesAgreementKey(t *testing.T) {
+	h := newSecureHarness(t, true)
+	alice := h.secureClient("alice")
+	signed := h.brKP.SignCalls()
+	h.join(alice, "pw-alice")
+	if got := h.brKP.SignCalls() - signed; got != 2 {
+		t.Fatalf("a first join cost the broker %d signatures, want 2 (challenge, issuance)", got)
+	}
+	issued := alice.Identity().Credential
+	want, _ := alice.Identity().Keys.Public().AgreementShare()
+	if got, ok := issued.Key.AgreementShare(); !ok || got != want {
+		t.Fatalf("issued credential certifies share %x (%v), want the derived %x", got, ok, want)
+	}
+	doc, err := issued.Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Child("Agree") == nil {
+		t.Fatal("issued credential has no Agree field")
+	}
+	ctx := testCtx(t)
+	if err := alice.Logout(ctx); err != nil {
+		t.Fatal(err)
+	}
+	signed = h.brKP.SignCalls()
+	h.join(alice, "pw-alice")
+	if got := h.brKP.SignCalls() - signed; got != 1 || !alice.Identity().Credential.Equal(issued) {
+		t.Fatalf("re-join cost the broker %d signatures (reused: %v), want 1 and the same credential", got, alice.Identity().Credential.Equal(issued))
+	}
+}
+
+// TestPushedPipeAdvertisementCarriesNoName: a group pipe's advertisement
+// names its peer and its group in fields of their own, and no free-text
+// Name repeats them. A tap sees the advertisement the broker pushes to a
+// resident without one.
+func TestPushedPipeAdvertisementCarriesNoName(t *testing.T) {
+	h := newSecureHarness(t, true)
+	bob := h.secureClient("bob")
+	h.join(bob, "pw-bob")
+	tap := attack.NewEavesdropper(h.net)
+	alice := h.secureClient("alice")
+	h.join(alice, "pw-alice")
+	waituntil.Must(t, 5*time.Second, func() bool {
+		_, err := bob.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(alice.PeerID(), "math"))
+		return err == nil
+	}, "bob never received alice's pipe advertisement")
+	pushed := 0
+	for _, frame := range tap.FramesTo(simnet.NodeID(bob.PeerID())) {
+		f, err := endpoint.ParseFrame(frame)
+		if err != nil {
+			continue
+		}
+		if op, _ := f.Msg.GetString(proto.ElemOp); op != proto.OpAdvPush {
+			continue
+		}
+		raw, _ := f.Msg.Get(proto.ElemAdv)
+		if bytes.Contains(raw, []byte("<"+advert.TypePipe)) {
+			pushed++
+			if bytes.Contains(raw, []byte("<Name>")) {
+				t.Fatalf("pushed pipe advertisement carries a Name: %s", raw)
+			}
+		}
+	}
+	if pushed == 0 {
+		t.Fatal("the tap saw no pipe advertisement pushed to bob")
 	}
 }

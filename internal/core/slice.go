@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
@@ -14,32 +15,33 @@ import (
 // Per-recipient round slicing: the one form in which a round reaches a
 // recipient. The full ModeGroup wire carries every recipient's key wrap,
 // so fanning it out to N members would cost O(N²) wire bytes across a
-// round; each member gets its own ModeSlice wire instead — only that
-// recipient's RSA-OAEP wrap, the shared ciphertext, and an O(log N)
-// inclusion proof. A sender fanning out directly cuts the slices itself
-// (SecureMsgPeerGroup); one that uses the relay uploads the full wire
-// ONCE and the broker re-cuts it (SliceRound). The relay never sees
-// plaintext or keys: the header (and the signature over it) stays inside
-// the ciphertext, and slicing is pure byte surgery.
+// round; each member gets its own ModeSlice wire instead — the round's
+// ephemeral share, only that recipient's wrap, the shared ciphertext, and
+// an O(log N) inclusion proof. A sender fanning out directly cuts the
+// slices itself (SecureMsgPeerGroup); one that uses the relay uploads the
+// full wire ONCE and the broker re-cuts it (SliceRound). The relay never
+// sees plaintext or keys: the header (and the signature over it) stays
+// inside the ciphertext, and slicing is pure byte surgery.
 //
 // Binding. A slice omits the other recipients' wraps, so the signed
 // header carries a binding a single leaf can check, SliceRoot: the root
-// of a Merkle tree whose leaf i commits to (i, fingerprint_i,
+// of a Merkle tree whose leaf i commits to (i, fingerprint_i, E,
 // SHA-256(wrap_i)). Each slice carries its leaf index and sibling path,
 // so the recipient recomputes the root from its OWN materials alone and
 // compares against the signed value. A relay (or a malicious round
 // member) that re-targets a slice to a non-recipient, swaps wraps
-// between recipients, or reorders leaves produces a root that does not
-// match the signature — ErrRoundBinding — before the header signature
-// can vouch for anything. Replayed slices, and slices re-sealed behind
-// an honest leaf by a member holding the round's content key, die on the
-// signed single-use round nonce.
+// between recipients, re-wraps the content key under an ephemeral of its
+// own, or reorders leaves produces a root that does not match the
+// signature — ErrRoundBinding — before the header signature can vouch
+// for anything. Replayed slices, and slices re-sealed behind an honest
+// leaf by a member holding the round's content key, die on the signed
+// single-use round nonce.
 //
 // Slice wire layout (mode byte ModeSlice, then):
 //
 //	u32 recipient count | u32 leaf index
-//	32-byte recipient key fingerprint
-//	u32 wrap length | RSA-OAEP wrapped CEK
+//	32-byte ephemeral share E
+//	32-byte recipient key fingerprint | 48-byte wrap
 //	u8 proof length | proof hashes (32 bytes each, leaf upward)
 //	u32 nonce length | AES-GCM nonce
 //	AES-GCM ciphertext of ( u32 header length | header XML | raw body )
@@ -52,15 +54,18 @@ const sliceRootName = "SliceRoot"
 const maxSliceProofLen = 16
 
 // sliceLeaf commits one recipient position to the tree: the index (so
-// leaves cannot be reordered), the key fingerprint (who) and the wrap
-// digest (which key material).
-func sliceLeaf(index uint32, fp [32]byte, wrap []byte) []byte {
-	buf := make([]byte, 0, 1+4+32+32)
-	buf = append(buf, 0x00)
-	buf = binary.BigEndian.AppendUint32(buf, index)
-	buf = append(buf, fp[:]...)
-	buf = append(buf, keys.SHA256(wrap)...)
-	return keys.SHA256(buf)
+// leaves cannot be reordered), the key fingerprint (who), the round's
+// ephemeral share and the wrap digest (which key material). entry is the
+// recipient's fingerprint and wrap, as a round holds them.
+func sliceLeaf(index uint32, eph *[keys.ShareSize]byte, entry []byte) []byte {
+	var buf [1 + 4 + 32 + keys.ShareSize + sha256.Size]byte // buf[0] = 0x00, the leaf prefix
+	binary.BigEndian.PutUint32(buf[1:], index)
+	copy(buf[5:], entry[:32])
+	copy(buf[5+32:], eph[:])
+	wrap := sha256.Sum256(entry[32:])
+	copy(buf[5+32+keys.ShareSize:], wrap[:])
+	leaf := sha256.Sum256(buf[:])
+	return leaf[:]
 }
 
 // sliceParent combines two tree nodes. The domain-separation prefixes
@@ -77,10 +82,10 @@ func sliceParent(left, right []byte) []byte {
 // sliceLevels builds the whole tree bottom-up; levels[0] are the leaves,
 // the last level is the single root. An unpaired last node is promoted
 // unchanged (never duplicated, so no two recipient sets share a root).
-func sliceLevels(fps [][32]byte, wraps [][]byte) [][][]byte {
-	level := make([][]byte, len(fps))
-	for i := range fps {
-		level[i] = sliceLeaf(uint32(i), fps[i], wraps[i])
+func (d *DetachedRound) sliceLevels() [][][]byte {
+	level := make([][]byte, d.Recipients())
+	for i := range level {
+		level[i] = sliceLeaf(uint32(i), &d.eph, d.entry(i))
 	}
 	levels := [][][]byte{level}
 	for len(level) > 1 {
@@ -109,51 +114,58 @@ func sliceProof(levels [][][]byte, i int) [][]byte {
 	return proof
 }
 
-// verifySliceProof recomputes the root from one leaf and its sibling
-// path. It returns false when the proof shape does not match the
-// declared recipient count — a truncated or padded proof never reaches
-// the root comparison.
-func verifySliceProof(n int, index uint32, fp [32]byte, wrap []byte, proof [][]byte) ([]byte, bool) {
-	node := sliceLeaf(index, fp, wrap)
-	width, j, p := n, int(index), 0
+// verifySliceProof recomputes the root from one slice's leaf and sibling
+// path. It returns false when the proof shape does not match the declared
+// recipient count — a truncated or padded proof never reaches the root
+// comparison.
+func verifySliceProof(ps *parsedSlice) ([]byte, bool) {
+	node := sliceLeaf(ps.index, &ps.eph, ps.entry)
+	width, j, p := ps.n, int(ps.index), 0
 	for width > 1 {
 		if sib := j ^ 1; sib < width {
-			if p >= len(proof) {
+			if p >= len(ps.proof) {
 				return nil, false
 			}
 			if j&1 == 0 {
-				node = sliceParent(node, proof[p])
+				node = sliceParent(node, ps.proof[p])
 			} else {
-				node = sliceParent(proof[p], node)
+				node = sliceParent(ps.proof[p], node)
 			}
 			p++
 		}
 		j >>= 1
 		width = (width + 1) / 2
 	}
-	if p != len(proof) {
+	if p != len(ps.proof) {
 		return nil, false
 	}
 	return node, true
 }
 
 // DetachedRound is one sealed fan-out round held in sliceable form: the
-// shared ciphertext plus the per-recipient wraps, before assembly into
-// either the full ModeGroup wire (the relay upload) or per-recipient
-// ModeSlice wires.
+// shared ciphertext, the round's ephemeral share and the per-recipient
+// entries, before assembly into either the full ModeGroup wire (the relay
+// upload) or per-recipient ModeSlice wires.
 type DetachedRound struct {
-	fps      [][32]byte
-	wraps    [][]byte
+	eph      [keys.ShareSize]byte
+	entries  []byte // roundEntry bytes per recipient, in order: key fingerprint ‖ wrap
 	gcmNonce []byte
 	ct       []byte
 	levels   [][][]byte // Merkle tree, built lazily on first Slice/Slices
+}
+
+// entry is recipient i's key fingerprint and wrap.
+func (d *DetachedRound) entry(i int) []byte {
+	return d.entries[i*roundEntry : (i+1)*roundEntry : (i+1)*roundEntry]
 }
 
 // SealGroupDetached seals one fan-out round — one header signature, one
 // content encryption, one wrap per recipient — and returns it in
 // detached form so the caller can choose the assembly: Wire for the
 // relay upload, Slice/Slices for per-recipient delivery. The signed time
-// is the wall's: a peer seals through sealRound, at its own.
+// is the wall's: a peer seals through sealRound, at its own. Every
+// recipient key must carry a usable agreement key
+// (keys.PublicKey.CheckAgreementKey): a round is wrapped to nothing else.
 func SealGroupDetached(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipients []*keys.PublicKey) (*DetachedRound, error) {
 	return sealRound(signer, sender, group, body, recipients, time.Now())
 }
@@ -169,13 +181,10 @@ func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 	if len(recipients) > maxRoundRecipients {
 		return nil, fmt.Errorf("core: group round exceeds %d recipients", maxRoundRecipients)
 	}
-	fps := make([][32]byte, len(recipients))
-	for i, r := range recipients {
-		fp, err := r.Fingerprint()
-		if err != nil {
+	for _, r := range recipients {
+		if err := r.CheckAgreementKey(); err != nil {
 			return nil, err
 		}
-		fps[i] = fp
 	}
 	nonce, err := keys.RandomBytes(roundNonceSize)
 	if err != nil {
@@ -183,21 +192,28 @@ func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 	}
 
 	// The content key and wraps come first: the signed header commits to
-	// them through the slice tree root.
+	// them through the slice tree root. One ephemeral key serves the round.
 	cek, err := keys.NewContentKey()
 	if err != nil {
 		return nil, err
 	}
-	wraps := make([][]byte, len(recipients))
-	for i, r := range recipients {
-		w, err := r.WrapKey(cek)
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		return nil, err
+	}
+	d := &DetachedRound{entries: make([]byte, 0, len(recipients)*roundEntry)}
+	copy(d.eph[:], eph.Share())
+	for _, r := range recipients {
+		fp, err := r.Fingerprint()
 		if err != nil {
 			return nil, err
 		}
-		wraps[i] = w
+		if d.entries, err = eph.WrapTo(append(d.entries, fp[:]...), cek, r); err != nil {
+			return nil, err
+		}
 	}
-	levels := sliceLevels(fps, wraps)
-	root := levels[len(levels)-1][0]
+	d.levels = d.sliceLevels()
+	root := d.levels[len(d.levels)-1][0]
 
 	// The round header: one timestamp + nonce + group + body digest +
 	// the slice tree root, signed once.
@@ -214,34 +230,26 @@ func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 	}
 	header.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
 
-	gcmNonce, err := keys.RandomBytes(keys.AEADNonceSize)
-	if err != nil {
+	if d.gcmNonce, err = keys.RandomBytes(keys.AEADNonceSize); err != nil {
 		return nil, err
 	}
 	h := header.Canonical()
-	ct, err := keys.AEADSealInPlace(cek, gcmNonce, packBlock(make([]byte, 0, sealedLen(h, body)), h, body), 0)
-	if err != nil {
+	if d.ct, err = keys.AEADSealInPlace(cek, d.gcmNonce, packBlock(make([]byte, 0, sealedLen(h, body)), h, body), 0); err != nil {
 		return nil, err
 	}
-	return &DetachedRound{fps: fps, wraps: wraps, gcmNonce: gcmNonce, ct: ct, levels: levels}, nil
+	return d, nil
 }
 
 // Recipients reports how many recipients the round addresses.
-func (d *DetachedRound) Recipients() int { return len(d.fps) }
+func (d *DetachedRound) Recipients() int { return len(d.entries) / roundEntry }
 
 // Wire assembles the full ModeGroup wire — the layout documented in
 // round.go: the relayRound upload, which no recipient opens.
 func (d *DetachedRound) Wire() []byte {
-	wireLen := 1 + 4 + 4 + len(d.gcmNonce) + len(d.ct)
-	for _, w := range d.wraps {
-		wireLen += 32 + 4 + len(w)
-	}
-	wire := make([]byte, 0, wireLen)
+	wire := make([]byte, 0, 1+4+keys.ShareSize+len(d.entries)+4+len(d.gcmNonce)+len(d.ct))
 	wire = append(wire, byte(ModeGroup))
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(d.wraps)))
-	for i := range d.wraps {
-		wire = keys.AppendSection(append(wire, d.fps[i][:]...), d.wraps[i])
-	}
+	wire = binary.BigEndian.AppendUint32(wire, uint32(d.Recipients()))
+	wire = append(append(wire, d.eph[:]...), d.entries...)
 	return append(keys.AppendSection(wire, d.gcmNonce), d.ct...)
 }
 
@@ -250,8 +258,8 @@ func (d *DetachedRound) Wire() []byte {
 // material — no keys, no plaintext — which is what lets an untrusted
 // relay perform it.
 func (d *DetachedRound) Slices() [][]byte {
-	out := make([][]byte, len(d.fps))
-	for i := range d.fps {
+	out := make([][]byte, d.Recipients())
+	for i := range out {
 		out[i] = d.Slice(i)
 	}
 	return out
@@ -265,18 +273,14 @@ func (d *DetachedRound) Slices() [][]byte {
 // concurrent use.
 func (d *DetachedRound) Slice(i int) []byte {
 	if d.levels == nil {
-		d.levels = sliceLevels(d.fps, d.wraps)
+		d.levels = d.sliceLevels()
 	}
-	return d.slice(i, sliceProof(d.levels, i))
-}
-
-func (d *DetachedRound) slice(i int, proof [][]byte) []byte {
-	wireLen := 1 + 4 + 4 + 32 + 4 + len(d.wraps[i]) + 1 + 32*len(proof) + 4 + len(d.gcmNonce) + len(d.ct)
-	wire := make([]byte, 0, wireLen)
+	proof := sliceProof(d.levels, i)
+	wire := make([]byte, 0, 1+4+4+keys.ShareSize+roundEntry+1+32*len(proof)+4+len(d.gcmNonce)+len(d.ct))
 	wire = append(wire, byte(ModeSlice))
-	wire = binary.BigEndian.AppendUint32(wire, uint32(len(d.fps)))
+	wire = binary.BigEndian.AppendUint32(wire, uint32(d.Recipients()))
 	wire = binary.BigEndian.AppendUint32(wire, uint32(i))
-	wire = keys.AppendSection(append(wire, d.fps[i][:]...), d.wraps[i])
+	wire = append(append(wire, d.eph[:]...), d.entry(i)...)
 	wire = append(wire, byte(len(proof)))
 	for _, h := range proof {
 		wire = append(wire, h...)
@@ -298,15 +302,19 @@ func SliceRound(wire []byte) (*DetachedRound, error) {
 type parsedSlice struct {
 	n        int
 	index    uint32
-	fp       [32]byte
-	wrap     []byte
+	eph      [keys.ShareSize]byte
+	entry    []byte // this recipient's key fingerprint ‖ wrap
 	proof    [][]byte
 	gcmNonce []byte
 	ct       []byte
 }
 
+// sliceHead is a slice payload up to its proof hashes: count, index,
+// ephemeral share, entry, proof length.
+const sliceHead = 4 + 4 + keys.ShareSize + roundEntry + 1
+
 func parseSliceWire(payload []byte) (*parsedSlice, error) {
-	if len(payload) < 8+32 {
+	if len(payload) < sliceHead {
 		return nil, ErrEnvelope
 	}
 	ps := &parsedSlice{}
@@ -316,13 +324,10 @@ func parseSliceWire(payload []byte) (*parsedSlice, error) {
 		return nil, ErrEnvelope
 	}
 	ps.n = int(n)
-	copy(ps.fp[:], payload[8:])
-	var ok bool
-	if ps.wrap, payload, ok = keys.CutSection(payload[8+32:]); !ok || len(payload) < 1 {
-		return nil, ErrEnvelope
-	}
-	pl := int(payload[0])
-	payload = payload[1:]
+	ps.eph = [keys.ShareSize]byte(payload[8:])
+	ps.entry = payload[8+keys.ShareSize : sliceHead-1 : sliceHead-1]
+	pl := int(payload[sliceHead-1])
+	payload = payload[sliceHead:]
 	if pl > maxSliceProofLen || len(payload) < 32*pl {
 		return nil, ErrEnvelope
 	}
@@ -331,6 +336,7 @@ func parseSliceWire(payload []byte) (*parsedSlice, error) {
 		ps.proof[i] = payload[:32:32]
 		payload = payload[32:]
 	}
+	var ok bool
 	if ps.gcmNonce, ps.ct, ok = keys.CutSection(payload); !ok || len(ps.gcmNonce) > 64 {
 		return nil, ErrEnvelope
 	}

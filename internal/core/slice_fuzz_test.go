@@ -13,14 +13,16 @@ import (
 // it). A full round is no wire a recipient opens, so FuzzOpen never
 // reaches this parser; the relay cuts whatever it accepts into slices
 // without a key, and each slice is pushed to a member. The seeds are
-// uploads of one, three and five recipients and a count prefix claiming
-// the maximum round with nothing behind it.
+// uploads of one, three and five recipients, and a count prefix claiming
+// the maximum round with nothing behind it, then with an ephemeral share
+// and nothing behind that.
 // Properties: it never panics; it returns exactly one of a round and an
 // error; what it allocates is bounded by the input's size, so no count
 // or length prefix a stranger writes can drive a make; and every slice of
 // an accepted round parses back as that recipient's leaf — index i, the
-// round's i-th fingerprint and wrap, the shared nonce and ciphertext —
-// whose proof reaches the one root of the round's tree.
+// round's ephemeral share, its i-th fingerprint and wrap, the shared
+// nonce and ciphertext — whose proof reaches the one root of the round's
+// tree.
 func FuzzSliceRound(f *testing.F) {
 	for _, n := range []int{1, 3, 5} {
 		recipients := make([]*keys.PublicKey, n)
@@ -34,11 +36,13 @@ func FuzzSliceRound(f *testing.F) {
 		f.Add(d.Wire())
 	}
 	f.Add([]byte{byte(ModeGroup), 0, 0, 0x10, 0})
+	share, _ := recvKP.Public().AgreementShare()
+	f.Add(append([]byte{byte(ModeGroup), 0, 0, 0x10, 0}, share[:]...))
 
-	// What one parse may allocate: the round, and per recipient (36 input
-	// bytes at least) a fingerprint and a slice header — under two bytes
-	// per input byte. The fixed part is slack for what the fuzzing worker
-	// itself allocates meanwhile (TotalAlloc is process-wide).
+	// What one parse may allocate: the round, and nothing per recipient —
+	// the entries stay a view of the input. The fixed part is slack for
+	// what the fuzzing worker itself allocates meanwhile (TotalAlloc is
+	// process-wide).
 	const (
 		allocPerByte = 4
 		allocFixed   = 32 << 10
@@ -67,11 +71,11 @@ func FuzzSliceRound(f *testing.F) {
 			if err != nil {
 				t.Fatalf("slice %d of an accepted round does not parse: %v", i, err)
 			}
-			if ps.n != d.Recipients() || ps.index != uint32(i) || ps.fp != d.fps[i] || !bytes.Equal(ps.wrap, d.wraps[i]) ||
+			if ps.n != d.Recipients() || ps.index != uint32(i) || ps.eph != d.eph || !bytes.Equal(ps.entry, d.entry(i)) ||
 				!bytes.Equal(ps.gcmNonce, d.gcmNonce) || !bytes.Equal(ps.ct, d.ct) {
 				t.Fatalf("slice %d parses back as leaf %d of %d, not the round's", i, ps.index, ps.n)
 			}
-			r, ok := verifySliceProof(ps.n, ps.index, ps.fp, ps.wrap, ps.proof)
+			r, ok := verifySliceProof(ps)
 			if !ok || (root != nil && !bytes.Equal(r, root)) {
 				t.Fatalf("slice %d's proof does not reach the round's root", i)
 			}

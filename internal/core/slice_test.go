@@ -256,8 +256,8 @@ func TestSliceTruncatedWireRejected(t *testing.T) {
 // TestSliceWireBytesScaleLinearly pins the whole point of slicing: the
 // full ModeGroup wire fanned to N recipients would cost O(N^2) bytes on
 // the wire, slices cost O(N) (each slice is one wrap plus an O(log N)
-// proof). At N=100 the per-recipient bytes must be at least 10x smaller
-// than the full wire, and the slice overhead over N=10 must be only the
+// proof). At N=100 a slice must be the full wire less the 99 other
+// recipients' entries, and the slice overhead over N=10 must be only the
 // logarithmic proof growth.
 func TestSliceWireBytesScaleLinearly(t *testing.T) {
 	if testing.Short() {
@@ -275,8 +275,9 @@ func TestSliceWireBytesScaleLinearly(t *testing.T) {
 		sizes[n] = len(d.Slices()[0])
 		full[n] = len(d.Wire())
 	}
-	if sizes[100]*10 > full[100] {
-		t.Fatalf("slice %dB not <1/10 of full wire %dB at N=100", sizes[100], full[100])
+	// Beside the leaf index, a proof of at most ceil(log2 100) = 7 hashes.
+	if most := full[100] - 99*(32+keys.WrapSize) + 4 + 1 + 7*32; sizes[100] > most {
+		t.Fatalf("slice %dB at N=100, more than the %dB of one recipient's cut of the %dB full wire", sizes[100], most, full[100])
 	}
 	// Growing the round 10x adds only proof hashes to a slice:
 	// ceil(log2(100))-ceil(log2(10)) = 3 more 32-byte hashes.

@@ -127,6 +127,10 @@ func (c *Credential) document(withSig bool) (*xmldoc.Element, error) {
 	doc.AddText("Role", string(c.Role))
 	doc.AddText("Issuer", string(c.Issuer))
 	doc.AddText("Key", keyB64)
+	if share := c.Key.ShareBase64(); share != "" {
+		// The subject's X25519 agreement key, certified with the rest.
+		doc.AddText("Agree", share)
+	}
 	// Nanosecond precision: besides fidelity, it guarantees re-issued
 	// credentials differ even within the same second (renewal relies on
 	// this; RSASSA-PKCS1-v1_5 is deterministic).
@@ -159,38 +163,89 @@ func (c *Credential) Clone() *Credential {
 	}
 }
 
-// Parse reads a credential from its XML form. The signature is not
-// verified; call Verify or use a TrustStore.
+// Parse reads a credential from its XML form, which must be the form
+// Document writes: the fields in its order, each once and text only, with
+// base64 and times in the spelling it gives them — so that a credential
+// that parses serializes back to the bytes it was read from. The Agree
+// field is optional: admin and broker credentials carry none. The
+// signature is not verified; call Verify or use a TrustStore.
 func Parse(doc *xmldoc.Element) (*Credential, error) {
-	if doc == nil || doc.Name != ElementName {
+	if doc == nil || doc.Name != ElementName || len(doc.Attrs) != 0 || doc.Text != "" {
 		return nil, fmt.Errorf("cred: not a %s element", ElementName)
 	}
-	key, err := keys.ParsePublicBase64(doc.ChildText("Key"))
+	fields := doc.Children
+	next := func(name string) (string, bool) {
+		if len(fields) == 0 || fields[0].Name != name {
+			return "", false
+		}
+		f := fields[0]
+		fields = fields[1:]
+		return f.Text, len(f.Attrs) == 0 && len(f.Children) == 0
+	}
+	malformed := func(field string) error { return fmt.Errorf("cred: missing or malformed %s", field) }
+	var c Credential
+	var text, keyB64, share string
+	var ok bool
+	if text, ok = next("Subject"); !ok {
+		return nil, malformed("Subject")
+	}
+	c.Subject = keys.PeerID(text)
+	if c.SubjectName, ok = next("SubjectName"); !ok {
+		return nil, malformed("SubjectName")
+	}
+	if text, ok = next("Role"); !ok {
+		return nil, malformed("Role")
+	}
+	c.Role = Role(text)
+	if text, ok = next("Issuer"); !ok {
+		return nil, malformed("Issuer")
+	}
+	c.Issuer = keys.PeerID(text)
+	if keyB64, ok = next("Key"); !ok {
+		return nil, malformed("Key")
+	}
+	if len(fields) > 0 && fields[0].Name == "Agree" {
+		if share, ok = next("Agree"); !ok || share == "" {
+			return nil, malformed("Agree")
+		}
+	}
+	key, err := keys.ParsePublicBase64(keyB64, share)
 	if err != nil {
 		return nil, fmt.Errorf("cred: key: %w", err)
 	}
-	nb, err := time.Parse(time.RFC3339Nano, doc.ChildText("NotBefore"))
-	if err != nil {
-		return nil, fmt.Errorf("cred: NotBefore: %w", err)
+	c.Key = key
+	if text, ok = next("NotBefore"); !ok {
+		return nil, malformed("NotBefore")
 	}
-	na, err := time.Parse(time.RFC3339Nano, doc.ChildText("NotAfter"))
-	if err != nil {
-		return nil, fmt.Errorf("cred: NotAfter: %w", err)
+	if c.NotBefore, ok = parseTime(text); !ok {
+		return nil, malformed("NotBefore")
 	}
-	sig, err := base64.StdEncoding.DecodeString(doc.ChildText("Signature"))
-	if err != nil || len(sig) == 0 {
-		return nil, errors.New("cred: missing or malformed Signature")
+	if text, ok = next("NotAfter"); !ok {
+		return nil, malformed("NotAfter")
 	}
-	return &Credential{
-		Subject:     keys.PeerID(doc.ChildText("Subject")),
-		SubjectName: doc.ChildText("SubjectName"),
-		Role:        Role(doc.ChildText("Role")),
-		Issuer:      keys.PeerID(doc.ChildText("Issuer")),
-		Key:         key,
-		NotBefore:   nb,
-		NotAfter:    na,
-		Signature:   sig,
-	}, nil
+	if c.NotAfter, ok = parseTime(text); !ok {
+		return nil, malformed("NotAfter")
+	}
+	if text, ok = next("Signature"); !ok || len(fields) != 0 {
+		return nil, malformed("Signature")
+	}
+	if c.Signature, err = strictBase64.DecodeString(text); err != nil ||
+		len(c.Signature) == 0 || base64.StdEncoding.EncodedLen(len(c.Signature)) != len(text) {
+		return nil, malformed("Signature")
+	}
+	return &c, nil
+}
+
+// strictBase64 decodes only the one spelling EncodeToString writes of
+// each byte string (a length check rules out the newlines it skips).
+var strictBase64 = base64.StdEncoding.Strict()
+
+// parseTime reads a time as document writes it, and nothing that merely
+// denotes the same instant.
+func parseTime(s string) (time.Time, bool) {
+	t, err := time.Parse(time.RFC3339Nano, s)
+	var buf [64]byte
+	return t, err == nil && string(t.UTC().AppendFormat(buf[:0], time.RFC3339Nano)) == s
 }
 
 // Issue creates a credential for subject signed by the issuer's key,
@@ -200,9 +255,14 @@ func Issue(issuer *keys.KeyPair, issuerID keys.PeerID, subject keys.PeerID, subj
 	return IssueAt(time.Now(), issuer, issuerID, subject, subjectName, role, subjectKey, validity)
 }
 
-// IssueAt is Issue at the issuer's time now.
+// IssueAt is Issue at the issuer's time now. Only a client credential
+// certifies the agreement key subjectKey carries; a credential of any
+// other role certifies the RSA key alone.
 func IssueAt(now time.Time, issuer *keys.KeyPair, issuerID keys.PeerID, subject keys.PeerID, subjectName string, role Role, subjectKey *keys.PublicKey, validity time.Duration) (*Credential, error) {
 	now = now.UTC()
+	if role != RoleClient && subjectKey != nil {
+		subjectKey = subjectKey.WithShare(nil)
+	}
 	c := &Credential{
 		Subject:     subject,
 		SubjectName: subjectName,

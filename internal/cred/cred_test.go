@@ -23,7 +23,7 @@ func mustKey(seed int64) *keys.KeyPair {
 	return kp
 }
 
-func mustID(t *testing.T, kp *keys.KeyPair) keys.PeerID {
+func mustID(t testing.TB, kp *keys.KeyPair) keys.PeerID {
 	t.Helper()
 	id, err := keys.CBID(kp.Public())
 	if err != nil {
@@ -32,7 +32,7 @@ func mustID(t *testing.T, kp *keys.KeyPair) keys.PeerID {
 	return id
 }
 
-func setup(t *testing.T) (adm *Credential, br *Credential, cl *Credential) {
+func setup(t testing.TB) (adm *Credential, br *Credential, cl *Credential) {
 	t.Helper()
 	adm, err := SelfSigned(adminKP, "admin", time.Hour)
 	if err != nil {

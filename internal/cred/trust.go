@@ -232,8 +232,9 @@ func ChainWindow(chain []*Credential) (notBefore, notAfter time.Time) {
 
 // chainKey builds the chain-verdict cache key: for every link, a
 // length-prefixed (hence injective) encoding of each field the verdict
-// vouches for — identity fields, subject key fingerprint, validity
-// window and signature bytes — plus the fingerprint of the resolved
+// vouches for — identity fields, subject key fingerprint, the agreement
+// key the link certifies (none is the empty field), validity window and
+// signature bytes — plus the fingerprint of the resolved
 // root issuer key the last link was verified under. The encoding covers
 // exactly the fields the canonical signing body covers, so it is
 // equivalent to keying on the body digests without rebuilding and
@@ -249,7 +250,7 @@ func (t *TrustStore) chainKey(chain []*Credential) string {
 	if err != nil {
 		return ""
 	}
-	buf := make([]byte, 0, 64+len(chain)*224)
+	buf := make([]byte, 0, 64+len(chain)*260)
 	buf = append(buf, rootFP[:]...)
 	for _, c := range chain {
 		if c.Key == nil {
@@ -259,9 +260,14 @@ func (t *TrustStore) chainKey(chain []*Credential) string {
 		if err != nil {
 			return ""
 		}
+		share, certified := c.Key.AgreementShare()
+		agree := share[:0]
+		if certified {
+			agree = share[:]
+		}
 		for _, field := range [][]byte{
 			[]byte(c.Subject), []byte(c.SubjectName), []byte(c.Role),
-			[]byte(c.Issuer), fp[:],
+			[]byte(c.Issuer), fp[:], agree,
 			binary.BigEndian.AppendUint64(nil, uint64(c.NotBefore.UnixNano())),
 			binary.BigEndian.AppendUint64(nil, uint64(c.NotAfter.UnixNano())),
 			c.Signature,

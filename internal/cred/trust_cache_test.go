@@ -136,3 +136,44 @@ func TestTrustStoreChainCacheKeyedBySignature(t *testing.T) {
 		t.Fatal("window-stretched chain accepted after caching")
 	}
 }
+
+// TestTrustStoreChainCacheKeyedByShare: the agreement key a client
+// credential certifies is a signed field like any other. A leaf whose
+// share was swapped, dropped or added — signature untouched — must not
+// ride the verdict its honest chain left in the cache.
+func TestTrustStoreChainCacheKeyedByShare(t *testing.T) {
+	adm, br, cl := setup(t)
+	ts, err := NewTrustStore(adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	if err := ts.VerifyChain(now, cl, br); err != nil {
+		t.Fatal(err)
+	}
+	otherShare, _ := otherKP.Public().AgreementShare()
+	swapped, dropped := cl.Clone(), cl.Clone()
+	swapped.Key = cl.Key.WithShare(&otherShare)
+	dropped.Key = cl.Key.WithShare(nil)
+	added := br.Clone()
+	added.Key = brokerKP.Public()
+	for _, tc := range []struct {
+		name  string
+		chain []*Credential
+	}{
+		{"swapped share", []*Credential{swapped, br}},
+		{"dropped share", []*Credential{dropped, br}},
+		{"share added to the broker's", []*Credential{cl, added}},
+	} {
+		hits, _ := ts.chainCache.Stats()
+		if err := ts.VerifyChain(now, tc.chain...); !errors.Is(err, ErrBadSignature) {
+			t.Errorf("%s after caching the honest chain = %v, want ErrBadSignature", tc.name, err)
+		}
+		if after, _ := ts.chainCache.Stats(); after != hits {
+			t.Errorf("%s hit the honest chain's cached verdict", tc.name)
+		}
+	}
+	if err := ts.VerifyChain(now, cl.Clone(), br.Clone()); err != nil {
+		t.Fatalf("honest chain after the attempts: %v", err)
+	}
+}

@@ -1,19 +1,20 @@
 package keys
 
 import (
+	"bytes"
 	"crypto/cipher"
 	"crypto/ecdh"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 )
 
-// The two primitives a session channel is agreed with (internal/core,
-// channel.go): an ephemeral X25519 exchange and HKDF-SHA256 over what it
-// yields. Both ends sign their shares with their certified RSA keys; the
-// primitives here know nothing of that.
+// The two primitives key agreement is built from: X25519 and HKDF-SHA256
+// over what it yields. A session channel (internal/core, channel.go) runs
+// an ephemeral exchange whose shares both ends sign with their RSA keys; a
+// round's key wrap (wrap.go) is ECIES to the agreement key a client
+// credential certifies. The primitives here know nothing of either.
 
 // ShareSize is the length of an X25519 public share.
 const ShareSize = 32
@@ -21,9 +22,13 @@ const ShareSize = 32
 // ErrAgree is returned when a peer's share is malformed or of low order.
 var ErrAgree = errors.New("keys: key agreement failed")
 
-// AgreementKey is the private half of one X25519 exchange. It is meant to
-// be used once and dropped: nothing serializes it.
-type AgreementKey struct{ priv *ecdh.PrivateKey }
+// AgreementKey is the private half of one X25519 key: an ephemeral one,
+// meant to be used once and dropped, or the one a key pair derives
+// (KeyPair.agreement). Nothing serializes it.
+type AgreementKey struct {
+	priv  *ecdh.PrivateKey
+	share [ShareSize]byte
+}
 
 // NewAgreementKey draws a fresh ephemeral key.
 func NewAgreementKey() (*AgreementKey, error) {
@@ -31,7 +36,7 @@ func NewAgreementKey() (*AgreementKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("keys: agreement key: %w", err)
 	}
-	return &AgreementKey{priv}, nil
+	return newAgreementKey(priv), nil
 }
 
 // AgreementKeyFrom builds the key with the given 32-byte scalar (the
@@ -41,11 +46,18 @@ func AgreementKeyFrom(scalar []byte) (*AgreementKey, error) {
 	if err != nil {
 		return nil, ErrAgree
 	}
-	return &AgreementKey{priv}, nil
+	return newAgreementKey(priv), nil
 }
 
-// Share returns the public share to send to the peer.
-func (a *AgreementKey) Share() []byte { return a.priv.PublicKey().Bytes() }
+func newAgreementKey(priv *ecdh.PrivateKey) *AgreementKey {
+	a := &AgreementKey{priv: priv}
+	copy(a.share[:], priv.PublicKey().Bytes())
+	return a
+}
+
+// Share returns the public share to send to the peer. It is a copy, so
+// that a holder of the share does not keep the private key reachable.
+func (a *AgreementKey) Share() []byte { return bytes.Clone(a.share[:]) }
 
 // Agree returns X25519(own scalar, peer share). A share that is not
 // ShareSize bytes, or that forces the all-zero output (a low-order
@@ -62,24 +74,63 @@ func (a *AgreementKey) Agree(peerShare []byte) ([]byte, error) {
 	return secret, nil
 }
 
-// HKDF derives length bytes from secret with HMAC-SHA256 (RFC 5869,
-// extract then expand). An empty salt is the RFC's string of zeros, as
-// HMAC pads its key with them. length is at most 255 hash lengths.
-func HKDF(secret, salt, info []byte, length int) []byte {
-	extract := hmac.New(sha256.New, salt)
-	extract.Write(secret)
-	expand := hmac.New(sha256.New, extract.Sum(nil))
-	out := make([]byte, 0, length+sha256.Size)
-	var t []byte
-	for i := byte(1); len(out) < length; i++ {
-		expand.Reset()
-		expand.Write(t)
-		expand.Write(info)
-		expand.Write([]byte{i})
-		t = expand.Sum(t[:0])
-		out = append(out, t...)
+// HKDF fills out with key material derived from secret with HMAC-SHA256
+// (RFC 5869, extract then expand). An empty salt is the RFC's string of
+// zeros, as HMAC pads its key with them. out is at most 255 hash lengths.
+// It allocates nothing: the wrap runs it at both ends of every relayed
+// delivery.
+func HKDF(out, secret, salt, info []byte) {
+	if len(out) > 255*sha256.Size {
+		panic("keys: HKDF output longer than 255 hash lengths")
 	}
-	return out[:length]
+	var prk, t [sha256.Size]byte
+	extract := newHMACKey(salt)
+	extract.sum(&prk, secret)
+	expand := newHMACKey(prk[:])
+	clear(prk[:])
+	var ctr [1]byte
+	prev := t[:0]
+	for n := 0; n < len(out); {
+		ctr[0]++
+		expand.sum(&t, prev, info, ctr[:])
+		n += copy(out[n:], t[:])
+		prev = t[:]
+	}
+	clear(t[:])
+}
+
+// hmacKey is an HMAC-SHA256 key padded into its inner and outer blocks,
+// held by value so that an HMAC is two hashes on the stack (hmac.New
+// allocates both hashes and both pads).
+type hmacKey struct{ ipad, opad [sha256.BlockSize]byte }
+
+func newHMACKey(key []byte) (k hmacKey) {
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	copy(k.ipad[:], key)
+	copy(k.opad[:], key)
+	for i := range k.ipad {
+		k.ipad[i] ^= 0x36
+		k.opad[i] ^= 0x5c
+	}
+	return k
+}
+
+// sum writes HMAC-SHA256 of the parts, concatenated, to out. A part may
+// alias out: each is read before out is written.
+func (k *hmacKey) sum(out *[sha256.Size]byte, parts ...[]byte) {
+	h := sha256.New()
+	h.Write(k.ipad[:])
+	for _, p := range parts {
+		h.Write(p)
+	}
+	h.Sum(out[:0])
+	h.Reset()
+	h.Write(k.opad[:])
+	h.Write(out[:])
+	h.Sum(out[:0])
 }
 
 // NewAEAD returns the AES-256-GCM instance for a content key, for a

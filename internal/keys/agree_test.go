@@ -38,8 +38,30 @@ func TestHKDFVectors(t *testing.T) {
 			"8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"},
 	} {
 		want := unhex(t, tc.okm)
-		if got := HKDF(tc.ikm, tc.salt, tc.info, len(want)); !bytes.Equal(got, want) {
+		got := make([]byte, len(want))
+		HKDF(got, tc.ikm, tc.salt, tc.info)
+		if !bytes.Equal(got, want) {
 			t.Errorf("%s: HKDF = %x, want %x", tc.name, got, want)
+		}
+	}
+}
+
+// TestHKDFAllocatesNothing: the wrap derives a key-encryption key at both
+// ends of every relayed delivery and a channel its key once, with salts
+// and infos of every length those use, and longer.
+func TestHKDFAllocatesNothing(t *testing.T) {
+	var out [64]byte
+	secret, long := seq(0, 32), seq(0, 300)
+	for _, tc := range []struct {
+		name       string
+		salt, info []byte
+	}{
+		{"wrap", seq(1, ShareSize), seq(2, len(wrapLabel)+2*ShareSize)},
+		{"channel", seq(3, 16), seq(4, 300)},
+		{"salt over a block", long, nil},
+	} {
+		if n := testing.AllocsPerRun(100, func() { HKDF(out[:], secret, tc.salt, tc.info) }); n != 0 {
+			t.Errorf("%s: HKDF allocates %v times per call, want 0", tc.name, n)
 		}
 	}
 }

@@ -63,6 +63,8 @@ type KeyPair struct {
 	// unwrapCalls counts UnwrapKey invocations — the other private-key
 	// operation of the messaging path, asserted the same way.
 	unwrapCalls atomic.Uint64
+	// agree memoizes the X25519 agreement key derived from priv (wrap.go).
+	agree atomic.Pointer[AgreementKey]
 }
 
 // NewKeyPair generates a key pair of DefaultRSABits using crypto/rand.
@@ -95,12 +97,13 @@ func KeyPairFrom(r io.Reader, bits int) (*KeyPair, error) {
 	return &KeyPair{priv: priv}, nil
 }
 
-// Public returns the public half. The wrapper is shared across calls.
+// Public returns the public half, carrying the agreement key derived from
+// the pair as its share. The wrapper is shared across calls.
 func (k *KeyPair) Public() *PublicKey {
 	if p := k.pub.Load(); p != nil {
 		return p
 	}
-	p := &PublicKey{pub: &k.priv.PublicKey}
+	p := &PublicKey{pub: &k.priv.PublicKey, share: k.agreement().share, certified: true}
 	k.pub.Store(p)
 	return p
 }
@@ -179,15 +182,23 @@ func ParseKeyPairPEM(data []byte) (*KeyPair, error) {
 }
 
 // PublicKey is the shareable half of a KeyPair; it travels inside
-// credentials and signed advertisements.
+// credentials and signed advertisements. Beside the RSA key it may carry
+// an X25519 agreement key (wrap.go): the one its client credential
+// certifies, or for a key pair's own public half the one derived from it.
+// The fingerprint, the CBID and every signature are the RSA key's alone.
 type PublicKey struct {
 	pub *rsa.PublicKey
+	// share is the agreement key, when certified is set.
+	share     [ShareSize]byte
+	certified bool
 	// enc memoizes the PKIX encoding and its digest: every credential
 	// document embeds the first and every verification-cache key and CBID
 	// check takes the second, far too often to serialize the key each
 	// time. Keys are immutable after construction, so the memo never goes
 	// stale.
 	enc atomic.Pointer[pkixMemo]
+	// agree memoizes the agreement key in the form X25519 takes.
+	agree atomic.Pointer[agreeMemo]
 }
 
 type pkixMemo struct {
@@ -266,7 +277,7 @@ func (p *PublicKey) WrapKey(cek []byte) ([]byte, error) {
 
 // NewContentKey returns a fresh AES-256 content key.
 func NewContentKey() ([]byte, error) {
-	cek := make([]byte, 32)
+	cek := make([]byte, ContentKeySize)
 	if _, err := rand.Read(cek); err != nil {
 		return nil, fmt.Errorf("keys: cek: %w", err)
 	}
@@ -395,8 +406,12 @@ func (p *PublicKey) MarshalBase64() (string, error) {
 	return base64.StdEncoding.EncodeToString(m.der), nil
 }
 
-// ParsePublicDER reads a PKIX DER public key.
-func ParsePublicDER(der []byte) (*PublicKey, error) {
+// ParsePublicDER reads a PKIX DER public key. The bytes read are the
+// key's PKIX encoding from then on: its fingerprint is their digest.
+func ParsePublicDER(der []byte) (*PublicKey, error) { return parsePublic(bytes.Clone(der)) }
+
+// parsePublic is ParsePublicDER keeping der, which the caller hands over.
+func parsePublic(der []byte) (*PublicKey, error) {
 	key, err := x509.ParsePKIXPublicKey(der)
 	if err != nil {
 		return nil, fmt.Errorf("keys: parse public: %w", err)
@@ -405,16 +420,78 @@ func ParsePublicDER(der []byte) (*PublicKey, error) {
 	if !ok {
 		return nil, errors.New("keys: not an RSA public key")
 	}
-	return &PublicKey{pub: pub}, nil
+	p := &PublicKey{pub: pub}
+	p.enc.Store(&pkixMemo{der: der, fp: sha256.Sum256(der)})
+	return p, nil
 }
 
-// ParsePublicBase64 reads a base64(PKIX DER) public key.
-func ParsePublicBase64(s string) (*PublicKey, error) {
-	der, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("keys: public key base64: %w", err)
+// Strict decoders read only the one spelling EncodeToString writes of
+// each byte string (length checks rule out the newlines they skip).
+var (
+	strictBase64      = base64.StdEncoding.Strict()
+	strictShareBase64 = base64.RawStdEncoding.Strict()
+)
+
+// ParsePublicBase64 reads a base64(PKIX DER) public key and, unless share
+// is empty, the agreement key it carries in unpadded base64. Both must be
+// in the spelling MarshalBase64 and ShareBase64 write, and the share must
+// be ShareSize bytes.
+func ParsePublicBase64(key, share string) (*PublicKey, error) {
+	der, err := strictBase64.DecodeString(key)
+	if err != nil || base64.StdEncoding.EncodedLen(len(der)) != len(key) {
+		return nil, errors.New("keys: public key base64 malformed")
 	}
-	return ParsePublicDER(der)
+	p, err := parsePublic(der)
+	if err != nil || share == "" {
+		return p, err
+	}
+	// Decoded through a buffer on the stack: a credential parse allocates
+	// nothing for its share.
+	var src [shareBase64Len]byte
+	var dst [ShareSize + 1]byte
+	if len(share) != len(src) {
+		return nil, ErrAgree
+	}
+	copy(src[:], share)
+	if n, err := strictShareBase64.Decode(dst[:], src[:]); err != nil || n != ShareSize {
+		return nil, ErrAgree
+	}
+	p.share, p.certified = [ShareSize]byte(dst[:ShareSize]), true
+	return p, nil
+}
+
+// shareBase64Len is the length of a share in unpadded base64.
+const shareBase64Len = (ShareSize*8 + 5) / 6
+
+// ShareBase64 is the key's agreement key in unpadded base64, the form
+// credentials and login requests carry, or "" when it carries none.
+func (p *PublicKey) ShareBase64() string {
+	if !p.certified {
+		return ""
+	}
+	return base64.RawStdEncoding.EncodeToString(p.share[:])
+}
+
+// AgreementShare returns the key's agreement key, and whether it carries
+// one.
+func (p *PublicKey) AgreementShare() (share [ShareSize]byte, ok bool) {
+	return p.share, p.certified
+}
+
+// WithShare returns the key carrying share as its agreement key, or none
+// when share is nil. The RSA key and its memoized encoding are shared.
+func (p *PublicKey) WithShare(share *[ShareSize]byte) *PublicKey {
+	if share == nil && !p.certified {
+		return p
+	}
+	q := &PublicKey{pub: p.pub}
+	if share != nil {
+		q.share, q.certified = *share, true
+	}
+	if m := p.enc.Load(); m != nil {
+		q.enc.Store(m)
+	}
+	return q
 }
 
 // Fingerprint returns the SHA-256 digest of the PKIX encoding; CBIDs and
@@ -427,8 +504,16 @@ func (p *PublicKey) Fingerprint() ([32]byte, error) {
 	return m.fp, nil
 }
 
-// Equal reports whether two public keys are the same key.
+// Equal reports whether two public keys are the same key carrying the same
+// agreement key, or both none.
 func (p *PublicKey) Equal(o *PublicKey) bool {
+	return p.SameIdentity(o) && (p == nil || (p.certified == o.certified && p.share == o.share))
+}
+
+// SameIdentity reports whether two public keys share their RSA key — the
+// key signatures, fingerprints and CBIDs are of — whatever agreement key
+// each carries.
+func (p *PublicKey) SameIdentity(o *PublicKey) bool {
 	if p == nil || o == nil {
 		return p == o
 	}

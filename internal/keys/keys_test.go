@@ -3,6 +3,7 @@ package keys
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"math/rand"
 	"reflect"
@@ -152,8 +153,13 @@ func TestPublicKeyDERRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParsePublicDER: %v", err)
 	}
-	if !pub.Equal(back) {
-		t.Fatal("DER round trip key mismatch")
+	// DER carries the RSA key alone: the same identity, no agreement key.
+	if !pub.SameIdentity(back) || pub.Equal(back) {
+		t.Fatal("DER round trip: want the same RSA key without the agreement key")
+	}
+	share, _ := pub.AgreementShare()
+	if !pub.Equal(back.WithShare(&share)) {
+		t.Fatal("DER round trip key, given the share, differs")
 	}
 }
 
@@ -163,18 +169,30 @@ func TestPublicKeyBase64RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MarshalBase64: %v", err)
 	}
-	back, err := ParsePublicBase64(b64)
+	share := pub.ShareBase64()
+	back, err := ParsePublicBase64(b64, share)
 	if err != nil {
 		t.Fatalf("ParsePublicBase64: %v", err)
 	}
 	if !pub.Equal(back) {
 		t.Fatal("base64 round trip key mismatch")
 	}
-	if _, err := ParsePublicBase64("!!not-base64!!"); err == nil {
-		t.Fatal("ParsePublicBase64 accepted invalid input")
+	if got, _ := back.MarshalBase64(); got != b64 || back.ShareBase64() != share {
+		t.Fatal("base64 round trip does not re-encode to the same text")
 	}
-	if _, err := ParsePublicBase64("AAAA"); err == nil {
-		t.Fatal("ParsePublicBase64 accepted non-key DER")
+	other := testKeys.b.Public().ShareBase64()
+	for _, tc := range []struct{ name, key, share string }{
+		{"invalid base64", "!!not-base64!!", ""},
+		{"non-key DER", "AAAA", ""},
+		{"key split by a newline", b64[:8] + "\n" + b64[8:], ""},
+		{"share of 31 bytes", b64, base64.RawStdEncoding.EncodeToString(make([]byte, ShareSize-1))},
+		{"share of 33 bytes", b64, base64.RawStdEncoding.EncodeToString(make([]byte, ShareSize+1))},
+		{"share padded", b64, base64.StdEncoding.EncodeToString(make([]byte, ShareSize))},
+		{"share with its spare bits set", b64, other[:len(other)-1] + "B"},
+	} {
+		if _, err := ParsePublicBase64(tc.key, tc.share); err == nil {
+			t.Errorf("ParsePublicBase64 accepted a %s", tc.name)
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func Sign(doc *xmldoc.Element, kp *keys.KeyPair, chain ...*cred.Credential) erro
 	if len(chain) == 0 {
 		return errors.New("xdsig: signer credential required")
 	}
-	if !chain[0].Key.Equal(kp.Public()) {
+	if !chain[0].Key.SameIdentity(kp.Public()) {
 		return errors.New("xdsig: signer credential key does not match signing key")
 	}
 	doc.RemoveChildren(SignatureElement)

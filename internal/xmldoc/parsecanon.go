@@ -95,7 +95,7 @@ var internedNames = buildInterned(
 	"DigestMethod", "DigestValue", "SignatureValue", "KeyInfo",
 	// credentials
 	"Credential", "Subject", "SubjectName", "Role", "Issuer", "Key",
-	"NotBefore", "NotAfter", "CredentialChain",
+	"Agree", "NotBefore", "NotAfter", "CredentialChain",
 	// advertisements
 	"PipeAdvertisement", "PeerAdvertisement", "PresenceAdvertisement",
 	"FileListAdvertisement", "GroupAdvertisement", "StatsAdvertisement",
