@@ -60,8 +60,8 @@ func cmdAuditTail(args []string) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	page, err := audit.Fetch(ctx, *endpoint, q)
-	if err != nil {
+	var page audit.PageJSON
+	if err := fetchJSON(ctx, *endpoint, "/debug/audit", q, &page); err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
 	// The head/seq line is the trust point: note it down (or archive

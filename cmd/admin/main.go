@@ -224,8 +224,8 @@ func cmdMetrics(args []string) error {
 	fs.Parse(args)
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	samples, err := telemetry.Fetch(ctx, *url)
-	if err != nil {
+	var samples []telemetry.Sample
+	if err := fetchJSON(ctx, *url, "/metrics.json", nil, &samples); err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
 	return telemetry.RenderText(os.Stdout, samples)
@@ -260,8 +260,8 @@ func cmdTrace(args []string) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	page, err := trace.Fetch(ctx, *endpoint, q)
-	if err != nil {
+	var page trace.PageJSON
+	if err := fetchJSON(ctx, *endpoint, "/debug/traces", q, &page); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
 	fmt.Printf("%d spans recorded, %d dropped, %d matched\n", page.Recorded, page.Dropped, len(page.Spans))

@@ -84,9 +84,10 @@
 //
 // The paper's secureMsgPeer signs and key-wraps every message. By default
 // a SecureClient pays that once per peer: the first envelope's signed
-// header carries an X25519 share, the peer answers with a signed accept,
-// and every later message to it is one AEAD frame under the derived key —
-// no RSA operation at either end (internal/core/channel.go; SECURITY.md
+// header carries an X25519 share, the peer answers with an unsigned
+// accept that its certified agreement key authenticates, and every later
+// message to it is one AEAD frame under the derived key — no RSA
+// operation at either end (internal/core/channel.go; SECURITY.md
 // "Session channels" has the transcript, what is given up — per-message
 // non-repudiation — and what is gained). A peer that has lost the channel
 // refuses the frame and gets the message again as an envelope.

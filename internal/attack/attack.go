@@ -12,6 +12,8 @@ package attack
 import (
 	"bytes"
 	"context"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
 	"sync"
@@ -421,24 +423,37 @@ func ForgeFrame(key []byte, channel []byte, seq uint64, sentAt time.Time, body [
 	return aead.Seal(wire, nonce[:], plain, wire), nil
 }
 
-// ChannelKey is core's channel key schedule, from whatever X25519 secret
-// the attacker could compute.
-func ChannelKey(secret, channel []byte, initiator, responder keys.PeerID, initiatorKey, responderKey *keys.PublicKey, group string, initiatorShare, responderShare []byte) ([]byte, error) {
-	info := []byte("jxta-overlay/session-channel/v2")
+// ChannelKey is core's channel key schedule, from whatever two X25519
+// outputs the attacker could compute, concatenated in core's order
+// (ephemeral–ephemeral, then the initiator's ephemeral with the agreement
+// key responderKey certifies): the frame key, and the tag of the accept
+// that carries responderShare.
+func ChannelKey(secret, channel []byte, initiator, responder keys.PeerID, initiatorKey, responderKey *keys.PublicKey, group string, initiatorShare, responderShare []byte) (key, tag []byte, err error) {
+	info := []byte("jxta-overlay/session-channel/v3")
 	info = keys.AppendSection(info, []byte(initiator))
 	info = keys.AppendSection(info, []byte(responder))
 	for _, k := range []*keys.PublicKey{initiatorKey, responderKey} {
 		fp, err := k.Fingerprint()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		info = append(info, fp[:]...)
 	}
 	info = keys.AppendSection(info, []byte(group))
 	info = append(append(info, initiatorShare...), responderShare...)
-	key := make([]byte, 32)
-	keys.HKDF(key, secret, channel, info)
-	return key, nil
+	static, _ := responderKey.AgreementShare()
+	info = append(info, static[:]...)
+	okm := make([]byte, 64)
+	keys.HKDF(okm, secret, channel, info)
+	mac := hmac.New(sha256.New, okm[32:])
+	mac.Write(Accept(channel, responderShare, nil))
+	return okm[:32], mac.Sum(nil)[:16], nil
+}
+
+// Accept builds a session channel's accept in core's layout: mode,
+// channel ID and the responder's ephemeral share, then the tag.
+func Accept(channel, share, tag []byte) []byte {
+	return append(append(append([]byte{byte(core.ModeAccept)}, channel...), share...), tag...)
 }
 
 // NewFakeBroker stands up a broker that accepts every login — the

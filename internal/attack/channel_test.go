@@ -1,12 +1,15 @@
 // Session-channel negatives. A channel replaces a signature and a key
 // unwrap per message with one AEAD frame under a key two peers agreed on
-// once; these tests are what an adversary gets for trying it on: the
-// holder of the recipient's RSA key, a replayer, a reflector, a
-// credentialed third member, a forger of refusals, an offer flooder, a
-// peer whose credential has run out.
+// once, the responder answering with an unsigned accept that its
+// certified agreement key authenticates; these tests are what an
+// adversary gets for trying it on: the holder of either peer's RSA key, a
+// replayer, a reflector, a credentialed third member, a splicer of
+// accepts, a forger of refusals, an offer flooder, a peer whose credential
+// has run out.
 package attack_test
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
@@ -15,8 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/attack"
 	"jxtaoverlay/internal/core"
+	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
@@ -24,6 +29,7 @@ import (
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/telemetry"
 	"jxtaoverlay/internal/waituntil"
+	"jxtaoverlay/internal/xdsig"
 	"jxtaoverlay/internal/xmldoc"
 )
 
@@ -158,8 +164,8 @@ func alerts(t *testing.T, c *events.Collector, n int) []events.Event {
 
 // handshakeOf reads the handshake the two peers exchanged out of eve's
 // capture, the way the holder of bob's RSA key can: alice's offer from
-// the envelope to bob, bob's accept from the sign-only wire to alice.
-func handshakeOf(t *testing.T, p *channelPair) (offer, accept *xmldoc.Element) {
+// the envelope to bob, bob's accept as it crossed the wire to alice.
+func handshakeOf(t *testing.T, p *channelPair) (offer *xmldoc.Element, accept []byte) {
 	t.Helper()
 	for _, wire := range wiresTo(p.eve, p.bob.PeerID(), core.ModeFull) {
 		env, err := keys.ParseEnvelope(wire[1:])
@@ -174,13 +180,11 @@ func handshakeOf(t *testing.T, p *channelPair) (offer, accept *xmldoc.Element) {
 			offer = h
 		}
 	}
-	for _, wire := range wiresTo(p.eve, p.alice.PeerID(), core.ModeSign) {
-		if h, err := attack.ReadHeader(wire[1:]); err == nil && h.ChildText("Offer") != "" {
-			accept = h
-		}
+	if accepts := wiresTo(p.eve, p.alice.PeerID(), core.ModeAccept); len(accepts) > 0 {
+		accept = accepts[0]
 	}
-	if offer == nil || accept == nil || offer.ChildText("Channel") != accept.ChildText("Channel") {
-		t.Fatalf("handshake not on the wire: offer %v, accept %v", offer, accept)
+	if offer == nil || len(accept) != 65 || b64.EncodeToString(accept[1:17]) != offer.ChildText("Channel") {
+		t.Fatalf("handshake not on the wire: offer %v, accept %x", offer, accept)
 	}
 	return offer, accept
 }
@@ -196,35 +200,43 @@ func unb64(t *testing.T, s string) []byte {
 
 // (a) Key-compromise impersonation. The attacker holds bob's RSA private
 // key and a full capture of the handshake: it reads the offer, knows the
-// channel ID, both shares and the key schedule. What it lacks is either
-// ephemeral private key, and bob's RSA key is no help in getting one: it
-// cannot make a frame bob opens as alice's. (Under an RSA-transported
-// session key it could: it would unwrap the key alice sent.)
+// channel ID, both ephemeral shares and the key schedule, and — bob's
+// agreement key being derived from his RSA key — computes bob's half,
+// X25519(s_bob, E_alice). What it lacks is the ephemeral–ephemeral term,
+// and bob's keys are no help in getting it: it cannot make a frame bob
+// opens as alice's. (Under an RSA-transported session key it could: it
+// would unwrap the key alice sent.)
 func TestChannelKeyCompromiseImpersonation(t *testing.T) {
 	p := newChannelPair(t, newSecureStack(t), false)
 	offer, accept := handshakeOf(t, p)
 	channel := unb64(t, offer.ChildText("Channel"))
-	aliceShare, bobShare := unb64(t, offer.ChildText("Share")), unb64(t, accept.ChildText("Share"))
-	aliceKey, bobKey := p.alice.Identity().Keys.Public(), p.bob.Identity().Keys.Public()
+	aliceShare, bobShare := unb64(t, offer.ChildText("Share")), accept[17:49]
+	aliceKey, bobKP := p.alice.Identity().Keys.Public(), p.bob.Identity().Keys
+	staticTerm, err := bobKP.Agree(aliceShare)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	eph, err := keys.NewAgreementKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := []byte("wire the money to mallory")
-	seq := uint64(500) // ahead of anything alice has sent
-	for _, guess := range []struct {
-		name      string
-		peerShare []byte
-	}{
-		{"own share against alice's", aliceShare},
-		{"own share against bob's", bobShare},
-	} {
-		secret, err := eph.Agree(guess.peerShare)
+	agree := func(a interface{ Agree([]byte) ([]byte, error) }, share []byte) []byte {
+		secret, err := a.Agree(share)
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, err := attack.ChannelKey(secret, channel, p.alice.PeerID(), p.bob.PeerID(), aliceKey, bobKey, "math", aliceShare, bobShare)
+		return secret
+	}
+	body := []byte("wire the money to mallory")
+	seq := uint64(500) // ahead of anything alice has sent
+	guesses := map[string][]byte{
+		"own share against alice's":      agree(eph, aliceShare),
+		"own share against bob's":        agree(eph, bobShare),
+		"bob's agreement key on his own": agree(bobKP, bobShare),
+	}
+	for _, ee := range guesses {
+		key, _, err := attack.ChannelKey(append(ee, staticTerm...), channel, p.alice.PeerID(), p.bob.PeerID(), aliceKey, bobKP.Public(), "math", aliceShare, bobShare)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +247,7 @@ func TestChannelKeyCompromiseImpersonation(t *testing.T) {
 		p.inject(t, p.alice.PeerID(), p.bob.PeerID(), frame)
 		seq++
 	}
-	for _, a := range alerts(t, p.atBob, 2) {
+	for _, a := range alerts(t, p.atBob, len(guesses)) {
 		if !strings.Contains(a.Attr("reason"), core.ErrEnvelope.Error()) {
 			t.Errorf("forged frame refused with %q, want %q", a.Attr("reason"), core.ErrEnvelope)
 		}
@@ -252,7 +264,8 @@ func TestChannelKeyCompromiseImpersonation(t *testing.T) {
 // (b) Replay. A captured frame delivered again is refused, with and
 // without a replay guard at the recipient; so is a frame re-labelled for
 // another channel, and a frame of a channel that has since been replaced.
-// A replayed accept changes nothing.
+// A replayed accept changes nothing: it names a channel already up, or one
+// long replaced, and is dropped without a word, guard or none.
 func TestChannelReplays(t *testing.T) {
 	for _, guarded := range []bool{false, true} {
 		t.Run(fmt.Sprintf("guard=%v", guarded), func(t *testing.T) {
@@ -269,7 +282,7 @@ func TestChannelReplays(t *testing.T) {
 			}
 
 			// The accept again: alice holds the channel it answers.
-			accepts := wiresTo(p.eve, p.alice.PeerID(), core.ModeSign)
+			accepts := wiresTo(p.eve, p.alice.PeerID(), core.ModeAccept)
 			if len(accepts) != 1 {
 				t.Fatalf("%d accepts on the wire, want 1", len(accepts))
 			}
@@ -319,11 +332,10 @@ func TestChannelReplays(t *testing.T) {
 				t.Fatalf("an accept surfaced as a message at alice: %+v", got[0])
 			}
 			// Replayed while alice held the channel it answers, the accept is
-			// what bob sends again when he sees the offer again, and is dropped
-			// quietly. Replayed after that, it answers nothing: dropped quietly
-			// still, unless a guard remembers the wire — then it is the replay it is.
-			got := atAlice.OfType(events.SecurityAlert)
-			if guarded && (len(got) != 1 || got[0].Attr("reason") != core.ErrMessageReplayed.Error()) || !guarded && len(got) != 0 {
+			// what bob sends again when he sees the offer again; replayed after
+			// that, it answers nothing. Either way it is dropped quietly: an
+			// accept never enters a guard's table.
+			if got := atAlice.OfType(events.SecurityAlert); len(got) != 0 {
 				t.Fatalf("replayed accepts raised %d alerts at alice: %v", len(got), got)
 			}
 		})
@@ -331,8 +343,9 @@ func TestChannelReplays(t *testing.T) {
 }
 
 // (c) Reflection. Channels are directional: a frame bounced back at its
-// sender names a channel the sender holds no inbound end of, and an offer
-// bounced back is an envelope sealed to someone else.
+// sender names a channel the sender holds no inbound end of, an offer
+// bounced back is an envelope sealed to someone else, and an accept
+// bounced back at its sender answers no offer of his.
 func TestChannelReflection(t *testing.T) {
 	p := newChannelPair(t, newSecureStack(t), false)
 	atAlice := events.NewCollector(p.alice.Bus())
@@ -340,8 +353,13 @@ func TestChannelReflection(t *testing.T) {
 	frames := wiresTo(p.eve, p.bob.PeerID(), core.ModeChannel)
 	p.inject(t, p.bob.PeerID(), p.alice.PeerID(), frames[len(frames)-1])
 	p.inject(t, p.bob.PeerID(), p.alice.PeerID(), wiresTo(p.eve, p.bob.PeerID(), core.ModeFull)[0])
+	established := p.metric(t, core.ChannelEstablishedMetric)
+	p.inject(t, p.alice.PeerID(), p.bob.PeerID(), wiresTo(p.eve, p.alice.PeerID(), core.ModeAccept)[0])
 	if a := alerts(t, atAlice, 1)[0]; !strings.Contains(a.Attr("reason"), core.ErrNotRecipient.Error()) {
 		t.Fatalf("reflected offer refused as %v", a.Payload)
+	}
+	if got := p.atBob.OfType(events.SecurityAlert); len(got) != 0 || p.metric(t, core.ChannelEstablishedMetric) != established {
+		t.Fatalf("a reflected accept raised %d alerts at bob, or established a channel", len(got))
 	}
 	if got := atAlice.OfType(events.SecureMessage); len(got) != 0 {
 		t.Fatalf("alice opened a reflected wire: %q", got[0].Data)
@@ -351,81 +369,246 @@ func TestChannelReflection(t *testing.T) {
 	}
 }
 
-// (d) An accept by anyone but the offered peer. alice's offer to bob is
-// pending (bob's accept is lost). mallory, a credentialed member who has
-// learned the offer's fields, signs an accept of her own; bob's key signs
-// one for another initiator, and one over another share. None completes
-// the channel.
-func TestChannelAcceptByThirdPartyRefused(t *testing.T) {
+// lostAccept is alice's offer to bob left pending: bob answers it, and his
+// accept crosses eve's tap and is lost on the way to alice. mallory is a
+// credentialed third member.
+type lostAccept struct {
+	*channelPair
+	mallory       *core.SecureClient
+	atAlice       *events.Collector
+	offer         *xmldoc.Element
+	accept        []byte // bob's, lost
+	channel       []byte
+	aliceShare    []byte
+	bobKey        *keys.PublicKey
+	aliceKP       *keys.KeyPair
+	malloryKP     *keys.KeyPair
+	alertsAtAlice int
+}
+
+func newLostAccept(t *testing.T) *lostAccept {
+	t.Helper()
 	s := newSecureStack(t)
 	eve := attack.NewEavesdropper(s.net)
 	alice := s.join(t, "alice", "alice-secret-pw")
 	bob := s.join(t, "bob", "bob-secret-pw")
 	mallory := s.join(t, "mallory", "mallory-pw")
-	atBob, atAlice := events.NewCollector(bob.Bus()), events.NewCollector(alice.Bus())
+	atBob := events.NewCollector(bob.Bus())
 	s.net.SetLinkOneWay(simnet.NodeID(bob.PeerID()), simnet.NodeID(alice.PeerID()), simnet.LinkProfile{Loss: 1})
 	say(t, alice, bob.PeerID(), atBob, "hello")
-	p := &channelPair{s: s, alice: alice, bob: bob, eve: eve}
+	p := &channelPair{s: s, alice: alice, bob: bob, atBob: atBob, eve: eve}
 	var err error
 	if p.raw, err = attack.NewRawNode(s.net, "attacker-node"); err != nil {
 		t.Fatal(err)
 	}
-	// bob answers once the message is out; his accept crosses eve's tap,
-	// and is lost on the way to alice.
-	waituntil.Must(t, 5*time.Second, func() bool { return len(wiresTo(eve, alice.PeerID(), core.ModeSign)) == 1 }, "bob sent no accept")
-	offer, _ := handshakeOf(t, p)
-	lostAccept := wiresTo(eve, alice.PeerID(), core.ModeSign)[0]
-	channel, aliceShare := offer.ChildText("Channel"), unb64(t, offer.ChildText("Share"))
-	aliceFP, _ := alice.Identity().Keys.Public().Fingerprint()
-	malloryFP, _ := mallory.Identity().Keys.Public().Fingerprint()
+	// bob answers once the message is out.
+	waituntil.Must(t, 5*time.Second, func() bool { return len(wiresTo(eve, alice.PeerID(), core.ModeAccept)) == 1 }, "bob sent no accept")
+	l := &lostAccept{channelPair: p, mallory: mallory, atAlice: events.NewCollector(alice.Bus()),
+		bobKey: bob.Identity().Keys.Public(), aliceKP: alice.Identity().Keys, malloryKP: mallory.Identity().Keys}
+	l.offer, l.accept = handshakeOf(t, p)
+	l.channel, l.aliceShare = unb64(t, l.offer.ChildText("Channel")), unb64(t, l.offer.ChildText("Share"))
+	return l
+}
+
+// try delivers an accept to alice in sender's name and checks what came
+// of it: the alert wantAlert names ("" = none), and no channel — alice's
+// next message to bob still travels as an envelope. An accept that raises
+// an alert has been handled once the alert is out; one that raises none
+// is given the time a delivery takes, and changes nothing whenever it is
+// handled.
+func (l *lostAccept) try(t *testing.T, name string, sender keys.PeerID, accept []byte, wantAlert string) {
+	t.Helper()
+	l.inject(t, sender, l.alice.PeerID(), accept)
+	if wantAlert != "" {
+		l.alertsAtAlice++
+		waituntil.Must(t, 5*time.Second, func() bool { return len(l.atAlice.OfType(events.SecurityAlert)) >= l.alertsAtAlice }, "%s: no alert", name)
+	} else {
+		time.Sleep(50 * time.Millisecond)
+	}
+	if e := say(t, l.alice, l.bob.PeerID(), l.atBob, name); e.Attr("mode") != core.ModeFull.String() {
+		t.Errorf("%s: alice's next message travelled as %q: the accept brought a channel up", name, e.Attr("mode"))
+	}
+	got := l.atAlice.OfType(events.SecurityAlert)
+	if len(got) != l.alertsAtAlice {
+		t.Fatalf("%s: %d alerts at alice in all, want %d", name, len(got), l.alertsAtAlice)
+	}
+	if wantAlert != "" && !strings.Contains(got[len(got)-1].Attr("reason"), wantAlert) {
+		t.Errorf("%s: refused as %q, want %q", name, got[len(got)-1].Attr("reason"), wantAlert)
+	}
+}
+
+// forge builds an accept for alice's pending offer from the X25519 outputs
+// an attacker computed, in the key schedule's order, over share.
+func (l *lostAccept) forge(t *testing.T, ee, es, share []byte) []byte {
+	t.Helper()
+	_, tag, err := attack.ChannelKey(append(ee, es...), l.channel, l.alice.PeerID(), l.bob.PeerID(), l.aliceKP.Public(), l.bobKey, "math", l.aliceShare, share)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return attack.Accept(l.channel, share, tag)
+}
+
+// finish checks that the lost accept itself still completes the channel,
+// and that no accept surfaced as a message.
+func (l *lostAccept) finish(t *testing.T) {
+	t.Helper()
+	if got := l.atAlice.OfType(events.SecureMessage); len(got) != 0 {
+		t.Fatalf("an accept surfaced as a message: %+v", got[0])
+	}
+	l.inject(t, l.bob.PeerID(), l.alice.PeerID(), l.accept)
+	waituntil.Must(t, 5*time.Second, func() bool {
+		return say(t, l.alice, l.bob.PeerID(), l.atBob, fmt.Sprintf("probe %d", time.Now().UnixNano())).Attr("mode") == core.ModeChannel.String()
+	}, "bob's own accept did not complete the channel")
+}
+
+// (d) An accept by anyone but the offered peer. alice's offer to bob is
+// pending (bob's accept is lost). mallory, a credentialed member who has
+// learned the offer's fields, answers it in her own name, and in bob's
+// with the best secrets she has: her ephemeral against alice's, and her
+// own agreement key where bob's belongs. Neither completes the channel;
+// the one in bob's name is refused as not matching the offer.
+func TestChannelAcceptByThirdPartyRefused(t *testing.T) {
+	l := newLostAccept(t)
 	eph, err := keys.NewAgreementKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := func(to [32]byte, answers []byte) [][2]string {
-		return [][2]string{{"To", b64.EncodeToString(to[:])}, {"Channel", channel},
-			{"Share", b64.EncodeToString(eph.Share())}, {"Offer", b64.EncodeToString(keys.SHA256(answers))}}
+	ee, err := eph.Agree(l.aliceShare)
+	if err != nil {
+		t.Fatal(err)
 	}
+	es, err := l.malloryKP.Agree(l.aliceShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := l.forge(t, ee, es, eph.Share())
 	for _, tc := range []struct {
 		name      string
-		signer    *core.SecureClient
 		sender    keys.PeerID
-		fields    [][2]string
 		wantAlert string // "" = dropped without one
 	}{
-		{"mallory answers in her own name", mallory, mallory.PeerID(), fields(aliceFP, aliceShare), ""},
-		{"mallory answers in bob's name", mallory, bob.PeerID(), fields(aliceFP, aliceShare), core.ErrMessageTampered.Error()},
-		{"bob's accept for another initiator", bob, bob.PeerID(), fields(malloryFP, aliceShare), "does not match the offer"},
-		{"bob's accept of another share", bob, bob.PeerID(), fields(aliceFP, eph.Share()), "does not match the offer"},
+		{"mallory answers in her own name", l.mallory.PeerID(), ""},
+		{"mallory answers in bob's name", l.bob.PeerID(), "does not match the offer"},
 	} {
-		before := len(atAlice.OfType(events.SecurityAlert))
-		header, err := attack.Header(tc.signer.Identity().Keys, tc.sender, "math", nil, tc.fields...)
+		l.try(t, tc.name, tc.sender, forged, tc.wantAlert)
+	}
+	l.finish(t)
+}
+
+// (d′) The holder of alice's RSA key forges bob's accept. It derives
+// alice's agreement key and knows every public share, and can compute
+// every X25519 but the two the key schedule takes: those need alice's
+// ephemeral, or bob's ephemeral and bob's agreement key. Splicing bob's
+// lost accept — another share, another channel ID, the tag of another
+// channel — brings no channel up either. Only the lost accept itself does.
+func TestChannelAcceptForgedOrSplicedRefused(t *testing.T) {
+	l := newLostAccept(t)
+	bobShare := l.accept[17:49]
+	staticShare, _ := l.bobKey.AgreementShare()
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(secret []byte, err error) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.inject(t, tc.sender, alice.PeerID(), append([]byte{byte(core.ModeSign)}, attack.Block(header, nil)...))
-		if tc.wantAlert != "" {
-			waituntil.Must(t, 5*time.Second, func() bool { return len(atAlice.OfType(events.SecurityAlert)) > before }, "%s: no alert", tc.name)
-			if a := atAlice.OfType(events.SecurityAlert)[before]; !strings.Contains(a.Attr("reason"), tc.wantAlert) {
-				t.Errorf("%s: refused as %q, want %q", tc.name, a.Attr("reason"), tc.wantAlert)
-			}
-		}
-		// Whatever was said about it, no channel: the next message is an envelope.
-		if e := say(t, alice, bob.PeerID(), atBob, tc.name); e.Attr("mode") != core.ModeFull.String() {
-			t.Fatalf("%s: alice's next message travelled as %q", tc.name, e.Attr("mode"))
-		}
-		if n := len(atAlice.OfType(events.SecurityAlert)) - before; (tc.wantAlert == "") != (n == 0) {
-			t.Errorf("%s: %d alerts", tc.name, n)
-		}
+		return secret
 	}
-	if got := atAlice.OfType(events.SecureMessage); len(got) != 0 {
-		t.Fatalf("an accept surfaced as a message: %+v", got[0])
+	// bob's accept of mallory's offer: the tag of another channel.
+	say(t, l.mallory, l.bob.PeerID(), l.atBob, "mallory's offer")
+	waituntil.Must(t, 5*time.Second, func() bool { return len(wiresTo(l.eve, l.mallory.PeerID(), core.ModeAccept)) == 1 }, "bob did not answer mallory")
+	otherTag := wiresTo(l.eve, l.mallory.PeerID(), core.ModeAccept)[0][49:]
+	splice := func(at int, with []byte) []byte {
+		w := bytes.Clone(l.accept)
+		copy(w[at:], with)
+		return w
 	}
-	// bob's own accept, the one that was lost, still completes it.
-	p.inject(t, bob.PeerID(), alice.PeerID(), lostAccept)
+	otherID := bytes.Clone(l.channel)
+	otherID[0] ^= 1
+	for _, tc := range []struct {
+		name      string
+		accept    []byte
+		wantAlert string // "" = dropped without one
+	}{
+		// alice's key buys her static-static and static-ephemeral terms.
+		{"alice's key: own agreement key against bob's", l.forge(t,
+			must(eph.Agree(l.aliceShare)), must(l.aliceKP.Agree(staticShare[:])), eph.Share()), "does not match the offer"},
+		{"alice's key: own agreement key against her offer's share", l.forge(t,
+			must(l.aliceKP.Agree(bobShare)), must(l.aliceKP.Agree(l.aliceShare)), bobShare), "does not match the offer"},
+		{"another E_R", splice(17, eph.Share()), "does not match the offer"},
+		{"another channel ID", splice(1, otherID), ""},
+		{"the tag of another channel", splice(49, otherTag), "does not match the offer"},
+	} {
+		l.try(t, tc.name, l.bob.PeerID(), tc.accept, tc.wantAlert)
+	}
+	l.finish(t)
+}
+
+// (d″) A recipient whose credential certifies no agreement key can answer
+// no offer: it is sent the paper's signed and wrapped envelope every time,
+// never a weaker form, and is offered no channel. carol's credential is
+// issued by the broker's key without the share her login carried; she
+// publishes her pipe advertisement under it.
+func TestChannelRecipientWithoutShareGetsEnvelopes(t *testing.T) {
+	s := newSecureStack(t)
+	s.db.Register("carol", "carol-pw", "math")
+	alice := s.join(t, "alice", "alice-secret-pw")
+	carol := s.join(t, "carol", "carol-pw")
+	ctx := testCtx(t)
+	// carol's join pushed alice her first advertisement on a fabric
+	// goroutine of its own: let it land before the one that replaces it.
 	waituntil.Must(t, 5*time.Second, func() bool {
-		return say(t, alice, bob.PeerID(), atBob, fmt.Sprintf("probe %d", time.Now().UnixNano())).Attr("mode") == core.ModeChannel.String()
-	}, "bob's own accept did not complete the channel")
+		_, err := alice.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(carol.PeerID(), "math"))
+		return err == nil
+	}, "alice never received carol's pipe advertisement")
+	brCred := s.brSec.Credential()
+	carolKP := carol.Identity().Keys
+	bare, err := cred.Issue(s.brKP, brCred.Subject, carol.PeerID(), "carol", cred.RoleClient, carolKP.Public().WithShare(nil), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := (&advert.Pipe{PipeID: advert.GroupPipeID(carol.PeerID(), "math"), PipeType: advert.PipeUnicast,
+		PeerID: carol.PeerID(), Group: "math"}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := xdsig.Sign(doc, carolKP, bare, brCred); err != nil {
+		t.Fatal(err)
+	}
+	if err := carol.PublishAdvDoc(ctx, doc); err != nil {
+		t.Fatal(err)
+	}
+	waituntil.Must(t, 5*time.Second, func() bool {
+		_, raw, err := alice.LookupPipe(ctx, carol.PeerID(), "math")
+		if err != nil {
+			return false
+		}
+		res, err := alice.VerifyCache().VerifyTrusted(raw, alice.Now())
+		if err != nil {
+			return false
+		}
+		_, certified := res.Signer.Key.AgreementShare()
+		return !certified
+	}, "alice never saw carol's advertisement without an agreement key")
+
+	atCarol := events.NewCollector(carol.Bus())
+	eve := attack.NewEavesdropper(s.net)
+	signed := alice.Identity().Keys.SignCalls()
+	for i := 0; i < 4; i++ {
+		if e := say(t, alice, carol.PeerID(), atCarol, fmt.Sprintf("to carol %d", i)); e.Attr("mode") != core.ModeFull.String() {
+			t.Fatalf("message %d to carol travelled as %q, want the paper's envelope", i, e.Attr("mode"))
+		}
+	}
+	if n := alice.Identity().Keys.SignCalls() - signed; n != 4 {
+		t.Errorf("alice signed %d times for 4 messages, want 4", n)
+	}
+	if got := wiresTo(eve, alice.PeerID(), core.ModeAccept); len(got) != 0 {
+		t.Errorf("carol answered %d offers: a recipient that certifies no agreement key was offered a channel", len(got))
+	}
+	if got := atCarol.OfType(events.SecurityAlert); len(got) != 0 {
+		t.Errorf("carol raised %d alerts, first %v", len(got), got[0].Payload)
+	}
 }
 
 // (e) Forged refusals at line rate. Channel ID and sequence number cross
@@ -485,8 +668,8 @@ func TestChannelForgedRefusals(t *testing.T) {
 
 // (f) An offer flood. mallory, credentialed, sends bob envelopes that
 // each carry a fresh offer. They are messages, and are delivered; but bob
-// holds one inbound channel for her and signs at most one accept a
-// second, however many she offers.
+// holds one inbound channel for her, makes at most one accept a second
+// however many she offers, and signs nothing for any of them.
 func TestChannelOfferFlood(t *testing.T) {
 	s := newSecureStack(t)
 	reg := telemetry.New()
@@ -499,6 +682,7 @@ func TestChannelOfferFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eve := attack.NewEavesdropper(s.net)
 	signed := bob.Identity().Keys.SignCalls()
 	start := time.Now()
 	const n = 30
@@ -524,9 +708,12 @@ func TestChannelOfferFlood(t *testing.T) {
 		}
 	}
 	waituntil.Must(t, 10*time.Second, func() bool { return len(atBob.OfType(events.SecureMessage)) == n }, "not every flooding envelope was delivered")
-	allowed := uint64(time.Since(start)/time.Second) + 1
-	if got := bob.Identity().Keys.SignCalls() - signed; got > allowed {
-		t.Errorf("bob signed %d accepts in %v, want at most one a second", got, time.Since(start))
+	allowed := int(time.Since(start)/time.Second) + 1
+	if got := bob.Identity().Keys.SignCalls() - signed; got != 0 {
+		t.Errorf("bob signed %d times answering %d offers, want none", got, n)
+	}
+	if got := len(wiresTo(eve, mallory.PeerID(), core.ModeAccept)); got < 1 || got > allowed {
+		t.Errorf("bob sent %d accepts in %v, want at least one and at most one a second", got, time.Since(start))
 	}
 	if open, _ := reg.Get(core.ChannelsOpenMetric); open != 1 {
 		t.Errorf("bob holds %v channels after %d offers from one peer, want 1", open, n)

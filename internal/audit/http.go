@@ -1,15 +1,10 @@
 package audit
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 
 	"jxtaoverlay/internal/trace"
 )
@@ -113,42 +108,4 @@ func (j *Journal) DebugHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(page) //nolint:errcheck // best-effort write to scraper
 	})
-}
-
-// Fetch retrieves one /debug/audit page from a running endpoint. The
-// base URL may be "host:port", "http://host:port" or the full
-// ".../debug/audit" path — the forms `admin audit` accepts. The query
-// values are the handler's filter parameters.
-func Fetch(ctx context.Context, base string, query url.Values) (*PageJSON, error) {
-	u := base
-	if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-		u = "http://" + u
-	}
-	if !strings.HasSuffix(u, "/debug/audit") {
-		u = strings.TrimSuffix(u, "/") + "/debug/audit"
-	}
-	if len(query) > 0 {
-		u += "?" + query.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("audit: %s returned %s", u, resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		return nil, err
-	}
-	var page PageJSON
-	if err := json.Unmarshal(body, &page); err != nil {
-		return nil, fmt.Errorf("audit: bad page from %s: %w", u, err)
-	}
-	return &page, nil
 }

@@ -1,11 +1,9 @@
 package audit
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"net/url"
 	"sync"
 	"testing"
 	"time"
@@ -123,30 +121,5 @@ func TestDebugHandlerFilters(t *testing.T) {
 	}
 	if p := get("limit=1"); len(p.Events) != 1 {
 		t.Fatalf("limit: %d events, want 1", len(p.Events))
-	}
-}
-
-// TestFetchRoundTrip: the admin-tool client reads the same page the
-// handler serves, through every URL form it accepts.
-func TestFetchRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	mustRecord(t, j, Event{Kind: KindOffense, Peer: "mallory", Op: "relayRound", Reason: "relay-quota-exceeded"})
-
-	srv := httptest.NewServer(j.DebugHandler())
-	defer srv.Close()
-
-	for _, base := range []string{srv.URL, srv.URL + "/debug/audit", srv.Listener.Addr().String()} {
-		page, err := Fetch(context.Background(), base, url.Values{"kind": {KindOffense}})
-		if err != nil {
-			t.Fatalf("Fetch(%q): %v", base, err)
-		}
-		if page.Seq != 1 || len(page.Events) != 1 || page.Events[0].Peer != "mallory" {
-			t.Fatalf("Fetch(%q) page: %+v", base, page)
-		}
 	}
 }

@@ -78,7 +78,6 @@ type PeerInfo struct {
 	Groups      []string
 	Online      bool
 	ConnectedAt time.Time
-	LastSeen    time.Time
 	// Origin is the federated broker the peer is logged into, or empty
 	// for peers connected to this broker directly.
 	Origin keys.PeerID
@@ -537,7 +536,7 @@ func (b *Broker) registerPeerAt(id keys.PeerID, username string, groups []string
 	info := &PeerInfo{
 		ID: id, Username: username,
 		Groups: append([]string(nil), groups...),
-		Online: true, ConnectedAt: session, LastSeen: session,
+		Online: true, ConnectedAt: session,
 		Origin: origin,
 	}
 	b.peers[id] = info
@@ -586,15 +585,6 @@ func (b *Broker) ExpirePeer(id keys.PeerID, reason string, session time.Time) bo
 	}
 	b.unregisterPeerAt(id, true, session, reason)
 	return true
-}
-
-// TouchPeer refreshes a peer's LastSeen (heartbeat bookkeeping).
-func (b *Broker) TouchPeer(id keys.PeerID) {
-	b.mu.Lock()
-	if p, ok := b.peers[id]; ok {
-		p.LastSeen = b.Now()
-	}
-	b.mu.Unlock()
 }
 
 // unregisterPeerAt ends the session that was live at the given time.

@@ -2,6 +2,8 @@ package core
 
 import (
 	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
@@ -19,15 +21,20 @@ import (
 // the recipient, nine tenths of what a message costs. A channel pays
 // them once per pair of peers: the first envelope to a peer carries,
 // inside its signed header, an offer — a random channel ID and an
-// ephemeral X25519 share — and the recipient answers with a signed
-// accept carrying its own share. Every later message to that peer is
-// one AEAD frame under the key both derive (SECURITY.md, "Session
-// channels", has the transcript and what each signed field binds).
+// ephemeral X25519 share — and the recipient answers with an unsigned
+// accept carrying its own ephemeral share and a key confirmation. The key
+// both derive takes one X25519 between the two ephemerals and one between
+// the initiator's ephemeral and the agreement key the responder's
+// credential certifies: only the offered peer can compute the second, so
+// the accept needs no signature, and nobody can compute the first once
+// both ephemerals are gone. Every later message to that peer is one AEAD
+// frame under that key (SECURITY.md, "Session channels", has the
+// transcript and what each part binds).
 //
 //	offer    ModeFull envelope; signed header adds To, Channel, Share
 //	         (and Refused, when it sends a refused frame's message again)
-//	accept   ModeSign envelope, empty body; signed header adds To,
-//	         Channel, Share, Offer (SHA-256 of the initiator's share)
+//	accept   ModeAccept ‖ Channel[16] ‖ E_R[32] ‖ tag[16] — unsigned; the
+//	         tag is an HMAC under a key derived beside the frame key
 //	frame    ModeChannel ‖ Channel[16] ‖ seq u64 ‖
 //	         AES-256-GCM(key, nonce = seq, aad = the 25 bytes in front,
 //	         sent-at u64 (UnixNano) ‖ body) — to the end of the element
@@ -73,14 +80,20 @@ const (
 	// channelTableCap bounds each direction's table: as many peers as the
 	// client keeps advertisement verdicts for (xdsig.DefaultVerifyCacheSize).
 	channelTableCap = 1024
-	// handshakeEvery spaces what a stranger can make this peer do: accept
-	// signatures and re-sent accepts per (peer, group), refusals per channel.
+	// handshakeEvery spaces what a stranger can make this peer do: accepts
+	// and re-sent accepts per (peer, group), refusals per channel.
 	handshakeEvery = time.Second
 	// refusalTableCap bounds the channels whose last refusal is remembered.
 	refusalTableCap = 64
 
-	// channelKeyLabel names the frame layout the derived key protects.
-	channelKeyLabel = "jxta-overlay/session-channel/v2"
+	// acceptTagSize is the key confirmation an accept ends in.
+	acceptTagSize = 16
+	// acceptSize is the whole of an accept: mode ‖ Channel ‖ E_R ‖ tag.
+	acceptSize = 1 + channelIDSize + keys.ShareSize + acceptTagSize
+
+	// channelKeyLabel names the key schedule and the frame layout the
+	// derived key protects.
+	channelKeyLabel = "jxta-overlay/session-channel/v3"
 )
 
 type channelID [channelIDSize]byte
@@ -109,34 +122,41 @@ func (e *unknownChannelError) Error() string {
 
 // channelPart is what an Opened carries for session channels.
 type channelPart struct {
-	to      []byte     // the recipient key fingerprint a signed header with a handshake names
-	hs      *handshake // the offer or accept a signed header carries
-	resends *frameRef  // the refused frame whose message a signed header says it sends again
-	via     *inChannel // ModeChannel: the channel whose key opened the frame
-	refusal frameRef   // ModeRefusal: the frame refused
+	hs      *handshake  // the offer a signed header carries
+	resends *frameRef   // the refused frame whose message a signed header says it sends again
+	via     *inChannel  // ModeChannel: the channel whose key opened the frame
+	refusal frameRef    // ModeRefusal: the frame refused
+	accept  *acceptWire // ModeAccept: the accept, where it lies in the delivered wire
 }
 
 // noChannelPart is the part of every wire that has nothing to do with
 // channels. It is only ever read.
 var noChannelPart channelPart
 
-// handshake is what a signed header carries to agree on a channel: an
-// offer, or (answers set) the accept of one.
+// handshake is the offer a signed header carries to agree on a channel.
 type handshake struct {
-	id      channelID
-	share   []byte // the signer's ephemeral X25519 share
-	answers []byte // accept: SHA-256 of the share it answers
+	id    channelID
+	share []byte // the initiator's ephemeral X25519 share
 }
 
-func (h *handshake) accept() bool { return h.answers != nil }
-
-// write adds the handshake's children to a header about to be signed.
+// write adds the offer's children to a header about to be signed.
 func (h *handshake) write(header *xmldoc.Element) {
 	header.AddText("Channel", base64.StdEncoding.EncodeToString(h.id[:]))
 	header.AddText("Share", base64.StdEncoding.EncodeToString(h.share))
-	if h.answers != nil {
-		header.AddText("Offer", base64.StdEncoding.EncodeToString(h.answers))
-	}
+}
+
+// acceptWire is an accept: ModeAccept ‖ Channel ‖ E_R ‖ tag.
+type acceptWire [acceptSize]byte
+
+func (a *acceptWire) id() channelID { return channelID(a[1 : 1+channelIDSize]) }
+func (a *acceptWire) share() []byte { return a[1+channelIDSize : acceptSize-acceptTagSize] }
+func (a *acceptWire) tag() []byte   { return a[acceptSize-acceptTagSize:] }
+
+// appendAccept writes the accept of channel id, carrying the responder's
+// ephemeral share and the tag derived beside the channel's key.
+func appendAccept(dst []byte, id channelID, share []byte, tag *[acceptTagSize]byte) []byte {
+	dst = append(append(append(dst, byte(ModeAccept)), id[:]...), share...)
+	return append(dst, tag[:]...)
 }
 
 // writeResends marks a header about to be signed as sending again the
@@ -167,27 +187,46 @@ func parseChannelFields(header *xmldoc.Element) (hs *handshake, resends *frameRe
 	if hs.share, err = headerBytes(header, "Share"); err != nil || len(hs.share) != keys.ShareSize {
 		return nil, nil, ErrEnvelope
 	}
-	if header.ChildText("Offer") != "" {
-		if hs.answers, err = headerBytes(header, "Offer"); err != nil || len(hs.answers) != 32 {
-			return nil, nil, ErrEnvelope
-		}
-	}
 	return hs, resends, nil
 }
 
-// channelEnds is what the two signed headers of a handshake bound: both
-// peers, both certified keys, the group, both ephemeral shares.
+// channelEnds is what a channel's key is derived from beside the two
+// X25519 outputs: both peers, both certified keys, the group, both
+// ephemeral shares and the agreement key the responder's credential
+// certifies.
 type channelEnds struct {
 	initiator, responder           keys.PeerID
 	initiatorFP, responderFP       [32]byte
 	group                          string
 	initiatorShare, responderShare []byte
+	responderStatic                [keys.ShareSize]byte
 }
 
-// channelKey derives a channel's AEAD from the X25519 secret: HKDF with
-// the channel ID as salt and the ends as info, so two peers that disagree
-// on any of it derive different keys. secret is zeroed.
-func channelKey(secret []byte, id channelID, e channelEnds) (cipher.AEAD, error) {
+// agreer is an X25519 private key: an ephemeral one, or a key pair's
+// agreement key.
+type agreer interface {
+	Agree(peerShare []byte) ([]byte, error)
+}
+
+// channelKeys derives a channel's AEAD, and the tag of the accept that
+// completes it, from two X25519 outputs: a with aPeer, the two ephemerals,
+// then b with bPeer, the initiator's ephemeral with the responder's
+// certified key — each end computes them from its own side. HKDF with the
+// channel ID as salt and the ends as info yields the frame key and, beside
+// it, the confirmation key the tag is an HMAC under, over the accept's
+// bytes in front of it; two peers that disagree on any of it derive
+// different keys and tags.
+func channelKeys(id channelID, e *channelEnds, a agreer, aPeer []byte, b agreer, bPeer []byte) (aead cipher.AEAD, tag [acceptTagSize]byte, err error) {
+	ee, err := a.Agree(aPeer)
+	if err != nil {
+		return nil, tag, err
+	}
+	es, err := b.Agree(bPeer)
+	if err != nil {
+		return nil, tag, err
+	}
+	secret := append(ee, es...)
+	clear(es)
 	info := make([]byte, 0, 384)
 	info = append(info, channelKeyLabel...)
 	info = keys.AppendSection(info, []byte(e.initiator))
@@ -195,12 +234,35 @@ func channelKey(secret []byte, id channelID, e channelEnds) (cipher.AEAD, error)
 	info = append(append(info, e.initiatorFP[:]...), e.responderFP[:]...)
 	info = keys.AppendSection(info, []byte(e.group))
 	info = append(append(info, e.initiatorShare...), e.responderShare...)
-	var key [32]byte
-	keys.HKDF(key[:], secret, id[:], info)
-	aead, err := keys.NewAEAD(key[:])
-	clear(key[:])
+	info = append(info, e.responderStatic[:]...)
+	var okm [64]byte
+	keys.HKDF(okm[:], secret, id[:], info)
 	clear(secret)
-	return aead, err
+	mac := hmac.New(sha256.New, okm[32:])
+	mac.Write([]byte{byte(ModeAccept)})
+	mac.Write(id[:])
+	mac.Write(e.responderShare)
+	copy(tag[:], mac.Sum(nil))
+	aead, err = keys.NewAEAD(okm[:32])
+	clear(okm[:])
+	return aead, tag, err
+}
+
+// answer is the responder's half of the key schedule, for the offer of
+// channel id whose ends name own's peer as the responder (the initiator's
+// share set): a fresh ephemeral, the inbound channel's AEAD, and the
+// accept to send back. The ephemeral is dropped on return.
+func answer(own *keys.KeyPair, id channelID, ends channelEnds) (cipher.AEAD, []byte, error) {
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		return nil, nil, err
+	}
+	ends.responderShare = eph.Share()
+	aead, tag, err := channelKeys(id, &ends, eph, ends.initiatorShare, own, ends.initiatorShare)
+	if err != nil {
+		return nil, nil, err
+	}
+	return aead, appendAccept(nil, id, ends.responderShare, &tag), nil
 }
 
 // frameNonce is the AEAD nonce of frame seq: a channel's key seals each
@@ -243,12 +305,14 @@ type outChannel struct {
 	// route is secure.go's way to the peer (its verified pipe
 	// advertisement), kept here so a frame needs no lookup.
 	route any
-	// dies is the latest the channel to come may be used, fixed from both
-	// credential chains when the offer was made.
+	// dies is the latest the channel to come may be used, fixed when the
+	// offer was made: its lifetime from then, and both credential chains.
 	dies time.Time
 
-	eph   *keys.AgreementKey
-	share []byte
+	// The offer's ephemeral key, and what the key is derived from beside
+	// it, the responder's ephemeral share excepted: kept until the accept.
+	eph  *keys.AgreementKey
+	ends *channelEnds
 
 	aead cipher.AEAD
 	seq  uint64
@@ -264,11 +328,11 @@ type inChannel struct {
 	user string // the initiator credential's subject name
 	aead cipher.AEAD
 
-	// accept is the signed accept as sent, kept to answer a repeated offer
-	// without a second signature; signed and sent space those answers.
-	accept []byte
-	signed time.Time
-	sent   time.Time
+	// accept is the accept as sent, kept to answer a repeated offer without
+	// a second key agreement; answered and sent space those answers.
+	accept   []byte
+	answered time.Time
+	sent     time.Time
 
 	// The sliding window over sequence numbers: top is the highest
 	// admitted, seen the admitted ones among (top-seqWindow, top].
@@ -376,11 +440,12 @@ func (t *channelTable) claimFrame(pair pairKey, text string, now time.Time) (fra
 }
 
 // offer returns the offer to put on an envelope to pair: the pending one,
-// or a new one when there is none. notAfter is the earliest expiry of the
-// two credential chains. It returns nil once the channel is established
-// (an envelope racing the accept needs no offer), and when the
+// or a new one when there is none, whose key will be derived between ends
+// (offer adds the initiator's share). notAfter is the earliest expiry of
+// the two credential chains. It returns nil once the channel is
+// established (an envelope racing the accept needs no offer), and when the
 // credentials have too little time left for a channel to be of any use.
-func (t *channelTable) offer(pair pairKey, route any, notAfter, now time.Time) (*handshake, error) {
+func (t *channelTable) offer(pair pairKey, route any, ends channelEnds, notAfter, now time.Time) (*handshake, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ready()
@@ -397,10 +462,17 @@ func (t *channelTable) offer(pair pairKey, route any, notAfter, now time.Time) (
 		if err != nil {
 			return nil, err
 		}
-		c = &outChannel{id: channelID(id), route: route, dies: notAfter.Add(-channelSkew), eph: eph, share: eph.Share()}
+		ends.initiatorShare = eph.Share()
+		// The responder's lifetime starts when it answers, after this: the
+		// initiator, retiring the channel channelSkew sooner, never outlives it.
+		dies := now.Add(channelLifetime)
+		if notAfter.Before(dies) {
+			dies = notAfter
+		}
+		c = &outChannel{id: channelID(id), route: route, dies: dies.Add(-channelSkew), eph: eph, ends: &ends}
 		t.out.Put(pair, c, now.Add(offerLifetime), now)
 	}
-	return &handshake{id: c.id, share: c.share}, nil
+	return &handshake{id: c.id, share: c.ends.initiatorShare}, nil
 }
 
 // Outcomes of an accept, as the initiator sees it.
@@ -410,32 +482,27 @@ const (
 	acceptInvalid     // it names a pending offer and does not match it
 )
 
-// accepted completes the pending offer to pair with the responder's
-// verified accept, signed at signedAt. derive is handed the offer's
-// ephemeral key and share, and returns the channel key.
-func (t *channelTable) accepted(pair pairKey, h *handshake, signedAt, now time.Time, derive func(eph *keys.AgreementKey, share []byte) (cipher.AEAD, error)) int {
+// accepted completes the pending offer to pair with a, if a names it and
+// carries the tag that the offer's key schedule derives with a's share.
+func (t *channelTable) accepted(pair pairKey, a *acceptWire, now time.Time) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	c, ok := t.out.Get(pair, now)
-	if !ok || c.id != h.id || c.aead != nil {
+	if !ok || c.id != a.id() || c.aead != nil {
 		return acceptIgnored
 	}
-	if !keys.ConstantTimeEqual(h.answers, keys.SHA256(c.share)) {
-		return acceptInvalid
-	}
-	dies := signedAt.Add(channelLifetime - channelSkew)
-	if c.dies.Before(dies) {
-		dies = c.dies
-	}
-	if !dies.After(now) {
+	if !c.dies.After(now) {
 		return acceptIgnored // too late to be of use: the next envelope makes a new offer
 	}
-	aead, err := derive(c.eph, c.share)
-	if err != nil {
+	// The initiator's half of the key schedule, with a's share.
+	ends := *c.ends
+	ends.responderShare = a.share()
+	aead, tag, err := channelKeys(c.id, &ends, c.eph, a.share(), c.eph, ends.responderStatic[:])
+	if err != nil || !keys.ConstantTimeEqual(tag[:], a.tag()) {
 		return acceptInvalid
 	}
-	c.aead, c.eph = aead, nil
-	t.out.Put(pair, c, dies, now)
+	c.aead, c.eph, c.ends = aead, nil, nil
+	t.out.Put(pair, c, c.dies, now)
 	t.established.Add(1)
 	return acceptEstablished
 }
@@ -452,14 +519,6 @@ func (t *channelTable) refused(pair pairKey, frame frameRef, now time.Time) (tex
 	}
 	t.out.Delete(pair)
 	return c.last, c.seq > 0 && c.seq == frame.seq, true
-}
-
-// holdsOffer reports whether id is this peer's offer or channel to pair.
-func (t *channelTable) holdsOffer(pair pairKey, id channelID, now time.Time) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c, ok := t.out.Get(pair, now)
-	return ok && c.id == id
 }
 
 // --- responder ---
@@ -522,7 +581,7 @@ func (t *channelTable) offered(pair pairKey, id channelID, notAfter, now time.Ti
 		c.sent = now
 		return c.accept, false
 	default:
-		return nil, notAfter.After(now) && now.Sub(c.signed) >= handshakeEvery
+		return nil, notAfter.After(now) && now.Sub(c.answered) >= handshakeEvery
 	}
 }
 
@@ -533,7 +592,7 @@ func (t *channelTable) install(c *inChannel, notAfter, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ready()
-	c.signed, c.sent = now, now
+	c.answered, c.sent = now, now
 	c.opened.via = c
 	dies := now.Add(channelLifetime)
 	if notAfter.Before(dies) {

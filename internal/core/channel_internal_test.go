@@ -16,6 +16,36 @@ import (
 	"jxtaoverlay/internal/simnet"
 )
 
+// offerPair is the far end of pendingOffer's offer.
+var offerPair = pairKey{"urn:jxta:sender", "g"}
+
+// pendingOffer is a table holding one offer, made at now as sendEnvelope
+// makes it: from "urn:jxta:recv" (recvKP) to offerPair, whose certified
+// key is senderKP's. ends is what the responder answers it with.
+func pendingOffer(tb testing.TB, now time.Time) (chans *channelTable, hs *handshake, ends channelEnds) {
+	tb.Helper()
+	ends = channelEnds{initiator: "urn:jxta:recv", responder: offerPair.peer, group: offerPair.group}
+	ends.initiatorFP, _ = recvKP.Public().Fingerprint()
+	ends.responderFP, _ = senderKP.Public().Fingerprint()
+	ends.responderStatic, _ = senderKP.Public().AgreementShare()
+	chans = &channelTable{}
+	hs, err := chans.offer(offerPair, nil, ends, now.Add(time.Hour), now)
+	if err != nil || hs == nil {
+		tb.Fatalf("offer = (%v, %v)", hs, err)
+	}
+	ends.initiatorShare = hs.share
+	return chans, hs, ends
+}
+
+// flipAccept is the honest accept with one bit flipped at.
+func flipAccept(at int) func(*testing.T, []byte, channelEnds) [][]byte {
+	return func(_ *testing.T, honest []byte, _ channelEnds) [][]byte {
+		w := bytes.Clone(honest)
+		w[at] ^= 0x08
+		return [][]byte{w}
+	}
+}
+
 // TestChannelSeqWindow: each sequence number is admitted once, in any
 // order inside the window; what has fallen out of it, zero, and numbers
 // beyond a channel's budget never are.

@@ -1,11 +1,13 @@
 package core_test
 
 // The life of a session channel between two clients: the handshake rides
-// the first envelope, every later message is a frame that costs neither
-// end an RSA operation, and whatever loses the channel at either end — a
-// logout, a restart, a lost accept — costs one envelope and no message.
+// the first envelope and costs the responder no RSA operation, every later
+// message is a frame that costs neither end one, and whatever loses the
+// channel at either end — a logout, a restart, a lost accept — costs one
+// envelope and no message.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -88,10 +90,13 @@ func metric(t *testing.T, reg *telemetry.Registry, name string) float64 {
 }
 
 // TestChannelSteadyStateNoRSA: 200 one-way messages sign once at the
-// sender and unwrap once at the recipient, whose one accept is the only
-// other RSA private-key operation; on the established channel no
-// message touches an advertisement or a credential at either end, and
-// each is raised authenticated under the initiator's credentialed name.
+// sender and unwrap once at the recipient, and that is all the RSA there
+// is: the recipient's accept is signed by nobody and verified by nobody,
+// so bringing the channel up costs the recipient no signature and the
+// sender no second look at the recipient's advertisement. On the
+// established channel no message touches an advertisement or a credential
+// at either end, and each is raised authenticated under the initiator's
+// credentialed name.
 func TestChannelSteadyStateNoRSA(t *testing.T) {
 	h := newSecureHarness(t, true)
 	alice := h.secureClient("alice")
@@ -102,20 +107,26 @@ func TestChannelSteadyStateNoRSA(t *testing.T) {
 	aliceKP, bobKP := alice.Identity().Keys, bob.Identity().Keys
 	signedA, signedB := aliceKP.SignCalls(), bobKP.SignCalls()
 	unwrappedA, unwrappedB := aliceKP.UnwrapCalls(), bobKP.UnwrapCalls()
-
-	channelUp(t, alice, bob, got)
-	if a, b := aliceKP.SignCalls()-signedA, bobKP.SignCalls()-signedB; a != 1 || b != 1 {
-		t.Fatalf("handshake: alice signed %d times and bob %d, want 1 (the envelope) and 1 (the accept)", a, b)
-	}
-	if a, b := aliceKP.UnwrapCalls()-unwrappedA, bobKP.UnwrapCalls()-unwrappedB; a != 0 || b != 1 {
-		t.Fatalf("handshake: alice unwrapped %d times and bob %d, want 0 and 1", a, b)
-	}
-
 	verdicts := func(s *core.SecureClient) uint64 { h, m := s.VerifyCache().Stats(); return h + m }
 	chains := func(s *core.SecureClient) uint64 {
 		h, m := s.VerifyCache().TrustStore().ChainCacheStats()
 		return h + m
 	}
+	verdictsA := verdicts(alice)
+
+	channelUp(t, alice, bob, got)
+	if a, b := aliceKP.SignCalls()-signedA, bobKP.SignCalls()-signedB; a != 1 || b != 0 {
+		t.Fatalf("handshake: alice signed %d times and bob %d, want 1 (the envelope) and 0", a, b)
+	}
+	if a, b := aliceKP.UnwrapCalls()-unwrappedA, bobKP.UnwrapCalls()-unwrappedB; a != 0 || b != 1 {
+		t.Fatalf("handshake: alice unwrapped %d times and bob %d, want 0 and 1", a, b)
+	}
+	// alice verified bob's advertisement once, to seal the envelope; the
+	// accept sent her to no sender lookup and no signature check.
+	if n := verdicts(alice) - verdictsA; n != 1 {
+		t.Fatalf("handshake: alice consulted her advertisement verdicts %d times, want 1", n)
+	}
+
 	verdictsA, verdictsB, chainsA, chainsB := verdicts(alice), verdicts(bob), chains(alice), chains(bob)
 	for i := 1; i < 200; i++ {
 		e := sendAndWait(t, alice, bob, got, fmt.Sprintf("message %d", i))
@@ -123,8 +134,8 @@ func TestChannelSteadyStateNoRSA(t *testing.T) {
 			t.Fatalf("message %d raised as %+v, want mode %q from alice", i, e, core.ModeChannel)
 		}
 	}
-	if a, b := aliceKP.SignCalls()-signedA, bobKP.SignCalls()-signedB; a != 1 || b != 1 {
-		t.Errorf("200 messages: alice signed %d times and bob %d, want 1 and 1", a, b)
+	if a, b := aliceKP.SignCalls()-signedA, bobKP.SignCalls()-signedB; a != 1 || b != 0 {
+		t.Errorf("200 messages: alice signed %d times and bob %d, want 1 and 0", a, b)
 	}
 	if a, b := aliceKP.UnwrapCalls()-unwrappedA, bobKP.UnwrapCalls()-unwrappedB; a != 0 || b != 1 {
 		t.Errorf("200 messages: alice unwrapped %d times and bob %d, want 0 and 1", a, b)
@@ -148,7 +159,7 @@ func TestChannelModeFullOffersNothing(t *testing.T) {
 	h.join(alice, "pw-alice")
 	h.join(bob, "pw-bob")
 	atBob, atAlice := events.NewCollector(bob.Bus()), events.NewCollector(alice.Bus())
-	signed, signedBob := alice.Identity().Keys.SignCalls(), bob.Identity().Keys.SignCalls()
+	signed := alice.Identity().Keys.SignCalls()
 	for i := 0; i < 5; i++ {
 		if e := sendAndWait(t, alice, bob, atBob, fmt.Sprintf("stateless %d", i)); e.Attr("mode") != core.ModeFull.String() {
 			t.Fatalf("message %d travelled as %q", i, e.Attr("mode"))
@@ -157,7 +168,7 @@ func TestChannelModeFullOffersNothing(t *testing.T) {
 	if got := alice.Identity().Keys.SignCalls() - signed; got != 5 {
 		t.Fatalf("alice signed %d times for 5 messages, want 5", got)
 	}
-	if core.ChannelTo(alice, bob.PeerID(), "math") || bob.Identity().Keys.SignCalls() != signedBob {
+	if core.ChannelTo(alice, bob.PeerID(), "math") || core.InboundChannels(bob) != 0 {
 		t.Fatal("a ModeFull sender was answered with an accept, or ended up with a channel")
 	}
 	channelUp(t, bob, alice, atAlice)
@@ -269,10 +280,11 @@ func TestChannelConcurrentHandshake(t *testing.T) {
 	}
 }
 
-// TestChannelAcceptLost: the accept is lost on a lossy link. Traffic goes
-// on as envelopes, each repeating the offer; the responder answers the
-// repeated offer with the accept it signed the first time, no sooner
-// than a second later, and the channel comes up on it.
+// TestChannelAcceptLost: the accept — 65 bytes, no XML — is lost on a
+// lossy link. Traffic goes on as envelopes, each repeating the offer; the
+// responder answers the repeated offer with the accept it made the first
+// time, no sooner than a second later, and the channel comes up on it.
+// The responder signs nothing throughout.
 func TestChannelAcceptLost(t *testing.T) {
 	h := newSecureHarness(t, true)
 	alice := h.secureClient("alice")
@@ -287,20 +299,25 @@ func TestChannelAcceptLost(t *testing.T) {
 	a, b := simnet.NodeID(alice.PeerID()), simnet.NodeID(bob.PeerID())
 	h.net.SetLinkOneWay(b, a, simnet.LinkProfile{Loss: 1})
 	eve := attack.NewEavesdropper(h.net)
+	signed := bob.Identity().Keys.SignCalls()
 	sendAndWait(t, alice, bob, got, "first")
 	// bob answers once the message is out. The tap sees his accept leave;
 	// the link loses it.
+	var accept []byte
 	waituntil.Must(t, 5*time.Second, func() bool {
 		for _, frame := range eve.FramesTo(a) {
 			if f, err := endpoint.ParseFrame(frame); err == nil {
-				if wire, ok := f.Msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeSign {
+				if wire, ok := f.Msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeAccept {
+					accept = wire
 					return true
 				}
 			}
 		}
 		return false
 	}, "bob sent no accept")
-	signed := bob.Identity().Keys.SignCalls()
+	if len(accept) != 65 || bytes.Contains(accept, []byte("<SecureMessage>")) {
+		t.Fatalf("the accept on the wire is %d bytes (%q), want 65 and no XML", len(accept), accept)
+	}
 	h.net.SetLinkOneWay(b, a, simnet.ProfileLocal)
 
 	// The link is whole again, but bob has just answered: no second answer yet.
@@ -316,7 +333,7 @@ func TestChannelAcceptLost(t *testing.T) {
 	waituntil.Must(t, 5*time.Second, func() bool { return core.ChannelTo(alice, bob.PeerID(), "math") },
 		"the re-sent accept did not bring the channel up")
 	if n := bob.Identity().Keys.SignCalls() - signed; n != 0 {
-		t.Errorf("bob signed %d more times to answer the repeated offer, want none", n)
+		t.Errorf("bob signed %d times to answer the offer and its repetition, want none", n)
 	}
 	if e := sendAndWait(t, alice, bob, got, "fourth"); e.Attr("mode") != core.ModeChannel.String() {
 		t.Fatalf("message after the re-sent accept raised as %q", e.Attr("mode"))
@@ -478,8 +495,10 @@ func TestChannelAuditAndMetrics(t *testing.T) {
 }
 
 // TestAttackMirrorsChannelLayout: the attack suite builds frames and
-// derives keys by hand, from the documented layout. Its negatives mean
-// something only if a frame built that way from the RIGHT secret opens.
+// accepts and derives keys by hand, from the documented layout. Its
+// negatives mean something only if an accept built that way from the
+// RIGHT secrets is the one the responder makes, and a frame built that way
+// opens.
 func TestAttackMirrorsChannelLayout(t *testing.T) {
 	a, err := keys.NewAgreementKey()
 	if err != nil {
@@ -489,11 +508,17 @@ func TestAttackMirrorsChannelLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initiatorKP, responderKP := fuzzOpenKey(t), fuzzOpenKey(t)
+	initiatorKP := fuzzOpenKey(t)
+	responderKP, err := keys.NewKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, _ := responderKP.Public().AgreementShare()
 	id := [16]byte{1, 2, 3}
-	secretA, _ := a.Agree(b.Share())
-	secretB, _ := b.Agree(a.Share())
-	key, err := attack.ChannelKey(secretA, id[:], "urn:jxta:i", "urn:jxta:r", initiatorKP.Public(), responderKP.Public(), "g", a.Share(), b.Share())
+	// The initiator's two outputs, in key-schedule order.
+	eeA, _ := a.Agree(b.Share())
+	esA, _ := a.Agree(static[:])
+	key, tag, err := attack.ChannelKey(append(eeA, esA...), id[:], "urn:jxta:i", "urn:jxta:r", initiatorKP.Public(), responderKP.Public(), "g", a.Share(), b.Share())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,8 +527,11 @@ func TestAttackMirrorsChannelLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := core.OpenOnDerivedChannel(secretB, id, "urn:jxta:i", "urn:jxta:r", initiatorKP.Public(), responderKP.Public(), "g", a.Share(), b.Share(), frame)
+	accept, o, err := core.DeriveChannel(b, responderKP, id, "urn:jxta:i", "urn:jxta:r", initiatorKP.Public(), "g", a.Share(), frame)
 	if err != nil || string(o.Body) != string(body) || o.Sender != "urn:jxta:i" || o.Group != "g" || !o.SentAt.Equal(sentAt) {
 		t.Fatalf("a hand-built frame under the agreed key opened to (%+v, %v)", o, err)
+	}
+	if hand := attack.Accept(id[:], b.Share(), tag); !bytes.Equal(hand, accept) || len(accept) != 65 {
+		t.Fatalf("hand-built accept %x, the responder's %x", hand, accept)
 	}
 }

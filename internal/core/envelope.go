@@ -49,6 +49,11 @@ const (
 	// ModeRefusal is the unsigned answer to a channel frame whose channel
 	// the recipient does not hold; it carries no message.
 	ModeRefusal Mode = 'R'
+	// ModeAccept is the unsigned answer to a channel offer: the
+	// responder's ephemeral share and a key confirmation that only the
+	// offered peer's certified agreement key can produce; it carries no
+	// message.
+	ModeAccept Mode = 'A'
 )
 
 // envelope is the mode Seal is called with under sending mode m.
@@ -75,6 +80,8 @@ func (m Mode) String() string {
 		return "channel"
 	case ModeRefusal:
 		return "channel-refusal"
+	case ModeAccept:
+		return "channel-accept"
 	default:
 		return fmt.Sprintf("mode(%c)", byte(m))
 	}

@@ -3,12 +3,10 @@ package core
 import (
 	"bytes"
 	"crypto/cipher"
-	"encoding/base64"
 	"time"
 
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // The session channel this package's open-path tests and the external
@@ -53,18 +51,12 @@ func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {
 }
 
 // TableChannelWires returns one valid wire of each form a session channel
-// adds: a frame of the table channel carrying body, an accept signed by
-// signer, and a refusal.
-func TableChannelWires(signer *keys.KeyPair, body []byte) (frame, accept, refusal []byte, err error) {
+// adds: a frame of the table channel carrying body, an accept naming it,
+// and a refusal.
+func TableChannelWires(body []byte) (frame, accept, refusal []byte) {
 	frame = sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, body, time.Now())
-	sealed, err := seal(signer, "urn:jxta:sender", "g", nil, nil, ModeSign, time.Now(), func(h *xmldoc.Element) {
-		h.AddText("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("initiator key"))))
-		(&handshake{id: tableChannelID, share: make([]byte, keys.ShareSize), answers: keys.SHA256([]byte("share"))}).write(h)
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return frame, sealed.Bytes(), appendFrameRef(nil, ModeRefusal, frameRef{tableChannelID, 7}), nil
+	accept = appendAccept(nil, tableChannelID, bytes.Repeat([]byte{9}, keys.ShareSize), &[acceptTagSize]byte{0xac})
+	return frame, accept, appendFrameRef(nil, ModeRefusal, frameRef{tableChannelID, 7})
 }
 
 // SetSessionCredential replaces the credential s presents as its own, for
@@ -91,25 +83,27 @@ func InboundChannels(s *SecureClient) int {
 	return s.chans.in.Len()
 }
 
-// OpenOnDerivedChannel derives a channel key the way a handshake's two
-// ends do and opens wire on the inbound channel that results, for the
+// DeriveChannel runs the responder's half of the key schedule — its
+// ephemeral eph, its key pair own, the initiator's share — for the
 // external package's check that the attack suite's hand-written mirror of
-// the frame layout and key schedule (attack.ForgeFrame, attack.ChannelKey)
-// is a faithful one.
-func OpenOnDerivedChannel(secret []byte, id [16]byte, initiator, responder keys.PeerID, initiatorKey, responderKey *keys.PublicKey, group string, initiatorShare, responderShare, wire []byte) (*Opened, error) {
-	e := channelEnds{initiator: initiator, responder: responder, group: group, initiatorShare: initiatorShare, responderShare: responderShare}
-	var err error
+// it and of the frame layout (attack.ChannelKey, attack.ForgeFrame,
+// attack.Accept) is a faithful one: it returns the accept the responder
+// would send and opens wire on the inbound channel that results.
+func DeriveChannel(eph *keys.AgreementKey, own *keys.KeyPair, id [16]byte, initiator, responder keys.PeerID, initiatorKey *keys.PublicKey, group string, initiatorShare, wire []byte) (accept []byte, o *Opened, err error) {
+	e := channelEnds{initiator: initiator, responder: responder, group: group, initiatorShare: initiatorShare, responderShare: eph.Share()}
 	if e.initiatorFP, err = initiatorKey.Fingerprint(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if e.responderFP, err = responderKey.Fingerprint(); err != nil {
-		return nil, err
+	if e.responderFP, err = own.Public().Fingerprint(); err != nil {
+		return nil, nil, err
 	}
-	aead, err := channelKey(secret, id, e)
+	e.responderStatic, _ = own.Public().AgreementShare()
+	aead, tag, err := channelKeys(id, &e, eph, initiatorShare, own, initiatorShare)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	t := &channelTable{}
 	t.install(&inChannel{id: id, pair: pairKey{initiator, group}, aead: aead}, time.Now().Add(time.Hour), time.Now())
-	return openWire(nil, bytes.Clone(wire), formChannel, nil, nil, t, time.Now())
+	o, err = openWire(nil, bytes.Clone(wire), formChannel, nil, nil, t, time.Now())
+	return appendAccept(nil, id, e.responderShare, &tag), o, err
 }

@@ -241,6 +241,5 @@ func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Messag
 		return proto.Fail(token)
 	}
 	bs.heartbeatsRenewed.Add(1)
-	bs.b.TouchPeer(current.Subject)
 	return proto.OK()
 }

@@ -14,11 +14,11 @@ import (
 )
 
 // The open path. Every secure wire a stranger can hand this peer — a
-// unicast envelope, a round's per-member slice, a session channel's frame
-// or refusal — is accepted or refused by openWire, and nowhere else: Open,
-// OpenSlice, the client's two receivers (its group pipes, and the relay's
-// slice push) and the secure task service all call it, differing only in
-// which wire forms they accept. A full round
+// unicast envelope, a round's per-member slice, a session channel's frame,
+// accept or refusal — is accepted or refused by openWire, and nowhere
+// else: Open, OpenSlice, the client's two receivers (its group pipes, and
+// the relay's slice push) and the secure task service all call it,
+// differing only in which wire forms they accept. A full round
 // (ModeGroup) is none of them: it is the relay's upload format, which
 // SliceRound cuts without keys, and no recipient surface opens one. The
 // steps and their order are the security argument (SECURITY.md, "Round
@@ -35,7 +35,7 @@ import (
 //	                      under it released
 //	unpackBlock           canonical header of the form's root name + body
 //	body digest           the header's BodyDigest covers the body
-//	recipient binding     To = own key (signed envelope) / Merkle SliceRoot
+//	recipient binding     To = own key (ModeFull envelope) / Merkle SliceRoot
 //	                      (slice) — BEFORE any signed field is read, so a
 //	                      validly signed header spliced onto another leaf,
 //	                      or re-encrypted to another peer, vouches for
@@ -61,6 +61,13 @@ import (
 // So each form is admitted under one replay key: an envelope by its
 // digest, a slice by its nonce, a frame by its number.
 //
+// An accept and a refusal carry no message and leave the pipeline once
+// cut: neither is signed, neither enters the guard's table, and each is
+// only a claim whose consumer decides what it may do. A refusal buys its
+// sender the paper's primitive (handleRefusal); an accept completes the
+// offer it names only under the tag that offer's key schedule derives
+// (channelTable.accepted), and the same accept again completes nothing.
+//
 // The sender signature itself is checked by Opened.VerifySignature,
 // which needs the sender's certified key and therefore a lookup; the
 // guard admit comes before that lookup.
@@ -84,7 +91,7 @@ type wireForms uint8
 const (
 	formEnvelope wireForms = 1 << iota // ModeFull, ModeSign, ModeEncrypt
 	formSlice                          // ModeSlice
-	formChannel                        // ModeChannel, ModeRefusal
+	formChannel                        // ModeChannel, ModeRefusal, ModeAccept
 )
 
 // splitWire is a wire cut into the pipeline's inputs.
@@ -114,7 +121,7 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 	case ModeFull, ModeSign, ModeEncrypt:
 	case ModeSlice:
 		form = formSlice
-	case ModeChannel, ModeRefusal:
+	case ModeChannel, ModeRefusal, ModeAccept:
 		form = formChannel
 	default:
 		return sw, fmt.Errorf("%w: mode %q", ErrEnvelope, byte(sw.mode))
@@ -123,6 +130,12 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 		return sw, fmt.Errorf("%w: %s not accepted here", ErrEnvelope, sw.mode)
 	}
 	if form == formChannel {
+		if sw.mode == ModeAccept {
+			if len(wire) != acceptSize {
+				return sw, ErrEnvelope
+			}
+			return sw, nil
+		}
 		var ok bool
 		if sw.frame, sw.ct, ok = parseFrame(payload); !ok || (sw.mode == ModeRefusal && len(sw.ct) != 0) {
 			return sw, ErrEnvelope
@@ -178,10 +191,15 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if err != nil {
 		return nil, err
 	}
-	if sw.mode == ModeRefusal {
+	switch sw.mode {
+	case ModeRefusal:
 		// Nothing to open: an unsigned claim, which the initiator acts on
 		// only as far as a stranger may make it act (handleRefusal).
 		return &Opened{Mode: ModeRefusal, channelPart: &channelPart{refusal: sw.frame}}, nil
+	case ModeAccept:
+		// Nor here: only the initiator holding the offer it names can check
+		// its tag (channelTable.accepted).
+		return &Opened{Mode: ModeAccept, channelPart: &channelPart{accept: (*acceptWire)(wire)}}, nil
 	}
 	if c := sw.via; c != nil {
 		// The third source of the content key: the table lookup split made.
@@ -244,19 +262,14 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if !keys.ConstantTimeEqual(keys.SHA256(body), wantDigest) {
 		return nil, ErrBodyDigest
 	}
-	var to []byte
 	switch sw.mode {
-	case ModeFull, ModeSign:
-		if to, err = headerBytes(header, "To"); err != nil {
-			return nil, ErrEnvelope
-		}
-		if sw.mode == ModeSign {
-			// Anyone can read a sign-only envelope; one that names a
-			// recipient (an accept does) is checked by its consumer.
-			break
-		}
+	case ModeFull:
 		// The signed To must name this peer's key: a block signed for
 		// another recipient and re-encrypted to this one is refused.
+		to, err := headerBytes(header, "To")
+		if err != nil {
+			return nil, ErrEnvelope
+		}
 		ownFP, err := own.Public().Fingerprint()
 		if err != nil {
 			return nil, err
@@ -313,7 +326,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 			return nil, err
 		}
 		if hs != nil || resends != nil {
-			o.channelPart = &channelPart{to: to, hs: hs, resends: resends}
+			o.channelPart = &channelPart{hs: hs, resends: resends}
 		}
 	}
 	if round && claimed != nil && o.Group != *claimed {

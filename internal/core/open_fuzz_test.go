@@ -88,10 +88,7 @@ func FuzzOpen(f *testing.F) {
 	f.Add(lowOrder)
 	// The wires of a session channel: a frame (of the one channel
 	// core.OpenAnyForm holds), an accept, a refusal.
-	frame, accept, refusal, err := core.TableChannelWires(sender, body)
-	if err != nil {
-		f.Fatal(err)
-	}
+	frame, accept, refusal := core.TableChannelWires(body)
 	f.Add(frame)
 	f.Add(accept)
 	f.Add(refusal)

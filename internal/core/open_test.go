@@ -170,6 +170,10 @@ func prefixBoundaries(wire []byte) []int {
 	case ModeRefusal:
 		skip(channelIDSize)
 		skip(8) // sequence number
+	case ModeAccept:
+		skip(channelIDSize)
+		skip(keys.ShareSize) // the responder's ephemeral share
+		skip(acceptTagSize)
 	case ModeSlice:
 		u32()                // recipient count
 		skip(4)              // leaf index
@@ -220,7 +224,7 @@ func TestOpenPipelineTable(t *testing.T) {
 		noTime   = na // the sent-at is eight bytes and every value of them is a time: staleness, below
 		noSig    = na // no Signature to carry, or to refuse
 		noTo     = na // names no recipient and no recipient set: the key is derived from both ends
-		noFields = na // handshakes ride signed envelopes only
+		noFields = na // offers ride signed envelopes only
 	)
 
 	for _, tc := range []struct {
@@ -363,14 +367,14 @@ func TestOpenPipelineTable(t *testing.T) {
 			want: [5]error{ErrNotRecipient, nil, nil, nil, noTo},
 		},
 		{
-			name: "To names another key", // a sign-only envelope's To is its consumer's to check
+			name: "To names another key", // only a signed-and-encrypted envelope's To is read
 			wire: header(with("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("another key"))))),
 			want: [5]error{ErrNotRecipient, nil, nil, nil, noTo},
 		},
 		{
 			name: "To not base64",
 			wire: header(with("To", "!!")),
-			want: [5]error{ErrEnvelope, ErrEnvelope, nil, nil, noTo},
+			want: [5]error{ErrEnvelope, nil, nil, nil, noTo},
 		},
 		{
 			// The recipient is bound before a signed field is trusted.
@@ -401,13 +405,15 @@ func TestOpenPipelineTable(t *testing.T) {
 			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, noFields},
 		},
 		{
-			name: "channel fields: Offer not a digest",
+			// An accept is no header field: what a signed accept carried is read
+			// by nothing.
+			name: "channel fields: a signed accept's Offer",
 			wire: header(func(h *xmldoc.Element) []byte {
 				with("Share", base64.StdEncoding.EncodeToString(make([]byte, keys.ShareSize)))(h)
 				with("Offer", base64.StdEncoding.EncodeToString([]byte("short")))(h)
 				return with("Channel", base64.StdEncoding.EncodeToString(tableChannelID[:]))(h)
 			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, noFields},
+			want: [5]error{nil, nil, nil, nil, noFields},
 		},
 		{
 			name: "channel fields: Refused not a frame reference",
@@ -532,6 +538,134 @@ func TestOpenPipelineTable(t *testing.T) {
 		t.Errorf("frame on a surface without channels: err = %v, want ErrEnvelope", err)
 	}
 
+	// The accept's own rows. An accept opens to what it says, unsigned; what
+	// it may do is decided by the offer it names. Each row answers ONE
+	// pending offer (pendingOffer: recvKP's peer to senderKP's, group "g"),
+	// delivers its wires in order from the peer and in the group it names,
+	// and hands each one that opened to the table.
+	outcomes := [...]string{acceptEstablished: "established", acceptIgnored: "ignored", acceptInvalid: "invalid"}
+	for _, tc := range []struct {
+		name  string
+		wires func(t *testing.T, honest []byte, ends channelEnds) [][]byte
+		from  pairKey       // offerPair unless set
+		at    time.Duration // after now
+		open  error         // per wire, from openWire
+		want  []int         // per wire, from the table
+	}{
+		{name: "honest", want: []int{acceptEstablished}},
+		{
+			name:  "the same accept twice",
+			wires: func(_ *testing.T, honest []byte, _ channelEnds) [][]byte { return [][]byte{honest, honest} },
+			want:  []int{acceptEstablished, acceptIgnored},
+		},
+		{name: "flipped channel ID bit", wires: flipAccept(1 + 5), want: []int{acceptIgnored}},
+		{name: "flipped share bit", wires: flipAccept(1 + channelIDSize + 9), want: []int{acceptInvalid}},
+		{name: "flipped tag bit", wires: flipAccept(acceptSize - 1), want: []int{acceptInvalid}},
+		{
+			name: "share of small order",
+			wires: func(_ *testing.T, honest []byte, _ channelEnds) [][]byte {
+				w := bytes.Clone(honest)
+				clear(w[1+channelIDSize : acceptSize-acceptTagSize])
+				return [][]byte{w}
+			},
+			want: []int{acceptInvalid},
+		},
+		{
+			// Another answer to the same offer: its share and its tag belong
+			// together, and to nothing else.
+			name: "the tag of another answer to the offer",
+			wires: func(t *testing.T, honest []byte, ends channelEnds) [][]byte {
+				_, other, err := answer(senderKP, channelID(honest[1:]), ends)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := bytes.Clone(honest)
+				copy(w[acceptSize-acceptTagSize:], other[acceptSize-acceptTagSize:])
+				return [][]byte{w, other}
+			},
+			want: []int{acceptInvalid, acceptEstablished},
+		},
+		{
+			// A third peer holds no X25519 with the offered peer's certified
+			// key: its own key in the responder's place derives another tag.
+			name: "answered under another peer's agreement key",
+			wires: func(t *testing.T, honest []byte, ends channelEnds) [][]byte {
+				_, forged, err := answer(evilKP, channelID(honest[1:]), ends)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return [][]byte{forged, honest}
+			},
+			want: []int{acceptInvalid, acceptEstablished},
+		},
+		{name: "from another peer", from: pairKey{"urn:jxta:other", "g"}, want: []int{acceptIgnored}},
+		{name: "in another group", from: pairKey{"urn:jxta:sender", "h"}, want: []int{acceptIgnored}},
+		{name: "after the offer's lifetime", at: offerLifetime + time.Second, want: []int{acceptIgnored}},
+		{
+			name:  "a byte short",
+			wires: func(_ *testing.T, honest []byte, _ channelEnds) [][]byte { return [][]byte{honest[:acceptSize-1]} },
+			open:  ErrEnvelope,
+		},
+		{
+			name: "a byte behind",
+			wires: func(_ *testing.T, honest []byte, _ channelEnds) [][]byte {
+				return [][]byte{append(bytes.Clone(honest), 0)}
+			},
+			open: ErrEnvelope,
+		},
+	} {
+		chans, hs, ends := pendingOffer(t, now)
+		respAEAD, honest, err := answer(senderKP, hs.id, ends)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires := [][]byte{honest}
+		if tc.wires != nil {
+			wires = tc.wires(t, honest, ends)
+		}
+		from := offerPair
+		if tc.from != (pairKey{}) {
+			from = tc.from
+		}
+		guard := NewReplayGuard(0, 0)
+		for i, wire := range wires {
+			o, err := openWire(nil, bytes.Clone(wire), formChannel, nil, guard, chans, now.Add(tc.at))
+			if !errors.Is(err, tc.open) || (o == nil) == (err == nil) {
+				t.Errorf("accept: %s, wire %d: opened to (%+v, %v), want %v", tc.name, i, o, err, tc.open)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if o.Mode != ModeAccept || o.accept.id() != channelID(wire[1:]) || o.Body != nil || o.Sender != "" {
+				t.Errorf("accept: %s, wire %d: opened = %+v", tc.name, i, o)
+			}
+			if got := chans.accepted(from, o.accept, now.Add(tc.at)); got != tc.want[i] {
+				t.Errorf("accept: %s, wire %d: %s, want %s", tc.name, i, outcomes[got], outcomes[tc.want[i]])
+			}
+		}
+		if guard.Len() != 0 {
+			t.Errorf("accept: %s: %d guard entries, want none: an accept never enters the guard's table", tc.name, guard.Len())
+		}
+		// Both ends hold one key exactly when the table said so.
+		up := false
+		for _, w := range tc.want {
+			up = up || w == acceptEstablished
+		}
+		frame, aead, _, ok := chans.claimFrame(offerPair, "", now)
+		if ok != up {
+			t.Errorf("accept: %s: channel established = %v, want %v", tc.name, ok, up)
+		}
+		if ok && tc.wires == nil {
+			// The honest row: what the initiator seals, the responder opens.
+			in := &channelTable{}
+			in.install(&inChannel{id: hs.id, pair: pairKey{"urn:jxta:recv", "g"}, aead: respAEAD}, now.Add(time.Hour), now)
+			if o, err := openWire(nil, sealFrame(aead, frame, body, now), formChannel, nil, nil, in, now); err != nil || !bytes.Equal(o.Body, body) {
+				t.Errorf("accept: %s: the initiator's first frame opened at the responder to (%+v, %v)", tc.name, o, err)
+			}
+		}
+	}
+
 	// No key at all: only the forms no private key opens do — the one that
 	// is not encrypted, and the one under a channel's key.
 	for _, m := range pipelineForms {
@@ -583,13 +717,10 @@ func TestOpenPipelineTruncation(t *testing.T) {
 		cases = append(cases, wireCase{m.String(), forgeWire(t, m, []byte("truncate me"), nil),
 			func(wire []byte) (*Opened, error) { return openAs(m, recvKP, wire) }})
 	}
-	_, accept, refusal, err := TableChannelWires(senderKP, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, accept, refusal := TableChannelWires(nil)
 	openChannelForm := func(wire []byte) (*Opened, error) { return openAs(ModeChannel, recvKP, wire) }
 	cases = append(cases,
-		wireCase{"accept", accept, func(wire []byte) (*Opened, error) { return Open(recvKP, wire) }},
+		wireCase{"accept", accept, openChannelForm},
 		wireCase{"refusal", refusal, openChannelForm})
 
 	for _, tc := range cases {
@@ -624,16 +755,15 @@ func TestOpenPipelineTruncation(t *testing.T) {
 		}
 		// The forms whose last section is length-prefixed, of fixed length,
 		// or a ciphertext running to the end under one tag, end where it ends.
-		if m := Mode(wire[0]); m == ModeFull || m == ModeEncrypt || m == ModeChannel || m == ModeRefusal {
+		if m := Mode(wire[0]); m == ModeFull || m == ModeEncrypt || m == ModeChannel || m == ModeRefusal || m == ModeAccept {
 			if o, err := tc.open(append(bytes.Clone(wire), 0)); !errors.Is(err, ErrEnvelope) || o != nil {
 				t.Errorf("%s with a byte behind it: (%v, %v), want ErrEnvelope", tc.name, o, err)
 			}
 		}
 	}
-	// An accept opens as what it is on the wire, a sign-only envelope with
-	// nothing in it; what it carries is read, and is its consumer's to check.
-	o, err := Open(recvKP, accept)
-	if err != nil || o.hs == nil || !o.hs.accept() || o.hs.id != tableChannelID || len(o.Body) != 0 || len(o.to) != 32 {
+	// An accept opens to what it says, and is the table's to check.
+	o, err := openChannelForm(accept)
+	if err != nil || o.accept == nil || o.accept.id() != tableChannelID || !bytes.Equal(o.accept.share(), accept[1+channelIDSize:acceptSize-acceptTagSize]) || o.Body != nil {
 		t.Fatalf("accept opened to (%+v, %v)", o, err)
 	}
 	if o, err := openChannelForm(refusal); err != nil || o.refusal != (frameRef{tableChannelID, 7}) {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"crypto/cipher"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -424,8 +423,14 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 	// One reading for the offer and the envelope that carries it.
 	now := s.Now()
 	var hs *handshake
-	if s.mode == ModeChannel {
-		if hs, err = s.chans.offer(pairKey{peer, group}, pipeAdv, s.channelNotAfter(res), now); err != nil {
+	// A peer whose credential certifies no usable agreement key can answer
+	// no offer: it is sent the paper's primitive, every time.
+	if s.mode == ModeChannel && res.Signer.Key.CheckAgreementKey() == nil {
+		ends, err := s.channelEnds(res.Signer.Key, peer, group, true)
+		if err != nil {
+			return err
+		}
+		if hs, err = s.chans.offer(pairKey{peer, group}, pipeAdv, ends, s.channelNotAfter(res), now); err != nil {
 			return err
 		}
 		s.attachChannelMetrics()
@@ -706,10 +711,6 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 		case opened == nil:
 			// Refused before the header parsed: only the deliverer is known.
 			alert(from, "secure envelope rejected: "+err.Error())
-		case opened.hs != nil && opened.hs.accept() && errors.Is(err, ErrMessageReplayed) &&
-			s.chans.holdsOffer(pairKey{opened.Sender, opened.Group}, opened.hs.id, now):
-			// The accept of a channel this peer holds, sent again because the
-			// peer saw the offer again: the guard remembers the first.
 		default:
 			// Refused after the header parsed (wrong group label, replay), or
 			// after a channel's key opened it: the sender is known.
@@ -717,8 +718,24 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 		}
 		return
 	}
-	if opened.Mode == ModeRefusal {
+	switch opened.Mode {
+	case ModeRefusal:
 		s.handleRefusal(from, group, opened.refusal, now)
+		return
+	case ModeAccept:
+		// It completes the offer to from pending under the channel ID it
+		// names if its tag is the one that offer's key schedule derives,
+		// which only the offered peer's certified agreement key can make.
+		// One that names nothing pending — a duplicate, the answer to an
+		// offer long gone, one in another peer's name — is dropped without
+		// a word.
+		switch s.chans.accepted(pairKey{from, group}, opened.accept, now) {
+		case acceptEstablished:
+			s.auditChannel(from, "accept", "established")
+		case acceptInvalid:
+			s.auditChannel(from, "accept", "refused: does not match the offer")
+			alert(from, "channel accept does not match the offer")
+		}
 		return
 	}
 	authenticated := false
@@ -727,7 +744,7 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 	switch {
 	case opened.via != nil:
 		// A frame's Sender is its channel's peer, whose verified signature
-		// established the channel.
+		// made the offer that established the channel.
 		authenticated, user = true, opened.via.user
 	case opened.Signed():
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -742,13 +759,6 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 			return
 		}
 		authenticated, user = true, sender.Signer.SubjectName
-	}
-	if hs := opened.hs; hs != nil && hs.accept() {
-		// An accept carries no message and never surfaces as one.
-		if reason := s.handleAccept(opened, sender); reason != "" {
-			alert(opened.Sender, reason)
-		}
-		return
 	}
 	if tid != 0 {
 		tr.End(spOpen, trace.OutcomeOK)
@@ -780,8 +790,8 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 			Data: opened.Body,
 		})
 	}
-	// The message is out; now the offer it carried, whose answer costs a
-	// signature the message's latency must not carry.
+	// The message is out; now the offer it carried, whose answer costs key
+	// agreements the message's latency need not carry.
 	if sender != nil && opened.Mode == ModeFull && opened.hs != nil {
 		if reason := s.answerOffer(opened, sender); reason != "" {
 			alert(opened.Sender, reason)
@@ -791,9 +801,10 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 
 // answerOffer is the responder's half of the handshake, for an offer
 // whose envelope passed every check: derive the channel key from a fresh
-// share, store the inbound channel, and send the signed accept down the
-// initiator's group pipe. A repeated offer is answered with the accept
-// already signed. It returns the reason for an alert, if any.
+// share and this peer's certified agreement key, store the inbound
+// channel, and send the accept down the initiator's group pipe. A
+// repeated offer is answered with the accept already made. It returns the
+// reason for an alert, if any.
 func (s *SecureClient) answerOffer(o *Opened, initiator *xdsig.Result) (alert string) {
 	// o's strings are views of the frame its header was parsed from, and
 	// the table would hold that frame for as long as it holds the channel:
@@ -802,8 +813,7 @@ func (s *SecureClient) answerOffer(o *Opened, initiator *xdsig.Result) (alert st
 	pair := pairKey{initiator.Signer.Subject, strings.Clone(o.Group)}
 	pipe := groupPipe(pair.peer, pair.group)
 	notAfter := s.channelNotAfter(initiator)
-	// One reading: the accept is signed, and the channel installed, at the
-	// time the offer was judged.
+	// One reading: the offer is judged, and the channel installed, at it.
 	now := s.Now()
 	resend, accept := s.chans.offered(pair, o.hs.id, notAfter, now)
 	if resend != nil {
@@ -817,74 +827,18 @@ func (s *SecureClient) answerOffer(o *Opened, initiator *xdsig.Result) (alert st
 		s.auditChannel(pair.peer, "offer", "failed: "+err.Error())
 		return "channel offer refused: " + err.Error()
 	}
-	eph, err := keys.NewAgreementKey()
+	ends, err := s.channelEnds(initiator.Signer.Key, pair.peer, pair.group, false)
 	if err != nil {
 		return fail(err)
 	}
-	secret, err := eph.Agree(o.hs.share)
+	ends.initiatorShare = o.hs.share
+	aead, wire, err := answer(s.kp, o.hs.id, ends)
 	if err != nil {
 		return fail(err)
 	}
-	ends, err := s.channelEnds(initiator.Signer.Key, pair.peer, pair.group, o.hs.share, eph.Share(), false)
-	if err != nil {
-		return fail(err)
-	}
-	aead, err := channelKey(secret, o.hs.id, ends)
-	if err != nil {
-		return fail(err)
-	}
-	answer := &handshake{id: o.hs.id, share: ends.responderShare, answers: keys.SHA256(o.hs.share)}
-	sealed, err := seal(s.kp, s.PeerID(), pair.group, nil, nil, ModeSign, now, func(header *xmldoc.Element) {
-		header.AddText("To", base64.StdEncoding.EncodeToString(ends.initiatorFP[:]))
-		answer.write(header)
-	})
-	if err != nil {
-		return fail(err)
-	}
-	s.chans.install(&inChannel{id: o.hs.id, pair: pair, user: initiator.Signer.SubjectName, aead: aead, accept: sealed.Bytes()}, notAfter, now)
+	s.chans.install(&inChannel{id: o.hs.id, pair: pair, user: initiator.Signer.SubjectName, aead: aead, accept: wire}, notAfter, now)
 	s.auditChannel(pair.peer, "offer", "accepted")
-	_ = s.sendSecure(pipe, pair.group, sealed.Bytes()) // a lost accept is sent again when the offer is
-	return ""
-}
-
-// handleAccept is the initiator's second half: o is an accept whose
-// signature verified under responder's certified key (nil: it carried
-// none). It must name this peer's key, the pending offer to that peer and
-// the share offered; then both ends hold the same key. A duplicate, or
-// the answer to an offer long gone, is dropped without a word.
-func (s *SecureClient) handleAccept(o *Opened, responder *xdsig.Result) (alert string) {
-	pair := pairKey{o.Sender, o.Group}
-	if responder == nil || o.Mode != ModeSign || len(o.Body) != 0 {
-		return "channel accept malformed or unsigned"
-	}
-	ownFP, err := s.kp.Public().Fingerprint()
-	if err != nil {
-		return err.Error()
-	}
-	now := s.Now()
-	outcome := acceptInvalid
-	if keys.ConstantTimeEqual(o.to, ownFP[:]) {
-		outcome = s.chans.accepted(pair, o.hs, o.SentAt, now, func(eph *keys.AgreementKey, share []byte) (cipher.AEAD, error) {
-			secret, err := eph.Agree(o.hs.share)
-			if err != nil {
-				return nil, err
-			}
-			ends, err := s.channelEnds(responder.Signer.Key, o.Sender, o.Group, share, o.hs.share, true)
-			if err != nil {
-				return nil, err
-			}
-			return channelKey(secret, o.hs.id, ends)
-		})
-	} else if !s.chans.holdsOffer(pair, o.hs.id, now) {
-		outcome = acceptIgnored
-	}
-	switch outcome {
-	case acceptEstablished:
-		s.auditChannel(o.Sender, "accept", "established")
-	case acceptInvalid:
-		s.auditChannel(o.Sender, "accept", "refused: does not match the offer")
-		return "channel accept does not match the offer"
-	}
+	_ = s.sendSecure(pipe, pair.group, wire) // a lost accept is sent again when the offer is
 	return ""
 }
 
@@ -904,20 +858,25 @@ func (s *SecureClient) channelNotAfter(peer *xdsig.Result) time.Time {
 }
 
 // channelEnds names the two ends of a channel between this peer and
-// peer, whose certified key is peerKey, for the key derivation.
-func (s *SecureClient) channelEnds(peerKey *keys.PublicKey, peer keys.PeerID, group string, initiatorShare, responderShare []byte, initiating bool) (channelEnds, error) {
-	e := channelEnds{initiator: peer, responder: s.PeerID(), group: group, initiatorShare: initiatorShare, responderShare: responderShare}
+// peer, whose certified key is peerKey, in group: initiating says which
+// end this peer is. The ephemeral shares are the caller's to add.
+func (s *SecureClient) channelEnds(peerKey *keys.PublicKey, peer keys.PeerID, group string, initiating bool) (channelEnds, error) {
+	e := channelEnds{initiator: peer, responder: s.PeerID(), group: group}
+	own := s.kp.Public()
 	var err error
 	if e.initiatorFP, err = peerKey.Fingerprint(); err != nil {
 		return e, err
 	}
-	if e.responderFP, err = s.kp.Public().Fingerprint(); err != nil {
+	if e.responderFP, err = own.Fingerprint(); err != nil {
 		return e, err
 	}
+	responderKey := own
 	if initiating {
 		e.initiator, e.responder = e.responder, e.initiator
 		e.initiatorFP, e.responderFP = e.responderFP, e.initiatorFP
+		responderKey = peerKey
 	}
+	e.responderStatic, _ = responderKey.AgreementShare()
 	return e, nil
 }
 

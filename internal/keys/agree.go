@@ -12,9 +12,9 @@ import (
 
 // The two primitives key agreement is built from: X25519 and HKDF-SHA256
 // over what it yields. A session channel (internal/core, channel.go) runs
-// an ephemeral exchange whose shares both ends sign with their RSA keys; a
-// round's key wrap (wrap.go) is ECIES to the agreement key a client
-// credential certifies. The primitives here know nothing of either.
+// an ephemeral exchange that the responder's certified agreement key
+// authenticates; a round's key wrap (wrap.go) is ECIES to that key. The
+// primitives here know nothing of either.
 
 // ShareSize is the length of an X25519 public share.
 const ShareSize = 32

@@ -60,6 +60,14 @@ func (k *KeyPair) agreement() *AgreementKey {
 	return a
 }
 
+// Agree returns X25519 of the key pair's agreement key with peerShare,
+// refusing what AgreementKey.Agree refuses. It is the responder's static
+// half of a session channel's key (internal/core, channel.go), and no RSA
+// operation.
+func (k *KeyPair) Agree(peerShare []byte) ([]byte, error) {
+	return k.agreement().Agree(peerShare)
+}
+
 // agreeMemo is a public key's agreement key in the form X25519 takes, and
 // whether it is usable.
 type agreeMemo struct {

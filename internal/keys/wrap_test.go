@@ -34,6 +34,31 @@ func TestAgreementKeyDerivedFromIdentity(t *testing.T) {
 	}
 }
 
+// TestKeyPairAgreeWithCertifiedShare: X25519 with a key pair's agreement
+// key gives what an ephemeral key computes against the share its public
+// half carries, and a share of small order is refused as
+// AgreementKey.Agree refuses it.
+func TestKeyPairAgreeWithCertifiedShare(t *testing.T) {
+	e, err := NewAgreementKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	share, _ := testKeys.a.Public().AgreementShare()
+	want, err := e.Agree(share[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := testKeys.a.Agree(e.Share())
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("KeyPair.Agree = (%x, %v), the ephemeral end computed %x", got, err, want)
+	}
+	for _, bad := range [][]byte{make([]byte, ShareSize), append([]byte{1}, make([]byte, ShareSize-1)...), make([]byte, ShareSize-1)} {
+		if _, err := testKeys.a.Agree(bad); !errors.Is(err, ErrAgree) {
+			t.Errorf("share %x: err = %v, want ErrAgree", bad, err)
+		}
+	}
+}
+
 // wrapFixture wraps a fresh content key to testKeys.b under a fresh
 // ephemeral key.
 func wrapFixture(t *testing.T) (cek, eph, wrap []byte) {

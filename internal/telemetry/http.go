@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -79,41 +78,6 @@ func (r *Registry) Serve(addr string) (*Server, error) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 	return &Server{srv: srv, addr: ln.Addr().String()}, nil
-}
-
-// Fetch retrieves a snapshot from a running endpoint's /metrics.json.
-// The base URL may be "host:port", "http://host:port" or the full
-// ".../metrics.json" path — the tool-facing forms `admin metrics`
-// accepts.
-func Fetch(ctx context.Context, base string) ([]Sample, error) {
-	url := base
-	if len(url) < 7 || (url[:7] != "http://" && (len(url) < 8 || url[:8] != "https://")) {
-		url = "http://" + url
-	}
-	if len(url) < len("/metrics.json") || url[len(url)-len("/metrics.json"):] != "/metrics.json" {
-		url += "/metrics.json"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("telemetry: %s returned %s", url, resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return nil, err
-	}
-	var samples []Sample
-	if err := json.Unmarshal(body, &samples); err != nil {
-		return nil, fmt.Errorf("telemetry: bad snapshot from %s: %w", url, err)
-	}
-	return samples, nil
 }
 
 // RenderText formats fetched samples the way WriteText renders a live

@@ -2,12 +2,10 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"jxtaoverlay/internal/perfgate"
 )
@@ -167,34 +165,6 @@ func TestWriteTextFormat(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestServeAndFetch(t *testing.T) {
-	r := New()
-	r.Counter("relay_direct_total", "").Add(5)
-	r.GaugeFunc("parse_failures_total", "", func() float64 { return 3 })
-	srv, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// All three address forms admin metrics accepts.
-	for _, base := range []string{srv.Addr(), "http://" + srv.Addr(), "http://" + srv.Addr() + "/metrics.json"} {
-		samples, err := Fetch(ctx, base)
-		if err != nil {
-			t.Fatalf("Fetch(%q): %v", base, err)
-		}
-		got := map[string]float64{}
-		for _, s := range samples {
-			got[s.Name] = s.Value
-		}
-		if got["relay_direct_total"] != 5 || got["parse_failures_total"] != 3 {
-			t.Fatalf("Fetch(%q) returned %v", base, got)
 		}
 	}
 }

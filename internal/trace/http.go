@@ -1,14 +1,9 @@
 package trace
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -106,42 +101,4 @@ func (r *Recorder) DebugHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(page) //nolint:errcheck // best-effort write to scraper
 	})
-}
-
-// Fetch retrieves one /debug/traces page from a running endpoint. The
-// base URL may be "host:port", "http://host:port" or the full
-// ".../debug/traces" path — the forms `admin trace` accepts. The query
-// values are the handler's filter parameters.
-func Fetch(ctx context.Context, base string, query url.Values) (*PageJSON, error) {
-	u := base
-	if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-		u = "http://" + u
-	}
-	if !strings.HasSuffix(u, "/debug/traces") {
-		u = strings.TrimSuffix(u, "/") + "/debug/traces"
-	}
-	if len(query) > 0 {
-		u += "?" + query.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("trace: %s returned %s", u, resp.Status)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		return nil, err
-	}
-	var page PageJSON
-	if err := json.Unmarshal(body, &page); err != nil {
-		return nil, fmt.Errorf("trace: bad page from %s: %w", u, err)
-	}
-	return &page, nil
 }
