@@ -58,7 +58,9 @@
 //   - Group fan-out seals ONE signed round per send and each member gets
 //     its own Merkle-bound slice of it (core.SealGroupDetached/OpenSlice),
 //     its key wrapped to the X25519 agreement key the member's client
-//     credential certifies, so opening it takes no RSA operation
+//     credential certifies, so opening it takes no RSA operation, under a
+//     round key the sender holds for ten minutes, so that once both ends
+//     have memoized that agreement it takes no X25519 either
 //     (internal/keys/wrap.go; SECURITY.md "Certified agreement key");
 //     with the broker relay (internal/relay, core.EnableBrokerRelay)
 //     the sender uploads the whole round once and the broker cuts the

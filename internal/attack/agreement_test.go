@@ -154,11 +154,12 @@ func TestAgreementKeyInsiderRewrapRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rewrapped, err := bob.kp.UnwrapFrom(leaf.Ephemeral(), leaf.Wrap())
+	nonce, _, _ := keys.CutSection(honest.Sealed)
+	rewrapped, err := bob.kp.UnwrapFrom(leaf.Ephemeral(), leaf.Wrap(), nonce)
 	if err != nil {
 		t.Fatalf("mallory's wrap does not open for bob: %v", err)
 	}
-	if sent, err := bob.kp.UnwrapFrom(honest.Ephemeral(), honest.Wrap()); err != nil || sent != rewrapped {
+	if sent, err := bob.kp.UnwrapFrom(honest.Ephemeral(), honest.Wrap(), nonce); err != nil || sent != rewrapped {
 		t.Fatalf("mallory's wrap holds another key than alice's round key (%v)", err)
 	}
 	if _, err := core.OpenSlice(bob.kp, forged, nil); !errors.Is(err, core.ErrRoundBinding) {

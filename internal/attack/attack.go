@@ -220,7 +220,7 @@ func ForgeSlice(headerXML, body []byte, target *keys.PublicKey) ([]byte, error) 
 	wire = binary.BigEndian.AppendUint32(wire, 1) // recipient count
 	wire = binary.BigEndian.AppendUint32(wire, 0) // leaf index
 	wire = append(append(wire, eph.Share()...), fp[:]...)
-	if wire, err = eph.WrapTo(wire, cek, target); err != nil {
+	if wire, err = eph.WrapTo(wire, cek, target, nonce); err != nil {
 		return nil, err
 	}
 	wire = append(wire, 0) // empty proof: for n=1 the leaf IS the root
@@ -232,10 +232,9 @@ func ForgeSlice(headerXML, body []byte, target *keys.PublicKey) ([]byte, error) 
 // opens), decrypts the signed header and body, and seals them again under
 // that same key with a fresh GCM nonce — behind the victim's own leaf
 // (ephemeral share, fingerprint, wrap, inclusion proof), cut from
-// victimSlice. The victim's wrap still unwraps to the key, the leaf still
-// reaches the signed SliceRoot and the signature still verifies; only the
-// bytes are new, so what can refuse the result is the round's single-use
-// nonce.
+// victimSlice. The leaf would still reach the signed SliceRoot and the
+// signature still verify, but the victim's wrap is bound to the nonce the
+// sender sealed under: under the new one it unwraps nothing.
 func ResealSlice(own *keys.KeyPair, ownSlice, victimSlice []byte) ([]byte, error) {
 	cek, block, err := openOwnSlice(own, ownSlice)
 	if err != nil {
@@ -254,11 +253,11 @@ func ResealSlice(own *keys.KeyPair, ownSlice, victimSlice []byte) ([]byte, error
 
 // RewrapSlice acts as a round member that hands another member the round
 // key itself: it unwraps the content key from its own slice and wraps it
-// to victim under an ephemeral key of its own, behind the victim's index,
-// fingerprint and inclusion proof and in front of the round's untouched
-// ciphertext. The victim's new wrap opens, and the ciphertext under it is
-// the sender's; the leaf — which commits to the ephemeral share and the
-// wrap — no longer reaches the signed SliceRoot.
+// to victim under an ephemeral key of its own, bound to the round's nonce,
+// behind the victim's index, fingerprint and inclusion proof and in front
+// of the round's untouched ciphertext. The victim's new wrap opens, and
+// the ciphertext under it is the sender's; the leaf — which commits to the
+// ephemeral share and the wrap — no longer reaches the signed SliceRoot.
 func RewrapSlice(own *keys.KeyPair, ownSlice, victimSlice []byte, victim *keys.PublicKey) ([]byte, error) {
 	cek, _, err := openOwnSlice(own, ownSlice)
 	if err != nil {
@@ -272,7 +271,8 @@ func RewrapSlice(own *keys.KeyPair, ownSlice, victimSlice []byte, victim *keys.P
 	if err != nil {
 		return nil, err
 	}
-	wrap, err := eph.WrapTo(nil, cek[:], victim)
+	nonce, _, _ := keys.CutSection(leaf.Sealed)
+	wrap, err := eph.WrapTo(nil, cek[:], victim, nonce)
 	if err != nil {
 		return nil, err
 	}
@@ -289,12 +289,12 @@ func openOwnSlice(own *keys.KeyPair, wire []byte) (cek [keys.ContentKeySize]byte
 	if err != nil {
 		return cek, nil, err
 	}
-	if cek, err = own.UnwrapFrom(leaf.Ephemeral(), leaf.Wrap()); err != nil {
-		return cek, nil, err
-	}
 	nonce, ct, ok := keys.CutSection(leaf.Sealed)
 	if !ok {
 		return cek, nil, keys.ErrDecrypt
+	}
+	if cek, err = own.UnwrapFrom(leaf.Ephemeral(), leaf.Wrap(), nonce); err != nil {
+		return cek, nil, err
 	}
 	block, err = keys.AEADOpen(cek[:], nonce, ct)
 	return cek, block, err

@@ -2,9 +2,9 @@
 // signed header across every recipient's slice, which creates attack
 // surface the unicast envelope never had — a legitimate round member holds
 // a validly signed header, the plaintext and the round's content key, and
-// can try to re-seal them. These tests pin the two defenses (the signed
-// slice tree root, the single-use round nonce) and the wire-integrity
-// baseline (tampered key wraps).
+// can try to re-seal them. These tests pin the defenses (the signed slice
+// tree root, the wrap bound to the round's AEAD nonce, the single-use
+// round nonce) and the wire-integrity baseline (tampered key wraps).
 package attack_test
 
 import (
@@ -66,18 +66,19 @@ func TestRoundHeaderRetargetedRecipientSetRejected(t *testing.T) {
 	}
 }
 
-// TestSliceResealedByInsiderRefusedByNonce: mallory, a member of alice's
+// TestSliceResealedByInsiderRefusedByWrap: mallory, a member of alice's
 // round, unwraps the round's content key from her own slice and seals the
 // signed header and body again under that key with a fresh GCM nonce,
 // behind bob's own leaf — his fingerprint, his wrap, his inclusion proof.
-// The binding holds (bob's wrap unwraps to the key, his leaf reaches the
-// signed SliceRoot), the signature verifies, and the bytes differ from the
-// slice bob was sent, so the wire digest does not know them: only the
-// signed single-use round nonce identifies the forgery. Bob's guard refuses
-// it as a replay after the original, and a node that never saw the round
-// refuses it as stale once the freshness window has passed, naming the
-// signer.
-func TestSliceResealedByInsiderRefusedByNonce(t *testing.T) {
+// The leaf would reach the signed SliceRoot and the signature would
+// verify, but bob's wrap is bound to the nonce alice sealed under: under
+// mallory's it unwraps nothing, so the forgery is not his, with a guard or
+// without, and is refused before it can spend the round's single-use
+// nonce — the honest slice still opens after it, once. What the nonce
+// still catches is that honest slice again: a node that never saw the
+// round, handed it ten minutes late by its clock, refuses it as stale,
+// naming the signer.
+func TestSliceResealedByInsiderRefusedByWrap(t *testing.T) {
 	// bob is also a node, with a guard of its own, for the last step.
 	s := newSecureStack(t)
 	bobNode := s.join(t, "bob", "bob-secret-pw", core.WithReplayGuard(core.NewReplayGuard(time.Minute, 64)))
@@ -95,33 +96,29 @@ func TestSliceResealedByInsiderRefusedByNonce(t *testing.T) {
 	if bytes.Equal(forged, toBob) {
 		t.Fatal("the re-sealed slice is the slice bob was sent: a fresh GCM nonce must make new bytes")
 	}
-	// Nothing but the nonce tells it apart: on its own it opens, and the
-	// signature is alice's.
-	o, err := core.OpenSlice(bob.kp, forged, nil)
-	if err != nil {
-		t.Fatalf("re-sealed slice without a guard = %v; the binding and the block must hold", err)
+	if _, err := core.OpenSlice(bob.kp, forged, nil); !errors.Is(err, core.ErrNotRecipient) {
+		t.Fatalf("re-sealed slice without a guard = %v, want ErrNotRecipient", err)
 	}
-	if err := o.VerifySignature(alice.kp.Public()); err != nil || string(o.Body) != "round secret" {
-		t.Fatalf("re-sealed slice opened to %q, signature %v", o.Body, err)
+	guard := core.NewReplayGuard(time.Minute, 64)
+	if _, err := core.OpenSlice(bob.kp, forged, guard); !errors.Is(err, core.ErrNotRecipient) || guard.Len() != 0 {
+		t.Fatalf("re-sealed slice with a guard = %v and %d guard entries, want ErrNotRecipient and none", err, guard.Len())
+	}
+	if _, err := core.OpenSlice(bob.kp, toBob, guard); err != nil {
+		t.Fatalf("legitimate slice after the forgery: %v", err)
+	}
+	if _, err := core.OpenSlice(bob.kp, forged, guard); !errors.Is(err, core.ErrNotRecipient) {
+		t.Fatalf("re-sealed slice after the original = %v, want ErrNotRecipient", err)
 	}
 
-	guard := core.NewReplayGuard(time.Minute, 64)
-	if _, err := core.OpenSlice(bob.kp, toBob, guard); err != nil {
-		t.Fatalf("legitimate slice rejected: %v", err)
-	}
-	if _, err := core.OpenSlice(bob.kp, forged, guard); !errors.Is(err, core.ErrMessageReplayed) {
-		t.Fatalf("re-sealed slice after the original = %v, want ErrMessageReplayed", err)
-	}
-	// And even without prior delivery, the forgery cannot outlive the
-	// freshness window: the node's guard has never seen the round, and ten
-	// minutes on by the node's clock it is stale.
+	// The honest slice, ten minutes on by the node's clock: the node's guard
+	// has never seen the round, and it is stale.
 	bobNode.Endpoint().SetClock(func() time.Time { return time.Now().Add(10 * time.Minute) })
 	atBob := events.NewCollector(bobNode.Bus())
 	raw, err := attack.NewRawNode(s.net, "attacker-node")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.Replay(simnet.NodeID(bob.id), attack.SpoofedPipeEnvelope(mallory.id, bob.id, "math", forged)); err != nil {
+	if err := raw.Replay(simnet.NodeID(bob.id), attack.SpoofedPipeEnvelope(mallory.id, bob.id, "math", toBob)); err != nil {
 		t.Fatal(err)
 	}
 	e, ok := atBob.WaitFor(events.SecurityAlert, 5*time.Second)

@@ -50,6 +50,12 @@ func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {
 	return o, nil
 }
 
+// SealRoundUnder seals a round under the round key eph, as a client
+// holding that key seals every round of its lifetime.
+func SealRoundUnder(eph *keys.AgreementKey, signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipients []*keys.PublicKey) (*DetachedRound, error) {
+	return sealRound(signer, sender, group, body, recipients, eph, time.Now())
+}
+
 // TableChannelWires returns one valid wire of each form a session channel
 // adds: a frame of the table channel carrying body, an accept naming it,
 // and a refusal.

@@ -29,7 +29,8 @@ import (
 //	                      names — and the AEAD inputs
 //	content key, AEAD open  UnwrapKey (an envelope's RSA-OAEP wrap),
 //	                      UnwrapFrom (a slice's wrap to this peer's
-//	                      certified agreement key), or the channel's key
+//	                      certified agreement key, bound to the slice's
+//	                      AEAD nonce), or the channel's key
 //	                      from the table: nothing below runs on bytes that
 //	                      neither this peer's private key nor a key agreed
 //	                      under it released
@@ -233,7 +234,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if sw.mode != ModeSign {
 		var cek []byte
 		if round {
-			k, err := own.UnwrapFrom(sw.slice.eph[:], sw.slice.entry[32:])
+			k, err := own.UnwrapFrom(sw.slice.eph[:], sw.slice.entry[32:], sw.gcmNonce)
 			if err != nil {
 				return nil, ErrNotRecipient
 			}
@@ -285,7 +286,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 			return nil, ErrRoundBinding
 		}
 		root, ok := verifySliceProof(sw.slice)
-		if !ok || !keys.ConstantTimeEqual(root, want) {
+		if !ok || !keys.ConstantTimeEqual(root[:], want) {
 			return nil, ErrRoundBinding
 		}
 	}
@@ -338,11 +339,12 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	}
 	if guard != nil {
 		if round {
-			// Every slice of a round carries the one signed header, so a
-			// replay can arrive as different bytes — re-sealed behind a leaf
-			// by a member holding the round's content key, or re-cut by a
-			// compromised relay. The signed single-use nonce catches those
-			// and the same bytes again alike: a digest would add nothing.
+			// Every slice of a round carries the one signed header, and the
+			// signed single-use nonce names the round whatever bytes carry
+			// it: the same bytes again, or a relay's re-cut. A digest would
+			// add nothing. (A member's re-seal behind another's leaf never
+			// gets here: the leaf's wrap is bound to the nonce it was sealed
+			// under.)
 			key = roundKey(o.Sender, o.Nonce)
 		}
 		if err := guard.admit(key, o.SentAt, now); err != nil {

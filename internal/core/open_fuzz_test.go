@@ -33,8 +33,9 @@ func fuzzOpenKey(tb testing.TB) *keys.KeyPair {
 // channel's frame, accept and refusal among them — plus the forged wires a
 // malicious round member or relay can build around a validly signed
 // header (a slice re-targeted, re-sealed, re-wrapped, or carrying an
-// ephemeral share of small order) — and the relay's upload, a full
-// round, which opens nowhere (SliceRound's parse of it is
+// ephemeral share of small order), two slices of rounds sealed under one
+// round key and the first carrying the second's nonce — and the relay's
+// upload, a full round, which opens nowhere (SliceRound's parse of it is
 // FuzzSliceRound's).
 // Properties: it never panics; it returns exactly one of an Opened and an
 // error; what it allocates is bounded by the input's size, so no count or
@@ -86,6 +87,33 @@ func FuzzOpen(f *testing.F) {
 	lowOrder := round.Slice(1)
 	clear(lowOrder[1+4+4 : 1+4+4+keys.ShareSize]) // u = 0
 	f.Add(lowOrder)
+	// Two rounds under one round key, as a client seals them within its
+	// key's lifetime: one ephemeral share, two nonces; and the first's slice
+	// carrying the second's nonce.
+	held, err := sender.NewRoundKey()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var sameE [2][]byte
+	for i := range sameE {
+		d, err := core.SealRoundUnder(held, sender, "urn:jxta:sender", "g", body, []*keys.PublicKey{other.Public(), own.Public()})
+		if err != nil {
+			f.Fatal(err)
+		}
+		sameE[i] = d.Slice(1)
+		f.Add(sameE[i])
+	}
+	spliced := bytes.Clone(sameE[0])
+	first, err := attack.CutSlice(spliced)
+	if err != nil {
+		f.Fatal(err)
+	}
+	second, err := attack.CutSlice(sameE[1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	copy(first.Sealed[4:4+keys.AEADNonceSize], second.Sealed[4:])
+	f.Add(spliced)
 	// The wires of a session channel: a frame (of the one channel
 	// core.OpenAnyForm holds), an accept, a refusal.
 	frame, accept, refusal := core.TableChannelWires(body)

@@ -103,12 +103,15 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) [
 		t.Fatal(err)
 	}
 	d := &DetachedRound{eph: [keys.ShareSize]byte(eph.Share())}
+	if d.gcmNonce, err = keys.RandomBytes(keys.AEADNonceSize); err != nil {
+		t.Fatal(err)
+	}
 	for _, kp := range []*keys.KeyPair{recvKP, evilKP} {
 		fp, err := kp.Public().Fingerprint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.entries, err = eph.WrapTo(append(d.entries, fp[:]...), cek, kp.Public()); err != nil {
+		if d.entries, err = eph.WrapTo(append(d.entries, fp[:]...), cek, kp.Public(), d.gcmNonce); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,9 +122,10 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) [
 	h.AddText("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256(body)))
 	h.AddText("Time", signedTime(time.Now()))
 	h.AddText("Nonce", base64.StdEncoding.EncodeToString(bytes.Repeat([]byte{7}, roundNonceSize)))
-	h.AddText(sliceRootName, base64.StdEncoding.EncodeToString(d.levels[len(d.levels)-1][0]))
+	root := d.levels[len(d.levels)-1][0]
+	h.AddText(sliceRootName, base64.StdEncoding.EncodeToString(root[:]))
 	sign(h)
-	if d.gcmNonce, d.ct, err = keys.AEADSeal(cek, pack(h)); err != nil {
+	if d.ct, err = keys.AEADSealInPlace(cek, d.gcmNonce, pack(h), 0); err != nil {
 		t.Fatal(err)
 	}
 	return d.Slice(0)

@@ -106,10 +106,8 @@ func (g *ReplayGuard) Check(wire []byte, sentAt time.Time) error {
 
 // CheckRound admits a group round nonce exactly once per sender within
 // the freshness window. Every slice of a round carries the one signed
-// header, so the wire digest alone cannot tell a fresh round from a
-// round member re-sealing that header, under the round's content key,
-// behind another member's leaf — new bytes the binding still accepts.
-// The signed nonce can: it is single-use, and any reuse is a replay.
+// header, and the signed nonce names the round whatever bytes carry it:
+// it is single-use, and any reuse is a replay.
 func (g *ReplayGuard) CheckRound(sender keys.PeerID, nonce []byte, sentAt time.Time) error {
 	return g.admit(roundKey(sender, nonce), sentAt, time.Now())
 }

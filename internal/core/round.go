@@ -16,8 +16,11 @@ import (
 // round, the block is encrypted once under a fresh AES-256 content key,
 // and the only per-recipient work is wrapping that key to each member:
 // ECIES to the X25519 agreement key the member's client credential
-// certifies (keys/wrap.go), one ephemeral key per round. Neither end
-// performs an RSA private-key operation per recipient.
+// certifies (keys/wrap.go), under the sender's round key — one ephemeral
+// key a client holds for channelLifetime (SecureClient.roundKeyAt), each
+// wrap bound to its round's AEAD nonce. Neither end performs an RSA
+// private-key operation per recipient, and once both ends have met the
+// round key, no key agreement either.
 //
 // A recipient receives the round one way: as its own ModeSlice cut
 // (slice.go), carrying its wrap alone. The full wire below, every wrap
@@ -44,10 +47,12 @@ import (
 //     leaf, so a signed header behind any other leaf — another
 //     recipient, another wrap, another ephemeral — fails OpenSlice
 //     (ErrRoundBinding);
-//   - the signed Nonce is single-use per sender; receivers track it in
-//     their ReplayGuard (CheckRound), so a round member re-sealing the
-//     same signed header behind another member's own leaf is rejected
-//     as a replay.
+//   - every wrap is bound to the AEAD nonce its round was sealed under,
+//     so a round member re-sealing the signed header under a fresh nonce
+//     behind another member's own leaf finds that member's wrap unwrapping
+//     nothing (ErrNotRecipient); and the signed Nonce is single-use per
+//     sender — receivers track it in their ReplayGuard (CheckRound) and
+//     refuse a round delivered again as a replay.
 
 // ErrRoundBinding is returned when a round header's signed slice tree
 // root does not match the leaf and proof on the wire.

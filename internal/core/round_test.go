@@ -162,3 +162,34 @@ func TestReplayGuardCheckRound(t *testing.T) {
 		t.Fatalf("stale round = %v, want ErrMessageStale", err)
 	}
 }
+
+// TestRoundKeyNonceBindsWrap: the rounds a client wraps under its one
+// round key share its ephemeral share E, and each opens; a slice of one
+// carrying the other's AEAD nonce unwraps nothing (ErrNotRecipient): each
+// wrap is bound to its own round's nonce.
+func TestRoundKeyNonceBindsWrap(t *testing.T) {
+	s := &SecureClient{kp: senderKP}
+	now := time.Now()
+	eph, err := s.roundKeyAt(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rounds [2]*DetachedRound
+	for i := range rounds {
+		if rounds[i], err = sealRound(senderKP, "urn:jxta:sender", "g", []byte("one E"),
+			[]*keys.PublicKey{recvKP.Public(), evilKP.Public()}, eph, now); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSlice(recvKP, rounds[i].Slice(0), nil); err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+	}
+	if rounds[0].eph != rounds[1].eph || bytes.Equal(rounds[0].gcmNonce, rounds[1].gcmNonce) {
+		t.Fatal("two rounds under one round key: want one ephemeral share and two nonces")
+	}
+	wire := rounds[0].Slice(0)
+	copy(wire[len(wire)-len(rounds[0].ct)-keys.AEADNonceSize:], rounds[1].gcmNonce)
+	if _, err := OpenSlice(recvKP, wire, nil); !errors.Is(err, ErrNotRecipient) {
+		t.Fatalf("a slice carrying another round's nonce under the same E = %v, want ErrNotRecipient", err)
+	}
+}

@@ -87,6 +87,12 @@ type SecureClient struct {
 	// chanMetrics is set once the channel collectors are attached.
 	chanMetrics atomic.Bool
 
+	// round is the ephemeral key this client's rounds are wrapped under
+	// (roundKeyAt), and when it was drawn.
+	roundMu sync.Mutex
+	round   *keys.AgreementKey
+	roundAt time.Time
+
 	// auditor receives every client-side security refusal (the
 	// SecurityAlert surface: open, replay and verification failures) as
 	// a tamper-evident audit record. Nil = off; loads are nil-tolerant.
@@ -184,6 +190,25 @@ func (s *SecureClient) Logout(ctx context.Context) error {
 func (s *SecureClient) Close() {
 	s.Client.Close()
 	s.chans.reset()
+}
+
+// roundKeyAt is the ephemeral key this client's rounds are wrapped
+// under at now: one key for channelLifetime by the node's clock, then a
+// fresh one. The key memoizes its X25519 per recipient and each
+// recipient its X25519 per key (keys/wrap.go), so rounds after a
+// lifetime's first cost neither end a key agreement; every round's wrap
+// is still bound to its own AEAD nonce.
+func (s *SecureClient) roundKeyAt(now time.Time) (*keys.AgreementKey, error) {
+	s.roundMu.Lock()
+	defer s.roundMu.Unlock()
+	if s.round == nil || now.Before(s.roundAt) || !now.Before(s.roundAt.Add(channelLifetime)) {
+		k, err := s.kp.NewRoundKey()
+		if err != nil {
+			return nil, err
+		}
+		s.round, s.roundAt = k, now
+	}
+	return s.round, nil
 }
 
 // VerifyCache exposes the client's advertisement verification cache for
@@ -571,7 +596,12 @@ func (s *SecureClient) sealRounds(group, text string, targets []roundTarget, err
 				spSeal = trace.Begin(tid, trace.StageSeal)
 			}
 		}
-		d, err := sealRound(s.kp, s.PeerID(), group, readOnlyBytes(text), keyList, s.Now())
+		now := s.Now()
+		eph, err := s.roundKeyAt(now)
+		var d *DetachedRound
+		if err == nil {
+			d, err = sealRound(s.kp, s.PeerID(), group, readOnlyBytes(text), keyList, eph, now)
+		}
 		if err != nil {
 			tr.End(spSeal, trace.OutcomeError)
 			for _, i := range chunk {
@@ -610,7 +640,8 @@ func tallyFanOut(errs []error) (int, error) {
 }
 
 // fanOutParallelism bounds concurrent per-recipient work in group
-// fan-outs; the work is dominated by RSA, so core count is the natural
+// fan-outs: advertisement verification (RSA, until a verdict is cached)
+// and the sends. The work is CPU-bound, so core count is the natural
 // limit.
 func fanOutParallelism() int {
 	if n := runtime.GOMAXPROCS(0); n > 1 {

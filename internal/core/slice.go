@@ -33,9 +33,15 @@ import (
 // between recipients, re-wraps the content key under an ephemeral of its
 // own, or reorders leaves produces a root that does not match the
 // signature — ErrRoundBinding — before the header signature can vouch
-// for anything. Replayed slices, and slices re-sealed behind an honest
-// leaf by a member holding the round's content key, die on the signed
-// single-use round nonce.
+// for anything. A member holding the round's content key cannot re-seal
+// the round behind an honest leaf either: the leaf's wrap is bound to the
+// round's AEAD nonce (keys/wrap.go), so under a fresh one it unwraps
+// nothing. Replayed slices die on the signed single-use round nonce.
+//
+// A client wraps every round it seals within channelLifetime under one
+// round key, so its slices share their ephemeral share E across rounds;
+// the AEAD nonce, drawn per round before the wraps, keeps each round's
+// key-encryption keys its own.
 //
 // Slice wire layout (mode byte ModeSlice, then):
 //
@@ -57,41 +63,40 @@ const maxSliceProofLen = 16
 // leaves cannot be reordered), the key fingerprint (who), the round's
 // ephemeral share and the wrap digest (which key material). entry is the
 // recipient's fingerprint and wrap, as a round holds them.
-func sliceLeaf(index uint32, eph *[keys.ShareSize]byte, entry []byte) []byte {
+func sliceLeaf(index uint32, eph *[keys.ShareSize]byte, entry []byte) [32]byte {
 	var buf [1 + 4 + 32 + keys.ShareSize + sha256.Size]byte // buf[0] = 0x00, the leaf prefix
 	binary.BigEndian.PutUint32(buf[1:], index)
 	copy(buf[5:], entry[:32])
 	copy(buf[5+32:], eph[:])
 	wrap := sha256.Sum256(entry[32:])
 	copy(buf[5+32+keys.ShareSize:], wrap[:])
-	leaf := sha256.Sum256(buf[:])
-	return leaf[:]
+	return sha256.Sum256(buf[:])
 }
 
 // sliceParent combines two tree nodes. The domain-separation prefixes
 // (0x00 leaf, 0x01 interior) stop a leaf from being replayed as an
 // interior node and vice versa.
-func sliceParent(left, right []byte) []byte {
-	buf := make([]byte, 0, 1+64)
-	buf = append(buf, 0x01)
-	buf = append(buf, left...)
-	buf = append(buf, right...)
-	return keys.SHA256(buf)
+func sliceParent(left, right *[32]byte) [32]byte {
+	var buf [1 + 64]byte
+	buf[0] = 0x01
+	copy(buf[1:], left[:])
+	copy(buf[33:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
 // sliceLevels builds the whole tree bottom-up; levels[0] are the leaves,
 // the last level is the single root. An unpaired last node is promoted
 // unchanged (never duplicated, so no two recipient sets share a root).
-func (d *DetachedRound) sliceLevels() [][][]byte {
-	level := make([][]byte, d.Recipients())
+func (d *DetachedRound) sliceLevels() [][][32]byte {
+	level := make([][32]byte, d.Recipients())
 	for i := range level {
 		level[i] = sliceLeaf(uint32(i), &d.eph, d.entry(i))
 	}
-	levels := [][][]byte{level}
+	levels := [][][32]byte{level}
 	for len(level) > 1 {
-		next := make([][]byte, 0, (len(level)+1)/2)
+		next := make([][32]byte, 0, (len(level)+1)/2)
 		for j := 0; j+1 < len(level); j += 2 {
-			next = append(next, sliceParent(level[j], level[j+1]))
+			next = append(next, sliceParent(&level[j], &level[j+1]))
 		}
 		if len(level)%2 == 1 {
 			next = append(next, level[len(level)-1])
@@ -102,44 +107,43 @@ func (d *DetachedRound) sliceLevels() [][][]byte {
 	return levels
 }
 
-// sliceProof extracts the sibling path for leaf i.
-func sliceProof(levels [][][]byte, i int) [][]byte {
-	var proof [][]byte
+// appendSliceProof appends leaf i's proof as a slice carries it: its
+// length in hashes, then the sibling path, leaf upward.
+func appendSliceProof(wire []byte, levels [][][32]byte, i int) []byte {
+	at := len(wire)
+	wire = append(wire, 0)
 	for l := 0; l < len(levels)-1; l++ {
-		j := (i >> l) ^ 1
-		if j < len(levels[l]) {
-			proof = append(proof, levels[l][j])
+		if j := (i >> l) ^ 1; j < len(levels[l]) {
+			wire = append(wire, levels[l][j][:]...)
+			wire[at]++
 		}
 	}
-	return proof
+	return wire
 }
 
 // verifySliceProof recomputes the root from one slice's leaf and sibling
 // path. It returns false when the proof shape does not match the declared
 // recipient count — a truncated or padded proof never reaches the root
 // comparison.
-func verifySliceProof(ps *parsedSlice) ([]byte, bool) {
+func verifySliceProof(ps *parsedSlice) ([32]byte, bool) {
 	node := sliceLeaf(ps.index, &ps.eph, ps.entry)
-	width, j, p := ps.n, int(ps.index), 0
+	width, j, proof := ps.n, int(ps.index), ps.proof
 	for width > 1 {
 		if sib := j ^ 1; sib < width {
-			if p >= len(ps.proof) {
-				return nil, false
+			if len(proof) == 0 {
+				return node, false
 			}
 			if j&1 == 0 {
-				node = sliceParent(node, ps.proof[p])
+				node = sliceParent(&node, (*[32]byte)(proof))
 			} else {
-				node = sliceParent(ps.proof[p], node)
+				node = sliceParent((*[32]byte)(proof), &node)
 			}
-			p++
+			proof = proof[32:]
 		}
 		j >>= 1
 		width = (width + 1) / 2
 	}
-	if p != len(ps.proof) {
-		return nil, false
-	}
-	return node, true
+	return node, len(proof) == 0
 }
 
 // DetachedRound is one sealed fan-out round held in sliceable form: the
@@ -151,7 +155,7 @@ type DetachedRound struct {
 	entries  []byte // roundEntry bytes per recipient, in order: key fingerprint ‖ wrap
 	gcmNonce []byte
 	ct       []byte
-	levels   [][][]byte // Merkle tree, built lazily on first Slice/Slices
+	levels   [][][32]byte // Merkle tree, built lazily on first Slice/Slices
 }
 
 // entry is recipient i's key fingerprint and wrap.
@@ -162,16 +166,23 @@ func (d *DetachedRound) entry(i int) []byte {
 // SealGroupDetached seals one fan-out round — one header signature, one
 // content encryption, one wrap per recipient — and returns it in
 // detached form so the caller can choose the assembly: Wire for the
-// relay upload, Slice/Slices for per-recipient delivery. The signed time
-// is the wall's: a peer seals through sealRound, at its own. Every
-// recipient key must carry a usable agreement key
-// (keys.PublicKey.CheckAgreementKey): a round is wrapped to nothing else.
+// relay upload, Slice/Slices for per-recipient delivery. The round is
+// wrapped under an ephemeral key of its own, and the signed time is the
+// wall's: a peer seals through sealRound, under the round key it holds
+// and at its own time. Every recipient key must carry a usable agreement
+// key (keys.PublicKey.CheckAgreementKey): a round is wrapped to nothing
+// else.
 func SealGroupDetached(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipients []*keys.PublicKey) (*DetachedRound, error) {
-	return sealRound(signer, sender, group, body, recipients, time.Now())
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		return nil, err
+	}
+	return sealRound(signer, sender, group, body, recipients, eph, time.Now())
 }
 
-// sealRound is SealGroupDetached at the sender's time now.
-func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipients []*keys.PublicKey, now time.Time) (*DetachedRound, error) {
+// sealRound is SealGroupDetached under the ephemeral key eph at the
+// sender's time now.
+func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipients []*keys.PublicKey, eph *keys.AgreementKey, now time.Time) (*DetachedRound, error) {
 	if signer == nil {
 		return nil, errors.New("core: group round requires a signing key")
 	}
@@ -191,24 +202,24 @@ func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 		return nil, err
 	}
 
-	// The content key and wraps come first: the signed header commits to
-	// them through the slice tree root. One ephemeral key serves the round.
+	// The content key, the AEAD nonce and the wraps come first: each wrap
+	// is bound to the nonce, and the signed header commits to the wraps
+	// through the slice tree root.
 	cek, err := keys.NewContentKey()
 	if err != nil {
 		return nil, err
 	}
-	eph, err := keys.NewAgreementKey()
-	if err != nil {
+	d := &DetachedRound{entries: make([]byte, 0, len(recipients)*roundEntry)}
+	if d.gcmNonce, err = keys.RandomBytes(keys.AEADNonceSize); err != nil {
 		return nil, err
 	}
-	d := &DetachedRound{entries: make([]byte, 0, len(recipients)*roundEntry)}
 	copy(d.eph[:], eph.Share())
 	for _, r := range recipients {
 		fp, err := r.Fingerprint()
 		if err != nil {
 			return nil, err
 		}
-		if d.entries, err = eph.WrapTo(append(d.entries, fp[:]...), cek, r); err != nil {
+		if d.entries, err = eph.WrapTo(append(d.entries, fp[:]...), cek, r, d.gcmNonce); err != nil {
 			return nil, err
 		}
 	}
@@ -223,16 +234,13 @@ func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 	header.AddText("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256(body)))
 	header.AddText("Time", signedTime(now))
 	header.AddText("Nonce", base64.StdEncoding.EncodeToString(nonce))
-	header.AddText(sliceRootName, base64.StdEncoding.EncodeToString(root))
+	header.AddText(sliceRootName, base64.StdEncoding.EncodeToString(root[:]))
 	sig, err := signer.Sign(header.Canonical())
 	if err != nil {
 		return nil, err
 	}
 	header.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
 
-	if d.gcmNonce, err = keys.RandomBytes(keys.AEADNonceSize); err != nil {
-		return nil, err
-	}
 	h := header.Canonical()
 	if d.ct, err = keys.AEADSealInPlace(cek, d.gcmNonce, packBlock(make([]byte, 0, sealedLen(h, body)), h, body), 0); err != nil {
 		return nil, err
@@ -275,16 +283,13 @@ func (d *DetachedRound) Slice(i int) []byte {
 	if d.levels == nil {
 		d.levels = d.sliceLevels()
 	}
-	proof := sliceProof(d.levels, i)
-	wire := make([]byte, 0, 1+4+4+keys.ShareSize+roundEntry+1+32*len(proof)+4+len(d.gcmNonce)+len(d.ct))
+	// A proof is at most one hash per level below the root.
+	wire := make([]byte, 0, 1+4+4+keys.ShareSize+roundEntry+1+32*(len(d.levels)-1)+4+len(d.gcmNonce)+len(d.ct))
 	wire = append(wire, byte(ModeSlice))
 	wire = binary.BigEndian.AppendUint32(wire, uint32(d.Recipients()))
 	wire = binary.BigEndian.AppendUint32(wire, uint32(i))
 	wire = append(append(wire, d.eph[:]...), d.entry(i)...)
-	wire = append(wire, byte(len(proof)))
-	for _, h := range proof {
-		wire = append(wire, h...)
-	}
+	wire = appendSliceProof(wire, d.levels, i)
 	return append(keys.AppendSection(wire, d.gcmNonce), d.ct...)
 }
 
@@ -304,7 +309,7 @@ type parsedSlice struct {
 	index    uint32
 	eph      [keys.ShareSize]byte
 	entry    []byte // this recipient's key fingerprint ‖ wrap
-	proof    [][]byte
+	proof    []byte // the sibling path, 32 bytes a hash, leaf upward
 	gcmNonce []byte
 	ct       []byte
 }
@@ -331,11 +336,8 @@ func parseSliceWire(payload []byte) (*parsedSlice, error) {
 	if pl > maxSliceProofLen || len(payload) < 32*pl {
 		return nil, ErrEnvelope
 	}
-	ps.proof = make([][]byte, pl)
-	for i := 0; i < pl; i++ {
-		ps.proof[i] = payload[:32:32]
-		payload = payload[32:]
-	}
+	ps.proof = payload[: 32*pl : 32*pl]
+	payload = payload[32*pl:]
 	var ok bool
 	if ps.gcmNonce, ps.ct, ok = keys.CutSection(payload); !ok || len(ps.gcmNonce) > 64 {
 		return nil, ErrEnvelope

@@ -61,7 +61,7 @@ func FuzzSliceRound(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var root []byte
+		var root *[32]byte
 		for i := 0; i < d.Recipients(); i++ {
 			w := d.Slice(i)
 			if Mode(w[0]) != ModeSlice {
@@ -76,10 +76,10 @@ func FuzzSliceRound(f *testing.F) {
 				t.Fatalf("slice %d parses back as leaf %d of %d, not the round's", i, ps.index, ps.n)
 			}
 			r, ok := verifySliceProof(ps)
-			if !ok || (root != nil && !bytes.Equal(r, root)) {
+			if !ok || (root != nil && r != *root) {
 				t.Fatalf("slice %d's proof does not reach the round's root", i)
 			}
-			root = r
+			root = &r
 		}
 	})
 }

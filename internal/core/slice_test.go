@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"jxtaoverlay/internal/attack"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/keys"
 )
@@ -180,20 +179,19 @@ func TestSliceReplayRejected(t *testing.T) {
 
 // TestOpenSharedGuardAdmitsOnce: the messenger handler and the task
 // service reach one guard from different goroutines. However many
-// deliveries of one round race — the same bytes, or the same signed
-// header re-sealed by another member behind the recipient's own leaf —
-// exactly one is admitted.
+// deliveries of one round race — the slice the sender cut, and the one a
+// relay cut again from the upload — exactly one is admitted.
 func TestOpenSharedGuardAdmitsOnce(t *testing.T) {
 	sender, members, pubs := newSliceParties(t, 2)
 	d, err := core.SealGroupDetached(sender.kp, sender.id, "g", []byte("race"), pubs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wires := [2][]byte{d.Slice(0)}
-	// Same round, same nonce, different bytes.
-	if wires[1], err = attack.ResealSlice(members[1].kp, d.Slice(1), wires[0]); err != nil {
+	recut, err := core.SliceRound(d.Wire())
+	if err != nil {
 		t.Fatal(err)
 	}
+	wires := [2][]byte{d.Slice(0), recut.Slice(0)}
 	guard := core.NewReplayGuard(time.Minute, 64)
 	const deliveries = 8
 	errs := make(chan error, deliveries)

@@ -8,6 +8,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync/atomic"
+
+	"jxtaoverlay/internal/lru"
 )
 
 // The two primitives key agreement is built from: X25519 and HKDF-SHA256
@@ -23,11 +26,17 @@ const ShareSize = 32
 var ErrAgree = errors.New("keys: key agreement failed")
 
 // AgreementKey is the private half of one X25519 key: an ephemeral one,
-// meant to be used once and dropped, or the one a key pair derives
-// (KeyPair.agreement). Nothing serializes it.
+// meant to be used once and dropped, or a key held for many agreements —
+// the one a key pair derives (KeyPair.agreement), or a sender's round key
+// (KeyPair.NewRoundKey). Nothing serializes it.
 type AgreementKey struct {
 	priv  *ecdh.PrivateKey
 	share [ShareSize]byte
+	// calls and memo are set on a held key (KeyPair.hold): the key pair's
+	// counter of the X25519 operations it performs, and the round wrap's
+	// agreements by peer share (wrap.go).
+	calls *atomic.Uint64
+	memo  *lru.Cache[[ShareSize]byte, [ShareSize]byte]
 }
 
 // NewAgreementKey draws a fresh ephemeral key.
@@ -66,6 +75,14 @@ func (a *AgreementKey) Agree(peerShare []byte) ([]byte, error) {
 	pub, err := ecdh.X25519().NewPublicKey(peerShare)
 	if err != nil {
 		return nil, ErrAgree
+	}
+	return a.ecdh(pub)
+}
+
+// ecdh is X25519 with a parsed peer share, counted on a held key.
+func (a *AgreementKey) ecdh(pub *ecdh.PublicKey) ([]byte, error) {
+	if a.calls != nil {
+		a.calls.Add(1)
 	}
 	secret, err := a.priv.ECDH(pub)
 	if err != nil {

@@ -56,7 +56,7 @@ func TestHKDFAllocatesNothing(t *testing.T) {
 		name       string
 		salt, info []byte
 	}{
-		{"wrap", seq(1, ShareSize), seq(2, len(wrapLabel)+2*ShareSize)},
+		{"wrap", seq(1, ShareSize), seq(2, len(wrapLabel)+2*ShareSize+AEADNonceSize)},
 		{"channel", seq(3, 16), seq(4, 300)},
 		{"salt over a block", long, nil},
 	} {

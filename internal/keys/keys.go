@@ -63,6 +63,9 @@ type KeyPair struct {
 	// unwrapCalls counts UnwrapKey invocations — the other private-key
 	// operation of the messaging path, asserted the same way.
 	unwrapCalls atomic.Uint64
+	// agreeCalls counts the X25519 operations of the agreement key derived
+	// from priv and of the round keys drawn from the pair (wrap.go).
+	agreeCalls atomic.Uint64
 	// agree memoizes the X25519 agreement key derived from priv (wrap.go).
 	agree atomic.Pointer[AgreementKey]
 }
@@ -153,6 +156,11 @@ func (k *KeyPair) UnwrapKey(wrapped []byte) ([]byte, error) {
 // UnwrapCalls reports how many times UnwrapKey has been invoked on this
 // key pair: with SignCalls, every RSA private-key operation it performed.
 func (k *KeyPair) UnwrapCalls() uint64 { return k.unwrapCalls.Load() }
+
+// AgreeCalls reports how many X25519 operations this key pair's agreement
+// key and the round keys drawn from it (NewRoundKey) have performed. An
+// agreement answered from a memo is none.
+func (k *KeyPair) AgreeCalls() uint64 { return k.agreeCalls.Load() }
 
 // MarshalPEM serializes the private key as PKCS#8 PEM, for keystore
 // persistence (the PSE-like membership service).

@@ -3,20 +3,30 @@ package keys
 import (
 	"crypto/ecdh"
 	"errors"
+	"time"
+
+	"jxtaoverlay/internal/lru"
 )
 
 // The round key wrap: ECIES to the X25519 agreement key a client
 // credential certifies (SECURITY.md, "Certified agreement key"). A round
-// draws one ephemeral key E; for recipient i, whose certified share is R_i
-// and whose RSA key fingerprint is fp_i,
+// is wrapped under a sender's ephemeral key E and encrypted under one
+// AES-GCM nonce; for recipient i, whose certified share is R_i and whose
+// RSA key fingerprint is fp_i,
 //
-//	(k_enc ‖ k_mac) = HKDF(X25519(e, R_i), salt = E, info = label ‖ fp_i ‖ R_i)
+//	(k_enc ‖ k_mac) = HKDF(X25519(e, R_i), salt = E, info = label ‖ fp_i ‖ R_i ‖ nonce)
 //	wrap_i          = (CEK ⊕ k_enc) ‖ HMAC-SHA256(k_mac, E ‖ CEK ⊕ k_enc)[:16]
 //
-// Every key-encryption key is used once, so the XOR is a one-time pad and
-// the tag makes the wrap encrypt-then-MAC; no cipher's key schedule is
-// built per recipient. Neither end performs an RSA private-key operation:
-// the sender pays one X25519 per recipient, the recipient one.
+// The nonce is drawn fresh for every round, so every key-encryption key
+// is used once even when E serves many rounds: the XOR is a one-time pad
+// and the tag makes the wrap encrypt-then-MAC; no cipher's key schedule is
+// built per recipient. Neither end performs an RSA private-key operation.
+//
+// A sender holds E for many rounds (NewRoundKey) and a recipient sees the
+// same E again in each of them, so both ends memoize the X25519 — the
+// sender per recipient share, the recipient per E — and a round after the
+// first costs each end one HKDF per wrap. The recipient keeps only what
+// a wrap's tag verified. Both memos are capped at agreeMemoCap entries.
 //
 // A key pair's agreement key is derived from its RSA private key
 // (KeyPair.agreement), so it is no second secret to store and it changes
@@ -30,8 +40,11 @@ const WrapSize = ContentKeySize + wrapTagSize
 
 const (
 	wrapTagSize    = 16
-	wrapLabel      = "jxta-overlay/round-wrap/v1"
+	wrapLabel      = "jxta-overlay/round-wrap/v2"
 	agreementLabel = "jxta-overlay/agreement-key/v1"
+	// agreeMemoCap bounds each held key's memo: as many peers as a client
+	// keeps advertisement verdicts for (xdsig.DefaultVerifyCacheSize).
+	agreeMemoCap = 1024
 )
 
 // ErrNoAgreementKey is returned for a recipient whose key carries no
@@ -56,7 +69,30 @@ func (k *KeyPair) agreement() *AgreementKey {
 	if err != nil {
 		panic(err) // every 32 bytes are an X25519 scalar
 	}
-	k.agree.Store(a)
+	if !k.agree.CompareAndSwap(nil, k.hold(a)) {
+		return k.agree.Load()
+	}
+	return a
+}
+
+// NewRoundKey draws an ephemeral key for a sender to wrap many rounds
+// under: it memoizes X25519 per recipient share, and counts each one it
+// performs in the key pair's AgreeCalls. The holder decides how long it
+// lives.
+func (k *KeyPair) NewRoundKey() (*AgreementKey, error) {
+	a, err := NewAgreementKey()
+	if err != nil {
+		return nil, err
+	}
+	return k.hold(a), nil
+}
+
+// hold makes a a key held for many agreements: its X25519 operations are
+// counted in k's AgreeCalls, and the round wrap's are memoized per peer
+// share.
+func (k *KeyPair) hold(a *AgreementKey) *AgreementKey {
+	a.calls = &k.agreeCalls
+	a.memo = lru.New[[ShareSize]byte, [ShareSize]byte](agreeMemoCap)
 	return a
 }
 
@@ -100,11 +136,31 @@ func (p *PublicKey) agreementPublic() (*ecdh.PublicKey, error) {
 	return m.pub, m.err
 }
 
+// recall fills secret with the memoized X25519 with peer, if a held key
+// has one.
+func (a *AgreementKey) recall(peer, secret *[ShareSize]byte) bool {
+	if a.memo == nil {
+		return false
+	}
+	var ok bool
+	*secret, ok = a.memo.Get(*peer, time.Time{})
+	return ok
+}
+
+// remember memoizes a held key's X25519 with peer; an ephemeral key
+// remembers nothing.
+func (a *AgreementKey) remember(peer, secret *[ShareSize]byte) {
+	if a.memo != nil {
+		a.memo.Put(*peer, *secret, time.Time{})
+	}
+}
+
 // WrapTo appends to dst the wrap of cek, a ContentKeySize content key, for
-// to under this (ephemeral) key.
-func (a *AgreementKey) WrapTo(dst, cek []byte, to *PublicKey) ([]byte, error) {
-	if len(cek) != ContentKeySize {
-		return dst, errors.New("keys: wrap: content key is not 32 bytes")
+// to under this (ephemeral) key, bound to nonce: the AEADNonceSize nonce
+// the round's content is sealed under.
+func (a *AgreementKey) WrapTo(dst, cek []byte, to *PublicKey, nonce []byte) ([]byte, error) {
+	if len(cek) != ContentKeySize || len(nonce) != AEADNonceSize {
+		return dst, errors.New("keys: wrap: content key or nonce of the wrong length")
 	}
 	peer, err := to.agreementPublic()
 	if err != nil {
@@ -114,13 +170,19 @@ func (a *AgreementKey) WrapTo(dst, cek []byte, to *PublicKey) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	secret, err := a.priv.ECDH(peer)
-	if err != nil {
-		return dst, ErrAgree
+	var secret [ShareSize]byte
+	if !a.recall(&to.share, &secret) {
+		s, err := a.ecdh(peer)
+		if err != nil {
+			return dst, err
+		}
+		secret = [ShareSize]byte(s)
+		clear(s)
+		a.remember(&to.share, &secret)
 	}
 	var kek [2 * ContentKeySize]byte
-	wrapKEK(&kek, secret, &a.share, &fp, &to.share)
-	clear(secret)
+	wrapKEK(&kek, &secret, &a.share, &fp, &to.share, nonce)
+	clear(secret[:])
 	var w [WrapSize]byte
 	for i := range ContentKeySize {
 		w[i] = cek[i] ^ kek[i]
@@ -131,32 +193,45 @@ func (a *AgreementKey) WrapTo(dst, cek []byte, to *PublicKey) ([]byte, error) {
 }
 
 // UnwrapFrom recovers the content key wrapped to this key pair's agreement
-// key under the ephemeral share eph. A share that is malformed or of small
-// order, and a wrap whose tag does not verify, are ErrDecrypt. It is no
-// RSA operation, and UnwrapCalls does not count it.
-func (k *KeyPair) UnwrapFrom(eph, wrap []byte) (cek [ContentKeySize]byte, err error) {
-	if len(eph) != ShareSize || len(wrap) != WrapSize {
+// key under the ephemeral share eph and bound to nonce. A share that is
+// malformed or of small order, a nonce of the wrong length, and a wrap
+// whose tag does not verify — another round's nonce among its causes —
+// are ErrDecrypt. It is no RSA operation, and UnwrapCalls does not count
+// it; the X25519 with eph is memoized once a wrap under eph verifies.
+func (k *KeyPair) UnwrapFrom(eph, wrap, nonce []byte) (cek [ContentKeySize]byte, err error) {
+	if len(eph) != ShareSize || len(wrap) != WrapSize || len(nonce) != AEADNonceSize {
 		return cek, ErrDecrypt
 	}
 	own := k.agreement()
-	secret, err := own.Agree(eph)
-	if err != nil {
-		return cek, ErrDecrypt
-	}
 	fp, err := k.Public().Fingerprint()
 	if err != nil {
 		return cek, err
 	}
+	e := (*[ShareSize]byte)(eph)
+	var secret [ShareSize]byte
+	memoized := own.recall(e, &secret)
+	if !memoized {
+		s, err := own.Agree(eph)
+		if err != nil {
+			return cek, ErrDecrypt
+		}
+		secret = [ShareSize]byte(s)
+		clear(s)
+	}
 	var kek [2 * ContentKeySize]byte
-	wrapKEK(&kek, secret, (*[ShareSize]byte)(eph), &fp, &own.share)
-	clear(secret)
+	wrapKEK(&kek, &secret, e, &fp, &own.share, nonce)
 	var want [WrapSize]byte
 	copy(want[:ContentKeySize], wrap)
-	wrapTag(&want, &kek, (*[ShareSize]byte)(eph))
+	wrapTag(&want, &kek, e)
 	if !ConstantTimeEqual(want[ContentKeySize:], wrap[ContentKeySize:]) {
 		clear(kek[:])
+		clear(secret[:])
 		return cek, ErrDecrypt
 	}
+	if !memoized {
+		own.remember(e, &secret)
+	}
+	clear(secret[:])
 	for i := range cek {
 		cek[i] = wrap[i] ^ kek[i]
 	}
@@ -165,12 +240,13 @@ func (k *KeyPair) UnwrapFrom(eph, wrap []byte) (cek [ContentKeySize]byte, err er
 }
 
 // wrapKEK derives one recipient's k_enc ‖ k_mac.
-func wrapKEK(kek *[2 * ContentKeySize]byte, secret []byte, eph, fp, share *[ShareSize]byte) {
-	var info [len(wrapLabel) + 2*ShareSize]byte
+func wrapKEK(kek *[2 * ContentKeySize]byte, secret, eph *[ShareSize]byte, fp *[32]byte, share *[ShareSize]byte, nonce []byte) {
+	var info [len(wrapLabel) + 2*ShareSize + AEADNonceSize]byte
 	n := copy(info[:], wrapLabel)
 	n += copy(info[n:], fp[:])
-	copy(info[n:], share[:])
-	HKDF(kek[:], secret, eph[:], info[:])
+	n += copy(info[n:], share[:])
+	copy(info[n:], nonce)
+	HKDF(kek[:], secret[:], eph[:], info[:])
 }
 
 // wrapTag writes the tag over w's masked key into the rest of w.
