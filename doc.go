@@ -74,7 +74,12 @@
 //
 // Every secure wire — envelope, round slice, session-channel frame — is
 // accepted or refused by one receive pipeline (openWire in internal/core/open.go; SECURITY.md
-// lists its steps): core.Open/OpenSlice, a client's two receivers and the
+// lists its steps). Every form but a channel's carries one binary signed
+// header (internal/core/header.go: kind, sender, group, time, body digest
+// and the optional fields its flags name), signed as a label followed by
+// the header bytes themselves: no canonicalization, and XML only for the
+// paper's documents — advertisements, credentials, the credentialed
+// requests, audit checkpoints. core.Open/OpenSlice, a client's two receivers and the
 // secure task service are one-line callers of it, and the replay guard
 // covers all of them, one key per form. A client's group pipes (in
 // internal/control) accept every form a peer sends; the relay's push

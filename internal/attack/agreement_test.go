@@ -154,7 +154,7 @@ func TestAgreementKeyInsiderRewrapRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce, _, _ := keys.CutSection(honest.Sealed)
+	nonce := honest.Nonce()
 	rewrapped, err := bob.kp.UnwrapFrom(leaf.Ephemeral(), leaf.Wrap(), nonce)
 	if err != nil {
 		t.Fatalf("mallory's wrap does not open for bob: %v", err)

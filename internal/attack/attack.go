@@ -14,7 +14,6 @@ import (
 	"context"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/binary"
 	"sync"
 	"time"
@@ -191,20 +190,20 @@ func spoofedPipeFrame(claimedFrom keys.PeerID, pipeID, group, elem string, paylo
 
 // ForgeSlice acts as a malicious relay colluding with a round insider:
 // the insider legitimately opened its cut of the round and hands the
-// relay the validly signed header (core.Opened.HeaderXML) plus the
+// relay the validly signed header (core.Opened.Header) plus the
 // plaintext; the relay re-encrypts them under a fresh content key
 // wrapped to an arbitrary target — including peers the sender never
 // addressed — under an ephemeral key of its own, and cuts a
 // single-recipient ModeSlice wire for it. The layout mirrors core's slice
 // wire exactly; what the pair cannot mint is a header whose signed
-// SliceRoot covers the new leaf, which is precisely the binding
+// slice tree root covers the new leaf, which is precisely the binding
 // OpenSlice enforces.
-func ForgeSlice(headerXML, body []byte, target *keys.PublicKey) ([]byte, error) {
+func ForgeSlice(header, body []byte, target *keys.PublicKey) ([]byte, error) {
 	cek, err := keys.NewContentKey()
 	if err != nil {
 		return nil, err
 	}
-	nonce, ct, err := keys.AEADSeal(cek, Block(headerXML, body))
+	nonce, ct, err := keys.AEADSeal(cek, Block(header, body))
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +223,7 @@ func ForgeSlice(headerXML, body []byte, target *keys.PublicKey) ([]byte, error) 
 		return nil, err
 	}
 	wire = append(wire, 0) // empty proof: for n=1 the leaf IS the root
-	return append(keys.AppendSection(wire, nonce), ct...), nil
+	return append(append(wire, nonce...), ct...), nil
 }
 
 // ResealSlice acts as a round member turned against another member: it
@@ -248,7 +247,25 @@ func ResealSlice(own *keys.KeyPair, ownSlice, victimSlice []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	return append(keys.AppendSection(bytes.Clone(leaf.Head), nonce), ct...), nil
+	return append(append(bytes.Clone(leaf.Head), nonce...), ct...), nil
+}
+
+// SpliceSlice acts as a round member that puts a block of its choosing —
+// another signed header and its body — behind another member's leaf,
+// under the round's content key and the very nonce the sender sealed
+// under, so that the victim's wrap still unwraps and the block decrypts:
+// what is left to refuse it is the header itself.
+func SpliceSlice(own *keys.KeyPair, ownSlice, victimSlice, block []byte) ([]byte, error) {
+	cek, _, err := openOwnSlice(own, ownSlice)
+	if err != nil {
+		return nil, err
+	}
+	leaf, err := CutSlice(victimSlice)
+	if err != nil {
+		return nil, err
+	}
+	wire := append(append(bytes.Clone(leaf.Head), leaf.Nonce()...), block...)
+	return keys.AEADSealInPlace(cek[:], leaf.Nonce(), wire, len(leaf.Head)+keys.AEADNonceSize)
 }
 
 // RewrapSlice acts as a round member that hands another member the round
@@ -271,8 +288,7 @@ func RewrapSlice(own *keys.KeyPair, ownSlice, victimSlice []byte, victim *keys.P
 	if err != nil {
 		return nil, err
 	}
-	nonce, _, _ := keys.CutSection(leaf.Sealed)
-	wrap, err := eph.WrapTo(nil, cek[:], victim, nonce)
+	wrap, err := eph.WrapTo(nil, cek[:], victim, leaf.Nonce())
 	if err != nil {
 		return nil, err
 	}
@@ -289,14 +305,10 @@ func openOwnSlice(own *keys.KeyPair, wire []byte) (cek [keys.ContentKeySize]byte
 	if err != nil {
 		return cek, nil, err
 	}
-	nonce, ct, ok := keys.CutSection(leaf.Sealed)
-	if !ok {
-		return cek, nil, keys.ErrDecrypt
-	}
-	if cek, err = own.UnwrapFrom(leaf.Ephemeral(), leaf.Wrap(), nonce); err != nil {
+	if cek, err = own.UnwrapFrom(leaf.Ephemeral(), leaf.Wrap(), leaf.Nonce()); err != nil {
 		return cek, nil, err
 	}
-	block, err = keys.AEADOpen(cek[:], nonce, ct)
+	block, err = keys.AEADOpen(cek[:], leaf.Nonce(), leaf.Sealed[keys.AEADNonceSize:])
 	return cek, block, err
 }
 
@@ -314,9 +326,12 @@ const (
 type SliceLeaf struct {
 	// Head is everything before the GCM nonce: the leaf and its proof.
 	Head []byte
-	// Sealed is the GCM nonce section and the ciphertext.
+	// Sealed is the 12-byte GCM nonce and the ciphertext.
 	Sealed []byte
 }
+
+// Nonce is the round's GCM nonce, as the slice carries it.
+func (l SliceLeaf) Nonce() []byte { return l.Sealed[:keys.AEADNonceSize] }
 
 // Ephemeral is the round's ephemeral share, as the slice carries it.
 func (l SliceLeaf) Ephemeral() []byte { return l.Head[sliceEph:sliceFP] }
@@ -334,7 +349,7 @@ func CutSlice(wire []byte) (SliceLeaf, error) {
 		return SliceLeaf{}, core.ErrEnvelope
 	}
 	end := sliceProof + 1 + 32*int(wire[sliceProof])
-	if len(wire) < end {
+	if len(wire) < end+keys.AEADNonceSize {
 		return SliceLeaf{}, core.ErrEnvelope
 	}
 	return SliceLeaf{Head: wire[:end:end], Sealed: wire[end:]}, nil
@@ -361,49 +376,136 @@ func ForwardEnvelope(own *keys.KeyPair, wire []byte, target *keys.PublicKey) ([]
 	return append([]byte{wire[0]}, env.Marshal()...), nil
 }
 
-// The session-channel adversaries (internal/core, channel.go) work from
-// the four helpers below, which mirror core's layouts by hand: a header
-// with children of the attacker's choosing, signed with whatever key the
-// attacker holds; the block a header and a body make; a channel frame
-// under a key of the attacker's choosing; and the key schedule, which is
-// no secret — only its X25519 input is.
+// The adversaries of the signed header and of session channels
+// (internal/core: header.go, channel.go) work from the helpers below,
+// which mirror core's layouts by hand: a header with fields of the
+// attacker's choosing, signed with whatever key the attacker holds; the
+// block a header and a body make; a channel frame under a key of the
+// attacker's choosing; and the key schedule, which is no secret — only
+// its X25519 input is.
 
-// Header builds a <SecureMessage> header as core's sealers do — Sender,
-// Group, BodyDigest, Time, then the extra children in order — and, with a
-// signer, signs it.
-func Header(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, extra ...[2]string) ([]byte, error) {
-	doc := xmldoc.New("SecureMessage", "")
-	doc.AddText("Sender", string(sender))
-	doc.AddText("Group", group)
-	doc.AddText("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256(body)))
-	doc.AddText("Time", time.Now().UTC().Format(time.RFC3339Nano))
-	for _, kv := range extra {
-		doc.AddText(kv[0], kv[1])
-	}
-	if signer != nil {
-		sig, err := signer.Sign(doc.Canonical())
-		if err != nil {
-			return nil, err
-		}
-		doc.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
-	}
-	return doc.Canonical(), nil
+// headerLabel is what core signs in front of a header.
+const headerLabel = "jxta-overlay/message-header/v1"
+
+// Header is a message header in core's layout, field by field: kind ‖
+// u16-length sender ‖ u16-length group ‖ i64 Unix-nano time ‖ digest[32]
+// ‖ flags ‖ the optional fields the flags name, in this order — To[32],
+// round Nonce[16] ‖ Root[32], offer Channel[16] ‖ Share[32], Resends[24]
+// (a refused frame's channel ID ‖ u64 sequence number) — ‖ u16-length
+// signature. A nil optional field is absent. The signature covers
+// core's label and every byte in front of its length.
+type Header struct {
+	Kind      core.Mode
+	Sender    keys.PeerID
+	Group     string
+	Time      time.Time
+	Digest    []byte
+	To        []byte
+	Nonce     []byte
+	Root      []byte
+	Channel   []byte
+	Share     []byte
+	Resends   []byte
+	Signature []byte
 }
 
-// Block packs a header and a body the way every secure wire carries them.
+// NewHeader is what core's sealers put in every header of the given kind
+// for body: sender, group, the time now and the body's digest.
+func NewHeader(kind core.Mode, sender keys.PeerID, group string, body []byte) *Header {
+	return &Header{Kind: kind, Sender: sender, Group: group, Time: time.Now(), Digest: keys.SHA256(body)}
+}
+
+// unsigned is the header up to its signature's length.
+func (h *Header) unsigned() []byte {
+	b := []byte{byte(h.Kind)}
+	b = append(binary.BigEndian.AppendUint16(b, uint16(len(h.Sender))), h.Sender...)
+	b = append(binary.BigEndian.AppendUint16(b, uint16(len(h.Group))), h.Group...)
+	b = binary.BigEndian.AppendUint64(b, uint64(h.Time.UnixNano()))
+	b = append(b, h.Digest...)
+	var flags byte
+	for i, f := range [][]byte{h.To, h.Nonce, h.Channel, h.Resends} {
+		if f != nil {
+			flags |= 1 << i
+		}
+	}
+	b = append(b, flags)
+	for _, f := range [][]byte{h.To, h.Nonce, h.Root, h.Channel, h.Share, h.Resends} {
+		b = append(b, f...)
+	}
+	return b
+}
+
+// Sign signs h with kp as core's sealers do.
+func (h *Header) Sign(kp *keys.KeyPair) error {
+	sig, err := kp.Sign(append([]byte(headerLabel), h.unsigned()...))
+	h.Signature = sig
+	return err
+}
+
+// Bytes is the header on the wire, signature included.
+func (h *Header) Bytes() []byte {
+	b := binary.BigEndian.AppendUint16(h.unsigned(), uint16(len(h.Signature)))
+	return append(b, h.Signature...)
+}
+
+// Block packs a header and a body the way every secure wire carries them:
+// the header marks its own end.
 func Block(header, body []byte) []byte {
-	return append(keys.AppendSection(nil, header), body...)
+	return append(bytes.Clone(header), body...)
 }
 
 // ReadHeader is the reverse, for an attacker that has a block in the
-// clear: the parsed header of a sign-only wire, or of an envelope it holds
-// the recipient's key to.
-func ReadHeader(block []byte) (*xmldoc.Element, error) {
-	header, _, ok := keys.CutSection(block)
-	if !ok {
-		return nil, keys.ErrDecrypt
+// clear — a sign-only wire's, or an envelope's it holds the recipient's
+// key to: the header it starts with, and the body behind it. The fields
+// are copies.
+func ReadHeader(block []byte) (*Header, []byte, error) {
+	b := block
+	take := func(n int) []byte {
+		if b == nil || len(b) < n {
+			b = nil
+			return nil
+		}
+		v := bytes.Clone(b[:n])
+		b = b[n:]
+		return v
 	}
-	return xmldoc.ParseCanonical(bytes.Clone(header))
+	sized := func() []byte {
+		if n := take(2); n != nil {
+			return take(int(binary.BigEndian.Uint16(n)))
+		}
+		return nil
+	}
+	h := &Header{}
+	if kind := take(1); kind != nil {
+		h.Kind = core.Mode(kind[0])
+	}
+	h.Sender = keys.PeerID(sized())
+	h.Group = string(sized())
+	if at := take(8); at != nil {
+		h.Time = time.Unix(0, int64(binary.BigEndian.Uint64(at)))
+	}
+	h.Digest = take(32)
+	var flags byte
+	if f := take(1); f != nil {
+		flags = f[0]
+	}
+	if flags&1 != 0 {
+		h.To = take(32)
+	}
+	if flags&2 != 0 {
+		h.Nonce, h.Root = take(16), take(32)
+	}
+	if flags&4 != 0 {
+		h.Channel, h.Share = take(16), take(keys.ShareSize)
+	}
+	if flags&8 != 0 {
+		h.Resends = take(24)
+	}
+	h.Signature = sized()
+	if b == nil || flags>>4 != 0 {
+		return nil, nil, core.ErrEnvelope
+	}
+	return h, b, nil
 }
 
 // ForgeFrame seals body, sent at sentAt, as frame seq of a channel under

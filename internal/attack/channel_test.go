@@ -10,7 +10,6 @@ package attack_test
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -30,10 +29,7 @@ import (
 	"jxtaoverlay/internal/telemetry"
 	"jxtaoverlay/internal/waituntil"
 	"jxtaoverlay/internal/xdsig"
-	"jxtaoverlay/internal/xmldoc"
 )
-
-var b64 = base64.StdEncoding
 
 // wiresTo returns the secure wires of the given mode among the frames
 // eve captured on their way to a peer.
@@ -165,7 +161,7 @@ func alerts(t *testing.T, c *events.Collector, n int) []events.Event {
 // handshakeOf reads the handshake the two peers exchanged out of eve's
 // capture, the way the holder of bob's RSA key can: alice's offer from
 // the envelope to bob, bob's accept as it crossed the wire to alice.
-func handshakeOf(t *testing.T, p *channelPair) (offer *xmldoc.Element, accept []byte) {
+func handshakeOf(t *testing.T, p *channelPair) (offer *attack.Header, accept []byte) {
 	t.Helper()
 	for _, wire := range wiresTo(p.eve, p.bob.PeerID(), core.ModeFull) {
 		env, err := keys.ParseEnvelope(wire[1:])
@@ -176,26 +172,17 @@ func handshakeOf(t *testing.T, p *channelPair) (offer *xmldoc.Element, accept []
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h, err := attack.ReadHeader(block); err == nil && h.ChildText("Channel") != "" {
+		if h, _, err := attack.ReadHeader(block); err == nil && h.Channel != nil {
 			offer = h
 		}
 	}
 	if accepts := wiresTo(p.eve, p.alice.PeerID(), core.ModeAccept); len(accepts) > 0 {
 		accept = accepts[0]
 	}
-	if offer == nil || len(accept) != 65 || b64.EncodeToString(accept[1:17]) != offer.ChildText("Channel") {
+	if offer == nil || len(accept) != 65 || !bytes.Equal(accept[1:17], offer.Channel) {
 		t.Fatalf("handshake not on the wire: offer %v, accept %x", offer, accept)
 	}
 	return offer, accept
-}
-
-func unb64(t *testing.T, s string) []byte {
-	t.Helper()
-	b, err := b64.DecodeString(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // (a) Key-compromise impersonation. The attacker holds bob's RSA private
@@ -209,8 +196,8 @@ func unb64(t *testing.T, s string) []byte {
 func TestChannelKeyCompromiseImpersonation(t *testing.T) {
 	p := newChannelPair(t, newSecureStack(t), false)
 	offer, accept := handshakeOf(t, p)
-	channel := unb64(t, offer.ChildText("Channel"))
-	aliceShare, bobShare := unb64(t, offer.ChildText("Share")), accept[17:49]
+	channel := offer.Channel
+	aliceShare, bobShare := offer.Share, accept[17:49]
 	aliceKey, bobKP := p.alice.Identity().Keys.Public(), p.bob.Identity().Keys
 	staticTerm, err := bobKP.Agree(aliceShare)
 	if err != nil {
@@ -376,7 +363,7 @@ type lostAccept struct {
 	*channelPair
 	mallory       *core.SecureClient
 	atAlice       *events.Collector
-	offer         *xmldoc.Element
+	offer         *attack.Header
 	accept        []byte // bob's, lost
 	channel       []byte
 	aliceShare    []byte
@@ -406,7 +393,7 @@ func newLostAccept(t *testing.T) *lostAccept {
 	l := &lostAccept{channelPair: p, mallory: mallory, atAlice: events.NewCollector(alice.Bus()),
 		bobKey: bob.Identity().Keys.Public(), aliceKP: alice.Identity().Keys, malloryKP: mallory.Identity().Keys}
 	l.offer, l.accept = handshakeOf(t, p)
-	l.channel, l.aliceShare = unb64(t, l.offer.ChildText("Channel")), unb64(t, l.offer.ChildText("Share"))
+	l.channel, l.aliceShare = l.offer.Channel, l.offer.Share
 	return l
 }
 
@@ -693,12 +680,12 @@ func TestChannelOfferFlood(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := []byte(fmt.Sprintf("flood %d", i))
-		header, err := attack.Header(mallory.Identity().Keys, mallory.PeerID(), "math", body,
-			[2]string{"To", b64.EncodeToString(bobFP[:])}, [2]string{"Channel", b64.EncodeToString(id)}, [2]string{"Share", b64.EncodeToString(eph.Share())})
-		if err != nil {
+		header := attack.NewHeader(core.ModeFull, mallory.PeerID(), "math", body)
+		header.To, header.Channel, header.Share = bobFP[:], id, eph.Share()
+		if err := header.Sign(mallory.Identity().Keys); err != nil {
 			t.Fatal(err)
 		}
-		env, err := bob.Identity().Keys.Public().Encrypt(attack.Block(header, body))
+		env, err := bob.Identity().Keys.Public().Encrypt(attack.Block(header.Bytes(), body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func TestRoundHeaderRetargetedRecipientSetRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged, err := attack.ForgeSlice(opened.HeaderXML(), opened.Body, bob.kp.Public())
+	forged, err := attack.ForgeSlice(opened.Header(), opened.Body, bob.kp.Public())
 	if err != nil {
 		t.Fatal(err)
 	}

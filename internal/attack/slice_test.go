@@ -38,7 +38,7 @@ func TestSliceRetargetedToNonRecipientRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged, err := attack.ForgeSlice(opened.HeaderXML(), opened.Body, eve.kp.Public())
+	forged, err := attack.ForgeSlice(opened.Header(), opened.Body, eve.kp.Public())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -13,7 +12,6 @@ import (
 
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/lru"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // Session channels. The paper's secureMsgPeer is E_PK(m, S_SK(m)) on
@@ -31,8 +29,9 @@ import (
 // frame under that key (SECURITY.md, "Session channels", has the
 // transcript and what each part binds).
 //
-//	offer    ModeFull envelope; signed header adds To, Channel, Share
-//	         (and Refused, when it sends a refused frame's message again)
+//	offer    ModeFull envelope; its signed header carries To and the offer,
+//	         Channel ‖ Share (and the refused frame whose message it sends
+//	         again, when it does)
 //	accept   ModeAccept ‖ Channel[16] ‖ E_R[32] ‖ tag[16] — unsigned; the
 //	         tag is an HMAC under a key derived beside the frame key
 //	frame    ModeChannel ‖ Channel[16] ‖ seq u64 ‖
@@ -139,12 +138,6 @@ type handshake struct {
 	share []byte // the initiator's ephemeral X25519 share
 }
 
-// write adds the offer's children to a header about to be signed.
-func (h *handshake) write(header *xmldoc.Element) {
-	header.AddText("Channel", base64.StdEncoding.EncodeToString(h.id[:]))
-	header.AddText("Share", base64.StdEncoding.EncodeToString(h.share))
-}
-
 // acceptWire is an accept: ModeAccept ‖ Channel ‖ E_R ‖ tag.
 type acceptWire [acceptSize]byte
 
@@ -157,37 +150,6 @@ func (a *acceptWire) tag() []byte   { return a[acceptSize-acceptTagSize:] }
 func appendAccept(dst []byte, id channelID, share []byte, tag *[acceptTagSize]byte) []byte {
 	dst = append(append(append(dst, byte(ModeAccept)), id[:]...), share...)
 	return append(dst, tag[:]...)
-}
-
-// writeResends marks a header about to be signed as sending again the
-// message of a refused frame.
-func writeResends(header *xmldoc.Element, frame frameRef) {
-	header.AddText("Refused", base64.StdEncoding.EncodeToString(appendFrameRef(nil, ModeRefusal, frame)[1:]))
-}
-
-// parseChannelFields reads what write and writeResends put in a header;
-// nil where it has none. A header with a Channel and no well-formed Share
-// is malformed.
-func parseChannelFields(header *xmldoc.Element) (hs *handshake, resends *frameRef, err error) {
-	if header.ChildText("Refused") != "" {
-		ref, err := headerBytes(header, "Refused")
-		if err != nil || len(ref) != framePrefix-1 {
-			return nil, nil, ErrEnvelope
-		}
-		resends = &frameRef{channelID(ref[:channelIDSize]), binary.BigEndian.Uint64(ref[channelIDSize:])}
-	}
-	if header.ChildText("Channel") == "" {
-		return nil, resends, nil
-	}
-	id, err := headerBytes(header, "Channel")
-	if err != nil || len(id) != channelIDSize {
-		return nil, nil, ErrEnvelope
-	}
-	hs = &handshake{id: channelID(id)}
-	if hs.share, err = headerBytes(header, "Share"); err != nil || len(hs.share) != keys.ShareSize {
-		return nil, nil, ErrEnvelope
-	}
-	return hs, resends, nil
 }
 
 // channelEnds is what a channel's key is derived from beside the two
@@ -439,28 +401,28 @@ func (t *channelTable) claimFrame(pair pairKey, text string, now time.Time) (fra
 	return frameRef{c.id, c.seq}, c.aead, c.route, true
 }
 
-// offer returns the offer to put on an envelope to pair: the pending one,
-// or a new one when there is none, whose key will be derived between ends
-// (offer adds the initiator's share). notAfter is the earliest expiry of
-// the two credential chains. It returns nil once the channel is
-// established (an envelope racing the accept needs no offer), and when the
-// credentials have too little time left for a channel to be of any use.
-func (t *channelTable) offer(pair pairKey, route any, ends channelEnds, notAfter, now time.Time) (*handshake, error) {
+// offer returns the offer to put on an envelope to pair, its channel ID
+// and the initiator's share: the pending one, or a new one when there is
+// none, whose key will be derived between ends (offer adds the initiator's
+// share). notAfter is the earliest expiry of the two credential chains. It
+// returns nil once the channel is established (an envelope racing the
+// accept needs no offer), and when the credentials have too little time
+// left for a channel to be of any use.
+func (t *channelTable) offer(pair pairKey, route any, ends channelEnds, notAfter, now time.Time) (id, share []byte, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ready()
 	c, ok := t.out.Get(pair, now)
 	if ok && c.aead != nil && c.seq < channelBudget || !notAfter.Add(-channelSkew).After(now) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if !ok || c.aead != nil {
-		id, err := keys.RandomBytes(channelIDSize)
-		if err != nil {
-			return nil, err
+		if id, err = keys.RandomBytes(channelIDSize); err != nil {
+			return nil, nil, err
 		}
 		eph, err := keys.NewAgreementKey()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ends.initiatorShare = eph.Share()
 		// The responder's lifetime starts when it answers, after this: the
@@ -472,7 +434,7 @@ func (t *channelTable) offer(pair pairKey, route any, ends channelEnds, notAfter
 		c = &outChannel{id: channelID(id), route: route, dies: dies.Add(-channelSkew), eph: eph, ends: &ends}
 		t.out.Put(pair, c, now.Add(offerLifetime), now)
 	}
-	return &handshake{id: c.id, share: c.ends.initiatorShare}, nil
+	return c.id[:], c.ends.initiatorShare, nil
 }
 
 // Outcomes of an accept, as the initiator sees it.

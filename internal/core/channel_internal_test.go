@@ -29,12 +29,12 @@ func pendingOffer(tb testing.TB, now time.Time) (chans *channelTable, hs *handsh
 	ends.responderFP, _ = senderKP.Public().Fingerprint()
 	ends.responderStatic, _ = senderKP.Public().AgreementShare()
 	chans = &channelTable{}
-	hs, err := chans.offer(offerPair, nil, ends, now.Add(time.Hour), now)
-	if err != nil || hs == nil {
-		tb.Fatalf("offer = (%v, %v)", hs, err)
+	id, share, err := chans.offer(offerPair, nil, ends, now.Add(time.Hour), now)
+	if err != nil || id == nil {
+		tb.Fatalf("offer = (%x, %v)", id, err)
 	}
-	ends.initiatorShare = hs.share
-	return chans, hs, ends
+	ends.initiatorShare = share
+	return chans, &handshake{id: channelID(id), share: share}, ends
 }
 
 // flipAccept is the honest accept with one bit flipped at.

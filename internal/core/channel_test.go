@@ -535,3 +535,69 @@ func TestAttackMirrorsChannelLayout(t *testing.T) {
 		t.Fatalf("hand-built accept %x, the responder's %x", hand, accept)
 	}
 }
+
+// TestAttackMirrorsHeaderLayout: the attack suite builds and reads signed
+// headers by hand (attack.Header, attack.ReadHeader). Its negatives mean
+// something only if a header built that way is, field for field and byte
+// for byte, the one this package's codec reads and writes, and is signed
+// over the same bytes — the label and the kind among them.
+func TestAttackMirrorsHeaderLayout(t *testing.T) {
+	kp := fuzzOpenKey(t)
+	body := []byte("built by hand")
+	digest := keys.SHA256(body)
+	fill := func(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+	now := time.Unix(0, time.Now().UnixNano())
+	for i, hand := range []*attack.Header{
+		{Kind: core.ModeSign, Sender: "urn:jxta:s", Group: "g", Time: now, Digest: digest},
+		{Kind: core.ModeFull, Sender: "urn:jxta:s", Group: "g", Time: now, Digest: digest, To: fill(1, 32), Channel: fill(2, 16), Share: fill(3, 32), Resends: fill(4, 24)},
+		{Kind: core.ModeGroup, Sender: "urn:jxta:s", Group: "math", Time: now, Digest: digest, Nonce: fill(5, 16), Root: fill(6, 32)},
+		{Kind: core.ModeEncrypt, Time: time.Unix(0, -1), Digest: digest, To: fill(7, 32), Nonce: fill(8, 16), Root: fill(9, 32), Channel: fill(10, 16), Share: fill(11, 32), Resends: fill(12, 24)},
+	} {
+		signed := hand.Kind != core.ModeEncrypt
+		if signed {
+			if err := hand.Sign(kp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wire := hand.Bytes()
+		f, rest, ok := core.ParseHeader(attack.Block(wire, body))
+		if !ok || !bytes.Equal(rest, body) {
+			t.Fatalf("header %d: core does not read the hand-built header (%v) or finds another body", i, ok)
+		}
+		same := f.Kind == hand.Kind && f.Sender == hand.Sender && f.Group == hand.Group && f.At == hand.Time.UnixNano()
+		for _, pair := range [][2][]byte{{f.Digest, hand.Digest}, {f.To, hand.To}, {f.Nonce, hand.Nonce}, {f.Root, hand.Root},
+			{f.Channel, hand.Channel}, {f.Share, hand.Share}, {f.Resends, hand.Resends}, {f.Sig, hand.Signature}} {
+			same = same && bytes.Equal(pair[0], pair[1]) // a field present is never empty
+		}
+		if !same {
+			t.Fatalf("header %d: core reads %+v from %+v", i, f, hand)
+		}
+		// RSA PKCS #1 v1.5 signatures are deterministic: core signing the same
+		// fields writes the very bytes the attack suite did.
+		f.Sig = nil
+		var signer *keys.KeyPair
+		if signed {
+			signer = kp
+		}
+		if again, err := core.AppendHeader(f, signer); err != nil || !bytes.Equal(again, wire) {
+			t.Fatalf("header %d: core writes %x (%v), the attack suite %x", i, again, err, wire)
+		}
+		back, rest, err := attack.ReadHeader(attack.Block(wire, body))
+		if err != nil || !bytes.Equal(back.Bytes(), wire) || !back.Time.Equal(hand.Time) || !bytes.Equal(rest, body) {
+			t.Fatalf("header %d: read back by hand as %+v (%v)", i, back, err)
+		}
+	}
+	// And a header a sealer wrote, read by hand and signed again by hand.
+	sealed, err := core.Seal(kp, "urn:jxta:s", "g", body, nil, core.ModeSign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, rest, err := attack.ReadHeader(sealed.Bytes()[1:])
+	if err != nil || h.Kind != core.ModeSign || h.Sender != "urn:jxta:s" || !bytes.Equal(h.Digest, digest) || !bytes.Equal(rest, body) {
+		t.Fatalf("Seal's header read by hand as %+v (%v)", h, err)
+	}
+	sig := h.Signature
+	if err := h.Sign(kp); err != nil || !bytes.Equal(h.Signature, sig) {
+		t.Fatalf("the attack suite signs other bytes than Seal does (%v)", err)
+	}
+}

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"encoding/base64"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // Mode selects how the secure messaging envelope protects a payload.
@@ -102,16 +101,17 @@ var (
 // is plaintext; for ModeFull/ModeEncrypt it is a wrapped-key encryption
 // (keys.Envelope) of the same block. The block itself is
 //
-//	u32 header length | header (canonical <SecureMessage> XML) | raw body
+//	header (header.go) | raw body
 //
-// The header carries the sender, group, timestamp and the body's SHA-256
-// digest; a ModeFull header also names its recipient (To, the fingerprint
-// of the key it is sealed to), so that the signed block means nothing
-// re-encrypted to anyone else; in signed modes it also carries the
-// sender's signature over the header (digest included), which
-// transitively authenticates the body. Keeping the body out of the XML avoids Base64 inflation, so the
-// secure message adds only a small constant to the wire size — the
-// property behind Figure 2's falling overhead curve.
+// The header carries the mode, sender, group, timestamp and the body's
+// SHA-256 digest; a ModeFull header also names its recipient (To, the
+// fingerprint of the key it is sealed to), so that the signed block means
+// nothing re-encrypted to anyone else; in signed modes it ends in the
+// sender's signature over the rest of it (digest included), which
+// transitively authenticates the body. Keeping the body out of the header
+// avoids copying it through an encoding, so the secure message adds only
+// a small constant to the wire size — the property behind Figure 2's
+// falling overhead curve.
 type Sealed struct {
 	Mode Mode
 	wire []byte
@@ -120,44 +120,12 @@ type Sealed struct {
 // Bytes returns the wire form.
 func (s *Sealed) Bytes() []byte { return s.wire }
 
-func headerDoc(sender keys.PeerID, group string, bodyDigest []byte, at time.Time) *xmldoc.Element {
-	doc := xmldoc.New("SecureMessage", "")
-	doc.AddText("Sender", string(sender))
-	doc.AddText("Group", group)
-	doc.AddText("BodyDigest", base64.StdEncoding.EncodeToString(bodyDigest))
-	doc.AddText("Time", signedTime(at))
-	return doc
-}
-
-// packBlock appends the block — the layout unpackBlock reads, and the
-// only place the body is ever copied on the sending side.
-func packBlock(dst, header, body []byte) []byte {
-	return append(keys.AppendSection(dst, header), body...)
-}
-
-func unpackBlock(block []byte, name string) (*xmldoc.Element, []byte, error) {
-	h, body, ok := keys.CutSection(block)
-	if !ok {
-		return nil, nil, ErrEnvelope
-	}
-	// Fast-path parse: headers are canonical bytes produced by the peer's
-	// Seal, so the parsed tree's canonical memos are seeded straight
-	// from the wire — the CanonicalSkip/Canonical calls inside signature
-	// verification become pointer reads. A header outside the canonical
-	// subset is malformed by protocol definition. The tree and the body
-	// alias block, which this receive path owns and never writes again.
-	header, err := xmldoc.ParseCanonical(h)
-	if err != nil || header.Name != name {
-		return nil, nil, ErrEnvelope
-	}
-	return header, body, nil
-}
-
-// sealedLen is the length of the sealed block of header and body: what a
-// sealer leaves room for, so that the block is packed into the wire's one
-// buffer and encrypted where it lies (keys.AEADSealInPlace).
-func sealedLen(header, body []byte) int {
-	return 4 + len(header) + len(body) + keys.AEADOverhead
+// appendBlock appends the block — header, then body — and is the only
+// place the body is ever copied on the sending side. h is signed by signer
+// when it is set.
+func appendBlock(dst []byte, h *header, signer *keys.KeyPair, body []byte) ([]byte, error) {
+	dst, err := appendHeader(dst, h, signer)
+	return append(dst, body...), err
 }
 
 // Seal produces the secure envelope for body (paper §4.3.1 step 4:
@@ -166,42 +134,38 @@ func sealedLen(header, body []byte) int {
 // and read into the wire exactly once. The signed time is the wall's: a
 // peer seals through seal, at its own.
 func Seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipient *keys.PublicKey, mode Mode) (*Sealed, error) {
-	return seal(signer, sender, group, body, recipient, mode, time.Now(), nil)
+	return seal(signer, &header{sender: sender, group: group, at: time.Now().UnixNano()}, body, recipient, mode)
 }
 
-// seal is Seal at the sender's time now, with room for what a
-// session-channel handshake adds to the header: extra, when set, adds its
-// children before the header is signed.
-func seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipient *keys.PublicKey, mode Mode, now time.Time, extra func(header *xmldoc.Element)) (*Sealed, error) {
-	header := headerDoc(sender, group, keys.SHA256(body), now)
-	if mode == ModeFull && recipient != nil {
-		fp, err := recipient.Fingerprint()
-		if err != nil {
-			return nil, err
-		}
-		header.AddText("To", base64.StdEncoding.EncodeToString(fp[:]))
+// seal is Seal for the header h begins: its sender, group and time, and
+// whatever a session-channel handshake adds to it (an offer, the frame a
+// message is sent again for). seal fills in the rest.
+func seal(signer *keys.KeyPair, h *header, body []byte, recipient *keys.PublicKey, mode Mode) (*Sealed, error) {
+	h.kind = mode
+	digest := sha256.Sum256(body)
+	h.digest = digest[:]
+	if mode != ModeFull && mode != ModeSign {
+		signer = nil
+	} else if signer == nil {
+		return nil, errors.New("core: mode requires a signing key")
 	}
-	if extra != nil {
-		extra(header)
-	}
-	if mode == ModeFull || mode == ModeSign {
-		if signer == nil {
-			return nil, errors.New("core: mode requires a signing key")
-		}
-		sig, err := signer.Sign(header.Canonical())
-		if err != nil {
-			return nil, err
-		}
-		header.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
-	}
-	h := header.Canonical()
 	switch mode {
 	case ModeSign:
-		wire := append(make([]byte, 0, 1+4+len(h)+len(body)), byte(mode))
-		return &Sealed{Mode: mode, wire: packBlock(wire, h, body)}, nil
+		wire, err := appendBlock(append(make([]byte, 0, 1+headerSize(h, signer)+len(body)), byte(mode)), h, signer, body)
+		if err != nil {
+			return nil, err
+		}
+		return &Sealed{Mode: mode, wire: wire}, nil
 	case ModeFull, ModeEncrypt:
 		if recipient == nil {
 			return nil, errors.New("core: mode requires a recipient key")
+		}
+		if mode == ModeFull {
+			fp, err := recipient.Fingerprint()
+			if err != nil {
+				return nil, err
+			}
+			h.to = fp[:]
 		}
 		// The keys.Envelope sections behind the mode byte — wrapped key,
 		// nonce, ciphertext — written into the one buffer the ciphertext
@@ -214,11 +178,15 @@ func seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, r
 		if err != nil {
 			return nil, err
 		}
-		n := sealedLen(h, body)
+		n := headerSize(h, signer) + len(body) + keys.AEADOverhead
 		wire := append(make([]byte, 0, 1+4+len(wrap)+4+len(nonce)+4+n), byte(mode))
 		wire = keys.AppendSection(keys.AppendSection(wire, wrap), nonce)
 		wire = binary.BigEndian.AppendUint32(wire, uint32(n))
-		if wire, err = keys.AEADSealInPlace(cek, nonce, packBlock(wire, h, body), len(wire)); err != nil {
+		at := len(wire)
+		if wire, err = appendBlock(wire, h, signer, body); err != nil {
+			return nil, err
+		}
+		if wire, err = keys.AEADSealInPlace(cek, nonce, wire, at); err != nil {
 			return nil, err
 		}
 		return &Sealed{Mode: mode, wire: wire}, nil
@@ -241,9 +209,8 @@ type Opened struct {
 	// which the open path feeds to ReplayGuard.CheckRound.
 	Nonce []byte
 
-	sigDoc   []byte          // canonical signed header bytes
-	sig      []byte          // detached signature, nil for ModeEncrypt
-	headerEl *xmldoc.Element // parsed header incl. signature (slices)
+	header []byte // the header as it arrived, signature included; nil for a channel's wires
+	sig    []byte // the header's signature, nil when unsigned
 
 	// What session channels add (channel.go), behind one pointer so that
 	// an Opened — one is allocated per open, of a slice as of a frame — is
@@ -251,18 +218,13 @@ type Opened struct {
 	*channelPart
 }
 
-// HeaderXML returns the full canonical header bytes, signature included
-// (slices only, nil otherwise): the one signed header every slice of the
-// round carries. It exists for diagnostics and for the attack suite,
-// which uses it to act as a malicious round member splicing a validly
-// signed header into forged wires. Serialization is deferred to this
-// call so the production receive path never pays it.
-func (o *Opened) HeaderXML() []byte {
-	if o.headerEl == nil {
-		return nil
-	}
-	return o.headerEl.Canonical()
-}
+// Header returns the signed header as it arrived, signature included
+// (nil for a channel's frames, accepts and refusals): a view of the wire
+// it was opened from. For a slice it is the one header every slice of the
+// round carries. It exists for diagnostics and for the attack suite, which
+// uses it to act as a malicious recipient splicing a validly signed header
+// into forged wires.
+func (o *Opened) Header() []byte { return o.header }
 
 // Open decrypts and parses a secure envelope addressed to own (the
 // pipeline in open.go). The body digest in the header is always checked;
@@ -283,7 +245,7 @@ func (o *Opened) VerifySignature(senderKey *keys.PublicKey) error {
 	if o.sig == nil {
 		return ErrNoSignature
 	}
-	if err := senderKey.Verify(o.sigDoc, o.sig); err != nil {
+	if err := verifyHeader(senderKey, o.header, o.sig); err != nil {
 		return ErrSigInvalid
 	}
 	return nil

@@ -113,3 +113,26 @@ func DeriveChannel(eph *keys.AgreementKey, own *keys.KeyPair, id [16]byte, initi
 	o, err = openWire(nil, bytes.Clone(wire), formChannel, nil, nil, t, time.Now())
 	return appendAccept(nil, id, e.responderShare, &tag), o, err
 }
+
+// HeaderFields is a header as this package's codec reads and writes it,
+// for the external package's check that the attack suite's hand-written
+// mirror of the layout (attack.Header, attack.ReadHeader) is a faithful
+// one.
+type HeaderFields struct {
+	Kind                                                  Mode
+	Sender                                                keys.PeerID
+	Group                                                 string
+	At                                                    int64
+	Digest, To, Nonce, Root, Channel, Share, Resends, Sig []byte
+}
+
+// ParseHeader is parseHeader.
+func ParseHeader(block []byte) (f HeaderFields, body []byte, ok bool) {
+	h, body, ok := parseHeader(block)
+	return HeaderFields{h.kind, h.sender, h.group, h.at, h.digest, h.to, h.nonce, h.root, h.channel, h.share, h.resends, h.sig}, body, ok
+}
+
+// AppendHeader is appendHeader into a new buffer.
+func AppendHeader(f HeaderFields, signer *keys.KeyPair) ([]byte, error) {
+	return appendHeader(nil, &header{f.Kind, f.Sender, f.Group, f.At, f.Digest, f.To, f.Nonce, f.Root, f.Channel, f.Share, f.Resends, f.Sig}, signer)
+}

@@ -58,7 +58,7 @@ func BenchmarkOpenSlice(b *testing.B) {
 	}
 }
 
-func TestGateOpenSlice(t *testing.T) { perfgate.Run(t, BenchmarkOpenSlice, 27, perfgate.NoLimit) }
+func TestGateOpenSlice(t *testing.T) { perfgate.Run(t, BenchmarkOpenSlice, 14, perfgate.NoLimit) }
 
 // BenchmarkFanOutRound is a sender's work for one 100-recipient round in
 // the steady state: verify every recipient's signed pipe advertisement
@@ -143,7 +143,9 @@ func BenchmarkFanOutRound(b *testing.B) {
 	}
 }
 
-func TestGateFanOutRound(t *testing.T) { perfgate.Run(t, BenchmarkFanOutRound, 475, perfgate.NoLimit) }
+// It reads 427, and 427–429 under the race detector, whose sync.Pool
+// drops some of what is put back.
+func TestGateFanOutRound(t *testing.T) { perfgate.Run(t, BenchmarkFanOutRound, 432, perfgate.NoLimit) }
 
 // BenchmarkLeaseRenew is the bookkeeping every heartbeat pays once its
 // signature is verified: one locked table lookup, the lease and

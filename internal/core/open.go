@@ -3,14 +3,12 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // The open path. Every secure wire a stranger can hand this peer — a
@@ -34,14 +32,15 @@ import (
 //	                      from the table: nothing below runs on bytes that
 //	                      neither this peer's private key nor a key agreed
 //	                      under it released
-//	unpackBlock           canonical header of the form's root name + body
-//	body digest           the header's BodyDigest covers the body
-//	recipient binding     To = own key (ModeFull envelope) / Merkle SliceRoot
+//	parseHeader           the binary header (header.go), of the kind the
+//	                      wire's form was sealed under, + body
+//	body digest           the header's digest covers the body
+//	recipient binding     To = own key (ModeFull envelope) / Merkle slice root
 //	                      (slice) — BEFORE any signed field is read, so a
 //	                      validly signed header spliced onto another leaf,
 //	                      or re-encrypted to another peer, vouches for
 //	                      nothing
-//	time, nonce, signature, handshake fields
+//	nonce, signature, handshake fields
 //	claimed group         slices only, and BEFORE the guard: a mislabelled
 //	                      delivery must not burn the single-use nonce
 //	replay                one guard key per form: an envelope's wire
@@ -49,7 +48,7 @@ import (
 //
 // A frame leaves the pipeline once its channel's key has opened it: four
 // steps prove for a signed wire what its channel already has. No header
-// to unpack: sender and group are the channel's, the table's own strings.
+// to parse: sender and group are the channel's, the table's own strings.
 // No body digest: that binds a body to the signature over the header, and
 // the tag covers the 25 bytes in front, the time and the body together. No
 // recipient binding: the key is derived from both peers, both certified
@@ -221,9 +220,9 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		return o, nil
 	}
 	round := sw.mode == ModeSlice
-	block, rootName := sw.ct, "SecureMessage"
+	block, kind := sw.ct, sw.mode
 	if round {
-		rootName = roundHeaderName
+		kind = ModeGroup
 	}
 	// The guard's key: an envelope's is the digest of the wire as received,
 	// taken here, before the AEAD overwrites it; a slice's is its nonce.
@@ -252,82 +251,60 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 			return nil, ErrNotRecipient
 		}
 	}
-	header, body, err := unpackBlock(block, rootName)
-	if err != nil {
-		return nil, err
-	}
-	wantDigest, err := headerBytes(header, "BodyDigest")
-	if err != nil {
+	h, body, ok := parseHeader(block)
+	if !ok || h.kind != kind {
 		return nil, ErrEnvelope
 	}
-	if !keys.ConstantTimeEqual(keys.SHA256(body), wantDigest) {
+	if digest := sha256.Sum256(body); !keys.ConstantTimeEqual(digest[:], h.digest) {
 		return nil, ErrBodyDigest
 	}
 	switch sw.mode {
 	case ModeFull:
 		// The signed To must name this peer's key: a block signed for
-		// another recipient and re-encrypted to this one is refused.
-		to, err := headerBytes(header, "To")
-		if err != nil {
-			return nil, ErrEnvelope
-		}
+		// another recipient and re-encrypted to this one is refused, and so
+		// is one that names none.
 		ownFP, err := own.Public().Fingerprint()
 		if err != nil {
 			return nil, err
 		}
-		if !keys.ConstantTimeEqual(to, ownFP[:]) {
+		if !keys.ConstantTimeEqual(h.to, ownFP[:]) {
 			return nil, ErrNotRecipient
 		}
 	case ModeSlice:
 		// Recompute the tree root from this slice's own materials. A
 		// header without a SliceRoot cannot authorize any slice.
-		want, err := headerBytes(header, sliceRootName)
-		if err != nil || len(want) == 0 {
-			return nil, ErrRoundBinding
-		}
 		root, ok := verifySliceProof(sw.slice)
-		if !ok || !keys.ConstantTimeEqual(root[:], want) {
+		if !ok || !keys.ConstantTimeEqual(root[:], h.root) {
 			return nil, ErrRoundBinding
 		}
-	}
-	sentAt, err := time.Parse(time.RFC3339Nano, header.ChildText("Time"))
-	if err != nil {
-		return nil, ErrEnvelope
 	}
 	o := &Opened{
 		Mode:   sw.mode,
-		Sender: keys.PeerID(header.ChildText("Sender")),
-		Group:  header.ChildText("Group"),
+		Sender: h.sender,
+		Group:  h.group,
 		Body:   body,
-		SentAt: sentAt,
+		SentAt: time.Unix(0, h.at),
+		header: block[:len(block)-len(body)],
 
 		channelPart: &noChannelPart,
 	}
-	if round {
-		if o.Nonce, err = headerBytes(header, "Nonce"); err != nil || len(o.Nonce) != roundNonceSize {
-			return nil, ErrEnvelope
-		}
-		o.headerEl = header
-	}
-	if header.ChildText("Signature") != "" {
-		if o.sig, err = headerBytes(header, "Signature"); err != nil {
-			return nil, ErrEnvelope
-		}
-		// Signed bytes are the header minus its Signature child —
-		// serialized directly, no deep copy per message.
-		o.sigDoc = header.CanonicalSkip("Signature")
+	if len(h.sig) > 0 {
+		o.sig = h.sig
 	} else if round {
-		// Rounds are always signed; an unsigned round header is
-		// malformed, not a degraded mode.
+		// Rounds are always signed; an unsigned round header is malformed,
+		// not a degraded mode.
 		return nil, ErrNoSignature
 	}
-	if !round {
-		hs, resends, err := parseChannelFields(header)
-		if err != nil {
-			return nil, err
+	if round {
+		o.Nonce = h.nonce
+	} else if h.channel != nil || h.resends != nil {
+		o.channelPart = &channelPart{}
+		if h.channel != nil {
+			o.hs = &handshake{id: channelID(h.channel), share: h.share}
 		}
-		if hs != nil || resends != nil {
-			o.channelPart = &channelPart{hs: hs, resends: resends}
+		if h.resends != nil {
+			ref, _, _ := parseFrame(h.resends)
+			o.resends = &ref
 		}
 	}
 	if round && claimed != nil && o.Group != *claimed {
@@ -352,11 +329,6 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		}
 	}
 	return o, nil
-}
-
-// headerBytes decodes one Base64 header field ("" decodes to nothing).
-func headerBytes(header *xmldoc.Element, name string) ([]byte, error) {
-	return base64.StdEncoding.DecodeString(header.ChildText(name))
 }
 
 // openCopy adapts openWire to the exported entry points' contract: the

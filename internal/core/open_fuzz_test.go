@@ -69,7 +69,7 @@ func FuzzOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	forged, err := attack.ForgeSlice(opened.HeaderXML(), opened.Body, own.Public())
+	forged, err := attack.ForgeSlice(opened.Header(), opened.Body, own.Public())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func FuzzOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	copy(first.Sealed[4:4+keys.AEADNonceSize], second.Sealed[4:])
+	copy(first.Nonce(), second.Nonce())
 	f.Add(spliced)
 	// The wires of a session channel: a frame (of the one channel
 	// core.OpenAnyForm holds), an accept, a refusal.
@@ -155,7 +155,7 @@ func FuzzOpen(f *testing.F) {
 		if o.Mode != again.Mode || o.Sender != again.Sender || o.Group != again.Group ||
 			!o.SentAt.Equal(again.SentAt) || o.Signed() != again.Signed() ||
 			!bytes.Equal(o.Body, again.Body) || !bytes.Equal(o.Nonce, again.Nonce) ||
-			!bytes.Equal(o.HeaderXML(), again.HeaderXML()) {
+			!bytes.Equal(o.Header(), again.Header()) {
 			t.Fatalf("re-open differs:\n first %+v\nsecond %+v", o, again)
 		}
 	})

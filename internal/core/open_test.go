@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/base64"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -15,7 +15,6 @@ import (
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // The five wire forms that carry a message to a recipient, in the column
@@ -44,13 +43,14 @@ func openAs(m Mode, own *keys.KeyPair, wire []byte) (*Opened, error) {
 
 // forgeWire seals body to recvKP (and, for a slice, evilKP beside it so
 // it carries a non-empty proof) in form m, the way Seal and
-// SealGroupDetached do, except that the finished header passes through
-// edit (nil = unchanged) before it is packed — so a test can hand the
-// pipeline a header no honest sender would produce behind a wire that
-// is otherwise sound: right wraps, right bindings, authentic ciphertext.
-// A frame is the table channel's frame 1, and has no header to edit
-// (forgeFrame builds the defects a frame can have).
-func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) []byte) []byte {
+// SealGroupDetached do, except that the finished header — signed, then
+// parsed back — passes through edit (nil = unchanged), which returns the
+// header bytes to pack: so a test can hand the pipeline a header no honest
+// sender would produce behind a wire that is otherwise sound: right wraps,
+// right bindings, authentic ciphertext. A frame is the table channel's
+// frame 1, and has no header to edit (forgeFrame builds the defects a
+// frame can have).
+func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *header) []byte) []byte {
 	t.Helper()
 	if m == ModeChannel {
 		if edit != nil {
@@ -58,37 +58,38 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) [
 		}
 		return sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, body, time.Now())
 	}
-	sign := func(h *xmldoc.Element) {
-		sig, err := senderKP.Sign(h.Canonical())
+	digest := sha256.Sum256(body)
+	h := header{kind: m, sender: "urn:jxta:sender", group: "g", at: time.Now().UnixNano(), digest: digest[:]}
+	pack := func(signer *keys.KeyPair) []byte {
+		hdr, err := appendHeader(nil, &h, signer)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
-	}
-	pack := func(h *xmldoc.Element) []byte {
-		hdr := h.Canonical()
 		if edit != nil {
-			hdr = edit(h)
+			parsed, _, ok := parseHeader(hdr)
+			if !ok {
+				t.Fatal("an honest header does not parse")
+			}
+			hdr = edit(&parsed)
 		}
-		block := binary.BigEndian.AppendUint32(nil, uint32(len(hdr)))
-		return append(append(block, hdr...), body...)
+		return append(hdr, body...)
 	}
 	if !isRound(m) {
-		h := headerDoc("urn:jxta:sender", "g", keys.SHA256(body), time.Now())
+		var signer *keys.KeyPair
+		if m == ModeFull || m == ModeSign {
+			signer = senderKP
+		}
 		if m == ModeFull {
 			fp, err := recvKP.Public().Fingerprint()
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.AddText("To", base64.StdEncoding.EncodeToString(fp[:]))
-		}
-		if m == ModeFull || m == ModeSign {
-			sign(h)
+			h.to = fp[:]
 		}
 		if m == ModeSign {
-			return append([]byte{byte(m)}, pack(h)...)
+			return append([]byte{byte(m)}, pack(signer)...)
 		}
-		env, err := recvKP.Public().Encrypt(pack(h))
+		env, err := recvKP.Public().Encrypt(pack(signer))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,19 +117,22 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *xmldoc.Element) [
 		}
 	}
 	d.levels = d.sliceLevels()
-	h := xmldoc.New(roundHeaderName, "")
-	h.AddText("Sender", "urn:jxta:sender")
-	h.AddText("Group", "g")
-	h.AddText("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256(body)))
-	h.AddText("Time", signedTime(time.Now()))
-	h.AddText("Nonce", base64.StdEncoding.EncodeToString(bytes.Repeat([]byte{7}, roundNonceSize)))
 	root := d.levels[len(d.levels)-1][0]
-	h.AddText(sliceRootName, base64.StdEncoding.EncodeToString(root[:]))
-	sign(h)
-	if d.ct, err = keys.AEADSealInPlace(cek, d.gcmNonce, pack(h), 0); err != nil {
+	h.kind, h.nonce, h.root = ModeGroup, bytes.Repeat([]byte{7}, roundNonceSize), root[:]
+	if d.ct, err = keys.AEADSealInPlace(cek, d.gcmNonce, pack(senderKP), 0); err != nil {
 		t.Fatal(err)
 	}
 	return d.Slice(0)
+}
+
+// reencode writes h back, keeping the signature it carries: a header
+// whose fields a test changed after it was signed.
+func reencode(h *header) []byte {
+	b, err := appendHeader(nil, h, nil)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // forgeFrame seals plain — whatever the test wants behind the tag, a
@@ -158,10 +162,21 @@ func prefixBoundaries(wire []byte) []int {
 		off += 4
 		return v
 	}
+	u16 := func() int {
+		v := int(binary.BigEndian.Uint16(wire[off:]))
+		out = append(out, off, off+2)
+		off += 2
+		return v
+	}
 	skip := func(n int) { off += n; out = append(out, off) }
 	switch Mode(wire[0]) {
 	case ModeSign:
-		skip(u32()) // header; the body runs to the end
+		skip(1)      // the header's kind
+		skip(u16())  // sender
+		skip(u16())  // group
+		skip(8 + 32) // time, digest
+		skip(1)      // flags: a sign-only header has no optional field
+		skip(u16())  // signature; the body runs to the end
 	case ModeFull, ModeEncrypt:
 		skip(u32()) // wrapped key
 		skip(u32()) // GCM nonce
@@ -187,7 +202,7 @@ func prefixBoundaries(wire []byte) []int {
 		proofLen := int(wire[off])
 		skip(1)
 		skip(32 * proofLen)
-		skip(u32()) // GCM nonce; the ciphertext runs to the end
+		skip(keys.AEADNonceSize) // GCM nonce; the ciphertext runs to the end
 	}
 	return out
 }
@@ -198,18 +213,11 @@ func prefixBoundaries(wire []byte) []int {
 func TestOpenPipelineTable(t *testing.T) {
 	body := []byte("pipeline table body")
 	valid := func(t *testing.T, m Mode) []byte { return forgeWire(t, m, body, nil) }
-	header := func(edit func(h *xmldoc.Element) []byte) func(*testing.T, Mode) []byte {
+	edited := func(edit func(h *header) []byte) func(*testing.T, Mode) []byte {
 		return func(t *testing.T, m Mode) []byte { return forgeWire(t, m, body, edit) }
 	}
-	without := func(name string) func(h *xmldoc.Element) []byte {
-		return func(h *xmldoc.Element) []byte { h.RemoveChildren(name); return h.Canonical() }
-	}
-	with := func(name, text string) func(h *xmldoc.Element) []byte {
-		return func(h *xmldoc.Element) []byte {
-			h.RemoveChildren(name)
-			h.AddText(name, text)
-			return h.Canonical()
-		}
+	set := func(f func(h *header)) func(*testing.T, Mode) []byte {
+		return edited(func(h *header) []byte { f(h); return reencode(h) })
 	}
 	flip := func(at func(wire []byte) int) func(*testing.T, Mode) []byte {
 		return func(t *testing.T, m Mode) []byte {
@@ -218,15 +226,15 @@ func TestOpenPipelineTable(t *testing.T) {
 			return wire
 		}
 	}
+	another := keys.SHA256([]byte("another"))
 	// n/a marks a cell the defect cannot be built for. A frame is a counter,
 	// a ciphertext and a tag, so the rows that edit a header have no cell in
 	// its column; each says which field it is that a frame does not have.
 	na := errors.New("n/a")
 	var (
-		noHeader = na // no XML behind the tag: no root name, no well-formedness, no stray child to ignore
-		noDigest = na // no BodyDigest: the tag covers the body (flipped ciphertext byte, above, is the row)
-		noTime   = na // the sent-at is eight bytes and every value of them is a time: staleness, below
-		noSig    = na // no Signature to carry, or to refuse
+		noHeader = na // no header behind the tag: no kind, no layout, no field to ignore
+		noDigest = na // no digest: the tag covers the body (flipped ciphertext byte, above, is the row)
+		noSig    = na // no signature to carry, or to refuse
 		noTo     = na // names no recipient and no recipient set: the key is derived from both ends
 		noFields = na // offers ride signed envelopes only
 	)
@@ -262,88 +270,105 @@ func TestOpenPipelineTable(t *testing.T) {
 		},
 		{
 			name: "body digest mismatch",
-			wire: header(with("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("other"))))),
+			wire: set(func(h *header) { h.digest = another }),
 			want: [5]error{ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, noDigest},
 		},
 		{
-			name: "body digest not base64",
-			wire: header(with("BodyDigest", "!!")),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noDigest},
-		},
-		{
-			name: "wrong header root name",
-			wire: header(func(h *xmldoc.Element) []byte {
-				return bytes.ReplaceAll(h.Canonical(), []byte(h.Name), []byte("SecureBogus"))
-			}),
+			name: "kind of no mode",
+			wire: set(func(h *header) { h.kind = '?' }),
 			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "round header in an envelope, envelope header in a round",
-			wire: header(func(h *xmldoc.Element) []byte {
-				other := roundHeaderName
-				if h.Name == roundHeaderName {
-					other = "SecureMessage"
+			wire: set(func(h *header) {
+				if h.kind == ModeGroup {
+					h.kind = ModeFull
+				} else {
+					h.kind = ModeGroup
 				}
-				return bytes.ReplaceAll(h.Canonical(), []byte(h.Name), []byte(other))
 			}),
 			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
-			name: "header not well-formed",
-			wire: header(func(h *xmldoc.Element) []byte { c := h.Canonical(); return c[:len(c)-1] }),
+			// The kind is signed and compared: a signed-and-encrypted header
+			// does not open as a sign-only one, whatever it says of its
+			// recipient.
+			name: "kind of another form",
+			wire: set(func(h *header) {
+				h.kind = map[Mode]Mode{ModeFull: ModeSign, ModeSign: ModeEncrypt, ModeEncrypt: ModeFull, ModeGroup: ModeSlice}[h.kind]
+			}),
 			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
-			name: "missing Time",
-			wire: header(without("Time")),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noTime},
+			name: "flag of no field",
+			wire: edited(func(h *header) []byte {
+				b := reencode(h)
+				b[1+2+len(h.sender)+2+len(h.group)+8+32] |= 0x80
+				return b
+			}),
+			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
-			name: "garbled Time",
-			wire: header(with("Time", "yesterday")),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noTime},
+			// Unsigned, so that only the body follows: a field the flags name
+			// runs past the block.
+			name: "flags name a field the bytes lack",
+			wire: set(func(h *header) { h.sig, h.channel, h.share = nil, []byte{}, []byte{} }),
+			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+		},
+		{
+			name: "sender longer than the block",
+			wire: edited(func(h *header) []byte {
+				b := reencode(h)
+				binary.BigEndian.PutUint16(b[1:], 0xffff)
+				return b
+			}),
+			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+		},
+		{
+			name: "signature longer than the block",
+			wire: edited(func(h *header) []byte {
+				b := reencode(h)
+				binary.BigEndian.PutUint16(b[len(b)-2-len(h.sig):], 0xffff)
+				return b
+			}),
+			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+		},
+		{
+			// The header marks its own end: what follows it is body, and
+			// the digest does not cover it.
+			name: "trailing byte after the signature",
+			wire: edited(func(h *header) []byte { return append(reencode(h), 0) }),
+			want: [5]error{ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, noHeader},
 		},
 		{
 			// An envelope without a signature is the degraded, unauthenticated
 			// delivery (Signed() false); a round is always signed.
-			name: "missing Signature",
-			wire: header(without("Signature")),
+			name: "missing signature",
+			wire: set(func(h *header) { h.sig = nil }),
 			want: [5]error{nil, nil, nil, ErrNoSignature, noSig},
 		},
 		{
-			name: "Signature not base64",
-			wire: header(with("Signature", "!!")),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noSig},
+			// The field is checked later, against the sender's certified key.
+			name: "another signature",
+			wire: set(func(h *header) { h.sig = []byte("not a signature") }),
+			want: [5]error{nil, nil, nil, nil, noSig},
 		},
 		{
-			name: "bad nonce length", // envelopes carry no nonce and ignore one
-			wire: header(with("Nonce", base64.StdEncoding.EncodeToString([]byte("short")))),
-			want: [5]error{nil, nil, nil, ErrEnvelope, noHeader},
-		},
-		{
-			name: "missing Nonce",
-			wire: header(without("Nonce")),
-			want: [5]error{nil, nil, nil, ErrEnvelope, noHeader},
-		},
-		{
-			name: "SliceRoot over another set",
-			wire: header(with(sliceRootName, base64.StdEncoding.EncodeToString(keys.SHA256([]byte("others"))))),
+			name: "no round fields", // envelopes carry none and read none
+			wire: set(func(h *header) { h.nonce, h.root = nil, nil }),
 			want: [5]error{nil, nil, nil, ErrRoundBinding, noTo},
 		},
 		{
-			name: "missing SliceRoot",
-			wire: header(without(sliceRootName)),
+			name: "slice root over another set",
+			wire: set(func(h *header) { h.nonce, h.root = bytes.Repeat([]byte{7}, roundNonceSize), another }),
 			want: [5]error{nil, nil, nil, ErrRoundBinding, noTo},
 		},
 		{
 			// The binding is checked before any signed field is trusted: a
 			// header that fails both reports the binding.
-			name: "binding mismatch and garbled Time",
-			wire: header(func(h *xmldoc.Element) []byte {
-				with(sliceRootName, "")(h)
-				return with("Time", "yesterday")(h)
-			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrRoundBinding, noTime},
+			name: "binding mismatch and no signature",
+			wire: set(func(h *header) { h.nonce, h.root, h.sig = bytes.Repeat([]byte{7}, roundNonceSize), another, nil }),
+			want: [5]error{nil, nil, nil, ErrRoundBinding, noTo},
 		},
 		{
 			name: "wrong recipient", // a sign-only envelope names none
@@ -365,64 +390,48 @@ func TestOpenPipelineTable(t *testing.T) {
 		},
 		{
 			// Only a signed-and-encrypted envelope must name its recipient;
-			// absent is refused, like any other name.
+			// absent is refused, like any another name.
 			name: "missing To",
-			wire: header(without("To")),
+			wire: set(func(h *header) { h.to = nil }),
 			want: [5]error{ErrNotRecipient, nil, nil, nil, noTo},
 		},
 		{
 			name: "To names another key", // only a signed-and-encrypted envelope's To is read
-			wire: header(with("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("another key"))))),
+			wire: set(func(h *header) { h.to = another }),
 			want: [5]error{ErrNotRecipient, nil, nil, nil, noTo},
 		},
 		{
-			name: "To not base64",
-			wire: header(with("To", "!!")),
-			want: [5]error{ErrEnvelope, nil, nil, nil, noTo},
-		},
-		{
 			// The recipient is bound before a signed field is trusted.
-			name: "To names another key and garbled Time",
-			wire: header(func(h *xmldoc.Element) []byte {
-				with("To", base64.StdEncoding.EncodeToString(keys.SHA256([]byte("another key"))))(h)
-				return with("Time", "yesterday")(h)
-			}),
-			want: [5]error{ErrNotRecipient, ErrEnvelope, ErrEnvelope, ErrEnvelope, noTo},
+			name: "To names another key and no signature",
+			wire: set(func(h *header) { h.to, h.sig = another, nil }),
+			want: [5]error{ErrNotRecipient, nil, nil, ErrNoSignature, noTo},
 		},
 		{
-			// The field is checked later, against the sender's certified key.
-			name: "another Signature",
-			wire: header(with("Signature", base64.StdEncoding.EncodeToString([]byte("not a signature")))),
-			want: [5]error{nil, nil, nil, nil, noSig},
+			// A field of fixed size one byte short: what follows it is read
+			// one byte early, and the signature's length runs past the block.
+			name: "To of the wrong length",
+			wire: set(func(h *header) { h.to = another[:31] }),
+			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noTo},
 		},
 		{
-			name: "channel fields: Channel without Share", // rounds carry no handshake and read none
-			wire: header(with("Channel", base64.StdEncoding.EncodeToString(tableChannelID[:]))),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, noFields},
-		},
-		{
-			name: "channel fields: short Channel",
-			wire: header(func(h *xmldoc.Element) []byte {
-				with("Share", base64.StdEncoding.EncodeToString(make([]byte, keys.ShareSize)))(h)
-				return with("Channel", base64.StdEncoding.EncodeToString([]byte("short")))(h)
-			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, noFields},
-		},
-		{
-			// An accept is no header field: what a signed accept carried is read
-			// by nothing.
-			name: "channel fields: a signed accept's Offer",
-			wire: header(func(h *xmldoc.Element) []byte {
-				with("Share", base64.StdEncoding.EncodeToString(make([]byte, keys.ShareSize)))(h)
-				with("Offer", base64.StdEncoding.EncodeToString([]byte("short")))(h)
-				return with("Channel", base64.StdEncoding.EncodeToString(tableChannelID[:]))(h)
-			}),
+			name: "offer", // rounds carry no handshake and read none
+			wire: set(func(h *header) { h.channel, h.share = tableChannelID[:], another }),
 			want: [5]error{nil, nil, nil, nil, noFields},
 		},
 		{
-			name: "channel fields: Refused not a frame reference",
-			wire: header(with("Refused", base64.StdEncoding.EncodeToString([]byte("short")))),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, nil, noFields},
+			name: "offer share of the wrong length",
+			wire: set(func(h *header) { h.channel, h.share = tableChannelID[:], another[:31] }),
+			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noFields},
+		},
+		{
+			name: "frame sent again",
+			wire: set(func(h *header) { h.resends = appendFrameRef(nil, ModeRefusal, frameRef{tableChannelID, 7})[1:] }),
+			want: [5]error{nil, nil, nil, nil, noFields},
+		},
+		{
+			name: "frame sent again, a reference of the wrong length",
+			wire: set(func(h *header) { h.resends = make([]byte, framePrefix-2) }),
+			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noFields},
 		},
 	} {
 		for i, m := range pipelineForms {
@@ -441,7 +450,7 @@ func TestOpenPipelineTable(t *testing.T) {
 			if (o == nil) == (err == nil) {
 				t.Errorf("%s / %s: returned (%v, %v): exactly one must be set", tc.name, m, o, err)
 			}
-			if err == nil && (o.Mode != m || !bytes.Equal(o.Body, body) || (o.Nonce != nil) != isRound(m) || (o.HeaderXML() != nil) != isRound(m)) {
+			if err == nil && (o.Mode != m || !bytes.Equal(o.Body, body) || (o.Nonce != nil) != isRound(m) || (o.Header() != nil) != (m != ModeChannel)) {
 				t.Errorf("%s / %s: opened = %+v", tc.name, m, o)
 			}
 		}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/base64"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -16,7 +16,7 @@ import (
 )
 
 // The per-byte path: what moving one large body costs, that the bytes on
-// the wire are the ones older peers wrote and read, and that opening in
+// the wire are the documented layout, and that opening in
 // place changed neither what a caller's wire looks like afterwards nor
 // what the replay guard remembers.
 
@@ -70,10 +70,11 @@ func TestBulkPathAllocBytes(t *testing.T) {
 }
 
 // TestSealWireLayoutUnchanged: the envelope wire is, byte for byte, the
-// layout the sealers have always written — asserted against offsets
-// worked out here by hand, not against the helpers Seal itself uses. A
-// wire assembled from the documented layout opens; a wire Seal made
-// splits at exactly those offsets. Old peers and new ones interoperate.
+// documented layout — asserted against offsets worked out here by hand,
+// not against the helpers Seal itself uses (the header inside it is
+// header.go's, which FuzzParseHeader and the attack suite's mirror pin). A
+// wire assembled from the documented layout opens; a wire Seal made splits
+// at exactly those offsets.
 func TestSealWireLayoutUnchanged(t *testing.T) {
 	pem, err := os.ReadFile("testdata/fuzz_open_key.pem")
 	if err != nil {
@@ -87,21 +88,18 @@ func TestSealWireLayoutUnchanged(t *testing.T) {
 	u32 := func(b []byte, v int) []byte { return binary.BigEndian.AppendUint32(b, uint32(v)) }
 
 	// By hand: mode ‖ 4 B len ‖ wrap ‖ 4 B len ‖ nonce ‖ 4 B len ‖ ct,
-	// ct = AES-GCM( u32 hlen ‖ header ‖ body ). The header names the key
-	// it is sealed to.
-	h := headerDoc("urn:jxta:sender", "g", keys.SHA256(body), time.Now())
+	// ct = AES-GCM( header ‖ body ). The header names the key it is sealed
+	// to.
 	ownFP, err := own.Public().Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.AddText("To", base64.StdEncoding.EncodeToString(ownFP[:]))
-	sig, err := senderKP.Sign(h.Canonical())
+	digest := sha256.Sum256(body)
+	hdr, err := appendHeader(nil, &header{kind: ModeFull, sender: "urn:jxta:sender", group: "g", at: time.Now().UnixNano(), digest: digest[:], to: ownFP[:]}, senderKP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
-	hdr := h.Canonical()
-	block := append(append(u32(nil, len(hdr)), hdr...), body...)
+	block := append(hdr, body...)
 	cek, err := keys.NewContentKey()
 	if err != nil {
 		t.Fatal(err)
@@ -159,12 +157,9 @@ func TestSealWireLayoutUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hlen := int(binary.BigEndian.Uint32(gotBlock))
-	if len(gotCT) != 4+hlen+len(body)+keys.AEADOverhead || !bytes.Equal(gotBlock[4+hlen:], body) {
-		t.Fatalf("block is not u32 hlen ‖ header ‖ body: %d ciphertext bytes for a %d-byte header and %d-byte body", len(gotCT), hlen, len(body))
-	}
-	if !bytes.HasPrefix(gotBlock[4:], []byte("<SecureMessage>")) {
-		t.Fatalf("header does not start the block: %q", gotBlock[4:24])
+	h, gotBody, ok := parseHeader(gotBlock)
+	if !ok || h.kind != ModeFull || !bytes.Equal(gotBody, body) || len(gotCT) != len(hdr)+len(body)+keys.AEADOverhead {
+		t.Fatalf("block is not header ‖ body: %d ciphertext bytes for a %d-byte header and %d-byte body", len(gotCT), len(hdr), len(body))
 	}
 	if cap(w) != len(w) {
 		t.Errorf("Seal sized its one buffer %d bytes too large", cap(w)-len(w))

@@ -54,6 +54,9 @@ func (s *SecureClient) callCredentialed(ctx context.Context, op string, doc *xml
 		Add(proto.ElemSig, sig))
 }
 
+// signedTime renders a time the way a credentialed request carries one.
+func signedTime(at time.Time) string { return at.UTC().Format(time.RFC3339Nano) }
+
 // issuedCredential takes the credential out of a secureLogin or
 // secureRenew response and checks it is this peer's: its key and peer
 // ID, signed by the verified broker, valid now. A response without a

@@ -65,9 +65,9 @@ type ReplayGuard struct {
 
 // replayKey is a full SHA-256 under a tag that keeps the two things a
 // guard remembers apart: wire digests, and sha256(sender ‖ 0 ‖ nonce)
-// for group rounds (a sender ID is XML character data, so it holds no
-// zero byte to blur the boundary). Fixed size, so admitting builds no
-// string.
+// for group rounds (a signed round header's nonce is of fixed size, so
+// the sender and the nonce cannot trade bytes). Fixed size, so admitting
+// builds no string.
 type replayKey struct {
 	kind byte
 	sum  [sha256.Size]byte

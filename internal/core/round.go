@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"time"
 
 	"jxtaoverlay/internal/keys"
 )
@@ -32,8 +31,8 @@ import (
 //	u32 recipient count
 //	32-byte ephemeral share E
 //	per recipient: 32-byte recipient key fingerprint | 48-byte wrap
-//	u32 nonce length | AES-GCM nonce
-//	AES-GCM ciphertext of ( u32 header length | header XML | raw body )
+//	12-byte AES-GCM nonce
+//	AES-GCM ciphertext of ( header (header.go) | raw body )
 //
 // The header is inside the ciphertext, so the round leaks no more
 // metadata than ModeFull does.
@@ -69,12 +68,6 @@ const maxRoundRecipients = 4096
 // its wrap.
 const roundEntry = 32 + keys.WrapSize
 
-// roundHeaderName is the XML element name of the signed round header.
-const roundHeaderName = "SecureRound"
-
-// signedTime renders a time the way every signed body carries one.
-func signedTime(at time.Time) string { return at.UTC().Format(time.RFC3339Nano) }
-
 // parseRoundWire reads a ModeGroup payload into sliceable form. The
 // count prefix is checked against the bytes that follow before anything
 // is cut, and nothing is sized by it: the entries stay a view.
@@ -84,16 +77,13 @@ func parseRoundWire(payload []byte) (*DetachedRound, error) {
 	}
 	n := binary.BigEndian.Uint32(payload[:4])
 	payload = payload[4:]
-	if n == 0 || n > maxRoundRecipients || uint64(len(payload)) < keys.ShareSize+roundEntry*uint64(n) {
+	if n == 0 || n > maxRoundRecipients || uint64(len(payload)) < keys.ShareSize+roundEntry*uint64(n)+keys.AEADNonceSize {
 		return nil, ErrEnvelope
 	}
 	rw := &DetachedRound{eph: [keys.ShareSize]byte(payload[:keys.ShareSize])}
 	payload = payload[keys.ShareSize:]
 	end := roundEntry * int(n)
-	rw.entries = payload[:end:end]
-	var ok bool
-	if rw.gcmNonce, rw.ct, ok = keys.CutSection(payload[end:]); !ok || len(rw.gcmNonce) > 64 {
-		return nil, ErrEnvelope
-	}
+	rw.entries, payload = payload[:end:end], payload[end:]
+	rw.gcmNonce, rw.ct = payload[:keys.AEADNonceSize:keys.AEADNonceSize], payload[keys.AEADNonceSize:]
 	return rw, nil
 }

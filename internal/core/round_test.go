@@ -120,7 +120,6 @@ func retargetWire(t *testing.T, wire []byte, keep ...int) []byte {
 	for _, i := range keep {
 		out = append(out, rw.entry(i)...)
 	}
-	out = binary.BigEndian.AppendUint32(out, uint32(len(rw.gcmNonce)))
 	out = append(out, rw.gcmNonce...)
 	return append(out, rw.ct...)
 }

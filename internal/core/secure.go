@@ -439,15 +439,16 @@ func (s *SecureClient) SecureMsgPeer(ctx context.Context, peer keys.PeerID, grou
 
 // sendEnvelope is the paper's primitive. In the default mode the signed
 // header carries the pending offer to the peer; resends, when set, names
-// the refused frame whose message this is.
-func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group, text string, resends *frameRef) error {
+// the refused frame whose message this is, as its refusal does behind the
+// mode byte.
+func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group, text string, resends []byte) error {
 	res, pipeAdv, err := s.verifiedPeer(ctx, peer, group)
 	if err != nil {
 		return err
 	}
 	// One reading for the offer and the envelope that carries it.
 	now := s.Now()
-	var hs *handshake
+	h := header{sender: s.PeerID(), group: group, at: now.UnixNano(), resends: resends}
 	// A peer whose credential certifies no usable agreement key can answer
 	// no offer: it is sent the paper's primitive, every time.
 	if s.mode == ModeChannel && res.Signer.Key.CheckAgreementKey() == nil {
@@ -455,23 +456,12 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 		if err != nil {
 			return err
 		}
-		if hs, err = s.chans.offer(pairKey{peer, group}, pipeAdv, ends, s.channelNotAfter(res), now); err != nil {
+		if h.channel, h.share, err = s.chans.offer(pairKey{peer, group}, pipeAdv, ends, s.channelNotAfter(res), now); err != nil {
 			return err
 		}
 		s.attachChannelMetrics()
 	}
-	var extra func(*xmldoc.Element)
-	if hs != nil || resends != nil {
-		extra = func(header *xmldoc.Element) {
-			if hs != nil {
-				hs.write(header)
-			}
-			if resends != nil {
-				writeResends(header, *resends)
-			}
-		}
-	}
-	sealed, err := seal(s.kp, s.PeerID(), group, readOnlyBytes(text), res.Signer.Key, s.mode.envelope(), now, extra)
+	sealed, err := seal(s.kp, &h, readOnlyBytes(text), res.Signer.Key, s.mode.envelope())
 	if err != nil {
 		return err
 	}
@@ -942,7 +932,7 @@ func (s *SecureClient) handleRefusal(peer keys.PeerID, group string, frame frame
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	reason := "sent again as an envelope"
-	if err := s.sendEnvelope(ctx, peer, group, text, &frame); err != nil {
+	if err := s.sendEnvelope(ctx, peer, group, text, appendFrameRef(nil, ModeRefusal, frame)[1:]); err != nil {
 		reason = "failed: " + err.Error()
 	}
 	s.auditChannel(peer, "fallback", reason)

@@ -462,7 +462,7 @@ func TestSecureMsgPeerGroupSendsSlices(t *testing.T) {
 			at := fpAt + 32 + keys.WrapSize
 			hashes := int(w[at])
 			at += 1 + 32*hashes
-			if int(binary.BigEndian.Uint32(w[1:])) != n || !bytes.Equal(w[fpAt:fpAt+32], fp[:]) || binary.BigEndian.Uint32(w[at:]) != keys.AEADNonceSize {
+			if int(binary.BigEndian.Uint32(w[1:])) != n || !bytes.Equal(w[fpAt:fpAt+32], fp[:]) || len(w) <= at+keys.AEADNonceSize {
 				t.Fatalf("round of %d: member %d's wire is not one leaf addressed to it", n, i)
 			}
 			base, proof = max(base, len(w)-32*hashes), max(proof, hashes)
@@ -471,9 +471,9 @@ func TestSecureMsgPeerGroupSendsSlices(t *testing.T) {
 	}
 	small, _ := round(2)
 	large, proof := round(7)
-	// The signed time inside the block is RFC 3339 with trailing zeros of
-	// the fraction dropped, so two rounds' blocks differ by up to ten bytes.
-	if large > small+10 || proof > 3 {
+	// The header's fields are of fixed size but for the names, which are
+	// alice's and the group's in both rounds: their blocks are the same size.
+	if large != small || proof > 3 {
 		t.Fatalf("a member of 7 was sent %d bytes beside a proof of %d hashes, a member of 2 %d: want the same bytes and at most ceil(log2 7) = 3 hashes", large, proof, small)
 	}
 }

@@ -80,7 +80,7 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 		return proto.Fail(err.Error())
 	}
 	// Seal the result back to the caller's certified key.
-	sealed, err := seal(s.kp, s.PeerID(), opened.Group, readOnlyBytes(out), senderKey, ModeFull, s.Now(), nil)
+	sealed, err := seal(s.kp, &header{sender: s.PeerID(), group: opened.Group, at: s.Now().UnixNano()}, readOnlyBytes(out), senderKey, ModeFull)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -99,7 +99,7 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	// enforces that executable requests arrive signed, so degraded modes
 	// are rejected remotely rather than silently upgraded here.
 	mode := s.mode.envelope()
-	sealed, err := seal(signerFor(s.kp, mode), s.PeerID(), group, readOnlyBytes(body), recipientKey, mode, s.Now(), nil)
+	sealed, err := seal(signerFor(s.kp, mode), &header{sender: s.PeerID(), group: group, at: s.Now().UnixNano()}, readOnlyBytes(body), recipientKey, mode)
 	if err != nil {
 		return "", err
 	}

@@ -2,14 +2,12 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // Per-recipient round slicing: the one form in which a round reaches a
@@ -49,11 +47,8 @@ import (
 //	32-byte ephemeral share E
 //	32-byte recipient key fingerprint | 48-byte wrap
 //	u8 proof length | proof hashes (32 bytes each, leaf upward)
-//	u32 nonce length | AES-GCM nonce
-//	AES-GCM ciphertext of ( u32 header length | header XML | raw body )
-
-// sliceRootName is the signed header element carrying the Merkle root.
-const sliceRootName = "SliceRoot"
+//	12-byte AES-GCM nonce
+//	AES-GCM ciphertext of ( header (header.go) | raw body )
 
 // maxSliceProofLen bounds the inclusion proof parsed from the wire:
 // ceil(log2(maxRoundRecipients)) = 12, with headroom.
@@ -228,21 +223,13 @@ func sealRound(signer *keys.KeyPair, sender keys.PeerID, group string, body []by
 
 	// The round header: one timestamp + nonce + group + body digest +
 	// the slice tree root, signed once.
-	header := xmldoc.New(roundHeaderName, "")
-	header.AddText("Sender", string(sender))
-	header.AddText("Group", group)
-	header.AddText("BodyDigest", base64.StdEncoding.EncodeToString(keys.SHA256(body)))
-	header.AddText("Time", signedTime(now))
-	header.AddText("Nonce", base64.StdEncoding.EncodeToString(nonce))
-	header.AddText(sliceRootName, base64.StdEncoding.EncodeToString(root[:]))
-	sig, err := signer.Sign(header.Canonical())
+	digest := sha256.Sum256(body)
+	h := header{kind: ModeGroup, sender: sender, group: group, at: now.UnixNano(), digest: digest[:], nonce: nonce, root: root[:]}
+	block, err := appendBlock(make([]byte, 0, headerSize(&h, signer)+len(body)+keys.AEADOverhead), &h, signer, body)
 	if err != nil {
 		return nil, err
 	}
-	header.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
-
-	h := header.Canonical()
-	if d.ct, err = keys.AEADSealInPlace(cek, d.gcmNonce, packBlock(make([]byte, 0, sealedLen(h, body)), h, body), 0); err != nil {
+	if d.ct, err = keys.AEADSealInPlace(cek, d.gcmNonce, block, 0); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -254,11 +241,11 @@ func (d *DetachedRound) Recipients() int { return len(d.entries) / roundEntry }
 // Wire assembles the full ModeGroup wire — the layout documented in
 // round.go: the relayRound upload, which no recipient opens.
 func (d *DetachedRound) Wire() []byte {
-	wire := make([]byte, 0, 1+4+keys.ShareSize+len(d.entries)+4+len(d.gcmNonce)+len(d.ct))
+	wire := make([]byte, 0, 1+4+keys.ShareSize+len(d.entries)+keys.AEADNonceSize+len(d.ct))
 	wire = append(wire, byte(ModeGroup))
 	wire = binary.BigEndian.AppendUint32(wire, uint32(d.Recipients()))
 	wire = append(append(wire, d.eph[:]...), d.entries...)
-	return append(keys.AppendSection(wire, d.gcmNonce), d.ct...)
+	return append(append(wire, d.gcmNonce...), d.ct...)
 }
 
 // Slices cuts the round into one ModeSlice wire per recipient, in
@@ -284,13 +271,13 @@ func (d *DetachedRound) Slice(i int) []byte {
 		d.levels = d.sliceLevels()
 	}
 	// A proof is at most one hash per level below the root.
-	wire := make([]byte, 0, 1+4+4+keys.ShareSize+roundEntry+1+32*(len(d.levels)-1)+4+len(d.gcmNonce)+len(d.ct))
+	wire := make([]byte, 0, 1+4+4+keys.ShareSize+roundEntry+1+32*(len(d.levels)-1)+keys.AEADNonceSize+len(d.ct))
 	wire = append(wire, byte(ModeSlice))
 	wire = binary.BigEndian.AppendUint32(wire, uint32(d.Recipients()))
 	wire = binary.BigEndian.AppendUint32(wire, uint32(i))
 	wire = append(append(wire, d.eph[:]...), d.entry(i)...)
 	wire = appendSliceProof(wire, d.levels, i)
-	return append(keys.AppendSection(wire, d.gcmNonce), d.ct...)
+	return append(append(wire, d.gcmNonce...), d.ct...)
 }
 
 // SliceRound parses a full ModeGroup wire back into sliceable form — the
@@ -333,15 +320,12 @@ func parseSliceWire(payload []byte) (*parsedSlice, error) {
 	ps.entry = payload[8+keys.ShareSize : sliceHead-1 : sliceHead-1]
 	pl := int(payload[sliceHead-1])
 	payload = payload[sliceHead:]
-	if pl > maxSliceProofLen || len(payload) < 32*pl {
+	if pl > maxSliceProofLen || len(payload) < 32*pl+keys.AEADNonceSize {
 		return nil, ErrEnvelope
 	}
 	ps.proof = payload[: 32*pl : 32*pl]
 	payload = payload[32*pl:]
-	var ok bool
-	if ps.gcmNonce, ps.ct, ok = keys.CutSection(payload); !ok || len(ps.gcmNonce) > 64 {
-		return nil, ErrEnvelope
-	}
+	ps.gcmNonce, ps.ct = payload[:keys.AEADNonceSize:keys.AEADNonceSize], payload[keys.AEADNonceSize:]
 	return ps, nil
 }
 

@@ -355,16 +355,16 @@ func newGCM(cek []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// AppendSection appends part behind its big-endian u32 length — the one
-// framing the envelope, round and slice wires and the sealed block inside
-// them are written in. CutSection is its reader; no other code knows it.
+// AppendSection appends part behind its big-endian u32 length — the
+// framing of an Envelope's three parts, and of the variable-length names a
+// key derivation's info strings carry. cutSection is its reader.
 func AppendSection(dst, part []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(dst, uint32(len(part))), part...)
 }
 
-// CutSection reverses AppendSection: the section at the head of data, as
+// cutSection reverses AppendSection: the section at the head of data, as
 // a capacity-clipped view, and the bytes that follow it.
-func CutSection(data []byte) (part, rest []byte, ok bool) {
+func cutSection(data []byte) (part, rest []byte, ok bool) {
 	if len(data) < 4 {
 		return nil, nil, false
 	}
@@ -386,9 +386,9 @@ func (e *Envelope) Marshal() []byte {
 func ParseEnvelope(data []byte) (*Envelope, error) {
 	var e Envelope
 	var ok bool
-	e.WrappedKey, data, _ = CutSection(data)
-	e.Nonce, data, _ = CutSection(data) // a failed cut leaves nothing to cut
-	if e.Ciphertext, data, ok = CutSection(data); !ok || len(data) != 0 {
+	e.WrappedKey, data, _ = cutSection(data)
+	e.Nonce, data, _ = cutSection(data) // a failed cut leaves nothing to cut
+	if e.Ciphertext, data, ok = cutSection(data); !ok || len(data) != 0 {
 		return nil, errors.New("keys: malformed envelope")
 	}
 	return &e, nil
