@@ -69,6 +69,12 @@
 //     TTL-expiring, drained on login — for offline ones. The relay
 //     holds no keys and no plaintext; SECURITY.md states what a
 //     compromised relay can and cannot do.
+//   - That wrap is the one key transport: a sign-then-encrypt envelope,
+//     the login request and a database request are sealed to the
+//     recipient's agreement key the same way (keys.SealEnvelope), each
+//     under a fresh ephemeral key. No production path performs an
+//     RSA-OAEP operation; the broker's agreement key rides its
+//     secureConnection answer under the challenge signature.
 //
 // # One open path
 //

@@ -103,7 +103,7 @@ func eavesdropDemo(ctx context.Context) error {
 	}
 	fmt.Printf("  plain login:  eve read the password off the wire: %v\n", eve.SawString("alice-secret"))
 
-	// Secure extension: the login request is encrypted to PK_Br.
+	// Secure extension: the login request is sealed to the broker's key.
 	snet, sbr, dep, err := secureNetwork()
 	if err != nil {
 		return err

@@ -358,7 +358,8 @@ func CutSlice(wire []byte) (SliceLeaf, error) {
 // ForwardEnvelope acts as a malicious recipient of a sign-then-encrypt
 // envelope: it opens the envelope with its own key, which it may, and
 // seals the block it finds — the sender's signed header and the body,
-// untouched — to another peer's key. Whether the target takes the result
+// untouched — to another peer's agreement key, under a fresh key of its
+// own: a wrap as sound as the sender's. Whether the target takes the result
 // for a message the sender sent it is decided by what the signed header
 // says about its recipient.
 func ForwardEnvelope(own *keys.KeyPair, wire []byte, target *keys.PublicKey) ([]byte, error) {
@@ -373,7 +374,7 @@ func ForwardEnvelope(own *keys.KeyPair, wire []byte, target *keys.PublicKey) ([]
 	if env, err = target.Encrypt(block); err != nil {
 		return nil, err
 	}
-	return append([]byte{wire[0]}, env.Marshal()...), nil
+	return append([]byte{wire[0]}, env.Bytes()...), nil
 }
 
 // The adversaries of the signed header and of session channels

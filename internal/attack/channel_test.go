@@ -11,6 +11,7 @@ package attack_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -532,12 +533,13 @@ func TestChannelAcceptForgedOrSplicedRefused(t *testing.T) {
 	l.finish(t)
 }
 
-// (d″) A recipient whose credential certifies no agreement key can answer
-// no offer: it is sent the paper's signed and wrapped envelope every time,
-// never a weaker form, and is offered no channel. carol's credential is
-// issued by the broker's key without the share her login carried; she
+// (d″) A recipient whose credential certifies no agreement key can be
+// sealed nothing: every envelope, like every round and every offer, is
+// sealed to that key. So a message to it is refused at its sender — never
+// sent in a weaker form, and never offered a channel. carol's credential
+// is issued by the broker's key without the share her login carried; she
 // publishes her pipe advertisement under it.
-func TestChannelRecipientWithoutShareGetsEnvelopes(t *testing.T) {
+func TestRecipientWithoutShareIsSentNothing(t *testing.T) {
 	s := newSecureStack(t)
 	s.db.Register("carol", "carol-pw", "math")
 	alice := s.join(t, "alice", "alice-secret-pw")
@@ -582,16 +584,18 @@ func TestChannelRecipientWithoutShareGetsEnvelopes(t *testing.T) {
 	atCarol := events.NewCollector(carol.Bus())
 	eve := attack.NewEavesdropper(s.net)
 	signed := alice.Identity().Keys.SignCalls()
-	for i := 0; i < 4; i++ {
-		if e := say(t, alice, carol.PeerID(), atCarol, fmt.Sprintf("to carol %d", i)); e.Attr("mode") != core.ModeFull.String() {
-			t.Fatalf("message %d to carol travelled as %q, want the paper's envelope", i, e.Attr("mode"))
+	for i := 0; i < 2; i++ {
+		if err := alice.SecureMsgPeer(ctx, carol.PeerID(), "math", fmt.Sprintf("to carol %d", i)); !errors.Is(err, keys.ErrNoAgreementKey) {
+			t.Fatalf("message %d to carol: err = %v, want keys.ErrNoAgreementKey", i, err)
 		}
 	}
-	if n := alice.Identity().Keys.SignCalls() - signed; n != 4 {
-		t.Errorf("alice signed %d times for 4 messages, want 4", n)
+	if n := alice.Identity().Keys.SignCalls() - signed; n != 0 {
+		t.Errorf("alice signed %d times for 2 refused messages, want none", n)
 	}
-	if got := wiresTo(eve, alice.PeerID(), core.ModeAccept); len(got) != 0 {
-		t.Errorf("carol answered %d offers: a recipient that certifies no agreement key was offered a channel", len(got))
+	for _, m := range []core.Mode{core.ModeFull, core.ModeSign, core.ModeEncrypt, core.ModeChannel} {
+		if got := wiresTo(eve, carol.PeerID(), m); len(got) != 0 {
+			t.Errorf("%d %s wires reached carol: a recipient that certifies no agreement key was sent something", len(got), m)
+		}
 	}
 	if got := atCarol.OfType(events.SecurityAlert); len(got) != 0 {
 		t.Errorf("carol raised %d alerts, first %v", len(got), got[0].Payload)
@@ -689,7 +693,7 @@ func TestChannelOfferFlood(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg := endpoint.NewMessage().Add(proto.ElemEnvelope, append([]byte{byte(core.ModeFull)}, env.Marshal()...)).AddString(proto.ElemGroup, "math")
+		msg := endpoint.NewMessage().Add(proto.ElemEnvelope, append([]byte{byte(core.ModeFull)}, env.Bytes()...)).AddString(proto.ElemGroup, "math")
 		if err := mallory.Control().SendOnPipe(bobPipe, msg.Elements...); err != nil {
 			t.Fatal(err)
 		}

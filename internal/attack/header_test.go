@@ -74,7 +74,7 @@ func TestHeaderSplicedAcrossFormsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err = core.Open(bob.kp, append([]byte{byte(core.ModeFull)}, env.Marshal()...))
+		o, err = core.Open(bob.kp, append([]byte{byte(core.ModeFull)}, env.Bytes()...))
 		refused(fmt.Sprintf("alice's round header in an envelope to bob, kind %s", kind), o, err)
 	}
 

@@ -136,9 +136,11 @@ func TestDerivedIDOfAnotherMemberNotOverwritable(t *testing.T) {
 	}
 }
 
-// rawSecureLogin sends a hand-built secureLogin through sc's connection,
-// spending the session identifier sc's SecureConnection obtained.
-func rawSecureLogin(t *testing.T, sc *core.SecureClient, user, pass string, peer keys.PeerID, kp *keys.KeyPair) (*endpoint.Message, error) {
+// loginRequest is a signed SecureLoginRequest as SecureLogin builds it,
+// by hand: the fields of user, pass, peer and kp and the session
+// identifier sid, signed for the broker with ID broker (core's
+// loginSigned: the request, then that ID).
+func loginRequest(t *testing.T, user, pass string, peer keys.PeerID, kp *keys.KeyPair, sid string, broker keys.PeerID) []byte {
 	t.Helper()
 	keyB64, err := kp.Public().MarshalBase64()
 	if err != nil {
@@ -150,19 +152,34 @@ func rawSecureLogin(t *testing.T, sc *core.SecureClient, user, pass string, peer
 	doc.AddText("PeerID", string(peer))
 	doc.AddText("Key", keyB64)
 	doc.AddText("Agree", kp.Public().ShareBase64())
-	doc.AddText("Sid", sc.Sid())
-	sig, err := kp.Sign(doc.Canonical())
+	doc.AddText("Sid", sid)
+	sig, err := kp.Sign(append(doc.Canonical(), broker...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
-	env, err := sc.BrokerCredential().Key.Encrypt(doc.Canonical())
+	return doc.Canonical()
+}
+
+// sendLogin seals req to the broker key to and sends it as a secureLogin
+// through sc's connection.
+func sendLogin(t *testing.T, sc *core.SecureClient, to *keys.PublicKey, req []byte) (*endpoint.Message, error) {
+	t.Helper()
+	env, err := to.Encrypt(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sc.Call(testCtx(t), endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpSecureLogin).
-		Add(proto.ElemEnvelope, env.Marshal()))
+		Add(proto.ElemEnvelope, env.Bytes()))
+}
+
+// rawSecureLogin sends a hand-built secureLogin to s's broker through sc's
+// connection, spending the session identifier sc's SecureConnection
+// obtained.
+func (s *secureStack) rawSecureLogin(t *testing.T, sc *core.SecureClient, user, pass string, peer keys.PeerID, kp *keys.KeyPair) (*endpoint.Message, error) {
+	t.Helper()
+	return sendLogin(t, sc, s.brKP.Public(), loginRequest(t, user, pass, peer, kp, sc.Sid(), s.br.PeerID()))
 }
 
 // (c) The stored credential is handed only to the login that would have
@@ -181,7 +198,7 @@ func TestStoredCredentialOnlyForSameKeyAndUser(t *testing.T) {
 	// at the CBID check, before the table is looked at, with nothing in
 	// the answer.
 	thief := s.connected(t, "mallory")
-	resp, err := rawSecureLogin(t, thief, "alice", "alice-secret-pw", alice.PeerID(), thief.Identity().Keys)
+	resp, err := s.rawSecureLogin(t, thief, "alice", "alice-secret-pw", alice.PeerID(), thief.Identity().Keys)
 	var opErr *client.OpError
 	if !errors.As(err, &opErr) || opErr.Token != proto.ErrCBIDMismatch {
 		t.Fatalf("login claiming alice's ID with another key: err = %v, want %q", err, proto.ErrCBIDMismatch)
@@ -196,7 +213,7 @@ func TestStoredCredentialOnlyForSameKeyAndUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	signed := s.brKP.SignCalls()
-	resp, err = rawSecureLogin(t, alice, "bob", "bob-secret-pw", alice.PeerID(), alice.Identity().Keys)
+	resp, err = s.rawSecureLogin(t, alice, "bob", "bob-secret-pw", alice.PeerID(), alice.Identity().Keys)
 	if err != nil {
 		t.Fatalf("login as bob under alice's key: %v", err)
 	}

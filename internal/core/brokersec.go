@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -168,9 +169,33 @@ func (bs *BrokerSecurity) PendingSids() int {
 	return bs.sids.Len()
 }
 
+// connectLabel separates the broker's secureConnection signature from
+// every other signature its key makes: the challenge is the client's to
+// choose.
+const connectLabel = "jxta-overlay/secure-connect/v1"
+
+// connectSigned is what the broker signs in its secureConnection answer:
+// the label, the client's challenge and the broker's agreement key, which
+// the login request is then sealed to. The agreement key rides here, not
+// in Cred_Br^Adm: that credential is in the chain of every advertisement
+// the broker's clients sign, and the login is the one thing sealed to it.
+func connectSigned(chall, share []byte) []byte {
+	return append(append([]byte(connectLabel), chall...), share...)
+}
+
+// loginSigned is what a login request's signature covers: the request,
+// then the peer ID of the broker it is for. The ID rides in no field: a
+// broker checks the signature over its own, so a request another broker
+// opened and re-sealed to it — with a session identifier it handed that
+// one — does not verify.
+func loginSigned(req []byte, broker keys.PeerID) []byte {
+	return append(slices.Clip(req), broker...)
+}
+
 // handleSecureConnect implements the broker side of §4.2.1: receive the
 // client's random challenge, mint a session identifier, and prove
-// legitimacy by returning S_SKBr(chall) together with Cred_Br^Adm.
+// legitimacy by returning S_SKBr(chall ‖ share) together with Cred_Br^Adm
+// and share, the broker's agreement key.
 func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 	chall, ok := msg.Get(proto.ElemChallenge)
 	if !ok || len(chall) == 0 {
@@ -183,14 +208,16 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 	sid := hex.EncodeToString(sidBytes)
 	bs.issueSid(sid, bs.b.Now())
 
-	sig, err := bs.cfg.KeyPair.Sign(chall)
+	share, _ := bs.cfg.KeyPair.Public().AgreementShare()
+	sig, err := bs.cfg.KeyPair.Sign(connectSigned(chall, share[:]))
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	return proto.OK().
 		AddString(proto.ElemSid, sid).
 		Add(proto.ElemSig, sig).
-		Add(proto.ElemCred, bs.credWire)
+		Add(proto.ElemCred, bs.credWire).
+		Add(proto.ElemShare, share[:])
 }
 
 // issueSid records a session identifier as handed out, good for sidTTL
@@ -230,7 +257,7 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	// Step 4: decrypt with SK_Br.
+	// Step 4: open with the agreement key SK_Br derives.
 	body, err := bs.cfg.KeyPair.Decrypt(env)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
@@ -261,8 +288,9 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 		return proto.Fail(proto.ErrBadSid)
 	}
 
-	// Verify the request signature S_SKCl(username, password, PKCl).
-	if err := clientKey.Verify(doc.CanonicalSkip("Signature"), sig); err != nil {
+	// Verify the request signature S_SKCl(username, password, PKCl), made
+	// for this broker.
+	if err := clientKey.Verify(loginSigned(doc.CanonicalSkip("Signature"), bs.cfg.Credential.Subject), sig); err != nil {
 		bs.auditAuth(audit.KindLogin, peerID, proto.OpSecureLogin, proto.ErrBadSignature)
 		return proto.Fail(proto.ErrBadSignature)
 	}

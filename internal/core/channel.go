@@ -15,10 +15,10 @@ import (
 )
 
 // Session channels. The paper's secureMsgPeer is E_PK(m, S_SK(m)) on
-// every message: one RSA signature at the sender and one OAEP unwrap at
-// the recipient, nine tenths of what a message costs. A channel pays
-// them once per pair of peers: the first envelope to a peer carries,
-// inside its signed header, an offer — a random channel ID and an
+// every message: one RSA signature at the sender and a signature check
+// and a key unwrap at the recipient, most of what a message costs. A
+// channel pays them once per pair of peers: the first envelope to a peer
+// carries, inside its signed header, an offer — a random channel ID and an
 // ephemeral X25519 share — and the recipient answers with an unsigned
 // accept carrying its own ephemeral share and a key confirmation. The key
 // both derive takes one X25519 between the two ephemerals and one between

@@ -2,7 +2,6 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -98,15 +97,17 @@ var (
 // Sealed is the transportable secure message.
 //
 // Wire layout: one mode byte followed by a block. For ModeSign the block
-// is plaintext; for ModeFull/ModeEncrypt it is a wrapped-key encryption
-// (keys.Envelope) of the same block. The block itself is
+// is plaintext; for ModeFull/ModeEncrypt it is sealed in a keys.Envelope:
+// ECIES to the agreement key the recipient's credential certifies, the
+// sender's share, the wrap and the AEAD nonce in front of the ciphertext.
+// The block itself is
 //
 //	header (header.go) | raw body
 //
 // The header carries the mode, sender, group, timestamp and the body's
 // SHA-256 digest; a ModeFull header also names its recipient (To, the
 // fingerprint of the key it is sealed to), so that the signed block means
-// nothing re-encrypted to anyone else; in signed modes it ends in the
+// nothing re-sealed to anyone else; in signed modes it ends in the
 // sender's signature over the rest of it (digest included), which
 // transitively authenticates the body. Keeping the body out of the header
 // avoids copying it through an encoding, so the secure message adds only
@@ -167,26 +168,16 @@ func seal(signer *keys.KeyPair, h *header, body []byte, recipient *keys.PublicKe
 			}
 			h.to = fp[:]
 		}
-		// The keys.Envelope sections behind the mode byte — wrapped key,
-		// nonce, ciphertext — written into the one buffer the ciphertext
-		// is then made in.
-		cek, wrap, err := recipient.NewWrappedKey()
+		// The block is written behind room for the envelope's fields, and
+		// sealed where it lies.
+		const at = 1 + keys.EnvelopePrefix
+		wire := make([]byte, at, at+headerSize(h, signer)+len(body)+keys.AEADOverhead)
+		wire[0] = byte(mode)
+		wire, err := appendBlock(wire, h, signer, body)
 		if err != nil {
 			return nil, err
 		}
-		nonce, err := keys.RandomBytes(keys.AEADNonceSize)
-		if err != nil {
-			return nil, err
-		}
-		n := headerSize(h, signer) + len(body) + keys.AEADOverhead
-		wire := append(make([]byte, 0, 1+4+len(wrap)+4+len(nonce)+4+n), byte(mode))
-		wire = keys.AppendSection(keys.AppendSection(wire, wrap), nonce)
-		wire = binary.BigEndian.AppendUint32(wire, uint32(n))
-		at := len(wire)
-		if wire, err = appendBlock(wire, h, signer, body); err != nil {
-			return nil, err
-		}
-		if wire, err = keys.AEADSealInPlace(cek, nonce, wire, at); err != nil {
+		if wire, err = keys.SealEnvelope(wire, 1, recipient); err != nil {
 			return nil, err
 		}
 		return &Sealed{Mode: mode, wire: wire}, nil

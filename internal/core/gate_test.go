@@ -23,8 +23,8 @@ import (
 // BenchmarkOpenSlice is one recipient's whole receive path for a slice
 // of a 100-member relayed round, in the steady state: unwrap the content
 // key (an HKDF, the X25519 with the sender's round key memoized by the
-// first open; no RSA private-key operation and no X25519, which the loop
-// asserts by count), open the AEAD in place, parse the signed header,
+// first open: no X25519, which the loop asserts by count), open the AEAD
+// in place, parse the signed header,
 // check body digest and Merkle slice binding, verify the header
 // signature.
 func BenchmarkOpenSlice(b *testing.B) {
@@ -40,7 +40,7 @@ func BenchmarkOpenSlice(b *testing.B) {
 	if _, err := OpenSlice(recvKP, wire, nil); err != nil {
 		b.Fatal(err)
 	}
-	unwrapped, agreed := recvKP.UnwrapCalls(), recvKP.AgreeCalls()
+	agreed := recvKP.AgreeCalls()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -53,8 +53,8 @@ func BenchmarkOpenSlice(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if u, a := recvKP.UnwrapCalls()-unwrapped, recvKP.AgreeCalls()-agreed; u != 0 || a != 0 {
-		b.Fatalf("%d RSA unwraps and %d X25519 opening %d slices, want none", u, a, b.N)
+	if a := recvKP.AgreeCalls() - agreed; a != 0 {
+		b.Fatalf("%d X25519 opening %d slices, want none", a, b.N)
 	}
 }
 
@@ -193,8 +193,8 @@ func TestGateReplayAdmitFull(t *testing.T) { perfgate.Run(t, BenchmarkReplayAdmi
 // channel, end to end without the fabric: seal the channel frame, build
 // the endpoint frame around it as a pipe send does, parse that as its
 // recipient does, and open the channel frame where it lies, freshness
-// check and sequence window included. No RSA operation at either end,
-// which the gate asserts by count.
+// check and sequence window included. No signature and no key agreement
+// at either end, which the gate asserts by count.
 func BenchmarkChannelMessage(b *testing.B) { benchChannelMessage(b, 64) }
 
 func TestGateChannelMessage(t *testing.T) { perfgate.Run(t, BenchmarkChannelMessage, 7, 40000) }
@@ -226,7 +226,7 @@ func benchChannelMessage(b *testing.B, size int) {
 	in.install(&inChannel{id: tableChannelID, pair: pairKey{"urn:jxta:cbid-sender", "bench"}, aead: tableAEAD()}, now.Add(time.Hour), now)
 	guard := NewReplayGuard(0, 0)
 	text := string(make([]byte, size))
-	signed, unwrapped := senderKP.SignCalls()+recvKP.SignCalls(), senderKP.UnwrapCalls()+recvKP.UnwrapCalls()
+	signed, agreed := senderKP.SignCalls()+recvKP.SignCalls(), senderKP.AgreeCalls()+recvKP.AgreeCalls()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -252,8 +252,8 @@ func benchChannelMessage(b *testing.B, size int) {
 		}
 	}
 	b.StopTimer()
-	if s, u := senderKP.SignCalls()+recvKP.SignCalls()-signed, senderKP.UnwrapCalls()+recvKP.UnwrapCalls()-unwrapped; s != 0 || u != 0 {
-		b.Fatalf("%d signatures and %d unwraps on an established channel, want none", s, u)
+	if s, a := senderKP.SignCalls()+recvKP.SignCalls()-signed, senderKP.AgreeCalls()+recvKP.AgreeCalls()-agreed; s != 0 || a != 0 {
+		b.Fatalf("%d signatures and %d X25519 on an established channel, want none", s, a)
 	}
 	if guard.Len() != 0 {
 		b.Fatalf("%d guard entries after %d frames, want none: the window refuses a replay, and nothing digests the wire", guard.Len(), b.N)

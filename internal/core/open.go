@@ -25,10 +25,9 @@ import (
 //	split wire            the one per-format step: pick out this peer's
 //	                      own key wrap — or, for a frame, the channel it
 //	                      names — and the AEAD inputs
-//	content key, AEAD open  UnwrapKey (an envelope's RSA-OAEP wrap),
-//	                      UnwrapFrom (a slice's wrap to this peer's
-//	                      certified agreement key, bound to the slice's
-//	                      AEAD nonce), or the channel's key
+//	content key, AEAD open  UnwrapFrom (an envelope's or a slice's wrap to
+//	                      this peer's certified agreement key, bound to
+//	                      its AEAD nonce), or the channel's key
 //	                      from the table: nothing below runs on bytes that
 //	                      neither this peer's private key nor a key agreed
 //	                      under it released
@@ -38,7 +37,7 @@ import (
 //	recipient binding     To = own key (ModeFull envelope) / Merkle slice root
 //	                      (slice) — BEFORE any signed field is read, so a
 //	                      validly signed header spliced onto another leaf,
-//	                      or re-encrypted to another peer, vouches for
+//	                      or re-sealed to another peer, vouches for
 //	                      nothing
 //	nonce, signature, handshake fields
 //	claimed group         slices only, and BEFORE the guard: a mislabelled
@@ -97,7 +96,8 @@ const (
 // splitWire is a wire cut into the pipeline's inputs.
 type splitWire struct {
 	mode     Mode
-	wrap     []byte // an envelope's RSA-OAEP wrapped content key (unused by ModeSign)
+	eph      []byte // the share the content key is wrapped under (unused by ModeSign)
+	wrap     []byte // this peer's wrap of the content key
 	gcmNonce []byte
 	ct       []byte       // AEAD ciphertext of the block; for ModeSign the block itself
 	slice    *parsedSlice // ModeSlice: the leaf and its sibling path, for the SliceRoot
@@ -159,7 +159,7 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 		if err != nil {
 			return sw, ErrEnvelope
 		}
-		sw.wrap, sw.gcmNonce, sw.ct = env.WrappedKey, env.Nonce, env.Ciphertext
+		sw.eph, sw.wrap, sw.gcmNonce, sw.ct = env.Ephemeral, env.Wrap, env.Nonce, env.Ciphertext
 		return sw, nil
 	}
 	ownFP, err := own.Public().Fingerprint()
@@ -173,7 +173,7 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 	if [32]byte(ps.entry) != ownFP {
 		return sw, ErrNotRecipient
 	}
-	sw.slice, sw.gcmNonce, sw.ct = ps, ps.gcmNonce, ps.ct
+	sw.slice, sw.eph, sw.wrap, sw.gcmNonce, sw.ct = ps, ps.eph[:], ps.entry[32:], ps.gcmNonce, ps.ct
 	return sw, nil
 }
 
@@ -231,24 +231,14 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		key = replayKey{replayWire, sha256.Sum256(wire)}
 	}
 	if sw.mode != ModeSign {
-		var cek []byte
-		if round {
-			k, err := own.UnwrapFrom(sw.slice.eph[:], sw.slice.entry[32:], sw.gcmNonce)
-			if err != nil {
-				return nil, ErrNotRecipient
-			}
-			cek = k[:]
-		} else if cek, err = own.UnwrapKey(sw.wrap); err != nil {
+		cek, err := own.UnwrapFrom(sw.eph, sw.wrap, sw.gcmNonce)
+		if err != nil {
 			return nil, ErrNotRecipient
 		}
-		if block, err = keys.AEADOpenInPlace(cek, sw.gcmNonce, sw.ct); err != nil {
-			// A slice's wrap was found by fingerprint and just unwrapped,
-			// so its ciphertext is damaged; an envelope names no recipient,
-			// so all this peer can say is that it was not sealed to it.
-			if round {
-				return nil, ErrEnvelope
-			}
-			return nil, ErrNotRecipient
+		// The wrap's tag verified under this peer's key: the ciphertext
+		// under it is damaged.
+		if block, err = keys.AEADOpenInPlace(cek[:], sw.gcmNonce, sw.ct); err != nil {
+			return nil, ErrEnvelope
 		}
 	}
 	h, body, ok := parseHeader(block)

@@ -128,8 +128,8 @@ func FuzzOpen(f *testing.F) {
 
 	// What one open may allocate: a few copies of the input (the AEAD
 	// plaintext, the parsed header, digests) plus the fixed cost of the key
-	// unwrap — RSA-OAEP for an envelope, X25519 for a slice. A maximal
-	// count prefix sized before it was checked would be 224 KiB.
+	// unwrap, an X25519. A maximal count prefix sized before it was
+	// checked would be 224 KiB.
 	const (
 		allocPerByte = 8
 		allocFixed   = 32 << 10

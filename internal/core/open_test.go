@@ -93,7 +93,7 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *header) []byte) [
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append([]byte{byte(m)}, env.Marshal()...)
+		return append([]byte{byte(m)}, env.Bytes()...)
 	}
 	cek, err := keys.NewContentKey()
 	if err != nil {
@@ -178,9 +178,9 @@ func prefixBoundaries(wire []byte) []int {
 		skip(1)      // flags: a sign-only header has no optional field
 		skip(u16())  // signature; the body runs to the end
 	case ModeFull, ModeEncrypt:
-		skip(u32()) // wrapped key
-		skip(u32()) // GCM nonce
-		skip(u32()) // ciphertext
+		skip(keys.ShareSize)     // the sender's share
+		skip(keys.WrapSize)      // wrap
+		skip(keys.AEADNonceSize) // GCM nonce; the ciphertext runs to the end
 	case ModeChannel:
 		skip(channelIDSize)
 		skip(8)             // sequence number
@@ -247,9 +247,11 @@ func TestOpenPipelineTable(t *testing.T) {
 	}{
 		{name: "valid", wire: valid},
 		{
-			name: "flipped ciphertext byte", // for ModeSign the last byte is body
+			// The wrap unwrapped under this peer's key: what fails is the
+			// ciphertext. (For ModeSign the last byte is body.)
+			name: "flipped ciphertext byte",
 			wire: flip(func(w []byte) int { return len(w) - 1 }),
-			want: [5]error{ErrNotRecipient, ErrBodyDigest, ErrNotRecipient, ErrEnvelope, ErrEnvelope},
+			want: [5]error{ErrEnvelope, ErrBodyDigest, ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			name: "flipped wrap byte",
@@ -257,16 +259,35 @@ func TestOpenPipelineTable(t *testing.T) {
 				if Mode(w[0]) == ModeSlice {
 					return 1 + 4 + 4 + keys.ShareSize + 32 + 9
 				}
-				return 1 + 4 + 9
+				return 1 + keys.ShareSize + 9
 			}),
 			want: [5]error{ErrNotRecipient, na, ErrNotRecipient, ErrNotRecipient, na},
 		},
 		{
-			// The round's ephemeral share is in every wrap's key derivation
-			// and under its tag: another one unwraps nothing.
+			// The sender's share is in every wrap's key derivation and under
+			// its tag: another one unwraps nothing.
 			name: "flipped ephemeral share byte",
-			wire: flip(func(w []byte) int { return 1 + 4 + 4 + 5 }),
-			want: [5]error{na, na, na, ErrNotRecipient, na},
+			wire: flip(func(w []byte) int {
+				if Mode(w[0]) == ModeSlice {
+					return 1 + 4 + 4 + 5
+				}
+				return 1 + 5
+			}),
+			want: [5]error{ErrNotRecipient, na, ErrNotRecipient, ErrNotRecipient, na},
+		},
+		{
+			// Every wrap is bound to the AEAD nonce its content is sealed
+			// under: under another nonce it unwraps nothing, before the
+			// ciphertext is read.
+			name: "flipped GCM nonce byte",
+			wire: flip(func(w []byte) int {
+				if Mode(w[0]) == ModeSlice {
+					proof := 1 + 4 + 4 + keys.ShareSize + 32 + keys.WrapSize
+					return proof + 1 + 32*int(w[proof]) + 3
+				}
+				return 1 + keys.ShareSize + keys.WrapSize + 3
+			}),
+			want: [5]error{ErrNotRecipient, na, ErrNotRecipient, ErrNotRecipient, na},
 		},
 		{
 			name: "body digest mismatch",

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"os"
 	"testing"
@@ -85,11 +84,10 @@ func TestSealWireLayoutUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := []byte("the body travels raw, behind the header")
-	u32 := func(b []byte, v int) []byte { return binary.BigEndian.AppendUint32(b, uint32(v)) }
 
-	// By hand: mode ‖ 4 B len ‖ wrap ‖ 4 B len ‖ nonce ‖ 4 B len ‖ ct,
-	// ct = AES-GCM( header ‖ body ). The header names the key it is sealed
-	// to.
+	// By hand: mode ‖ E[32] ‖ wrap[48] ‖ nonce[12] ‖ ct, ct = AES-GCM(
+	// header ‖ body ) under a content key wrapped to own's agreement key
+	// and bound to the nonce. The header names the key it is sealed to.
 	ownFP, err := own.Public().Fingerprint()
 	if err != nil {
 		t.Fatal(err)
@@ -104,18 +102,19 @@ func TestSealWireLayoutUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrap, err := own.Public().WrapKey(cek)
+	eph, err := keys.NewAgreementKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce, ct, err := keys.AEADSeal(cek, block)
-	if err != nil {
+	nonce := bytes.Repeat([]byte{9}, keys.AEADNonceSize)
+	wire := append([]byte{byte(ModeFull)}, eph.Share()...)
+	if wire, err = eph.WrapTo(wire, cek, own.Public(), nonce); err != nil {
 		t.Fatal(err)
 	}
-	wire := []byte{byte(ModeFull)}
-	wire = append(u32(wire, len(wrap)), wrap...)
-	wire = append(u32(wire, len(nonce)), nonce...)
-	wire = append(u32(wire, len(ct)), ct...)
+	wire = append(wire, nonce...)
+	if wire, err = keys.AEADSealInPlace(cek, nonce, append(wire, block...), len(wire)); err != nil {
+		t.Fatal(err)
+	}
 	o, err := Open(own, wire)
 	if err != nil {
 		t.Fatalf("a wire assembled from the documented layout does not open: %v", err)
@@ -133,27 +132,13 @@ func TestSealWireLayoutUnchanged(t *testing.T) {
 	if w[0] != byte(ModeFull) {
 		t.Fatalf("mode byte %q", w[0])
 	}
-	off := 1
-	section := func(name string, want int) []byte {
-		t.Helper()
-		n := int(binary.BigEndian.Uint32(w[off:]))
-		if want >= 0 && n != want {
-			t.Fatalf("%s section at offset %d is %d bytes, want %d", name, off, n, want)
-		}
-		off += 4 + n
-		return w[off-n : off]
-	}
-	gotWrap := section("wrapped key", own.Bits()/8)
-	gotNonce := section("nonce", keys.AEADNonceSize)
-	gotCT := section("ciphertext", -1)
-	if off != len(w) {
-		t.Fatalf("%d bytes follow the ciphertext section", len(w)-off)
-	}
-	gotCEK, err := own.UnwrapKey(gotWrap)
+	gotEph, gotWrap := w[1:1+keys.ShareSize], w[1+keys.ShareSize:1+keys.ShareSize+keys.WrapSize]
+	gotNonce, gotCT := w[1+keys.ShareSize+keys.WrapSize:1+keys.EnvelopePrefix], w[1+keys.EnvelopePrefix:]
+	gotCEK, err := own.UnwrapFrom(gotEph, gotWrap, gotNonce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBlock, err := keys.AEADOpen(gotCEK, gotNonce, gotCT)
+	gotBlock, err := keys.AEADOpen(gotCEK[:], gotNonce, gotCT)
 	if err != nil {
 		t.Fatal(err)
 	}

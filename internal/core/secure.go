@@ -107,6 +107,9 @@ type SecureClient struct {
 	// identity holds a copy for the keystore and for diagnostics only.
 	cred       *cred.Credential
 	brokerCred *cred.Credential
+	// brokerKey is the broker's key carrying the agreement key its
+	// secureConnection answer signed: what the login request is sealed to.
+	brokerKey *keys.PublicKey
 
 	// Presence lease granted at SecureLogin (liveness; see
 	// heartbeat.go). hbSeq is the client-side heartbeat sequence,
@@ -285,11 +288,12 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 		s.reject(brokerID, "no secure connection response")
 		return fmt.Errorf("%w: %v", ErrBrokerNotLegit, err)
 	}
-	// Step 5 response: {sid, S_SKBr(chall), Cred_Br^Adm}.
+	// Step 5 response: {sid, S_SKBr(chall ‖ share), Cred_Br^Adm, share}.
 	sid, _ := resp.GetString(proto.ElemSid)
 	sig, _ := resp.Get(proto.ElemSig)
+	share, _ := resp.Get(proto.ElemShare)
 	credRaw, ok := resp.Get(proto.ElemCred)
-	if sid == "" || len(sig) == 0 || !ok {
+	if sid == "" || len(sig) == 0 || len(share) != keys.ShareSize || !ok {
 		s.reject(brokerID, "incomplete secure connection response")
 		return ErrBrokerNotLegit
 	}
@@ -311,9 +315,14 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 		s.reject(brokerID, "broker credential not issued by administrator")
 		return ErrBrokerNotLegit
 	}
-	// Step 7: check S_SKBr(chall) using PK_Br from the credential.
-	if err := brCred.Key.Verify(chall, sig); err != nil {
+	// Step 7: check S_SKBr(chall ‖ share) using PK_Br from the credential.
+	if err := brCred.Key.Verify(connectSigned(chall, share), sig); err != nil {
 		s.reject(brokerID, "broker does not possess SK_Br (impersonator)")
+		return ErrBrokerNotLegit
+	}
+	brKey := brCred.Key.WithShare((*[keys.ShareSize]byte)(share))
+	if brKey.CheckAgreementKey() != nil {
+		s.reject(brokerID, "broker offers no usable agreement key")
 		return ErrBrokerNotLegit
 	}
 	// Brokers with CBIDs also get the key/ID binding check.
@@ -326,7 +335,7 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 	// Step 8-9: broker is legitimate; store sid and Cred_Br.
 	s.mu.Lock()
 	s.sid = sid
-	s.brokerCred = brCred
+	s.brokerCred, s.brokerKey = brCred, brKey
 	s.mu.Unlock()
 	s.trust.AddIssuer(brCred, now)
 	s.Bus().Emit(events.Event{Type: events.BrokerVerified, From: brokerID, Payload: map[string]string{
@@ -342,14 +351,15 @@ func (s *SecureClient) reject(brokerID keys.PeerID, reason string) {
 }
 
 // SecureLogin implements §4.2.2: the login request is signed with the
-// client's key, bundled with the session identifier, and encrypted to
-// the verified broker's public key. On success the broker-issued
+// client's key for the verified broker, bundled with the session
+// identifier, and sealed to the agreement key that broker signed at
+// secureConnection. On success the broker-issued
 // credential is installed and every advertisement published from now on
 // is signed.
 func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	s.mu.Lock()
 	sid := s.sid
-	brCred := s.brokerCred
+	brCred, brKey := s.brokerCred, s.brokerKey
 	s.sid = "" // single use, mirroring the broker
 	s.mu.Unlock()
 	if brCred == nil {
@@ -372,20 +382,20 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	doc.AddText("Key", keyB64)
 	doc.AddText("Agree", pub.ShareBase64())
 	doc.AddText("Sid", sid)
-	sig, err := s.kp.Sign(doc.Canonical())
+	sig, err := s.kp.Sign(loginSigned(doc.Canonical(), brCred.Subject))
 	if err != nil {
 		return err
 	}
 	doc.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
 
 	// Step 3: Cl → Br {E_PKBr(req, sid)}.
-	env, err := brCred.Key.Encrypt(doc.Canonical())
+	env, err := brKey.Encrypt(doc.Canonical())
 	if err != nil {
 		return err
 	}
 	msg := endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpSecureLogin).
-		Add(proto.ElemEnvelope, env.Marshal())
+		Add(proto.ElemEnvelope, env.Bytes())
 	resp, err := s.Call(ctx, msg)
 	if err != nil {
 		s.Bus().Emit(events.Event{Type: events.LoginFailed, From: s.Broker()})
@@ -446,12 +456,15 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 	if err != nil {
 		return err
 	}
+	// Nothing is sealed to a peer whose credential certifies no usable
+	// agreement key, and nothing weaker is sent to it instead.
+	if err := res.Signer.Key.CheckAgreementKey(); err != nil && s.mode != ModeSign {
+		return err
+	}
 	// One reading for the offer and the envelope that carries it.
 	now := s.Now()
 	h := header{sender: s.PeerID(), group: group, at: now.UnixNano(), resends: resends}
-	// A peer whose credential certifies no usable agreement key can answer
-	// no offer: it is sent the paper's primitive, every time.
-	if s.mode == ModeChannel && res.Signer.Key.CheckAgreementKey() == nil {
+	if s.mode == ModeChannel {
 		ends, err := s.channelEnds(res.Signer.Key, peer, group, true)
 		if err != nil {
 			return err

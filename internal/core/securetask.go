@@ -98,8 +98,7 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	// The request is sealed in the client's configured mode; the executor
 	// enforces that executable requests arrive signed, so degraded modes
 	// are rejected remotely rather than silently upgraded here.
-	mode := s.mode.envelope()
-	sealed, err := seal(signerFor(s.kp, mode), &header{sender: s.PeerID(), group: group, at: s.Now().UnixNano()}, readOnlyBytes(body), recipientKey, mode)
+	sealed, err := seal(s.kp, &header{sender: s.PeerID(), group: group, at: s.Now().UnixNano()}, readOnlyBytes(body), recipientKey, s.mode.envelope())
 	if err != nil {
 		return "", err
 	}
@@ -131,12 +130,4 @@ func splitTaskBody(body string) (name string, args []string, ok bool) {
 		return "", nil, false
 	}
 	return body[:idx], taskexec.UnpackArgs(body[idx+1:]), true
-}
-
-// signerFor returns the signing key when the mode calls for one.
-func signerFor(kp *keys.KeyPair, mode Mode) *keys.KeyPair {
-	if mode == ModeEncrypt {
-		return nil
-	}
-	return kp
 }

@@ -255,12 +255,16 @@ func Issue(issuer *keys.KeyPair, issuerID keys.PeerID, subject keys.PeerID, subj
 	return IssueAt(time.Now(), issuer, issuerID, subject, subjectName, role, subjectKey, validity)
 }
 
-// IssueAt is Issue at the issuer's time now. Only a client credential
-// certifies the agreement key subjectKey carries; a credential of any
-// other role certifies the RSA key alone.
+// IssueAt is Issue at the issuer's time now. A client or database
+// credential certifies the agreement key subjectKey carries beside the RSA
+// key: envelopes, rounds and database requests are sealed to it. An admin
+// or broker credential certifies the RSA key alone: nothing is sealed to
+// the administrator, and a broker signs its agreement key in its
+// secureConnection answer instead, because its credential rides in the
+// chain of every advertisement its clients sign.
 func IssueAt(now time.Time, issuer *keys.KeyPair, issuerID keys.PeerID, subject keys.PeerID, subjectName string, role Role, subjectKey *keys.PublicKey, validity time.Duration) (*Credential, error) {
 	now = now.UTC()
-	if role != RoleClient && subjectKey != nil {
+	if (role == RoleAdmin || role == RoleBroker) && subjectKey != nil {
 		subjectKey = subjectKey.WithShare(nil)
 	}
 	c := &Credential{

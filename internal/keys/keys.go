@@ -1,15 +1,14 @@
 // Package keys provides the cryptographic primitives the JXTA-Overlay
 // security extension is built from: RSA key pairs, detached signatures,
-// a wrapped-key hybrid encryption scheme (the paper's E_PK(x), per
-// PKCS#1 v2.0 [19]), crypto-based identifiers (CBIDs [20]) binding peer
-// IDs to public keys, and PBKDF2 password hashing for the central
-// database.
+// the paper's encryption E_PK(x) as ECIES to the X25519 agreement key a
+// credential certifies beside the RSA key (wrap.go), crypto-based
+// identifiers (CBIDs [20]) binding peer IDs to public keys, and PBKDF2
+// password hashing for the central database.
 //
-// Everything here uses only the Go standard library. Algorithm choices
-// mirror the paper's era while staying modern enough to be safe:
-// RSASSA-PKCS1-v1_5 with SHA-256 for signatures (what XMLdsig's
-// rsa-sha256 URI denotes), RSA-OAEP wrapping an AES-256-GCM content key
-// for encryption.
+// Everything here uses only the Go standard library. RSASSA-PKCS1-v1_5
+// with SHA-256 signs (what XMLdsig's rsa-sha256 URI denotes), as in the
+// paper's era; X25519 and HKDF-SHA256 wrap an AES-256-GCM content key for
+// encryption, where the paper wraps it under RSA (PKCS#1 v2.0 [19]).
 package keys
 
 import (
@@ -36,8 +35,7 @@ import (
 // reproduction; production deployments should raise it (see KeyPairBits).
 const DefaultRSABits = 1024
 
-// MinRSABits is the smallest key size accepted: below this the OAEP
-// payload (a 32-byte AES key) no longer fits.
+// MinRSABits is the smallest key size accepted: the paper's testbed size.
 const MinRSABits = 1024
 
 var (
@@ -60,9 +58,6 @@ type KeyPair struct {
 	// cost of the secure primitives, so tests and benchmarks assert on
 	// this counter (e.g. "one header signature per fan-out round").
 	sigCalls atomic.Uint64
-	// unwrapCalls counts UnwrapKey invocations — the other private-key
-	// operation of the messaging path, asserted the same way.
-	unwrapCalls atomic.Uint64
 	// agreeCalls counts the X25519 operations of the agreement key derived
 	// from priv and of the round keys drawn from the pair (wrap.go).
 	agreeCalls atomic.Uint64
@@ -130,32 +125,15 @@ func (k *KeyPair) Sign(msg []byte) ([]byte, error) {
 // (e.g. a group fan-out round must cost exactly one signature).
 func (k *KeyPair) SignCalls() uint64 { return k.sigCalls.Load() }
 
-// Decrypt opens an envelope produced by PublicKey.Encrypt for this key.
-func (k *KeyPair) Decrypt(env *Envelope) ([]byte, error) {
-	if env == nil {
-		return nil, ErrDecrypt
-	}
-	cek, err := k.UnwrapKey(env.WrappedKey)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return AEADOpen(cek, env.Nonce, env.Ciphertext)
-}
-
 // UnwrapKey recovers a content key wrapped with PublicKey.WrapKey for
-// this key pair.
+// this key pair (see WrapKey: no production path calls it).
 func (k *KeyPair) UnwrapKey(wrapped []byte) ([]byte, error) {
-	k.unwrapCalls.Add(1)
 	cek, err := rsa.DecryptOAEP(sha256.New(), rand.Reader, k.priv, wrapped, oaepLabel)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
 	return cek, nil
 }
-
-// UnwrapCalls reports how many times UnwrapKey has been invoked on this
-// key pair: with SignCalls, every RSA private-key operation it performed.
-func (k *KeyPair) UnwrapCalls() uint64 { return k.unwrapCalls.Load() }
 
 // AgreeCalls reports how many X25519 operations this key pair's agreement
 // key and the round keys drawn from it (NewRoundKey) have performed. An
@@ -239,42 +217,10 @@ func (p *PublicKey) Verify(msg, sig []byte) error {
 // oaepLabel domain-separates the wrapped keys from any other OAEP use.
 var oaepLabel = []byte("jxta-overlay/wrapped-key/v1")
 
-// Envelope is the wire form of the wrapped-key encryption scheme: an
-// RSA-OAEP encrypted AES-256 content key plus the AES-GCM ciphertext.
-type Envelope struct {
-	WrappedKey []byte
-	Nonce      []byte
-	Ciphertext []byte
-}
-
-// Encrypt seals plain for the holder of the matching private key using a
-// fresh AES-256 content key wrapped under RSA-OAEP (the paper's
-// E_PKi(x) wrapped key encryption scheme).
-func (p *PublicKey) Encrypt(plain []byte) (*Envelope, error) {
-	cek, wrapped, err := p.NewWrappedKey()
-	if err != nil {
-		return nil, err
-	}
-	nonce, ct, err := AEADSeal(cek, plain)
-	if err != nil {
-		return nil, err
-	}
-	return &Envelope{WrappedKey: wrapped, Nonce: nonce, Ciphertext: ct}, nil
-}
-
-// NewWrappedKey draws a fresh content key and wraps it to this public
-// key: the first step of every one-recipient hybrid encryption.
-func (p *PublicKey) NewWrappedKey() (cek, wrapped []byte, err error) {
-	if cek, err = NewContentKey(); err == nil {
-		wrapped, err = p.WrapKey(cek)
-	}
-	return cek, wrapped, err
-}
-
-// WrapKey encrypts a content key to this public key under RSA-OAEP. The
-// wrap is the only per-recipient asymmetric operation of a group fan-out
-// round: one public-key exponentiation, orders of magnitude cheaper than
-// a private-key signature.
+// WrapKey encrypts a content key to this public key under RSA-OAEP, the
+// wrap this package's envelopes used before the certified agreement key
+// (wrap.go). No message, request or round is wrapped with it any more:
+// it is kept, with UnwrapKey, as the reference row cmd/perf prices.
 func (p *PublicKey) WrapKey(cek []byte) ([]byte, error) {
 	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, p.pub, cek, oaepLabel)
 	if err != nil {
@@ -355,43 +301,11 @@ func newGCM(cek []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// AppendSection appends part behind its big-endian u32 length — the
-// framing of an Envelope's three parts, and of the variable-length names a
-// key derivation's info strings carry. cutSection is its reader.
+// AppendSection appends part behind its big-endian u32 length: the
+// framing of the variable-length names a key derivation's info strings
+// carry.
 func AppendSection(dst, part []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(dst, uint32(len(part))), part...)
-}
-
-// cutSection reverses AppendSection: the section at the head of data, as
-// a capacity-clipped view, and the bytes that follow it.
-func cutSection(data []byte) (part, rest []byte, ok bool) {
-	if len(data) < 4 {
-		return nil, nil, false
-	}
-	n := uint64(binary.BigEndian.Uint32(data))
-	if data = data[4:]; uint64(len(data)) < n {
-		return nil, nil, false
-	}
-	return data[:n:n], data[n:], true
-}
-
-// Marshal flattens the envelope into a single self-describing byte
-// string (three sections) for transport inside messages.
-func (e *Envelope) Marshal() []byte {
-	out := make([]byte, 0, 12+len(e.WrappedKey)+len(e.Nonce)+len(e.Ciphertext))
-	return AppendSection(AppendSection(AppendSection(out, e.WrappedKey), e.Nonce), e.Ciphertext)
-}
-
-// ParseEnvelope reverses Envelope.Marshal; the fields are views of data.
-func ParseEnvelope(data []byte) (*Envelope, error) {
-	var e Envelope
-	var ok bool
-	e.WrappedKey, data, _ = cutSection(data)
-	e.Nonce, data, _ = cutSection(data) // a failed cut leaves nothing to cut
-	if e.Ciphertext, data, ok = cutSection(data); !ok || len(data) != 0 {
-		return nil, errors.New("keys: malformed envelope")
-	}
-	return &e, nil
 }
 
 // MarshalDER serializes a public key as PKIX DER. The encoding is

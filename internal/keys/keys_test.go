@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,15 +114,16 @@ func TestEnvelopeMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
-	wire := env.Marshal()
+	wire := env.Bytes()
 	back, err := ParseEnvelope(wire)
 	if err != nil {
 		t.Fatalf("ParseEnvelope: %v", err)
 	}
-	if !bytes.Equal(back.WrappedKey, env.WrappedKey) ||
-		!bytes.Equal(back.Nonce, env.Nonce) ||
-		!bytes.Equal(back.Ciphertext, env.Ciphertext) {
+	if !reflect.DeepEqual(back, env) {
 		t.Fatal("envelope round trip mismatch")
+	}
+	if len(wire) != EnvelopePrefix+len("payload")+AEADOverhead {
+		t.Fatalf("an envelope of %d bytes for 7, want the fields, the plaintext and the tag", len(wire))
 	}
 	got, err := testKeys.a.Decrypt(back)
 	if err != nil || string(got) != "payload" {
@@ -131,10 +133,10 @@ func TestEnvelopeMarshalRoundTrip(t *testing.T) {
 
 func TestParseEnvelopeErrors(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":     nil,
-		"short":     {0, 0},
-		"truncated": {0, 0, 0, 10, 1, 2},
-		"trailing":  append(new(Envelope).Marshal(), 0xFF),
+		"empty":              nil,
+		"short":              {0, 0},
+		"fields only":        make([]byte, EnvelopePrefix),
+		"shorter than a tag": make([]byte, EnvelopePrefix+AEADOverhead-1),
 	}
 	for name, data := range cases {
 		if _, err := ParseEnvelope(data); err == nil {
@@ -348,22 +350,21 @@ func TestPropertyEnvelopeWire(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 50,
 		Values: func(vals []reflect.Value, r *rand.Rand) {
-			mk := func() []byte {
-				b := make([]byte, r.Intn(64))
+			mk := func(n int) []byte {
+				b := make([]byte, n)
 				r.Read(b)
 				return b
 			}
-			vals[0] = reflect.ValueOf(&Envelope{WrappedKey: mk(), Nonce: mk(), Ciphertext: mk()})
+			vals[0] = reflect.ValueOf(mk(EnvelopePrefix + AEADOverhead + r.Intn(64)))
 		},
 	}
-	prop := func(env *Envelope) bool {
-		back, err := ParseEnvelope(env.Marshal())
+	prop := func(wire []byte) bool {
+		env, err := ParseEnvelope(wire)
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(back.WrappedKey, env.WrappedKey) &&
-			bytes.Equal(back.Nonce, env.Nonce) &&
-			bytes.Equal(back.Ciphertext, env.Ciphertext)
+		return bytes.Equal(env.Bytes(), wire) &&
+			bytes.Equal(slices.Concat(env.Ephemeral, env.Wrap, env.Nonce, env.Ciphertext), wire)
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)

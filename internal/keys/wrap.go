@@ -2,31 +2,39 @@ package keys
 
 import (
 	"crypto/ecdh"
+	"crypto/rand"
 	"errors"
+	"fmt"
 	"time"
 
 	"jxtaoverlay/internal/lru"
 )
 
-// The round key wrap: ECIES to the X25519 agreement key a client
-// credential certifies (SECURITY.md, "Certified agreement key"). A round
-// is wrapped under a sender's ephemeral key E and encrypted under one
-// AES-GCM nonce; for recipient i, whose certified share is R_i and whose
-// RSA key fingerprint is fp_i,
+// The key wrap, and the envelope built on it: ECIES to the X25519
+// agreement key a credential certifies (SECURITY.md, "Certified agreement
+// key"), the one key transport of every sealed message, the login request
+// and the database request. A content key is wrapped under a sender's key
+// E, bound to the one AES-GCM nonce the content is encrypted under; for
+// recipient i, whose certified share is R_i and whose RSA key fingerprint
+// is fp_i,
 //
 //	(k_enc ‖ k_mac) = HKDF(X25519(e, R_i), salt = E, info = label ‖ fp_i ‖ R_i ‖ nonce)
 //	wrap_i          = (CEK ⊕ k_enc) ‖ HMAC-SHA256(k_mac, E ‖ CEK ⊕ k_enc)[:16]
 //
-// The nonce is drawn fresh for every round, so every key-encryption key
-// is used once even when E serves many rounds: the XOR is a one-time pad
-// and the tag makes the wrap encrypt-then-MAC; no cipher's key schedule is
-// built per recipient. Neither end performs an RSA private-key operation.
+// The nonce is drawn fresh for every round and every envelope, so every
+// key-encryption key is used once even when E serves many rounds: the
+// XOR is a one-time pad and the tag makes the wrap encrypt-then-MAC; no
+// cipher's key schedule is built per recipient. Neither end performs an
+// RSA private-key operation. A round carries one wrap per recipient
+// (internal/core, round.go); an envelope carries one, under a fresh E:
 //
-// A sender holds E for many rounds (NewRoundKey) and a recipient sees the
-// same E again in each of them, so both ends memoize the X25519 — the
-// sender per recipient share, the recipient per E — and a round after the
-// first costs each end one HKDF per wrap. The recipient keeps only what
-// a wrap's tag verified. Both memos are capped at agreeMemoCap entries.
+//	envelope = E[32] ‖ wrap[48] ‖ nonce[12] ‖ AES-256-GCM(CEK, nonce, plaintext)
+//
+// A sender may hold E for many rounds (NewRoundKey), and a recipient sees
+// the same E again in each of them, so both ends memoize the X25519 — the
+// sender per recipient share, the recipient per E: a round's wrap after
+// the first costs each end one HKDF. The recipient keeps only what a
+// wrap's tag verified. Both memos are capped at agreeMemoCap entries.
 //
 // A key pair's agreement key is derived from its RSA private key
 // (KeyPair.agreement), so it is no second secret to store and it changes
@@ -48,7 +56,7 @@ const (
 )
 
 // ErrNoAgreementKey is returned for a recipient whose key carries no
-// agreement key: no round can be wrapped to it.
+// agreement key: nothing can be sealed to it.
 var ErrNoAgreementKey = errors.New("keys: recipient key certifies no agreement key")
 
 // lowOrderProbe is any clamped scalar: X25519 with it sends every point of
@@ -111,7 +119,7 @@ type agreeMemo struct {
 	err error
 }
 
-// CheckAgreementKey reports whether a round can be wrapped to the key:
+// CheckAgreementKey reports whether anything can be sealed to the key:
 // ErrNoAgreementKey when it carries no agreement key, ErrAgree when the
 // one it carries is of small order. The verdict is memoized.
 func (p *PublicKey) CheckAgreementKey() error {
@@ -196,8 +204,8 @@ func (a *AgreementKey) WrapTo(dst, cek []byte, to *PublicKey, nonce []byte) ([]b
 // key under the ephemeral share eph and bound to nonce. A share that is
 // malformed or of small order, a nonce of the wrong length, and a wrap
 // whose tag does not verify — another round's nonce among its causes —
-// are ErrDecrypt. It is no RSA operation, and UnwrapCalls does not count
-// it; the X25519 with eph is memoized once a wrap under eph verifies.
+// are ErrDecrypt. It is no RSA operation; the X25519 with eph is memoized
+// once a wrap under eph verifies.
 func (k *KeyPair) UnwrapFrom(eph, wrap, nonce []byte) (cek [ContentKeySize]byte, err error) {
 	if len(eph) != ShareSize || len(wrap) != WrapSize || len(nonce) != AEADNonceSize {
 		return cek, ErrDecrypt
@@ -255,4 +263,91 @@ func wrapTag(w *[WrapSize]byte, kek *[2 * ContentKeySize]byte, eph *[ShareSize]b
 	var tag [32]byte
 	mac.sum(&tag, eph[:], w[:ContentKeySize])
 	copy(w[ContentKeySize:], tag[:wrapTagSize])
+}
+
+// EnvelopePrefix is the length of an envelope's fields in front of its
+// ciphertext: the sender's share, the wrap and the nonce.
+const EnvelopePrefix = ShareSize + WrapSize + AEADNonceSize
+
+// Envelope is an envelope cut into its fields, views of its wire form.
+type Envelope struct {
+	Ephemeral  []byte // the sender's share E
+	Wrap       []byte // the content key, wrapped to the recipient and bound to Nonce
+	Nonce      []byte
+	Ciphertext []byte // AES-256-GCM of the plaintext, tag included
+	wire       []byte
+}
+
+// Bytes is the envelope's wire form: the bytes its fields are views of.
+func (e *Envelope) Bytes() []byte { return e.wire }
+
+// Encrypt seals plain for the holder of the agreement key p carries
+// (ErrNoAgreementKey when it carries none), under a fresh ephemeral key:
+// the paper's E_PK(x).
+func (p *PublicKey) Encrypt(plain []byte) (*Envelope, error) {
+	buf := append(make([]byte, EnvelopePrefix, EnvelopePrefix+len(plain)+AEADOverhead), plain...)
+	buf, err := SealEnvelope(buf, 0, p)
+	if err != nil {
+		return nil, err
+	}
+	return ParseEnvelope(buf)
+}
+
+// SealEnvelope encrypts buf[at+EnvelopePrefix:] where it lies, for the
+// holder of the agreement key to carries, under a fresh ephemeral key,
+// and appends the tag; the fields in front of the ciphertext are written
+// into buf[at:at+EnvelopePrefix], which the caller leaves for them.
+func SealEnvelope(buf []byte, at int, to *PublicKey) ([]byte, error) {
+	eph, err := NewAgreementKey()
+	if err != nil {
+		return nil, err
+	}
+	var cek [ContentKeySize]byte
+	nonce := buf[at+ShareSize+WrapSize : at+EnvelopePrefix]
+	if _, err := rand.Read(cek[:]); err != nil {
+		return nil, fmt.Errorf("keys: cek: %w", err)
+	}
+	if _, err := rand.Read(nonce); err != nil {
+		return nil, fmt.Errorf("keys: nonce: %w", err)
+	}
+	copy(buf[at:], eph.share[:])
+	// Appended where it belongs: the wrap's bytes are buf's own.
+	_, err = eph.WrapTo(buf[at+ShareSize:at+ShareSize], cek[:], to, nonce)
+	if err == nil {
+		buf, err = AEADSealInPlace(cek[:], nonce, buf, at+EnvelopePrefix)
+	}
+	clear(cek[:])
+	return buf, err
+}
+
+// Decrypt opens an envelope sealed to this key pair's agreement key. The
+// envelope is left as it was.
+func (k *KeyPair) Decrypt(env *Envelope) ([]byte, error) {
+	if env == nil {
+		return nil, ErrDecrypt
+	}
+	cek, err := k.UnwrapFrom(env.Ephemeral, env.Wrap, env.Nonce)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	plain, err := AEADOpen(cek[:], env.Nonce, env.Ciphertext)
+	clear(cek[:])
+	return plain, err
+}
+
+// ParseEnvelope cuts an envelope's wire form into its fields, views of
+// data. It checks lengths only: whether the envelope opens is Decrypt's
+// to say.
+func ParseEnvelope(data []byte) (*Envelope, error) {
+	if len(data) < EnvelopePrefix+AEADOverhead {
+		return nil, errors.New("keys: malformed envelope")
+	}
+	const wrapAt, nonceAt = ShareSize, ShareSize + WrapSize
+	return &Envelope{
+		Ephemeral:  data[:wrapAt:wrapAt],
+		Wrap:       data[wrapAt:nonceAt:nonceAt],
+		Nonce:      data[nonceAt:EnvelopePrefix:EnvelopePrefix],
+		Ciphertext: data[EnvelopePrefix:],
+		wire:       data,
+	}, nil
 }

@@ -87,13 +87,9 @@ func wrapFixture(t *testing.T) (cek, eph, nonce, wrap []byte) {
 
 func TestWrapRoundTrip(t *testing.T) {
 	cek, eph, nonce, wrap := wrapFixture(t)
-	unwraps := testKeys.b.UnwrapCalls()
 	got, err := testKeys.b.UnwrapFrom(eph, wrap, nonce)
 	if err != nil || !bytes.Equal(got[:], cek) {
 		t.Fatalf("UnwrapFrom = %x, %v; want %x", got, err, cek)
-	}
-	if testKeys.b.UnwrapCalls() != unwraps {
-		t.Fatal("UnwrapFrom counted as an RSA unwrap")
 	}
 	if _, err := testKeys.a.UnwrapFrom(eph, wrap, nonce); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("another key pair's UnwrapFrom = %v, want ErrDecrypt", err)
@@ -156,6 +152,9 @@ func TestWrapRefusesKeysWithoutUsableShare(t *testing.T) {
 	if _, err := e.WrapTo(nil, cek, bare, nonce); !errors.Is(err, ErrNoAgreementKey) {
 		t.Fatalf("WrapTo a key without a share = %v, want ErrNoAgreementKey", err)
 	}
+	if _, err := bare.Encrypt([]byte("x")); !errors.Is(err, ErrNoAgreementKey) {
+		t.Fatalf("Encrypt to a key without a share = %v, want ErrNoAgreementKey", err)
+	}
 	var lowOrder [ShareSize]byte
 	lowOrder[0] = 1
 	weak := testKeys.b.Public().WithShare(&lowOrder)
@@ -164,6 +163,9 @@ func TestWrapRefusesKeysWithoutUsableShare(t *testing.T) {
 	}
 	if _, err := e.WrapTo(nil, cek, weak, nonce); !errors.Is(err, ErrAgree) {
 		t.Fatalf("WrapTo a small-order share = %v, want ErrAgree", err)
+	}
+	if _, err := weak.Encrypt([]byte("x")); !errors.Is(err, ErrAgree) {
+		t.Fatalf("Encrypt to a small-order share = %v, want ErrAgree", err)
 	}
 	if err := testKeys.b.Public().CheckAgreementKey(); err != nil {
 		t.Fatalf("CheckAgreementKey of a derived share = %v", err)

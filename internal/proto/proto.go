@@ -47,6 +47,7 @@ const (
 	ElemSig       = "sec:sig"
 	ElemCred      = "sec:cred"
 	ElemEnvelope  = "sec:env"
+	ElemShare     = "sec:share" // the broker's X25519 agreement key, in its secureConnection answer
 
 	// File transfer elements.
 	ElemFileName  = "file:name"

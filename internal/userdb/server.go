@@ -45,8 +45,9 @@ var (
 )
 
 // Server exposes a Store on the network under the paper's trust
-// topology: every request must be encrypted to the server's key and
-// signed by a broker holding an administrator-issued credential. Its time
+// topology: every request must be sealed to the agreement key the
+// server's credential certifies and signed by a broker holding an
+// administrator-issued credential. Its time
 // is its endpoint's.
 type Server struct {
 	store *Store
@@ -312,7 +313,7 @@ func (c *Client) call(ctx context.Context, op, user, pass string) ([]string, err
 	}
 
 	msg := endpoint.NewMessage()
-	msg.Add(elemEnvelope, env.Marshal())
+	msg.Add(elemEnvelope, env.Bytes())
 	msg.Add(elemSig, sig)
 	msg.Add(elemCred, credDoc.Canonical())
 
