@@ -1,12 +1,12 @@
 // Command benchmsg regenerates experiment F2 (paper Figure 2): the
 // overhead of secureMsgPeer relative to sendMsgPeer as a function of
-// message size, plus the A2 (envelope mode), A3 (group fan-out) and A5
-// (link profile) ablations.
+// message size, plus the A3 (group fan-out) and A5 (link profile)
+// ablations.
 //
 // Usage:
 //
 //	benchmsg [-sizes 16,256,4096,65536,1048576] [-iters 5]
-//	         [-profiles lan,wan] [-modes full] [-group] [-csv out.csv]
+//	         [-profiles lan,wan] [-group] [-csv out.csv]
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"jxtaoverlay/internal/bench"
-	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/simnet"
 )
 
@@ -25,7 +24,6 @@ func main() {
 	sizesFlag := flag.String("sizes", "16,256,4096,65536,1048576", "payload sizes in bytes")
 	iters := flag.Int("iters", 5, "messages per size per variant")
 	profilesFlag := flag.String("profiles", "lan", "link profiles: local, lan, wan (A5 ablation)")
-	modesFlag := flag.String("modes", "full", "envelope modes: full, sign, encrypt (A2 ablation)")
 	group := flag.Bool("group", false, "also run the A3 group fan-out ablation")
 	csvPath := flag.String("csv", "", "write the F2 series as CSV to this file")
 	flag.Parse()
@@ -42,50 +40,43 @@ func main() {
 	defer env.Close()
 
 	var csvTable *bench.Table
-	for _, modeName := range strings.Split(*modesFlag, ",") {
-		mode, err := modeByName(strings.TrimSpace(modeName))
+	for _, profName := range strings.Split(*profilesFlag, ",") {
+		profile, err := simnet.ProfileByName(strings.TrimSpace(profName))
 		if err != nil {
 			fatal(err)
 		}
-		for _, profName := range strings.Split(*profilesFlag, ",") {
-			profile, err := simnet.ProfileByName(strings.TrimSpace(profName))
-			if err != nil {
-				fatal(err)
-			}
-			points, err := bench.RunMsgSeries(env, profile, sizes, *iters, mode)
-			if err != nil {
-				fatal(err)
-			}
-			table := &bench.Table{
-				Title: fmt.Sprintf("F2: secureMsgPeer overhead vs size (mode=%s, profile=%s, iters=%d)",
-					mode, profName, *iters),
-				Header: []string{"size", "plain", "secure", "overhead%", "plain-bytes", "secure-bytes"},
-			}
-			for _, p := range points {
-				table.AddRow(
-					strconv.Itoa(p.Size),
-					p.PlainTotal.String(),
-					p.SecureTotal.String(),
-					fmt.Sprintf("%.2f", p.OverheadPct),
-					strconv.FormatUint(p.Plain.Bytes, 10),
-					strconv.FormatUint(p.Secure.Bytes, 10),
-				)
-			}
-			if err := table.Fprint(os.Stdout); err != nil {
-				fatal(err)
-			}
-			fmt.Println()
-			if csvTable == nil {
-				csvTable = &bench.Table{Header: []string{"mode", "profile", "size", "plain_ns", "secure_ns", "overhead_pct"}}
-			}
-			for _, p := range points {
-				csvTable.AddRow(mode.String(), profName,
-					strconv.Itoa(p.Size),
-					strconv.FormatInt(int64(p.PlainTotal), 10),
-					strconv.FormatInt(int64(p.SecureTotal), 10),
-					fmt.Sprintf("%.2f", p.OverheadPct),
-				)
-			}
+		points, err := bench.RunMsgSeries(env, profile, sizes, *iters)
+		if err != nil {
+			fatal(err)
+		}
+		table := &bench.Table{
+			Title:  fmt.Sprintf("F2: secureMsgPeer overhead vs size (profile=%s, iters=%d)", profName, *iters),
+			Header: []string{"size", "plain", "secure", "overhead%", "plain-bytes", "secure-bytes"},
+		}
+		for _, p := range points {
+			table.AddRow(
+				strconv.Itoa(p.Size),
+				p.PlainTotal.String(),
+				p.SecureTotal.String(),
+				fmt.Sprintf("%.2f", p.OverheadPct),
+				strconv.FormatUint(p.Plain.Bytes, 10),
+				strconv.FormatUint(p.Secure.Bytes, 10),
+			)
+		}
+		if err := table.Fprint(os.Stdout); err != nil {
+			fatal(err)
+		}
+		fmt.Println()
+		if csvTable == nil {
+			csvTable = &bench.Table{Header: []string{"profile", "size", "plain_ns", "secure_ns", "overhead_pct"}}
+		}
+		for _, p := range points {
+			csvTable.AddRow(profName,
+				strconv.Itoa(p.Size),
+				strconv.FormatInt(int64(p.PlainTotal), 10),
+				strconv.FormatInt(int64(p.SecureTotal), 10),
+				fmt.Sprintf("%.2f", p.OverheadPct),
+			)
 		}
 	}
 
@@ -133,19 +124,6 @@ func parseInts(csv string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func modeByName(name string) (core.Mode, error) {
-	switch name {
-	case "full":
-		return core.ModeFull, nil
-	case "sign":
-		return core.ModeSign, nil
-	case "encrypt":
-		return core.ModeEncrypt, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
 }
 
 func fatal(err error) {

@@ -85,7 +85,11 @@
 // and the optional fields its flags name), signed as a label followed by
 // the header bytes themselves: no canonicalization, and XML only for the
 // paper's documents — advertisements, credentials, the credentialed
-// requests, audit checkpoints. core.Open/OpenSlice, a client's two receivers and the
+// requests, audit checkpoints. There is one envelope, the paper's
+// sign-then-encrypt (core.ModeFull), and a header without a signature opens
+// nowhere: every SecureMessage names a sender whose certified key verified
+// it, or the peer of a channel its signed offer established.
+// core.Open/OpenSlice, a client's two receivers and the
 // secure task service are one-line callers of it, and the replay guard
 // covers all of them, one key per form. A client's group pipes (in
 // internal/control) accept every form a peer sends; the relay's push
@@ -105,7 +109,7 @@
 // non-repudiation — and what is gained). A peer that has lost the channel
 // refuses the frame and gets the message again as an envelope.
 // core.WithMode(core.ModeFull) is the paper's stateless primitive on
-// every message; cmd/benchmsg and internal/bench pass it.
+// every message; internal/bench, and so cmd/benchmsg, sends with it.
 //
 // # One buffer per message
 //

@@ -371,10 +371,7 @@ func ForwardEnvelope(own *keys.KeyPair, wire []byte, target *keys.PublicKey) ([]
 	if err != nil {
 		return nil, err
 	}
-	if env, err = target.Encrypt(block); err != nil {
-		return nil, err
-	}
-	return append([]byte{wire[0]}, env.Bytes()...), nil
+	return EnvelopeTo(target, block)
 }
 
 // The adversaries of the signed header and of session channels
@@ -455,10 +452,20 @@ func Block(header, body []byte) []byte {
 	return append(bytes.Clone(header), body...)
 }
 
+// EnvelopeTo seals block to target's certified agreement key as a ModeFull
+// wire, as core's sealer does: the envelope anyone can build around a
+// block of their own making.
+func EnvelopeTo(target *keys.PublicKey, block []byte) ([]byte, error) {
+	env, err := target.Encrypt(block)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte{byte(core.ModeFull)}, env.Bytes()...), nil
+}
+
 // ReadHeader is the reverse, for an attacker that has a block in the
-// clear — a sign-only wire's, or an envelope's it holds the recipient's
-// key to: the header it starts with, and the body behind it. The fields
-// are copies.
+// clear — an envelope's or a slice's it holds the recipient's key to: the
+// header it starts with, and the body behind it. The fields are copies.
 func ReadHeader(block []byte) (*Header, []byte, error) {
 	b := block
 	take := func(n int) []byte {

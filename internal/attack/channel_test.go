@@ -592,7 +592,7 @@ func TestRecipientWithoutShareIsSentNothing(t *testing.T) {
 	if n := alice.Identity().Keys.SignCalls() - signed; n != 0 {
 		t.Errorf("alice signed %d times for 2 refused messages, want none", n)
 	}
-	for _, m := range []core.Mode{core.ModeFull, core.ModeSign, core.ModeEncrypt, core.ModeChannel} {
+	for _, m := range []core.Mode{core.ModeFull, core.ModeChannel} {
 		if got := wiresTo(eve, carol.PeerID(), m); len(got) != 0 {
 			t.Errorf("%d %s wires reached carol: a recipient that certifies no agreement key was sent something", len(got), m)
 		}
@@ -689,11 +689,11 @@ func TestChannelOfferFlood(t *testing.T) {
 		if err := header.Sign(mallory.Identity().Keys); err != nil {
 			t.Fatal(err)
 		}
-		env, err := bob.Identity().Keys.Public().Encrypt(attack.Block(header.Bytes(), body))
+		wire, err := attack.EnvelopeTo(bob.Identity().Keys.Public(), attack.Block(header.Bytes(), body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg := endpoint.NewMessage().Add(proto.ElemEnvelope, append([]byte{byte(core.ModeFull)}, env.Bytes()...)).AddString(proto.ElemGroup, "math")
+		msg := endpoint.NewMessage().Add(proto.ElemEnvelope, wire).AddString(proto.ElemGroup, "math")
 		if err := mallory.Control().SendOnPipe(bobPipe, msg.Elements...); err != nil {
 			t.Fatal(err)
 		}

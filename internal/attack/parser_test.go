@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"jxtaoverlay/internal/attack"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/xmldoc"
@@ -70,11 +71,12 @@ func TestDeeplyNestedDocumentRejected(t *testing.T) {
 }
 
 // TestHostileHeaderInsideEnvelopeRejected: an attacker who controls the
-// bytes inside a sign-only envelope (no key material needed for
-// ModeSign) cannot smuggle DTD/PI/comment markup through the header
-// parse — core.Open rejects the envelope before any field of the
-// hostile header is interpreted.
+// bytes inside an envelope (any peer can seal one to bob's certified key)
+// cannot smuggle DTD/PI/comment markup through the header parse —
+// core.Open rejects the envelope before any field of the hostile header is
+// interpreted.
 func TestHostileHeaderInsideEnvelopeRejected(t *testing.T) {
+	bob := newRoundParty(t)
 	hostile := [][]byte{
 		entityBomb(),
 		[]byte(`<?xml version="1.0"?><SecureMessage></SecureMessage>`),
@@ -82,12 +84,12 @@ func TestHostileHeaderInsideEnvelopeRejected(t *testing.T) {
 		[]byte("<SecureMessage><Sender>&nbsp;</Sender></SecureMessage>"),
 	}
 	for _, header := range hostile {
-		// Hand-assemble the ModeSign wire: mode byte, u32 header length,
-		// header bytes, empty body.
-		wire := []byte{byte(core.ModeSign)}
-		wire = binary.BigEndian.AppendUint32(wire, uint32(len(header)))
-		wire = append(wire, header...)
-		if _, err := core.Open(nil, wire); !errors.Is(err, core.ErrEnvelope) {
+		// The block is a u32 header length, the header bytes, an empty body.
+		wire, err := attack.EnvelopeTo(bob.kp.Public(), append(binary.BigEndian.AppendUint32(nil, uint32(len(header))), header...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Open(bob.kp, wire); !errors.Is(err, core.ErrEnvelope) {
 			t.Fatalf("hostile header %.40q... not rejected: %v", header, err)
 		}
 	}
@@ -97,12 +99,12 @@ func TestHostileHeaderInsideEnvelopeRejected(t *testing.T) {
 // hardening: a legitimately sealed envelope — whose header is canonical
 // by construction — still opens and verifies.
 func TestCanonicalHeadersStillAccepted(t *testing.T) {
-	alice := newRoundParty(t)
-	sealed, err := core.Seal(alice.kp, alice.id, "math", []byte("hi"), nil, core.ModeSign)
+	alice, bob := newRoundParty(t), newRoundParty(t)
+	sealed, err := core.Seal(alice.kp, alice.id, "math", []byte("hi"), bob.kp.Public(), core.ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened, err := core.Open(nil, sealed.Bytes())
+	opened, err := core.Open(bob.kp, sealed.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@
 package attack_test
 
 import (
+	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -82,4 +84,59 @@ func TestSecureTaskRequestReplay(t *testing.T) {
 			t.Fatalf("unguarded replay: ok=%v, task body ran %d times; the stateless primitive should have run it twice", ok, runs)
 		}
 	})
+}
+
+// TestSecureTaskAnswerSubstitutionRefused: an on-path attacker who captured
+// bob's answer to alice's "charge 42" drops his answer to her next request,
+// "charge 99", and answers it with the old one under the new request's
+// correlation ID, which crosses the wire in the clear. The old answer is
+// sealed to alice and signed by bob, and her endpoint hands her call the
+// first response that carries the ID; but the answer names the request it
+// answers, another one, and the call is refused.
+func TestSecureTaskAnswerSubstitutionRefused(t *testing.T) {
+	s := newSecureStack(t)
+	alice := s.join(t, "alice", "alice-secret-pw")
+	bob := s.join(t, "bob", "bob-secret-pw")
+	reg := taskexec.NewRegistry()
+	reg.Register("charge", func(args []string) (string, error) { return "charged " + args[0], nil })
+	bob.EnableSecureTasks(reg)
+	aliceNode, bobNode := simnet.NodeID(alice.PeerID()), simnet.NodeID(bob.PeerID())
+
+	eve := attack.NewEavesdropper(s.net)
+	if out, err := alice.SecureExecTask(testCtx(t), bob.PeerID(), "math", "charge", []string{"42"}); err != nil || out != "charged 42" {
+		t.Fatalf("genuine request: %q, %v", out, err)
+	}
+	var old endpoint.Frame
+	for _, frame := range eve.FramesTo(aliceNode) {
+		f, err := endpoint.ParseFrame(frame)
+		if err == nil && f.Corr == endpoint.CorrResponse && string(f.Src) == string(bob.PeerID()) && f.Msg.Has(proto.ElemEnvelope) {
+			old = f
+		}
+	}
+	if old.Msg == nil {
+		t.Fatal("bob's answer never crossed the wire")
+	}
+
+	// From here bob's answers to alice are lost, and the attacker answers
+	// each task request the moment it is on the wire.
+	s.net.SetLinkOneWay(bobNode, aliceNode, simnet.LinkProfile{Loss: 1})
+	raw, err := attack.NewRawNode(s.net, "attacker-node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.net.AddTap(func(p simnet.Packet) {
+		if p.From != aliceNode || p.To != bobNode {
+			return
+		}
+		f, err := endpoint.ParseFrame(bytes.Clone(p.Payload))
+		if err != nil || f.Corr != endpoint.CorrRequest || string(f.Service) != proto.SecureTaskService {
+			return
+		}
+		_ = raw.Replay(aliceNode, endpoint.NewFrame(endpoint.Route{Src: bob.PeerID(), Service: string(old.Service),
+			Corr: endpoint.CorrResponse, CorrID: f.CorrID}, old.Msg.Elements...))
+	})
+	out, err := alice.SecureExecTask(testCtx(t), bob.PeerID(), "math", "charge", []string{"99"})
+	if !errors.Is(err, core.ErrTaskRejected) {
+		t.Fatalf("charge 99 returned (%q, %v), want core.ErrTaskRejected", out, err)
+	}
 }

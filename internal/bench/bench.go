@@ -101,9 +101,10 @@ func (e *Env) PlainClient(alias string) (*client.Client, error) {
 
 // SecureClient creates a logged-out secure client for an alias. Key
 // generation happens here — at "boot time" per §4.1 — so join
-// measurements exclude it, as the paper's do.
-func (e *Env) SecureClient(alias string, mode core.Mode) (*core.SecureClient, error) {
-	return e.Dep.NewClient(e.Net, alias, core.WithMode(mode))
+// measurements exclude it, as the paper's do. It sends in ModeFull, the
+// stateless primitive the paper measures: no session channel.
+func (e *Env) SecureClient(alias string) (*core.SecureClient, error) {
+	return e.Dep.NewClient(e.Net, alias, core.WithMode(core.ModeFull))
 }
 
 // OpCost is the measured cost of one operation: compute wall time plus

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/simnet"
 )
 
@@ -57,7 +56,7 @@ func TestRunMsgSeriesShape(t *testing.T) {
 	}
 	env := newTestEnv(t)
 	sizes := []int{64, 65536, 1 << 20}
-	points, err := RunMsgSeries(env, simnet.ProfileLAN, sizes, 2, core.ModeFull)
+	points, err := RunMsgSeries(env, simnet.ProfileLAN, sizes, 2)
 	if err != nil {
 		t.Fatalf("RunMsgSeries: %v", err)
 	}

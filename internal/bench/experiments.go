@@ -55,7 +55,7 @@ func RunJoin(env *Env, profile simnet.LinkProfile, iters int) (*JoinResult, erro
 	}
 
 	secure, err := avgCost(iters, func() (OpCost, error) {
-		sc, err := env.SecureClient(alias, core.ModeFull)
+		sc, err := env.SecureClient(alias)
 		if err != nil {
 			return OpCost{}, err
 		}
@@ -98,7 +98,7 @@ type MsgPoint struct {
 // (send → receive event) for each payload size and reprices under
 // profile. The same sessions are reused across sizes, as a chat
 // application would.
-func RunMsgSeries(env *Env, profile simnet.LinkProfile, sizes []int, iters int, mode core.Mode) ([]MsgPoint, error) {
+func RunMsgSeries(env *Env, profile simnet.LinkProfile, sizes []int, iters int) ([]MsgPoint, error) {
 	ctx := context.Background()
 
 	// Plain pair.
@@ -145,12 +145,12 @@ func RunMsgSeries(env *Env, profile simnet.LinkProfile, sizes []int, iters int, 
 	if err != nil {
 		return nil, err
 	}
-	sa, err := env.SecureClient(aliasC, mode)
+	sa, err := env.SecureClient(aliasC)
 	if err != nil {
 		return nil, err
 	}
 	defer sa.Close()
-	sb, err := env.SecureClient(aliasD, mode)
+	sb, err := env.SecureClient(aliasD)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +284,7 @@ func RunGroupFanOut(env *Env, profile simnet.LinkProfile, groupSizes []int, iter
 			if err != nil {
 				return nil, err
 			}
-			scl, err := env.SecureClient(aliasS, core.ModeFull)
+			scl, err := env.SecureClient(aliasS)
 			if err != nil {
 				return nil, err
 			}

@@ -155,8 +155,8 @@ func TestChannelModeFullOffersNothing(t *testing.T) {
 	atBob, atAlice := events.NewCollector(bob.Bus()), events.NewCollector(alice.Bus())
 	signed := alice.Identity().Keys.SignCalls()
 	for i := 0; i < 5; i++ {
-		if e := sendAndWait(t, alice, bob, atBob, fmt.Sprintf("stateless %d", i)); e.Attr("mode") != core.ModeFull.String() {
-			t.Fatalf("message %d travelled as %q", i, e.Attr("mode"))
+		if e := sendAndWait(t, alice, bob, atBob, fmt.Sprintf("stateless %d", i)); e.Attr("mode") != core.ModeFull.String() || e.Attr("authenticated") != "true" {
+			t.Fatalf("message %d travelled as %q (authenticated %q)", i, e.Attr("mode"), e.Attr("authenticated"))
 		}
 	}
 	if got := alice.Identity().Keys.SignCalls() - signed; got != 5 {
@@ -542,12 +542,14 @@ func TestAttackMirrorsHeaderLayout(t *testing.T) {
 	fill := func(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 	now := time.Unix(0, time.Now().UnixNano())
 	for i, hand := range []*attack.Header{
-		{Kind: core.ModeSign, Sender: "urn:jxta:s", Group: "g", Time: now, Digest: digest},
+		{Kind: core.ModeFull, Sender: "urn:jxta:s", Group: "g", Time: now, Digest: digest},
 		{Kind: core.ModeFull, Sender: "urn:jxta:s", Group: "g", Time: now, Digest: digest, To: fill(1, 32), Channel: fill(2, 16), Share: fill(3, 32), Resends: fill(4, 24)},
 		{Kind: core.ModeGroup, Sender: "urn:jxta:s", Group: "math", Time: now, Digest: digest, Nonce: fill(5, 16), Root: fill(6, 32)},
-		{Kind: core.ModeEncrypt, Time: time.Unix(0, -1), Digest: digest, To: fill(7, 32), Nonce: fill(8, 16), Root: fill(9, 32), Channel: fill(10, 16), Share: fill(11, 32), Resends: fill(12, 24)},
+		{Kind: core.ModeFull, Time: time.Unix(0, -1), Digest: digest, To: fill(7, 32), Nonce: fill(8, 16), Root: fill(9, 32), Channel: fill(10, 16), Share: fill(11, 32), Resends: fill(12, 24)},
 	} {
-		signed := hand.Kind != core.ModeEncrypt
+		// The last is left unsigned: the codec carries an empty signature,
+		// which the open path refuses.
+		signed := i < 3
 		if signed {
 			if err := hand.Sign(kp); err != nil {
 				t.Fatal(err)
@@ -582,12 +584,16 @@ func TestAttackMirrorsHeaderLayout(t *testing.T) {
 		}
 	}
 	// And a header a sealer wrote, read by hand and signed again by hand.
-	sealed, err := core.Seal(kp, "urn:jxta:s", "g", body, nil, core.ModeSign)
+	sealed, err := core.Seal(kp, "urn:jxta:s", "g", body, kp.Public(), core.ModeFull)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, rest, err := attack.ReadHeader(sealed.Bytes()[1:])
-	if err != nil || h.Kind != core.ModeSign || h.Sender != "urn:jxta:s" || !bytes.Equal(h.Digest, digest) || !bytes.Equal(rest, body) {
+	opened, err := core.Open(kp, sealed.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, rest, err := attack.ReadHeader(attack.Block(opened.Header(), opened.Body))
+	if err != nil || h.Kind != core.ModeFull || h.Sender != "urn:jxta:s" || !bytes.Equal(h.Digest, digest) || !bytes.Equal(rest, body) {
 		t.Fatalf("Seal's header read by hand as %+v (%v)", h, err)
 	}
 	sig := h.Signature

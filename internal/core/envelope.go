@@ -9,10 +9,10 @@ import (
 	"jxtaoverlay/internal/keys"
 )
 
-// Mode selects how the secure messaging envelope protects a payload.
-// The paper's primitive is sign-then-encrypt (ModeFull); the degraded
-// modes exist for the ablation benchmarks (experiment A2) and for
-// applications that only need one property.
+// Mode names a secure wire's form, and a client's sending mode. The
+// paper's primitive is sign-then-encrypt (ModeFull), and every message
+// form is either that, signed and sealed, or a frame on a channel that a
+// signed offer established.
 type Mode byte
 
 // Envelope modes.
@@ -20,11 +20,6 @@ const (
 	// ModeFull is E_PK(m, S_SK(m)): privacy, integrity and source
 	// authentication (the paper's secureMsgPeer).
 	ModeFull Mode = 'F'
-	// ModeSign sends m, S_SK(m) in the clear: integrity and source
-	// authentication only.
-	ModeSign Mode = 'S'
-	// ModeEncrypt sends E_PK(m): privacy only, no authentication.
-	ModeEncrypt Mode = 'E'
 	// ModeGroup is a whole fan-out round: one signed round header
 	// (timestamp + nonce + slice tree root) and every recipient's key
 	// wrap. It is the relayRound upload only, which the relay cuts into
@@ -54,22 +49,10 @@ const (
 	ModeAccept Mode = 'A'
 )
 
-// envelope is the mode Seal is called with under sending mode m.
-func (m Mode) envelope() Mode {
-	if m == ModeChannel {
-		return ModeFull
-	}
-	return m
-}
-
 func (m Mode) String() string {
 	switch m {
 	case ModeFull:
 		return "sign+encrypt"
-	case ModeSign:
-		return "sign-only"
-	case ModeEncrypt:
-		return "encrypt-only"
 	case ModeGroup:
 		return "group-round"
 	case ModeSlice:
@@ -96,23 +79,21 @@ var (
 
 // Sealed is the transportable secure message.
 //
-// Wire layout: one mode byte followed by a block. For ModeSign the block
-// is plaintext; for ModeFull/ModeEncrypt it is sealed in a keys.Envelope:
-// ECIES to the agreement key the recipient's credential certifies, the
-// sender's share, the wrap and the AEAD nonce in front of the ciphertext.
-// The block itself is
+// Wire layout: the mode byte ModeFull followed by a block sealed in a
+// keys.Envelope: ECIES to the agreement key the recipient's credential
+// certifies, the sender's share, the wrap and the AEAD nonce in front of
+// the ciphertext. The block itself is
 //
 //	header (header.go) | raw body
 //
 // The header carries the mode, sender, group, timestamp and the body's
-// SHA-256 digest; a ModeFull header also names its recipient (To, the
-// fingerprint of the key it is sealed to), so that the signed block means
-// nothing re-sealed to anyone else; in signed modes it ends in the
-// sender's signature over the rest of it (digest included), which
-// transitively authenticates the body. Keeping the body out of the header
-// avoids copying it through an encoding, so the secure message adds only
-// a small constant to the wire size — the property behind Figure 2's
-// falling overhead curve.
+// SHA-256 digest; it names its recipient (To, the fingerprint of the key
+// it is sealed to), so that the signed block means nothing re-sealed to
+// anyone else; and it ends in the sender's signature over the rest of it
+// (digest included), which transitively authenticates the body. Keeping
+// the body out of the header avoids copying it through an encoding, so
+// the secure message adds only a small constant to the wire size — the
+// property behind Figure 2's falling overhead curve.
 type Sealed struct {
 	Mode Mode
 	wire []byte
@@ -122,68 +103,51 @@ type Sealed struct {
 func (s *Sealed) Bytes() []byte { return s.wire }
 
 // appendBlock appends the block — header, then body — and is the only
-// place the body is ever copied on the sending side. h is signed by signer
-// when it is set.
+// place the body is ever copied on the sending side. h is signed by
+// signer.
 func appendBlock(dst []byte, h *header, signer *keys.KeyPair, body []byte) ([]byte, error) {
 	dst, err := appendHeader(dst, h, signer)
 	return append(dst, body...), err
 }
 
 // Seal produces the secure envelope for body (paper §4.3.1 step 4:
-// Cl1 → Cl2: E_PKCl2(m, S_SKCl1(m))). recipient may be nil only for
-// ModeSign. signer may be nil only for ModeEncrypt. body is only read,
-// and read into the wire exactly once. The signed time is the wall's: a
-// peer seals through seal, at its own.
+// Cl1 → Cl2: E_PKCl2(m, S_SKCl1(m))). mode must be ModeFull, the one
+// envelope there is. body is only read, and read into the wire exactly
+// once. The signed time is the wall's: a peer seals through seal, at its
+// own.
 func Seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, recipient *keys.PublicKey, mode Mode) (*Sealed, error) {
-	return seal(signer, &header{sender: sender, group: group, at: time.Now().UnixNano()}, body, recipient, mode)
+	if mode != ModeFull {
+		return nil, fmt.Errorf("core: unknown envelope mode %q", mode)
+	}
+	return seal(signer, &header{sender: sender, group: group, at: time.Now().UnixNano()}, body, recipient)
 }
 
 // seal is Seal for the header h begins: its sender, group and time, and
 // whatever a session-channel handshake adds to it (an offer, the frame a
-// message is sent again for). seal fills in the rest.
-func seal(signer *keys.KeyPair, h *header, body []byte, recipient *keys.PublicKey, mode Mode) (*Sealed, error) {
-	h.kind = mode
+// message is sent again for). seal fills in the rest, and leaves the
+// signature it made in h.
+func seal(signer *keys.KeyPair, h *header, body []byte, recipient *keys.PublicKey) (*Sealed, error) {
+	if signer == nil || recipient == nil {
+		return nil, errors.New("core: an envelope needs a signing key and a recipient key")
+	}
+	fp, err := recipient.Fingerprint()
+	if err != nil {
+		return nil, err
+	}
 	digest := sha256.Sum256(body)
-	h.digest = digest[:]
-	if mode != ModeFull && mode != ModeSign {
-		signer = nil
-	} else if signer == nil {
-		return nil, errors.New("core: mode requires a signing key")
+	h.kind, h.digest, h.to = ModeFull, digest[:], fp[:]
+	// The block is written behind room for the envelope's fields, and
+	// sealed where it lies.
+	const at = 1 + keys.EnvelopePrefix
+	wire := make([]byte, at, at+headerSize(h, signer)+len(body)+keys.AEADOverhead)
+	wire[0] = byte(ModeFull)
+	if wire, err = appendBlock(wire, h, signer, body); err != nil {
+		return nil, err
 	}
-	switch mode {
-	case ModeSign:
-		wire, err := appendBlock(append(make([]byte, 0, 1+headerSize(h, signer)+len(body)), byte(mode)), h, signer, body)
-		if err != nil {
-			return nil, err
-		}
-		return &Sealed{Mode: mode, wire: wire}, nil
-	case ModeFull, ModeEncrypt:
-		if recipient == nil {
-			return nil, errors.New("core: mode requires a recipient key")
-		}
-		if mode == ModeFull {
-			fp, err := recipient.Fingerprint()
-			if err != nil {
-				return nil, err
-			}
-			h.to = fp[:]
-		}
-		// The block is written behind room for the envelope's fields, and
-		// sealed where it lies.
-		const at = 1 + keys.EnvelopePrefix
-		wire := make([]byte, at, at+headerSize(h, signer)+len(body)+keys.AEADOverhead)
-		wire[0] = byte(mode)
-		wire, err := appendBlock(wire, h, signer, body)
-		if err != nil {
-			return nil, err
-		}
-		if wire, err = keys.SealEnvelope(wire, 1, recipient); err != nil {
-			return nil, err
-		}
-		return &Sealed{Mode: mode, wire: wire}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown envelope mode %q", mode)
+	if wire, err = keys.SealEnvelope(wire, 1, recipient); err != nil {
+		return nil, err
 	}
+	return &Sealed{Mode: ModeFull, wire: wire}, nil
 }
 
 // Opened is a decrypted (but not yet authenticated) secure message.
@@ -201,7 +165,7 @@ type Opened struct {
 	Nonce []byte
 
 	header []byte // the header as it arrived, signature included; nil for a channel's wires
-	sig    []byte // the header's signature, nil when unsigned
+	sig    []byte // the header's signature, never empty; nil for a channel's wires
 
 	// What session channels add (channel.go), behind one pointer so that
 	// an Opened — one is allocated per open, of a slice as of a frame — is
@@ -224,9 +188,6 @@ func (o *Opened) Header() []byte { return o.header }
 func Open(own *keys.KeyPair, wire []byte) (*Opened, error) {
 	return openCopy(own, wire, formEnvelope, nil)
 }
-
-// Signed reports whether the message carries a signature.
-func (o *Opened) Signed() bool { return o.sig != nil }
 
 // VerifySignature checks the sender signature against the certified
 // public key the caller obtained from the sender's signed advertisement.

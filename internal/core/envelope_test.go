@@ -36,9 +36,6 @@ func TestSealOpenFull(t *testing.T) {
 	if string(opened.Body) != "secret text" || opened.Group != "math" {
 		t.Fatalf("opened = %+v", opened)
 	}
-	if !opened.Signed() {
-		t.Fatal("full mode message not signed")
-	}
 	if err := opened.VerifySignature(senderKP.Public()); err != nil {
 		t.Fatalf("VerifySignature: %v", err)
 	}
@@ -68,75 +65,23 @@ func TestFullModeHidesPlaintext(t *testing.T) {
 	}
 }
 
-func TestSignOnlyMode(t *testing.T) {
-	body := []byte("public but authenticated")
-	sealed, err := Seal(senderKP, "s", "g", body, nil, ModeSign)
-	if err != nil {
-		t.Fatalf("Seal sign-only: %v", err)
-	}
-	// Sign-only mode is readable without any key.
-	opened, err := Open(nil, sealed.Bytes())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if !opened.Signed() {
-		t.Fatal("sign-only message not signed")
-	}
-	if err := opened.VerifySignature(senderKP.Public()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSignOnlyDetectsBodyTamper(t *testing.T) {
-	sealed, err := Seal(senderKP, "s", "g", []byte("abc"), nil, ModeSign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := append([]byte(nil), sealed.Bytes()...)
-	// The raw body is the trailing bytes of a sign-only envelope;
-	// flipping one must trip the digest check.
-	wire[len(wire)-1] ^= 0x01
-	if _, err := Open(nil, wire); err != ErrBodyDigest {
-		t.Fatalf("Open(tampered body) = %v, want ErrBodyDigest", err)
-	}
-}
-
-func TestSignOnlyDetectsHeaderTamper(t *testing.T) {
-	sealed, err := Seal(senderKP, "urn:jxta:cbid-real", "g", []byte("abc"), nil, ModeSign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := append([]byte(nil), sealed.Bytes()...)
-	// Rewrite the claimed sender inside the header (same length so the
-	// framing stays valid); the signature must then fail.
-	idx := bytes.Index(wire, []byte("urn:jxta:cbid-real"))
-	if idx < 0 {
-		t.Fatal("sender marker not found")
-	}
-	copy(wire[idx:], "urn:jxta:cbid-fake")
-	opened, err := Open(nil, wire)
-	if err != nil {
-		return // structural rejection is detection too
-	}
-	if err := opened.VerifySignature(senderKP.Public()); err == nil {
-		t.Fatal("tampered sign-only header verified")
-	}
-}
-
-func TestEncryptOnlyMode(t *testing.T) {
-	sealed, err := Seal(nil, "s", "g", []byte("private"), recvKP.Public(), ModeEncrypt)
-	if err != nil {
-		t.Fatalf("Seal encrypt-only: %v", err)
-	}
-	opened, err := Open(recvKP, sealed.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opened.Signed() {
-		t.Fatal("encrypt-only message claims a signature")
-	}
-	if err := opened.VerifySignature(senderKP.Public()); err != ErrNoSignature {
-		t.Fatalf("VerifySignature = %v, want ErrNoSignature", err)
+// TestEditedHeaderFailsSignature: a header whose signed field — here its
+// sender — changed after signing opens, an envelope's as a slice's, and
+// fails its signature: a recipient's lookup of the claimed sender's key
+// authenticates nothing the sender did not sign.
+func TestEditedHeaderFailsSignature(t *testing.T) {
+	for _, m := range []Mode{ModeFull, ModeSlice} {
+		wire := forgeWire(t, m, []byte("abc"), func(h *header) []byte {
+			h.sender = "urn:jxta:forged"
+			return reencode(h)
+		})
+		opened, err := openAs(m, recvKP, wire)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if opened.Sender != "urn:jxta:forged" || opened.VerifySignature(senderKP.Public()) != ErrSigInvalid {
+			t.Fatalf("%s: the edited header from %q verified", m, opened.Sender)
+		}
 	}
 }
 
@@ -147,8 +92,12 @@ func TestSealParameterChecks(t *testing.T) {
 	if _, err := Seal(senderKP, "s", "g", []byte("m"), nil, ModeFull); err == nil {
 		t.Fatal("full mode without recipient succeeded")
 	}
-	if _, err := Seal(senderKP, "s", "g", []byte("m"), recvKP.Public(), Mode('?')); err == nil {
-		t.Fatal("unknown mode accepted")
+	// ModeFull is the one envelope: the sign-only and encrypt-only bytes
+	// of old are no mode at all.
+	for _, m := range []Mode{'?', 'S', 'E', ModeSlice, ModeChannel} {
+		if _, err := Seal(senderKP, "s", "g", []byte("m"), recvKP.Public(), m); err == nil {
+			t.Fatalf("Seal in %s accepted", m)
+		}
 	}
 }
 
@@ -158,7 +107,8 @@ func TestOpenMalformed(t *testing.T) {
 		"short":      {byte(ModeFull)},
 		"bad mode":   {'?', 1, 2, 3},
 		"not an env": append([]byte{byte(ModeFull)}, []byte("garbage")...),
-		"bad doc":    append([]byte{byte(ModeSign)}, []byte("<NotSecureMessage></NotSecureMessage>")...),
+		"sign-only":  append([]byte{'S'}, []byte("<NotSecureMessage></NotSecureMessage>")...),
+		"encrypt":    {'E', 1, 2, 3},
 	}
 	for name, wire := range cases {
 		if _, err := Open(recvKP, wire); err == nil {
@@ -168,7 +118,7 @@ func TestOpenMalformed(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	if ModeFull.String() != "sign+encrypt" || ModeSign.String() != "sign-only" || ModeEncrypt.String() != "encrypt-only" {
+	if ModeFull.String() != "sign+encrypt" || Mode('S').String() != "mode(S)" || Mode('E').String() != "mode(E)" {
 		t.Fatal("mode strings changed")
 	}
 }

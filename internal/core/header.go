@@ -24,7 +24,8 @@ import (
 //	  round     16-byte round nonce ‖ 32-byte slice tree root
 //	  offer     16-byte channel ID ‖ 32-byte X25519 share
 //	  resends   24: channel ID ‖ u64 sequence number of a refused frame
-//	signature   u16 length ‖ bytes, empty when unsigned
+//	signature   u16 length ‖ bytes; the codec carries an empty one, and the
+//	            open path refuses it (ErrNoSignature)
 //
 // The signature covers headerLabel followed by every byte in front of its
 // length: a sender signs what it wrote and a recipient verifies what it
@@ -88,8 +89,8 @@ func headerSize(h *header, signer *keys.KeyPair) int {
 	return n + len(h.sig)
 }
 
-// appendHeader appends h, signed by signer when it is set and otherwise
-// carrying h.sig as it is.
+// appendHeader appends h, signed by signer when it is set (the signature
+// is left in h.sig) and otherwise carrying h.sig as it is.
 func appendHeader(dst []byte, h *header, signer *keys.KeyPair) ([]byte, error) {
 	if len(h.sender) > 0xffff || len(h.group) > 0xffff {
 		return nil, errors.New("core: header field longer than 65535 bytes")
@@ -107,15 +108,14 @@ func appendHeader(dst []byte, h *header, signer *keys.KeyPair) ([]byte, error) {
 			dst = append(dst, *f.v...)
 		}
 	}
-	sig := h.sig
 	if signer != nil {
 		var buf [signedStack]byte
 		var err error
-		if sig, err = signer.Sign(append(append(buf[:0], headerLabel...), dst[start:]...)); err != nil {
+		if h.sig, err = signer.Sign(append(append(buf[:0], headerLabel...), dst[start:]...)); err != nil {
 			return nil, err
 		}
 	}
-	return append(binary.BigEndian.AppendUint16(dst, uint16(len(sig))), sig...), nil
+	return append(binary.BigEndian.AppendUint16(dst, uint16(len(h.sig))), h.sig...), nil
 }
 
 // parseHeader reads the header block starts with, and returns it and the

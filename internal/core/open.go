@@ -39,7 +39,10 @@ import (
 //	                      validly signed header spliced onto another leaf,
 //	                      or re-sealed to another peer, vouches for
 //	                      nothing
-//	nonce, signature, handshake fields
+//	signature, nonce, handshake fields
+//	                      a header without a signature is ErrNoSignature,
+//	                      for every form; the signature itself is checked
+//	                      by VerifySignature
 //	claimed group         slices only, and BEFORE the guard: a mislabelled
 //	                      delivery must not burn the single-use nonce
 //	replay                one guard key per form: an envelope's wire
@@ -88,7 +91,7 @@ var ErrRoundGroup = errors.New("core: round delivered under wrong group")
 type wireForms uint8
 
 const (
-	formEnvelope wireForms = 1 << iota // ModeFull, ModeSign, ModeEncrypt
+	formEnvelope wireForms = 1 << iota // ModeFull
 	formSlice                          // ModeSlice
 	formChannel                        // ModeChannel, ModeRefusal, ModeAccept
 )
@@ -96,10 +99,10 @@ const (
 // splitWire is a wire cut into the pipeline's inputs.
 type splitWire struct {
 	mode     Mode
-	eph      []byte // the share the content key is wrapped under (unused by ModeSign)
+	eph      []byte // the share the content key is wrapped under
 	wrap     []byte // this peer's wrap of the content key
 	gcmNonce []byte
-	ct       []byte       // AEAD ciphertext of the block; for ModeSign the block itself
+	ct       []byte       // AEAD ciphertext of the block
 	slice    *parsedSlice // ModeSlice: the leaf and its sibling path, for the SliceRoot
 	via      *inChannel   // ModeChannel: the channel the frame names, holder of its key
 	frame    frameRef     // ModeChannel, ModeRefusal
@@ -118,7 +121,7 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 	payload := wire[1:]
 	form := formEnvelope
 	switch sw.mode {
-	case ModeFull, ModeSign, ModeEncrypt:
+	case ModeFull:
 	case ModeSlice:
 		form = formSlice
 	case ModeChannel, ModeRefusal, ModeAccept:
@@ -145,10 +148,6 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 				return sw, &unknownChannelError{sw.frame}
 			}
 		}
-		return sw, nil
-	}
-	if sw.mode == ModeSign {
-		sw.ct = payload
 		return sw, nil
 	}
 	if own == nil {
@@ -220,7 +219,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		return o, nil
 	}
 	round := sw.mode == ModeSlice
-	block, kind := sw.ct, sw.mode
+	kind := sw.mode
 	if round {
 		kind = ModeGroup
 	}
@@ -230,16 +229,15 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	if guard != nil && !round {
 		key = replayKey{replayWire, sha256.Sum256(wire)}
 	}
-	if sw.mode != ModeSign {
-		cek, err := own.UnwrapFrom(sw.eph, sw.wrap, sw.gcmNonce)
-		if err != nil {
-			return nil, ErrNotRecipient
-		}
-		// The wrap's tag verified under this peer's key: the ciphertext
-		// under it is damaged.
-		if block, err = keys.AEADOpenInPlace(cek[:], sw.gcmNonce, sw.ct); err != nil {
-			return nil, ErrEnvelope
-		}
+	cek, err := own.UnwrapFrom(sw.eph, sw.wrap, sw.gcmNonce)
+	if err != nil {
+		return nil, ErrNotRecipient
+	}
+	// The wrap's tag verified under this peer's key: the ciphertext under
+	// it is damaged.
+	block, err := keys.AEADOpenInPlace(cek[:], sw.gcmNonce, sw.ct)
+	if err != nil {
+		return nil, ErrEnvelope
 	}
 	h, body, ok := parseHeader(block)
 	if !ok || h.kind != kind {
@@ -268,6 +266,11 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 			return nil, ErrRoundBinding
 		}
 	}
+	if len(h.sig) == 0 {
+		// Every header is signed: one without a signature is no weaker
+		// delivery, whatever its form.
+		return nil, ErrNoSignature
+	}
 	o := &Opened{
 		Mode:   sw.mode,
 		Sender: h.sender,
@@ -275,15 +278,9 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		Body:   body,
 		SentAt: time.Unix(0, h.at),
 		header: block[:len(block)-len(body)],
+		sig:    h.sig,
 
 		channelPart: &noChannelPart,
-	}
-	if len(h.sig) > 0 {
-		o.sig = h.sig
-	} else if round {
-		// Rounds are always signed; an unsigned round header is malformed,
-		// not a degraded mode.
-		return nil, ErrNoSignature
 	}
 	if round {
 		o.Nonce = h.nonce

@@ -30,7 +30,10 @@ func fuzzOpenKey(tb testing.TB) *keys.KeyPair {
 // FuzzOpen feeds arbitrary bytes to the one open pipeline, accepting
 // every wire form a recipient opens (core.OpenAnyForm), under a fixed
 // recipient key. The seeds are one valid wire per mode — a session
-// channel's frame, accept and refusal among them — plus the forged wires a
+// channel's frame, accept and refusal among them — an envelope whose
+// header carries no signature, which the pipeline refuses whatever else is
+// right about it, and that block in the clear behind the retired sign-only
+// mode byte; plus the forged wires a
 // malicious round member or relay can build around a validly signed
 // header (a slice re-targeted, re-sealed, re-wrapped, or carrying an
 // ephemeral share of small order), two slices of rounds sealed under one
@@ -52,13 +55,23 @@ func FuzzOpen(f *testing.F) {
 		f.Fatal(err)
 	}
 	body := []byte("fuzz seed body")
-	for _, m := range []core.Mode{core.ModeFull, core.ModeSign, core.ModeEncrypt} {
-		sealed, err := core.Seal(sender, "urn:jxta:sender", "g", body, own.Public(), m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(sealed.Bytes())
+	sealed, err := core.Seal(sender, "urn:jxta:sender", "g", body, own.Public(), core.ModeFull)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(sealed.Bytes())
+	unsigned := attack.NewHeader(core.ModeFull, "urn:jxta:sender", "g", body)
+	fp, err := own.Public().Fingerprint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	unsigned.To = fp[:]
+	wire, err := attack.EnvelopeTo(own.Public(), attack.Block(unsigned.Bytes(), body))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wire)
+	f.Add(append([]byte{'S'}, attack.Block(unsigned.Bytes(), body)...))
 	round, err := core.SealGroupDetached(sender, "urn:jxta:sender", "g", body,
 		[]*keys.PublicKey{other.Public(), own.Public(), sender.Public()})
 	if err != nil {
@@ -153,7 +166,7 @@ func FuzzOpen(f *testing.F) {
 			t.Fatalf("a wire that opened does not open again: %v", err)
 		}
 		if o.Mode != again.Mode || o.Sender != again.Sender || o.Group != again.Group ||
-			!o.SentAt.Equal(again.SentAt) || o.Signed() != again.Signed() ||
+			!o.SentAt.Equal(again.SentAt) ||
 			!bytes.Equal(o.Body, again.Body) || !bytes.Equal(o.Nonce, again.Nonce) ||
 			!bytes.Equal(o.Header(), again.Header()) {
 			t.Fatalf("re-open differs:\n first %+v\nsecond %+v", o, again)

@@ -17,12 +17,11 @@ import (
 	"jxtaoverlay/internal/simnet"
 )
 
-// The five wire forms that carry a message to a recipient, in the column
+// The three wire forms that carry a message to a recipient, in the column
 // order of the pipeline table.
-var pipelineForms = [5]Mode{ModeFull, ModeSign, ModeEncrypt, ModeSlice, ModeChannel}
+var pipelineForms = [3]Mode{ModeFull, ModeSlice, ModeChannel}
 
-func isRound(m Mode) bool    { return m == ModeSlice }
-func isEnvelope(m Mode) bool { return m == ModeFull || m == ModeSign || m == ModeEncrypt }
+func isRound(m Mode) bool { return m == ModeSlice }
 
 // openAs is the exported entry point that accepts m — for a frame, which
 // has none, openWire under the exported entry points' contract.
@@ -75,21 +74,12 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *header) []byte) [
 		return append(hdr, body...)
 	}
 	if !isRound(m) {
-		var signer *keys.KeyPair
-		if m == ModeFull || m == ModeSign {
-			signer = senderKP
+		fp, err := recvKP.Public().Fingerprint()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m == ModeFull {
-			fp, err := recvKP.Public().Fingerprint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.to = fp[:]
-		}
-		if m == ModeSign {
-			return append([]byte{byte(m)}, pack(signer)...)
-		}
-		env, err := recvKP.Public().Encrypt(pack(signer))
+		h.to = fp[:]
+		env, err := recvKP.Public().Encrypt(pack(senderKP))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,22 +152,9 @@ func prefixBoundaries(wire []byte) []int {
 		off += 4
 		return v
 	}
-	u16 := func() int {
-		v := int(binary.BigEndian.Uint16(wire[off:]))
-		out = append(out, off, off+2)
-		off += 2
-		return v
-	}
 	skip := func(n int) { off += n; out = append(out, off) }
 	switch Mode(wire[0]) {
-	case ModeSign:
-		skip(1)      // the header's kind
-		skip(u16())  // sender
-		skip(u16())  // group
-		skip(8 + 32) // time, digest
-		skip(1)      // flags: a sign-only header has no optional field
-		skip(u16())  // signature; the body runs to the end
-	case ModeFull, ModeEncrypt:
+	case ModeFull:
 		skip(keys.ShareSize)     // the sender's share
 		skip(keys.WrapSize)      // wrap
 		skip(keys.AEADNonceSize) // GCM nonce; the ciphertext runs to the end
@@ -243,15 +220,28 @@ func TestOpenPipelineTable(t *testing.T) {
 		name string
 		wire func(t *testing.T, m Mode) []byte
 		key  *keys.KeyPair // recvKP unless set
-		want [5]error      // Full, Sign, Encrypt, Slice, Channel
+		want [3]error      // Full, Slice, Channel
 	}{
 		{name: "valid", wire: valid},
 		{
 			// The wrap unwrapped under this peer's key: what fails is the
-			// ciphertext. (For ModeSign the last byte is body.)
+			// ciphertext.
 			name: "flipped ciphertext byte",
 			wire: flip(func(w []byte) int { return len(w) - 1 }),
-			want: [5]error{ErrEnvelope, ErrBodyDigest, ErrEnvelope, ErrEnvelope, ErrEnvelope},
+			want: [3]error{ErrEnvelope, ErrEnvelope, ErrEnvelope},
+		},
+		{
+			// A mode byte that names no form — the retired sign-only and
+			// encrypt-only ones among them — is refused before anything behind
+			// it is read.
+			name: "mode byte 'S'",
+			wire: func(t *testing.T, m Mode) []byte { w := valid(t, m); w[0] = 'S'; return w },
+			want: [3]error{ErrEnvelope, ErrEnvelope, ErrEnvelope},
+		},
+		{
+			name: "mode byte 'E'",
+			wire: func(t *testing.T, m Mode) []byte { w := valid(t, m); w[0] = 'E'; return w },
+			want: [3]error{ErrEnvelope, ErrEnvelope, ErrEnvelope},
 		},
 		{
 			name: "flipped wrap byte",
@@ -261,7 +251,7 @@ func TestOpenPipelineTable(t *testing.T) {
 				}
 				return 1 + keys.ShareSize + 9
 			}),
-			want: [5]error{ErrNotRecipient, na, ErrNotRecipient, ErrNotRecipient, na},
+			want: [3]error{ErrNotRecipient, ErrNotRecipient, na},
 		},
 		{
 			// The sender's share is in every wrap's key derivation and under
@@ -273,7 +263,7 @@ func TestOpenPipelineTable(t *testing.T) {
 				}
 				return 1 + 5
 			}),
-			want: [5]error{ErrNotRecipient, na, ErrNotRecipient, ErrNotRecipient, na},
+			want: [3]error{ErrNotRecipient, ErrNotRecipient, na},
 		},
 		{
 			// Every wrap is bound to the AEAD nonce its content is sealed
@@ -287,17 +277,17 @@ func TestOpenPipelineTable(t *testing.T) {
 				}
 				return 1 + keys.ShareSize + keys.WrapSize + 3
 			}),
-			want: [5]error{ErrNotRecipient, na, ErrNotRecipient, ErrNotRecipient, na},
+			want: [3]error{ErrNotRecipient, ErrNotRecipient, na},
 		},
 		{
 			name: "body digest mismatch",
 			wire: set(func(h *header) { h.digest = another }),
-			want: [5]error{ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, noDigest},
+			want: [3]error{ErrBodyDigest, ErrBodyDigest, noDigest},
 		},
 		{
 			name: "kind of no mode",
 			wire: set(func(h *header) { h.kind = '?' }),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "round header in an envelope, envelope header in a round",
@@ -308,17 +298,16 @@ func TestOpenPipelineTable(t *testing.T) {
 					h.kind = ModeGroup
 				}
 			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
-			// The kind is signed and compared: a signed-and-encrypted header
-			// does not open as a sign-only one, whatever it says of its
-			// recipient.
+			// The kind is signed and compared: a round's header does not
+			// open as its slices' wire form, an envelope's not as a frame's.
 			name: "kind of another form",
 			wire: set(func(h *header) {
-				h.kind = map[Mode]Mode{ModeFull: ModeSign, ModeSign: ModeEncrypt, ModeEncrypt: ModeFull, ModeGroup: ModeSlice}[h.kind]
+				h.kind = map[Mode]Mode{ModeFull: ModeChannel, ModeGroup: ModeSlice}[h.kind]
 			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "flag of no field",
@@ -327,14 +316,14 @@ func TestOpenPipelineTable(t *testing.T) {
 				b[1+2+len(h.sender)+2+len(h.group)+8+32] |= 0x80
 				return b
 			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			// Unsigned, so that only the body follows: a field the flags name
 			// runs past the block.
 			name: "flags name a field the bytes lack",
 			wire: set(func(h *header) { h.sig, h.channel, h.share = nil, []byte{}, []byte{} }),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "sender longer than the block",
@@ -343,7 +332,7 @@ func TestOpenPipelineTable(t *testing.T) {
 				binary.BigEndian.PutUint16(b[1:], 0xffff)
 				return b
 			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			name: "signature longer than the block",
@@ -352,50 +341,50 @@ func TestOpenPipelineTable(t *testing.T) {
 				binary.BigEndian.PutUint16(b[len(b)-2-len(h.sig):], 0xffff)
 				return b
 			}),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noHeader},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noHeader},
 		},
 		{
 			// The header marks its own end: what follows it is body, and
 			// the digest does not cover it.
 			name: "trailing byte after the signature",
 			wire: edited(func(h *header) []byte { return append(reencode(h), 0) }),
-			want: [5]error{ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, ErrBodyDigest, noHeader},
+			want: [3]error{ErrBodyDigest, ErrBodyDigest, noHeader},
 		},
 		{
-			// An envelope without a signature is the degraded, unauthenticated
-			// delivery (Signed() false); a round is always signed.
+			// Every header is signed, whatever its form: one without a
+			// signature is no weaker delivery.
 			name: "missing signature",
 			wire: set(func(h *header) { h.sig = nil }),
-			want: [5]error{nil, nil, nil, ErrNoSignature, noSig},
+			want: [3]error{ErrNoSignature, ErrNoSignature, noSig},
 		},
 		{
 			// The field is checked later, against the sender's certified key.
 			name: "another signature",
 			wire: set(func(h *header) { h.sig = []byte("not a signature") }),
-			want: [5]error{nil, nil, nil, nil, noSig},
+			want: [3]error{nil, nil, noSig},
 		},
 		{
 			name: "no round fields", // envelopes carry none and read none
 			wire: set(func(h *header) { h.nonce, h.root = nil, nil }),
-			want: [5]error{nil, nil, nil, ErrRoundBinding, noTo},
+			want: [3]error{nil, ErrRoundBinding, noTo},
 		},
 		{
 			name: "slice root over another set",
 			wire: set(func(h *header) { h.nonce, h.root = bytes.Repeat([]byte{7}, roundNonceSize), another }),
-			want: [5]error{nil, nil, nil, ErrRoundBinding, noTo},
+			want: [3]error{nil, ErrRoundBinding, noTo},
 		},
 		{
 			// The binding is checked before any signed field is trusted: a
 			// header that fails both reports the binding.
 			name: "binding mismatch and no signature",
 			wire: set(func(h *header) { h.nonce, h.root, h.sig = bytes.Repeat([]byte{7}, roundNonceSize), another, nil }),
-			want: [5]error{nil, nil, nil, ErrRoundBinding, noTo},
+			want: [3]error{ErrNoSignature, ErrRoundBinding, noTo},
 		},
 		{
-			name: "wrong recipient", // a sign-only envelope names none
+			name: "wrong recipient",
 			wire: valid,
 			key:  senderKP,
-			want: [5]error{ErrNotRecipient, nil, ErrNotRecipient, ErrNotRecipient, nil},
+			want: [3]error{ErrNotRecipient, ErrNotRecipient, nil},
 		},
 		{
 			name: "slice re-addressed to another member's fingerprint",
@@ -407,52 +396,52 @@ func TestOpenPipelineTable(t *testing.T) {
 				}
 				return wire
 			},
-			want: [5]error{na, na, na, ErrNotRecipient, na},
+			want: [3]error{na, ErrNotRecipient, na},
 		},
 		{
-			// Only a signed-and-encrypted envelope must name its recipient;
-			// absent is refused, like any another name.
+			// An envelope must name its recipient; absent is refused, like any
+			// another name.
 			name: "missing To",
 			wire: set(func(h *header) { h.to = nil }),
-			want: [5]error{ErrNotRecipient, nil, nil, nil, noTo},
+			want: [3]error{ErrNotRecipient, nil, noTo},
 		},
 		{
-			name: "To names another key", // only a signed-and-encrypted envelope's To is read
+			name: "To names another key", // only an envelope's To is read
 			wire: set(func(h *header) { h.to = another }),
-			want: [5]error{ErrNotRecipient, nil, nil, nil, noTo},
+			want: [3]error{ErrNotRecipient, nil, noTo},
 		},
 		{
 			// The recipient is bound before a signed field is trusted.
 			name: "To names another key and no signature",
 			wire: set(func(h *header) { h.to, h.sig = another, nil }),
-			want: [5]error{ErrNotRecipient, nil, nil, ErrNoSignature, noTo},
+			want: [3]error{ErrNotRecipient, ErrNoSignature, noTo},
 		},
 		{
 			// A field of fixed size one byte short: what follows it is read
 			// one byte early, and the signature's length runs past the block.
 			name: "To of the wrong length",
 			wire: set(func(h *header) { h.to = another[:31] }),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noTo},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noTo},
 		},
 		{
 			name: "offer", // rounds carry no handshake and read none
 			wire: set(func(h *header) { h.channel, h.share = tableChannelID[:], another }),
-			want: [5]error{nil, nil, nil, nil, noFields},
+			want: [3]error{nil, nil, noFields},
 		},
 		{
 			name: "offer share of the wrong length",
 			wire: set(func(h *header) { h.channel, h.share = tableChannelID[:], another[:31] }),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noFields},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noFields},
 		},
 		{
 			name: "frame sent again",
 			wire: set(func(h *header) { h.resends = appendFrameRef(nil, ModeRefusal, frameRef{tableChannelID, 7})[1:] }),
-			want: [5]error{nil, nil, nil, nil, noFields},
+			want: [3]error{nil, nil, noFields},
 		},
 		{
 			name: "frame sent again, a reference of the wrong length",
 			wire: set(func(h *header) { h.resends = make([]byte, framePrefix-2) }),
-			want: [5]error{ErrEnvelope, ErrEnvelope, ErrEnvelope, ErrEnvelope, noFields},
+			want: [3]error{ErrEnvelope, ErrEnvelope, noFields},
 		},
 	} {
 		for i, m := range pipelineForms {
@@ -700,11 +689,11 @@ func TestOpenPipelineTable(t *testing.T) {
 		}
 	}
 
-	// No key at all: only the forms no private key opens do — the one that
-	// is not encrypted, and the one under a channel's key.
+	// No key at all: only the form no private key opens does — the one
+	// under a channel's key.
 	for _, m := range pipelineForms {
 		want := ErrNotRecipient
-		if m == ModeSign || m == ModeChannel {
+		if m == ModeChannel {
 			want = nil
 		}
 		if _, err := openAs(m, nil, valid(t, m)); !errors.Is(err, want) {
@@ -716,8 +705,8 @@ func TestOpenPipelineTable(t *testing.T) {
 	// malformed there, whatever else is right about it.
 	for _, m := range pipelineForms {
 		wire := valid(t, m)
-		for _, entry := range pipelineForms[2:] { // Open, OpenSlice, and a frame's
-			accepts := entry == m || (isEnvelope(entry) && isEnvelope(m))
+		for _, entry := range pipelineForms { // Open, OpenSlice, and a frame's
+			accepts := entry == m
 			_, err := openAs(entry, recvKP, wire)
 			if accepts && err != nil {
 				t.Errorf("%s at its own entry point: %v", m, err)
@@ -735,10 +724,7 @@ func TestOpenPipelineTable(t *testing.T) {
 // TestOpenPipelineTruncation cuts a valid wire of each form — and the two
 // wires of a session channel that carry no message, an accept and a
 // refusal — at (and one byte either side of) every count/length-prefix
-// boundary. Every cut is ErrEnvelope, with one exception that follows
-// from the layout: a sign-only envelope's body is the unframed tail of
-// the wire, so a cut there leaves a well-formed block whose digest no
-// longer matches.
+// boundary. Every cut is ErrEnvelope: every form's block is under a tag.
 func TestOpenPipelineTruncation(t *testing.T) {
 	type wireCase struct {
 		name string
@@ -763,10 +749,6 @@ func TestOpenPipelineTruncation(t *testing.T) {
 			t.Fatalf("%s uncut: (%v, %v)", tc.name, o, err)
 		}
 		bounds := prefixBoundaries(wire)
-		signBody := -1
-		if Mode(wire[0]) == ModeSign {
-			signBody = bounds[len(bounds)-1]
-		}
 		cuts := map[int]bool{0: true, 1: true, len(wire) - 1: true}
 		for _, b := range bounds {
 			for _, c := range []int{b - 1, b, b + 1} {
@@ -779,17 +761,13 @@ func TestOpenPipelineTruncation(t *testing.T) {
 			t.Fatalf("%s: only %d cut points from boundaries %v", tc.name, len(cuts), bounds)
 		}
 		for cut := range cuts {
-			want := ErrEnvelope
-			if signBody >= 0 && cut >= signBody {
-				want = ErrBodyDigest
-			}
-			if o, err := tc.open(wire[:cut]); !errors.Is(err, want) || o != nil {
-				t.Errorf("%s cut at %d/%d: (%v, %v), want %v", tc.name, cut, len(wire), o, err, want)
+			if o, err := tc.open(wire[:cut]); !errors.Is(err, ErrEnvelope) || o != nil {
+				t.Errorf("%s cut at %d/%d: (%v, %v), want ErrEnvelope", tc.name, cut, len(wire), o, err)
 			}
 		}
 		// The forms whose last section is length-prefixed, of fixed length,
 		// or a ciphertext running to the end under one tag, end where it ends.
-		if m := Mode(wire[0]); m == ModeFull || m == ModeEncrypt || m == ModeChannel || m == ModeRefusal || m == ModeAccept {
+		if m := Mode(wire[0]); m != ModeSlice {
 			if o, err := tc.open(append(bytes.Clone(wire), 0)); !errors.Is(err, ErrEnvelope) || o != nil {
 				t.Errorf("%s with a byte behind it: (%v, %v), want ErrEnvelope", tc.name, o, err)
 			}

@@ -180,7 +180,7 @@ func TestOpenDoesNotMutateWire(t *testing.T) {
 // was admitted under the digest of the half-plaintext buffer. A slice is
 // refused again by its nonce alone: no digest of it is held at all.
 func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
-	for _, m := range []Mode{ModeFull, ModeEncrypt, ModeSlice} {
+	for _, m := range []Mode{ModeFull, ModeSlice} {
 		wire := forgeWire(t, m, bytes.Repeat([]byte("opened where it lies "), 8), nil)
 		guard := NewReplayGuard(time.Minute, 16)
 		frame := bytes.Clone(wire)

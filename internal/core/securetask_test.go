@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"jxtaoverlay/internal/attack"
 	"jxtaoverlay/internal/core"
+	"jxtaoverlay/internal/endpoint"
+	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/taskexec"
 )
 
@@ -69,18 +72,34 @@ func TestSecureExecTaskRejectsOutsider(t *testing.T) {
 }
 
 func TestSecureExecTaskRejectsPlainEnvelope(t *testing.T) {
-	// An encrypt-only (unsigned) envelope must be rejected: executable
-	// primitives demand source authentication.
+	// A request in alice's name whose header carries no signature, sealed
+	// to bob's certified key as any peer can seal one, is refused before
+	// anything is looked up: executable primitives demand source
+	// authentication, and an unsigned header opens nowhere.
 	h := newSecureHarness(t, true)
-	alice := h.secureClient("alice", core.WithMode(core.ModeEncrypt))
+	alice := h.secureClient("alice")
 	bob := h.secureClient("bob")
 	h.join(alice, "pw-alice")
 	h.join(bob, "pw-bob")
 	bob.EnableSecureTasks(taskRegistry())
 
-	ctx := testCtx(t)
-	if _, err := alice.SecureExecTask(ctx, bob.PeerID(), "math", "upper", []string{"x"}); err == nil {
-		t.Fatal("unsigned task request executed")
+	body := []byte("upper\x1ex")
+	header := attack.NewHeader(core.ModeFull, alice.PeerID(), "math", body)
+	fp, err := bob.Identity().Keys.Public().Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	header.To = fp[:]
+	wire, err := attack.EnvelopeTo(bob.Identity().Keys.Public(), attack.Block(header.Bytes(), body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := alice.Endpoint().Request(testCtx(t), bob.PeerID(), proto.SecureTaskService, endpoint.NewMessage().Add(proto.ElemEnvelope, wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, token := proto.IsOK(resp); ok || token != proto.ErrBadRequest {
+		t.Fatalf("unsigned task request answered ok=%v token=%q, want a bad-request refusal", ok, token)
 	}
 }
 
