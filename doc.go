@@ -113,11 +113,13 @@
 //
 // # One buffer per message
 //
-// A message body is copied twice between the sender's text and the
-// recipient's application: into the buffer core.Seal (or a channel
-// frame's seal) encrypts in place, and into the endpoint frame
-// (endpoint.NewFrame), whose routing is a fixed prefix written into the
-// same buffer. The transport (endpoint.Transport; simnet.Network) delivers
+// A message body is copied once between the sender's text and the
+// recipient's application: into the endpoint frame (endpoint.BuildFrame),
+// whose routing is a fixed prefix written into the same buffer, where the
+// secure send encrypts it in place — the envelope or channel frame is
+// sealed into the frame's room for it. (core.Seal, the node-less form,
+// seals into a buffer of its own, which a Send then copies into a frame.)
+// The transport (endpoint.Transport; simnet.Network) delivers
 // that frame as it is. Nothing is copied on the way in: a delivered frame
 // belongs to its handler alone (package endpoint states the rule), parsed
 // fields and elements are views of it, and the open pipeline decrypts

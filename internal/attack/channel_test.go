@@ -694,7 +694,7 @@ func TestChannelOfferFlood(t *testing.T) {
 			t.Fatal(err)
 		}
 		msg := endpoint.NewMessage().Add(proto.ElemEnvelope, wire).AddString(proto.ElemGroup, "math")
-		if err := mallory.Control().SendOnPipe(bobPipe, msg.Elements...); err != nil {
+		if err := mallory.Control().SendOnPipe(bobPipe, nil, msg.Elements...); err != nil {
 			t.Fatal(err)
 		}
 	}

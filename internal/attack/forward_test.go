@@ -59,7 +59,7 @@ func forwardedEnvelopeRefused(t *testing.T, aliceOpts ...core.Option) {
 		t.Fatal(err)
 	}
 	msg := endpoint.NewMessage().Add(proto.ElemEnvelope, forwarded).AddString(proto.ElemGroup, "math")
-	if err := mallory.Control().SendOnPipe(bobPipe, msg.Elements...); err != nil {
+	if err := mallory.Control().SendOnPipe(bobPipe, nil, msg.Elements...); err != nil {
 		t.Fatal(err)
 	}
 	alertEv, ok := bobEvents.WaitFor(events.SecurityAlert, 5*time.Second)

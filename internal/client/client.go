@@ -544,7 +544,7 @@ func (c *Client) SendMsgPeer(ctx context.Context, peer keys.PeerID, group, text 
 	if err != nil {
 		return err
 	}
-	return c.ctl.SendOnPipe(pipeAdv,
+	return c.ctl.SendOnPipe(pipeAdv, nil,
 		endpoint.Element{Name: proto.ElemBody, Data: []byte(text)},
 		endpoint.Element{Name: proto.ElemGroup, Data: []byte(group)})
 }

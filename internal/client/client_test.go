@@ -357,7 +357,7 @@ func TestSecureEnvelopeWithoutExtensionAlerts(t *testing.T) {
 	}
 	bobEvents := events.NewCollector(bob.Bus())
 	msg := newSecEnvelopeMessage()
-	if err := alice.Control().SendOnPipe(pipeAdv, msg.Elements...); err != nil {
+	if err := alice.Control().SendOnPipe(pipeAdv, nil, msg.Elements...); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := bobEvents.WaitFor(events.SecurityAlert, 5*time.Second); !ok {

@@ -222,9 +222,10 @@ func (m *Module) GroupPipeAdv(group string) (*advert.Pipe, bool) {
 }
 
 // SendOnPipe sends one message, made of elems, to the peer hosting a
-// pipe, through it.
-func (m *Module) SendOnPipe(adv *advert.Pipe, elems ...endpoint.Element) error {
-	return m.ep.SendElements(adv.PeerID, PipeService, adv.PipeID, elems...)
+// pipe, through it. room, when set, writes one element's data into the
+// frame as it is built (endpoint.Room).
+func (m *Module) SendOnPipe(adv *advert.Pipe, room *endpoint.Room, elems ...endpoint.Element) error {
+	return m.ep.SendElements(adv.PeerID, PipeService, adv.PipeID, room, elems...)
 }
 
 // Close unbinds every pipe and returns once their pumps have exited, as

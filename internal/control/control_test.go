@@ -74,7 +74,7 @@ func TestMessagePumpDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := send.SendOnPipe(adv, endpoint.Element{Name: "body", Data: []byte("hi")}); err != nil {
+	if err := send.SendOnPipe(adv, nil, endpoint.Element{Name: "body", Data: []byte("hi")}); err != nil {
 		t.Fatalf("SendOnPipe: %v", err)
 	}
 	select {
@@ -144,7 +144,7 @@ func TestGroupPipeBurstDeliveredOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range burst {
-		if err := send.SendOnPipe(adv, endpoint.Element{Name: "body", Data: []byte(strconv.Itoa(i))}); err != nil {
+		if err := send.SendOnPipe(adv, nil, endpoint.Element{Name: "body", Data: []byte(strconv.Itoa(i))}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestUnbindReleasesWaitingDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2*pipeQueue; i++ {
-		if err := send.SendOnPipe(adv); err != nil {
+		if err := send.SendOnPipe(adv, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestUnbindWaitsForPump(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := send.SendOnPipe(adv); err != nil {
+		if err := send.SendOnPipe(adv, nil); err != nil {
 			t.Fatal(err)
 		}
 		<-entered
@@ -272,7 +272,7 @@ func TestPumpUnbindsItsOwnPipe(t *testing.T) {
 	if _, err := m.BindGroupPipe("other"); err != nil {
 		t.Fatal(err)
 	}
-	if err := send.SendOnPipe(adv); err != nil {
+	if err := send.SendOnPipe(adv, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -309,7 +309,7 @@ func TestUnboundGroupPipeDiscards(t *testing.T) {
 	}
 	m.UnbindGroupPipe("g")
 	m.UnbindGroupPipe("g") // idempotent
-	if err := send.SendOnPipe(adv); err != nil {
+	if err := send.SendOnPipe(adv, nil); err != nil {
 		t.Fatalf("SendOnPipe: %v", err)
 	}
 	net.Close()

@@ -214,17 +214,18 @@ func channelKeys(id channelID, e *channelEnds, a agreer, aPeer []byte, b agreer,
 // channel id whose ends name own's peer as the responder (the initiator's
 // share set): a fresh ephemeral, the inbound channel's AEAD, and the
 // accept to send back. The ephemeral is dropped on return.
-func answer(own *keys.KeyPair, id channelID, ends channelEnds) (cipher.AEAD, []byte, error) {
+func answer(own *keys.KeyPair, id channelID, ends channelEnds) (aead cipher.AEAD, accept acceptWire, err error) {
 	eph, err := keys.NewAgreementKey()
 	if err != nil {
-		return nil, nil, err
+		return nil, accept, err
 	}
 	ends.responderShare = eph.Share()
 	aead, tag, err := channelKeys(id, &ends, eph, ends.initiatorShare, own, ends.initiatorShare)
 	if err != nil {
-		return nil, nil, err
+		return nil, accept, err
 	}
-	return aead, appendAccept(nil, id, ends.responderShare, &tag), nil
+	appendAccept(accept[:0], id, ends.responderShare, &tag)
+	return aead, accept, nil
 }
 
 // frameNonce is the AEAD nonce of frame seq: a channel's key seals each
@@ -234,14 +235,21 @@ func frameNonce(seq uint64) (n [keys.AEADNonceSize]byte) {
 	return n
 }
 
-// sealFrame builds one frame in one buffer: prefix, then the sender's time
-// now and the body, encrypted where they lie. body is only read.
-func sealFrame(aead cipher.AEAD, frame frameRef, body []byte, now time.Time) []byte {
-	wire := appendFrameRef(make([]byte, 0, framePrefix+frameTimeSize+len(body)+keys.AEADOverhead), ModeChannel, frame)
+// frameSize is the length of the frame that carries a body of n bytes.
+func frameSize(n int) int { return framePrefix + frameTimeSize + n + keys.AEADOverhead }
+
+// sealFrame appends one frame to dst, frameSize(len(body)) bytes: prefix,
+// then the sender's time now and the body, encrypted where they lie —
+// in dst's own memory when it has the capacity, the endpoint frame a send
+// seals into. body is only read.
+func sealFrame(dst []byte, aead cipher.AEAD, frame frameRef, body []byte, now time.Time) []byte {
+	start := len(dst)
+	wire := appendFrameRef(dst, ModeChannel, frame)
 	wire = binary.BigEndian.AppendUint64(wire, uint64(now.UnixNano()))
 	wire = append(wire, body...)
 	nonce := frameNonce(frame.seq)
-	return aead.Seal(wire[:framePrefix], nonce[:], wire[framePrefix:], wire[:framePrefix])
+	ct := start + framePrefix
+	return aead.Seal(wire[:ct], nonce[:], wire[ct:], wire[start:ct])
 }
 
 // parseFrame cuts a frame or a refusal (everything behind the mode byte)
@@ -292,7 +300,7 @@ type inChannel struct {
 
 	// accept is the accept as sent, kept to answer a repeated offer without
 	// a second key agreement; answered and sent space those answers.
-	accept   []byte
+	accept   acceptWire
 	answered time.Time
 	sent     time.Time
 
@@ -541,7 +549,7 @@ func (t *channelTable) offered(pair pairKey, id channelID, notAfter, now time.Ti
 			return nil, false
 		}
 		c.sent = now
-		return c.accept, false
+		return c.accept[:], false
 	default:
 		return nil, notAfter.After(now) && now.Sub(c.answered) >= handshakeEvery
 	}

@@ -178,10 +178,11 @@ func FuzzChannelFrame(f *testing.F) {
 func fuzzAccept(t *testing.T, seq uint64, trailing []byte, offset int64, flips []byte) {
 	now := time.Now()
 	chans, hs, ends := pendingOffer(t, now)
-	respAEAD, honest, err := answer(senderKP, hs.id, ends)
+	respAEAD, accept, err := answer(senderKP, hs.id, ends)
 	if err != nil {
 		t.Fatal(err)
 	}
+	honest := accept[:]
 	holds := seq%3 == 0
 	switch seq % 3 {
 	case 1:
@@ -238,7 +239,7 @@ func fuzzAccept(t *testing.T, seq uint64, trailing []byte, offset int64, flips [
 	if !ok {
 		t.Fatal("established, and no frame to send")
 	}
-	if got, err := openWire(nil, sealFrame(aead, frame, []byte("first"), at), formChannel, nil, nil, in, at); err != nil || string(got.Body) != "first" {
+	if got, err := openWire(nil, sealFrame(nil, aead, frame, []byte("first"), at), formChannel, nil, nil, in, at); err != nil || string(got.Body) != "first" {
 		t.Fatalf("the initiator's first frame opened at the responder to (%+v, %v)", got, err)
 	}
 }

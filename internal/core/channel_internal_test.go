@@ -114,7 +114,7 @@ func TestChannelFrameFromAnotherSenderAlerted(t *testing.T) {
 	}
 	// The tag is checked before the sequence number is admitted: the
 	// refused frame spent number 1 of neither channel.
-	deliver(sealFrame(victimAEAD, frameRef{victimID, 1}, []byte("the victim's own"), time.Now()))
+	deliver(sealFrame(nil, victimAEAD, frameRef{victimID, 1}, []byte("the victim's own"), time.Now()))
 	deliver(forgeWire(t, ModeChannel, []byte("honest"), nil))
 	if alerts = got.OfType(events.SecurityAlert); len(alerts) != 1 {
 		t.Fatalf("a frame's sequence number was admitted before its tag was checked: %d alerts", len(alerts))
@@ -145,7 +145,7 @@ func TestFramesDoNotEvictGuardEntries(t *testing.T) {
 	held, evicted := guard.Len(), ReplayEvictions()
 	chans, aead, body := tableChannels(), tableAEAD(), []byte("one of many")
 	for seq := uint64(1); seq <= 5000; seq++ {
-		wire := sealFrame(aead, frameRef{tableChannelID, seq}, body, now)
+		wire := sealFrame(nil, aead, frameRef{tableChannelID, seq}, body, now)
 		if _, err := openWire(nil, wire, formChannel, nil, guard, chans, now); err != nil {
 			t.Fatalf("frame %d: %v", seq, err)
 		}

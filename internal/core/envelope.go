@@ -122,11 +122,33 @@ func Seal(signer *keys.KeyPair, sender keys.PeerID, group string, body []byte, r
 	return seal(signer, &header{sender: sender, group: group, at: time.Now().UnixNano()}, body, recipient)
 }
 
-// seal is Seal for the header h begins: its sender, group and time, and
-// whatever a session-channel handshake adds to it (an offer, the frame a
-// message is sent again for). seal fills in the rest, and leaves the
-// signature it made in h.
+// seal is Seal for the header h begins, in a buffer of its own: a caller
+// without a frame to seal into (Seal, a task request and its answer).
 func seal(signer *keys.KeyPair, h *header, body []byte, recipient *keys.PublicKey) (*Sealed, error) {
+	e, err := newEnvelope(signer, h, body, recipient)
+	if err != nil {
+		return nil, err
+	}
+	wire, err := e.seal(make([]byte, 0, e.size()))
+	if err != nil {
+		return nil, err
+	}
+	return &Sealed{Mode: ModeFull, wire: wire}, nil
+}
+
+// envelope is one envelope ready to seal: its header complete but for the
+// signature, which seal makes.
+type envelope struct {
+	signer    *keys.KeyPair
+	h         *header
+	body      []byte
+	recipient *keys.PublicKey
+}
+
+// newEnvelope completes the header h begins — its sender, group and time,
+// and whatever a session-channel handshake adds to it (an offer, the
+// frame a message is sent again for) — for body and recipient.
+func newEnvelope(signer *keys.KeyPair, h *header, body []byte, recipient *keys.PublicKey) (*envelope, error) {
 	if signer == nil || recipient == nil {
 		return nil, errors.New("core: an envelope needs a signing key and a recipient key")
 	}
@@ -136,18 +158,26 @@ func seal(signer *keys.KeyPair, h *header, body []byte, recipient *keys.PublicKe
 	}
 	digest := sha256.Sum256(body)
 	h.kind, h.digest, h.to = ModeFull, digest[:], fp[:]
-	// The block is written behind room for the envelope's fields, and
-	// sealed where it lies.
-	const at = 1 + keys.EnvelopePrefix
-	wire := make([]byte, at, at+headerSize(h, signer)+len(body)+keys.AEADOverhead)
-	wire[0] = byte(ModeFull)
-	if wire, err = appendBlock(wire, h, signer, body); err != nil {
+	return &envelope{signer, h, body, recipient}, nil
+}
+
+// size is the length of the envelope's wire.
+func (e *envelope) size() int {
+	return 1 + keys.EnvelopePrefix + headerSize(e.h, e.signer) + len(e.body) + keys.AEADOverhead
+}
+
+// seal appends the envelope's wire to dst, e.size() bytes: the block is
+// written behind room for the envelope's fields and sealed where it lies —
+// in dst's own memory when it has the capacity, the endpoint frame a send
+// seals into. The signature it makes is left in the header.
+func (e *envelope) seal(dst []byte) ([]byte, error) {
+	at := len(dst) + 1
+	dst = append(append(dst, byte(ModeFull)), make([]byte, keys.EnvelopePrefix)...)
+	dst, err := appendBlock(dst, e.h, e.signer, e.body)
+	if err != nil {
 		return nil, err
 	}
-	if wire, err = keys.SealEnvelope(wire, 1, recipient); err != nil {
-		return nil, err
-	}
-	return &Sealed{Mode: ModeFull, wire: wire}, nil
+	return keys.SealEnvelope(dst, at, e.recipient)
 }
 
 // Opened is a decrypted (but not yet authenticated) secure message.

@@ -60,7 +60,7 @@ func SealRoundUnder(eph *keys.AgreementKey, signer *keys.KeyPair, sender keys.Pe
 // adds: a frame of the table channel carrying body, an accept naming it,
 // and a refusal.
 func TableChannelWires(body []byte) (frame, accept, refusal []byte) {
-	frame = sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, body, time.Now())
+	frame = sealFrame(nil, tableAEAD(), frameRef{tableChannelID, 1}, body, time.Now())
 	accept = appendAccept(nil, tableChannelID, bytes.Repeat([]byte{9}, keys.ShareSize), &[acceptTagSize]byte{0xac})
 	return frame, accept, appendFrameRef(nil, ModeRefusal, frameRef{tableChannelID, 7})
 }

@@ -55,7 +55,7 @@ func forgeWire(t *testing.T, m Mode, body []byte, edit func(h *header) []byte) [
 		if edit != nil {
 			t.Fatal("a frame has no header to edit")
 		}
-		return sealFrame(tableAEAD(), frameRef{tableChannelID, 1}, body, time.Now())
+		return sealFrame(nil, tableAEAD(), frameRef{tableChannelID, 1}, body, time.Now())
 	}
 	digest := sha256.Sum256(body)
 	h := header{kind: m, sender: "urn:jxta:sender", group: "g", at: time.Now().UnixNano(), digest: digest[:]}
@@ -604,7 +604,7 @@ func TestOpenPipelineTable(t *testing.T) {
 				}
 				w := bytes.Clone(honest)
 				copy(w[acceptSize-acceptTagSize:], other[acceptSize-acceptTagSize:])
-				return [][]byte{w, other}
+				return [][]byte{w, other[:]}
 			},
 			want: []int{acceptInvalid, acceptEstablished},
 		},
@@ -617,7 +617,7 @@ func TestOpenPipelineTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return [][]byte{forged, honest}
+				return [][]byte{forged[:], honest}
 			},
 			want: []int{acceptInvalid, acceptEstablished},
 		},
@@ -638,10 +638,11 @@ func TestOpenPipelineTable(t *testing.T) {
 		},
 	} {
 		chans, hs, ends := pendingOffer(t, now)
-		respAEAD, honest, err := answer(senderKP, hs.id, ends)
+		respAEAD, accept, err := answer(senderKP, hs.id, ends)
 		if err != nil {
 			t.Fatal(err)
 		}
+		honest := accept[:]
 		wires := [][]byte{honest}
 		if tc.wires != nil {
 			wires = tc.wires(t, honest, ends)
@@ -683,7 +684,7 @@ func TestOpenPipelineTable(t *testing.T) {
 			// The honest row: what the initiator seals, the responder opens.
 			in := &channelTable{}
 			in.install(&inChannel{id: hs.id, pair: pairKey{"urn:jxta:recv", "g"}, aead: respAEAD}, now.Add(time.Hour), now)
-			if o, err := openWire(nil, sealFrame(aead, frame, body, now), formChannel, nil, nil, in, now); err != nil || !bytes.Equal(o.Body, body) {
+			if o, err := openWire(nil, sealFrame(nil, aead, frame, body, now), formChannel, nil, nil, in, now); err != nil || !bytes.Equal(o.Body, body) {
 				t.Errorf("accept: %s: the initiator's first frame opened at the responder to (%+v, %v)", tc.name, o, err)
 			}
 		}

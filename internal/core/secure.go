@@ -438,10 +438,17 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 // offers the peer a session channel, and once the peer has accepted, a
 // message is one frame on it: no lookup, no signature, no key wrap.
 func (s *SecureClient) SecureMsgPeer(ctx context.Context, peer keys.PeerID, group, text string) error {
+	// A text no form of it fits a frame in is refused before a sequence
+	// number is claimed or anything sealed: the recipient would drop it.
+	if err := endpoint.CheckElementData(frameSize(len(text))); err != nil {
+		return err
+	}
 	if s.mode == ModeChannel {
 		now := s.Now()
 		if frame, aead, route, ok := s.chans.claimFrame(pairKey{peer, group}, text, now); ok {
-			return s.sendSecure(route.(*advert.Pipe), group, sealFrame(aead, frame, readOnlyBytes(text), now))
+			return s.sendSecure(route.(*advert.Pipe), group, frameSize(len(text)), func(dst []byte) ([]byte, error) {
+				return sealFrame(dst, aead, frame, readOnlyBytes(text), now), nil
+			})
 		}
 	}
 	return s.sendEnvelope(ctx, peer, group, text, nil)
@@ -474,19 +481,26 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 		}
 		s.attachChannelMetrics()
 	}
-	sealed, err := seal(s.kp, &h, readOnlyBytes(text), res.Signer.Key)
+	e, err := newEnvelope(s.kp, &h, readOnlyBytes(text), res.Signer.Key)
 	if err != nil {
 		return err
 	}
-	return s.sendSecure(pipeAdv, group, sealed.Bytes())
+	return s.sendSecure(pipeAdv, group, e.size(), e.seal)
 }
 
 // sendSecure puts one secure wire on a peer's group pipe: two elements,
-// which the endpoint reads into the frame it builds.
-func (s *SecureClient) sendSecure(pipe *advert.Pipe, group string, wire []byte) error {
-	return s.Control().SendOnPipe(pipe,
-		endpoint.Element{Name: proto.ElemEnvelope, Data: wire},
+// the wire and the group. seal appends the wire, size bytes, to the frame
+// the endpoint builds, so the frame is the one buffer the wire occupies.
+func (s *SecureClient) sendSecure(pipe *advert.Pipe, group string, size int, seal func(dst []byte) ([]byte, error)) error {
+	return s.Control().SendOnPipe(pipe, &endpoint.Room{Size: size, Fill: seal},
+		endpoint.Element{Name: proto.ElemEnvelope}, // the room
 		endpoint.Element{Name: proto.ElemGroup, Data: readOnlyBytes(group)})
+}
+
+// sendKept is sendSecure for a wire the sender keeps (a slice of a round,
+// an accept): it is copied into the frame.
+func (s *SecureClient) sendKept(pipe *advert.Pipe, group string, wire []byte) error {
+	return s.sendSecure(pipe, group, len(wire), func(dst []byte) ([]byte, error) { return append(dst, wire...), nil })
 }
 
 // groupPipe is peer's input pipe for group. Its ID is derived
@@ -530,7 +544,7 @@ func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text strin
 		slices := d.Slices()
 		parallel.ForEach(fanOutParallelism(), len(chunk), func(j int) {
 			i := chunk[j]
-			errs[i] = s.sendSecure(targets[i].pipe, group, slices[j])
+			errs[i] = s.sendKept(targets[i].pipe, group, slices[j])
 		})
 	})
 	return tallyFanOut(errs)
@@ -835,7 +849,7 @@ func (s *SecureClient) answerOffer(o *Opened, initiator *xdsig.Result) (alert st
 	now := s.Now()
 	resend, accept := s.chans.offered(pair, o.hs.id, notAfter, now)
 	if resend != nil {
-		_ = s.sendSecure(pipe, pair.group, resend) // best effort, as the first was
+		_ = s.sendKept(pipe, pair.group, resend) // best effort, as the first was
 	}
 	if !accept {
 		return ""
@@ -856,7 +870,7 @@ func (s *SecureClient) answerOffer(o *Opened, initiator *xdsig.Result) (alert st
 	}
 	s.chans.install(&inChannel{id: o.hs.id, pair: pair, user: initiator.Signer.SubjectName, aead: aead, accept: wire}, notAfter, now)
 	s.auditChannel(pair.peer, "offer", "accepted")
-	_ = s.sendSecure(pipe, pair.group, wire) // a lost accept is sent again when the offer is
+	_ = s.sendKept(pipe, pair.group, wire[:]) // a lost accept is sent again when the offer is
 	return ""
 }
 
@@ -907,7 +921,9 @@ func (s *SecureClient) refuseFrame(from keys.PeerID, group string, frame frameRe
 		return
 	}
 	s.attachChannelMetrics()
-	_ = s.sendSecure(groupPipe(from, group), group, appendFrameRef(nil, ModeRefusal, frame)) // best effort
+	_ = s.sendSecure(groupPipe(from, group), group, framePrefix, func(dst []byte) ([]byte, error) { // best effort
+		return appendFrameRef(dst, ModeRefusal, frame), nil
+	})
 }
 
 // handleRefusal is the initiator's reaction to a refusal that claims to

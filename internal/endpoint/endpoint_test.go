@@ -3,8 +3,10 @@ package endpoint
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -122,6 +124,66 @@ func TestParseFrameErrors(t *testing.T) {
 		if _, err := ParseFrame(data); err == nil {
 			t.Errorf("ParseFrame(%s) succeeded, want error", name)
 		}
+	}
+}
+
+// TestBuildFrameRefusesWhatParseFrameRefuses: whatever its recipient's
+// parser would drop as malformed, the builder refuses — ErrFrameTooLarge
+// for a size, before it allocates anything — where the frame once went
+// out with its lengths wrapped; and a frame at every limit parses.
+func TestBuildFrameRefusesWhatParseFrameRefuses(t *testing.T) {
+	long := strings.Repeat("n", maxField+1)
+	fill := func(dst []byte) ([]byte, error) {
+		t.Fatal("a refused frame's room was filled")
+		return dst, nil
+	}
+	cases := []struct {
+		name  string
+		r     Route
+		room  *Room
+		elems []Element
+		want  error
+	}{
+		{"data over 64 MiB", Route{}, &Room{Size: maxElemData + 1, Fill: fill}, []Element{{Name: "sec:env"}}, ErrFrameTooLarge},
+		{"too many elements", Route{}, nil, make([]Element, maxElements+1), ErrFrameTooLarge},
+		{"name too long", Route{}, nil, []Element{{Name: long}}, ErrFrameTooLarge},
+		{"source too long", Route{Src: keys.PeerID(long)}, nil, nil, ErrFrameTooLarge},
+		{"service and param too long", Route{Service: long[:maxField], Param: "p"}, nil, nil, ErrFrameTooLarge},
+		{"correlation ID too long", Route{CorrID: []byte(long)}, nil, nil, ErrFrameTooLarge},
+		{"unknown corr", Route{Corr: CorrResponse + 1}, nil, nil, ErrWire},
+		{"room past the elements", Route{}, &Room{Index: 1, Fill: fill}, []Element{{Name: "a"}}, nil},
+	}
+	for _, tc := range cases {
+		frame, err := BuildFrame(tc.r, tc.room, tc.elems...)
+		if err == nil || tc.want != nil && !errors.Is(err, tc.want) || frame != nil {
+			t.Errorf("%s: (%d bytes, %v), want %v", tc.name, len(frame), err, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = BuildFrame(Route{}, cases[0].room, cases[0].elems...) }); n != 0 {
+		t.Errorf("refusing a 64 MiB room allocated %.0f times, want none", n)
+	}
+
+	// A room filled with a byte more or less than it said, or not at all.
+	for _, fill := range []func([]byte) ([]byte, error){
+		func(dst []byte) ([]byte, error) { return append(dst, "ab"...), nil },
+		func(dst []byte) ([]byte, error) { return append(dst, "abcd"...), nil },
+		func(dst []byte) ([]byte, error) { return nil, errors.New("sealing failed") },
+	} {
+		if frame, err := BuildFrame(Route{}, &Room{Size: 3, Fill: fill}, Element{Name: "a"}); err == nil || frame != nil {
+			t.Errorf("a room of 3 bytes misfilled built (%x, %v)", frame, err)
+		}
+	}
+
+	at := strings.Repeat("m", maxField)
+	frame, err := BuildFrame(Route{Src: keys.PeerID(at), Service: at[1:], Param: "p", Corr: CorrResponse, CorrID: []byte(at)},
+		&Room{Index: 1, Size: 3, Fill: func(dst []byte) ([]byte, error) { return append(dst, "abc"...), nil }},
+		append(make([]Element, maxElements-1), Element{Name: at})...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ParseFrame(frame)
+	if err != nil || len(f.Msg.Elements) != maxElements || string(f.Msg.Elements[1].Data) != "abc" || len(f.Msg.Elements[maxElements-1].Name) != maxField {
+		t.Fatalf("a frame at every limit parsed to (%d elements, %v)", len(f.Msg.Elements), err)
 	}
 }
 

@@ -2,6 +2,8 @@ package endpoint
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 
 	"jxtaoverlay/internal/keys"
 )
@@ -46,17 +48,85 @@ type Route struct {
 	CorrID []byte
 }
 
-// NewFrame builds the frame that carries elems along r, in one buffer
+// Room is the one element of a frame whose data its sender writes into
+// the frame as it is built, instead of handing in bytes to be copied
+// there: a secure layer seals its wire in that place.
+type Room struct {
+	// Index is the element, among those the frame carries, whose data the
+	// room holds; that element's Data is not read.
+	Index int
+	// Size is the length of the data, known before it is written.
+	Size int
+	// Fill appends exactly Size bytes to dst, as append does, and returns
+	// the result. dst is the frame so far, with capacity for the rest.
+	Fill func(dst []byte) ([]byte, error)
+}
+
+var errRoom = errors.New("endpoint: a room names no element of its frame")
+
+// BuildFrame builds the frame that carries elems along r, in one buffer
 // sized up front. It reads elems' data once, into the frame, and keeps
-// nothing.
-func NewFrame(r Route, elems ...Element) []byte {
-	size := len(frameMagic) + 2 + len(r.Src) + 2 + len(r.Service) + len(r.Param) + 1 + 2 + len(r.CorrID) + elementsLen(elems)
+// nothing; with a room, the data of elems[room.Index] is what room.Fill
+// writes in its place. Before it allocates anything it refuses, with
+// ErrFrameTooLarge, a frame ParseFrame would refuse.
+func BuildFrame(r Route, room *Room, elems ...Element) ([]byte, error) {
+	at := -1
+	if room != nil {
+		if at = room.Index; at < 0 || at >= len(elems) || room.Size < 0 {
+			return nil, errRoom
+		}
+	}
+	if len(r.Src) > maxField || len(r.Service)+len(r.Param) > maxField || len(r.CorrID) > maxField || len(elems) > maxElements {
+		return nil, ErrFrameTooLarge
+	}
+	if r.Corr > CorrResponse {
+		return nil, errPrefix
+	}
+	size := len(frameMagic) + 2 + len(r.Src) + 2 + len(r.Service) + len(r.Param) + 1 + 2 + len(r.CorrID) + 2
+	for i := range elems {
+		n := len(elems[i].Data)
+		if i == at {
+			n = room.Size
+		}
+		if len(elems[i].Name) > maxField || n > maxElemData {
+			return nil, ErrFrameTooLarge
+		}
+		size += 2 + len(elems[i].Name) + 4 + n
+	}
 	out := append(make([]byte, 0, size), frameMagic[:]...)
 	out = appendString(out, string(r.Src))
 	out = binary.BigEndian.AppendUint16(out, uint16(len(r.Service)+len(r.Param)))
 	out = append(append(out, r.Service...), r.Param...)
 	out = binary.BigEndian.AppendUint16(append(out, byte(r.Corr)), uint16(len(r.CorrID)))
-	return appendElements(append(out, r.CorrID...), elems)
+	out = binary.BigEndian.AppendUint16(append(out, r.CorrID...), uint16(len(elems)))
+	for i := range elems {
+		out = appendString(out, elems[i].Name)
+		if i != at {
+			out = append(binary.BigEndian.AppendUint32(out, uint32(len(elems[i].Data))), elems[i].Data...)
+			continue
+		}
+		out = binary.BigEndian.AppendUint32(out, uint32(room.Size))
+		filled, err := room.Fill(out)
+		if err != nil {
+			return nil, err
+		}
+		if len(filled) != len(out)+room.Size {
+			return nil, fmt.Errorf("endpoint: a room of %d bytes filled with %d", room.Size, len(filled)-len(out))
+		}
+		out = filled
+	}
+	return out, nil
+}
+
+// NewFrame is BuildFrame without a room, for elements that fit a frame:
+// it panics on what BuildFrame refuses. A sender whose elements may not
+// fit calls BuildFrame.
+func NewFrame(r Route, elems ...Element) []byte {
+	frame, err := BuildFrame(r, nil, elems...)
+	if err != nil {
+		panic(err)
+	}
+	return frame
 }
 
 func appendString(out []byte, s string) []byte {

@@ -3,6 +3,7 @@ package endpoint
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -21,8 +22,9 @@ import (
 // is bounded by the input's size, so no count or length a stranger writes
 // can drive a make; every returned field and Data is a view into the
 // input, never a copy and never outside it; and a frame that parses is
-// rebuilt, prefix and elements, byte for byte by NewFrame from what was
-// read.
+// rebuilt, prefix and elements, byte for byte from what was read — by
+// NewFrame, and by BuildFrame with the last element's data left to the
+// caller's Fill, as a secure send seals its wire into the frame.
 func FuzzParseFrame(f *testing.F) {
 	secure := NewFrame(Route{Src: "urn:jxta:cbid-a", Service: "jxta:pipe:", Param: "p1"},
 		Element{"sec:env", bytes.Repeat([]byte{0xA5}, 700)}, Element{"group", []byte("g")})
@@ -84,6 +86,20 @@ func FuzzParseFrame(f *testing.F) {
 		r := Route{Src: keys.PeerID(fr.Src), Service: string(fr.Service), Corr: fr.Corr, CorrID: fr.CorrID}
 		if wire := NewFrame(r, fr.Msg.Elements...); !bytes.Equal(wire, frame) {
 			t.Fatalf("rebuilt frame differs from the one it was parsed from:\n got %x\nwant %x", wire, frame)
+		}
+		if len(fr.Msg.Elements) == 0 {
+			return
+		}
+		// Again with the last element's data written by the caller, as a
+		// secure layer seals its wire into the frame: the builder holds no
+		// copy of it to write.
+		elems := slices.Clone(fr.Msg.Elements)
+		last := len(elems) - 1
+		sealed := elems[last].Data
+		elems[last].Data = nil
+		room := &Room{Index: last, Size: len(sealed), Fill: func(dst []byte) ([]byte, error) { return append(dst, sealed...), nil }}
+		if wire, err := BuildFrame(r, room, elems...); err != nil || !bytes.Equal(wire, frame) {
+			t.Fatalf("frame rebuilt with a room differs from the one it was parsed from (%v):\n got %x\nwant %x", err, wire, frame)
 		}
 	})
 }

@@ -35,7 +35,7 @@ func BenchmarkSendDeliver(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := a.SendElements(r.PeerID(), "jxta:pipe:", "p", elems...); err != nil {
+		if err := a.SendElements(r.PeerID(), "jxta:pipe:", "p", nil, elems...); err != nil {
 			b.Fatal(err)
 		}
 		<-got

@@ -7,9 +7,14 @@
 //
 // # One buffer per message
 //
-// A sender builds a frame once: NewFrame sizes one buffer up front and
+// A sender builds a frame once: BuildFrame sizes one buffer up front and
 // writes the routing prefix and the elements' data into it, reading the
-// caller's Message and writing nothing back. Send hands that buffer to
+// caller's Message and writing nothing back. One element may be a Room:
+// its data is written into the frame by its sender as the frame is built,
+// which is how a secure layer seals its wire — it seals into the frame,
+// so a body is copied once, into the frame, and encrypted there. A frame its
+// recipient's parser would refuse is not built (ErrFrameTooLarge), so a
+// send that returns nil was not lost to a size. Send hands that buffer to
 // the Transport, which owns it from then on and delivers that same
 // buffer: nothing copies a frame between the sender's build and the
 // recipient's open. Receiving, ParseFrame returns the prefix's fields and
@@ -98,12 +103,27 @@ var wireMagic = [4]byte{'J', 'X', 'M', '2'}
 const (
 	maxElements = 1 << 12
 	maxElemData = 64 << 20
+	// maxField is the longest name or routing field a u16 length can say.
+	maxField = 0xffff
 )
 
 // ErrWire is wrapped by all codec parse failures. They carry no numbers:
 // the decoders run on every delivery goroutine, whose stack a formatted
 // error's arguments would grow.
 var ErrWire = errors.New("endpoint: malformed wire message")
+
+// ErrFrameTooLarge refuses, before it is built, a frame its recipient's
+// parser would refuse: more elements than it reads, an element's data
+// over 64 MiB, a name or routing field longer than its length can say.
+var ErrFrameTooLarge = errors.New("endpoint: frame larger than a recipient parses")
+
+// CheckElementData refuses, as BuildFrame would, element data of n bytes.
+func CheckElementData(n int) error {
+	if n > maxElemData {
+		return ErrFrameTooLarge
+	}
+	return nil
+}
 
 var (
 	errMagic     = fmt.Errorf("%w: bad magic", ErrWire)

@@ -153,17 +153,19 @@ func (s *Service) Counters() (tx, rx, txBytes, rxBytes uint64) {
 // is not directly reachable (NAT) the frame is routed through the
 // configured relay.
 func (s *Service) Send(to keys.PeerID, service string, msg *Message) error {
-	return s.send(to, Route{Service: service}, msg.Elements)
+	return s.send(to, Route{Service: service}, nil, msg.Elements)
 }
 
 // SendElements is Send for elements held in hand rather than in a
-// Message, to the service named service+param (param may be empty).
-func (s *Service) SendElements(to keys.PeerID, service, param string, elems ...Element) error {
-	return s.send(to, Route{Service: service, Param: param}, elems)
+// Message, to the service named service+param (param may be empty). With
+// a room, one element's data is written into the frame as it is built
+// (BuildFrame): the frame is the one buffer the message ever occupies.
+func (s *Service) SendElements(to keys.PeerID, service, param string, room *Room, elems ...Element) error {
+	return s.send(to, Route{Service: service, Param: param}, room, elems)
 }
 
 // send builds r's frame from this peer around elems and sends it.
-func (s *Service) send(to keys.PeerID, r Route, elems []Element) error {
+func (s *Service) send(to keys.PeerID, r Route, room *Room, elems []Element) error {
 	s.mu.RLock()
 	closed := s.closed
 	s.mu.RUnlock()
@@ -171,9 +173,12 @@ func (s *Service) send(to keys.PeerID, r Route, elems []Element) error {
 		return ErrClosed
 	}
 	r.Src = s.peerID
-	frame := NewFrame(r, elems...)
+	frame, err := BuildFrame(r, room, elems...)
+	if err != nil {
+		return err
+	}
 	n := len(frame)
-	err := s.net.Send(NodeID(s.peerID), NodeID(to), frame)
+	err = s.net.Send(NodeID(s.peerID), NodeID(to), frame)
 	if errors.Is(err, simnet.ErrNotReachable) {
 		relay := s.relay.Load().(keys.PeerID)
 		if relay == "" {
@@ -211,7 +216,7 @@ func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, m
 		s.mu.Unlock()
 	}()
 
-	if err := s.send(to, Route{Service: service, Corr: CorrRequest, CorrID: []byte(reqID)}, msg.Elements); err != nil {
+	if err := s.send(to, Route{Service: service, Corr: CorrRequest, CorrID: []byte(reqID)}, nil, msg.Elements); err != nil {
 		return nil, err
 	}
 	select {
@@ -282,7 +287,7 @@ func (s *Service) resolve(corr Corr, id []byte, msg *Message) {
 
 // respond sends a handler's response to the request id from from.
 func (s *Service) respond(from keys.PeerID, id []byte, resp *Message) {
-	_ = s.send(from, Route{Service: svcResponse, Corr: CorrResponse, CorrID: id}, resp.Elements)
+	_ = s.send(from, Route{Service: svcResponse, Corr: CorrResponse, CorrID: id}, nil, resp.Elements)
 }
 
 // Close detaches the endpoint and fails its pending requests.
