@@ -357,8 +357,8 @@ func summary(e events.Event) string {
 		}
 		return fmt.Sprintf("%q", s)
 	}
-	if len(e.Payload) > 0 {
-		return fmt.Sprintf("%v", e.Payload)
+	if attrs := e.Attrs(); len(attrs) > 0 {
+		return fmt.Sprintf("%v", attrs)
 	}
 	return ""
 }

@@ -107,17 +107,26 @@ func NewID(kind string) (string, error) {
 // unguessable — who may publish under it is decided by the signature and
 // ownership checks, as for the peer/group-keyed advertisement types.
 func GroupPipeID(peer keys.PeerID, group string) string {
-	const prefix = "urn:jxta:pipe-"
+	id := GroupPipeKey(peer, group)
+	return string(id[:])
+}
+
+// groupPipePrefix begins every group pipe's ID.
+const groupPipePrefix = "urn:jxta:pipe-"
+
+// GroupPipeKey is GroupPipeID's bytes, for a lookup that builds no string
+// (discovery.Cache.LookupID).
+func GroupPipeKey(peer keys.PeerID, group string) [len(groupPipePrefix) + 32]byte {
 	buf := make([]byte, 0, 160) // on the stack for any real peer ID and group
 	buf = append(buf, "jxta-overlay/group-pipe/v1"...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(peer)))
 	buf = append(buf, peer...)
 	buf = append(buf, group...)
 	sum := sha256.Sum256(buf)
-	var id [len(prefix) + 32]byte
-	copy(id[:], prefix)
-	hex.Encode(id[len(prefix):], sum[:16])
-	return string(id[:])
+	var id [len(groupPipePrefix) + 32]byte
+	copy(id[:], groupPipePrefix)
+	hex.Encode(id[len(groupPipePrefix):], sum[:16])
+	return id
 }
 
 // --- PeerAdvertisement ---

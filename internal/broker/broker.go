@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -899,24 +898,34 @@ func (b *Broker) handleListPeers(from keys.PeerID, msg *endpoint.Message) *endpo
 	if !b.memberOf(from, group) && !b.KnownMember(from, group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
-	var lines []string
 	if all, _ := msg.GetString(proto.ElemAll); all == "1" {
 		// The store-and-forward roster: every known member, with real
 		// presence, so senders can address offline peers through the
 		// relay.
-		for _, p := range b.KnownPeers(group) {
-			status := advert.StatusOffline
-			if p.Online {
-				status = advert.StatusOnline
-			}
-			lines = append(lines, fmt.Sprintf("%s|%s|%s", p.ID, p.Username, status))
-		}
-	} else {
-		for _, p := range b.OnlinePeers(group) {
-			lines = append(lines, fmt.Sprintf("%s|%s|%s", p.ID, p.Username, advert.StatusOnline))
-		}
+		return proto.OK().Add(proto.ElemPeers, roster(b.KnownPeers(group)))
 	}
-	return proto.OK().AddString(proto.ElemPeers, strings.Join(lines, "\n"))
+	return proto.OK().Add(proto.ElemPeers, roster(b.OnlinePeers(group)))
+}
+
+// roster writes peers' roster lines into one buffer, sized up front.
+func roster(peers []PeerInfo) []byte {
+	n := 0
+	for _, p := range peers {
+		n += len(p.ID) + len(p.Username) + len(presence(p)) + 3 // two '|', one '\n'
+	}
+	out := make([]byte, 0, n)
+	for _, p := range peers {
+		out = proto.AppendRosterLine(out, string(p.ID), p.Username, presence(p))
+	}
+	return out
+}
+
+// presence is p's roster status.
+func presence(p PeerInfo) string {
+	if p.Online {
+		return advert.StatusOnline
+	}
+	return advert.StatusOffline
 }
 
 // --- group ops ---

@@ -486,11 +486,27 @@ func (c *Client) LookupAdv(ctx context.Context, advType, advID string) (advert.A
 // LookupPipe finds the unicast pipe advertisement of a peer in a group:
 // the one record cached under the pair's derived ID, else the broker's.
 func (c *Client) LookupPipe(ctx context.Context, peer keys.PeerID, group string) (*advert.Pipe, *xmldoc.Element, error) {
-	if rec, err := c.ctl.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(peer, group)); err == nil {
+	if p, doc, ok := c.CachedPipe(peer, group); ok {
+		return p, doc, nil
+	}
+	return c.fetchPipe(ctx, peer, group)
+}
+
+// CachedPipe is LookupPipe's first half: the record cached under the
+// pair's derived ID, if it is fresh and describes that pair. It asks no
+// one and builds no string.
+func (c *Client) CachedPipe(peer keys.PeerID, group string) (*advert.Pipe, *xmldoc.Element, bool) {
+	id := advert.GroupPipeKey(peer, group)
+	if rec, err := c.ctl.Cache().LookupID(advert.TypePipe, id[:]); err == nil {
 		if p := rec.Adv.(*advert.Pipe); p.PeerID == peer && p.Group == group {
-			return p, rec.Doc, nil
+			return p, rec.Doc, true
 		}
 	}
+	return nil, nil, false
+}
+
+// fetchPipe is LookupPipe's second half: the broker's record, cached.
+func (c *Client) fetchPipe(ctx context.Context, peer keys.PeerID, group string) (*advert.Pipe, *xmldoc.Element, error) {
 	msg := endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpLookupPipe).
 		AddString(proto.ElemPeer, string(peer)).
@@ -691,8 +707,8 @@ func (c *Client) openSecure(h EnvelopeHandler, group string, from keys.PeerID, m
 // onBrokerPush handles advertisements propagated by the broker and
 // relay-delivered round slices.
 func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	op, _ := msg.GetString(proto.ElemOp)
-	if op == proto.OpSliceDeliver {
+	op, _ := msg.Get(proto.ElemOp)
+	if string(op) == proto.OpSliceDeliver {
 		// A per-recipient round slice cut by the broker relay — either a
 		// live push or a queued item drained at login. The claimed origin
 		// is the submitting peer (unauthenticated here — the signed sender
@@ -709,7 +725,7 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 		c.openSecure(h, group, keys.PeerID(origin), msg)
 		return nil
 	}
-	if op != proto.OpAdvPush {
+	if string(op) != proto.OpAdvPush {
 		return nil
 	}
 	raw, ok := msg.Get(proto.ElemAdv)

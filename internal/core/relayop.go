@@ -103,7 +103,7 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 		if it.Trace != 0 && tr != nil {
 			sp = trace.Begin(it.Trace, trace.StageDeliver)
 		}
-		err := b.Endpoint().Send(it.To, proto.ClientService, sliceDeliverMessage(it))
+		err := pushSlice(b.Endpoint(), it)
 		if err != nil {
 			tr.End(sp, trace.OutcomeError)
 		} else {
@@ -121,18 +121,24 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 	return r, nil
 }
 
-// sliceDeliverMessage wraps one slice into the client push that carries
-// it — the same ClientService surface advertisement pushes use.
-func sliceDeliverMessage(it relay.Item) *endpoint.Message {
-	msg := endpoint.NewMessage().
-		AddString(proto.ElemOp, proto.OpSliceDeliver).
-		AddString(proto.ElemGroup, it.Group).
-		AddString(proto.ElemPeer, string(it.From)).
-		Add(proto.ElemEnvelope, it.Payload)
-	if it.Trace != 0 {
-		msg.AddString(proto.ElemTrace, trace.FormatID(it.Trace))
+// pushSlice sends one slice to its recipient in the client push that
+// carries it — the same ClientService surface advertisement pushes use.
+// Its elements are views of the item's strings and slice, which building
+// the frame only reads: nothing is copied before the frame is.
+func pushSlice(ep *endpoint.Service, it relay.Item) error {
+	elems := [...]endpoint.Element{
+		{Name: proto.ElemOp, Data: readOnlyBytes(proto.OpSliceDeliver)},
+		{Name: proto.ElemGroup, Data: readOnlyBytes(it.Group)},
+		{Name: proto.ElemPeer, Data: readOnlyBytes(string(it.From))},
+		{Name: proto.ElemEnvelope, Data: it.Payload},
+		{Name: proto.ElemTrace},
 	}
-	return msg
+	n := len(elems) - 1
+	if it.Trace != 0 {
+		elems[n].Data = readOnlyBytes(trace.FormatID(it.Trace))
+		n++
+	}
+	return ep.SendElements(it.To, proto.ClientService, "", nil, elems[:n]...)
 }
 
 // fedSliceMessage wraps one slice into the broker-to-broker hand-off.

@@ -115,15 +115,26 @@ var ErrNotFound = errors.New("discovery: advertisement not found")
 // Lookup returns the fresh record with the given type and id. Expired
 // records are evicted and reported as missing.
 func (c *Cache) Lookup(advType, id string) (*Record, error) {
-	key := cacheKey{advType, id}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec, ok := c.recs[key]
-	if !ok {
+	return c.fresh(c.recs[cacheKey{advType, id}])
+}
+
+// LookupID is Lookup for an id held as bytes (advert.GroupPipeKey): the
+// map is indexed by a view of them, so it builds no string.
+func (c *Cache) LookupID(advType string, id []byte) (*Record, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fresh(c.recs[cacheKey{advType, string(id)}])
+}
+
+// fresh returns rec if it is there and fresh, evicting it if it expired.
+func (c *Cache) fresh(rec *Record) (*Record, error) {
+	if rec == nil {
 		return nil, ErrNotFound
 	}
 	if rec.Expired(c.now()) {
-		delete(c.recs, key)
+		delete(c.recs, cacheKey{rec.Adv.AdvType(), rec.Adv.AdvID()})
 		return nil, ErrNotFound
 	}
 	return rec, nil

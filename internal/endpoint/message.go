@@ -54,8 +54,52 @@ type Message struct {
 	Elements []Element
 }
 
+// A message is allocated with room for its elements behind it, in the
+// one allocation: the Message a caller holds points into the struct, which
+// stays live as long as it does. NewMessage leaves room for four, so a
+// message built by a chain of up to four Adds costs one allocation; a
+// parsed message gets the smallest room its count fits.
+type (
+	room2 struct {
+		Message
+		room [2]Element
+	}
+	room4 struct {
+		Message
+		room [4]Element
+	}
+	room8 struct {
+		Message
+		room [8]Element
+	}
+)
+
 // NewMessage returns an empty message.
-func NewMessage() *Message { return &Message{} }
+func NewMessage() *Message {
+	m := new(room4)
+	m.Elements = m.room[:0]
+	return &m.Message
+}
+
+// newMessage returns a message of n zero elements, in one allocation
+// when n fits a room.
+func newMessage(n int) *Message {
+	switch {
+	case n <= 2:
+		m := new(room2)
+		m.Elements = m.room[:n]
+		return &m.Message
+	case n <= 4:
+		m := new(room4)
+		m.Elements = m.room[:n]
+		return &m.Message
+	case n <= 8:
+		m := new(room8)
+		m.Elements = m.room[:n]
+		return &m.Message
+	}
+	return &Message{Elements: make([]Element, n)}
+}
 
 // Add appends an element and returns the message for chaining.
 func (m *Message) Add(name string, data []byte) *Message {
@@ -143,8 +187,8 @@ func (m *Message) Marshal() []byte {
 
 // ParseMessage decodes what Marshal produced. The elements' Data are
 // views into data (see the package comment for who may hold them); names
-// come from the interned vocabulary, so it costs the Message and its
-// element slice and nothing per element.
+// come from the interned vocabulary, so it costs the Message, its elements
+// in the same allocation, and nothing per element.
 func ParseMessage(data []byte) (*Message, error) {
 	if len(data) < len(wireMagic) || [4]byte(data[:4]) != wireMagic {
 		return nil, errMagic
@@ -185,7 +229,7 @@ func parseElements(data []byte) (*Message, error) {
 	if count > maxElements || count > len(data)/6 {
 		return nil, errCount
 	}
-	msg := &Message{Elements: make([]Element, count)}
+	msg := newMessage(count)
 	for i := range msg.Elements {
 		e := &msg.Elements[i]
 		name, rest, _ := cutField(data, 2)

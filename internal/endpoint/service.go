@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,6 +69,9 @@ type Service struct {
 	// node signs, compares with a signed time or expires is read from it.
 	clock atomic.Pointer[func() time.Time]
 
+	// names interns the source IDs of delivered frames.
+	names peerNames
+
 	// RxCount / TxCount feed the statistics primitives.
 	rxCount atomic.Uint64
 	txCount atomic.Uint64
@@ -83,6 +87,7 @@ func NewService(net Transport, peerID keys.PeerID) (*Service, error) {
 		handlers: make(map[string]Handler),
 		pending:  make(map[string]chan *Message),
 		done:     make(chan struct{}),
+		names:    peerNames{seed: maphash.MakeSeed()},
 	}
 	s.relay.Store(keys.PeerID(""))
 	if err := net.Attach(NodeID(peerID), s.deliver); err != nil {
@@ -231,7 +236,7 @@ func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, m
 
 // deliver runs on the transport's delivery goroutines. It reads the
 // prefix where it lies: the service and correlation lookups are keyed by
-// views and allocate nothing, and from is the one string it makes. What
+// views and allocate nothing, and from is interned (peerNames). What
 // it does besides the handler call is in helpers of their own, so that a
 // delivery goroutine's first stack holds the parse.
 func (s *Service) deliver(pkt simnet.Packet) {
@@ -255,10 +260,34 @@ func (s *Service) deliver(pkt simnet.Packet) {
 	if !ok {
 		return
 	}
-	from := keys.PeerID(f.Src)
+	from := s.names.intern(f.Src)
 	if resp := h(from, f.Msg); resp != nil && f.Corr == CorrRequest && from != "" {
 		s.respond(from, f.CorrID, resp)
 	}
+}
+
+// peerNames interns the peer IDs frames arrive from, so that a delivery
+// from a peer seen before makes no string of its source. It is a bounded,
+// direct-mapped table looked up by the bytes: a slot holds the last ID
+// hashed to it, and an ID that finds another in its slot takes the slot.
+// Its worst case is one string per delivery, which is what it replaces.
+type peerNames struct {
+	seed  maphash.Seed
+	slots [64]struct {
+		mu sync.Mutex
+		id keys.PeerID
+	}
+}
+
+// intern returns the ID src spells, from the table when it is there.
+func (t *peerNames) intern(src []byte) keys.PeerID {
+	slot := &t.slots[maphash.Bytes(t.seed, src)%uint64(len(t.slots))]
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	if string(slot.id) != string(src) {
+		slot.id = keys.PeerID(src)
+	}
+	return slot.id
 }
 
 // forward relays the frame inside a relay frame of n bytes to to,

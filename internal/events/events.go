@@ -1,6 +1,20 @@
 // Package events implements the callback side of the JXTA-Overlay
 // programming model: applications invoke Client Module primitives and
 // react to events thrown by functions executed on message reception.
+//
+// An event's attributes are read through Event.Attr (or all at once,
+// Event.Attrs). Most kinds carry them in Payload, a small map. The one
+// event every delivery raises, SecureMessage, carries its attributes as
+// typed fields instead, so that a delivery allocates no map: Mode and User
+// are its "mode" and "user", and its "authenticated" is always "true" —
+// every SecureMessage's sender is authenticated (a plain MessageReceived
+// says "false" in its Payload).
+//
+// Emit reads its subscriber list without a lock and without a copy: the
+// list is published copy-on-write, so a handler that subscribes or
+// cancels during an Emit changes what later Emits see, never the one in
+// progress. A handler cancelled during an Emit may still see that event,
+// and never a later one.
 package events
 
 import (
@@ -43,7 +57,9 @@ const (
 )
 
 // Event is one notification. Payload carries small string attributes;
-// Data carries an opaque body (e.g. message text).
+// Data carries an opaque body (e.g. message text). A SecureMessage carries
+// its attributes in Mode and User, not in Payload (see the package
+// comment); read any event's through Attr.
 type Event struct {
 	Type    Type
 	From    keys.PeerID
@@ -51,10 +67,49 @@ type Event struct {
 	Payload map[string]string
 	Data    []byte
 	Time    time.Time
+
+	// Mode and User are a SecureMessage's "mode" (the wire form it
+	// arrived in) and "user" (its sender's certified name).
+	Mode string
+	User string
 }
 
-// Attr returns a payload attribute or "".
-func (e Event) Attr(key string) string { return e.Payload[key] }
+// The attributes a SecureMessage carries as typed fields.
+const (
+	attrAuthenticated = "authenticated"
+	attrMode          = "mode"
+	attrUser          = "user"
+)
+
+// Attr returns an attribute or "".
+func (e Event) Attr(key string) string {
+	if e.Type == SecureMessage {
+		switch key {
+		case attrAuthenticated:
+			return "true"
+		case attrMode:
+			return e.Mode
+		case attrUser:
+			return e.User
+		}
+	}
+	return e.Payload[key]
+}
+
+// Attrs returns every attribute Attr reads, in a map of its own: for
+// printing and logging, not for a delivery's path.
+func (e Event) Attrs() map[string]string {
+	out := make(map[string]string, len(e.Payload)+3)
+	for k, v := range e.Payload {
+		out[k] = v
+	}
+	if e.Type == SecureMessage {
+		for _, k := range [...]string{attrAuthenticated, attrMode, attrUser} {
+			out[k] = e.Attr(k)
+		}
+	}
+	return out
+}
 
 // Handler consumes events. Handlers run synchronously on the emitting
 // goroutine; long work should be dispatched by the application.
@@ -68,8 +123,8 @@ type subscription struct {
 
 // Bus is a typed publish/subscribe dispatcher.
 type Bus struct {
-	mu   sync.RWMutex
-	subs []subscription
+	mu   sync.Mutex // serializes changes to subs
+	subs atomic.Pointer[[]subscription]
 	next atomic.Int64
 }
 
@@ -89,34 +144,45 @@ func (b *Bus) SubscribeAll(h Handler) (cancel func()) {
 
 func (b *Bus) add(t Type, h Handler) func() {
 	id := b.next.Add(1)
-	b.mu.Lock()
-	b.subs = append(b.subs, subscription{id: id, t: t, h: h})
-	b.mu.Unlock()
+	b.update(func(subs []subscription) []subscription {
+		return append(subs, subscription{id: id, t: t, h: h})
+	})
 	return func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		for i, s := range b.subs {
-			if s.id == id {
-				b.subs = append(b.subs[:i], b.subs[i+1:]...)
-				return
+		b.update(func(subs []subscription) []subscription {
+			for i, s := range subs {
+				if s.id == id {
+					return append(subs[:i], subs[i+1:]...)
+				}
 			}
-		}
+			return subs
+		})
 	}
 }
 
-// Emit stamps and dispatches the event to matching handlers.
+// update publishes change applied to a copy of the subscriber list: a
+// list once published is never written again, so Emit reads it as is.
+func (b *Bus) update(change func([]subscription) []subscription) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var next []subscription
+	if cur := b.subs.Load(); cur != nil {
+		next = append(next, *cur...)
+	}
+	next = change(next)
+	b.subs.Store(&next)
+}
+
+// Emit stamps and dispatches the event to matching handlers, in the
+// order they subscribed, on the caller's goroutine.
 func (b *Bus) Emit(e Event) {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	if e.Payload == nil {
-		e.Payload = map[string]string{}
+	subs := b.subs.Load()
+	if subs == nil {
+		return
 	}
-	b.mu.RLock()
-	subs := make([]subscription, len(b.subs))
-	copy(subs, b.subs)
-	b.mu.RUnlock()
-	for _, s := range subs {
+	for _, s := range *subs {
 		if s.t == "" || s.t == e.Type {
 			s.h(e)
 		}

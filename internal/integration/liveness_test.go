@@ -87,8 +87,8 @@ func TestExpiredLeasePeerIsQueuedForNotBlackHoled(t *testing.T) {
 	if !ok {
 		t.Fatalf("queued slice never delivered after re-login (relay %+v)", rly.Metrics())
 	}
-	if string(e.Data) != "while you were out" || e.Payload["authenticated"] != "true" {
-		t.Fatalf("bob got %q (auth=%s)", e.Data, e.Payload["authenticated"])
+	if string(e.Data) != "while you were out" || e.Attr("authenticated") != "true" {
+		t.Fatalf("bob got %q (auth=%s)", e.Data, e.Attr("authenticated"))
 	}
 	waituntil.True(5*time.Second, func() bool { return rly.QueuedTotal() == 0 })
 	if got := rly.QueuedTotal(); got != 0 {

@@ -72,8 +72,8 @@ func TestQueuedSliceFollowsPeerToPartnerBroker(t *testing.T) {
 		t.Fatalf("queued slice never followed bob to the partner broker (origin relay %+v, partner relay %+v, partner sees bob online=%v)",
 			rlyA.Metrics(), rlyB.Metrics(), brB.PeerOnline(bob.PeerID()))
 	}
-	if string(e.Data) != "follow me" || e.Payload["authenticated"] != "true" {
-		t.Fatalf("bob got %q (auth=%s)", e.Data, e.Payload["authenticated"])
+	if string(e.Data) != "follow me" || e.Attr("authenticated") != "true" {
+		t.Fatalf("bob got %q (auth=%s)", e.Data, e.Attr("authenticated"))
 	}
 
 	waituntil.True(5*time.Second, func() bool { return rlyA.QueuedTotal() == 0 })

@@ -120,8 +120,8 @@ func runCrashRecovery(t *testing.T, point wal.FaultPoint) {
 	}
 	seen := map[string]bool{}
 	for _, e := range got {
-		if e.Payload["authenticated"] != "true" {
-			t.Fatalf("recovered slice not authenticated: %+v", e.Payload)
+		if e.Attr("authenticated") != "true" {
+			t.Fatalf("recovered slice not authenticated: %v", e.Attrs())
 		}
 		if seen[string(e.Data)] {
 			t.Fatalf("duplicate delivery of %q", e.Data)

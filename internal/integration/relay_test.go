@@ -88,8 +88,8 @@ func TestRelayedRoundSurvivesChurn(t *testing.T) {
 		if !ok {
 			t.Fatalf("online member %s never received its slice", c.Username())
 		}
-		if string(e.Data) != "survives churn" || e.Payload["authenticated"] != "true" {
-			t.Fatalf("online member %s got %q (auth=%s)", c.Username(), e.Data, e.Payload["authenticated"])
+		if string(e.Data) != "survives churn" || e.Attr("authenticated") != "true" {
+			t.Fatalf("online member %s got %q (auth=%s)", c.Username(), e.Data, e.Attr("authenticated"))
 		}
 	}
 
@@ -107,11 +107,11 @@ func TestRelayedRoundSurvivesChurn(t *testing.T) {
 		if !ok {
 			t.Fatalf("returning member %s never received its queued slice", c.Username())
 		}
-		if string(e.Data) != "survives churn" || e.Payload["authenticated"] != "true" {
-			t.Fatalf("returning member %s got %q (auth=%s)", c.Username(), e.Data, e.Payload["authenticated"])
+		if string(e.Data) != "survives churn" || e.Attr("authenticated") != "true" {
+			t.Fatalf("returning member %s got %q (auth=%s)", c.Username(), e.Data, e.Attr("authenticated"))
 		}
-		if e.Payload["mode"] != core.ModeSlice.String() {
-			t.Fatalf("returning member %s got mode %s, want %s", c.Username(), e.Payload["mode"], core.ModeSlice)
+		if e.Attr("mode") != core.ModeSlice.String() {
+			t.Fatalf("returning member %s got mode %s, want %s", c.Username(), e.Attr("mode"), core.ModeSlice)
 		}
 	}
 	waituntil.True(5*time.Second, func() bool { return rly.QueuedTotal() == 0 })

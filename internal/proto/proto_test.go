@@ -41,3 +41,19 @@ func TestResponsesCarryExtraElements(t *testing.T) {
 		t.Fatalf("groups = %q", v)
 	}
 }
+
+// TestRosterLines: a roster is its peers' "ID|username|status" lines
+// joined by newlines, as one buffer.
+func TestRosterLines(t *testing.T) {
+	var roster []byte
+	roster = AppendRosterLine(roster, "urn:jxta:cbid-a", "alice", "online")
+	roster = AppendRosterLine(roster, "urn:jxta:cbid-b", "bob", "offline")
+	if want := "urn:jxta:cbid-a|alice|online\nurn:jxta:cbid-b|bob|offline"; string(roster) != want {
+		t.Fatalf("roster %q, want %q", roster, want)
+	}
+	for name, want := range map[string]bool{"alice": true, "Ana María": true, "": false, "a|b": false, "a\nb": false, "a\u0085": false} {
+		if ValidUsername(name) != want {
+			t.Errorf("ValidUsername(%q) = %v, want %v", name, !want, want)
+		}
+	}
+}

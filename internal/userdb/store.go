@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/proto"
 )
 
 // Password hashing parameters. Iterations are modest because every login
@@ -41,6 +42,9 @@ var (
 	ErrAuth   = errors.New("userdb: authentication failed")
 	ErrExists = errors.New("userdb: user already exists")
 	ErrNoUser = errors.New("userdb: no such user")
+	// ErrUsername refuses a username the peer roster cannot carry: empty,
+	// or holding '|' or a control character (proto.ValidUsername).
+	ErrUsername = errors.New("userdb: invalid username")
 )
 
 // User is one registered end user.
@@ -74,8 +78,8 @@ func NewStoreIter(iterations int) *Store {
 
 // Register adds a user with the given password and initial groups.
 func (s *Store) Register(username, password string, groups ...string) error {
-	if username == "" {
-		return errors.New("userdb: empty username")
+	if !proto.ValidUsername(username) {
+		return fmt.Errorf("%w: %q", ErrUsername, username)
 	}
 	salt, err := keys.RandomBytes(saltLen)
 	if err != nil {
@@ -228,7 +232,7 @@ func (s *Store) Load(r io.Reader) error {
 	defer s.mu.Unlock()
 	s.users = make(map[string]*User, len(users))
 	for _, u := range users {
-		if u.Username == "" || len(u.Salt) == 0 || len(u.Hash) == 0 || u.Iterations < 1 {
+		if !proto.ValidUsername(u.Username) || len(u.Salt) == 0 || len(u.Hash) == 0 || u.Iterations < 1 {
 			return fmt.Errorf("userdb: load: malformed record %q", u.Username)
 		}
 		s.users[u.Username] = u

@@ -3,9 +3,11 @@ package userdb
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,6 +62,40 @@ func TestRegisterDuplicate(t *testing.T) {
 	}
 	if err := s.Register("", "y"); err == nil {
 		t.Fatal("empty username accepted")
+	}
+}
+
+// TestRegisterRefusesRosterBreakingNames: a username is written into the
+// broker's peer roster as one "ID|username|status" line. A '|' in it would
+// shift the status a client reads, and a newline would inject a roster
+// line, so neither registers (nor loads from a saved store); nor does any
+// other control character.
+func TestRegisterRefusesRosterBreakingNames(t *testing.T) {
+	s := testStore()
+	for _, name := range []string{
+		"eve|online",
+		"eve\nurn:jxta:cbid-forged|admin|online",
+		"eve\r",
+		"eve\t",
+		"eve\x00",
+		"eve\x7f",
+		"eve\u0085",
+	} {
+		if err := s.Register(name, "pw"); !errors.Is(err, ErrUsername) {
+			t.Errorf("Register(%q) = %v, want ErrUsername", name, err)
+		}
+	}
+	for _, name := range []string{"alice", "Ana María", "user-01", "zoë"} {
+		if err := s.Register(name, "pw"); err != nil {
+			t.Errorf("Register(%q) = %v", name, err)
+		}
+	}
+	if got := len(s.Usernames()); got != 4 {
+		t.Fatalf("%d users stored, want the 4 valid ones", got)
+	}
+	saved := `[{"username":"eve|online","salt":"c2FsdA==","hash":"aGFzaA==","iterations":1,"groups":[]}]`
+	if err := testStore().Load(strings.NewReader(saved)); err == nil {
+		t.Fatal("a saved store with a roster-breaking username loaded")
 	}
 }
 

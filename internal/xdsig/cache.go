@@ -1,11 +1,11 @@
 package xdsig
 
 import (
+	"crypto/sha256"
 	"errors"
 	"time"
 
 	"jxtaoverlay/internal/cred"
-	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/lru"
 	"jxtaoverlay/internal/xmldoc"
 )
@@ -39,7 +39,7 @@ const DefaultVerifyCacheSize = 1024
 // per-link signature cache.
 type VerifyCache struct {
 	trust *cred.TrustStore
-	lru   *lru.Cache[string, *verifyEntry]
+	lru   *lru.Cache[verifyKey, *verifyEntry]
 }
 
 type verifyEntry struct {
@@ -56,7 +56,7 @@ func NewVerifyCache(trust *cred.TrustStore, capacity int) *VerifyCache {
 	if capacity <= 0 {
 		capacity = DefaultVerifyCacheSize
 	}
-	return &VerifyCache{trust: trust, lru: lru.New[string, *verifyEntry](capacity)}
+	return &VerifyCache{trust: trust, lru: lru.New[verifyKey, *verifyEntry](capacity)}
 }
 
 // TrustStore returns the trust store the cache verifies against.
@@ -66,26 +66,37 @@ func (vc *VerifyCache) TrustStore() *cred.TrustStore { return vc.trust }
 func (vc *VerifyCache) Stats() (hits, misses uint64) { return vc.lru.Stats() }
 
 // cacheKey derives the lookup key: document digest plus a fingerprint of
-// the signer's embedded key material. The key text is hashed as embedded
-// (no DER parse) — it only has to bind the cache entry to the exact
-// bytes that were verified, and those are what the digest covers.
-func cacheKey(doc *xmldoc.Element) (string, bool) {
+// the signer's embedded key material, in an array that needs no heap. The
+// key is hashed as embedded (its canonical element, no DER parse) — it
+// only has to bind the cache entry to the exact bytes that were verified,
+// and those are what the digest covers. Both canonical forms are memoized
+// on their elements, so a warm lookup hashes and allocates nothing else.
+func cacheKey(doc *xmldoc.Element) (key verifyKey, ok bool) {
 	sig := doc.Child(SignatureElement)
 	if sig == nil {
-		return "", false
+		return key, false
 	}
 	keyInfo := sig.Child("KeyInfo")
 	if keyInfo == nil {
-		return "", false
+		return key, false
 	}
 	leaf := keyInfo.Child(cred.ElementName)
 	if leaf == nil {
-		return "", false
+		return key, false
 	}
-	docDigest := keys.SHA256(doc.Canonical())
-	keyFP := keys.SHA256([]byte(leaf.ChildText("Key")))
-	return string(docDigest) + string(keyFP), true
+	keyElem := leaf.Child("Key")
+	if keyElem == nil {
+		return key, false
+	}
+	docDigest := sha256.Sum256(doc.Canonical())
+	keyFP := sha256.Sum256(keyElem.Canonical())
+	copy(key[:], docDigest[:])
+	copy(key[sha256.Size:], keyFP[:])
+	return key, true
 }
+
+// verifyKey is a cache key: two SHA-256 digests.
+type verifyKey [2 * sha256.Size]byte
 
 // VerifyTrusted is the cached equivalent of the package-level
 // VerifyTrusted. On a miss (or any structural shortfall) it runs the

@@ -161,8 +161,8 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 }
 
 // BenchmarkVerifyTrustedWarm is a trusted verification answered by the
-// cache: one digest of the memoized serialization and one map probe in
-// place of three RSA verifications.
+// cache: two digests of memoized serializations and one map probe, under a
+// key that needs no heap, in place of three RSA verifications.
 func BenchmarkVerifyTrustedWarm(b *testing.B) {
 	f := newFixture(b)
 	doc := pipeAdv()
@@ -184,5 +184,5 @@ func BenchmarkVerifyTrustedWarm(b *testing.B) {
 }
 
 func TestGateVerifyTrustedWarm(t *testing.T) {
-	perfgate.Run(t, BenchmarkVerifyTrustedWarm, 2, perfgate.NoLimit)
+	perfgate.Run(t, BenchmarkVerifyTrustedWarm, 0, perfgate.NoLimit)
 }
