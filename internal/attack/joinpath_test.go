@@ -52,24 +52,27 @@ func refusedAsUnsigned(err error) bool {
 func TestMintedPipeIDsRefused(t *testing.T) {
 	s := newSecureStack(t)
 	bob := s.join(t, "bob", "bob-secret-pw") // a resident
-	mallory := s.join(t, "mallory", "mallory-pw")
 	bobEvents := events.NewCollector(bob.Bus())
+	mallory := s.join(t, "mallory", "mallory-pw")
 	ctx := testCtx(t)
-	// bob holds mallory's legitimate records before the attack starts: her
-	// pipe advertisement and her login's presence record. The broker pushes
-	// the two separately, each on a fabric goroutine of its own, so either
-	// may land last.
+	// bob holds mallory's legitimate record before the attack starts, her
+	// pipe advertisement, and has been told of her login: a presence
+	// notice, which leaves no record. The broker pushes the two
+	// separately, each on a fabric goroutine of its own, so either may
+	// land last.
 	malloryPipe := advert.GroupPipeID(mallory.PeerID(), "math")
-	malloryPresence := (&advert.Presence{PeerID: mallory.PeerID(), Group: "math"}).AdvID()
 	waituntil.Must(t, 5*time.Second, func() bool {
 		_, errPipe := bob.Cache().Lookup(advert.TypePipe, malloryPipe)
-		_, errPresence := bob.Cache().Lookup(advert.TypePresence, malloryPresence)
-		return errPipe == nil && errPresence == nil
+		told := false
+		for _, e := range bobEvents.OfType(events.PresenceUpdate) {
+			told = told || e.From == mallory.PeerID() && e.Attr("status") == advert.StatusOnline
+		}
+		return errPipe == nil && told
 	}, "bob never received mallory's pipe advertisement and presence")
 	brokerLen, bobLen := s.br.Cache().Len(), bob.Cache().Len()
-	// Those two and bob's own pipe: nothing else is in flight to bob.
-	if bobLen != 3 {
-		t.Fatalf("bob holds %d records before the attack, want 3: his pipe, mallory's pipe and her presence", bobLen)
+	// That and bob's own pipe: nothing else is in flight to bob.
+	if bobLen != 2 {
+		t.Fatalf("bob holds %d records before the attack, want 2: his pipe and mallory's", bobLen)
 	}
 
 	for i := 0; i < 1000; i++ {

@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -33,7 +32,6 @@ import (
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/parallel"
 	"jxtaoverlay/internal/peergroup"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
@@ -554,7 +552,7 @@ func (b *Broker) registerPeerAt(id keys.PeerID, username string, groups []string
 		b.fedBroadcast(peerUpMessage(info))
 	}
 	b.Audit(audit.Event{Kind: audit.KindPeerUp, Peer: string(id), Op: "presence", Reason: presenceOrigin(origin)})
-	b.ctl.Emit(events.PresenceUpdate, id, "", map[string]string{"user": username, "status": advert.StatusOnline}, nil)
+	b.ctl.Bus().Emit(events.Event{Type: events.PresenceUpdate, From: id, User: username, Status: advert.StatusOnline})
 }
 
 // UnregisterPeer removes a peer from the network view.
@@ -634,7 +632,7 @@ func (b *Broker) unregisterPeerAt(id keys.PeerID, announce bool, session time.Ti
 		reason = presenceOrigin(origin)
 	}
 	b.Audit(audit.Event{Kind: audit.KindPeerDown, Peer: string(id), Op: "presence", Reason: reason})
-	b.ctl.Emit(events.PresenceUpdate, id, "", map[string]string{"user": username, "status": advert.StatusOffline}, nil)
+	b.ctl.Bus().Emit(events.Event{Type: events.PresenceUpdate, From: id, User: username, Status: advert.StatusOffline})
 }
 
 // presenceOrigin labels a presence audit record's provenance.
@@ -758,7 +756,7 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	}
 	b.advsPublished.Add(1)
 	if group != "" {
-		b.PropagateAdv(doc, group, from)
+		b.pushLocal(advPush(doc), group, from)
 	}
 	b.forwardAdvToFederation(doc, from)
 	tr.End(sp, trace.OutcomeOK)
@@ -805,52 +803,56 @@ func advGroup(adv advert.Advertisement) string {
 	}
 }
 
-// PropagateAdv pushes an advertisement document to every locally
-// connected online member of the group except the source — the broker's
-// "distribute data beyond boundaries" role. Members on federated
-// brokers are reached by their own broker after forwardAdvToFederation.
-func (b *Broker) PropagateAdv(doc *xmldoc.Element, group string, except keys.PeerID) {
-	b.propagateLocal(doc, group, except)
-}
-
-func (b *Broker) propagateLocal(doc *xmldoc.Element, group string, except keys.PeerID) {
-	// The canonical bytes are rendered once (memoized on the document)
-	// and shared by every recipient's message.
-	push := endpoint.NewMessage().
+// advPush is the push of an advertisement document. Its canonical bytes
+// are rendered once (memoized on the document) and shared by every
+// recipient's frame.
+func advPush(doc *xmldoc.Element) *endpoint.Message {
+	return endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpAdvPush).
 		Add(proto.ElemAdv, doc.Canonical())
-	var targets []keys.PeerID
-	for _, p := range b.OnlinePeers(group) {
-		if p.ID == except || !p.Local() {
-			continue
-		}
-		targets = append(targets, p.ID)
-	}
-	if len(targets) == 1 {
-		_ = b.ep.Send(targets[0], proto.ClientService, push)
-		return
-	}
-	// Fan the sends out in parallel: large groups should pay the wire
-	// latency of one recipient, not the sum of all of them.
-	parallel.ForEach(sendParallelism, len(targets), func(i int) {
-		_ = b.ep.Send(targets[i], proto.ClientService, push)
-	})
 }
 
-// sendParallelism bounds concurrent recipient sends in group fan-outs.
-// Sends are latency-bound (wire time, not CPU), so the floor is above
-// one core — distinct from core's CPU-bound fanOutParallelism.
-var sendParallelism = max(4, runtime.GOMAXPROCS(0))
-
-func (b *Broker) pushPresence(id keys.PeerID, username, group, status string) {
-	pres := &advert.Presence{PeerID: id, Name: username, Group: group, Status: status, Seen: b.Now()}
-	doc, err := pres.Document()
+// pushLocal sends msg to every locally connected online member of group
+// but except (the member the push is from or about), one after another:
+// Send hands a frame to the fabric and does not wait for its delivery, so
+// a goroutine per member would buy nothing. This is the broker's "distribute data beyond boundaries" role;
+// members on federated brokers are reached by their own broker.
+func (b *Broker) pushLocal(msg *endpoint.Message, group string, except keys.PeerID) {
+	g, err := b.groups.Get(group)
 	if err != nil {
 		return
 	}
-	// One document, built once: indexed as it is and pushed as it is.
-	b.ctl.Cache().PutParsed(doc, pres)
-	b.propagateLocal(doc, group, id)
+	var room [32]keys.PeerID
+	targets := g.AppendMemberIDs(room[:0])
+	n := 0
+	b.mu.RLock()
+	for _, id := range targets {
+		if p := b.peers[id]; p != nil && p.Online && p.Local() && id != except {
+			targets[n] = id
+			n++
+		}
+	}
+	b.mu.RUnlock()
+	for _, id := range targets[:n] {
+		_ = b.ep.Send(id, proto.ClientService, msg)
+	}
+}
+
+// pushPresence records a peer's presence in a group and tells the
+// group's other local members. The broker's record is a presence
+// advertisement, answering lookups; the members get a notice of its four
+// fields, which they read without a parse and keep nothing of.
+func (b *Broker) pushPresence(id keys.PeerID, username, group, status string) {
+	pres := &advert.Presence{PeerID: id, Name: username, Group: group, Status: status, Seen: b.Now()}
+	if doc, err := pres.Document(); err == nil {
+		b.ctl.Cache().PutParsed(doc, pres)
+	}
+	b.pushLocal(endpoint.NewMessage().
+		AddString(proto.ElemOp, proto.OpPresencePush).
+		AddString(proto.ElemPeer, string(id)).
+		AddString(proto.ElemGroup, group).
+		AddString(proto.ElemUser, username).
+		AddString(proto.ElemStatus, status), group, id)
 }
 
 func (b *Broker) handleLookupAdv(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {

@@ -165,7 +165,7 @@ func (b *Broker) handleFedAdv(from keys.PeerID, msg *endpoint.Message) *endpoint
 	b.fedAdvsAccepted.Add(1)
 	// Propagate to local members only; never re-forward (loop guard).
 	if group := advGroup(adv); group != "" {
-		b.propagateLocal(doc, group, keys.PeerID(src))
+		b.pushLocal(advPush(doc), group, keys.PeerID(src))
 	}
 	return nil
 }

@@ -12,7 +12,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -440,7 +439,9 @@ func parsePeerList(resp *endpoint.Message) []PeerSummary {
 
 // PublishAdv publishes an advertisement to the broker, which indexes it
 // and propagates it to the relevant group. When an advertisement signer
-// is installed (security extension) the document is signed first.
+// is installed (security extension) the document is signed first. The
+// local cache keeps the advertisement it was serialized from: nothing
+// parses what was just built.
 func (c *Client) PublishAdv(ctx context.Context, adv advert.Advertisement) error {
 	doc, err := adv.Document()
 	if err != nil {
@@ -449,7 +450,10 @@ func (c *Client) PublishAdv(ctx context.Context, adv advert.Advertisement) error
 	if err := c.signAdv(doc); err != nil {
 		return err
 	}
-	return c.PublishAdvDoc(ctx, doc)
+	if err := c.ctl.Cache().PutParsed(doc, adv); err != nil {
+		return err
+	}
+	return c.publish(ctx, doc)
 }
 
 // PublishAdvDoc publishes a raw advertisement document (used by the
@@ -458,6 +462,11 @@ func (c *Client) PublishAdvDoc(ctx context.Context, doc *xmldoc.Element) error {
 	if _, err := c.ctl.Cache().Put(doc); err != nil {
 		return err
 	}
+	return c.publish(ctx, doc)
+}
+
+// publish sends a cached document to the broker.
+func (c *Client) publish(ctx context.Context, doc *xmldoc.Element) error {
 	msg := endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpPublishAdv).
 		Add(proto.ElemAdv, doc.Canonical())
@@ -526,28 +535,19 @@ func (c *Client) fetchPipe(ctx context.Context, peer keys.PeerID, group string) 
 	return pipeAdv, doc, nil
 }
 
+// cacheAdvResponse caches the advertisement a broker answered with. The
+// cache copies what it parses (a view would keep the whole frame alive as
+// long as the record), or refreshes the record the same bytes parsed to.
 func (c *Client) cacheAdvResponse(resp *endpoint.Message) (advert.Advertisement, *xmldoc.Element, error) {
 	raw, ok := resp.Get(proto.ElemAdv)
 	if !ok {
 		return nil, nil, ErrNoPipe
 	}
-	return c.cacheAdv(raw)
-}
-
-// cacheAdv parses and caches an advertisement received in a frame. The
-// parsed tree and advertisement are views of what they were parsed from
-// and stay in the cache for the advertisement's lifetime, so they are
-// parsed from a copy: a view would keep the whole frame alive as long.
-func (c *Client) cacheAdv(raw []byte) (advert.Advertisement, *xmldoc.Element, error) {
-	doc, err := xmldoc.ParseCanonical(bytes.Clone(raw))
+	rec, err := c.ctl.Cache().PutCanonical(raw)
 	if err != nil {
 		return nil, nil, err
 	}
-	adv, err := c.ctl.Cache().Put(doc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return adv, doc, nil
+	return rec.Adv, rec.Doc, nil
 }
 
 // --- messenger primitives ---
@@ -704,11 +704,12 @@ func (c *Client) openSecure(h EnvelopeHandler, group string, from keys.PeerID, m
 	h(group, from, msg)
 }
 
-// onBrokerPush handles advertisements propagated by the broker and
-// relay-delivered round slices.
+// onBrokerPush handles the broker's pushes: presence notices,
+// propagated advertisements and relay-delivered round slices.
 func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 	op, _ := msg.Get(proto.ElemOp)
-	if string(op) == proto.OpSliceDeliver {
+	switch string(op) {
+	case proto.OpSliceDeliver:
 		// A per-recipient round slice cut by the broker relay — either a
 		// live push or a queued item drained at login. The claimed origin
 		// is the submitting peer (unauthenticated here — the signed sender
@@ -723,30 +724,55 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 		h := c.onSliceWire
 		c.mu.RUnlock()
 		c.openSecure(h, group, keys.PeerID(origin), msg)
-		return nil
-	}
-	if string(op) != proto.OpAdvPush {
-		return nil
-	}
-	raw, ok := msg.Get(proto.ElemAdv)
-	if !ok {
-		return nil
-	}
-	adv, _, err := c.cacheAdv(raw)
-	if err != nil {
-		return nil
-	}
-	switch a := adv.(type) {
-	case *advert.Presence:
-		c.ctl.Emit(events.PresenceUpdate, a.PeerID, a.Group, map[string]string{
-			"user": a.Name, "status": a.Status,
-		}, nil)
-	case *advert.FileList:
-		c.ctl.Emit(events.FileIndexUpdated, a.PeerID, a.Group, nil, nil)
-	case *advert.Group:
-		c.ctl.Emit(events.GroupUpdated, a.Creator, a.Name, map[string]string{"action": "advertised"}, nil)
+	case proto.OpPresencePush:
+		c.onPresence(msg)
+	case proto.OpAdvPush:
+		raw, ok := msg.Get(proto.ElemAdv)
+		if !ok {
+			return nil
+		}
+		rec, err := c.ctl.Cache().PutCanonical(raw)
+		if err != nil {
+			return nil
+		}
+		switch a := rec.Adv.(type) {
+		case *advert.Presence:
+			c.ctl.Bus().Emit(events.Event{Type: events.PresenceUpdate, From: a.PeerID, Group: a.Group, User: a.Name, Status: a.Status})
+		case *advert.FileList:
+			c.ctl.Emit(events.FileIndexUpdated, a.PeerID, a.Group, nil, nil)
+		case *advert.Group:
+			c.ctl.Emit(events.GroupUpdated, a.Creator, a.Name, map[string]string{"action": "advertised"}, nil)
+		}
 	}
 	return nil
+}
+
+// onPresence emits the PresenceUpdate a broker's presence notice
+// announces, and caches nothing: the broker keeps the presence record. A
+// notice without a peer, or whose status is neither online nor offline,
+// is dropped.
+func (c *Client) onPresence(msg *endpoint.Message) {
+	peer, _ := msg.Get(proto.ElemPeer)
+	group, _ := msg.Get(proto.ElemGroup)
+	user, _ := msg.Get(proto.ElemUser)
+	status, _ := msg.Get(proto.ElemStatus)
+	var st string // the constant, so that the event holds no view and no copy
+	switch string(status) {
+	case advert.StatusOnline:
+		st = advert.StatusOnline
+	case advert.StatusOffline:
+		st = advert.StatusOffline
+	}
+	if len(peer) == 0 || st == "" {
+		return
+	}
+	c.ctl.Bus().Emit(events.Event{
+		Type:   events.PresenceUpdate,
+		From:   keys.PeerID(peer),
+		Group:  string(group),
+		User:   string(user),
+		Status: st,
+	})
 }
 
 // Close detaches the peer from the network and from telemetry, and

@@ -386,6 +386,7 @@ func TestSendReachesRecipientAfterRejoin(t *testing.T) {
 	alice := h.client("alice")
 	bob := h.client("bob")
 	h.login(alice, "pw-alice")
+	aliceEvents := events.NewCollector(alice.Bus())
 	h.login(bob, "pw-bob")
 	bobEvents := events.NewCollector(bob.Bus())
 	ctx := testCtx(t)
@@ -422,20 +423,33 @@ func TestSendReachesRecipientAfterRejoin(t *testing.T) {
 		// The re-join's pushes (presence off, presence on, pipe) land on
 		// alice late and in any order, but each replaces a record she
 		// already holds: once both of bob's are there, no key is missing.
+		// alice holds bob's pipe record and has been told of each of his
+		// logins: a presence notice, which leaves no record.
 		settled := func() bool {
-			_, errPres := alice.Cache().Lookup(advert.TypePresence, string(bob.PeerID())+"/math")
 			_, errPipe := alice.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(bob.PeerID(), "math"))
-			return errPres == nil && errPipe == nil
+			return errPipe == nil && onlineNotices(aliceEvents, bob.PeerID(), "math") == 1+round
 		}
 		switch round {
 		case 1:
-			waituntil.Must(t, 5*time.Second, settled, "alice holds no presence and pipe record for bob")
+			waituntil.Must(t, 5*time.Second, settled, "alice holds no pipe record for bob, or was not told of his login")
 			aliceLen, brokerLen = alice.Cache().Len(), h.br.Cache().Len()
 		case 10:
-			waituntil.Must(t, 5*time.Second, settled, "alice holds no presence and pipe record for bob")
+			waituntil.Must(t, 5*time.Second, settled, "alice holds no pipe record for bob, or was not told of his login")
 			if a, b := alice.Cache().Len(), h.br.Cache().Len(); a != aliceLen || b != brokerLen {
 				t.Fatalf("records after re-join 10: alice %d, broker %d; after re-join 1: %d, %d", a, b, aliceLen, brokerLen)
 			}
 		}
 	}
+}
+
+// onlineNotices counts the PresenceUpdates c collected that announced
+// peer online in group.
+func onlineNotices(c *events.Collector, peer keys.PeerID, group string) int {
+	n := 0
+	for _, e := range c.OfType(events.PresenceUpdate) {
+		if e.From == peer && e.Group == group && e.Attr("status") == advert.StatusOnline {
+			n++
+		}
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -332,21 +333,7 @@ func TestGateDeliverFrame(t *testing.T) { perfgate.Run(t, BenchmarkDeliverFrame,
 // (BenchmarkReplayAdmitFull).
 func BenchmarkDeliverSlice(b *testing.B) {
 	r := benchRecipient(b)
-	senderID, err := keys.CBID(senderKP.Public())
-	if err != nil {
-		b.Fatal(err)
-	}
-	senderCred, err := cred.Issue(r.brokerKP, r.brokerCred.Subject, senderID, "sender", cred.RoleClient, senderKP.Public(), time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	doc, err := (&advert.Pipe{PipeID: advert.GroupPipeID(senderID, "bench"), PipeType: advert.PipeUnicast, PeerID: senderID, Group: "bench"}).Document()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := xdsig.Sign(doc, senderKP, senderCred, r.brokerCred); err != nil {
-		b.Fatal(err)
-	}
+	senderID, doc := r.senderPipe(b)
 	if _, err := r.s.Cache().Put(doc); err != nil {
 		b.Fatal(err)
 	}
@@ -391,6 +378,129 @@ func BenchmarkDeliverSlice(b *testing.B) {
 
 func TestGateDeliverSlice(t *testing.T) { perfgate.Run(t, BenchmarkDeliverSlice, 16, perfgate.NoLimit) }
 
+// BenchmarkPresenceNotice is a resident told of a join: the endpoint
+// parses the broker's presence notice and the client emits the
+// PresenceUpdate from its four elements — no document parsed, nothing
+// cached. What it allocates is the parsed Message and the event's peer,
+// group and user strings; the status is the package constant. The push
+// is delivered in the one buffer again and again: nothing on this path
+// writes to it or keeps a view of it.
+func BenchmarkPresenceNotice(b *testing.B) {
+	r := benchRecipient(b)
+	told := 0
+	r.s.Bus().Subscribe(events.PresenceUpdate, func(e events.Event) {
+		if e.From == "urn:jxta:cbid-joiner" && e.Group == "bench" && e.Attr("user") == "joiner" && e.Attr("status") == advert.StatusOnline {
+			told++
+		}
+	})
+	push, err := endpoint.BuildFrame(endpoint.Route{Src: "urn:jxta:cbid-broker", Service: proto.ClientService}, nil,
+		endpoint.Element{Name: proto.ElemOp, Data: []byte(proto.OpPresencePush)},
+		endpoint.Element{Name: proto.ElemPeer, Data: []byte("urn:jxta:cbid-joiner")},
+		endpoint.Element{Name: proto.ElemGroup, Data: []byte("bench")},
+		endpoint.Element{Name: proto.ElemUser, Data: []byte("joiner")},
+		endpoint.Element{Name: proto.ElemStatus, Data: []byte(advert.StatusOnline)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	records, parsed := r.s.Cache().Len(), advert.ParseCalls()
+	r.hop.deliver(simnet.Packet{Payload: push}) // the endpoint interns the broker's ID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.hop.deliver(simnet.Packet{Payload: push})
+	}
+	b.StopTimer()
+	if told != b.N+1 {
+		b.Fatalf("%d presence updates emitted for %d notices", told, b.N+1)
+	}
+	if p := advert.ParseCalls() - parsed; p != 0 {
+		b.Fatalf("%d advertisement parses handling %d presence notices, want none", p, b.N)
+	}
+	if got := r.s.Cache().Len(); got != records {
+		b.Fatalf("presence notices moved the cache %d -> %d records", records, got)
+	}
+}
+
+func TestGatePresenceNotice(t *testing.T) { perfgate.Run(t, BenchmarkPresenceNotice, 4, 20000) }
+
+// BenchmarkRepushedAdvertisement is a resident pushed, again, the signed
+// pipe advertisement it holds — what every resident is pushed when a
+// peer re-joins, since a re-join's advertisement is byte for byte the
+// last one. The cache finds the bytes it parsed the record from and puts
+// that record again, received now: the parsed Message and the new
+// Record, no copy and no parse. Nothing is verified here either way; a
+// pushed advertisement is verified where it is used.
+func BenchmarkRepushedAdvertisement(b *testing.B) {
+	r := benchRecipient(b)
+	_, doc := r.senderPipe(b)
+	push := advPushFrame(b, doc.Canonical())
+	r.hop.deliver(simnet.Packet{Payload: push}) // the first push parses and caches it
+	records, parsed := r.s.Cache().Len(), advert.ParseCalls()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.hop.deliver(simnet.Packet{Payload: push})
+	}
+	b.StopTimer()
+	if p := advert.ParseCalls() - parsed; p != 0 {
+		b.Fatalf("%d advertisement parses for %d byte-identical re-pushes, want none", p, b.N)
+	}
+	if got := r.s.Cache().Len(); got != records {
+		b.Fatalf("re-pushes moved the cache %d -> %d records", records, got)
+	}
+}
+
+// TestGateRepushedAdvertisement holds a byte-identical re-push to its
+// ceiling, and a push that differs in one byte — a byte of the signature
+// value, which the parse does not read — to a parse that replaces the
+// record, after which the old bytes are a stranger again.
+func TestGateRepushedAdvertisement(t *testing.T) {
+	perfgate.Run(t, BenchmarkRepushedAdvertisement, 2, 20000)
+
+	r := benchRecipient(t)
+	senderID, doc := r.senderPipe(t)
+	wire := bytes.Clone(doc.Canonical())
+	at := bytes.Index(wire, []byte("<SignatureValue>")) + len("<SignatureValue>")
+	other := bytes.Clone(wire)
+	other[at] ^= 1
+	held := func() []byte {
+		t.Helper()
+		rec, err := r.s.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(senderID, "bench"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec.Doc.Canonical()
+	}
+	for i, step := range []struct {
+		wire   []byte
+		parses uint64
+	}{{wire, 1}, {wire, 0}, {other, 1}, {other, 0}, {wire, 1}} {
+		parsed := advert.ParseCalls()
+		r.hop.deliver(simnet.Packet{Payload: advPushFrame(t, step.wire)})
+		if p := advert.ParseCalls() - parsed; p != step.parses {
+			t.Fatalf("push %d: %d parses, want %d", i, p, step.parses)
+		}
+		if !bytes.Equal(held(), step.wire) {
+			t.Fatalf("push %d: the cache holds other bytes than the last push's", i)
+		}
+		if n := r.s.Cache().Len(); n != 1 {
+			t.Fatalf("push %d: %d records, want the sender's pipe alone", i, n)
+		}
+	}
+}
+
+// advPushFrame is the broker's push of an advertisement's canonical bytes.
+func advPushFrame(tb testing.TB, wire []byte) []byte {
+	tb.Helper()
+	push, err := endpoint.BuildFrame(endpoint.Route{Src: "urn:jxta:cbid-broker", Service: proto.ClientService}, nil,
+		endpoint.Element{Name: proto.ElemOp, Data: []byte(proto.OpAdvPush)},
+		endpoint.Element{Name: proto.ElemAdv, Data: wire})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return push
+}
+
 // benchRecipientEnd is the receiving end of the delivery benchmarks: a
 // secure client of key pair recvKP on a transport of its own, trusting a
 // deployment whose administrator is mustKey(410) and whose broker is
@@ -404,7 +514,7 @@ type benchRecipientEnd struct {
 }
 
 // benchRecipient builds a benchRecipientEnd, closed when b ends.
-func benchRecipient(b *testing.B) *benchRecipientEnd {
+func benchRecipient(b testing.TB) *benchRecipientEnd {
 	dep, err := NewDeploymentFromKey(mustKey(410), "admin")
 	if err != nil {
 		b.Fatal(err)
@@ -437,3 +547,25 @@ func (t *oneHop) Attach(_ simnet.NodeID, h simnet.Handler) error { t.deliver = h
 func (t *oneHop) Detach(simnet.NodeID)                           {}
 func (t *oneHop) Attached(simnet.NodeID) bool                    { return true }
 func (t *oneHop) Send(_, _ simnet.NodeID, _ []byte) error        { return nil }
+
+// senderPipe is the group pipe advertisement of senderKP's peer in
+// "bench", signed under a credential r's broker issued.
+func (r *benchRecipientEnd) senderPipe(tb testing.TB) (keys.PeerID, *xmldoc.Element) {
+	tb.Helper()
+	senderID, err := keys.CBID(senderKP.Public())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	senderCred, err := cred.Issue(r.brokerKP, r.brokerCred.Subject, senderID, "sender", cred.RoleClient, senderKP.Public(), time.Hour)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	doc, err := (&advert.Pipe{PipeID: advert.GroupPipeID(senderID, "bench"), PipeType: advert.PipeUnicast, PeerID: senderID, Group: "bench"}).Document()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := xdsig.Sign(doc, senderKP, senderCred, r.brokerCred); err != nil {
+		tb.Fatal(err)
+	}
+	return senderID, doc
+}

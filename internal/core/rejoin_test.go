@@ -16,6 +16,7 @@ import (
 	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/events"
+	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/waituntil"
 )
 
@@ -31,13 +32,25 @@ func secureDelivered(c *events.Collector, text string) bool {
 	})
 }
 
+// onlineNotices counts the PresenceUpdates c collected that announced
+// peer online in group.
+func onlineNotices(c *events.Collector, peer keys.PeerID, group string) int {
+	n := 0
+	for _, e := range c.OfType(events.PresenceUpdate) {
+		if e.From == peer && e.Group == group && e.Attr("status") == advert.StatusOnline {
+			n++
+		}
+	}
+	return n
+}
+
 func TestSecureMsgReachesRecipientAfterRejoin(t *testing.T) {
 	h := newSecureHarness(t, true)
 	alice := h.secureClient("alice")
 	bob := h.secureClient("bob")
 	h.join(alice, "pw-alice")
-	h.join(bob, "pw-bob")
 	aliceEvents := events.NewCollector(alice.Bus())
+	h.join(bob, "pw-bob")
 	bobEvents := events.NewCollector(bob.Bus())
 	ctx := testCtx(t)
 
@@ -81,17 +94,18 @@ func TestSecureMsgReachesRecipientAfterRejoin(t *testing.T) {
 			t.Fatalf("round %d: reply from the re-joined peer not delivered", round)
 		}
 
+		// alice holds bob's pipe record and has been told of each of his
+		// logins: a presence notice, which leaves no record.
 		settled := func() bool {
-			_, errPres := alice.Cache().Lookup(advert.TypePresence, string(bob.PeerID())+"/math")
 			_, errPipe := alice.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(bob.PeerID(), "math"))
-			return errPres == nil && errPipe == nil
+			return errPipe == nil && onlineNotices(aliceEvents, bob.PeerID(), "math") == 1+round
 		}
 		switch round {
 		case 1:
-			waituntil.Must(t, 5*time.Second, settled, "alice holds no presence and pipe record for bob")
+			waituntil.Must(t, 5*time.Second, settled, "alice holds no pipe record for bob, or was not told of his login")
 			aliceLen, brokerLen = alice.Cache().Len(), h.br.Cache().Len()
 		case 10:
-			waituntil.Must(t, 5*time.Second, settled, "alice holds no presence and pipe record for bob")
+			waituntil.Must(t, 5*time.Second, settled, "alice holds no pipe record for bob, or was not told of his login")
 			if a, b := alice.Cache().Len(), h.br.Cache().Len(); a != aliceLen || b != brokerLen {
 				t.Fatalf("records after re-join 10: alice %d, broker %d; after re-join 1: %d, %d", a, b, aliceLen, brokerLen)
 			}

@@ -117,8 +117,7 @@ func TestRelayHundredRecipientsThirtyPercentOffline(t *testing.T) {
 		mu.Lock()
 		online[ids[i]] = true
 		mu.Unlock()
-		bus.Emit(events.Event{Type: events.PresenceUpdate, From: ids[i],
-			Payload: map[string]string{"status": advert.StatusOnline}})
+		bus.Emit(events.Event{Type: events.PresenceUpdate, From: ids[i], Status: advert.StatusOnline})
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

@@ -11,8 +11,9 @@
 // element's canonical memo is atomic, and xdsig verifies through
 // CanonicalSkip without detaching anything. A tree parsed from a received
 // frame is views of the bytes it was parsed from, so whoever caches one
-// parses it from a copy made for the cache (client.cacheAdv, the broker's
-// publish and federation ingest), not from the frame.
+// parses it from a copy made for the cache, not from the frame:
+// PutCanonical makes that copy itself; the broker's publish and federation
+// ingest make theirs before they verify.
 //
 // A record is replaced by the next one put under its (type, id) and
 // otherwise lives one advertisement lifetime: lookups drop an expired
@@ -20,16 +21,26 @@
 // passed since the last sweep — all by the clock of the peer the cache
 // belongs to, fixed when it is made.
 //
+// Advertisement bytes have one way in, PutCanonical, and it remembers
+// the bytes each record was parsed from. The same bytes again — a
+// re-join's deterministic pipe advertisement, pushed to every resident
+// that already holds it — refresh the record they parsed to, exactly as
+// a new parse would store it, without the copy or the parse. Nothing
+// here is verified either way: a cached document is verified where it is
+// used.
+//
 // Remote discovery — asking a broker for advertisements the local cache
 // lacks — lives in the client/broker modules; this package is the shared
 // storage layer.
 package discovery
 
 import (
+	"bytes"
 	"errors"
 	"sort"
 	"sync"
 	"time"
+	"unsafe"
 
 	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/xmldoc"
@@ -43,6 +54,11 @@ type Record struct {
 	Adv advert.Advertisement
 	// Received is when the record entered the cache.
 	Received time.Time
+
+	// wire is the bytes a PutCanonical record was parsed from, as a
+	// view of the record's own copy: its key in the cache's byWire index.
+	// Empty for a record put in parsed form.
+	wire string
 }
 
 // Expired reports whether the record has outlived its advertisement's
@@ -60,8 +76,12 @@ const sweepInterval = time.Minute
 // Cache is a concurrency-safe advertisement store. Expiry is lazy on the
 // read side and swept on the write side.
 type Cache struct {
-	mu        sync.RWMutex
-	recs      map[cacheKey]*Record
+	mu   sync.RWMutex
+	recs map[cacheKey]*Record
+	// byWire indexes each current PutCanonical record by its wire. An
+	// entry leaves with its record: every delete from recs, and every
+	// replace, goes through store or drop.
+	byWire    map[string]*Record
 	now       func() time.Time
 	lastSweep time.Time
 	swept     uint64
@@ -70,7 +90,41 @@ type Cache struct {
 // NewCache returns an empty cache that receives and expires records at
 // the time now reports: its peer's clock (endpoint.Service.Now).
 func NewCache(now func() time.Time) *Cache {
-	return &Cache{recs: make(map[cacheKey]*Record), now: now}
+	return &Cache{recs: make(map[cacheKey]*Record), byWire: make(map[string]*Record), now: now}
+}
+
+// PutCanonical stores the advertisement whose canonical document raw
+// holds — a view of a received frame, which it does not keep — and
+// returns the record. raw is copied and parsed with
+// xmldoc.ParseCanonical, unless it is exactly the bytes a fresh record
+// was parsed from: then that record is put again, received now, which
+// is what the copy and the parse would have stored.
+func (c *Cache) PutCanonical(raw []byte) (*Record, error) {
+	c.mu.Lock()
+	if rec := c.byWire[string(raw)]; rec != nil {
+		if now := c.now(); !rec.Expired(now) {
+			fresh := &Record{Doc: rec.Doc, Adv: rec.Adv, Received: now, wire: rec.wire}
+			c.store(fresh, now)
+			c.mu.Unlock()
+			return fresh, nil
+		}
+	}
+	c.mu.Unlock()
+	own := bytes.Clone(raw)
+	doc, err := xmldoc.ParseCanonical(own)
+	if err != nil {
+		return nil, err
+	}
+	adv, err := advert.Parse(doc)
+	if err != nil {
+		return nil, err
+	}
+	rec := &Record{Doc: doc, Adv: adv, wire: unsafe.String(unsafe.SliceData(own), len(own))}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec.Received = c.now()
+	c.store(rec, rec.Received)
+	return rec, nil
 }
 
 // Put parses and stores a document, replacing any record with the same
@@ -92,21 +146,42 @@ func (c *Cache) PutParsed(doc *xmldoc.Element, adv advert.Advertisement) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	if now.Sub(c.lastSweep) >= sweepInterval {
-		c.sweep(now)
-	}
-	c.recs[cacheKey{adv.AdvType(), adv.AdvID()}] = &Record{Doc: doc, Adv: adv, Received: now}
+	c.store(&Record{Doc: doc, Adv: adv, Received: now}, now)
 	return nil
 }
 
-// PutAdv serializes and stores an advertisement (unsigned path).
+// store puts rec in place of whatever its (type, id) held, at now,
+// sweeping first when a minute has passed since the last sweep.
+func (c *Cache) store(rec *Record, now time.Time) {
+	if now.Sub(c.lastSweep) >= sweepInterval {
+		c.sweep(now)
+	}
+	key := cacheKey{rec.Adv.AdvType(), rec.Adv.AdvID()}
+	if old := c.recs[key]; old != nil && old.wire != "" {
+		delete(c.byWire, old.wire)
+	}
+	c.recs[key] = rec
+	if rec.wire != "" {
+		c.byWire[rec.wire] = rec
+	}
+}
+
+// drop deletes the record stored under key, and its index entry.
+func (c *Cache) drop(key cacheKey) {
+	if rec := c.recs[key]; rec != nil && rec.wire != "" {
+		delete(c.byWire, rec.wire)
+	}
+	delete(c.recs, key)
+}
+
+// PutAdv serializes and stores an advertisement (unsigned path), as
+// PutParsed: adv is the cache's from here on.
 func (c *Cache) PutAdv(adv advert.Advertisement) error {
 	doc, err := adv.Document()
 	if err != nil {
 		return err
 	}
-	_, err = c.Put(doc)
-	return err
+	return c.PutParsed(doc, adv)
 }
 
 // ErrNotFound is returned by Lookup when no fresh record exists.
@@ -134,7 +209,7 @@ func (c *Cache) fresh(rec *Record) (*Record, error) {
 		return nil, ErrNotFound
 	}
 	if rec.Expired(c.now()) {
-		delete(c.recs, cacheKey{rec.Adv.AdvType(), rec.Adv.AdvID()})
+		c.drop(cacheKey{rec.Adv.AdvType(), rec.Adv.AdvID()})
 		return nil, ErrNotFound
 	}
 	return rec, nil
@@ -152,7 +227,7 @@ func (c *Cache) Find(advType string, match func(advert.Advertisement) bool) []*R
 			continue
 		}
 		if rec.Expired(now) {
-			delete(c.recs, key)
+			c.drop(key)
 			continue
 		}
 		if match == nil || match(rec.Adv) {
@@ -167,7 +242,7 @@ func (c *Cache) Find(advType string, match func(advert.Advertisement) bool) []*R
 func (c *Cache) Remove(advType, id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.recs, cacheKey{advType, id})
+	c.drop(cacheKey{advType, id})
 }
 
 // Sweep evicts every expired record and returns how many were removed.
@@ -182,7 +257,7 @@ func (c *Cache) sweep(now time.Time) int {
 	n := 0
 	for key, rec := range c.recs {
 		if rec.Expired(now) {
-			delete(c.recs, key)
+			c.drop(key)
 			n++
 		}
 	}

@@ -263,7 +263,8 @@ func cutField(data []byte, width int) (field, rest []byte, ok bool) {
 }
 
 // vocabulary is the fixed element-name vocabulary of the overlay
-// (internal/proto's and the user database's). A map lookup keyed by a
+// (internal/proto's and the user database's; TestVocabularyHoldsProto
+// fails on an internal/proto element name missing here). A map lookup keyed by a
 // converted byte slice does not allocate, so a hit costs no string; a
 // miss copies the name, which never pins the frame.
 var vocabulary = func(names ...string) map[string]string {
@@ -274,8 +275,8 @@ var vocabulary = func(names ...string) map[string]string {
 	return m
 }(
 	"op", "ok", "err", "user", "pass", "group", "groups", "desc", "adv", "advtype",
-	"advid", "peer", "peers", "keyword", "broker", "msg:body", "all",
-	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:env",
+	"advid", "peer", "peers", "keyword", "broker", "msg:body", "status", "all",
+	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:env", "sec:share",
 	"file:name", "file:chunk", "file:data", "file:size", "file:nchunks", "file:digest",
 	"task:name", "task:args", "task:out",
 	"relay:rcpt", "relay:direct", "relay:queued", "relay:skipped", "relay:handoff",

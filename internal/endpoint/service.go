@@ -25,10 +25,11 @@ type Transport interface {
 	Detach(id simnet.NodeID)
 	// Attached reports whether id is attached now (advisory).
 	Attached(id simnet.NodeID) bool
-	// Send hands frame to the fabric for delivery to to. When it returns
-	// nil the frame is the transport's, then the receiving handler's, and
-	// the sender neither reads nor writes it again; when it fails the
-	// frame is still the sender's.
+	// Send hands frame to the fabric for delivery to to, and does not
+	// wait for the delivery: a caller sending to many peers sends to one
+	// after another. When it returns nil the frame is the transport's,
+	// then the receiving handler's, and the sender neither reads nor
+	// writes it again; when it fails the frame is still the sender's.
 	Send(from, to simnet.NodeID, frame []byte) error
 }
 

@@ -3,12 +3,14 @@
 // react to events thrown by functions executed on message reception.
 //
 // An event's attributes are read through Event.Attr (or all at once,
-// Event.Attrs). Most kinds carry them in Payload, a small map. The one
-// event every delivery raises, SecureMessage, carries its attributes as
-// typed fields instead, so that a delivery allocates no map: Mode and User
-// are its "mode" and "user", and its "authenticated" is always "true" —
-// every SecureMessage's sender is authenticated (a plain MessageReceived
-// says "false" in its Payload).
+// Event.Attrs). Most kinds carry them in Payload, a small map. The event
+// every delivery raises, SecureMessage, and the one every join raises at
+// each resident, PresenceUpdate, carry theirs as typed fields instead, so
+// that neither allocates a map. A SecureMessage's Mode and User are its
+// "mode" and "user", and its "authenticated" is always "true" — every
+// SecureMessage's sender is authenticated (a plain MessageReceived says
+// "false" in its Payload). A PresenceUpdate's User and Status are its
+// "user" and "status".
 //
 // Emit reads its subscriber list without a lock and without a copy: the
 // list is published copy-on-write, so a handler that subscribes or
@@ -57,9 +59,9 @@ const (
 )
 
 // Event is one notification. Payload carries small string attributes;
-// Data carries an opaque body (e.g. message text). A SecureMessage carries
-// its attributes in Mode and User, not in Payload (see the package
-// comment); read any event's through Attr.
+// Data carries an opaque body (e.g. message text). A SecureMessage and a
+// PresenceUpdate carry their attributes in typed fields, not in Payload
+// (see the package comment); read any event's through Attr.
 type Event struct {
 	Type    Type
 	From    keys.PeerID
@@ -72,18 +74,34 @@ type Event struct {
 	// arrived in) and "user" (its sender's certified name).
 	Mode string
 	User string
+	// Status is a PresenceUpdate's "status" (advert.StatusOnline or
+	// StatusOffline); its User is the peer's user name.
+	Status string
 }
 
-// The attributes a SecureMessage carries as typed fields.
+// The attributes SecureMessage and PresenceUpdate carry as typed fields.
 const (
 	attrAuthenticated = "authenticated"
 	attrMode          = "mode"
 	attrUser          = "user"
+	attrStatus        = "status"
 )
+
+// typedAttrs names the attributes a kind carries as typed fields.
+func typedAttrs(t Type) []string {
+	switch t {
+	case SecureMessage:
+		return []string{attrAuthenticated, attrMode, attrUser}
+	case PresenceUpdate:
+		return []string{attrUser, attrStatus}
+	}
+	return nil
+}
 
 // Attr returns an attribute or "".
 func (e Event) Attr(key string) string {
-	if e.Type == SecureMessage {
+	switch e.Type {
+	case SecureMessage:
 		switch key {
 		case attrAuthenticated:
 			return "true"
@@ -92,6 +110,13 @@ func (e Event) Attr(key string) string {
 		case attrUser:
 			return e.User
 		}
+	case PresenceUpdate:
+		switch key {
+		case attrUser:
+			return e.User
+		case attrStatus:
+			return e.Status
+		}
 	}
 	return e.Payload[key]
 }
@@ -99,14 +124,13 @@ func (e Event) Attr(key string) string {
 // Attrs returns every attribute Attr reads, in a map of its own: for
 // printing and logging, not for a delivery's path.
 func (e Event) Attrs() map[string]string {
-	out := make(map[string]string, len(e.Payload)+3)
+	typed := typedAttrs(e.Type)
+	out := make(map[string]string, len(e.Payload)+len(typed))
 	for k, v := range e.Payload {
 		out[k] = v
 	}
-	if e.Type == SecureMessage {
-		for _, k := range [...]string{attrAuthenticated, attrMode, attrUser} {
-			out[k] = e.Attr(k)
-		}
+	for _, k := range typed {
+		out[k] = e.Attr(k)
 	}
 	return out
 }

@@ -112,6 +112,24 @@ func TestSecureMessageAttrs(t *testing.T) {
 	}
 }
 
+// TestPresenceUpdateAttrs: a PresenceUpdate's "user" and "status" are its
+// typed fields, read through Attr and Attrs under the names a payload used.
+func TestPresenceUpdateAttrs(t *testing.T) {
+	e := Event{Type: PresenceUpdate, User: "bob", Status: "online"}
+	want := map[string]string{"user": "bob", "status": "online"}
+	for k, v := range want {
+		if got := e.Attr(k); got != v {
+			t.Errorf("Attr(%q) = %q, want %q", k, got, v)
+		}
+	}
+	if got := e.Attrs(); !maps.Equal(got, want) {
+		t.Errorf("Attrs() = %v, want %v", got, want)
+	}
+	if e.Attr("authenticated") != "" || e.Attr("mode") != "" {
+		t.Errorf("a presence update read as %v", e.Attrs())
+	}
+}
+
 // TestEmitAllocatesNothing: dispatching an event to its subscribers copies
 // no subscriber list and makes no payload.
 func TestEmitAllocatesNothing(t *testing.T) {

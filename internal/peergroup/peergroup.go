@@ -44,14 +44,15 @@ func (g *Group) Members() []Member {
 	return out
 }
 
-// MemberIDs returns just the peer IDs, sorted.
-func (g *Group) MemberIDs() []keys.PeerID {
-	members := g.Members()
-	out := make([]keys.PeerID, len(members))
-	for i, m := range members {
-		out[i] = m.PeerID
+// AppendMemberIDs appends the members' peer IDs to dst, in no order,
+// and returns the extended slice: no allocation when dst has room.
+func (g *Group) AppendMemberIDs(dst []keys.PeerID) []keys.PeerID {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	for id := range g.members {
+		dst = append(dst, id)
 	}
-	return out
+	return dst
 }
 
 // Has reports whether the peer is a member.

@@ -97,9 +97,23 @@ func TestMembersSorted(t *testing.T) {
 	if len(m) != 3 || m[0].PeerID != "pA" || m[2].PeerID != "pC" {
 		t.Fatalf("Members = %v", m)
 	}
-	ids := g.MemberIDs()
-	if len(ids) != 3 || ids[1] != "pB" {
-		t.Fatalf("MemberIDs = %v", ids)
+}
+
+// AppendMemberIDs lists the members in no order, behind what dst holds,
+// and into dst's own room when it has enough.
+func TestAppendMemberIDs(t *testing.T) {
+	r := NewRegistry()
+	r.Create("g", "lab", "", "")
+	r.Join("lab", "pB", "b")
+	r.Join("lab", "pA", "a")
+	g, _ := r.Get("lab")
+	var room [4]keys.PeerID
+	ids := g.AppendMemberIDs(append(room[:0], "pX"))
+	if len(ids) != 3 || &ids[0] != &room[0] || ids[0] != "pX" {
+		t.Fatalf("AppendMemberIDs = %v", ids)
+	}
+	if !(ids[1] == "pA" && ids[2] == "pB" || ids[1] == "pB" && ids[2] == "pA") {
+		t.Fatalf("AppendMemberIDs = %v, want pX then pA and pB", ids)
 	}
 }
 

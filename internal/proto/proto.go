@@ -40,6 +40,7 @@ const (
 	ElemKeyword = "keyword"
 	ElemBroker  = "broker"
 	ElemBody    = "msg:body"
+	ElemStatus  = "status" // a presence notice's advert.StatusOnline or StatusOffline
 
 	// Security extension elements.
 	ElemChallenge = "sec:chall"
@@ -138,6 +139,11 @@ const (
 // Client-side push operations (functions the broker invokes on clients).
 const (
 	OpAdvPush = "advPush"
+	// OpPresencePush tells a client that a peer came online or went
+	// offline in a group: peer, group, user and status elements, no
+	// document. It is exactly as unauthenticated as the broker-built
+	// presence advertisement it replaced (SECURITY.md).
+	OpPresencePush = "presencePush"
 	// OpSliceDeliver pushes one per-recipient round slice cut by the
 	// broker relay (immediately, or from the offline queue at login).
 	OpSliceDeliver = "sliceDeliver"

@@ -107,7 +107,7 @@ func TestQueueAndFlushOnPresence(t *testing.T) {
 	// The login path: presence flips online, the bus announces it.
 	s.setOnline("bob", true)
 	col := events.NewCollector(bus)
-	bus.Emit(events.Event{Type: events.PresenceUpdate, From: "bob", Payload: map[string]string{"status": advert.StatusOnline}})
+	bus.Emit(events.Event{Type: events.PresenceUpdate, From: "bob", Status: advert.StatusOnline})
 	waitFor(t, func() bool { return len(s.got("bob")) == 3 })
 	// FIFO order survives the queue.
 	if got := s.got("bob"); got[0] != "m0" || got[1] != "m1" || got[2] != "m2" {
@@ -280,7 +280,7 @@ func TestConcurrentFlushEnqueueRace(t *testing.T) {
 	// The peer logs in while the senders are mid-burst.
 	time.Sleep(time.Millisecond)
 	s.setOnline("bob", true)
-	bus.Emit(events.Event{Type: events.PresenceUpdate, From: "bob", Payload: map[string]string{"status": advert.StatusOnline}})
+	bus.Emit(events.Event{Type: events.PresenceUpdate, From: "bob", Status: advert.StatusOnline})
 	wg.Wait()
 
 	waitFor(t, func() bool { return len(s.got("bob")) == senders*perSender })

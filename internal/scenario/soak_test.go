@@ -75,12 +75,13 @@ func TestJoinSoakLeavesNothingBehind(t *testing.T) {
 	}
 
 	// Every identity has a pipe and a presence record at the broker. A
-	// resident holds its own pipe, and the pipe and presence of everyone
-	// who logged in after it: the residents that followed and the pool.
+	// resident holds its own pipe, and the pipe of everyone who logged in
+	// after it: the residents that followed and the pool. Presence reaches
+	// a resident as a notice, which leaves no record.
 	wantBroker := float64(2 * (residents + pool))
 	wantClients := 0.0
 	for i := 0; i < residents; i++ {
-		wantClients += float64(1 + 2*(residents-1-i) + 2*pool)
+		wantClients += float64(1 + (residents - 1 - i) + pool)
 	}
 	var heapAfterFirst uint64
 	for cycle := 1; cycle <= cycles; cycle++ {
