@@ -49,12 +49,13 @@
 //   - Element.CanonicalSkip serializes a document minus selected direct
 //     children, so XMLdsig verification never deep-copies a document to
 //     detach its Signature.
-//   - internal/xdsig.VerifyCache and the cred.TrustStore signature cache
-//     memoize verification verdicts in digest-keyed, TTL-bounded LRUs
-//     (internal/lru); credential expiry is enforced on every lookup and
-//     failures are never cached. internal/core and internal/broker
-//     thread these caches through messaging, advertisement acceptance
-//     and the (parallel) group fan-out.
+//   - Each peer's cred.TrustStore keeps its verification verdicts —
+//     credential links and, through internal/xdsig.VerifyCache, signed
+//     documents — in one digest-keyed, TTL-bounded LRU (internal/lru);
+//     credential expiry is enforced on every lookup and failures are
+//     never stored. internal/core threads the store through messaging,
+//     advertisement acceptance, the credentialed requests and the
+//     (parallel) group fan-out.
 //   - Group fan-out seals ONE signed round per send and each member gets
 //     its own Merkle-bound slice of it (core.SealGroupDetached/OpenSlice),
 //     its key wrapped to the X25519 agreement key the member's client

@@ -53,9 +53,10 @@ type BrokerSecurity struct {
 	cfg BrokerConfig
 	b   *broker.Broker
 
-	// vcache memoizes advertisement verification verdicts: a broker
-	// re-verifies the same signed advertisement on every re-publication
-	// and federation forward, which the cache turns into a digest lookup.
+	// vcache verifies advertisements through the trust store's verdicts:
+	// a broker re-verifies the same signed advertisement on every
+	// re-publication and federation forward, which the store answers with
+	// a digest lookup.
 	vcache *xdsig.VerifyCache
 
 	// credWire is Cred_Br^Adm as secureConnection sends it, rendered once.
@@ -115,7 +116,7 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 	bs := &BrokerSecurity{
 		cfg:      cfg,
 		b:        b,
-		vcache:   xdsig.NewVerifyCache(cfg.Trust, 0),
+		vcache:   xdsig.NewVerifyCache(cfg.Trust),
 		credWire: credDoc.Canonical(),
 		issued:   lru.New[keys.PeerID, *issuedCred](issuedCredCapacity),
 		sids:     lru.NewWindow[string, struct{}](sidCapacity),
@@ -413,8 +414,8 @@ func (bs *BrokerSecurity) verifyAdv(doc *xmldoc.Element) (advert.Advertisement, 
 // diagnostics.
 func (bs *BrokerSecurity) VerifyCache() *xdsig.VerifyCache { return bs.vcache }
 
-// Trust returns the broker's trust store (telemetry reads its chain
-// cache statistics).
+// Trust returns the broker's trust store (telemetry reads its verdict
+// statistics).
 func (bs *BrokerSecurity) Trust() *cred.TrustStore { return bs.cfg.Trust }
 
 // CheckParsedAdvOwnership rejects signed advertisements whose signer is

@@ -77,7 +77,7 @@ const (
 	// for room beside the others, in no order at all.
 	seqWindow = 1024
 	// channelTableCap bounds each direction's table: as many peers as the
-	// client keeps advertisement verdicts for (xdsig.DefaultVerifyCacheSize).
+	// client keeps verdicts for (cred.StoreCapacity, two per peer).
 	channelTableCap = 1024
 	// handshakeEvery spaces what a stranger can make this peer do: accepts
 	// and re-sent accepts per (peer, group), refusals per channel.

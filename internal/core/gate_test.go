@@ -110,7 +110,7 @@ func BenchmarkFanOutRound(b *testing.B) {
 	}
 	body := make([]byte, 1024)
 	now := time.Now()
-	vc := xdsig.NewVerifyCache(trust, 256)
+	vc := xdsig.NewVerifyCache(trust)
 	eph, err := senderKP.NewRoundKey()
 	if err != nil {
 		b.Fatal(err)
@@ -532,7 +532,7 @@ func benchRecipient(b testing.TB) *benchRecipientEnd {
 		b.Fatal(err)
 	}
 	b.Cleanup(cl.Close)
-	r.s = &SecureClient{Client: cl, kp: recvKP, trust: trust, vcache: xdsig.NewVerifyCache(trust, 0)}
+	r.s = &SecureClient{Client: cl, kp: recvKP, trust: trust, vcache: xdsig.NewVerifyCache(trust)}
 	cl.SetEnvelopeHandlers(r.s.receiver(pipeForms), r.s.receiver(formSlice))
 	cl.Bus().Subscribe(events.SecureMessage, func(events.Event) { r.delivered++ })
 	return r

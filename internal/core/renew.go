@@ -59,8 +59,8 @@ func signedTime(at time.Time) string { return at.UTC().Format(time.RFC3339Nano) 
 
 // issuedCredential takes the credential out of a secureLogin or
 // secureRenew response and checks it is this peer's: its key and peer
-// ID, signed by the verified broker, valid now. A response without a
-// well-formed credential is the caller's rejected error.
+// ID, issued by the verified broker, the chain valid now. A response
+// without a well-formed credential is the caller's rejected error.
 func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Credential, rejected error) (*cred.Credential, error) {
 	credRaw, ok := resp.Get(proto.ElemCred)
 	if !ok {
@@ -79,7 +79,7 @@ func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Cre
 	if !issued.Key.Equal(s.kp.Public()) || issued.Subject != s.PeerID() {
 		return nil, ErrCredUnexpected
 	}
-	if err := issued.Verify(brCred.Key, s.Now()); err != nil {
+	if err := s.trust.VerifyChain(s.Now(), issued, brCred); err != nil {
 		return nil, ErrCredUnexpected
 	}
 	return issued, nil
@@ -118,13 +118,14 @@ func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
 // credentialedRequest is the broker half: the one verifier of requests
 // signed under a session credential. In order: body and signature
 // present; canonical parse under the op's root name; an embedded
-// credential; that credential issued by this broker and within validity;
-// the proof-of-possession signature over the whole body; the CBID
-// binding; a timestamp within two minutes of the broker clock. It
-// returns the parsed body and the verified credential, or the refusal
-// token. Once the request names a claimant every refusal is audited
-// (auditAuth's rule) — against the sender while the credential does not
-// parse, against the credential's subject after.
+// credential; that credential chained to this broker's own and within
+// validity (through the trust store: a credential seen before is not
+// verified again); the proof-of-possession signature over the whole
+// body; the CBID binding; a timestamp within two minutes of the broker
+// clock. It returns the parsed body and the verified credential, or the
+// refusal token. Once the request names a claimant every refusal is
+// audited (auditAuth's rule) — against the sender while the credential
+// does not parse, against the credential's subject after.
 func (bs *BrokerSecurity) credentialedRequest(from keys.PeerID, msg *endpoint.Message, root, kind, op string) (*xmldoc.Element, *cred.Credential, string) {
 	body, okBody := msg.Get(proto.ElemBody)
 	sig, okSig := msg.Get(proto.ElemSig)
@@ -148,7 +149,7 @@ func (bs *BrokerSecurity) credentialedRequest(from keys.PeerID, msg *endpoint.Me
 	ts, tsErr := time.Parse(time.RFC3339Nano, doc.ChildText("Timestamp"))
 	token := ""
 	switch {
-	case current.Issuer != bs.cfg.Credential.Subject || current.Verify(bs.cfg.KeyPair.Public(), now) != nil:
+	case bs.cfg.Trust.VerifyChain(now, current, bs.cfg.Credential) != nil:
 		token = proto.ErrBadCredential
 	case current.Key.Verify(body, sig) != nil:
 		token = proto.ErrBadSignature

@@ -75,10 +75,10 @@ type SecureClient struct {
 
 	replayGuard *ReplayGuard
 
-	// vcache memoizes VerifyTrusted verdicts on peers' signed pipe
-	// advertisements, so messaging the same peers repeatedly (or a group
-	// fan-out touching the same advertisements) pays RSA once per
-	// advertisement rather than once per message.
+	// vcache keeps VerifyTrusted verdicts on peers' signed pipe
+	// advertisements in the trust store, so messaging the same peers
+	// repeatedly (or a group fan-out touching the same advertisements)
+	// pays RSA once per advertisement rather than once per message.
 	vcache *xdsig.VerifyCache
 
 	// chans holds the session channels, both directions (channel.go);
@@ -142,7 +142,7 @@ func NewSecureClient(cl *client.Client, trust *cred.TrustStore, opts ...Option) 
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.vcache = xdsig.NewVerifyCache(trust, 0)
+	s.vcache = xdsig.NewVerifyCache(trust)
 	cl.SetEnvelopeHandlers(s.receiver(pipeForms), s.receiver(formSlice))
 	return s, nil
 }
@@ -337,7 +337,6 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 	s.sid = sid
 	s.brokerCred, s.brokerKey = brCred, brKey
 	s.mu.Unlock()
-	s.trust.AddIssuer(brCred, now)
 	s.Bus().Emit(events.Event{Type: events.BrokerVerified, From: brokerID, Payload: map[string]string{
 		"broker": brCred.SubjectName,
 	}})

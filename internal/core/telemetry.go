@@ -83,7 +83,7 @@ func RegisterBrokerTelemetry(reg *telemetry.Registry, b *broker.Broker, bs *Brok
 		"Expired advertisement records swept from the broker's index.",
 		func() float64 { return u(b.Cache().Swept()) })
 
-	// Security extension: replay guard, signature caches, parsers. The
+	// Security extension: replay guard, verdict store, parsers. The
 	// replay and parse counters are process-wide aggregates (see their
 	// packages); on a one-broker-per-process deployment they are broker
 	// totals, in tests they aggregate every instance.
@@ -122,22 +122,19 @@ func RegisterBrokerTelemetry(reg *telemetry.Registry, b *broker.Broker, bs *Brok
 		reg.GaugeFunc("core_leases",
 			"Presence leases currently live.",
 			func() float64 { return float64(bs.Leases()) })
-		if vc := bs.VerifyCache(); vc != nil {
-			reg.CounterFunc("xdsig_verify_cache_hits_total",
-				"Signature verifications skipped by the verify cache.",
-				func() float64 { h, _ := vc.Stats(); return u(h) })
-			reg.CounterFunc("xdsig_verify_cache_misses_total",
-				"Signature verifications that ran crypto (cache misses).",
-				func() float64 { _, m := vc.Stats(); return u(m) })
-		}
-		if ts := bs.Trust(); ts != nil {
-			reg.CounterFunc("cred_chain_cache_hits_total",
-				"Credential chain validations answered from cache.",
-				func() float64 { h, _ := ts.ChainCacheStats(); return u(h) })
-			reg.CounterFunc("cred_chain_cache_misses_total",
-				"Credential chain validations walked in full.",
-				func() float64 { _, m := ts.ChainCacheStats(); return u(m) })
-		}
+		ts := bs.Trust()
+		reg.CounterFunc("xdsig_verify_cache_hits_total",
+			"Signed documents answered from the trust store's verdicts.",
+			func() float64 { h, _ := ts.DocumentCacheStats(); return u(h) })
+		reg.CounterFunc("xdsig_verify_cache_misses_total",
+			"Signed documents verified in full (verdict misses).",
+			func() float64 { _, m := ts.DocumentCacheStats(); return u(m) })
+		reg.CounterFunc("cred_chain_cache_hits_total",
+			"Credential chain links answered from the trust store's verdicts.",
+			func() float64 { h, _ := ts.ChainCacheStats(); return u(h) })
+		reg.CounterFunc("cred_chain_cache_misses_total",
+			"Credential chain links verified by RSA (verdict misses).",
+			func() float64 { _, m := ts.ChainCacheStats(); return u(m) })
 	}
 
 	// Relay (store-and-forward) queues.

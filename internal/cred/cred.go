@@ -65,52 +65,27 @@ type Credential struct {
 	// Signature is the issuer's signature over the canonical body.
 	Signature []byte
 
-	// memo caches the canonical body and its digest. Credentials are
-	// immutable once built by Issue or Parse (Issue fills Signature in
-	// after signing, which the body excludes), so the memo never goes
-	// stale; code constructing Credential values by hand must not mutate
-	// identity fields afterwards.
-	memo atomic.Pointer[credMemo]
-}
-
-type credMemo struct {
-	body   []byte
-	digest []byte // SHA-256 of body, the verification-cache key material
+	// memo caches the canonical body. Credentials are immutable once
+	// built by Issue or Parse (Issue fills Signature in after signing,
+	// which the body excludes), so the memo never goes stale; code
+	// constructing Credential values by hand must not mutate identity
+	// fields afterwards.
+	memo atomic.Pointer[[]byte]
 }
 
 // body returns the canonical signing input: the credential document
 // without its Signature child.
 func (c *Credential) body() ([]byte, error) {
-	m, err := c.bodyMemo()
-	if err != nil {
-		return nil, err
-	}
-	return m.body, nil
-}
-
-func (c *Credential) bodyMemo() (*credMemo, error) {
 	if m := c.memo.Load(); m != nil {
-		return m, nil
+		return *m, nil
 	}
 	doc, err := c.document(false)
 	if err != nil {
 		return nil, err
 	}
 	body := doc.Canonical()
-	m := &credMemo{body: body, digest: keys.SHA256(body)}
-	c.memo.Store(m)
-	return m, nil
-}
-
-// Digest returns the SHA-256 digest of the canonical credential body
-// (signature excluded). It identifies the credential's content in the
-// verification caches.
-func (c *Credential) Digest() ([]byte, error) {
-	m, err := c.bodyMemo()
-	if err != nil {
-		return nil, err
-	}
-	return m.digest, nil
+	c.memo.Store(&body)
+	return body, nil
 }
 
 func (c *Credential) document(withSig bool) (*xmldoc.Element, error) {

@@ -1,6 +1,7 @@
 package cred
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -177,16 +178,10 @@ func TestTrustStoreVerify(t *testing.T) {
 	if err := ts.Verify(br, time.Now()); err != nil {
 		t.Fatalf("Verify broker: %v", err)
 	}
-	// Client credential is not verifiable until the broker is registered
-	// as an issuer.
-	if err := ts.Verify(cl, time.Now()); err == nil {
-		t.Fatal("client credential verified without issuer registration")
-	}
-	if err := ts.AddIssuer(br, time.Now()); err != nil {
-		t.Fatalf("AddIssuer: %v", err)
-	}
-	if err := ts.Verify(cl, time.Now()); err != nil {
-		t.Fatalf("Verify client after AddIssuer: %v", err)
+	// A client credential is the broker's to issue: alone it chains to no
+	// anchor, even once the broker's own credential has verified.
+	if err := ts.Verify(cl, time.Now()); !errors.Is(err, ErrUntrusted) {
+		t.Fatalf("client credential verified without its issuer: %v", err)
 	}
 }
 
@@ -196,12 +191,72 @@ func TestTrustStoreVerifyChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTrustStore: %v", err)
 	}
-	if err := ts.VerifyChain(time.Now(), cl, br); err != nil {
+	now := time.Now()
+	if err := ts.VerifyChain(now, cl, br); err != nil {
 		t.Fatalf("VerifyChain: %v", err)
 	}
-	// After a chain verification the broker is cached as issuer.
-	if _, ok := ts.IssuerKey(br.Subject); !ok {
-		t.Fatal("chain verification did not cache intermediate issuer")
+	// A verified chain vouches for no issuer outside it: cut to its leaf,
+	// the chain is refused.
+	if err := ts.VerifyChain(now, cl); !errors.Is(err, ErrUntrusted) {
+		t.Fatalf("leaf alone after its chain verified = %v, want ErrUntrusted", err)
+	}
+	// Nor does it outlive the broker's credential: a client credential
+	// valid for three hours, remembered through its chain, is refused
+	// ninety minutes later, when the broker's one-hour credential has run
+	// out — with the broker or without it.
+	long, err := Issue(brokerKP, br.Subject, mustID(t, clientKP), "alice", RoleClient, clientKP.Public(), 3*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.VerifyChain(now, long, br); err != nil {
+		t.Fatalf("VerifyChain: %v", err)
+	}
+	later := now.Add(90 * time.Minute)
+	if err := ts.VerifyChain(later, long, br); !errors.Is(err, ErrExpired) {
+		t.Fatalf("chain past its broker's NotAfter = %v, want ErrExpired", err)
+	}
+	if err := ts.VerifyChain(later, long); !errors.Is(err, ErrUntrusted) {
+		t.Fatalf("leaf alone past its broker's NotAfter = %v, want ErrUntrusted", err)
+	}
+}
+
+// TestTrustStoreClientIssuedLinkRefused: only an administrator or a broker
+// issues. A logged-in client holds a valid credential and the key it
+// certifies, so it can sign a credential for any key under any name; the
+// chain it builds — minted, its own, its broker's — verifies link by link
+// under the keys it carries. The issuer's role refuses it, and a database
+// credential, also administrator-issued, issues nothing either.
+func TestTrustStoreClientIssuedLinkRefused(t *testing.T) {
+	adm, br, cl := setup(t)
+	ts, err := NewTrustStore(adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	minted, err := Issue(clientKP, cl.Subject, mustID(t, otherKP), "alice", RoleClient, otherKP.Public(), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.VerifyChain(now, minted, cl, br); !errors.Is(err, ErrUntrusted) {
+		t.Fatalf("credential issued by a client = %v, want ErrUntrusted", err)
+	}
+	db, err := Issue(adminKP, adm.Subject, mustID(t, clientKP), "db", RoleDatabase, clientKP.Public(), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaDB, err := Issue(clientKP, db.Subject, mustID(t, otherKP), "alice", RoleClient, otherKP.Public(), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.VerifyChain(now, db); err != nil {
+		t.Fatalf("database credential: %v", err)
+	}
+	if err := ts.VerifyChain(now, viaDB, db); !errors.Is(err, ErrUntrusted) {
+		t.Fatalf("credential issued by a database = %v, want ErrUntrusted", err)
+	}
+	// The links under the minted one are sound, and still verify.
+	if err := ts.VerifyChain(now, cl, br); err != nil {
+		t.Fatalf("honest chain after the attempts: %v", err)
 	}
 }
 
@@ -242,16 +297,5 @@ func TestTrustStoreRejectsFakeBrokerCredential(t *testing.T) {
 	}
 	if err := ts.Verify(fake, time.Now()); err == nil {
 		t.Fatal("trust store verified a self-issued broker credential")
-	}
-}
-
-func TestIssuerKeyUnknown(t *testing.T) {
-	adm, _, _ := setup(t)
-	ts, _ := NewTrustStore(adm)
-	if _, ok := ts.IssuerKey("urn:jxta:cbid-deadbeef"); ok {
-		t.Fatal("IssuerKey returned key for unknown id")
-	}
-	if got := len(ts.Anchors()); got != 1 {
-		t.Fatalf("Anchors() len = %d", got)
 	}
 }

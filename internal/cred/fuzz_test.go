@@ -22,7 +22,7 @@ import (
 // exactly the bytes it was read from, so the signed body is what came in;
 // a share is exactly ShareSize bytes or the credential is refused; two
 // credentials that differ in any signed field, the share included, get
-// different chain-verdict cache keys; and what it allocates is bounded by
+// different link keys in the verdict store; and what it allocates is bounded by
 // the input's size.
 func FuzzParseCredential(f *testing.F) {
 	adm, br, cl := setup(f)
@@ -33,10 +33,6 @@ func FuzzParseCredential(f *testing.F) {
 	f.Add([]byte(strings.Replace(string(canonicalOf(f, cl)), base64.RawStdEncoding.EncodeToString(share[:]),
 		base64.RawStdEncoding.EncodeToString(share[:31]), 1)))
 
-	ts, err := NewTrustStore(adm)
-	if err != nil {
-		f.Fatal(err)
-	}
 	otherShare, _ := otherKP.Public().AgreementShare()
 
 	// What one parse may allocate: the element tree and a few copies of the
@@ -75,9 +71,9 @@ func FuzzParseCredential(f *testing.F) {
 		}
 
 		// Each variant differs from c in one signed field.
-		key := ts.chainKey([]*Credential{c, br})
-		if key == "" {
-			t.Fatal("no chain key for a parsed credential under a known root")
+		key, ok := linkKey(c, br.Key)
+		if !ok {
+			t.Fatal("no link key for a parsed credential")
 		}
 		flipped := bytes.Clone(c.Signature)
 		flipped[0] ^= 1
@@ -108,8 +104,8 @@ func FuzzParseCredential(f *testing.F) {
 		for name, edit := range variants {
 			v := c.Clone()
 			edit(v)
-			if ts.chainKey([]*Credential{v, br}) == key {
-				t.Fatalf("a credential with another %s has the same chain key", name)
+			if vk, _ := linkKey(v, br.Key); vk == key {
+				t.Fatalf("a credential with another %s has the same link key", name)
 			}
 		}
 	})

@@ -1,66 +1,60 @@
 package cred
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/lru"
 )
 
-// verifyCacheSize bounds the per-store cache of RSA signature verdicts.
-// Each entry is ~200 bytes of key material; 4096 entries comfortably
-// cover a broker re-validating the credential chains of thousands of
-// active peers.
-const verifyCacheSize = 4096
-
-// chainCacheSize bounds the per-store cache of whole-chain verdicts.
-// One entry per distinct signer chain; a deployment has one chain per
-// client credential, so 1024 covers about a thousand active signers.
-const chainCacheSize = 1024
+// StoreCapacity bounds a trust store's verdicts. A peer it hears from
+// costs two: its signed advertisement's and its credential's (the broker
+// link its chain ends in is shared by every client of that broker), so a
+// store keeps the verdicts of about a thousand peers.
+const StoreCapacity = 2048
 
 // TrustStore verifies credentials and credential chains against a set of
-// anchors. Every JXTA-Overlay peer is provisioned with the
+// anchors, and keeps everything it derives from them in one bounded
+// verdict store. Every JXTA-Overlay peer is provisioned with the
 // administrator's self-signed credential as its single anchor (paper
-// §4.1); brokers verified through it become intermediate issuers for
-// client credentials.
+// §4.1): the administrator issues broker credentials, brokers issue
+// client credentials, and a chain is trusted when each link verifies
+// under the next link's key and the last under an anchor's — on every
+// call, so that no earlier verdict stands in for an issuer the chain
+// does not carry.
+//
+// The store remembers successful verdicts of two kinds in one LRU, each
+// under a fixed-size key:
+//
+//   - a link: this credential's signature verifies under this issuer
+//     key. The key is a digest of every field the signing body covers
+//     (linkKey) plus the issuer key's fingerprint, so a hit needs no
+//     canonicalization and no RSA, and a credential differing in any
+//     signed field — or in its signature — misses.
+//   - a document: xdsig's verdict on a signed advertisement, under the
+//     document digest and the signer key's (LookupDocument).
+//
+// An entry carries its window: the latest NotBefore of what it vouches
+// for is checked on every hit and the earliest NotAfter is its expiry, so
+// expiry is honoured exactly as without the store. Failures are never
+// stored. A store is one trust domain: its document verdicts were reached
+// under its anchors.
 type TrustStore struct {
-	mu      sync.RWMutex
-	anchors map[keys.PeerID]*Credential
-	// issuers caches verified intermediate credentials (brokers) so a
-	// client credential can be verified without re-presenting the broker
-	// credential every time.
-	issuers map[keys.PeerID]*Credential
+	anchors  map[keys.PeerID]*Credential // fixed at construction
+	verdicts *lru.Cache[[64]byte, verdict]
 
-	// sigCache remembers successful RSA signature checks, keyed by
-	// (credential body digest, issuer key fingerprint, signature bytes).
-	// Only the expensive modular exponentiation is skipped on a hit: the
-	// validity window is always re-checked against the caller's clock, so
-	// an expired credential is rejected even when cached. Failed checks
-	// are never cached.
-	sigCache *lru.Cache[string, struct{}]
-
-	// chainCache remembers successful whole-chain verdicts across
-	// *documents*: two different advertisements signed by the same peer
-	// embed byte-identical credential chains, but each arrives as a
-	// freshly parsed Credential whose canonical body would have to be
-	// rebuilt to hit sigCache. The chain key is an injective encoding of
-	// every security-relevant field of every link (identity fields, key
-	// fingerprints, validity window, signature bytes) plus the resolved
-	// root issuer's key fingerprint — equivalent to keying on the body
-	// digests without paying canonicalization. Entries carry the chain's
-	// validity window (latest NotBefore checked on every hit, earliest
-	// NotAfter as the LRU expiry), so expiry is honored exactly as on
-	// the uncached path; failures are never cached.
-	chainCache *lru.Cache[string, *chainVerdict]
+	docHits, docMisses, linkHits, linkMisses atomic.Uint64
 }
 
-type chainVerdict struct {
-	// notBefore is the latest NotBefore across the chain; the entry's
-	// LRU expiry holds the earliest NotAfter.
+type verdict struct {
 	notBefore time.Time
+	// doc is a document verdict as its caller stored it; nil for a link.
+	doc any
 }
 
 // NewTrustStore creates a store trusting the given anchor credentials.
@@ -68,10 +62,8 @@ type chainVerdict struct {
 // are rejected.
 func NewTrustStore(anchors ...*Credential) (*TrustStore, error) {
 	ts := &TrustStore{
-		anchors:    make(map[keys.PeerID]*Credential),
-		issuers:    make(map[keys.PeerID]*Credential),
-		sigCache:   lru.New[string, struct{}](verifyCacheSize),
-		chainCache: lru.New[string, *chainVerdict](chainCacheSize),
+		anchors:  make(map[keys.PeerID]*Credential, len(anchors)),
+		verdicts: lru.New[[64]byte, verdict](StoreCapacity),
 	}
 	for _, a := range anchors {
 		if a.Subject != a.Issuer {
@@ -85,139 +77,94 @@ func NewTrustStore(anchors ...*Credential) (*TrustStore, error) {
 	return ts, nil
 }
 
-// AddIssuer records a credential as an intermediate issuer after
-// verifying it against the store at the caller's time now. Typically
-// called with a broker credential obtained during secureConnection.
-func (t *TrustStore) AddIssuer(c *Credential, now time.Time) error {
-	if err := t.Verify(c, now); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.issuers[c.Subject] = c
-	return nil
-}
-
-// IssuerKey returns the public key of a known anchor or verified
-// intermediate issuer.
-func (t *TrustStore) IssuerKey(id keys.PeerID) (*keys.PublicKey, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if a, ok := t.anchors[id]; ok {
-		return a.Key, true
-	}
-	if c, ok := t.issuers[id]; ok {
-		return c.Key, true
-	}
-	return nil, false
-}
-
-// Verify checks a single credential: its issuer must be a known anchor
-// or verified intermediate, and the signature and validity window must
-// hold. Signature verdicts are cached (see sigCache); the validity
-// window is enforced on every call.
+// Verify checks a single credential issued by an anchor: the chain of
+// one.
 func (t *TrustStore) Verify(c *Credential, now time.Time) error {
-	key, ok := t.IssuerKey(c.Issuer)
-	if !ok {
-		return fmt.Errorf("%w: issuer %q", ErrUntrusted, c.Issuer)
-	}
-	return t.verifyCached(c, key, now)
-}
-
-// verifyCached is Credential.Verify with the RSA work memoized in the
-// store's signature cache.
-func (t *TrustStore) verifyCached(c *Credential, issuerKey *keys.PublicKey, now time.Time) error {
-	if now.Before(c.NotBefore) || now.After(c.NotAfter) {
-		return ErrExpired
-	}
-	m, err := c.bodyMemo()
-	if err != nil {
-		return err
-	}
-	fp, err := issuerKey.Fingerprint()
-	if err != nil {
-		return err
-	}
-	// The signature bytes are part of the key: a same-body credential
-	// carrying a different (possibly forged) signature must never ride a
-	// previous verdict.
-	cacheKey := string(m.digest) + string(fp[:]) + string(c.Signature)
-	if _, ok := t.sigCache.Get(cacheKey, now); ok {
-		return nil
-	}
-	if err := issuerKey.Verify(m.body, c.Signature); err != nil {
-		return ErrBadSignature
-	}
-	// The verdict can outlive its usefulness past NotAfter; expire it
-	// there so the cache never vouches for a credential the window check
-	// would reject anyway.
-	t.sigCache.Put(cacheKey, struct{}{}, c.NotAfter)
-	return nil
+	return t.VerifyChain(now, c)
 }
 
 // VerifyChain checks a credential chain leaf-first: chain[0] must be
-// signed by chain[1]'s subject, and so on, with the last element's
-// issuer being a trust anchor. Every link's validity window is enforced.
-// On success the intermediates are cached as issuers.
-//
-// Verdicts are memoized across documents (see chainCache): verifying a
-// second advertisement by an already-known signer skips the per-link
-// RSA and canonicalization work entirely, leaving the document's own
-// leaf signature as cold verification's only RSA operation.
+// issued by chain[1]'s subject, and so on, with the last element issued
+// by an anchor. Every link's validity window is enforced, and every
+// issuer — chain[i+1], or the anchor for the last link — must be an
+// administrator or a broker: a client credential issues nothing.
 func (t *TrustStore) VerifyChain(now time.Time, chain ...*Credential) error {
 	if len(chain) == 0 {
-		return fmt.Errorf("cred: empty chain")
-	}
-	key := t.chainKey(chain)
-	if key != "" {
-		// A hit outside the validity window falls through to the slow
-		// path, which produces the precise per-link error.
-		if v, hit := t.chainCache.Get(key, now); hit && !now.Before(v.notBefore) {
-			t.rememberIssuers(chain)
-			return nil
-		}
+		return errors.New("cred: empty chain")
 	}
 	for i, c := range chain {
+		var issuer *Credential
 		if i+1 < len(chain) {
-			next := chain[i+1]
-			if c.Issuer != next.Subject {
-				return fmt.Errorf("cred: chain broken at %d: issuer %q != next subject %q", i, c.Issuer, next.Subject)
+			issuer = chain[i+1]
+			if c.Issuer != issuer.Subject {
+				return fmt.Errorf("cred: chain broken at %d: issuer %q != next subject %q", i, c.Issuer, issuer.Subject)
 			}
-			if err := t.verifyCached(c, next.Key, now); err != nil {
-				return fmt.Errorf("cred: chain link %d: %w", i, err)
-			}
-			continue
+		} else if issuer = t.anchors[c.Issuer]; issuer == nil {
+			return fmt.Errorf("cred: chain root: %w: issuer %q", ErrUntrusted, c.Issuer)
 		}
-		// Last link must chain to an anchor (or already-verified issuer).
-		if err := t.Verify(c, now); err != nil {
-			return fmt.Errorf("cred: chain root: %w", err)
+		if err := t.verifyLink(c, issuer, now); err != nil {
+			return fmt.Errorf("cred: chain link %d: %w", i, err)
 		}
-	}
-	t.rememberIssuers(chain)
-	if key != "" {
-		nb, na := ChainWindow(chain)
-		t.chainCache.Put(key, &chainVerdict{notBefore: nb}, na)
 	}
 	return nil
 }
 
-// rememberIssuers records the chain's intermediates as trusted issuers.
-func (t *TrustStore) rememberIssuers(chain []*Credential) {
-	if len(chain) < 2 {
-		return
+// verifyLink is Credential.Verify under issuer's key, with the RSA and
+// the canonicalization answered by the store when it holds the link.
+func (t *TrustStore) verifyLink(c, issuer *Credential, now time.Time) error {
+	if issuer.Role != RoleAdmin && issuer.Role != RoleBroker {
+		return fmt.Errorf("%w: issuer %q is a %s credential", ErrUntrusted, issuer.Subject, issuer.Role)
 	}
-	t.mu.Lock()
-	for _, c := range chain[1:] {
-		t.issuers[c.Subject] = c
+	if now.Before(c.NotBefore) || now.After(c.NotAfter) {
+		return ErrExpired
 	}
-	t.mu.Unlock()
+	key, ok := linkKey(c, issuer.Key)
+	if ok {
+		if _, hit := t.lookup(key, now, &t.linkHits, &t.linkMisses); hit {
+			return nil
+		}
+	}
+	if err := c.Verify(issuer.Key, now); err != nil {
+		return err
+	}
+	if ok {
+		t.verdicts.Put(key, verdict{notBefore: c.NotBefore}, c.NotAfter)
+	}
+	return nil
+}
+
+// lookup returns the verdict under key if it is live at now, counting the
+// hit or miss.
+func (t *TrustStore) lookup(key [64]byte, now time.Time, hits, misses *atomic.Uint64) (verdict, bool) {
+	v, ok := t.verdicts.Get(key, now)
+	if ok && !now.Before(v.notBefore) {
+		hits.Add(1)
+		return v, true
+	}
+	misses.Add(1)
+	return verdict{}, false
+}
+
+// LookupDocument returns the document verdict StoreDocument left under
+// key, if it is live at now.
+func (t *TrustStore) LookupDocument(key [64]byte, now time.Time) (any, bool) {
+	v, ok := t.lookup(key, now, &t.docHits, &t.docMisses)
+	return v.doc, ok
+}
+
+// StoreDocument remembers a successful verdict on a signed document whose
+// signer's chain — verified by this store — is chain, for that chain's
+// window. The key must bind every byte the verdict was reached on: xdsig
+// uses the document's digest and its signer key's.
+func (t *TrustStore) StoreDocument(key [64]byte, doc any, chain []*Credential) {
+	notBefore, notAfter := ChainWindow(chain)
+	t.verdicts.Put(key, verdict{notBefore: notBefore, doc: doc}, notAfter)
 }
 
 // ChainWindow returns a chain's combined validity window: the latest
-// NotBefore and the earliest NotAfter across all links. Every cache of
-// chain-derived verdicts (the store's own chain cache, xdsig's
-// document verification cache) must bound entry lifetime by exactly
-// this window.
+// NotBefore and the earliest NotAfter across all links. Everything that
+// outlives a chain's verification — a document verdict, a channel —
+// must live inside exactly this window.
 func ChainWindow(chain []*Credential) (notBefore, notAfter time.Time) {
 	for _, c := range chain {
 		if c.NotBefore.After(notBefore) {
@@ -230,68 +177,76 @@ func ChainWindow(chain []*Credential) (notBefore, notAfter time.Time) {
 	return notBefore, notAfter
 }
 
-// chainKey builds the chain-verdict cache key: for every link, a
-// length-prefixed (hence injective) encoding of each field the verdict
-// vouches for — identity fields, subject key fingerprint, the agreement
-// key the link certifies (none is the empty field), validity window and
-// signature bytes — plus the fingerprint of the resolved
-// root issuer key the last link was verified under. The encoding covers
-// exactly the fields the canonical signing body covers, so it is
-// equivalent to keying on the body digests without rebuilding and
-// canonicalizing a document tree per link. Returns "" when a key cannot
-// be built (e.g. the root issuer is unknown); callers then take the
-// slow path, which reports the precise error.
-func (t *TrustStore) chainKey(chain []*Credential) string {
-	rootKey, ok := t.IssuerKey(chain[len(chain)-1].Issuer)
-	if !ok {
-		return ""
+// linkLabel opens every link key's digest: a document key's digest is of
+// canonical XML, which begins with '<'.
+const linkLabel = "jxta-overlay/credential-link/v1\x00"
+
+// linkKey is the store key of the verdict "c's signature verifies under
+// issuerKey": the SHA-256 of a length-prefixed (hence injective) encoding
+// of each field the signing body covers — identity fields, the subject
+// key's fingerprint, the agreement key the credential certifies (none is
+// the empty field), the validity window to the nanosecond, and the
+// signature bytes — followed by the issuer key's fingerprint. Two
+// credentials with the same key have the same signing body and signature,
+// so it is as good as the body digest without building and
+// canonicalizing a document. A new credential field goes into the
+// signing body and into this encoding, or a credential differing only in
+// it rides the verdict of one that does not. ok is false when a key
+// cannot be fingerprinted; the caller then verifies without the store.
+func linkKey(c *Credential, issuerKey *keys.PublicKey) (key [64]byte, ok bool) {
+	if c.Key == nil || issuerKey == nil {
+		return key, false
 	}
-	rootFP, err := rootKey.Fingerprint()
+	fp, err := c.Key.Fingerprint()
 	if err != nil {
-		return ""
+		return key, false
 	}
-	buf := make([]byte, 0, 64+len(chain)*260)
-	buf = append(buf, rootFP[:]...)
-	for _, c := range chain {
-		if c.Key == nil {
-			return ""
-		}
-		fp, err := c.Key.Fingerprint()
-		if err != nil {
-			return ""
-		}
-		share, certified := c.Key.AgreementShare()
-		agree := share[:0]
-		if certified {
-			agree = share[:]
-		}
-		for _, field := range [][]byte{
-			[]byte(c.Subject), []byte(c.SubjectName), []byte(c.Role),
-			[]byte(c.Issuer), fp[:], agree,
-			binary.BigEndian.AppendUint64(nil, uint64(c.NotBefore.UnixNano())),
-			binary.BigEndian.AppendUint64(nil, uint64(c.NotAfter.UnixNano())),
-			c.Signature,
-		} {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(field)))
-			buf = append(buf, field...)
-		}
+	issuerFP, err := issuerKey.Fingerprint()
+	if err != nil {
+		return key, false
 	}
-	return string(buf)
+	share, certified := c.Key.AgreementShare()
+	agree := share[:0]
+	if certified {
+		agree = share[:]
+	}
+	var scratch [512]byte
+	buf := append(scratch[:0], linkLabel...)
+	buf = appendField(buf, c.Subject)
+	buf = appendField(buf, c.SubjectName)
+	buf = appendField(buf, c.Role)
+	buf = appendField(buf, c.Issuer)
+	buf = appendField(buf, fp[:])
+	buf = appendField(buf, agree)
+	buf = appendTime(buf, c.NotBefore)
+	buf = appendTime(buf, c.NotAfter)
+	buf = appendField(buf, c.Signature)
+	digest := sha256.Sum256(buf)
+	copy(key[:], digest[:])
+	copy(key[sha256.Size:], issuerFP[:])
+	return key, true
 }
 
-// ChainCacheStats reports cumulative chain-verdict cache hits and
-// misses.
+func appendField[F ~string | ~[]byte](buf []byte, field F) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(field)))
+	return append(buf, field...)
+}
+
+// appendTime encodes an instant as seconds and nanoseconds: every instant
+// a credential can name, where UnixNano wraps 292 years either side of
+// 1970 and would let a window stretched by 2^64 ns share a key.
+func appendTime(buf []byte, t time.Time) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(t.Unix()))
+	return binary.BigEndian.AppendUint32(buf, uint32(t.Nanosecond()))
+}
+
+// ChainCacheStats reports cumulative link-verdict hits and misses: one
+// lookup per link of every chain verified.
 func (t *TrustStore) ChainCacheStats() (hits, misses uint64) {
-	return t.chainCache.Stats()
+	return t.linkHits.Load(), t.linkMisses.Load()
 }
 
-// Anchors returns the anchor credentials (for diagnostics).
-func (t *TrustStore) Anchors() []*Credential {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]*Credential, 0, len(t.anchors))
-	for _, a := range t.anchors {
-		out = append(out, a)
-	}
-	return out
+// DocumentCacheStats reports cumulative document-verdict hits and misses.
+func (t *TrustStore) DocumentCacheStats() (hits, misses uint64) {
+	return t.docHits.Load(), t.docMisses.Load()
 }

@@ -2,14 +2,15 @@ package cred
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
 
-// The TrustStore memoizes successful RSA signature checks. These tests
-// pin the security contract of that cache: expiry is still enforced on
-// every call, and a same-body credential carrying a different signature
-// never rides a previous verdict.
+// The TrustStore remembers successful link verdicts. These tests pin the
+// security contract of that store: expiry is still enforced on every
+// call, and a credential differing in any signed field, or in its
+// signature, never rides a previous verdict.
 
 func TestTrustStoreCachedVerifyStillChecksExpiry(t *testing.T) {
 	adm, br, _ := setup(t)
@@ -24,8 +25,8 @@ func TestTrustStoreCachedVerifyStillChecksExpiry(t *testing.T) {
 	if err := ts.Verify(br, now); err != nil {
 		t.Fatalf("warm verify: %v", err)
 	}
-	if h, _ := ts.sigCache.Stats(); h == 0 {
-		t.Fatal("second verify did not hit the signature cache")
+	if h, _ := ts.ChainCacheStats(); h == 0 {
+		t.Fatal("second verify did not hit the verdict store")
 	}
 	// Past NotAfter the cached RSA verdict must not rescue the
 	// credential.
@@ -73,9 +74,9 @@ func TestTrustStoreChainUsesCache(t *testing.T) {
 	if err := ts.VerifyChain(now, cl, br); err != nil {
 		t.Fatalf("warm chain: %v", err)
 	}
-	hits, _ := ts.chainCache.Stats()
+	hits, _ := ts.ChainCacheStats()
 	if hits == 0 {
-		t.Fatal("repeat chain verification never hit the chain-verdict cache")
+		t.Fatal("repeat chain verification never hit the verdict store")
 	}
 	// Chain verification after leaf expiry must fail even when cached.
 	if err := ts.VerifyChain(cl.NotAfter.Add(time.Minute), cl, br); err == nil {
@@ -85,9 +86,9 @@ func TestTrustStoreChainUsesCache(t *testing.T) {
 
 func TestTrustStoreChainCacheCrossDocument(t *testing.T) {
 	// Two different documents signed by the same peer carry freshly
-	// parsed — distinct but byte-identical — credential chains. The
-	// chain verdict must carry across those instances without any new
-	// RSA work.
+	// parsed — distinct but byte-identical — credential chains. The link
+	// verdicts must carry across those instances without any new RSA or
+	// canonicalization work.
 	adm, br, cl := setup(t)
 	ts, err := NewTrustStore(adm)
 	if err != nil {
@@ -97,17 +98,17 @@ func TestTrustStoreChainCacheCrossDocument(t *testing.T) {
 	if err := ts.VerifyChain(now, cl, br); err != nil {
 		t.Fatalf("cold chain: %v", err)
 	}
-	sigHits0, sigMiss0 := ts.sigCache.Stats()
+	hits0, misses0 := ts.ChainCacheStats()
 	// Clones simulate a re-parse: same fields, no shared memo state.
-	if err := ts.VerifyChain(now, cl.Clone(), br.Clone()); err != nil {
+	clCopy, brCopy := cl.Clone(), br.Clone()
+	if err := ts.VerifyChain(now, clCopy, brCopy); err != nil {
 		t.Fatalf("cloned chain: %v", err)
 	}
-	if hits, _ := ts.chainCache.Stats(); hits == 0 {
-		t.Fatal("cloned chain missed the chain-verdict cache")
+	if hits, misses := ts.ChainCacheStats(); hits != hits0+2 || misses != misses0 {
+		t.Fatalf("cloned chain: %d links hit and %d missed, want both to hit", hits-hits0, misses-misses0)
 	}
-	sigHits1, sigMiss1 := ts.sigCache.Stats()
-	if sigHits1 != sigHits0 || sigMiss1 != sigMiss0 {
-		t.Fatal("chain-cache hit still consulted the per-link signature cache")
+	if clCopy.memo.Load() != nil || brCopy.memo.Load() != nil {
+		t.Fatal("a link answered by the store still built its signing body")
 	}
 }
 
@@ -135,6 +136,15 @@ func TestTrustStoreChainCacheKeyedBySignature(t *testing.T) {
 	if err := ts.VerifyChain(now, stretched, br); err == nil {
 		t.Fatal("window-stretched chain accepted after caching")
 	}
+	// Nor by 2^64 ns, which leaves the window's UnixNano as it was.
+	wrapped := cl.Clone()
+	wrapped.NotAfter = wrapped.NotAfter.Add(math.MaxInt64).Add(math.MaxInt64).Add(2)
+	if wrapped.NotAfter.UnixNano() != cl.NotAfter.UnixNano() {
+		t.Fatal("test setup: the stretch does not wrap UnixNano")
+	}
+	if err := ts.VerifyChain(now, wrapped, br); err == nil {
+		t.Fatal("chain stretched by 2^64 ns accepted after caching")
+	}
 }
 
 // TestTrustStoreChainCacheKeyedByShare: the agreement key a client
@@ -160,16 +170,19 @@ func TestTrustStoreChainCacheKeyedByShare(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		chain []*Credential
+		// honest is how many untouched links are checked before the
+		// tampered one: those hit, and the tampered link misses.
+		honest uint64
 	}{
-		{"swapped share", []*Credential{swapped, br}},
-		{"dropped share", []*Credential{dropped, br}},
-		{"share added to the broker's", []*Credential{cl, added}},
+		{"swapped share", []*Credential{swapped, br}, 0},
+		{"dropped share", []*Credential{dropped, br}, 0},
+		{"share added to the broker's", []*Credential{cl, added}, 1},
 	} {
-		hits, _ := ts.chainCache.Stats()
+		hits, misses := ts.ChainCacheStats()
 		if err := ts.VerifyChain(now, tc.chain...); !errors.Is(err, ErrBadSignature) {
 			t.Errorf("%s after caching the honest chain = %v, want ErrBadSignature", tc.name, err)
 		}
-		if after, _ := ts.chainCache.Stats(); after != hits {
+		if h, m := ts.ChainCacheStats(); h != hits+tc.honest || m != misses+1 {
 			t.Errorf("%s hit the honest chain's cached verdict", tc.name)
 		}
 	}

@@ -51,7 +51,7 @@ const (
 	wrapLabel      = "jxta-overlay/round-wrap/v2"
 	agreementLabel = "jxta-overlay/agreement-key/v1"
 	// agreeMemoCap bounds each held key's memo: as many peers as a client
-	// keeps advertisement verdicts for (xdsig.DefaultVerifyCacheSize).
+	// keeps verdicts for (cred.StoreCapacity, two per peer).
 	agreeMemoCap = 1024
 )
 

@@ -6,72 +6,49 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/cred"
-	"jxtaoverlay/internal/lru"
 	"jxtaoverlay/internal/xmldoc"
 )
 
-// DefaultVerifyCacheSize bounds a VerifyCache when the caller does not
-// pick a size.
-const DefaultVerifyCacheSize = 1024
-
-// VerifyCache memoizes successful VerifyTrusted outcomes so a peer that
-// sees the same signed document over and over — a broker re-validating a
-// popular advertisement, a client fanning a message out to a group whose
-// pipe advertisements it already verified — pays the RSA and chain work
-// once and a digest lookup thereafter.
+// VerifyCache is VerifyTrusted with its verdicts kept in the trust
+// store's verdict store, so a peer that sees the same signed document
+// over and over — a broker re-validating a popular advertisement, a
+// client fanning a message out to a group whose pipe advertisements it
+// already verified — pays the RSA and chain work once and a digest lookup
+// thereafter.
 //
-// The cache key is the SHA-256 digest of the document's canonical form
-// (which covers the signature and the embedded credential chain)
-// combined with a fingerprint of the signer's embedded key material. Any
-// tampering changes the digest and misses the cache, falling back to a
-// full — and failing — verification; failures are never cached.
-//
-// Entries are TTL-bounded by the credential chain's validity window:
-// an entry expires at the chain's earliest NotAfter, and a hit before
-// the chain's latest NotBefore is ignored, so VerifyTrusted honors
-// credential expiry exactly as the uncached path does. A cache is bound
-// to one TrustStore and must not be shared across trust domains.
-//
-// VerifyCache is the outermost of three cache layers: a miss here (a
-// document this peer has not verified) still rides the TrustStore's
-// chain-verdict cache — so a *new* document by a *known* signer pays
-// one RSA operation, its own leaf signature — and, below that, the
-// per-link signature cache.
+// A document verdict is keyed by the SHA-256 digest of the document's
+// canonical form (which covers the signature and the embedded credential
+// chain) and a digest of the signer's embedded key. Any tampering changes
+// the digest and misses, falling back to a full — and failing —
+// verification; failures are never stored. The store bounds the verdict
+// by the chain's validity window, so VerifyTrusted honours credential
+// expiry exactly as the uncached path does. A miss (a document this peer
+// has not verified) still finds the links of a known signer's chain in
+// the same store: a new document by a known signer pays one RSA
+// operation, its own signature.
 type VerifyCache struct {
 	trust *cred.TrustStore
-	lru   *lru.Cache[verifyKey, *verifyEntry]
 }
 
-type verifyEntry struct {
-	res *Result
-	// notBefore is the latest NotBefore across the chain; the entry's
-	// LRU expiry holds the earliest NotAfter. Together they pin the
-	// cached verdict inside the chain's validity window.
-	notBefore time.Time
-}
-
-// NewVerifyCache creates a verification cache bound to the given trust
-// store. capacity <= 0 selects DefaultVerifyCacheSize.
-func NewVerifyCache(trust *cred.TrustStore, capacity int) *VerifyCache {
-	if capacity <= 0 {
-		capacity = DefaultVerifyCacheSize
-	}
-	return &VerifyCache{trust: trust, lru: lru.New[verifyKey, *verifyEntry](capacity)}
+// NewVerifyCache creates a verification cache over the given trust
+// store's verdicts.
+func NewVerifyCache(trust *cred.TrustStore) *VerifyCache {
+	return &VerifyCache{trust: trust}
 }
 
 // TrustStore returns the trust store the cache verifies against.
 func (vc *VerifyCache) TrustStore() *cred.TrustStore { return vc.trust }
 
-// Stats reports cumulative cache hits and misses.
-func (vc *VerifyCache) Stats() (hits, misses uint64) { return vc.lru.Stats() }
+// Stats reports cumulative document-verdict hits and misses.
+func (vc *VerifyCache) Stats() (hits, misses uint64) { return vc.trust.DocumentCacheStats() }
 
-// cacheKey derives the lookup key: document digest plus a fingerprint of
-// the signer's embedded key material, in an array that needs no heap. The
-// key is hashed as embedded (its canonical element, no DER parse) — it
-// only has to bind the cache entry to the exact bytes that were verified,
-// and those are what the digest covers. Both canonical forms are memoized
-// on their elements, so a warm lookup hashes and allocates nothing else.
-func cacheKey(doc *xmldoc.Element) (key verifyKey, ok bool) {
+// cacheKey derives the lookup key: document digest plus a digest of the
+// signer's embedded key, in an array that needs no heap. The key is
+// hashed as embedded (its canonical element, no DER parse) — it only has
+// to bind the verdict to the exact bytes that were verified, and those
+// are what the digest covers. Both canonical forms are memoized on their
+// elements, so a warm lookup hashes and allocates nothing else.
+func cacheKey(doc *xmldoc.Element) (key [64]byte, ok bool) {
 	sig := doc.Child(SignatureElement)
 	if sig == nil {
 		return key, false
@@ -95,12 +72,9 @@ func cacheKey(doc *xmldoc.Element) (key verifyKey, ok bool) {
 	return key, true
 }
 
-// verifyKey is a cache key: two SHA-256 digests.
-type verifyKey [2 * sha256.Size]byte
-
 // VerifyTrusted is the cached equivalent of the package-level
 // VerifyTrusted. On a miss (or any structural shortfall) it runs the
-// full verification and caches a success; on a hit it re-checks only the
+// full verification and stores a success; on a hit it re-checks only the
 // validity window against now. The returned Result is shared between
 // callers and must be treated as read-only.
 func (vc *VerifyCache) VerifyTrusted(doc *xmldoc.Element, now time.Time) (*Result, error) {
@@ -116,14 +90,13 @@ func (vc *VerifyCache) VerifyTrusted(doc *xmldoc.Element, now time.Time) (*Resul
 		// precise error (ErrNoSignature, ErrNoKeyInfo, ...).
 		return VerifyTrusted(doc, vc.trust, now)
 	}
-	if ent, hit := vc.lru.Get(key, now); hit && !now.Before(ent.notBefore) {
-		return ent.res, nil
+	if res, hit := vc.trust.LookupDocument(key, now); hit {
+		return res.(*Result), nil
 	}
 	res, err := VerifyTrusted(doc, vc.trust, now)
 	if err != nil {
 		return nil, err
 	}
-	notBefore, notAfter := cred.ChainWindow(res.Chain)
-	vc.lru.Put(key, &verifyEntry{res: res, notBefore: notBefore}, notAfter)
+	vc.trust.StoreDocument(key, res, res.Chain)
 	return res, nil
 }

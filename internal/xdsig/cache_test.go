@@ -16,7 +16,7 @@ func TestVerifyCacheHit(t *testing.T) {
 	if err := Sign(doc, clientKP, f.cl, f.br); err != nil {
 		t.Fatal(err)
 	}
-	vc := NewVerifyCache(f.ts, 16)
+	vc := NewVerifyCache(f.ts)
 	now := time.Now()
 
 	res1, err := vc.VerifyTrusted(doc, now)
@@ -44,7 +44,7 @@ func TestVerifyCacheRejectsTamperAfterWarm(t *testing.T) {
 	if err := Sign(doc, clientKP, f.cl, f.br); err != nil {
 		t.Fatal(err)
 	}
-	vc := NewVerifyCache(f.ts, 16)
+	vc := NewVerifyCache(f.ts)
 	now := time.Now()
 	if _, err := vc.VerifyTrusted(doc, now); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestVerifyCacheHonorsExpiry(t *testing.T) {
 	if err := Sign(doc, clientKP, f.cl, f.br); err != nil {
 		t.Fatal(err)
 	}
-	vc := NewVerifyCache(f.ts, 16)
+	vc := NewVerifyCache(f.ts)
 	now := time.Now()
 	if _, err := vc.VerifyTrusted(doc, now); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestVerifyCacheUntrustedChainNotCached(t *testing.T) {
 	if err := Sign(doc, mallory, malCred); err != nil {
 		t.Fatal(err)
 	}
-	vc := NewVerifyCache(f.ts, 16)
+	vc := NewVerifyCache(f.ts)
 	now := time.Now()
 	for i := 0; i < 2; i++ {
 		if _, err := vc.VerifyTrusted(doc, now); err == nil {
@@ -109,7 +109,7 @@ func TestVerifyCacheUntrustedChainNotCached(t *testing.T) {
 
 func TestVerifyCacheUnsignedDocument(t *testing.T) {
 	f := newFixture(t)
-	vc := NewVerifyCache(f.ts, 16)
+	vc := NewVerifyCache(f.ts)
 	if _, err := vc.VerifyTrusted(pipeAdv(), time.Now()); err != ErrNoSignature {
 		t.Fatalf("unsigned doc through cache = %v, want ErrNoSignature", err)
 	}
@@ -129,7 +129,7 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 	bad := good.Clone()
 	bad.Child("Id").SetText("urn:jxta:pipe-evil")
 
-	vc := NewVerifyCache(f.ts, 16)
+	vc := NewVerifyCache(f.ts)
 	now := time.Now()
 	var wg sync.WaitGroup
 	errs := make(chan error, 128)
@@ -169,7 +169,7 @@ func BenchmarkVerifyTrustedWarm(b *testing.B) {
 	if err := Sign(doc, clientKP, f.cl, f.br); err != nil {
 		b.Fatal(err)
 	}
-	vc := NewVerifyCache(f.ts, 0)
+	vc := NewVerifyCache(f.ts)
 	now := time.Now()
 	if _, err := vc.VerifyTrusted(doc, now); err != nil {
 		b.Fatal(err)

@@ -175,16 +175,3 @@ func VerifyTrusted(doc *xmldoc.Element, ts *cred.TrustStore, now time.Time) (*Re
 	}
 	return res, nil
 }
-
-// IsSigned reports whether the document carries a signature element.
-func IsSigned(doc *xmldoc.Element) bool {
-	return doc != nil && doc.Child(SignatureElement) != nil
-}
-
-// StripSignature returns a copy of doc without signature elements, for
-// re-signing or digest computation by callers.
-func StripSignature(doc *xmldoc.Element) *xmldoc.Element {
-	out := doc.Clone()
-	out.RemoveChildren(SignatureElement)
-	return out
-}

@@ -68,8 +68,8 @@ func TestSignVerify(t *testing.T) {
 	if err := Sign(doc, clientKP, f.cl, f.br); err != nil {
 		t.Fatalf("Sign: %v", err)
 	}
-	if !IsSigned(doc) {
-		t.Fatal("IsSigned = false after Sign")
+	if doc.Child(SignatureElement) == nil {
+		t.Fatal("no signature element after Sign")
 	}
 	res, err := Verify(doc)
 	if err != nil {
@@ -154,9 +154,8 @@ func TestVerifyDetectsSignedInfoTamper(t *testing.T) {
 	// Attacker rewrites the document AND fixes up the digest — the
 	// SignedInfo signature must then fail.
 	doc.Child("Id").SetText("urn:jxta:pipe-evil")
-	body := StripSignature(doc)
 	di := doc.Child(SignatureElement).Child("SignedInfo").Child("DigestValue")
-	di.SetText(b64(keys.SHA256(body.Canonical())))
+	di.SetText(b64(keys.SHA256(doc.CanonicalSkip(SignatureElement))))
 	if _, err := Verify(doc); err != ErrBadSignature {
 		t.Fatalf("Verify = %v, want ErrBadSignature", err)
 	}
@@ -304,20 +303,5 @@ func TestSignedDocumentSurvivesWire(t *testing.T) {
 	}
 	if _, err := VerifyTrusted(back, f.ts, time.Now()); err != nil {
 		t.Fatalf("VerifyTrusted after wire round trip: %v", err)
-	}
-}
-
-func TestStripSignature(t *testing.T) {
-	f := newFixture(t)
-	doc := pipeAdv()
-	if err := Sign(doc, clientKP, f.cl, f.br); err != nil {
-		t.Fatal(err)
-	}
-	bare := StripSignature(doc)
-	if IsSigned(bare) {
-		t.Fatal("StripSignature left a signature")
-	}
-	if !IsSigned(doc) {
-		t.Fatal("StripSignature mutated the original")
 	}
 }
