@@ -1,7 +1,8 @@
 package attack_test
 
-// Negatives for the join path's two economies: one pipe record per
-// (peer, group), and one credential per validity window.
+// Negatives for the join path's three economies: one pipe record per
+// (peer, group), one credential per validity window, and one signature
+// per advertisement a key pair publishes.
 
 import (
 	"bytes"
@@ -24,6 +25,7 @@ import (
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/waituntil"
+	"jxtaoverlay/internal/xdsig"
 	"jxtaoverlay/internal/xmldoc"
 )
 
@@ -325,4 +327,88 @@ func TestSecureConnectFloodBoundsSidTable(t *testing.T) {
 	}
 	t.Logf("%d secureConnection calls: at most %d session identifiers pending", calls, most)
 	s.join(t, "alice", "alice-secret-pw")
+}
+
+// (f) A re-join's advertisement signature comes from the key pair's memo
+// of the documents it signed (RSASSA-PKCS1-v1_5 is deterministic), and
+// the memo answers for the document it signed and for nothing near it.
+// An advertisement one field off the one mallory published gets a fresh
+// signature. The published signature spliced onto it — its whole
+// Signature element, or its value under the new SignedInfo — is refused
+// by the broker and by bob, whose verifier holds the published
+// advertisement's verdict.
+func TestMemoizedSignatureSplicedOntoAnotherAdvRefused(t *testing.T) {
+	s := newSecureStack(t)
+	bob := s.join(t, "bob", "bob-secret-pw")
+	mallory := s.join(t, "mallory", "mallory-pw")
+	ctx := testCtx(t)
+	id := mallory.Identity()
+	pipeID := advert.GroupPipeID(mallory.PeerID(), "math")
+	rec, err := s.br.Cache().Lookup(advert.TypePipe, pipeID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := rec.Doc.Clone()
+	if _, err := bob.VerifyCache().VerifyTrusted(published, bob.Now()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Signed again, the published advertisement is a memo hit: the same
+	// bytes, no private-key operation.
+	again := published.Clone()
+	signed := id.Keys.SignCalls()
+	if err := signDoc(again, id); err != nil {
+		t.Fatal(err)
+	}
+	if n := id.Keys.SignCalls() - signed; n != 0 || !bytes.Equal(again.Canonical(), published.Canonical()) {
+		t.Fatalf("re-signing the published advertisement: %d private-key operations, same bytes %v",
+			n, bytes.Equal(again.Canonical(), published.Canonical()))
+	}
+
+	// One field off: the name. A miss, and another signature.
+	renamed, err := (&advert.Pipe{PipeID: pipeID, PipeType: advert.PipeUnicast, Name: "msg/elsewhere",
+		PeerID: mallory.PeerID(), Group: "math"}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	signed = id.Keys.SignCalls()
+	if err := signDoc(renamed, id); err != nil {
+		t.Fatal(err)
+	}
+	value := func(doc *xmldoc.Element) string {
+		return doc.Child(xdsig.SignatureElement).ChildText("SignatureValue")
+	}
+	if n := id.Keys.SignCalls() - signed; n != 1 || value(renamed) == value(published) {
+		t.Fatalf("an advertisement one field off: %d private-key operations, same signature %v",
+			n, value(renamed) == value(published))
+	}
+
+	wholeSignature := renamed.Clone()
+	wholeSignature.RemoveChildren(xdsig.SignatureElement)
+	wholeSignature.Add(published.Child(xdsig.SignatureElement).Clone())
+	valueOnly := renamed.Clone()
+	valueOnly.Child(xdsig.SignatureElement).Child("SignatureValue").SetText(value(published))
+	for _, c := range []struct {
+		name string
+		doc  *xmldoc.Element
+		want error
+	}{
+		{"the published Signature element", wholeSignature, xdsig.ErrDigestMismatch},
+		{"the published SignatureValue", valueOnly, xdsig.ErrBadSignature},
+	} {
+		if err := mallory.PublishAdvDoc(ctx, c.doc.Clone()); !refusedAsUnsigned(err) {
+			t.Errorf("%s spliced onto the renamed advertisement, published: err = %v, want the refusal", c.name, err)
+		}
+		if _, err := bob.VerifyCache().VerifyTrusted(c.doc.Clone(), bob.Now()); !errors.Is(err, c.want) {
+			t.Errorf("%s spliced onto the renamed advertisement, at bob: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	// The renamed advertisement under its own signature passes both.
+	if _, err := bob.VerifyCache().VerifyTrusted(renamed.Clone(), bob.Now()); err != nil {
+		t.Fatalf("the renamed advertisement under its own signature, at bob: %v", err)
+	}
+	if err := mallory.PublishAdvDoc(ctx, renamed); err != nil {
+		t.Fatalf("the renamed advertisement under its own signature, published: %v", err)
+	}
 }

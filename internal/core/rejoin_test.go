@@ -5,7 +5,7 @@ package core_test
 // predecessor, so a correspondent that cached an earlier session's
 // advertisement reaches — and is authenticated by — the current one, and
 // within a credential's validity window the broker signs once for all of
-// an identity's joins.
+// an identity's joins, and the peer signs its advertisement once.
 
 import (
 	"fmt"
@@ -65,13 +65,19 @@ func TestSecureMsgReachesRecipientAfterRejoin(t *testing.T) {
 		if err := bob.Logout(ctx); err != nil {
 			t.Fatalf("round %d logout: %v", round, err)
 		}
-		signed := h.brKP.SignCalls()
+		signed, bobSigned := h.brKP.SignCalls(), bob.Identity().Keys.SignCalls()
 		h.join(bob, "pw-bob")
 		// The broker proved itself (one challenge signature) and checked
 		// the password; it did not sign a second credential for a subject
 		// whose first has most of its validity left.
 		if got := h.brKP.SignCalls() - signed; got != 1 {
 			t.Fatalf("round %d: broker signed %d times for a re-join, want 1 (the challenge)", round, got)
+		}
+		// bob signed his login, which carries the fresh session
+		// identifier; his pipe advertisement is the one he signed before,
+		// and its signature came from his key pair's memo.
+		if got := bob.Identity().Keys.SignCalls() - bobSigned; got != 1 {
+			t.Fatalf("round %d: bob performed %d private-key operations for a re-join, want 1 (the login)", round, got)
 		}
 		if c := bob.Identity().Credential; !c.Equal(firstCred) {
 			t.Fatalf("round %d: re-join was issued a different credential (NotAfter %v, first %v)", round, c.NotAfter, firstCred.NotAfter)

@@ -28,6 +28,9 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+	"time"
+
+	"jxtaoverlay/internal/lru"
 )
 
 // DefaultRSABits is the key size used when callers do not specify one.
@@ -63,7 +66,14 @@ type KeyPair struct {
 	agreeCalls atomic.Uint64
 	// agree memoizes the X25519 agreement key derived from priv (wrap.go).
 	agree atomic.Pointer[AgreementKey]
+	// docs memoizes the signatures SignDocument produced, by digest.
+	docs atomic.Pointer[lru.Cache[[32]byte, []byte]]
 }
+
+// docMemoCap bounds a key pair's memo of document signatures: a client
+// republishes one pipe advertisement per group it joins; the margin keeps
+// a few documents of a former session.
+const docMemoCap = 64
 
 // NewKeyPair generates a key pair of DefaultRSABits using crypto/rand.
 func NewKeyPair() (*KeyPair, error) { return KeyPairBits(DefaultRSABits) }
@@ -111,8 +121,11 @@ func (k *KeyPair) Bits() int { return k.priv.N.BitLen() }
 
 // Sign produces a detached RSASSA-PKCS1-v1_5/SHA-256 signature over msg.
 func (k *KeyPair) Sign(msg []byte) ([]byte, error) {
+	return k.signDigest(sha256.Sum256(msg))
+}
+
+func (k *KeyPair) signDigest(digest [32]byte) ([]byte, error) {
 	k.sigCalls.Add(1)
-	digest := sha256.Sum256(msg)
 	sig, err := rsa.SignPKCS1v15(rand.Reader, k.priv, crypto.SHA256, digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("keys: sign: %w", err)
@@ -120,9 +133,45 @@ func (k *KeyPair) Sign(msg []byte) ([]byte, error) {
 	return sig, nil
 }
 
-// SignCalls reports how many times Sign has been invoked on this key
-// pair. Benchmarks and tests use it to assert signature amortization
-// (e.g. a group fan-out round must cost exactly one signature).
+// SignDocument is Sign for a document the pair may publish again byte for
+// byte (an advertisement's SignedInfo): RSASSA-PKCS1-v1_5 is
+// deterministic, so the signature of a document already signed is
+// answered from a memo of the docMemoCap most recently used, without the
+// private-key operation. The signature returned is shared and must not be modified.
+// A message carries a nonce, a session identifier or a time and never
+// repeats: it goes to Sign and never enters the memo.
+func (k *KeyPair) SignDocument(doc []byte) ([]byte, error) {
+	digest := sha256.Sum256(doc)
+	memo := k.docMemo()
+	if sig, ok := memo.Get(digest, time.Time{}); ok {
+		return sig, nil
+	}
+	// The runtime verifies what the private-key operation produced before
+	// it returns it, so the memo keeps only checked signatures.
+	sig, err := k.signDigest(digest)
+	if err != nil {
+		return nil, err
+	}
+	memo.Put(digest, sig, time.Time{})
+	return sig, nil
+}
+
+// docMemo is the memo of SignDocument, made on first use.
+func (k *KeyPair) docMemo() *lru.Cache[[32]byte, []byte] {
+	if m := k.docs.Load(); m != nil {
+		return m
+	}
+	m := lru.New[[32]byte, []byte](docMemoCap)
+	if !k.docs.CompareAndSwap(nil, m) {
+		return k.docs.Load()
+	}
+	return m
+}
+
+// SignCalls reports how many RSA private-key operations this key pair
+// has performed: a signature SignDocument answers from its memo is none.
+// Benchmarks and tests use it to assert signature amortization (e.g. a
+// group fan-out round must cost exactly one signature).
 func (k *KeyPair) SignCalls() uint64 { return k.sigCalls.Load() }
 
 // UnwrapKey recovers a content key wrapped with PublicKey.WrapKey for

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -105,8 +106,13 @@ func (s *Store) Register(username, password string, groups ...string) error {
 // Authenticate checks a username/password pair and returns the user's
 // groups. All failures return ErrAuth.
 func (s *Store) Authenticate(username, password string) ([]string, error) {
+	// The record is copied under the read lock and hashed against outside it.
 	s.mu.RLock()
-	u, ok := s.users[username]
+	rec, ok := s.users[username]
+	var u User
+	if ok {
+		u = rec.snapshot()
+	}
 	s.mu.RUnlock()
 	if !ok {
 		// Burn comparable time to avoid a trivial user-enumeration oracle.
@@ -117,7 +123,16 @@ func (s *Store) Authenticate(username, password string) ([]string, error) {
 	if !keys.ConstantTimeEqual(got, u.Hash) || u.Disabled {
 		return nil, ErrAuth
 	}
-	return append([]string(nil), u.Groups...), nil
+	return u.Groups, nil
+}
+
+// snapshot copies a record for reading after the store's lock, which the
+// caller holds, is released: the mutators write its fields and shift its
+// groups in place under the write lock.
+func (u *User) snapshot() User {
+	c := *u
+	c.Groups = slices.Clone(u.Groups)
+	return c
 }
 
 // SetPassword replaces the user's password.
@@ -211,9 +226,9 @@ func (s *Store) Usernames() []string {
 // Save writes the store as JSON.
 func (s *Store) Save(w io.Writer) error {
 	s.mu.RLock()
-	users := make([]*User, 0, len(s.users))
+	users := make([]User, 0, len(s.users))
 	for _, u := range s.users {
-		users = append(users, u)
+		users = append(users, u.snapshot())
 	}
 	s.mu.RUnlock()
 	sort.Slice(users, func(i, j int) bool { return users[i].Username < users[j].Username })

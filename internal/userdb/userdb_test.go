@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,6 +142,46 @@ func TestGroupManagement(t *testing.T) {
 	if _, err := s.Groups("ghost"); err == nil {
 		t.Fatal("Groups for missing user succeeded")
 	}
+}
+
+// TestAuthenticateRacesMutators: a login reads a record while the
+// administrator changes it. Authenticate reads what it checks, and the
+// groups it returns, under the store's lock, so it never sees a salt of
+// one password beside the hash of another or a group list being shifted
+// (under -race, the parent read all of it after releasing the lock).
+func TestAuthenticateRacesMutators(t *testing.T) {
+	s := testStore()
+	s.Register("alice", "pw", "math", "zoo")
+	const rounds = 300
+	var wg sync.WaitGroup
+	mutate := func(f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := f(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	mutate(func() error { return s.SetPassword("alice", "pw") })
+	mutate(func() error { return s.AddToGroup("alice", "art") })
+	mutate(func() error { return s.RemoveFromGroup("alice", "art") })
+	mutate(func() error { return s.SetDisabled("alice", false) })
+	mutate(func() error { return s.Save(io.Discard) })
+	for i := 0; i < rounds; i++ {
+		groups, err := s.Authenticate("alice", "pw")
+		if err != nil {
+			t.Fatalf("authenticate %d beside the mutators: %v", i, err)
+		}
+		if !slices.IsSorted(groups) || len(slices.Compact(slices.Clone(groups))) != len(groups) ||
+			!slices.Contains(groups, "math") || !slices.Contains(groups, "zoo") {
+			t.Fatalf("authenticate %d: groups %v", i, groups)
+		}
+	}
+	wg.Wait()
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {

@@ -67,7 +67,8 @@ func Sign(doc *xmldoc.Element, kp *keys.KeyPair, chain ...*cred.Credential) erro
 	signedInfo.AddText("DigestMethod", digestMethod)
 	signedInfo.AddText("DigestValue", base64.StdEncoding.EncodeToString(digest))
 
-	sigValue, err := kp.Sign(signedInfo.Canonical())
+	// A republished advertisement's signature comes from the pair's memo.
+	sigValue, err := kp.SignDocument(signedInfo.Canonical())
 	if err != nil {
 		return fmt.Errorf("xdsig: %w", err)
 	}
