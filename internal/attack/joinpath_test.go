@@ -7,7 +7,6 @@ package attack_test
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"strconv"
@@ -141,29 +140,23 @@ func TestDerivedIDOfAnotherMemberNotOverwritable(t *testing.T) {
 	}
 }
 
-// loginRequest is a signed SecureLoginRequest as SecureLogin builds it,
-// by hand: the fields of user, pass, peer and kp and the session
-// identifier sid, signed for the broker with ID broker (core's
-// loginSigned: the request, then that ID).
+// loginRequest is a signed login request as SecureLogin builds it, by
+// hand: the fields of user, pass, peer and kp and the session identifier
+// sid, signed for the broker with ID broker.
 func loginRequest(t *testing.T, user, pass string, peer keys.PeerID, kp *keys.KeyPair, sid string, broker keys.PeerID) []byte {
 	t.Helper()
-	keyB64, err := kp.Public().MarshalBase64()
+	der, err := kp.Public().MarshalDER()
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := xmldoc.New("SecureLoginRequest", "")
-	doc.AddText("User", user)
-	doc.AddText("Pass", pass)
-	doc.AddText("PeerID", string(peer))
-	doc.AddText("Key", keyB64)
-	doc.AddText("Agree", kp.Public().ShareBase64())
-	doc.AddText("Sid", sid)
-	sig, err := kp.Sign(append(doc.Canonical(), broker...))
+	share, _ := kp.Public().AgreementShare()
+	nonce := proto.NewNonce()
+	req, err := proto.AppendRequest(nil, kp, broker, proto.KindLogin, time.Now(), nonce,
+		[]byte(user), []byte(pass), []byte(peer), der, share[:], []byte(sid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
-	return doc.Canonical()
+	return req
 }
 
 // sendLogin seals req to the broker key to and sends it as a secureLogin
@@ -223,11 +216,7 @@ func TestStoredCredentialOnlyForSameKeyAndUser(t *testing.T) {
 		t.Fatalf("login as bob under alice's key: %v", err)
 	}
 	raw, _ := resp.Get(proto.ElemCred)
-	credDoc, err := xmldoc.ParseCanonical(bytes.Clone(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	issued, err := cred.Parse(credDoc)
+	issued, err := cred.ParseBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

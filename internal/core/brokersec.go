@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/hex"
 	"errors"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,6 +63,10 @@ type BrokerSecurity struct {
 	// loginCredential).
 	issued *lru.Cache[keys.PeerID, *issuedCred]
 
+	// requests reads every signed request made for this broker: login,
+	// heartbeat, renewal.
+	requests *proto.RequestGuard
+
 	mu sync.Mutex
 	// sids holds the session identifiers handed out and not yet
 	// presented, each until sidTTL after its issue.
@@ -119,6 +121,7 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 		vcache:   xdsig.NewVerifyCache(cfg.Trust),
 		credWire: credDoc.Canonical(),
 		issued:   lru.New[keys.PeerID, *issuedCred](issuedCredCapacity),
+		requests: proto.NewRequestGuard(cfg.Credential.Subject),
 		sids:     lru.NewWindow[string, struct{}](sidCapacity),
 		leases:   make(map[keys.PeerID]*lease),
 	}
@@ -182,15 +185,6 @@ const connectLabel = "jxta-overlay/secure-connect/v1"
 // the broker's clients sign, and the login is the one thing sealed to it.
 func connectSigned(chall, share []byte) []byte {
 	return append(append([]byte(connectLabel), chall...), share...)
-}
-
-// loginSigned is what a login request's signature covers: the request,
-// then the peer ID of the broker it is for. The ID rides in no field: a
-// broker checks the signature over its own, so a request another broker
-// opened and re-sealed to it — with a session identifier it handed that
-// one — does not verify.
-func loginSigned(req []byte, broker keys.PeerID) []byte {
-	return append(slices.Clip(req), broker...)
 }
 
 // handleSecureConnect implements the broker side of §4.2.1: receive the
@@ -263,38 +257,33 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	doc, err := xmldoc.ParseCanonical(body)
-	if err != nil || doc.Name != "SecureLoginRequest" {
-		return proto.Fail(proto.ErrBadRequest)
-	}
-	user := doc.ChildText("User")
-	pass := doc.ChildText("Pass")
-	peerID := keys.PeerID(doc.ChildText("PeerID"))
-	sid := doc.ChildText("Sid")
-	// PK_Cl and the agreement key the credential will certify beside it,
-	// both under the request signature.
-	agree := doc.ChildText("Agree")
-	clientKey, err := keys.ParsePublicBase64(doc.ChildText("Key"), agree)
-	if err != nil || agree == "" {
-		return proto.Fail(proto.ErrBadRequest)
-	}
-	sig, err := base64.StdEncoding.DecodeString(doc.ChildText("Signature"))
+	// Step 5: S_SKCl(username, password, PKCl), made for this broker by the
+	// key it carries, with a single-use session identifier (anti-replay).
+	now := bs.b.Now()
+	var peerID keys.PeerID
+	var clientKey *keys.PublicKey
+	req, err := bs.requests.Open(body, proto.KindLogin, now, func(r *proto.Request) (*keys.PublicKey, error) {
+		// PK_Cl and the agreement key the credential will certify beside
+		// it, both under the request signature.
+		key, err := keys.ParsePublicDER(r.Field(proto.LoginKey))
+		if err != nil || len(r.Field(proto.LoginAgree)) != keys.ShareSize {
+			return nil, proto.ErrRequestMalformed
+		}
+		clientKey = key.WithShare((*[keys.ShareSize]byte)(r.Field(proto.LoginAgree)))
+		peerID = keys.PeerID(r.Field(proto.LoginPeer))
+		if !bs.consumeSid(string(r.Field(proto.LoginSid)), now) {
+			return nil, refusal(proto.ErrBadSid)
+		}
+		return clientKey, nil
+	})
 	if err != nil {
-		return proto.Fail(proto.ErrBadRequest)
+		token := requestToken(err)
+		if peerID != "" {
+			bs.auditAuth(audit.KindLogin, peerID, proto.OpSecureLogin, token)
+		}
+		return proto.Fail(token)
 	}
-
-	// Step 5: single-use session identifier (anti-replay).
-	if !bs.consumeSid(sid, bs.b.Now()) {
-		bs.auditAuth(audit.KindLogin, peerID, proto.OpSecureLogin, proto.ErrBadSid)
-		return proto.Fail(proto.ErrBadSid)
-	}
-
-	// Verify the request signature S_SKCl(username, password, PKCl), made
-	// for this broker.
-	if err := clientKey.Verify(loginSigned(doc.CanonicalSkip("Signature"), bs.cfg.Credential.Subject), sig); err != nil {
-		bs.auditAuth(audit.KindLogin, peerID, proto.OpSecureLogin, proto.ErrBadSignature)
-		return proto.Fail(proto.ErrBadSignature)
-	}
+	user, pass := string(req.Field(proto.LoginUser)), string(req.Field(proto.LoginPass))
 
 	// Step 7: key authenticity against the claimed peer identifier
 	// (CBID binding, the mechanism of [15]).
@@ -333,6 +322,24 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 			AddString(proto.ElemLeaseTTL, strconv.FormatInt(ttl.Milliseconds(), 10))
 	}
 	return resp
+}
+
+// refusal is a broker check's proto error token, returned through a request
+// guard's signer; requestToken is the token any refusal is answered with.
+type refusal string
+
+func (r refusal) Error() string { return string(r) }
+
+func requestToken(err error) string {
+	var r refusal
+	switch {
+	case errors.As(err, &r):
+		return string(r)
+	case errors.Is(err, proto.ErrRequestSignature):
+		return proto.ErrBadSignature
+	default:
+		return proto.ErrBadRequest
+	}
 }
 
 // issuedCred is a client credential and the bytes it is sent as.

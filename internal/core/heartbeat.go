@@ -23,9 +23,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"strconv"
 	"time"
 
 	"jxtaoverlay/internal/audit"
@@ -33,7 +33,6 @@ import (
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // OpHeartbeat is the broker operation renewing a presence lease.
@@ -198,10 +197,7 @@ func (s *SecureClient) SecureHeartbeat(ctx context.Context) error {
 	if leaseID == "" {
 		return ErrNoLease
 	}
-	doc := xmldoc.New("HeartbeatRequest", "")
-	doc.AddText("Lease", leaseID)
-	doc.AddText("Seq", strconv.FormatUint(seq, 10))
-	_, err := s.callCredentialed(ctx, OpHeartbeat, doc)
+	_, err := s.callCredentialed(ctx, OpHeartbeat, proto.KindHeartbeat, []byte(leaseID), binary.BigEndian.AppendUint64(nil, seq))
 	if err != nil {
 		var opErr *client.OpError
 		if errors.As(err, &opErr) && opErr.Token == proto.ErrLeaseExpired {
@@ -224,13 +220,12 @@ func (s *SecureClient) Lease() (string, time.Duration) {
 // (the secureRenew pipeline) plus the lease-id and sequence binding,
 // then a lease renewal.
 func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	doc, current, token := bs.credentialedRequest(from, msg, "HeartbeatRequest", audit.KindHeartbeat, OpHeartbeat)
+	req, current, token := bs.credentialedRequest(from, msg, proto.KindHeartbeat, audit.KindHeartbeat, OpHeartbeat)
 	if token == "" {
-		seq, err := strconv.ParseUint(doc.ChildText("Seq"), 10, 64)
-		if err != nil {
+		if seq := req.Field(proto.HeartbeatSeq); len(seq) != 8 {
 			token = proto.ErrBadRequest
 		} else {
-			token = bs.renewLease(current.Subject, doc.ChildText("Lease"), seq, bs.b.Now())
+			token = bs.renewLease(current.Subject, string(req.Field(proto.HeartbeatLease)), binary.BigEndian.Uint64(seq), bs.b.Now())
 		}
 		if token != "" {
 			bs.auditAuth(audit.KindHeartbeat, current.Subject, OpHeartbeat, token)

@@ -183,11 +183,14 @@ func TestLogoutWaitsForPump(t *testing.T) {
 
 // A session that dies (lease lapse) and is resumed by the ResilientClient
 // re-runs the whole bring-up; its correspondents' cached records must
-// still lead to it.
+// still lead to it. Time passes for the clients as for the broker: a
+// login stamped minutes behind the broker's clock is refused.
 func TestSecureMsgReachesResumedRecipient(t *testing.T) {
 	h := newLeaseHarness(t)
 	connect := func(alias, password string) *core.ResilientClient {
-		rc := core.NewResilientClient(h.secureClient(alias), h.br.PeerID(), password, resilientCfg())
+		sc := h.secureClient(alias)
+		sc.Endpoint().SetClock(h.clock)
+		rc := core.NewResilientClient(sc, h.br.PeerID(), password, resilientCfg())
 		if err := rc.Connect(testCtx(t)); err != nil {
 			t.Fatal(err)
 		}

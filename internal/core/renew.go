@@ -3,16 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"errors"
-	"time"
 
 	"jxtaoverlay/internal/audit"
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // Credentials issued at secureLogin are proof of identity "until cr's
@@ -29,60 +26,46 @@ const OpSecureRenew = "secureRenew"
 // ErrRenewRejected is returned when the broker declines to renew.
 var ErrRenewRejected = errors.New("core: credential renewal rejected")
 
-// callCredentialed is the client half of every credential-signed broker
-// request (secureRenew, heartbeat): it closes the body with a timestamp
-// and the session credential, signs the whole with the client key as
-// proof of possession, and calls op.
-func (s *SecureClient) callCredentialed(ctx context.Context, op string, doc *xmldoc.Element) (*endpoint.Message, error) {
-	current, _ := s.credentials()
-	if current == nil {
+// callCredentialed is the client half of a heartbeat or renewal: a request
+// of kind carrying the session credential as issued, then fields, signed
+// with the client key for the broker as proof of possession.
+func (s *SecureClient) callCredentialed(ctx context.Context, op string, kind proto.RequestKind, fields ...[]byte) (*endpoint.Message, error) {
+	s.mu.RLock()
+	wire, brCred := s.credWire, s.brokerCred
+	s.mu.RUnlock()
+	if wire == nil {
 		return nil, ErrNoCredential
 	}
-	credDoc, err := current.Document()
-	if err != nil {
-		return nil, err
-	}
-	doc.AddText("Timestamp", signedTime(s.Now()))
-	doc.Add(credDoc)
-	sig, err := s.kp.Sign(doc.Canonical())
+	req, err := proto.AppendRequest(nil, s.kp, brCred.Subject, kind, s.Now(), proto.NewNonce(), append([][]byte{wire}, fields...)...)
 	if err != nil {
 		return nil, err
 	}
 	return s.Call(ctx, endpoint.NewMessage().
 		AddString(proto.ElemOp, op).
-		Add(proto.ElemBody, doc.Canonical()).
-		Add(proto.ElemSig, sig))
+		Add(proto.ElemBody, req))
 }
-
-// signedTime renders a time the way a credentialed request carries one.
-func signedTime(at time.Time) string { return at.UTC().Format(time.RFC3339Nano) }
 
 // issuedCredential takes the credential out of a secureLogin or
 // secureRenew response and checks it is this peer's: its key and peer
 // ID, issued by the verified broker, the chain valid now. A response
-// without a well-formed credential is the caller's rejected error.
-func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Credential, rejected error) (*cred.Credential, error) {
+// without a well-formed credential is the caller's rejected error. It
+// returns a copy of the bytes it came as too, which heartbeats carry.
+func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Credential, rejected error) (*cred.Credential, []byte, error) {
 	credRaw, ok := resp.Get(proto.ElemCred)
 	if !ok {
-		return nil, rejected
+		return nil, nil, rejected
 	}
-	// The credential is held for the session and is views of what it was
-	// parsed from: a copy, so that it does not hold the response frame.
-	credDoc, err := xmldoc.ParseCanonical(bytes.Clone(credRaw))
+	issued, err := cred.ParseBytes(credRaw)
 	if err != nil {
-		return nil, rejected
-	}
-	issued, err := cred.Parse(credDoc)
-	if err != nil {
-		return nil, rejected
+		return nil, nil, rejected
 	}
 	if !issued.Key.Equal(s.kp.Public()) || issued.Subject != s.PeerID() {
-		return nil, ErrCredUnexpected
+		return nil, nil, ErrCredUnexpected
 	}
 	if err := s.trust.VerifyChain(s.Now(), issued, brCred); err != nil {
-		return nil, ErrCredUnexpected
+		return nil, nil, ErrCredUnexpected
 	}
-	return issued, nil
+	return issued, bytes.Clone(credRaw), nil
 }
 
 // SecureRenewCredential asks the connected broker for a fresh credential
@@ -94,17 +77,11 @@ func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
 	if current == nil || brCred == nil {
 		return ErrNoCredential
 	}
-	nonce, err := keys.RandomBytes(16)
-	if err != nil {
-		return err
-	}
-	doc := xmldoc.New("SecureRenewRequest", "")
-	doc.AddText("Nonce", base64.StdEncoding.EncodeToString(nonce))
-	resp, err := s.callCredentialed(ctx, OpSecureRenew, doc)
+	resp, err := s.callCredentialed(ctx, OpSecureRenew, proto.KindRenew)
 	if err != nil {
 		return errors.Join(ErrRenewRejected, err)
 	}
-	fresh, err := s.issuedCredential(resp, brCred, ErrRenewRejected)
+	fresh, wire, err := s.issuedCredential(resp, brCred, ErrRenewRejected)
 	if err != nil {
 		return err
 	}
@@ -112,63 +89,50 @@ func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
 		return ErrCredUnexpected
 	}
 	// Install and re-arm the advertisement signer with the new chain.
-	return s.installCredential(fresh, brCred)
+	return s.installCredential(fresh, wire, brCred)
 }
 
-// credentialedRequest is the broker half: the one verifier of requests
-// signed under a session credential. In order: body and signature
-// present; canonical parse under the op's root name; an embedded
-// credential; that credential chained to this broker's own and within
-// validity (through the trust store: a credential seen before is not
-// verified again); the proof-of-possession signature over the whole
-// body; the CBID binding; a timestamp within two minutes of the broker
-// clock. It returns the parsed body and the verified credential, or the
-// refusal token. Once the request names a claimant every refusal is
-// audited (auditAuth's rule) — against the sender while the credential
-// does not parse, against the credential's subject after.
-func (bs *BrokerSecurity) credentialedRequest(from keys.PeerID, msg *endpoint.Message, root, kind, op string) (*xmldoc.Element, *cred.Credential, string) {
-	body, okBody := msg.Get(proto.ElemBody)
-	sig, okSig := msg.Get(proto.ElemSig)
-	if !okBody || !okSig {
-		return nil, nil, proto.ErrBadRequest
-	}
-	doc, err := xmldoc.ParseCanonical(body)
-	if err != nil || doc.Name != root {
-		return nil, nil, proto.ErrBadRequest
-	}
-	credDoc := doc.Child(cred.ElementName)
-	if credDoc == nil {
-		return nil, nil, proto.ErrBadRequest
-	}
-	current, err := cred.Parse(credDoc)
-	if err != nil {
-		bs.auditAuth(kind, from, op, proto.ErrBadCredential)
-		return nil, nil, proto.ErrBadCredential
-	}
+// credentialedRequest is the broker half: the request guard admits raw as a
+// request of kind whose credential parses, chains to this broker's own and
+// is valid now (through the trust store), and binds its subject's CBID to
+// the key that signed it (proto.RequestGuard.Open has the rest). It returns
+// the request and the credential, or the refusal token. Once the request
+// names a claimant every refusal is audited (auditAuth's rule) — against
+// the sender while the credential does not parse, its subject after.
+func (bs *BrokerSecurity) credentialedRequest(from keys.PeerID, msg *endpoint.Message, kind proto.RequestKind, auditKind, op string) (*proto.Request, *cred.Credential, string) {
+	raw, _ := msg.Get(proto.ElemBody)
 	now := bs.b.Now()
-	ts, tsErr := time.Parse(time.RFC3339Nano, doc.ChildText("Timestamp"))
-	token := ""
-	switch {
-	case bs.cfg.Trust.VerifyChain(now, current, bs.cfg.Credential) != nil:
-		token = proto.ErrBadCredential
-	case current.Key.Verify(body, sig) != nil:
-		token = proto.ErrBadSignature
-	case keys.VerifyCBID(current.Subject, current.Key) != nil:
-		token = proto.ErrCBIDMismatch
-	case tsErr != nil || now.Sub(ts).Abs() > 2*time.Minute:
-		token = proto.ErrBadRequest
-	}
-	if token != "" {
-		bs.auditAuth(kind, current.Subject, op, token)
+	var current *cred.Credential
+	var claimant keys.PeerID
+	req, err := bs.requests.Open(raw, kind, now, func(r *proto.Request) (*keys.PublicKey, error) {
+		claimant = from
+		c, err := cred.ParseBytes(r.Field(proto.CredField))
+		if err != nil {
+			return nil, refusal(proto.ErrBadCredential)
+		}
+		current, claimant = c, c.Subject
+		switch {
+		case bs.cfg.Trust.VerifyChain(now, c, bs.cfg.Credential) != nil:
+			return nil, refusal(proto.ErrBadCredential)
+		case keys.VerifyCBID(c.Subject, c.Key) != nil:
+			return nil, refusal(proto.ErrCBIDMismatch)
+		}
+		return c.Key, nil
+	})
+	if err != nil {
+		token := requestToken(err)
+		if claimant != "" {
+			bs.auditAuth(auditKind, claimant, op, token)
+		}
 		return nil, nil, token
 	}
-	return doc, current, ""
+	return req, current, ""
 }
 
 // handleSecureRenew is the broker side: a verified credentialed request
 // is answered with a re-issued credential.
 func (bs *BrokerSecurity) handleSecureRenew(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	_, current, token := bs.credentialedRequest(from, msg, "SecureRenewRequest", audit.KindRenew, OpSecureRenew)
+	_, current, token := bs.credentialedRequest(from, msg, proto.KindRenew, audit.KindRenew, OpSecureRenew)
 	if token != "" {
 		return proto.Fail(token)
 	}

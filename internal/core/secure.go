@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"runtime"
@@ -107,6 +105,9 @@ type SecureClient struct {
 	// identity holds a copy for the keystore and for diagnostics only.
 	cred       *cred.Credential
 	brokerCred *cred.Credential
+	// credWire is Cred_Cl^Br as the broker sent it: what the session's
+	// heartbeats and renewals carry.
+	credWire []byte
 	// brokerKey is the broker's key carrying the agreement key its
 	// secureConnection answer signed: what the login request is sealed to.
 	brokerKey *keys.PublicKey
@@ -243,7 +244,7 @@ func (s *SecureClient) credentials() (own, broker *cred.Credential) {
 // credential: in the keystore (PSE) or on the bare identity, then — under
 // the lock every reader takes — in this client, and from here on
 // everything published is signed with that chain.
-func (s *SecureClient) installCredential(issued, brCred *cred.Credential) error {
+func (s *SecureClient) installCredential(issued *cred.Credential, wire []byte, brCred *cred.Credential) error {
 	if pse, ok := s.Membership().(*membership.PSE); ok {
 		if err := pse.SetCredential(issued, brCred); err != nil {
 			return err
@@ -254,7 +255,7 @@ func (s *SecureClient) installCredential(issued, brCred *cred.Credential) error 
 		id.Chain = []*cred.Credential{issued, brCred}
 	}
 	s.mu.Lock()
-	s.cred = issued
+	s.cred, s.credWire = issued, wire
 	s.mu.Unlock()
 	s.SetAdvSigner(func(doc *xmldoc.Element) error {
 		return xdsig.Sign(doc, s.kp, issued, brCred)
@@ -297,14 +298,9 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 		s.reject(brokerID, "incomplete secure connection response")
 		return ErrBrokerNotLegit
 	}
-	// Held for the session (and by the trust store): parsed from a copy,
-	// so that its views do not hold the response frame.
-	credDoc, err := xmldoc.ParseCanonical(bytes.Clone(credRaw))
-	if err != nil {
-		s.reject(brokerID, "malformed broker credential")
-		return ErrBrokerNotLegit
-	}
-	brCred, err := cred.Parse(credDoc)
+	// Held for the session (and by the trust store): ParseBytes parses a
+	// copy, so that its views do not hold the response frame.
+	brCred, err := cred.ParseBytes(credRaw)
 	if err != nil {
 		s.reject(brokerID, "malformed broker credential")
 		return ErrBrokerNotLegit
@@ -368,46 +364,37 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 		return ErrNoSid
 	}
 	pub := s.kp.Public()
-	keyB64, err := pub.MarshalBase64()
+	der, err := pub.MarshalDER()
 	if err != nil {
 		return err
 	}
-	// Step 1: req = S_SKCl(username, password, PKCl), and the agreement key
-	// derived from SK_Cl, which the broker certifies in Cred_Cl^Br.
-	doc := xmldoc.New("SecureLoginRequest", "")
-	doc.AddText("User", s.Username())
-	doc.AddText("Pass", password)
-	doc.AddText("PeerID", string(s.PeerID()))
-	doc.AddText("Key", keyB64)
-	doc.AddText("Agree", pub.ShareBase64())
-	doc.AddText("Sid", sid)
-	sig, err := s.kp.Sign(loginSigned(doc.Canonical(), brCred.Subject))
+	share, _ := pub.AgreementShare()
+	// Step 1: req = S_SKCl(username, password, PKCl, share), for the verified
+	// broker, behind room for the envelope's prefix. The broker certifies
+	// the agreement key, share, in Cred_Cl^Br.
+	req, err := proto.AppendRequest(make([]byte, keys.EnvelopePrefix), s.kp, brCred.Subject, proto.KindLogin, s.Now(), proto.NewNonce(),
+		[]byte(s.Username()), []byte(password), []byte(s.PeerID()), der, share[:], []byte(sid))
 	if err != nil {
 		return err
 	}
-	doc.AddText("Signature", base64.StdEncoding.EncodeToString(sig))
-
-	// Step 3: Cl → Br {E_PKBr(req, sid)}.
-	env, err := brKey.Encrypt(doc.Canonical())
+	// Step 3: Cl → Br {E_PKBr(req, sid)}, sealed where it was signed.
+	env, err := keys.SealEnvelope(req, 0, brKey)
 	if err != nil {
 		return err
 	}
-	msg := endpoint.NewMessage().
-		AddString(proto.ElemOp, proto.OpSecureLogin).
-		Add(proto.ElemEnvelope, env.Bytes())
-	resp, err := s.Call(ctx, msg)
+	resp, err := s.Call(ctx, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpSecureLogin).Add(proto.ElemEnvelope, env))
 	if err != nil {
 		s.Bus().Emit(events.Event{Type: events.LoginFailed, From: s.Broker()})
 		return fmt.Errorf("%w: %v", ErrLoginRejected, err)
 	}
 
 	// Step 9-10: receive and validate cr = Cred_Cl^Br.
-	myCred, err := s.issuedCredential(resp, brCred, ErrLoginRejected)
+	myCred, wire, err := s.issuedCredential(resp, brCred, ErrLoginRejected)
 	if err != nil {
 		return err
 	}
 
-	if err := s.installCredential(myCred, brCred); err != nil {
+	if err := s.installCredential(myCred, wire, brCred); err != nil {
 		return err
 	}
 

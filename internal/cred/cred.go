@@ -13,6 +13,7 @@
 package cred
 
 import (
+	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -209,6 +210,16 @@ func Parse(doc *xmldoc.Element) (*Credential, error) {
 		return nil, malformed("Signature")
 	}
 	return &c, nil
+}
+
+// ParseBytes reads a credential from the bytes of Document's canonical form,
+// parsing a copy: a credential is views of what it was parsed from.
+func ParseBytes(raw []byte) (*Credential, error) {
+	doc, err := xmldoc.ParseCanonical(bytes.Clone(raw))
+	if err != nil {
+		return nil, err
+	}
+	return Parse(doc)
 }
 
 // strictBase64 decodes only the one spelling EncodeToString writes of

@@ -282,7 +282,7 @@ var vocabulary = func(names ...string) map[string]string {
 	"relay:rcpt", "relay:direct", "relay:queued", "relay:skipped", "relay:handoff",
 	"relay:quota", "relay:to", "relay:exp", "fed:session", "trace:id",
 	"lease:id", "lease:ttl", "idem:key", "retry:after",
-	"db:env", "db:sig", "db:cred", "db:body",
+	"db:env", "db:body",
 )
 
 func intern(b []byte) string {

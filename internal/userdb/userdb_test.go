@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +16,7 @@ import (
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/lru"
+	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 )
 
@@ -239,6 +238,7 @@ type remoteFixture struct {
 	store      *Store
 	adminKP    *keys.KeyPair
 	brokerKP   *keys.KeyPair
+	dbKP       *keys.KeyPair
 	adminCred  *cred.Credential
 	brokerCred *cred.Credential
 	serverCred *cred.Credential
@@ -254,7 +254,7 @@ func newRemoteFixture(t *testing.T) *remoteFixture {
 
 	f.adminKP = mustKey(300)
 	f.brokerKP = mustKey(301)
-	dbKP := mustKey(302)
+	f.dbKP = mustKey(302)
 
 	var err error
 	f.adminCred, err = cred.SelfSigned(f.adminKP, "admin", time.Hour)
@@ -266,8 +266,8 @@ func newRemoteFixture(t *testing.T) *remoteFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbID, _ := keys.CBID(dbKP.Public())
-	f.serverCred, err = cred.Issue(f.adminKP, f.adminCred.Subject, dbID, "central-db", cred.RoleDatabase, dbKP.Public(), time.Hour)
+	dbID, _ := keys.CBID(f.dbKP.Public())
+	f.serverCred, err = cred.Issue(f.adminKP, f.adminCred.Subject, dbID, "central-db", cred.RoleDatabase, f.dbKP.Public(), time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func newRemoteFixture(t *testing.T) *remoteFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.server = NewServer(f.dbEP, f.store, dbKP, f.serverCred, trust)
+	f.server = NewServer(f.dbEP, f.store, f.dbKP, trust)
 
 	f.brEP, err = endpoint.NewService(f.net, brID)
 	if err != nil {
@@ -434,110 +434,88 @@ func TestRemoteReplayRejected(t *testing.T) {
 		t.Fatalf("replay transport failed: %v", err)
 	}
 	got <- resp
-	body, _ := resp.Get(elemBody)
-	if !bytes.Contains(body, []byte("<OK>0</OK>")) {
-		t.Fatalf("replayed request was accepted: %s", body)
+	if errText, _ := readAnswer(t, resp, attacker.PeerID(), f.dbKP); errText == "" {
+		t.Fatal("replayed request was accepted")
 	}
 }
 
-// nonceTable is a Server with nothing but its request-nonce table: what
-// checkNonce touches, at the now it is handed.
-func nonceTable() *Server {
-	return &Server{seen: lru.NewWindow[string, struct{}](nonceCapacity)}
+// readAnswer reads a database answer signed for audience under kp and
+// returns its error text ("" when the query was answered) and groups.
+func readAnswer(t *testing.T, resp *endpoint.Message, audience keys.PeerID, kp *keys.KeyPair) (errText, groups string) {
+	t.Helper()
+	raw, _ := resp.Get(elemBody)
+	a, err := proto.NewRequestGuard(audience).Open(raw, proto.KindAnswer, time.Now(), func(*proto.Request) (*keys.PublicKey, error) {
+		return kp.Public(), nil
+	})
+	if err != nil {
+		t.Fatalf("answer does not read as the server's: %v", err)
+	}
+	return string(a.Field(proto.AnswerErr)), string(a.Field(proto.AnswerGroups))
 }
 
-// TestNoncePastWindowForgotten: a nonce is refused for as long as a replay
-// of its request could pass the timestamp check, 2·maxSkew, and is then
-// dropped by the next admit, not kept against the bound.
-func TestNoncePastWindowForgotten(t *testing.T) {
-	s, base := nonceTable(), time.Now()
-	if err := s.checkNonce("n", base); err != nil {
+// TestRemoteRequestSignatureSealed: the broker's signature over a query
+// travels inside the envelope with the password, never beside it. A
+// signature in clear over the sealed plaintext would let anyone on the
+// broker–database link test password guesses offline: rebuild the
+// plaintext around each guess and check it under the broker's public key.
+// So no cleartext element of the query or of its answer verifies over the
+// plaintext under the broker key, and the signature the plaintext carries
+// appears in none of them.
+func TestRemoteRequestSignatureSealed(t *testing.T) {
+	f := newRemoteFixture(t)
+	var toDB, fromDB []byte
+	f.net.AddTap(func(p simnet.Packet) {
+		switch {
+		case p.To == simnet.NodeID(f.dbEP.PeerID()) && toDB == nil:
+			toDB = bytes.Clone(p.Payload)
+		case p.To == simnet.NodeID(f.brEP.PeerID()) && fromDB == nil:
+			fromDB = bytes.Clone(p.Payload)
+		}
+	})
+	if _, err := f.client.Authenticate(ctx(t), "alice", "s3cret"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.checkNonce("n", base.Add(2*maxSkew)); err != ErrReplay {
-		t.Fatalf("nonce at the window's edge = %v, want ErrReplay", err)
+	if toDB == nil || fromDB == nil {
+		t.Fatal("query or answer not captured")
 	}
-	past := base.Add(2*maxSkew + time.Nanosecond)
-	if err := s.checkNonce("other", past); err != nil {
+	query, err := endpoint.ParseFrame(toDB)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s.seen.Len(); n != 1 {
-		t.Fatalf("%d nonces held after the first one's window, want 1", n)
-	}
-	if err := s.checkNonce("n", past); err != nil {
-		t.Fatalf("nonce past its window = %v, want it forgotten", err)
-	}
-}
-
-// TestNonceTableStaysAtCapacity: full, the table gives up the nonce closest
-// to expiry — the first admitted — and counts it.
-func TestNonceTableStaysAtCapacity(t *testing.T) {
-	s, base := nonceTable(), time.Now()
-	for i := 0; i < nonceCapacity; i++ {
-		if err := s.checkNonce("n"+strconv.Itoa(i), base.Add(time.Duration(i)*time.Millisecond)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.NonceEvictions(); got != 0 {
-		t.Fatalf("NonceEvictions = %d while filling, want 0", got)
-	}
-	now := base.Add(time.Minute)
-	if err := s.checkNonce("one more", now); err != nil {
+	answer, err := endpoint.ParseFrame(fromDB)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n, ev := s.seen.Len(), s.NonceEvictions(); n != nonceCapacity || ev != 1 {
-		t.Fatalf("%d nonces held, %d evicted live; want %d and 1", n, ev, nonceCapacity)
+	envBytes, _ := query.Msg.Get(elemEnvelope)
+	env, err := keys.ParseEnvelope(envBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := s.checkNonce("n1", now); err != ErrReplay {
-		t.Fatalf("second-oldest nonce = %v, want ErrReplay: only the one closest to expiry may go", err)
+	plain, err := f.dbKP.Decrypt(env)
+	if err != nil {
+		t.Fatalf("the database key does not open the captured query: %v", err)
 	}
-	if err := s.checkNonce("n0", now); err != nil {
-		t.Fatalf("oldest nonce = %v, want it given up", err)
+	if !bytes.Contains(plain, []byte("s3cret")) {
+		t.Fatal("the sealed plaintext does not carry the password")
 	}
-}
-
-// TestNonceAdmitDoesNotScan: an admit on a full table costs what it costs
-// on an empty one — no walk over the table, which is what every request
-// used to pay (core's TestReplayGuardAdmitDoesNotScan measure: 10,000
-// admits against 10,000 walks of a map the table's size).
-func TestNonceAdmitDoesNotScan(t *testing.T) {
-	const admits = 10000
-	s, now := nonceTable(), time.Now()
-	nonces := make([]string, nonceCapacity+admits)
-	for i := range nonces {
-		nonces[i] = "nonce-" + strconv.Itoa(i)
+	// The plaintext is a query the broker signed for the database: its
+	// signature is its last bytes.
+	_, err = proto.NewRequestGuard(f.dbEP.PeerID()).Open(plain, proto.KindQuery, time.Now(), func(*proto.Request) (*keys.PublicKey, error) {
+		return f.brokerKP.Public(), nil
+	})
+	if err != nil {
+		t.Fatalf("the sealed plaintext is not a query signed by the broker for the database: %v", err)
 	}
-	for _, n := range nonces[:nonceCapacity] {
-		s.checkNonce(n, now)
-	}
-	table := make(map[int]int64, nonceCapacity)
-	for i := 0; i < nonceCapacity; i++ {
-		table[i] = 0
-	}
-	start, visited := time.Now(), 0
-	for i := 0; i < admits/100; i++ {
-		for range table {
-			visited++
+	sig := plain[len(plain)-f.brokerKP.Bits()/8:]
+	for _, m := range []*endpoint.Message{query.Msg, answer.Msg} {
+		for _, e := range m.Elements {
+			if f.brokerKP.Public().Verify(plain, e.Data) == nil {
+				t.Fatalf("cleartext element %q is the broker's signature over the sealed plaintext", e.Name)
+			}
+			if bytes.Contains(e.Data, sig) {
+				t.Fatalf("cleartext element %q carries the query's signature", e.Name)
+			}
 		}
-	}
-	scan := time.Since(start) * 100
-	if visited != nonceCapacity*admits/100 {
-		t.Fatalf("walked %d entries, want %d", visited, nonceCapacity*admits/100)
-	}
-
-	start = time.Now()
-	for _, n := range nonces[nonceCapacity:] {
-		if err := s.checkNonce(n, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	took := time.Since(start)
-	t.Logf("%d admits %v, %d table walks %v", admits, took, admits, scan)
-	if took > scan/4 {
-		t.Errorf("%d admits on a full table took %v; one table walk per admit would take %v", admits, took, scan)
-	}
-	if n := s.seen.Len(); n != nonceCapacity {
-		t.Errorf("%d nonces held after admits at capacity, want %d", n, nonceCapacity)
 	}
 }
 

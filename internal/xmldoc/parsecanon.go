@@ -102,10 +102,8 @@ var internedNames = buildInterned(
 	"Id", "Type", "Name", "PeerID", "Desc", "Status", "File", "Size",
 	"Digest", "Seen", "Creator", "GroupID", "Services", "Service",
 	"UptimeSec", "MsgsSent", "MsgsRecv", "BytesSent", "BytesRecv",
-	// login / renewal / user database
-	"SecureLoginRequest", "SecureRenewRequest", "User", "Pass", "Sid",
-	"Timestamp", "DBRequest", "DBResponse", "Op", "Broker", "Groups",
-	"OK", "Err",
+	// audit checkpoints
+	"Timestamp",
 )
 
 func buildInterned(names ...string) map[string]string {
