@@ -12,7 +12,6 @@ import (
 
 	"jxtaoverlay/internal/audit"
 	"jxtaoverlay/internal/cred"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // cmdAudit is the operator's window into the tamper-evident security
@@ -84,7 +83,7 @@ func cmdAuditTail(args []string) error {
 func cmdAuditVerify(args []string) error {
 	fs := flag.NewFlagSet("audit verify", flag.ExitOnError)
 	dir := fs.String("dir", "", "audit journal directory")
-	anchor := fs.String("anchor", "", "anchor credential XML (e.g. deploy/anchor.cred.xml); checkpoint signers must chain to it")
+	anchor := fs.String("anchor", "", "anchor credential file (e.g. deploy/anchor.cred, as admin init writes it); checkpoint signers must be brokers chaining to it")
 	expectHead := fs.String("expect-head", "", "remembered chain head (hex or base64 as printed by admin audit / /debug/audit)")
 	expectSeq := fs.Uint64("expect-seq", 0, "remembered chain sequence number")
 	fs.Parse(args)
@@ -98,11 +97,7 @@ func cmdAuditVerify(args []string) error {
 		if err != nil {
 			return err
 		}
-		doc, err := xmldoc.ParseCanonical(raw) // as admin init wrote it
-		if err != nil {
-			return fmt.Errorf("audit verify: parse %s: %w", *anchor, err)
-		}
-		anchorCred, err := cred.Parse(doc)
+		anchorCred, err := cred.Parse(raw) // as admin init wrote it
 		if err != nil {
 			return fmt.Errorf("audit verify: %s: %w", *anchor, err)
 		}

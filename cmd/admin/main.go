@@ -4,14 +4,15 @@
 //
 // Subcommands:
 //
-//	admin init    -dir deploy/                      generate admin key + anchor credential
-//	admin broker  -dir deploy/ -name broker-1       issue a broker key + credential
+//	admin init    -dir deploy/                      generate admin key + anchor credential (anchor.cred)
+//	admin broker  -dir deploy/ -name broker-1       issue a broker key + credential (broker-1.cred)
 //	admin adduser -dir deploy/ -user alice -pass pw -groups math,art
 //	admin users   -dir deploy/                      list registered users
 //	admin metrics -url localhost:9090               snapshot a broker's telemetry
 //	admin trace   -url localhost:9090               dump captured message-lifecycle traces
 //	admin audit   -url localhost:9090               tail a broker's security audit log
-//	admin audit verify -dir audit/                  verify an audit journal's hash chain + checkpoints
+//	admin audit verify -dir audit/ [-anchor deploy/anchor.cred]
+//	                                                verify an audit journal's hash chain + checkpoints
 package main
 
 import (
@@ -70,12 +71,13 @@ func usage() {
   metrics -url HOST:PORT [-timeout 5s]
   trace   -url HOST:PORT [-trace HEXID] [-stage NAME] [-outcome NAME] [-min DUR] [-timeout 5s]
   audit   -url HOST:PORT [-kind NAME] [-peer ID] [-op NAME] [-trace HEXID] [-since SEQ] [-limit N]
-  audit verify -dir DIR [-anchor FILE] [-expect-head DIGEST] [-expect-seq N]`)
+  audit verify -dir DIR [-anchor DIR/anchor.cred] [-expect-head DIGEST] [-expect-seq N]`)
 	os.Exit(2)
 }
 
 const (
 	adminKeyFile = "admin.key.pem"
+	anchorFile   = "anchor.cred" // the anchor credential's bytes
 	usersFile    = "users.json"
 )
 
@@ -104,11 +106,11 @@ func cmdInit(args []string) error {
 	if err != nil {
 		return err
 	}
-	anchorDoc, err := dep.Anchor().Document()
+	anchorRaw, err := dep.Anchor().Bytes()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(*dir, "anchor.cred.xml"), anchorDoc.Canonical(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(*dir, anchorFile), anchorRaw, 0o644); err != nil {
 		return err
 	}
 	db := userdb.NewStore()
@@ -159,11 +161,11 @@ func cmdBroker(args []string) error {
 	if err := os.WriteFile(filepath.Join(*dir, *name+".key.pem"), pemBytes, 0o600); err != nil {
 		return err
 	}
-	credDoc, err := crd.Document()
+	credRaw, err := crd.Bytes()
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(*dir, *name+".cred.xml"), credDoc.Canonical(), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(*dir, *name+".cred"), credRaw, 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("broker %q credentialed (id %s, valid until %s)\n", *name, crd.Subject, crd.NotAfter.Format(time.RFC3339))

@@ -84,9 +84,10 @@
 // lists its steps). Every form but a channel's carries one binary signed
 // header (internal/core/header.go: kind, sender, group, time, body digest
 // and the optional fields its flags name), signed as a label followed by
-// the header bytes themselves: no canonicalization, and XML only for the
-// paper's documents — advertisements, credentials, the credentialed
-// requests, audit checkpoints. There is one envelope, the paper's
+// the header bytes themselves: no canonicalization. XML is left only for
+// advertisements; credentials, signed requests and audit checkpoints are
+// the binary signed forms of internal/proto's codec, each under a kind
+// byte and a label of its own. There is one envelope, the paper's
 // sign-then-encrypt (core.ModeFull), and a header without a signature opens
 // nowhere: every SecureMessage names a sender whose certified key verified
 // it, or the peer of a channel its signed offer established.

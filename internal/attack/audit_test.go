@@ -272,3 +272,46 @@ func TestAuditForgedCheckpointRejected(t *testing.T) {
 		t.Fatal("fault carries no reason")
 	}
 }
+
+// TestAuditCheckpointSignedByClientRejected: a client of the deployment
+// holds a key and a credential that reach the anchor (client ← broker ←
+// admin), but no broker key. A journal it checkpoints itself is
+// structurally sound and fails the deployment's verification: a
+// checkpoint's signer must be a broker.
+func TestAuditCheckpointSignedByClientRejected(t *testing.T) {
+	p := newAuditParty(t)
+	malloryKP, err := keys.NewKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	malloryID, err := keys.CBID(malloryKP.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	brCred := p.chain[0]
+	clientCred, err := cred.Issue(p.kp, brCred.Subject, malloryID, "mallory", cred.RoleClient, malloryKP.Public(), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.trust.VerifyChain(time.Now(), clientCred, brCred); err != nil {
+		t.Fatalf("test setup: mallory's chain does not reach the anchor: %v", err)
+	}
+	mallory := &auditParty{kp: malloryKP, chain: []*cred.Credential{clientCred, brCred}, trust: p.trust}
+	dir := t.TempDir()
+	sealedJournal(t, mallory, dir, 16)
+
+	structural, err := audit.Verify(dir, audit.VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !structural.OK() || structural.Checkpoints == 0 {
+		t.Fatalf("test setup: mallory's journal is not structurally sound: %v", structural.Fault)
+	}
+	rep, err := audit.Verify(dir, audit.VerifyOptions{Trust: p.trust})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() {
+		t.Fatalf("a journal checkpointed with a client's key verified against the anchor: %d checkpoints, signer %q", rep.Checkpoints, rep.Signer)
+	}
+}

@@ -216,7 +216,7 @@ func TestStoredCredentialOnlyForSameKeyAndUser(t *testing.T) {
 		t.Fatalf("login as bob under alice's key: %v", err)
 	}
 	raw, _ := resp.Get(proto.ElemCred)
-	issued, err := cred.ParseBytes(raw)
+	issued, err := cred.Parse(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

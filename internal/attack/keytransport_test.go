@@ -102,7 +102,7 @@ func TestLoginRequestResealedToAnotherBrokerRefused(t *testing.T) {
 // case to case, and with the broker's own share the twin logs alice in.
 func TestBrokerAgreementKeyUnderChallengeSignature(t *testing.T) {
 	s := newSecureStack(t)
-	credDoc, err := s.brSec.Credential().Document()
+	credRaw, err := s.brSec.Credential().Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestBrokerAgreementKeyUnderChallengeSignature(t *testing.T) {
 				}
 				sid, _ := answer.GetString(proto.ElemSid)
 				sig, _ := s.brKP.Sign(append(append([]byte("jxta-overlay/secure-connect/v1"), chall...), tc.signed...))
-				resp := proto.OK().AddString(proto.ElemSid, sid).Add(proto.ElemSig, sig).Add(proto.ElemCred, credDoc.Canonical())
+				resp := proto.OK().AddString(proto.ElemSid, sid).Add(proto.ElemSig, sig).Add(proto.ElemCred, credRaw)
 				if !tc.omitShareElem {
 					resp.Add(proto.ElemShare, tc.sent)
 				}

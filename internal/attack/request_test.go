@@ -163,12 +163,12 @@ func TestRequestSignedForAnotherBrokerRefused(t *testing.T) {
 // audience.
 func renewalFor(t *testing.T, sc *core.SecureClient, audience keys.PeerID) []byte {
 	t.Helper()
-	doc, err := sc.Identity().Credential.Document()
+	credRaw, err := sc.Identity().Credential.Bytes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	nonce := proto.NewNonce()
-	req, err := proto.AppendRequest(nil, sc.Identity().Keys, audience, proto.KindRenew, sc.Now(), nonce, doc.Canonical())
+	req, err := proto.AppendRequest(nil, sc.Identity().Keys, audience, proto.KindRenew, sc.Now(), nonce, credRaw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,81 +2,97 @@ package audit
 
 import (
 	"crypto/subtle"
-	"encoding/base64"
+	"encoding/binary"
+	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/xdsig"
-	"jxtaoverlay/internal/xmldoc"
+	"jxtaoverlay/internal/proto"
 )
 
-// CheckpointElement is the root element of a checkpoint attestation.
-const CheckpointElement = "AuditCheckpoint"
+// A checkpoint's payload is a signed form of proto's codec (SECURITY.md,
+// "Audit trust model"): KindCheckpoint ‖ seq u64 ‖ records u64 ‖ chain
+// head ‖ time ‖ the signer's credential chain (one field of
+// cred.AppendChain) ‖ signature over checkpointLabel and every byte in
+// front of its length.
 
-// buildCheckpoint produces the signed canonical XML payload of a
-// checkpoint record at sequence seq: an attestation that after the
-// first seq-1 records the hash chain's head was `head`. The signature
-// is the same enveloped XMLdsig shape advertisements use, so the
-// KeyInfo block carries the broker's credential chain — the attestation
-// is attributable to a specific certified broker key, not just "some
-// RSA key".
-func buildCheckpoint(seq uint64, head [HashSize]byte, ts time.Time, kp *keys.KeyPair, chain []*cred.Credential) ([]byte, error) {
-	doc := xmldoc.New(CheckpointElement, "")
-	doc.AddText("Seq", strconv.FormatUint(seq, 10))
-	doc.AddText("Records", strconv.FormatUint(seq-1, 10))
-	doc.AddText("ChainHead", base64.StdEncoding.EncodeToString(head[:]))
-	doc.AddText("Timestamp", strconv.FormatInt(ts.UnixNano(), 10))
-	if err := xdsig.Sign(doc, kp, chain...); err != nil {
-		return nil, fmt.Errorf("audit: sign checkpoint: %w", err)
-	}
-	return doc.Canonical(), nil
-}
+// checkpointLabel separates a checkpoint signature from every other one.
+const checkpointLabel = "jxta-overlay/audit-checkpoint/v1"
 
-// checkpointClaim is a parsed (not yet verified) checkpoint payload.
+var errCheckpointForm = errors.New("audit: checkpoint payload malformed")
+
+// checkpointClaim is a parsed (not yet verified) checkpoint payload; chain,
+// signed and sig are views of the payload.
 type checkpointClaim struct {
 	Seq     uint64
 	Records uint64
 	Head    [HashSize]byte
-	Time    int64
-	doc     *xmldoc.Element
+	Time    time.Time
+	chain   []byte // as cred.AppendChain wrote it, leaf first
+	signed  []byte // every byte in front of the signature's length
+	sig     []byte
 }
 
-func parseCheckpoint(payload []byte) (*checkpointClaim, error) {
-	// The payload is what buildCheckpoint wrote with Canonical(), read back
-	// from a disk an adversary may have reached: the canonical subset and
-	// nothing else (no DTD, no entity, bounded depth).
-	doc, err := xmldoc.ParseCanonical(payload)
+// appendBody appends what the checkpoint's signature covers, less the
+// label.
+func (c *checkpointClaim) appendBody(dst []byte) []byte {
+	dst = append(dst, byte(proto.KindCheckpoint))
+	dst = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(dst, c.Seq), c.Records)
+	dst = proto.AppendTime(append(dst, c.Head[:]...), c.Time)
+	return proto.AppendField(dst, c.chain)
+}
+
+// buildCheckpoint produces the signed payload of a checkpoint record at
+// sequence seq: an attestation that after the first seq-1 records the
+// hash chain's head was head, signed by kp, whose credential chain is
+// chain.
+func buildCheckpoint(seq uint64, head [HashSize]byte, ts time.Time, kp *keys.KeyPair, chain []*cred.Credential) ([]byte, error) {
+	if len(chain) == 0 || !chain[0].Key.SameIdentity(kp.Public()) {
+		return nil, errors.New("audit: sign checkpoint: the chain's leaf does not certify the signing key")
+	}
+	chainRaw, err := cred.AppendChain(nil, chain...)
+	if err == nil && len(chainRaw) > proto.MaxField {
+		err = proto.ErrFieldTooLong
+	}
 	if err != nil {
-		return nil, fmt.Errorf("audit: checkpoint payload: %w", err)
+		return nil, fmt.Errorf("audit: sign checkpoint: credential chain: %w", err)
 	}
-	if doc.Name != CheckpointElement {
-		return nil, fmt.Errorf("audit: checkpoint payload is a %q document", doc.Name)
+	c := checkpointClaim{Seq: seq, Records: seq - 1, Head: head, Time: ts, chain: chainRaw}
+	signed := c.appendBody([]byte(checkpointLabel))
+	sig, err := kp.Sign(signed)
+	if err != nil {
+		return nil, fmt.Errorf("audit: sign checkpoint: %w", err)
 	}
-	c := &checkpointClaim{doc: doc}
-	if c.Seq, err = strconv.ParseUint(doc.ChildText("Seq"), 10, 64); err != nil {
-		return nil, fmt.Errorf("audit: checkpoint Seq: %w", err)
+	return proto.AppendField(signed[len(checkpointLabel):], sig), nil
+}
+
+// parseCheckpoint reads a payload as buildCheckpoint writes it, whole.
+// The payload is read back from a disk an adversary may have reached:
+// anything but a checkpoint is refused at its kind byte.
+func parseCheckpoint(payload []byte) (*checkpointClaim, error) {
+	if len(payload) == 0 || payload[0] != byte(proto.KindCheckpoint) {
+		return nil, errCheckpointForm
 	}
-	if c.Records, err = strconv.ParseUint(doc.ChildText("Records"), 10, 64); err != nil {
-		return nil, fmt.Errorf("audit: checkpoint Records: %w", err)
-	}
-	h, err := base64.StdEncoding.DecodeString(doc.ChildText("ChainHead"))
-	if err != nil || len(h) != HashSize {
-		return nil, fmt.Errorf("audit: checkpoint ChainHead invalid")
-	}
-	copy(c.Head[:], h)
-	if c.Time, err = strconv.ParseInt(doc.ChildText("Timestamp"), 10, 64); err != nil {
-		return nil, fmt.Errorf("audit: checkpoint Timestamp: %w", err)
+	in := proto.NewReader(payload[1:])
+	c := &checkpointClaim{Seq: in.Uint(8), Records: in.Uint(8)}
+	copy(c.Head[:], in.Bytes(HashSize))
+	c.Time, c.chain = in.Time(), in.Field()
+	c.signed = payload[:len(payload)-in.Len()]
+	c.sig = in.Field()
+	if !in.Done() || len(c.sig) == 0 {
+		return nil, errCheckpointForm
 	}
 	return c, nil
 }
 
 // verify checks the claim against the verifier's independently computed
-// chain state at the checkpoint's position, then the XMLdsig signature
-// (structurally always; against a trust anchor when ts is non-nil).
-// It returns the signer's leaf credential for attribution.
+// chain state at the checkpoint's position, then the signature under the
+// chain's leaf key. With a trust store it also requires the chain to reach
+// one of its anchors, the leaf's CBID to bind its key, and the leaf to be
+// a broker's: a client's credential reaches the anchor too. It returns the
+// signer's leaf credential for attribution.
 func (c *checkpointClaim) verify(rec Record, computedHead [HashSize]byte, ts *cred.TrustStore, now time.Time) (*cred.Credential, error) {
 	if c.Seq != rec.Seq {
 		return nil, fmt.Errorf("audit: checkpoint claims seq %d but sits at seq %d", c.Seq, rec.Seq)
@@ -87,15 +103,25 @@ func (c *checkpointClaim) verify(rec Record, computedHead [HashSize]byte, ts *cr
 	if subtle.ConstantTimeCompare(c.Head[:], computedHead[:]) != 1 {
 		return nil, fmt.Errorf("audit: checkpoint chain head does not match the records before it")
 	}
-	var res *xdsig.Result
-	var err error
-	if ts != nil {
-		res, err = xdsig.VerifyTrusted(c.doc, ts, now)
-	} else {
-		res, err = xdsig.Verify(c.doc)
-	}
+	chain, err := cred.ParseChain(c.chain)
 	if err != nil {
+		return nil, fmt.Errorf("audit: checkpoint signer chain: %w", err)
+	}
+	leaf := chain[0]
+	if leaf.Key.Verify(append([]byte(checkpointLabel), c.signed...), c.sig) != nil {
+		return nil, errors.New("audit: checkpoint signature: invalid")
+	}
+	if ts == nil {
+		return leaf, nil
+	}
+	if err := ts.VerifyChain(now, chain...); err != nil {
 		return nil, fmt.Errorf("audit: checkpoint signature: %w", err)
 	}
-	return res.Signer, nil
+	if keys.IsCBID(leaf.Subject) && leaf.VerifyCBID() != nil {
+		return nil, fmt.Errorf("audit: checkpoint signature: signer %q does not own its key", leaf.Subject)
+	}
+	if leaf.Role != cred.RoleBroker {
+		return nil, fmt.Errorf("audit: checkpoint signature: signer %q is a %s, not a broker", leaf.SubjectName, leaf.Role)
+	}
+	return leaf, nil
 }

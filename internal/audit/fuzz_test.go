@@ -3,6 +3,9 @@ package audit
 import (
 	"bytes"
 	"testing"
+	"time"
+
+	"jxtaoverlay/internal/proto"
 )
 
 // FuzzAuditDecode pins the decoder's two safety properties under
@@ -29,7 +32,7 @@ func FuzzAuditDecode(f *testing.F) {
 	f.Add(evRec)
 	ckRec, err := AppendRecord(nil, Record{
 		Frame: FrameCheckpoint, Seq: 2, Prev: prev, Time: 1234567890,
-		Checkpoint: []byte("<AuditCheckpoint>not actually signed</AuditCheckpoint>"),
+		Checkpoint: append([]byte{byte(proto.KindCheckpoint)}, "not actually signed"...),
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -55,4 +58,60 @@ func FuzzAuditDecode(f *testing.F) {
 			t.Fatalf("decode/encode not a bijection:\n in  %x\n out %x", data[:n], re)
 		}
 	})
+}
+
+// FuzzParseCheckpoint feeds arbitrary bytes to the checkpoint decoder,
+// which reads every checkpoint payload back from a disk an adversary may
+// have reached. Seeds: a real checkpoint, a credential's bytes and a
+// signed request's — the two other forms of its codec. Properties: no
+// panic; an accepted payload re-encodes to exactly its bytes; and every
+// field the claim keeps is a view inside the input, so a parse copies
+// nothing of an untrusted payload.
+func FuzzParseCheckpoint(f *testing.F) {
+	kp, chain, _ := signer(f)
+	var head [HashSize]byte
+	head[0] = 7
+	ckpt, err := buildCheckpoint(5, head, time.Unix(1234567890, 42), kp, chain)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt)
+	credRaw, err := chain[0].Bytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(credRaw)
+	req, err := proto.AppendRequest(nil, kp, chain[0].Subject, proto.KindRenew, time.Unix(1234567890, 0), proto.NewNonce(), credRaw)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(req)
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		c, err := parseCheckpoint(payload)
+		if err != nil {
+			return
+		}
+		if again := proto.AppendField(c.appendBody(nil), c.sig); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted checkpoint re-encodes differently:\n in %x\nout %x", payload, again)
+		}
+		for name, field := range map[string][]byte{"chain": c.chain, "signed": c.signed, "signature": c.sig} {
+			if !within(field, payload) {
+				t.Fatalf("the claim's %s is not a view of the payload", name)
+			}
+		}
+	})
+}
+
+// within reports whether field lies inside buf's memory.
+func within(field, buf []byte) bool {
+	if len(field) == 0 {
+		return true
+	}
+	for i := range buf {
+		if &buf[i] == &field[0] {
+			return i+len(field) <= len(buf)
+		}
+	}
+	return false
 }

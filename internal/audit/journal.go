@@ -10,11 +10,11 @@
 // framed bytes, so the journal is a hash chain: flipping a bit,
 // reordering records or splicing segments breaks the chain at an exact
 // byte offset. Periodically the chain is sealed by a checkpoint record
-// whose payload is a broker-signed XMLdsig attestation of (chain head,
-// record count, timestamp) — the same signature shape and credential
-// chain advertisements use — so a forged chain rewrite needs the
-// broker's private key, and a truncation past a checkpoint the auditor
-// has seen is provable rollback. Verify replays the whole journal and
+// whose payload is a broker-signed attestation of (chain head, record
+// count, timestamp) carrying the broker's credential chain
+// (checkpoint.go) — so a forged chain rewrite needs a broker's private
+// key, and a truncation past a checkpoint the auditor has seen is
+// provable rollback. Verify replays the whole journal and
 // reports the first bad segment+offset; see SECURITY.md, "Audit trust
 // model", for exactly what each layer does and does not prove.
 //

@@ -25,7 +25,7 @@ import (
 //	    uint16 LE len + bytes: Op
 //	    uint16 LE len + bytes: Reason
 //	  FrameCheckpoint:
-//	    uint32 LE len + bytes: canonical <AuditCheckpoint> XML, signed
+//	    uint32 LE len + bytes: the signed checkpoint (checkpoint.go)
 //
 // Every field is fixed-width or explicitly length-prefixed and the
 // decoder rejects records whose fields do not consume the body exactly,
@@ -46,7 +46,7 @@ const (
 	// FrameEvent is one security event (kind/peer/op/reason/trace).
 	FrameEvent Frame = 1
 	// FrameCheckpoint seals the chain: its payload is a broker-signed
-	// canonical XML attestation of the chain head at this position.
+	// attestation of the chain head at this position.
 	FrameCheckpoint Frame = 2
 )
 
@@ -65,8 +65,8 @@ const (
 
 	// MaxCheckpointBytes bounds one checkpoint payload so a corrupt
 	// length field cannot drive a giant allocation during verification.
-	// A checkpoint is a small XML document plus a credential chain — a
-	// few KB; 1 MiB leaves room for deep chains.
+	// A checkpoint is a few fixed fields plus a credential chain — about
+	// a KB; 1 MiB leaves room for deep chains.
 	MaxCheckpointBytes = 1 << 20
 )
 
@@ -100,7 +100,7 @@ type Record struct {
 	Op     string
 	Reason string
 
-	// FrameCheckpoint field: the signed canonical XML attestation.
+	// FrameCheckpoint field: the signed attestation.
 	Checkpoint []byte
 }
 

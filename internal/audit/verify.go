@@ -5,7 +5,6 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"jxtaoverlay/internal/cred"
@@ -15,9 +14,9 @@ import (
 // VerifyOptions parameterizes a full-chain verification.
 type VerifyOptions struct {
 	// Trust, when set, requires every checkpoint's credential chain to
-	// reach one of the store's anchors (attribution to a certified
-	// broker key, not just "some RSA key"). Nil checks signatures
-	// structurally only.
+	// reach one of the store's anchors and its leaf to be a broker's
+	// (attribution to a certified broker key, not just "some RSA key").
+	// Nil checks signatures under the chain's leaf key only.
 	Trust *cred.TrustStore
 	// ExpectHead and ExpectSeq are an externally remembered trust point
 	// — the chain head and sequence number scraped from /debug/audit or
@@ -127,7 +126,7 @@ func Verify(dir string, opts VerifyOptions) (*Report, error) {
 			}
 			r.Checkpoints++
 			r.LastCheckpointSeq = rec.Seq
-			r.Signer = strings.Clone(signer.SubjectName) // a view of the segment read
+			r.Signer = signer.SubjectName
 		} else {
 			r.Events++
 		}

@@ -57,11 +57,11 @@ type BrokerSecurity struct {
 	// a digest lookup.
 	vcache *xdsig.VerifyCache
 
-	// credWire is Cred_Br^Adm as secureConnection sends it, rendered once.
+	// credWire is Cred_Br^Adm's bytes, as secureConnection sends them.
 	credWire []byte
 	// issued holds, per subject, the credential last issued to it (see
 	// loginCredential).
-	issued *lru.Cache[keys.PeerID, *issuedCred]
+	issued *lru.Cache[keys.PeerID, *cred.Credential]
 
 	// requests reads every signed request made for this broker: login,
 	// heartbeat, renewal.
@@ -111,7 +111,7 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 	if cfg.CredValidity <= 0 {
 		cfg.CredValidity = DefaultCredValidity
 	}
-	credDoc, err := cfg.Credential.Document()
+	credWire, err := cfg.Credential.Bytes()
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +119,8 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 		cfg:      cfg,
 		b:        b,
 		vcache:   xdsig.NewVerifyCache(cfg.Trust),
-		credWire: credDoc.Canonical(),
-		issued:   lru.New[keys.PeerID, *issuedCred](issuedCredCapacity),
+		credWire: credWire,
+		issued:   lru.New[keys.PeerID, *cred.Credential](issuedCredCapacity),
 		requests: proto.NewRequestGuard(cfg.Credential.Subject),
 		sids:     lru.NewWindow[string, struct{}](sidCapacity),
 		leases:   make(map[keys.PeerID]*lease),
@@ -342,51 +342,39 @@ func requestToken(err error) string {
 	}
 }
 
-// issuedCred is a client credential and the bytes it is sent as.
-type issuedCred struct {
-	cred *cred.Credential
-	wire []byte
-}
-
 // issuedCredCapacity bounds the credentials kept for reuse; a subject
 // that was evicted is issued a fresh one.
 const issuedCredCapacity = 1024
 
-// issueClient issues Cred_Cl^Br, renders it and remembers it as the
-// subject's current credential. The entry lapses once less than half the
-// validity is left, so what loginCredential hands out always has at least
-// that much to run.
-func (bs *BrokerSecurity) issueClient(subject keys.PeerID, username string, key *keys.PublicKey) (*issuedCred, error) {
+// issueClient issues Cred_Cl^Br and remembers it as the subject's current
+// credential. The entry lapses once less than half the validity is left,
+// so what loginCredential hands out always has at least that much to run.
+func (bs *BrokerSecurity) issueClient(subject keys.PeerID, username string, key *keys.PublicKey) (*cred.Credential, error) {
 	c, err := bs.IssueClientCredential(subject, username, key)
 	if err != nil {
 		return nil, err
 	}
-	doc, err := c.Document()
-	if err != nil {
-		return nil, err
-	}
-	ic := &issuedCred{cred: c, wire: doc.Canonical()}
-	bs.issued.Put(subject, ic, c.NotAfter.Add(-bs.cfg.CredValidity/2))
-	return ic, nil
+	bs.issued.Put(subject, c, c.NotAfter.Add(-bs.cfg.CredValidity/2))
+	return c, nil
 }
 
 // loginCredential answers a login that has passed every check — session
 // identifier, request signature, CBID binding, password — with the
 // credential the subject was last issued, when that one certifies the
 // same username, key and agreement key and has at least half its validity
-// left, and with
-// a fresh one otherwise. A credential states nothing a second issuance
-// would change except its validity window, so within the window one
-// signature serves every re-join; logging in again does not extend it.
+// left, and with a fresh one otherwise. A credential states nothing a
+// second issuance would change except its validity window, so within the
+// window one signature serves every re-join; logging in again does not
+// extend it.
 func (bs *BrokerSecurity) loginCredential(subject keys.PeerID, username string, key *keys.PublicKey) ([]byte, error) {
-	if ic, ok := bs.issued.Get(subject, bs.b.Now()); ok && ic.cred.SubjectName == username && ic.cred.Key.Equal(key) {
-		return ic.wire, nil
+	c, ok := bs.issued.Get(subject, bs.b.Now())
+	if !ok || c.SubjectName != username || !c.Key.Equal(key) {
+		var err error
+		if c, err = bs.issueClient(subject, username, key); err != nil {
+			return nil, err
+		}
 	}
-	ic, err := bs.issueClient(subject, username, key)
-	if err != nil {
-		return nil, err
-	}
-	return ic.wire, nil
+	return c.Bytes()
 }
 
 // verifyAdv is the signed-advertisement acceptance policy: structural

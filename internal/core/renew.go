@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 
@@ -27,14 +26,16 @@ const OpSecureRenew = "secureRenew"
 var ErrRenewRejected = errors.New("core: credential renewal rejected")
 
 // callCredentialed is the client half of a heartbeat or renewal: a request
-// of kind carrying the session credential as issued, then fields, signed
+// of kind carrying the session credential's bytes, then fields, signed
 // with the client key for the broker as proof of possession.
 func (s *SecureClient) callCredentialed(ctx context.Context, op string, kind proto.RequestKind, fields ...[]byte) (*endpoint.Message, error) {
-	s.mu.RLock()
-	wire, brCred := s.credWire, s.brokerCred
-	s.mu.RUnlock()
-	if wire == nil {
+	current, brCred := s.credentials()
+	if current == nil {
 		return nil, ErrNoCredential
+	}
+	wire, err := current.Bytes()
+	if err != nil {
+		return nil, err
 	}
 	req, err := proto.AppendRequest(nil, s.kp, brCred.Subject, kind, s.Now(), proto.NewNonce(), append([][]byte{wire}, fields...)...)
 	if err != nil {
@@ -48,24 +49,24 @@ func (s *SecureClient) callCredentialed(ctx context.Context, op string, kind pro
 // issuedCredential takes the credential out of a secureLogin or
 // secureRenew response and checks it is this peer's: its key and peer
 // ID, issued by the verified broker, the chain valid now. A response
-// without a well-formed credential is the caller's rejected error. It
-// returns a copy of the bytes it came as too, which heartbeats carry.
-func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Credential, rejected error) (*cred.Credential, []byte, error) {
+// without a well-formed credential is the caller's rejected error. The
+// credential is a copy of the bytes it came as, which heartbeats carry.
+func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Credential, rejected error) (*cred.Credential, error) {
 	credRaw, ok := resp.Get(proto.ElemCred)
 	if !ok {
-		return nil, nil, rejected
+		return nil, rejected
 	}
-	issued, err := cred.ParseBytes(credRaw)
+	issued, err := cred.Parse(credRaw)
 	if err != nil {
-		return nil, nil, rejected
+		return nil, rejected
 	}
 	if !issued.Key.Equal(s.kp.Public()) || issued.Subject != s.PeerID() {
-		return nil, nil, ErrCredUnexpected
+		return nil, ErrCredUnexpected
 	}
 	if err := s.trust.VerifyChain(s.Now(), issued, brCred); err != nil {
-		return nil, nil, ErrCredUnexpected
+		return nil, ErrCredUnexpected
 	}
-	return issued, bytes.Clone(credRaw), nil
+	return issued, nil
 }
 
 // SecureRenewCredential asks the connected broker for a fresh credential
@@ -81,7 +82,7 @@ func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
 	if err != nil {
 		return errors.Join(ErrRenewRejected, err)
 	}
-	fresh, wire, err := s.issuedCredential(resp, brCred, ErrRenewRejected)
+	fresh, err := s.issuedCredential(resp, brCred, ErrRenewRejected)
 	if err != nil {
 		return err
 	}
@@ -89,7 +90,7 @@ func (s *SecureClient) SecureRenewCredential(ctx context.Context) error {
 		return ErrCredUnexpected
 	}
 	// Install and re-arm the advertisement signer with the new chain.
-	return s.installCredential(fresh, wire, brCred)
+	return s.installCredential(fresh, brCred)
 }
 
 // credentialedRequest is the broker half: the request guard admits raw as a
@@ -106,7 +107,7 @@ func (bs *BrokerSecurity) credentialedRequest(from keys.PeerID, msg *endpoint.Me
 	var claimant keys.PeerID
 	req, err := bs.requests.Open(raw, kind, now, func(r *proto.Request) (*keys.PublicKey, error) {
 		claimant = from
-		c, err := cred.ParseBytes(r.Field(proto.CredField))
+		c, err := cred.Parse(r.Field(proto.CredField))
 		if err != nil {
 			return nil, refusal(proto.ErrBadCredential)
 		}
@@ -141,6 +142,10 @@ func (bs *BrokerSecurity) handleSecureRenew(from keys.PeerID, msg *endpoint.Mess
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
+	wire, err := fresh.Bytes()
+	if err != nil {
+		return proto.Fail(proto.ErrBadRequest)
+	}
 	bs.auditAuth(audit.KindRenew, current.Subject, OpSecureRenew, "ok")
-	return proto.OK().Add(proto.ElemCred, fresh.wire)
+	return proto.OK().Add(proto.ElemCred, wire)
 }

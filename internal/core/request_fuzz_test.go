@@ -55,11 +55,10 @@ func FuzzSignedRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	credDoc, err := issued.Document()
+	wire, err := issued.Bytes()
 	if err != nil {
 		f.Fatal(err)
 	}
-	wire := credDoc.Canonical()
 	der, err := client.Public().MarshalDER()
 	if err != nil {
 		f.Fatal(err)

@@ -105,9 +105,6 @@ type SecureClient struct {
 	// identity holds a copy for the keystore and for diagnostics only.
 	cred       *cred.Credential
 	brokerCred *cred.Credential
-	// credWire is Cred_Cl^Br as the broker sent it: what the session's
-	// heartbeats and renewals carry.
-	credWire []byte
 	// brokerKey is the broker's key carrying the agreement key its
 	// secureConnection answer signed: what the login request is sealed to.
 	brokerKey *keys.PublicKey
@@ -244,7 +241,7 @@ func (s *SecureClient) credentials() (own, broker *cred.Credential) {
 // credential: in the keystore (PSE) or on the bare identity, then — under
 // the lock every reader takes — in this client, and from here on
 // everything published is signed with that chain.
-func (s *SecureClient) installCredential(issued *cred.Credential, wire []byte, brCred *cred.Credential) error {
+func (s *SecureClient) installCredential(issued, brCred *cred.Credential) error {
 	if pse, ok := s.Membership().(*membership.PSE); ok {
 		if err := pse.SetCredential(issued, brCred); err != nil {
 			return err
@@ -255,7 +252,7 @@ func (s *SecureClient) installCredential(issued *cred.Credential, wire []byte, b
 		id.Chain = []*cred.Credential{issued, brCred}
 	}
 	s.mu.Lock()
-	s.cred, s.credWire = issued, wire
+	s.cred = issued
 	s.mu.Unlock()
 	s.SetAdvSigner(func(doc *xmldoc.Element) error {
 		return xdsig.Sign(doc, s.kp, issued, brCred)
@@ -298,9 +295,9 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 		s.reject(brokerID, "incomplete secure connection response")
 		return ErrBrokerNotLegit
 	}
-	// Held for the session (and by the trust store): ParseBytes parses a
-	// copy, so that its views do not hold the response frame.
-	brCred, err := cred.ParseBytes(credRaw)
+	// Held for the session (and by the trust store): Parse reads a copy,
+	// so that nothing of it holds the response frame.
+	brCred, err := cred.Parse(credRaw)
 	if err != nil {
 		s.reject(brokerID, "malformed broker credential")
 		return ErrBrokerNotLegit
@@ -389,12 +386,12 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	}
 
 	// Step 9-10: receive and validate cr = Cred_Cl^Br.
-	myCred, wire, err := s.issuedCredential(resp, brCred, ErrLoginRejected)
+	myCred, err := s.issuedCredential(resp, brCred, ErrLoginRejected)
 	if err != nil {
 		return err
 	}
 
-	if err := s.installCredential(myCred, wire, brCred); err != nil {
+	if err := s.installCredential(myCred, brCred); err != nil {
 		return err
 	}
 

@@ -1,6 +1,14 @@
 // Package cred implements the credential scheme of the security
-// extension (paper §4.1): XML credentials binding a peer identifier and
-// human name to a public key, signed by an issuer.
+// extension (paper §4.1): credentials binding a peer identifier and human
+// name to a public key, signed by an issuer. A credential is its bytes —
+// one binary form, written once when it is issued and read back unchanged:
+//
+//	KindCredential ‖ subject ‖ name ‖ role u8 ‖ issuer ‖ PKIX DER key ‖ agreement share (empty or 32 B) ‖ not-before ‖ not-after ‖ signature
+//
+// Subject, name, issuer, key, share and signature are u16-length fields and
+// the times i64 seconds ‖ u32 nanoseconds (proto.AppendField and
+// proto.AppendTime, the signed-request codec's). The issuer signs
+// credentialLabel and every byte in front of the signature's length.
 //
 // Three kinds of credentials exist in a JXTA-Overlay deployment:
 //
@@ -16,11 +24,11 @@ import (
 	"bytes"
 	"encoding/base64"
 	"errors"
-	"fmt"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/xmldoc"
 )
 
@@ -35,11 +43,19 @@ const (
 	RoleDatabase Role = "database"
 )
 
-// ElementName is the XML element name of serialized credentials.
+// roles is each role's byte on the wire, less one.
+var roles = [...]Role{RoleAdmin, RoleBroker, RoleClient, RoleDatabase}
+
+// ElementName is the XML element an advertisement's KeyInfo carries a
+// credential in, its bytes in base64.
 const ElementName = "Credential"
 
-// Errors returned by verification.
+// credentialLabel separates a credential signature from every other one.
+const credentialLabel = "jxta-overlay/credential/v1"
+
+// Errors returned by parsing and verification.
 var (
+	ErrMalformed    = errors.New("cred: malformed credential")
 	ErrBadSignature = errors.New("cred: credential signature invalid")
 	ErrExpired      = errors.New("cred: credential expired or not yet valid")
 	ErrUntrusted    = errors.New("cred: issuer not trusted")
@@ -63,67 +79,79 @@ type Credential struct {
 	// NotBefore/NotAfter bound the validity window.
 	NotBefore time.Time
 	NotAfter  time.Time
-	// Signature is the issuer's signature over the canonical body.
+	// Signature is the issuer's signature over the credential's bytes in
+	// front of it.
 	Signature []byte
 
-	// memo caches the canonical body. Credentials are immutable once
-	// built by Issue or Parse (Issue fills Signature in after signing,
-	// which the body excludes), so the memo never goes stale; code
-	// constructing Credential values by hand must not mutate identity
-	// fields afterwards.
-	memo atomic.Pointer[[]byte]
+	// raw is the credential's bytes, from Issue or Parse. Credentials are
+	// immutable once built, so it never goes stale; a value built or
+	// edited by hand (Clone) has none and is encoded from its fields.
+	raw []byte
 }
 
-// body returns the canonical signing input: the credential document
-// without its Signature child.
-func (c *Credential) body() ([]byte, error) {
-	if m := c.memo.Load(); m != nil {
-		return *m, nil
+// Bytes returns the credential's binary form, signature included. The
+// bytes are shared: callers must not modify them.
+func (c *Credential) Bytes() ([]byte, error) {
+	if c.raw != nil {
+		return c.raw, nil
 	}
-	doc, err := c.document(false)
+	body, err := c.appendBody(nil)
 	if err != nil {
 		return nil, err
 	}
-	body := doc.Canonical()
-	c.memo.Store(&body)
-	return body, nil
+	if len(c.Signature) > proto.MaxField {
+		return nil, proto.ErrFieldTooLong
+	}
+	return proto.AppendField(body, c.Signature), nil
 }
 
-func (c *Credential) document(withSig bool) (*xmldoc.Element, error) {
+// appendBody appends what the signature covers, less the label: every
+// field in front of the signature.
+func (c *Credential) appendBody(dst []byte) ([]byte, error) {
 	if c.Key == nil {
 		return nil, errors.New("cred: credential has no key")
 	}
-	keyB64, err := c.Key.MarshalBase64()
+	der, err := c.Key.MarshalDER()
 	if err != nil {
 		return nil, err
 	}
-	doc := xmldoc.New(ElementName, "")
-	doc.AddText("Subject", string(c.Subject))
-	doc.AddText("SubjectName", c.SubjectName)
-	doc.AddText("Role", string(c.Role))
-	doc.AddText("Issuer", string(c.Issuer))
-	doc.AddText("Key", keyB64)
-	if share := c.Key.ShareBase64(); share != "" {
-		// The subject's X25519 agreement key, certified with the rest.
-		doc.AddText("Agree", share)
+	role := slices.Index(roles[:], c.Role) + 1
+	if role == 0 {
+		return nil, errors.New("cred: unknown role " + string(c.Role))
 	}
-	// Nanosecond precision: besides fidelity, it guarantees re-issued
-	// credentials differ even within the same second (renewal relies on
-	// this; RSASSA-PKCS1-v1_5 is deterministic).
-	doc.AddText("NotBefore", c.NotBefore.UTC().Format(time.RFC3339Nano))
-	doc.AddText("NotAfter", c.NotAfter.UTC().Format(time.RFC3339Nano))
-	if withSig {
-		doc.AddText("Signature", base64.StdEncoding.EncodeToString(c.Signature))
+	if max(len(c.Subject), len(c.SubjectName), len(c.Issuer), len(der)) > proto.MaxField {
+		return nil, proto.ErrFieldTooLong
 	}
-	return doc, nil
+	var share []byte
+	if s, ok := c.Key.AgreementShare(); ok {
+		share = s[:]
+	}
+	dst = proto.AppendField(append(dst, byte(proto.KindCredential)), c.Subject)
+	dst = append(proto.AppendField(dst, c.SubjectName), byte(role))
+	dst = proto.AppendField(proto.AppendField(proto.AppendField(dst, c.Issuer), der), share)
+	return proto.AppendTime(proto.AppendTime(dst, c.NotBefore), c.NotAfter), nil
 }
 
-// Document serializes the credential, signature included.
+// signed returns what the issuer's signature covers: the label and the
+// credential's bytes in front of the signature's length.
+func (c *Credential) signed() ([]byte, error) {
+	if c.raw != nil {
+		return append([]byte(credentialLabel), c.raw[:len(c.raw)-2-len(c.Signature)]...), nil
+	}
+	return c.appendBody([]byte(credentialLabel))
+}
+
+// Document is the credential as an advertisement's KeyInfo carries it: a
+// Credential element holding its bytes in base64.
 func (c *Credential) Document() (*xmldoc.Element, error) {
-	return c.document(true)
+	raw, err := c.Bytes()
+	if err != nil {
+		return nil, err
+	}
+	return xmldoc.New(ElementName, base64.StdEncoding.EncodeToString(raw)), nil
 }
 
-// Clone returns a copy of the credential with no memoized state. Use it
+// Clone returns a copy of the credential with no bytes of its own. Use it
 // to derive modified variants (re-issuing tools, tests); Credential
 // values must never be copied or mutated directly once in use.
 func (c *Credential) Clone() *Credential {
@@ -135,103 +163,73 @@ func (c *Credential) Clone() *Credential {
 		Key:         c.Key,
 		NotBefore:   c.NotBefore,
 		NotAfter:    c.NotAfter,
-		Signature:   append([]byte(nil), c.Signature...),
+		Signature:   bytes.Clone(c.Signature),
 	}
 }
 
-// Parse reads a credential from its XML form, which must be the form
-// Document writes: the fields in its order, each once and text only, with
-// base64 and times in the spelling it gives them — so that a credential
-// that parses serializes back to the bytes it was read from. The Agree
-// field is optional: admin and broker credentials carry none. The
-// signature is not verified; call Verify or use a TrustStore.
-func Parse(doc *xmldoc.Element) (*Credential, error) {
-	if doc == nil || doc.Name != ElementName || len(doc.Attrs) != 0 || doc.Text != "" {
-		return nil, fmt.Errorf("cred: not a %s element", ElementName)
+// Parse reads a credential from a copy of raw, which must be one in the
+// form Bytes writes, whole: the kind byte, every field, a known role, a
+// share of keys.ShareSize bytes or none, times in their one encoding and
+// nothing behind the signature — so that a credential that parses is the
+// bytes it was read from. The signature is not verified; call Verify or
+// use a TrustStore.
+func Parse(raw []byte) (*Credential, error) {
+	if len(raw) == 0 || raw[0] != byte(proto.KindCredential) {
+		return nil, ErrMalformed
 	}
-	fields := doc.Children
-	next := func(name string) (string, bool) {
-		if len(fields) == 0 || fields[0].Name != name {
-			return "", false
-		}
-		f := fields[0]
-		fields = fields[1:]
-		return f.Text, len(f.Attrs) == 0 && len(f.Children) == 0
+	raw = bytes.Clone(raw)
+	in := proto.NewReader(raw[1:])
+	subject, name, role, issuer := in.Field(), in.Field(), in.Uint(1), in.Field()
+	der, share := in.Field(), in.Field()
+	c := &Credential{NotBefore: in.Time(), NotAfter: in.Time(), Signature: in.Field(), raw: raw}
+	if !in.Done() || len(c.Signature) == 0 || role == 0 || int(role) > len(roles) ||
+		(len(share) != 0 && len(share) != keys.ShareSize) {
+		return nil, ErrMalformed
 	}
-	malformed := func(field string) error { return fmt.Errorf("cred: missing or malformed %s", field) }
-	var c Credential
-	var text, keyB64, share string
-	var ok bool
-	if text, ok = next("Subject"); !ok {
-		return nil, malformed("Subject")
-	}
-	c.Subject = keys.PeerID(text)
-	if c.SubjectName, ok = next("SubjectName"); !ok {
-		return nil, malformed("SubjectName")
-	}
-	if text, ok = next("Role"); !ok {
-		return nil, malformed("Role")
-	}
-	c.Role = Role(text)
-	if text, ok = next("Issuer"); !ok {
-		return nil, malformed("Issuer")
-	}
-	c.Issuer = keys.PeerID(text)
-	if keyB64, ok = next("Key"); !ok {
-		return nil, malformed("Key")
-	}
-	if len(fields) > 0 && fields[0].Name == "Agree" {
-		if share, ok = next("Agree"); !ok || share == "" {
-			return nil, malformed("Agree")
-		}
-	}
-	key, err := keys.ParsePublicBase64(keyB64, share)
+	key, err := keys.ParsePublicDER(der)
 	if err != nil {
-		return nil, fmt.Errorf("cred: key: %w", err)
+		return nil, ErrMalformed
 	}
-	c.Key = key
-	if text, ok = next("NotBefore"); !ok {
-		return nil, malformed("NotBefore")
+	if len(share) != 0 {
+		key = key.WithShare((*[keys.ShareSize]byte)(share))
 	}
-	if c.NotBefore, ok = parseTime(text); !ok {
-		return nil, malformed("NotBefore")
-	}
-	if text, ok = next("NotAfter"); !ok {
-		return nil, malformed("NotAfter")
-	}
-	if c.NotAfter, ok = parseTime(text); !ok {
-		return nil, malformed("NotAfter")
-	}
-	if text, ok = next("Signature"); !ok || len(fields) != 0 {
-		return nil, malformed("Signature")
-	}
-	if c.Signature, err = strictBase64.DecodeString(text); err != nil ||
-		len(c.Signature) == 0 || base64.StdEncoding.EncodedLen(len(c.Signature)) != len(text) {
-		return nil, malformed("Signature")
-	}
-	return &c, nil
+	c.Subject, c.SubjectName, c.Role = keys.PeerID(subject), string(name), roles[role-1]
+	c.Issuer, c.Key = keys.PeerID(issuer), key
+	return c, nil
 }
 
-// ParseBytes reads a credential from the bytes of Document's canonical form,
-// parsing a copy: a credential is views of what it was parsed from.
-func ParseBytes(raw []byte) (*Credential, error) {
-	doc, err := xmldoc.ParseCanonical(bytes.Clone(raw))
-	if err != nil {
-		return nil, err
+// AppendChain appends a credential chain as its credentials' bytes, each
+// behind its u16 length: the form a keystore and an audit checkpoint keep
+// a chain in.
+func AppendChain(dst []byte, chain ...*Credential) ([]byte, error) {
+	for _, c := range chain {
+		raw, err := c.Bytes()
+		if err != nil {
+			return nil, err
+		}
+		if len(raw) > proto.MaxField {
+			return nil, proto.ErrFieldTooLong
+		}
+		dst = proto.AppendField(dst, raw)
 	}
-	return Parse(doc)
+	return dst, nil
 }
 
-// strictBase64 decodes only the one spelling EncodeToString writes of
-// each byte string (a length check rules out the newlines it skips).
-var strictBase64 = base64.StdEncoding.Strict()
-
-// parseTime reads a time as document writes it, and nothing that merely
-// denotes the same instant.
-func parseTime(s string) (time.Time, bool) {
-	t, err := time.Parse(time.RFC3339Nano, s)
-	var buf [64]byte
-	return t, err == nil && string(t.UTC().AppendFormat(buf[:0], time.RFC3339Nano)) == s
+// ParseChain reads what AppendChain wrote: at least one credential, and
+// nothing else.
+func ParseChain(raw []byte) ([]*Credential, error) {
+	var chain []*Credential
+	for in := proto.NewReader(raw); in.Len() > 0; {
+		c, err := Parse(in.Field())
+		if err != nil {
+			return nil, err
+		}
+		chain = append(chain, c)
+	}
+	if len(chain) == 0 {
+		return nil, ErrMalformed
+	}
+	return chain, nil
 }
 
 // Issue creates a credential for subject signed by the issuer's key,
@@ -262,15 +260,22 @@ func IssueAt(now time.Time, issuer *keys.KeyPair, issuerID keys.PeerID, subject 
 		NotBefore:   now.Add(-time.Minute), // clock-skew grace
 		NotAfter:    now.Add(validity),
 	}
-	body, err := c.body()
+	signed, err := c.signed()
 	if err != nil {
 		return nil, err
 	}
-	sig, err := issuer.Sign(body)
+	// Nanosecond times make re-issued credentials differ even within the
+	// same second (renewal relies on this; RSASSA-PKCS1-v1_5 is
+	// deterministic).
+	sig, err := issuer.Sign(signed)
 	if err != nil {
 		return nil, err
 	}
-	c.Signature = sig
+	if len(sig) > proto.MaxField {
+		return nil, proto.ErrFieldTooLong
+	}
+	c.raw = proto.AppendField(bytes.Clone(signed[len(credentialLabel):]), sig)
+	c.Signature = c.raw[len(c.raw)-len(sig):]
 	return c, nil
 }
 
@@ -290,11 +295,11 @@ func (c *Credential) Verify(issuerKey *keys.PublicKey, now time.Time) error {
 	if now.Before(c.NotBefore) || now.After(c.NotAfter) {
 		return ErrExpired
 	}
-	body, err := c.body()
+	signed, err := c.signed()
 	if err != nil {
 		return err
 	}
-	if err := issuerKey.Verify(body, c.Signature); err != nil {
+	if err := issuerKey.Verify(signed, c.Signature); err != nil {
 		return ErrBadSignature
 	}
 	return nil
@@ -306,16 +311,12 @@ func (c *Credential) VerifyCBID() error {
 	return keys.VerifyCBID(c.Subject, c.Key)
 }
 
-// Equal reports whether two credentials are byte-identical in canonical
-// form.
+// Equal reports whether two credentials are the same bytes.
 func (c *Credential) Equal(o *Credential) bool {
 	if c == nil || o == nil {
 		return c == o
 	}
-	a, err1 := c.Document()
-	b, err2 := o.Document()
-	if err1 != nil || err2 != nil {
-		return false
-	}
-	return a.Equal(b)
+	a, err1 := c.Bytes()
+	b, err2 := o.Bytes()
+	return err1 == nil && err2 == nil && bytes.Equal(a, b)
 }

@@ -1,6 +1,7 @@
 package cred
 
 import (
+	"encoding/base64"
 	"errors"
 	"math/rand"
 	"testing"
@@ -86,13 +87,20 @@ func TestVerifyExpired(t *testing.T) {
 	}
 }
 
+// TestDocumentParseRoundTrip: the element an advertisement's KeyInfo
+// carries is the credential's bytes in base64, and they parse back to a
+// credential that still verifies.
 func TestDocumentParseRoundTrip(t *testing.T) {
 	_, _, cl := setup(t)
 	doc, err := cl.Document()
 	if err != nil {
 		t.Fatalf("Document: %v", err)
 	}
-	back, err := Parse(doc)
+	raw, err := base64.StdEncoding.DecodeString(doc.Text)
+	if err != nil || doc.Name != ElementName || len(doc.Children) != 0 {
+		t.Fatalf("Document = %s", doc.Canonical())
+	}
+	back, err := Parse(raw)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -105,15 +113,17 @@ func TestDocumentParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseRejectsTamper: a credential whose subject name was edited after
+// issue parses — it is well formed — and fails its issuer's signature.
 func TestParseRejectsTamper(t *testing.T) {
 	_, _, cl := setup(t)
-	doc, err := cl.Document()
+	edited := cl.Clone()
+	edited.SubjectName = "mallory" // privilege escalation attempt
+	raw, err := edited.Bytes()
 	if err != nil {
-		t.Fatalf("Document: %v", err)
+		t.Fatal(err)
 	}
-	// Tamper with the subject name (privilege escalation attempt).
-	doc.Child("SubjectName").Text = "mallory"
-	back, err := Parse(doc)
+	back, err := Parse(raw)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -124,34 +134,24 @@ func TestParseRejectsTamper(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	_, _, cl := setup(t)
-	good, _ := cl.Document()
-
-	if _, err := Parse(nil); err == nil {
-		t.Fatal("Parse(nil) succeeded")
+	edit := func(f func(l *layout)) []byte {
+		l := layoutOf(t, cl)
+		f(&l)
+		return l.join()
 	}
-
-	wrongName := good.Clone()
-	wrongName.Name = "NotACredential"
-	if _, err := Parse(wrongName); err == nil {
-		t.Fatal("Parse accepted wrong element name")
-	}
-
-	noKey := good.Clone()
-	noKey.Child("Key").Text = "###"
-	if _, err := Parse(noKey); err == nil {
-		t.Fatal("Parse accepted malformed key")
-	}
-
-	badTime := good.Clone()
-	badTime.Child("NotAfter").Text = "not-a-time"
-	if _, err := Parse(badTime); err == nil {
-		t.Fatal("Parse accepted malformed NotAfter")
-	}
-
-	noSig := good.Clone()
-	noSig.RemoveChildren("Signature")
-	if _, err := Parse(noSig); err == nil {
-		t.Fatal("Parse accepted credential without signature")
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"nil", nil},
+		{"not a credential", []byte("<Credential/>")},
+		{"malformed key", edit(func(l *layout) { l.key = []byte("###") })},
+		{"malformed NotAfter", edit(func(l *layout) { l.notAfter = l.notAfter[:11] })},
+		{"no signature", edit(func(l *layout) { l.sig = nil })},
+	} {
+		if _, err := Parse(tc.raw); !errors.Is(err, ErrMalformed) {
+			t.Errorf("Parse accepted %s: %v", tc.name, err)
+		}
 	}
 }
 

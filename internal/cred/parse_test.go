@@ -2,34 +2,110 @@ package cred
 
 import (
 	"bytes"
-	"encoding/base64"
-	"strings"
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/xmldoc"
+	"jxtaoverlay/internal/proto"
 )
 
+// layout is a credential's bytes cut at the package comment's fields, read
+// here independently of Parse: the tests edit one part and join them again.
+type layout struct {
+	kind                byte
+	subject, name       []byte
+	role                byte
+	issuer, key, share  []byte
+	notBefore, notAfter []byte // 12 bytes each: i64 seconds ‖ u32 ns
+	sig                 []byte
+}
+
+// cut splits raw at its fields; ok is false when they do not tile it.
+func cut(raw []byte) (l layout, ok bool) {
+	rest := raw
+	take := func(n int) []byte {
+		if len(rest) < n {
+			ok = false
+			return nil
+		}
+		v := rest[:n]
+		rest = rest[n:]
+		return v
+	}
+	field := func() []byte {
+		n := take(2)
+		if n == nil {
+			return nil
+		}
+		return take(int(binary.BigEndian.Uint16(n)))
+	}
+	ok = true
+	if k := take(1); k != nil {
+		l.kind = k[0]
+	}
+	l.subject, l.name = field(), field()
+	if r := take(1); r != nil {
+		l.role = r[0]
+	}
+	l.issuer, l.key, l.share = field(), field(), field()
+	l.notBefore, l.notAfter, l.sig = take(12), take(12), field()
+	return l, ok && len(rest) == 0
+}
+
+// join writes the parts back, each field behind its u16 length.
+func (l layout) join() []byte {
+	out := []byte{l.kind}
+	out = proto.AppendField(proto.AppendField(out, l.subject), l.name)
+	out = append(out, l.role)
+	out = proto.AppendField(proto.AppendField(proto.AppendField(out, l.issuer), l.key), l.share)
+	out = append(append(out, l.notBefore...), l.notAfter...)
+	return proto.AppendField(out, l.sig)
+}
+
+func bytesOf(t testing.TB, c *Credential) []byte {
+	t.Helper()
+	raw, err := c.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+func layoutOf(t testing.TB, c *Credential) layout {
+	t.Helper()
+	l, ok := cut(bytesOf(t, c))
+	if !ok {
+		t.Fatal("a credential's bytes do not tile its layout")
+	}
+	return l
+}
+
+func mustParse(t testing.TB, raw []byte) *Credential {
+	t.Helper()
+	c, err := Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestIssueCertifiesShareForClientsOnly: a client credential certifies
-// the agreement key its subject's key carries, in an Agree field the
+// the agreement key its subject's key carries, in a share field the
 // signature covers; an administrator's or broker's certifies the RSA key
-// alone, whatever the key it was issued for carries.
+// alone — its share field is empty — whatever the key it was issued for
+// carries.
 func TestIssueCertifiesShareForClientsOnly(t *testing.T) {
 	adm, br, cl := setup(t)
 	want, _ := clientKP.Public().AgreementShare()
 	if got, ok := cl.Key.AgreementShare(); !ok || got != want {
 		t.Fatalf("client credential certifies share %x (%v), want %x", got, ok, want)
 	}
-	doc, err := cl.Document()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := doc.ChildText("Agree"); got != base64.RawStdEncoding.EncodeToString(want[:]) {
-		t.Fatalf("client credential's Agree field %q", got)
+	if got := layoutOf(t, cl).share; !bytes.Equal(got, want[:]) {
+		t.Fatalf("client credential's share field %x", got)
 	}
 	for _, c := range []*Credential{adm, br} {
-		if _, ok := c.Key.AgreementShare(); ok {
+		if _, ok := c.Key.AgreementShare(); ok || len(layoutOf(t, c).share) != 0 {
 			t.Errorf("%s credential certifies an agreement key", c.Role)
 		}
 		if !c.Key.SameIdentity(map[Role]*keys.KeyPair{RoleAdmin: adminKP, RoleBroker: brokerKP}[c.Role].Public()) {
@@ -39,97 +115,91 @@ func TestIssueCertifiesShareForClientsOnly(t *testing.T) {
 }
 
 // TestParseReadsWhatDocumentWrites: every credential this package writes
-// parses back equal and serializes back to the same bytes, with and
-// without a share.
+// is the layout the package comment gives, field for field, parses back
+// equal and writes back the same bytes, with and without a share.
 func TestParseReadsWhatDocumentWrites(t *testing.T) {
 	adm, br, cl := setup(t)
-	for _, c := range []*Credential{adm, br, cl} {
-		raw := canonicalOf(t, c)
+	for i, c := range []*Credential{adm, br, cl} {
+		raw := bytesOf(t, c)
+		l := layoutOf(t, c)
+		der, _ := c.Key.MarshalDER()
+		if l.kind != byte(proto.KindCredential) || string(l.subject) != string(c.Subject) || string(l.name) != c.SubjectName ||
+			l.role != byte(i+1) || string(l.issuer) != string(c.Issuer) || !bytes.Equal(l.key, der) ||
+			!bytes.Equal(l.notBefore, proto.AppendTime(nil, c.NotBefore)) || !bytes.Equal(l.notAfter, proto.AppendTime(nil, c.NotAfter)) ||
+			!bytes.Equal(l.sig, c.Signature) {
+			t.Fatalf("%s credential's bytes are not its layout: %+v", c.Role, l)
+		}
 		back := mustParse(t, raw)
-		if !back.Equal(c) || !back.Key.Equal(c.Key) {
+		if !back.Equal(c) || !back.Key.Equal(c.Key) || back.Role != c.Role || !back.NotAfter.Equal(c.NotAfter) {
 			t.Fatalf("%s credential parsed back different", c.Role)
 		}
-		if again := canonicalOf(t, back); !bytes.Equal(again, raw) {
-			t.Fatalf("%s credential re-serialized differently:\n%s\n%s", c.Role, raw, again)
+		if again := bytesOf(t, back.Clone()); !bytes.Equal(again, raw) {
+			t.Fatalf("%s credential re-encoded differently:\n%x\n%x", c.Role, raw, again)
 		}
 	}
 }
 
 // TestParseRefusesOtherSpellings: a credential is read in the one form
-// Document writes. Each case below denotes the same credential (or a
-// malformed one) in bytes Document would not write, which Parse refuses
-// rather than read as a credential whose signed body is other bytes.
+// Bytes writes. Each case below denotes the same credential (or a
+// malformed one) in other bytes, which Parse refuses rather than read as
+// a credential whose signed bytes are not what came in — and so does every
+// proper prefix of the genuine bytes.
 func TestParseRefusesOtherSpellings(t *testing.T) {
 	_, _, cl := setup(t)
-	raw := string(canonicalOf(t, cl))
-	doc := func(edit func(d *xmldoc.Element)) string {
-		d, err := xmldoc.ParseCanonical([]byte(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d = d.Clone()
-		edit(d)
-		return string(d.Canonical())
+	raw := bytesOf(t, cl)
+	edit := func(f func(l *layout)) []byte {
+		l := layoutOf(t, cl)
+		f(&l)
+		return l.join()
 	}
-	setText := func(name, text string) func(*xmldoc.Element) {
-		return func(d *xmldoc.Element) { d.Child(name).SetText(text) }
+	// NotBefore one second earlier with a second's worth of nanoseconds:
+	// the same instant, spelled the way AppendTime never writes it.
+	sameInstant := func(l *layout) {
+		secs, ns := binary.BigEndian.Uint64(l.notBefore), binary.BigEndian.Uint32(l.notBefore[8:])
+		l.notBefore = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, secs-1), ns+1e9)
 	}
 	share, _ := cl.Key.AgreementShare()
-	b64 := base64.RawStdEncoding
-	for _, tc := range []struct{ name, xml string }{
-		{"fields reordered", strings.Replace(raw, "<Role>client</Role><Issuer>"+string(cl.Issuer)+"</Issuer>",
-			"<Issuer>"+string(cl.Issuer)+"</Issuer><Role>client</Role>", 1)},
-		{"a field twice", strings.Replace(raw, "<Role>client</Role>", "<Role>client</Role><Role>client</Role>", 1)},
-		{"an unknown field", doc(func(d *xmldoc.Element) { d.Add(xmldoc.New("Extra", "x")) })},
-		{"a field with an attribute", doc(func(d *xmldoc.Element) { d.Child("Role").SetAttr("x", "y") })},
-		{"NotAfter with an offset", doc(setText("NotAfter", cl.NotAfter.In(time.FixedZone("x", 3600)).Format(time.RFC3339Nano)))},
-		{"NotBefore with a decimal comma", doc(setText("NotBefore", strings.Replace(cl.NotBefore.UTC().Format(time.RFC3339Nano), ".", ",", 1)))},
-		{"Key split by a newline", doc(func(d *xmldoc.Element) { k := d.ChildText("Key"); d.Child("Key").SetText(k[:10] + "\n" + k[10:]) })},
-		{"Signature split by a newline", doc(func(d *xmldoc.Element) {
-			s := d.ChildText("Signature")
-			d.Child("Signature").SetText(s[:10] + "\n" + s[10:])
-		})},
-		{"empty Agree", doc(setText("Agree", ""))},
-		{"Agree of 31 bytes", doc(setText("Agree", b64.EncodeToString(share[:31])))},
-		{"Agree of 33 bytes", doc(setText("Agree", b64.EncodeToString(append(share[:], 0))))},
-		{"Agree padded", doc(setText("Agree", base64.StdEncoding.EncodeToString(share[:])))},
-		{"Agree after NotBefore", func() string {
-			agree := "<Agree>" + b64.EncodeToString(share[:]) + "</Agree>"
-			notBefore := "<NotBefore>" + cl.NotBefore.UTC().Format(time.RFC3339Nano) + "</NotBefore>"
-			return strings.Replace(strings.Replace(raw, agree, "", 1), notBefore, notBefore+agree, 1)
-		}()},
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+	}{
+		{"another kind byte", edit(func(l *layout) { l.kind = byte(proto.KindRenew) })},
+		{"role 0", edit(func(l *layout) { l.role = 0 })},
+		{"role 5", edit(func(l *layout) { l.role = 5 })},
+		{"share of 31 bytes", edit(func(l *layout) { l.share = share[:31] })},
+		{"share of 33 bytes", edit(func(l *layout) { l.share = append(share[:], 0) })},
+		{"NotBefore's nanoseconds a second", edit(sameInstant)},
+		{"key with a byte behind its DER", edit(func(l *layout) { l.key = append(bytes.Clone(l.key), 0) })},
+		{"no signature", edit(func(l *layout) { l.sig = nil })},
+		{"a trailing byte", append(bytes.Clone(raw), 0)},
+		{"a field overrunning the bytes", edit(func(l *layout) { l.name = bytes.Repeat([]byte{'a'}, len(raw)) })[:len(raw)]},
 	} {
-		if tc.xml == raw {
-			t.Fatalf("%s: the case did not change the document", tc.name)
+		if bytes.Equal(tc.raw, raw) {
+			t.Fatalf("%s: the case did not change the bytes", tc.name)
 		}
-		d, err := xmldoc.ParseCanonical([]byte(tc.xml))
-		if err != nil {
-			continue // not even canonical XML
-		}
-		if c, err := Parse(d); err == nil {
+		if c, err := Parse(tc.raw); err == nil {
 			t.Errorf("%s: parsed to %+v", tc.name, c)
 		}
 	}
+	for n := range len(raw) {
+		if _, err := Parse(raw[:n]); err == nil {
+			t.Fatalf("the first %d of %d bytes parsed", n, len(raw))
+		}
+	}
+	if _, err := Parse(raw); err != nil {
+		t.Fatalf("the genuine bytes: %v", err)
+	}
 }
 
-func canonicalOf(t testing.TB, c *Credential) []byte {
-	t.Helper()
-	d, err := c.Document()
-	if err != nil {
-		t.Fatal(err)
+// TestParseCopiesItsInput: a credential is held for a session and by the
+// trust store, so it keeps nothing of the buffer it was read from — a
+// frame opened in place is reused.
+func TestParseCopiesItsInput(t *testing.T) {
+	_, _, cl := setup(t)
+	in := bytes.Clone(bytesOf(t, cl))
+	c := mustParse(t, in)
+	clear(in)
+	if !c.Equal(cl) || c.Verify(brokerKP.Public(), time.Now()) != nil {
+		t.Fatal("a parsed credential changed with the buffer it was read from")
 	}
-	return d.Canonical()
-}
-
-func mustParse(t testing.TB, raw []byte) *Credential {
-	t.Helper()
-	d, err := xmldoc.ParseCanonical(bytes.Clone(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Parse(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }

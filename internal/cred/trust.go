@@ -2,7 +2,6 @@ package cred
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -32,12 +31,12 @@ const StoreCapacity = 2048
 // under a fixed-size key:
 //
 //   - a link: this credential's signature verifies under this issuer
-//     key. The key is a digest of every field the signing body covers
-//     (linkKey) plus the issuer key's fingerprint, so a hit needs no
-//     canonicalization and no RSA, and a credential differing in any
-//     signed field — or in its signature — misses.
+//     key. The key is a digest of the credential's bytes (linkKey) plus
+//     the issuer key's fingerprint, so a hit needs no RSA, and a
+//     credential differing in any signed field — or in its signature —
+//     misses.
 //   - a document: xdsig's verdict on a signed advertisement, under the
-//     document digest and the signer key's (LookupDocument).
+//     document digest and the signer credential's (LookupDocument).
 //
 // An entry carries its window: the latest NotBefore of what it vouches
 // for is checked on every hit and the earliest NotAfter is its expiry, so
@@ -109,8 +108,8 @@ func (t *TrustStore) VerifyChain(now time.Time, chain ...*Credential) error {
 	return nil
 }
 
-// verifyLink is Credential.Verify under issuer's key, with the RSA and
-// the canonicalization answered by the store when it holds the link.
+// verifyLink is Credential.Verify under issuer's key, with the RSA
+// answered by the store when it holds the link.
 func (t *TrustStore) verifyLink(c, issuer *Credential, now time.Time) error {
 	if issuer.Role != RoleAdmin && issuer.Role != RoleBroker {
 		return fmt.Errorf("%w: issuer %q is a %s credential", ErrUntrusted, issuer.Subject, issuer.Role)
@@ -155,7 +154,7 @@ func (t *TrustStore) LookupDocument(key [64]byte, now time.Time) (any, bool) {
 // StoreDocument remembers a successful verdict on a signed document whose
 // signer's chain — verified by this store — is chain, for that chain's
 // window. The key must bind every byte the verdict was reached on: xdsig
-// uses the document's digest and its signer key's.
+// uses the document's digest and its signer credential's.
 func (t *TrustStore) StoreDocument(key [64]byte, doc any, chain []*Credential) {
 	notBefore, notAfter := ChainWindow(chain)
 	t.verdicts.Put(key, verdict{notBefore: notBefore, doc: doc}, notAfter)
@@ -182,22 +181,16 @@ func ChainWindow(chain []*Credential) (notBefore, notAfter time.Time) {
 const linkLabel = "jxta-overlay/credential-link/v1\x00"
 
 // linkKey is the store key of the verdict "c's signature verifies under
-// issuerKey": the SHA-256 of a length-prefixed (hence injective) encoding
-// of each field the signing body covers — identity fields, the subject
-// key's fingerprint, the agreement key the credential certifies (none is
-// the empty field), the validity window to the nanosecond, and the
-// signature bytes — followed by the issuer key's fingerprint. Two
-// credentials with the same key have the same signing body and signature,
-// so it is as good as the body digest without building and
-// canonicalizing a document. A new credential field goes into the
-// signing body and into this encoding, or a credential differing only in
-// it rides the verdict of one that does not. ok is false when a key
-// cannot be fingerprinted; the caller then verifies without the store.
+// issuerKey": the SHA-256 of linkLabel and the credential's bytes — every
+// signed field and the signature — followed by the issuer key's
+// fingerprint. A credential differing in any byte misses. ok is false when
+// the credential cannot be encoded or the issuer key fingerprinted; the
+// caller then verifies without the store.
 func linkKey(c *Credential, issuerKey *keys.PublicKey) (key [64]byte, ok bool) {
-	if c.Key == nil || issuerKey == nil {
+	if issuerKey == nil {
 		return key, false
 	}
-	fp, err := c.Key.Fingerprint()
+	raw, err := c.Bytes()
 	if err != nil {
 		return key, false
 	}
@@ -205,39 +198,11 @@ func linkKey(c *Credential, issuerKey *keys.PublicKey) (key [64]byte, ok bool) {
 	if err != nil {
 		return key, false
 	}
-	share, certified := c.Key.AgreementShare()
-	agree := share[:0]
-	if certified {
-		agree = share[:]
-	}
-	var scratch [512]byte
-	buf := append(scratch[:0], linkLabel...)
-	buf = appendField(buf, c.Subject)
-	buf = appendField(buf, c.SubjectName)
-	buf = appendField(buf, c.Role)
-	buf = appendField(buf, c.Issuer)
-	buf = appendField(buf, fp[:])
-	buf = appendField(buf, agree)
-	buf = appendTime(buf, c.NotBefore)
-	buf = appendTime(buf, c.NotAfter)
-	buf = appendField(buf, c.Signature)
-	digest := sha256.Sum256(buf)
+	var scratch [1024]byte // a credential under a 2048-bit key fits
+	digest := sha256.Sum256(append(append(scratch[:0], linkLabel...), raw...))
 	copy(key[:], digest[:])
 	copy(key[sha256.Size:], issuerFP[:])
 	return key, true
-}
-
-func appendField[F ~string | ~[]byte](buf []byte, field F) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(field)))
-	return append(buf, field...)
-}
-
-// appendTime encodes an instant as seconds and nanoseconds: every instant
-// a credential can name, where UnixNano wraps 292 years either side of
-// 1970 and would let a window stretched by 2^64 ns share a key.
-func appendTime(buf []byte, t time.Time) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, uint64(t.Unix()))
-	return binary.BigEndian.AppendUint32(buf, uint32(t.Nanosecond()))
 }
 
 // ChainCacheStats reports cumulative link-verdict hits and misses: one

@@ -21,7 +21,6 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/pem"
 	"errors"
@@ -227,7 +226,7 @@ type PublicKey struct {
 	share     [ShareSize]byte
 	certified bool
 	// enc memoizes the PKIX encoding and its digest: every credential
-	// document embeds the first and every verification-cache key and CBID
+	// embeds the first and every verification-cache key and CBID
 	// check takes the second, far too often to serialize the key each
 	// time. Keys are immutable after construction, so the memo never goes
 	// stale.
@@ -367,16 +366,6 @@ func (p *PublicKey) MarshalDER() ([]byte, error) {
 	return bytes.Clone(m.der), nil
 }
 
-// MarshalBase64 serializes a public key as base64(PKIX DER), the form
-// embedded in XML credentials and advertisements.
-func (p *PublicKey) MarshalBase64() (string, error) {
-	m, err := p.pkix()
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(m.der), nil
-}
-
 // ParsePublicDER reads a PKIX DER public key. The bytes read are the
 // key's PKIX encoding from then on: its fingerprint is their digest.
 func ParsePublicDER(der []byte) (*PublicKey, error) { return parsePublic(bytes.Clone(der)) }
@@ -394,53 +383,6 @@ func parsePublic(der []byte) (*PublicKey, error) {
 	p := &PublicKey{pub: pub}
 	p.enc.Store(&pkixMemo{der: der, fp: sha256.Sum256(der)})
 	return p, nil
-}
-
-// Strict decoders read only the one spelling EncodeToString writes of
-// each byte string (length checks rule out the newlines they skip).
-var (
-	strictBase64      = base64.StdEncoding.Strict()
-	strictShareBase64 = base64.RawStdEncoding.Strict()
-)
-
-// ParsePublicBase64 reads a base64(PKIX DER) public key and, unless share
-// is empty, the agreement key it carries in unpadded base64. Both must be
-// in the spelling MarshalBase64 and ShareBase64 write, and the share must
-// be ShareSize bytes.
-func ParsePublicBase64(key, share string) (*PublicKey, error) {
-	der, err := strictBase64.DecodeString(key)
-	if err != nil || base64.StdEncoding.EncodedLen(len(der)) != len(key) {
-		return nil, errors.New("keys: public key base64 malformed")
-	}
-	p, err := parsePublic(der)
-	if err != nil || share == "" {
-		return p, err
-	}
-	// Decoded through a buffer on the stack: a credential parse allocates
-	// nothing for its share.
-	var src [shareBase64Len]byte
-	var dst [ShareSize + 1]byte
-	if len(share) != len(src) {
-		return nil, ErrAgree
-	}
-	copy(src[:], share)
-	if n, err := strictShareBase64.Decode(dst[:], src[:]); err != nil || n != ShareSize {
-		return nil, ErrAgree
-	}
-	p.share, p.certified = [ShareSize]byte(dst[:ShareSize]), true
-	return p, nil
-}
-
-// shareBase64Len is the length of a share in unpadded base64.
-const shareBase64Len = (ShareSize*8 + 5) / 6
-
-// ShareBase64 is the key's agreement key in unpadded base64, the form
-// credentials and login requests carry, or "" when it carries none.
-func (p *PublicKey) ShareBase64() string {
-	if !p.certified {
-		return ""
-	}
-	return base64.RawStdEncoding.EncodeToString(p.share[:])
 }
 
 // AgreementShare returns the key's agreement key, and whether it carries

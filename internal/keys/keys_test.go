@@ -3,7 +3,6 @@ package keys
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
 	"math/rand"
 	"reflect"
@@ -163,37 +162,9 @@ func TestPublicKeyDERRoundTrip(t *testing.T) {
 	if !pub.Equal(back.WithShare(&share)) {
 		t.Fatal("DER round trip key, given the share, differs")
 	}
-}
-
-func TestPublicKeyBase64RoundTrip(t *testing.T) {
-	pub := testKeys.a.Public()
-	b64, err := pub.MarshalBase64()
-	if err != nil {
-		t.Fatalf("MarshalBase64: %v", err)
-	}
-	share := pub.ShareBase64()
-	back, err := ParsePublicBase64(b64, share)
-	if err != nil {
-		t.Fatalf("ParsePublicBase64: %v", err)
-	}
-	if !pub.Equal(back) {
-		t.Fatal("base64 round trip key mismatch")
-	}
-	if got, _ := back.MarshalBase64(); got != b64 || back.ShareBase64() != share {
-		t.Fatal("base64 round trip does not re-encode to the same text")
-	}
-	other := testKeys.b.Public().ShareBase64()
-	for _, tc := range []struct{ name, key, share string }{
-		{"invalid base64", "!!not-base64!!", ""},
-		{"non-key DER", "AAAA", ""},
-		{"key split by a newline", b64[:8] + "\n" + b64[8:], ""},
-		{"share of 31 bytes", b64, base64.RawStdEncoding.EncodeToString(make([]byte, ShareSize-1))},
-		{"share of 33 bytes", b64, base64.RawStdEncoding.EncodeToString(make([]byte, ShareSize+1))},
-		{"share padded", b64, base64.StdEncoding.EncodeToString(make([]byte, ShareSize))},
-		{"share with its spare bits set", b64, other[:len(other)-1] + "B"},
-	} {
-		if _, err := ParsePublicBase64(tc.key, tc.share); err == nil {
-			t.Errorf("ParsePublicBase64 accepted a %s", tc.name)
+	for name, bad := range map[string][]byte{"non-key DER": {0, 0, 0}, "a byte behind the key": append(der, 0)} {
+		if _, err := ParsePublicDER(bad); err == nil {
+			t.Errorf("ParsePublicDER accepted %s", name)
 		}
 	}
 }

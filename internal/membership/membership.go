@@ -21,7 +21,6 @@ import (
 
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/xmldoc"
 )
 
 // Identity is the local peer's established identity.
@@ -186,7 +185,7 @@ func (p *PSE) SetCredential(c *cred.Credential, chain ...*cred.Credential) error
 }
 
 func (p *PSE) keyPath(alias string) string  { return filepath.Join(p.dir, alias+".key.pem") }
-func (p *PSE) credPath(alias string) string { return filepath.Join(p.dir, alias+".cred.xml") }
+func (p *PSE) credPath(alias string) string { return filepath.Join(p.dir, alias+".cred") }
 
 func (p *PSE) loadKey(alias string) (*keys.KeyPair, error) {
 	if p.dir == "" {
@@ -227,20 +226,9 @@ func (p *PSE) loadCred(alias string) (*cred.Credential, []*cred.Credential, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	doc, err := xmldoc.ParseCanonical(data) // as saveCred wrote it
+	chain, err := cred.ParseChain(data) // as saveCred wrote it
 	if err != nil {
 		return nil, nil, err
-	}
-	var chain []*cred.Credential
-	for _, cd := range doc.ChildrenNamed(cred.ElementName) {
-		c, err := cred.Parse(cd)
-		if err != nil {
-			return nil, nil, err
-		}
-		chain = append(chain, c)
-	}
-	if len(chain) == 0 {
-		return nil, nil, nil
 	}
 	return chain[0], chain, nil
 }
@@ -249,13 +237,9 @@ func (p *PSE) saveCred(alias string, chain []*cred.Credential) error {
 	if p.dir == "" {
 		return nil
 	}
-	doc := xmldoc.New("CredentialChain", "")
-	for _, c := range chain {
-		cd, err := c.Document()
-		if err != nil {
-			return err
-		}
-		doc.Add(cd)
+	data, err := cred.AppendChain(nil, chain...)
+	if err != nil {
+		return err
 	}
-	return os.WriteFile(p.credPath(alias), doc.Canonical(), 0o600)
+	return os.WriteFile(p.credPath(alias), data, 0o600)
 }

@@ -21,16 +21,25 @@ import (
 // the peer ID of the verifier the request is for, which rides in no field:
 // a request signed for one verifier — and re-sealed by it — does not verify
 // at another. A login and a query are signed, then sealed whole.
+//
+// A credential (package cred) and an audit checkpoint (package audit) are
+// signed forms of the same shape, each under a label of its own: a kind byte
+// from the one kind space below, fields written by AppendField and
+// AppendTime and read back by a Reader, and a u16-length signature last. So
+// no form's bytes are read as another's: each is refused at its kind byte.
 
-// RequestKind is what a signed request asks; it fixes the request's fields.
+// RequestKind is the first byte of every signed form; for a request it fixes
+// the request's fields.
 type RequestKind uint8
 
 const (
-	KindLogin     RequestKind = 1 + iota // S_SKCl(username, password, PKCl), sealed to the broker
-	KindHeartbeat                        // renews a presence lease
-	KindRenew                            // asks for a fresh credential
-	KindQuery                            // a broker's question to the user database, sealed to it
-	KindAnswer                           // the database's answer, under its query's nonce
+	KindLogin      RequestKind = 1 + iota // S_SKCl(username, password, PKCl), sealed to the broker
+	KindHeartbeat                         // renews a presence lease
+	KindRenew                             // asks for a fresh credential
+	KindQuery                             // a broker's question to the user database, sealed to it
+	KindAnswer                            // the database's answer, under its query's nonce
+	KindCredential                        // Cred_i^j, package cred's form; no request
+	KindCheckpoint                        // an audit journal's signed seal, package audit's form; no request
 )
 
 // Field positions, in wire order. A heartbeat, a renewal and a query carry
@@ -97,8 +106,8 @@ func AppendRequest(dst []byte, kp *keys.KeyPair, audience keys.PeerID, kind Requ
 	}
 	size := 1 + 8 + NonceSize + 2 + (kp.Bits()+7)/8
 	for _, f := range fields {
-		if len(f) > 0xffff {
-			return nil, errors.New("proto: request field longer than 65535 bytes")
+		if len(f) > MaxField {
+			return nil, ErrFieldTooLong
 		}
 		size += 2 + len(f)
 	}
@@ -106,14 +115,14 @@ func AppendRequest(dst []byte, kp *keys.KeyPair, audience keys.PeerID, kind Requ
 	dst = append(append(make([]byte, 0, start+size), dst...), byte(kind))
 	dst = append(binary.BigEndian.AppendUint64(dst, uint64(at.UnixNano())), nonce[:]...)
 	for _, f := range fields {
-		dst = append(binary.BigEndian.AppendUint16(dst, uint16(len(f))), f...)
+		dst = AppendField(dst, f)
 	}
 	var buf [signedStack]byte
 	sig, err := kp.Sign(signedBytes(buf[:0], dst[start:], audience))
 	if err != nil {
 		return nil, err
 	}
-	return append(binary.BigEndian.AppendUint16(dst, uint16(len(sig))), sig...), nil
+	return AppendField(dst, sig), nil
 }
 
 // signedBytes appends to dst what a request's signature covers.
@@ -125,30 +134,87 @@ func signedBytes(dst, signed []byte, audience keys.PeerID) []byte {
 // fields, every length inside raw and nothing behind the signature.
 func parseRequest(raw []byte, kind RequestKind) (r Request, ok bool) {
 	n := requestKinds[kind].fields
-	if n == 0 || len(raw) < 1+8+NonceSize || raw[0] != byte(kind) {
+	if n == 0 || len(raw) == 0 || raw[0] != byte(kind) {
 		return r, false
 	}
-	r.At = time.Unix(0, int64(binary.BigEndian.Uint64(raw[1:9])))
-	r.Nonce = [NonceSize]byte(raw[9 : 9+NonceSize])
-	rest := raw[9+NonceSize:]
-	sized := func() []byte {
-		if len(rest) < 2 || len(rest)-2 < int(binary.BigEndian.Uint16(rest)) {
-			return nil
-		}
-		n := 2 + int(binary.BigEndian.Uint16(rest))
-		v := rest[2:n:n]
-		rest = rest[n:]
-		return v
-	}
+	in := NewReader(raw[1:])
+	r.At = time.Unix(0, int64(in.Uint(8)))
+	copy(r.Nonce[:], in.Bytes(NonceSize))
 	for i := range n {
-		if r.fields[i] = sized(); r.fields[i] == nil {
-			return r, false
-		}
+		r.fields[i] = in.Field()
 	}
-	r.signed = raw[:len(raw)-len(rest)]
-	r.sig = sized()
-	return r, len(r.sig) > 0 && len(rest) == 0
+	r.signed = raw[:len(raw)-in.Len()]
+	r.sig = in.Field()
+	return r, len(r.sig) > 0 && in.Done()
 }
+
+// MaxField is the longest field a u16 length admits.
+const MaxField = 0xffff
+
+// ErrFieldTooLong refuses to write a field longer than MaxField.
+var ErrFieldTooLong = errors.New("proto: field longer than 65535 bytes")
+
+// AppendField appends f behind its u16 length; f is at most MaxField bytes.
+func AppendField[F ~string | ~[]byte](dst []byte, f F) []byte {
+	return append(binary.BigEndian.AppendUint16(dst, uint16(len(f))), f...)
+}
+
+// AppendTime appends an instant as i64 seconds ‖ u32 nanoseconds: every
+// instant a time.Time can name, where UnixNano wraps 292 years either side
+// of 1970.
+func AppendTime(dst []byte, t time.Time) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(t.Unix()))
+	return binary.BigEndian.AppendUint32(dst, uint32(t.Nanosecond()))
+}
+
+// Reader reads a signed form's fields in order, each a view of the bytes it
+// reads. A read that does not fit fails the Reader: it and every later read
+// return zero values, and Done reports false.
+type Reader struct {
+	rest []byte
+	bad  bool
+}
+
+// NewReader reads b.
+func NewReader(b []byte) Reader { return Reader{rest: b} }
+
+// Bytes reads the next n bytes.
+func (r *Reader) Bytes(n int) []byte {
+	if r.bad || len(r.rest) < n {
+		r.bad = true
+		return nil
+	}
+	v := r.rest[:n:n]
+	r.rest = r.rest[n:]
+	return v
+}
+
+// Uint reads an n-byte big-endian unsigned integer, n at most 8.
+func (r *Reader) Uint(n int) (v uint64) {
+	for _, b := range r.Bytes(n) {
+		v = v<<8 | uint64(b)
+	}
+	return v
+}
+
+// Field reads a field AppendField wrote: never nil unless the read failed.
+func (r *Reader) Field() []byte { return r.Bytes(int(r.Uint(2))) }
+
+// Time reads an instant AppendTime wrote. A nanosecond count of a second or
+// more fails the read: an instant has the one encoding AppendTime gives it.
+func (r *Reader) Time() time.Time {
+	secs, ns := r.Uint(8), r.Uint(4)
+	if r.bad = r.bad || ns >= 1e9; r.bad {
+		return time.Time{}
+	}
+	return time.Unix(int64(secs), int64(ns)).UTC()
+}
+
+// Len is how many bytes are left to read.
+func (r *Reader) Len() int { return len(r.rest) }
+
+// Done reports whether every read fitted and nothing is left.
+func (r *Reader) Done() bool { return !r.bad && len(r.rest) == 0 }
 
 // RequestGuard is a verifier's half of the form: the peer ID requests must be
 // signed for, and the nonces it admitted. Safe for concurrent use.

@@ -82,7 +82,7 @@ func (s *Server) process(msg *endpoint.Message) (nonce [proto.NonceSize]byte, gr
 	// broker credential, fresh, and not seen before.
 	now := s.ep.Now()
 	q, err := s.queries.Open(body, proto.KindQuery, now, func(r *proto.Request) (*keys.PublicKey, error) {
-		caller, err := cred.ParseBytes(r.Field(proto.CredField))
+		caller, err := cred.Parse(r.Field(proto.CredField))
 		if err != nil || s.trust.Verify(caller, now) != nil || caller.Role != cred.RoleBroker {
 			return nil, ErrUnauthorized
 		}
@@ -136,13 +136,13 @@ func (c *Client) Groups(ctx context.Context, username string) ([]string, error) 
 // call sends one query, signed for the server and then sealed to it, so
 // that nothing on the link can test a password guess against it.
 func (c *Client) call(ctx context.Context, op, user, pass string) ([]string, error) {
-	credDoc, err := c.brokerCred.Document()
+	credRaw, err := c.brokerCred.Bytes()
 	if err != nil {
 		return nil, err
 	}
 	nonce := proto.NewNonce()
 	query, err := proto.AppendRequest(make([]byte, keys.EnvelopePrefix), c.kp, c.server, proto.KindQuery, c.ep.Now(), nonce,
-		credDoc.Canonical(), []byte(op), []byte(user), []byte(pass))
+		credRaw, []byte(op), []byte(user), []byte(pass))
 	if err != nil {
 		return nil, err
 	}

@@ -18,8 +18,8 @@ import (
 //
 // A document verdict is keyed by the SHA-256 digest of the document's
 // canonical form (which covers the signature and the embedded credential
-// chain) and a digest of the signer's embedded key. Any tampering changes
-// the digest and misses, falling back to a full — and failing —
+// chain) and a digest of the signer's embedded credential. Any tampering
+// changes the digest and misses, falling back to a full — and failing —
 // verification; failures are never stored. The store bounds the verdict
 // by the chain's validity window, so VerifyTrusted honours credential
 // expiry exactly as the uncached path does. A miss (a document this peer
@@ -43,11 +43,11 @@ func (vc *VerifyCache) TrustStore() *cred.TrustStore { return vc.trust }
 func (vc *VerifyCache) Stats() (hits, misses uint64) { return vc.trust.DocumentCacheStats() }
 
 // cacheKey derives the lookup key: document digest plus a digest of the
-// signer's embedded key, in an array that needs no heap. The key is
-// hashed as embedded (its canonical element, no DER parse) — it only has
-// to bind the verdict to the exact bytes that were verified, and those
-// are what the digest covers. Both canonical forms are memoized on their
-// elements, so a warm lookup hashes and allocates nothing else.
+// signer's embedded credential, in an array that needs no heap. The
+// credential is hashed as embedded (its canonical element, no parse) — it
+// only has to bind the verdict to the exact bytes that were verified, and
+// those are what the digest covers. Both canonical forms are memoized on
+// their elements, so a warm lookup hashes and allocates nothing else.
 func cacheKey(doc *xmldoc.Element) (key [64]byte, ok bool) {
 	sig := doc.Child(SignatureElement)
 	if sig == nil {
@@ -61,12 +61,8 @@ func cacheKey(doc *xmldoc.Element) (key [64]byte, ok bool) {
 	if leaf == nil {
 		return key, false
 	}
-	keyElem := leaf.Child("Key")
-	if keyElem == nil {
-		return key, false
-	}
 	docDigest := sha256.Sum256(doc.Canonical())
-	keyFP := sha256.Sum256(keyElem.Canonical())
+	keyFP := sha256.Sum256(leaf.Canonical())
 	copy(key[:], docDigest[:])
 	copy(key[sha256.Size:], keyFP[:])
 	return key, true

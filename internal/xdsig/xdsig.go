@@ -137,7 +137,7 @@ func Verify(doc *xmldoc.Element) (*Result, error) {
 	}
 	var chain []*cred.Credential
 	for _, cd := range keyInfo.ChildrenNamed(cred.ElementName) {
-		c, err := cred.Parse(cd)
+		c, err := parseCredential(cd)
 		if err != nil {
 			return nil, fmt.Errorf("xdsig: keyinfo credential: %w", err)
 		}
@@ -155,6 +155,21 @@ func Verify(doc *xmldoc.Element) (*Result, error) {
 		return nil, ErrBadSignature
 	}
 	return &Result{Chain: chain, Signer: chain[0]}, nil
+}
+
+// strictBase64 decodes only the one spelling EncodeToString writes of each
+// byte string (a length check rules out the newlines it skips).
+var strictBase64 = base64.StdEncoding.Strict()
+
+// parseCredential reads a KeyInfo credential as cred.Credential.Document
+// writes it: an element holding nothing but the credential's bytes, in
+// base64 spelled one way.
+func parseCredential(e *xmldoc.Element) (*cred.Credential, error) {
+	raw, err := strictBase64.DecodeString(e.Text)
+	if err != nil || len(e.Attrs) != 0 || len(e.Children) != 0 || base64.StdEncoding.EncodedLen(len(raw)) != len(e.Text) {
+		return nil, cred.ErrMalformed
+	}
+	return cred.Parse(raw)
 }
 
 // VerifyTrusted performs the complete check a receiving peer runs on a

@@ -93,17 +93,14 @@ var internedNames = buildInterned(
 	// XMLdsig
 	"SignedInfo", "CanonicalizationMethod", "SignatureMethod",
 	"DigestMethod", "DigestValue", "SignatureValue", "KeyInfo",
-	// credentials
-	"Credential", "Subject", "SubjectName", "Role", "Issuer", "Key",
-	"Agree", "NotBefore", "NotAfter", "CredentialChain",
+	// a KeyInfo credential (its bytes in base64)
+	"Credential",
 	// advertisements
 	"PipeAdvertisement", "PeerAdvertisement", "PresenceAdvertisement",
 	"FileListAdvertisement", "GroupAdvertisement", "StatsAdvertisement",
 	"Id", "Type", "Name", "PeerID", "Desc", "Status", "File", "Size",
 	"Digest", "Seen", "Creator", "GroupID", "Services", "Service",
 	"UptimeSec", "MsgsSent", "MsgsRecv", "BytesSent", "BytesRecv",
-	// audit checkpoints
-	"Timestamp",
 )
 
 func buildInterned(names ...string) map[string]string {
