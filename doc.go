@@ -70,12 +70,15 @@
 //     TTL-expiring, drained on login — for offline ones. The relay
 //     holds no keys and no plaintext; SECURITY.md states what a
 //     compromised relay can and cannot do.
-//   - That wrap is the one key transport: a sign-then-encrypt envelope,
-//     the login request and a database request are sealed to the
-//     recipient's agreement key the same way (keys.SealEnvelope), each
-//     under a fresh ephemeral key. No production path performs an
-//     RSA-OAEP operation; the broker's agreement key rides its
-//     secureConnection answer under the challenge signature.
+//   - That wrap is the one key transport: a sign-then-encrypt envelope
+//     and a database request are sealed to the recipient's agreement key
+//     the same way (keys.SealEnvelope), each under a fresh ephemeral key.
+//     No production path performs an RSA-OAEP operation. The broker's
+//     agreement key rides its secureConnection answer under a share
+//     statement it signed once; the client's challenge is a fresh X25519
+//     share, the broker proves itself with the tag that agreement yields,
+//     and the login is sealed under the key derived beside the tag
+//     (core.ConnectKeys): a join costs the broker no signature.
 //
 // # One open path
 //

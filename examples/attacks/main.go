@@ -154,7 +154,8 @@ func fakeBrokerDemo(ctx context.Context) error {
 	fmt.Printf("  plain connect: fake broker harvested %q / %q\n", creds[0], creds[1])
 
 	// Secure extension: secureConnection demands a credential issued by
-	// the administrator and a signature over a fresh challenge.
+	// the administrator and a key agreement on a fresh challenge under
+	// the agreement key that credential's key states.
 	snet, sbr, dep, err := secureNetwork()
 	if err != nil {
 		return err

@@ -83,8 +83,9 @@ func run() error {
 	// Steps 3 and 4 are what (*SecureClient).Join does in one call; they
 	// are spelled out here to show the state between them.
 	// --- 3. secureConnection (§4.2.1) --------------------------------
-	// Challenge/response proves the broker holds SK_Br and an
-	// administrator-issued credential before any password is typed.
+	// Challenge/response proves the broker holds the agreement key its
+	// administrator-issued credential's key states, before any password
+	// is typed.
 	for _, p := range []*core.SecureClient{alice, bob} {
 		if err := p.SecureConnection(ctx, br.PeerID()); err != nil {
 			return err

@@ -121,9 +121,9 @@ func TestFormOfAnotherKindRefusedAtKindByte(t *testing.T) {
 		}
 	}
 
-	// A twin of the broker answers secureConnection with the challenge
-	// signed under the broker's key and alice's heartbeat request where
-	// its credential goes.
+	// A twin of the broker answers secureConnection with the tag, share
+	// and share statement of the broker's keys and alice's heartbeat
+	// request where its credential goes.
 	eve := attack.NewEavesdropper(s.net)
 	if err := alice.SecureHeartbeat(testCtx(t)); err != nil {
 		t.Fatal(err)
@@ -135,11 +135,16 @@ func TestFormOfAnotherKindRefusedAtKindByte(t *testing.T) {
 	}
 	t.Cleanup(twin.Close)
 	share, _ := s.brKP.Public().AgreementShare()
+	statement, err := s.brKP.Sign(core.ShareStatement(s.br.PeerID(), share[:]))
+	if err != nil {
+		t.Fatal(err)
+	}
 	twin.RegisterOp(proto.OpSecureConnect, func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-		chall, _ := msg.Get(proto.ElemChallenge)
-		sig, _ := s.brKP.Sign(append(append([]byte("jxta-overlay/secure-connect/v1"), chall...), share[:]...))
-		return proto.OK().AddString(proto.ElemSid, "deadbeef").Add(proto.ElemSig, sig).
-			Add(proto.ElemCred, heartbeat).Add(proto.ElemShare, share[:])
+		e, _ := msg.Get(proto.ElemChallenge)
+		secret, _ := s.brKP.Agree(e)
+		tag, _ := core.ConnectKeys(secret, e, share[:], s.br.PeerID(), "deadbeef")
+		return proto.OK().AddString(proto.ElemSid, "deadbeef").Add(proto.ElemTag, tag[:]).
+			Add(proto.ElemCred, heartbeat).Add(proto.ElemShare, share[:]).Add(proto.ElemSig, statement)
 	})
 	bob := s.client(t, "bob")
 	bobTrust := bob.VerifyCache().TrustStore()

@@ -159,25 +159,80 @@ func loginRequest(t *testing.T, user, pass string, peer keys.PeerID, kp *keys.Ke
 	return req
 }
 
-// sendLogin seals req to the broker key to and sends it as a secureLogin
-// through sc's connection.
-func sendLogin(t *testing.T, sc *core.SecureClient, to *keys.PublicKey, req []byte) (*endpoint.Message, error) {
+// rawConn is a secureConnection run by hand: the session identifier the
+// broker issued, and the key its login is sealed under.
+type rawConn struct {
+	sc  *core.SecureClient
+	sid string
+	key [keys.ContentKeySize]byte
+}
+
+// rawConnect runs secureConnection by hand through sc's connection to
+// broker: a fresh ephemeral share as the challenge, and the login key
+// core.ConnectKeys derives from the answer beside the tag, which must be
+// the tag the broker sent. sc's own session identifier is left as it was.
+func rawConnect(t *testing.T, sc *core.SecureClient, broker keys.PeerID) *rawConn {
 	t.Helper()
-	env, err := to.Encrypt(req)
+	ctx := testCtx(t)
+	if err := sc.Connect(ctx, broker); err != nil {
+		t.Fatal(err)
+	}
+	eph, err := keys.NewAgreementKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sc.Call(testCtx(t), endpoint.NewMessage().
-		AddString(proto.ElemOp, proto.OpSecureLogin).
-		Add(proto.ElemEnvelope, env.Bytes()))
+	e := eph.Share()
+	resp, err := sc.Call(ctx, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpSecureConnect).Add(proto.ElemChallenge, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, _ := resp.GetString(proto.ElemSid)
+	tag, _ := resp.Get(proto.ElemTag)
+	share, _ := resp.Get(proto.ElemShare)
+	secret, err := eph.Agree(share)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, key := core.ConnectKeys(secret, e, share, broker, sid)
+	if !bytes.Equal(tag, want[:]) {
+		t.Fatal("the broker's tag is not the one derived beside the login key")
+	}
+	return &rawConn{sc: sc, sid: sid, key: key}
 }
 
-// rawSecureLogin sends a hand-built secureLogin to s's broker through sc's
-// connection, spending the session identifier sc's SecureConnection
-// obtained.
-func (s *secureStack) rawSecureLogin(t *testing.T, sc *core.SecureClient, user, pass string, peer keys.PeerID, kp *keys.KeyPair) (*endpoint.Message, error) {
+// sealLogin seals req under key as SecureLogin does: nonce ‖ AES-GCM.
+func sealLogin(t *testing.T, key [keys.ContentKeySize]byte, req []byte) []byte {
 	t.Helper()
-	return sendLogin(t, sc, s.brKP.Public(), loginRequest(t, user, pass, peer, kp, sc.Sid(), s.br.PeerID()))
+	nonce, ct, err := keys.AEADSeal(key[:], req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(nonce, ct...)
+}
+
+// send sends sealed as a secureLogin through the connection, with handle
+// in clear as the key's session identifier.
+func (c *rawConn) send(t *testing.T, handle string, sealed []byte) (*endpoint.Message, error) {
+	t.Helper()
+	return c.sc.Call(testCtx(t), endpoint.NewMessage().
+		AddString(proto.ElemOp, proto.OpSecureLogin).
+		AddString(proto.ElemSid, handle).
+		Add(proto.ElemEnvelope, sealed))
+}
+
+// login seals req under the connect's key and sends it with its sid.
+func (c *rawConn) login(t *testing.T, req []byte) (*endpoint.Message, error) {
+	t.Helper()
+	return c.send(t, c.sid, sealLogin(t, c.key, req))
+}
+
+// rawLogin connects sc to s's broker by hand and sends it the login
+// request of user, pass, peer and kp, signed for the broker with the
+// connect's session identifier.
+func (s *secureStack) rawLogin(t *testing.T, sc *core.SecureClient, user, pass string, peer keys.PeerID, kp *keys.KeyPair) (*endpoint.Message, error) {
+	t.Helper()
+	c := rawConnect(t, sc, s.br.PeerID())
+	return c.login(t, loginRequest(t, user, pass, peer, kp, c.sid, s.br.PeerID()))
 }
 
 // (c) The stored credential is handed only to the login that would have
@@ -195,8 +250,8 @@ func TestStoredCredentialOnlyForSameKeyAndUser(t *testing.T) {
 	// The right password and alice's peer ID under another key: stopped
 	// at the CBID check, before the table is looked at, with nothing in
 	// the answer.
-	thief := s.connected(t, "mallory")
-	resp, err := s.rawSecureLogin(t, thief, "alice", "alice-secret-pw", alice.PeerID(), thief.Identity().Keys)
+	thief := s.client(t, "mallory")
+	resp, err := s.rawLogin(t, thief, "alice", "alice-secret-pw", alice.PeerID(), thief.Identity().Keys)
 	var opErr *client.OpError
 	if !errors.As(err, &opErr) || opErr.Token != proto.ErrCBIDMismatch {
 		t.Fatalf("login claiming alice's ID with another key: err = %v, want %q", err, proto.ErrCBIDMismatch)
@@ -207,11 +262,8 @@ func TestStoredCredentialOnlyForSameKeyAndUser(t *testing.T) {
 
 	// Alice's key and peer ID, logging in as another user whose password
 	// it knows: authenticated, and issued that user's own credential.
-	if err := alice.SecureConnection(ctx, s.br.PeerID()); err != nil {
-		t.Fatal(err)
-	}
 	signed := s.brKP.SignCalls()
-	resp, err = s.rawSecureLogin(t, alice, "bob", "bob-secret-pw", alice.PeerID(), alice.Identity().Keys)
+	resp, err = s.rawLogin(t, alice, "bob", "bob-secret-pw", alice.PeerID(), alice.Identity().Keys)
 	if err != nil {
 		t.Fatalf("login as bob under alice's key: %v", err)
 	}
@@ -261,8 +313,8 @@ func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 	}
 
 	passed.Store(int64(validity/2 - time.Minute))
-	if signs := rejoin(); signs != 1 || !alice.Identity().Credential.Equal(first) {
-		t.Fatalf("with more than half the validity left: %d broker signatures, same credential = %v; want 1, true",
+	if signs := rejoin(); signs != 0 || !alice.Identity().Credential.Equal(first) {
+		t.Fatalf("with more than half the validity left: %d broker signatures, same credential = %v; want 0, true",
 			signs, alice.Identity().Credential.Equal(first))
 	}
 	if got := alice.Identity().Credential.NotAfter; !got.Equal(first.NotAfter) {
@@ -270,8 +322,8 @@ func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 	}
 
 	passed.Store(int64(validity/2 + time.Minute))
-	if signs := rejoin(); signs != 2 {
-		t.Fatalf("with less than half the validity left: %d broker signatures, want 2 (challenge + issuance)", signs)
+	if signs := rejoin(); signs != 1 {
+		t.Fatalf("with less than half the validity left: %d broker signatures, want 1 (the issuance)", signs)
 	}
 	// The fresh credential runs a full validity from the broker's now.
 	if fresh, want := alice.Identity().Credential, s.br.Now().Add(validity); fresh.NotAfter.Sub(want).Abs() > time.Second {
@@ -284,15 +336,21 @@ func TestStoredCredentialNotReusedPastHalfValidity(t *testing.T) {
 // them from strangers — each from a peer ID never seen before, so that no
 // per-peer limit applies — fills the table to its bound and no further,
 // and the join of an honest client behind it is served. Each call costs
-// the broker a signature, and the flood is three tables' worth: past that
-// a full table meets nothing it has not met.
+// the broker one X25519 on its agreement key and no signature, and the
+// flood is three tables' worth: past that a full table meets nothing it
+// has not met.
 func TestSecureConnectFloodBoundsSidTable(t *testing.T) {
 	const sidCapacity = 4096 // core's bound on the table
 	const calls = 3 * sidCapacity
 	s := newSecureStack(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	chall := make([]byte, 32)
+	eph, err := keys.NewAgreementKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chall := eph.Share()
+	signed, agreed := s.brKP.SignCalls(), s.brKP.AgreeCalls()
 	most := 0
 	for i := 0; i < calls; i++ {
 		stranger, err := endpoint.NewService(s.net, keys.PeerID("urn:jxta:stranger-"+strconv.Itoa(i)))
@@ -313,6 +371,12 @@ func TestSecureConnectFloodBoundsSidTable(t *testing.T) {
 	}
 	if most > sidCapacity {
 		t.Fatalf("%d secureConnection calls left %d session identifiers pending, want at most %d", calls, most, sidCapacity)
+	}
+	if n := s.brKP.SignCalls() - signed; n != 0 {
+		t.Fatalf("%d secureConnection calls cost the broker %d signatures, want 0", calls, n)
+	}
+	if n := s.brKP.AgreeCalls() - agreed; n != calls {
+		t.Fatalf("%d secureConnection calls cost the broker %d X25519 operations, want one each", calls, n)
 	}
 	t.Logf("%d secureConnection calls: at most %d session identifiers pending", calls, most)
 	s.join(t, "alice", "alice-secret-pw")

@@ -1,11 +1,13 @@
-// Key-transport negatives. Every envelope, the login request and the
-// database request are sealed the one way a round's key is: ECIES to the
-// X25519 agreement key the recipient's key carries, the wrap bound to the
-// AEAD nonce the content is sealed under. What an adversary can try on it:
-// a broker re-sealing a login request it opened to another broker; an
-// on-path swap of the broker's agreement key, which is not in its
-// credential but under its challenge signature; a holder of one envelope's
-// content key sealing other content behind its wrap.
+// Key-transport negatives. Every envelope and the database request are
+// sealed the one way a round's key is: ECIES to the X25519 agreement key
+// the recipient's key carries, the wrap bound to the AEAD nonce the
+// content is sealed under; the login request is sealed under the key its
+// secureConnection agreed with the broker's agreement key. What an
+// adversary can try on them: a broker re-sealing a login request it
+// opened for another broker; an on-path swap of the broker's agreement
+// key, which is not in its credential but under its share statement; a
+// holder of one envelope's content key sealing other content behind its
+// wrap.
 package attack_test
 
 import (
@@ -27,13 +29,14 @@ import (
 	"jxtaoverlay/internal/simnet"
 )
 
-// A login request is sealed to one broker and signed for it. A broker —
-// administrator-certified, and turned — that opens one and re-seals it to
-// another broker's agreement key logs nobody in there, even with a
-// session identifier that broker handed out: mallory runs broker-2, fetches
-// a session identifier from broker-1 and passes it to alice as her own, and
-// alice signs a request carrying it. The same request signed for broker-1
-// is what broker-1 would take.
+// A login request is sealed for one broker and signed for it. A broker —
+// administrator-certified, and turned — that opens one and seals it again
+// under a key agreed with another broker logs nobody in there, even with a
+// session identifier that broker handed out: mallory runs broker-2,
+// connects to broker-1 for a session identifier and its login key and
+// passes the identifier to alice as her own, and alice signs a request
+// carrying it and seals it under the key of her connect to broker-2. The
+// same request signed for broker-1 is what broker-1 would take.
 func TestLoginRequestResealedToAnotherBrokerRefused(t *testing.T) {
 	s := newSecureStack(t)
 	evil, err := s.dep.StartBroker(broker.Config{Name: "broker-2", Net: s.net, DB: broker.LocalDB(s.db), RequireSecureLogin: true},
@@ -54,25 +57,23 @@ func TestLoginRequestResealedToAnotherBrokerRefused(t *testing.T) {
 		{"signed for broker-2, re-sealed to broker-1", evil.Broker.PeerID(), false},
 		{"signed for broker-1", s.br.PeerID(), true},
 	} {
-		if err := mallory.SecureConnection(testCtx(t), s.br.PeerID()); err != nil {
-			t.Fatal(err)
-		}
-		req := loginRequest(t, "alice", "alice-secret-pw", alice.PeerID(), aliceKP, mallory.Sid(), tc.signee)
-		// What broker-2 receives is sealed to it; it opens the request, as it
-		// may, and seals it again to broker-1.
-		env, err := evil.KeyPair.Public().Encrypt(req)
+		toBroker1 := rawConnect(t, mallory, s.br.PeerID())
+		req := loginRequest(t, "alice", "alice-secret-pw", alice.PeerID(), aliceKP, toBroker1.sid, tc.signee)
+		// What broker-2 receives is sealed under the key of alice's connect
+		// to it; it opens the request, as it may, and seals it again under
+		// the key of mallory's connect to broker-1.
+		toBroker2 := rawConnect(t, alice, evil.Broker.PeerID())
+		sealed := sealLogin(t, toBroker2.key, req)
+		nonce, ct := sealed[:keys.AEADNonceSize], sealed[keys.AEADNonceSize:]
+		opened, err := keys.AEADOpen(toBroker2.key[:], nonce, ct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opened, err := evil.KeyPair.Decrypt(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.brKP.Decrypt(env); err == nil {
-			t.Fatal("broker-1 opened a request sealed to broker-2")
+		if _, err := keys.AEADOpen(toBroker1.key[:], nonce, ct); err == nil {
+			t.Fatal("broker-1's login key opened a request sealed for broker-2")
 		}
 		signed := s.brKP.SignCalls()
-		resp, err := sendLogin(t, mallory, s.brKP.Public(), opened)
+		resp, err := toBroker1.login(t, opened)
 		if tc.wantOK {
 			if err != nil || !resp.Has(proto.ElemCred) {
 				t.Fatalf("%s: (%v, %v), want a credential", tc.name, resp, err)
@@ -92,15 +93,16 @@ func TestLoginRequestResealedToAnotherBrokerRefused(t *testing.T) {
 	}
 }
 
-// The broker's agreement key, which the login request is sealed to,
-// rides its secureConnection answer under the challenge signature. An
-// answer whose share was swapped on the way, or that signs a share of
-// small order or none at all, is refused like a broker that cannot sign:
-// the client sends it no login. The answers come from one twin of the
-// broker, which takes its session identifier from the broker, hands it
-// the login, and signs with the broker's key: only the share differs from
-// case to case, and with the broker's own share the twin logs alice in.
-func TestBrokerAgreementKeyUnderChallengeSignature(t *testing.T) {
+// The broker's agreement key, which secureConnection's tag is derived
+// with, rides its answer under its share statement. An answer whose share
+// was swapped on the way, or whose statement names a share of small order
+// or none at all, is refused like a broker that cannot prove itself: the
+// client sends it no login. The answers come from one twin of the broker,
+// which forwards the challenge to the broker, takes its session
+// identifier and tag, hands it the login, and signs statements with the
+// broker's key: only the share differs from case to case, and with the
+// broker's own share the twin logs alice in.
+func TestBrokerAgreementKeyUnderShareStatement(t *testing.T) {
 	s := newSecureStack(t)
 	credRaw, err := s.brSec.Credential().Bytes()
 	if err != nil {
@@ -113,7 +115,7 @@ func TestBrokerAgreementKeyUnderChallengeSignature(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name          string
-		signed, sent  []byte // the share the signature covers, the one in the answer
+		signed, sent  []byte // the share the statement names, the one in the answer
 		omitShareElem bool
 		wantOK        bool
 	}{
@@ -130,27 +132,30 @@ func TestBrokerAgreementKeyUnderChallengeSignature(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(b.Close)
-			forward := func(op, elem string, value []byte) (*endpoint.Message, error) {
-				return b.Endpoint().Request(testCtx(t), s.br.PeerID(), proto.BrokerService,
-					endpoint.NewMessage().AddString(proto.ElemOp, op).Add(elem, bytes.Clone(value)))
+			// forward hands the broker a copy of what the twin was sent.
+			forward := func(msg *endpoint.Message) (*endpoint.Message, error) {
+				call := endpoint.NewMessage()
+				for _, e := range msg.Elements {
+					call.Add(e.Name, bytes.Clone(e.Data))
+				}
+				return b.Endpoint().Request(testCtx(t), s.br.PeerID(), proto.BrokerService, call)
 			}
 			b.RegisterOp(proto.OpSecureConnect, func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-				chall, _ := msg.Get(proto.ElemChallenge)
-				answer, err := forward(proto.OpSecureConnect, proto.ElemChallenge, chall)
+				answer, err := forward(msg)
 				if err != nil {
 					return proto.Fail(proto.ErrBadRequest)
 				}
 				sid, _ := answer.GetString(proto.ElemSid)
-				sig, _ := s.brKP.Sign(append(append([]byte("jxta-overlay/secure-connect/v1"), chall...), tc.signed...))
-				resp := proto.OK().AddString(proto.ElemSid, sid).Add(proto.ElemSig, sig).Add(proto.ElemCred, credRaw)
+				tag, _ := answer.Get(proto.ElemTag)
+				sig, _ := s.brKP.Sign(core.ShareStatement(s.br.PeerID(), tc.signed))
+				resp := proto.OK().AddString(proto.ElemSid, sid).Add(proto.ElemTag, tag).Add(proto.ElemCred, credRaw).Add(proto.ElemSig, sig)
 				if !tc.omitShareElem {
 					resp.Add(proto.ElemShare, tc.sent)
 				}
 				return resp
 			})
 			b.RegisterOp(proto.OpSecureLogin, func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-				env, _ := msg.Get(proto.ElemEnvelope)
-				resp, err := forward(proto.OpSecureLogin, proto.ElemEnvelope, env)
+				resp, err := forward(msg)
 				if err != nil {
 					return proto.Fail(proto.ErrBadRequest)
 				}

@@ -75,8 +75,8 @@ func TestReplayedRenewRefused(t *testing.T) {
 
 // One kind's bytes are never read as another's: a genuine heartbeat sent
 // as a renewal, and a database answer — signed for the broker, as every
-// answer is, and in clear on the broker–database link — sealed to the
-// broker as a login. Both are refused at the layout, before anything is
+// answer is, and in clear on the broker–database link — sealed under a
+// connect's login key as a login. Both are refused at the layout, before anything is
 // spent: no signature, and the session identifier presented with nothing
 // is still pending.
 func TestRequestOfAnotherKindRefused(t *testing.T) {
@@ -95,7 +95,7 @@ func TestRequestOfAnotherKindRefused(t *testing.T) {
 		t.Fatalf("the broker signed %d times for a heartbeat sent as a renewal", n)
 	}
 
-	mallory := s.connected(t, "mallory")
+	mallory := rawConnect(t, s.client(t, "mallory"), s.br.PeerID())
 	pending := s.brSec.PendingSids()
 	db, err := keys.NewKeyPair()
 	if err != nil {
@@ -106,7 +106,7 @@ func TestRequestOfAnotherKindRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sendLogin(t, mallory, s.brKP.Public(), answer); !refusedWith(err, proto.ErrBadRequest) {
+	if _, err := mallory.login(t, answer); !refusedWith(err, proto.ErrBadRequest) {
 		t.Fatalf("a database answer as a login: err = %v, want the %q refusal", err, proto.ErrBadRequest)
 	}
 	if got := s.brSec.PendingSids(); got != pending {

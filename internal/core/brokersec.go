@@ -57,8 +57,11 @@ type BrokerSecurity struct {
 	// a digest lookup.
 	vcache *xdsig.VerifyCache
 
-	// credWire is Cred_Br^Adm's bytes, as secureConnection sends them.
-	credWire []byte
+	// credWire is Cred_Br^Adm's bytes, as secureConnection sends them;
+	// share is the broker's agreement key and shareSig its share
+	// statement's signature, made once, here, and sent beside them.
+	credWire, shareSig []byte
+	share              [keys.ShareSize]byte
 	// issued holds, per subject, the credential last issued to it (see
 	// loginCredential).
 	issued *lru.Cache[keys.PeerID, *cred.Credential]
@@ -69,8 +72,9 @@ type BrokerSecurity struct {
 
 	mu sync.Mutex
 	// sids holds the session identifiers handed out and not yet
-	// presented, each until sidTTL after its issue.
-	sids   lru.Window[string, struct{}]
+	// presented, each until sidTTL after its issue, with the key its
+	// secureConnection agreed for the login.
+	sids   lru.Window[string, loginKey]
 	leases map[keys.PeerID]*lease
 
 	// Liveness counters (see LivenessStats). Atomics: the telemetry
@@ -115,14 +119,21 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 	if err != nil {
 		return nil, err
 	}
+	share, _ := cfg.KeyPair.Public().AgreementShare()
+	shareSig, err := cfg.KeyPair.Sign(ShareStatement(cfg.Credential.Subject, share[:]))
+	if err != nil {
+		return nil, err
+	}
 	bs := &BrokerSecurity{
 		cfg:      cfg,
 		b:        b,
 		vcache:   xdsig.NewVerifyCache(cfg.Trust),
 		credWire: credWire,
+		shareSig: shareSig,
+		share:    share,
 		issued:   lru.New[keys.PeerID, *cred.Credential](issuedCredCapacity),
 		requests: proto.NewRequestGuard(cfg.Credential.Subject),
-		sids:     lru.NewWindow[string, struct{}](sidCapacity),
+		sids:     lru.NewWindow[string, loginKey](sidCapacity),
 		leases:   make(map[keys.PeerID]*lease),
 	}
 	b.RegisterOp(proto.OpSecureConnect, bs.handleSecureConnect)
@@ -173,27 +184,68 @@ func (bs *BrokerSecurity) PendingSids() int {
 	return bs.sids.Len()
 }
 
-// connectLabel separates the broker's secureConnection signature from
-// every other signature its key makes: the challenge is the client's to
-// choose.
-const connectLabel = "jxta-overlay/secure-connect/v1"
+// secureConnection's labels: of the broker's share statement, which
+// separates it from every other signature the broker's key makes, and of
+// the key schedule.
+const (
+	shareLabel   = "jxta-overlay/broker-share/v1"
+	connectLabel = "jxta-overlay/secure-connect/v2"
+)
 
-// connectSigned is what the broker signs in its secureConnection answer:
-// the label, the client's challenge and the broker's agreement key, which
-// the login request is then sealed to. The agreement key rides here, not
-// in Cred_Br^Adm: that credential is in the chain of every advertisement
-// the broker's clients sign, and the login is the one thing sealed to it.
-func connectSigned(chall, share []byte) []byte {
-	return append(append([]byte(connectLabel), chall...), share...)
+// ConnectTagSize is the length of the tag a secureConnection answer
+// carries.
+const ConnectTagSize = 32
+
+// loginKey is the AES-256 key one secureConnection agrees on for the
+// login that follows it.
+type loginKey = [keys.ContentKeySize]byte
+
+// ShareStatement is what a broker signs, once, to state the agreement key
+// it holds: the label, its peer ID and the share. Its secureConnection
+// answer carries the signature beside Cred_Br^Adm, under whose key the
+// client verifies it. The share rides here, not in Cred_Br^Adm: that
+// credential is in the chain of every advertisement the broker's clients
+// sign, and the share is needed at secureConnection alone.
+func ShareStatement(broker keys.PeerID, share []byte) []byte {
+	return append(keys.AppendSection([]byte(shareLabel), []byte(broker)), share...)
+}
+
+// ConnectKeys derives what one secureConnection agrees on from secret,
+// the X25519 of the client's ephemeral share e with the broker's
+// agreement key share — the client computes it with its ephemeral, the
+// broker with its agreement key: the tag the broker answers with, and the
+// key the login that follows is sealed under. HKDF's info is the label, e,
+// share, the broker's peer ID and the session identifier sid, so a tag
+// answers for one challenge, one broker and one sid, and a broker that
+// does not hold the agreement key derives neither.
+func ConnectKeys(secret, e, share []byte, broker keys.PeerID, sid string) (tag [ConnectTagSize]byte, login [keys.ContentKeySize]byte) {
+	info := make([]byte, 0, len(connectLabel)+2*keys.ShareSize+8+len(broker)+len(sid))
+	info = append(append(append(info, connectLabel...), e...), share...)
+	info = keys.AppendSection(info, []byte(broker))
+	info = keys.AppendSection(info, []byte(sid))
+	var okm [ConnectTagSize + keys.ContentKeySize]byte
+	keys.HKDF(okm[:], secret, nil, info)
+	copy(tag[:], okm[:ConnectTagSize])
+	copy(login[:], okm[ConnectTagSize:])
+	clear(okm[:])
+	return tag, login
 }
 
 // handleSecureConnect implements the broker side of §4.2.1: receive the
-// client's random challenge, mint a session identifier, and prove
-// legitimacy by returning S_SKBr(chall ‖ share) together with Cred_Br^Adm
-// and share, the broker's agreement key.
+// client's challenge, a fresh X25519 share E, agree on it with the
+// broker's agreement key, mint a session identifier, and prove legitimacy
+// with the tag that agreement yields, together with Cred_Br^Adm, the
+// agreement key and its share statement S_SKBr(label ‖ ID ‖ share). The
+// key the agreement yields beside the tag waits in the sid table for the
+// login. A share of small order is refused before any of it: no
+// agreement, no sid.
 func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	chall, ok := msg.Get(proto.ElemChallenge)
-	if !ok || len(chall) == 0 {
+	e, ok := msg.Get(proto.ElemChallenge)
+	if !ok || keys.CheckShare(e) != nil {
+		return proto.Fail(proto.ErrBadRequest)
+	}
+	secret, err := bs.cfg.KeyPair.Agree(e)
+	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	sidBytes, err := keys.RandomBytes(16)
@@ -201,30 +253,41 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	sid := hex.EncodeToString(sidBytes)
-	bs.issueSid(sid, bs.b.Now())
-
-	share, _ := bs.cfg.KeyPair.Public().AgreementShare()
-	sig, err := bs.cfg.KeyPair.Sign(connectSigned(chall, share[:]))
-	if err != nil {
-		return proto.Fail(proto.ErrBadRequest)
-	}
+	tag, key := ConnectKeys(secret, e, bs.share[:], bs.cfg.Credential.Subject, sid)
+	clear(secret)
+	bs.issueSid(sid, key, bs.b.Now())
 	return proto.OK().
 		AddString(proto.ElemSid, sid).
-		Add(proto.ElemSig, sig).
+		Add(proto.ElemTag, tag[:]).
 		Add(proto.ElemCred, bs.credWire).
-		Add(proto.ElemShare, share[:])
+		Add(proto.ElemShare, bs.share[:]).
+		Add(proto.ElemSig, bs.shareSig)
 }
 
-// issueSid records a session identifier as handed out, good for sidTTL
-// from now.
-func (bs *BrokerSecurity) issueSid(sid string, now time.Time) {
+// issueSid records a session identifier as handed out, with the key its
+// login is sealed under, good for sidTTL from now.
+func (bs *BrokerSecurity) issueSid(sid string, key loginKey, now time.Time) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	bs.sids.Put(sid, struct{}{}, now.Add(sidTTL), now)
+	bs.sids.Put(sid, key, now.Add(sidTTL), now)
 }
 
-// consumeSid enforces single use: a sid is deleted the moment it is
-// presented (§4.2.2 step 5), which is what blocks login replay.
+// pendingKey returns the key of the login that presents sid, without
+// spending sid: a login that does not open under the key spends nothing.
+// An identifier past its time is dropped.
+func (bs *BrokerSecurity) pendingKey(sid string, now time.Time) (loginKey, bool) {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	key, live := bs.sids.Get(sid, now)
+	if !live {
+		bs.sids.Delete(sid)
+	}
+	return key, live
+}
+
+// consumeSid enforces single use: a sid is deleted the moment a login
+// that opened under its key presents it (§4.2.2 step 5), which is what
+// blocks login replay.
 func (bs *BrokerSecurity) consumeSid(sid string, now time.Time) bool {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -244,22 +307,26 @@ func (bs *BrokerSecurity) auditAuth(kind string, peer keys.PeerID, op, reason st
 
 // handleSecureLogin implements the broker side of §4.2.2.
 func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	envBytes, ok := msg.Get(proto.ElemEnvelope)
-	if !ok {
+	sid, _ := msg.GetString(proto.ElemSid)
+	sealed, ok := msg.Get(proto.ElemEnvelope)
+	if !ok || len(sealed) < keys.AEADNonceSize+keys.AEADOverhead {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	env, err := keys.ParseEnvelope(envBytes)
-	if err != nil {
-		return proto.Fail(proto.ErrBadRequest)
+	now := bs.b.Now()
+	sealKey, live := bs.pendingKey(sid, now)
+	if !live {
+		return proto.Fail(proto.ErrBadSid)
 	}
-	// Step 4: open with the agreement key SK_Br derives.
-	body, err := bs.cfg.KeyPair.Decrypt(env)
+	// Step 4: open, where it lies, under the key sid's secureConnection
+	// agreed: only the client that chose that connect's challenge holds
+	// it. A login that does not open spends nothing.
+	body, err := keys.AEADOpenInPlace(sealKey[:], sealed[:keys.AEADNonceSize], sealed[keys.AEADNonceSize:])
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	// Step 5: S_SKCl(username, password, PKCl), made for this broker by the
-	// key it carries, with a single-use session identifier (anti-replay).
-	now := bs.b.Now()
+	// key it carries, with the single-use session identifier it was sealed
+	// for (anti-replay), spent here.
 	var peerID keys.PeerID
 	var clientKey *keys.PublicKey
 	req, err := bs.requests.Open(body, proto.KindLogin, now, func(r *proto.Request) (*keys.PublicKey, error) {
@@ -271,7 +338,7 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 		}
 		clientKey = key.WithShare((*[keys.ShareSize]byte)(r.Field(proto.LoginAgree)))
 		peerID = keys.PeerID(r.Field(proto.LoginPeer))
-		if !bs.consumeSid(string(r.Field(proto.LoginSid)), now) {
+		if string(r.Field(proto.LoginSid)) != sid || !bs.consumeSid(sid, now) {
 			return nil, refusal(proto.ErrBadSid)
 		}
 		return clientKey, nil

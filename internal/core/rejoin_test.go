@@ -67,11 +67,11 @@ func TestSecureMsgReachesRecipientAfterRejoin(t *testing.T) {
 		}
 		signed, bobSigned := h.brKP.SignCalls(), bob.Identity().Keys.SignCalls()
 		h.join(bob, "pw-bob")
-		// The broker proved itself (one challenge signature) and checked
+		// The broker proved itself (an agreement, no signature) and checked
 		// the password; it did not sign a second credential for a subject
 		// whose first has most of its validity left.
-		if got := h.brKP.SignCalls() - signed; got != 1 {
-			t.Fatalf("round %d: broker signed %d times for a re-join, want 1 (the challenge)", round, got)
+		if got := h.brKP.SignCalls() - signed; got != 0 {
+			t.Fatalf("round %d: broker signed %d times for a re-join, want 0", round, got)
 		}
 		// bob signed his login, which carries the fresh session
 		// identifier; his pipe advertisement is the one he signed before,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"runtime"
@@ -105,9 +106,9 @@ type SecureClient struct {
 	// identity holds a copy for the keystore and for diagnostics only.
 	cred       *cred.Credential
 	brokerCred *cred.Credential
-	// brokerKey is the broker's key carrying the agreement key its
-	// secureConnection answer signed: what the login request is sealed to.
-	brokerKey *keys.PublicKey
+	// loginKey is what secureConnection agreed with the broker beside sid:
+	// the key the login request is sealed under, once.
+	loginKey loginKey
 
 	// Presence lease granted at SecureLogin (liveness; see
 	// heartbeat.go). hbSeq is the client-side heartbeat sequence,
@@ -117,10 +118,6 @@ type SecureClient struct {
 	leaseTTL time.Duration
 	hbSeq    uint64
 }
-
-// challengeSize is the secureConnection challenge length in bytes: as
-// long as the digest the broker signs it under.
-const challengeSize = 32
 
 // NewSecureClient wraps a client whose membership identity carries a key
 // pair (PSE). The trust store must be anchored at the deployment's
@@ -264,34 +261,39 @@ func (s *SecureClient) installCredential(issued, brCred *cred.Credential) error 
 func (s *SecureClient) Mode() Mode { return s.mode }
 
 // SecureConnection implements §4.2.1: locate the broker, then
-// authenticate it with a random challenge. On success the broker's
-// credential and the fresh session identifier are stored; on failure the
-// broker is treated as illegitimate and the connection is abandoned.
+// authenticate it with a fresh challenge, an ephemeral X25519 share the
+// broker must agree with under the agreement key its credential's key
+// states it holds. On success the broker's credential, the fresh session
+// identifier and the key the login will be sealed under are stored; on
+// failure the broker is treated as illegitimate and the connection is
+// abandoned.
 func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerID) error {
 	// Step 1: wait for a broker and open the connection.
 	if err := s.Connect(ctx, brokerID); err != nil {
 		return err
 	}
-	// Step 2: choose a random challenge.
-	chall, err := keys.RandomBytes(challengeSize)
+	// Step 2: choose the challenge, a fresh ephemeral share E.
+	eph, err := keys.NewAgreementKey()
 	if err != nil {
 		return err
 	}
-	// Step 3: Cl → Br {chall}.
+	e := eph.Share()
+	// Step 3: Cl → Br {E}.
 	msg := endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpSecureConnect).
-		Add(proto.ElemChallenge, chall)
+		Add(proto.ElemChallenge, e)
 	resp, err := s.Call(ctx, msg)
 	if err != nil {
 		s.reject(brokerID, "no secure connection response")
 		return fmt.Errorf("%w: %v", ErrBrokerNotLegit, err)
 	}
-	// Step 5 response: {sid, S_SKBr(chall ‖ share), Cred_Br^Adm, share}.
+	// Step 5 response: {sid, tag, Cred_Br^Adm, share, S_SKBr(label ‖ ID ‖ share)}.
 	sid, _ := resp.GetString(proto.ElemSid)
-	sig, _ := resp.Get(proto.ElemSig)
+	tag, _ := resp.Get(proto.ElemTag)
 	share, _ := resp.Get(proto.ElemShare)
+	sig, _ := resp.Get(proto.ElemSig)
 	credRaw, ok := resp.Get(proto.ElemCred)
-	if sid == "" || len(sig) == 0 || len(share) != keys.ShareSize || !ok {
+	if sid == "" || len(tag) != ConnectTagSize || len(share) != keys.ShareSize || len(sig) == 0 || !ok {
 		s.reject(brokerID, "incomplete secure connection response")
 		return ErrBrokerNotLegit
 	}
@@ -308,14 +310,22 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 		s.reject(brokerID, "broker credential not issued by administrator")
 		return ErrBrokerNotLegit
 	}
-	// Step 7: check S_SKBr(chall ‖ share) using PK_Br from the credential.
-	if err := brCred.Key.Verify(connectSigned(chall, share), sig); err != nil {
-		s.reject(brokerID, "broker does not possess SK_Br (impersonator)")
+	// Step 7: the share statement under PK_Br from the credential makes the
+	// share the certified broker's agreement key, and the tag proves its
+	// holder agreed with E: nobody else derives it.
+	if err := brCred.Key.Verify(ShareStatement(brCred.Subject, share), sig); err != nil {
+		s.reject(brokerID, "broker's agreement key not stated under its credential's key")
 		return ErrBrokerNotLegit
 	}
-	brKey := brCred.Key.WithShare((*[keys.ShareSize]byte)(share))
-	if brKey.CheckAgreementKey() != nil {
+	secret, err := eph.Agree(share)
+	if err != nil {
 		s.reject(brokerID, "broker offers no usable agreement key")
+		return ErrBrokerNotLegit
+	}
+	want, login := ConnectKeys(secret, e, share, brCred.Subject, sid)
+	clear(secret)
+	if !keys.ConstantTimeEqual(tag, want[:]) {
+		s.reject(brokerID, "broker does not hold its agreement key (impersonator)")
 		return ErrBrokerNotLegit
 	}
 	// Brokers with CBIDs also get the key/ID binding check.
@@ -325,10 +335,10 @@ func (s *SecureClient) SecureConnection(ctx context.Context, brokerID keys.PeerI
 			return ErrBrokerNotLegit
 		}
 	}
-	// Step 8-9: broker is legitimate; store sid and Cred_Br.
+	// Step 8-9: broker is legitimate; store sid, its login key and Cred_Br.
 	s.mu.Lock()
-	s.sid = sid
-	s.brokerCred, s.brokerKey = brCred, brKey
+	s.sid, s.loginKey = sid, login
+	s.brokerCred = brCred
 	s.mu.Unlock()
 	s.Bus().Emit(events.Event{Type: events.BrokerVerified, From: brokerID, Payload: map[string]string{
 		"broker": brCred.SubjectName,
@@ -344,16 +354,17 @@ func (s *SecureClient) reject(brokerID keys.PeerID, reason string) {
 
 // SecureLogin implements §4.2.2: the login request is signed with the
 // client's key for the verified broker, bundled with the session
-// identifier, and sealed to the agreement key that broker signed at
-// secureConnection. On success the broker-issued
-// credential is installed and every advertisement published from now on
-// is signed.
+// identifier, and sealed under the key secureConnection agreed beside it,
+// with the identifier in clear as the key's handle. On success the
+// broker-issued credential is installed and every advertisement published
+// from now on is signed.
 func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	s.mu.Lock()
-	sid := s.sid
-	brCred, brKey := s.brokerCred, s.brokerKey
-	s.sid = "" // single use, mirroring the broker
+	sid, key := s.sid, s.loginKey
+	brCred := s.brokerCred
+	s.sid, s.loginKey = "", loginKey{} // single use, mirroring the broker
 	s.mu.Unlock()
+	defer clear(key[:])
 	if brCred == nil {
 		return ErrNoCredential
 	}
@@ -366,20 +377,28 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 		return err
 	}
 	share, _ := pub.AgreementShare()
-	// Step 1: req = S_SKCl(username, password, PKCl, share), for the verified
-	// broker, behind room for the envelope's prefix. The broker certifies
+	// Step 1: req = S_SKCl(username, password, PKCl, share, sid), for the
+	// verified broker, behind room for the AEAD nonce. The broker certifies
 	// the agreement key, share, in Cred_Cl^Br.
-	req, err := proto.AppendRequest(make([]byte, keys.EnvelopePrefix), s.kp, brCred.Subject, proto.KindLogin, s.Now(), proto.NewNonce(),
+	req, err := proto.AppendRequest(make([]byte, keys.AEADNonceSize), s.kp, brCred.Subject, proto.KindLogin, s.Now(), proto.NewNonce(),
 		[]byte(s.Username()), []byte(password), []byte(s.PeerID()), der, share[:], []byte(sid))
 	if err != nil {
 		return err
 	}
-	// Step 3: Cl → Br {E_PKBr(req, sid)}, sealed where it was signed.
-	env, err := keys.SealEnvelope(req, 0, brKey)
+	// Step 3: Cl → Br {sid, nonce ‖ AES-GCM(key, nonce, req)}, sealed where
+	// it was signed.
+	nonce := req[:keys.AEADNonceSize]
+	if _, err := rand.Read(nonce); err != nil {
+		return err
+	}
+	sealed, err := keys.AEADSealInPlace(key[:], nonce, req, keys.AEADNonceSize)
 	if err != nil {
 		return err
 	}
-	resp, err := s.Call(ctx, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpSecureLogin).Add(proto.ElemEnvelope, env))
+	resp, err := s.Call(ctx, endpoint.NewMessage().
+		AddString(proto.ElemOp, proto.OpSecureLogin).
+		AddString(proto.ElemSid, sid).
+		Add(proto.ElemEnvelope, sealed))
 	if err != nil {
 		s.Bus().Emit(events.Event{Type: events.LoginFailed, From: s.Broker()})
 		return fmt.Errorf("%w: %v", ErrLoginRejected, err)

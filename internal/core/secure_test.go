@@ -154,10 +154,16 @@ func TestSecureConnectionRejectsFakeBroker(t *testing.T) {
 }
 
 func TestSecureConnectionRejectsKeylessImpersonator(t *testing.T) {
-	// An attacker replays the real broker's credential but cannot sign
-	// the fresh challenge without SK_Br.
+	// An attacker replays the real broker's credential, agreement key and
+	// share statement but cannot agree on the fresh challenge without the
+	// agreement key SK_Br derives.
 	h := newSecureHarness(t, true)
 	realCred, err := h.brCred.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	share, _ := h.brKP.Public().AgreementShare()
+	statement, err := h.brKP.Sign(core.ShareStatement(h.brCred.Subject, share[:]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,20 +179,29 @@ func TestSecureConnectionRejectsKeylessImpersonator(t *testing.T) {
 	}
 	t.Cleanup(imp.Close)
 	// The impersonator answers secureConnection with the stolen
-	// credential and a signature under its own key.
+	// credential, share and statement, and a tag under its own agreement
+	// key.
 	imp.RegisterOp(proto.OpSecureConnect, func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-		chall, _ := msg.Get(proto.ElemChallenge)
-		sig, _ := impKP.Sign(chall)
+		e, _ := msg.Get(proto.ElemChallenge)
+		secret, _ := impKP.Agree(e)
+		tag, _ := core.ConnectKeys(secret, e, share[:], h.brCred.Subject, "deadbeef")
 		return proto.OK().
 			AddString(proto.ElemSid, "deadbeef").
-			Add(proto.ElemSig, sig).
-			Add(proto.ElemCred, realCred)
+			Add(proto.ElemTag, tag[:]).
+			Add(proto.ElemCred, realCred).
+			Add(proto.ElemShare, share[:]).
+			Add(proto.ElemSig, statement)
 	})
 
 	sc := h.secureClient("alice")
+	col := events.NewCollector(sc.Bus())
 	ctx := testCtx(t)
-	if err := sc.SecureConnection(ctx, imp.PeerID()); err == nil {
-		t.Fatal("secureConnection accepted an impersonator without SK_Br")
+	if err := sc.SecureConnection(ctx, imp.PeerID()); !errors.Is(err, core.ErrBrokerNotLegit) {
+		t.Fatalf("secureConnection to an impersonator without SK_Br: err = %v, want ErrBrokerNotLegit", err)
+	}
+	e, ok := col.WaitFor(events.BrokerRejected, 5*time.Second)
+	if !ok || !strings.Contains(e.Payload["reason"], "does not hold its agreement key") {
+		t.Fatalf("rejected as %v, want for the tag", e.Payload)
 	}
 }
 
@@ -631,14 +646,15 @@ func TestNewSecureClientRequiresKeys(t *testing.T) {
 // request's signature, and the credential the broker issues certifies it
 // in its share field — without a private-key operation beyond the one
 // issuing signature. A re-join finds the derived key unchanged, so the
-// broker answers it with the credential it already signed.
+// broker answers it with the credential it already signed, and signs
+// nothing.
 func TestSecureLoginCertifiesAgreementKey(t *testing.T) {
 	h := newSecureHarness(t, true)
 	alice := h.secureClient("alice")
 	signed := h.brKP.SignCalls()
 	h.join(alice, "pw-alice")
-	if got := h.brKP.SignCalls() - signed; got != 2 {
-		t.Fatalf("a first join cost the broker %d signatures, want 2 (challenge, issuance)", got)
+	if got := h.brKP.SignCalls() - signed; got != 1 {
+		t.Fatalf("a first join cost the broker %d signatures, want 1 (the issuance)", got)
 	}
 	issued := alice.Identity().Credential
 	want, _ := alice.Identity().Keys.Public().AgreementShare()
@@ -658,8 +674,35 @@ func TestSecureLoginCertifiesAgreementKey(t *testing.T) {
 	}
 	signed = h.brKP.SignCalls()
 	h.join(alice, "pw-alice")
-	if got := h.brKP.SignCalls() - signed; got != 1 || !alice.Identity().Credential.Equal(issued) {
-		t.Fatalf("re-join cost the broker %d signatures (reused: %v), want 1 and the same credential", got, alice.Identity().Credential.Equal(issued))
+	if got := h.brKP.SignCalls() - signed; got != 0 || !alice.Identity().Credential.Equal(issued) {
+		t.Fatalf("re-join cost the broker %d signatures (reused: %v), want 0 and the same credential", got, alice.Identity().Credential.Equal(issued))
+	}
+}
+
+// TestRejoinCostsBrokerNoPrivateKeyOperation: secureConnection proves the
+// broker with one X25519 on its agreement key, not a signature, and a
+// re-join inside the credential's half validity is answered with the
+// credential already issued: around a re-join the broker performs no
+// private-key operation and one agreement, and the joiner one private-key
+// operation, its login's signature.
+func TestRejoinCostsBrokerNoPrivateKeyOperation(t *testing.T) {
+	h := newSecureHarness(t, true)
+	alice := h.secureClient("alice")
+	h.join(alice, "pw-alice")
+	if err := alice.Logout(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	aliceKP := alice.Identity().Keys
+	signed, agreed, aliceSigned := h.brKP.SignCalls(), h.brKP.AgreeCalls(), aliceKP.SignCalls()
+	h.join(alice, "pw-alice")
+	if got := h.brKP.SignCalls() - signed; got != 0 {
+		t.Fatalf("a re-join cost the broker %d private-key operations, want 0", got)
+	}
+	if got := h.brKP.AgreeCalls() - agreed; got != 1 {
+		t.Fatalf("a re-join cost the broker %d X25519 operations on its agreement key, want 1 (the connect)", got)
+	}
+	if got := aliceKP.SignCalls() - aliceSigned; got != 1 {
+		t.Fatalf("a re-join cost the joiner %d private-key operations, want 1 (the login)", got)
 	}
 }
 

@@ -5,8 +5,9 @@
 // middleware machinery:
 //
 //   - secureConnection — challenge/response authentication of the broker
-//     using an administrator-issued credential, yielding a fresh
-//     session identifier (§4.2.1);
+//     using an administrator-issued credential and the agreement key it
+//     states, yielding a fresh session identifier and the key the login
+//     is sealed under (§4.2.1);
 //   - secureLogin — encrypted, signed, replay-protected end-user
 //     authentication that ends with the broker issuing the client a
 //     credential (§4.2.2);

@@ -11,7 +11,7 @@ import (
 // sidTable is a BrokerSecurity with nothing but its session-identifier
 // table: what issueSid and consumeSid touch, at the now they are handed.
 func sidTable() *BrokerSecurity {
-	return &BrokerSecurity{sids: lru.NewWindow[string, struct{}](sidCapacity)}
+	return &BrokerSecurity{sids: lru.NewWindow[string, loginKey](sidCapacity)}
 }
 
 // TestSidTableStaysAtCapacity: secureConnection needs no login, so the
@@ -20,14 +20,14 @@ func sidTable() *BrokerSecurity {
 func TestSidTableStaysAtCapacity(t *testing.T) {
 	now := time.Now()
 	bs := sidTable()
-	bs.issueSid("first", now)
+	bs.issueSid("first", loginKey{}, now)
 	now = now.Add(time.Second)
-	bs.issueSid("second", now)
+	bs.issueSid("second", loginKey{}, now)
 	now = now.Add(time.Second)
 	for i := 0; bs.PendingSids() < sidCapacity; i++ {
-		bs.issueSid("filler-"+strconv.Itoa(i), now)
+		bs.issueSid("filler-"+strconv.Itoa(i), loginKey{}, now)
 	}
-	bs.issueSid("one more", now)
+	bs.issueSid("one more", loginKey{}, now)
 	if got := bs.PendingSids(); got != sidCapacity {
 		t.Fatalf("table holds %d identifiers after an issue at capacity, want %d", got, sidCapacity)
 	}
@@ -41,7 +41,7 @@ func TestSidTableStaysAtCapacity(t *testing.T) {
 	}
 	// What has expired makes room before anything live is given up.
 	now = now.Add(sidTTL + time.Second)
-	bs.issueSid("after the window", now)
+	bs.issueSid("after the window", loginKey{}, now)
 	if got := bs.PendingSids(); got != 1 {
 		t.Errorf("table holds %d identifiers after every other one expired, want 1", got)
 	}
@@ -60,13 +60,13 @@ func TestSidIssueDoesNotScan(t *testing.T) {
 		sids[i] = "sid-" + strconv.Itoa(i)
 	}
 	for _, sid := range sids[:sidCapacity] {
-		bs.issueSid(sid, now)
+		bs.issueSid(sid, loginKey{}, now)
 	}
 	scan := tableWalks(t, sidCapacity, issues)
 
 	start := time.Now()
 	for _, sid := range sids[sidCapacity:] {
-		bs.issueSid(sid, now)
+		bs.issueSid(sid, loginKey{}, now)
 	}
 	took := time.Since(start)
 	t.Logf("%d issues %v, %d table walks %v", issues, took, issues, scan)

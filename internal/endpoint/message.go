@@ -276,7 +276,7 @@ var vocabulary = func(names ...string) map[string]string {
 }(
 	"op", "ok", "err", "user", "pass", "group", "groups", "desc", "adv", "advtype",
 	"advid", "peer", "peers", "keyword", "broker", "msg:body", "status", "all",
-	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:env", "sec:share",
+	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:env", "sec:share", "sec:tag",
 	"file:name", "file:chunk", "file:data", "file:size", "file:nchunks", "file:digest",
 	"task:name", "task:args", "task:out",
 	"relay:rcpt", "relay:direct", "relay:queued", "relay:skipped", "relay:handoff",

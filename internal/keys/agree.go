@@ -79,6 +79,52 @@ func (a *AgreementKey) Agree(peerShare []byte) ([]byte, error) {
 	return a.ecdh(pub)
 }
 
+// smallOrder holds the encodings of the X25519 shares of small order,
+// top bit clear: the u-coordinates 0, 1 and p−1, the two of order 8, and
+// p and p+1, which spell 0 and 1 again. X25519 ignores a share's top bit
+// (RFC 7748), so each stands for two encodings. Every clamped scalar is a
+// multiple of 8, which sends all of them to the all-zero output.
+var smallOrder = [...][ShareSize]byte{
+	{},
+	{1},
+	{0xe0, 0xeb, 0x7a, 0x7c, 0x3b, 0x41, 0xb8, 0xae, 0x16, 0x56, 0xe3, 0xfa, 0xf1, 0x9f, 0xc4, 0x6a,
+		0xda, 0x09, 0x8d, 0xeb, 0x9c, 0x32, 0xb1, 0xfd, 0x86, 0x62, 0x05, 0x16, 0x5f, 0x49, 0xb8, 0x00},
+	{0x5f, 0x9c, 0x95, 0xbc, 0xa3, 0x50, 0x8c, 0x24, 0xb1, 0xd0, 0xb1, 0x55, 0x9c, 0x83, 0xef, 0x5b,
+		0x04, 0x44, 0x5c, 0xc4, 0x58, 0x1c, 0x8e, 0x86, 0xd8, 0x22, 0x4e, 0xdd, 0xd0, 0x9f, 0x11, 0x57},
+	fieldEncoding(0xec), // p − 1
+	fieldEncoding(0xed), // p
+	fieldEncoding(0xee), // p + 1
+}
+
+// fieldEncoding is p = 2²⁵⁵ − 19, little-endian, with its low byte set to
+// low: p − 1, p and p + 1 for 0xec, 0xed and 0xee.
+func fieldEncoding(low byte) (e [ShareSize]byte) {
+	for i := range e {
+		e[i] = 0xff
+	}
+	e[0], e[ShareSize-1] = low, 0x7f
+	return e
+}
+
+// CheckShare reports whether a peer's share can be agreed with: ErrAgree
+// when it is not ShareSize bytes or is of small order, so that X25519
+// with it would yield the all-zero output whatever the scalar. It
+// performs no X25519: a broker refuses a bad share at secureConnection
+// before it spends an agreement on it.
+func CheckShare(share []byte) error {
+	if len(share) != ShareSize {
+		return ErrAgree
+	}
+	u := [ShareSize]byte(share)
+	u[ShareSize-1] &= 0x7f
+	for i := range smallOrder {
+		if u == smallOrder[i] {
+			return ErrAgree
+		}
+	}
+	return nil
+}
+
 // ecdh is X25519 with a parsed peer share, counted on a held key.
 func (a *AgreementKey) ecdh(pub *ecdh.PublicKey) ([]byte, error) {
 	if a.calls != nil {

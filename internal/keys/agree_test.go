@@ -3,6 +3,7 @@ package keys
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
 )
 
@@ -115,5 +116,47 @@ func TestAgreeRefusesBadShares(t *testing.T) {
 		if secret, err := key.Agree(share); err == nil {
 			t.Errorf("Agree(%x) = %x, want an error", share, secret)
 		}
+	}
+}
+
+// TestCheckShareRefusesWhatAgreeRefuses: every encoding CheckShare refuses
+// as of small order — each with its top bit clear and set — is a share
+// X25519 sends to the all-zero output under fresh scalars, and a drawn
+// share, or one a byte off a small-order one, passes.
+func TestCheckShareRefusesWhatAgreeRefuses(t *testing.T) {
+	for _, low := range smallOrder {
+		for _, top := range []byte{0, 0x80} {
+			share := low
+			share[ShareSize-1] |= top
+			if err := CheckShare(share[:]); !errors.Is(err, ErrAgree) {
+				t.Errorf("CheckShare(%x) = %v, want ErrAgree", share, err)
+			}
+			for range 4 {
+				key, err := NewAgreementKey()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := key.Agree(share[:]); !errors.Is(err, ErrAgree) {
+					t.Errorf("%x is in the small-order list, and X25519 with a fresh scalar yields a secret", share)
+				}
+			}
+		}
+		near := low
+		near[1] ^= 1
+		if err := CheckShare(near[:]); err != nil {
+			t.Errorf("CheckShare(%x), a byte off a small-order share = %v", near, err)
+		}
+	}
+	for _, share := range [][]byte{nil, make([]byte, ShareSize-1), make([]byte, ShareSize+1)} {
+		if err := CheckShare(share); !errors.Is(err, ErrAgree) {
+			t.Errorf("CheckShare of %d bytes = %v, want ErrAgree", len(share), err)
+		}
+	}
+	key, err := NewAgreementKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckShare(key.Share()); err != nil {
+		t.Fatalf("CheckShare of a drawn share = %v", err)
 	}
 }

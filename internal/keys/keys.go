@@ -434,7 +434,7 @@ func (p *PublicKey) SameIdentity(o *PublicKey) bool {
 }
 
 // RandomBytes returns n cryptographically random bytes; it backs
-// challenge and session-identifier generation.
+// session-identifier generation.
 func RandomBytes(n int) ([]byte, error) {
 	b := make([]byte, n)
 	if _, err := rand.Read(b); err != nil {

@@ -12,8 +12,8 @@ import (
 
 // The key wrap, and the envelope built on it: ECIES to the X25519
 // agreement key a credential certifies (SECURITY.md, "Certified agreement
-// key"), the one key transport of every sealed message, the login request
-// and the database request. A content key is wrapped under a sender's key
+// key"), the one key transport of every sealed message and of the
+// database request. A content key is wrapped under a sender's key
 // E, bound to the one AES-GCM nonce the content is encrypted under; for
 // recipient i, whose certified share is R_i and whose RSA key fingerprint
 // is fp_i,
@@ -59,10 +59,6 @@ const (
 // agreement key: nothing can be sealed to it.
 var ErrNoAgreementKey = errors.New("keys: recipient key certifies no agreement key")
 
-// lowOrderProbe is any clamped scalar: X25519 with it sends every point of
-// small order to the all-zero output, which ECDH refuses.
-var lowOrderProbe, _ = ecdh.X25519().NewPrivateKey(make([]byte, ShareSize))
-
 // agreement is the key pair's X25519 agreement key, derived on first use
 // and memoized: its scalar is HKDF of the RSA private exponent under a
 // label of its own.
@@ -106,7 +102,8 @@ func (k *KeyPair) hold(a *AgreementKey) *AgreementKey {
 
 // Agree returns X25519 of the key pair's agreement key with peerShare,
 // refusing what AgreementKey.Agree refuses. It is the responder's static
-// half of a session channel's key (internal/core, channel.go), and no RSA
+// half of a session channel's key (internal/core, channel.go) and the
+// broker's half of a secureConnection (brokersec.go), and no RSA
 // operation.
 func (k *KeyPair) Agree(peerShare []byte) ([]byte, error) {
 	return k.agreement().Agree(peerShare)
@@ -135,8 +132,8 @@ func (p *PublicKey) agreementPublic() (*ecdh.PublicKey, error) {
 		return m.pub, m.err
 	}
 	m := &agreeMemo{err: ErrAgree}
-	if pub, err := ecdh.X25519().NewPublicKey(p.share[:]); err == nil {
-		if _, err := lowOrderProbe.ECDH(pub); err == nil {
+	if CheckShare(p.share[:]) == nil {
+		if pub, err := ecdh.X25519().NewPublicKey(p.share[:]); err == nil {
 			m.pub, m.err = pub, nil
 		}
 	}

@@ -43,12 +43,13 @@ const (
 	ElemStatus  = "status" // a presence notice's advert.StatusOnline or StatusOffline
 
 	// Security extension elements.
-	ElemChallenge = "sec:chall"
-	ElemSid       = "sec:sid"
-	ElemSig       = "sec:sig"
+	ElemChallenge = "sec:chall" // secureConnection's challenge: the client's fresh X25519 share E
+	ElemSid       = "sec:sid"   // the session identifier; at secureLogin, the handle of the key the login is sealed under
+	ElemSig       = "sec:sig"   // a detached signature; in the secureConnection answer, the broker's share statement's
 	ElemCred      = "sec:cred"
-	ElemEnvelope  = "sec:env"
+	ElemEnvelope  = "sec:env"   // a sealed wire: a message, a database request, the login sealed under its connect's key
 	ElemShare     = "sec:share" // the broker's X25519 agreement key, in its secureConnection answer
+	ElemTag       = "sec:tag"   // the secureConnection tag: proof that the broker holds that agreement key
 
 	// File transfer elements.
 	ElemFileName  = "file:name"
