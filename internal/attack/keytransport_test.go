@@ -122,7 +122,7 @@ func TestBrokerAgreementKeyUnderShareStatement(t *testing.T) {
 		{name: "the broker's share, signed", signed: real[:], sent: real[:], wantOK: true},
 		{name: "share swapped after signing", signed: real[:], sent: swapped.Share()},
 		{name: "share of small order, signed", signed: make([]byte, keys.ShareSize), sent: make([]byte, keys.ShareSize)},
-		{name: "share of the wrong length, signed", signed: real[:31], sent: real[:31]},
+		{name: "share of wrong length, signed", signed: real[:31], sent: real[:31]},
 		{name: "no share", signed: nil, omitShareElem: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
