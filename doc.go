@@ -98,9 +98,9 @@
 // secure task service are one-line callers of it, and the replay guard
 // covers all of them, one key per form. A client's group pipes (in
 // internal/control) accept every form a peer sends; the relay's push
-// accepts slices only. Likewise one verifier checks
-// every credential-signed broker request (secureRenew, heartbeat) and
-// one loop seals every fan-out round.
+// accepts slices only. Likewise a client credential is issued at
+// secureLogin only, and a heartbeat is checked against the credential its
+// lease holds; one loop seals every fan-out round.
 //
 // # Session channels
 //

@@ -6,7 +6,10 @@
 // IS the credential fingerprint: CBID binding (keys.VerifyCBID) ties
 // the peer ID to the credentialed public key, so a client cannot dodge
 // its bucket without minting a new identity — which costs it the whole
-// secureConnection/secureLogin handshake, itself rate limited.
+// secureConnection/secureLogin handshake, itself rate limited. The
+// broker keys each op by the frame's source peer ID, though, which the
+// sender writes: nothing stops one sender naming another and spending
+// that peer's bucket (SECURITY.md, "Claimed source of a broker op").
 //
 // What this bounds and what it does not: a limiter caps how much
 // broker CPU, queue space and fan-out one authenticated identity can

@@ -1,18 +1,23 @@
-// Negatives for the signed-request form every login, heartbeat, renewal
-// and database query is one of: a request is read only as the kind it was
-// signed as, only whole, only by the verifier it was signed for, and a
-// renewal — whose nonce is all that makes it single-use — only once.
+// Negatives for the signed-request form every login, heartbeat and
+// database query is one of: a request is read only as the kind it was
+// signed as, only whole, and only by the verifier it was signed for; and a
+// credential is issued at login only, so a disabled user's credential
+// lapses.
 package attack_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"jxtaoverlay/internal/attack"
 	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
+	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
@@ -53,56 +58,90 @@ func refusedWith(err error, token string) bool {
 	return errors.As(err, &opErr) && opErr.Token == token
 }
 
-// A renewal captured on a tap and sent again inside the time window is
-// refused: its nonce is in the broker's table. The broker signs no second
-// credential for it.
-func TestReplayedRenewRefused(t *testing.T) {
-	s := newSecureStack(t)
-	alice := s.join(t, "alice", "alice-secret-pw")
-	eve := attack.NewEavesdropper(s.net)
-	if err := alice.SecureRenewCredential(testCtx(t)); err != nil {
+// heartbeatFor is a heartbeat as SecureHeartbeat builds it, by hand: sc's
+// lease id and seq, signed with sc's key for the verifier with ID audience.
+func heartbeatFor(t *testing.T, sc *core.SecureClient, audience keys.PeerID, seq uint64) []byte {
+	t.Helper()
+	lease, _ := sc.Lease()
+	req, err := proto.AppendRequest(nil, sc.Identity().Keys, audience, proto.KindHeartbeat, sc.Now(), proto.NewNonce(),
+		[]byte(lease), binary.BigEndian.AppendUint64(nil, seq))
+	if err != nil {
 		t.Fatal(err)
 	}
-	renew := capturedCall(t, eve, s.br.PeerID(), core.OpSecureRenew)
-	signed := s.brKP.SignCalls()
-	if _, err := alice.Call(testCtx(t), renew); !refusedWith(err, proto.ErrBadRequest) {
-		t.Fatalf("replayed renewal: err = %v, want the %q refusal", err, proto.ErrBadRequest)
-	}
-	if n := s.brKP.SignCalls() - signed; n != 0 {
-		t.Fatalf("the broker signed %d times for a replayed renewal", n)
-	}
+	return req
 }
 
-// One kind's bytes are never read as another's: a genuine heartbeat sent
-// as a renewal, and a database answer — signed for the broker, as every
+// signedForm is a signed request written by hand, of any kind byte and any
+// fields — what proto.AppendRequest writes for the kinds it knows: kind ‖
+// time ‖ nonce ‖ the fields ‖ the signature by kp over the request label,
+// those bytes and the ID of the verifier audience.
+func signedForm(t *testing.T, kp *keys.KeyPair, audience keys.PeerID, kind byte, at time.Time, fields ...[]byte) []byte {
+	t.Helper()
+	nonce := proto.NewNonce()
+	raw := append(binary.BigEndian.AppendUint64([]byte{kind}, uint64(at.UnixNano())), nonce[:]...)
+	for _, f := range fields {
+		raw = proto.AppendField(raw, f)
+	}
+	sig, err := kp.Sign(append(append([]byte("jxta-overlay/signed-request/v1"), raw...), audience...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return proto.AppendField(raw, sig)
+}
+
+// One kind's bytes are never read as another's: a login and a database
+// query — both signed by alice for the broker — and a heartbeat in the
+// three-field layout that carried her credential, each sent as a
+// heartbeat; and a database answer — signed for the broker, as every
 // answer is, and in clear on the broker–database link — sealed under a
-// connect's login key as a login. Both are refused at the layout, before anything is
-// spent: no signature, and the session identifier presented with nothing
-// is still pending.
+// connect's login key as a login. All are refused at the layout, before
+// anything is spent: no link looked up, no signature, her lease's seq
+// untouched, and the session identifier presented with nothing is still
+// pending.
 func TestRequestOfAnotherKindRefused(t *testing.T) {
 	s := newLeaseStack(t)
 	alice := s.join(t, "alice", "alice-secret-pw")
-	eve := attack.NewEavesdropper(s.net)
-	if err := alice.SecureHeartbeat(testCtx(t)); err != nil {
+	kp, broker := alice.Identity().Keys, s.br.PeerID()
+	lease, _ := alice.Lease()
+	credRaw := credentialBytes(t, alice)
+	query, err := proto.AppendRequest(nil, kp, broker, proto.KindQuery, alice.Now(), proto.NewNonce(),
+		credRaw, []byte("auth"), []byte("alice"), []byte("alice-secret-pw"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	heartbeat, _ := capturedCall(t, eve, s.br.PeerID(), core.OpHeartbeat).Get(proto.ElemBody)
-	signed := s.brKP.SignCalls()
-	if err := callRequest(t, alice, core.OpSecureRenew, heartbeat); !refusedWith(err, proto.ErrBadRequest) {
-		t.Fatalf("a heartbeat as a renewal: err = %v, want the %q refusal", err, proto.ErrBadRequest)
+	ts := s.brSec.Trust()
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		{"a login", loginRequest(t, "alice", "alice-secret-pw", alice.PeerID(), kp, "sid", broker)},
+		{"a database query", query},
+		{"a heartbeat carrying the credential", signedForm(t, kp, broker, byte(proto.KindHeartbeat), alice.Now(),
+			credRaw, []byte(lease), binary.BigEndian.AppendUint64(nil, 1))},
+	} {
+		looked, signed := lookups(ts), s.brKP.SignCalls()
+		if err := callRequest(t, alice, core.OpHeartbeat, tc.body); !refusedWith(err, proto.ErrBadRequest) {
+			t.Fatalf("%s as a heartbeat: err = %v, want the %q refusal", tc.name, err, proto.ErrBadRequest)
+		}
+		if n := lookups(ts) - looked; n != 0 {
+			t.Fatalf("%s as a heartbeat: the broker looked up %d links", tc.name, n)
+		}
+		if n := s.brKP.SignCalls() - signed; n != 0 {
+			t.Fatalf("the broker signed %d times for %s sent as a heartbeat", n, tc.name)
+		}
 	}
-	if n := s.brKP.SignCalls() - signed; n != 0 {
-		t.Fatalf("the broker signed %d times for a heartbeat sent as a renewal", n)
+	if err := callRequest(t, alice, core.OpHeartbeat, heartbeatFor(t, alice, broker, 1)); err != nil {
+		t.Fatalf("the first heartbeat after the refusals: %v", err)
 	}
 
-	mallory := rawConnect(t, s.client(t, "mallory"), s.br.PeerID())
+	mallory := rawConnect(t, s.client(t, "mallory"), broker)
 	pending := s.brSec.PendingSids()
 	db, err := keys.NewKeyPair()
 	if err != nil {
 		t.Fatal(err)
 	}
 	nonce := proto.NewNonce()
-	answer, err := proto.AppendRequest(nil, db, s.br.PeerID(), proto.KindAnswer, s.br.Now(), nonce, nil, []byte("math"))
+	answer, err := proto.AppendRequest(nil, db, broker, proto.KindAnswer, s.br.Now(), nonce, nil, []byte("math"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,31 +153,30 @@ func TestRequestOfAnotherKindRefused(t *testing.T) {
 	}
 }
 
-// A request is read whole or not at all: a genuine renewal with one byte
-// behind it is refused, and the same renewal without it is then answered
-// — the refusal spent nothing of it, not even its nonce.
+// A request is read whole or not at all: a genuine heartbeat with one byte
+// behind it is refused, and the same heartbeat without it then renews the
+// lease — the refusal spent nothing of it, not even its seq.
 func TestRequestWithTrailingBytesRefused(t *testing.T) {
-	s := newSecureStack(t)
+	s := newLeaseStack(t)
 	alice := s.join(t, "alice", "alice-secret-pw")
-	renew := renewalFor(t, alice, s.br.PeerID())
-	signed := s.brKP.SignCalls()
-	if err := callRequest(t, alice, core.OpSecureRenew, append(bytes.Clone(renew), 0)); !refusedWith(err, proto.ErrBadRequest) {
-		t.Fatalf("a renewal with a trailing byte: err = %v, want the %q refusal", err, proto.ErrBadRequest)
+	heartbeat := heartbeatFor(t, alice, s.br.PeerID(), 1)
+	if err := callRequest(t, alice, core.OpHeartbeat, append(bytes.Clone(heartbeat), 0)); !refusedWith(err, proto.ErrBadRequest) {
+		t.Fatalf("a heartbeat with a trailing byte: err = %v, want the %q refusal", err, proto.ErrBadRequest)
 	}
-	if n := s.brKP.SignCalls() - signed; n != 0 {
-		t.Fatalf("the broker signed %d times for a renewal with a trailing byte", n)
+	if err := callRequest(t, alice, core.OpHeartbeat, heartbeat); err != nil {
+		t.Fatalf("the same heartbeat, whole: %v", err)
 	}
-	if err := callRequest(t, alice, core.OpSecureRenew, renew); err != nil {
-		t.Fatalf("the same renewal, whole: %v", err)
+	if st := s.brSec.LivenessStats(); st.HeartbeatsRenewed != 1 || st.HeartbeatsRejected != 1 {
+		t.Fatalf("liveness = %+v, want 1 renewed and 1 rejected", st)
 	}
 }
 
-// A request is for the verifier it was signed for: alice's renewal,
-// signed for broker-2, is refused by broker-1 — her credential, her key
-// and the time all pass there — and the same renewal signed for broker-1
-// is answered.
+// A request is for the verifier it was signed for: alice's heartbeat,
+// signed for broker-2, is refused by broker-1 — her lease, her key and the
+// time all pass there — and the same heartbeat signed for broker-1 renews
+// the lease.
 func TestRequestSignedForAnotherBrokerRefused(t *testing.T) {
-	s := newSecureStack(t)
+	s := newLeaseStack(t)
 	other, err := s.dep.StartBroker(broker.Config{Name: "broker-2", Net: s.net, DB: broker.LocalDB(s.db), RequireSecureLogin: true},
 		core.BrokerConfig{RequireSignedAdvs: true})
 	if err != nil {
@@ -146,31 +184,48 @@ func TestRequestSignedForAnotherBrokerRefused(t *testing.T) {
 	}
 	t.Cleanup(other.Close)
 	alice := s.join(t, "alice", "alice-secret-pw")
-	signed := s.brKP.SignCalls()
-	if err := callRequest(t, alice, core.OpSecureRenew, renewalFor(t, alice, other.Broker.PeerID())); !refusedWith(err, proto.ErrBadSignature) {
-		t.Fatalf("a renewal signed for broker-2: err = %v, want the %q refusal", err, proto.ErrBadSignature)
+	if err := callRequest(t, alice, core.OpHeartbeat, heartbeatFor(t, alice, other.Broker.PeerID(), 1)); !refusedWith(err, proto.ErrBadSignature) {
+		t.Fatalf("a heartbeat signed for broker-2: err = %v, want the %q refusal", err, proto.ErrBadSignature)
 	}
-	if n := s.brKP.SignCalls() - signed; n != 0 {
-		t.Fatalf("the broker signed %d times for a renewal signed for another broker", n)
-	}
-	if err := callRequest(t, alice, core.OpSecureRenew, renewalFor(t, alice, s.br.PeerID())); err != nil {
-		t.Fatalf("the renewal signed for broker-1: %v", err)
+	if err := callRequest(t, alice, core.OpHeartbeat, heartbeatFor(t, alice, s.br.PeerID(), 1)); err != nil {
+		t.Fatalf("the heartbeat signed for broker-1: %v", err)
 	}
 }
 
-// renewalFor is a renewal as SecureRenewCredential builds it, by hand:
-// sc's session credential, signed with sc's key for the verifier with ID
-// audience.
-func renewalFor(t *testing.T, sc *core.SecureClient, audience keys.PeerID) []byte {
-	t.Helper()
-	credRaw, err := sc.Identity().Credential.Bytes()
-	if err != nil {
+// A credential is issued at secureLogin only, which asks the user
+// database: once the administrator disables alice, nothing extends the
+// credential she holds. A renewal built by hand — the retired kind 3,
+// carrying her credential, signed with her key for the broker — and sent
+// as the secureRenew op it was once answered under is an unknown op: the
+// broker signs nothing. Her next login is refused auth-failed.
+func TestDisabledUserCannotExtendCredential(t *testing.T) {
+	s := newSecureStack(t)
+	alice := s.join(t, "alice", "alice-secret-pw")
+	held := alice.Identity().Credential
+	if err := s.db.SetDisabled("alice", true); err != nil {
 		t.Fatal(err)
 	}
-	nonce := proto.NewNonce()
-	req, err := proto.AppendRequest(nil, sc.Identity().Keys, audience, proto.KindRenew, sc.Now(), nonce, credRaw)
-	if err != nil {
-		t.Fatal(err)
+
+	renewal := signedForm(t, alice.Identity().Keys, s.br.PeerID(), 3, alice.Now(), credentialBytes(t, alice))
+	signed := s.brKP.SignCalls()
+	resp, err := alice.Call(testCtx(t), endpoint.NewMessage().AddString(proto.ElemOp, "secureRenew").Add(proto.ElemBody, renewal))
+	if err == nil {
+		if raw, ok := resp.Get(proto.ElemCred); ok {
+			if fresh, err := cred.Parse(raw); err == nil && fresh.NotAfter.After(held.NotAfter) {
+				t.Fatalf("a disabled user's credential was extended from %v to %v", held.NotAfter, fresh.NotAfter)
+			}
+		}
+		t.Fatal("a disabled user's renewal was answered")
 	}
-	return req
+	if !refusedWith(err, proto.ErrUnknownOp) {
+		t.Fatalf("a disabled user's renewal: err = %v, want the %q refusal", err, proto.ErrUnknownOp)
+	}
+	if n := s.brKP.SignCalls() - signed; n != 0 {
+		t.Fatalf("the broker signed %d times for a disabled user's renewal", n)
+	}
+
+	err = s.client(t, "alice").Join(testCtx(t), s.br.PeerID(), "alice-secret-pw")
+	if !errors.Is(err, core.ErrLoginRejected) || !strings.HasSuffix(err.Error(), proto.ErrAuthFailed) {
+		t.Fatalf("a disabled user's login: err = %v, want the %q refusal", err, proto.ErrAuthFailed)
+	}
 }

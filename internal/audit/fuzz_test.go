@@ -81,7 +81,8 @@ func FuzzParseCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(credRaw)
-	req, err := proto.AppendRequest(nil, kp, chain[0].Subject, proto.KindRenew, time.Unix(1234567890, 0), proto.NewNonce(), credRaw)
+	req, err := proto.AppendRequest(nil, kp, chain[0].Subject, proto.KindQuery, time.Unix(1234567890, 0), proto.NewNonce(),
+		credRaw, []byte("auth"), []byte("alice"), []byte("pw"))
 	if err != nil {
 		f.Fatal(err)
 	}

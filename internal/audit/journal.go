@@ -1,7 +1,7 @@
 // Package audit is the broker's tamper-evident security event journal:
 // an append-only, hash-chained log of every security-relevant decision
 // the stack makes — offenses, admission refusals, relay drops, WAL
-// errors, replay/verify/open failures, login and renew outcomes,
+// errors, replay/verify/open failures, login and heartbeat outcomes,
 // federation presence transitions — durable across restarts and
 // verifiable after the fact.
 //
@@ -58,8 +58,6 @@ const (
 	KindOpenFail = "open-fail"
 	// KindLogin: a secureLogin outcome (reason "ok" or the error token).
 	KindLogin = "login"
-	// KindRenew: a credential renewal outcome.
-	KindRenew = "renew"
 	// KindPeerUp / KindPeerDown: presence transitions, local and
 	// federated.
 	KindPeerUp   = "peer-up"

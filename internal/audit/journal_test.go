@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/perfgate"
+	"jxtaoverlay/internal/proto"
 )
 
 // TestAppendReopenContinuesChain: a journal reopened after a clean
@@ -337,5 +339,28 @@ func TestHostileCheckpointPayloadRefusedAtFirstByte(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { parseCheckpoint(bomb) }); a > 16 {
 		t.Fatalf("refusing a %d-byte hostile payload allocates %v times: work beyond its first bytes", len(bomb), a)
+	}
+}
+
+// TestCheckpointOfAnotherKindRefused: a checkpoint's bytes under any other
+// kind byte — 3, a retired kind's, among them — are no checkpoint.
+func TestCheckpointOfAnotherKindRefused(t *testing.T) {
+	kp, chain, _ := signer(t)
+	ckpt, err := buildCheckpoint(1, [HashSize]byte{}, time.Unix(1234567890, 0), kp, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseCheckpoint(ckpt); err != nil {
+		t.Fatalf("the checkpoint as built: %v", err)
+	}
+	for b := range 256 {
+		if b == int(proto.KindCheckpoint) {
+			continue
+		}
+		other := bytes.Clone(ckpt)
+		other[0] = byte(b)
+		if _, err := parseCheckpoint(other); !errors.Is(err, errCheckpointForm) {
+			t.Fatalf("a checkpoint under kind byte %d = %v, want it refused as no checkpoint", b, err)
+		}
 	}
 }

@@ -66,8 +66,8 @@ type BrokerSecurity struct {
 	// loginCredential).
 	issued *lru.Cache[keys.PeerID, *cred.Credential]
 
-	// requests reads every signed request made for this broker: login,
-	// heartbeat, renewal.
+	// requests reads every signed request made for this broker: login and
+	// heartbeat.
 	requests *proto.RequestGuard
 
 	mu sync.Mutex
@@ -138,7 +138,6 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 	}
 	b.RegisterOp(proto.OpSecureConnect, bs.handleSecureConnect)
 	b.RegisterOp(proto.OpSecureLogin, bs.handleSecureLogin)
-	b.RegisterOp(OpSecureRenew, bs.handleSecureRenew)
 	b.RegisterOp(OpHeartbeat, bs.handleHeartbeat)
 	if cfg.RequireSignedAdvs {
 		b.SetAdvVerifier(bs.verifyAdv)
@@ -369,7 +368,11 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 	}
 
 	// Step 8: cr = Cred_Cl^Br containing PK_Cl and the username.
-	credWire, err := bs.loginCredential(peerID, user, clientKey)
+	issued, err := bs.loginCredential(peerID, user, clientKey)
+	if err != nil {
+		return proto.Fail(proto.ErrBadRequest)
+	}
+	credWire, err := issued.Bytes()
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -381,10 +384,10 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 		AddString(proto.ElemGroups, strings.Join(groups, ",")).
 		Add(proto.ElemCred, credWire)
 	// Liveness: the response carries the presence lease the session
-	// must heartbeat to keep. Granted AFTER RegisterPeer so the lease
-	// records the session's ConnectedAt — the monotonic guard key a
-	// later expiry is checked against.
-	if leaseID, ttl, ok := bs.grantLease(peerID); ok {
+	// must heartbeat to keep, holding the credential just issued. Granted
+	// AFTER RegisterPeer so the lease records the session's ConnectedAt —
+	// the monotonic guard key a later expiry is checked against.
+	if leaseID, ttl, ok := bs.grantLease(peerID, issued); ok {
 		resp.AddString(proto.ElemLease, leaseID).
 			AddString(proto.ElemLeaseTTL, strconv.FormatInt(ttl.Milliseconds(), 10))
 	}
@@ -413,18 +416,6 @@ func requestToken(err error) string {
 // that was evicted is issued a fresh one.
 const issuedCredCapacity = 1024
 
-// issueClient issues Cred_Cl^Br and remembers it as the subject's current
-// credential. The entry lapses once less than half the validity is left,
-// so what loginCredential hands out always has at least that much to run.
-func (bs *BrokerSecurity) issueClient(subject keys.PeerID, username string, key *keys.PublicKey) (*cred.Credential, error) {
-	c, err := bs.IssueClientCredential(subject, username, key)
-	if err != nil {
-		return nil, err
-	}
-	bs.issued.Put(subject, c, c.NotAfter.Add(-bs.cfg.CredValidity/2))
-	return c, nil
-}
-
 // loginCredential answers a login that has passed every check — session
 // identifier, request signature, CBID binding, password — with the
 // credential the subject was last issued, when that one certifies the
@@ -432,16 +423,18 @@ func (bs *BrokerSecurity) issueClient(subject keys.PeerID, username string, key 
 // left, and with a fresh one otherwise. A credential states nothing a
 // second issuance would change except its validity window, so within the
 // window one signature serves every re-join; logging in again does not
-// extend it.
-func (bs *BrokerSecurity) loginCredential(subject keys.PeerID, username string, key *keys.PublicKey) ([]byte, error) {
-	c, ok := bs.issued.Get(subject, bs.b.Now())
-	if !ok || c.SubjectName != username || !c.Key.Equal(key) {
-		var err error
-		if c, err = bs.issueClient(subject, username, key); err != nil {
-			return nil, err
-		}
+// extend it. A fresh credential is remembered as the subject's until less
+// than half its validity is left.
+func (bs *BrokerSecurity) loginCredential(subject keys.PeerID, username string, key *keys.PublicKey) (*cred.Credential, error) {
+	if c, ok := bs.issued.Get(subject, bs.b.Now()); ok && c.SubjectName == username && c.Key.Equal(key) {
+		return c, nil
 	}
-	return c.Bytes()
+	c, err := bs.IssueClientCredential(subject, username, key)
+	if err != nil {
+		return nil, err
+	}
+	bs.issued.Put(subject, c, c.NotAfter.Add(-bs.cfg.CredValidity/2))
+	return c, nil
 }
 
 // verifyAdv is the signed-advertisement acceptance policy: structural

@@ -5,7 +5,6 @@ import (
 	"crypto/cipher"
 	"time"
 
-	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/keys"
 )
 
@@ -63,14 +62,6 @@ func TableChannelWires(body []byte) (frame, accept, refusal []byte) {
 	frame = sealFrame(nil, tableAEAD(), frameRef{tableChannelID, 1}, body, time.Now())
 	accept = appendAccept(nil, tableChannelID, bytes.Repeat([]byte{9}, keys.ShareSize), &[acceptTagSize]byte{0xac})
 	return frame, accept, appendFrameRef(nil, ModeRefusal, frameRef{tableChannelID, 7})
-}
-
-// SetSessionCredential replaces the credential s presents as its own, for
-// the tests that hand the broker one it must refuse.
-func SetSessionCredential(s *SecureClient, c *cred.Credential) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cred = c
 }
 
 // ChannelTo reports whether s holds an established channel to peer for

@@ -9,11 +9,11 @@ package core
 // push to queueing. Without leases a silently dead peer black-holes
 // delivery: the broker keeps pushing into a session nobody reads.
 //
-// The heartbeat follows the secureRenew template (§6: new primitives
-// reuse the extension's building blocks): a signed body carrying the
-// session credential, verified for own-issuance, key possession, CBID
-// binding and timestamp freshness. On top of that it binds two
-// liveness-specific fields:
+// The heartbeat carries no credential: the lease holds the one the
+// login that granted it issued, and a heartbeat must be signed with that
+// credential's key and arrive while it is valid — a credential past its
+// NotAfter gets every heartbeat refused bad-credential, so the session
+// must log in again. The signed body binds two liveness fields:
 //
 //   - the lease identifier minted at login — a heartbeat captured in
 //     one session cannot renew a different (stolen or later) session,
@@ -30,6 +30,7 @@ import (
 
 	"jxtaoverlay/internal/audit"
 	"jxtaoverlay/internal/client"
+	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
@@ -51,15 +52,19 @@ type lease struct {
 	id     string
 	seq    uint64 // highest heartbeat sequence accepted
 	expiry time.Time
+	// cred is the credential the login that granted the lease issued: its
+	// key signs the session's heartbeats, for as long as it is valid.
+	cred *cred.Credential
 	// session is the ConnectedAt of the session the lease belongs to:
 	// the monotonic-guard key handed to Broker.ExpirePeer so a stale
 	// expiry can never take down a newer session.
 	session time.Time
 }
 
-// grantLease mints a presence lease for a freshly registered session.
-// Returns ok=false when leases are disabled.
-func (bs *BrokerSecurity) grantLease(peer keys.PeerID) (string, time.Duration, bool) {
+// grantLease mints a presence lease for a freshly registered session,
+// holding the credential its login issued. Returns ok=false when leases
+// are disabled.
+func (bs *BrokerSecurity) grantLease(peer keys.PeerID, issued *cred.Credential) (string, time.Duration, bool) {
 	if bs.cfg.LeaseTTL <= 0 {
 		return "", 0, false
 	}
@@ -74,7 +79,7 @@ func (bs *BrokerSecurity) grantLease(peer keys.PeerID) (string, time.Duration, b
 		session = info.ConnectedAt
 	}
 	bs.mu.Lock()
-	bs.leases[peer] = &lease{id: id, expiry: now.Add(bs.cfg.LeaseTTL), session: session}
+	bs.leases[peer] = &lease{id: id, expiry: now.Add(bs.cfg.LeaseTTL), session: session, cred: issued}
 	bs.mu.Unlock()
 	bs.leasesGranted.Add(1)
 	return id, bs.cfg.LeaseTTL, true
@@ -100,6 +105,17 @@ func (bs *BrokerSecurity) renewLease(peer keys.PeerID, leaseID string, seq uint6
 	l.seq = seq
 	l.expiry = now.Add(bs.cfg.LeaseTTL)
 	return ""
+}
+
+// leaseCredential returns the credential held by peer's lease when its id
+// is leaseID, and nil when peer holds no lease or another one.
+func (bs *BrokerSecurity) leaseCredential(peer keys.PeerID, leaseID []byte) *cred.Credential {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	if l, ok := bs.leases[peer]; ok && l.id == string(leaseID) {
+		return l.cred
+	}
+	return nil
 }
 
 // Leases reports how many presence leases are live (telemetry gauge).
@@ -181,12 +197,14 @@ func (bs *BrokerSecurity) expireLapsed() {
 // broker's clock past the TTL and call this instead of sleeping).
 func (bs *BrokerSecurity) ExpireLapsedNow() { bs.expireLapsed() }
 
-// SecureHeartbeat renews the presence lease granted at SecureLogin.
+// SecureHeartbeat renews the presence lease granted at SecureLogin: the
+// lease id and the next sequence number, signed for the broker.
 // Returns ErrLeaseLost when the broker no longer holds the lease (the
 // session expired or was superseded) — the caller must re-establish
 // the session, not retry the heartbeat.
 func (s *SecureClient) SecureHeartbeat(ctx context.Context) error {
-	if own, _ := s.credentials(); own == nil {
+	own, brCred := s.credentials()
+	if own == nil {
 		return ErrNoCredential
 	}
 	s.mu.Lock()
@@ -197,15 +215,19 @@ func (s *SecureClient) SecureHeartbeat(ctx context.Context) error {
 	if leaseID == "" {
 		return ErrNoLease
 	}
-	_, err := s.callCredentialed(ctx, OpHeartbeat, proto.KindHeartbeat, []byte(leaseID), binary.BigEndian.AppendUint64(nil, seq))
+	req, err := proto.AppendRequest(nil, s.kp, brCred.Subject, proto.KindHeartbeat, s.Now(), proto.NewNonce(),
+		[]byte(leaseID), binary.BigEndian.AppendUint64(nil, seq))
 	if err != nil {
-		var opErr *client.OpError
-		if errors.As(err, &opErr) && opErr.Token == proto.ErrLeaseExpired {
-			return ErrLeaseLost
-		}
 		return err
 	}
-	return nil
+	_, err = s.Call(ctx, endpoint.NewMessage().
+		AddString(proto.ElemOp, OpHeartbeat).
+		Add(proto.ElemBody, req))
+	var opErr *client.OpError
+	if errors.As(err, &opErr) && opErr.Token == proto.ErrLeaseExpired {
+		return ErrLeaseLost
+	}
+	return err
 }
 
 // Lease returns the current presence lease id and TTL ("" / 0 when the
@@ -216,22 +238,40 @@ func (s *SecureClient) Lease() (string, time.Duration) {
 	return s.leaseID, s.leaseTTL
 }
 
-// handleHeartbeat is the broker side: a verified credentialed request
-// (the secureRenew pipeline) plus the lease-id and sequence binding,
-// then a lease renewal.
+// handleHeartbeat is the broker side. The request guard admits the
+// heartbeat under the key of the credential the lease of from holds —
+// none for a peer without that lease (lease-expired), and only while the
+// credential's chain verifies now (bad-credential) — then the sequence
+// number renews the lease. Every refusal of a heartbeat in the form is
+// audited against from.
 func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	req, current, token := bs.credentialedRequest(from, msg, proto.KindHeartbeat, audit.KindHeartbeat, OpHeartbeat)
-	if token == "" {
-		if seq := req.Field(proto.HeartbeatSeq); len(seq) != 8 {
-			token = proto.ErrBadRequest
-		} else {
-			token = bs.renewLease(current.Subject, string(req.Field(proto.HeartbeatLease)), binary.BigEndian.Uint64(seq), bs.b.Now())
+	raw, _ := msg.Get(proto.ElemBody)
+	now := bs.b.Now()
+	formed := false
+	req, err := bs.requests.Open(raw, proto.KindHeartbeat, now, func(r *proto.Request) (*keys.PublicKey, error) {
+		formed = true
+		held := bs.leaseCredential(from, r.Field(proto.HeartbeatLease))
+		switch {
+		case held == nil:
+			return nil, refusal(proto.ErrLeaseExpired)
+		case bs.cfg.Trust.VerifyChain(now, held, bs.cfg.Credential) != nil:
+			return nil, refusal(proto.ErrBadCredential)
 		}
-		if token != "" {
-			bs.auditAuth(audit.KindHeartbeat, current.Subject, OpHeartbeat, token)
-		}
+		return held.Key, nil
+	})
+	var token string
+	switch {
+	case err != nil:
+		token = requestToken(err)
+	case len(req.Field(proto.HeartbeatSeq)) != 8:
+		token = proto.ErrBadRequest
+	default:
+		token = bs.renewLease(from, string(req.Field(proto.HeartbeatLease)), binary.BigEndian.Uint64(req.Field(proto.HeartbeatSeq)), now)
 	}
 	if token != "" {
+		if formed {
+			bs.auditAuth(audit.KindHeartbeat, from, OpHeartbeat, token)
+		}
 		bs.heartbeatsRejected.Add(1)
 		return proto.Fail(token)
 	}

@@ -100,9 +100,9 @@ type SecureClient struct {
 	mu  sync.RWMutex
 	sid string
 	// The session's credential chain: Cred_Cl^Br as last issued to this
-	// peer (login, renew, a background resume) and the Cred_Br^Adm it was
-	// issued under. Every reader — the heartbeat loop, a renew, the first
-	// envelope to a peer — goes through credentials(); the membership
+	// peer (login, a background resume) and the Cred_Br^Adm it was issued
+	// under. Every reader — the heartbeat loop, the first envelope to a
+	// peer — goes through credentials(); the membership
 	// identity holds a copy for the keystore and for diagnostics only.
 	cred       *cred.Credential
 	brokerCred *cred.Credential
@@ -405,7 +405,7 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 	}
 
 	// Step 9-10: receive and validate cr = Cred_Cl^Br.
-	myCred, err := s.issuedCredential(resp, brCred, ErrLoginRejected)
+	myCred, err := s.issuedCredential(resp, brCred)
 	if err != nil {
 		return err
 	}
@@ -432,6 +432,25 @@ func (s *SecureClient) SecureLogin(ctx context.Context, password string) error {
 		groups = strings.Split(csv, ",")
 	}
 	return s.FinishLogin(ctx, groups)
+}
+
+// issuedCredential takes the credential out of a secureLogin response and
+// checks it is this peer's: its key and peer ID, issued by the verified
+// broker, the chain valid now. A response without a well-formed credential
+// is ErrLoginRejected.
+func (s *SecureClient) issuedCredential(resp *endpoint.Message, brCred *cred.Credential) (*cred.Credential, error) {
+	credRaw, _ := resp.Get(proto.ElemCred)
+	issued, err := cred.Parse(credRaw)
+	if err != nil {
+		return nil, ErrLoginRejected
+	}
+	if !issued.Key.Equal(s.kp.Public()) || issued.Subject != s.PeerID() {
+		return nil, ErrCredUnexpected
+	}
+	if err := s.trust.VerifyChain(s.Now(), issued, brCred); err != nil {
+		return nil, ErrCredUnexpected
+	}
+	return issued, nil
 }
 
 // SecureMsgPeer implements §4.3.1: fetch and verify the destination's

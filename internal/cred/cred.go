@@ -265,8 +265,7 @@ func IssueAt(now time.Time, issuer *keys.KeyPair, issuerID keys.PeerID, subject 
 		return nil, err
 	}
 	// Nanosecond times make re-issued credentials differ even within the
-	// same second (renewal relies on this; RSASSA-PKCS1-v1_5 is
-	// deterministic).
+	// same second (RSASSA-PKCS1-v1_5 is deterministic).
 	sig, err := issuer.Sign(signed)
 	if err != nil {
 		return nil, err

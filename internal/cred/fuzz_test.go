@@ -11,8 +11,7 @@ import (
 
 // FuzzParseCredential feeds arbitrary bytes to the credential decoder a
 // stranger reaches on every pushed advertisement (its KeyInfo chain), every
-// secureConnection, login and renewal answer and every credential-carrying
-// request. The seeds are an administrator's, a broker's and a client's
+// secureConnection and login answer and every credential-carrying request. The seeds are an administrator's, a broker's and a client's
 // credential — the last with its certified agreement key — and a client
 // credential whose share is one byte short. Properties: it never panics; a
 // credential it accepts encodes back to exactly the bytes it was read

@@ -163,7 +163,7 @@ func TestParseRefusesOtherSpellings(t *testing.T) {
 		name string
 		raw  []byte
 	}{
-		{"another kind byte", edit(func(l *layout) { l.kind = byte(proto.KindRenew) })},
+		{"another kind byte", edit(func(l *layout) { l.kind = byte(proto.KindQuery) })},
 		{"role 0", edit(func(l *layout) { l.role = 0 })},
 		{"role 5", edit(func(l *layout) { l.role = 5 })},
 		{"share of 31 bytes", edit(func(l *layout) { l.share = share[:31] })},

@@ -12,7 +12,7 @@ import (
 )
 
 // The signed-request form of every request one peer signs for one verifier
-// — a client's login, heartbeat and renewal for its broker, a broker's query
+// — a client's login and heartbeat for its broker, a broker's query
 // to the user database and its answer. This file alone knows the layout:
 //
 //	kind u8 ‖ time i64 ns ‖ nonce 16 ‖ the kind's fields in order, each u16 length ‖ bytes ‖ u16 length ‖ signature
@@ -35,19 +35,20 @@ type RequestKind uint8
 const (
 	KindLogin      RequestKind = 1 + iota // S_SKCl(username, password, PKCl), sealed to the broker
 	KindHeartbeat                         // renews a presence lease
-	KindRenew                             // asks for a fresh credential
+	_                                     // reserved: a retired kind's byte, never reused
 	KindQuery                             // a broker's question to the user database, sealed to it
 	KindAnswer                            // the database's answer, under its query's nonce
 	KindCredential                        // Cred_i^j, package cred's form; no request
 	KindCheckpoint                        // an audit journal's signed seal, package audit's form; no request
 )
 
-// Field positions, in wire order. A heartbeat, a renewal and a query carry
-// the signer's credential first, as it was issued.
+// Field positions, in wire order. A query carries the signer's credential
+// first, as it was issued; a heartbeat carries none, its verifier holds the
+// credential it issued at the login that granted the lease.
 const (
 	LoginUser, LoginPass, LoginPeer, LoginKey, LoginAgree, LoginSid = 0, 1, 2, 3, 4, 5 // key: PKIX DER; agree: keys.ShareSize bytes
-	CredField, HeartbeatLease, HeartbeatSeq                         = 0, 1, 2          // seq: u64
-	QueryOp, QueryUser, QueryPass                                   = 1, 2, 3
+	HeartbeatLease, HeartbeatSeq                                    = 0, 1             // seq: u64
+	QueryCred, QueryOp, QueryUser, QueryPass                        = 0, 1, 2, 3
 	AnswerErr, AnswerGroups                                         = 0, 1 // err: "" on success; groups: comma separated
 )
 
@@ -57,13 +58,13 @@ const (
 var requestKinds = [256]struct {
 	fields int
 	once   bool
-}{KindLogin: {6, false}, KindHeartbeat: {3, false}, KindRenew: {1, true}, KindQuery: {4, true}, KindAnswer: {2, false}}
+}{KindLogin: {6, false}, KindHeartbeat: {2, false}, KindQuery: {4, true}, KindAnswer: {2, false}}
 
 const (
 	NonceSize   = 16              // the length of a request nonce
 	RequestSkew = 2 * time.Minute // how far a request's time may lie from its verifier's clock
-	// nonceCapacity bounds the nonces a verifier remembers: one per renewal
-	// or query inside 2·RequestSkew, so 4,096 is 17 a second sustained.
+	// nonceCapacity bounds the nonces a verifier remembers: one per query
+	// inside 2·RequestSkew, so 4,096 is 17 a second sustained.
 	nonceCapacity = 4096
 	signedStack   = 512 // room for what a login's signature covers, on the stack
 	// requestLabel separates a request signature from every other one.

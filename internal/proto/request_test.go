@@ -31,8 +31,7 @@ const verifierID = keys.PeerID("urn:jxta:cbid-verifier")
 // sampleFields is one request of each kind's fields.
 var sampleFields = map[RequestKind][][]byte{
 	KindLogin:     {[]byte("alice"), []byte("pw"), []byte("urn:jxta:cbid-alice"), []byte("der"), make([]byte, keys.ShareSize), []byte("sid")},
-	KindHeartbeat: {[]byte("<Credential/>"), []byte("ls-1"), make([]byte, 8)},
-	KindRenew:     {[]byte("<Credential/>")},
+	KindHeartbeat: {[]byte("ls-1"), make([]byte, 8)},
 	KindQuery:     {[]byte("<Credential/>"), []byte("auth"), []byte("alice"), []byte("pw")},
 	KindAnswer:    {nil, []byte("math,art")},
 }
@@ -81,62 +80,62 @@ func TestRequestRoundTrip(t *testing.T) {
 // outside the window; a signer's own refusal comes back as it is.
 func TestRequestRefusals(t *testing.T) {
 	now := time.Now()
-	raw, _ := sample(t, KindRenew, verifierID, now)
+	raw, _ := sample(t, KindQuery, verifierID, now)
 	open := func(raw []byte, kind RequestKind, at time.Time, signer func(*Request) (*keys.PublicKey, error)) error {
 		_, err := NewRequestGuard(verifierID).Open(raw, kind, at, signer)
 		return err
 	}
 	for kind := range sampleFields {
-		if kind != KindRenew {
+		if kind != KindQuery {
 			if err := open(raw, kind, now, bySigner); !errors.Is(err, ErrRequestMalformed) {
-				t.Errorf("a renewal opened as kind %d: %v, want ErrRequestMalformed", kind, err)
+				t.Errorf("a query opened as kind %d: %v, want ErrRequestMalformed", kind, err)
 			}
 		}
 	}
-	if err := open(append(bytes.Clone(raw), 0), KindRenew, now, bySigner); !errors.Is(err, ErrRequestMalformed) {
+	if err := open(append(bytes.Clone(raw), 0), KindQuery, now, bySigner); !errors.Is(err, ErrRequestMalformed) {
 		t.Errorf("a trailing byte: %v", err)
 	}
 	for n := range len(raw) {
-		if err := open(raw[:n], KindRenew, now, bySigner); !errors.Is(err, ErrRequestMalformed) {
+		if err := open(raw[:n], KindQuery, now, bySigner); !errors.Is(err, ErrRequestMalformed) {
 			t.Fatalf("cut to %d bytes: %v", n, err)
 		}
 	}
-	elsewhere, _ := sample(t, KindRenew, "urn:jxta:cbid-another", now)
-	if err := open(elsewhere, KindRenew, now, bySigner); !errors.Is(err, ErrRequestSignature) {
+	elsewhere, _ := sample(t, KindQuery, "urn:jxta:cbid-another", now)
+	if err := open(elsewhere, KindQuery, now, bySigner); !errors.Is(err, ErrRequestSignature) {
 		t.Errorf("signed for another verifier: %v", err)
 	}
 	byOther := func(*Request) (*keys.PublicKey, error) { return otherKP.Public(), nil }
-	if err := open(raw, KindRenew, now, byOther); !errors.Is(err, ErrRequestSignature) {
+	if err := open(raw, KindQuery, now, byOther); !errors.Is(err, ErrRequestSignature) {
 		t.Errorf("checked under another key: %v", err)
 	}
 	for i := range raw {
 		flipped := bytes.Clone(raw)
 		flipped[i] ^= 0x01
-		if err := open(flipped, KindRenew, now, bySigner); err == nil {
+		if err := open(flipped, KindQuery, now, bySigner); err == nil {
 			t.Fatalf("byte %d flipped: opened", i)
 		}
 	}
 	for _, at := range []time.Time{now.Add(RequestSkew + time.Nanosecond), now.Add(-RequestSkew - time.Nanosecond)} {
-		if err := open(raw, KindRenew, at, bySigner); !errors.Is(err, ErrRequestStale) {
+		if err := open(raw, KindQuery, at, bySigner); !errors.Is(err, ErrRequestStale) {
 			t.Errorf("opened at %v from its time: %v, want ErrRequestStale", at.Sub(now), err)
 		}
 	}
-	if err := open(raw, KindRenew, now.Add(RequestSkew), bySigner); err != nil {
+	if err := open(raw, KindQuery, now.Add(RequestSkew), bySigner); err != nil {
 		t.Errorf("at the window's edge: %v", err)
 	}
 	mine := errors.New("the verifier's own refusal")
-	if err := open(raw, KindRenew, now, func(*Request) (*keys.PublicKey, error) { return nil, mine }); err != mine {
+	if err := open(raw, KindQuery, now, func(*Request) (*keys.PublicKey, error) { return nil, mine }); err != mine {
 		t.Errorf("signer's refusal came back as %v", err)
 	}
-	if _, err := AppendRequest(nil, signerKP, verifierID, KindRenew, now, [NonceSize]byte{}); !errors.Is(err, ErrRequestMalformed) {
-		t.Errorf("a renewal without its credential was signed: %v", err)
+	if _, err := AppendRequest(nil, signerKP, verifierID, KindQuery, now, [NonceSize]byte{}); !errors.Is(err, ErrRequestMalformed) {
+		t.Errorf("a query without its fields was signed: %v", err)
 	}
 }
 
-// TestRequestNonceOnlyWhereNothingElseIsSingleUse: a renewal and a query
-// open once; a login (its session identifier), a heartbeat (its sequence
-// number) and an answer (its query's nonce) are single-use by a field the
-// verifier checks, and take no entry in the table.
+// TestRequestNonceOnlyWhereNothingElseIsSingleUse: a query opens once; a
+// login (its session identifier), a heartbeat (its sequence number) and an
+// answer (its query's nonce) are single-use by a field the verifier checks,
+// and take no entry in the table.
 func TestRequestNonceOnlyWhereNothingElseIsSingleUse(t *testing.T) {
 	now := time.Now()
 	for kind := range sampleFields {
@@ -146,26 +145,26 @@ func TestRequestNonceOnlyWhereNothingElseIsSingleUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := g.Open(raw, kind, now, bySigner)
-		if once := kind == KindRenew || kind == KindQuery; once != errors.Is(err, ErrRequestReplayed) {
+		if once := kind == KindQuery; once != errors.Is(err, ErrRequestReplayed) {
 			t.Errorf("kind %d opened twice: %v", kind, err)
 		}
-		if tabled := g.seen != nil; tabled != (kind == KindRenew || kind == KindQuery) {
+		if tabled := g.seen != nil; tabled != (kind == KindQuery) {
 			t.Errorf("kind %d: nonce table made = %v", kind, tabled)
 		}
 	}
 }
 
 // TestNonceAdmitConcurrent: a verifier opens requests on every delivery
-// goroutine at once. One renewal opened from eight goroutines is admitted
-// once, and each goroutine's own renewal is admitted, while the table is
+// goroutine at once. One query opened from eight goroutines is admitted
+// once, and each goroutine's own query is admitted, while the table is
 // made by whichever goroutine admits first.
 func TestNonceAdmitConcurrent(t *testing.T) {
 	const workers = 8
 	now := time.Now()
-	shared, _ := sample(t, KindRenew, verifierID, now)
+	shared, _ := sample(t, KindQuery, verifierID, now)
 	own := make([][]byte, workers)
 	for i := range own {
-		own[i], _ = sample(t, KindRenew, verifierID, now)
+		own[i], _ = sample(t, KindQuery, verifierID, now)
 	}
 	g := NewRequestGuard(verifierID)
 	var admitted atomic.Int32
@@ -174,19 +173,19 @@ func TestNonceAdmitConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := g.Open(shared, KindRenew, now, bySigner); err == nil {
+			if _, err := g.Open(shared, KindQuery, now, bySigner); err == nil {
 				admitted.Add(1)
 			} else if !errors.Is(err, ErrRequestReplayed) {
-				t.Errorf("the shared renewal: %v", err)
+				t.Errorf("the shared query: %v", err)
 			}
-			if _, err := g.Open(own[i], KindRenew, now, bySigner); err != nil {
-				t.Errorf("worker %d's own renewal: %v", i, err)
+			if _, err := g.Open(own[i], KindQuery, now, bySigner); err != nil {
+				t.Errorf("worker %d's own query: %v", i, err)
 			}
 		}()
 	}
 	wg.Wait()
 	if n := admitted.Load(); n != 1 {
-		t.Fatalf("the shared renewal was admitted %d times, want once", n)
+		t.Fatalf("the shared query was admitted %d times, want once", n)
 	}
 	if n := g.seen.Len(); n != workers+1 {
 		t.Fatalf("%d nonces held, want %d", n, workers+1)

@@ -82,7 +82,7 @@ func (s *Server) process(msg *endpoint.Message) (nonce [proto.NonceSize]byte, gr
 	// broker credential, fresh, and not seen before.
 	now := s.ep.Now()
 	q, err := s.queries.Open(body, proto.KindQuery, now, func(r *proto.Request) (*keys.PublicKey, error) {
-		caller, err := cred.Parse(r.Field(proto.CredField))
+		caller, err := cred.Parse(r.Field(proto.QueryCred))
 		if err != nil || s.trust.Verify(caller, now) != nil || caller.Role != cred.RoleBroker {
 			return nil, ErrUnauthorized
 		}
