@@ -563,7 +563,7 @@ func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text strin
 		// Cut before fanning out: a DetachedRound is not safe for
 		// concurrent use. Leaf j is chunk[j]'s wrap.
 		slices := d.Slices()
-		parallel.ForEach(fanOutParallelism(), len(chunk), func(j int) {
+		parallel.ForEach(runtime.GOMAXPROCS(0), len(chunk), func(j int) {
 			i := chunk[j]
 			errs[i] = s.sendKept(targets[i].pipe, group, slices[j])
 		})
@@ -580,11 +580,13 @@ type roundTarget struct {
 
 // verifiedTargets resolves and verifies every peer's certified key in
 // parallel (steps 1-3 of §4.3.1, once per peer, verification cached).
-// Both results are indexed like peers.
+// Both results are indexed like peers. Verification (RSA, until a
+// verdict is cached) and the sends that follow are CPU-bound, so a
+// group fan-out runs as many at once as there are cores.
 func (s *SecureClient) verifiedTargets(ctx context.Context, group string, peers []keys.PeerID) ([]roundTarget, []error) {
 	targets := make([]roundTarget, len(peers))
 	errs := make([]error, len(peers))
-	parallel.ForEach(fanOutParallelism(), len(peers), func(i int) {
+	parallel.ForEach(runtime.GOMAXPROCS(0), len(peers), func(i int) {
 		targets[i].key, targets[i].pipe, errs[i] = s.verifiedPeerKey(ctx, peers[i], group)
 	})
 	return targets, errs
@@ -660,17 +662,6 @@ func tallyFanOut(errs []error) (int, error) {
 		sent++
 	}
 	return sent, firstErr
-}
-
-// fanOutParallelism bounds concurrent per-recipient work in group
-// fan-outs: advertisement verification (RSA, until a verdict is cached)
-// and the sends. The work is CPU-bound, so core count is the natural
-// limit.
-func fanOutParallelism() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 1
 }
 
 // verifiedPeerKey resolves a peer's signed pipe advertisement and

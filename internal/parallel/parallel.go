@@ -1,34 +1,52 @@
 // Package parallel provides the bounded fan-out primitive the hot paths
-// share: group message sealing and sending, recipient verification, and
-// broker advertisement propagation all run per-recipient work under a
-// concurrency cap. Centralizing the semaphore/WaitGroup scaffolding
-// keeps the cap semantics (and any future fix to them) in one place.
+// share: a group message's recipient verification and its sends run
+// per-recipient work under a concurrency cap. Centralizing the
+// scaffolding keeps the cap semantics (and any future fix to them) in
+// one place.
 package parallel
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // ForEach invokes fn(i) for every i in [0, n), running at most limit
-// invocations concurrently, and returns when all have finished. A limit
-// below one is raised to one. Results and errors are the caller's to
-// collect (typically into a pre-sized slice indexed by i, which needs
-// no locking since every worker writes its own element).
+// invocations concurrently, and returns when all have finished. The
+// caller's goroutine takes a share of the work beside min(limit, n)-1
+// helper goroutines, each taking the next index until none is left; a
+// limit below two runs every fn on the caller's goroutine, in order.
+// Results and errors are the caller's to collect (typically into a
+// pre-sized slice indexed by i, which needs no locking since every
+// invocation writes its own element).
 func ForEach(limit, n int, fn func(i int)) {
-	if limit < 1 {
-		limit = 1
-	}
-	if n <= 0 {
+	helpers := min(limit, n) - 1
+	if helpers < 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
 	}
-	sem := make(chan struct{}, limit)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fn(i)
-		}(i)
+	// The counter and the wait group escape together, in one allocation;
+	// the helpers start on work itself, a closure without arguments, so
+	// none allocates.
+	var s struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	wg.Wait()
+	s.wg.Add(helpers + 1)
+	work := func() {
+		defer s.wg.Done()
+		for {
+			i := int(s.next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	for range helpers {
+		go work()
+	}
+	work()
+	s.wg.Wait()
 }

@@ -8,6 +8,12 @@
 // which preserves the trade-off the paper measures (crypto overhead vs
 // transport time).
 //
+// Each packet is delivered on a goroutine of the network's own after its
+// modeled wire time. A delivery goroutine that finishes parks for the
+// next packet, so a steady flow reuses a few goroutines, stacks already
+// grown, instead of starting one per packet; a delivery that sleeps or
+// blocks holds up no other packet.
+//
 // The package also exposes an analytic transfer-time model
 // (LinkProfile.TransferTime) used by the benchmark harness to produce
 // deterministic figures independent of scheduler noise.
@@ -34,20 +40,24 @@ type Packet struct {
 	SentAt  time.Time
 }
 
-// Handler receives delivered packets. Handlers run on delivery
-// goroutines and must be safe for concurrent invocation. The packet's
-// Payload is the very buffer its sender handed to Send, and it is the
-// handler's own: the sender gave it up and the network keeps no
-// reference, so the handler may retain or overwrite it.
+// Handler receives delivered packets. Handlers run on the network's
+// delivery goroutines, several at once, and must be safe for concurrent
+// invocation; a handler may block, even until another packet reaches
+// its own node, since every packet in flight has a goroutine to itself
+// for as long as its delivery lasts. The packet's Payload is the very
+// buffer its sender handed to Send, and it is the handler's own: the
+// sender gave it up and the network keeps no reference, so the handler
+// may retain or overwrite it.
 type Handler func(Packet)
 
 // Tap observes every packet at transmission time, before loss or
 // delivery — exactly what a passive eavesdropper on the wire sees. The
 // attack harness uses taps to demonstrate the paper's eavesdropping
-// vulnerability. A tap runs inside Send, before the delivery goroutine
-// starts, so it sees the bytes as sent; but the buffer it is shown is
-// the one then delivered, which the receiving handler owns and may (the
-// secure open path does) overwrite. A tap copies what it keeps.
+// vulnerability. A tap runs inside Send, on the sender's goroutine and
+// before the packet is handed to a delivery goroutine, so it sees the
+// bytes as sent; but the buffer it is shown is the one then delivered,
+// which the receiving handler owns and may (the secure open path does)
+// overwrite. A tap copies what it keeps.
 type Tap func(Packet)
 
 // LinkProfile describes one direction of a link.
@@ -136,7 +146,10 @@ type Network struct {
 	taps     []Tap
 	rngMu    sync.Mutex
 	rng      *rand.Rand
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // packets in flight
+	handoff  chan delivery  // unbuffered: a send succeeds only to a parked goroutine
+	parked   atomic.Int32   // delivery goroutines parked on handoff, or about to be
+	workers  sync.WaitGroup // delivery goroutines alive
 	closed   bool
 	sent     atomic.Uint64
 	deliv    atomic.Uint64
@@ -159,6 +172,7 @@ func NewNetworkSeeded(profile LinkProfile, seed int64) *Network {
 		blocked: make(map[linkKey]bool),
 		nat:     make(map[linkKey]bool),
 		rng:     rand.New(rand.NewSource(seed)),
+		handoff: make(chan delivery),
 	}
 }
 
@@ -256,12 +270,13 @@ func (n *Network) AddTap(t Tap) {
 }
 
 // Send transmits payload from→to. It returns synchronously; delivery
-// happens after the modeled wire time on a separate goroutine. The
-// network takes the payload as it is, without a copy: once Send returns
-// nil the buffer belongs to the receiving handler, and the caller
-// neither reads nor writes it again (a caller that means to send the
-// same bytes twice sends a copy). A Send that fails leaves the buffer
-// with its caller.
+// happens after the modeled wire time on a delivery goroutine: one
+// parked after its previous delivery if there is one, else a new one.
+// The network takes the payload as it is, without a copy: once Send
+// returns nil the buffer belongs to the receiving handler, and the
+// caller neither reads nor writes it again (a caller that means to send
+// the same bytes twice sends a copy). A Send that fails leaves the
+// buffer with its caller.
 func (n *Network) Send(from, to NodeID, payload []byte) error {
 	n.mu.RLock()
 	if n.closed {
@@ -312,24 +327,66 @@ func (n *Network) Send(from, to NodeID, payload []byte) error {
 		delay += time.Duration(n.randFloat() * float64(profile.Jitter))
 	}
 
-	go func() {
-		defer n.wg.Done()
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		// In-flight packets are delivered even if the network has since
-		// closed: Close waits for them rather than dropping them.
-		n.mu.RLock()
-		h, ok := n.nodes[to]
-		n.mu.RUnlock()
-		if !ok {
-			n.dropped.Add(1)
+	d := delivery{pkt: pkt, delay: delay}
+	select {
+	case n.handoff <- d:
+	default:
+		n.workers.Add(1)
+		go n.deliverLoop(d)
+	}
+	return nil
+}
+
+// delivery is one packet handed to a delivery goroutine: it is due
+// delay after it was sent.
+type delivery struct {
+	pkt   Packet
+	delay time.Duration
+}
+
+// maxParked is how many delivery goroutines may wait for a packet at
+// once; one that finishes a delivery while that many wait exits.
+const maxParked = 64
+
+// deliverLoop delivers d, then parks on the hand-off for the next
+// packet unless maxParked goroutines already wait there. A goroutine
+// so keeps the stack its handlers grew, and Send starts none while one
+// is parked. Close releases the parked ones by closing the hand-off.
+func (n *Network) deliverLoop(d delivery) {
+	defer n.workers.Done()
+	for {
+		n.deliver(d)
+		if n.parked.Add(1) > maxParked {
+			n.parked.Add(-1)
 			return
 		}
-		n.deliv.Add(1)
-		h(pkt)
-	}()
-	return nil
+		var ok bool
+		d, ok = <-n.handoff
+		n.parked.Add(-1)
+		if !ok {
+			return
+		}
+	}
+}
+
+// deliver sleeps out the packet's wire time and hands it to its
+// destination's handler.
+func (n *Network) deliver(d delivery) {
+	defer n.wg.Done()
+	if d.delay > 0 {
+		time.Sleep(d.delay)
+	}
+	// In-flight packets are delivered even if the network has since
+	// closed: Close waits for them rather than dropping them.
+	n.mu.RLock()
+	h, ok := n.nodes[d.pkt.To]
+	n.mu.RUnlock()
+	if !ok {
+		n.dropped.Add(1)
+		return
+	}
+	n.deliv.Add(1)
+	h(d.pkt)
 }
 
 func (n *Network) randFloat() float64 {
@@ -348,7 +405,8 @@ func (n *Network) Stats() Stats {
 	}
 }
 
-// Close stops accepting sends and waits for in-flight deliveries.
+// Close stops accepting sends, waits for in-flight deliveries, and
+// returns once every delivery goroutine has exited.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -358,4 +416,9 @@ func (n *Network) Close() {
 	n.closed = true
 	n.mu.Unlock()
 	n.wg.Wait()
+	// Every Send that passed the closed check has handed its packet
+	// over, since the goroutine it went to marks it done: nothing sends
+	// on the hand-off again.
+	close(n.handoff)
+	n.workers.Wait()
 }
