@@ -180,6 +180,19 @@ func SpoofedSlicePush(claimedFrom keys.PeerID, group string, wire []byte) []byte
 		endpoint.Element{Name: proto.ElemEnvelope, Data: wire})
 }
 
+// SpoofedAdvRefresh fabricates the broker's refresh of a pipe
+// advertisement (proto.OpAdvRefresh to the client service): any ID, any
+// digest bytes, any claimed source. An empty id leaves the advid element
+// out.
+func SpoofedAdvRefresh(claimedFrom keys.PeerID, id string, sum []byte) []byte {
+	elems := []endpoint.Element{{Name: proto.ElemOp, Data: []byte(proto.OpAdvRefresh)}}
+	if id != "" {
+		elems = append(elems, endpoint.Element{Name: proto.ElemAdvID, Data: []byte(id)})
+	}
+	elems = append(elems, endpoint.Element{Name: proto.ElemAdvSum, Data: sum})
+	return endpoint.NewFrame(endpoint.Route{Src: claimedFrom, Service: proto.ClientService}, elems...)
+}
+
 // spoofedPipeFrame is a frame to pipeID's service with one payload
 // element and the group label, as a pipe sender writes them.
 func spoofedPipeFrame(claimedFrom keys.PeerID, pipeID, group, elem string, payload []byte) []byte {

@@ -15,6 +15,7 @@ package broker
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"slices"
 	"sort"
@@ -750,13 +751,17 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	if tid != 0 {
 		sp = trace.Begin(tid, trace.StagePublish)
 	}
+	var push *endpoint.Message
+	if group != "" {
+		push = b.advPushFor(doc, parsed)
+	}
 	if err := b.ctl.Cache().PutParsed(doc, parsed); err != nil {
 		tr.End(sp, trace.OutcomeError)
 		return proto.Fail(proto.ErrBadRequest)
 	}
 	b.advsPublished.Add(1)
-	if group != "" {
-		b.pushLocal(advPush(doc), group, from)
+	if push != nil {
+		b.pushLocal(push, group, from)
 	}
 	b.forwardAdvToFederation(doc, from)
 	tr.End(sp, trace.OutcomeOK)
@@ -812,11 +817,41 @@ func advPush(doc *xmldoc.Element) *endpoint.Message {
 		Add(proto.ElemAdv, doc.Canonical())
 }
 
+// advPushFor is the push that tells a group's residents of doc, accepted
+// as adv and about to take the place of the broker's record under its
+// (type, id); it is called before that put. A pipe advertisement whose
+// fresh record holds exactly doc's bytes — a re-join's, which its owner
+// publishes unchanged — goes as a refresh: its ID and the SHA-256 of its
+// bytes, which a resident holding those bytes re-puts and one holding
+// others drops. Everything else is pushed whole: a presence, file-list or
+// group advertisement raises an event at the resident, which a digest of
+// a record it may not hold could not.
+func (b *Broker) advPushFor(doc *xmldoc.Element, adv advert.Advertisement) *endpoint.Message {
+	raw := doc.Canonical()
+	if _, ok := adv.(*advert.Pipe); ok {
+		if rec, err := b.ctl.Cache().Lookup(advert.TypePipe, adv.AdvID()); err == nil && bytes.Equal(rec.Doc.Canonical(), raw) {
+			sum := sha256.Sum256(raw)
+			return endpoint.NewMessage().
+				AddString(proto.ElemOp, proto.OpAdvRefresh).
+				AddString(proto.ElemAdvID, adv.AdvID()).
+				Add(proto.ElemAdvSum, sum[:])
+		}
+	}
+	return advPush(doc)
+}
+
 // pushLocal sends msg to every locally connected online member of group
-// but except (the member the push is from or about), one after another:
-// Send hands a frame to the fabric and does not wait for its delivery, so
-// a goroutine per member would buy nothing. This is the broker's "distribute data beyond boundaries" role;
-// members on federated brokers are reached by their own broker.
+// but except (the member the push is from or about), in one frame built
+// for all of them (endpoint.Service.SendEach): Send hands a frame to the
+// fabric and does not wait for its delivery, so a goroutine per member
+// would buy nothing, and neither would a frame per member. Every member's
+// delivery reads that one buffer, which holds because no handler a push
+// reaches writes into its frame: a presence notice is read as views, an
+// advertisement is copied by PutCanonical before it is parsed, and a
+// refresh reads its ID and digest. A relayed slice, which its recipient
+// opens in place, is never sent through here. This is the broker's
+// "distribute data beyond boundaries" role; members on federated brokers
+// are reached by their own broker.
 func (b *Broker) pushLocal(msg *endpoint.Message, group string, except keys.PeerID) {
 	g, err := b.groups.Get(group)
 	if err != nil {
@@ -833,8 +868,8 @@ func (b *Broker) pushLocal(msg *endpoint.Message, group string, except keys.Peer
 		}
 	}
 	b.mu.RUnlock()
-	for _, id := range targets[:n] {
-		_ = b.ep.Send(id, proto.ClientService, msg)
+	if n > 0 {
+		_ = b.ep.SendEach(targets[:n], proto.ClientService, msg)
 	}
 }
 

@@ -159,13 +159,19 @@ func (b *Broker) handleFedAdv(from keys.PeerID, msg *endpoint.Message) *endpoint
 		return nil
 	}
 	src, _ := msg.GetString(proto.ElemPeer)
+	// Propagate to local members only, by the publish path's rule; never
+	// re-forward (loop guard).
+	group := advGroup(adv)
+	var push *endpoint.Message
+	if group != "" {
+		push = b.advPushFor(doc, adv)
+	}
 	if err := b.ctl.Cache().PutParsed(doc, adv); err != nil {
 		return nil
 	}
 	b.fedAdvsAccepted.Add(1)
-	// Propagate to local members only; never re-forward (loop guard).
-	if group := advGroup(adv); group != "" {
-		b.pushLocal(advPush(doc), group, keys.PeerID(src))
+	if push != nil {
+		b.pushLocal(push, group, keys.PeerID(src))
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ package client
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -705,7 +706,8 @@ func (c *Client) openSecure(h EnvelopeHandler, group string, from keys.PeerID, m
 }
 
 // onBrokerPush handles the broker's pushes: presence notices,
-// propagated advertisements and relay-delivered round slices.
+// propagated advertisements, refreshes of pipe advertisements and
+// relay-delivered round slices.
 func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 	op, _ := msg.Get(proto.ElemOp)
 	switch string(op) {
@@ -743,6 +745,17 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 		case *advert.Group:
 			c.ctl.Emit(events.GroupUpdated, a.Creator, a.Name, map[string]string{"action": "advertised"}, nil)
 		}
+	case proto.OpAdvRefresh:
+		// The owner of a pipe advertisement published the same bytes
+		// again: the broker names them by ID and digest. A record of
+		// those bytes is refreshed, one of others is dropped, and no
+		// record is made.
+		id, _ := msg.Get(proto.ElemAdvID)
+		sum, _ := msg.Get(proto.ElemAdvSum)
+		if len(id) == 0 || len(sum) != sha256.Size {
+			return nil
+		}
+		c.ctl.Cache().Refresh(advert.TypePipe, id, [sha256.Size]byte(sum))
 	}
 	return nil
 }

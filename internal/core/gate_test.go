@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"testing"
@@ -491,12 +492,67 @@ func TestGateRepushedAdvertisement(t *testing.T) {
 	}
 }
 
+// BenchmarkRefreshedAdvertisement is a resident told by a refresh that
+// the owner of the signed pipe advertisement it holds published it again
+// unchanged — what every resident is sent when a peer re-joins. The
+// cache finds the record under the refresh's ID, its digest equal to the
+// refresh's, and puts it again, received now: the parsed Message and the
+// new Record, no copy, no parse and no hash.
+func BenchmarkRefreshedAdvertisement(b *testing.B) {
+	r := benchRecipient(b)
+	senderID, doc := r.senderPipe(b)
+	r.hop.deliver(simnet.Packet{Payload: advPushFrame(b, doc.Canonical())}) // the first push parses and caches it
+	refresh := advRefreshFrame(b, advert.GroupPipeID(senderID, "bench"), sha256.Sum256(doc.Canonical()))
+	records, parsed := r.s.Cache().Len(), advert.ParseCalls()
+	before, err := r.s.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(senderID, "bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.hop.deliver(simnet.Packet{Payload: refresh})
+	}
+	b.StopTimer()
+	if p := advert.ParseCalls() - parsed; p != 0 {
+		b.Fatalf("%d advertisement parses for %d refreshes, want none", p, b.N)
+	}
+	after, err := r.s.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(senderID, "bench"))
+	if err != nil || r.s.Cache().Len() != records {
+		b.Fatalf("refreshes moved the cache %d -> %d records (%v)", records, r.s.Cache().Len(), err)
+	}
+	if after == before || after.Doc != before.Doc {
+		b.Fatal("the refreshes did not put the record they named again")
+	}
+}
+
+// TestGateRefreshedAdvertisement holds a refresh delivered at a resident
+// to no parse and to no more allocations than a byte-identical re-push
+// (TestGateRepushedAdvertisement's ceiling).
+func TestGateRefreshedAdvertisement(t *testing.T) {
+	perfgate.Run(t, BenchmarkRefreshedAdvertisement, 2, 20000)
+}
+
 // advPushFrame is the broker's push of an advertisement's canonical bytes.
 func advPushFrame(tb testing.TB, wire []byte) []byte {
 	tb.Helper()
 	push, err := endpoint.BuildFrame(endpoint.Route{Src: "urn:jxta:cbid-broker", Service: proto.ClientService}, nil,
 		endpoint.Element{Name: proto.ElemOp, Data: []byte(proto.OpAdvPush)},
 		endpoint.Element{Name: proto.ElemAdv, Data: wire})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return push
+}
+
+// advRefreshFrame is the broker's refresh of the pipe advertisement id
+// whose canonical bytes hash to sum.
+func advRefreshFrame(tb testing.TB, id string, sum [sha256.Size]byte) []byte {
+	tb.Helper()
+	push, err := endpoint.BuildFrame(endpoint.Route{Src: "urn:jxta:cbid-broker", Service: proto.ClientService}, nil,
+		endpoint.Element{Name: proto.ElemOp, Data: []byte(proto.OpAdvRefresh)},
+		endpoint.Element{Name: proto.ElemAdvID, Data: []byte(id)},
+		endpoint.Element{Name: proto.ElemAdvSum, Data: sum[:]})
 	if err != nil {
 		tb.Fatal(err)
 	}

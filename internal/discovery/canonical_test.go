@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,28 +14,12 @@ import (
 	"jxtaoverlay/internal/xmldoc"
 )
 
-// checkIndex fails t unless byWire holds exactly the current records put
-// through PutCanonical, each under its own wire: no entry outlives or
-// stands in for its record.
+// checkIndex fails t unless the digest index holds exactly the current
+// records put through PutCanonical, each under the SHA-256 of its bytes.
 func checkIndex(t *testing.T, c *Cache) {
 	t.Helper()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	indexed := 0
-	for key, rec := range c.recs {
-		if rec.wire == "" {
-			continue
-		}
-		indexed++
-		if c.byWire[rec.wire] != rec {
-			t.Fatalf("record %v is not indexed under its wire", key)
-		}
-		if string(rec.Doc.Canonical()) != rec.wire {
-			t.Fatalf("record %v is indexed under bytes it was not parsed from", key)
-		}
-	}
-	if len(c.byWire) != indexed {
-		t.Fatalf("the index holds %d entries for %d indexed records", len(c.byWire), indexed)
+	if err := c.CheckIndex(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -47,13 +32,15 @@ type modelRec struct {
 }
 
 // TestPutCanonicalModel drives random sequences of puts (all three ways
-// in), removals, clock advances, lookups and sweeps against a plain map
-// of what was last put under each (type, id). A PutCanonical parses
-// exactly when the model holds no fresh record of the same bytes put the
-// same way, so an index entry that outlived a replace, a removal or an
-// expiry shows up as a missing parse; every lookup must find what the
-// model says is there, received when the model says; and after every
-// step the index holds the current indexed records and nothing else.
+// in), refreshes, removals, clock advances, lookups and sweeps against a
+// plain map of what was last put under each (type, id). A PutCanonical
+// parses exactly when the model holds no fresh record of the same bytes
+// put the same way, so an index entry that outlived a replace, a removal
+// or an expiry shows up as a missing parse; a Refresh re-puts exactly
+// such a record and drops any other one under its key; every lookup must
+// find what the model says is there, received when the model says; and
+// after every step the index holds the current indexed records and
+// nothing else.
 func TestPutCanonicalModel(t *testing.T) {
 	// Two pipes (15 min) and two presences (2 min), three byte variants
 	// each: 12 documents under 4 (type, id) keys.
@@ -76,6 +63,8 @@ func TestPutCanonicalModel(t *testing.T) {
 	}
 	keyOf := func(i int) cacheKey { return cacheKey{advs[i].AdvType(), advs[i].AdvID()} }
 
+	// What the refreshes met, over every seed: each case must come up.
+	refreshes := map[string]int{}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		now := time.Unix(1_000_000, 0)
@@ -88,7 +77,7 @@ func TestPutCanonicalModel(t *testing.T) {
 		for step := 0; step < 500; step++ {
 			i := rng.Intn(len(advs))
 			k := keyOf(i)
-			switch op := rng.Intn(9); op {
+			switch op := rng.Intn(11); op {
 			case 0, 1, 2: // PutCanonical, from a frame the caller reuses
 				frame := bytes.Clone(wires[i])
 				m, ok := fresh(k)
@@ -129,6 +118,44 @@ func TestPutCanonicalModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				model[k] = modelRec{string(wires[i]), false, now, advs[i].Lifetime()}
+			case 9, 10: // Refresh, naming bytes put under k or no bytes at all
+				sum := sha256.Sum256(wires[i])
+				if op == 10 {
+					sum[rng.Intn(len(sum))] ^= 1
+				}
+				m, held := model[k]
+				parsed := advert.ParseCalls()
+				rec := c.Refresh(k.typ, []byte(k.id), sum)
+				if p := advert.ParseCalls() - parsed; p != 0 {
+					t.Fatalf("seed %d step %d: Refresh parsed %d times", seed, step, p)
+				}
+				_, live := fresh(k)
+				hit := live && m.indexed && sha256.Sum256([]byte(m.wire)) == sum
+				switch {
+				case !held:
+					refreshes["absent"]++
+				case hit:
+					refreshes["hit"]++
+				case !live:
+					refreshes["expired"]++
+				case !m.indexed:
+					refreshes["parsed record"]++
+				default:
+					refreshes["other bytes"]++
+				}
+				if hit != (rec != nil) {
+					t.Fatalf("seed %d step %d: Refresh of %v returned %v, want a record: %v", seed, step, k, rec, hit)
+				}
+				switch {
+				case hit:
+					if string(rec.Doc.Canonical()) != m.wire || !rec.Received.Equal(now) {
+						t.Fatalf("seed %d step %d: Refresh returned another record", seed, step)
+					}
+					m.received = now
+					model[k] = m
+				case held:
+					delete(model, k)
+				}
 			case 5:
 				c.Remove(k.typ, k.id)
 				delete(model, k)
@@ -178,12 +205,19 @@ func TestPutCanonicalModel(t *testing.T) {
 			}
 		}
 	}
+	for _, want := range []string{"hit", "other bytes", "parsed record", "expired", "absent"} {
+		if refreshes[want] == 0 {
+			t.Errorf("no refresh met the %q case: %v", want, refreshes)
+		}
+	}
 }
 
-// TestRepushRacesReplace re-pushes one advertisement's bytes from some
-// goroutines while others replace its record — with other bytes, and in
-// parsed form — and others look it up. Every PutCanonical returns a
-// record of the bytes it was handed, and the index ends as it must.
+// TestRepushRacesReplace re-pushes one advertisement's bytes, and
+// refreshes it by digest, from some goroutines while others replace its
+// record — with other bytes, and in parsed form — and others look it up
+// and remove it. Every PutCanonical returns a record of the bytes it was
+// handed, every Refresh that returns a record returns one of the bytes
+// it named, and the index ends as it must.
 func TestRepushRacesReplace(t *testing.T) {
 	c := NewCache(time.Now)
 	peer := keys.PeerID("urn:jxta:cbid-1")
@@ -212,6 +246,20 @@ func TestRepushRacesReplace(t *testing.T) {
 				}
 				if !bytes.Equal(rec.Doc.Canonical(), wire) {
 					t.Error("PutCanonical returned a record of other bytes")
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := []byte(advert.GroupPipeID(peer, "g"))
+			for i := 0; i < 300; i++ {
+				wire := wires[(g+i)%2]
+				if rec := c.Refresh(advert.TypePipe, id, sha256.Sum256(wire)); rec != nil && !bytes.Equal(rec.Doc.Canonical(), wire) {
+					t.Error("Refresh returned a record of other bytes")
 					return
 				}
 			}

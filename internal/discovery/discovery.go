@@ -22,12 +22,15 @@
 // belongs to, fixed when it is made.
 //
 // Advertisement bytes have one way in, PutCanonical, and it remembers
-// the bytes each record was parsed from. The same bytes again — a
-// re-join's deterministic pipe advertisement, pushed to every resident
-// that already holds it — refresh the record they parsed to, exactly as
-// a new parse would store it, without the copy or the parse. Nothing
-// here is verified either way: a cached document is verified where it is
-// used.
+// the SHA-256 of the bytes each record was parsed from, in one index by
+// that digest. The same bytes again refresh the record they parsed to,
+// exactly as a new parse would store it, without the copy or the parse;
+// so does Refresh, which names a record by its (type, id) and the digest
+// of its bytes — a re-join's deterministic pipe advertisement, which the
+// broker announces to every resident that way instead of pushing it
+// again. A Refresh naming other bytes than a record holds drops the
+// record. Nothing here is verified either way: a cached document is
+// verified where it is used.
 //
 // Remote discovery — asking a broker for advertisements the local cache
 // lacks — lives in the client/broker modules; this package is the shared
@@ -36,11 +39,12 @@ package discovery
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
-	"unsafe"
 
 	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/xmldoc"
@@ -55,10 +59,11 @@ type Record struct {
 	// Received is when the record entered the cache.
 	Received time.Time
 
-	// wire is the bytes a PutCanonical record was parsed from, as a
-	// view of the record's own copy: its key in the cache's byWire index.
-	// Empty for a record put in parsed form.
-	wire string
+	// sum is the SHA-256 of the bytes a PutCanonical record was parsed
+	// from: its key in the cache's bySum index. summed is false for a
+	// record put in parsed form, which is not indexed.
+	sum    [sha256.Size]byte
+	summed bool
 }
 
 // Expired reports whether the record has outlived its advertisement's
@@ -78,10 +83,11 @@ const sweepInterval = time.Minute
 type Cache struct {
 	mu   sync.RWMutex
 	recs map[cacheKey]*Record
-	// byWire indexes each current PutCanonical record by its wire. An
+	// bySum indexes each current PutCanonical record by its sum. An
 	// entry leaves with its record: every delete from recs, and every
-	// replace, goes through store or drop.
-	byWire    map[string]*Record
+	// replace, goes through store or drop. Equal bytes parse to the same
+	// (type, id), so one digest names at most one record.
+	bySum     map[[sha256.Size]byte]*Record
 	now       func() time.Time
 	lastSweep time.Time
 	swept     uint64
@@ -90,7 +96,7 @@ type Cache struct {
 // NewCache returns an empty cache that receives and expires records at
 // the time now reports: its peer's clock (endpoint.Service.Now).
 func NewCache(now func() time.Time) *Cache {
-	return &Cache{recs: make(map[cacheKey]*Record), byWire: make(map[string]*Record), now: now}
+	return &Cache{recs: make(map[cacheKey]*Record), bySum: make(map[[sha256.Size]byte]*Record), now: now}
 }
 
 // PutCanonical stores the advertisement whose canonical document raw
@@ -100,18 +106,17 @@ func NewCache(now func() time.Time) *Cache {
 // was parsed from: then that record is put again, received now, which
 // is what the copy and the parse would have stored.
 func (c *Cache) PutCanonical(raw []byte) (*Record, error) {
+	sum := sha256.Sum256(raw)
 	c.mu.Lock()
-	if rec := c.byWire[string(raw)]; rec != nil {
+	if rec := c.bySum[sum]; rec != nil {
 		if now := c.now(); !rec.Expired(now) {
-			fresh := &Record{Doc: rec.Doc, Adv: rec.Adv, Received: now, wire: rec.wire}
-			c.store(fresh, now)
+			fresh := c.reput(rec, now)
 			c.mu.Unlock()
 			return fresh, nil
 		}
 	}
 	c.mu.Unlock()
-	own := bytes.Clone(raw)
-	doc, err := xmldoc.ParseCanonical(own)
+	doc, err := xmldoc.ParseCanonical(bytes.Clone(raw))
 	if err != nil {
 		return nil, err
 	}
@@ -119,12 +124,41 @@ func (c *Cache) PutCanonical(raw []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := &Record{Doc: doc, Adv: adv, wire: unsafe.String(unsafe.SliceData(own), len(own))}
+	rec := &Record{Doc: doc, Adv: adv, sum: sum, summed: true}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec.Received = c.now()
 	c.store(rec, rec.Received)
 	return rec, nil
+}
+
+// Refresh is told that the advertisement stored under (typ, id) is,
+// now, the one whose canonical bytes hash to sum. A fresh record parsed
+// from exactly those bytes is put again, received now, and returned,
+// as PutCanonical of those bytes would. Any other record under that key
+// — of other bytes, put in parsed form, or expired — is dropped, and
+// with no record there nothing happens; both return nil. id is read,
+// not kept.
+func (c *Cache) Refresh(typ string, id []byte, sum [sha256.Size]byte) *Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec := c.recs[cacheKey{typ, string(id)}]
+	if rec == nil {
+		return nil
+	}
+	if now := c.now(); rec.summed && rec.sum == sum && !rec.Expired(now) {
+		return c.reput(rec, now)
+	}
+	c.drop(cacheKey{rec.Adv.AdvType(), rec.Adv.AdvID()}) // the record's own key: no string of id
+	return nil
+}
+
+// reput stores rec again, received at now, and returns the new record:
+// the same document and advertisement, so no copy and no parse.
+func (c *Cache) reput(rec *Record, now time.Time) *Record {
+	fresh := &Record{Doc: rec.Doc, Adv: rec.Adv, Received: now, sum: rec.sum, summed: rec.summed}
+	c.store(fresh, now)
+	return fresh
 }
 
 // Put parses and stores a document, replacing any record with the same
@@ -157,19 +191,19 @@ func (c *Cache) store(rec *Record, now time.Time) {
 		c.sweep(now)
 	}
 	key := cacheKey{rec.Adv.AdvType(), rec.Adv.AdvID()}
-	if old := c.recs[key]; old != nil && old.wire != "" {
-		delete(c.byWire, old.wire)
+	if old := c.recs[key]; old != nil && old.summed {
+		delete(c.bySum, old.sum)
 	}
 	c.recs[key] = rec
-	if rec.wire != "" {
-		c.byWire[rec.wire] = rec
+	if rec.summed {
+		c.bySum[rec.sum] = rec
 	}
 }
 
 // drop deletes the record stored under key, and its index entry.
 func (c *Cache) drop(key cacheKey) {
-	if rec := c.recs[key]; rec != nil && rec.wire != "" {
-		delete(c.byWire, rec.wire)
+	if rec := c.recs[key]; rec != nil && rec.summed {
+		delete(c.bySum, rec.sum)
 	}
 	delete(c.recs, key)
 }
@@ -279,4 +313,30 @@ func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.recs)
+}
+
+// CheckIndex reports whether the digest index holds exactly the current
+// records put through PutCanonical, each under the SHA-256 of its
+// canonical bytes: no entry outlives or stands in for its record. Tests
+// and fuzz targets call it after the operations they drive.
+func (c *Cache) CheckIndex() error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	indexed := 0
+	for key, rec := range c.recs {
+		if !rec.summed {
+			continue
+		}
+		indexed++
+		if c.bySum[rec.sum] != rec {
+			return fmt.Errorf("discovery: record %v is not indexed under its digest", key)
+		}
+		if sha256.Sum256(rec.Doc.Canonical()) != rec.sum {
+			return fmt.Errorf("discovery: record %v is indexed under the digest of bytes it was not parsed from", key)
+		}
+	}
+	if len(c.bySum) != indexed {
+		return fmt.Errorf("discovery: the index holds %d entries for %d indexed records", len(c.bySum), indexed)
+	}
+	return nil
 }

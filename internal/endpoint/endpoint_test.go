@@ -468,6 +468,52 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// TestSendEach: one frame reaches every peer, through the relay for a
+// peer behind NAT; each send is counted, a peer that is not attached
+// fails only its own send, and a closed service sends nothing.
+func TestSendEach(t *testing.T) {
+	n := simnet.NewNetwork(simnet.ProfileLocal)
+	defer n.Close()
+	br, err := NewService(n, "urn:jxta:br")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay, err := NewService(n, "urn:jxta:relay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay.EnableRelaying(true)
+	br.SetRelay(relay.PeerID())
+	var got sync.WaitGroup
+	var to []keys.PeerID
+	for i := 0; i < 3; i++ {
+		m, err := NewService(n, keys.PeerID(fmt.Sprintf("urn:jxta:member-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Add(1)
+		m.RegisterHandler("push", func(from keys.PeerID, msg *Message) *Message {
+			if body, _ := msg.GetString("body"); from == br.PeerID() && body == "to all" {
+				got.Done()
+			}
+			return nil
+		})
+		to = append(to, m.PeerID())
+	}
+	n.SetReachable(simnet.NodeID(br.PeerID()), simnet.NodeID(to[1]), false)
+	if err := br.SendEach(append(to, "urn:jxta:gone"), "push", NewMessage().AddString("body", "to all")); !errors.Is(err, simnet.ErrNotAttached) {
+		t.Fatalf("SendEach with a peer not attached: %v", err)
+	}
+	got.Wait()
+	if tx, _, _, _ := br.Counters(); tx != 3 {
+		t.Fatalf("%d sends counted, want 3", tx)
+	}
+	br.Close()
+	if err := br.SendEach(to, "push", NewMessage()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SendEach after Close: %v", err)
+	}
+}
+
 func TestCloseStopsService(t *testing.T) {
 	_, a, b := pair(t)
 	a.Close()

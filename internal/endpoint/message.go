@@ -33,6 +33,13 @@
 // them), and a message being SENT is only read. Whoever sends raw bytes
 // it means to use again (a replay of a captured frame) hands the
 // transport a copy.
+//
+// SendEach is the one exception to "its handler alone": it builds one
+// frame and sends that buffer to each of several peers, so every one of
+// their deliveries reads the same bytes, on delivery goroutines of their
+// own. Its caller sends only what the receiving handlers read and never
+// write — a broker's pushes of notices and advertisements, not a secure
+// wire, which is opened in place.
 package endpoint
 
 import (
@@ -275,7 +282,7 @@ var vocabulary = func(names ...string) map[string]string {
 	return m
 }(
 	"op", "ok", "err", "user", "pass", "group", "groups", "desc", "adv", "advtype",
-	"advid", "peer", "peers", "keyword", "broker", "msg:body", "status", "all",
+	"advid", "advsum", "peer", "peers", "keyword", "broker", "msg:body", "status", "all",
 	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:env", "sec:share", "sec:tag",
 	"file:name", "file:chunk", "file:data", "file:size", "file:nchunks", "file:digest",
 	"task:name", "task:args", "task:out",

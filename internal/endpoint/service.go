@@ -30,6 +30,9 @@ type Transport interface {
 	// after another. When it returns nil the frame is the transport's,
 	// then the receiving handler's, and the sender neither reads nor
 	// writes it again; when it fails the frame is still the sender's.
+	// The one exception is SendEach's frame, handed to several sends and
+	// read by all of their handlers: neither the transport nor a handler
+	// writes it.
 	Send(from, to simnet.NodeID, frame []byte) error
 }
 
@@ -170,12 +173,32 @@ func (s *Service) SendElements(to keys.PeerID, service, param string, room *Room
 	return s.send(to, Route{Service: service, Param: param}, room, elems)
 }
 
+// SendEach delivers msg to the named service on each peer of to, as Send
+// would, in ONE frame built for all of them: each peer's delivery reads
+// the same buffer, so no handler msg reaches may write into its frame
+// (the package comment). Each send is checked and counted on its own and
+// falls back to the relay on its own; SendEach tries every peer and
+// returns the first failure.
+func (s *Service) SendEach(to []keys.PeerID, service string, msg *Message) error {
+	frame, err := BuildFrame(Route{Src: s.peerID, Service: service}, nil, msg.Elements...)
+	if err != nil {
+		return err
+	}
+	var first error
+	for _, id := range to {
+		if s.isClosed() {
+			return ErrClosed
+		}
+		if err := s.sendFrame(id, frame); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // send builds r's frame from this peer around elems and sends it.
 func (s *Service) send(to keys.PeerID, r Route, room *Room, elems []Element) error {
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
+	if s.isClosed() {
 		return ErrClosed
 	}
 	r.Src = s.peerID
@@ -183,8 +206,20 @@ func (s *Service) send(to keys.PeerID, r Route, room *Room, elems []Element) err
 	if err != nil {
 		return err
 	}
+	return s.sendFrame(to, frame)
+}
+
+func (s *Service) isClosed() bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.closed
+}
+
+// sendFrame sends a frame this peer built to to, through the relay when
+// to is not directly reachable, and counts it.
+func (s *Service) sendFrame(to keys.PeerID, frame []byte) error {
 	n := len(frame)
-	err = s.net.Send(NodeID(s.peerID), NodeID(to), frame)
+	err := s.net.Send(NodeID(s.peerID), NodeID(to), frame)
 	if errors.Is(err, simnet.ErrNotReachable) {
 		relay := s.relay.Load().(keys.PeerID)
 		if relay == "" {

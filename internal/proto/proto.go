@@ -35,6 +35,7 @@ const (
 	ElemAdv     = "adv"
 	ElemAdvType = "advtype"
 	ElemAdvID   = "advid"
+	ElemAdvSum  = "advsum" // an advertisement refresh's SHA-256 of the advertisement's canonical bytes
 	ElemPeer    = "peer"
 	ElemPeers   = "peers"
 	ElemKeyword = "keyword"
@@ -140,6 +141,12 @@ const (
 // Client-side push operations (functions the broker invokes on clients).
 const (
 	OpAdvPush = "advPush"
+	// OpAdvRefresh tells a client that a pipe advertisement's owner
+	// published it again with the same bytes: advid and advsum elements,
+	// the advertisement's ID and the SHA-256 of its canonical bytes. A
+	// client that holds a fresh record of exactly those bytes refreshes
+	// it; one that holds other bytes under that ID drops them.
+	OpAdvRefresh = "advRefresh"
 	// OpPresencePush tells a client that a peer came online or went
 	// offline in a group: peer, group, user and status elements, no
 	// document. It is exactly as unauthenticated as the broker-built
