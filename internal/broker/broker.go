@@ -15,7 +15,6 @@ package broker
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"errors"
 	"slices"
 	"sort"
@@ -830,7 +829,7 @@ func (b *Broker) advPushFor(doc *xmldoc.Element, adv advert.Advertisement) *endp
 	raw := doc.Canonical()
 	if _, ok := adv.(*advert.Pipe); ok {
 		if rec, err := b.ctl.Cache().Lookup(advert.TypePipe, adv.AdvID()); err == nil && bytes.Equal(rec.Doc.Canonical(), raw) {
-			sum := sha256.Sum256(raw)
+			sum := doc.CanonicalSum() // memoized when the publish was verified
 			return endpoint.NewMessage().
 				AddString(proto.ElemOp, proto.OpAdvRefresh).
 				AddString(proto.ElemAdvID, adv.AdvID()).

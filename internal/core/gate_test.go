@@ -149,11 +149,12 @@ func BenchmarkFanOutRound(b *testing.B) {
 	}
 }
 
-// It reads 27 at every GOMAXPROCS above one (25 at one, where the
+// It reads 17 at every GOMAXPROCS above one (15 at one, where the
 // verifications run on the caller alone), under the race detector too,
 // whose sync.Pool drops some of what is put back: the margin is kept
-// for that. The verifications start no goroutine per recipient.
-func TestGateFanOutRound(t *testing.T) { perfgate.Run(t, BenchmarkFanOutRound, 32, perfgate.NoLimit) }
+// for that. The verifications start no goroutine per recipient, and the
+// round's Merkle tree is one array of hashes.
+func TestGateFanOutRound(t *testing.T) { perfgate.Run(t, BenchmarkFanOutRound, 22, perfgate.NoLimit) }
 
 // BenchmarkLeaseRenew is the bookkeeping every heartbeat pays once its
 // signature is verified: one locked table lookup, the lease and
@@ -181,15 +182,24 @@ func TestGateLeaseRenew(t *testing.T) { perfgate.Run(t, BenchmarkLeaseRenew, 0, 
 // recipient is in under sustained load: 4096 live entries, every admit
 // evicting the one closest to expiry. A unicast open pays it once and a
 // round open twice, beside an RSA unwrap it must stay invisible next to.
+// Each wire is signed a nanosecond after the one before, as traffic's
+// signed times advance: the entry that fills the evicted root's place is
+// one of the latest to expire, and sifts down the heap's full height.
 func BenchmarkReplayAdmitFull(b *testing.B) {
 	g := NewReplayGuard(0, 0)
-	now := time.Now()
+	sentAt := time.Now()
 	next := distinctWires()
-	fillGuard(g, now, next)
+	admit := func() error {
+		sentAt = sentAt.Add(time.Nanosecond)
+		return g.Check(next(), sentAt)
+	}
+	for g.Len() < 4096 {
+		admit()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := g.Check(next(), now); err != nil {
+		if err := admit(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,7 +59,8 @@ type ReplayGuard struct {
 	// tracked for up to 2×window rather than being pruned while still
 	// replayable. The one exception is a full table: then each admit
 	// evicts the live entry closest to expiry (counted by
-	// ReplayEvictions). An admit costs O(log maxEntries), full or not.
+	// ReplayEvictions). An admit costs O(log maxEntries) array moves and
+	// one table write per entry it adds or drops, full or not.
 	seen lru.Window[replayKey, struct{}]
 }
 

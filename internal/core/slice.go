@@ -82,19 +82,31 @@ func sliceParent(left, right *[32]byte) [32]byte {
 // sliceLevels builds the whole tree bottom-up; levels[0] are the leaves,
 // the last level is the single root. An unpaired last node is promoted
 // unchanged (never duplicated, so no two recipient sets share a root).
+// Every level is a sub-slice of one array of hashes, sized by walking the
+// level widths first: a tree costs that array and the slice of levels.
 func (d *DetachedRound) sliceLevels() [][][32]byte {
-	level := make([][32]byte, d.Recipients())
+	n := d.Recipients()
+	depth, size := 1, n
+	for w := n; w > 1; depth++ {
+		w = (w + 1) / 2
+		size += w
+	}
+	nodes := make([][32]byte, size)
+	levels := make([][][32]byte, 0, depth)
+	level := nodes[:n:n]
 	for i := range level {
 		level[i] = sliceLeaf(uint32(i), &d.eph, d.entry(i))
 	}
-	levels := [][][32]byte{level}
-	for len(level) > 1 {
-		next := make([][32]byte, 0, (len(level)+1)/2)
+	levels = append(levels, level)
+	for nodes = nodes[n:]; len(level) > 1; {
+		w := (len(level) + 1) / 2
+		next := nodes[:w:w]
+		nodes = nodes[w:]
 		for j := 0; j+1 < len(level); j += 2 {
-			next = append(next, sliceParent(&level[j], &level[j+1]))
+			next[j/2] = sliceParent(&level[j], &level[j+1])
 		}
 		if len(level)%2 == 1 {
-			next = append(next, level[len(level)-1])
+			next[w-1] = level[len(level)-1]
 		}
 		levels = append(levels, next)
 		level = next

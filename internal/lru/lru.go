@@ -10,7 +10,9 @@
 // Window (window.go) is the package's other bounded table: ordered by
 // expiry instead of by use, caller-locked, for tables that must give up
 // the entry with the least time left rather than the least recently
-// read — the replay guard and the idempotency dedup window.
+// read — the replay guard, the session-identifier, request-nonce and
+// channel tables, and the idempotency dedup window. An insert or a
+// removal costs it O(log n) array moves and one write to its index.
 package lru
 
 import (

@@ -1,9 +1,12 @@
 package lru
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"time"
+
+	"jxtaoverlay/internal/perfgate"
 )
 
 // scanWindow is the table Window replaced under the replay guard and the
@@ -54,20 +57,47 @@ func (r *scanWindow) put(k, v int, exp, now time.Time, pick func(tied []int) int
 }
 
 // checkHeap asserts the structure Window's bounds rest on: every entry
-// in the index exactly once at the position the index says, no parent
-// expiring after its child, and never more entries than the capacity.
+// in the index exactly once, under a handle whose recorded heap position
+// holds that handle; no parent expiring after its child; never more
+// entries than the capacity; and every handle the heap does not hold on
+// the vacant chain, once, with its key and value released.
 func checkHeap(t *testing.T, w *Window[int, int]) {
 	t.Helper()
-	if len(w.heap) > w.cap || len(w.at) != len(w.heap) {
-		t.Fatalf("cap %d, %d heap slots, %d indexed keys", w.cap, len(w.heap), len(w.at))
+	if w.n > w.cap || len(w.at) != w.n || len(w.node) < w.n {
+		t.Fatalf("cap %d, %d entries, %d nodes, %d indexed keys", w.cap, w.n, len(w.node), len(w.at))
 	}
-	for i, s := range w.heap {
-		if at, ok := w.at[s.key]; !ok || int(at) != i {
-			t.Fatalf("key %d sits at %d, index says %d (present %v)", s.key, i, at, ok)
+	live := make([]bool, len(w.node))
+	for i := 0; i < w.n; i++ {
+		h := w.node[i].h
+		if h < 0 || int(h) >= len(w.node) || live[h] {
+			t.Fatalf("heap position %d holds handle %d: out of range or held twice", i, h)
 		}
-		if i > 0 && w.heap[(i-1)/2].exp > s.exp {
-			t.Fatalf("slot %d expires before its parent", i)
+		live[h] = true
+		e := w.node[h]
+		if int(e.pos) != i {
+			t.Fatalf("handle %d sits at heap position %d, records %d", h, i, e.pos)
 		}
+		if at, ok := w.at[e.key]; !ok || at != h {
+			t.Fatalf("key %d has handle %d, index says %d (present %v)", e.key, h, at, ok)
+		}
+		if i > 0 && w.node[(i-1)/2].exp > w.node[i].exp {
+			t.Fatalf("heap position %d expires before its parent", i)
+		}
+	}
+	vacant := 0
+	for f := w.free; f != 0; f = w.node[f-1].pos {
+		h := f - 1
+		if h < 0 || int(h) >= len(w.node) || live[h] {
+			t.Fatalf("vacant chain reaches handle %d: out of range, live or chained twice", h)
+		}
+		live[h] = true
+		if e := w.node[h]; e.key != 0 || e.val != 0 {
+			t.Fatalf("vacant handle %d still holds key %d, value %d", h, e.key, e.val)
+		}
+		vacant++
+	}
+	if w.n+vacant != len(w.node) {
+		t.Fatalf("%d entries and %d vacant handles in %d nodes", w.n, vacant, len(w.node))
 	}
 }
 
@@ -239,4 +269,43 @@ func TestWindowDelete(t *testing.T) {
 	if _, ok := w.Get(2, t0); ok {
 		t.Fatal("key 2 expires first and should have been the one evicted")
 	}
+}
+
+// BenchmarkWindowPutFull is one Put of a new key into a full window of
+// 4096 entries keyed like the replay guard's digests, with expiries that
+// advance as traffic's signed times do, give or take a jitter: every Put
+// evicts the root, and the last heap position, one of the latest to
+// expire, sifts down the heap's full height to fill it.
+func BenchmarkWindowPutFull(b *testing.B) {
+	const capacity = 4096
+	w := NewWindow[[32]byte, struct{}](capacity)
+	var jitter [1024]int64
+	rng := rand.New(rand.NewSource(1))
+	for i := range jitter {
+		jitter[i] = rng.Int63n(int64(capacity))
+	}
+	var seq uint64
+	put := func() bool {
+		seq++
+		var key [32]byte
+		binary.BigEndian.PutUint64(key[:], seq)
+		exp := t1.Add(time.Duration(int64(seq) + jitter[seq%uint64(len(jitter))]))
+		return w.Put(key, struct{}{}, exp, t0)
+	}
+	for w.Len() < capacity {
+		put()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !put() {
+			b.Fatal("a new key into a full window evicted nothing")
+		}
+	}
+}
+
+// An evicted entry's handle and node are the new entry's: a full window
+// allocates nothing.
+func TestGateWindowPutFull(t *testing.T) {
+	perfgate.Run(t, BenchmarkWindowPutFull, 0, perfgate.NoLimit)
 }

@@ -46,8 +46,10 @@ func (vc *VerifyCache) Stats() (hits, misses uint64) { return vc.trust.DocumentC
 // signer's embedded credential, in an array that needs no heap. The
 // credential is hashed as embedded (its canonical element, no parse) — it
 // only has to bind the verdict to the exact bytes that were verified, and
-// those are what the digest covers. Both canonical forms are memoized on
-// their elements, so a warm lookup hashes and allocates nothing else.
+// those are what the digest covers. Both digests are memoized on their
+// elements beside the canonical bytes they cover, and a mutator drops
+// both together, so a warm lookup walks to the credential and reads two
+// memos: it hashes and allocates nothing.
 func cacheKey(doc *xmldoc.Element) (key [64]byte, ok bool) {
 	sig := doc.Child(SignatureElement)
 	if sig == nil {
@@ -61,8 +63,8 @@ func cacheKey(doc *xmldoc.Element) (key [64]byte, ok bool) {
 	if leaf == nil {
 		return key, false
 	}
-	docDigest := sha256.Sum256(doc.Canonical())
-	keyFP := sha256.Sum256(leaf.Canonical())
+	docDigest := doc.CanonicalSum()
+	keyFP := leaf.CanonicalSum()
 	copy(key[:], docDigest[:])
 	copy(key[sha256.Size:], keyFP[:])
 	return key, true

@@ -161,8 +161,10 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 }
 
 // BenchmarkVerifyTrustedWarm is a trusted verification answered by the
-// cache: two digests of memoized serializations and one map probe, under a
-// key that needs no heap, in place of three RSA verifications.
+// cache: two memoized digests read off their elements and one map probe,
+// under a key that needs no heap, in place of three RSA verifications.
+// Nothing is hashed: hashing the document's ≈ 3 KB of canonical bytes
+// per lookup, as the key once did, read ≈ 2.4 µs.
 func BenchmarkVerifyTrustedWarm(b *testing.B) {
 	f := newFixture(b)
 	doc := pipeAdv()
@@ -183,6 +185,8 @@ func BenchmarkVerifyTrustedWarm(b *testing.B) {
 	}
 }
 
+// It reads ≈ 0.1 µs: the ceiling sits well above that, and well below
+// what a lookup costs that hashes the document again.
 func TestGateVerifyTrustedWarm(t *testing.T) {
-	perfgate.Run(t, BenchmarkVerifyTrustedWarm, 0, perfgate.NoLimit)
+	perfgate.Run(t, BenchmarkVerifyTrustedWarm, 0, 1000)
 }

@@ -2,6 +2,7 @@ package xmldoc
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -64,10 +65,16 @@ func refEscape(s string, attr bool) string {
 	return b.String()
 }
 
+// checkAgainstRef holds e's canonical bytes, and the digest memoized
+// beside them, to the reference serializer's.
 func checkAgainstRef(t *testing.T, e *Element, context string) {
 	t.Helper()
-	if got, want := e.Canonical(), refCanonical(e); !bytes.Equal(got, want) {
+	want := refCanonical(e)
+	if got := e.Canonical(); !bytes.Equal(got, want) {
 		t.Fatalf("%s: Canonical() = %q, reference = %q", context, got, want)
+	}
+	if got := e.CanonicalSum(); got != sha256.Sum256(want) {
+		t.Fatalf("%s: CanonicalSum() = %x, digest of the reference %x", context, got, sha256.Sum256(want))
 	}
 }
 
@@ -93,8 +100,9 @@ func TestCanonicalMemoized(t *testing.T) {
 	}
 }
 
-// TestMutatorsInvalidate drives every mutator and confirms the memo is
-// dropped on the mutated element and all ancestors.
+// TestMutatorsInvalidate drives every mutator and confirms the memo —
+// the canonical bytes and their digest — is dropped on the mutated
+// element and all ancestors.
 func TestMutatorsInvalidate(t *testing.T) {
 	build := func() (*Element, *Element) {
 		inner := NewTree("Inner", New("Leaf", "v"))
@@ -119,12 +127,16 @@ func TestMutatorsInvalidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			root, inner := build()
 			before := append([]byte(nil), root.Canonical()...) // populate memos
-			_ = inner.Canonical()
+			sumBefore := root.CanonicalSum()
+			_ = inner.CanonicalSum()
 			tc.mutate(root, inner)
 			checkAgainstRef(t, root, "root after "+tc.name)
 			checkAgainstRef(t, inner, "inner after "+tc.name)
 			if bytes.Equal(root.Canonical(), before) {
 				t.Fatalf("root canonical unchanged after %s — stale memo", tc.name)
+			}
+			if root.CanonicalSum() == sumBefore {
+				t.Fatalf("root digest unchanged after %s — stale memo", tc.name)
 			}
 		})
 	}
@@ -156,9 +168,10 @@ func TestAddReparentMovesChild(t *testing.T) {
 }
 
 // TestPropertyCacheInvalidation applies random mutation sequences
-// through the mutator API, interleaved with Canonical calls that
-// populate memos at every level, and checks the canonical bytes against
-// the reference serializer after each step. Every other round the tree
+// through the mutator API, interleaved with Canonical and CanonicalSum
+// calls that populate memos at every level, and checks the canonical
+// bytes and their digests against the reference serializer after each
+// step. Every other round the tree
 // comes from ParseCanonical, so the memos under mutation are the
 // parse-time SEEDED ones (input subslices), not computed ones — a
 // mutator that failed to invalidate a seeded memo would serve stale
@@ -177,9 +190,14 @@ func TestPropertyCacheInvalidation(t *testing.T) {
 		}
 		nodes := collect(root)
 		for step := 0; step < 30; step++ {
-			// Populate memos on a random subset before mutating.
+			// Populate memos, digests among them, on a random subset
+			// before mutating.
 			_ = root.Canonical()
 			_ = nodes[r.Intn(len(nodes))].Canonical()
+			_ = nodes[r.Intn(len(nodes))].CanonicalSum()
+			if r.Intn(2) == 0 {
+				_ = root.CanonicalSum()
+			}
 
 			target := nodes[r.Intn(len(nodes))]
 			switch r.Intn(5) {
@@ -198,8 +216,14 @@ func TestPropertyCacheInvalidation(t *testing.T) {
 				}
 			}
 			nodes = collect(root)
-			if got, want := root.Canonical(), refCanonical(root); !bytes.Equal(got, want) {
-				t.Fatalf("round %d step %d: stale canonical\n got: %q\nwant: %q", round, step, got, want)
+			for _, e := range []*Element{root, target} {
+				want := refCanonical(e)
+				if got := e.Canonical(); !bytes.Equal(got, want) {
+					t.Fatalf("round %d step %d: stale canonical\n got: %q\nwant: %q", round, step, got, want)
+				}
+				if got := e.CanonicalSum(); got != sha256.Sum256(want) {
+					t.Fatalf("round %d step %d: stale digest of %q", round, step, want)
+				}
 			}
 		}
 	}
@@ -258,39 +282,66 @@ func TestAppendCanonical(t *testing.T) {
 func TestCloneCarriesIndependentCache(t *testing.T) {
 	e := NewTree("R", New("C", "x"))
 	orig := e.Canonical()
+	origSum := e.CanonicalSum()
 	c := e.Clone()
-	if !bytes.Equal(c.Canonical(), orig) {
-		t.Fatal("clone canonical differs")
+	if !bytes.Equal(c.Canonical(), orig) || c.CanonicalSum() != origSum {
+		t.Fatal("clone canonical or digest differs")
 	}
-	// Mutating the clone must not disturb the original's bytes.
+	// Mutating the clone must not disturb the original's bytes or digest.
 	c.Child("C").SetText("y")
 	checkAgainstRef(t, c, "clone after mutation")
-	if !bytes.Equal(e.Canonical(), orig) {
-		t.Fatal("original canonical changed after clone mutation")
+	if !bytes.Equal(e.Canonical(), orig) || e.CanonicalSum() != origSum {
+		t.Fatal("original canonical or digest changed after clone mutation")
+	}
+	// A digest first taken on a clone serves the original too, and a
+	// mutation of the original leaves the clone's alone.
+	e2 := NewTree("R", New("C", "x"))
+	_ = e2.Canonical()
+	c2 := e2.Clone()
+	if c2.CanonicalSum() != origSum {
+		t.Fatal("clone digest differs from the original's")
+	}
+	e2.Child("C").SetText("z")
+	checkAgainstRef(t, e2, "original after mutation")
+	if !bytes.Equal(c2.Canonical(), orig) || c2.CanonicalSum() != origSum {
+		t.Fatal("clone canonical or digest changed after original mutation")
 	}
 }
 
-// TestConcurrentCanonical exercises the memo under concurrent readers;
-// run with -race.
+// TestConcurrentCanonical exercises the memo under concurrent readers,
+// each digest memo filled by whichever reader reaches it first: a built
+// tree, whose bytes are serialized on first use, and a parsed one, whose
+// bytes are the input's; run with -race.
 func TestConcurrentCanonical(t *testing.T) {
-	doc := NewTree("Adv", New("Id", "urn:x"), New("Name", "y"))
-	want := refCanonical(doc)
+	built := NewTree("Adv", New("Id", "urn:x"), New("Name", "y"))
+	want := refCanonical(built)
+	parsed, err := ParseCanonical(append([]byte(nil), want...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSum := sha256.Sum256(want)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if got := doc.Canonical(); !bytes.Equal(got, want) {
-					errs <- fmt.Errorf("concurrent Canonical = %q", got)
-					return
+			for _, doc := range []*Element{built, parsed} {
+				for i := 0; i < 200; i++ {
+					if got := doc.CanonicalSum(); got != wantSum {
+						errs <- fmt.Errorf("concurrent CanonicalSum = %x", got)
+						return
+					}
+					if got := doc.Canonical(); !bytes.Equal(got, want) {
+						errs <- fmt.Errorf("concurrent Canonical = %q", got)
+						return
+					}
+					if got := doc.String(); got != string(want) {
+						errs <- fmt.Errorf("concurrent String = %q", got)
+						return
+					}
+					_ = doc.CanonicalSkip("Name")
 				}
-				if got := doc.String(); got != string(want) {
-					errs <- fmt.Errorf("concurrent String = %q", got)
-					return
-				}
-				_ = doc.CanonicalSkip("Name")
 			}
 		}()
 	}

@@ -1,9 +1,12 @@
 package xmldoc
 
 import (
+	"crypto/sha256"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Canonicalization fast path.
@@ -14,8 +17,9 @@ import (
 //
 //  1. append-based writing into a caller- or pool-provided []byte, so a
 //     serialization costs at most one right-sized allocation;
-//  2. a per-element memo of the element's own canonical bytes, dropped by
-//     every mutator (see Element.invalidate), so repeated Canonical calls
+//  2. a per-element memo of the element's own canonical bytes, and of
+//     their SHA-256 once it is asked for, dropped by every mutator (see
+//     Element.invalidate), so repeated Canonical and CanonicalSum calls
 //     on an unchanged tree are a pointer load;
 //  3. CanonicalSkip, which serializes a document *minus* selected direct
 //     children (the XMLdsig "detach the Signature" step) without the
@@ -32,24 +36,52 @@ var canonPool = sync.Pool{
 	},
 }
 
+// memo is an element's canonical bytes and, once CanonicalSum has been
+// asked for, their SHA-256. One memo describes one serialization: the
+// mutators drop it whole, so the digest can never outlive its bytes. The
+// bytes are held as a string, read-only as Canonical's callers already
+// treat them, so that the memo with its digest pointer takes the 24 bytes
+// a []byte header alone took: a parse seeds one on nearly every element.
+type memo struct {
+	s   string
+	sum atomic.Pointer[[sha256.Size]byte]
+}
+
+func (m *memo) bytes() []byte { return unsafe.Slice(unsafe.StringData(m.s), len(m.s)) }
+
 // Canonical returns the deterministic canonical serialization of the
 // tree. Two structurally equal trees always canonicalize to identical
 // bytes, which makes the output suitable as signing input.
 //
 // The result is memoized on the element until a mutator invalidates it;
 // callers must not modify the returned slice.
-func (e *Element) Canonical() []byte {
-	if c := e.canon.Load(); c != nil {
-		return *c
+func (e *Element) Canonical() []byte { return e.memoized().bytes() }
+
+// CanonicalSum returns the SHA-256 of the tree's canonical bytes. It is
+// memoized beside them: the first call on an unchanged tree hashes, and
+// every later one, from any goroutine, is a pointer load.
+func (e *Element) CanonicalSum() [sha256.Size]byte {
+	m := e.memoized()
+	if s := m.sum.Load(); s != nil {
+		return *s
+	}
+	s := sha256.Sum256(m.bytes())
+	m.sum.Store(&s)
+	return s
+}
+
+// memoized returns e's memo, serializing the tree on a miss.
+func (e *Element) memoized() *memo {
+	if m := e.canon.Load(); m != nil {
+		return m
 	}
 	bp := canonPool.Get().(*[]byte)
 	buf := e.appendCanonical((*bp)[:0], noSkip)
-	out := make([]byte, len(buf))
-	copy(out, buf)
+	m := &memo{s: string(buf)}
 	*bp = buf[:0]
 	canonPool.Put(bp)
-	e.canon.Store(&out)
-	return out
+	e.canon.Store(m)
+	return m
 }
 
 // AppendCanonical appends the canonical serialization of the tree to dst
@@ -80,8 +112,8 @@ const noSkip = ""
 
 func (e *Element) appendCanonical(dst []byte, skip string) []byte {
 	if skip == noSkip {
-		if c := e.canon.Load(); c != nil {
-			return append(dst, *c...)
+		if m := e.canon.Load(); m != nil {
+			return append(dst, m.s...)
 		}
 	}
 	dst = append(dst, '<')

@@ -135,9 +135,8 @@ var entities = [...]entity{
 }
 
 type canonParser struct {
-	data []byte
-	s    string // zero-copy view of data
-	pos  int
+	s   string // zero-copy view of the input
+	pos int
 
 	depth int
 
@@ -151,7 +150,7 @@ type canonParser struct {
 	elemEstimate int // size of the next element chunk to allocate
 	kidChunk     []*Element
 	kidEstimate  int // likewise, child pointers
-	seedChunk    [][]byte
+	seedChunk    []memo
 	seedEstimate int // likewise, seeded memos
 
 	// Scratch stacks shared across the recursion; each frame works on
@@ -184,8 +183,7 @@ func parseCanonical(data []byte) (*Element, error) {
 		return nil, ErrEmptyDocument
 	}
 	p := &canonParser{
-		data: data,
-		s:    unsafe.String(unsafe.SliceData(data), len(data)),
+		s: unsafe.String(unsafe.SliceData(data), len(data)),
 	}
 	// One pass over the input sizes the first slab of each kind; done
 	// once here (not per chunk refill) so parse work stays linear even on
@@ -298,19 +296,19 @@ func (p *canonParser) takeKids(mark int) []*Element {
 	return out
 }
 
-// seedMemo installs b as e's memoized canonical bytes. Only called when
+// seedMemo installs s as e's memoized canonical bytes. Only called when
 // the lexer proved the segment verbatim-canonical, so Canonical() on e
 // returns the input subslice unchanged. Mutators invalidate seeded
 // memos exactly like computed ones — it is the same atomic slot.
-func (p *canonParser) seedMemo(e *Element, b []byte) {
+func (p *canonParser) seedMemo(e *Element, s string) {
 	if len(p.seedChunk) == 0 {
-		p.seedChunk = make([][]byte, p.seedEstimate)
+		p.seedChunk = make([]memo, p.seedEstimate)
 		p.seedEstimate = 16
 	}
-	sp := &p.seedChunk[0]
+	m := &p.seedChunk[0]
 	p.seedChunk = p.seedChunk[1:]
-	*sp = b
-	e.canon.Store(sp)
+	m.s = s
+	e.canon.Store(m)
 }
 
 func (p *canonParser) parseElement() (*Element, error) {
@@ -493,7 +491,7 @@ func (p *canonParser) parseElement() (*Element, error) {
 		}
 	}
 	if verbatim {
-		p.seedMemo(e, p.data[start:p.pos:p.pos])
+		p.seedMemo(e, p.s[start:p.pos])
 	}
 	return e, nil
 }

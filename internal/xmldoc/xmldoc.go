@@ -50,14 +50,16 @@ type Element struct {
 	// bytes of every enclosing element. An element has at most one parent;
 	// attaching it to a second tree re-points the backlink.
 	parent *Element
-	// canon memoizes the element's canonical serialization. Atomic so
-	// concurrent readers (Canonical/String on shared cached documents)
-	// are race-free; mutating a tree concurrently with reads remains the
-	// caller's responsibility, exactly as before memoization.
-	canon atomic.Pointer[[]byte]
+	// canon memoizes the element's canonical serialization and its
+	// digest. Atomic so concurrent readers (Canonical, CanonicalSum and
+	// String on shared cached documents) are race-free; mutating a tree
+	// concurrently with reads remains the caller's responsibility,
+	// exactly as before memoization.
+	canon atomic.Pointer[memo]
 }
 
-// invalidate drops the memoized canonical bytes on e and every ancestor.
+// invalidate drops the memoized canonical bytes, and their digest, on e
+// and every ancestor.
 func (e *Element) invalidate() {
 	for p := e; p != nil; p = p.parent {
 		p.canon.Store(nil)
@@ -192,8 +194,9 @@ func (e *Element) RemoveChildren(name string) int {
 }
 
 // Clone returns a deep copy of the element tree. The copy carries over
-// any memoized canonical bytes (they describe an identical tree) but is
-// otherwise independent: mutating either tree never affects the other.
+// any memoized canonical bytes and digest (they describe an identical
+// tree) but is otherwise independent: mutating either tree never
+// affects the other.
 func (e *Element) Clone() *Element {
 	if e == nil {
 		return nil
