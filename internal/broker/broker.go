@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -657,23 +656,43 @@ func (b *Broker) Peer(id keys.PeerID) (PeerInfo, bool) {
 // OnlinePeers lists the online peers of a group (all groups when group
 // is empty), sorted by peer ID.
 func (b *Broker) OnlinePeers(group string) []PeerInfo {
-	reg := b.groups
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var out []PeerInfo
-	for _, p := range b.peers {
-		if !p.Online {
-			continue
-		}
-		if group != "" {
-			if g, err := reg.Get(group); err != nil || !g.Has(p.ID) {
-				continue
-			}
-		}
-		out = append(out, *p)
+	rows := b.rosterRows(group, false)
+	out := make([]PeerInfo, len(rows))
+	for i, p := range rows {
+		out[i] = *p
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// rosterRows returns the session records group's roster lists, sorted
+// by peer ID. With all, that is every peer the broker has a record for,
+// online or offline, whose record names the group (KnownMember): the
+// store-and-forward roster, the set of peers a relayed round may
+// address. Without, it is the online members of the live group. The
+// empty group is the whole network. The rows are the table's own
+// records: the caller holds b.mu while it reads them.
+func (b *Broker) rosterRows(group string, all bool) []*PeerInfo {
+	var live *peergroup.Group
+	if !all && group != "" {
+		g, err := b.groups.Get(group)
+		if err != nil {
+			return nil
+		}
+		live = g
+	}
+	rows := make([]*PeerInfo, 0, len(b.peers))
+	for _, p := range b.peers {
+		switch {
+		case all && group != "" && !slices.Contains(p.Groups, group):
+		case !all && (!p.Online || live != nil && !live.Has(p.ID)):
+		default:
+			rows = append(rows, p)
+		}
+	}
+	slices.SortFunc(rows, func(a, b *PeerInfo) int { return strings.Compare(string(a.ID), string(b.ID)) })
+	return rows
 }
 
 func (b *Broker) loggedIn(id keys.PeerID) bool {
@@ -934,30 +953,33 @@ func (b *Broker) handleListPeers(from keys.PeerID, msg *endpoint.Message) *endpo
 	if !b.memberOf(from, group) && !b.KnownMember(from, group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
-	if all, _ := msg.GetString(proto.ElemAll); all == "1" {
-		// The store-and-forward roster: every known member, with real
-		// presence, so senders can address offline peers through the
-		// relay.
-		return proto.OK().Add(proto.ElemPeers, roster(b.KnownPeers(group)))
-	}
-	return proto.OK().Add(proto.ElemPeers, roster(b.OnlinePeers(group)))
+	// With ElemAll, the store-and-forward roster: every known member,
+	// with real presence, so senders can address offline peers through
+	// the relay.
+	all, _ := msg.Get(proto.ElemAll)
+	return proto.OK().Add(proto.ElemPeers, b.roster(group, string(all) == "1"))
 }
 
-// roster writes peers' roster lines into one buffer, sized up front.
-func roster(peers []PeerInfo) []byte {
+// roster writes the roster lines of rosterRows(group, all) into one
+// buffer, sized up front, from the session table under its lock: no
+// record is copied.
+func (b *Broker) roster(group string, all bool) []byte {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	rows := b.rosterRows(group, all)
 	n := 0
-	for _, p := range peers {
+	for _, p := range rows {
 		n += len(p.ID) + len(p.Username) + len(presence(p)) + 3 // two '|', one '\n'
 	}
 	out := make([]byte, 0, n)
-	for _, p := range peers {
+	for _, p := range rows {
 		out = proto.AppendRosterLine(out, string(p.ID), p.Username, presence(p))
 	}
 	return out
 }
 
 // presence is p's roster status.
-func presence(p PeerInfo) string {
+func presence(p *PeerInfo) string {
 	if p.Online {
 		return advert.StatusOnline
 	}

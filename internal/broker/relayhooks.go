@@ -11,7 +11,6 @@ package broker
 
 import (
 	"slices"
-	"sort"
 
 	"jxtaoverlay/internal/keys"
 )
@@ -73,20 +72,15 @@ func (b *Broker) KnownMember(id keys.PeerID, group string) bool {
 	return group == "" || slices.Contains(p.Groups, group)
 }
 
-// KnownPeers lists every peer the broker has a session record for —
-// online or offline — filtered to one group (all peers when group is
-// empty), sorted by peer ID. This is the store-and-forward roster: the
-// set of peers a relayed round may address.
-func (b *Broker) KnownPeers(group string) []PeerInfo {
+// MemberID is KnownMember for a peer named by a view (an entry of a
+// relayed round's recipient list): it returns the ID string the peer's
+// session record holds, so that what its caller keeps is no view.
+func (b *Broker) MemberID(id []byte, group string) (keys.PeerID, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var out []PeerInfo
-	for _, p := range b.peers {
-		if group != "" && !slices.Contains(p.Groups, group) {
-			continue
-		}
-		out = append(out, *p)
+	p, ok := b.peers[keys.PeerID(id)]
+	if !ok || (group != "" && !slices.Contains(p.Groups, group)) {
+		return "", false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return p.ID, true
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,7 +80,9 @@ type PeerSummary struct {
 
 // EnvelopeHandler is the security extension's receiver of a message that
 // carries a secure wire (proto.ElemEnvelope). from is whoever the routing
-// claims delivered it.
+// claims delivered it: on a group pipe, its sender; a relay push leaves
+// it empty, and its claimed origin is msg's proto.ElemPeer, which the
+// handler reads only if it names the deliverer (an alert).
 type EnvelopeHandler func(group string, from keys.PeerID, msg *endpoint.Message)
 
 // Client is one client peer.
@@ -419,20 +420,30 @@ func (c *Client) GetGroupMembers(ctx context.Context, group string) ([]PeerSumma
 	return parsePeerList(resp), nil
 }
 
+// parsePeerList reads a roster in one pass: one string of it, whose rows
+// are views, and a slice of rows sized up front. A line holds id, name
+// and status apart by its first two '|'; the status keeps any further
+// one, and a line with fewer is no row.
 func parsePeerList(resp *endpoint.Message) []PeerSummary {
 	raw, _ := resp.GetString(proto.ElemPeers)
-	var out []PeerSummary
-	for _, line := range strings.Split(raw, "\n") {
-		if line == "" {
-			continue
-		}
-		parts := strings.SplitN(line, "|", 3)
-		if len(parts) != 3 {
-			continue
-		}
-		out = append(out, PeerSummary{ID: keys.PeerID(parts[0]), Username: parts[1], Status: parts[2]})
+	if raw == "" {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]PeerSummary, 0, strings.Count(raw, "\n")+1)
+	for rest := raw; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		id, fields, ok := strings.Cut(line, "|")
+		if !ok {
+			continue
+		}
+		username, status, ok := strings.Cut(fields, "|")
+		if !ok {
+			continue
+		}
+		out = append(out, PeerSummary{ID: keys.PeerID(id), Username: username, Status: status})
+	}
+	slices.SortFunc(out, func(a, b PeerSummary) int { return strings.Compare(string(a.ID), string(b.ID)) })
 	return out
 }
 
@@ -715,17 +726,18 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 		// A per-recipient round slice cut by the broker relay — either a
 		// live push or a queued item drained at login. The claimed origin
 		// is the submitting peer (unauthenticated here — the signed sender
-		// is inside the slice, checked by the security extension). The
-		// relay pushes nothing else, so its receiver opens nothing else.
+		// is inside the slice, checked by the security extension), left in
+		// msg for the receiver to read if it alerts. The relay pushes
+		// nothing else, so its receiver opens nothing else.
 		if !msg.Has(proto.ElemEnvelope) {
 			return nil
 		}
-		group, _ := msg.GetString(proto.ElemGroup)
-		origin, _ := msg.GetString(proto.ElemPeer)
+		claimed, _ := msg.Get(proto.ElemGroup)
 		c.mu.RLock()
 		h := c.onSliceWire
+		group := c.groupNamed(claimed)
 		c.mu.RUnlock()
-		c.openSecure(h, group, keys.PeerID(origin), msg)
+		c.openSecure(h, group, "", msg)
 	case proto.OpPresencePush:
 		c.onPresence(msg)
 	case proto.OpAdvPush:
@@ -758,6 +770,17 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 		c.ctl.Cache().Refresh(advert.TypePipe, id, [sha256.Size]byte(sum))
 	}
 	return nil
+}
+
+// groupNamed is this client's own string for the group name names, or a
+// copy of name when the client is in no such group. The caller holds mu.
+func (c *Client) groupNamed(name []byte) string {
+	for _, g := range c.groups {
+		if g == string(name) {
+			return g
+		}
+	}
+	return string(name)
 }
 
 // onPresence emits the PresenceUpdate a broker's presence notice

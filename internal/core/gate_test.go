@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"jxtaoverlay/internal/advert"
+	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
@@ -19,6 +23,7 @@ import (
 	"jxtaoverlay/internal/perfgate"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
+	"jxtaoverlay/internal/userdb"
 	"jxtaoverlay/internal/xdsig"
 	"jxtaoverlay/internal/xmldoc"
 )
@@ -333,9 +338,10 @@ func TestGateDeliverFrame(t *testing.T) { perfgate.Run(t, BenchmarkDeliverFrame,
 // BenchmarkDeliverSlice is one relay-pushed slice of a round delivered to
 // a recipient that holds its sender's signed pipe advertisement and
 // verdict (the steady state of a relayed group): the endpoint parses the
-// push, the client reads its routing, and handleEnvelope opens the slice,
-// resolves the sender from the cache, verifies the header signature under
-// the sender's certified key and emits the SecureMessage. The sender's
+// push, the client finds the push's group among its own, and
+// handleEnvelope opens the slice, resolves the sender from the cache,
+// verifies the header signature under the sender's certified key and
+// emits the SecureMessage. The sender's
 // advertisement is verified on every delivery — from the verdict cache —
 // and the signature by RSA, which is most of what the path allocates. A
 // context.WithTimeout costs four allocations (the context, its timer and
@@ -346,6 +352,7 @@ func TestGateDeliverFrame(t *testing.T) { perfgate.Run(t, BenchmarkDeliverFrame,
 // (BenchmarkReplayAdmitFull).
 func BenchmarkDeliverSlice(b *testing.B) {
 	r := benchRecipient(b)
+	r.login(b, "bench")
 	senderID, doc := r.senderPipe(b)
 	if _, err := r.s.Cache().Put(doc); err != nil {
 		b.Fatal(err)
@@ -389,7 +396,104 @@ func BenchmarkDeliverSlice(b *testing.B) {
 	}
 }
 
-func TestGateDeliverSlice(t *testing.T) { perfgate.Run(t, BenchmarkDeliverSlice, 16, perfgate.NoLimit) }
+func TestGateDeliverSlice(t *testing.T) { perfgate.Run(t, BenchmarkDeliverSlice, 13, perfgate.NoLimit) }
+
+// BenchmarkRelayRoundDirect is the broker's side of one relayed round,
+// all 16 recipients online: the relayRound handler EnableBrokerRelay
+// registers takes the parsed upload, parses the round, checks each
+// recipient against its peer table, pushes each slice and answers the
+// five counts. The slices are cut into their push frames as they are
+// built, and the loop asserts the pushes byte for byte: each carries
+// d.Slice(i). What the round allocates is the round parsed, its Merkle
+// tree, the group's string, a frame per push and the answer.
+func BenchmarkRelayRoundDirect(b *testing.B) {
+	const n = 16
+	fabric := &pushCapture{frames: make(map[simnet.NodeID][]byte)}
+	db := userdb.NewStoreIter(4)
+	br, err := broker.New(broker.Config{Name: "bench-broker", PeerID: "urn:jxta:cbid-broker", Net: fabric, DB: broker.LocalDB(db)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(br.Close)
+	rly, err := EnableBrokerRelay(br, RelayConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(rly.Close)
+	const sender keys.PeerID = "urn:jxta:cbid-sender"
+	br.RegisterPeer(sender, "sender", []string{"bench"})
+	peers := make([]keys.PeerID, n)
+	recipients := make([]*keys.PublicKey, n)
+	chunk := make([]int, n)
+	for i := range peers {
+		peers[i] = keys.PeerID(fmt.Sprintf("urn:jxta:cbid-recv-%02d", i))
+		br.RegisterPeer(peers[i], fmt.Sprintf("recv%02d", i), []string{"bench"})
+		recipients[i], chunk[i] = recvKP.Public(), i
+	}
+	d, err := SealGroupDetached(senderKP, sender, "bench", make([]byte, 1024), recipients)
+	if err != nil {
+		b.Fatal(err)
+	}
+	upload, err := endpoint.ParseFrame(endpoint.NewFrame(endpoint.Route{Src: sender, Service: proto.BrokerService},
+		relayRoundMsg("bench", peers, d, chunk, 0).Elements...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	handle := relayRoundHandler(br, rly)
+	round := func() {
+		resp := handle(sender, upload.Msg)
+		if ok, token := proto.IsOK(resp); !ok || countOf(resp, proto.ElemRelayDirect) != n {
+			b.Fatalf("round answered ok=%v %q, %d direct of %d", ok, token, countOf(resp, proto.ElemRelayDirect), n)
+		}
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	for i, id := range peers {
+		f, err := endpoint.ParseFrame(fabric.last(simnet.NodeID(id)))
+		if err != nil {
+			b.Fatalf("push to recipient %d: %v", i, err)
+		}
+		if got, _ := f.Msg.Get(proto.ElemEnvelope); !bytes.Equal(got, d.Slice(i)) {
+			b.Fatalf("push to recipient %d carries %d bytes that are not its slice", i, len(got))
+		}
+	}
+	if got := rly.Metrics().Enqueued; got != 0 {
+		b.Fatalf("%d slices queued with every recipient online", got)
+	}
+}
+
+func TestGateRelayRoundDirect(t *testing.T) {
+	perfgate.Run(t, BenchmarkRelayRoundDirect, 25, perfgate.NoLimit)
+}
+
+// pushCapture is a broker's fabric that delivers nothing: it keeps the
+// last frame sent to each node, and reports every node attached.
+type pushCapture struct {
+	mu     sync.Mutex
+	frames map[simnet.NodeID][]byte
+}
+
+func (c *pushCapture) Attach(simnet.NodeID, simnet.Handler) error { return nil }
+func (c *pushCapture) Detach(simnet.NodeID)                       {}
+func (c *pushCapture) Attached(simnet.NodeID) bool                { return true }
+
+func (c *pushCapture) Send(_, to simnet.NodeID, frame []byte) error {
+	c.mu.Lock()
+	c.frames[to] = frame
+	c.mu.Unlock()
+	return nil
+}
+
+func (c *pushCapture) last(id simnet.NodeID) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.frames[id]
+}
 
 // BenchmarkPresenceNotice is a resident told of a join: the endpoint
 // parses the broker's presence notice and the client emits the
@@ -608,13 +712,50 @@ func benchRecipient(b testing.TB) *benchRecipientEnd {
 
 // oneHop is the transport of a recipient benchmarked alone: it keeps the
 // receiver the endpoint attaches, which the benchmark calls as the
-// fabric's delivery goroutine would, and sends nowhere.
-type oneHop struct{ deliver simnet.Handler }
+// fabric's delivery goroutine would, and sends nowhere. While answer is
+// set it stands in for the broker: it answers each request the client
+// sends with answer's elements, on the sending goroutine.
+type oneHop struct {
+	deliver simnet.Handler
+	answer  []endpoint.Element
+}
 
 func (t *oneHop) Attach(_ simnet.NodeID, h simnet.Handler) error { t.deliver = h; return nil }
 func (t *oneHop) Detach(simnet.NodeID)                           {}
 func (t *oneHop) Attached(simnet.NodeID) bool                    { return true }
-func (t *oneHop) Send(_, _ simnet.NodeID, _ []byte) error        { return nil }
+
+func (t *oneHop) Send(from, to simnet.NodeID, frame []byte) error {
+	if t.answer == nil {
+		return nil
+	}
+	f, err := endpoint.ParseFrame(frame)
+	if err != nil || f.Corr != endpoint.CorrRequest {
+		return nil
+	}
+	resp := endpoint.NewFrame(endpoint.Route{Src: keys.PeerID(to), Service: "jxta:resp", Corr: endpoint.CorrResponse, CorrID: f.CorrID}, t.answer...)
+	t.deliver(simnet.Packet{From: to, To: from, Payload: resp})
+	return nil
+}
+
+// login logs r's client in to group through its stand-in broker, which
+// accepts it: the client binds the group's pipe and holds the group as
+// one of its own.
+func (r *benchRecipientEnd) login(tb testing.TB, group string) {
+	tb.Helper()
+	r.hop.answer = []endpoint.Element{{Name: proto.ElemOK, Data: []byte("1")}, {Name: proto.ElemGroups, Data: []byte(group)}}
+	defer func() { r.hop.answer = nil }()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := r.s.Connect(ctx, "urn:jxta:cbid-broker"); err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.s.Client.Login(ctx, "pw"); err != nil {
+		tb.Fatal(err)
+	}
+	if !slices.Contains(r.s.Groups(), group) {
+		tb.Fatalf("logged in to %q, not %q", r.s.Groups(), group)
+	}
+}
 
 // senderPipe is the group pipe advertisement of senderKP's peer in
 // "bench", signed under a credential r's broker issued.

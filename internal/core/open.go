@@ -102,10 +102,10 @@ type splitWire struct {
 	eph      []byte // the share the content key is wrapped under
 	wrap     []byte // this peer's wrap of the content key
 	gcmNonce []byte
-	ct       []byte       // AEAD ciphertext of the block
-	slice    *parsedSlice // ModeSlice: the leaf and its sibling path, for the SliceRoot
-	via      *inChannel   // ModeChannel: the channel the frame names, holder of its key
-	frame    frameRef     // ModeChannel, ModeRefusal
+	ct       []byte      // AEAD ciphertext of the block
+	slice    parsedSlice // ModeSlice: the leaf and its sibling path, for the SliceRoot
+	via      *inChannel  // ModeChannel: the channel the frame names, holder of its key
+	frame    frameRef    // ModeChannel, ModeRefusal
 }
 
 // split parses wire according to its mode byte and selects own's wrap,
@@ -165,14 +165,14 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 	if err != nil {
 		return sw, err
 	}
-	ps, err := parseSliceWire(payload)
-	if err != nil {
+	if sw.slice, err = parseSliceWire(payload); err != nil {
 		return sw, err
 	}
+	ps := &sw.slice
 	if [32]byte(ps.entry) != ownFP {
 		return sw, ErrNotRecipient
 	}
-	sw.slice, sw.eph, sw.wrap, sw.gcmNonce, sw.ct = ps, ps.eph[:], ps.entry[32:], ps.gcmNonce, ps.ct
+	sw.eph, sw.wrap, sw.gcmNonce, sw.ct = ps.eph, ps.entry[32:], ps.gcmNonce, ps.ct
 	return sw, nil
 }
 
@@ -261,7 +261,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	case ModeSlice:
 		// Recompute the tree root from this slice's own materials. A
 		// header without a SliceRoot cannot authorize any slice.
-		root, ok := verifySliceProof(sw.slice)
+		root, ok := verifySliceProof(&sw.slice)
 		if !ok || !keys.ConstantTimeEqual(root[:], h.root) {
 			return nil, ErrRoundBinding
 		}

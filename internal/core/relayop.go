@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strconv"
-	"strings"
 	"time"
 
 	"jxtaoverlay/internal/broker"
@@ -90,7 +90,7 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 				if it.Trace != 0 && tr != nil {
 					sp = trace.Begin(it.Trace, trace.StageHandoff)
 				}
-				if err := b.Endpoint().Send(origin, proto.BrokerService, fedSliceMessage(it)); err != nil {
+				if err := handOff(b.Endpoint(), origin, it); err != nil {
 					tr.End(sp, trace.OutcomeError)
 					return err
 				}
@@ -123,14 +123,15 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 
 // pushSlice sends one slice to its recipient in the client push that
 // carries it — the same ClientService surface advertisement pushes use.
-// Its elements are views of the item's strings and slice, which building
-// the frame only reads: nothing is copied before the frame is.
+// Its elements are views of the item's strings, which building the frame
+// only reads, and the slice is written into the frame as it is built: a
+// slice the item names uncut (a direct push) is cut there, once.
 func pushSlice(ep *endpoint.Service, it relay.Item) error {
 	elems := [...]endpoint.Element{
 		{Name: proto.ElemOp, Data: readOnlyBytes(proto.OpSliceDeliver)},
 		{Name: proto.ElemGroup, Data: readOnlyBytes(it.Group)},
 		{Name: proto.ElemPeer, Data: readOnlyBytes(string(it.From))},
-		{Name: proto.ElemEnvelope, Data: it.Payload},
+		{Name: proto.ElemEnvelope},
 		{Name: proto.ElemTrace},
 	}
 	n := len(elems) - 1
@@ -138,24 +139,35 @@ func pushSlice(ep *endpoint.Service, it relay.Item) error {
 		elems[n].Data = readOnlyBytes(trace.FormatID(it.Trace))
 		n++
 	}
-	return ep.SendElements(it.To, proto.ClientService, "", nil, elems[:n]...)
+	room := endpoint.Room{Index: 3, Size: it.PayloadSize(), Fill: func(dst []byte) ([]byte, error) {
+		return it.AppendPayload(dst), nil
+	}}
+	return ep.SendElements(it.To, proto.ClientService, "", &room, elems[:n]...)
 }
 
-// fedSliceMessage wraps one slice into the broker-to-broker hand-off.
-// The original expiry travels with it: a slice must not gain lifetime
-// by hopping brokers.
-func fedSliceMessage(it relay.Item) *endpoint.Message {
-	msg := endpoint.NewMessage().
-		AddString(proto.ElemOp, proto.OpFedRelaySlice).
-		AddString(proto.ElemRelayTo, string(it.To)).
-		AddString(proto.ElemPeer, string(it.From)).
-		AddString(proto.ElemGroup, it.Group).
-		AddString(proto.ElemRelayExp, strconv.FormatInt(it.Expires.UnixNano(), 10)).
-		Add(proto.ElemEnvelope, it.Payload)
-	if it.Trace != 0 {
-		msg.AddString(proto.ElemTrace, trace.FormatID(it.Trace))
+// handOff sends one slice to the federation partner that owns its
+// recipient, in the broker-to-broker hand-off, built as pushSlice builds
+// its push. The original expiry travels with it: a slice must not gain
+// lifetime by hopping brokers.
+func handOff(ep *endpoint.Service, partner keys.PeerID, it relay.Item) error {
+	elems := [...]endpoint.Element{
+		{Name: proto.ElemOp, Data: readOnlyBytes(proto.OpFedRelaySlice)},
+		{Name: proto.ElemRelayTo, Data: readOnlyBytes(string(it.To))},
+		{Name: proto.ElemPeer, Data: readOnlyBytes(string(it.From))},
+		{Name: proto.ElemGroup, Data: readOnlyBytes(it.Group)},
+		{Name: proto.ElemRelayExp, Data: strconv.AppendInt(nil, it.Expires.UnixNano(), 10)},
+		{Name: proto.ElemEnvelope},
+		{Name: proto.ElemTrace},
 	}
-	return msg
+	n := len(elems) - 1
+	if it.Trace != 0 {
+		elems[n].Data = readOnlyBytes(trace.FormatID(it.Trace))
+		n++
+	}
+	room := endpoint.Room{Index: 5, Size: it.PayloadSize(), Fill: func(dst []byte) ([]byte, error) {
+		return it.AppendPayload(dst), nil
+	}}
+	return ep.SendElements(partner, proto.BrokerService, "", &room, elems[:n]...)
 }
 
 // fedRelaySliceHandler accepts a slice handed off by a federation
@@ -237,12 +249,13 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 			tr.End(spParse, trace.OutcomeError)
 			return proto.Fail(proto.ErrBadRound)
 		}
-		rcptCSV, _ := msg.GetString(proto.ElemRecipients)
-		if rcptCSV == "" {
+		// The recipient list is read where it lies: each entry names a
+		// peer whose ID string the broker's own table supplies.
+		rcpts, _ := msg.Get(proto.ElemRecipients)
+		if len(rcpts) == 0 {
 			tr.End(spParse, trace.OutcomeError)
 			return proto.Fail(proto.ErrBadRequest)
 		}
-		ids := strings.Split(rcptCSV, ",")
 		d, err := SliceRound(wire)
 		if err != nil {
 			tr.End(spParse, trace.OutcomeError)
@@ -258,7 +271,7 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		if tid != 0 {
 			spVerify = trace.Begin(tid, trace.StageVerify)
 		}
-		if len(ids) != d.Recipients() {
+		if bytes.Count(rcpts, comma)+1 != d.Recipients() {
 			if tid != 0 {
 				spVerify.SetAttr("err", proto.ErrBadRound)
 				tr.End(spVerify, trace.OutcomeError)
@@ -268,10 +281,12 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		tr.End(spVerify, trace.OutcomeOK)
 		// Every addressed recipient lands in exactly one of the five
 		// counters — direct, queued, handoff, quota or skipped — so the
-		// sender can detect a shortfall instead of a silent drop. Slices
-		// are cut lazily: only accepted recipients pay for their copy of
-		// the ciphertext — a copy, so no queued slice keeps the upload
-		// frame (which d is views of) alive.
+		// sender can detect a shortfall instead of a silent drop. No slice
+		// is cut here: each item names its slice as part i of d (which is
+		// views of the upload frame), a push or a hand-off cuts it into
+		// the frame that carries it, and the relay cuts a copy of its own
+		// only of a slice it keeps — so no queued slice keeps the upload
+		// frame alive, and a refused recipient costs no cut at all.
 		direct, queued, handoff, quota, skipped := 0, 0, 0, 0, 0
 		// One reading a round: what is handed off expires together.
 		handoffExpires := b.Now().Add(r.TTL())
@@ -279,9 +294,11 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		if tid != 0 {
 			spSlice = trace.Begin(tid, trace.StageSlice)
 		}
-		for i, raw := range ids {
-			id := keys.PeerID(raw)
-			if !b.KnownMember(id, group) || id == from {
+		for i, rest := 0, rcpts; i < d.Recipients(); i++ {
+			var raw []byte
+			raw, rest, _ = bytes.Cut(rest, comma)
+			id, known := b.MemberID(raw, group)
+			if !known || id == from {
 				// No session record for this member (e.g. the broker
 				// restarted and the peer never returned), or the sender
 				// addressed itself.
@@ -295,10 +312,10 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 				// stamped with the local TTL so a hop cannot extend its
 				// life past what a local queue would have allowed.
 				it := relay.Item{
-					To: id, From: from, Group: group, Payload: d.Slice(i),
+					To: id, From: from, Group: group, Source: d, Part: i,
 					Expires: handoffExpires, Trace: tid,
 				}
-				if b.Endpoint().Send(b.PeerOrigin(id), proto.BrokerService, fedSliceMessage(it)) != nil {
+				if handOff(b.Endpoint(), b.PeerOrigin(id), it) != nil {
 					skipped++
 					continue
 				}
@@ -306,7 +323,7 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 				handoff++
 				continue
 			}
-			switch r.Submit(relay.Item{To: id, From: from, Group: group, Payload: d.Slice(i), Trace: tid}) {
+			switch r.Submit(relay.Item{To: id, From: from, Group: group, Source: d, Part: i, Trace: tid}) {
 			case relay.SubmitDirect:
 				direct++
 			case relay.SubmitQueued:
@@ -337,11 +354,16 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 			// would let a single wide round trip the alert threshold.
 			b.RecordOffense(from, proto.OpRelayRound, proto.ErrRelayQuota, tid)
 		}
+		// The counts go in as views of their strings, which the answer's
+		// frame only reads (under 100, strconv's own table: no allocation).
 		return proto.OK().
-			AddString(proto.ElemRelayDirect, strconv.Itoa(direct)).
-			AddString(proto.ElemRelayQueued, strconv.Itoa(queued)).
-			AddString(proto.ElemRelayHandoff, strconv.Itoa(handoff)).
-			AddString(proto.ElemRelayQuota, strconv.Itoa(quota)).
-			AddString(proto.ElemRelaySkipped, strconv.Itoa(skipped))
+			Add(proto.ElemRelayDirect, readOnlyBytes(strconv.Itoa(direct))).
+			Add(proto.ElemRelayQueued, readOnlyBytes(strconv.Itoa(queued))).
+			Add(proto.ElemRelayHandoff, readOnlyBytes(strconv.Itoa(handoff))).
+			Add(proto.ElemRelayQuota, readOnlyBytes(strconv.Itoa(quota))).
+			Add(proto.ElemRelaySkipped, readOnlyBytes(strconv.Itoa(skipped)))
 	}
 }
+
+// comma separates the entries of a relayed round's recipient list.
+var comma = []byte{','}

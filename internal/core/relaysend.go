@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/endpoint"
@@ -89,18 +88,28 @@ func (s *SecureClient) SecureMsgPeersViaRelay(ctx context.Context, group, text s
 // it for the send span) and then every slice cut from the round, tying
 // seal, broker dispatch, queueing and the eventual opens into one
 // waterfall.
+//
+// The ID list is written into one buffer sized up front, and the
+// strings go in as views: the request's frame only reads them.
 func relayRoundMsg(group string, peers []keys.PeerID, d *DetachedRound, chunk []int, tid uint64) *endpoint.Message {
-	idList := make([]string, len(chunk))
+	n := len(chunk) // room for a comma behind each ID
+	for _, i := range chunk {
+		n += len(peers[i])
+	}
+	ids := make([]byte, 0, n)
 	for j, i := range chunk {
-		idList[j] = string(peers[i])
+		if j > 0 {
+			ids = append(ids, ',')
+		}
+		ids = append(ids, peers[i]...)
 	}
 	msg := endpoint.NewMessage().
-		AddString(proto.ElemOp, proto.OpRelayRound).
-		AddString(proto.ElemGroup, group).
-		AddString(proto.ElemRecipients, strings.Join(idList, ",")).
+		Add(proto.ElemOp, readOnlyBytes(proto.OpRelayRound)).
+		Add(proto.ElemGroup, readOnlyBytes(group)).
+		Add(proto.ElemRecipients, ids).
 		Add(proto.ElemEnvelope, d.Wire())
 	if tid != 0 {
-		msg.AddString(proto.ElemTrace, trace.FormatID(tid))
+		msg.Add(proto.ElemTrace, readOnlyBytes(trace.FormatID(tid)))
 	}
 	return msg
 }
@@ -110,16 +119,9 @@ func relayRoundMsg(group string, peers []keys.PeerID, d *DetachedRound, chunk []
 // or handed off toward the partner broker that owns them), and an
 // error when any were throttled or skipped.
 func relayCounts(resp *endpoint.Message, chunkLen int) (direct, queued int, err error) {
-	dd, _ := resp.GetString(proto.ElemRelayDirect)
-	qq, _ := resp.GetString(proto.ElemRelayQueued)
-	hh, _ := resp.GetString(proto.ElemRelayHandoff)
-	nn, _ := resp.GetString(proto.ElemRelayQuota)
-	ss, _ := resp.GetString(proto.ElemRelaySkipped)
-	di, _ := strconv.Atoi(dd)
-	qi, _ := strconv.Atoi(qq)
-	hi, _ := strconv.Atoi(hh)
-	ni, _ := strconv.Atoi(nn)
-	si, _ := strconv.Atoi(ss)
+	di, qi := countOf(resp, proto.ElemRelayDirect), countOf(resp, proto.ElemRelayQueued)
+	hi, ni := countOf(resp, proto.ElemRelayHandoff), countOf(resp, proto.ElemRelayQuota)
+	si := countOf(resp, proto.ElemRelaySkipped)
 	// A handed-off slice is in flight toward the partner broker that
 	// owns the recipient — from the sender's seat that is "queued":
 	// accepted for eventual delivery, not confirmed received.
@@ -132,4 +134,15 @@ func relayCounts(resp *endpoint.Message, chunkLen int) (direct, queued int, err 
 		return direct, queued, fmt.Errorf("%w: %d of %d", ErrRelaySkipped, si, chunkLen)
 	}
 	return direct, queued, nil
+}
+
+// countOf reads a count element of a relayRound answer where it lies: a
+// missing or malformed one reads 0, as strconv.Atoi's error did.
+func countOf(resp *endpoint.Message, name string) int {
+	v, _ := resp.Get(name)
+	n, err := strconv.Atoi(string(v))
+	if err != nil {
+		return 0
+	}
+	return n
 }

@@ -712,8 +712,9 @@ func (s *SecureClient) receiver(accept wireForms) client.EnvelopeHandler {
 
 // handleEnvelope is the receiving side of §4.3.1 (steps 5-7): decrypt
 // with the own private key, then authenticate the sender through its
-// signed pipe advertisement. from is whoever delivered msg; accept, the
-// wire forms its surface takes.
+// signed pipe advertisement. from is whoever delivered msg, or empty for
+// a relay push, whose claimed origin msg carries (client.EnvelopeHandler);
+// accept, the wire forms its surface takes.
 func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpoint.Message, accept wireForms) {
 	wire, ok := msg.Get(proto.ElemEnvelope)
 	if !ok {
@@ -755,6 +756,10 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 			s.refuseFrame(from, group, unknown.frame, now)
 		case opened == nil:
 			// Refused before the header parsed: only the deliverer is known.
+			if from == "" {
+				origin, _ := msg.GetString(proto.ElemPeer)
+				from = keys.PeerID(origin)
+			}
 			alert(from, "secure envelope rejected: "+err.Error())
 		default:
 			// Refused after the header parsed (wrong group label, replay), or

@@ -114,6 +114,19 @@ func (d *DetachedRound) sliceLevels() [][][32]byte {
 	return levels
 }
 
+// sliceProofLen is how many hashes leaf i's proof holds in a tree of n
+// leaves: one for each level where the node on its path has a sibling.
+func sliceProofLen(n, i int) int {
+	l := 0
+	for w := n; w > 1; w = (w + 1) / 2 {
+		if i^1 < w {
+			l++
+		}
+		i >>= 1
+	}
+	return l
+}
+
 // appendSliceProof appends leaf i's proof as a slice carries it: its
 // length in hashes, then the sibling path, leaf upward.
 func appendSliceProof(wire []byte, levels [][][32]byte, i int) []byte {
@@ -133,7 +146,7 @@ func appendSliceProof(wire []byte, levels [][][32]byte, i int) []byte {
 // recipient count — a truncated or padded proof never reaches the root
 // comparison.
 func verifySliceProof(ps *parsedSlice) ([32]byte, bool) {
-	node := sliceLeaf(ps.index, &ps.eph, ps.entry)
+	node := sliceLeaf(ps.index, (*[keys.ShareSize]byte)(ps.eph), ps.entry)
 	width, j, proof := ps.n, int(ps.index), ps.proof
 	for width > 1 {
 		if sib := j ^ 1; sib < width {
@@ -272,24 +285,35 @@ func (d *DetachedRound) Slices() [][]byte {
 	return out
 }
 
-// Slice cuts recipient i's ModeSlice wire alone. The relay path filters
-// recipients (unknown, non-resident, self) before cutting, and each
-// slice carries its own copy of the shared ciphertext — cutting only
-// accepted recipients skips that allocation for the rest. The Merkle
-// tree is built once and cached; DetachedRound is not safe for
-// concurrent use.
+// Slice cuts recipient i's ModeSlice wire alone, into a buffer of its
+// own: AppendPart into one of PartSize(i) bytes.
 func (d *DetachedRound) Slice(i int) []byte {
+	return d.AppendPart(make([]byte, 0, d.PartSize(i)), i)
+}
+
+// PartSize is the length of recipient i's ModeSlice wire. With
+// AppendPart it makes a round a relay.Parts: the broker names each
+// accepted recipient's slice without cutting it, a direct push cuts it
+// into the frame that carries it, and only a slice the relay keeps is
+// cut into a buffer of its own — so recipients that are refused, and
+// pushes, pay for no copy of the shared ciphertext of their own.
+func (d *DetachedRound) PartSize(i int) int {
+	return 1 + 4 + 4 + keys.ShareSize + roundEntry + 1 + 32*sliceProofLen(d.Recipients(), i) + keys.AEADNonceSize + len(d.ct)
+}
+
+// AppendPart appends recipient i's ModeSlice wire to dst, as append
+// does. The Merkle tree is built on first use and kept: a DetachedRound
+// is not safe for concurrent use.
+func (d *DetachedRound) AppendPart(dst []byte, i int) []byte {
 	if d.levels == nil {
 		d.levels = d.sliceLevels()
 	}
-	// A proof is at most one hash per level below the root.
-	wire := make([]byte, 0, 1+4+4+keys.ShareSize+roundEntry+1+32*(len(d.levels)-1)+keys.AEADNonceSize+len(d.ct))
-	wire = append(wire, byte(ModeSlice))
-	wire = binary.BigEndian.AppendUint32(wire, uint32(d.Recipients()))
-	wire = binary.BigEndian.AppendUint32(wire, uint32(i))
-	wire = append(append(wire, d.eph[:]...), d.entry(i)...)
-	wire = appendSliceProof(wire, d.levels, i)
-	return append(append(wire, d.gcmNonce...), d.ct...)
+	dst = append(dst, byte(ModeSlice))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(d.Recipients()))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(i))
+	dst = append(append(dst, d.eph[:]...), d.entry(i)...)
+	dst = appendSliceProof(dst, d.levels, i)
+	return append(append(dst, d.gcmNonce...), d.ct...)
 }
 
 // SliceRound parses a full ModeGroup wire back into sliceable form — the
@@ -302,11 +326,12 @@ func SliceRound(wire []byte) (*DetachedRound, error) {
 	return parseRoundWire(wire[1:])
 }
 
-// parsedSlice is the wire-level view of one ModeSlice payload.
+// parsedSlice is the wire-level view of one ModeSlice payload, a value
+// whose byte fields are views of it.
 type parsedSlice struct {
 	n        int
 	index    uint32
-	eph      [keys.ShareSize]byte
+	eph      []byte // the round's ephemeral share
 	entry    []byte // this recipient's key fingerprint ‖ wrap
 	proof    []byte // the sibling path, 32 bytes a hash, leaf upward
 	gcmNonce []byte
@@ -317,23 +342,23 @@ type parsedSlice struct {
 // ephemeral share, entry, proof length.
 const sliceHead = 4 + 4 + keys.ShareSize + roundEntry + 1
 
-func parseSliceWire(payload []byte) (*parsedSlice, error) {
+// parseSliceWire reads a slice payload as views of it.
+func parseSliceWire(payload []byte) (ps parsedSlice, err error) {
 	if len(payload) < sliceHead {
-		return nil, ErrEnvelope
+		return ps, ErrEnvelope
 	}
-	ps := &parsedSlice{}
 	n := binary.BigEndian.Uint32(payload[:4])
 	ps.index = binary.BigEndian.Uint32(payload[4:8])
 	if n == 0 || n > maxRoundRecipients || ps.index >= n {
-		return nil, ErrEnvelope
+		return ps, ErrEnvelope
 	}
 	ps.n = int(n)
-	ps.eph = [keys.ShareSize]byte(payload[8:])
+	ps.eph = payload[8 : 8+keys.ShareSize : 8+keys.ShareSize]
 	ps.entry = payload[8+keys.ShareSize : sliceHead-1 : sliceHead-1]
 	pl := int(payload[sliceHead-1])
 	payload = payload[sliceHead:]
 	if pl > maxSliceProofLen || len(payload) < 32*pl+keys.AEADNonceSize {
-		return nil, ErrEnvelope
+		return ps, ErrEnvelope
 	}
 	ps.proof = payload[: 32*pl : 32*pl]
 	payload = payload[32*pl:]

@@ -22,7 +22,8 @@ import (
 // an accepted round parses back as that recipient's leaf — index i, the
 // round's ephemeral share, its i-th fingerprint and wrap, the shared
 // nonce and ciphertext — whose proof reaches the one root of the round's
-// tree.
+// tree; and what a relay names without cutting is what it cuts — slice
+// i is PartSize(i) bytes, and AppendPart appends those bytes.
 func FuzzSliceRound(f *testing.F) {
 	for _, n := range []int{1, 3, 5} {
 		recipients := make([]*keys.PublicKey, n)
@@ -64,6 +65,9 @@ func FuzzSliceRound(f *testing.F) {
 		var root *[32]byte
 		for i := 0; i < d.Recipients(); i++ {
 			w := d.Slice(i)
+			if len(w) != d.PartSize(i) || !bytes.Equal(d.AppendPart(nil, i), w) {
+				t.Fatalf("slice %d is %d bytes, PartSize says %d, or AppendPart cuts other bytes", i, len(w), d.PartSize(i))
+			}
 			if Mode(w[0]) != ModeSlice {
 				t.Fatalf("slice %d has mode %q", i, w[0])
 			}
@@ -71,11 +75,11 @@ func FuzzSliceRound(f *testing.F) {
 			if err != nil {
 				t.Fatalf("slice %d of an accepted round does not parse: %v", i, err)
 			}
-			if ps.n != d.Recipients() || ps.index != uint32(i) || ps.eph != d.eph || !bytes.Equal(ps.entry, d.entry(i)) ||
+			if ps.n != d.Recipients() || ps.index != uint32(i) || !bytes.Equal(ps.eph, d.eph[:]) || !bytes.Equal(ps.entry, d.entry(i)) ||
 				!bytes.Equal(ps.gcmNonce, d.gcmNonce) || !bytes.Equal(ps.ct, d.ct) {
 				t.Fatalf("slice %d parses back as leaf %d of %d, not the round's", i, ps.index, ps.n)
 			}
-			r, ok := verifySliceProof(ps)
+			r, ok := verifySliceProof(&ps)
 			if !ok || (root != nil && r != *root) {
 				t.Fatalf("slice %d's proof does not reach the round's root", i)
 			}

@@ -50,7 +50,17 @@ type Item struct {
 	// Group is the overlay group the payload belongs to.
 	Group string
 	// Payload is the wire to hand to the recipient, opaque to the relay.
+	// It is nil while Source names the payload instead.
 	Payload []byte
+	// Source, when set, holds the payload uncut: it is part Part of
+	// Source. A broker names a round's slice this way so that a direct
+	// push cuts it once, into the frame that carries it (AppendPayload).
+	// The relay reads a source only inside Submit, on the submitter's
+	// goroutine: an item it keeps — queued, after a failed direct
+	// delivery too — has its part cut into a Payload of its own first,
+	// so nothing queued holds the source.
+	Source Parts
+	Part   int
 	// Expires is when the item stops being deliverable. The zero value
 	// means "now + Config.TTL", stamped at submission.
 	Expires time.Time
@@ -70,9 +80,43 @@ type Item struct {
 	enqueuedAt time.Time
 }
 
+// Parts is a payload source an Item names part of without cutting it.
+// *core.DetachedRound is one: part i is recipient i's slice.
+type Parts interface {
+	// PartSize is the length of part i.
+	PartSize(i int) int
+	// AppendPart appends part i to dst, as append does.
+	AppendPart(dst []byte, i int) []byte
+}
+
+// PayloadSize is the length of the item's payload, cut or named.
+func (it *Item) PayloadSize() int {
+	if it.Source != nil {
+		return it.Source.PartSize(it.Part)
+	}
+	return len(it.Payload)
+}
+
+// AppendPayload appends the item's payload to dst, as append does.
+func (it *Item) AppendPayload(dst []byte) []byte {
+	if it.Source != nil {
+		return it.Source.AppendPart(dst, it.Part)
+	}
+	return append(dst, it.Payload...)
+}
+
+// own cuts a payload Source names into a Payload of the item's own.
+func (it *Item) own() {
+	if it.Source != nil {
+		it.Payload = it.AppendPayload(make([]byte, 0, it.PayloadSize()))
+		it.Source = nil
+	}
+}
+
 // DeliverFunc hands one item to its recipient. A non-nil error means
 // the recipient was not reached; the relay keeps (or re-queues) the
-// item until its TTL runs out.
+// item until its TTL runs out. An item whose Source is set is read
+// there and then (PayloadSize, AppendPayload) and not kept.
 type DeliverFunc func(it Item) error
 
 // OnlineFunc reports whether a peer is currently reachable for direct
@@ -398,6 +442,8 @@ func (r *Relay) Submit(it Item) SubmitResult {
 		}
 		return SubmitDroppedQuota
 	}
+	// The queue keeps the item past Submit, so it keeps no source.
+	it.own()
 	if r.log != nil {
 		var spWAL trace.Span
 		if traced {

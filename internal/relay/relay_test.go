@@ -45,7 +45,7 @@ func (s *sink) deliver(it relay.Item) error {
 	if s.fail || !s.online[it.To] {
 		return errors.New("unreachable")
 	}
-	s.delivered[it.To] = append(s.delivered[it.To], string(it.Payload))
+	s.delivered[it.To] = append(s.delivered[it.To], string(it.AppendPayload(nil)))
 	return nil
 }
 
@@ -86,6 +86,56 @@ func TestDirectDeliveryWhenOnline(t *testing.T) {
 	}
 	if m := r.Metrics(); m.DeliveredDirect != 1 || m.Enqueued != 0 {
 		t.Fatalf("metrics = %+v", m)
+	}
+}
+
+// parts is a relay.Parts of strings.
+type parts []string
+
+func (p parts) PartSize(i int) int                  { return len(p[i]) }
+func (p parts) AppendPart(dst []byte, i int) []byte { return append(dst, p[i]...) }
+
+// TestNamedPayloadCutWhenKept: an item that names its payload as part of
+// a source is read there by a direct delivery, and cut into bytes of its
+// own when the relay keeps it — queued for an offline peer, or after a
+// direct delivery that failed — so that the source may change once
+// Submit has returned.
+func TestNamedPayloadCutWhenKept(t *testing.T) {
+	s := newSink()
+	r := mustRelay(t, relay.Config{}, s)
+	defer r.Close()
+	src := parts{"direct", "queued", "failed"}
+	named := func(to keys.PeerID, i int) relay.Item {
+		return relay.Item{To: to, From: "sender", Group: "g", Source: src, Part: i}
+	}
+	s.setOnline("bob", true)
+	if got := r.Submit(named("bob", 0)); got != relay.SubmitDirect {
+		t.Fatalf("online submit = %v", got)
+	}
+	if got := r.Submit(named("carol", 1)); got != relay.SubmitQueued {
+		t.Fatalf("offline submit = %v", got)
+	}
+	s.mu.Lock()
+	s.fail = true
+	s.mu.Unlock()
+	s.setOnline("dave", true)
+	if got := r.Submit(named("dave", 2)); got != relay.SubmitQueued {
+		t.Fatalf("submit whose delivery failed = %v", got)
+	}
+	for i := range src {
+		src[i] = "overwritten"
+	}
+	s.mu.Lock()
+	s.fail = false
+	s.mu.Unlock()
+	s.setOnline("carol", true)
+	r.Flush("carol")
+	r.Flush("dave")
+	waitFor(t, func() bool { return len(s.got("carol")) == 1 && len(s.got("dave")) == 1 })
+	for id, want := range map[keys.PeerID]string{"bob": "direct", "carol": "queued", "dave": "failed"} {
+		if got := s.got(id); len(got) != 1 || got[0] != want {
+			t.Fatalf("%s got %q, want %q", id, got, want)
+		}
 	}
 }
 
