@@ -264,13 +264,19 @@ func TestForgedStalePresenceCannotClobberNewerSession(t *testing.T) {
 		t.Fatal("stale peer-down clobbered a live newer session")
 	}
 
-	// The same guard protects lease expiry: a sweep collected against a
-	// session that has since re-logged-in must not land.
-	if s.br.ExpirePeer(alice.PeerID(), "lease-expired", time.Now().Add(-time.Hour)) {
-		t.Fatal("stale lease expiry took down a newer session")
+	// Lease expiry needs no guard: the lease is the session's. Alice's
+	// lease lapses and she logs in again before the sweep, which then
+	// finds the newer session's lease, not the lapsed one.
+	s.advance(attackLeaseTTL + time.Second)
+	if err := alice.Join(testCtx(t), s.br.PeerID(), "alice-secret-pw"); err != nil {
+		t.Fatal(err)
 	}
+	s.brSec.ExpireLapsedNow()
 	if !s.br.PeerOnline(alice.PeerID()) {
-		t.Fatal("peer offline after stale expiry")
+		t.Fatal("a sweep after the re-login took the newer session down")
+	}
+	if st := s.brSec.LivenessStats(); st.LeasesExpired != 0 {
+		t.Fatalf("LeasesExpired = %d, want 0", st.LeasesExpired)
 	}
 	if errors.Is(alice.SecureHeartbeat(testCtx(t)), core.ErrLeaseLost) {
 		t.Fatal("live session lost its lease to stale presence replays")

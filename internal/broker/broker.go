@@ -27,11 +27,11 @@ import (
 	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/audit"
 	"jxtaoverlay/internal/control"
+	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/discovery"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/peergroup"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/trace"
@@ -82,8 +82,50 @@ type PeerInfo struct {
 // Local reports whether the peer is connected to this broker directly.
 func (p PeerInfo) Local() bool { return p.Origin == "" }
 
+// Lease is the presence lease a secure login grants its session: its
+// identifier, its time to live (from the session's start, then from each
+// heartbeat that renews it), and the credential the login issued, whose
+// key signs the session's heartbeats.
+type Lease struct {
+	ID   string
+	TTL  time.Duration
+	Cred *cred.Credential
+}
+
+// session is the broker's one record of a peer's standing: the PeerInfo
+// that Peer copies out and, for a login granted one, the presence lease.
+// It is the only table of live group membership: a peer is a live member
+// of g while its record is online and names g. Groups is replaced, never
+// written in place, so a copy of the record keeps a stable list.
+type session struct {
+	PeerInfo
+	lease    Lease     // zero when the session holds none
+	seq      uint64    // highest heartbeat sequence accepted
+	deadline time.Time // the lease lapses after it
+}
+
+// liveIn reports whether the session is a live member of group.
+func (s *session) liveIn(group string) bool {
+	return s.Online && slices.Contains(s.Groups, group)
+}
+
+// end takes the session offline and ends its lease. The caller holds
+// b.mu; what it returns is the record the teardown outside the lock reads.
+func (s *session) end() PeerInfo {
+	s.Online, s.lease = false, Lease{}
+	return s.PeerInfo
+}
+
 // OpHandler processes one broker operation.
 type OpHandler func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message
+
+// opEntry is one entry of the broker's ops table. A member op is refused
+// not-logged-in to a caller without an online session, before its
+// handler runs.
+type opEntry struct {
+	h      OpHandler
+	member bool
+}
 
 // AdvVerifier validates a published advertisement document before the
 // broker accepts and propagates it, and returns the parsed
@@ -110,14 +152,16 @@ type Config struct {
 
 // Broker is a running broker instance.
 type Broker struct {
-	cfg    Config
-	ep     *endpoint.Service
-	ctl    *control.Module
-	groups *peergroup.Registry
+	cfg Config
+	ep  *endpoint.Service
+	ctl *control.Module
 
-	mu          sync.RWMutex
-	peers       map[keys.PeerID]*PeerInfo
-	ops         map[string]OpHandler
+	mu    sync.RWMutex
+	peers map[keys.PeerID]*session
+	// groups names every group the broker knows: the ones created and the
+	// database groups of every login. Who belongs is on the records.
+	groups      map[string]struct{}
+	ops         map[string]opEntry
 	advVerifier AdvVerifier
 	federation  []keys.PeerID
 	adm         *admission.Limiter
@@ -212,9 +256,9 @@ func New(cfg Config) (*Broker, error) {
 		cfg:    cfg,
 		ep:     ep,
 		ctl:    control.New(ep, discovery.NewCache(ep.Now), events.NewBus(), nil),
-		groups: peergroup.NewRegistry(),
-		peers:  make(map[keys.PeerID]*PeerInfo),
-		ops:    make(map[string]OpHandler),
+		peers:  make(map[keys.PeerID]*session),
+		groups: make(map[string]struct{}),
+		ops:    make(map[string]opEntry),
 		idem:   newIdemCache(),
 	}
 	b.registerDefaultOps()
@@ -242,9 +286,6 @@ func (b *Broker) Now() time.Time { return b.ep.Now() }
 // Cache returns the broker's advertisement index.
 func (b *Broker) Cache() *discovery.Cache { return b.ctl.Cache() }
 
-// Groups returns the broker's group registry.
-func (b *Broker) Groups() *peergroup.Registry { return b.groups }
-
 // Bus returns the broker's event bus.
 func (b *Broker) Bus() *events.Bus { return b.ctl.Bus() }
 
@@ -255,11 +296,13 @@ func (b *Broker) DB() Authenticator { return b.cfg.DB }
 func (b *Broker) RequireSecureLogin() bool { return b.cfg.RequireSecureLogin }
 
 // RegisterOp installs (or overrides) an operation handler; the security
-// extension uses it to add secureConnection and secureLogin.
-func (b *Broker) RegisterOp(op string, h OpHandler) {
+// extension uses it to add secureConnection and secureLogin. The op is
+// open to any caller: a handler that serves logged-in peers only checks
+// that itself.
+func (b *Broker) RegisterOp(name string, h OpHandler) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ops[op] = h
+	b.ops[name] = opEntry{h: h}
 }
 
 // SetAdvVerifier installs the advertisement acceptance policy.
@@ -379,11 +422,16 @@ func (b *Broker) emitAdmissionAlert(from keys.PeerID, op, reason string, offense
 	b.ctl.Emit(events.SecurityAlert, from, "", payload, nil)
 }
 
+// dispatch runs one op for from. One read of the tables finds the op, the
+// limiter, whether from is a partner and whether it has an online session.
 func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 	op, _ := msg.GetString(proto.ElemOp)
 	b.mu.RLock()
-	h, ok := b.ops[op]
+	e, ok := b.ops[op]
 	adm := b.adm
+	exempt := adm == nil || slices.Contains(b.federation, from)
+	s := b.peers[from]
+	online := s != nil && s.Online
 	b.mu.RUnlock()
 	if !ok {
 		return proto.Fail(proto.ErrUnknownOp)
@@ -399,7 +447,7 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 		sp = trace.Begin(tid, trace.StageAdmission)
 		sp.SetAttr("op", op)
 	}
-	if adm != nil && !b.IsPartner(from) {
+	if !exempt {
 		if d := adm.Allow(string(from)); !d.Allowed {
 			b.opsRateLimited.Add(1)
 			b.opsFailed.Add(1)
@@ -421,6 +469,10 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 	if tid != 0 {
 		b.tracer.Load().End(sp, trace.OutcomeOK)
 	}
+	if e.member && !online {
+		b.opsFailed.Add(1)
+		return proto.Fail(proto.ErrNotLoggedIn)
+	}
 	// Idempotency dedup: a retried mutating op presenting a key the
 	// window already acknowledged gets the original response back —
 	// the mutation is not executed twice. Checked after admission
@@ -431,7 +483,7 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 	// window and evict honest peers' live entries. Any other key is
 	// ignored — the request is dispatched as if it carried none.
 	idemK, _ := msg.GetString(proto.ElemIdem)
-	honoured := idemK != "" && len(idemK) <= idemMaxKeyLen && b.loggedIn(from)
+	honoured := idemK != "" && len(idemK) <= idemMaxKeyLen && online
 	if honoured {
 		if cached, ok := b.idem.lookup(from, idemK, b.Now()); ok {
 			b.idemDeduped.Add(1)
@@ -439,7 +491,7 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 			return cached
 		}
 	}
-	resp := h(from, msg)
+	resp := e.h(from, msg)
 	if resp != nil {
 		if ok, _ := proto.IsOK(resp); !ok {
 			b.opsFailed.Add(1)
@@ -455,18 +507,22 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 }
 
 func (b *Broker) registerDefaultOps() {
-	b.ops[proto.OpConnect] = b.handleConnect
-	b.ops[proto.OpLogin] = b.handleLogin
-	b.ops[proto.OpLogout] = b.handleLogout
-	b.ops[proto.OpPublishAdv] = b.handlePublishAdv
-	b.ops[proto.OpLookupAdv] = b.handleLookupAdv
-	b.ops[proto.OpLookupPipe] = b.handleLookupPipe
-	b.ops[proto.OpListPeers] = b.handleListPeers
-	b.ops[proto.OpGroupCreate] = b.handleGroupCreate
-	b.ops[proto.OpGroupJoin] = b.handleGroupJoin
-	b.ops[proto.OpGroupLeave] = b.handleGroupLeave
-	b.ops[proto.OpGroupList] = b.handleGroupList
-	b.ops[proto.OpFileSearch] = b.handleFileSearch
+	b.ops[proto.OpConnect] = opEntry{h: b.handleConnect}
+	b.ops[proto.OpLogin] = opEntry{h: b.handleLogin}
+	b.ops[proto.OpLogout] = opEntry{h: b.handleLogout}
+	for name, h := range map[string]OpHandler{
+		proto.OpPublishAdv:  b.handlePublishAdv,
+		proto.OpLookupAdv:   b.handleLookupAdv,
+		proto.OpLookupPipe:  b.handleLookupPipe,
+		proto.OpListPeers:   b.handleListPeers,
+		proto.OpGroupCreate: b.handleGroupCreate,
+		proto.OpGroupJoin:   b.handleGroupJoin,
+		proto.OpGroupLeave:  b.handleGroupLeave,
+		proto.OpGroupList:   b.handleGroupList,
+		proto.OpFileSearch:  b.handleFileSearch,
+	} {
+		b.ops[name] = opEntry{h: h, member: true}
+	}
 }
 
 // --- discovery ops ---
@@ -502,45 +558,59 @@ func (b *Broker) handleLogout(from keys.PeerID, _ *endpoint.Message) *endpoint.M
 	return proto.OK()
 }
 
-// RegisterPeer records a successfully authenticated peer and joins it to
-// its database-assigned groups. The security extension calls it from
-// secureLogin; the plain login path calls it directly.
+// RegisterPeer records a successfully authenticated peer, online in its
+// database-assigned groups: the plain login path calls it.
 func (b *Broker) RegisterPeer(id keys.PeerID, username string, groups []string) {
-	b.registerPeer(id, username, groups, "")
+	b.registerPeerAt(id, username, groups, "", b.Now(), Lease{})
 }
 
-func (b *Broker) registerPeer(id keys.PeerID, username string, groups []string, origin keys.PeerID) {
-	b.registerPeerAt(id, username, groups, origin, b.Now())
+// RegisterLeasedPeer is RegisterPeer for a secure login: the session it
+// records holds l, when l.ID is set, until a logout, an expiry or the
+// next login of the peer ends it.
+func (b *Broker) RegisterLeasedPeer(id keys.PeerID, username string, groups []string, l Lease) {
+	b.registerPeerAt(id, username, groups, "", b.Now(), l)
 }
 
-// registerPeerAt records a session that began at the given time. The
-// timestamp makes presence migration monotonic: federation partners
-// deliver peer-up/peer-down messages with no ordering guarantee, so a
-// stale announcement from a peer's PREVIOUS session can arrive after
-// the peer already re-registered (here, or at another broker). Such an
-// update must not clobber the newer record — a relay hand-off routed on
-// the clobbered record would queue for a peer that is in fact logged in
-// locally. Local logins always pass the guard (their session starts
-// now, which is never older than what is recorded).
-func (b *Broker) registerPeerAt(id keys.PeerID, username string, groups []string, origin keys.PeerID, session time.Time) {
+// registerPeerAt records a session that began at the given time, in place
+// of the peer's last one: its groups are the ones the login names, and
+// the members of a group the old session was live in and the new one does
+// not name are told it went offline, as a logout would tell them.
+//
+// A federated session (origin set) passes a monotonic guard first:
+// partners deliver peer-up and peer-down with no ordering guarantee, so a
+// stale announcement from a peer's PREVIOUS session can arrive after the
+// peer already re-registered (here, or at another broker). Such an update
+// must not clobber the newer record — a relay hand-off routed on the
+// clobbered record would queue for a peer that is in fact logged in
+// locally.
+func (b *Broker) registerPeerAt(id keys.PeerID, username string, groups []string, origin keys.PeerID, at time.Time, l Lease) {
+	s := &session{PeerInfo: PeerInfo{
+		ID: id, Username: username,
+		Groups: slices.Clone(groups),
+		Online: true, ConnectedAt: at,
+		Origin: origin,
+	}}
+	if l.ID != "" {
+		s.lease, s.deadline = l, at.Add(l.TTL)
+	}
 	b.mu.Lock()
-	if old, ok := b.peers[id]; ok && old.ConnectedAt.After(session) {
+	old := b.peers[id]
+	if origin != "" && old != nil && old.ConnectedAt.After(at) {
 		b.mu.Unlock()
 		b.fedStalePresence.Add(1)
 		return
 	}
-	info := &PeerInfo{
-		ID: id, Username: username,
-		Groups: append([]string(nil), groups...),
-		Online: true, ConnectedAt: session,
-		Origin: origin,
-	}
-	b.peers[id] = info
-	b.mu.Unlock()
-	reg := b.groups
+	b.peers[id] = s
 	for _, g := range groups {
-		reg.Ensure("", g, "", id)
-		reg.Join(g, id, username)
+		b.groups[g] = struct{}{}
+	}
+	b.mu.Unlock()
+	if old != nil && old.Online {
+		for _, g := range old.Groups {
+			if !slices.Contains(groups, g) {
+				b.pushPresence(id, old.Username, g, advert.StatusOffline)
+			}
+		}
 	}
 	for _, g := range groups {
 		b.pushPresence(id, username, g, advert.StatusOnline)
@@ -548,90 +618,128 @@ func (b *Broker) registerPeerAt(id keys.PeerID, username string, groups []string
 	// Announce locally connected peers to the federation; the partner
 	// brokers run their own local presence propagation.
 	if origin == "" {
-		b.fedBroadcast(peerUpMessage(info))
+		b.fedBroadcast(peerUpMessage(&s.PeerInfo))
 	}
 	b.Audit(audit.Event{Kind: audit.KindPeerUp, Peer: string(id), Op: "presence", Reason: presenceOrigin(origin)})
 	b.ctl.Bus().Emit(events.Event{Type: events.PresenceUpdate, From: id, User: username, Status: advert.StatusOnline})
 }
 
-// UnregisterPeer removes a peer from the network view.
-func (b *Broker) UnregisterPeer(id keys.PeerID) {
-	b.unregisterPeer(id, true)
-}
+// UnregisterPeer ends a peer's online session (its logout): the session
+// goes offline, out of its groups, and its lease ends with it.
+func (b *Broker) UnregisterPeer(id keys.PeerID) { b.unregister(id, false, time.Time{}) }
 
-func (b *Broker) unregisterPeer(id keys.PeerID, announce bool) {
-	b.unregisterPeerAt(id, announce, b.Now(), "")
-}
-
-// ExpirePeer takes an online peer's presence down for a liveness
-// reason ("lease-expired"): the security extension's lease sweeper
-// calls it when a session misses its heartbeats. session is the start
-// time of the session whose lease lapsed — the monotonic presence
-// guard then discards an expiry racing a re-login (the new session's
-// ConnectedAt is later, so the stale expiry must not take it down).
-// The peer-down audit record carries the reason, distinguishing an
-// expiry from a clean logout. Reports whether presence was taken down.
-func (b *Broker) ExpirePeer(id keys.PeerID, reason string, session time.Time) bool {
-	b.mu.RLock()
-	p, ok := b.peers[id]
-	online := ok && p.Online && !p.ConnectedAt.After(session)
-	b.mu.RUnlock()
-	if !online {
-		return false
-	}
-	b.unregisterPeerAt(id, true, session, reason)
-	return true
-}
-
-// unregisterPeerAt ends the session that was live at the given time.
-// The same monotonic guard as registerPeerAt: a peer-down arriving
-// after the peer already re-registered (delivery is unordered) refers
-// to a session that no longer exists and must not take the new one
-// offline. Local logouts always pass (their session predates now).
-// reason overrides the audit record's provenance label when non-empty
-// (lease expiries audit as "lease-expired", not "local").
-func (b *Broker) unregisterPeerAt(id keys.PeerID, announce bool, session time.Time, reason string) {
+// unregister ends id's online session. A partner's peer-down (fed) names
+// the session it ends by its start time, at, and passes the same
+// monotonic guard as registerPeerAt: a peer-down arriving after the peer
+// already re-registered (delivery is unordered) refers to a session that
+// no longer exists and must not take the new one offline. A local
+// logout is announced to the federation.
+func (b *Broker) unregister(id keys.PeerID, fed bool, at time.Time) {
 	b.mu.Lock()
-	info, ok := b.peers[id]
-	if ok && info.ConnectedAt.After(session) {
-		ok = false // stale: a newer session superseded the one ending here
+	s := b.peers[id]
+	if fed && s != nil && s.ConnectedAt.After(at) {
+		s = nil // stale: a newer session superseded the one ending here
 		b.fedStalePresence.Add(1)
 	}
-	var local bool
-	var sessionAt time.Time
-	var groups []string
-	var username string
-	var origin keys.PeerID
-	if ok {
-		info.Online = false
-		local = info.Origin == ""
-		sessionAt = info.ConnectedAt
-		// Copy what the rest of the teardown needs while still holding
-		// the lock: Groups is mutated in place by join/leave, and the
-		// lease sweeper runs this teardown concurrently with dispatch.
-		groups = append(groups, info.Groups...)
-		username, origin = info.Username, info.Origin
+	live := s != nil && s.Online
+	var info PeerInfo
+	if live {
+		info = s.end()
 	}
 	b.mu.Unlock()
-	if !ok {
-		return
+	if live {
+		b.teardown(info, !fed, "")
 	}
-	reg := b.groups
-	for _, g := range groups {
-		b.pushPresence(id, username, g, advert.StatusOffline)
+}
+
+// ExpireLeases ends every session whose presence lease has lapsed by the
+// broker's clock, in one pass under the lock that writes the records, and
+// returns the peers it took offline. Their teardowns, audited peer-down
+// "lease-expired", run after the lock is dropped; a re-login that lands
+// between the two finds its record offline and replaces it whole.
+func (b *Broker) ExpireLeases() []keys.PeerID {
+	now := b.Now()
+	var ended []PeerInfo
+	b.mu.Lock()
+	for _, s := range b.peers {
+		if s.lease.ID != "" && now.After(s.deadline) {
+			ended = append(ended, s.end())
+		}
 	}
-	reg.LeaveAll(id)
-	if announce && local {
+	b.mu.Unlock()
+	ids := make([]keys.PeerID, len(ended))
+	for i, info := range ended {
+		b.teardown(info, true, "lease-expired")
+		ids[i] = info.ID
+	}
+	return ids
+}
+
+// LeaseCredential returns the credential id's session holds when its
+// lease is leaseID, and nil when it holds no lease or another one.
+func (b *Broker) LeaseCredential(id keys.PeerID, leaseID []byte) *cred.Credential {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if s := b.peers[id]; s != nil && s.lease.ID != "" && s.lease.ID == string(leaseID) {
+		return s.lease.Cred
+	}
+	return nil
+}
+
+// RenewLease is a heartbeat's bookkeeping once its signature is verified:
+// it renews id's lease leaseID at now with sequence number seq and
+// returns the refusal token, "" when it renewed. A session without that
+// lease, or past its deadline, is lease-expired. A sequence number not
+// above the last one accepted — a replayed or reordered heartbeat — is
+// refused without touching the deadline, so captured heartbeats cannot
+// keep a dead session's presence alive. No allocation.
+func (b *Broker) RenewLease(id keys.PeerID, leaseID []byte, seq uint64, now time.Time) string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	s := b.peers[id]
+	if s == nil || s.lease.ID == "" || s.lease.ID != string(leaseID) || now.After(s.deadline) {
+		return proto.ErrLeaseExpired
+	}
+	if seq <= s.seq {
+		return proto.ErrBadRequest
+	}
+	s.seq = seq
+	s.deadline = now.Add(s.lease.TTL)
+	return ""
+}
+
+// Leases counts the sessions holding a presence lease.
+func (b *Broker) Leases() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	n := 0
+	for _, s := range b.peers {
+		if s.lease.ID != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// teardown tells the world a session has ended, once end has taken it
+// offline: its groups' other members, the federation (announce, for a
+// local session) and the audit journal, which records reason, or the
+// session's provenance when reason is empty.
+func (b *Broker) teardown(info PeerInfo, announce bool, reason string) {
+	for _, g := range info.Groups {
+		b.pushPresence(info.ID, info.Username, g, advert.StatusOffline)
+	}
+	if announce && info.Local() {
 		b.fedBroadcast(endpoint.NewMessage().
 			AddString(proto.ElemOp, opFedPeerDown).
-			AddString(proto.ElemPeer, string(id)).
-			AddString(proto.ElemFedSession, strconv.FormatInt(sessionAt.UnixNano(), 10)))
+			AddString(proto.ElemPeer, string(info.ID)).
+			AddString(proto.ElemFedSession, strconv.FormatInt(info.ConnectedAt.UnixNano(), 10)))
 	}
 	if reason == "" {
-		reason = presenceOrigin(origin)
+		reason = presenceOrigin(info.Origin)
 	}
-	b.Audit(audit.Event{Kind: audit.KindPeerDown, Peer: string(id), Op: "presence", Reason: reason})
-	b.ctl.Bus().Emit(events.Event{Type: events.PresenceUpdate, From: id, User: username, Status: advert.StatusOffline})
+	b.Audit(audit.Event{Kind: audit.KindPeerDown, Peer: string(info.ID), Op: "presence", Reason: reason})
+	b.ctl.Bus().Emit(events.Event{Type: events.PresenceUpdate, From: info.ID, User: info.Username, Status: advert.StatusOffline})
 }
 
 // presenceOrigin labels a presence audit record's provenance.
@@ -646,11 +754,11 @@ func presenceOrigin(origin keys.PeerID) string {
 func (b *Broker) Peer(id keys.PeerID) (PeerInfo, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	p, ok := b.peers[id]
+	s, ok := b.peers[id]
 	if !ok {
 		return PeerInfo{}, false
 	}
-	return *p, true
+	return s.PeerInfo, true
 }
 
 // OnlinePeers lists the online peers of a group (all groups when group
@@ -670,36 +778,18 @@ func (b *Broker) OnlinePeers(group string) []PeerInfo {
 // by peer ID. With all, that is every peer the broker has a record for,
 // online or offline, whose record names the group (KnownMember): the
 // store-and-forward roster, the set of peers a relayed round may
-// address. Without, it is the online members of the live group. The
-// empty group is the whole network. The rows are the table's own
-// records: the caller holds b.mu while it reads them.
+// address. Without, it is the group's live members. The empty group is
+// the whole network. The rows are the table's own records: the caller
+// holds b.mu while it reads them.
 func (b *Broker) rosterRows(group string, all bool) []*PeerInfo {
-	var live *peergroup.Group
-	if !all && group != "" {
-		g, err := b.groups.Get(group)
-		if err != nil {
-			return nil
-		}
-		live = g
-	}
 	rows := make([]*PeerInfo, 0, len(b.peers))
-	for _, p := range b.peers {
-		switch {
-		case all && group != "" && !slices.Contains(p.Groups, group):
-		case !all && (!p.Online || live != nil && !live.Has(p.ID)):
-		default:
-			rows = append(rows, p)
+	for _, s := range b.peers {
+		if (all || s.Online) && (group == "" || slices.Contains(s.Groups, group)) {
+			rows = append(rows, &s.PeerInfo)
 		}
 	}
 	slices.SortFunc(rows, func(a, b *PeerInfo) int { return strings.Compare(string(a.ID), string(b.ID)) })
 	return rows
-}
-
-func (b *Broker) loggedIn(id keys.PeerID) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	p, ok := b.peers[id]
-	return ok && p.Online
 }
 
 // memberOf enforces the JXTA-Overlay interaction rule: only members of
@@ -709,19 +799,15 @@ func (b *Broker) memberOf(id keys.PeerID, group string) bool {
 	if group == "" {
 		return true
 	}
-	g, err := b.groups.Get(group)
-	if err != nil {
-		return false
-	}
-	return g.Has(id)
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	s := b.peers[id]
+	return s != nil && s.liveIn(group)
 }
 
 // --- advertisement ops ---
 
 func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	if !b.loggedIn(from) {
-		return proto.Fail(proto.ErrNotLoggedIn)
-	}
 	raw, ok := msg.Get(proto.ElemAdv)
 	if !ok {
 		return proto.Fail(proto.ErrBadRequest)
@@ -871,23 +957,17 @@ func (b *Broker) advPushFor(doc *xmldoc.Element, adv advert.Advertisement) *endp
 // "distribute data beyond boundaries" role; members on federated brokers
 // are reached by their own broker.
 func (b *Broker) pushLocal(msg *endpoint.Message, group string, except keys.PeerID) {
-	g, err := b.groups.Get(group)
-	if err != nil {
-		return
-	}
 	var room [32]keys.PeerID
-	targets := g.AppendMemberIDs(room[:0])
-	n := 0
+	targets := room[:0]
 	b.mu.RLock()
-	for _, id := range targets {
-		if p := b.peers[id]; p != nil && p.Online && p.Local() && id != except {
-			targets[n] = id
-			n++
+	for id, s := range b.peers {
+		if id != except && s.Local() && s.liveIn(group) {
+			targets = append(targets, id)
 		}
 	}
 	b.mu.RUnlock()
-	if n > 0 {
-		_ = b.ep.SendEach(targets[:n], proto.ClientService, msg)
+	if len(targets) > 0 {
+		_ = b.ep.SendEach(targets, proto.ClientService, msg)
 	}
 }
 
@@ -909,9 +989,6 @@ func (b *Broker) pushPresence(id keys.PeerID, username, group, status string) {
 }
 
 func (b *Broker) handleLookupAdv(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	if !b.loggedIn(from) {
-		return proto.Fail(proto.ErrNotLoggedIn)
-	}
 	advType, _ := msg.GetString(proto.ElemAdvType)
 	advID, _ := msg.GetString(proto.ElemAdvID)
 	rec, err := b.ctl.Cache().Lookup(advType, advID)
@@ -925,9 +1002,6 @@ func (b *Broker) handleLookupAdv(from keys.PeerID, msg *endpoint.Message) *endpo
 }
 
 func (b *Broker) handleLookupPipe(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	if !b.loggedIn(from) {
-		return proto.Fail(proto.ErrNotLoggedIn)
-	}
 	peer, _ := msg.GetString(proto.ElemPeer)
 	group, _ := msg.GetString(proto.ElemGroup)
 	if !b.memberOf(from, group) {
@@ -946,11 +1020,8 @@ func (b *Broker) handleLookupPipe(from keys.PeerID, msg *endpoint.Message) *endp
 }
 
 func (b *Broker) handleListPeers(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	if !b.loggedIn(from) {
-		return proto.Fail(proto.ErrNotLoggedIn)
-	}
 	group, _ := msg.GetString(proto.ElemGroup)
-	if !b.memberOf(from, group) && !b.KnownMember(from, group) {
+	if !b.KnownMember(from, group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
 	// With ElemAll, the store-and-forward roster: every known member,
@@ -989,9 +1060,6 @@ func presence(p *PeerInfo) string {
 // --- group ops ---
 
 func (b *Broker) handleGroupCreate(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	if !b.loggedIn(from) {
-		return proto.Fail(proto.ErrNotLoggedIn)
-	}
 	name, _ := msg.GetString(proto.ElemGroup)
 	desc, _ := msg.GetString(proto.ElemDesc)
 	if name == "" {
@@ -1001,7 +1069,11 @@ func (b *Broker) handleGroupCreate(from keys.PeerID, msg *endpoint.Message) *end
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	if _, err := b.groups.Create(id, name, desc, from); err != nil {
+	b.mu.Lock()
+	_, exists := b.groups[name]
+	b.groups[name] = struct{}{}
+	b.mu.Unlock()
+	if exists {
 		return proto.Fail(proto.ErrGroupExists)
 	}
 	ga := &advert.Group{GroupID: id, Name: name, Desc: desc, Creator: from}
@@ -1013,56 +1085,60 @@ func (b *Broker) handleGroupCreate(from keys.PeerID, msg *endpoint.Message) *end
 }
 
 func (b *Broker) handleGroupJoin(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	if !b.loggedIn(from) {
-		return proto.Fail(proto.ErrNotLoggedIn)
-	}
 	name, _ := msg.GetString(proto.ElemGroup)
-	info, _ := b.Peer(from)
-	if err := b.groups.Join(name, from, info.Username); err != nil {
-		return proto.Fail(proto.ErrNoGroup)
-	}
 	b.mu.Lock()
-	if p, ok := b.peers[from]; ok && !slices.Contains(p.Groups, name) {
-		p.Groups = append(p.Groups, name)
+	_, exists := b.groups[name]
+	s := b.peers[from]
+	joined := exists && s != nil && s.Online
+	var user string
+	if joined {
+		user = s.Username
+		if !slices.Contains(s.Groups, name) {
+			s.Groups = append(slices.Clip(s.Groups), name)
+		}
 	}
 	b.mu.Unlock()
-	b.pushPresence(from, info.Username, name, advert.StatusOnline)
+	if !joined {
+		return proto.Fail(proto.ErrNoGroup)
+	}
+	b.pushPresence(from, user, name, advert.StatusOnline)
 	b.ctl.Emit(events.GroupUpdated, from, name, map[string]string{"action": "join"}, nil)
 	return proto.OK()
 }
 
 func (b *Broker) handleGroupLeave(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	if !b.loggedIn(from) {
-		return proto.Fail(proto.ErrNotLoggedIn)
-	}
 	name, _ := msg.GetString(proto.ElemGroup)
-	info, _ := b.Peer(from)
-	if err := b.groups.Leave(name, from); err != nil {
-		return proto.Fail(proto.ErrNoGroup)
-	}
 	b.mu.Lock()
-	if p, ok := b.peers[from]; ok {
-		p.Groups = slices.DeleteFunc(p.Groups, func(g string) bool { return g == name })
+	s := b.peers[from]
+	left := s != nil && s.liveIn(name)
+	var user string
+	if left {
+		user = s.Username
+		s.Groups = slices.DeleteFunc(slices.Clone(s.Groups), func(g string) bool { return g == name })
 	}
 	b.mu.Unlock()
-	b.pushPresence(from, info.Username, name, advert.StatusOffline)
+	if !left {
+		return proto.Fail(proto.ErrNoGroup)
+	}
+	b.pushPresence(from, user, name, advert.StatusOffline)
 	b.ctl.Emit(events.GroupUpdated, from, name, map[string]string{"action": "leave"}, nil)
 	return proto.OK()
 }
 
 func (b *Broker) handleGroupList(from keys.PeerID, _ *endpoint.Message) *endpoint.Message {
-	if !b.loggedIn(from) {
-		return proto.Fail(proto.ErrNotLoggedIn)
+	b.mu.RLock()
+	names := make([]string, 0, len(b.groups))
+	for g := range b.groups {
+		names = append(names, g)
 	}
-	return proto.OK().AddString(proto.ElemGroups, strings.Join(b.groups.List(), ","))
+	b.mu.RUnlock()
+	slices.Sort(names)
+	return proto.OK().AddString(proto.ElemGroups, strings.Join(names, ","))
 }
 
 // --- file index ops ---
 
 func (b *Broker) handleFileSearch(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	if !b.loggedIn(from) {
-		return proto.Fail(proto.ErrNotLoggedIn)
-	}
 	keyword, _ := msg.GetString(proto.ElemKeyword)
 	group, _ := msg.GetString(proto.ElemGroup)
 	if group != "" && !b.memberOf(from, group) {

@@ -110,9 +110,18 @@ func TestLoginAndRegistry(t *testing.T) {
 	if !ok || info.Username != "alice" || !info.Online {
 		t.Fatalf("peer info = %+v, %v", info, ok)
 	}
-	if got := b.Groups().GroupsOf("urn:jxta:c1"); len(got) != 1 || got[0] != "g1" {
-		t.Fatalf("groups = %v", got)
+	if len(info.Groups) != 1 || info.Groups[0] != "g1" {
+		t.Fatalf("groups = %v", info.Groups)
 	}
+	if !b.memberOf("urn:jxta:c1", "g1") || b.memberOf("urn:jxta:c1", "g2") {
+		t.Fatal("live membership is not the record's: want g1 alone")
+	}
+}
+
+// online reports whether id has an online session at b.
+func online(b *Broker, id keys.PeerID) bool {
+	p, ok := b.Peer(id)
+	return ok && p.Online
 }
 
 func TestLoginFailure(t *testing.T) {

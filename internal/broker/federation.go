@@ -41,16 +41,15 @@ func (b *Broker) Federate(partners ...keys.PeerID) {
 			b.federation = append(b.federation, p)
 		}
 	}
-	local := make([]*PeerInfo, 0, len(b.peers))
-	for _, info := range b.peers {
-		if info.Online && info.Origin == "" {
-			cp := *info
-			local = append(local, &cp)
+	local := make([]PeerInfo, 0, len(b.peers))
+	for _, s := range b.peers {
+		if s.Online && s.Local() {
+			local = append(local, s.PeerInfo)
 		}
 	}
 	b.mu.Unlock()
-	for _, info := range local {
-		b.fedBroadcast(peerUpMessage(info))
+	for i := range local {
+		b.fedBroadcast(peerUpMessage(&local[i]))
 	}
 }
 
@@ -110,9 +109,9 @@ func (b *Broker) fedSession(msg *endpoint.Message) time.Time {
 }
 
 func (b *Broker) registerFederationOps() {
-	b.ops[opFedPeerUp] = b.handleFedPeerUp
-	b.ops[opFedPeerDown] = b.handleFedPeerDown
-	b.ops[opFedAdv] = b.handleFedAdv
+	b.ops[opFedPeerUp] = opEntry{h: b.handleFedPeerUp}
+	b.ops[opFedPeerDown] = opEntry{h: b.handleFedPeerDown}
+	b.ops[opFedAdv] = opEntry{h: b.handleFedAdv}
 }
 
 func (b *Broker) handleFedPeerUp(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
@@ -126,7 +125,7 @@ func (b *Broker) handleFedPeerUp(from keys.PeerID, msg *endpoint.Message) *endpo
 	if groupsCSV != "" {
 		groups = strings.Split(groupsCSV, ",")
 	}
-	b.registerPeerAt(keys.PeerID(peer), user, groups, from, b.fedSession(msg))
+	b.registerPeerAt(keys.PeerID(peer), user, groups, from, b.fedSession(msg), Lease{})
 	return nil
 }
 
@@ -135,7 +134,7 @@ func (b *Broker) handleFedPeerDown(from keys.PeerID, msg *endpoint.Message) *end
 		return nil
 	}
 	peer, _ := msg.GetString(proto.ElemPeer)
-	b.unregisterPeerAt(keys.PeerID(peer), false, b.fedSession(msg), "")
+	b.unregister(keys.PeerID(peer), true, b.fedSession(msg))
 	return nil
 }
 

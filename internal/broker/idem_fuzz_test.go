@@ -73,7 +73,7 @@ func FuzzIdemKey(f *testing.F) {
 		b.dispatch(member, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpLogin).
 			AddString(proto.ElemUser, "member").AddString(proto.ElemPass, "pw"))
 		b.dispatch(stranger, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpLogout))
-		if !b.loggedIn(member) || b.loggedIn(stranger) {
+		if !online(b, member) || online(b, stranger) {
 			t.Fatal("the member is not logged in, or the stranger is")
 		}
 		from := stranger
@@ -114,7 +114,7 @@ func FuzzIdemKey(f *testing.F) {
 		if held && cached != first {
 			t.Fatalf("%s with the honoured key %q re-executed instead of answering from the table", op, key)
 		}
-		if !stored || !b.loggedIn(from) {
+		if !stored || !online(b, from) {
 			return
 		}
 		if again := b.dispatch(from, request()); again != cached {

@@ -42,7 +42,7 @@ func benchPushBurst(b *testing.B, members int) {
 	}
 	defer br.Close()
 	for i := 0; i <= members; i++ {
-		br.registerPeer(keys.PeerID(fmt.Sprintf("urn:jxta:member-%02d", i)), fmt.Sprintf("member%d", i), []string{"g"}, "")
+		br.RegisterPeer(keys.PeerID(fmt.Sprintf("urn:jxta:member-%02d", i)), fmt.Sprintf("member%d", i), []string{"g"})
 	}
 	sum := sha256.Sum256([]byte("advertisement"))
 	push := endpoint.NewMessage().

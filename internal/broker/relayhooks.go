@@ -4,9 +4,9 @@ package broker
 // (internal/relay, attached by core.EnableBrokerRelay). The relay needs
 // a broker-truth answer to two questions the original module never had
 // to ask: "is this peer deliverable right now?" and "does this peer
-// belong to that group, even though it is offline?" — offline peers
-// leave the live group registry at logout, but their session record
-// (PeerInfo) survives, which is exactly the roster store-and-forward
+// belong to that group, even though it is offline?" — a peer is a live
+// member only while its session is online, but its record keeps naming
+// its groups after logout, which is exactly the roster store-and-forward
 // delivery needs.
 
 import (
@@ -67,8 +67,6 @@ func (b *Broker) KnownMember(id keys.PeerID, group string) bool {
 	if !ok {
 		return false
 	}
-	// Groups is mutated in place by join/leave, so it must be read
-	// while still holding the lock.
 	return group == "" || slices.Contains(p.Groups, group)
 }
 

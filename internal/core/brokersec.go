@@ -74,8 +74,7 @@ type BrokerSecurity struct {
 	// sids holds the session identifiers handed out and not yet
 	// presented, each until sidTTL after its issue, with the key its
 	// secureConnection agreed for the login.
-	sids   lru.Window[string, loginKey]
-	leases map[keys.PeerID]*lease
+	sids lru.Window[string, loginKey]
 
 	// Liveness counters (see LivenessStats). Atomics: the telemetry
 	// pull collectors read them without the mutex.
@@ -134,7 +133,6 @@ func EnableBrokerSecurity(b *broker.Broker, cfg BrokerConfig) (*BrokerSecurity, 
 		issued:   lru.New[keys.PeerID, *cred.Credential](issuedCredCapacity),
 		requests: proto.NewRequestGuard(cfg.Credential.Subject),
 		sids:     lru.NewWindow[string, loginKey](sidCapacity),
-		leases:   make(map[keys.PeerID]*lease),
 	}
 	b.RegisterOp(proto.OpSecureConnect, bs.handleSecureConnect)
 	b.RegisterOp(proto.OpSecureLogin, bs.handleSecureLogin)
@@ -377,19 +375,20 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 		return proto.Fail(proto.ErrBadRequest)
 	}
 
-	bs.b.RegisterPeer(peerID, user, groups)
+	// Liveness: the session is recorded with the presence lease it must
+	// heartbeat to keep, holding the credential just issued, and the
+	// response carries the lease.
+	leaseID := bs.newLeaseID()
+	bs.b.RegisterLeasedPeer(peerID, user, groups, broker.Lease{ID: leaseID, TTL: bs.cfg.LeaseTTL, Cred: issued})
 	bs.auditAuth(audit.KindLogin, peerID, proto.OpSecureLogin, "ok")
 
 	resp := proto.OK().
 		AddString(proto.ElemGroups, strings.Join(groups, ",")).
 		Add(proto.ElemCred, credWire)
-	// Liveness: the response carries the presence lease the session
-	// must heartbeat to keep, holding the credential just issued. Granted
-	// AFTER RegisterPeer so the lease records the session's ConnectedAt —
-	// the monotonic guard key a later expiry is checked against.
-	if leaseID, ttl, ok := bs.grantLease(peerID, issued); ok {
+	if leaseID != "" {
+		bs.leasesGranted.Add(1)
 		resp.AddString(proto.ElemLease, leaseID).
-			AddString(proto.ElemLeaseTTL, strconv.FormatInt(ttl.Milliseconds(), 10))
+			AddString(proto.ElemLeaseTTL, strconv.FormatInt(bs.cfg.LeaseTTL.Milliseconds(), 10))
 	}
 	return resp
 }

@@ -162,20 +162,23 @@ func BenchmarkFanOutRound(b *testing.B) {
 func TestGateFanOutRound(t *testing.T) { perfgate.Run(t, BenchmarkFanOutRound, 22, perfgate.NoLimit) }
 
 // BenchmarkLeaseRenew is the bookkeeping every heartbeat pays once its
-// signature is verified: one locked table lookup, the lease and
-// sequence checks, the expiry bump. A fleet heartbeating at TTL/3 must
-// cost the broker table work, not garbage.
+// signature is verified: one locked lookup of the session record, the
+// lease and sequence checks, the deadline bump. A fleet heartbeating at
+// TTL/3 must cost the broker table work, not garbage.
 func BenchmarkLeaseRenew(b *testing.B) {
-	bs := &BrokerSecurity{
-		cfg:    BrokerConfig{LeaseTTL: time.Minute},
-		leases: make(map[keys.PeerID]*lease),
+	br, err := broker.New(broker.Config{Name: "bench-broker", PeerID: "urn:jxta:cbid-broker",
+		Net: &pushCapture{frames: make(map[simnet.NodeID][]byte)}, DB: broker.LocalDB(userdb.NewStoreIter(4))})
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Cleanup(br.Close)
 	peer := keys.PeerID("urn:jxta:bench-peer")
-	bs.leases[peer] = &lease{id: "ls-bench", expiry: time.Now().Add(time.Hour)}
+	leaseID := []byte("ls-bench")
+	br.RegisterLeasedPeer(peer, "bench", nil, broker.Lease{ID: string(leaseID), TTL: time.Minute})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if tok := bs.renewLease(peer, "ls-bench", uint64(i)+1, time.Now()); tok != "" {
+		if tok := br.RenewLease(peer, leaseID, uint64(i)+1, time.Now()); tok != "" {
 			b.Fatalf("heartbeat refused: %s", tok)
 		}
 	}

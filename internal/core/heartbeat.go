@@ -9,6 +9,8 @@ package core
 // push to queueing. Without leases a silently dead peer black-holes
 // delivery: the broker keeps pushing into a session nobody reads.
 //
+// A lease is part of the broker's session record (broker.Lease), and a
+// logout, an expiry or the peer's next login ends it with the session.
 // The heartbeat carries no credential: the lease holds the one the
 // login that granted it issued, and a heartbeat must be signed with that
 // credential's key and arrive while it is valid — a credential past its
@@ -30,7 +32,6 @@ import (
 
 	"jxtaoverlay/internal/audit"
 	"jxtaoverlay/internal/client"
-	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
@@ -47,83 +48,21 @@ var ErrNoLease = errors.New("core: broker granted no presence lease")
 // lease-expired: the session is gone and must be re-established.
 var ErrLeaseLost = errors.New("core: presence lease lost")
 
-// lease is one session's liveness record.
-type lease struct {
-	id     string
-	seq    uint64 // highest heartbeat sequence accepted
-	expiry time.Time
-	// cred is the credential the login that granted the lease issued: its
-	// key signs the session's heartbeats, for as long as it is valid.
-	cred *cred.Credential
-	// session is the ConnectedAt of the session the lease belongs to:
-	// the monotonic-guard key handed to Broker.ExpirePeer so a stale
-	// expiry can never take down a newer session.
-	session time.Time
-}
-
-// grantLease mints a presence lease for a freshly registered session,
-// holding the credential its login issued. Returns ok=false when leases
-// are disabled.
-func (bs *BrokerSecurity) grantLease(peer keys.PeerID, issued *cred.Credential) (string, time.Duration, bool) {
+// newLeaseID mints the identifier of a presence lease for a login, or
+// returns "" when leases are disabled.
+func (bs *BrokerSecurity) newLeaseID() string {
 	if bs.cfg.LeaseTTL <= 0 {
-		return "", 0, false
+		return ""
 	}
 	idBytes, err := keys.RandomBytes(16)
 	if err != nil {
-		return "", 0, false
+		return ""
 	}
-	id := "ls-" + hex.EncodeToString(idBytes)
-	now := bs.b.Now()
-	session := now
-	if info, ok := bs.b.Peer(peer); ok {
-		session = info.ConnectedAt
-	}
-	bs.mu.Lock()
-	bs.leases[peer] = &lease{id: id, expiry: now.Add(bs.cfg.LeaseTTL), session: session, cred: issued}
-	bs.mu.Unlock()
-	bs.leasesGranted.Add(1)
-	return id, bs.cfg.LeaseTTL, true
-}
-
-// renewLease is the heartbeat's bookkeeping hot path: one mutex-guarded
-// table lookup, the lease/seq checks, and an expiry bump. Zero
-// allocations steady-state (TestGateLeaseRenew); the RSA work lives in the
-// caller. Returns the refusal token ("" = renewed).
-func (bs *BrokerSecurity) renewLease(peer keys.PeerID, leaseID string, seq uint64, now time.Time) string {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	l, ok := bs.leases[peer]
-	if !ok || l.id != leaseID || now.After(l.expiry) {
-		return proto.ErrLeaseExpired
-	}
-	if seq <= l.seq {
-		// A replayed (or reordered-stale) heartbeat: refuse without
-		// touching the expiry, so captured heartbeats cannot keep a
-		// dead session's presence alive.
-		return proto.ErrBadRequest
-	}
-	l.seq = seq
-	l.expiry = now.Add(bs.cfg.LeaseTTL)
-	return ""
-}
-
-// leaseCredential returns the credential held by peer's lease when its id
-// is leaseID, and nil when peer holds no lease or another one.
-func (bs *BrokerSecurity) leaseCredential(peer keys.PeerID, leaseID []byte) *cred.Credential {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if l, ok := bs.leases[peer]; ok && l.id == string(leaseID) {
-		return l.cred
-	}
-	return nil
+	return "ls-" + hex.EncodeToString(idBytes)
 }
 
 // Leases reports how many presence leases are live (telemetry gauge).
-func (bs *BrokerSecurity) Leases() int {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return len(bs.leases)
-}
+func (bs *BrokerSecurity) Leases() int { return bs.b.Leases() }
 
 // LivenessStats is a snapshot of the lease/heartbeat counters.
 type LivenessStats struct {
@@ -164,32 +103,12 @@ func (bs *BrokerSecurity) sweepLeases() {
 	}
 }
 
-// expireLapsed collects lapsed leases and takes their sessions'
-// presence down. The peer-down runs outside the extension lock (it
-// fans out presence advertisements); the monotonic session key makes
-// that safe — a re-login that slips between collection and expiry
-// has a newer ConnectedAt and is left untouched by ExpirePeer.
+// expireLapsed takes down every session whose lease has lapsed: one
+// broker pass that ends each under the lock that writes the records.
 func (bs *BrokerSecurity) expireLapsed() {
-	type lapsed struct {
-		peer    keys.PeerID
-		id      string
-		session time.Time
-	}
-	var out []lapsed
-	now := bs.b.Now()
-	bs.mu.Lock()
-	for peer, l := range bs.leases {
-		if now.After(l.expiry) {
-			out = append(out, lapsed{peer: peer, id: l.id, session: l.session})
-			delete(bs.leases, peer)
-		}
-	}
-	bs.mu.Unlock()
-	for _, l := range out {
+	for _, peer := range bs.b.ExpireLeases() {
 		bs.leasesExpired.Add(1)
-		if bs.b.ExpirePeer(l.peer, "lease-expired", l.session) {
-			bs.auditAuth(audit.KindHeartbeat, l.peer, OpHeartbeat, proto.ErrLeaseExpired)
-		}
+		bs.auditAuth(audit.KindHeartbeat, peer, OpHeartbeat, proto.ErrLeaseExpired)
 	}
 }
 
@@ -250,7 +169,7 @@ func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Messag
 	formed := false
 	req, err := bs.requests.Open(raw, proto.KindHeartbeat, now, func(r *proto.Request) (*keys.PublicKey, error) {
 		formed = true
-		held := bs.leaseCredential(from, r.Field(proto.HeartbeatLease))
+		held := bs.b.LeaseCredential(from, r.Field(proto.HeartbeatLease))
 		switch {
 		case held == nil:
 			return nil, refusal(proto.ErrLeaseExpired)
@@ -266,7 +185,7 @@ func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Messag
 	case len(req.Field(proto.HeartbeatSeq)) != 8:
 		token = proto.ErrBadRequest
 	default:
-		token = bs.renewLease(from, string(req.Field(proto.HeartbeatLease)), binary.BigEndian.Uint64(req.Field(proto.HeartbeatSeq)), now)
+		token = bs.b.RenewLease(from, req.Field(proto.HeartbeatLease), binary.BigEndian.Uint64(req.Field(proto.HeartbeatSeq)), now)
 	}
 	if token != "" {
 		if formed {

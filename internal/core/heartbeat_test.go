@@ -7,13 +7,19 @@ package core_test
 
 import (
 	"errors"
+	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
+	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
+	"jxtaoverlay/internal/waituntil"
 )
 
 // leaseHarness is a secureHarness with liveness enabled and a movable
@@ -28,8 +34,16 @@ const testLeaseTTL = 30 * time.Second
 
 func newLeaseHarness(t *testing.T) *leaseHarness {
 	t.Helper()
+	return newLeaseHarnessTTL(t, testLeaseTTL)
+}
+
+// newLeaseHarnessTTL is newLeaseHarness with leases of ttl: a short one
+// has the client's heartbeat loop tick within a test, while the broker's
+// clock, and so every lease deadline, moves only when the test moves it.
+func newLeaseHarnessTTL(t *testing.T, ttl time.Duration) *leaseHarness {
+	t.Helper()
 	h := &leaseHarness{now: time.Now()}
-	h.secureHarness = newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: true, LeaseTTL: testLeaseTTL})
+	h.secureHarness = newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: true, LeaseTTL: ttl})
 	h.br.Endpoint().SetClock(h.clock)
 	return h
 }
@@ -135,14 +149,110 @@ func TestReloginAfterExpiryGrantsFreshLease(t *testing.T) {
 		t.Fatal("peer not online after re-login")
 	}
 
-	// A sweep collected against the OLD session must not take the new
-	// one down: the monotonic session guard in ExpirePeer.
-	if h.br.ExpirePeer(sc.PeerID(), "lease-expired", time.Now().Add(-time.Hour)) {
-		t.Fatal("stale expiry clobbered the newer session")
-	}
+	// The new lease lapses too, but the peer logs in again before the
+	// sweep: the sweep finds the newer session's lease, not the lapsed
+	// one, and leaves it online.
+	h.advance(testLeaseTTL + time.Second)
+	h.join(sc, "pw-alice")
+	h.brSec.ExpireLapsedNow()
 	if !h.br.PeerOnline(sc.PeerID()) {
-		t.Fatal("peer knocked offline by a stale expiry")
+		t.Fatal("a sweep after the re-login took the newer session down")
 	}
+	if st := h.brSec.LivenessStats(); st.LeasesExpired != 1 {
+		t.Fatalf("LeasesExpired = %d, want the first session's 1", st.LeasesExpired)
+	}
+}
+
+// A logout ends the session's lease with it: the broker holds no lease
+// for an offline peer, and the logged-out session's next heartbeat is
+// refused lease-expired instead of renewing it.
+func TestLogoutEndsLease(t *testing.T) {
+	h := newLeaseHarness(t)
+	sc := h.secureClient("alice")
+	h.join(sc, "pw-alice")
+	if err := sc.Logout(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.brSec.Leases(); got != 0 {
+		t.Fatalf("broker holds %d leases after the logout, want 0", got)
+	}
+	if err := sc.SecureHeartbeat(testCtx(t)); !errors.Is(err, core.ErrLeaseLost) {
+		t.Fatalf("heartbeat after logout = %v, want ErrLeaseLost", err)
+	}
+	if st := h.brSec.LivenessStats(); st.HeartbeatsRenewed != 0 {
+		t.Fatalf("HeartbeatsRenewed = %d after the logout, want 0", st.HeartbeatsRenewed)
+	}
+}
+
+// A resilient client's logout stays a logout: its heartbeat loop stops
+// first, so no lease-lost heartbeat turns it into a resume, and the sweep
+// finds no lease of it to expire.
+func TestResilientLogoutStaysLoggedOut(t *testing.T) {
+	const ttl = 60 * time.Millisecond
+	h := newLeaseHarnessTTL(t, ttl)
+	sc := h.secureClient("alice")
+	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice", resilientCfg())
+	if err := rc.Connect(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rc.Close)
+	waituntil.Must(t, 5*time.Second, func() bool { return rc.Stats().HeartbeatsSent > 0 }, "the heartbeat loop never ran")
+	if err := rc.Logout(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	sent := rc.Stats().HeartbeatsSent
+	time.Sleep(3 * ttl) // the loop, had it kept running, would have beaten twice
+	h.advance(ttl + time.Second)
+	h.brSec.ExpireLapsedNow()
+	if h.br.PeerOnline(rc.PeerID()) {
+		t.Fatal("the logged-out peer is online again")
+	}
+	if st := rc.Stats(); st.Resumes != 0 || st.HeartbeatsSent != sent {
+		t.Fatalf("stats = %+v after the logout, want no resume and %d heartbeats", st, sent)
+	}
+	if st := h.brSec.LivenessStats(); st.LeasesExpired != 0 {
+		t.Fatalf("LeasesExpired = %d, want 0: the logout ended the lease", st.LeasesExpired)
+	}
+}
+
+// A lease expiry racing a re-login resolves in favour of the newer
+// session: the sweeper ends a lapsed session in one pass under the lock
+// that writes records, so a login that lands after it finds the record
+// offline and replaces it whole, groups included. The test re-logs a peer
+// in with a 1 ms lease beside the real sweeper and checks, after each
+// login, that an online session is a live member of every group its
+// record names; it logs in again the moment the sweeper has taken the
+// last session offline, while that session's teardown runs. It reads membership first and the online flag second:
+// only the sweeper runs beside it, and the sweeper only takes sessions
+// offline, so a session online at the second read was online at the
+// first, and a violation seen in that order is real.
+func TestExpiryRacingReloginKeepsGroups(t *testing.T) {
+	h := newSecureHarnessWith(t, core.BrokerConfig{LeaseTTL: time.Millisecond})
+	const peer keys.PeerID = "urn:jxta:cbid-racer"
+	groups := []string{"math", "physics"}
+	logins := 0
+	for end := time.Now().Add(3 * time.Second); time.Now().Before(end); logins++ {
+		h.br.RegisterLeasedPeer(peer, "racer", groups, broker.Lease{ID: "ls-" + strconv.Itoa(logins), TTL: time.Millisecond})
+		live := true
+		for _, g := range groups {
+			live = live && slices.ContainsFunc(h.br.OnlinePeers(g), func(p broker.PeerInfo) bool { return p.ID == peer })
+		}
+		info, _ := h.br.Peer(peer)
+		if !info.Online {
+			continue
+		}
+		if !live || !slices.Equal(info.Groups, groups) {
+			t.Fatalf("login %d: online with record groups %v but not a live member of all of them", logins, info.Groups)
+		}
+		// Wait for the sweeper to take the lapsed session offline, and
+		// log in again the moment it has: inside its teardown.
+		for wait := time.Now().Add(50 * time.Millisecond); time.Now().Before(wait); runtime.Gosched() {
+			if info, _ := h.br.Peer(peer); !info.Online {
+				break
+			}
+		}
+	}
+	t.Logf("%d logins", logins)
 }
 
 func TestHeartbeatWithoutLeaseErrs(t *testing.T) {

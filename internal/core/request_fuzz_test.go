@@ -59,9 +59,7 @@ func FuzzSignedRequest(f *testing.F) {
 	}
 	const leaseID = "ls-00"
 	heartbeat := func(raw []byte) (ok bool, token string) {
-		bs.mu.Lock()
-		bs.leases[subject] = &lease{id: leaseID, expiry: at.Add(time.Hour), cred: issued}
-		bs.mu.Unlock()
+		site.Broker.RegisterLeasedPeer(subject, "sender", nil, broker.Lease{ID: leaseID, TTL: time.Hour, Cred: issued})
 		return proto.IsOK(bs.handleHeartbeat(subject, endpoint.NewMessage().Add(proto.ElemBody, raw)))
 	}
 

@@ -181,6 +181,22 @@ func (r *ResilientClient) Close() {
 	r.SecureClient.Close()
 }
 
+// Logout stops the heartbeat loop, then logs the session out. The broker
+// ends the session's lease with it, so a loop left running would meet
+// lease-lost at its next heartbeat and log the peer back in. Connect
+// starts a session, and its loop, again.
+func (r *ResilientClient) Logout(ctx context.Context) error {
+	r.mu.Lock()
+	hbStop, hbDone := r.hbStop, r.hbDone
+	r.hbStop, r.hbDone = nil, nil
+	r.mu.Unlock()
+	if hbStop != nil {
+		close(hbStop)
+		<-hbDone
+	}
+	return r.SecureClient.Logout(ctx)
+}
+
 // isClosed reports whether Close ran.
 func (r *ResilientClient) isClosed() bool {
 	r.mu.Lock()
