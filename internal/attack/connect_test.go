@@ -167,7 +167,7 @@ func TestLowOrderChallengeRefusedBeforeAgreement(t *testing.T) {
 	var imp *impostor
 	imp = newImpostor(t, s, func(keys.PeerID, *endpoint.Message) *endpoint.Message {
 		answer, err := imp.Endpoint().Request(testCtx(t), s.br.PeerID(), proto.BrokerService, endpoint.NewMessage().
-			AddString(proto.ElemOp, proto.OpSecureConnect).Add(proto.ElemChallenge, swapped))
+			AddString(proto.ElemOp, proto.OpSecureConnect).Add(proto.ElemChallenge, swapped), 0)
 		if err != nil {
 			return proto.Fail(proto.ErrBadRequest)
 		}

@@ -359,7 +359,7 @@ func TestSecureConnectFloodBoundsSidTable(t *testing.T) {
 		}
 		resp, err := stranger.Request(ctx, s.br.PeerID(), proto.BrokerService, endpoint.NewMessage().
 			AddString(proto.ElemOp, proto.OpSecureConnect).
-			Add(proto.ElemChallenge, chall))
+			Add(proto.ElemChallenge, chall), 0)
 		stranger.Close()
 		if err != nil {
 			t.Fatalf("secureConnection %d: %v", i, err)

@@ -138,7 +138,7 @@ func TestBrokerAgreementKeyUnderShareStatement(t *testing.T) {
 				for _, e := range msg.Elements {
 					call.Add(e.Name, bytes.Clone(e.Data))
 				}
-				return b.Endpoint().Request(testCtx(t), s.br.PeerID(), proto.BrokerService, call)
+				return b.Endpoint().Request(testCtx(t), s.br.PeerID(), proto.BrokerService, call, 0)
 			}
 			b.RegisterOp(proto.OpSecureConnect, func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 				answer, err := forward(msg)

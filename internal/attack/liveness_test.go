@@ -199,7 +199,7 @@ func TestStrangerCannotSeedIdempotencyWindow(t *testing.T) {
 		flood := endpoint.NewMessage().
 			AddString(proto.ElemOp, proto.OpConnect).
 			AddString(proto.ElemIdem, "ik-flood-"+strconv.Itoa(i))
-		resp, err := stranger.Request(ctx, s.br.PeerID(), proto.BrokerService, flood)
+		resp, err := stranger.Request(ctx, s.br.PeerID(), proto.BrokerService, flood, 0)
 		if err != nil {
 			t.Fatalf("connect %d: %v", i, err)
 		}

@@ -96,12 +96,15 @@ type Lease struct {
 // that Peer copies out and, for a login granted one, the presence lease.
 // It is the only table of live group membership: a peer is a live member
 // of g while its record is online and names g. Groups is replaced, never
-// written in place, so a copy of the record keeps a stable list.
+// written in place, so a copy of the record keeps a stable list. It is
+// the broker's presence record too: a presence lookup no published
+// advertisement answers is answered from it (presenceOf).
 type session struct {
 	PeerInfo
 	lease    Lease     // zero when the session holds none
 	seq      uint64    // highest heartbeat sequence accepted
 	deadline time.Time // the lease lapses after it
+	ended    time.Time // when end took the session offline
 }
 
 // liveIn reports whether the session is a live member of group.
@@ -109,11 +112,23 @@ func (s *session) liveIn(group string) bool {
 	return s.Online && slices.Contains(s.Groups, group)
 }
 
-// end takes the session offline and ends its lease. The caller holds
-// b.mu; what it returns is the record the teardown outside the lock reads.
-func (s *session) end() PeerInfo {
-	s.Online, s.lease = false, Lease{}
+// end takes the session offline at now and ends its lease. The caller
+// holds b.mu; what it returns is the record the teardown outside the lock
+// reads.
+func (s *session) end(now time.Time) PeerInfo {
+	s.Online, s.lease, s.ended = false, Lease{}, now
 	return s.PeerInfo
+}
+
+// presence renders the session's presence in group, which its record
+// names: online while it is live there, and seen when it began or, once
+// it has ended, when it ended.
+func (s *session) presence(group string) *advert.Presence {
+	p := &advert.Presence{PeerID: s.ID, Name: s.Username, Group: group, Status: advert.StatusOffline, Seen: s.ended}
+	if s.liveIn(group) {
+		p.Status, p.Seen = advert.StatusOnline, s.ConnectedAt
+	}
+	return p
 }
 
 // OpHandler processes one broker operation.
@@ -644,7 +659,7 @@ func (b *Broker) unregister(id keys.PeerID, fed bool, at time.Time) {
 	live := s != nil && s.Online
 	var info PeerInfo
 	if live {
-		info = s.end()
+		info = s.end(b.Now())
 	}
 	b.mu.Unlock()
 	if live {
@@ -663,7 +678,7 @@ func (b *Broker) ExpireLeases() []keys.PeerID {
 	b.mu.Lock()
 	for _, s := range b.peers {
 		if s.lease.ID != "" && now.After(s.deadline) {
-			ended = append(ended, s.end())
+			ended = append(ended, s.end(now))
 		}
 	}
 	b.mu.Unlock()
@@ -971,15 +986,11 @@ func (b *Broker) pushLocal(msg *endpoint.Message, group string, except keys.Peer
 	}
 }
 
-// pushPresence records a peer's presence in a group and tells the
-// group's other local members. The broker's record is a presence
-// advertisement, answering lookups; the members get a notice of its four
-// fields, which they read without a parse and keep nothing of.
+// pushPresence tells a group's other local members of a peer's presence
+// in it: a notice of four fields, views of the strings it is handed, which
+// the members read without a parse and keep nothing of. The broker keeps
+// no record of its own: the session is its presence record (presenceOf).
 func (b *Broker) pushPresence(id keys.PeerID, username, group, status string) {
-	pres := &advert.Presence{PeerID: id, Name: username, Group: group, Status: status, Seen: b.Now()}
-	if doc, err := pres.Document(); err == nil {
-		b.ctl.Cache().PutParsed(doc, pres)
-	}
 	b.pushLocal(endpoint.NewMessage().
 		AddString(proto.ElemOp, proto.OpPresencePush).
 		AddString(proto.ElemPeer, string(id)).
@@ -988,17 +999,50 @@ func (b *Broker) pushPresence(id keys.PeerID, username, group, status string) {
 		AddString(proto.ElemStatus, status), group, id)
 }
 
+// handleLookupAdv answers a lookup from the cache of published
+// advertisements and, for a presence none was published for, from the
+// session record it names, rendered now.
 func (b *Broker) handleLookupAdv(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 	advType, _ := msg.GetString(proto.ElemAdvType)
 	advID, _ := msg.GetString(proto.ElemAdvID)
-	rec, err := b.ctl.Cache().Lookup(advType, advID)
-	if err != nil {
+	var adv advert.Advertisement
+	var doc *xmldoc.Element
+	if rec, err := b.ctl.Cache().Lookup(advType, advID); err == nil {
+		adv, doc = rec.Adv, rec.Doc
+	} else if advType == advert.TypePresence {
+		adv, doc = b.presenceOf(advID)
+	}
+	if adv == nil {
 		return proto.Fail(proto.ErrNotFound)
 	}
-	if group := advGroup(rec.Adv); group != "" && !b.memberOf(from, group) {
+	if group := advGroup(adv); group != "" && !b.memberOf(from, group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
-	return proto.OK().Add(proto.ElemAdv, rec.Doc.Canonical())
+	return proto.OK().Add(proto.ElemAdv, doc.Canonical())
+}
+
+// presenceOf is the presence advertisement id names (advert.Presence's
+// AdvID, peer "/" group), rendered from the peer's session record when
+// that record names the group; nil when there is none.
+func (b *Broker) presenceOf(id string) (advert.Advertisement, *xmldoc.Element) {
+	peer, group, ok := strings.Cut(id, "/")
+	if !ok {
+		return nil, nil
+	}
+	b.mu.RLock()
+	var p *advert.Presence
+	if s := b.peers[keys.PeerID(peer)]; s != nil && slices.Contains(s.Groups, group) {
+		p = s.presence(group)
+	}
+	b.mu.RUnlock()
+	if p == nil {
+		return nil, nil
+	}
+	doc, err := p.Document()
+	if err != nil {
+		return nil, nil
+	}
+	return p, doc
 }
 
 func (b *Broker) handleLookupPipe(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {

@@ -3,6 +3,7 @@ package broker
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,7 +63,7 @@ func (c *caller) op(op string, kv ...string) *endpoint.Message {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	resp, err := c.ep.Request(ctx, c.br, proto.BrokerService, msg)
+	resp, err := c.ep.Request(ctx, c.br, proto.BrokerService, msg, 0)
 	if err != nil {
 		c.t.Fatalf("op %s: %v", op, err)
 	}
@@ -284,6 +285,59 @@ func TestLookupAdvAndGroupGating(t *testing.T) {
 	resp = c1.op(proto.OpLookupAdv, proto.ElemAdvType, advert.TypePresence, proto.ElemAdvID, "nope")
 	if ok, errTok := proto.IsOK(resp); ok || errTok != proto.ErrNotFound {
 		t.Fatalf("missing lookup: ok=%v err=%s", ok, errTok)
+	}
+}
+
+// TestPresenceLookupFollowsSession: with no presence published, a lookup
+// is answered from the session record, rendered when asked — online, seen
+// at the login, for as long as the session lasts (past the lifetime a
+// presence advertisement has), and offline, seen at the logout, once it
+// has ended.
+func TestPresenceLookupFollowsSession(t *testing.T) {
+	b, net := newBroker(t)
+	start := time.Now().UTC().Truncate(time.Second)
+	var ahead atomic.Int64
+	b.Endpoint().SetClock(func() time.Time { return start.Add(time.Duration(ahead.Load())) })
+	alice := newCaller(t, net, b, "urn:jxta:c1")
+	bob := newCaller(t, net, b, "urn:jxta:c2")
+	alice.login("alice")
+	bob.login("bob")
+	id := (&advert.Presence{PeerID: "urn:jxta:c1", Group: "g1"}).AdvID()
+	lookup := func(step, status string, seen time.Time) {
+		t.Helper()
+		resp := bob.op(proto.OpLookupAdv, proto.ElemAdvType, advert.TypePresence, proto.ElemAdvID, id)
+		if ok, errTok := proto.IsOK(resp); !ok {
+			t.Fatalf("%s: lookup refused %s", step, errTok)
+		}
+		raw, _ := resp.Get(proto.ElemAdv)
+		doc, err := xmldoc.ParseCanonical(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		p, err := advert.ParsePresence(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if p.PeerID != "urn:jxta:c1" || p.Name != "alice" || p.Group != "g1" || p.Status != status || !p.Seen.Equal(seen) {
+			t.Fatalf("%s: presence %+v, want %s seen %v", step, p, status, seen)
+		}
+	}
+	lookup("after login", advert.StatusOnline, start)
+
+	ahead.Store(int64(3 * time.Minute))
+	if info, ok := b.Peer("urn:jxta:c1"); !ok || !info.Online {
+		t.Fatal("the session ended by itself")
+	}
+	lookup("3 minutes on", advert.StatusOnline, start)
+
+	alice.op(proto.OpLogout)
+	lookup("after logout", advert.StatusOffline, start.Add(3*time.Minute))
+
+	// A group the session does not name has no presence of it.
+	other := (&advert.Presence{PeerID: "urn:jxta:c1", Group: "g2"}).AdvID()
+	resp := bob.op(proto.OpLookupAdv, proto.ElemAdvType, advert.TypePresence, proto.ElemAdvID, other)
+	if ok, errTok := proto.IsOK(resp); ok || errTok != proto.ErrNotFound {
+		t.Fatalf("lookup in a group the session does not name: ok=%v err=%s", ok, errTok)
 	}
 }
 

@@ -228,13 +228,6 @@ func (c *Client) signAdv(doc *xmldoc.Element) error {
 	return s(doc)
 }
 
-func (c *Client) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, c.timeout)
-}
-
 // Call performs one broker operation and unwraps the ok/err envelope. It
 // is exported for the security extension, which adds its own operations.
 func (c *Client) Call(ctx context.Context, msg *endpoint.Message) (*endpoint.Message, error) {
@@ -257,10 +250,14 @@ func (c *Client) Call(ctx context.Context, msg *endpoint.Message) (*endpoint.Mes
 	return resp, err
 }
 
+// call is one broker round trip, under the client's timeout when ctx has
+// no deadline of its own.
 func (c *Client) call(ctx context.Context, br keys.PeerID, msg *endpoint.Message) (*endpoint.Message, error) {
-	ctx, cancel := c.withTimeout(ctx)
-	defer cancel()
-	resp, err := c.ep.Request(ctx, br, proto.BrokerService, msg)
+	timeout := c.timeout
+	if _, ok := ctx.Deadline(); ok {
+		timeout = 0
+	}
+	resp, err := c.ep.Request(ctx, br, proto.BrokerService, msg, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -786,10 +783,14 @@ func (c *Client) groupNamed(name []byte) string {
 // onPresence emits the PresenceUpdate a broker's presence notice
 // announces, and caches nothing: the broker keeps the presence record. A
 // notice without a peer, or whose status is neither online nor offline,
-// is dropped.
+// is dropped, and so is every notice while nothing listens for the event.
 func (c *Client) onPresence(msg *endpoint.Message) {
+	bus := c.ctl.Bus()
+	if !bus.Wants(events.PresenceUpdate) {
+		return
+	}
 	peer, _ := msg.Get(proto.ElemPeer)
-	group, _ := msg.Get(proto.ElemGroup)
+	claimed, _ := msg.Get(proto.ElemGroup)
 	user, _ := msg.Get(proto.ElemUser)
 	status, _ := msg.Get(proto.ElemStatus)
 	var st string // the constant, so that the event holds no view and no copy
@@ -802,10 +803,13 @@ func (c *Client) onPresence(msg *endpoint.Message) {
 	if len(peer) == 0 || st == "" {
 		return
 	}
-	c.ctl.Bus().Emit(events.Event{
+	c.mu.RLock()
+	group := c.groupNamed(claimed)
+	c.mu.RUnlock()
+	bus.Emit(events.Event{
 		Type:   events.PresenceUpdate,
 		From:   keys.PeerID(peer),
-		Group:  string(group),
+		Group:  group,
 		User:   string(user),
 		Status: st,
 	})

@@ -263,10 +263,10 @@ func benchChannelMessage(b *testing.B, size int) {
 			b.Fatal("no channel")
 		}
 		room := endpoint.Room{Size: frameSize(len(text)), Fill: func(dst []byte) ([]byte, error) {
-			return sealFrame(dst, aead, ref, readOnlyBytes(text), at), nil
+			return sealFrame(dst, aead, ref, endpoint.ReadOnlyBytes(text), at), nil
 		}}
 		frame, err := endpoint.BuildFrame(endpoint.Route{Src: "urn:jxta:cbid-sender", Service: "jxta:pipe:", Param: "bench"}, &room,
-			endpoint.Element{Name: proto.ElemEnvelope}, endpoint.Element{Name: proto.ElemGroup, Data: readOnlyBytes("bench")})
+			endpoint.Element{Name: proto.ElemEnvelope}, endpoint.Element{Name: proto.ElemGroup, Data: endpoint.ReadOnlyBytes("bench")})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -317,10 +317,10 @@ func BenchmarkDeliverFrame(b *testing.B) {
 			b.Fatal("no channel")
 		}
 		room := endpoint.Room{Size: frameSize(len(text)), Fill: func(dst []byte) ([]byte, error) {
-			return sealFrame(dst, aead, ref, readOnlyBytes(text), at), nil
+			return sealFrame(dst, aead, ref, endpoint.ReadOnlyBytes(text), at), nil
 		}}
 		frame, err := endpoint.BuildFrame(endpoint.Route{Src: "urn:jxta:cbid-sender", Service: "jxta:pipe:", Param: "bench"}, &room,
-			endpoint.Element{Name: proto.ElemEnvelope}, endpoint.Element{Name: proto.ElemGroup, Data: readOnlyBytes("bench")})
+			endpoint.Element{Name: proto.ElemEnvelope}, endpoint.Element{Name: proto.ElemGroup, Data: endpoint.ReadOnlyBytes("bench")})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -498,21 +498,11 @@ func (c *pushCapture) last(id simnet.NodeID) []byte {
 	return c.frames[id]
 }
 
-// BenchmarkPresenceNotice is a resident told of a join: the endpoint
-// parses the broker's presence notice and the client emits the
-// PresenceUpdate from its four elements — no document parsed, nothing
-// cached. What it allocates is the parsed Message and the event's peer,
-// group and user strings; the status is the package constant. The push
-// is delivered in the one buffer again and again: nothing on this path
-// writes to it or keeps a view of it.
-func BenchmarkPresenceNotice(b *testing.B) {
-	r := benchRecipient(b)
-	told := 0
-	r.s.Bus().Subscribe(events.PresenceUpdate, func(e events.Event) {
-		if e.From == "urn:jxta:cbid-joiner" && e.Group == "bench" && e.Attr("user") == "joiner" && e.Attr("status") == advert.StatusOnline {
-			told++
-		}
-	})
+// benchPresenceNotices delivers to r b.N times the broker's notice that
+// joiner came online in group bench, in the one buffer again and again:
+// nothing on this path writes to it or keeps a view of it. No notice
+// parses a document or caches a record.
+func benchPresenceNotices(b *testing.B, r *benchRecipientEnd) {
 	push, err := endpoint.BuildFrame(endpoint.Route{Src: "urn:jxta:cbid-broker", Service: proto.ClientService}, nil,
 		endpoint.Element{Name: proto.ElemOp, Data: []byte(proto.OpPresencePush)},
 		endpoint.Element{Name: proto.ElemPeer, Data: []byte("urn:jxta:cbid-joiner")},
@@ -530,9 +520,6 @@ func BenchmarkPresenceNotice(b *testing.B) {
 		r.hop.deliver(simnet.Packet{Payload: push})
 	}
 	b.StopTimer()
-	if told != b.N+1 {
-		b.Fatalf("%d presence updates emitted for %d notices", told, b.N+1)
-	}
 	if p := advert.ParseCalls() - parsed; p != 0 {
 		b.Fatalf("%d advertisement parses handling %d presence notices, want none", p, b.N)
 	}
@@ -541,7 +528,41 @@ func BenchmarkPresenceNotice(b *testing.B) {
 	}
 }
 
-func TestGatePresenceNotice(t *testing.T) { perfgate.Run(t, BenchmarkPresenceNotice, 4, 20000) }
+// BenchmarkPresenceNotice is a resident of group bench told of a join,
+// with a handler for the event: the endpoint parses the broker's presence
+// notice and the client emits the PresenceUpdate from its four elements.
+// What it allocates is the parsed Message and the event's peer and user
+// strings; the group is the client's own string and the status the
+// package constant.
+func BenchmarkPresenceNotice(b *testing.B) {
+	r := benchRecipient(b)
+	r.login(b, "bench")
+	told := 0
+	r.s.Bus().Subscribe(events.PresenceUpdate, func(e events.Event) {
+		if e.From == "urn:jxta:cbid-joiner" && e.Group == "bench" && e.Attr("user") == "joiner" && e.Attr("status") == advert.StatusOnline {
+			told++
+		}
+	})
+	benchPresenceNotices(b, r)
+	if told != b.N+1 {
+		b.Fatalf("%d presence updates emitted for %d notices", told, b.N+1)
+	}
+}
+
+func TestGatePresenceNotice(t *testing.T) { perfgate.Run(t, BenchmarkPresenceNotice, 3, 20000) }
+
+// BenchmarkPresenceNoticeUnheard is the same notice at a resident where
+// nothing listens for PresenceUpdate: no event is built, so what it
+// allocates is the parsed Message alone.
+func BenchmarkPresenceNoticeUnheard(b *testing.B) {
+	r := benchRecipient(b)
+	r.login(b, "bench")
+	benchPresenceNotices(b, r)
+}
+
+func TestGatePresenceNoticeUnheard(t *testing.T) {
+	perfgate.Run(t, BenchmarkPresenceNoticeUnheard, 1, 20000)
+}
 
 // BenchmarkRepushedAdvertisement is a resident pushed, again, the signed
 // pipe advertisement it holds — what every resident is pushed when a

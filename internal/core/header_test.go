@@ -8,6 +8,7 @@ import (
 	"time"
 	"unsafe"
 
+	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 )
 
@@ -77,7 +78,7 @@ func FuzzParseHeader(f *testing.F) {
 		if !ok {
 			return
 		}
-		for _, v := range [][]byte{readOnlyBytes(string(h.sender)), readOnlyBytes(h.group), h.digest, h.to, h.nonce, h.root, h.channel, h.share, h.resends, h.sig, rest} {
+		for _, v := range [][]byte{endpoint.ReadOnlyBytes(string(h.sender)), endpoint.ReadOnlyBytes(h.group), h.digest, h.to, h.nonce, h.root, h.channel, h.share, h.resends, h.sig, rest} {
 			if !within(v, data) {
 				t.Fatalf("field %x is not a view into the input", v)
 			}

@@ -90,7 +90,7 @@ func bulkSealSend(t *testing.T, text string) {
 	res := testing.Benchmark(func(tb *testing.B) {
 		tb.ReportAllocs()
 		for i := 0; i < tb.N; i++ {
-			sealed, err := Seal(senderKP, "urn:jxta:bulk-a", "g", readOnlyBytes(text), recvKP.Public(), ModeFull)
+			sealed, err := Seal(senderKP, "urn:jxta:bulk-a", "g", endpoint.ReadOnlyBytes(text), recvKP.Public(), ModeFull)
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -128,15 +128,15 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 // slice the item names uncut (a direct push) is cut there, once.
 func pushSlice(ep *endpoint.Service, it relay.Item) error {
 	elems := [...]endpoint.Element{
-		{Name: proto.ElemOp, Data: readOnlyBytes(proto.OpSliceDeliver)},
-		{Name: proto.ElemGroup, Data: readOnlyBytes(it.Group)},
-		{Name: proto.ElemPeer, Data: readOnlyBytes(string(it.From))},
+		{Name: proto.ElemOp, Data: endpoint.ReadOnlyBytes(proto.OpSliceDeliver)},
+		{Name: proto.ElemGroup, Data: endpoint.ReadOnlyBytes(it.Group)},
+		{Name: proto.ElemPeer, Data: endpoint.ReadOnlyBytes(string(it.From))},
 		{Name: proto.ElemEnvelope},
 		{Name: proto.ElemTrace},
 	}
 	n := len(elems) - 1
 	if it.Trace != 0 {
-		elems[n].Data = readOnlyBytes(trace.FormatID(it.Trace))
+		elems[n].Data = endpoint.ReadOnlyBytes(trace.FormatID(it.Trace))
 		n++
 	}
 	room := endpoint.Room{Index: 3, Size: it.PayloadSize(), Fill: func(dst []byte) ([]byte, error) {
@@ -151,17 +151,17 @@ func pushSlice(ep *endpoint.Service, it relay.Item) error {
 // lifetime by hopping brokers.
 func handOff(ep *endpoint.Service, partner keys.PeerID, it relay.Item) error {
 	elems := [...]endpoint.Element{
-		{Name: proto.ElemOp, Data: readOnlyBytes(proto.OpFedRelaySlice)},
-		{Name: proto.ElemRelayTo, Data: readOnlyBytes(string(it.To))},
-		{Name: proto.ElemPeer, Data: readOnlyBytes(string(it.From))},
-		{Name: proto.ElemGroup, Data: readOnlyBytes(it.Group)},
+		{Name: proto.ElemOp, Data: endpoint.ReadOnlyBytes(proto.OpFedRelaySlice)},
+		{Name: proto.ElemRelayTo, Data: endpoint.ReadOnlyBytes(string(it.To))},
+		{Name: proto.ElemPeer, Data: endpoint.ReadOnlyBytes(string(it.From))},
+		{Name: proto.ElemGroup, Data: endpoint.ReadOnlyBytes(it.Group)},
 		{Name: proto.ElemRelayExp, Data: strconv.AppendInt(nil, it.Expires.UnixNano(), 10)},
 		{Name: proto.ElemEnvelope},
 		{Name: proto.ElemTrace},
 	}
 	n := len(elems) - 1
 	if it.Trace != 0 {
-		elems[n].Data = readOnlyBytes(trace.FormatID(it.Trace))
+		elems[n].Data = endpoint.ReadOnlyBytes(trace.FormatID(it.Trace))
 		n++
 	}
 	room := endpoint.Room{Index: 5, Size: it.PayloadSize(), Fill: func(dst []byte) ([]byte, error) {
@@ -357,11 +357,11 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		// The counts go in as views of their strings, which the answer's
 		// frame only reads (under 100, strconv's own table: no allocation).
 		return proto.OK().
-			Add(proto.ElemRelayDirect, readOnlyBytes(strconv.Itoa(direct))).
-			Add(proto.ElemRelayQueued, readOnlyBytes(strconv.Itoa(queued))).
-			Add(proto.ElemRelayHandoff, readOnlyBytes(strconv.Itoa(handoff))).
-			Add(proto.ElemRelayQuota, readOnlyBytes(strconv.Itoa(quota))).
-			Add(proto.ElemRelaySkipped, readOnlyBytes(strconv.Itoa(skipped)))
+			AddString(proto.ElemRelayDirect, strconv.Itoa(direct)).
+			AddString(proto.ElemRelayQueued, strconv.Itoa(queued)).
+			AddString(proto.ElemRelayHandoff, strconv.Itoa(handoff)).
+			AddString(proto.ElemRelayQuota, strconv.Itoa(quota)).
+			AddString(proto.ElemRelaySkipped, strconv.Itoa(skipped))
 	}
 }
 

@@ -104,12 +104,12 @@ func relayRoundMsg(group string, peers []keys.PeerID, d *DetachedRound, chunk []
 		ids = append(ids, peers[i]...)
 	}
 	msg := endpoint.NewMessage().
-		Add(proto.ElemOp, readOnlyBytes(proto.OpRelayRound)).
-		Add(proto.ElemGroup, readOnlyBytes(group)).
+		AddString(proto.ElemOp, proto.OpRelayRound).
+		AddString(proto.ElemGroup, group).
 		Add(proto.ElemRecipients, ids).
 		Add(proto.ElemEnvelope, d.Wire())
 	if tid != 0 {
-		msg.Add(proto.ElemTrace, readOnlyBytes(trace.FormatID(tid)))
+		msg.AddString(proto.ElemTrace, trace.FormatID(tid))
 	}
 	return msg
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/audit"
@@ -468,7 +467,7 @@ func (s *SecureClient) SecureMsgPeer(ctx context.Context, peer keys.PeerID, grou
 		now := s.Now()
 		if frame, aead, route, ok := s.chans.claimFrame(pairKey{peer, group}, text, now); ok {
 			return s.sendSecure(route.(*advert.Pipe), group, frameSize(len(text)), func(dst []byte) ([]byte, error) {
-				return sealFrame(dst, aead, frame, readOnlyBytes(text), now), nil
+				return sealFrame(dst, aead, frame, endpoint.ReadOnlyBytes(text), now), nil
 			})
 		}
 	}
@@ -502,7 +501,7 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 		}
 		s.attachChannelMetrics()
 	}
-	e, err := newEnvelope(s.kp, &h, readOnlyBytes(text), res.Signer.Key)
+	e, err := newEnvelope(s.kp, &h, endpoint.ReadOnlyBytes(text), res.Signer.Key)
 	if err != nil {
 		return err
 	}
@@ -515,7 +514,7 @@ func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group
 func (s *SecureClient) sendSecure(pipe *advert.Pipe, group string, size int, seal func(dst []byte) ([]byte, error)) error {
 	return s.Control().SendOnPipe(pipe, &endpoint.Room{Size: size, Fill: seal},
 		endpoint.Element{Name: proto.ElemEnvelope}, // the room
-		endpoint.Element{Name: proto.ElemGroup, Data: readOnlyBytes(group)})
+		endpoint.Element{Name: proto.ElemGroup, Data: endpoint.ReadOnlyBytes(group)})
 }
 
 // sendKept is sendSecure for a wire the sender keeps (a slice of a round,
@@ -530,13 +529,6 @@ func (s *SecureClient) sendKept(pipe *advert.Pipe, group string, wire []byte) er
 func groupPipe(peer keys.PeerID, group string) *advert.Pipe {
 	return &advert.Pipe{PipeID: advert.GroupPipeID(peer, group), PipeType: advert.PipeUnicast, PeerID: peer, Group: group}
 }
-
-// readOnlyBytes views a message text as the []byte the sealers take,
-// without the copy a conversion makes (for a 256 KiB text, a quarter of
-// what sending it allocates). The sealers only read their body — into a
-// digest and, once, into the wire — and a string's bytes must never be
-// written: nothing may be handed this view that could.
-func readOnlyBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // SecureMsgPeerGroup fans a secure message out over the group's online
 // members (§4.3.1) in the group round format: every recipient's signed pipe advertisement is verified in parallel (cached
@@ -635,7 +627,7 @@ func (s *SecureClient) sealRounds(group, text string, targets []roundTarget, err
 		eph, err := s.roundKeyAt(now)
 		var d *DetachedRound
 		if err == nil {
-			d, err = sealRound(s.kp, s.PeerID(), group, readOnlyBytes(text), keyList, eph, now)
+			d, err = sealRound(s.kp, s.PeerID(), group, endpoint.ReadOnlyBytes(text), keyList, eph, now)
 		}
 		if err != nil {
 			tr.End(spSeal, trace.OutcomeError)

@@ -98,7 +98,7 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	}
 	body := task + taskBodySep + taskexec.PackArgs(args)
 	h := header{sender: s.PeerID(), group: group, at: s.Now().UnixNano()}
-	sealed, err := seal(s.kp, &h, readOnlyBytes(body), recipientKey)
+	sealed, err := seal(s.kp, &h, endpoint.ReadOnlyBytes(body), recipientKey)
 	if err != nil {
 		return "", err
 	}
@@ -110,7 +110,7 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	}
 	request := sha256.Sum256(signed)
 	msg := endpoint.NewMessage().Add(proto.ElemEnvelope, sealed.Bytes())
-	resp, err := s.Endpoint().Request(ctx, peer, proto.SecureTaskService, msg)
+	resp, err := s.Endpoint().Request(ctx, peer, proto.SecureTaskService, msg, 0)
 	if err != nil {
 		return "", err
 	}

@@ -94,7 +94,7 @@ func TestSecureExecTaskRejectsPlainEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := alice.Endpoint().Request(testCtx(t), bob.PeerID(), proto.SecureTaskService, endpoint.NewMessage().Add(proto.ElemEnvelope, wire))
+	resp, err := alice.Endpoint().Request(testCtx(t), bob.PeerID(), proto.SecureTaskService, endpoint.NewMessage().Add(proto.ElemEnvelope, wire), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

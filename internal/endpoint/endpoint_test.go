@@ -268,7 +268,7 @@ func TestRequestResponse(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := a.Request(ctx, b.PeerID(), "echo", NewMessage().AddString("body", "ping"))
+	resp, err := a.Request(ctx, b.PeerID(), "echo", NewMessage().AddString("body", "ping"), 0)
 	if err != nil {
 		t.Fatalf("Request: %v", err)
 	}
@@ -303,7 +303,7 @@ func TestResponseSentTwiceIsIdentical(t *testing.T) {
 	defer cancel()
 	req := NewMessage().AddString("body", "ping")
 	for i := 0; i < 2; i++ {
-		resp, err := a.Request(ctx, b.PeerID(), "echo", req)
+		resp, err := a.Request(ctx, b.PeerID(), "echo", req, 0)
 		if err != nil {
 			t.Fatalf("Request: %v", err)
 		}
@@ -340,7 +340,7 @@ func TestRequestTimeout(t *testing.T) {
 	// No handler registered on b: message is dropped, request must time out.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := a.Request(ctx, b.PeerID(), "void", NewMessage())
+	_, err := a.Request(ctx, b.PeerID(), "void", NewMessage(), 0)
 	if err == nil {
 		t.Fatal("Request succeeded with no handler")
 	}
@@ -359,7 +359,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			resp, err := a.Request(ctx, b.PeerID(), "id", NewMessage().Add("v", []byte{i}))
+			resp, err := a.Request(ctx, b.PeerID(), "id", NewMessage().Add("v", []byte{i}), 0)
 			if err != nil {
 				t.Errorf("Request %d: %v", i, err)
 				return
@@ -521,7 +521,7 @@ func TestCloseStopsService(t *testing.T) {
 		t.Fatal("Send after Close succeeded")
 	}
 	ctx := context.Background()
-	if _, err := a.Request(ctx, b.PeerID(), "x", NewMessage()); err == nil {
+	if _, err := a.Request(ctx, b.PeerID(), "x", NewMessage(), 0); err == nil {
 		t.Fatal("Request after Close succeeded")
 	}
 	a.Close() // idempotent

@@ -46,6 +46,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // Element is one named payload inside a message — JXTA's message
@@ -114,10 +115,18 @@ func (m *Message) Add(name string, data []byte) *Message {
 	return m
 }
 
-// AddString appends a text element.
+// AddString appends a text element whose data is value's own bytes, not
+// a copy of them (ReadOnlyBytes): a message being sent is only read, and
+// a handler is handed the parsed frame, never the sender's Message.
 func (m *Message) AddString(name, value string) *Message {
-	return m.Add(name, []byte(value))
+	return m.Add(name, ReadOnlyBytes(value))
 }
+
+// ReadOnlyBytes views s as the []byte an element or a sealer takes,
+// without the copy a conversion makes (for a 256 KiB text, a quarter of
+// what sending it allocates). A string's bytes must never be written:
+// nothing may be handed this view that could.
+func ReadOnlyBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // Get returns the data of the first element with the given name.
 func (m *Message) Get(name string) ([]byte, bool) {

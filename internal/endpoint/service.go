@@ -2,7 +2,7 @@ package endpoint
 
 import (
 	"context"
-	"encoding/hex"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -62,7 +62,7 @@ type Service struct {
 
 	mu       sync.RWMutex
 	handlers map[string]Handler
-	pending  map[string]chan *Message
+	pending  map[requestID]chan *Message
 	closed   bool
 	done     chan struct{} // closed by Close: pending requests fail at once
 
@@ -89,7 +89,7 @@ func NewService(net Transport, peerID keys.PeerID) (*Service, error) {
 		peerID:   peerID,
 		net:      net,
 		handlers: make(map[string]Handler),
-		pending:  make(map[string]chan *Message),
+		pending:  make(map[requestID]chan *Message),
 		done:     make(chan struct{}),
 		names:    peerNames{seed: maphash.MakeSeed()},
 	}
@@ -235,34 +235,47 @@ func (s *Service) sendFrame(to keys.PeerID, frame []byte) error {
 	return nil
 }
 
+// requestID correlates a request with its response: 96 random bits,
+// carried raw in both frames' correlation field.
+type requestID [12]byte
+
 // Request sends msg and waits for the handler on the remote side to
-// return a response, for ctx to end, or for the service to close.
-func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, msg *Message) (*Message, error) {
-	idBytes, err := keys.RandomBytes(12)
-	if err != nil {
+// return a response, for timeout to pass (context.DeadlineExceeded; 0
+// sets no timeout of its own), for ctx to end, or for the service to
+// close. A response that arrives after Request returned answers nothing.
+func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, msg *Message, timeout time.Duration) (*Message, error) {
+	var id requestID
+	if _, err := rand.Read(id[:]); err != nil {
 		return nil, err
 	}
-	reqID := hex.EncodeToString(idBytes)
 	ch := make(chan *Message, 1)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	s.pending[reqID] = ch
+	s.pending[id] = ch
 	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
-		delete(s.pending, reqID)
+		delete(s.pending, id)
 		s.mu.Unlock()
 	}()
 
-	if err := s.send(to, Route{Service: service, Corr: CorrRequest, CorrID: []byte(reqID)}, nil, msg.Elements); err != nil {
+	if err := s.send(to, Route{Service: service, Corr: CorrRequest, CorrID: id[:]}, nil, msg.Elements); err != nil {
 		return nil, err
+	}
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
 	}
 	select {
 	case resp := <-ch:
 		return resp, nil
+	case <-expired:
+		return nil, context.DeadlineExceeded
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-s.done:
@@ -337,12 +350,16 @@ func (s *Service) forward(n int, to, frame []byte) {
 	}
 }
 
-// resolve hands a response to the Request waiting for it, if any.
+// resolve hands a response to the Request waiting for it, if any: one
+// whose correlation ID is not a request ID's length answers nothing.
 func (s *Service) resolve(corr Corr, id []byte, msg *Message) {
+	if corr != CorrResponse || len(id) != len(requestID{}) {
+		return
+	}
 	s.mu.RLock()
-	ch, ok := s.pending[string(id)]
+	ch, ok := s.pending[requestID(id)]
 	s.mu.RUnlock()
-	if ok && corr == CorrResponse {
+	if ok {
 		select {
 		case ch <- msg:
 		default:

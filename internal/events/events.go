@@ -16,7 +16,8 @@
 // list is published copy-on-write, so a handler that subscribes or
 // cancels during an Emit changes what later Emits see, never the one in
 // progress. A handler cancelled during an Emit may still see that event,
-// and never a later one.
+// and never a later one. Wants reads the same list, so that an emitter
+// builds no event that no handler would see.
 package events
 
 import (
@@ -194,6 +195,23 @@ func (b *Bus) update(change func([]subscription) []subscription) {
 	}
 	next = change(next)
 	b.subs.Store(&next)
+}
+
+// Wants reports whether an Emit of an event of type t would reach a
+// handler now: one atomic load and a scan of the subscriber list. An
+// emitter whose event costs something to build asks first, and builds
+// none that nobody listens to.
+func (b *Bus) Wants(t Type) bool {
+	subs := b.subs.Load()
+	if subs == nil {
+		return false
+	}
+	for _, s := range *subs {
+		if s.t == "" || s.t == t {
+			return true
+		}
+	}
+	return false
 }
 
 // Emit stamps and dispatches the event to matching handlers, in the

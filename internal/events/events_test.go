@@ -56,6 +56,31 @@ func TestUnsubscribe(t *testing.T) {
 	cancel() // double-cancel must be safe
 }
 
+// TestWants: a bus wants an event of a type while a handler of that type,
+// or a wildcard handler, is subscribed, and not once it is cancelled.
+func TestWants(t *testing.T) {
+	b := NewBus()
+	if b.Wants(PresenceUpdate) {
+		t.Fatal("an empty bus wants an event")
+	}
+	cancel := b.Subscribe(PresenceUpdate, func(Event) {})
+	if !b.Wants(PresenceUpdate) || b.Wants(RelayFlushed) {
+		t.Fatal("a typed subscription wants the wrong types")
+	}
+	cancel()
+	if b.Wants(PresenceUpdate) {
+		t.Fatal("a cancelled subscription is still wanted")
+	}
+	cancel = b.SubscribeAll(func(Event) {})
+	if !b.Wants(RelayFlushed) {
+		t.Fatal("a wildcard subscription does not want every type")
+	}
+	cancel()
+	if b.Wants(RelayFlushed) {
+		t.Fatal("a cancelled wildcard subscription is still wanted")
+	}
+}
+
 func TestMultipleSubscribersSameType(t *testing.T) {
 	b := NewBus()
 	var a, c atomic.Int32

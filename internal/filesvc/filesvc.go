@@ -164,7 +164,7 @@ func (s *Service) Download(ctx context.Context, peer keys.PeerID, name string) (
 			AddString(proto.ElemOp, proto.OpFileGet).
 			AddString(proto.ElemFileName, name).
 			AddString(proto.ElemFileChunk, strconv.Itoa(chunk))
-		resp, err := s.cl.Endpoint().Request(ctx, peer, proto.FileService, msg)
+		resp, err := s.cl.Endpoint().Request(ctx, peer, proto.FileService, msg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrTransfer, err)
 		}

@@ -861,7 +861,7 @@ func (s *shard) drain(id keys.PeerID) {
 	if flushed > 0 {
 		s.r.resetRetry(id)
 	}
-	if flushed > 0 && s.r.bus != nil {
+	if flushed > 0 && s.r.bus != nil && s.r.bus.Wants(events.RelayFlushed) {
 		s.r.bus.Emit(events.Event{Type: events.RelayFlushed, From: id, Payload: map[string]string{
 			"delivered": strconv.Itoa(flushed),
 		}})

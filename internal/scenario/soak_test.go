@@ -74,11 +74,11 @@ func TestJoinSoakLeavesNothingBehind(t *testing.T) {
 		return v
 	}
 
-	// Every identity has a pipe and a presence record at the broker. A
-	// resident holds its own pipe, and the pipe of everyone who logged in
-	// after it: the residents that followed and the pool. Presence reaches
-	// a resident as a notice, which leaves no record.
-	wantBroker := float64(2 * (residents + pool))
+	// Every identity has one record at the broker, its pipe: its presence
+	// is its session. A resident holds its own pipe, and the pipe of
+	// everyone who logged in after it: the residents that followed and the
+	// pool. Presence reaches a resident as a notice, which leaves no record.
+	wantBroker := float64(residents + pool)
 	wantClients := 0.0
 	for i := 0; i < residents; i++ {
 		wantClients += float64(1 + (residents - 1 - i) + pool)

@@ -146,7 +146,7 @@ func (s *Service) Exec(ctx context.Context, peer keys.PeerID, task string, args 
 		AddString(proto.ElemOp, proto.OpTaskExec).
 		AddString(proto.ElemTaskName, task).
 		AddString(proto.ElemTaskArgs, PackArgs(args))
-	resp, err := s.ep.Request(ctx, peer, proto.TaskService, msg)
+	resp, err := s.ep.Request(ctx, peer, proto.TaskService, msg, 0)
 	if err != nil {
 		return "", err
 	}

@@ -150,7 +150,7 @@ func (c *Client) call(ctx context.Context, op, user, pass string) ([]string, err
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.ep.Request(ctx, c.server, ServiceName, endpoint.NewMessage().Add(elemEnvelope, env))
+	resp, err := c.ep.Request(ctx, c.server, ServiceName, endpoint.NewMessage().Add(elemEnvelope, env), 0)
 	if err != nil {
 		return nil, err
 	}

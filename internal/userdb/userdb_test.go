@@ -429,7 +429,7 @@ func TestRemoteReplayRejected(t *testing.T) {
 	msg := fr.Msg
 	reqCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	resp, err := attacker.Request(reqCtx, f.dbEP.PeerID(), ServiceName, msg)
+	resp, err := attacker.Request(reqCtx, f.dbEP.PeerID(), ServiceName, msg, 0)
 	if err != nil {
 		t.Fatalf("replay transport failed: %v", err)
 	}
