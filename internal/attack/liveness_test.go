@@ -11,12 +11,13 @@ package attack_test
 //     (the dedup window answers from cache), and another peer reusing
 //     the same key must not be able to read the victim's cached
 //     response (keys are namespaced per sender);
-//   - a forged or lagging peer-down describing an OLD session must not
-//     clobber a newer live one (the monotonic session guard from the
-//     federation work, now also carrying lease expiries).
+//   - presence ops from outside the broker (the removed broker-to-broker
+//     ops, under any Src) are unknown ops, and a lapsed lease does not
+//     clobber the newer session a re-login started.
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -25,7 +26,6 @@ import (
 	"jxtaoverlay/internal/attack"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
-	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/waituntil"
@@ -220,48 +220,111 @@ func TestStrangerCannotSeedIdempotencyWindow(t *testing.T) {
 	}
 }
 
-// Presence is monotonic in session-start time. A peer-down describing
-// an OLD session — a forger outside the federation, or a lagging /
-// compromised partner replaying history — must not take down the
-// newer live session it races with.
+// TestForgedStalePresenceCannotClobberNewerSession: a broker takes no
+// other node's word for a peer's presence, advertisements or slices. The
+// four ops brokers that federated once sent each other — fedPeerUp,
+// fedPeerDown, fedAdv and fedRelaySlice — are unknown ops, whoever sends
+// them: a stranger under its own ID, or a forger under the Src of a
+// logged-in member. Each is answered unknown-op; alice stays online in
+// her groups under her lease, and neither the relay queue nor the
+// discovery cache moves. A later session is not clobbered by a lease
+// that lapsed under the earlier one either.
 func TestForgedStalePresenceCannotClobberNewerSession(t *testing.T) {
 	s := newLeaseStack(t)
+	rly, err := core.EnableBrokerRelay(s.br, core.RelayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rly.Close()
 	alice := s.join(t, "alice", "alice-secret-pw")
+	ctx := testCtx(t)
+	victim := string(alice.PeerID())
+	// Each op as its sender wrote it: a stale or future session start, a
+	// presence advertisement saying alice left, a slice for her.
 	stale := strconv.FormatInt(time.Now().Add(-time.Minute).UnixNano(), 10)
-	peerDown := func() *endpoint.Message {
-		return endpoint.NewMessage().
-			AddString(proto.ElemOp, "fedPeerDown").
-			AddString(proto.ElemPeer, string(alice.PeerID())).
-			AddString(proto.ElemFedSession, stale)
+	future := strconv.FormatInt(time.Now().Add(time.Hour).UnixNano(), 10)
+	removed := []struct {
+		op  string
+		msg func() *endpoint.Message
+	}{
+		{"fedPeerUp", func() *endpoint.Message {
+			return endpoint.NewMessage().AddString(proto.ElemOp, "fedPeerUp").
+				AddString(proto.ElemPeer, victim).AddString(proto.ElemUser, "alice").
+				AddString(proto.ElemGroups, "").AddString("fed:session", future)
+		}},
+		{"fedPeerDown", func() *endpoint.Message {
+			return endpoint.NewMessage().AddString(proto.ElemOp, "fedPeerDown").
+				AddString(proto.ElemPeer, victim).AddString("fed:session", future)
+		}},
+		{"fedAdv", func() *endpoint.Message {
+			return endpoint.NewMessage().AddString(proto.ElemOp, "fedAdv").
+				AddString(proto.ElemPeer, victim).
+				Add(proto.ElemAdv, attack.ForgePresence(alice.PeerID(), "alice", "math", "offline").Canonical())
+		}},
+		{"fedRelaySlice", func() *endpoint.Message {
+			return endpoint.NewMessage().AddString(proto.ElemOp, "fedRelaySlice").
+				AddString("relay:to", victim).AddString(proto.ElemPeer, "urn:jxta:forger").
+				AddString(proto.ElemGroup, "math").AddString("relay:exp", stale).
+				Add(proto.ElemEnvelope, []byte("forged slice"))
+		}},
 	}
 
-	// A non-partner forging federation presence is ignored outright.
-	outsider, err := endpoint.NewService(s.net, "outsider-node")
+	before, _ := s.br.Peer(alice.PeerID())
+	cached, queued, relayed := s.br.Cache().Len(), rly.QueuedTotal(), rly.Metrics()
+
+	stranger, err := endpoint.NewService(s.net, "stranger-node")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer outsider.Close()
-	if err := outsider.Send(s.br.PeerID(), proto.BrokerService, peerDown()); err != nil {
-		t.Fatal(err)
-	}
-
-	// A real partner replaying alice's previous session is discarded by
-	// the monotonic guard (and counted).
-	partnerID := keys.LegacyPeerID("partner-broker")
-	partner, err := endpoint.NewService(s.net, partnerID)
+	defer stranger.Close()
+	forger, err := attack.NewRawNode(s.net, "forger-node")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer partner.Close()
-	s.br.Federate(partnerID)
-	if err := partner.Send(s.br.PeerID(), proto.BrokerService, peerDown()); err != nil {
-		t.Fatal(err)
+	eve := attack.NewEavesdropper(s.net)
+	// refusedUnderAlice reports whether the broker answered the request
+	// correlated by id, sent under alice's Src and so answered to her
+	// node, unknown-op.
+	refusedUnderAlice := func(id []byte) bool {
+		for _, frame := range eve.FramesTo(simnet.NodeID(alice.PeerID())) {
+			if f, err := endpoint.ParseFrame(frame); err == nil && string(f.CorrID) == string(id) {
+				ok, tok := proto.IsOK(f.Msg)
+				return !ok && tok == proto.ErrUnknownOp
+			}
+		}
+		return false
 	}
-	waituntil.Must(t, 5*time.Second, func() bool {
-		return s.br.Stats().FedStalePresence >= 1
-	}, "stale partner peer-down never reached the monotonic guard")
-	if !s.br.PeerOnline(alice.PeerID()) {
-		t.Fatal("stale peer-down clobbered a live newer session")
+	for _, r := range removed {
+		op, msg := r.op, r.msg
+		resp, err := stranger.Request(ctx, s.br.PeerID(), proto.BrokerService, msg(), 2*time.Second)
+		if err != nil {
+			t.Fatalf("%s from a stranger: %v (the broker must answer it)", op, err)
+		}
+		if ok, tok := proto.IsOK(resp); ok || tok != proto.ErrUnknownOp {
+			t.Fatalf("%s from a stranger answered ok=%v %q, want %q", op, ok, tok, proto.ErrUnknownOp)
+		}
+		id := []byte("forged-" + op)
+		frame := endpoint.NewFrame(endpoint.Route{Src: alice.PeerID(), Service: proto.BrokerService, Corr: endpoint.CorrRequest, CorrID: id},
+			msg().Elements...)
+		if err := forger.Replay(simnet.NodeID(s.br.PeerID()), frame); err != nil {
+			t.Fatal(err)
+		}
+		waituntil.Must(t, 5*time.Second, func() bool { return refusedUnderAlice(id) },
+			op+" under alice's Src was not answered unknown-op")
+	}
+
+	after, _ := s.br.Peer(alice.PeerID())
+	if !after.Online || !after.ConnectedAt.Equal(before.ConnectedAt) || !slices.Equal(after.Groups, before.Groups) {
+		t.Fatalf("alice's record went from %+v to %+v", before, after)
+	}
+	if err := alice.SecureHeartbeat(ctx); err != nil {
+		t.Fatalf("alice's lease after the removed ops: %v", err)
+	}
+	if got := s.br.Cache().Len(); got != cached {
+		t.Fatalf("discovery cache holds %d records, %d before", got, cached)
+	}
+	if got, m := rly.QueuedTotal(), rly.Metrics(); got != queued || m.Enqueued != relayed.Enqueued || m.DeliveredDirect != relayed.DeliveredDirect {
+		t.Fatalf("relay moved: %d queued (%d before), metrics %+v (%+v before)", got, queued, m, relayed)
 	}
 
 	// Lease expiry needs no guard: the lease is the session's. Alice's
@@ -279,6 +342,6 @@ func TestForgedStalePresenceCannotClobberNewerSession(t *testing.T) {
 		t.Fatalf("LeasesExpired = %d, want 0", st.LeasesExpired)
 	}
 	if errors.Is(alice.SecureHeartbeat(testCtx(t)), core.ErrLeaseLost) {
-		t.Fatal("live session lost its lease to stale presence replays")
+		t.Fatal("the newer session lost its lease to the lapsed one")
 	}
 }

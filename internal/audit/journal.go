@@ -2,8 +2,8 @@
 // an append-only, hash-chained log of every security-relevant decision
 // the stack makes — offenses, admission refusals, relay drops, WAL
 // errors, replay/verify/open failures, login and heartbeat outcomes,
-// federation presence transitions — durable across restarts and
-// verifiable after the fact.
+// presence transitions — durable across restarts and verifiable after
+// the fact.
 //
 // Tamper evidence has three layers. Each record is CRC-framed (against
 // accidental damage) and carries the SHA-256 of its predecessor's full
@@ -58,8 +58,10 @@ const (
 	KindOpenFail = "open-fail"
 	// KindLogin: a secureLogin outcome (reason "ok" or the error token).
 	KindLogin = "login"
-	// KindPeerUp / KindPeerDown: presence transitions, local and
-	// federated.
+	// KindPeerUp / KindPeerDown: presence transitions of the broker's
+	// sessions (reason "local", or "lease-expired" for a lapsed lease).
+	// The chain does not read reasons: a journal holding others, as older
+	// brokers wrote, verifies the same.
 	KindPeerUp   = "peer-up"
 	KindPeerDown = "peer-down"
 	// KindHeartbeat: a presence-lease heartbeat outcome (reason "ok"

@@ -57,6 +57,45 @@ func TestAppendReopenContinuesChain(t *testing.T) {
 	}
 }
 
+// TestLegacyPresenceReasonsVerify: journals written by brokers that ran
+// as partners hold peer-up and peer-down records with the reason those
+// brokers gave a partner's session beside "local" ones. The chain does
+// not read reasons: such a journal still verifies, and appends after a
+// reopen link onto it.
+func TestLegacyPresenceReasonsVerify(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(Options{Dir: dir, SyncInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Event{
+		{Kind: KindPeerUp, Peer: "urn:jxta:cbid-a", Op: "presence", Reason: "local"},
+		{Kind: KindPeerUp, Peer: "urn:jxta:cbid-b", Op: "presence", Reason: "federated"},
+		{Kind: KindPeerDown, Peer: "urn:jxta:cbid-b", Op: "presence", Reason: "federated"},
+		{Kind: KindPeerDown, Peer: "urn:jxta:cbid-a", Op: "presence", Reason: "local"},
+	} {
+		mustRecord(t, j, e)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := Open(Options{Dir: dir, SyncInterval: -1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	mustRecord(t, j2, Event{Kind: KindPeerUp, Peer: "urn:jxta:cbid-a", Op: "presence", Reason: "local"})
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Verify(dir, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Events != 5 {
+		t.Fatalf("verify: %+v (fault %v)", rep, rep.Fault)
+	}
+}
+
 // TestCheckpointCadenceAndClose: with a signer, the chain seals every
 // CheckpointEvery records and once more on Close; every checkpoint
 // verifies against the trust store and attributes the broker by name.

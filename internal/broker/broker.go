@@ -10,6 +10,10 @@
 // legitimacy — and exposes extension points (RegisterOp, RegisterPeer,
 // RequireSignedAdv) that internal/core uses to graft the paper's
 // security extension on top.
+//
+// A broker stands alone: every session, advertisement and relayed slice
+// it serves is its own, and no op takes another broker's word for a
+// peer's presence. A peer is resident here or unknown.
 package broker
 
 import (
@@ -74,13 +78,7 @@ type PeerInfo struct {
 	Groups      []string
 	Online      bool
 	ConnectedAt time.Time
-	// Origin is the federated broker the peer is logged into, or empty
-	// for peers connected to this broker directly.
-	Origin keys.PeerID
 }
-
-// Local reports whether the peer is connected to this broker directly.
-func (p PeerInfo) Local() bool { return p.Origin == "" }
 
 // Lease is the presence lease a secure login grants its session: its
 // identifier, its time to live (from the session's start, then from each
@@ -178,7 +176,6 @@ type Broker struct {
 	groups      map[string]struct{}
 	ops         map[string]opEntry
 	advVerifier AdvVerifier
-	federation  []keys.PeerID
 	adm         *admission.Limiter
 
 	// Lifecycle span recorder (nil pointer load = tracing off). An
@@ -196,13 +193,11 @@ type Broker struct {
 
 	// Operation counters (see Stats). Plain atomics on the dispatch
 	// path; the telemetry layer reads them through pull collectors.
-	opsDispatched    atomic.Uint64
-	opsFailed        atomic.Uint64
-	opsRateLimited   atomic.Uint64
-	advsPublished    atomic.Uint64
-	fedAdvsAccepted  atomic.Uint64
-	fedStalePresence atomic.Uint64
-	idemDeduped      atomic.Uint64
+	opsDispatched  atomic.Uint64
+	opsFailed      atomic.Uint64
+	opsRateLimited atomic.Uint64
+	advsPublished  atomic.Uint64
+	idemDeduped    atomic.Uint64
 }
 
 // Stats is a snapshot of the broker's operation counters.
@@ -216,12 +211,6 @@ type Stats struct {
 	OpsRateLimited uint64
 	// AdvsPublished counts advertisements accepted via publishAdv.
 	AdvsPublished uint64
-	// FedAdvsAccepted counts federation-forwarded advertisements
-	// accepted into the local cache.
-	FedAdvsAccepted uint64
-	// FedStalePresence counts federation presence updates discarded by
-	// the monotonic session guard.
-	FedStalePresence uint64
 	// IdemDeduped counts mutating-op retries answered from the
 	// idempotency dedup window instead of re-executing the handler.
 	IdemDeduped uint64
@@ -242,15 +231,13 @@ func (b *Broker) Stats() Stats {
 	}
 	b.mu.RUnlock()
 	return Stats{
-		OpsDispatched:    b.opsDispatched.Load(),
-		OpsFailed:        b.opsFailed.Load(),
-		OpsRateLimited:   b.opsRateLimited.Load(),
-		AdvsPublished:    b.advsPublished.Load(),
-		FedAdvsAccepted:  b.fedAdvsAccepted.Load(),
-		FedStalePresence: b.fedStalePresence.Load(),
-		IdemDeduped:      b.idemDeduped.Load(),
-		PeersOnline:      online,
-		PeersKnown:       known,
+		OpsDispatched:  b.opsDispatched.Load(),
+		OpsFailed:      b.opsFailed.Load(),
+		OpsRateLimited: b.opsRateLimited.Load(),
+		AdvsPublished:  b.advsPublished.Load(),
+		IdemDeduped:    b.idemDeduped.Load(),
+		PeersOnline:    online,
+		PeersKnown:     known,
 	}
 }
 
@@ -277,7 +264,6 @@ func New(cfg Config) (*Broker, error) {
 		idem:   newIdemCache(),
 	}
 	b.registerDefaultOps()
-	b.registerFederationOps()
 	ep.RegisterHandler(proto.BrokerService, b.dispatch)
 	return b, nil
 }
@@ -332,9 +318,7 @@ func (b *Broker) SetAdvVerifier(v AdvVerifier) {
 // limiter bucket, and exhausting the bucket earns the `rate-limited`
 // wire refusal. Buckets are keyed by peer ID, which secure logins bind
 // to the credentialed key via CBID — so the key is, in effect, the
-// credential fingerprint. Federation partners are exempt: their ops
-// aggregate whole-broker traffic, and their legitimacy question
-// (IsPartner) is settled per handler.
+// credential fingerprint. No caller is exempt.
 func (b *Broker) EnableAdmission(l *admission.Limiter) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -438,13 +422,12 @@ func (b *Broker) emitAdmissionAlert(from keys.PeerID, op, reason string, offense
 }
 
 // dispatch runs one op for from. One read of the tables finds the op, the
-// limiter, whether from is a partner and whether it has an online session.
+// limiter and whether from has an online session.
 func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 	op, _ := msg.GetString(proto.ElemOp)
 	b.mu.RLock()
 	e, ok := b.ops[op]
 	adm := b.adm
-	exempt := adm == nil || slices.Contains(b.federation, from)
 	s := b.peers[from]
 	online := s != nil && s.Online
 	b.mu.RUnlock()
@@ -462,7 +445,7 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 		sp = trace.Begin(tid, trace.StageAdmission)
 		sp.SetAttr("op", op)
 	}
-	if !exempt {
+	if adm != nil {
 		if d := adm.Allow(string(from)); !d.Allowed {
 			b.opsRateLimited.Add(1)
 			b.opsFailed.Add(1)
@@ -576,45 +559,27 @@ func (b *Broker) handleLogout(from keys.PeerID, _ *endpoint.Message) *endpoint.M
 // RegisterPeer records a successfully authenticated peer, online in its
 // database-assigned groups: the plain login path calls it.
 func (b *Broker) RegisterPeer(id keys.PeerID, username string, groups []string) {
-	b.registerPeerAt(id, username, groups, "", b.Now(), Lease{})
+	b.RegisterLeasedPeer(id, username, groups, Lease{})
 }
 
 // RegisterLeasedPeer is RegisterPeer for a secure login: the session it
 // records holds l, when l.ID is set, until a logout, an expiry or the
-// next login of the peer ends it.
+// next login of the peer ends it. The session begins now, in place of the
+// peer's last one: its groups are the ones the login names, and the
+// members of a group the old session was live in and the new one does not
+// name are told it went offline, as a logout would tell them.
 func (b *Broker) RegisterLeasedPeer(id keys.PeerID, username string, groups []string, l Lease) {
-	b.registerPeerAt(id, username, groups, "", b.Now(), l)
-}
-
-// registerPeerAt records a session that began at the given time, in place
-// of the peer's last one: its groups are the ones the login names, and
-// the members of a group the old session was live in and the new one does
-// not name are told it went offline, as a logout would tell them.
-//
-// A federated session (origin set) passes a monotonic guard first:
-// partners deliver peer-up and peer-down with no ordering guarantee, so a
-// stale announcement from a peer's PREVIOUS session can arrive after the
-// peer already re-registered (here, or at another broker). Such an update
-// must not clobber the newer record — a relay hand-off routed on the
-// clobbered record would queue for a peer that is in fact logged in
-// locally.
-func (b *Broker) registerPeerAt(id keys.PeerID, username string, groups []string, origin keys.PeerID, at time.Time, l Lease) {
+	now := b.Now()
 	s := &session{PeerInfo: PeerInfo{
 		ID: id, Username: username,
 		Groups: slices.Clone(groups),
-		Online: true, ConnectedAt: at,
-		Origin: origin,
+		Online: true, ConnectedAt: now,
 	}}
 	if l.ID != "" {
-		s.lease, s.deadline = l, at.Add(l.TTL)
+		s.lease, s.deadline = l, now.Add(l.TTL)
 	}
 	b.mu.Lock()
 	old := b.peers[id]
-	if origin != "" && old != nil && old.ConnectedAt.After(at) {
-		b.mu.Unlock()
-		b.fedStalePresence.Add(1)
-		return
-	}
 	b.peers[id] = s
 	for _, g := range groups {
 		b.groups[g] = struct{}{}
@@ -630,32 +595,15 @@ func (b *Broker) registerPeerAt(id keys.PeerID, username string, groups []string
 	for _, g := range groups {
 		b.pushPresence(id, username, g, advert.StatusOnline)
 	}
-	// Announce locally connected peers to the federation; the partner
-	// brokers run their own local presence propagation.
-	if origin == "" {
-		b.fedBroadcast(peerUpMessage(&s.PeerInfo))
-	}
-	b.Audit(audit.Event{Kind: audit.KindPeerUp, Peer: string(id), Op: "presence", Reason: presenceOrigin(origin)})
+	b.Audit(audit.Event{Kind: audit.KindPeerUp, Peer: string(id), Op: "presence", Reason: reasonLocal})
 	b.ctl.Bus().Emit(events.Event{Type: events.PresenceUpdate, From: id, User: username, Status: advert.StatusOnline})
 }
 
 // UnregisterPeer ends a peer's online session (its logout): the session
 // goes offline, out of its groups, and its lease ends with it.
-func (b *Broker) UnregisterPeer(id keys.PeerID) { b.unregister(id, false, time.Time{}) }
-
-// unregister ends id's online session. A partner's peer-down (fed) names
-// the session it ends by its start time, at, and passes the same
-// monotonic guard as registerPeerAt: a peer-down arriving after the peer
-// already re-registered (delivery is unordered) refers to a session that
-// no longer exists and must not take the new one offline. A local
-// logout is announced to the federation.
-func (b *Broker) unregister(id keys.PeerID, fed bool, at time.Time) {
+func (b *Broker) UnregisterPeer(id keys.PeerID) {
 	b.mu.Lock()
 	s := b.peers[id]
-	if fed && s != nil && s.ConnectedAt.After(at) {
-		s = nil // stale: a newer session superseded the one ending here
-		b.fedStalePresence.Add(1)
-	}
 	live := s != nil && s.Online
 	var info PeerInfo
 	if live {
@@ -663,7 +611,7 @@ func (b *Broker) unregister(id keys.PeerID, fed bool, at time.Time) {
 	}
 	b.mu.Unlock()
 	if live {
-		b.teardown(info, !fed, "")
+		b.teardown(info, reasonLocal)
 	}
 }
 
@@ -684,7 +632,7 @@ func (b *Broker) ExpireLeases() []keys.PeerID {
 	b.mu.Unlock()
 	ids := make([]keys.PeerID, len(ended))
 	for i, info := range ended {
-		b.teardown(info, true, "lease-expired")
+		b.teardown(info, "lease-expired")
 		ids[i] = info.ID
 	}
 	return ids
@@ -737,33 +685,19 @@ func (b *Broker) Leases() int {
 }
 
 // teardown tells the world a session has ended, once end has taken it
-// offline: its groups' other members, the federation (announce, for a
-// local session) and the audit journal, which records reason, or the
-// session's provenance when reason is empty.
-func (b *Broker) teardown(info PeerInfo, announce bool, reason string) {
+// offline: its groups' other members and the audit journal, which records
+// reason.
+func (b *Broker) teardown(info PeerInfo, reason string) {
 	for _, g := range info.Groups {
 		b.pushPresence(info.ID, info.Username, g, advert.StatusOffline)
-	}
-	if announce && info.Local() {
-		b.fedBroadcast(endpoint.NewMessage().
-			AddString(proto.ElemOp, opFedPeerDown).
-			AddString(proto.ElemPeer, string(info.ID)).
-			AddString(proto.ElemFedSession, strconv.FormatInt(info.ConnectedAt.UnixNano(), 10)))
-	}
-	if reason == "" {
-		reason = presenceOrigin(info.Origin)
 	}
 	b.Audit(audit.Event{Kind: audit.KindPeerDown, Peer: string(info.ID), Op: "presence", Reason: reason})
 	b.ctl.Bus().Emit(events.Event{Type: events.PresenceUpdate, From: info.ID, User: info.Username, Status: advert.StatusOffline})
 }
 
-// presenceOrigin labels a presence audit record's provenance.
-func presenceOrigin(origin keys.PeerID) string {
-	if origin == "" {
-		return "local"
-	}
-	return "federated"
-}
+// reasonLocal is the reason a presence record of a login or a logout
+// carries: the session was this broker's own.
+const reasonLocal = "local"
 
 // Peer returns the broker's record for a peer.
 func (b *Broker) Peer(id keys.PeerID) (PeerInfo, bool) {
@@ -882,7 +816,6 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	if push != nil {
 		b.pushLocal(push, group, from)
 	}
-	b.forwardAdvToFederation(doc, from)
 	tr.End(sp, trace.OutcomeOK)
 	return proto.OK()
 }
@@ -959,24 +892,23 @@ func (b *Broker) advPushFor(doc *xmldoc.Element, adv advert.Advertisement) *endp
 	return advPush(doc)
 }
 
-// pushLocal sends msg to every locally connected online member of group
-// but except (the member the push is from or about), in one frame built
-// for all of them (endpoint.Service.SendEach): Send hands a frame to the
-// fabric and does not wait for its delivery, so a goroutine per member
-// would buy nothing, and neither would a frame per member. Every member's
-// delivery reads that one buffer, which holds because no handler a push
-// reaches writes into its frame: a presence notice is read as views, an
-// advertisement is copied by PutCanonical before it is parsed, and a
-// refresh reads its ID and digest. A relayed slice, which its recipient
-// opens in place, is never sent through here. This is the broker's
-// "distribute data beyond boundaries" role; members on federated brokers
-// are reached by their own broker.
+// pushLocal sends msg to every online member of group but except (the
+// member the push is from or about), in one frame built for all of them
+// (endpoint.Service.SendEach): Send hands a frame to the fabric and does
+// not wait for its delivery, so a goroutine per member would buy nothing,
+// and neither would a frame per member. Every member's delivery reads that
+// one buffer, which holds because no handler a push reaches writes into
+// its frame: a presence notice is read as views, an advertisement is
+// copied by PutCanonical before it is parsed, and a refresh reads its ID
+// and digest. A relayed slice, which its recipient opens in place, is
+// never sent through here. This is the broker's "distribute data beyond
+// boundaries" role.
 func (b *Broker) pushLocal(msg *endpoint.Message, group string, except keys.PeerID) {
 	var room [32]keys.PeerID
 	targets := room[:0]
 	b.mu.RLock()
 	for id, s := range b.peers {
-		if id != except && s.Local() && s.liveIn(group) {
+		if id != except && s.liveIn(group) {
 			targets = append(targets, id)
 		}
 	}

@@ -3,11 +3,15 @@ package broker
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"jxtaoverlay/internal/advert"
+	"jxtaoverlay/internal/audit"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
@@ -186,6 +190,50 @@ func TestLogoutUnregisters(t *testing.T) {
 	}
 	if len(b.OnlinePeers("g1")) != 0 {
 		t.Fatal("peer still listed after logout")
+	}
+}
+
+// TestPresenceRecordsAreLocal: a login and a logout are audited peer-up
+// and peer-down with reason "local", the reason a broker has written for
+// its own sessions since presence records were journaled.
+func TestPresenceRecordsAreLocal(t *testing.T) {
+	b, net := newBroker(t)
+	dir := t.TempDir()
+	j, err := audit.Open(audit.Options{Dir: dir, SyncInterval: -1, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetAuditor(j)
+	c := newCaller(t, net, b, "urn:jxta:c1")
+	c.login("alice")
+	c.op(proto.OpLogout)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	segs, err := filepath.Glob(filepath.Join(dir, "audit-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(data) > 0 {
+			rec, n, err := audit.DecodeRecord(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = data[n:]
+			if rec.Kind == audit.KindPeerUp || rec.Kind == audit.KindPeerDown {
+				got = append(got, rec.Kind+" "+rec.Peer+" "+rec.Reason)
+			}
+		}
+	}
+	want := []string{"peer-up urn:jxta:c1 local", "peer-down urn:jxta:c1 local"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("presence records %q, want %q", got, want)
 	}
 }
 

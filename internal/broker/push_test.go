@@ -19,6 +19,7 @@ import (
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
+	"jxtaoverlay/internal/waituntil"
 )
 
 // pushTap keeps every push the broker sends to the client service: the
@@ -286,4 +287,10 @@ func TestPushBurstSharesOneFrame(t *testing.T) {
 			t.Errorf("no %s burst among %v", op, seen)
 		}
 	}
+}
+
+// waitUntil fails t when cond does not hold within five seconds.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	waituntil.Must(t, 5*time.Second, cond, "condition not met within deadline")
 }

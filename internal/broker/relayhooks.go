@@ -15,46 +15,16 @@ import (
 	"jxtaoverlay/internal/keys"
 )
 
-// PeerOnline reports whether a peer is logged in at THIS broker and
-// deliverable by direct push. Peers logged into federation partners are
-// reported offline here: their own broker owns their presence, and the
-// relay treats them as queueable.
+// PeerOnline reports whether a peer is logged in at this broker and
+// deliverable by direct push.
 func (b *Broker) PeerOnline(id keys.PeerID) bool {
 	b.mu.RLock()
 	p, ok := b.peers[id]
 	// The PeerInfo fields must be read under the lock: the lease
 	// sweeper flips Online concurrently with relay drains asking.
-	online := ok && p.Online && p.Local()
+	online := ok && p.Online
 	b.mu.RUnlock()
 	return online && b.ep.Reachable(id)
-}
-
-// PeerResident reports whether a peer's presence is owned by THIS
-// broker: its session record is local, not learned through federation.
-// Only resident peers can ever be served from this broker's relay
-// queues — a partner-resident peer logs in (and emits the presence
-// event that drains a queue) at its own broker, so queueing for it
-// here could only end in TTL expiry.
-func (b *Broker) PeerResident(id keys.PeerID) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	p, ok := b.peers[id]
-	return ok && p.Local()
-}
-
-// PeerOrigin reports which federation partner owns a peer's presence:
-// the broker the peer was learned from, or "" for local (resident)
-// peers and peers with no session record. The relay's delivery hook
-// uses it to chase a queued slice to the partner broker the recipient
-// migrated to, instead of letting the slice expire here.
-func (b *Broker) PeerOrigin(id keys.PeerID) keys.PeerID {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	p, ok := b.peers[id]
-	if !ok {
-		return ""
-	}
-	return p.Origin
 }
 
 // KnownMember reports whether a peer — online or offline — belongs to a

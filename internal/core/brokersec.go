@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"strconv"
 	"strings"
@@ -53,8 +52,7 @@ type BrokerSecurity struct {
 
 	// vcache verifies advertisements through the trust store's verdicts:
 	// a broker re-verifies the same signed advertisement on every
-	// re-publication and federation forward, which the store answers with
-	// a digest lookup.
+	// re-publication, which the store answers with a digest lookup.
 	vcache *xdsig.VerifyCache
 
 	// credWire is Cred_Br^Adm's bytes, as secureConnection sends them;
@@ -245,11 +243,10 @@ func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Messa
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	sidBytes, err := keys.RandomBytes(16)
+	sid, err := randomID("")
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	sid := hex.EncodeToString(sidBytes)
 	tag, key := ConnectKeys(secret, e, bs.share[:], bs.cfg.Credential.Subject, sid)
 	clear(secret)
 	bs.issueSid(sid, key, bs.b.Now())
@@ -440,8 +437,8 @@ func (bs *BrokerSecurity) loginCredential(subject keys.PeerID, username string, 
 // XMLdsig validity, a trusted credential chain, CBID binding, ownership
 // (the signer must be the peer the advertisement describes) and, for a
 // pipe, the derived ID (one record per peer and group).
-// Verdicts ride the broker's verification cache, so a re-published or
-// federation-forwarded advertisement costs a digest lookup. The parsed
+// Verdicts ride the broker's verification cache, so a re-published
+// advertisement costs a digest lookup. The parsed
 // advertisement — needed for the ownership check anyway — is returned
 // to the broker, which makes this the publish path's only parse.
 func (bs *BrokerSecurity) verifyAdv(doc *xmldoc.Element) (advert.Advertisement, error) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,6 +187,30 @@ func BenchmarkLeaseRenew(b *testing.B) {
 }
 
 func TestGateLeaseRenew(t *testing.T) { perfgate.Run(t, BenchmarkLeaseRenew, 0, 1000) }
+
+// TestGateRandomID: a session identifier (no prefix) and a lease
+// identifier ("ls-") are the prefix and 32 lowercase hex digits, and each
+// costs one allocation, its string (two under the race detector, whose
+// crypto/rand.Read moves the random bytes to the heap).
+func TestGateRandomID(t *testing.T) {
+	allocs := 1.0
+	if perfgate.Race {
+		allocs++
+	}
+	for _, prefix := range []string{"", "ls-"} {
+		id, err := randomID(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digits, ok := strings.CutPrefix(id, prefix)
+		if raw, err := hex.DecodeString(digits); !ok || err != nil || len(raw) != 16 || hex.EncodeToString(raw) != digits {
+			t.Fatalf("randomID(%q) = %q", prefix, id)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = randomID(prefix) }); n != allocs {
+			t.Fatalf("randomID(%q) allocates %v times, want %v", prefix, n, allocs)
+		}
+	}
+}
 
 // BenchmarkReplayAdmitFull is one Check on a full guard — the state a
 // recipient is in under sustained load: 4096 live entries, every admit

@@ -25,6 +25,7 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -54,11 +55,20 @@ func (bs *BrokerSecurity) newLeaseID() string {
 	if bs.cfg.LeaseTTL <= 0 {
 		return ""
 	}
-	idBytes, err := keys.RandomBytes(16)
-	if err != nil {
-		return ""
+	id, _ := randomID("ls-") // "" when randomness fails: no lease
+	return id
+}
+
+// randomID is prefix followed by the hex of 16 random bytes: a session or
+// lease identifier. It is built in one buffer on the stack and converted
+// once, so the string is its one allocation.
+func randomID(prefix string) (string, error) {
+	var raw [16]byte
+	if _, err := rand.Read(raw[:]); err != nil {
+		return "", err
 	}
-	return "ls-" + hex.EncodeToString(idBytes)
+	var room [8 + 2*len(raw)]byte
+	return string(hex.AppendEncode(append(room[:0], prefix...), raw[:])), nil
 }
 
 // Leases reports how many presence leases are live (telemetry gauge).

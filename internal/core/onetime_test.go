@@ -3,7 +3,6 @@ package core_test
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,14 +10,12 @@ import (
 
 	"jxtaoverlay/internal/advert"
 	"jxtaoverlay/internal/attack"
-	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/discovery"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
-	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/relay"
 	"jxtaoverlay/internal/simnet"
@@ -72,29 +69,6 @@ func brokerMovesAsOne(t *testing.T) {
 	defer rly.Close()
 	ctx := testCtx(t)
 
-	// A federation partner with dave logged in there: someone to hand a
-	// slice off to.
-	h.db.Register("dave", "pw-dave", "math")
-	partner, err := broker.New(broker.Config{Name: "partner", PeerID: keys.LegacyPeerID("partner"), Net: h.net, DB: broker.LocalDB(h.db)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer partner.Close()
-	h.br.Federate(partner.PeerID())
-	partner.Federate(h.br.PeerID())
-	dave, err := client.New(h.net, membership.NewNone(), "dave")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dave.Close()
-	if err := dave.Connect(ctx, partner.PeerID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := dave.Login(ctx, "pw-dave"); err != nil {
-		t.Fatal(err)
-	}
-	waituntil.Must(t, 5*time.Second, func() bool { return h.br.KnownMember(dave.PeerID(), "math") }, "the broker never learned dave through federation")
-
 	// What the broker holds before its clock moves: alice's session, lease
 	// and pipe advertisement; a session identifier bob has not presented;
 	// an acknowledged keyed mutation; a slice queued for a peer that is away.
@@ -128,7 +102,6 @@ func brokerMovesAsOne(t *testing.T) {
 	}
 
 	z.move(jump)
-	eve := attack.NewEavesdropper(h.net)
 
 	for _, probe := range []struct {
 		what  string
@@ -168,41 +141,6 @@ func brokerMovesAsOne(t *testing.T) {
 				return fmt.Errorf("pipe advertisement received 20 minutes ago: %v", err)
 			}
 			return nil
-		}},
-		{"hand-off expiry", func() error {
-			kp := alice.Identity().Keys
-			d, err := core.SealGroupDetached(kp, alice.PeerID(), "math", []byte("cross-broker"), []*keys.PublicKey{kp.Public()})
-			if err != nil {
-				return err
-			}
-			resp, err := alice.Call(ctx, endpoint.NewMessage().
-				AddString(proto.ElemOp, proto.OpRelayRound).
-				AddString(proto.ElemGroup, "math").
-				AddString(proto.ElemRecipients, string(dave.PeerID())).
-				Add(proto.ElemEnvelope, d.Wire()))
-			if err != nil {
-				return err
-			}
-			if n, _ := resp.GetString(proto.ElemRelayHandoff); n != "1" {
-				return errors.New("handed off " + n + " slices, want 1")
-			}
-			for _, frame := range eve.FramesTo(simnet.NodeID(partner.PeerID())) {
-				f, err := endpoint.ParseFrame(frame)
-				if err != nil {
-					continue
-				}
-				msg := f.Msg
-				if op, _ := msg.GetString(proto.ElemOp); op != proto.OpFedRelaySlice {
-					continue
-				}
-				exp, _ := msg.GetString(proto.ElemRelayExp)
-				ns, _ := strconv.ParseInt(exp, 10, 64)
-				if got, want := time.Unix(0, ns), h.br.Now().Add(relayTTL); !near(got, want) {
-					return fmt.Errorf("slice handed off to expire %v, want the broker's now + TTL %v", got, want)
-				}
-				return nil
-			}
-			return errors.New("no hand-off seen on the wire")
 		}},
 		{"inherited relay TTL", func() error {
 			rly.Flush(away)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"strconv"
-	"time"
 
 	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/endpoint"
@@ -20,10 +19,8 @@ import (
 // the broker slices it per recipient (core.SliceRound — byte surgery,
 // no keys, no plaintext) and routes each slice: direct push to online
 // peers, bounded TTL queue for offline ones, drained on their next
-// login by the relay's shard workers. Recipients whose presence lives
-// at a federation partner get their slice handed off broker-to-broker
-// (fedRelaySlice) instead of refused — including queued slices whose
-// recipient migrates to a partner while the slice waits.
+// login by the relay's shard workers. A recipient the broker holds no
+// session record for is skipped: it is resident here or unknown.
 //
 // Trust model (see SECURITY.md): the broker validates session and
 // group-roster facts it owns (submitter logged in, recipients known
@@ -38,10 +35,9 @@ import (
 var ErrRelayUnavailable = errors.New("core: broker relay unavailable")
 
 // ErrRelaySkipped is returned (wrapped, with counts) by the client-side
-// relay primitives when the broker refused some addressed recipients —
-// unknown to it, or whose federation hand-off failed. The round still
-// went out to everyone counted in direct/queued/handoff; the error
-// exists so a shortfall is never silent.
+// relay primitives when the broker refused some addressed recipients as
+// unknown to it. The round still went out to everyone counted in
+// direct/queued; the error exists so a shortfall is never silent.
 var ErrRelaySkipped = errors.New("core: relay skipped undeliverable recipients")
 
 // ErrRelayQuota is returned when the broker throttled the round because
@@ -58,7 +54,7 @@ type RelayConfig struct {
 // EnableBrokerRelay attaches the store-and-forward relay subsystem to a
 // broker: it builds the sharded queues (recovering any durable backlog
 // when cfg.WAL.Dir is set), binds queue drains to the broker's presence
-// events, and registers the relayRound and fedRelaySlice operations.
+// events, and registers the relayRound operation.
 // Close() the returned relay when the broker shuts down.
 func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) {
 	if cfg.Tracer == nil {
@@ -78,27 +74,7 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 		cfg.Clock = b.Now
 	}
 	tr := cfg.Tracer
-	var r *relay.Relay
 	deliver := func(it relay.Item) error {
-		// Presence migrated to a federation partner? Chase the slice
-		// there instead of failing the drain — the partner's own relay
-		// delivers it (or queues it under the partner's TTL). Forwarded
-		// items never re-forward: one hop, no mesh loops.
-		if !it.Forwarded {
-			if origin := b.PeerOrigin(it.To); origin != "" {
-				var sp trace.Span
-				if it.Trace != 0 && tr != nil {
-					sp = trace.Begin(it.Trace, trace.StageHandoff)
-				}
-				if err := handOff(b.Endpoint(), origin, it); err != nil {
-					tr.End(sp, trace.OutcomeError)
-					return err
-				}
-				tr.End(sp, trace.OutcomeOK)
-				r.AddHandoff()
-				return nil
-			}
-		}
 		var sp trace.Span
 		if it.Trace != 0 && tr != nil {
 			sp = trace.Begin(it.Trace, trace.StageDeliver)
@@ -117,7 +93,6 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 	}
 	r.BindBus(b.Bus())
 	b.RegisterOp(proto.OpRelayRound, relayRoundHandler(b, r))
-	b.RegisterOp(proto.OpFedRelaySlice, fedRelaySliceHandler(b, r))
 	return r, nil
 }
 
@@ -145,77 +120,9 @@ func pushSlice(ep *endpoint.Service, it relay.Item) error {
 	return ep.SendElements(it.To, proto.ClientService, "", &room, elems[:n]...)
 }
 
-// handOff sends one slice to the federation partner that owns its
-// recipient, in the broker-to-broker hand-off, built as pushSlice builds
-// its push. The original expiry travels with it: a slice must not gain
-// lifetime by hopping brokers.
-func handOff(ep *endpoint.Service, partner keys.PeerID, it relay.Item) error {
-	elems := [...]endpoint.Element{
-		{Name: proto.ElemOp, Data: endpoint.ReadOnlyBytes(proto.OpFedRelaySlice)},
-		{Name: proto.ElemRelayTo, Data: endpoint.ReadOnlyBytes(string(it.To))},
-		{Name: proto.ElemPeer, Data: endpoint.ReadOnlyBytes(string(it.From))},
-		{Name: proto.ElemGroup, Data: endpoint.ReadOnlyBytes(it.Group)},
-		{Name: proto.ElemRelayExp, Data: strconv.AppendInt(nil, it.Expires.UnixNano(), 10)},
-		{Name: proto.ElemEnvelope},
-		{Name: proto.ElemTrace},
-	}
-	n := len(elems) - 1
-	if it.Trace != 0 {
-		elems[n].Data = endpoint.ReadOnlyBytes(trace.FormatID(it.Trace))
-		n++
-	}
-	room := endpoint.Room{Index: 5, Size: it.PayloadSize(), Fill: func(dst []byte) ([]byte, error) {
-		return it.AppendPayload(dst), nil
-	}}
-	return ep.SendElements(partner, proto.BrokerService, "", &room, elems[:n]...)
-}
-
-// fedRelaySliceHandler accepts a slice handed off by a federation
-// partner and routes it through the local relay as a one-hop Forwarded
-// item: direct push if the recipient is logged in here, local queue
-// otherwise. Non-partners are ignored outright, mirroring the other
-// federation handlers.
-func fedRelaySliceHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
-	return func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-		if !b.IsPartner(from) {
-			return nil
-		}
-		to, _ := msg.GetString(proto.ElemRelayTo)
-		sender, _ := msg.GetString(proto.ElemPeer)
-		group, _ := msg.GetString(proto.ElemGroup)
-		payload, ok := msg.Get(proto.ElemEnvelope)
-		if to == "" || !ok {
-			return nil
-		}
-		// payload is a view of the partner's frame, and a queued item
-		// holds it until delivery or expiry: the frame is the slice plus
-		// its addressing, so nothing larger than the item is pinned.
-		it := relay.Item{
-			To: keys.PeerID(to), From: keys.PeerID(sender),
-			Group: group, Payload: payload, Forwarded: true,
-		}
-		if idStr, _ := msg.GetString(proto.ElemTrace); idStr != "" {
-			it.Trace = trace.ParseID(idStr)
-		}
-		if expStr, _ := msg.GetString(proto.ElemRelayExp); expStr != "" {
-			if ns, err := strconv.ParseInt(expStr, 10, 64); err == nil {
-				it.Expires = time.Unix(0, ns)
-			}
-		}
-		r.Submit(it)
-		// Hand-off is one-way, like every federation push: the origin
-		// broker already acked (or acked-and-logged) the slice to its
-		// sender, and failure here is indistinguishable from the
-		// recipient logging out mid-flight — the local TTL queue and
-		// the sender's end-to-end round receipt are the safety nets.
-		return nil
-	}
-}
-
 // relayRoundHandler processes one uploaded round: validate, slice,
 // route. The response reports how many slices went out directly, were
-// queued, were handed off to federation partners, were refused by
-// quota, and were skipped as undeliverable.
+// queued, were refused by quota, and were skipped as undeliverable.
 func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 	return func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 		if !b.PeerOnline(from) {
@@ -279,17 +186,15 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 			return proto.Fail(proto.ErrBadRound)
 		}
 		tr.End(spVerify, trace.OutcomeOK)
-		// Every addressed recipient lands in exactly one of the five
-		// counters — direct, queued, handoff, quota or skipped — so the
-		// sender can detect a shortfall instead of a silent drop. No slice
-		// is cut here: each item names its slice as part i of d (which is
-		// views of the upload frame), a push or a hand-off cuts it into
-		// the frame that carries it, and the relay cuts a copy of its own
-		// only of a slice it keeps — so no queued slice keeps the upload
-		// frame alive, and a refused recipient costs no cut at all.
-		direct, queued, handoff, quota, skipped := 0, 0, 0, 0, 0
-		// One reading a round: what is handed off expires together.
-		handoffExpires := b.Now().Add(r.TTL())
+		// Every addressed recipient lands in exactly one of the four
+		// counters — direct, queued, quota or skipped — so the sender can
+		// detect a shortfall instead of a silent drop. No slice is cut
+		// here: each item names its slice as part i of d (which is views
+		// of the upload frame), a push cuts it into the frame that carries
+		// it, and the relay cuts a copy of its own only of a slice it
+		// keeps — so no queued slice keeps the upload frame alive, and a
+		// refused recipient costs no cut at all.
+		direct, queued, quota, skipped := 0, 0, 0, 0
 		var spSlice trace.Span
 		if tid != 0 {
 			spSlice = trace.Begin(tid, trace.StageSlice)
@@ -303,24 +208,6 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 				// restarted and the peer never returned), or the sender
 				// addressed itself.
 				skipped++
-				continue
-			}
-			if !b.PeerResident(id) {
-				// The member is logged in at (or last seen through) a
-				// federation partner: its presence events fire there, so
-				// hand the slice to the broker that owns it. The item is
-				// stamped with the local TTL so a hop cannot extend its
-				// life past what a local queue would have allowed.
-				it := relay.Item{
-					To: id, From: from, Group: group, Source: d, Part: i,
-					Expires: handoffExpires, Trace: tid,
-				}
-				if handOff(b.Endpoint(), b.PeerOrigin(id), it) != nil {
-					skipped++
-					continue
-				}
-				r.AddHandoff()
-				handoff++
 				continue
 			}
 			switch r.Submit(relay.Item{To: id, From: from, Group: group, Source: d, Part: i, Trace: tid}) {
@@ -359,7 +246,6 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		return proto.OK().
 			AddString(proto.ElemRelayDirect, strconv.Itoa(direct)).
 			AddString(proto.ElemRelayQueued, strconv.Itoa(queued)).
-			AddString(proto.ElemRelayHandoff, strconv.Itoa(handoff)).
 			AddString(proto.ElemRelayQuota, strconv.Itoa(quota)).
 			AddString(proto.ElemRelaySkipped, strconv.Itoa(skipped))
 	}

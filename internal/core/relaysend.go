@@ -47,10 +47,9 @@ func (s *SecureClient) SecureMsgPeerGroupRelay(ctx context.Context, group, text 
 // cached) — advertisements survive in the broker index while their
 // owner is offline, so offline recipients resolve too. Peers whose key
 // cannot be verified are skipped and reported via the first error, and
-// recipients the broker refuses — unknown to it, or resident at a
-// federation partner whose presence events (and queue drains) fire
-// elsewhere — surface as a wrapped ErrRelaySkipped: direct+queued then
-// falls short of len(peers), never silently.
+// recipients the broker refuses as unknown to it surface as a wrapped
+// ErrRelaySkipped: direct+queued then falls short of len(peers), never
+// silently.
 func (s *SecureClient) SecureMsgPeersViaRelay(ctx context.Context, group, text string, peers []keys.PeerID) (direct, queued int, err error) {
 	if len(peers) == 0 {
 		return 0, 0, nil
@@ -115,18 +114,11 @@ func relayRoundMsg(group string, peers []keys.PeerID, d *DetachedRound, chunk []
 }
 
 // relayCounts unpacks a relayRound response: recipients reached
-// directly, recipients accepted for eventual delivery (queued locally
-// or handed off toward the partner broker that owns them), and an
-// error when any were throttled or skipped.
+// directly, recipients queued for eventual delivery, and an error when
+// any were throttled or skipped.
 func relayCounts(resp *endpoint.Message, chunkLen int) (direct, queued int, err error) {
-	di, qi := countOf(resp, proto.ElemRelayDirect), countOf(resp, proto.ElemRelayQueued)
-	hi, ni := countOf(resp, proto.ElemRelayHandoff), countOf(resp, proto.ElemRelayQuota)
-	si := countOf(resp, proto.ElemRelaySkipped)
-	// A handed-off slice is in flight toward the partner broker that
-	// owns the recipient — from the sender's seat that is "queued":
-	// accepted for eventual delivery, not confirmed received.
-	direct = di
-	queued = qi + hi
+	direct, queued = countOf(resp, proto.ElemRelayDirect), countOf(resp, proto.ElemRelayQueued)
+	ni, si := countOf(resp, proto.ElemRelayQuota), countOf(resp, proto.ElemRelaySkipped)
 	if ni > 0 {
 		return direct, queued, fmt.Errorf("%w: %d of %d throttled", ErrRelayQuota, ni, chunkLen)
 	}

@@ -51,12 +51,6 @@ func RegisterBrokerTelemetry(reg *telemetry.Registry, b *broker.Broker, bs *Brok
 	reg.CounterFunc("broker_advs_published_total",
 		"Advertisements accepted via publishAdv.",
 		func() float64 { return u(b.Stats().AdvsPublished) })
-	reg.CounterFunc("broker_fed_advs_accepted_total",
-		"Federation-forwarded advertisements accepted into the cache.",
-		func() float64 { return u(b.Stats().FedAdvsAccepted) })
-	reg.CounterFunc("broker_fed_stale_presence_total",
-		"Federation presence updates discarded by the session guard.",
-		func() float64 { return u(b.Stats().FedStalePresence) })
 	reg.GaugeFunc("broker_peers_online",
 		"Peers currently logged in at this broker.",
 		func() float64 { return float64(b.Stats().PeersOnline) })
@@ -145,9 +139,6 @@ func RegisterBrokerTelemetry(reg *telemetry.Registry, b *broker.Broker, bs *Brok
 		reg.CounterFunc("relay_delivered_flushed_total",
 			"Queued slices delivered by a flush.",
 			func() float64 { return u(rly.Metrics().DeliveredFlushed) })
-		reg.CounterFunc("relay_handed_off_total",
-			"Slices forwarded to a federation partner broker.",
-			func() float64 { return u(rly.Metrics().HandedOff) })
 		reg.CounterFunc("relay_enqueued_total",
 			"Slices that entered an offline queue.",
 			func() float64 { return u(rly.Metrics().Enqueued) })

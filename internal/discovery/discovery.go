@@ -12,8 +12,8 @@
 // CanonicalSkip without detaching anything. A tree parsed from a received
 // frame is views of the bytes it was parsed from, so whoever caches one
 // parses it from a copy made for the cache, not from the frame:
-// PutCanonical makes that copy itself; the broker's publish and federation
-// ingest make theirs before they verify.
+// PutCanonical makes that copy itself; the broker's publish makes its own
+// before it verifies.
 //
 // A record is replaced by the next one put under its (type, id) and
 // otherwise lives one advertisement lifetime: lookups drop an expired

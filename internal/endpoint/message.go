@@ -295,8 +295,8 @@ var vocabulary = func(names ...string) map[string]string {
 	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:env", "sec:share", "sec:tag",
 	"file:name", "file:chunk", "file:data", "file:size", "file:nchunks", "file:digest",
 	"task:name", "task:args", "task:out",
-	"relay:rcpt", "relay:direct", "relay:queued", "relay:skipped", "relay:handoff",
-	"relay:quota", "relay:to", "relay:exp", "fed:session", "trace:id",
+	"relay:rcpt", "relay:direct", "relay:queued", "relay:skipped", "relay:quota",
+	"trace:id",
 	"lease:id", "lease:ttl", "idem:key", "retry:after",
 	"db:env", "db:body",
 )

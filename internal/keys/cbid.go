@@ -26,7 +26,10 @@ func CBID(pub *PublicKey) (PeerID, error) {
 	if err != nil {
 		return "", err
 	}
-	return PeerID(CBIDPrefix + hex.EncodeToString(fp[:cbidBytes])), nil
+	var id [len(CBIDPrefix) + 2*cbidBytes]byte
+	n := copy(id[:], CBIDPrefix)
+	hex.Encode(id[n:], fp[:cbidBytes])
+	return PeerID(id[:]), nil
 }
 
 // ErrCBIDMismatch is returned when a claimed peer ID does not match the

@@ -201,6 +201,18 @@ func TestCBIDDeterministic(t *testing.T) {
 	if !IsCBID(id1) {
 		t.Fatalf("IsCBID(%q) = false", id1)
 	}
+	fp, err := testKeys.a.Public().Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := CBIDPrefix + hex.EncodeToString(fp[:cbidBytes]); string(id1) != want {
+		t.Fatalf("CBID = %q, want %q", id1, want)
+	}
+	// The ID is built on the stack and converted once: the string is the
+	// one allocation (a join derives three).
+	if n := testing.AllocsPerRun(100, func() { _, _ = CBID(testKeys.a.Public()) }); n != 1 {
+		t.Fatalf("CBID allocates %v times, want 1", n)
+	}
 }
 
 func TestVerifyCBID(t *testing.T) {

@@ -70,30 +70,18 @@ const (
 	ElemRelayDirect = "relay:direct" // slices delivered immediately
 	ElemRelayQueued = "relay:queued" // slices queued for offline peers
 	// slices not accepted: recipients unknown to this broker (no session
-	// record), or whose slice a federation hand-off also failed to ship
+	// record)
 	ElemRelaySkipped = "relay:skipped"
-	// slices handed off to the federation partner that owns the
-	// recipient's presence (counted toward delivery alongside queued)
-	ElemRelayHandoff = "relay:handoff"
 	// slices refused because the sender or group is over its relay
 	// queue quota
 	ElemRelayQuota = "relay:quota"
-	// fedRelaySlice addressing: recipient peer and expiry (unix nanos)
-	// of one handed-off slice
-	ElemRelayTo  = "relay:to"
-	ElemRelayExp = "relay:exp"
-	// fedPeerUp/fedPeerDown: start time (unix nanos) of the client
-	// session the update describes. Delivery between brokers is
-	// unordered, so receivers use it to discard updates a newer session
-	// has already superseded.
-	ElemFedSession = "fed:session"
 	ElemAll        = "all" // listPeers: include offline peers
 	// ElemTrace carries a message-lifecycle trace ID (hex, see
 	// internal/trace) end to end: the sending client mints it, the
-	// broker threads it through relay items and federation hand-offs,
-	// and delivery pushes return it to the receiving client, so every
-	// stage span of one message shares one ID. Absent = untraced;
-	// brokers never reject a message over it.
+	// broker threads it through relay items, and delivery pushes
+	// return it to the receiving client, so every stage span of one
+	// message shares one ID. Absent = untraced; brokers never reject a
+	// message over it.
 	ElemTrace = "trace:id"
 
 	// Presence-lease elements (session liveness). secureLogin responses
@@ -220,8 +208,3 @@ const (
 	// (secureConnection + secureLogin), don't retry the heartbeat.
 	ErrLeaseExpired = "lease-expired"
 )
-
-// OpFedRelaySlice forwards one queued round slice broker-to-broker:
-// the recipient's presence migrated to a federation partner, so the
-// slice chases it there instead of expiring in the origin's queue.
-const OpFedRelaySlice = "fedRelaySlice"

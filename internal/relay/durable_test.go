@@ -1,7 +1,10 @@
 package relay_test
 
 import (
+	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -239,3 +242,45 @@ func TestCloseCancelsArmedRetry(t *testing.T) {
 }
 
 func retryDelayForTest() time.Duration { return relay.RetryBackoff.Ceiling(1) }
+
+// TestForwardedRecordReplaysOnce: a log written by brokers that federated
+// may hold an add whose flags byte marks a slice a partner handed off. It
+// replays as any other add: one delivery at the recipient's login, acked,
+// so a second restart finds nothing to deliver.
+func TestForwardedRecordReplaysOnce(t *testing.T) {
+	dir := t.TempDir()
+	// An add record as those brokers' encoder wrote it (wal's
+	// TestDecodeReadsPastForwardedFlag decodes the same bytes): Seq 1, to
+	// bob from "sender" in group "g", payload "handed off", expiring in
+	// 2100, flags byte 1.
+	rec, err := hex.DecodeString("31000000586b5fcf010101000000000000000000a656cfcfee38010300626f62060073656e6465720100670a00000068616e646564206f6666")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.wal"), rec, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s := newSink()
+	r := mustDurable(t, dir, relay.Config{TTL: time.Hour}, s)
+	if m := r.Metrics(); m.RecoveryReplayed != 1 || r.QueueLen("bob") != 1 {
+		t.Fatalf("recovery metrics = %+v, bob's queue %d: want the record replayed into it", m, r.QueueLen("bob"))
+	}
+	s.setOnline("bob", true)
+	r.Flush("bob")
+	waitFor(t, func() bool { return len(s.got("bob")) == 1 })
+	if err := r.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if got := s.got("bob"); len(got) != 1 || got[0] != "handed off" {
+		t.Fatalf("delivered %q, want the one payload once", got)
+	}
+
+	s2 := newSink()
+	s2.setOnline("bob", true)
+	r2 := mustDurable(t, dir, relay.Config{TTL: time.Hour}, s2)
+	defer r2.Close()
+	if m := r2.Metrics(); m.RecoveryReplayed != 0 || r2.QueueLen("bob") != 0 {
+		t.Fatalf("after the delivery, recovery metrics = %+v, bob's queue %d: want nothing replayed", m, r2.QueueLen("bob"))
+	}
+}

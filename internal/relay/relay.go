@@ -3,7 +3,9 @@
 // one uploaded ModeGroup round) are delivered immediately to online
 // peers and queued — in bounded, TTL-expiring, per-peer FIFO queues —
 // for offline ones, then drained by sharded delivery workers when the
-// peer's presence comes back (login events on the events.Bus).
+// peer's presence comes back (login events on the events.Bus). A relay
+// serves one broker: every item is for a peer resident at it, whose
+// login there drains the queue.
 //
 // Queues are durable when Config.WAL.Dir is set: every enqueue,
 // delivery, expiry and drop is written behind the in-memory state to an
@@ -64,10 +66,6 @@ type Item struct {
 	// Expires is when the item stops being deliverable. The zero value
 	// means "now + Config.TTL", stamped at submission.
 	Expires time.Time
-	// Forwarded marks an item received through federation hand-off; the
-	// delivery hook must not forward it a second time (one-hop loop
-	// guard across the broker mesh).
-	Forwarded bool
 	// Trace is the message-lifecycle trace ID the item belongs to
 	// (0 = untraced). It rides in memory only — the WAL record format
 	// does not carry it, so recovered items come back untraced.
@@ -182,9 +180,6 @@ type Metrics struct {
 	DeliveredDirect uint64
 	// DeliveredFlushed counts queued items delivered by a flush.
 	DeliveredFlushed uint64
-	// HandedOff counts items forwarded to a federation partner broker
-	// because the recipient's presence migrated there.
-	HandedOff uint64
 	// Enqueued counts items that entered an offline queue.
 	Enqueued uint64
 	// DroppedOverflow counts oldest-items dropped by full queues.
@@ -245,7 +240,6 @@ type Relay struct {
 
 	deliveredDirect  atomic.Uint64
 	deliveredFlushed atomic.Uint64
-	handedOff        atomic.Uint64
 	enqueued         atomic.Uint64
 	droppedOverflow  atomic.Uint64
 	droppedQuota     atomic.Uint64
@@ -341,8 +335,7 @@ func (r *Relay) recover() error {
 		}
 		it := Item{
 			To: rec.To, From: rec.From, Group: rec.Group,
-			Payload: rec.Payload, Expires: rec.Expires,
-			Forwarded: rec.Forwarded, seq: rec.Seq,
+			Payload: rec.Payload, Expires: rec.Expires, seq: rec.Seq,
 		}
 		if !r.reserveQuota(it) {
 			r.droppedQuota.Add(1)
@@ -454,7 +447,7 @@ func (r *Relay) Submit(it Item) SubmitResult {
 		}
 		seq, err := r.log.AppendAdd(wal.Record{
 			To: it.To, From: it.From, Group: it.Group,
-			Payload: it.Payload, Expires: it.Expires, Forwarded: it.Forwarded,
+			Payload: it.Payload, Expires: it.Expires,
 		})
 		if err != nil {
 			// The log died (disk fault or injected crash). Keep serving
@@ -694,7 +687,6 @@ func (r *Relay) Metrics() Metrics {
 	return Metrics{
 		DeliveredDirect:        r.deliveredDirect.Load(),
 		DeliveredFlushed:       r.deliveredFlushed.Load(),
-		HandedOff:              r.handedOff.Load(),
 		Enqueued:               r.enqueued.Load(),
 		DroppedOverflow:        r.droppedOverflow.Load(),
 		DroppedQuota:           r.droppedQuota.Load(),
@@ -706,11 +698,6 @@ func (r *Relay) Metrics() Metrics {
 		RecoveryDiscardedGuard: r.recoveryDiscardedGuard,
 	}
 }
-
-// AddHandoff counts one federation hand-off (called by the broker-side
-// delivery hook when it routes an item to a partner broker instead of
-// a local recipient).
-func (r *Relay) AddHandoff() { r.handedOff.Add(1) }
 
 // Close stops the delivery workers and cancels armed retries. Queued
 // items are abandoned in memory but remain in the WAL (graceful

@@ -19,7 +19,7 @@ import (
 //	  [2:10]   uint64 LE sequence number
 //	  KindAdd:
 //	    [10:18]  int64 LE expiry, unix nanoseconds
-//	    [18]     flags (flagForwarded)
+//	    [18]     flags (written 0; see flagForwarded)
 //	    uint16 LE len + bytes: To
 //	    uint16 LE len + bytes: From
 //	    uint16 LE len + bytes: Group
@@ -30,7 +30,8 @@ import (
 // Every field is fixed-width or explicitly length-prefixed and the
 // decoder rejects records whose fields do not consume the body exactly,
 // so decoding is a bijection on accepted inputs: any record the decoder
-// admits re-encodes to the identical bytes (FuzzWALDecode pins this).
+// admits re-encodes to the identical bytes, save a set flagForwarded bit,
+// which re-encodes 0 (FuzzWALDecode pins this).
 
 // Kind discriminates record types.
 type Kind byte
@@ -64,8 +65,11 @@ const (
 	// version, kind, seq.
 	fixedBody = 2 + 8
 
-	// flagForwarded marks an item received through federation hand-off;
-	// it must never be forwarded again (one-hop loop guard).
+	// flagForwarded is the one flag bit a record may carry. Brokers that
+	// federated set it on an item a partner handed off; an item is now
+	// delivered the same whoever queued it, so the bit is written 0 and
+	// read past, and a log written with it set replays unchanged. Any
+	// other bit is corrupt.
 	flagForwarded = 1 << 0
 
 	// MaxPayload bounds one record's payload so a corrupt length field
@@ -95,12 +99,11 @@ type Record struct {
 	Kind Kind
 
 	// KindAdd fields.
-	To        keys.PeerID
-	From      keys.PeerID
-	Group     string
-	Payload   []byte
-	Expires   time.Time
-	Forwarded bool
+	To      keys.PeerID
+	From    keys.PeerID
+	Group   string
+	Payload []byte
+	Expires time.Time
 
 	// KindAck field.
 	Reason AckReason
@@ -124,11 +127,7 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 			return dst[:start], fmt.Errorf("%w: oversized payload", ErrCorruptRecord)
 		}
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(rec.Expires.UnixNano()))
-		var flags byte
-		if rec.Forwarded {
-			flags |= flagForwarded
-		}
-		dst = append(dst, flags)
+		dst = append(dst, 0) // flags
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec.To)))
 		dst = append(dst, rec.To...)
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(rec.From)))
@@ -182,7 +181,6 @@ func decodeBody(body []byte) (Record, error) {
 		if flags&^byte(flagForwarded) != 0 {
 			return rec, fmt.Errorf("%w: unknown flags %#x", ErrCorruptRecord, flags)
 		}
-		rec.Forwarded = flags&flagForwarded != 0
 		rest = rest[9:]
 		var field []byte
 		var err error

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -32,7 +33,7 @@ func openT(t *testing.T, opts Options) (*Log, []Record, RecoveryStats) {
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Kind: KindAdd, Seq: 1, To: "bob", From: "alice", Group: "math",
-			Payload: []byte("hello"), Expires: time.Unix(0, 123456789), Forwarded: true},
+			Payload: []byte("hello"), Expires: time.Unix(0, 123456789)},
 		{Kind: KindAdd, Seq: 2, To: "", From: "", Group: "", Payload: nil, Expires: time.Time{}},
 		{Kind: KindAck, Seq: 1, Reason: AckDelivered},
 		{Kind: KindAck, Seq: 9, Reason: AckDropped},
@@ -60,6 +61,56 @@ func TestRecordRoundTrip(t *testing.T) {
 		// no defined UnixNano and the relay always stamps Expires first).
 		if got.Kind == KindAdd && got.Expires.UnixNano() != rec.Expires.UnixNano() {
 			t.Fatalf("expires %v != %v", got.Expires, rec.Expires)
+		}
+	}
+}
+
+// legacyForwardedRecord is an add record as brokers that federated wrote
+// one for a slice a partner handed off: Seq 1, to "bob" from "sender" in
+// group "g", payload "handed off", expiring at 4102444800 s, its flags
+// byte flagForwarded. The bytes are that encoder's output, kept verbatim.
+func legacyForwardedRecord() []byte {
+	b, err := hex.DecodeString("31000000586b5fcf010101000000000000000000a656cfcfee38010300626f62060073656e6465720100670a00000068616e646564206f6666")
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// addFlags is the offset of an add record's flags byte in its frame.
+const addFlags = seglog.HeaderSize + fixedBody + 8
+
+// TestDecodeReadsPastForwardedFlag: a log written with the flag set on an
+// add decodes field for field and re-encodes with the flag 0; any other
+// flag bit is corrupt.
+func TestDecodeReadsPastForwardedFlag(t *testing.T) {
+	enc := legacyForwardedRecord()
+	if enc[addFlags] != flagForwarded {
+		t.Fatalf("flags byte = %#x, want the forwarded bit", enc[addFlags])
+	}
+	rec, n, err := DecodeRecord(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Record{Kind: KindAdd, Seq: 1, To: "bob", From: "sender", Group: "g", Payload: []byte("handed off")}
+	if n != len(enc) || rec.Kind != want.Kind || rec.Seq != want.Seq || rec.To != want.To || rec.From != want.From ||
+		rec.Group != want.Group || !bytes.Equal(rec.Payload, want.Payload) || rec.Expires.Unix() != 4102444800 {
+		t.Fatalf("decoded %+v (%d of %d bytes)", rec, n, len(enc))
+	}
+	re, err := AppendRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleared := bytes.Clone(enc)
+	cleared[addFlags] = 0
+	if !bytes.Equal(re, seglog.EndFrame(cleared, 0)) {
+		t.Fatalf("re-encoded %x, want the record with its flags byte 0", re)
+	}
+	for bit := 1; bit < 8; bit++ {
+		bad := bytes.Clone(enc)
+		bad[addFlags] |= 1 << bit
+		if _, _, err := DecodeRecord(seglog.EndFrame(bad, 0)); !errors.Is(err, ErrCorruptRecord) {
+			t.Fatalf("flag bit %d: err = %v, want ErrCorruptRecord", bit, err)
 		}
 	}
 }

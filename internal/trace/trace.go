@@ -51,7 +51,6 @@ const (
 	StageWALAppend              // relay: WAL record append (staged or inline)
 	StageWALFsync               // relay: fsync making the append durable
 	StageQueueWait              // relay: dwell time in the offline queue
-	StageHandoff                // broker: federation hand-off to partner
 	StageDeliver                // broker: slice push to the recipient client
 	StageOpen                   // client: OpenSlice / envelope open + verify
 	StageResume                 // client: automatic session resume (reconnect + re-login)
@@ -61,7 +60,7 @@ const (
 var stageNames = [stageCount]string{
 	"seal", "send", "admission", "parse", "verify", "publish",
 	"slice", "enqueue", "wal-append", "wal-fsync", "queue-wait",
-	"handoff", "deliver", "open", "resume",
+	"deliver", "open", "resume",
 }
 
 func (s Stage) String() string {
