@@ -16,8 +16,10 @@ import (
 // so a test renamed or deleted out from under a list leaves a step that
 // runs nothing and stays green. Every |-alternative of a
 // .github/race-repeat.txt pattern must match a Test, Fuzz or Example
-// function in that line's packages, and every fuzz.yml matrix target must
-// be a Fuzz function in its package.
+// function in that line's packages, every package on a line must declare
+// one the pattern matches (or the step runs that package for nothing),
+// and every fuzz.yml matrix target must be a Fuzz function in its
+// package.
 func TestCIListsNameTestsThatExist(t *testing.T) {
 	lists, err := os.ReadFile(".github/race-repeat.txt")
 	if err != nil {
@@ -35,9 +37,18 @@ func TestCIListsNameTestsThatExist(t *testing.T) {
 			continue
 		}
 		lines++
+		whole, err := regexp.Compile(pattern)
+		if err != nil {
+			t.Errorf("race-repeat.txt: %q: %v", pattern, err)
+			continue
+		}
 		var names []string
 		for _, pkg := range strings.Fields(pkgs) {
-			names = append(names, testFuncs(t, pkg)...)
+			own := testFuncs(t, pkg)
+			if !matchesAny(whole, own) {
+				t.Errorf("race-repeat.txt: %s declares no test matching %q", pkg, pattern)
+			}
+			names = append(names, own...)
 		}
 		for _, alt := range alternatives(pattern) {
 			re, err := regexp.Compile(alt)

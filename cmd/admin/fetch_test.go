@@ -44,7 +44,7 @@ func TestFetchAuditPage(t *testing.T) {
 // accepts.
 func TestFetchMetricsSnapshot(t *testing.T) {
 	r := telemetry.New()
-	r.Counter("relay_direct_total", "").Add(5)
+	r.CounterFunc("relay_direct_total", "", func() float64 { return 5 })
 	r.GaugeFunc("parse_failures_total", "", func() float64 { return 3 })
 	srv, err := r.Serve("127.0.0.1:0")
 	if err != nil {

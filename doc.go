@@ -44,7 +44,7 @@
 //   - internal/xmldoc memoizes canonical bytes per element, invalidated
 //     by every mutator through parent backlinks. After the first
 //     Canonical() call a tree must only be changed via the mutator
-//     methods (Add, AddText, SetText, SetAttr, RemoveChildren), and the
+//     methods (Add, AddText, SetAttr, RemoveChildren), and the
 //     returned bytes are shared and read-only.
 //   - Element.CanonicalSkip serializes a document minus selected direct
 //     children, so XMLdsig verification never deep-copies a document to

@@ -50,8 +50,7 @@ func TestAgreementKeySwappedInCachedChainRefused(t *testing.T) {
 	}
 	malloryShare, _ := mallory.Identity().Keys.Public().AgreementShare()
 
-	forged := doc.Clone()
-	leaf := forged.Child(xdsig.SignatureElement).Child("KeyInfo").Child(cred.ElementName)
+	leaf := doc.Child(xdsig.SignatureElement).Child("KeyInfo").Child(cred.ElementName)
 	raw, err := base64.StdEncoding.DecodeString(leaf.Text)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +60,7 @@ func TestAgreementKeySwappedInCachedChainRefused(t *testing.T) {
 	if err != nil || c.Subject != alice.PeerID() || bytes.Count(raw, aliceShare[:]) != 1 {
 		t.Fatal("test setup: alice's credential, with its share, is not the advertisement's first KeyInfo entry")
 	}
-	leaf.SetText(base64.StdEncoding.EncodeToString(bytes.Replace(raw, aliceShare[:], malloryShare[:], 1)))
+	forged := retext(t, doc, leaf.Text, base64.StdEncoding.EncodeToString(bytes.Replace(raw, aliceShare[:], malloryShare[:], 1)))
 	hits, _ := vc.TrustStore().ChainCacheStats()
 	if res, err := vc.VerifyTrusted(forged, bob.Now()); !errors.Is(err, cred.ErrBadSignature) {
 		t.Fatalf("advertisement carrying mallory's share in alice's credential = (%v, %v), want ErrBadSignature", res, err)

@@ -439,8 +439,7 @@ func TestMemoizedSignatureSplicedOntoAnotherAdvRefused(t *testing.T) {
 	wholeSignature := renamed.Clone()
 	wholeSignature.RemoveChildren(xdsig.SignatureElement)
 	wholeSignature.Add(published.Child(xdsig.SignatureElement).Clone())
-	valueOnly := renamed.Clone()
-	valueOnly.Child(xdsig.SignatureElement).Child("SignatureValue").SetText(value(published))
+	valueOnly := retext(t, renamed, value(renamed), value(published))
 	for _, c := range []struct {
 		name string
 		doc  *xmldoc.Element
@@ -464,4 +463,17 @@ func TestMemoizedSignatureSplicedOntoAnotherAdvRefused(t *testing.T) {
 	if err := mallory.PublishAdvDoc(ctx, renamed); err != nil {
 		t.Fatalf("the renamed advertisement under its own signature, published: %v", err)
 	}
+}
+
+// retext returns what doc parses to once the text old, the whole text of
+// an element, is replaced by new in its canonical bytes: a document
+// tampered with on the wire.
+func retext(t *testing.T, doc *xmldoc.Element, old, new string) *xmldoc.Element {
+	t.Helper()
+	raw := bytes.Replace(doc.Canonical(), []byte(">"+old+"<"), []byte(">"+new+"<"), 1)
+	out, err := xmldoc.ParseCanonical(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -53,14 +53,14 @@ func TestJournalCrashMatrix(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					j.Record(ev(100 + i))
 				}
-				if err := j.Sync(); !errors.Is(err, ErrJournalFailed) || !errors.Is(err, seglog.ErrInjected) {
+				if err := j.Sync(); !errors.Is(err, seglog.ErrFailed) || !errors.Is(err, seglog.ErrInjected) {
 					t.Fatalf("Sync after the crash: %v", err)
 				}
 				st := j.Stats()
 				if seq := j.Record(ev(200)); seq != 0 || !st.Failed || j.Stats().Lost != st.Lost+1 {
 					t.Fatalf("failed journal accepted an event (seq %d, stats %+v)", seq, st)
 				}
-				if err := j.Close(); !errors.Is(err, ErrJournalFailed) {
+				if err := j.Close(); !errors.Is(err, seglog.ErrFailed) {
 					t.Fatalf("Close after the crash: %v", err)
 				}
 

@@ -89,12 +89,6 @@ type Event struct {
 	Trace  uint64
 }
 
-// ErrJournalFailed is returned by Sync/Close after the journal has
-// failed (an I/O error). Appends after a failure are silently counted
-// as lost — the security surface keeps working; the journal just stops
-// being written, exactly like a dying disk.
-var ErrJournalFailed = seglog.ErrFailed
-
 // ErrJournalDamaged is returned by Open when a non-final segment (or a
 // non-tail region) fails to replay. Unlike the relay WAL, the journal
 // refuses to append onto a broken chain: damage beyond a crash's torn
@@ -364,19 +358,11 @@ func (j *Journal) Sync() error {
 	return j.log.Sync()
 }
 
-// Checkpoint seals the chain now, regardless of cadence (tests, and
-// operators wanting a fresh attestation before archiving), and syncs it.
-func (j *Journal) Checkpoint() error {
-	if j == nil {
-		return nil
-	}
-	j.log.Lock()
-	j.checkpointLocked()
-	j.log.Unlock()
-	return j.log.Sync()
-}
-
 // Close seals the chain with a final checkpoint, flushes and closes.
+// After the journal has failed (an I/O error) Sync and Close report
+// seglog.ErrFailed, and appends are counted as lost — the security
+// surface keeps working; the journal just stops being written, exactly
+// like a dying disk.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil

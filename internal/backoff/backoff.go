@@ -88,9 +88,9 @@ func (p Policy) MaxDelaysWithin(interval time.Duration) int {
 }
 
 // Source is a concurrency-safe stateful backoff: Next draws the delay
-// for the current attempt and advances it; Reset reports success and
-// rewinds the schedule. Seeded sources are deterministic, which the
-// chaos scenarios rely on.
+// for the current attempt and advances it; a new source starts the
+// schedule over. Seeded sources are deterministic, which the chaos
+// scenarios rely on.
 type Source struct {
 	policy Policy
 
@@ -112,27 +112,4 @@ func (s *Source) Next() time.Duration {
 	d := s.policy.Delay(s.attempt, s.rnd.Float64)
 	s.attempt++
 	return d
-}
-
-// Attempt reports how many delays have been drawn since the last Reset.
-func (s *Source) Attempt() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.attempt
-}
-
-// Reset rewinds the schedule after a success.
-func (s *Source) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.attempt = 0
-}
-
-// Unit returns a concurrency-safe unit-interval draw bound to the
-// source's seeded generator, for callers that track attempt counts
-// themselves (the relay keeps per-peer counters under its own lock).
-func (s *Source) Unit() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rnd.Float64()
 }

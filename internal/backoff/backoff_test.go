@@ -62,16 +62,10 @@ func TestSourceDeterministicAndResettable(t *testing.T) {
 			t.Fatalf("draw %d diverged: %v vs %v", i, da, db)
 		}
 	}
-	if a.Attempt() != 8 {
-		t.Fatalf("attempt = %d, want 8", a.Attempt())
-	}
-	a.Reset()
-	if a.Attempt() != 0 {
-		t.Fatal("Reset did not rewind the attempt counter")
-	}
-	// After reset the schedule restarts from the first ceiling.
-	if d := a.Next(); d > p.Base {
-		t.Fatalf("post-reset delay %v above first ceiling %v", d, p.Base)
+	// A new source restarts the schedule from the first ceiling: each
+	// resume loop draws from a source of its own.
+	if d := NewSource(p, 42).Next(); d > p.Base {
+		t.Fatalf("first delay of a new source %v above first ceiling %v", d, p.Base)
 	}
 }
 

@@ -44,18 +44,18 @@ type EnvOption func(*envConfig)
 
 type envConfig struct {
 	keyBits int
-	dbIters int
 }
 
 // WithKeyBits selects the RSA modulus size for every entity (A1).
 func WithKeyBits(bits int) EnvOption { return func(c *envConfig) { c.keyBits = bits } }
 
-// WithDBIterations sets the PBKDF2 cost of the user database.
-func WithDBIterations(n int) EnvOption { return func(c *envConfig) { c.dbIters = n } }
+// dbIterations is the PBKDF2 cost of the bench deployment's user
+// database.
+const dbIterations = 64
 
 // NewEnv builds a deployment on a zero-latency fabric.
 func NewEnv(opts ...EnvOption) (*Env, error) {
-	cfg := envConfig{keyBits: keys.DefaultRSABits, dbIters: 64}
+	cfg := envConfig{keyBits: keys.DefaultRSABits}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -63,7 +63,7 @@ func NewEnv(opts ...EnvOption) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := userdb.NewStoreIter(cfg.dbIters)
+	db := userdb.NewStoreIter(dbIterations)
 	net := simnet.NewNetwork(simnet.ProfileLocal)
 	site, err := dep.StartBroker(
 		broker.Config{Name: "bench-broker", Net: net, DB: broker.LocalDB(db)}, core.BrokerConfig{})

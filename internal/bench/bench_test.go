@@ -11,7 +11,7 @@ import (
 
 func newTestEnv(t *testing.T) *Env {
 	t.Helper()
-	env, err := NewEnv(WithDBIterations(4))
+	env, err := NewEnv()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,9 +293,6 @@ func (b *Broker) Bus() *events.Bus { return b.ctl.Bus() }
 // DB returns the configured database connection.
 func (b *Broker) DB() Authenticator { return b.cfg.DB }
 
-// RequireSecureLogin reports whether plaintext login is disabled.
-func (b *Broker) RequireSecureLogin() bool { return b.cfg.RequireSecureLogin }
-
 // RegisterOp installs (or overrides) an operation handler; the security
 // extension uses it to add secureConnection and secureLogin. The op is
 // open to any caller: a handler that serves logged-in peers only checks
@@ -708,19 +705,6 @@ func (b *Broker) Peer(id keys.PeerID) (PeerInfo, bool) {
 		return PeerInfo{}, false
 	}
 	return s.PeerInfo, true
-}
-
-// OnlinePeers lists the online peers of a group (all groups when group
-// is empty), sorted by peer ID.
-func (b *Broker) OnlinePeers(group string) []PeerInfo {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	rows := b.rosterRows(group, false)
-	out := make([]PeerInfo, len(rows))
-	for i, p := range rows {
-		out[i] = *p
-	}
-	return out
 }
 
 // rosterRows returns the session records group's roster lists, sorted

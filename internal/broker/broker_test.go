@@ -188,7 +188,7 @@ func TestLogoutUnregisters(t *testing.T) {
 	if info, _ := b.Peer("urn:jxta:c1"); info.Online {
 		t.Fatal("peer still online after logout")
 	}
-	if len(b.OnlinePeers("g1")) != 0 {
+	if len(onlineIn(b, "g1")) != 0 {
 		t.Fatal("peer still listed after logout")
 	}
 }
@@ -441,26 +441,23 @@ func TestOnlinePeersFilters(t *testing.T) {
 	c2 := newCaller(t, net, b, "urn:jxta:c2")
 	c1.login("alice")
 	c2.login("bob")
-	if got := len(b.OnlinePeers("")); got != 2 {
+	if got := len(onlineIn(b, "")); got != 2 {
 		t.Fatalf("all online = %d", got)
 	}
-	if got := len(b.OnlinePeers("g1")); got != 2 {
+	if got := len(onlineIn(b, "g1")); got != 2 {
 		t.Fatalf("g1 online = %d", got)
 	}
-	if got := len(b.OnlinePeers("missing")); got != 0 {
+	if got := len(onlineIn(b, "missing")); got != 0 {
 		t.Fatalf("missing group online = %d", got)
 	}
 	b.UnregisterPeer("urn:jxta:c2")
-	if got := len(b.OnlinePeers("g1")); got != 1 {
+	if got := len(onlineIn(b, "g1")); got != 1 {
 		t.Fatalf("after unregister = %d", got)
 	}
 }
 
 func TestOpTimeoutDefault(t *testing.T) {
 	b, _ := newBroker(t)
-	if b.RequireSecureLogin() {
-		t.Fatal("RequireSecureLogin default should be false")
-	}
 	if b.DB() == nil || b.Cache() == nil || b.Bus() == nil || b.Endpoint() == nil {
 		t.Fatal("accessors returned nil")
 	}

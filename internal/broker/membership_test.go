@@ -34,11 +34,14 @@ func mustFail(t *testing.T, resp *endpoint.Message, want string) {
 	}
 }
 
-// onlineIn returns the IDs of group's live members, in the order
-// OnlinePeers lists them.
+// onlineIn returns the IDs of group's live members (every online peer's
+// when group is empty), in the order the getOnlinePeers roster lists
+// them.
 func onlineIn(b *Broker, group string) []keys.PeerID {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
 	var ids []keys.PeerID
-	for _, p := range b.OnlinePeers(group) {
+	for _, p := range b.rosterRows(group, false) {
 		ids = append(ids, p.ID)
 	}
 	return ids
@@ -249,7 +252,7 @@ func TestConcurrentJoinLeave(t *testing.T) {
 					return
 				}
 				b.memberOf(id, "lab")
-				b.OnlinePeers("lab")
+				onlineIn(b, "lab")
 				if ok, tok := proto.IsOK(b.dispatch(id, op(proto.OpGroupLeave))); !ok {
 					t.Errorf("leave: %s", tok)
 					return

@@ -39,7 +39,6 @@ import (
 // Errors returned by primitives.
 var (
 	ErrNotConnected = errors.New("client: not connected to a broker")
-	ErrNotLoggedIn  = errors.New("client: not logged in")
 	ErrLoginFailed  = errors.New("client: login failed")
 	ErrNoPipe       = errors.New("client: destination pipe advertisement not found")
 	ErrBrokerOp     = errors.New("client: broker operation failed")
@@ -96,7 +95,6 @@ type Client struct {
 	identity  *membership.Identity
 	username  string
 	groups    []string
-	loggedIn  bool
 	advSigner AdvSigner
 	// The security extension's two receivers: one for what arrives on a
 	// group pipe, one for a slice the relay pushes.
@@ -183,13 +181,6 @@ func (c *Client) Groups() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return append([]string(nil), c.groups...)
-}
-
-// LoggedIn reports whether a login succeeded in this session.
-func (c *Client) LoggedIn() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.loggedIn
 }
 
 // Uptime reports how long the peer has been up (statistics primitives).
@@ -340,7 +331,6 @@ func (c *Client) Login(ctx context.Context, password string) error {
 // advertisement publication.
 func (c *Client) finishLogin(ctx context.Context, groups []string) error {
 	c.mu.Lock()
-	c.loggedIn = true
 	c.groups = groups
 	c.mu.Unlock()
 	for _, g := range groups {
@@ -377,7 +367,6 @@ func (c *Client) Logout(ctx context.Context) error {
 	msg := endpoint.NewMessage().AddString(proto.ElemOp, proto.OpLogout)
 	_, err := c.Call(ctx, msg)
 	c.mu.Lock()
-	c.loggedIn = false
 	groups := c.groups
 	c.groups = nil
 	c.mu.Unlock()

@@ -81,7 +81,7 @@ func TestConnectLogin(t *testing.T) {
 	cl := h.client("alice")
 	col := events.NewCollector(cl.Bus())
 	h.login(cl, "pw-alice")
-	if !cl.LoggedIn() {
+	if p, _ := h.br.Peer(cl.PeerID()); !p.Online {
 		t.Fatal("not logged in")
 	}
 	if got := cl.Groups(); len(got) != 1 || got[0] != "math" {
@@ -106,8 +106,8 @@ func TestLoginWrongPassword(t *testing.T) {
 	if err := cl.Login(ctx, "wrong"); err == nil {
 		t.Fatal("Login with wrong password succeeded")
 	}
-	if cl.LoggedIn() {
-		t.Fatal("client believes it is logged in")
+	if p, _ := h.br.Peer(cl.PeerID()); p.Online || len(cl.Groups()) != 0 {
+		t.Fatal("logged in with a wrong password")
 	}
 	if _, ok := col.WaitFor(events.LoginFailed, 5*time.Second); !ok {
 		t.Fatal("no LoginFailed event")

@@ -135,7 +135,7 @@ func TestSealedIntoFrameWireLayout(t *testing.T) {
 			t.Fatalf("%s: %v", tc.mode, err)
 		}
 		if string(f.Src) != string(tc.from.PeerID()) || string(f.Service) != control.PipeService+advert.GroupPipeID(tc.to.PeerID(), "math") ||
-			f.Corr != endpoint.CorrNone || len(f.CorrID) != 0 {
+			f.Corr != 0 || len(f.CorrID) != 0 {
 			t.Errorf("%s: prefix %q %q %d %q", tc.mode, f.Src, f.Service, f.Corr, f.CorrID)
 		}
 		els := f.Msg.Elements

@@ -256,9 +256,6 @@ func (s *SecureClient) installCredential(issued, brCred *cred.Credential) error 
 	return nil
 }
 
-// Mode returns the configured envelope mode.
-func (s *SecureClient) Mode() Mode { return s.mode }
-
 // SecureConnection implements §4.2.1: locate the broker, then
 // authenticate it with a fresh challenge, an ephemeral X25519 share the
 // broker must agree with under the agreement key its credential's key

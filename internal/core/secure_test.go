@@ -210,7 +210,7 @@ func TestSecureLogin(t *testing.T) {
 	sc := h.secureClient("alice")
 	h.join(sc, "pw-alice")
 
-	if !sc.LoggedIn() {
+	if p, _ := h.br.Peer(sc.PeerID()); !p.Online {
 		t.Fatal("not logged in")
 	}
 	id := sc.Identity()
@@ -245,8 +245,8 @@ func TestSecureLoginWrongPassword(t *testing.T) {
 	if err := sc.SecureLogin(ctx, "wrong"); err == nil {
 		t.Fatal("secureLogin with wrong password succeeded")
 	}
-	if sc.LoggedIn() {
-		t.Fatal("client believes it is logged in")
+	if p, _ := h.br.Peer(sc.PeerID()); p.Online || len(sc.Groups()) != 0 {
+		t.Fatal("logged in with a wrong password")
 	}
 }
 

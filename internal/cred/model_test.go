@@ -1,6 +1,7 @@
 package cred_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -106,7 +107,7 @@ func newModelWorld(t testing.TB) *modelWorld {
 
 	docOf := func(name string, kp *keys.KeyPair, chain ...*cred.Credential) *xmldoc.Element {
 		t.Helper()
-		doc := xmldoc.NewTree("PipeAdvertisement",
+		doc := xmldoc.New("PipeAdvertisement", "").Add(
 			xmldoc.New("Id", "urn:jxta:pipe-"+name),
 			xmldoc.New("Type", "JxtaUnicast"),
 			xmldoc.New("Name", "msg/"+name),
@@ -122,8 +123,10 @@ func newModelWorld(t testing.TB) *modelWorld {
 		return parsed
 	}
 	d1 := docOf("alice", c1KP, c1, b1)
-	tampered := d1.Clone()
-	tampered.Child("Id").SetText("urn:jxta:pipe-evil")
+	tampered, err := xmldoc.ParseCanonical(bytes.Replace(d1.Canonical(), []byte(">urn:jxta:pipe-alice<"), []byte(">urn:jxta:pipe-evil<"), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	w.docs = []*xmldoc.Element{
 		d1, docOf("bob", c2KP, c2, b2), docOf("carol", c3KP, c3, b2),
 		docOf("alice-again", c1KP, c1, b1), // a new document by a known signer

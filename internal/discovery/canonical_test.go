@@ -157,12 +157,14 @@ func TestPutCanonicalModel(t *testing.T) {
 					delete(model, k)
 				}
 			case 5:
-				c.Remove(k.typ, k.id)
+				remove(c, k.typ, k.id)
 				delete(model, k)
 			case 6:
 				now = now.Add(time.Duration(rng.Intn(90)) * time.Second)
 			case 7:
-				c.Sweep()
+				c.mu.Lock()
+				c.sweep(now)
+				c.mu.Unlock()
 				live := 0
 				for key := range model {
 					if _, ok := fresh(key); ok {
@@ -280,7 +282,7 @@ func TestRepushRacesReplace(t *testing.T) {
 				return
 			}
 			if i%50 == 0 {
-				c.Remove(advert.TypePipe, advert.GroupPipeID(peer, "g"))
+				remove(c, advert.TypePipe, advert.GroupPipeID(peer, "g"))
 			}
 		}
 	}()
@@ -289,4 +291,12 @@ func TestRepushRacesReplace(t *testing.T) {
 	if c.Len() > 1 {
 		t.Fatalf("%d records under one (type, id)", c.Len())
 	}
+}
+
+// remove drops the record under (typ, id), as a replacing put or a
+// refresh of other bytes does.
+func remove(c *Cache, typ, id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.drop(cacheKey{typ, id})
 }

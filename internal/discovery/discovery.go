@@ -272,32 +272,16 @@ func (c *Cache) Find(advType string, match func(advert.Advertisement) bool) []*R
 	return out
 }
 
-// Remove deletes the record with the given type and id.
-func (c *Cache) Remove(advType, id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.drop(cacheKey{advType, id})
-}
-
-// Sweep evicts every expired record and returns how many were removed.
-// Puts run it once a minute; nothing else needs to.
-func (c *Cache) Sweep() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sweep(c.now())
-}
-
-func (c *Cache) sweep(now time.Time) int {
-	n := 0
+// sweep evicts every record expired at now. Puts run it once a minute;
+// nothing else needs to.
+func (c *Cache) sweep(now time.Time) {
 	for key, rec := range c.recs {
 		if rec.Expired(now) {
 			c.drop(key)
-			n++
+			c.swept++
 		}
 	}
 	c.lastSweep = now
-	c.swept += uint64(n)
-	return n
 }
 
 // Swept returns how many expired records sweeps have evicted.

@@ -142,6 +142,8 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
+// A sweep evicts exactly the records expired by its time: each kind of
+// advertisement lives as long as its own lifetime.
 func TestSweep(t *testing.T) {
 	now := time.Now()
 	c := NewCache(func() time.Time { return now })
@@ -151,11 +153,11 @@ func TestSweep(t *testing.T) {
 	c.PutAdv(pres)
 	// Presence lifetime (2m) is shorter than pipe lifetime (15m).
 	now = now.Add(3 * time.Minute)
-	if n := c.Sweep(); n != 1 {
-		t.Fatalf("Sweep = %d, want 1", n)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len after sweep = %d", c.Len())
+	c.mu.Lock()
+	c.sweep(now)
+	c.mu.Unlock()
+	if c.Swept() != 1 || c.Len() != 2 {
+		t.Fatalf("after sweep: %d swept, %d left; want 1 and 2", c.Swept(), c.Len())
 	}
 }
 
@@ -215,15 +217,6 @@ func TestFindFilterAndSort(t *testing.T) {
 	none := c.Find(advert.TypePeer, nil)
 	if len(none) != 0 {
 		t.Fatal("Find returned records of wrong type")
-	}
-}
-
-func TestRemove(t *testing.T) {
-	c := NewCache(time.Now)
-	c.PutAdv(pipeAdv("urn:jxta:pipe-1", "g"))
-	c.Remove(advert.TypePipe, "urn:jxta:pipe-1")
-	if _, err := c.Lookup(advert.TypePipe, "urn:jxta:pipe-1"); err != ErrNotFound {
-		t.Fatal("record survived Remove")
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 //
 //	u16 len ‖ src      the sender's peer ID, as the sender claims it
 //	u16 len ‖ svc      the service the frame is for
-//	u8 corr            CorrNone, CorrRequest or CorrResponse
-//	u16 len ‖ id       the correlation ID (empty when corr is CorrNone)
+//	u8 corr            0 (neither), CorrRequest or CorrResponse
+//	u16 len ‖ id       the correlation ID (empty when corr is 0)
 //	u16 count ‖ elements
 //
 // There is no destination field: the transport addresses the packet, and
@@ -28,10 +28,9 @@ var relayMagic = [4]byte{'J', 'X', 'R', '1'}
 // Corr says whether a frame is a request, a response to one, or neither.
 type Corr byte
 
-// Correlation kinds.
+// Correlation kinds; the zero Corr is a frame that is neither.
 const (
-	CorrNone Corr = iota
-	CorrRequest
+	CorrRequest Corr = iota + 1
 	CorrResponse
 )
 

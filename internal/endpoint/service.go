@@ -46,9 +46,8 @@ type Handler func(from keys.PeerID, msg *Message) *Message
 
 // Errors returned by Send/Request.
 var (
-	ErrNoRelay    = errors.New("endpoint: destination unreachable and no relay configured")
-	ErrClosed     = errors.New("endpoint: service closed")
-	ErrBadRequest = errors.New("endpoint: malformed request")
+	ErrNoRelay = errors.New("endpoint: destination unreachable and no relay configured")
+	ErrClosed  = errors.New("endpoint: service closed")
 )
 
 // NodeID maps a peer ID onto its transport attachment point.

@@ -46,7 +46,6 @@ const (
 	GroupUpdated     Type = "group-updated"
 	FileIndexUpdated Type = "file-index-updated"
 	FileReceived     Type = "file-received"
-	TaskCompleted    Type = "task-completed"
 	SecurityAlert    Type = "security-alert"
 	// RelayFlushed is emitted by the broker's store-and-forward relay
 	// after draining a returning peer's queue; the "delivered" payload

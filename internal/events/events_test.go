@@ -294,7 +294,7 @@ func TestCollector(t *testing.T) {
 	if len(c.OfType(FileReceived)) != 1 {
 		t.Fatal("OfType mismatch")
 	}
-	if _, ok := c.WaitFor(TaskCompleted, 30*time.Millisecond); ok {
+	if _, ok := c.WaitFor(Reconnected, 30*time.Millisecond); ok {
 		t.Fatal("WaitFor returned event that never fired")
 	}
 }

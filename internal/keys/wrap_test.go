@@ -355,8 +355,10 @@ func BenchmarkRoundWrap(b *testing.B) {
 		{"x25519/wrap", func() error { _, err := e.WrapTo(dst, cek, to, nonce); return err }},
 		{"x25519/wrap-memoized", func() error { _, err := held.WrapTo(dst, cek, to, nonce); return err }},
 		{"x25519/unwrap", func() error {
-			own.memo.Purge()
+			memo := own.memo
+			own.memo = nil // an ephemeral key's path: nothing recalled, nothing kept
 			_, err := testKeys.b.UnwrapFrom(e.share[:], wrap, nonce)
+			own.memo = memo
 			return err
 		}},
 		{"x25519/unwrap-memoized", func() error { _, err := testKeys.b.UnwrapFrom(e.share[:], wrap, nonce); return err }},

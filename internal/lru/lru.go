@@ -28,9 +28,6 @@ type Cache[K comparable, V any] struct {
 	cap   int
 	order *list.List // front = most recently used
 	items map[K]*list.Element
-
-	hits   uint64
-	misses uint64
 }
 
 type entry[K comparable, V any] struct {
@@ -65,18 +62,15 @@ func (c *Cache[K, V]) Get(key K, now time.Time) (V, bool) {
 	var zero V
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return zero, false
 	}
 	ent := el.Value.(*entry[K, V])
 	if !ent.expires.IsZero() && !now.Before(ent.expires) {
 		c.order.Remove(el)
 		delete(c.items, key)
-		c.misses++
 		return zero, false
 	}
 	c.order.MoveToFront(el)
-	c.hits++
 	return ent.val, true
 }
 
@@ -101,39 +95,10 @@ func (c *Cache[K, V]) Put(key K, val V, expires time.Time) {
 	}
 }
 
-// Remove deletes the entry for key and reports whether it existed.
-func (c *Cache[K, V]) Remove(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	delete(c.items, key)
-	return true
-}
-
-// Purge empties the cache.
-func (c *Cache[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	clear(c.items)
-}
-
 // Len returns the number of cached entries, expired ones included (they
 // are collected lazily on Get).
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// Stats reports cumulative hit and miss counts, for diagnostics and
-// benchmarks.
-func (c *Cache[K, V]) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

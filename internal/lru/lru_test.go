@@ -68,32 +68,6 @@ func TestExpiry(t *testing.T) {
 	}
 }
 
-func TestRemovePurge(t *testing.T) {
-	c := New[string, int](4)
-	c.Put("a", 1, time.Time{})
-	c.Put("b", 2, time.Time{})
-	if !c.Remove("a") || c.Remove("a") {
-		t.Fatal("Remove semantics wrong")
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatal("Purge left entries behind")
-	}
-	if _, ok := c.Get("b", t0); ok {
-		t.Fatal("purged entry still present")
-	}
-}
-
-func TestStats(t *testing.T) {
-	c := New[string, int](4)
-	c.Put("a", 1, time.Time{})
-	c.Get("a", t0)
-	c.Get("missing", t0)
-	if h, m := c.Stats(); h != 1 || m != 1 {
-		t.Fatalf("Stats = %d hits, %d misses", h, m)
-	}
-}
-
 func TestMinimumCapacity(t *testing.T) {
 	c := New[string, int](0)
 	c.Put("a", 1, time.Time{})

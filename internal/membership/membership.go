@@ -40,14 +40,10 @@ type Identity struct {
 // Secure reports whether the identity can sign and decrypt.
 func (id *Identity) Secure() bool { return id != nil && id.Keys != nil }
 
-// Service establishes and tracks the local identity.
+// Service establishes the local identity.
 type Service interface {
 	// Join establishes an identity for the given alias.
 	Join(alias string) (*Identity, error)
-	// Current returns the established identity, or nil.
-	Current() *Identity
-	// Resign forgets the current identity.
-	Resign()
 }
 
 // ErrNotJoined is returned when an identity is required but absent.
@@ -57,10 +53,7 @@ var ErrNotJoined = errors.New("membership: no identity established")
 
 // None derives a peer ID from the alias and holds no keys: the
 // configuration the paper attacks.
-type None struct {
-	mu sync.Mutex
-	id *Identity
-}
+type None struct{}
 
 // NewNone returns the plain membership service.
 func NewNone() *None { return &None{} }
@@ -70,24 +63,7 @@ func (n *None) Join(alias string) (*Identity, error) {
 	if alias == "" {
 		return nil, errors.New("membership: empty alias")
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.id = &Identity{PeerID: keys.LegacyPeerID(alias), Name: alias}
-	return n.id, nil
-}
-
-// Current implements Service.
-func (n *None) Current() *Identity {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.id
-}
-
-// Resign implements Service.
-func (n *None) Resign() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.id = nil
+	return &Identity{PeerID: keys.LegacyPeerID(alias), Name: alias}, nil
 }
 
 // --- PSE membership (keystore-backed) ---
@@ -151,21 +127,6 @@ func (p *PSE) Join(alias string) (*Identity, error) {
 	p.store[alias] = id
 	p.id = id
 	return id, nil
-}
-
-// Current implements Service.
-func (p *PSE) Current() *Identity {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.id
-}
-
-// Resign implements Service. The keystore entry is kept; only the active
-// identity is cleared.
-func (p *PSE) Resign() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.id = nil
 }
 
 // SetCredential attaches a broker-issued credential (and its chain) to

@@ -539,9 +539,6 @@ func (r *Relay) SenderOverQuota(id keys.PeerID) bool {
 	return r.bySender[id] >= r.cfg.SenderQuota
 }
 
-// TTL reports the queue TTL items are stamped with at submission.
-func (r *Relay) TTL() time.Duration { return r.cfg.TTL }
-
 // retryFlush arms a delayed re-drain of the peer's queue, spaced by
 // the capped-exponential-with-jitter schedule (RetryBackoff) on
 // the peer's attempt counter. The timer is tracked so Close can cancel

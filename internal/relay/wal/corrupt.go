@@ -1,14 +1,9 @@
 package wal
 
-import "jxtaoverlay/internal/seglog"
-
 // Deterministic on-disk corruption, used by the fault-injection matrix
 // (internal/attack, internal/integration) to simulate the two damage
 // shapes recovery must absorb; the damage itself is seglog's. These
 // operate on a CLOSED log's directory.
-
-// ErrNoRecords means the directory holds no complete record to corrupt.
-var ErrNoRecords = seglog.ErrNoRecords
 
 // TearFinalRecord truncates the final segment mid-way through its last
 // record — the torn tail an interrupted append leaves behind.

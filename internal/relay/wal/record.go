@@ -81,13 +81,9 @@ const (
 	maxIDLen = 1 << 12
 )
 
-// Codec errors are the frame layer's (see seglog.ErrShort and
-// seglog.ErrCorrupt), so one errors.Is covers a bad frame and a bad
-// body alike.
-var (
-	ErrShortRecord   = seglog.ErrShort
-	ErrCorruptRecord = seglog.ErrCorrupt
-)
+// ErrCorruptRecord is the frame layer's seglog.ErrCorrupt, so one
+// errors.Is covers a bad frame and a bad body alike.
+var ErrCorruptRecord = seglog.ErrCorrupt
 
 // format is the WAL's on-disk identity: seg-%08d.wal segments, bodies
 // from the fixed fields up to the largest payload plus its envelope.
@@ -148,7 +144,7 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 }
 
 // DecodeRecord decodes one record from the front of b, returning the
-// record and the number of bytes it occupied. ErrShortRecord means b
+// record and the number of bytes it occupied. seglog.ErrShort means b
 // ends mid-record (a torn tail); ErrCorruptRecord means the bytes are
 // framed but invalid (CRC mismatch included). The returned record's
 // Payload aliases b.

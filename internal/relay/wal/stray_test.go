@@ -36,8 +36,8 @@ func TestStrayFilesAreNotSegments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open beside stray files: %v", err)
 	}
-	if len(recovered) != 2 || l2.SegmentIndex() != 0 {
-		t.Fatalf("recovered %d records into segment %d (stats %+v), want 2 into 0", len(recovered), l2.SegmentIndex(), stats)
+	if len(recovered) != 2 || segmentIndex(l2) != 0 {
+		t.Fatalf("recovered %d records into segment %d (stats %+v), want 2 into 0", len(recovered), segmentIndex(l2), stats)
 	}
 	// The ack must land in the real segment, not after a stray one.
 	if err := l2.AppendAck(seq, AckDelivered); err != nil {

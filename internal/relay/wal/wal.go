@@ -44,16 +44,11 @@ const (
 
 // FaultFunc is the deterministic fault-injection hook: a non-nil return
 // kills the log at that point (every later append or sync fails with
-// ErrLogFailed); see seglog.FaultFunc.
+// seglog.ErrFailed); see seglog.FaultFunc.
 type FaultFunc = seglog.FaultFunc
 
 // ErrInjected is a convenient error for FaultFunc implementations.
 var ErrInjected = seglog.ErrInjected
-
-// ErrLogFailed is returned by appends after the log has failed (an
-// injected crash or a real I/O error). The in-memory relay keeps
-// working; the WAL just stops being written, exactly like a dying disk.
-var ErrLogFailed = seglog.ErrFailed
 
 // Options parameterizes a Log.
 type Options struct {
@@ -253,10 +248,3 @@ func (l *Log) Sync() error { return l.log.Sync() }
 // Close writes and syncs pending appends — including any staged batch
 // — then releases the file; a failed log just reports its failure.
 func (l *Log) Close() error { return l.log.Close() }
-
-// SegmentIndex reports the active segment's index (tests).
-func (l *Log) SegmentIndex() int {
-	l.log.Lock()
-	defer l.log.Unlock()
-	return l.log.Index()
-}

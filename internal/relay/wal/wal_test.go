@@ -131,8 +131,8 @@ func TestDecodeRejectsTamper(t *testing.T) {
 	}
 	// Any truncation must read as a torn record, not garbage.
 	for n := 0; n < len(enc); n++ {
-		if _, _, err := DecodeRecord(enc[:n]); !errors.Is(err, ErrShortRecord) {
-			t.Fatalf("truncation to %d: err = %v, want ErrShortRecord", n, err)
+		if _, _, err := DecodeRecord(enc[:n]); !errors.Is(err, seglog.ErrShort) {
+			t.Fatalf("truncation to %d: err = %v, want seglog.ErrShort", n, err)
 		}
 	}
 }
@@ -246,7 +246,7 @@ func TestCompactionReclaimsAckedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.SegmentIndex() == 0 {
+	if segmentIndex(l) == 0 {
 		t.Fatal("segment never rotated")
 	}
 	l.Close()
@@ -311,10 +311,10 @@ func TestInjectedCrashIsSticky(t *testing.T) {
 				t.Fatalf("append at crash point: %v", err)
 			}
 			// The log is dead: every later operation fails.
-			if _, err := l.AppendAdd(addRec("bob", "after")); !errors.Is(err, ErrLogFailed) {
+			if _, err := l.AppendAdd(addRec("bob", "after")); !errors.Is(err, seglog.ErrFailed) {
 				t.Fatalf("append after crash: %v", err)
 			}
-			if err := l.Sync(); !errors.Is(err, ErrLogFailed) {
+			if err := l.Sync(); !errors.Is(err, seglog.ErrFailed) {
 				t.Fatalf("sync after crash: %v", err)
 			}
 			l.Close()
@@ -373,4 +373,11 @@ func TestBatchedSyncIntervalFlushes(t *testing.T) {
 	if len(recovered) != 10 {
 		t.Fatalf("recovered %d, want 10", len(recovered))
 	}
+}
+
+// segmentIndex reads the index of l's active segment.
+func segmentIndex(l *Log) int {
+	l.log.Lock()
+	defer l.log.Unlock()
+	return l.log.Index()
 }

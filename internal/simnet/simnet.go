@@ -223,16 +223,6 @@ func (n *Network) SetLinkOneWay(a, b NodeID, p LinkProfile) {
 	n.links[linkKey{a, b}] = p
 }
 
-// Profile returns the effective profile for the a→b direction.
-func (n *Network) Profile(a, b NodeID) LinkProfile {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if p, ok := n.links[linkKey{a, b}]; ok {
-		return p
-	}
-	return n.def
-}
-
 // Partition blocks both directions between a and b (network split).
 func (n *Network) Partition(a, b NodeID) {
 	n.mu.Lock()

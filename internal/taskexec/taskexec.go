@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -30,9 +29,8 @@ const argSep = "\x1f"
 
 // Errors returned by the service.
 var (
-	ErrUnknownTask  = errors.New("taskexec: unknown task")
-	ErrExecFailed   = errors.New("taskexec: execution failed")
-	ErrUnauthorized = errors.New("taskexec: caller not authorized")
+	ErrUnknownTask = errors.New("taskexec: unknown task")
+	ErrExecFailed  = errors.New("taskexec: execution failed")
 )
 
 // Registry holds the locally executable tasks.
@@ -61,18 +59,6 @@ func (r *Registry) Get(name string) (TaskFunc, bool) {
 	return fn, ok
 }
 
-// Names lists registered task names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.tasks))
-	for n := range r.tasks {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Run executes a task locally.
 func (r *Registry) Run(name string, args []string) (string, error) {
 	fn, ok := r.Get(name)
@@ -86,18 +72,12 @@ func (r *Registry) Run(name string, args []string) (string, error) {
 	return out, nil
 }
 
-// Authorizer decides whether a remote caller may run a task. The default
-// (nil) allows everyone — the original JXTA-Overlay behaviour the paper
-// flags as dangerous.
-type Authorizer func(from keys.PeerID, task string) error
-
-// Service exposes a registry over the network.
+// Service exposes a registry over the network to anyone who asks — the
+// original JXTA-Overlay behaviour the paper flags as dangerous. The
+// secure form is core's EnableSecureTasks.
 type Service struct {
 	ep  *endpoint.Service
 	reg *Registry
-
-	mu        sync.RWMutex
-	authorize Authorizer
 }
 
 // New attaches the task service to an endpoint.
@@ -107,31 +87,13 @@ func New(ep *endpoint.Service, reg *Registry) *Service {
 	return s
 }
 
-// Registry returns the backing registry.
-func (s *Service) Registry() *Registry { return s.reg }
-
-// SetAuthorizer installs the authorization policy.
-func (s *Service) SetAuthorizer(a Authorizer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.authorize = a
-}
-
-func (s *Service) handle(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (s *Service) handle(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 	op, _ := msg.GetString(proto.ElemOp)
 	if op != proto.OpTaskExec {
 		return proto.Fail(proto.ErrUnknownOp)
 	}
 	name, _ := msg.GetString(proto.ElemTaskName)
 	argsPacked, _ := msg.GetString(proto.ElemTaskArgs)
-	s.mu.RLock()
-	auth := s.authorize
-	s.mu.RUnlock()
-	if auth != nil {
-		if err := auth(from, name); err != nil {
-			return proto.Fail("unauthorized")
-		}
-	}
 	out, err := s.reg.Run(name, UnpackArgs(argsPacked))
 	if err != nil {
 		return proto.Fail(err.Error())

@@ -4,18 +4,18 @@
 //
 // Two usage patterns, chosen per call site by cost:
 //
-//   - Counter/Histogram instruments are owned by the registry and
-//     updated inline (one atomic add on the hot path). They are for
-//     code that has no counter of its own — scenario drivers, delivery
-//     latency, admission decisions.
+//   - Histogram instruments are owned by the registry and updated
+//     inline (a few atomic adds on the hot path). They are for code that
+//     has no distribution of its own — a client's delivery latency.
 //   - GaugeFunc collectors PULL from counters a subsystem already
-//     keeps (relay.Metrics, lru cache stats, advert.ParseCalls,
-//     keys.SignCalls). Registration costs the hot path nothing at all:
-//     the closure runs only when a snapshot is taken. This is how the
-//     existing per-subsystem counters are unified without touching
-//     their fast paths — see core.RegisterBrokerTelemetry. GaugeSum and
-//     CounterSum are the same for sources that come and go: each
-//     attaches its collector and detaches it when it closes.
+//     keeps (relay.Metrics, the trust store's cache stats,
+//     advert.ParseCalls, keys.SignCalls). Registration costs the hot
+//     path nothing at all: the closure runs only when a snapshot is
+//     taken. This is how the existing per-subsystem counters are
+//     unified without touching their fast paths — see
+//     core.RegisterBrokerTelemetry. GaugeSum and CounterSum are the
+//     same for sources that come and go: each attaches its collector
+//     and detaches it when it closes.
 //
 // Snapshots are point-in-time and internally consistent per metric
 // (each value is one atomic load or one collector call); they are not
@@ -32,35 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically increasing value. The zero Counter is not
-// usable; obtain one from Registry.Counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram counts observations into fixed exponential buckets. Bucket
 // i counts observations <= Buckets[i]; the implicit last bucket counts
@@ -174,8 +145,6 @@ type metric struct {
 	name    string
 	help    string
 	kind    string
-	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	collect func() float64 // GaugeFunc
 	sum     *Sum           // GaugeSum
@@ -207,10 +176,10 @@ func (r *Registry) register(m *metric) *metric {
 		if old.kind != m.kind || (old.sum == nil) != (m.sum == nil) {
 			panic(fmt.Sprintf("telemetry: metric %q re-registered as %s (was %s)", m.name, m.kind, old.kind))
 		}
-		// Instruments are idempotent by name (the same counter is
-		// returned); collectors are replaced, so re-wiring a restarted
-		// subsystem (e.g. a recovered relay) rebinds the name to the
-		// live instance instead of a dead closure.
+		// Instruments are idempotent by name (the same histogram or sum
+		// is returned); collectors are replaced, so re-wiring a
+		// restarted subsystem (e.g. a recovered relay) rebinds the name
+		// to the live instance instead of a dead closure.
 		if m.collect != nil {
 			old.collect = m.collect
 		}
@@ -218,19 +187,6 @@ func (r *Registry) register(m *metric) *metric {
 	}
 	r.metrics[m.name] = m
 	return m
-}
-
-// Counter returns the counter registered under name, creating it on
-// first use.
-func (r *Registry) Counter(name, help string) *Counter {
-	m := r.register(&metric{name: name, help: help, kind: "counter", counter: &Counter{}})
-	return m.counter
-}
-
-// Gauge returns the settable gauge registered under name.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	m := r.register(&metric{name: name, help: help, kind: "gauge", gauge: &Gauge{}})
-	return m.gauge
 }
 
 // GaugeFunc registers a pull collector: fn runs at snapshot time only,
@@ -289,10 +245,6 @@ func (r *Registry) Snapshot() []Sample {
 			s.Value = m.collect()
 		case m.sum != nil:
 			s.Value = m.sum.value()
-		case m.counter != nil:
-			s.Value = float64(m.counter.Value())
-		case m.gauge != nil:
-			s.Value = float64(m.gauge.Value())
 		case m.hist != nil:
 			s.Count = m.hist.count.Load()
 			s.Sum = float64(m.hist.sum.Load())

@@ -12,13 +12,10 @@ import (
 
 func TestCounterGaugeSnapshot(t *testing.T) {
 	r := New()
-	c := r.Counter("relay_enqueued_total", "items queued")
-	g := r.Gauge("relay_queued", "items currently queued")
+	r.CounterFunc("relay_enqueued_total", "items queued", func() float64 { return 4 })
+	queued := r.GaugeSum("relay_queued", "items currently queued")
+	queued.Attach(func() float64 { return 5 })
 	r.GaugeFunc("verify_cache_hits_total", "cache hits", func() float64 { return 42 })
-	c.Add(3)
-	c.Inc()
-	g.Set(7)
-	g.Add(-2)
 
 	snap := r.Snapshot()
 	want := map[string]float64{
@@ -44,26 +41,26 @@ func TestCounterGaugeSnapshot(t *testing.T) {
 
 func TestCounterIdempotentByName(t *testing.T) {
 	r := New()
-	a := r.Counter("x_total", "")
-	b := r.Counter("x_total", "")
+	a := r.CounterSum("x_total", "")
+	b := r.CounterSum("x_total", "")
 	if a != b {
 		t.Fatal("same name returned distinct counters")
 	}
-	a.Inc()
-	if b.Value() != 1 {
+	a.Attach(func() float64 { return 1 })
+	if v, _ := r.Get("x_total"); v != 1 {
 		t.Fatal("counter identity broken")
 	}
 }
 
 func TestKindConflictPanics(t *testing.T) {
 	r := New()
-	r.Counter("m", "")
+	r.CounterSum("m", "")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("m", "")
+	r.GaugeSum("m", "")
 }
 
 func TestGaugeFuncRebind(t *testing.T) {
@@ -145,7 +142,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 
 func TestWriteTextFormat(t *testing.T) {
 	r := New()
-	r.Counter("ops_total", "dispatched broker operations").Add(9)
+	r.CounterFunc("ops_total", "dispatched broker operations", func() float64 { return 9 })
 	h := r.Histogram("lat_ms", "", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(5)
@@ -171,7 +168,6 @@ func TestWriteTextFormat(t *testing.T) {
 
 func TestConcurrentInstruments(t *testing.T) {
 	r := New()
-	c := r.Counter("c", "")
 	h := r.Histogram("h", "", LatencyBucketsMS)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -179,9 +175,8 @@ func TestConcurrentInstruments(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.Inc()
 				h.Observe(float64(j % 50))
-				r.Counter("c", "").Add(1) // registration race path
+				r.Histogram("h", "", LatencyBucketsMS).Observe(1) // registration race path
 			}
 		}()
 	}
@@ -198,23 +193,14 @@ func TestConcurrentInstruments(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
-	if c.Value() != 16000 {
-		t.Fatalf("counter = %d, want 16000", c.Value())
+	if v, _ := r.Get("h"); v != 16000 {
+		t.Fatalf("observations = %g, want 16000", v)
 	}
 }
 
-// The inline instruments are what an instrumented hot path pays per
-// event, so they are held to nanoseconds and no allocation at all:
-// free, next to the microsecond-scale paths they count.
-
-func BenchmarkCounterInc(b *testing.B) {
-	c := New().Counter("bench_events_total", "benchmark instrument")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
+// The inline instrument is what an instrumented hot path pays per
+// event, so it is held to nanoseconds and no allocation at all: free,
+// next to the microsecond-scale paths it measures.
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := New().Histogram("bench_latency_ms", "benchmark instrument", LatencyBucketsMS)
@@ -225,5 +211,4 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-func TestGateCounterInc(t *testing.T)       { perfgate.Run(t, BenchmarkCounterInc, 0, 50) }
 func TestGateHistogramObserve(t *testing.T) { perfgate.Run(t, BenchmarkHistogramObserve, 0, 150) }

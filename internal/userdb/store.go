@@ -127,30 +127,12 @@ func (s *Store) Authenticate(username, password string) ([]string, error) {
 }
 
 // snapshot copies a record for reading after the store's lock, which the
-// caller holds, is released: the mutators write its fields and shift its
-// groups in place under the write lock.
+// caller holds, is released: SetDisabled writes its fields under the
+// write lock, and a caller may keep the groups it returns.
 func (u *User) snapshot() User {
 	c := *u
 	c.Groups = slices.Clone(u.Groups)
 	return c
-}
-
-// SetPassword replaces the user's password.
-func (s *Store) SetPassword(username, password string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u, ok := s.users[username]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoUser, username)
-	}
-	salt, err := keys.RandomBytes(saltLen)
-	if err != nil {
-		return err
-	}
-	u.Salt = salt
-	u.Iterations = s.iters
-	u.Hash = keys.PBKDF2([]byte(password), salt, s.iters, hashLen)
-	return nil
 }
 
 // SetDisabled toggles the user's disabled flag.
@@ -162,41 +144,6 @@ func (s *Store) SetDisabled(username string, disabled bool) error {
 		return fmt.Errorf("%w: %q", ErrNoUser, username)
 	}
 	u.Disabled = disabled
-	return nil
-}
-
-// AddToGroup adds the user to a group (idempotent).
-func (s *Store) AddToGroup(username, group string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u, ok := s.users[username]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoUser, username)
-	}
-	for _, g := range u.Groups {
-		if g == group {
-			return nil
-		}
-	}
-	u.Groups = append(u.Groups, group)
-	sort.Strings(u.Groups)
-	return nil
-}
-
-// RemoveFromGroup removes the user from a group (idempotent).
-func (s *Store) RemoveFromGroup(username, group string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u, ok := s.users[username]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoUser, username)
-	}
-	for i, g := range u.Groups {
-		if g == group {
-			u.Groups = append(u.Groups[:i], u.Groups[i+1:]...)
-			return nil
-		}
-	}
 	return nil
 }
 

@@ -101,53 +101,11 @@ func TestRegisterRefusesRosterBreakingNames(t *testing.T) {
 	}
 }
 
-func TestSetPassword(t *testing.T) {
-	s := testStore()
-	s.Register("alice", "old")
-	if err := s.SetPassword("alice", "new"); err != nil {
-		t.Fatalf("SetPassword: %v", err)
-	}
-	if _, err := s.Authenticate("alice", "old"); err != ErrAuth {
-		t.Fatal("old password still valid")
-	}
-	if _, err := s.Authenticate("alice", "new"); err != nil {
-		t.Fatalf("new password rejected: %v", err)
-	}
-	if err := s.SetPassword("ghost", "x"); err == nil {
-		t.Fatal("SetPassword for missing user succeeded")
-	}
-}
-
-func TestGroupManagement(t *testing.T) {
-	s := testStore()
-	s.Register("alice", "x", "math")
-	if err := s.AddToGroup("alice", "art"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddToGroup("alice", "art"); err != nil {
-		t.Fatal("idempotent AddToGroup failed")
-	}
-	groups, _ := s.Groups("alice")
-	if len(groups) != 2 {
-		t.Fatalf("groups = %v", groups)
-	}
-	if err := s.RemoveFromGroup("alice", "math"); err != nil {
-		t.Fatal(err)
-	}
-	groups, _ = s.Groups("alice")
-	if len(groups) != 1 || groups[0] != "art" {
-		t.Fatalf("groups = %v", groups)
-	}
-	if _, err := s.Groups("ghost"); err == nil {
-		t.Fatal("Groups for missing user succeeded")
-	}
-}
-
 // TestAuthenticateRacesMutators: a login reads a record while the
 // administrator changes it. Authenticate reads what it checks, and the
-// groups it returns, under the store's lock, so it never sees a salt of
-// one password beside the hash of another or a group list being shifted
-// (under -race, the parent read all of it after releasing the lock).
+// groups it returns, under the store's lock, so it never reads a field
+// SetDisabled is writing (under -race, a read after releasing the lock
+// is a race).
 func TestAuthenticateRacesMutators(t *testing.T) {
 	s := testStore()
 	s.Register("alice", "pw", "math", "zoo")
@@ -165,9 +123,6 @@ func TestAuthenticateRacesMutators(t *testing.T) {
 			}
 		}()
 	}
-	mutate(func() error { return s.SetPassword("alice", "pw") })
-	mutate(func() error { return s.AddToGroup("alice", "art") })
-	mutate(func() error { return s.RemoveFromGroup("alice", "art") })
 	mutate(func() error { return s.SetDisabled("alice", false) })
 	mutate(func() error { return s.Save(io.Discard) })
 	for i := 0; i < rounds; i++ {

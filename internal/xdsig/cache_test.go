@@ -51,7 +51,7 @@ func TestVerifyCacheRejectsTamperAfterWarm(t *testing.T) {
 	}
 	// Tamper with the already-cached document: the digest changes, the
 	// lookup misses, and the full path must reject it.
-	doc.Child("Id").SetText("urn:jxta:pipe-evil")
+	doc = retext(t, doc, "urn:jxta:pipe-42", "urn:jxta:pipe-evil")
 	if _, err := vc.VerifyTrusted(doc, now); err != ErrDigestMismatch {
 		t.Fatalf("tampered verify through cache = %v, want ErrDigestMismatch", err)
 	}
@@ -126,8 +126,7 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 	if err := Sign(good, clientKP, f.cl, f.br); err != nil {
 		t.Fatal(err)
 	}
-	bad := good.Clone()
-	bad.Child("Id").SetText("urn:jxta:pipe-evil")
+	bad := retext(t, good, "urn:jxta:pipe-42", "urn:jxta:pipe-evil")
 
 	vc := NewVerifyCache(f.ts)
 	now := time.Now()

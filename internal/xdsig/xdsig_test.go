@@ -1,6 +1,7 @@
 package xdsig
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func newFixture(t testing.TB) *fixture {
 }
 
 func pipeAdv() *xmldoc.Element {
-	return xmldoc.NewTree("PipeAdvertisement",
+	return xmldoc.New("PipeAdvertisement", "").Add(
 		xmldoc.New("Id", "urn:jxta:pipe-42"),
 		xmldoc.New("Type", "JxtaUnicast"),
 		xmldoc.New("Name", "msg/alice"),
@@ -121,7 +122,7 @@ func TestVerifyDetectsTamper(t *testing.T) {
 		t.Fatalf("Sign: %v", err)
 	}
 	// The forged-advertisement attack from §2.3: redirect the pipe.
-	doc.Child("Id").SetText("urn:jxta:pipe-evil")
+	doc = retext(t, doc, "urn:jxta:pipe-42", "urn:jxta:pipe-evil")
 	if _, err := Verify(doc); err != ErrDigestMismatch {
 		t.Fatalf("Verify tampered doc = %v, want ErrDigestMismatch", err)
 	}
@@ -133,7 +134,7 @@ func TestVerifyDetectsSignatureSwap(t *testing.T) {
 	if err := Sign(docA, clientKP, f.cl, f.br); err != nil {
 		t.Fatal(err)
 	}
-	docB := xmldoc.NewTree("PipeAdvertisement",
+	docB := xmldoc.New("PipeAdvertisement", "").Add(
 		xmldoc.New("Id", "urn:jxta:pipe-other"),
 		xmldoc.New("Type", "JxtaUnicast"),
 		xmldoc.New("Name", "msg/mallory"),
@@ -153,9 +154,9 @@ func TestVerifyDetectsSignedInfoTamper(t *testing.T) {
 	}
 	// Attacker rewrites the document AND fixes up the digest — the
 	// SignedInfo signature must then fail.
-	doc.Child("Id").SetText("urn:jxta:pipe-evil")
+	doc = retext(t, doc, "urn:jxta:pipe-42", "urn:jxta:pipe-evil")
 	di := doc.Child(SignatureElement).Child("SignedInfo").Child("DigestValue")
-	di.SetText(b64(keys.SHA256(doc.CanonicalSkip(SignatureElement))))
+	doc = retext(t, doc, di.Text, b64(keys.SHA256(doc.CanonicalSkip(SignatureElement))))
 	if _, err := Verify(doc); err != ErrBadSignature {
 		t.Fatalf("Verify = %v, want ErrBadSignature", err)
 	}
@@ -229,7 +230,7 @@ func TestSignReplacesExistingSignature(t *testing.T) {
 	if err := Sign(doc, clientKP, f.cl, f.br); err != nil {
 		t.Fatal(err)
 	}
-	doc.Child("Name").SetText("msg/alice-v2")
+	doc = retext(t, doc, "msg/alice", "msg/alice-v2")
 	if err := Sign(doc, clientKP, f.cl, f.br); err != nil {
 		t.Fatalf("re-Sign: %v", err)
 	}
@@ -270,7 +271,7 @@ func TestVerifyErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	alg := doc.Child(SignatureElement).Child("SignedInfo").Child("SignatureMethod")
-	alg.SetText("rsa-md5") // downgrade attempt
+	doc = retext(t, doc, alg.Text, "rsa-md5") // downgrade attempt
 	if _, err := Verify(doc); err != ErrAlgorithm {
 		t.Fatalf("Verify with downgraded algorithm = %v, want ErrAlgorithm", err)
 	}
@@ -304,4 +305,17 @@ func TestSignedDocumentSurvivesWire(t *testing.T) {
 	if _, err := VerifyTrusted(back, f.ts, time.Now()); err != nil {
 		t.Fatalf("VerifyTrusted after wire round trip: %v", err)
 	}
+}
+
+// retext returns what doc parses to once the text old, the whole text of
+// an element, is replaced by new in its canonical bytes: a document
+// tampered with on the wire.
+func retext(t *testing.T, doc *xmldoc.Element, old, new string) *xmldoc.Element {
+	t.Helper()
+	raw := bytes.Replace(doc.Canonical(), []byte(">"+old+"<"), []byte(">"+new+"<"), 1)
+	out, err := xmldoc.ParseCanonical(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

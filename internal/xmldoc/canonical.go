@@ -84,13 +84,6 @@ func (e *Element) memoized() *memo {
 	return m
 }
 
-// AppendCanonical appends the canonical serialization of the tree to dst
-// and returns the extended slice, reusing the memoized bytes when they
-// are fresh. It never allocates beyond growing dst.
-func (e *Element) AppendCanonical(dst []byte) []byte {
-	return e.appendCanonical(dst, noSkip)
-}
-
 // CanonicalSkip returns the canonical serialization of the tree with
 // every *direct* child named skip omitted — the signing input of an
 // enveloped-signature document without detaching its Signature children

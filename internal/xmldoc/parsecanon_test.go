@@ -12,28 +12,28 @@ import (
 // signedAdvBytes builds the canonical bytes of a signed-advertisement
 // shaped document — the document the receive paths parse most often.
 func signedAdvBytes() []byte {
-	doc := NewTree("PipeAdvertisement",
+	doc := tree("PipeAdvertisement",
 		New("Id", "urn:jxta:pipe-0123456789abcdef0123456789abcdef"),
 		New("Type", "JxtaUnicast"),
 		New("Name", "chat/alice"),
 		New("PeerID", "urn:jxta:cbid-0123456789abcdef0123456789abcdef"),
 		New("Group", "students"),
 	)
-	si := NewTree("SignedInfo",
+	si := tree("SignedInfo",
 		New("CanonicalizationMethod", "jxta-overlay-c14n-v1"),
 		New("SignatureMethod", "rsa-sha256-pkcs1v15"),
 		New("DigestMethod", "sha256"),
 		New("DigestValue", "3q2+7wAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="),
 	)
-	cr := NewTree("Credential",
+	cr := tree("Credential",
 		New("Subject", "urn:jxta:cbid-0123456789abcdef"),
 		New("SubjectName", "alice"),
 		New("Role", "client"),
 		New("Key", "TUlHZk1BMEdDU3FHU0liM0RRRUJBUVVBQTRHTkFEQ0JpUUtCZ1FERGV4YW1wbGU="),
 	)
-	sig := NewTree("Signature", si,
+	sig := tree("Signature", si,
 		New("SignatureValue", "c2lnbmF0dXJlLXZhbHVlLWJlbmNobWFyay1wYWRkaW5n"),
-		NewTree("KeyInfo", cr),
+		tree("KeyInfo", cr),
 	)
 	doc.Add(sig)
 	return append([]byte(nil), doc.Canonical()...)
@@ -69,7 +69,7 @@ func checkDifferential(t *testing.T, data []byte) bool {
 		t.Fatalf("ParseCanonical accepted %q but reference rejected: %v", data, errRef)
 	}
 	if !fast.Equal(ref) {
-		t.Fatalf("tree mismatch on %q:\n fast: %s\n  ref: %s", data, fast.Indented(), ref.Indented())
+		t.Fatalf("tree mismatch on %q:\n fast: %s\n  ref: %s", data, fast.String(), ref.String())
 	}
 	if got, want := fast.Canonical(), ref.Canonical(); !bytes.Equal(got, want) {
 		t.Fatalf("canonical mismatch on %q:\n fast: %q\n  ref: %q", data, got, want)
@@ -129,10 +129,10 @@ func TestParseCanonicalSignedAdvertisement(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !doc.Equal(ref) {
-		t.Fatalf("tree mismatch:\n fast: %s\n  ref: %s", doc.Indented(), ref.Indented())
+		t.Fatalf("tree mismatch:\n fast: %s\n  ref: %s", doc.String(), ref.String())
 	}
 	if doc.ChildText("Name") != "chat/alice" || doc.Child("Signature") == nil {
-		t.Fatalf("parsed tree lost content: %s", doc.Indented())
+		t.Fatalf("parsed tree lost content: %s", doc.String())
 	}
 }
 
@@ -185,7 +185,8 @@ func TestParseCanonicalMutationInvalidatesSeed(t *testing.T) {
 	raw := signedAdvBytes()
 	doc := mustParseCanonical(t, raw)
 	_ = doc.Canonical() // memo seeded from input
-	doc.Child("Name").SetText("mallory")
+	doc.RemoveChildren("Name")
+	doc.AddText("Name", "mallory")
 	got := doc.Canonical()
 	if bytes.Equal(got, raw) {
 		t.Fatal("mutation did not invalidate the seeded memo — stale signing input")
@@ -197,7 +198,9 @@ func TestParseCanonicalMutationInvalidatesSeed(t *testing.T) {
 	// Mutating a deep child invalidates every seeded ancestor too.
 	doc2 := mustParseCanonical(t, signedAdvBytes())
 	_ = doc2.Canonical()
-	doc2.Child("Signature").Child("SignedInfo").Child("DigestValue").SetText("forged")
+	si := doc2.Child("Signature").Child("SignedInfo")
+	si.RemoveChildren("DigestValue")
+	si.AddText("DigestValue", "forged")
 	checkAgainstRef(t, doc2, "after deep mutation of seeded tree")
 	if !bytes.Contains(doc2.Canonical(), []byte("forged")) {
 		t.Fatal("deep mutation not reflected in canonical bytes")

@@ -37,7 +37,7 @@ type Attr struct {
 // Canonical serializations are memoized per element (see canonical.go).
 // The fields stay exported for reading and for building fresh trees, but
 // once an element has been canonicalized it must only be changed through
-// the mutator methods (Add, AddText, SetText, SetAttr, RemoveChildren):
+// the mutator methods (Add, AddText, SetAttr, RemoveChildren):
 // they drop the memoized bytes on the element and every ancestor. A
 // direct field write after canonicalization leaves a stale memo behind.
 type Element struct {
@@ -69,12 +69,6 @@ func (e *Element) invalidate() {
 // New returns an element with the given name and text payload.
 func New(name, text string) *Element {
 	return &Element{Name: name, Text: text}
-}
-
-// NewTree returns an element with the given name and children.
-func NewTree(name string, children ...*Element) *Element {
-	e := &Element{Name: name}
-	return e.Add(children...)
 }
 
 // Add appends children and returns the receiver for chaining. A child
@@ -113,15 +107,6 @@ func (e *Element) AddText(name, text string) *Element {
 	return e.Add(New(name, text))
 }
 
-// SetText replaces the element's text payload. Like every mutator it
-// invalidates the memoized canonical form up the tree, so it is the only
-// correct way to change Text after an element has been canonicalized.
-func (e *Element) SetText(text string) *Element {
-	e.Text = text
-	e.invalidate()
-	return e
-}
-
 // SetAttr sets (or replaces) an attribute value.
 func (e *Element) SetAttr(name, value string) *Element {
 	defer e.invalidate()
@@ -133,16 +118,6 @@ func (e *Element) SetAttr(name, value string) *Element {
 	}
 	e.Attrs = append(e.Attrs, Attr{Name: name, Value: value})
 	return e
-}
-
-// Attr returns the value of the named attribute and whether it exists.
-func (e *Element) Attr(name string) (string, bool) {
-	for _, a := range e.Attrs {
-		if a.Name == name {
-			return a.Value, true
-		}
-	}
-	return "", false
 }
 
 // Child returns the first direct child with the given name, or nil.
@@ -250,46 +225,6 @@ func sortedAttrs(in []Attr) []Attr {
 // conversion rather than a full serialization.
 func (e *Element) String() string { return string(e.Canonical()) }
 
-// Indented returns a pretty-printed rendering for human consumption. The
-// output is NOT canonical and must never be used as signing input.
-func (e *Element) Indented() string {
-	return string(e.appendIndented(nil, 0))
-}
-
-func (e *Element) appendIndented(dst []byte, depth int) []byte {
-	pad := strings.Repeat("  ", depth)
-	dst = append(dst, pad...)
-	dst = append(dst, '<')
-	dst = append(dst, e.Name...)
-	for _, a := range sortedAttrs(e.Attrs) {
-		dst = appendAttr(dst, a)
-	}
-	if len(e.Children) == 0 && e.Text == "" {
-		return append(dst, "/>\n"...)
-	}
-	dst = append(dst, '>')
-	if len(e.Children) == 0 {
-		dst = appendEscapedText(dst, e.Text)
-		dst = append(dst, '<', '/')
-		dst = append(dst, e.Name...)
-		return append(dst, ">\n"...)
-	}
-	dst = append(dst, '\n')
-	if e.Text != "" {
-		dst = append(dst, pad...)
-		dst = append(dst, "  "...)
-		dst = appendEscapedText(dst, e.Text)
-		dst = append(dst, '\n')
-	}
-	for _, c := range e.Children {
-		dst = c.appendIndented(dst, depth+1)
-	}
-	dst = append(dst, pad...)
-	dst = append(dst, '<', '/')
-	dst = append(dst, e.Name...)
-	return append(dst, ">\n"...)
-}
-
 // ErrEmptyDocument is returned by Parse when the input holds no element.
 var ErrEmptyDocument = errors.New("xmldoc: empty document")
 
@@ -361,10 +296,4 @@ func Parse(r io.Reader) (*Element, error) {
 // actually exchange several times faster.
 func ParseBytes(data []byte) (*Element, error) {
 	return Parse(bytes.NewReader(data))
-}
-
-// RoundTrip canonicalizes and re-parses the tree; it is used by tests to
-// assert that canonicalization is a fixed point of Parse∘Canonical.
-func RoundTrip(e *Element) (*Element, error) {
-	return ParseBytes(e.Canonical())
 }

@@ -41,15 +41,15 @@ func TestCanonicalEscaping(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	e := NewTree("PipeAdvertisement",
+	e := tree("PipeAdvertisement",
 		New("Id", "urn:jxta:pipe-0123"),
 		New("Type", "JxtaUnicast"),
 		New("Name", "chat/alice"),
 	)
 	e.SetAttr("version", "2")
-	back, err := RoundTrip(e)
+	back, err := ParseBytes(e.Canonical())
 	if err != nil {
-		t.Fatalf("RoundTrip: %v", err)
+		t.Fatalf("ParseBytes(Canonical): %v", err)
 	}
 	if !e.Equal(back) {
 		t.Fatalf("round trip mismatch:\n  in:  %s\n  out: %s", e, back)
@@ -103,7 +103,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestChildHelpers(t *testing.T) {
-	e := NewTree("Root",
+	e := tree("Root",
 		New("A", "1"),
 		New("B", "2"),
 		New("A", "3"),
@@ -138,16 +138,13 @@ func TestSetAttrReplaces(t *testing.T) {
 	if len(e.Attrs) != 1 {
 		t.Fatalf("attrs = %v", e.Attrs)
 	}
-	if v, ok := e.Attr("k"); !ok || v != "v2" {
-		t.Fatalf("Attr(k) = %q, %v", v, ok)
-	}
-	if _, ok := e.Attr("missing"); ok {
-		t.Fatal("Attr(missing) reported present")
+	if e.Attrs[0] != (Attr{Name: "k", Value: "v2"}) {
+		t.Fatalf("attrs = %v", e.Attrs)
 	}
 }
 
 func TestCloneIndependence(t *testing.T) {
-	e := NewTree("Root", New("C", "x"))
+	e := tree("Root", New("C", "x"))
 	e.SetAttr("a", "1")
 	c := e.Clone()
 	c.Children[0].Text = "mutated"
@@ -155,7 +152,7 @@ func TestCloneIndependence(t *testing.T) {
 	if e.Children[0].Text != "x" {
 		t.Fatal("clone mutation leaked into original child")
 	}
-	if v, _ := e.Attr("a"); v != "1" {
+	if e.Attrs[0].Value != "1" {
 		t.Fatal("clone mutation leaked into original attr")
 	}
 	if !e.Equal(e.Clone()) {
@@ -178,8 +175,8 @@ func TestEqualIgnoresAttrOrder(t *testing.T) {
 }
 
 func TestEqualDetectsChildOrder(t *testing.T) {
-	a := NewTree("R", New("A", ""), New("B", ""))
-	b := NewTree("R", New("B", ""), New("A", ""))
+	a := tree("R", New("A", ""), New("B", ""))
+	b := tree("R", New("B", ""), New("A", ""))
 	if a.Equal(b) {
 		t.Fatal("Equal must be sensitive to child order (canonical form is)")
 	}
@@ -227,7 +224,7 @@ func TestPropertyCanonicalRoundTrip(t *testing.T) {
 		},
 	}
 	prop := func(e *Element) bool {
-		back, err := RoundTrip(e)
+		back, err := ParseBytes(e.Canonical())
 		if err != nil {
 			t.Logf("round trip error: %v on %s", err, e)
 			return false
@@ -260,4 +257,9 @@ func TestPropertyCanonicalDeterministic(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// tree returns an element with the given name and children.
+func tree(name string, children ...*Element) *Element {
+	return New(name, "").Add(children...)
 }
