@@ -44,7 +44,9 @@ import (
 
 // Authenticator abstracts the central database connection: the local
 // Store in small deployments, the authenticated remote client in
-// distributed ones.
+// distributed ones. A login calls it without a deadline
+// (context.Background()): an Authenticator that waits on another party
+// bounds that wait itself, as userdb.Client does.
 type Authenticator interface {
 	Authenticate(ctx context.Context, username, password string) ([]string, error)
 }
@@ -67,9 +69,6 @@ func LocalDB(store interface {
 		return store.Authenticate(u, p)
 	})
 }
-
-// OpTimeout bounds database lookups triggered by operations.
-const OpTimeout = 10 * time.Second
 
 // PeerInfo is the broker's view of a connected client peer.
 type PeerInfo struct {
@@ -538,9 +537,7 @@ func (b *Broker) handleLogin(from keys.PeerID, msg *endpoint.Message) *endpoint.
 	if user == "" {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), OpTimeout)
-	defer cancel()
-	groups, err := b.cfg.DB.Authenticate(ctx, user, pass)
+	groups, err := b.cfg.DB.Authenticate(context.Background(), user, pass)
 	if err != nil {
 		return proto.Fail(proto.ErrAuthFailed)
 	}

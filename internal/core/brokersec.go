@@ -354,9 +354,7 @@ func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Mess
 	}
 
 	// Step 6: username/password against the central database.
-	ctx, cancel := context.WithTimeout(context.Background(), broker.OpTimeout)
-	defer cancel()
-	groups, err := bs.b.DB().Authenticate(ctx, user, pass)
+	groups, err := bs.b.DB().Authenticate(context.Background(), user, pass)
 	if err != nil {
 		bs.auditAuth(audit.KindLogin, peerID, proto.OpSecureLogin, proto.ErrAuthFailed)
 		return proto.Fail(proto.ErrAuthFailed)

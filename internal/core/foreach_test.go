@@ -1,4 +1,4 @@
-package parallel
+package core
 
 import (
 	"bytes"
@@ -26,7 +26,7 @@ func goid() uint64 {
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	for _, tc := range []struct{ limit, n int }{{1, 7}, {2, 1}, {2, 100}, {3, 2}, {8, 100}, {100, 5}} {
 		counts := make([]atomic.Int32, tc.n)
-		ForEach(tc.limit, tc.n, func(i int) { counts[i].Add(1) })
+		forEach(tc.limit, tc.n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Errorf("limit %d, n %d: fn(%d) ran %d times", tc.limit, tc.n, i, c)
@@ -51,7 +51,7 @@ func TestForEachInterleavingBoundedByLimit(t *testing.T) {
 		)
 		full := make(chan struct{})
 		caller := goid()
-		ForEach(limit, n, func(i int) {
+		forEach(limit, n, func(i int) {
 			mu.Lock()
 			running++
 			high = max(high, running)
@@ -79,7 +79,7 @@ func TestForEachBelowTwoRunsSeriallyOnCaller(t *testing.T) {
 	caller := goid()
 	for _, limit := range []int{-3, 0, 1} {
 		var order []int
-		ForEach(limit, 5, func(i int) {
+		forEach(limit, 5, func(i int) {
 			if g := goid(); g != caller {
 				t.Errorf("limit %d: fn(%d) ran on goroutine %d, not the caller's %d", limit, i, g, caller)
 			}
@@ -98,7 +98,7 @@ func TestForEachBelowTwoRunsSeriallyOnCaller(t *testing.T) {
 
 func TestForEachEmptyCallsNothing(t *testing.T) {
 	for _, n := range []int{0, -1} {
-		ForEach(4, n, func(i int) { t.Errorf("n %d: fn(%d) called", n, i) })
+		forEach(4, n, func(i int) { t.Errorf("n %d: fn(%d) called", n, i) })
 	}
 }
 
@@ -108,7 +108,7 @@ func TestForEachEmptyCallsNothing(t *testing.T) {
 func BenchmarkForEach(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ForEach(2, 16, func(int) {})
+		forEach(2, 16, func(int) {})
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
-	"jxtaoverlay/internal/parallel"
 	"jxtaoverlay/internal/perfgate"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
@@ -125,7 +124,7 @@ func BenchmarkFanOutRound(b *testing.B) {
 	}
 	round := func() {
 		recipients := make([]*keys.PublicKey, n)
-		parallel.ForEach(runtime.GOMAXPROCS(0), n, func(j int) {
+		forEach(runtime.GOMAXPROCS(0), n, func(j int) {
 			res, err := vc.VerifyTrusted(docs[j], now)
 			if err != nil {
 				b.Error(err)

@@ -21,7 +21,6 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/membership"
-	"jxtaoverlay/internal/parallel"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/telemetry"
 	"jxtaoverlay/internal/trace"
@@ -552,7 +551,7 @@ func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text strin
 		// Cut before fanning out: a DetachedRound is not safe for
 		// concurrent use. Leaf j is chunk[j]'s wrap.
 		slices := d.Slices()
-		parallel.ForEach(runtime.GOMAXPROCS(0), len(chunk), func(j int) {
+		forEach(runtime.GOMAXPROCS(0), len(chunk), func(j int) {
 			i := chunk[j]
 			errs[i] = s.sendKept(targets[i].pipe, group, slices[j])
 		})
@@ -575,7 +574,7 @@ type roundTarget struct {
 func (s *SecureClient) verifiedTargets(ctx context.Context, group string, peers []keys.PeerID) ([]roundTarget, []error) {
 	targets := make([]roundTarget, len(peers))
 	errs := make([]error, len(peers))
-	parallel.ForEach(runtime.GOMAXPROCS(0), len(peers), func(i int) {
+	forEach(runtime.GOMAXPROCS(0), len(peers), func(i int) {
 		targets[i].key, targets[i].pipe, errs[i] = s.verifiedPeerKey(ctx, peers[i], group)
 	})
 	return targets, errs

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -78,55 +79,154 @@ func TestRequestTableIDs(t *testing.T) {
 	}
 }
 
-// TestLateResponseAnswersNothing: a request that timed out leaves the
-// table, so its response, arriving late, answers nothing — not a request
-// waiting at the time — and neither does a response whose correlation ID
-// is a request ID cut short or run long.
-func TestLateResponseAnswersNothing(t *testing.T) {
-	n, a, b := pair(t)
-	wire := tapRequestIDs(n)
-	_, err := a.Request(context.Background(), b.PeerID(), "void", NewMessage(), 20*time.Millisecond)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("an unanswered request returned %v, want the deadline", err)
-	}
-	late := wire.last(t)
-	if got := pendingLen(a); got != 0 {
-		t.Fatalf("%d entries left in the request table after a timeout", got)
-	}
+// parked is a peer's two services whose handler waits for the test:
+// each delivery signals entered and then takes one release. "drop"
+// answers nothing, "hold" answers "b".
+type parked struct{ entered, release chan struct{} }
 
-	entered, release := make(chan struct{}), make(chan struct{})
-	b.RegisterHandler("hold", func(keys.PeerID, *Message) *Message {
-		close(entered)
-		<-release
-		return NewMessage().AddString("who", "b")
-	})
-	type result struct {
-		who string
-		err error
+func park(b *Service) *parked {
+	p := &parked{make(chan struct{}, 1), make(chan struct{})}
+	handler := func(answer *Message) Handler {
+		return func(keys.PeerID, *Message) *Message {
+			p.entered <- struct{}{}
+			<-p.release
+			return answer
+		}
 	}
-	done := make(chan result, 1)
+	b.RegisterHandler("drop", handler(nil))
+	b.RegisterHandler("hold", handler(NewMessage().AddString("who", "b")))
+	return p
+}
+
+type outcome struct {
+	who string
+	err error
+}
+
+// requestAsync starts a request from a to one of p's services on b, on a
+// goroutine of its own. Once the handler holds it, it returns the
+// channel the request waits on — the waiter it took from the pool, in
+// the table since before the request was sent — and its outcome. The
+// caller releases the handler.
+func requestAsync(t *testing.T, a, b *Service, p *parked, service string, timeout time.Duration) (chan *Message, <-chan outcome) {
+	t.Helper()
+	done := make(chan outcome, 1)
 	go func() {
-		resp, err := a.Request(context.Background(), b.PeerID(), "hold", NewMessage(), 10*time.Second)
+		resp, err := a.Request(context.Background(), b.PeerID(), service, NewMessage(), timeout)
 		var who string
 		if err == nil {
 			who, _ = resp.GetString("who")
 		}
-		done <- result{who, err}
+		done <- outcome{who, err}
 	}()
-	<-entered
-	waiting := wire.last(t)
-	answer(a, b.PeerID(), late, "late")
-	answer(a, b.PeerID(), waiting[:11], "short")
-	answer(a, b.PeerID(), append(bytes.Clone(waiting), 0), "long")
-	answer(a, b.PeerID(), nil, "none")
-	close(release)
-	select {
-	case r := <-done:
-		if r.err != nil || r.who != "b" {
-			t.Fatalf("the waiting request got %q, %v: want its own answer", r.who, r.err)
+	<-p.entered
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	if len(a.pending) != 1 {
+		t.Fatalf("%d requests waiting, want 1", len(a.pending))
+	}
+	for _, ch := range a.pending {
+		return ch, done
+	}
+	return nil, done
+}
+
+// onOneP runs the test on one P until it ends, so that the pool hands
+// the waiter a request put back to the next request that takes one. The
+// race build drops one Put in four at random: a test that needs the
+// reuse tries again.
+func onOneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestLateResponseAnswersNothing: a request that timed out leaves the
+// table and returns its waiter, and the next request reuses it; the
+// first request's response, arriving late, answers nothing — not the
+// request now waiting on its waiter, which gets its own answer — and
+// neither does a response whose correlation ID is a request ID cut short
+// or run long.
+func TestLateResponseAnswersNothing(t *testing.T) {
+	n, a, b := pair(t)
+	onOneP(t)
+	wire := tapRequestIDs(n)
+	p := park(b)
+	for attempt := 0; attempt < 20; attempt++ {
+		first, timedOut := requestAsync(t, a, b, p, "drop", 50*time.Millisecond)
+		late := wire.last(t)
+		p.release <- struct{}{}
+		if r := <-timedOut; !errors.Is(r.err, context.DeadlineExceeded) {
+			t.Fatalf("an unanswered request returned %v, want the deadline", r.err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("the waiting request was never answered")
+		if got := pendingLen(a); got != 0 {
+			t.Fatalf("%d entries left in the request table after a timeout", got)
+		}
+
+		second, done := requestAsync(t, a, b, p, "hold", 10*time.Second)
+		waiting := wire.last(t)
+		answer(a, b.PeerID(), late, "late")
+		answer(a, b.PeerID(), waiting[:11], "short")
+		answer(a, b.PeerID(), append(bytes.Clone(waiting), 0), "long")
+		answer(a, b.PeerID(), nil, "none")
+		p.release <- struct{}{}
+		select {
+		case r := <-done:
+			if r.err != nil || r.who != "b" {
+				t.Fatalf("the waiting request got %q, %v: want its own answer", r.who, r.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the waiting request was never answered")
+		}
+		if second == first {
+			return
+		}
+	}
+	t.Fatal("no request reused the waiter of the request before it")
+}
+
+// TestRequestTableReusedWaiterAnswered: a waiter whose timer fired is
+// answered when the next request reuses it, and does not time out at
+// once — neither after its request timed out nor after its request was
+// answered as the timer fired.
+func TestRequestTableReusedWaiterAnswered(t *testing.T) {
+	_, a, b := pair(t)
+	onOneP(t)
+	p := park(b)
+	reused := false
+	for attempt := 0; attempt < 20 && !reused; attempt++ {
+		first, timedOut := requestAsync(t, a, b, p, "drop", 20*time.Millisecond)
+		p.release <- struct{}{}
+		if r := <-timedOut; !errors.Is(r.err, context.DeadlineExceeded) {
+			t.Fatalf("an unanswered request returned %v, want the deadline", r.err)
+		}
+		second, done := requestAsync(t, a, b, p, "hold", 10*time.Second)
+		p.release <- struct{}{}
+		if r := <-done; r.err != nil || r.who != "b" {
+			t.Fatalf("a request after a timeout got %q, %v: want its answer", r.who, r.err)
+		}
+		reused = second == first
+	}
+	if !reused {
+		t.Fatal("no request reused the waiter of a request that timed out")
+	}
+
+	b.RegisterHandler("echo", func(keys.PeerID, *Message) *Message { return NewMessage().AddString("who", "b") })
+	b.RegisterHandler("slow", func(keys.PeerID, *Message) *Message {
+		time.Sleep(time.Millisecond)
+		return NewMessage().AddString("who", "b")
+	})
+	for i := 0; i < 50; i++ {
+		_, err := a.Request(context.Background(), b.PeerID(), "slow", NewMessage(), time.Millisecond)
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("a request racing its timer returned %v", err)
+		}
+		resp, err := a.Request(context.Background(), b.PeerID(), "echo", NewMessage(), 10*time.Second)
+		if err != nil {
+			t.Fatalf("the request after one that raced its timer returned %v, want its answer", err)
+		}
+		if who, _ := resp.GetString("who"); who != "b" {
+			t.Fatalf("answered %q", who)
+		}
 	}
 }
 

@@ -242,36 +242,34 @@ type requestID [12]byte
 // return a response, for timeout to pass (context.DeadlineExceeded; 0
 // sets no timeout of its own), for ctx to end, or for the service to
 // close. A response that arrives after Request returned answers nothing.
+// What it waits on is a pooled waiter, so a round trip allocates its
+// frames and nothing for the waiting.
 func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, msg *Message, timeout time.Duration) (*Message, error) {
 	var id requestID
 	if _, err := rand.Read(id[:]); err != nil {
 		return nil, err
 	}
-	ch := make(chan *Message, 1)
+	w := waiters.Get().(*waiter)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		waiters.Put(w)
 		return nil, ErrClosed
 	}
-	s.pending[id] = ch
+	s.pending[id] = w.ch
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.pending, id)
-		s.mu.Unlock()
-	}()
+	defer s.release(id, w)
 
 	if err := s.send(to, Route{Service: service, Corr: CorrRequest, CorrID: id[:]}, nil, msg.Elements); err != nil {
 		return nil, err
 	}
 	var expired <-chan time.Time
 	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expired = t.C
+		w.timer.Reset(timeout)
+		expired = w.timer.C
 	}
 	select {
-	case resp := <-ch:
+	case resp := <-w.ch:
 		return resp, nil
 	case <-expired:
 		return nil, context.DeadlineExceeded
@@ -280,6 +278,39 @@ func (s *Service) Request(ctx context.Context, to keys.PeerID, service string, m
 	case <-s.done:
 		return nil, ErrClosed
 	}
+}
+
+// waiter is what a Request waits on: a one-slot channel its response is
+// resolved into, and a timer for its timeout. An idle waiter's timer is
+// stopped and its channel empty. This relies on the timer semantics of Go
+// 1.23 (go.mod's go line): once Stop or Reset returns, no tick from
+// before it is delivered, so a reused timer never fires early.
+type waiter struct {
+	ch    chan *Message
+	timer *time.Timer
+}
+
+// waiters is shared by every Service: a client booted for one broker call
+// reuses the waiter of a client closed before it.
+var waiters = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan *Message, 1), timer: t}
+}}
+
+// release ends request id's wait and returns its waiter to the pool. Once
+// the entry is gone from the table no resolve can reach the channel (it
+// sends under the table's lock), so the drain leaves it empty for good.
+func (s *Service) release(id requestID, w *waiter) {
+	w.timer.Stop()
+	s.mu.Lock()
+	delete(s.pending, id)
+	s.mu.Unlock()
+	select {
+	case <-w.ch:
+	default:
+	}
+	waiters.Put(w)
 }
 
 // deliver runs on the transport's delivery goroutines. It reads the
@@ -355,10 +386,11 @@ func (s *Service) resolve(corr Corr, id []byte, msg *Message) {
 	if corr != CorrResponse || len(id) != len(requestID{}) {
 		return
 	}
+	// The send happens under the lock, so it cannot land in a waiter
+	// whose request has released it (release).
 	s.mu.RLock()
-	ch, ok := s.pending[requestID(id)]
-	s.mu.RUnlock()
-	if ok {
+	defer s.mu.RUnlock()
+	if ch, ok := s.pending[requestID(id)]; ok {
 		select {
 		case ch <- msg:
 		default:

@@ -368,10 +368,17 @@ func (p *PublicKey) MarshalDER() ([]byte, error) {
 
 // ParsePublicDER reads a PKIX DER public key. The bytes read are the
 // key's PKIX encoding from then on: its fingerprint is their digest.
-func ParsePublicDER(der []byte) (*PublicKey, error) { return parsePublic(bytes.Clone(der)) }
-
-// parsePublic is ParsePublicDER keeping der, which the caller hands over.
-func parsePublic(der []byte) (*PublicKey, error) {
+//
+// The keys parsed are memoized for the whole process, by the digest of
+// their bytes, so every credential read again (cred.Parse) and every
+// login's key returns the one key parsed before. A key is answered from
+// the memo only for the very bytes it was parsed from; it is immutable,
+// so every caller may share it. A refusal is not memoized.
+func ParsePublicDER(der []byte) (*PublicKey, error) {
+	fp := sha256.Sum256(der)
+	if p, ok := parsedKeys.Get(fp, time.Time{}); ok && bytes.Equal(p.enc.Load().der, der) {
+		return p, nil
+	}
 	key, err := x509.ParsePKIXPublicKey(der)
 	if err != nil {
 		return nil, fmt.Errorf("keys: parse public: %w", err)
@@ -381,9 +388,17 @@ func parsePublic(der []byte) (*PublicKey, error) {
 		return nil, errors.New("keys: not an RSA public key")
 	}
 	p := &PublicKey{pub: pub}
-	p.enc.Store(&pkixMemo{der: der, fp: sha256.Sum256(der)})
+	p.enc.Store(&pkixMemo{der: bytes.Clone(der), fp: fp})
+	parsedKeys.Put(fp, p, time.Time{})
 	return p, nil
 }
+
+// parsedKeysCap bounds ParsePublicDER's memo: a deployment's residents,
+// broker, database and administrator, with room to spare. A flood of
+// distinct keys only evicts.
+const parsedKeysCap = 1024
+
+var parsedKeys = lru.New[[32]byte, *PublicKey](parsedKeysCap)
 
 // AgreementShare returns the key's agreement key, and whether it carries
 // one.
@@ -425,12 +440,22 @@ func (p *PublicKey) Equal(o *PublicKey) bool {
 
 // SameIdentity reports whether two public keys share their RSA key — the
 // key signatures, fingerprints and CBIDs are of — whatever agreement key
-// each carries.
+// each carries: the same RSA key, or two whose PKIX encodings have one
+// digest (rsa.PublicKey.Equal, which allocates, only when an encoding
+// cannot be had).
 func (p *PublicKey) SameIdentity(o *PublicKey) bool {
 	if p == nil || o == nil {
 		return p == o
 	}
-	return p.pub.Equal(o.pub)
+	if p.pub == o.pub {
+		return true
+	}
+	pm, perr := p.pkix()
+	om, oerr := o.pkix()
+	if perr != nil || oerr != nil {
+		return p.pub.Equal(o.pub)
+	}
+	return pm.fp == om.fp
 }
 
 // RandomBytes returns n cryptographically random bytes; it backs

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
@@ -133,6 +134,10 @@ func (c *Client) Groups(ctx context.Context, username string) ([]string, error) 
 	return c.call(ctx, "groups", username, "")
 }
 
+// queryTimeout bounds the wait for the server's answer, whatever ctx
+// allows: a login passes no deadline of its own.
+const queryTimeout = 10 * time.Second
+
 // call sends one query, signed for the server and then sealed to it, so
 // that nothing on the link can test a password guess against it.
 func (c *Client) call(ctx context.Context, op, user, pass string) ([]string, error) {
@@ -150,7 +155,7 @@ func (c *Client) call(ctx context.Context, op, user, pass string) ([]string, err
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.ep.Request(ctx, c.server, ServiceName, endpoint.NewMessage().Add(elemEnvelope, env), 0)
+	resp, err := c.ep.Request(ctx, c.server, ServiceName, endpoint.NewMessage().Add(elemEnvelope, env), queryTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -285,6 +285,28 @@ func TestRemoteAuthenticateFailure(t *testing.T) {
 	}
 }
 
+// TestRemoteAuthenticateSilentServer: a database that never answers
+// holds a query no longer than its caller's deadline.
+func TestRemoteAuthenticateSilentServer(t *testing.T) {
+	f := newRemoteFixture(t)
+	f.dbEP.RegisterHandler(ServiceName, func(keys.PeerID, *endpoint.Message) *endpoint.Message { return nil })
+	c, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.client.Authenticate(c, "alice", "s3cret")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Authenticate against a silent server returned %v, want the deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Authenticate against a silent server outlived its caller's deadline")
+	}
+}
+
 func TestRemoteGroups(t *testing.T) {
 	f := newRemoteFixture(t)
 	groups, err := f.client.Groups(ctx(t), "alice")

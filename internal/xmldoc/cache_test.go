@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -83,7 +84,7 @@ func TestCanonicalInvalidUTF8MatchesReference(t *testing.T) {
 	// reference does — the canonical form is signing input, so the two
 	// serializers may never diverge.
 	e := New("T", "ok\xffbad")
-	e.SetAttr("a", "x\xfe\xffy")
+	e.Attrs = []Attr{{"a", "x\xfe\xffy"}}
 	e.AddText("C", "\x80")
 	checkAgainstRef(t, e, "invalid utf-8")
 	if !bytes.Contains(e.Canonical(), []byte("�")) {
@@ -102,24 +103,24 @@ func TestCanonicalMemoized(t *testing.T) {
 
 // TestMutatorsInvalidate drives every mutator and confirms the memo —
 // the canonical bytes and their digest — is dropped on the mutated
-// element and all ancestors.
+// element and all ancestors. Attributes are built into fresh trees: the
+// inner element carries one, and so does the subtree Add-attributed adds.
 func TestMutatorsInvalidate(t *testing.T) {
 	build := func() (*Element, *Element) {
 		inner := tree("Inner", New("Leaf", "v"))
+		inner.Attrs = []Attr{{"k", `v"&`}}
 		root := tree("Root", New("A", "1"), inner)
 		return root, inner
 	}
+	attributed := New("New", "x")
+	attributed.Attrs = []Attr{{"z", "2"}, {"a", "1"}}
 	cases := []struct {
 		name   string
 		mutate func(root, inner *Element)
 	}{
 		{"Add", func(_, inner *Element) { inner.Add(New("New", "x")) }},
 		{"AddText", func(_, inner *Element) { inner.AddText("New", "x") }},
-		{"SetAttr-new", func(_, inner *Element) { inner.SetAttr("k", "v") }},
-		{"SetAttr-replace", func(_, inner *Element) {
-			inner.SetAttr("k", "v1") // also invalidates, tested via fresh canonical below
-			inner.SetAttr("k", "v2")
-		}},
+		{"Add-attributed", func(_, inner *Element) { inner.Add(attributed.Clone()) }},
 		{"RemoveChildren", func(_, inner *Element) { inner.RemoveChildren("Leaf") }},
 	}
 	for _, tc := range cases {
@@ -166,11 +167,36 @@ func TestAddReparentMovesChild(t *testing.T) {
 	checkAgainstRef(t, b, "new tree after move")
 }
 
+// TestAddOwnChildMovesIt: adding an element that is already a child of
+// the receiver moves it to the end, once; the receiver does not keep a
+// second entry behind, which a later move away would leave in a tree
+// whose memo its mutations no longer drop.
+func TestAddOwnChildMovesIt(t *testing.T) {
+	x := New("X", "x")
+	a := tree("A", x, New("Y", "y"))
+	_ = a.Canonical()
+	a.Add(x)
+	if len(a.Children) != 2 || a.Children[1] != x {
+		t.Fatalf("children after re-adding one: %s", a)
+	}
+	checkAgainstRef(t, a, "after re-adding a child")
+	b := New("B", "")
+	b.Add(x)
+	x.AddText("Z", "new")
+	if a.Child("X") != nil {
+		t.Fatal("the old parent still holds the moved child")
+	}
+	checkAgainstRef(t, a, "old parent after the move")
+	checkAgainstRef(t, b, "new parent after the move")
+}
+
 // TestPropertyCacheInvalidation applies random mutation sequences
 // through the mutator API, interleaved with Canonical and CanonicalSum
 // calls that populate memos at every level, and checks the canonical
 // bytes and their digests against the reference serializer after each
-// step. Every other round the tree
+// step. Attributes come in fresh trees (randomTree's), added whole, and
+// a mutation may move a subtree from one parent to another, so both
+// parents' memos must drop. Every other round the tree
 // comes from ParseCanonical, so the memos under mutation are the
 // parse-time SEEDED ones (input subslices), not computed ones — a
 // mutator that failed to invalidate a seeded memo would serve stale
@@ -206,7 +232,12 @@ func TestPropertyCacheInvalidation(t *testing.T) {
 				sub := randomTree(r, 1)
 				target.Add(sub)
 			case 2:
-				target.SetAttr(names[r.Intn(len(names))]+"attr", randText(r))
+				// Move a node that holds neither target nor root under
+				// target: Add re-parents it.
+				moved := nodes[r.Intn(len(nodes))]
+				if moved != root && !slices.Contains(collect(moved), target) {
+					target.Add(moved)
+				}
 			case 3:
 				if len(target.Children) > 0 {
 					target.RemoveChildren(target.Children[r.Intn(len(target.Children))].Name)

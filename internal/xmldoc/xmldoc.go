@@ -37,7 +37,7 @@ type Attr struct {
 // Canonical serializations are memoized per element (see canonical.go).
 // The fields stay exported for reading and for building fresh trees, but
 // once an element has been canonicalized it must only be changed through
-// the mutator methods (Add, AddText, SetAttr, RemoveChildren):
+// the mutator methods (Add, AddText, RemoveChildren):
 // they drop the memoized bytes on the element and every ancestor. A
 // direct field write after canonicalization leaves a stale memo behind.
 type Element struct {
@@ -72,15 +72,16 @@ func New(name, text string) *Element {
 }
 
 // Add appends children and returns the receiver for chaining. A child
-// that already belongs to another tree is MOVED: it is detached from
-// its old parent (whose memoized canonical bytes are invalidated), so
-// an element always has exactly one parent and every future mutation of
-// the child invalidates the one tree that actually contains it. Without
-// the detach, the old tree would keep serving stale canonical bytes —
-// fatal for signing input.
+// that already belongs to a tree is MOVED: it is detached from its old
+// parent (whose memoized canonical bytes are invalidated) — e itself,
+// when it is e's child already, and it moves to the end — so an element
+// always has exactly one parent, and appears once among its children,
+// and every future mutation of the child invalidates the one tree that
+// actually contains it. Without the detach, the old tree would keep
+// serving stale canonical bytes — fatal for signing input.
 func (e *Element) Add(children ...*Element) *Element {
 	for _, c := range children {
-		if c.parent != nil && c.parent != e {
+		if c.parent != nil {
 			c.parent.detach(c)
 		}
 		c.parent = e
@@ -105,19 +106,6 @@ func (e *Element) detach(c *Element) {
 // receiver for chaining.
 func (e *Element) AddText(name, text string) *Element {
 	return e.Add(New(name, text))
-}
-
-// SetAttr sets (or replaces) an attribute value.
-func (e *Element) SetAttr(name, value string) *Element {
-	defer e.invalidate()
-	for i := range e.Attrs {
-		if e.Attrs[i].Name == name {
-			e.Attrs[i].Value = value
-			return e
-		}
-	}
-	e.Attrs = append(e.Attrs, Attr{Name: name, Value: value})
-	return e
 }
 
 // Child returns the first direct child with the given name, or nil.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,9 +21,7 @@ func TestCanonicalSimple(t *testing.T) {
 
 func TestCanonicalAttrsSorted(t *testing.T) {
 	e := New("Adv", "")
-	e.SetAttr("zeta", "1")
-	e.SetAttr("alpha", "2")
-	e.SetAttr("mid", "3")
+	e.Attrs = []Attr{{"zeta", "1"}, {"alpha", "2"}, {"mid", "3"}}
 	got := string(e.Canonical())
 	want := `<Adv alpha="2" mid="3" zeta="1"></Adv>`
 	if got != want {
@@ -32,7 +31,7 @@ func TestCanonicalAttrsSorted(t *testing.T) {
 
 func TestCanonicalEscaping(t *testing.T) {
 	e := New("T", `a<b&c>d`)
-	e.SetAttr("q", `x"y<z&`)
+	e.Attrs = []Attr{{"q", `x"y<z&`}}
 	got := string(e.Canonical())
 	want := `<T q="x&quot;y&lt;z&amp;">a&lt;b&amp;c&gt;d</T>`
 	if got != want {
@@ -46,7 +45,7 @@ func TestParseRoundTrip(t *testing.T) {
 		New("Type", "JxtaUnicast"),
 		New("Name", "chat/alice"),
 	)
-	e.SetAttr("version", "2")
+	e.Attrs = []Attr{{"version", "2"}}
 	back, err := ParseBytes(e.Canonical())
 	if err != nil {
 		t.Fatalf("ParseBytes(Canonical): %v", err)
@@ -131,24 +130,12 @@ func TestChildHelpers(t *testing.T) {
 	}
 }
 
-func TestSetAttrReplaces(t *testing.T) {
-	e := New("E", "")
-	e.SetAttr("k", "v1")
-	e.SetAttr("k", "v2")
-	if len(e.Attrs) != 1 {
-		t.Fatalf("attrs = %v", e.Attrs)
-	}
-	if e.Attrs[0] != (Attr{Name: "k", Value: "v2"}) {
-		t.Fatalf("attrs = %v", e.Attrs)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	e := tree("Root", New("C", "x"))
-	e.SetAttr("a", "1")
+	e.Attrs = []Attr{{"a", "1"}}
 	c := e.Clone()
 	c.Children[0].Text = "mutated"
-	c.SetAttr("a", "2")
+	c.Attrs[0].Value = "2"
 	if e.Children[0].Text != "x" {
 		t.Fatal("clone mutation leaked into original child")
 	}
@@ -190,7 +177,10 @@ func randomTree(r *rand.Rand, depth int) *Element {
 		e.Text = randText(r)
 	}
 	for i := 0; i < r.Intn(3); i++ {
-		e.SetAttr(names[r.Intn(len(names))]+"attr", randText(r))
+		name := names[r.Intn(len(names))] + "attr"
+		if !slices.ContainsFunc(e.Attrs, func(a Attr) bool { return a.Name == name }) {
+			e.Attrs = append(e.Attrs, Attr{name, randText(r)})
+		}
 	}
 	if depth > 0 {
 		for i := 0; i < r.Intn(4); i++ {

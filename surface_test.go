@@ -71,7 +71,6 @@ var surfaceExempt = map[string]string{
 	"trace.Recorder.TraceSpans":           "test support: TestForcedCaptureOnAnomaly, TestSecurityAlertCarriesRetrievableTraceID",
 	"xmldoc.Element.Clone":                "test support: TestMemoizedSignatureSplicedOntoAnotherAdvRefused, TestVerifyDetectsSignatureSwap, TestCloneIndependence",
 	"xmldoc.Element.Equal":                "test support: FuzzParseCanonical, TestParseCanonicalPropertyRoundTrip, TestEqualDetectsChildOrder compare trees",
-	"xmldoc.Element.SetAttr":              "test support: TestCanonicalEscaping, TestPropertyCacheInvalidation, TestMutatorsInvalidate build and mutate attributes",
 
 	// The paper's primitives and topology.
 	"client.Client.CreateGroup":   "paper: the group primitives of JXTA-Overlay's client (TestGroupLifecycle)",
