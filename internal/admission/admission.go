@@ -37,19 +37,22 @@ type Config struct {
 	// Login handshakes cost several operations in a burst, so keep
 	// this comfortably above the per-join op count.
 	Burst float64
-	// OffenseThreshold is how many consecutive refusals escalate a
-	// credential to a SecurityAlert (0 = 16). Alerts repeat every
-	// threshold refusals, not on each one, so one flooding credential
-	// cannot flood the audit stream too.
-	OffenseThreshold int
-	// MaxTracked bounds the bucket map (0 = 65536). When full, idle
-	// buckets (refilled to capacity) are evicted first — forgetting an
-	// idle credential is free, its next bucket starts full anyway.
-	MaxTracked int
 	// Clock is what buckets refill by, fixed at construction (nil: the
 	// wall). Allow(who) takes no time, so the limiter keeps its own.
 	Clock func() time.Time
 }
+
+const (
+	// offenseThreshold is how many consecutive refusals escalate a
+	// credential to a SecurityAlert. Alerts repeat every threshold
+	// refusals, not on each one, so one flooding credential cannot flood
+	// the audit stream too.
+	offenseThreshold = 16
+	// maxTracked bounds the bucket map. When full, idle buckets
+	// (refilled to capacity) are evicted first — forgetting an idle
+	// credential is free, its next bucket starts full anyway.
+	maxTracked = 65536
+)
 
 // Decision reports the outcome of one admission check.
 type Decision struct {
@@ -103,12 +106,6 @@ func New(cfg Config) *Limiter {
 		if cfg.Burst < 8 {
 			cfg.Burst = 8
 		}
-	}
-	if cfg.OffenseThreshold <= 0 {
-		cfg.OffenseThreshold = 16
-	}
-	if cfg.MaxTracked <= 0 {
-		cfg.MaxTracked = 65536
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -166,7 +163,7 @@ func (l *Limiter) Offense(key string) Decision {
 // an alert threshold. Caller holds l.mu.
 func (l *Limiter) offendLocked(b *bucket) Decision {
 	b.offenses++
-	alert := b.offenses%l.cfg.OffenseThreshold == 0
+	alert := b.offenses%offenseThreshold == 0
 	return Decision{Allowed: false, Alert: alert, Offenses: b.offenses}
 }
 
@@ -175,7 +172,7 @@ func (l *Limiter) offendLocked(b *bucket) Decision {
 func (l *Limiter) fill(key string, now time.Time) *bucket {
 	b, ok := l.buckets[key]
 	if !ok {
-		if len(l.buckets) >= l.cfg.MaxTracked {
+		if len(l.buckets) >= maxTracked {
 			l.evictLocked(now)
 		}
 		b = &bucket{tokens: l.cfg.Burst, last: now}
@@ -208,7 +205,7 @@ func (l *Limiter) evictLocked(now time.Time) {
 			stalestKey, stalest = k, b.last
 		}
 	}
-	if len(l.buckets) >= l.cfg.MaxTracked && stalestKey != "" {
+	if len(l.buckets) >= maxTracked && stalestKey != "" {
 		delete(l.buckets, stalestKey)
 	}
 }

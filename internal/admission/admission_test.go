@@ -85,19 +85,19 @@ func TestIsolationBetweenCredentials(t *testing.T) {
 
 func TestOffenseEscalation(t *testing.T) {
 	clk := newTestClock()
-	l := New(Config{Rate: 1, Burst: 1, OffenseThreshold: 4, Clock: clk.Now})
+	l := New(Config{Rate: 1, Burst: 1, Clock: clk.Now})
 	l.Allow("mallory") // drains the bucket
 	alerts := 0
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 3*offenseThreshold; i++ {
 		if d := l.Allow("mallory"); d.Alert {
 			alerts++
-			if d.Offenses%4 != 0 {
-				t.Errorf("alert at offense count %d, want multiples of 4", d.Offenses)
+			if d.Offenses%offenseThreshold != 0 {
+				t.Errorf("alert at offense count %d, want multiples of %d", d.Offenses, offenseThreshold)
 			}
 		}
 	}
 	if alerts != 3 {
-		t.Fatalf("12 refusals at threshold 4 raised %d alerts, want 3", alerts)
+		t.Fatalf("%d refusals at threshold %d raised %d alerts, want 3", 3*offenseThreshold, offenseThreshold, alerts)
 	}
 	if m := l.Metrics(); m.Alerts != 3 {
 		t.Fatalf("metrics.Alerts = %d, want 3", m.Alerts)
@@ -106,16 +106,16 @@ func TestOffenseEscalation(t *testing.T) {
 
 func TestSuccessResetsOffenseStreak(t *testing.T) {
 	clk := newTestClock()
-	l := New(Config{Rate: 10, Burst: 1, OffenseThreshold: 4, Clock: clk.Now})
+	l := New(Config{Rate: 10, Burst: 1, Clock: clk.Now})
 	l.Allow("alice")
-	for i := 0; i < 3; i++ {
-		l.Allow("alice") // 3 offenses, below threshold
+	for i := 0; i < offenseThreshold-1; i++ {
+		l.Allow("alice") // offenses, one below the threshold
 	}
 	clk.Advance(time.Second) // refill; success resets the streak
 	if !l.Allow("alice").Allowed {
 		t.Fatal("refilled op refused")
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < offenseThreshold-1; i++ {
 		if d := l.Allow("alice"); d.Alert {
 			t.Fatal("streak not reset by a successful op")
 		}
@@ -124,16 +124,16 @@ func TestSuccessResetsOffenseStreak(t *testing.T) {
 
 func TestExternalOffenseFeedsSameEscalation(t *testing.T) {
 	clk := newTestClock()
-	l := New(Config{Rate: 100, Burst: 100, OffenseThreshold: 3, Clock: clk.Now})
+	l := New(Config{Rate: 100, Burst: 100, Clock: clk.Now})
 	// Quota refusals escalate even though the rate bucket is full.
 	var alerted bool
-	for i := 0; i < 3; i++ {
+	for i := 0; i < offenseThreshold; i++ {
 		if d := l.Offense("chatty"); d.Alert {
 			alerted = true
 		}
 	}
 	if !alerted {
-		t.Fatal("3 external offenses at threshold 3 raised no alert")
+		t.Fatalf("%d external offenses raised no alert", offenseThreshold)
 	}
 	// And tokens were not consumed.
 	if !l.Allow("chatty").Allowed {
@@ -143,13 +143,13 @@ func TestExternalOffenseFeedsSameEscalation(t *testing.T) {
 
 func TestTrackedBound(t *testing.T) {
 	clk := newTestClock()
-	l := New(Config{Rate: 1000, Burst: 4, MaxTracked: 64, Clock: clk.Now})
-	for i := 0; i < 1000; i++ {
+	l := New(Config{Rate: 1000, Burst: 4, Clock: clk.Now})
+	for i := 0; i < maxTracked+1000; i++ {
 		l.Allow(fmt.Sprintf("peer-%d", i))
 		clk.Advance(10 * time.Millisecond) // older buckets refill to idle
 	}
-	if m := l.Metrics(); m.Tracked > 64 {
-		t.Fatalf("tracked %d buckets, cap 64", m.Tracked)
+	if m := l.Metrics(); m.Tracked > maxTracked {
+		t.Fatalf("tracked %d buckets, cap %d", m.Tracked, maxTracked)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestFloodingCredentialRateLimited(t *testing.T) {
 	// Admission goes on after login so the handshake ops don't eat into
 	// the flood budget and the numbers below stay deterministic.
 	s.br.EnableAdmission(admission.New(admission.Config{
-		Rate: 5, Burst: 8, OffenseThreshold: 4,
+		Rate: 5, Burst: 8,
 	}))
 	alerts := events.NewCollector(s.br.Bus())
 
@@ -87,7 +87,7 @@ func TestRateLimitRecoversAfterBackoff(t *testing.T) {
 	ctx := testCtx(t)
 
 	s.br.EnableAdmission(admission.New(admission.Config{
-		Rate: 50, Burst: 4, OffenseThreshold: 4,
+		Rate: 50, Burst: 4,
 	}))
 
 	var sawLimit bool

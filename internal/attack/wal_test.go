@@ -26,7 +26,7 @@ import (
 func durableRelay(t *testing.T, dir string, online *atomic.Bool) (*relay.Relay, chan relay.Item) {
 	t.Helper()
 	drained := make(chan relay.Item, 16)
-	cfg := relay.Config{TTL: time.Hour}
+	cfg := relay.Config{}
 	cfg.WAL.Dir = dir
 	r, err := relay.New(cfg, func(keys.PeerID) bool { return online.Load() },
 		func(it relay.Item) error {

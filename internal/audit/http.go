@@ -42,7 +42,7 @@ type PageJSON struct {
 //	op=<name>        only one operation
 //	trace=<hex id>   only events of one trace
 //	since=<seq>      only events with a later sequence number
-//	limit=<n>        at most n events (default 4096)
+//	limit=<n>        at most n events (default: the whole ring, 4096)
 //
 // Events return in ring order (oldest surviving first). The ring is a
 // query convenience; the journal on disk is the authoritative record.
@@ -60,7 +60,7 @@ func (j *Journal) DebugHandler() http.Handler {
 		if v := q.Get("since"); v != "" {
 			since, _ = strconv.ParseUint(v, 10, 64)
 		}
-		limit := 4096
+		limit := ringSize
 		if v := q.Get("limit"); v != "" {
 			if n, err := strconv.Atoi(v); err == nil && n > 0 {
 				limit = n

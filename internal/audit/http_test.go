@@ -12,19 +12,20 @@ import (
 )
 
 // TestDebugHandlerConcurrentWithAppends hammers /debug/audit while
-// writer goroutines append — the race detector turns any unsynchronized
-// ring/chain access into a failure (this is the -race half of the
-// observability contract; CI runs the package under -race).
+// writer goroutines append past the ring's 4,096 records — the race
+// detector turns any unsynchronized ring/chain access into a failure
+// (this is the -race half of the observability contract; CI runs the
+// package under -race) — and the wrapped ring serves its newest records.
 func TestDebugHandlerConcurrentWithAppends(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: time.Millisecond, RingSize: 64})
+	j, err := Open(Options{Dir: dir, SyncInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 	h := j.DebugHandler()
 
-	const writers, perWriter = 4, 200
+	const writers, perWriter = 4, 1100
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
@@ -75,8 +76,11 @@ func TestDebugHandlerConcurrentWithAppends(t *testing.T) {
 	if page.Seq != writers*perWriter || page.Records != writers*perWriter {
 		t.Fatalf("final page seq %d records %d, want %d", page.Seq, page.Records, writers*perWriter)
 	}
-	if len(page.Events) != 64 {
-		t.Fatalf("ring of 64 served %d events", len(page.Events))
+	if len(page.Events) != ringSize {
+		t.Fatalf("ring of %d served %d events", ringSize, len(page.Events))
+	}
+	if first := page.Events[0].Seq; first != writers*perWriter-ringSize+1 {
+		t.Fatalf("wrapped ring's oldest record is seq %d, want %d", first, writers*perWriter-ringSize+1)
 	}
 }
 

@@ -117,10 +117,10 @@ type Options struct {
 	// Chain is the signer's credential chain, leaf first; Chain[0].Key
 	// must be Signer's public key. Required when Signer is set.
 	Chain []*cred.Credential
-	// RingSize bounds the in-memory query ring backing /debug/audit
-	// (0 = 4096).
-	RingSize int
 }
+
+// ringSize bounds the in-memory query ring backing /debug/audit.
+const ringSize = 4096
 
 // Stats is a point-in-time snapshot of journal counters.
 type Stats struct {
@@ -181,9 +181,6 @@ func open(opts Options, faults seglog.FaultFunc) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("audit: Options.Dir is required")
 	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = 4096
-	}
 	if opts.Signer != nil && len(opts.Chain) == 0 {
 		return nil, errors.New("audit: Signer requires a credential Chain")
 	}
@@ -191,7 +188,7 @@ func open(opts Options, faults seglog.FaultFunc) (*Journal, error) {
 		opts.CheckpointEvery = 256
 	}
 
-	j := &Journal{opts: opts, ring: make([]ringEntry, opts.RingSize)}
+	j := &Journal{opts: opts, ring: make([]ringEntry, ringSize)}
 	stopped := func(seg seglog.Segment, later []seglog.Segment, stop seglog.Stop) (bool, error) {
 		// Only a short record is a crash artifact, and only in the last
 		// segment holding any data, not merely the last file: rotation

@@ -456,7 +456,8 @@ func TestOnlinePeersFilters(t *testing.T) {
 	}
 }
 
-func TestOpTimeoutDefault(t *testing.T) {
+// TestAccessors: a broker hands out its parts, and its node ID is its peer ID.
+func TestAccessors(t *testing.T) {
 	b, _ := newBroker(t)
 	if b.DB() == nil || b.Cache() == nil || b.Bus() == nil || b.Endpoint() == nil {
 		t.Fatal("accessors returned nil")

@@ -59,9 +59,6 @@ var (
 type OpError struct {
 	// Token is the stable wire error token (proto.Err*).
 	Token string
-	// RetryAfter is the broker's backoff hint, when the refusal
-	// carried one (0 = none).
-	RetryAfter time.Duration
 }
 
 // Error formats exactly like the pre-typed "%w: %s" wrapping did.

@@ -53,7 +53,6 @@ func near(got, want time.Time) bool { return got.Sub(want).Abs() < 5*time.Second
 func brokerMovesAsOne(t *testing.T) {
 	const (
 		leaseTTL = 10 * time.Minute
-		relayTTL = 5 * time.Minute
 		// Past every window the broker keeps: session identifiers, the
 		// dedup window and the request-timestamp window (2 min each), the
 		// relay's TTL, the lease, a pipe advertisement's lifetime (15 min).
@@ -62,7 +61,7 @@ func brokerMovesAsOne(t *testing.T) {
 	h := newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: true, LeaseTTL: leaseTTL})
 	var z zone
 	h.br.Endpoint().SetClock(z.now)
-	rly, err := core.EnableBrokerRelay(h.br, core.RelayConfig{Config: relay.Config{TTL: relayTTL}})
+	rly, err := core.EnableBrokerRelay(h.br, core.RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestRelayHundredRecipientsThirtyPercentOffline(t *testing.T) {
 		online[m.id] = i < n-nOffline
 	}
 	bus := events.NewBus()
-	r, rerr := relay.New(relay.Config{Shards: 4},
+	r, rerr := relay.New(relay.Config{},
 		func(id keys.PeerID) bool { mu.Lock(); defer mu.Unlock(); return online[id] },
 		func(it relay.Item) error {
 			mu.Lock()

@@ -46,7 +46,7 @@ var ErrRelaySkipped = errors.New("core: relay skipped undeliverable recipients")
 var ErrRelayQuota = errors.New("core: relay quota exceeded")
 
 // RelayConfig parameterizes the broker relay. It embeds the queue
-// configuration (durability, quotas, TTL — see relay.Config).
+// configuration (durability, quotas — see relay.Config).
 type RelayConfig struct {
 	relay.Config
 }

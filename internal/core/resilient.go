@@ -398,9 +398,9 @@ func classify(err error) (callClass, time.Duration) {
 			proto.ErrBadRound:
 			// Auth and malformed-request refusals: deterministic, never
 			// retried.
-			return classTerminal, opErr.RetryAfter
+			return classTerminal, 0
 		}
-		return classRetryable, opErr.RetryAfter
+		return classRetryable, 0
 	}
 	if errors.Is(err, client.ErrRateLimited) || errors.Is(err, client.ErrRelayQuota) {
 		return classRetryable, 0

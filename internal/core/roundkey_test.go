@@ -13,7 +13,6 @@ import (
 	"jxtaoverlay/internal/events"
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
-	"jxtaoverlay/internal/relay"
 	"jxtaoverlay/internal/simnet"
 )
 
@@ -22,13 +21,14 @@ import (
 // first relayed round costs it one X25519 per recipient and each
 // recipient one; a second costs no X25519 at either end. Past the
 // lifetime the next round is wrapped under a new key, and a slice that
-// was queued for an offline member under the old key still opens when
-// that member returns, beside the one under the new key.
+// was queued for an offline member under the old key, inside the
+// relay's TTL (2 min), still opens when that member returns, beside the
+// one under the new key.
 func TestRelayedRoundsAgreeOncePerRoundKey(t *testing.T) {
 	h := newSecureHarness(t, true)
 	var z zone
 	h.br.Endpoint().SetClock(z.now)
-	rly, err := core.EnableBrokerRelay(h.br, core.RelayConfig{Config: relay.Config{TTL: time.Hour}})
+	rly, err := core.EnableBrokerRelay(h.br, core.RelayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +74,9 @@ func TestRelayedRoundsAgreeOncePerRoundKey(t *testing.T) {
 	if err := carol.Logout(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
+	z.move(9 * time.Minute) // inside channelLifetime, for every node
 	round("queued under the first key", [3]uint64{0, 0, 0}, atBob)
-	z.move(10*time.Minute + time.Second) // past channelLifetime, for every node
+	z.move(10*time.Minute + time.Second) // past channelLifetime; that slice is inside the relay's TTL
 	round("queued under the second key", [3]uint64{2, 1, 0}, atBob)
 
 	before := carol.Identity().Keys.AgreeCalls()

@@ -68,7 +68,6 @@ type Event struct {
 	Group   string
 	Payload map[string]string
 	Data    []byte
-	Time    time.Time
 
 	// Mode and User are a SecureMessage's "mode" (the wire form it
 	// arrived in) and "user" (its sender's certified name).
@@ -213,12 +212,9 @@ func (b *Bus) Wants(t Type) bool {
 	return false
 }
 
-// Emit stamps and dispatches the event to matching handlers, in the
-// order they subscribed, on the caller's goroutine.
+// Emit dispatches the event to matching handlers, in the order they
+// subscribed, on the caller's goroutine.
 func (b *Bus) Emit(e Event) {
-	if e.Time.IsZero() {
-		e.Time = time.Now()
-	}
 	subs := b.subs.Load()
 	if subs == nil {
 		return

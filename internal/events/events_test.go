@@ -22,9 +22,6 @@ func TestSubscribeEmit(t *testing.T) {
 	if got[0].From != "peer-1" || string(got[0].Data) != "hi" {
 		t.Fatalf("event = %+v", got[0])
 	}
-	if got[0].Time.IsZero() {
-		t.Fatal("Emit did not stamp time")
-	}
 	// An event without attributes reads as one: Emit makes no map for it.
 	if got[0].Payload != nil || got[0].Attr("user") != "" {
 		t.Fatalf("payload-less event arrived with %v", got[0].Payload)
@@ -162,7 +159,7 @@ func TestEmitAllocatesNothing(t *testing.T) {
 	var n int
 	b.Subscribe(SecureMessage, func(Event) { n++ })
 	b.SubscribeAll(func(Event) { n++ })
-	e := Event{Type: SecureMessage, Mode: "channel", User: "alice", Time: time.Now()}
+	e := Event{Type: SecureMessage, Mode: "channel", User: "alice"}
 	if allocs := testing.AllocsPerRun(100, func() { b.Emit(e) }); allocs != 0 {
 		t.Fatalf("Emit allocates %.0f times, want 0", allocs)
 	}

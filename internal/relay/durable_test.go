@@ -29,7 +29,7 @@ func mustDurable(t *testing.T, dir string, cfg relay.Config, s *sink) *relay.Rel
 func TestDurableQueueSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s := newSink()
-	r := mustDurable(t, dir, relay.Config{TTL: time.Hour}, s)
+	r := mustDurable(t, dir, relay.Config{}, s)
 	for i := 0; i < 3; i++ {
 		if r.Submit(item("bob", fmt.Sprintf("m%d", i))) != relay.SubmitQueued {
 			t.Fatal("offline submit not queued")
@@ -38,7 +38,7 @@ func TestDurableQueueSurvivesRestart(t *testing.T) {
 	r.Close() // graceful shutdown must NOT ack queued items
 
 	s2 := newSink()
-	r2 := mustDurable(t, dir, relay.Config{TTL: time.Hour}, s2)
+	r2 := mustDurable(t, dir, relay.Config{}, s2)
 	defer r2.Close()
 	if m := r2.Metrics(); m.RecoveryReplayed != 3 {
 		t.Fatalf("recovery metrics = %+v, want 3 replayed", m)
@@ -61,7 +61,7 @@ func TestDurableQueueSurvivesRestart(t *testing.T) {
 func TestDeliveredItemsDoNotResurrect(t *testing.T) {
 	dir := t.TempDir()
 	s := newSink()
-	r := mustDurable(t, dir, relay.Config{TTL: time.Hour}, s)
+	r := mustDurable(t, dir, relay.Config{}, s)
 	r.Submit(item("bob", "delivered"))
 	r.Submit(item("bob", "pending"))
 	s.setOnline("bob", true)
@@ -71,7 +71,7 @@ func TestDeliveredItemsDoNotResurrect(t *testing.T) {
 	r.Close()
 
 	s2 := newSink()
-	r2 := mustDurable(t, dir, relay.Config{TTL: time.Hour}, s2)
+	r2 := mustDurable(t, dir, relay.Config{}, s2)
 	defer r2.Close()
 	m := r2.Metrics()
 	if m.RecoveryReplayed != 1 || m.RecoveryDiscardedGuard != 2 {
@@ -93,16 +93,15 @@ func TestExpiredWhileDownDoesNotResurrect(t *testing.T) {
 	var clock atomic.Int64
 	now := func() time.Time { return time.Unix(1000+clock.Load(), 0) }
 	s := newSink()
-	r := mustDurable(t, dir, relay.Config{TTL: 30 * time.Second, Clock: now}, s)
+	r := mustDurable(t, dir, relay.Config{Clock: now}, s)
 	r.Submit(item("bob", "stale"))
-	it := item("bob", "fresh")
-	it.Expires = now().Add(time.Hour)
-	r.Submit(it)
+	clock.Store(100)
+	r.Submit(item("bob", "fresh"))
 	r.Close()
 
-	clock.Store(60) // the default-TTL item died while the relay was down
+	clock.Store(int64(relayTTL/time.Second) + 50) // the first item's TTL ran out while the relay was down
 	s2 := newSink()
-	r2 := mustDurable(t, dir, relay.Config{TTL: 30 * time.Second, Clock: now}, s2)
+	r2 := mustDurable(t, dir, relay.Config{Clock: now}, s2)
 	r2.Close()
 	if m := r2.Metrics(); m.RecoveryReplayed != 1 || m.RecoveryDiscardedTTL != 1 {
 		t.Fatalf("recovery metrics = %+v, want 1 replayed / 1 TTL-discarded", m)
@@ -111,7 +110,7 @@ func TestExpiredWhileDownDoesNotResurrect(t *testing.T) {
 	// The TTL discard was itself logged: a third recovery sees it as a
 	// plain ack, not a live item to re-expire.
 	s3 := newSink()
-	r3 := mustDurable(t, dir, relay.Config{TTL: 30 * time.Second, Clock: now}, s3)
+	r3 := mustDurable(t, dir, relay.Config{Clock: now}, s3)
 	defer r3.Close()
 	if m := r3.Metrics(); m.RecoveryDiscardedTTL != 0 || m.RecoveryReplayed != 1 {
 		t.Fatalf("second recovery metrics = %+v", m)
@@ -125,7 +124,7 @@ func TestWALFaultDegradesToMemory(t *testing.T) {
 	dir := t.TempDir()
 	var armed atomic.Bool
 	s := newSink()
-	cfg := relay.Config{TTL: time.Hour}
+	cfg := relay.Config{}
 	cfg.WAL.Dir = dir
 	cfg.WAL.Faults = func(fp wal.FaultPoint) error {
 		if armed.Load() && fp == wal.BeforeAppend {
@@ -156,7 +155,7 @@ func TestWALFaultDegradesToMemory(t *testing.T) {
 // backlog returns the occupancy.
 func TestSenderQuotaRefusesAndReleases(t *testing.T) {
 	s := newSink()
-	r := mustRelay(t, relay.Config{SenderQuota: 2, TTL: time.Hour}, s)
+	r := mustRelay(t, relay.Config{SenderQuota: 2}, s)
 	defer r.Close()
 	r.Submit(item("bob", "m0"))
 	r.Submit(item("carol", "m1")) // quota spans recipients
@@ -182,7 +181,7 @@ func TestSenderQuotaRefusesAndReleases(t *testing.T) {
 // not block traffic from another group, even from the same sender.
 func TestGroupQuotaIsolatesGroups(t *testing.T) {
 	s := newSink()
-	r := mustRelay(t, relay.Config{GroupQuota: 1, TTL: time.Hour}, s)
+	r := mustRelay(t, relay.Config{GroupQuota: 1}, s)
 	defer r.Close()
 	r.Submit(item("bob", "g-first"))
 	if got := r.Submit(item("carol", "g-second")); got != relay.SubmitDroppedQuota {
@@ -200,13 +199,13 @@ func TestGroupQuotaIsolatesGroups(t *testing.T) {
 func TestQuotaSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := newSink()
-	r := mustDurable(t, dir, relay.Config{SenderQuota: 2, TTL: time.Hour}, s)
+	r := mustDurable(t, dir, relay.Config{SenderQuota: 2}, s)
 	r.Submit(item("bob", "m0"))
 	r.Submit(item("carol", "m1"))
 	r.Close()
 
 	s2 := newSink()
-	r2 := mustDurable(t, dir, relay.Config{SenderQuota: 2, TTL: time.Hour}, s2)
+	r2 := mustDurable(t, dir, relay.Config{SenderQuota: 2}, s2)
 	defer r2.Close()
 	if !r2.SenderOverQuota("sender") {
 		t.Fatal("recovered relay forgot quota occupancy")
@@ -261,7 +260,7 @@ func TestForwardedRecordReplaysOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newSink()
-	r := mustDurable(t, dir, relay.Config{TTL: time.Hour}, s)
+	r := mustDurable(t, dir, relay.Config{}, s)
 	if m := r.Metrics(); m.RecoveryReplayed != 1 || r.QueueLen("bob") != 1 {
 		t.Fatalf("recovery metrics = %+v, bob's queue %d: want the record replayed into it", m, r.QueueLen("bob"))
 	}
@@ -278,7 +277,7 @@ func TestForwardedRecordReplaysOnce(t *testing.T) {
 
 	s2 := newSink()
 	s2.setOnline("bob", true)
-	r2 := mustDurable(t, dir, relay.Config{TTL: time.Hour}, s2)
+	r2 := mustDurable(t, dir, relay.Config{}, s2)
 	defer r2.Close()
 	if m := r2.Metrics(); m.RecoveryReplayed != 0 || r2.QueueLen("bob") != 0 {
 		t.Fatalf("after the delivery, recovery metrics = %+v, bob's queue %d: want nothing replayed", m, r2.QueueLen("bob"))

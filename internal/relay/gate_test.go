@@ -41,7 +41,7 @@ func benchChurnRound(b *testing.B, durable bool) {
 	}
 	upload := d.Wire()
 
-	cfg := relay.Config{Shards: 4, QueueCap: n + 1, TTL: time.Hour}
+	cfg := relay.Config{QueueCap: n + 1}
 	if durable {
 		cfg.WAL.Dir = b.TempDir()
 		if dir, err := os.MkdirTemp("/dev/shm", "relay-gate-"); err == nil {

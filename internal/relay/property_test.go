@@ -73,7 +73,7 @@ func runRecoveryModel(t *testing.T, rng *rand.Rand) {
 	// the relay runs memory-only from then on.
 	var armed atomic.Bool
 	crashPoint := []wal.FaultPoint{wal.BeforeAppend, wal.AfterAppend, wal.BeforeSync, wal.AfterSync}[rng.Intn(4)]
-	cfg := relay.Config{TTL: time.Hour, Clock: now, QueueCap: 1 << 16}
+	cfg := relay.Config{Clock: now, QueueCap: 1 << 16}
 	cfg.WAL.Dir = dir
 	cfg.WAL.Faults = func(fp wal.FaultPoint) error {
 		if armed.Load() && fp == crashPoint {
@@ -93,18 +93,11 @@ func runRecoveryModel(t *testing.T, rng *rand.Rand) {
 		to := peers[rng.Intn(len(peers))]
 		payload := fmt.Sprintf("op%d", i)
 		it := relay.Item{To: to, From: "sender", Group: "g", Payload: []byte(payload)}
-		if rng.Intn(4) == 0 {
-			it.Expires = now().Add(time.Duration(1+rng.Intn(90)) * time.Second)
-		}
 		if r.Submit(it) != relay.SubmitQueued {
 			t.Fatalf("op %d: submit not queued", i)
 		}
-		exp := it.Expires
-		if exp.IsZero() {
-			exp = now().Add(cfg.TTL)
-		}
 		if !armed.Load() {
-			model[to] = append(model[to], modelItem{payload, exp})
+			model[to] = append(model[to], modelItem{payload, now().Add(relayTTL)})
 		}
 	}
 	deliverAll := func(id keys.PeerID) {
@@ -156,7 +149,7 @@ func runRecoveryModel(t *testing.T, rng *rand.Rand) {
 			t.Fatal("fault did not fire")
 		}
 		if crashPoint != wal.BeforeAppend {
-			model[to] = append(model[to], modelItem{"crash-trigger", now().Add(cfg.TTL)})
+			model[to] = append(model[to], modelItem{"crash-trigger", now().Add(relayTTL)})
 		}
 		for i := 0; i < 10+rng.Intn(10); i++ {
 			switch rng.Intn(3) {
@@ -173,7 +166,7 @@ func runRecoveryModel(t *testing.T, rng *rand.Rand) {
 	expireModel(model, now()) // recovery re-enforces TTL at this instant
 
 	s2 := newSink()
-	cfg2 := relay.Config{TTL: time.Hour, Clock: now, QueueCap: 1 << 16}
+	cfg2 := relay.Config{Clock: now, QueueCap: 1 << 16}
 	cfg2.WAL.Dir = dir
 	r2, err := relay.New(cfg2, s2.isOnline, s2.deliver)
 	if err != nil {

@@ -63,14 +63,14 @@ type Item struct {
 	// so nothing queued holds the source.
 	Source Parts
 	Part   int
-	// Expires is when the item stops being deliverable. The zero value
-	// means "now + Config.TTL", stamped at submission.
-	Expires time.Time
 	// Trace is the message-lifecycle trace ID the item belongs to
 	// (0 = untraced). It rides in memory only — the WAL record format
 	// does not carry it, so recovered items come back untraced.
 	Trace uint64
 
+	// expires is when the item stops being deliverable: its submission
+	// time plus itemTTL, or the logged deadline of a recovered item.
+	expires time.Time
 	// seq is the item's WAL sequence number (0 = not persisted).
 	seq wal.Seq
 	// enqueuedAt stamps when the item entered its offline queue, so a
@@ -135,16 +135,6 @@ type Config struct {
 	// GroupQuota bounds how many items one GROUP may have queued across
 	// all recipients (0 = unlimited).
 	GroupQuota int
-	// TTL is how long a queued item stays deliverable (0 = 2 minutes).
-	// Note the tension with the recipients' replay-guard freshness
-	// window: items held longer than that window would be rejected as
-	// stale on delivery anyway, so the TTL should not exceed it.
-	TTL time.Duration
-	// Shards is the number of queue shards, each with one delivery
-	// worker (0 = 8). Peers hash onto shards, so flushes for different
-	// peers proceed in parallel while one peer's queue always drains in
-	// order from a single worker.
-	Shards int
 	// WAL configures the durable queue log. WAL.Dir == "" runs the
 	// relay in-memory (queues die with the process). The relay owns the
 	// log: it opens it in New (replaying any previous state) and closes
@@ -164,6 +154,18 @@ type Config struct {
 	// broker's clock, so that the two agree about every expiry.
 	Clock func() time.Time
 }
+
+const (
+	// itemTTL is how long a queued item stays deliverable. It must not
+	// exceed the recipients' replay-guard freshness window: an item
+	// held longer would be rejected as stale on delivery anyway.
+	itemTTL = 2 * time.Minute
+	// shardCount is the number of queue shards, each with one delivery
+	// worker. Peers hash onto shards, so flushes for different peers
+	// proceed in parallel while one peer's queue always drains in order
+	// from a single worker.
+	shardCount = 8
+)
 
 // RetryBackoff spaces the re-drain attempts armed after delivery
 // failures against a still-online peer: capped exponential with full
@@ -268,12 +270,6 @@ func New(cfg Config, online OnlineFunc, deliver DeliverFunc) (*Relay, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
-	if cfg.TTL <= 0 {
-		cfg.TTL = 2 * time.Minute
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -287,7 +283,7 @@ func New(cfg Config, online OnlineFunc, deliver DeliverFunc) (*Relay, error) {
 		retryTimers:   make(map[keys.PeerID]*time.Timer),
 		retryAttempts: make(map[keys.PeerID]int),
 	}
-	r.shards = make([]*shard, cfg.Shards)
+	r.shards = make([]*shard, shardCount)
 	for i := range r.shards {
 		r.shards[i] = &shard{r: r, queues: make(map[keys.PeerID][]Item), flushCh: make(chan keys.PeerID, 256)}
 	}
@@ -335,7 +331,7 @@ func (r *Relay) recover() error {
 		}
 		it := Item{
 			To: rec.To, From: rec.From, Group: rec.Group,
-			Payload: rec.Payload, Expires: rec.Expires, seq: rec.Seq,
+			Payload: rec.Payload, expires: rec.Expires, seq: rec.Seq,
 		}
 		if !r.reserveQuota(it) {
 			r.droppedQuota.Add(1)
@@ -404,9 +400,7 @@ func (r *Relay) Submit(it Item) SubmitResult {
 	if r.closed.Load() {
 		return SubmitDropped
 	}
-	if it.Expires.IsZero() {
-		it.Expires = r.cfg.Clock().Add(r.cfg.TTL)
-	}
+	it.expires = r.cfg.Clock().Add(itemTTL)
 	if r.online(it.To) {
 		if err := r.deliver(it); err == nil {
 			r.deliveredDirect.Add(1)
@@ -447,7 +441,7 @@ func (r *Relay) Submit(it Item) SubmitResult {
 		}
 		seq, err := r.log.AppendAdd(wal.Record{
 			To: it.To, From: it.From, Group: it.Group,
-			Payload: it.Payload, Expires: it.Expires,
+			Payload: it.Payload, Expires: it.expires,
 		})
 		if err != nil {
 			// The log died (disk fault or injected crash). Keep serving
@@ -758,13 +752,14 @@ func (r *Relay) retire(it Item, reason wal.AckReason) {
 func (r *Relay) audit(e audit.Event) { r.cfg.Auditor.Record(e) }
 
 // pruneLocked removes expired items wherever they sit in the peer's
-// queue (items submitted with caller-set TTLs need not expire in FIFO
-// order) and returns the surviving queue. Caller holds s.mu.
+// queue (a clock stepped back between two submissions queues an item
+// behind one that expires later) and returns the surviving queue.
+// Caller holds s.mu.
 func (s *shard) pruneLocked(id keys.PeerID, now time.Time) []Item {
 	q := s.queues[id]
 	kept := q[:0]
 	for _, it := range q {
-		if now.After(it.Expires) {
+		if now.After(it.expires) {
 			s.r.expired.Add(1)
 			s.r.retire(it, wal.AckExpired)
 			continue

@@ -55,6 +55,9 @@ func (s *sink) got(id keys.PeerID) []string {
 	return append([]string(nil), s.delivered[id]...)
 }
 
+// relayTTL is how long the relay keeps a queued item deliverable.
+const relayTTL = 2 * time.Minute
+
 func mustRelay(t *testing.T, cfg relay.Config, s *sink) *relay.Relay {
 	t.Helper()
 	r, err := relay.New(cfg, s.isOnline, s.deliver)
@@ -171,31 +174,24 @@ func TestQueueAndFlushOnPresence(t *testing.T) {
 	}
 }
 
-// TestTTLExpiryMidQueue: items with caller-set expiries interleaved in
-// one queue — the expired middle item is discarded at drain while its
-// neighbors deliver.
+// TestTTLExpiryMidQueue: a clock stepped back between submissions
+// queues an item that expires before its neighbors — the expired middle
+// item is discarded at drain while its neighbors deliver.
 func TestTTLExpiryMidQueue(t *testing.T) {
 	var clock atomic.Int64 // seconds
 	now := func() time.Time { return time.Unix(1000+clock.Load(), 0) }
 	s := newSink()
-	r := mustRelay(t, relay.Config{Clock: now, TTL: time.Hour}, s)
+	r := mustRelay(t, relay.Config{Clock: now}, s)
 	defer r.Close()
 
-	longLived := func(p string) relay.Item {
-		it := item("bob", p)
-		it.Expires = now().Add(time.Hour)
-		return it
-	}
-	shortLived := func(p string) relay.Item {
-		it := item("bob", p)
-		it.Expires = now().Add(10 * time.Second)
-		return it
-	}
-	r.Submit(longLived("keep0"))
-	r.Submit(shortLived("drop"))
-	r.Submit(longLived("keep1"))
+	clock.Store(100)
+	r.Submit(item("bob", "keep0"))
+	clock.Store(0) // stepped back: this item expires 100 s before the others
+	r.Submit(item("bob", "drop"))
+	clock.Store(100)
+	r.Submit(item("bob", "keep1"))
 
-	clock.Store(60) // the middle item is now expired; the others are not
+	clock.Store(int64(relayTTL/time.Second) + 50) // the middle item is now expired; the others are not
 	s.setOnline("bob", true)
 	r.Flush("bob")
 	waitFor(t, func() bool { return len(s.got("bob")) == 2 })
@@ -311,7 +307,7 @@ func TestDirectSuccessDrainsStragglers(t *testing.T) {
 // (the CI GOMAXPROCS=4 job does).
 func TestConcurrentFlushEnqueueRace(t *testing.T) {
 	s := newSink()
-	r := mustRelay(t, relay.Config{QueueCap: 10000, TTL: time.Hour, Shards: 4}, s)
+	r := mustRelay(t, relay.Config{QueueCap: 10000}, s)
 	defer r.Close()
 	bus := events.NewBus()
 	defer r.BindBus(bus)()

@@ -15,10 +15,10 @@
 // the recipient's replay guard deduplicates (see SECURITY.md, "Durable
 // queue trust model").
 //
-// Rotation is compaction: when the active segment outgrows SegmentBytes
-// the live records are rewritten into a fresh segment and every older
-// segment is deleted, so disk usage tracks the live queue, not lifetime
-// traffic.
+// Rotation is compaction: when the active segment outgrows seglog's
+// segment budget (4 MiB) the live records are rewritten into a fresh
+// segment and every older segment is deleted, so disk usage tracks the
+// live queue, not lifetime traffic.
 package wal
 
 import (
@@ -62,9 +62,6 @@ type Options struct {
 	// often, keeping both syscalls off the append path; a negative
 	// value writes inline but never syncs automatically (tests).
 	SyncInterval time.Duration
-	// SegmentBytes is the size the active segment may reach before the
-	// log compacts into a fresh one (0 = 4 MiB).
-	SegmentBytes int64
 	// Faults is the deterministic fault-injection hook (nil = none).
 	Faults FaultFunc
 	// OnSync, when set, observes every successful fsync with its start
@@ -145,8 +142,7 @@ func Open(opts Options) (*Log, []Record, RecoveryStats, error) {
 	var err error
 	l.log, err = seglog.Open(seglog.Options{
 		Dir: opts.Dir, Format: format, Replay: replay, Stopped: stopped,
-		SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		Faults: opts.Faults, OnSync: opts.OnSync,
+		SyncInterval: opts.SyncInterval, Faults: opts.Faults, OnSync: opts.OnSync,
 		Compact: l.compact,
 	})
 	if err != nil {

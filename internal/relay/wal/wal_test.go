@@ -230,11 +230,17 @@ func TestRecoveryStopsAtFlippedCRC(t *testing.T) {
 
 func TestCompactionReclaimsAckedRecords(t *testing.T) {
 	dir := t.TempDir()
-	// Tiny segment budget so every few records trigger a compaction.
-	l, _, _ := openT(t, Options{Dir: dir, SegmentBytes: 512})
+	l, _, _ := openT(t, Options{Dir: dir, SyncInterval: -1})
+	// 64 KiB payloads fill the 4 MiB segment budget in 64 records; the
+	// loop stops at the first compaction.
+	const payloadBytes = 64 << 10
+	payload := string(bytes.Repeat([]byte("x"), payloadBytes))
 	var live []Seq
-	for i := 0; i < 50; i++ {
-		seq, err := l.AppendAdd(addRec("bob", "payload-that-occupies-some-bytes"))
+	for i := 0; segmentIndex(l) == 0; i++ {
+		if i == 100 {
+			t.Fatal("segment never rotated")
+		}
+		seq, err := l.AppendAdd(addRec("bob", payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,12 +252,10 @@ func TestCompactionReclaimsAckedRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if segmentIndex(l) == 0 {
-		t.Fatal("segment never rotated")
-	}
 	l.Close()
 
-	// Disk usage reflects the live set, not the 50 adds + 40 acks.
+	// Disk usage reflects the live set (and the add the compaction ran
+	// under, acked after it), not the 4 MiB of adds and acks behind it.
 	var total int64
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
@@ -261,7 +265,7 @@ func TestCompactionReclaimsAckedRecords(t *testing.T) {
 		fi, _ := os.Stat(filepath.Join(dir, e.Name()))
 		total += fi.Size()
 	}
-	if total > 2048 {
+	if total > int64(len(live)+1)*(payloadBytes+256) {
 		t.Fatalf("compacted log is %d bytes for %d live records", total, len(live))
 	}
 	_, recovered, _ := openT(t, Options{Dir: dir})

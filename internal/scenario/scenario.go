@@ -69,9 +69,10 @@ type Options struct {
 	// already-serving /debug/audit route at the live journal (the
 	// telemetry mux is built before the scenario stack exists).
 	OnAudit func(*audit.Journal)
-	// Timeout bounds the whole run (0 = 2 minutes).
-	Timeout time.Duration
 }
+
+// runTimeout bounds one whole scenario run.
+const runTimeout = 2 * time.Minute
 
 // Summary is the machine-readable result of one scenario run. The
 // field set is the CI contract: fields may be added, never renamed or
@@ -152,9 +153,6 @@ func Run(name string, opt Options) (*Summary, error) {
 	if opt.Profile == "" {
 		opt.Profile = "lan"
 	}
-	if opt.Timeout <= 0 {
-		opt.Timeout = 2 * time.Minute
-	}
 	if opt.Registry == nil {
 		// The Summary's delivery quantiles are read from the
 		// client-library histogram, which lives in a registry — give the
@@ -165,7 +163,7 @@ func Run(name string, opt Options) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), opt.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), runTimeout)
 	defer cancel()
 	switch name {
 	case "join-storm":

@@ -3,7 +3,6 @@ package scenario
 import (
 	"sort"
 	"testing"
-	"time"
 
 	"jxtaoverlay/internal/trace"
 )
@@ -16,10 +15,10 @@ import (
 // recipient's open. drain-spike runs on a real WAL, so the durable
 // stages are genuinely exercised, not simulated.
 func TestDrainSpikeTraceWaterfall(t *testing.T) {
-	rec := trace.New(trace.Config{SampleRate: 1, Seed: 42, Shards: 4, ShardCap: 8192})
+	rec := trace.New(trace.Config{SampleRate: 1, Seed: 42, ShardCap: 8192})
 	sum, err := Run("drain-spike", Options{
 		Clients: 6, Rounds: 2, Profile: "local",
-		Tracer: rec, Timeout: time.Minute,
+		Tracer: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +72,7 @@ func TestDrainSpikeTraceWaterfall(t *testing.T) {
 // stamping — the scenario sends plain texts.
 func TestDeliveryQuantilesFromClientHistogram(t *testing.T) {
 	sum, err := Run("drain-spike", Options{
-		Clients: 6, Rounds: 2, Profile: "local", Timeout: time.Minute,
+		Clients: 6, Rounds: 2, Profile: "local",
 	})
 	if err != nil {
 		t.Fatal(err)

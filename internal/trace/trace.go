@@ -187,9 +187,6 @@ func Begin(traceID uint64, stage Stage) Span {
 
 // Config sizes a Recorder.
 type Config struct {
-	// Shards is the number of ring buffers (rounded up to a power of
-	// two, default 8).
-	Shards int
 	// ShardCap is the span capacity of each ring (default 1024). The
 	// ring overwrites oldest-first; overwrites are counted as drops.
 	ShardCap int
@@ -211,15 +208,17 @@ type Recorder struct {
 	seed      uint64
 	threshold uint64 // sample iff mix64(id^seed) <= threshold
 	slowNS    int64
-	shardMask uint64
-	shards    []shard
+	shards    [shardCount]shard
 	forced    []atomic.Uint64 // lossy open-addressed forced-trace set
 	nextID    atomic.Uint64
 	recorded  atomic.Uint64
 	dropped   atomic.Uint64 // ring overwrites
 }
 
-const forcedSlots = 256 // power of two
+const (
+	shardCount  = 8   // ring buffers; a power of two
+	forcedSlots = 256 // power of two
+)
 
 type shard struct {
 	mu   sync.Mutex
@@ -229,17 +228,14 @@ type shard struct {
 
 // New builds a Recorder. See Config for defaults.
 func New(cfg Config) *Recorder {
-	nshards := ceilPow2(cfg.Shards, 8)
 	cap := cfg.ShardCap
 	if cap <= 0 {
 		cap = 1024
 	}
 	r := &Recorder{
-		seed:      cfg.Seed,
-		slowNS:    int64(cfg.SlowThreshold),
-		shardMask: uint64(nshards - 1),
-		shards:    make([]shard, nshards),
-		forced:    make([]atomic.Uint64, forcedSlots),
+		seed:   cfg.Seed,
+		slowNS: int64(cfg.SlowThreshold),
+		forced: make([]atomic.Uint64, forcedSlots),
 	}
 	for i := range r.shards {
 		r.shards[i].ring = make([]Span, cap)
@@ -251,17 +247,6 @@ func New(cfg Config) *Recorder {
 		r.threshold = uint64(rate * float64(^uint64(0)))
 	}
 	return r
-}
-
-func ceilPow2(n, def int) int {
-	if n <= 0 {
-		n = def
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // NewID mints a trace ID. IDs are deterministic for a given seed and
@@ -331,7 +316,7 @@ func (r *Recorder) Record(sp Span) bool {
 	if anomalous {
 		r.Force(sp.TraceID)
 	}
-	sh := &r.shards[mix64(sp.TraceID)&r.shardMask]
+	sh := &r.shards[mix64(sp.TraceID)&(shardCount-1)]
 	sh.mu.Lock()
 	if sh.next >= uint64(len(sh.ring)) {
 		r.dropped.Add(1)

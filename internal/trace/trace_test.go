@@ -137,7 +137,7 @@ func TestAttrRejectsOversizedAndBinary(t *testing.T) {
 }
 
 func TestRingOverwriteCountsDrops(t *testing.T) {
-	r := New(Config{SampleRate: 1, Shards: 1, ShardCap: 8, Seed: 1})
+	r := New(Config{SampleRate: 1, ShardCap: 8, Seed: 1})
 	id := r.NewID()
 	for i := 0; i < 20; i++ {
 		r.Record(Span{TraceID: id, Stage: StageSend, Start: int64(i), Duration: 1})
@@ -155,7 +155,7 @@ func TestRingOverwriteCountsDrops(t *testing.T) {
 }
 
 func TestSnapshotOrdered(t *testing.T) {
-	r := New(Config{SampleRate: 1, Shards: 4, Seed: 9})
+	r := New(Config{SampleRate: 1, Seed: 9})
 	ids := []uint64{r.NewID(), r.NewID(), r.NewID()}
 	for i, id := range ids {
 		r.Record(Span{TraceID: id, Stage: StageOpen, Start: int64(100 - i), Duration: 1})
@@ -210,7 +210,7 @@ func TestNilRecorderIsFree(t *testing.T) {
 // goroutines while readers scrape /debug/traces — the -race CI jobs
 // turn this into a data-race proof for the ring/mutex scheme.
 func TestConcurrentWritesVsDebugReads(t *testing.T) {
-	r := New(Config{SampleRate: 1, Shards: 4, ShardCap: 128, Seed: 3})
+	r := New(Config{SampleRate: 1, ShardCap: 128, Seed: 3})
 	srv := httptest.NewServer(r.DebugHandler())
 	defer srv.Close()
 
@@ -319,11 +319,11 @@ func benchSpan(b *testing.B, cfg Config) {
 
 func BenchmarkSpanUnsampled(b *testing.B) { benchSpan(b, Config{SampleRate: 0, Seed: 42}) }
 func BenchmarkSpanSampled(b *testing.B) {
-	benchSpan(b, Config{SampleRate: 1, Seed: 42, Shards: 4, ShardCap: 4096})
+	benchSpan(b, Config{SampleRate: 1, Seed: 42, ShardCap: 4096})
 }
 
 func BenchmarkRingRead(b *testing.B) {
-	rec := New(Config{SampleRate: 1, Seed: 42, Shards: 4, ShardCap: 1024})
+	rec := New(Config{SampleRate: 1, Seed: 42, ShardCap: 1024})
 	for i := 0; i < 4096; i++ {
 		sp := Begin(rec.NewID(), StageSend)
 		rec.End(sp, OutcomeOK)

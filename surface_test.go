@@ -20,7 +20,8 @@ import (
 )
 
 // surfaceExempt names the exported identifiers under internal/ that no
-// production code uses and that stay anyway, each with one reason:
+// production code uses, and the settings fields that no production code
+// sets, that stay anyway, each with one reason:
 //
 //   - "test support: <the tests that use it>";
 //   - "paper: …", a JXTA-Overlay primitive or the paper's topology;
@@ -29,8 +30,8 @@ import (
 //
 // A key is a package path below internal/ and a name
 // ("relay/wal.DecodeRecord"; "lru.Cache.Len" for a method or an
-// interface's method), a whole package ("attack") or a whole file
-// ("audit/tamper.go").
+// interface's method, "relay.Config.SenderQuota" for a field), a whole
+// package ("attack") or a whole file ("audit/tamper.go").
 // Production is every non-test file of the module, cmd/perf's included.
 var surfaceExempt = map[string]string{
 	// Test support: packages and files that exist for tests.
@@ -86,6 +87,13 @@ var surfaceExempt = map[string]string{
 
 	// Carried items that give a name its caller.
 	"userdb.Store.SetDisabled": "item 6: admin expel disables the user (TestDisabledUserCannotExtendCredential)",
+
+	// Settings no production code sets (TestConfigFieldsHaveProductionSetters).
+	"relay.Config.SenderQuota":       "item 7: bounds an ack-withholding recipient by TTL and quota; SECURITY.md's quota defense (TestSenderQuotaRefusesAndReleases, TestQuotaSurvivesRecovery)",
+	"relay.Config.GroupQuota":        "item 7: bounds an ack-withholding recipient by TTL and quota; SECURITY.md's quota defense (TestGroupQuotaIsolatesGroups)",
+	"relay/wal.Options.Faults":       "test support: TestInjectedCrashIsSticky, TestWALFaultDegradesToMemory, TestRecoveryMatchesModel inject a crash at a named point",
+	"admission.Config.Clock":         "test support: TestBurstThenRefusal, TestOffenseEscalation, TestTrackedBound refill buckets by a test clock; Allow takes no time",
+	"core.BrokerConfig.CredValidity": "test support: TestResilientSurvivesCredentialExpiry, TestSessionCredentialReadAcrossResume lapse a credential in seconds of real time",
 }
 
 // TestExportedNamesHaveProductionCallers type-checks the module's non-test
@@ -99,14 +107,20 @@ var surfaceExempt = map[string]string{
 // production code uses, fails too.
 func TestExportedNamesHaveProductionCallers(t *testing.T) {
 	s := loadSurface(t)
+	covered := map[string]bool{} // surfaceExempt keys that cover an unused name
+	for _, f := range s.configFields() {
+		covered[f.key] = true // TestConfigFieldsHaveProductionSetters holds these
+	}
 	declared := declaredTests(t)
 	for key, reason := range surfaceExempt {
+		if covered[key] {
+			continue
+		}
 		if err := checkReason(reason, declared); err != nil {
 			t.Errorf("surfaceExempt[%q]: %v", key, err)
 		}
 	}
 
-	covered := map[string]bool{} // surfaceExempt keys that cover an unused name
 	var unlisted, perfOnly []string
 	for _, n := range s.exported() {
 		if n.used.module {
@@ -134,6 +148,37 @@ func TestExportedNamesHaveProductionCallers(t *testing.T) {
 		t.Logf("%d exported names have no production caller", len(unlisted))
 	}
 	t.Logf("%d exported names only cmd/perf calls: %s", len(perfOnly), strings.Join(perfOnly, ", "))
+}
+
+// TestConfigFieldsHaveProductionSetters fails on an exported field of an
+// exported Config or Options struct under internal/ that no production
+// code outside the field's package sets and surfaceExempt does not name
+// ("relay.Config.SenderQuota"): a setting only tests change is a constant
+// the program has not written down. Defaulting code in the declaring
+// package is no setter. An entry naming a field production code sets
+// fails too.
+func TestConfigFieldsHaveProductionSetters(t *testing.T) {
+	s := loadSurface(t)
+	declared := declaredTests(t)
+	set := s.fieldsSetOutside()
+	fields := s.configFields()
+	var exempt []string
+	for _, f := range fields {
+		reason, listed := surfaceExempt[f.key]
+		switch {
+		case set[f.obj] && listed:
+			t.Errorf("surfaceExempt[%q] names a field production code sets", f.key)
+		case set[f.obj]:
+		case listed:
+			if err := checkReason(reason, declared); err != nil {
+				t.Errorf("surfaceExempt[%q]: %v", f.key, err)
+			}
+			exempt = append(exempt, f.key+" ("+reason+")")
+		default:
+			t.Errorf("%s: %s has no production setter: make it a constant, or name it in surfaceExempt with a reason", s.fset.Position(f.obj.Pos()), f.key)
+		}
+	}
+	t.Logf("%d of %d settings fields have no production setter, each exempt:\n\t%s", len(exempt), len(fields), strings.Join(exempt, "\n\t"))
 }
 
 // exemptEntry returns the surfaceExempt key that covers n, or "".
@@ -291,7 +336,7 @@ func newSurface() (*surface, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &surfacePkg{dir: dir, info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}}
+		p := &surfacePkg{dir: dir, info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}}
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
@@ -434,6 +479,112 @@ func (s *surface) exported() []surfaceName {
 	}
 	sort.SliceStable(names, func(i, j int) bool { return names[i].obj.Pos() < names[j].obj.Pos() })
 	return names
+}
+
+// A configField is one exported field of a settings struct under internal/.
+type configField struct {
+	obj *types.Var
+	key string // "relay.Config.SenderQuota"
+}
+
+// configFields lists the exported fields of the exported struct types
+// under internal/ whose names end in Config or Options.
+func (s *surface) configFields() []configField {
+	var fields []configField
+	for _, p := range s.order {
+		pkg, ok := strings.CutPrefix(p.dir, "internal/")
+		if !ok {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() {
+					fields = append(fields, configField{obj: f, key: pkg + "." + name + "." + f.Name()})
+				}
+			}
+		}
+	}
+	return fields
+}
+
+// fieldsSetOutside returns the struct fields production code writes
+// outside the field's own package: a key of a composite literal, or any
+// field on the selector chain that an assignment, an increment or a
+// decrement writes or & takes the address of, embedded fields included
+// ("cfg.WAL.Dir = d" sets Dir and WAL).
+func (s *surface) fieldsSetOutside() map[types.Object]bool {
+	set := map[types.Object]bool{}
+	for _, p := range s.order {
+		mark := func(obj types.Object) {
+			if v, ok := origin(obj).(*types.Var); ok && v.IsField() && v.Pkg() != p.types {
+				set[v] = true
+			}
+		}
+		chain := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					// The path holds the embedded fields a promoted
+					// field is reached through, then the field.
+					if sel := p.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+						typ := sel.Recv()
+						for _, i := range sel.Index() {
+							if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+								typ = ptr.Elem()
+							}
+							f := typ.Underlying().(*types.Struct).Field(i)
+							mark(f)
+							typ = f.Type()
+						}
+					}
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								mark(p.info.Uses[id])
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						chain(lhs)
+					}
+				case *ast.IncDecStmt:
+					chain(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						chain(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return set
 }
 
 // errorsContract declares the interfaces the errors package asserts
