@@ -1,12 +1,13 @@
 // Package backoff implements capped exponential backoff with full
-// jitter, shared by every retry surface in the overlay: the client's
-// resilient call wrapper, its session-resume loop, and the relay's
-// redelivery timer. One implementation keeps the retry behaviour — and
-// therefore the load a fleet of recovering peers puts on a broker —
-// analyzable in one place: attempt n waits a uniformly random duration
-// in (0, min(Cap, Base·2ⁿ)], so synchronized failures (a partition
-// heals, a broker restarts) decorrelate instead of thundering back in
-// lockstep.
+// jitter, shared by every retry surface in the overlay: the client's one
+// retry loop (core's retry), which paces its resilient calls, its
+// session resumes and its patient lookups of an inbound push's sender
+// key, and the relay's re-drain timer (relay.RetryBackoff). One
+// implementation keeps the retry behaviour — and therefore the load a
+// fleet of recovering peers puts on a broker — analyzable in one place:
+// attempt n waits a uniformly random duration in (0, min(Cap, Base·2ⁿ)],
+// so synchronized failures (a partition heals, a broker restarts)
+// decorrelate instead of thundering back in lockstep.
 package backoff
 
 import (

@@ -142,7 +142,8 @@ type opEntry struct {
 // AdvVerifier validates a published advertisement document before the
 // broker accepts and propagates it, and returns the parsed
 // advertisement so the broker never parses a document twice (the
-// verifier already had to parse it for the ownership check). The
+// verifier already had to parse it for the ownership check): a verifier
+// that accepts a document returns its parse, never nil. The
 // security extension installs one backed by xdsig; nil accepts
 // everything (the original behaviour) and leaves parsing to the broker.
 type AdvVerifier func(doc *xmldoc.Element) (advert.Advertisement, error)
@@ -812,11 +813,7 @@ func (b *Broker) verifyAndParse(doc *xmldoc.Element) (advert.Advertisement, stri
 		if err != nil {
 			return nil, proto.ErrUnsignedAdv
 		}
-		if parsed != nil {
-			return parsed, ""
-		}
-		// Defensive: a verifier that accepts without parsing falls back
-		// to the broker's own parse.
+		return parsed, ""
 	}
 	parsed, err := advert.Parse(doc)
 	if err != nil {

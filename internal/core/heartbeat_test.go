@@ -191,7 +191,7 @@ func TestResilientLogoutStaysLoggedOut(t *testing.T) {
 	const ttl = 60 * time.Millisecond
 	h := newLeaseHarnessTTL(t, ttl)
 	sc := h.secureClient("alice")
-	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice", resilientCfg())
+	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice")
 	if err := rc.Connect(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}

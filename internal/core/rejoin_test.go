@@ -190,7 +190,7 @@ func TestSecureMsgReachesResumedRecipient(t *testing.T) {
 	connect := func(alias, password string) *core.ResilientClient {
 		sc := h.secureClient(alias)
 		sc.Endpoint().SetClock(h.clock)
-		rc := core.NewResilientClient(sc, h.br.PeerID(), password, resilientCfg())
+		rc := core.NewResilientClient(sc, h.br.PeerID(), password)
 		if err := rc.Connect(testCtx(t)); err != nil {
 			t.Fatal(err)
 		}

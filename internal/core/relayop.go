@@ -45,11 +45,9 @@ var ErrRelaySkipped = errors.New("core: relay skipped undeliverable recipients")
 // after the queued backlog drains; the relay itself is healthy.
 var ErrRelayQuota = errors.New("core: relay quota exceeded")
 
-// RelayConfig parameterizes the broker relay. It embeds the queue
-// configuration (durability, quotas — see relay.Config).
-type RelayConfig struct {
-	relay.Config
-}
+// RelayConfig parameterizes the broker relay: it is the queue
+// configuration itself (durability, quotas — see relay.Config).
+type RelayConfig = relay.Config
 
 // EnableBrokerRelay attaches the store-and-forward relay subsystem to a
 // broker: it builds the sharded queues (recovering any durable backlog
@@ -87,7 +85,7 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 		}
 		return err
 	}
-	r, err := relay.New(cfg.Config, b.PeerOnline, deliver)
+	r, err := relay.New(cfg, b.PeerOnline, deliver)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -32,13 +33,7 @@ func (s *SecureClient) SecureMsgPeerGroupRelay(ctx context.Context, group, text 
 	if err != nil {
 		return 0, 0, err
 	}
-	ids := make([]keys.PeerID, 0, len(members))
-	for _, m := range members {
-		if m.ID != s.PeerID() {
-			ids = append(ids, m.ID)
-		}
-	}
-	return s.SecureMsgPeersViaRelay(ctx, group, text, ids)
+	return s.SecureMsgPeersViaRelay(ctx, group, text, s.others(members))
 }
 
 // SecureMsgPeersViaRelay seals one round for the listed peers and
@@ -51,34 +46,65 @@ func (s *SecureClient) SecureMsgPeerGroupRelay(ctx context.Context, group, text 
 // ErrRelaySkipped: direct+queued then falls short of len(peers), never
 // silently.
 func (s *SecureClient) SecureMsgPeersViaRelay(ctx context.Context, group, text string, peers []keys.PeerID) (direct, queued int, err error) {
-	if len(peers) == 0 {
-		return 0, 0, nil
-	}
 	targets, errs := s.verifiedTargets(ctx, group, peers)
-	var roundErr error
+	return s.relayRounds(ctx, group, text, peers, targets, errs, s.uploadRound)
+}
+
+// relayRounds is the one seal-and-upload body of a relayed send, under
+// SecureMsgPeersViaRelay (upload = uploadRound) and SendGroupRelay
+// (upload = CallIdempotent, one key per sealed round for all of its
+// retries). It seals the rounds of the verified targets and uploads
+// each once; after an upload fails it sends no further round.
+// Unverifiable recipients (and rounds that failed to seal) are reported
+// ahead of a failed upload, and that ahead of what the relay said about
+// the rest.
+func (s *SecureClient) relayRounds(ctx context.Context, group, text string, peers []keys.PeerID, targets []roundTarget, errs []error,
+	upload func(context.Context, *endpoint.Message) (*endpoint.Message, error)) (direct, queued int, err error) {
+	var uploadErr, countErr error
 	s.sealRounds(group, text, targets, errs, func(d *DetachedRound, chunk []int, tid uint64) {
-		resp, rerr := s.Call(ctx, relayRoundMsg(group, peers, d, chunk, tid))
-		switch {
-		case rerr == nil:
-			var di, qi int
-			di, qi, rerr = relayCounts(resp, len(chunk))
-			direct += di
-			queued += qi
-		case errors.Is(rerr, client.ErrRelayQuota):
-			rerr = ErrRelayQuota
-		default:
-			rerr = ErrRelayUnavailable
+		if uploadErr != nil {
+			return
 		}
-		if roundErr == nil {
-			roundErr = rerr
+		resp, err := upload(ctx, relayRoundMsg(group, peers, d, chunk, tid))
+		if err != nil {
+			uploadErr = err
+			return
+		}
+		di, qi, err := relayCounts(resp, len(chunk))
+		direct += di
+		queued += qi
+		if countErr == nil {
+			countErr = err
 		}
 	})
-	// Unverifiable recipients (and rounds that failed to seal) are
-	// reported ahead of what the relay said about the rest.
-	if _, err := tallyFanOut(errs); err != nil {
-		return direct, queued, err
+	_, err = tallyFanOut(errs)
+	return direct, queued, cmp.Or(err, uploadErr, countErr)
+}
+
+// uploadRound is SecureMsgPeersViaRelay's upload: one broker call, a
+// failure reported as ErrRelayQuota or ErrRelayUnavailable.
+func (s *SecureClient) uploadRound(ctx context.Context, msg *endpoint.Message) (*endpoint.Message, error) {
+	resp, err := s.Call(ctx, msg)
+	switch {
+	case err == nil:
+		return resp, nil
+	case errors.Is(err, client.ErrRelayQuota):
+		return nil, ErrRelayQuota
+	default:
+		return nil, ErrRelayUnavailable
 	}
-	return direct, queued, roundErr
+}
+
+// others lists the members other than this client, by ID: the
+// recipients of a round to a roster.
+func (s *SecureClient) others(members []client.PeerSummary) []keys.PeerID {
+	ids := make([]keys.PeerID, 0, len(members))
+	for _, m := range members {
+		if m.ID != s.PeerID() {
+			ids = append(ids, m.ID)
+		}
+	}
+	return ids
 }
 
 // relayRoundMsg is the single upload of one sealed round: one wire for

@@ -16,7 +16,8 @@ package core
 //     hammering auth looks like an attack);
 //   - capped exponential backoff with full jitter between retries,
 //     flooring on the broker's retry-after hint when the refusal
-//     carried one, under a per-call retry budget;
+//     carried one, under a per-call retry budget — one fixed policy for
+//     every client, and one loop (retry) for every call and resume;
 //   - idempotency keys: CallIdempotent stamps a mutating request with
 //     a client-minted key so a retry after an ambiguous timeout (the
 //     op may or may not have executed) is collapsed by the broker's
@@ -34,7 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"hash/fnv"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -60,44 +61,36 @@ var ErrResumeFailed = errors.New("core: session resume failed")
 // ErrClosed is returned by calls on a closed ResilientClient.
 var ErrClosed = errors.New("core: resilient client closed")
 
-// ResilientConfig tunes the resilience layer. The zero value gets
-// sensible defaults.
-type ResilientConfig struct {
-	// Backoff shapes retry and resume delays (zero = backoff.DefaultPolicy).
-	Backoff backoff.Policy
-	// RetryBudget caps attempts per logical call (default 5).
-	RetryBudget int
-	// ResumeBudget caps login attempts per outage (default 8).
-	ResumeBudget int
-	// AttemptTimeout bounds each individual attempt (0 = rely on the
-	// underlying client timeout or the caller's deadline). Set it when
-	// the caller context carries a long deadline: without a per-attempt
-	// bound, one silently lost request consumes the whole deadline
-	// before the first retry fires.
-	AttemptTimeout time.Duration
-	// Seed makes the jitter deterministic (simulations); 0 seeds from
-	// entropy.
-	Seed int64
-}
+// The resilience policy, one for every client. A call's tries must
+// outlast an outage a peer rides through without losing its lease — a
+// partition held for a lease TTL plus a sweep plus a relay restart
+// (~3 s): 25 tries at 25 ms doubling to 400 ms sleep ~4.4 s on average,
+// comfortably past it. Each try is bounded, so a silently lost frame
+// costs one tryTimeout and not the caller's whole deadline before the
+// first retry fires.
+const (
+	retryBase    = 25 * time.Millisecond  // ceiling of the first wait
+	retryCap     = 400 * time.Millisecond // ceiling of every later one
+	retryBudget  = 25                     // tries per call
+	resumeBudget = 8                      // login tries per outage
+	tryTimeout   = 600 * time.Millisecond // bound on each try
+)
 
-func (c ResilientConfig) withDefaults() ResilientConfig {
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 5
-	}
-	if c.ResumeBudget <= 0 {
-		c.ResumeBudget = 8
-	}
-	return c
+// MaxResumeAttempts bounds the logins one client makes to resume its
+// session across an outage of the given length: as many waits as the
+// backoff can fit into it, each at its shortest, plus one resume's
+// budget. More attempts than this is a reconnect storm.
+func MaxResumeAttempts(outage time.Duration) int {
+	return backoff.Policy{Base: retryBase, Cap: retryCap}.MaxDelaysWithin(outage) + resumeBudget
 }
 
 // ResilienceStats is a snapshot of the wrapper's counters (scenario
 // gates and telemetry read these).
 type ResilienceStats struct {
-	Retries           uint64 // attempts beyond the first, across all calls
-	Resumes           uint64 // successful session resumes
-	ResumeAttempts    uint64 // login attempts made during resumes
-	HeartbeatsSent    uint64 // heartbeat renewals attempted
-	HeartbeatFailures uint64 // heartbeats that did not renew the lease
+	Retries        uint64 // attempts beyond the first, across all calls
+	Resumes        uint64 // successful session resumes
+	ResumeAttempts uint64 // login attempts made during resumes
+	HeartbeatsSent uint64 // heartbeat renewals attempted
 }
 
 // ResilientClient wraps a SecureClient with retries, heartbeats and
@@ -107,12 +100,12 @@ type ResilienceStats struct {
 type ResilientClient struct {
 	*SecureClient
 
-	cfg      ResilientConfig
 	brokerID keys.PeerID
 	password string
+	userSeed int64 // the username's hash: each client's jitter differs
 
 	idemCounter atomic.Uint64 // per-client idempotency key sequence
-	seedCounter atomic.Int64  // decorrelates seeded backoff sources
+	seedCounter atomic.Int64  // decorrelates the client's backoff sources
 
 	mu         sync.Mutex
 	closed     bool
@@ -122,32 +115,32 @@ type ResilientClient struct {
 	hbStop     chan struct{}
 	hbDone     chan struct{}
 
-	retries           atomic.Uint64
-	resumes           atomic.Uint64
-	resumeAttempts    atomic.Uint64
-	heartbeatsSent    atomic.Uint64
-	heartbeatFailures atomic.Uint64
+	retries        atomic.Uint64
+	resumes        atomic.Uint64
+	resumeAttempts atomic.Uint64
+	heartbeatsSent atomic.Uint64
 }
 
 // NewResilientClient wraps an existing SecureClient. The broker ID and
 // password are retained for automatic resumes.
-func NewResilientClient(sc *SecureClient, brokerID keys.PeerID, password string, cfg ResilientConfig) *ResilientClient {
+func NewResilientClient(sc *SecureClient, brokerID keys.PeerID, password string) *ResilientClient {
+	h := fnv.New64a()
+	h.Write([]byte(sc.Username()))
 	return &ResilientClient{
 		SecureClient: sc,
-		cfg:          cfg.withDefaults(),
 		brokerID:     brokerID,
 		password:     password,
+		userSeed:     int64(h.Sum64()),
 	}
 }
 
 // Stats returns the resilience counter snapshot.
 func (r *ResilientClient) Stats() ResilienceStats {
 	return ResilienceStats{
-		Retries:           r.retries.Load(),
-		Resumes:           r.resumes.Load(),
-		ResumeAttempts:    r.resumeAttempts.Load(),
-		HeartbeatsSent:    r.heartbeatsSent.Load(),
-		HeartbeatFailures: r.heartbeatFailures.Load(),
+		Retries:        r.retries.Load(),
+		Resumes:        r.resumes.Load(),
+		ResumeAttempts: r.resumeAttempts.Load(),
+		HeartbeatsSent: r.heartbeatsSent.Load(),
 	}
 }
 
@@ -241,57 +234,33 @@ func (r *ResilientClient) CallResilient(ctx context.Context, msg *endpoint.Messa
 // to re-run — read-only, or idempotent by construction (a request
 // carrying a fixed idempotency key).
 func (r *ResilientClient) Do(ctx context.Context, fn func(context.Context) error) error {
-	src := backoff.NewSource(r.cfg.Backoff, r.seed())
-	var lastErr error
-	for attempt := 0; attempt < r.cfg.RetryBudget; attempt++ {
+	if r.isClosed() {
+		return ErrClosed
+	}
+	src := r.newBackoff()
+	tries, err := retry(ctx, retryBudget, tryTimeout, ErrRetryBudget, fn, func(_ int, err error) (time.Duration, error) {
 		if r.isClosed() {
-			return ErrClosed
+			return 0, ErrClosed
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			if lastErr != nil {
-				return fmt.Errorf("%w (last attempt: %w)", cerr, lastErr)
-			}
-			return cerr
-		}
-		if attempt > 0 {
-			r.retries.Add(1)
-		}
-		err := r.attempt(ctx, fn)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		switch cls, floor := classify(err); cls {
+		cls, floor := classify(err)
+		switch cls {
 		case classTerminal:
-			return err
+			return 0, err
 		case classResume:
 			// The session is gone; a bare retry would fail the same way.
 			// Resume (or join the resume already in flight), then retry
 			// immediately — the resume's own backoff already paced us.
 			if rerr := r.ensureResumed(ctx); rerr != nil {
-				return fmt.Errorf("%w (after %v)", rerr, err)
+				return 0, fmt.Errorf("%w (after %v)", rerr, err)
 			}
-		case classRetryable:
-			delay := src.Next()
-			if delay < floor {
-				delay = floor
-			}
-			if serr := r.sleep(ctx, delay); serr != nil {
-				return serr
-			}
+			return 0, nil
 		}
+		return max(src.Next(), floor), nil
+	})
+	if tries > 1 {
+		r.retries.Add(uint64(tries - 1))
 	}
-	return fmt.Errorf("%w after %d attempts: %w", ErrRetryBudget, r.cfg.RetryBudget, lastErr)
-}
-
-// attempt runs one try of fn under the per-attempt timeout.
-func (r *ResilientClient) attempt(ctx context.Context, fn func(context.Context) error) error {
-	if r.cfg.AttemptTimeout <= 0 {
-		return fn(ctx)
-	}
-	actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-	defer cancel()
-	return fn(actx)
+	return err
 }
 
 // SendGroupRelay fans text over the group's full roster through the
@@ -305,65 +274,29 @@ func (r *ResilientClient) attempt(ctx context.Context, fn func(context.Context) 
 // open the payload twice; a naive re-send would re-seal with a fresh
 // nonce, which no replay guard could collapse.
 func (r *ResilientClient) SendGroupRelay(ctx context.Context, group, text string) (direct, queued int, err error) {
-	// Roster and per-recipient key verification are read-only: they ride
-	// the plain resilient path.
+	// Roster and recipient verification are read-only: they ride the
+	// plain resilient path. A retried verification finds the verdicts of
+	// the recipients that verified before in the cache.
 	var ids []keys.PeerID
 	if err := r.Do(ctx, func(ctx context.Context) error {
-		members, merr := r.GetGroupMembers(ctx, group)
-		if merr != nil {
-			return merr
-		}
-		ids = ids[:0]
-		for _, m := range members {
-			if m.ID != r.PeerID() {
-				ids = append(ids, m.ID)
-			}
-		}
-		return nil
+		members, err := r.GetGroupMembers(ctx, group)
+		ids = r.others(members)
+		return err
 	}); err != nil {
 		return 0, 0, err
 	}
-	if len(ids) == 0 {
-		return 0, 0, nil
+	var targets []roundTarget
+	var errs []error
+	if err := r.Do(ctx, func(ctx context.Context) error {
+		targets, errs = r.verifiedTargets(ctx, group, ids)
+		_, err := tallyFanOut(errs)
+		return err
+	}); err != nil {
+		return 0, 0, err
 	}
-	targets := make([]roundTarget, len(ids))
-	for i, id := range ids {
-		i, id := i, id
-		if err := r.Do(ctx, func(ctx context.Context) error {
-			key, _, kerr := r.verifiedPeerKey(ctx, id, group)
-			targets[i].key = key
-			return kerr
-		}); err != nil {
-			return 0, 0, err
-		}
-	}
-	errs := make([]error, len(ids))
-	var callErr error
-	r.sealRounds(group, text, targets, errs, func(d *DetachedRound, chunk []int, tid uint64) {
-		if callErr != nil {
-			return // an upload already failed for good: send nothing further
-		}
-		// One key per sealed round, stamped before the retry loop: every
-		// resubmission of this wire presents the same key.
-		resp, cerr := r.CallIdempotent(ctx, relayRoundMsg(group, ids, d, chunk, tid))
-		if cerr != nil {
-			callErr = cerr
-			return
-		}
-		di, qi, rerr := relayCounts(resp, len(chunk))
-		direct += di
-		queued += qi
-		if err == nil {
-			err = rerr
-		}
-	})
-	if callErr != nil {
-		return direct, queued, callErr
-	}
-	if _, serr := tallyFanOut(errs); serr != nil {
-		return direct, queued, serr
-	}
-	return direct, queued, err
+	// CallIdempotent stamps each round's upload with its key once, before
+	// its retries: every resubmission of the wire presents the same key.
+	return r.relayRounds(ctx, group, text, ids, targets, errs, r.CallIdempotent)
 }
 
 // callClass buckets a failure for the retry loop.
@@ -413,6 +346,54 @@ func classify(err error) (callClass, time.Duration) {
 	return classRetryable, 0
 }
 
+// retry is the package's one loop that waits between attempts. It runs
+// fn at most n times, each try under a timeout of its own. After try i
+// (from 0) fails with err, next answers how long to wait before the
+// next try, or a non-nil error to stop with. retry returns the number
+// of tries made and nil once one succeeds, next's error when it stops
+// the loop, ctx's error beside the last failure once ctx is done, or
+// spent wrapping the last failure when all n tries failed.
+func retry(ctx context.Context, n int, tryTimeout time.Duration, spent error,
+	fn func(context.Context) error, next func(i int, err error) (time.Duration, error)) (int, error) {
+	var last error
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return i, withLast(err, last)
+		}
+		tctx, cancel := context.WithTimeout(ctx, tryTimeout)
+		err := fn(tctx)
+		cancel()
+		if err == nil {
+			return i + 1, nil
+		}
+		last = err
+		wait, stop := next(i, err)
+		if stop != nil {
+			return i + 1, stop
+		}
+		if wait <= 0 || i == n-1 {
+			continue // nothing to wait for, or no try left to wait for
+		}
+		t := time.NewTimer(wait)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return i + 1, withLast(ctx.Err(), last)
+		}
+	}
+	return n, fmt.Errorf("%w after %d attempts: %w", spent, n, last)
+}
+
+// withLast reports a done context's error beside the failure of the
+// last try it interrupted, if there was one.
+func withLast(ctxErr, last error) error {
+	if last == nil {
+		return ctxErr
+	}
+	return fmt.Errorf("%w (last attempt: %w)", ctxErr, last)
+}
+
 // ensureResumed re-establishes the session, joining an in-flight
 // resume when one is already running (its completion is the
 // pending-send flush: every parked call releases at once).
@@ -456,49 +437,36 @@ func (r *ResilientClient) ensureResumed(ctx context.Context) error {
 // re-binds every group pipe and republishes the signed advertisements.
 // On success a Reconnected event fires with the attempt count.
 func (r *ResilientClient) resume(ctx context.Context) error {
+	tr := r.Tracer()
 	var sp trace.Span
-	var tid uint64
-	if tr := r.Tracer(); tr != nil {
-		tid = tr.NewID()
-		sp = trace.Begin(tid, trace.StageResume)
+	if tr != nil {
+		sp = trace.Begin(tr.NewID(), trace.StageResume)
 	}
-	src := backoff.NewSource(r.cfg.Backoff, r.seed())
-	var lastErr error
-	for attempt := 1; attempt <= r.cfg.ResumeBudget; attempt++ {
+	src := r.newBackoff()
+	tries, err := retry(ctx, resumeBudget, tryTimeout, ErrResumeFailed, func(ctx context.Context) error {
+		return r.Join(ctx, r.brokerID, r.password)
+	}, func(int, error) (time.Duration, error) {
 		if r.isClosed() {
-			return ErrClosed
+			return 0, ErrClosed
 		}
-		r.resumeAttempts.Add(1)
-		err := r.attempt(ctx, func(ctx context.Context) error {
-			return r.Join(ctx, r.brokerID, r.password)
-		})
-		if err == nil {
-			r.resumes.Add(1)
-			if tr := r.Tracer(); tr != nil {
-				sp.SetAttr("attempts", strconv.Itoa(attempt))
-				tr.End(sp, trace.OutcomeOK)
-			}
-			r.Bus().Emit(events.Event{
-				Type: events.Reconnected,
-				From: r.brokerID,
-				Payload: map[string]string{
-					"attempts": strconv.Itoa(attempt),
-				},
-			})
-			return nil
-		}
-		lastErr = err
-		if serr := r.sleep(ctx, src.Next()); serr != nil {
-			if tr := r.Tracer(); tr != nil {
-				tr.End(sp, trace.OutcomeError)
-			}
-			return serr
-		}
-	}
-	if tr := r.Tracer(); tr != nil {
+		return src.Next(), nil
+	})
+	r.resumeAttempts.Add(uint64(tries))
+	if err != nil {
 		tr.End(sp, trace.OutcomeError)
+		return err
 	}
-	return fmt.Errorf("%w after %d attempts: %w", ErrResumeFailed, r.cfg.ResumeBudget, lastErr)
+	r.resumes.Add(1)
+	if tr != nil {
+		sp.SetAttr("attempts", strconv.Itoa(tries))
+		tr.End(sp, trace.OutcomeOK)
+	}
+	r.Bus().Emit(events.Event{
+		Type:    events.Reconnected,
+		From:    r.brokerID,
+		Payload: map[string]string{"attempts": strconv.Itoa(tries)},
+	})
+	return nil
 }
 
 // startHeartbeat launches the renewal loop when the login granted a
@@ -547,7 +515,6 @@ func (r *ResilientClient) heartbeatLoop(stop <-chan struct{}, done chan<- struct
 			if err == nil {
 				continue
 			}
-			r.heartbeatFailures.Add(1)
 			// bad-credential is the session credential past its NotAfter:
 			// the broker refuses it before it looks at the lease, and the
 			// re-login a resume makes is what issues the next one.
@@ -564,35 +531,11 @@ func (r *ResilientClient) heartbeatLoop(stop <-chan struct{}, done chan<- struct
 	}
 }
 
-// sleep waits the backoff delay, aborting on context cancellation or
-// client close.
-func (r *ResilientClient) sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	r.mu.Lock()
-	closed := r.closed
-	r.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// seed derives a per-source jitter seed. With a configured seed the
-// sequence is deterministic but still decorrelated across sources
-// (each draws a distinct offset); unseeded clients decorrelate from
-// each other through entropy.
-func (r *ResilientClient) seed() int64 {
-	if r.cfg.Seed == 0 {
-		return rand.Int63()
-	}
-	return r.cfg.Seed + int64(r.seedCounter.Add(1))
+// newBackoff starts a jitter source for one retry loop. Its seed is the
+// client's username hashed plus the number of sources the client started
+// before: the same for a client in every run (its username is stable,
+// its CBID is not), and different between clients, so that peers failing
+// together do not retry in lockstep.
+func (r *ResilientClient) newBackoff() *backoff.Source {
+	return backoff.NewSource(backoff.Policy{Base: retryBase, Cap: retryCap}, r.userSeed+r.seedCounter.Add(1))
 }

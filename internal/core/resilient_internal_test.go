@@ -9,11 +9,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/proto"
+	"jxtaoverlay/internal/simnet"
 )
 
 func TestClassify(t *testing.T) {
@@ -55,9 +57,43 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func TestResilientConfigDefaults(t *testing.T) {
-	cfg := ResilientConfig{}.withDefaults()
-	if cfg.RetryBudget != 5 || cfg.ResumeBudget != 8 {
-		t.Fatalf("defaults = %+v", cfg)
+// TestBackoffJitterFollowsUsername: a client draws its waits from its
+// username. Two clients that fail at the same moment draw different
+// waits, so they do not retry in lockstep; a client of the same username
+// (the same user in another run) draws the same waits again.
+func TestBackoffJitterFollowsUsername(t *testing.T) {
+	net := simnet.NewNetwork(simnet.ProfileLocal)
+	t.Cleanup(net.Close)
+	dep, err := NewDeploymentFromKey(mustKey(430), "admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newClient := func(alias string) *SecureClient {
+		sc, err := dep.NewClient(net, alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sc.Close)
+		return sc
+	}
+	alice, bob := newClient("alice"), newClient("bob")
+	// Three loops' waits, as a call, a resume and another call draw them.
+	draws := func(sc *SecureClient) []time.Duration {
+		r := NewResilientClient(sc, "", "")
+		var d []time.Duration
+		for range 3 {
+			src := r.newBackoff()
+			for range 4 {
+				d = append(d, src.Next())
+			}
+		}
+		return d
+	}
+	a, b := draws(alice), draws(bob)
+	if a[0] == b[0] {
+		t.Fatalf("alice and bob both wait %v before their first retry: they retry in lockstep", a[0])
+	}
+	if again := draws(alice); !slices.Equal(a, again) {
+		t.Fatalf("alice's waits differ between two clients of hers:\n%v\n%v", a, again)
 	}
 }

@@ -6,10 +6,10 @@ package core_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"jxtaoverlay/internal/backoff"
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
@@ -25,17 +25,10 @@ func listPeersReq(group string) *endpoint.Message {
 		AddString(proto.ElemGroup, group)
 }
 
-func resilientCfg() core.ResilientConfig {
-	return core.ResilientConfig{
-		Backoff: backoff.Policy{Base: 5 * time.Millisecond, Cap: 50 * time.Millisecond},
-		Seed:    42,
-	}
-}
-
 func TestResilientResumeAfterLeaseLoss(t *testing.T) {
 	h := newLeaseHarness(t)
 	sc := h.secureClient("alice")
-	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice", resilientCfg())
+	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice")
 	if err := rc.Connect(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +70,7 @@ func TestResilientTerminalAuthNotRetried(t *testing.T) {
 	// hammering the broker with bad credentials.
 	h := newLeaseHarness(t)
 	sc := h.secureClient("alice")
-	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice", resilientCfg())
+	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice")
 	if err := rc.Connect(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -99,17 +92,13 @@ func TestResilientRetryBudgetExhausts(t *testing.T) {
 	// wrapping the last failure.
 	h := newLeaseHarness(t)
 	sc := h.secureClient("alice")
-	cfg := resilientCfg()
-	cfg.RetryBudget = 3
-	cfg.ResumeBudget = 2
-	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice", cfg)
+	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice")
 	if err := rc.Connect(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rc.Close)
 
-	// Sever the link for good; keep per-attempt timeouts short.
-	sc.SetTimeout(100 * time.Millisecond)
+	// Sever the link for good: every try fails at once.
 	h.net.Partition(simnet.NodeID(rc.PeerID()), h.br.NodeID())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -129,7 +118,7 @@ func TestResilientRetryBudgetExhausts(t *testing.T) {
 func TestResilientIdempotentCallMintsDistinctKeys(t *testing.T) {
 	h := newLeaseHarness(t)
 	sc := h.secureClient("alice")
-	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice", resilientCfg())
+	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice")
 	if err := rc.Connect(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +157,7 @@ func TestResilientIdempotentCallMintsDistinctKeys(t *testing.T) {
 func TestResilientSurvivesCredentialExpiry(t *testing.T) {
 	const validity = 2 * time.Second
 	h := newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: true, CredValidity: validity, LeaseTTL: 900 * time.Millisecond})
-	rc := core.NewResilientClient(h.secureClient("alice"), h.br.PeerID(), "pw-alice", resilientCfg())
+	rc := core.NewResilientClient(h.secureClient("alice"), h.br.PeerID(), "pw-alice")
 	connected := time.Now()
 	if err := rc.Connect(testCtx(t)); err != nil {
 		t.Fatal(err)
@@ -214,7 +203,7 @@ func TestResilientSurvivesCredentialExpiry(t *testing.T) {
 func TestSessionCredentialReadAcrossResume(t *testing.T) {
 	const validity = 2 * time.Second
 	h := newSecureHarnessWith(t, core.BrokerConfig{RequireSignedAdvs: true, CredValidity: validity, LeaseTTL: 900 * time.Millisecond})
-	rc := core.NewResilientClient(h.secureClient("alice"), h.br.PeerID(), "pw-alice", resilientCfg())
+	rc := core.NewResilientClient(h.secureClient("alice"), h.br.PeerID(), "pw-alice")
 	if err := rc.Connect(testCtx(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -240,5 +229,116 @@ func TestSessionCredentialReadAcrossResume(t *testing.T) {
 	}
 	if sent == 0 || beats == 0 {
 		t.Fatalf("%d sends and %d heartbeats went through before the resume, want some of each", sent, beats)
+	}
+}
+
+// TestSendGroupRelay: a resilient relayed round reaches every other
+// member of the roster exactly once — online members directly, a
+// logged-out one queued until it logs in again — and an upload whose
+// answer is lost is sent again under its idempotency key: the broker
+// answers the retry from its dedup window, so the round is neither
+// queued nor opened twice.
+func TestSendGroupRelay(t *testing.T) {
+	h := newLeaseHarness(t)
+	rly, err := core.EnableBrokerRelay(h.br, core.RelayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rly.Close)
+	h.db.Register("carol", "pw-carol", "math")
+	sc := h.secureClient("alice")
+	rc := core.NewResilientClient(sc, h.br.PeerID(), "pw-alice")
+	if err := rc.Connect(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rc.Close)
+	bob, carol := h.secureClient("bob"), h.secureClient("carol")
+	h.join(bob, "pw-bob")
+	h.join(carol, "pw-carol")
+	atBob, atCarol := events.NewCollector(bob.Bus()), events.NewCollector(carol.Bus())
+	opens := func(c *events.Collector, text string) int {
+		n := 0
+		for _, e := range c.OfType(events.SecureMessage) {
+			if string(e.Data) == text {
+				n++
+			}
+		}
+		return n
+	}
+	const rosterOthers = 2 // bob and carol
+
+	// The whole roster: carol is offline, so her slice waits for her.
+	if err := carol.Logout(testCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	direct, queued, err := rc.SendGroupRelay(testCtx(t), "math", "to the roster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct+queued != rosterOthers || queued != 1 {
+		t.Fatalf("direct %d + queued %d, want %d with carol's queued", direct, queued, rosterOthers)
+	}
+	h.join(carol, "pw-carol")
+	if !secureDelivered(atBob, "to the roster") || !secureDelivered(atCarol, "to the roster") {
+		t.Fatal("the round never reached every other member")
+	}
+
+	// The relay's answer to the next upload is lost: every frame from the
+	// broker to alice is dropped from the moment she sends it until both
+	// members have opened the round, which the relay pushed once it had
+	// accepted the upload.
+	aliceNode, brNode := simnet.NodeID(rc.PeerID()), h.br.NodeID()
+	var dropping atomic.Bool
+	h.net.AddTap(func(p simnet.Packet) {
+		if p.From != aliceNode || p.To != brNode || dropping.Load() {
+			return
+		}
+		f, err := endpoint.ParseFrame(p.Payload)
+		if err != nil {
+			return
+		}
+		if op, _ := f.Msg.Get(proto.ElemOp); string(op) == proto.OpRelayRound && dropping.CompareAndSwap(false, true) {
+			h.net.SetLinkOneWay(brNode, aliceNode, simnet.LinkProfile{Loss: 1})
+		}
+	})
+	// No deadline on the context: each try is bounded by the client's
+	// timeout, not by the whole call's.
+	sc.SetTimeout(300 * time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type result struct {
+		direct, queued int
+		err            error
+	}
+	done := make(chan result, 1)
+	go func() {
+		d, q, err := rc.SendGroupRelay(ctx, "math", "answer lost")
+		done <- result{d, q, err}
+	}()
+	if !secureDelivered(atBob, "answer lost") || !secureDelivered(atCarol, "answer lost") {
+		t.Fatal("the relay never pushed the round whose answer was lost")
+	}
+	h.net.SetLinkOneWay(brNode, aliceNode, simnet.ProfileLocal)
+	var got result
+	select {
+	case got = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("SendGroupRelay never returned once the link was restored")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.direct != rosterOthers || got.queued != 0 {
+		t.Fatalf("direct %d, queued %d after the lost answer, want %d direct", got.direct, got.queued, rosterOthers)
+	}
+	if n := h.br.Stats().IdemDeduped; n != 1 {
+		t.Fatalf("IdemDeduped = %d, want 1: the retry carried the first upload's key", n)
+	}
+	for who, c := range map[string]*events.Collector{"bob": atBob, "carol": atCarol} {
+		for _, text := range []string{"to the roster", "answer lost"} {
+			if n := opens(c, text); n != 1 {
+				t.Errorf("%s opened %q %d times, want 1", who, text, n)
+			}
+		}
 	}
 }

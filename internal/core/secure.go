@@ -540,12 +540,7 @@ func (s *SecureClient) SecureMsgPeerGroup(ctx context.Context, group, text strin
 	if err != nil {
 		return 0, err
 	}
-	ids := make([]keys.PeerID, 0, len(members))
-	for _, m := range members {
-		if m.ID != s.PeerID() {
-			ids = append(ids, m.ID)
-		}
-	}
+	ids := s.others(members)
 	targets, errs := s.verifiedTargets(ctx, group, ids)
 	s.sealRounds(group, text, targets, errs, func(d *DetachedRound, chunk []int, _ uint64) {
 		// Cut before fanning out: a DetachedRound is not safe for
@@ -582,7 +577,7 @@ func (s *SecureClient) verifiedTargets(ctx context.Context, group string, peers 
 
 // sealRounds is the one round fan-out loop, under SecureMsgPeerGroup
 // (deliver = send each member its slice down its pipe) and
-// SecureMsgPeersViaRelay (deliver = upload it once to the broker). One
+// relayRounds (deliver = upload it once to the broker). One
 // signature per round; only the key wraps differ. Targets beyond the
 // wire format's recipient cap are split into consecutive rounds, so
 // arbitrarily large groups still deliver (at one signature per
@@ -1024,25 +1019,18 @@ func (s *SecureClient) senderKeyPatient(sender keys.PeerID, group string) (*xdsi
 	ctx, cancel := context.WithTimeout(context.Background(), openPatience)
 	defer cancel()
 	pol := backoff.Policy{Base: 100 * time.Millisecond, Cap: 800 * time.Millisecond}
-	var lastErr error
-	for attempt := 0; attempt < openLookupAttempts; attempt++ {
-		actx, cancel := context.WithTimeout(ctx, openLookupTimeout)
-		res, err := s.senderKey(actx, sender, group)
-		cancel()
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
+	var res *xdsig.Result
+	_, err := retry(ctx, openLookupAttempts, openLookupTimeout, ErrSenderUnknown, func(ctx context.Context) error {
+		var err error
+		res, err = s.senderKey(ctx, sender, group)
+		return err
+	}, func(i int, err error) (time.Duration, error) {
 		if class, _ := classify(err); class == classTerminal {
-			return nil, err
+			return 0, err
 		}
-		select {
-		case <-ctx.Done():
-			return nil, lastErr
-		case <-time.After(pol.Delay(attempt, nil)):
-		}
-	}
-	return nil, lastErr
+		return pol.Delay(i, nil), nil
+	})
+	return res, err
 }
 
 // senderKey resolves the sender's certified key (the verdict's

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/admission"
-	"jxtaoverlay/internal/backoff"
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/events"
@@ -386,13 +385,13 @@ func slowSender(ctx context.Context, opt Options, profile simnet.LinkProfile) (*
 // application), short per-call timeout (partitions should cost a
 // retry, not a stall), heartbeat loop running against the broker's
 // lease.
-func (s *stack) joinResilient(ctx context.Context, i int, rcfg core.ResilientConfig) (*core.ResilientClient, error) {
+func (s *stack) joinResilient(ctx context.Context, i int) (*core.ResilientClient, error) {
 	sc, err := s.client(i, core.WithReplayGuard(core.NewReplayGuard(time.Minute, 512)))
 	if err != nil {
 		return nil, err
 	}
 	sc.SetTimeout(500 * time.Millisecond)
-	rc := core.NewResilientClient(sc, s.br.PeerID(), pw(i), rcfg)
+	rc := core.NewResilientClient(sc, s.br.PeerID(), pw(i))
 	if err := rc.Connect(ctx); err != nil {
 		return nil, fmt.Errorf("%s connect: %w", user(i), err)
 	}
@@ -464,15 +463,6 @@ func partitionChurn(ctx context.Context, opt Options, profile simnet.LinkProfile
 		flapDown = 700 * time.Millisecond // short flap: retries absorb it, no expiry
 		sendGap  = 900 * time.Millisecond // spreads rounds across the churn timeline
 	)
-	pol := backoff.Policy{Base: 25 * time.Millisecond, Cap: 400 * time.Millisecond}
-	// The retry budget must outlast the held partition: groupB is down
-	// for its lease TTL plus a sweep plus the relay restart (~3s), and a
-	// sender inside it keeps retrying the whole time. 25 attempts at
-	// this policy sleep ~4.4s on average — comfortably past the outage —
-	// while the 600ms attempt bound keeps a silently-lost frame (the 5%
-	// loss) from eating the deadline before the first retry fires.
-	rcfg := core.ResilientConfig{Backoff: pol, RetryBudget: 25, ResumeBudget: 8, Seed: 42,
-		AttemptTimeout: 600 * time.Millisecond}
 	sum := &Summary{Scenario: "partition-churn", Profile: opt.Profile, Clients: n, Rounds: rounds,
 		Drops: map[string]int64{}, Anomalies: []string{}}
 	relayCfg := core.RelayConfig{}
@@ -501,7 +491,7 @@ func partitionChurn(ctx context.Context, opt Options, profile simnet.LinkProfile
 	var dropMu sync.Mutex
 	var droppedOpens []string
 	for i := 0; i < n; i++ {
-		if rclients[i], err = s.joinResilient(ctx, i, rcfg); err != nil {
+		if rclients[i], err = s.joinResilient(ctx, i); err != nil {
 			return nil, err
 		}
 		rec.watch(i, rclients[i].Bus())
@@ -673,8 +663,8 @@ func partitionChurn(ctx context.Context, opt Options, profile simnet.LinkProfile
 
 	// Liveness evidence: the scenario must actually have exercised
 	// expiry and resume, and reconnects must stay inside the
-	// backoff-derived storm bound — per outage a client can fit at most
-	// MaxDelaysWithin(outage)+budget attempts, across 3 outages.
+	// backoff-derived storm bound — per outage a client makes at most
+	// core.MaxResumeAttempts(outage) attempts, across 3 outages.
 	ls := s.bs.LivenessStats()
 	sum.HeartbeatsRenewed = int64(ls.HeartbeatsRenewed)
 	sum.LeasesExpired = int64(ls.LeasesExpired)
@@ -694,7 +684,7 @@ func partitionChurn(ctx context.Context, opt Options, profile simnet.LinkProfile
 	if sum.HeartbeatsRenewed == 0 {
 		sum.anomaly("no heartbeat ever renewed a lease")
 	}
-	perOutage := int64(pol.MaxDelaysWithin(2*time.Second)) + int64(rcfg.ResumeBudget)
+	perOutage := int64(core.MaxResumeAttempts(2 * time.Second))
 	storm := int64(n) * 3 * perOutage
 	if sum.ResumeAttempts > storm {
 		sum.anomaly("reconnect storm: %d resume attempts exceed the backoff bound %d", sum.ResumeAttempts, storm)
