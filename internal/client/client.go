@@ -97,7 +97,6 @@ type Client struct {
 	// group pipe, one for a slice the relay pushes.
 	onPipeWire, onSliceWire EnvelopeHandler
 
-	timeout time.Duration
 	started time.Time
 
 	// Observability (see observe.go): nil/unset means disabled.
@@ -124,17 +123,12 @@ func New(net endpoint.Transport, mem membership.Service, alias string) (*Client,
 		mem:      mem,
 		identity: id,
 		username: alias,
-		timeout:  10 * time.Second,
 		started:  ep.Now(),
 	}
 	c.ctl = control.New(ep, discovery.NewCache(ep.Now), events.NewBus(), c.onPipeDelivery)
 	ep.RegisterHandler(proto.ClientService, c.onBrokerPush)
 	return c, nil
 }
-
-// SetTimeout adjusts the per-primitive timeout used when the caller's
-// context has no deadline.
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
 
 // Accessors.
 
@@ -238,10 +232,13 @@ func (c *Client) Call(ctx context.Context, msg *endpoint.Message) (*endpoint.Mes
 	return resp, err
 }
 
-// call is one broker round trip, under the client's timeout when ctx has
-// no deadline of its own.
+// callTimeout bounds a broker round trip whose ctx has no deadline.
+const callTimeout = 10 * time.Second
+
+// call is one broker round trip, under callTimeout when ctx has no
+// deadline of its own.
 func (c *Client) call(ctx context.Context, br keys.PeerID, msg *endpoint.Message) (*endpoint.Message, error) {
-	timeout := c.timeout
+	timeout := callTimeout
 	if _, ok := ctx.Deadline(); ok {
 		timeout = 0
 	}

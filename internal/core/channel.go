@@ -228,9 +228,17 @@ func answer(own *keys.KeyPair, id channelID, ends channelEnds) (aead cipher.AEAD
 	return aead, accept, nil
 }
 
-// frameNonce is the AEAD nonce of frame seq: a channel's key seals each
-// sequence number once, in one direction.
-func frameNonce(seq uint64) (n [keys.AEADNonceSize]byte) {
+// frameNonces lends the AEAD nonce of a frame: a nonce handed to a
+// cipher.AEAD escapes, so one of the stack would cost every seal and open
+// of a frame an allocation. GCM keeps no reference to it.
+var frameNonces = sync.Pool{New: func() any { return new([keys.AEADNonceSize]byte) }}
+
+// frameNonce is the AEAD nonce of frame seq, 0⁴ ‖ seq: a channel's key
+// seals each sequence number once, in one direction. The caller puts it
+// back in frameNonces once its Seal or Open has returned.
+func frameNonce(seq uint64) *[keys.AEADNonceSize]byte {
+	n := frameNonces.Get().(*[keys.AEADNonceSize]byte)
+	clear(n[:keys.AEADNonceSize-8])
 	binary.BigEndian.PutUint64(n[keys.AEADNonceSize-8:], seq)
 	return n
 }
@@ -249,7 +257,9 @@ func sealFrame(dst []byte, aead cipher.AEAD, frame frameRef, body []byte, now ti
 	wire = append(wire, body...)
 	nonce := frameNonce(frame.seq)
 	ct := start + framePrefix
-	return aead.Seal(wire[:ct], nonce[:], wire[ct:], wire[start:ct])
+	wire = aead.Seal(wire[:ct], nonce[:], wire[ct:], wire[start:ct])
+	frameNonces.Put(nonce)
+	return wire
 }
 
 // parseFrame cuts a frame or a refusal (everything behind the mode byte)

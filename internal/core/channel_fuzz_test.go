@@ -88,7 +88,7 @@ func FuzzChannelFrame(f *testing.F) {
 		const anyForm = formEnvelope | formSlice | formChannel
 		delivered := bytes.Clone(wire)
 		runtime.ReadMemStats(&before)
-		o, err := openWire(nil, delivered, anyForm, nil, guard, chans, now)
+		o, err := openWire(new(Opened), nil, delivered, anyForm, nil, guard, chans, now)
 		runtime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > allocFixed {
 			t.Fatalf("opening %d bytes allocated %d bytes, limit %d", len(wire), got, allocFixed)
@@ -155,7 +155,7 @@ func FuzzChannelFrame(f *testing.F) {
 		if err == nil {
 			wantAgain = ErrMessageReplayed
 		}
-		if again, err := openWire(nil, wire, anyForm, nil, guard, chans, now); !errors.Is(err, wantAgain) || again == nil {
+		if again, err := openWire(new(Opened), nil, wire, anyForm, nil, guard, chans, now); !errors.Is(err, wantAgain) || again == nil {
 			t.Fatalf("the same frame again: (%+v, %v), want %v", again, err, wantAgain)
 		}
 	})
@@ -209,7 +209,7 @@ func fuzzAccept(t *testing.T, seq uint64, trailing []byte, offset int64, flips [
 	guard := NewReplayGuard(0, 0)
 	delivered := bytes.Clone(wire)
 	runtime.ReadMemStats(&before)
-	o, err := openWire(nil, delivered, formEnvelope|formSlice|formChannel, nil, guard, chans, at)
+	o, err := openWire(new(Opened), nil, delivered, formEnvelope|formSlice|formChannel, nil, guard, chans, at)
 	outcome := acceptIgnored
 	if err == nil && o.Mode == ModeAccept {
 		outcome = chans.accepted(offerPair, o.accept, at)
@@ -239,7 +239,7 @@ func fuzzAccept(t *testing.T, seq uint64, trailing []byte, offset int64, flips [
 	if !ok {
 		t.Fatal("established, and no frame to send")
 	}
-	if got, err := openWire(nil, sealFrame(nil, aead, frame, []byte("first"), at), formChannel, nil, nil, in, at); err != nil || string(got.Body) != "first" {
+	if got, err := openWire(new(Opened), nil, sealFrame(nil, aead, frame, []byte("first"), at), formChannel, nil, nil, in, at); err != nil || string(got.Body) != "first" {
 		t.Fatalf("the initiator's first frame opened at the responder to (%+v, %v)", got, err)
 	}
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,7 +148,7 @@ func TestFramesDoNotEvictGuardEntries(t *testing.T) {
 	chans, aead, body := tableChannels(), tableAEAD(), []byte("one of many")
 	for seq := uint64(1); seq <= 5000; seq++ {
 		wire := sealFrame(nil, aead, frameRef{tableChannelID, seq}, body, now)
-		if _, err := openWire(nil, wire, formChannel, nil, guard, chans, now); err != nil {
+		if _, err := openWire(new(Opened), nil, wire, formChannel, nil, guard, chans, now); err != nil {
 			t.Fatalf("frame %d: %v", seq, err)
 		}
 	}
@@ -158,5 +160,61 @@ func TestFramesDoNotEvictGuardEntries(t *testing.T) {
 	}
 	if got := guard.Len(); got != held {
 		t.Errorf("guard holds %d entries after the frames, %d before them", got, held)
+	}
+}
+
+// TestChannelNoncesConcurrent: a frame's AEAD nonce is lent by one pool
+// that every channel shares, and a nonce given back while a Seal or Open
+// still read it would seal or open a frame under another's number. Eight
+// goroutines seal 200 frames each on one out channel and open them on its
+// in channel: every frame opens once, with its own body. They do it in
+// two rounds of 100 frames each, sealing and then opening, so that no
+// frame falls out of the channel's window of 1,024 while the others open.
+func TestChannelNoncesConcurrent(t *testing.T) {
+	const senders, frames, rounds = 8, 200, 2
+	pair := pairKey{"urn:jxta:cbid-recipient", "g"}
+	now := time.Now()
+	var out channelTable
+	out.ready()
+	out.out.Put(pair, &outChannel{id: tableChannelID, aead: tableAEAD()}, now.Add(time.Hour), now)
+	in, guard := tableChannels(), NewReplayGuard(0, 0)
+	body := func(g, i int) string { return fmt.Sprintf("sender %d, frame %d", g, i) }
+	each := func(f func(g int)) {
+		var wg sync.WaitGroup
+		for g := range senders {
+			wg.Add(1)
+			go func() { defer wg.Done(); f(g) }()
+		}
+		wg.Wait()
+	}
+	wires := make([][][]byte, senders)
+	for r := range rounds {
+		first := r * frames / rounds
+		each(func(g int) {
+			wires[g] = wires[g][:0]
+			for i := first; i < first+frames/rounds; i++ {
+				text := body(g, i)
+				ref, aead, _, ok := out.claimFrame(pair, text, now)
+				if !ok {
+					t.Error("no channel to seal on")
+					return
+				}
+				wires[g] = append(wires[g], sealFrame(nil, aead, ref, []byte(text), now))
+			}
+		})
+		each(func(g int) {
+			for i, wire := range wires[g] {
+				again := bytes.Clone(wire)
+				o, err := openWire(new(Opened), nil, wire, formChannel, nil, guard, in, now)
+				if want := body(g, first+i); err != nil || string(o.Body) != want {
+					t.Errorf("sender %d's frame %d: opened (%v), want %q", g, first+i, err, want)
+					return
+				}
+				if _, err := openWire(new(Opened), nil, again, formChannel, nil, guard, in, now); !errors.Is(err, ErrMessageReplayed) {
+					t.Errorf("sender %d's frame %d opened twice: err = %v", g, first+i, err)
+					return
+				}
+			}
+		})
 	}
 }

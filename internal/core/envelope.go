@@ -198,8 +198,9 @@ type Opened struct {
 	sig    []byte // the header's signature, never empty; nil for a channel's wires
 
 	// What session channels add (channel.go), behind one pointer so that
-	// an Opened — one is allocated per open, of a slice as of a frame — is
-	// no larger for it. Never nil on an Opened that openWire made.
+	// an Opened — one per open, of a slice as of a frame, on its caller's
+	// stack or (Open, OpenSlice) the heap — is no larger for it. Never nil
+	// on an Opened that openWire made.
 	*channelPart
 }
 

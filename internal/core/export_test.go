@@ -42,7 +42,7 @@ func tableChannels() *channelTable {
 // guard, with the table channel as the one channel held — for the
 // external test package's fuzz target.
 func OpenAnyForm(own *keys.KeyPair, wire []byte) (*Opened, error) {
-	o, err := openWire(own, bytes.Clone(wire), formEnvelope|formSlice|formChannel, nil, nil, tableChannels(), time.Now())
+	o, err := openWire(new(Opened), own, bytes.Clone(wire), formEnvelope|formSlice|formChannel, nil, nil, tableChannels(), time.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +101,7 @@ func DeriveChannel(eph *keys.AgreementKey, own *keys.KeyPair, id [16]byte, initi
 	}
 	t := &channelTable{}
 	t.install(&inChannel{id: id, pair: pairKey{initiator, group}, aead: aead}, time.Now().Add(time.Hour), time.Now())
-	o, err = openWire(nil, bytes.Clone(wire), formChannel, nil, nil, t, time.Now())
+	o, err = openWire(new(Opened), nil, bytes.Clone(wire), formChannel, nil, nil, t, time.Now())
 	return appendAccept(nil, id, e.responderShare, &tag), o, err
 }
 

@@ -181,11 +181,13 @@ func split(own *keys.KeyPair, wire []byte, accept wireForms, chans *channelTable
 // one reading that the channel lookup and the guard admit judge by.
 // claimed, when set, is the group label the delivery arrived under;
 // guard, when set, admits the wire exactly once.
+// What opened is written to o, which is returned: a caller that opens
+// one wire at a time passes an Opened of its own stack.
 // A refusal by either of those two steps comes after the header parsed,
 // so it returns the Opened beside the error: callers attribute it to
 // the signed sender rather than to whoever delivered the bytes; and so
 // does a frame its channel's key opened, stale or replayed, to its peer.
-func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string, guard *ReplayGuard, chans *channelTable, now time.Time) (*Opened, error) {
+func openWire(o *Opened, own *keys.KeyPair, wire []byte, accept wireForms, claimed *string, guard *ReplayGuard, chans *channelTable, now time.Time) (*Opened, error) {
 	sw, err := split(own, wire, accept, chans, now)
 	if err != nil {
 		return nil, err
@@ -194,21 +196,24 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 	case ModeRefusal:
 		// Nothing to open: an unsigned claim, which the initiator acts on
 		// only as far as a stranger may make it act (handleRefusal).
-		return &Opened{Mode: ModeRefusal, channelPart: &channelPart{refusal: sw.frame}}, nil
+		*o = Opened{Mode: ModeRefusal, channelPart: &channelPart{refusal: sw.frame}}
+		return o, nil
 	case ModeAccept:
 		// Nor here: only the initiator holding the offer it names can check
 		// its tag (channelTable.accepted).
-		return &Opened{Mode: ModeAccept, channelPart: &channelPart{accept: (*acceptWire)(wire)}}, nil
+		*o = Opened{Mode: ModeAccept, channelPart: &channelPart{accept: (*acceptWire)(wire)}}
+		return o, nil
 	}
 	if c := sw.via; c != nil {
 		// The third source of the content key: the table lookup split made.
 		nonce := frameNonce(sw.frame.seq)
 		plain, err := c.aead.Open(sw.ct[:0], nonce[:], sw.ct, wire[:framePrefix])
+		frameNonces.Put(nonce)
 		if err != nil || len(plain) < frameTimeSize {
 			return nil, ErrEnvelope
 		}
 		sentAt := time.Unix(0, int64(binary.BigEndian.Uint64(plain)))
-		o := &Opened{Mode: ModeChannel, Sender: c.pair.peer, Group: c.pair.group, Body: plain[frameTimeSize:], SentAt: sentAt, channelPart: &c.opened}
+		*o = Opened{Mode: ModeChannel, Sender: c.pair.peer, Group: c.pair.group, Body: plain[frameTimeSize:], SentAt: sentAt, channelPart: &c.opened}
 		if guard != nil && !guard.fresh(sentAt, now) {
 			return o, ErrMessageStale
 		}
@@ -271,7 +276,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 		// delivery, whatever its form.
 		return nil, ErrNoSignature
 	}
-	o := &Opened{
+	*o = Opened{
 		Mode:   sw.mode,
 		Sender: h.sender,
 		Group:  h.group,
@@ -322,7 +327,7 @@ func openWire(own *keys.KeyPair, wire []byte, accept wireForms, claimed *string,
 // caller's wire is left as it was, no Opened comes beside an error, and —
 // their callers being no node — a guard judges freshness by the wall.
 func openCopy(own *keys.KeyPair, wire []byte, accept wireForms, guard *ReplayGuard) (*Opened, error) {
-	o, err := openWire(own, bytes.Clone(wire), accept, nil, guard, nil, time.Now())
+	o, err := openWire(new(Opened), own, bytes.Clone(wire), accept, nil, guard, nil, time.Now())
 	if err != nil {
 		return nil, err
 	}

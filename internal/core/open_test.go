@@ -30,7 +30,7 @@ func openAs(m Mode, own *keys.KeyPair, wire []byte) (*Opened, error) {
 	case ModeSlice:
 		return OpenSlice(own, wire, nil)
 	case ModeChannel:
-		o, err := openWire(own, bytes.Clone(wire), formChannel, nil, nil, tableChannels(), time.Now())
+		o, err := openWire(new(Opened), own, bytes.Clone(wire), formChannel, nil, nil, tableChannels(), time.Now())
 		if err != nil {
 			return nil, err
 		}
@@ -511,7 +511,7 @@ func TestOpenPipelineTable(t *testing.T) {
 		chans.install(&inChannel{id: other, pair: pairKey{"urn:jxta:other", "h"}, aead: tableAEAD()}, now.Add(time.Hour), now)
 		guard := NewReplayGuard(0, 0)
 		for i, wire := range tc.wires {
-			o, err := openWire(nil, bytes.Clone(wire), formChannel, nil, guard, chans, now)
+			o, err := openWire(new(Opened), nil, bytes.Clone(wire), formChannel, nil, guard, chans, now)
 			if !errors.Is(err, tc.want[i]) {
 				t.Errorf("frame: %s, wire %d: err = %v, want %v", tc.name, i, err, tc.want[i])
 				continue
@@ -539,14 +539,14 @@ func TestOpenPipelineTable(t *testing.T) {
 			t.Errorf("frame: %s: %d guard entries, want none: a frame never enters the guard's table", tc.name, guard.Len())
 		}
 		if tc.fresh != 0 {
-			if _, err := openWire(nil, bytes.Clone(tc.wires[0]), formChannel, nil, guard, chans, now.Add(tc.fresh)); err != nil {
+			if _, err := openWire(new(Opened), nil, bytes.Clone(tc.wires[0]), formChannel, nil, guard, chans, now.Add(tc.fresh)); err != nil {
 				t.Errorf("frame: %s: the stale refusal spent the frame's sequence number: %v", tc.name, err)
 			}
 		}
 	}
 	// Without a guard no wire's time is judged, a frame's no more than an
 	// envelope's.
-	if _, err := openWire(nil, forgeFrame(tableChannelID, 1, framePlain(now.Add(-time.Hour), body)), formChannel, nil, nil, tableChannels(), now); err != nil {
+	if _, err := openWire(new(Opened), nil, forgeFrame(tableChannelID, 1, framePlain(now.Add(-time.Hour), body)), formChannel, nil, nil, tableChannels(), now); err != nil {
 		t.Errorf("an hour-old frame on a surface without a guard: %v", err)
 	}
 	// A frame of a channel the table does not hold, and a table that is not
@@ -557,7 +557,7 @@ func TestOpenPipelineTable(t *testing.T) {
 	if _, err := openAs(ModeChannel, recvKP, wire); !errors.As(err, &unknown) || unknown.frame.seq != 1 {
 		t.Errorf("frame of an unknown channel: err = %v, want an unknownChannelError naming frame 1", err)
 	}
-	if _, err := openWire(recvKP, valid(t, ModeChannel), formChannel, nil, nil, nil, time.Now()); !errors.Is(err, ErrEnvelope) {
+	if _, err := openWire(new(Opened), recvKP, valid(t, ModeChannel), formChannel, nil, nil, nil, time.Now()); !errors.Is(err, ErrEnvelope) {
 		t.Errorf("frame on a surface without channels: err = %v, want ErrEnvelope", err)
 	}
 
@@ -653,7 +653,7 @@ func TestOpenPipelineTable(t *testing.T) {
 		}
 		guard := NewReplayGuard(0, 0)
 		for i, wire := range wires {
-			o, err := openWire(nil, bytes.Clone(wire), formChannel, nil, guard, chans, now.Add(tc.at))
+			o, err := openWire(new(Opened), nil, bytes.Clone(wire), formChannel, nil, guard, chans, now.Add(tc.at))
 			if !errors.Is(err, tc.open) || (o == nil) == (err == nil) {
 				t.Errorf("accept: %s, wire %d: opened to (%+v, %v), want %v", tc.name, i, o, err, tc.open)
 				continue
@@ -684,7 +684,7 @@ func TestOpenPipelineTable(t *testing.T) {
 			// The honest row: what the initiator seals, the responder opens.
 			in := &channelTable{}
 			in.install(&inChannel{id: hs.id, pair: pairKey{"urn:jxta:recv", "g"}, aead: respAEAD}, now.Add(time.Hour), now)
-			if o, err := openWire(nil, sealFrame(nil, aead, frame, body, now), formChannel, nil, nil, in, now); err != nil || !bytes.Equal(o.Body, body) {
+			if o, err := openWire(new(Opened), nil, sealFrame(nil, aead, frame, body, now), formChannel, nil, nil, in, now); err != nil || !bytes.Equal(o.Body, body) {
 				t.Errorf("accept: %s: the initiator's first frame opened at the responder to (%+v, %v)", tc.name, o, err)
 			}
 		}
@@ -794,7 +794,7 @@ func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
 	wrong, right := "art", "g"
 	// openWire consumes what it is handed; every delivery is its own copy
 	// of the bytes, as every frame the fabric delivers is.
-	o, err := openWire(recvKP, bytes.Clone(wire), formSlice, &wrong, guard, nil, time.Now())
+	o, err := openWire(new(Opened), recvKP, bytes.Clone(wire), formSlice, &wrong, guard, nil, time.Now())
 	if !errors.Is(err, ErrRoundGroup) {
 		t.Fatalf("under the wrong label: err = %v, want ErrRoundGroup", err)
 	}
@@ -804,19 +804,19 @@ func TestOpenRoundWrongLabelDoesNotBurnNonce(t *testing.T) {
 	if guard.Len() != 0 {
 		t.Fatalf("wrong-label delivery left %d guard entries, want 0", guard.Len())
 	}
-	if _, err := openWire(recvKP, bytes.Clone(wire), formSlice, &right, guard, nil, time.Now()); err != nil {
+	if _, err := openWire(new(Opened), recvKP, bytes.Clone(wire), formSlice, &right, guard, nil, time.Now()); err != nil {
 		t.Fatalf("under the right label after a wrong one: %v", err)
 	}
 	if guard.Len() != 1 {
 		t.Fatalf("admitted slice left %d guard entries, want 1 (its nonce)", guard.Len())
 	}
-	o, err = openWire(recvKP, bytes.Clone(wire), formSlice, &right, guard, nil, time.Now())
+	o, err = openWire(new(Opened), recvKP, bytes.Clone(wire), formSlice, &right, guard, nil, time.Now())
 	if !errors.Is(err, ErrMessageReplayed) || o == nil {
 		t.Fatalf("delivered twice under the right label: (%v, %v), want the Opened and ErrMessageReplayed", o, err)
 	}
 	// An envelope's label is the receiver's own pipe registration, not a
 	// claim: it is not compared.
-	if _, err := openWire(recvKP, forgeWire(t, ModeFull, []byte("x"), nil), formEnvelope, &wrong, nil, nil, time.Now()); err != nil {
+	if _, err := openWire(new(Opened), recvKP, forgeWire(t, ModeFull, []byte("x"), nil), formEnvelope, &wrong, nil, nil, time.Now()); err != nil {
 		t.Fatalf("envelope under another label: %v", err)
 	}
 }

@@ -80,7 +80,7 @@ func bulkSealSend(t *testing.T, text string) {
 	opened := make(chan error, 1)
 	b.RegisterHandler("bulk", func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 		wire, _ := msg.Get(proto.ElemEnvelope)
-		o, err := openWire(recvKP, wire, formEnvelope, nil, nil, nil, time.Now())
+		o, err := openWire(new(Opened), recvKP, wire, formEnvelope, nil, nil, nil, time.Now())
 		if err == nil && string(o.Body) != text {
 			err = errors.New("opened body differs from the one sealed")
 		}
@@ -225,7 +225,7 @@ func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
 		wire := forgeWire(t, m, bytes.Repeat([]byte("opened where it lies "), 8), nil)
 		guard := NewReplayGuard(time.Minute, 16)
 		frame := bytes.Clone(wire)
-		o, err := openWire(recvKP, frame, formEnvelope|formSlice, nil, guard, nil, time.Now())
+		o, err := openWire(new(Opened), recvKP, frame, formEnvelope|formSlice, nil, guard, nil, time.Now())
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -236,7 +236,7 @@ func TestOwnedOpenReplayDigestIsOverReceivedBytes(t *testing.T) {
 			t.Fatalf("%s: the body is not a view of the delivered frame", m)
 		}
 		admitted := guard.Len()
-		if _, err := openWire(recvKP, bytes.Clone(wire), formEnvelope|formSlice, nil, guard, nil, time.Now()); !errors.Is(err, ErrMessageReplayed) {
+		if _, err := openWire(new(Opened), recvKP, bytes.Clone(wire), formEnvelope|formSlice, nil, guard, nil, time.Now()); !errors.Is(err, ErrMessageReplayed) {
 			t.Fatalf("%s: the same wire delivered twice: %v, want ErrMessageReplayed", m, err)
 		}
 		if guard.Len() != admitted || admitted != 1 {

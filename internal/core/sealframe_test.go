@@ -115,7 +115,7 @@ func TestSealedIntoFrameWireLayout(t *testing.T) {
 		wireLen  func(wire []byte) int
 	}{
 		{ModeFull, alice, bob, func(wire []byte) int {
-			o, err := openWire(bob.kp, bytes.Clone(wire), formEnvelope, nil, nil, nil, time.Now())
+			o, err := openWire(new(Opened), bob.kp, bytes.Clone(wire), formEnvelope, nil, nil, nil, time.Now())
 			if err != nil {
 				t.Fatalf("the captured envelope does not open: %v", err)
 			}

@@ -729,7 +729,8 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: from, Group: group, Payload: payload})
 	}
 	now := s.Now()
-	opened, err := openWire(s.kp, wire, accept, &group, s.replayGuard, &s.chans, now)
+	var buf Opened
+	opened, err := openWire(&buf, s.kp, wire, accept, &group, s.replayGuard, &s.chans, now)
 	if err != nil {
 		var unknown *unknownChannelError
 		switch {

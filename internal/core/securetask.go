@@ -52,7 +52,8 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 	// The open path of the messenger primitives, envelopes only, under
 	// the same replay guard: a captured request re-sent verbatim must not
 	// run the task again.
-	opened, err := openWire(s.kp, wire, formEnvelope, nil, s.replayGuard, nil, s.Now())
+	var buf Opened
+	opened, err := openWire(&buf, s.kp, wire, formEnvelope, nil, s.replayGuard, nil, s.Now())
 	if err != nil {
 		return proto.Fail(proto.ErrBadRequest)
 	}
@@ -121,7 +122,8 @@ func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, gro
 	if !ok {
 		return "", ErrTaskRejected
 	}
-	opened, err := openWire(s.kp, wire, formEnvelope, nil, nil, nil, s.Now()) // the response frame is this caller's own
+	var buf Opened
+	opened, err := openWire(&buf, s.kp, wire, formEnvelope, nil, nil, nil, s.Now()) // the response frame is this caller's own
 	if err != nil {
 		return "", err
 	}

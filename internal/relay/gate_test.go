@@ -105,3 +105,55 @@ func TestGatePersistenceTax(t *testing.T) {
 	}
 	t.Fatalf("durable round costs %.2f× the in-memory one at best of three, ceiling 2×", ratio)
 }
+
+// drainQueue is the queue BenchmarkDrainFullQueue drains: cmd/perf's
+// queue cap.
+const drainQueue = 4096
+
+// BenchmarkDrainFullQueue is a login's drain of a full queue: 4,096 items
+// queued for one offline peer of an in-memory relay, delivered in order
+// once it is back. An op is the whole drain, from Flush to the last
+// delivery; filling the queue is not timed. ns/item is what each item
+// costs, the shard's lock held for a constant step of it whatever the
+// queue's length.
+func BenchmarkDrainFullQueue(b *testing.B) {
+	const peer = keys.PeerID("urn:jxta:cbid-recipient")
+	var online atomic.Bool
+	var delivered atomic.Int64
+	r, err := relay.New(relay.Config{QueueCap: drainQueue},
+		func(keys.PeerID) bool { return online.Load() },
+		func(relay.Item) error { delivered.Add(1); return nil })
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		online.Store(false)
+		for j := 0; j < drainQueue; j++ {
+			r.Submit(relay.Item{To: peer, From: "urn:jxta:cbid-sender", Group: "bench", Payload: payload})
+		}
+		online.Store(true)
+		b.StartTimer()
+		r.Flush(peer)
+		for delivered.Load() < int64((i+1)*drainQueue) {
+			runtime.Gosched()
+		}
+	}
+	b.StopTimer()
+	if n := r.QueueLen(peer); n != 0 {
+		b.Fatalf("%d items left after the drain", n)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*drainQueue), "ns/item")
+}
+
+// TestGateDrainFullQueue holds a drain to 2 µs an item (reads 0.3; 30–32
+// while each pop re-pruned the whole queue, copying every item behind it,
+// under the shard's lock) and to no allocation: the queue is popped in
+// place.
+func TestGateDrainFullQueue(t *testing.T) {
+	perfgate.Run(t, BenchmarkDrainFullQueue, 0, drainQueue*2000)
+}

@@ -257,8 +257,25 @@ type Relay struct {
 type shard struct {
 	r       *Relay
 	mu      sync.Mutex
-	queues  map[keys.PeerID][]Item
+	queues  map[keys.PeerID]queue
 	flushCh chan keys.PeerID
+}
+
+// queue is one peer's FIFO. Enqueue appends, a drain pops the front and
+// overflow drops from it, each in constant time whatever the length.
+type queue struct {
+	items []Item
+	// due is at or before the earliest expiry among items: until the
+	// clock passes it nothing queued has expired, and a prune reads
+	// nothing. A pop leaves it a bound; a prune makes it exact.
+	due time.Time
+}
+
+// bound keeps q's due at or before expires, an item's joining q.
+func (q *queue) bound(expires time.Time) {
+	if q.due.IsZero() || expires.Before(q.due) {
+		q.due = expires
+	}
 }
 
 // New starts a relay. online gates direct delivery; deliver performs
@@ -285,7 +302,7 @@ func New(cfg Config, online OnlineFunc, deliver DeliverFunc) (*Relay, error) {
 	}
 	r.shards = make([]*shard, shardCount)
 	for i := range r.shards {
-		r.shards[i] = &shard{r: r, queues: make(map[keys.PeerID][]Item), flushCh: make(chan keys.PeerID, 256)}
+		r.shards[i] = &shard{r: r, queues: make(map[keys.PeerID]queue), flushCh: make(chan keys.PeerID, 256)}
 	}
 	if cfg.Tracer != nil && cfg.WAL.Dir != "" {
 		// Attribute each successful fsync to the traced items staged
@@ -582,7 +599,7 @@ func (r *Relay) Flush(id keys.PeerID) {
 	}
 	s := r.shardOf(id)
 	s.mu.Lock()
-	pending := len(s.queues[id]) > 0
+	pending := len(s.queues[id].items) > 0
 	s.mu.Unlock()
 	if !pending {
 		return
@@ -657,7 +674,7 @@ func (r *Relay) QueueLen(id keys.PeerID) int {
 	s := r.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queues[id])
+	return len(s.queues[id].items)
 }
 
 // QueuedTotal reports the total queued items across all peers.
@@ -666,7 +683,7 @@ func (r *Relay) QueuedTotal() int {
 	for _, s := range r.shards {
 		s.mu.Lock()
 		for _, q := range s.queues {
-			total += len(q)
+			total += len(q.items)
 		}
 		s.mu.Unlock()
 	}
@@ -718,17 +735,20 @@ func (s *shard) enqueue(it Item) {
 	now := s.r.cfg.Clock()
 	s.mu.Lock()
 	q := s.pruneLocked(it.To, now)
-	if len(q) >= s.r.cfg.QueueCap {
+	if len(q.items) >= s.r.cfg.QueueCap {
 		// Drop-oldest: the front of the FIFO is the stalest traffic.
-		drop := len(q) - s.r.cfg.QueueCap + 1
-		for _, old := range q[:drop] {
+		drop := len(q.items) - s.r.cfg.QueueCap + 1
+		for _, old := range q.items[:drop] {
 			s.r.retire(old, wal.AckDropped)
 			s.r.audit(audit.Event{Kind: audit.KindRelayDrop, Peer: string(old.From), Op: "relay-enqueue", Reason: "overflow", Trace: old.Trace})
 		}
-		q = append(q[:0], q[drop:]...)
+		clear(q.items[:drop])
+		q.items = q.items[drop:]
 		s.r.droppedOverflow.Add(uint64(drop))
 	}
-	s.queues[it.To] = append(q, it)
+	q.bound(it.expires)
+	q.items = append(q.items, it)
+	s.queues[it.To] = q
 	s.mu.Unlock()
 	s.r.enqueued.Add(1)
 }
@@ -753,25 +773,32 @@ func (r *Relay) audit(e audit.Event) { r.cfg.Auditor.Record(e) }
 
 // pruneLocked removes expired items wherever they sit in the peer's
 // queue (a clock stepped back between two submissions queues an item
-// behind one that expires later) and returns the surviving queue.
-// Caller holds s.mu.
-func (s *shard) pruneLocked(id keys.PeerID, now time.Time) []Item {
+// behind one that expires later) and returns the surviving queue. Before
+// its due it reads nothing. Caller holds s.mu.
+func (s *shard) pruneLocked(id keys.PeerID, now time.Time) queue {
 	q := s.queues[id]
-	kept := q[:0]
-	for _, it := range q {
+	if !now.After(q.due) {
+		return q
+	}
+	kept := q.items[:0]
+	q.due = time.Time{}
+	for _, it := range q.items {
 		if now.After(it.expires) {
 			s.r.expired.Add(1)
 			s.r.retire(it, wal.AckExpired)
 			continue
 		}
+		q.bound(it.expires)
 		kept = append(kept, it)
 	}
-	if len(kept) == 0 && q != nil {
+	clear(q.items[len(kept):])
+	if len(kept) == 0 {
 		delete(s.queues, id)
-		return nil
+		return queue{}
 	}
-	s.queues[id] = kept
-	return kept
+	q.items = kept
+	s.queues[id] = q
+	return q
 }
 
 func (s *shard) work() {
@@ -786,26 +813,40 @@ func (s *shard) work() {
 	}
 }
 
-// drain delivers the peer's queue in order: pop the front under the
-// lock, deliver outside it (delivery does wire I/O), push back at the
-// front and stop on failure. A successful delivery is acked to the WAL
-// AFTER the handoff to the wire — so a crash between the two redelivers
-// (at-least-once) rather than loses, and the recipient's replay guard
-// collapses the duplicate.
+// drain delivers the peer's queue in order: prune it once, then pop the
+// front under the lock and deliver it outside (delivery does wire I/O),
+// each pop a constant step whatever the queue's length; an item found
+// expired when popped is retired instead. On failure the item goes back
+// at the front and the drain stops. A successful delivery is acked to the
+// WAL AFTER the handoff to the wire — so a crash between the two
+// redelivers (at-least-once) rather than loses, and the recipient's replay
+// guard collapses the duplicate.
 func (s *shard) drain(id keys.PeerID) {
 	flushed := 0
+	s.mu.Lock()
+	s.pruneLocked(id, s.r.cfg.Clock())
+	s.mu.Unlock()
 	for {
-		now := s.r.cfg.Clock()
 		s.mu.Lock()
-		q := s.pruneLocked(id, now)
-		if len(q) == 0 {
+		q := s.queues[id]
+		if len(q.items) == 0 {
 			s.mu.Unlock()
 			break
 		}
-		it := q[0]
-		s.queues[id] = q[1:]
+		it := q.items[0]
+		q.items[0] = Item{} // the queue's array keeps no payload it handed out
+		if q.items = q.items[1:]; len(q.items) == 0 {
+			delete(s.queues, id)
+		} else {
+			s.queues[id] = q
+		}
 		s.mu.Unlock()
 
+		if s.r.cfg.Clock().After(it.expires) {
+			s.r.expired.Add(1)
+			s.r.retire(it, wal.AckExpired)
+			continue
+		}
 		if err := s.r.deliver(it); err != nil {
 			s.r.deliverErrors.Add(1)
 			// Put the item back where it was. Usually the peer went away
@@ -815,7 +856,10 @@ func (s *shard) drain(id keys.PeerID) {
 			// path (re-arming) until delivery succeeds, the peer drops
 			// offline, or the items expire.
 			s.mu.Lock()
-			s.queues[id] = append([]Item{it}, s.queues[id]...)
+			q := s.queues[id]
+			q.bound(it.expires)
+			q.items = append([]Item{it}, q.items...)
+			s.queues[id] = q
 			s.mu.Unlock()
 			if s.r.online(id) {
 				s.r.retryFlush(id)

@@ -124,6 +124,9 @@ type Summary struct {
 	Retries int64 `json:"retries"`
 	// IdemDeduped counts retried mutations the broker's dedup window
 	// collapsed (each one is a double-execution that did not happen).
+	// Only a lost answer makes one, and partition-churn's loss is on the
+	// uplink alone: it reads 0 there (TestSendGroupRelay and
+	// TestIdempotentRetryDedup pin the path).
 	IdemDeduped int64 `json:"idem_deduped"`
 	// DuplicateOpens counts message deliveries a recipient saw more
 	// than once — the churn contract demands zero.
