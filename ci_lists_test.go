@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -94,6 +95,46 @@ func TestCIListsNameTestsThatExist(t *testing.T) {
 	}
 	if targets == 0 {
 		t.Fatal("fuzz.yml names no targets")
+	}
+}
+
+// TestVectorFilesAreRead: a known-answer vector that no test reads pins
+// nothing, and its form could drift with the file still in the tree. Every
+// file under a testdata/vectors directory must be named, by its file name,
+// in a _test.go file of the package that testdata belongs to.
+func TestVectorFilesAreRead(t *testing.T) {
+	named := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Base(filepath.Dir(path)) != "vectors" {
+			return err
+		}
+		pkg := filepath.Dir(filepath.Dir(path))
+		if filepath.Base(pkg) != "testdata" {
+			return nil
+		}
+		pkg = filepath.Dir(pkg)
+		tests, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if err != nil {
+			return err
+		}
+		for _, test := range tests {
+			src, err := os.ReadFile(test)
+			if err != nil {
+				return err
+			}
+			if strings.Contains(string(src), d.Name()) {
+				named++
+				return nil
+			}
+		}
+		t.Errorf("%s: no _test.go in %s names it", path, pkg)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if named == 0 {
+		t.Fatal("no test names a vector file")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //     for the hash chain's "framed bytes are the canonical form").
 func FuzzAuditDecode(f *testing.F) {
 	// Seed with one valid record of each frame, plus mutations the
-	// fuzzer can splice.
+	// fuzzer can splice, and the vectors (testdata/vectors).
 	var prev [HashSize]byte
 	evRec, err := AppendRecord(nil, Record{
 		Frame: FrameEvent, Seq: 1, Prev: prev, Time: 1234567890,
@@ -41,6 +41,9 @@ func FuzzAuditDecode(f *testing.F) {
 	f.Add(append(evRec[:len(evRec):len(evRec)], ckRec...))
 	f.Add(evRec[:len(evRec)/2])
 	f.Add([]byte{})
+	for _, v := range recordVectors(f) {
+		f.Add(unhex(f, v.Hex))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := DecodeRecord(data)

@@ -17,7 +17,7 @@ import (
 // their AEAD has opened. The seeds are headers of both kinds with every
 // combination of optional fields, signed and unsigned (the codec carries an
 // empty signature; the open path refuses it), the header of a real slice,
-// and the lengths a stranger can lie with.
+// the vectors (testdata/vectors) and the lengths a stranger can lie with.
 //
 // Properties: it never panics; every field it accepts, and the body it
 // returns, is a view inside the input; an accepted header re-encodes byte
@@ -60,6 +60,9 @@ func FuzzParseHeader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append(bytes.Clone(o.Header()), o.Body...))
+	for _, v := range headerVectors(f) {
+		f.Add(unhex(f, v.Hex))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(ModeFull)})
 	f.Add([]byte{byte(ModeFull), 0xff, 0xff})                                                  // a sender longer than what follows

@@ -13,9 +13,9 @@ import (
 // it). A full round is no wire a recipient opens, so FuzzOpen never
 // reaches this parser; the relay cuts whatever it accepts into slices
 // without a key, and each slice is pushed to a member. The seeds are
-// uploads of one, three and five recipients, and a count prefix claiming
-// the maximum round with nothing behind it, then with an ephemeral share
-// and nothing behind that.
+// uploads of one, three and five recipients, the vector's round
+// (testdata/vectors), and a count prefix claiming the maximum round with
+// nothing behind it, then with an ephemeral share and nothing behind that.
 // Properties: it never panics; it returns exactly one of a round and an
 // error; what it allocates is bounded by the input's size, so no count
 // or length prefix a stranger writes can drive a make; and every slice of
@@ -36,6 +36,7 @@ func FuzzSliceRound(f *testing.F) {
 		}
 		f.Add(d.Wire())
 	}
+	f.Add(unhex(f, roundVectors(f).Wire.Hex))
 	f.Add([]byte{byte(ModeGroup), 0, 0, 0x10, 0})
 	share, _ := recvKP.Public().AgreementShare()
 	f.Add(append([]byte{byte(ModeGroup), 0, 0, 0x10, 0}, share[:]...))

@@ -14,7 +14,7 @@ import (
 // codec — it re-encodes byte-identically, so replay → compaction →
 // replay cannot drift. The one exception is an add whose flags byte
 // holds flagForwarded: it re-encodes with the byte 0 and is a fixed
-// point from then on.
+// point from then on. Every vector (testdata/vectors) seeds the corpus.
 func FuzzWALDecode(f *testing.F) {
 	seed := func(rec Record) {
 		enc, err := AppendRecord(nil, rec)
@@ -29,6 +29,9 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(legacyForwardedRecord())
 	seed(Record{Kind: KindAck, Seq: 1, Reason: AckDelivered})
 	seed(Record{Kind: KindAck, Seq: 1<<63 - 1, Reason: AckExpired})
+	for _, v := range recordVectors(f) {
+		f.Add(unhex(f, v.Hex))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 1})
 	f.Add(bytes.Repeat([]byte{0}, 64))
