@@ -149,65 +149,35 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	return rec, n, err
 }
 
-// decodeBody decodes a CRC-checked body of at least fixedBody bytes
-// (format.Decode guarantees both).
+// decodeBody decodes a CRC-checked body.
 func decodeBody(body []byte) (Record, error) {
-	var rec Record
-	if body[0] != recordVersion {
-		return rec, fmt.Errorf("%w: version %d", ErrCorruptRecord, body[0])
+	in := seglog.NewReader(body)
+	if v := in.Uint(1); v != recordVersion {
+		return Record{}, fmt.Errorf("%w: version %d", ErrCorruptRecord, v)
 	}
-	rec.Frame = Frame(body[1])
-	rec.Seq = binary.LittleEndian.Uint64(body[2:])
-	copy(rec.Prev[:], body[10:])
-	rec.Time = int64(binary.LittleEndian.Uint64(body[42:]))
-	rest := body[fixedBody:]
+	rec := Record{Frame: Frame(in.Uint(1)), Seq: in.Uint(8)}
+	copy(rec.Prev[:], in.Bytes(HashSize))
+	rec.Time = int64(in.Uint(8))
 	switch rec.Frame {
 	case FrameEvent:
-		if len(rest) < 8 {
-			return rec, fmt.Errorf("%w: short event body", ErrCorruptRecord)
-		}
-		rec.Trace = binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
-		var field []byte
-		var err error
+		rec.Trace = in.Uint(8)
 		for _, dst := range [...]*string{&rec.Kind, &rec.Peer, &rec.Op, &rec.Reason} {
-			if field, rest, err = take16(rest); err != nil {
-				return rec, err
+			field := in.Field(2)
+			if len(field) > maxFieldLen {
+				return rec, fmt.Errorf("%w: oversized field", ErrCorruptRecord)
 			}
 			*dst = string(field)
 		}
-		if len(rest) != 0 {
-			// Trailing garbage: accepting it would break encode∘decode
-			// identity AND let an adversary smuggle unhashed bytes.
-			return rec, fmt.Errorf("%w: event fields do not tile body", ErrCorruptRecord)
-		}
 	case FrameCheckpoint:
-		if len(rest) < 4 {
-			return rec, fmt.Errorf("%w: short checkpoint length", ErrCorruptRecord)
-		}
-		plen := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint32(len(rest)) != plen {
-			return rec, fmt.Errorf("%w: checkpoint does not tile body", ErrCorruptRecord)
-		}
-		rec.Checkpoint = rest
+		rec.Checkpoint = in.Field(4)
 	default:
-		return rec, fmt.Errorf("%w: bad frame %d", ErrCorruptRecord, body[1])
+		return rec, fmt.Errorf("%w: bad frame %d", ErrCorruptRecord, rec.Frame)
+	}
+	if !in.Done() {
+		// Too short OR trailing garbage: accepting it would break
+		// encode∘decode identity AND let an adversary smuggle unhashed
+		// bytes.
+		return rec, fmt.Errorf("%w: fields do not tile the body", ErrCorruptRecord)
 	}
 	return rec, nil
-}
-
-func take16(b []byte) (field, rest []byte, err error) {
-	if len(b) < 2 {
-		return nil, b, fmt.Errorf("%w: short field length", ErrCorruptRecord)
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	if n > maxFieldLen {
-		return nil, b, fmt.Errorf("%w: oversized field", ErrCorruptRecord)
-	}
-	b = b[2:]
-	if len(b) < n {
-		return nil, b, fmt.Errorf("%w: field overruns body", ErrCorruptRecord)
-	}
-	return b[:n], b[n:], nil
 }

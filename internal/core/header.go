@@ -2,10 +2,10 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"unsafe"
 
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/proto"
 )
 
 // The signed header every message form but a channel's carries: the
@@ -92,13 +92,11 @@ func headerSize(h *header, signer *keys.KeyPair) int {
 // appendHeader appends h, signed by signer when it is set (the signature
 // is left in h.sig) and otherwise carrying h.sig as it is.
 func appendHeader(dst []byte, h *header, signer *keys.KeyPair) ([]byte, error) {
-	if len(h.sender) > 0xffff || len(h.group) > 0xffff {
-		return nil, errors.New("core: header field longer than 65535 bytes")
+	if len(h.sender) > proto.MaxField || len(h.group) > proto.MaxField {
+		return nil, proto.ErrFieldTooLong
 	}
 	start := len(dst)
-	dst = append(dst, byte(h.kind))
-	dst = append(binary.BigEndian.AppendUint16(dst, uint16(len(h.sender))), h.sender...)
-	dst = append(binary.BigEndian.AppendUint16(dst, uint16(len(h.group))), h.group...)
+	dst = proto.AppendField(proto.AppendField(append(dst, byte(h.kind)), h.sender), h.group)
 	dst = append(binary.BigEndian.AppendUint64(dst, uint64(h.at)), h.digest...)
 	flags := len(dst)
 	dst = append(dst, 0)
@@ -115,43 +113,29 @@ func appendHeader(dst []byte, h *header, signer *keys.KeyPair) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return append(binary.BigEndian.AppendUint16(dst, uint16(len(h.sig))), h.sig...), nil
+	return proto.AppendField(dst, h.sig), nil
 }
 
 // parseHeader reads the header block starts with, and returns it and the
 // body behind it. Every field is a view of block.
 func parseHeader(block []byte) (h header, body []byte, ok bool) {
-	body, ok = block, true
-	next := func(n int) []byte {
-		if !ok || len(body) < n {
-			ok = false
-			return nil
-		}
-		v := body[:n:n]
-		body = body[n:]
-		return v
-	}
-	sized := func() []byte {
-		if n := next(2); ok {
-			return next(int(binary.BigEndian.Uint16(n)))
-		}
-		return nil
-	}
-	kind, sender, group := next(1), sized(), sized()
-	at, digest, flags := next(8), next(32), next(1)
-	if !ok || flags[0]&^(flagTo|flagRound|flagOffer|flagResends) != 0 {
-		return h, nil, false
-	}
-	h.kind, h.at, h.digest = Mode(kind[0]), int64(binary.BigEndian.Uint64(at)), digest
+	in := proto.NewReader(block)
+	h.kind = Mode(in.Uint(1))
+	sender, group := in.Field(), in.Field()
 	h.sender = keys.PeerID(unsafe.String(unsafe.SliceData(sender), len(sender)))
 	h.group = unsafe.String(unsafe.SliceData(group), len(group))
+	h.at, h.digest = int64(in.Uint(8)), in.Bytes(32)
+	flags := byte(in.Uint(1))
+	if flags&^(flagTo|flagRound|flagOffer|flagResends) != 0 {
+		return h, nil, false
+	}
 	for _, f := range h.optional() {
-		if flags[0]&f.flag != 0 {
-			*f.v = next(f.size)
+		if flags&f.flag != 0 {
+			*f.v = in.Bytes(f.size)
 		}
 	}
-	h.sig = sized()
-	return h, body, ok
+	h.sig = in.Field()
+	return h, in.Rest(), in.Done()
 }
 
 // verifyHeader checks the signature hdr ends in, sig, under key.

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/proto"
 )
 
 // Group fan-out round sealing. The paper's secureMsgGroupPeer is N
@@ -68,22 +68,19 @@ const maxRoundRecipients = 4096
 // its wrap.
 const roundEntry = 32 + keys.WrapSize
 
-// parseRoundWire reads a ModeGroup payload into sliceable form. The
-// count prefix is checked against the bytes that follow before anything
-// is cut, and nothing is sized by it: the entries stay a view.
+// parseRoundWire reads a ModeGroup payload into sliceable form. Nothing
+// is sized by the count prefix: the entries stay a view, and a count the
+// bytes behind it do not hold fails the read.
 func parseRoundWire(payload []byte) (*DetachedRound, error) {
-	if len(payload) < 4+keys.ShareSize {
+	in := proto.NewReader(payload)
+	n := in.Uint(4)
+	if n == 0 || n > maxRoundRecipients {
 		return nil, ErrEnvelope
 	}
-	n := binary.BigEndian.Uint32(payload[:4])
-	payload = payload[4:]
-	if n == 0 || n > maxRoundRecipients || uint64(len(payload)) < keys.ShareSize+roundEntry*uint64(n)+keys.AEADNonceSize {
+	eph, entries, gcmNonce := in.Bytes(keys.ShareSize), in.Bytes(roundEntry*int(n)), in.Bytes(keys.AEADNonceSize)
+	ct := in.Rest()
+	if !in.Done() {
 		return nil, ErrEnvelope
 	}
-	rw := &DetachedRound{eph: [keys.ShareSize]byte(payload[:keys.ShareSize])}
-	payload = payload[keys.ShareSize:]
-	end := roundEntry * int(n)
-	rw.entries, payload = payload[:end:end], payload[end:]
-	rw.gcmNonce, rw.ct = payload[:keys.AEADNonceSize:keys.AEADNonceSize], payload[keys.AEADNonceSize:]
-	return rw, nil
+	return &DetachedRound{eph: [keys.ShareSize]byte(eph), entries: entries, gcmNonce: gcmNonce, ct: ct}, nil
 }

@@ -475,7 +475,7 @@ func (s *SecureClient) SecureMsgPeer(ctx context.Context, peer keys.PeerID, grou
 // the refused frame whose message this is, as its refusal does behind the
 // mode byte.
 func (s *SecureClient) sendEnvelope(ctx context.Context, peer keys.PeerID, group, text string, resends []byte) error {
-	res, pipeAdv, err := s.verifiedPeer(ctx, peer, group)
+	res, pipeAdv, err := s.recipient(ctx, peer, group)
 	if err != nil {
 		return err
 	}
@@ -570,7 +570,10 @@ func (s *SecureClient) verifiedTargets(ctx context.Context, group string, peers 
 	targets := make([]roundTarget, len(peers))
 	errs := make([]error, len(peers))
 	forEach(runtime.GOMAXPROCS(0), len(peers), func(i int) {
-		targets[i].key, targets[i].pipe, errs[i] = s.verifiedPeerKey(ctx, peers[i], group)
+		var res *xdsig.Result
+		if res, targets[i].pipe, errs[i] = s.recipient(ctx, peers[i], group); errs[i] == nil {
+			targets[i].key = res.Signer.Key
+		}
 	})
 	return targets, errs
 }
@@ -647,37 +650,45 @@ func tallyFanOut(errs []error) (int, error) {
 	return sent, firstErr
 }
 
-// verifiedPeerKey resolves a peer's signed pipe advertisement and
-// returns the certified public key (steps 1-3 of §4.3.1).
-func (s *SecureClient) verifiedPeerKey(ctx context.Context, peer keys.PeerID, group string) (*keys.PublicKey, *advert.Pipe, error) {
+// recipient is verifiedPeer for a send, which raises a SecurityAlert,
+// audited, when the advertisement of the peer it was about to seal to
+// does not verify.
+func (s *SecureClient) recipient(ctx context.Context, peer keys.PeerID, group string) (*xdsig.Result, *advert.Pipe, error) {
 	res, pipeAdv, err := s.verifiedPeer(ctx, peer, group)
-	if err != nil {
-		return nil, nil, err
+	if errors.Is(err, ErrPeerAdvInvalid) {
+		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: peer, Group: group,
+			Payload: s.alertAudit(peer, "lookupPipe", err.Error(), 0)})
 	}
-	return res.Signer.Key, pipeAdv, nil
+	return res, pipeAdv, err
 }
 
-// verifiedPeer is verifiedPeerKey returning the whole verdict: the
-// credential chain beside the key.
+// verifiedPeer resolves peer's signed pipe advertisement in group and
+// returns it beside its verdict (peerVerdict): the key a send seals to
+// (steps 1-3 of §4.3.1) and the key a delivery's signature is checked
+// under (steps 6-7) alike.
 func (s *SecureClient) verifiedPeer(ctx context.Context, peer keys.PeerID, group string) (*xdsig.Result, *advert.Pipe, error) {
-	pipeAdv, rawDoc, err := s.LookupPipe(ctx, peer, group)
+	pipeAdv, doc, err := s.LookupPipe(ctx, peer, group)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := s.vcache.VerifyTrusted(rawDoc, s.Now())
+	res, err := s.peerVerdict(peer, pipeAdv, doc)
+	return res, pipeAdv, err
+}
+
+// peerVerdict is the one verdict on peer's pipe advertisement, pipeAdv as
+// parsed from doc, at this node's now: a trusted chain, whose signer is
+// peer and owns the advertisement. The broker checks ownership at publish
+// too, so nothing a broker served fails it; the check reuses the parse the
+// lookup made.
+func (s *SecureClient) peerVerdict(peer keys.PeerID, pipeAdv *advert.Pipe, doc *xmldoc.Element) (*xdsig.Result, error) {
+	res, err := s.vcache.VerifyTrusted(doc, s.Now())
 	if err != nil {
-		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: peer, Group: group,
-			Payload: s.alertAudit(peer, "lookupPipe", "pipe advertisement failed verification: "+err.Error(), 0)})
-		return nil, nil, fmt.Errorf("%w: %v", ErrPeerAdvInvalid, err)
+		return nil, fmt.Errorf("%w: %v", ErrPeerAdvInvalid, err)
 	}
-	// LookupPipe already parsed the advertisement; the ownership check
-	// reuses that parse (the same single-parse discipline as the broker).
-	if err := CheckParsedAdvOwnership(pipeAdv, res.Signer.Subject); err != nil || res.Signer.Subject != peer {
-		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: peer, Group: group,
-			Payload: s.alertAudit(peer, "lookupPipe", "pipe advertisement signer does not own the advertisement", 0)})
-		return nil, nil, ErrPeerAdvInvalid
+	if res.Signer.Subject != peer || CheckParsedAdvOwnership(pipeAdv, res.Signer.Subject) != nil {
+		return nil, fmt.Errorf("%w: its signer does not own it", ErrPeerAdvInvalid)
 	}
-	return res, pipeAdv, nil
+	return res, nil
 }
 
 // pipeForms is what a group pipe carries: a peer sends envelopes, slices
@@ -1008,12 +1019,12 @@ const (
 func (s *SecureClient) senderKeyPatient(sender keys.PeerID, group string) (*xdsig.Result, error) {
 	// The steady state asks the cache alone: the sender's advertisement is
 	// held and so is its verdict, and a delivery builds no context and arms
-	// no timer. The verdict is the one every attempt reaches (senderVerdict,
+	// no timer. The verdict is the one every attempt reaches (peerVerdict,
 	// at this node's now). Anything else — no advertisement held, or one
 	// that does not verify — is asked again below, with the patience a
 	// broker lookup needs, from the first attempt.
-	if _, doc, ok := s.CachedPipe(sender, group); ok {
-		if res, err := s.senderVerdict(doc, sender); err == nil {
+	if pipeAdv, doc, ok := s.CachedPipe(sender, group); ok {
+		if res, err := s.peerVerdict(sender, pipeAdv, doc); err == nil {
 			return res, nil
 		}
 	}
@@ -1023,7 +1034,7 @@ func (s *SecureClient) senderKeyPatient(sender keys.PeerID, group string) (*xdsi
 	var res *xdsig.Result
 	_, err := retry(ctx, openLookupAttempts, openLookupTimeout, ErrSenderUnknown, func(ctx context.Context) error {
 		var err error
-		res, err = s.senderKey(ctx, sender, group)
+		res, _, err = s.verifiedPeer(ctx, sender, group)
 		return err
 	}, func(i int, err error) (time.Duration, error) {
 		if class, _ := classify(err); class == classTerminal {
@@ -1032,27 +1043,4 @@ func (s *SecureClient) senderKeyPatient(sender keys.PeerID, group string) (*xdsi
 		return pol.Delay(i, nil), nil
 	})
 	return res, err
-}
-
-// senderKey resolves the sender's certified key (the verdict's
-// Signer.Key) via its signed pipe advertisement (steps 6-7 of §4.3.1).
-func (s *SecureClient) senderKey(ctx context.Context, sender keys.PeerID, group string) (*xdsig.Result, error) {
-	_, rawDoc, err := s.LookupPipe(ctx, sender, group)
-	if err != nil {
-		return nil, err
-	}
-	return s.senderVerdict(rawDoc, sender)
-}
-
-// senderVerdict verifies the sender's pipe advertisement doc at this
-// node's now: a trusted chain, signed by sender itself.
-func (s *SecureClient) senderVerdict(doc *xmldoc.Element, sender keys.PeerID) (*xdsig.Result, error) {
-	res, err := s.vcache.VerifyTrusted(doc, s.Now())
-	if err != nil {
-		return nil, err
-	}
-	if res.Signer.Subject != sender {
-		return nil, ErrPeerAdvInvalid
-	}
-	return res, nil
 }

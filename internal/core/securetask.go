@@ -59,7 +59,7 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	sender, err := s.senderKey(ctx, opened.Sender, opened.Group)
+	sender, _, err := s.verifiedPeer(ctx, opened.Sender, opened.Group)
 	if err != nil {
 		return proto.Fail(proto.ErrBadCredential)
 	}
@@ -93,10 +93,11 @@ func (s *SecureClient) handleSecureTask(_ keys.PeerID, msg *endpoint.Message, re
 // SecureExecTask runs a task on a remote group member with both request
 // and response protected by the secure envelope.
 func (s *SecureClient) SecureExecTask(ctx context.Context, peer keys.PeerID, group, task string, args []string) (string, error) {
-	recipientKey, _, err := s.verifiedPeerKey(ctx, peer, group)
+	res, _, err := s.recipient(ctx, peer, group)
 	if err != nil {
 		return "", err
 	}
+	recipientKey := res.Signer.Key
 	body := task + taskBodySep + taskexec.PackArgs(args)
 	h := header{sender: s.PeerID(), group: group, at: s.Now().UnixNano()}
 	sealed, err := seal(s.kp, &h, endpoint.ReadOnlyBytes(body), recipientKey)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/proto"
 )
 
 // Per-recipient round slicing: the one form in which a round reaches a
@@ -338,31 +339,17 @@ type parsedSlice struct {
 	ct       []byte
 }
 
-// sliceHead is a slice payload up to its proof hashes: count, index,
-// ephemeral share, entry, proof length.
-const sliceHead = 4 + 4 + keys.ShareSize + roundEntry + 1
-
 // parseSliceWire reads a slice payload as views of it.
 func parseSliceWire(payload []byte) (ps parsedSlice, err error) {
-	if len(payload) < sliceHead {
+	in := proto.NewReader(payload)
+	n, index := in.Uint(4), in.Uint(4)
+	ps.eph, ps.entry = in.Bytes(keys.ShareSize), in.Bytes(roundEntry)
+	pl := int(in.Uint(1))
+	ps.proof, ps.gcmNonce, ps.ct = in.Bytes(32*pl), in.Bytes(keys.AEADNonceSize), in.Rest()
+	if !in.Done() || n == 0 || n > maxRoundRecipients || index >= n || pl > maxSliceProofLen {
 		return ps, ErrEnvelope
 	}
-	n := binary.BigEndian.Uint32(payload[:4])
-	ps.index = binary.BigEndian.Uint32(payload[4:8])
-	if n == 0 || n > maxRoundRecipients || ps.index >= n {
-		return ps, ErrEnvelope
-	}
-	ps.n = int(n)
-	ps.eph = payload[8 : 8+keys.ShareSize : 8+keys.ShareSize]
-	ps.entry = payload[8+keys.ShareSize : sliceHead-1 : sliceHead-1]
-	pl := int(payload[sliceHead-1])
-	payload = payload[sliceHead:]
-	if pl > maxSliceProofLen || len(payload) < 32*pl+keys.AEADNonceSize {
-		return ps, ErrEnvelope
-	}
-	ps.proof = payload[: 32*pl : 32*pl]
-	payload = payload[32*pl:]
-	ps.gcmNonce, ps.ct = payload[:keys.AEADNonceSize:keys.AEADNonceSize], payload[keys.AEADNonceSize:]
+	ps.n, ps.index = int(n), uint32(index)
 	return ps, nil
 }
 

@@ -27,6 +27,12 @@ import (
 // from the one kind space below, fields written by AppendField and
 // AppendTime and read back by a Reader, and a u16-length signature last. So
 // no form's bytes are read as another's: each is refused at its kind byte.
+//
+// Reader is the one reader of the big-endian forms: the signed request,
+// the credential and the audit checkpoint, and package core's message
+// header, round and slice, which are laid out otherwise and read through
+// it all the same. The durable logs' little-endian record bodies have
+// seglog.Reader.
 
 // RequestKind is the first byte of every signed form; for a request it fixes
 // the request's fields.
@@ -210,6 +216,9 @@ func (r *Reader) Time() time.Time {
 	}
 	return time.Unix(int64(secs), int64(ns)).UTC()
 }
+
+// Rest reads every byte left.
+func (r *Reader) Rest() []byte { return r.Bytes(len(r.rest)) }
 
 // Len is how many bytes are left to read.
 func (r *Reader) Len() int { return len(r.rest) }

@@ -157,77 +157,36 @@ func DecodeRecord(b []byte) (Record, int, error) {
 	return rec, n, err
 }
 
-// decodeBody decodes a CRC-checked body of at least fixedBody bytes
-// (format.Decode guarantees both).
+// decodeBody decodes a CRC-checked body.
 func decodeBody(body []byte) (Record, error) {
-	var rec Record
-	if body[0] != recordVersion {
-		return rec, fmt.Errorf("%w: version %d", ErrCorruptRecord, body[0])
+	in := seglog.NewReader(body)
+	if v := in.Uint(1); v != recordVersion {
+		return Record{}, fmt.Errorf("%w: version %d", ErrCorruptRecord, v)
 	}
-	rec.Kind = Kind(body[1])
-	rec.Seq = Seq(binary.LittleEndian.Uint64(body[2:]))
-	rest := body[fixedBody:]
+	rec := Record{Kind: Kind(in.Uint(1)), Seq: Seq(in.Uint(8))}
 	switch rec.Kind {
 	case KindAdd:
-		if len(rest) < 9 {
-			return rec, fmt.Errorf("%w: short add body", ErrCorruptRecord)
-		}
-		rec.Expires = time.Unix(0, int64(binary.LittleEndian.Uint64(rest)))
-		flags := rest[8]
-		if flags&^byte(flagForwarded) != 0 {
+		rec.Expires = time.Unix(0, int64(in.Uint(8)))
+		if flags := in.Uint(1); flags&^flagForwarded != 0 {
 			return rec, fmt.Errorf("%w: unknown flags %#x", ErrCorruptRecord, flags)
 		}
-		rest = rest[9:]
-		var field []byte
-		var err error
-		if field, rest, err = take16(rest); err != nil {
-			return rec, err
-		}
-		rec.To = keys.PeerID(field)
-		if field, rest, err = take16(rest); err != nil {
-			return rec, err
-		}
-		rec.From = keys.PeerID(field)
-		if field, rest, err = take16(rest); err != nil {
-			return rec, err
-		}
-		rec.Group = string(field)
-		if len(rec.To) > maxIDLen || len(rec.From) > maxIDLen || len(rec.Group) > maxIDLen {
+		to, from, group := in.Field(2), in.Field(2), in.Field(2)
+		if len(to) > maxIDLen || len(from) > maxIDLen || len(group) > maxIDLen {
 			return rec, fmt.Errorf("%w: oversized identifier", ErrCorruptRecord)
 		}
-		if len(rest) < 4 {
-			return rec, fmt.Errorf("%w: short payload length", ErrCorruptRecord)
-		}
-		plen := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint32(len(rest)) != plen {
-			// Too short OR trailing garbage: either way the body does not
-			// tile, and accepting it would break encode∘decode identity.
-			return rec, fmt.Errorf("%w: payload does not tile body", ErrCorruptRecord)
-		}
-		rec.Payload = rest
+		rec.To, rec.From, rec.Group = keys.PeerID(to), keys.PeerID(from), string(group)
+		rec.Payload = in.Field(4)
 	case KindAck:
-		if len(rest) != 1 {
-			return rec, fmt.Errorf("%w: ack body must be exactly 1 byte", ErrCorruptRecord)
-		}
-		rec.Reason = AckReason(rest[0])
-		if rec.Reason < AckDelivered || rec.Reason > AckDropped {
-			return rec, fmt.Errorf("%w: bad ack reason %d", ErrCorruptRecord, rest[0])
+		if rec.Reason = AckReason(in.Uint(1)); rec.Reason < AckDelivered || rec.Reason > AckDropped {
+			return rec, fmt.Errorf("%w: bad ack reason %d", ErrCorruptRecord, rec.Reason)
 		}
 	default:
-		return rec, fmt.Errorf("%w: bad kind %d", ErrCorruptRecord, body[1])
+		return rec, fmt.Errorf("%w: bad kind %d", ErrCorruptRecord, rec.Kind)
+	}
+	if !in.Done() {
+		// Too short OR trailing garbage: either way the fields do not tile
+		// the body, and accepting it would break encode∘decode identity.
+		return rec, fmt.Errorf("%w: fields do not tile the body", ErrCorruptRecord)
 	}
 	return rec, nil
-}
-
-func take16(b []byte) (field, rest []byte, err error) {
-	if len(b) < 2 {
-		return nil, b, fmt.Errorf("%w: short field length", ErrCorruptRecord)
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return nil, b, fmt.Errorf("%w: field overruns body", ErrCorruptRecord)
-	}
-	return b[:n], b[n:], nil
 }

@@ -84,6 +84,44 @@ func (f Format) Decode(b []byte) (body []byte, n int, err error) {
 	return body, n, nil
 }
 
+// Reader reads a body's fields in order, each a view of the body: fixed
+// fields little-endian, variable ones behind a little-endian length. A read
+// that does not fit fails the Reader: it and every later read return zero
+// values, and Done reports false. It is proto.Reader's little-endian twin.
+type Reader struct {
+	rest []byte
+	bad  bool
+}
+
+// NewReader reads body.
+func NewReader(body []byte) Reader { return Reader{rest: body} }
+
+// Bytes reads the next n bytes.
+func (r *Reader) Bytes(n int) []byte {
+	if r.bad || uint(n) > uint(len(r.rest)) {
+		r.bad = true
+		return nil
+	}
+	v := r.rest[:n:n]
+	r.rest = r.rest[n:]
+	return v
+}
+
+// Uint reads an n-byte little-endian unsigned integer, n at most 8.
+func (r *Reader) Uint(n int) (v uint64) {
+	b := r.Bytes(n)
+	for i := len(b) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
+	}
+	return v
+}
+
+// Field reads a field behind its n-byte length.
+func (r *Reader) Field(n int) []byte { return r.Bytes(int(r.Uint(n))) }
+
+// Done reports whether every read fitted and nothing is left.
+func (r *Reader) Done() bool { return !r.bad && len(r.rest) == 0 }
+
 // Name is the file name of segment i.
 func (f Format) Name(i int) string { return fmt.Sprintf("%s%08d%s", f.Prefix, i, f.Suffix) }
 

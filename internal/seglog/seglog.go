@@ -2,7 +2,9 @@
 // broker's durable state. The relay's queue WAL (internal/relay/wal) and
 // the audit journal (internal/audit) are clients: each owns its record
 // body and what a record means; the frame, the segment files, the
-// write/fsync discipline, fail-stop and rotation are here, once.
+// write/fsync discipline, fail-stop and rotation are here, once. Both
+// clients read their bodies through one Reader: the WAL's record
+// (wal.DecodeRecord) and the journal's (audit.DecodeRecord).
 //
 // Durability contract: an append is durable once it has been fsynced.
 // SyncInterval == 0 fsyncs every append before it returns; a positive
