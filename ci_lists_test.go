@@ -138,6 +138,51 @@ func TestVectorFilesAreRead(t *testing.T) {
 	}
 }
 
+// TestExamplesRunInCI: nothing else runs the programs under examples/,
+// and examples/filesharing is the only code on the NAT relay path. The
+// ci.yml step "Examples and smoke sim" runs them from one `for ex in …`
+// list, which must name every directory under examples/ and nothing else.
+func TestExamplesRunInCI(t *testing.T) {
+	entries, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() {
+			want[e.Name()] = true
+		}
+	}
+	workflow, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, step, ok := strings.Cut(string(workflow), "- name: Examples and smoke sim\n")
+	if !ok {
+		t.Fatal("ci.yml has no step named \"Examples and smoke sim\"")
+	}
+	step, _, _ = strings.Cut(step, "- name:")
+	var listed []string
+	for _, line := range strings.Split(step, "\n") {
+		if list, ok := strings.CutPrefix(strings.TrimSpace(line), "for ex in "); ok {
+			list, _, _ = strings.Cut(list, ";")
+			listed = strings.Fields(list)
+		}
+	}
+	if len(listed) == 0 {
+		t.Fatal("the ci.yml step \"Examples and smoke sim\" has no `for ex in …` list")
+	}
+	for _, name := range listed {
+		if !want[name] {
+			t.Errorf("ci.yml runs examples/%s, which is not a directory", name)
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("examples/%s is missing from the ci.yml step \"Examples and smoke sim\"", name)
+	}
+}
+
 // testFuncs lists the Test, Fuzz and Example functions the _test.go files
 // of the package in dir declare.
 func testFuncs(t *testing.T, dir string) []string {

@@ -1,13 +1,15 @@
 // Attack demonstration: runs the paper's §2.3 threat analysis live.
 // Every attack is executed twice — once against the original primitives
 // (where it succeeds) and once against the secure extension (where it is
-// detected and rejected).
+// detected and rejected). The program exits non-zero when a defence of
+// the secure extension does not hold.
 //
 //	go run ./examples/attacks
 package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -119,8 +121,12 @@ func eavesdropDemo(ctx context.Context) error {
 	if err := sAlice.Join(ctx, sbr.Broker.PeerID(), "alice-secret"); err != nil {
 		return err
 	}
+	leaked := eve2.SawString("alice-secret")
 	fmt.Printf("  secure login: eve read the password off the wire: %v (frames captured: %d)\n",
-		eve2.SawString("alice-secret"), eve2.FrameCount())
+		leaked, eve2.FrameCount())
+	if leaked {
+		return errors.New("the secure login put the password on the wire")
+	}
 	return nil
 }
 
@@ -185,6 +191,9 @@ func fakeBrokerDemo(ctx context.Context) error {
 	defer sAlice.Close()
 	err = sAlice.SecureConnection(ctx, fakeSec.Broker.PeerID())
 	fmt.Printf("  secureConnection to the fake broker rejected: %v\n", err != nil)
+	if err == nil {
+		return errors.New("secureConnection accepted a broker the administrator did not certify")
+	}
 	return nil
 }
 
@@ -249,5 +258,8 @@ func forgeryDemo(ctx context.Context) error {
 	forged2 := attack.ForgePresence(sAlice.PeerID(), "alice", "demo", "offline")
 	err = sMallory.PublishAdvDoc(ctx, forged2)
 	fmt.Printf("  secure broker rejected the forged presence: %v\n", err != nil)
+	if err == nil {
+		return errors.New("the secure broker accepted a presence advertisement its owner did not sign")
+	}
 	return nil
 }

@@ -437,11 +437,8 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 	// or not: "admitted in ~0" and "no limiter installed" read the same
 	// in a waterfall, and the stage is always present to anchor the
 	// broker side of the trace.
-	var sp trace.Span
-	if tid != 0 {
-		sp = trace.Begin(tid, trace.StageAdmission)
-		sp.SetAttr("op", op)
-	}
+	sp := trace.Begin(tid, trace.StageAdmission)
+	sp.SetAttr("op", op)
 	if adm != nil {
 		if d := adm.Allow(string(from)); !d.Allowed {
 			b.opsRateLimited.Add(1)
@@ -461,9 +458,7 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 				AddString(proto.ElemRetryAfter, strconv.FormatInt(adm.RetryAfter().Milliseconds(), 10))
 		}
 	}
-	if tid != 0 {
-		b.tracer.Load().End(sp, trace.OutcomeOK)
-	}
+	b.tracer.Load().End(sp, trace.OutcomeOK)
 	if e.member && !online {
 		b.opsFailed.Add(1)
 		return proto.Fail(proto.ErrNotLoggedIn)
@@ -745,7 +740,6 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	}
 	tid := b.TraceID(msg)
 	tr := b.tracer.Load()
-	var sp trace.Span
 	// Published advertisements must be canonical wire bytes — peers
 	// serialize with Canonical() — so the hardened fast-path parser is
 	// both the cheap and the strict choice at this, the broker's most
@@ -755,9 +749,7 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	// are parsed from a copy made for the cache: a view of the request
 	// frame would keep the whole frame (measured: +5.6 % live heap on
 	// join-churn) for as long.
-	if tid != 0 {
-		sp = trace.Begin(tid, trace.StageParse)
-	}
+	sp := trace.Begin(tid, trace.StageParse)
 	doc, err := xmldoc.ParseCanonical(bytes.Clone(raw))
 	if err != nil {
 		tr.End(sp, trace.OutcomeError)
@@ -768,9 +760,7 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	// verifier when one is installed (it parses for the ownership check
 	// anyway), by the broker otherwise. The parsed form then rides into
 	// the cache via PutParsed.
-	if tid != 0 {
-		sp = trace.Begin(tid, trace.StageVerify)
-	}
+	sp = trace.Begin(tid, trace.StageVerify)
 	parsed, errTok := b.verifyAndParse(doc)
 	if errTok != "" {
 		sp.SetAttr("err", errTok)
@@ -783,9 +773,7 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	if group != "" && !b.memberOf(from, group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
-	if tid != 0 {
-		sp = trace.Begin(tid, trace.StagePublish)
-	}
+	sp = trace.Begin(tid, trace.StagePublish)
 	var push *endpoint.Message
 	if group != "" {
 		push = b.advPushFor(doc, parsed)

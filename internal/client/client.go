@@ -218,17 +218,14 @@ func (c *Client) Call(ctx context.Context, msg *endpoint.Message) (*endpoint.Mes
 		return nil, ErrNotConnected
 	}
 	tid := c.traceMsg(msg)
-	var sp trace.Span
-	if tid != 0 {
-		sp = trace.Begin(tid, trace.StageSend)
+	sp := trace.Begin(tid, trace.StageSend)
+	if tid != 0 { // saves the op element's lookup when untraced
 		if op, ok := msg.GetString(proto.ElemOp); ok {
 			sp.SetAttr("op", op)
 		}
 	}
 	resp, err := c.call(ctx, br, msg)
-	if tid != 0 {
-		c.tracer.Load().End(sp, callOutcome(err))
-	}
+	c.tracer.Load().End(sp, callOutcome(err))
 	return resp, err
 }
 

@@ -73,10 +73,7 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 	}
 	tr := cfg.Tracer
 	deliver := func(it relay.Item) error {
-		var sp trace.Span
-		if it.Trace != 0 && tr != nil {
-			sp = trace.Begin(it.Trace, trace.StageDeliver)
-		}
+		sp := trace.Begin(it.Trace, trace.StageDeliver)
 		err := pushSlice(b.Endpoint(), it)
 		if err != nil {
 			tr.End(sp, trace.OutcomeError)
@@ -139,16 +136,10 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		tr := b.Tracer()
 		if r.SenderOverQuota(from) {
 			b.RecordOffense(from, proto.OpRelayRound, proto.ErrRelayQuota, tid)
-			if tid != 0 {
-				sp := trace.Begin(tid, trace.StageEnqueue)
-				tr.End(sp, trace.OutcomeQuota)
-			}
+			tr.End(trace.Begin(tid, trace.StageEnqueue), trace.OutcomeQuota)
 			return proto.Fail(proto.ErrRelayQuota)
 		}
-		var spParse trace.Span
-		if tid != 0 {
-			spParse = trace.Begin(tid, trace.StageParse)
-		}
+		spParse := trace.Begin(tid, trace.StageParse)
 		wire, ok := msg.Get(proto.ElemEnvelope)
 		if !ok || len(wire) == 0 || Mode(wire[0]) != ModeGroup {
 			tr.End(spParse, trace.OutcomeError)
@@ -172,15 +163,10 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		// (it holds no keys), but a mismapped slice is merely
 		// undeliverable: the wrong recipient fails ErrNotRecipient and the
 		// signed Merkle binding stops anything stronger.
-		var spVerify trace.Span
-		if tid != 0 {
-			spVerify = trace.Begin(tid, trace.StageVerify)
-		}
+		spVerify := trace.Begin(tid, trace.StageVerify)
 		if bytes.Count(rcpts, comma)+1 != d.Recipients() {
-			if tid != 0 {
-				spVerify.SetAttr("err", proto.ErrBadRound)
-				tr.End(spVerify, trace.OutcomeError)
-			}
+			spVerify.SetAttr("err", proto.ErrBadRound)
+			tr.End(spVerify, trace.OutcomeError)
 			return proto.Fail(proto.ErrBadRound)
 		}
 		tr.End(spVerify, trace.OutcomeOK)
@@ -193,10 +179,7 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		// keeps — so no queued slice keeps the upload frame alive, and a
 		// refused recipient costs no cut at all.
 		direct, queued, quota, skipped := 0, 0, 0, 0
-		var spSlice trace.Span
-		if tid != 0 {
-			spSlice = trace.Begin(tid, trace.StageSlice)
-		}
+		spSlice := trace.Begin(tid, trace.StageSlice)
 		for i, rest := 0, rcpts; i < d.Recipients(); i++ {
 			var raw []byte
 			raw, rest, _ = bytes.Cut(rest, comma)
@@ -226,18 +209,14 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 				return proto.Fail(proto.ErrRelayOff)
 			}
 		}
-		if tid != 0 {
-			if quota > 0 {
-				tr.End(spSlice, trace.OutcomeQuota)
-			} else {
-				tr.End(spSlice, trace.OutcomeOK)
-			}
-		}
 		if quota > 0 {
+			tr.End(spSlice, trace.OutcomeQuota)
 			// One offense per throttled round (not per slice): the unit
 			// of sender behavior is the upload, and per-slice counting
 			// would let a single wide round trip the alert threshold.
 			b.RecordOffense(from, proto.OpRelayRound, proto.ErrRelayQuota, tid)
+		} else {
+			tr.End(spSlice, trace.OutcomeOK)
 		}
 		// The counts go in as views of their strings, which the answer's
 		// frame only reads (under 100, strconv's own table: no allocation).

@@ -276,7 +276,11 @@ func (r *ResilientClient) Do(ctx context.Context, fn func(context.Context) error
 func (r *ResilientClient) SendGroupRelay(ctx context.Context, group, text string) (direct, queued int, err error) {
 	// Roster and recipient verification are read-only: they ride the
 	// plain resilient path. A retried verification finds the verdicts of
-	// the recipients that verified before in the cache.
+	// the recipients that verified before in the cache. Only a failure
+	// worth another try verifies again: a verdict on an advertisement, or
+	// a refusal no retry mends, stays in errs, reported against its
+	// recipient while the rest get the round. One forged advertisement in
+	// the cache must not hold the whole send.
 	var ids []keys.PeerID
 	if err := r.Do(ctx, func(ctx context.Context) error {
 		members, err := r.GetGroupMembers(ctx, group)
@@ -289,8 +293,12 @@ func (r *ResilientClient) SendGroupRelay(ctx context.Context, group, text string
 	var errs []error
 	if err := r.Do(ctx, func(ctx context.Context) error {
 		targets, errs = r.verifiedTargets(ctx, group, ids)
-		_, err := tallyFanOut(errs)
-		return err
+		for _, err := range errs {
+			if class, _ := classify(err); err != nil && class != classTerminal && !errors.Is(err, ErrPeerAdvInvalid) {
+				return err
+			}
+		}
+		return nil
 	}); err != nil {
 		return 0, 0, err
 	}
@@ -438,10 +446,7 @@ func (r *ResilientClient) ensureResumed(ctx context.Context) error {
 // On success a Reconnected event fires with the attempt count.
 func (r *ResilientClient) resume(ctx context.Context) error {
 	tr := r.Tracer()
-	var sp trace.Span
-	if tr != nil {
-		sp = trace.Begin(tr.NewID(), trace.StageResume)
-	}
+	sp := trace.Begin(tr.NewID(), trace.StageResume)
 	src := r.newBackoff()
 	tries, err := retry(ctx, resumeBudget, tryTimeout, ErrResumeFailed, func(ctx context.Context) error {
 		return r.Join(ctx, r.brokerID, r.password)
@@ -457,14 +462,13 @@ func (r *ResilientClient) resume(ctx context.Context) error {
 		return err
 	}
 	r.resumes.Add(1)
-	if tr != nil {
-		sp.SetAttr("attempts", strconv.Itoa(tries))
-		tr.End(sp, trace.OutcomeOK)
-	}
+	attempts := strconv.Itoa(tries)
+	sp.SetAttr("attempts", attempts)
+	tr.End(sp, trace.OutcomeOK)
 	r.Bus().Emit(events.Event{
 		Type:    events.Reconnected,
 		From:    r.brokerID,
-		Payload: map[string]string{"attempts": strconv.Itoa(tries)},
+		Payload: map[string]string{"attempts": attempts},
 	})
 	return nil
 }

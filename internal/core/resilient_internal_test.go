@@ -14,8 +14,10 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/client"
+	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/simnet"
+	"jxtaoverlay/internal/xdsig"
 )
 
 func TestClassify(t *testing.T) {
@@ -54,6 +56,33 @@ func TestClassify(t *testing.T) {
 				t.Fatalf("classify(%v) floor = %v, want %v", tc.err, floor, tc.floor)
 			}
 		})
+	}
+}
+
+// TestRefusedVerdicts: which failed verdicts end senderKeyPatient's wait
+// at once. Each cause arrives wrapped as peerVerdict wraps it, under
+// xdsig's and cred's own wrapping; a lapsed chain and a lookup failure
+// are asked again.
+func TestRefusedVerdicts(t *testing.T) {
+	verdict := func(cause error) error { return fmt.Errorf("%w: %w", ErrPeerAdvInvalid, cause) }
+	cases := []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"bad signature", verdict(xdsig.ErrBadSignature), true},
+		{"digest mismatch", verdict(xdsig.ErrDigestMismatch), true},
+		{"untrusted issuer", verdict(fmt.Errorf("xdsig: %w", fmt.Errorf("cred: chain root: %w: issuer %q", cred.ErrUntrusted, "x"))), true},
+		{"bad credential signature", verdict(fmt.Errorf("xdsig: %w", fmt.Errorf("cred: chain link 0: %w", cred.ErrBadSignature))), true},
+		{"signer does not own it", fmt.Errorf("%w: its signer does not own it", ErrPeerAdvInvalid), true},
+		{"lapsed chain", verdict(fmt.Errorf("xdsig: %w", fmt.Errorf("cred: chain link 0: %w", cred.ErrExpired))), false},
+		{"lookup failed", &client.OpError{Token: proto.ErrNotFound}, false},
+		{"lookup timed out", context.DeadlineExceeded, false},
+	}
+	for _, tc := range cases {
+		if got := refused(tc.err); got != tc.want {
+			t.Errorf("%s: refused(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
+		}
 	}
 }
 

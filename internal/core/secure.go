@@ -610,13 +610,8 @@ func (s *SecureClient) sealRounds(group, text string, targets []roundTarget, err
 		for j, i := range chunk {
 			keyList[j] = targets[i].key
 		}
-		var tid uint64
-		var spSeal trace.Span
-		if tr != nil {
-			if tid = tr.NewID(); tid != 0 {
-				spSeal = trace.Begin(tid, trace.StageSeal)
-			}
-		}
+		tid := tr.NewID()
+		spSeal := trace.Begin(tid, trace.StageSeal)
 		now := s.Now()
 		eph, err := s.roundKeyAt(now)
 		var d *DetachedRound
@@ -683,12 +678,20 @@ func (s *SecureClient) verifiedPeer(ctx context.Context, peer keys.PeerID, group
 func (s *SecureClient) peerVerdict(peer keys.PeerID, pipeAdv *advert.Pipe, doc *xmldoc.Element) (*xdsig.Result, error) {
 	res, err := s.vcache.VerifyTrusted(doc, s.Now())
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrPeerAdvInvalid, err)
+		return nil, fmt.Errorf("%w: %w", ErrPeerAdvInvalid, err)
 	}
 	if res.Signer.Subject != peer || CheckParsedAdvOwnership(pipeAdv, res.Signer.Subject) != nil {
 		return nil, fmt.Errorf("%w: its signer does not own it", ErrPeerAdvInvalid)
 	}
 	return res, nil
+}
+
+// refused reports whether err is a verdict no later lookup can turn: an
+// untrusted issuer, a bad signature, a signer that does not own the
+// advertisement. A chain that lapsed (cred.ErrExpired) is not one: its
+// owner's re-publication, which the broker pushes, can supersede it.
+func refused(err error) bool {
+	return errors.Is(err, ErrPeerAdvInvalid) && !errors.Is(err, cred.ErrExpired)
 }
 
 // pipeForms is what a group pipe carries: a peer sends envelopes, slices
@@ -720,23 +723,20 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 	// payload, so an alert can be looked up as a full waterfall.
 	var tid uint64
 	tr := s.Tracer()
-	if tr != nil {
+	if tr != nil { // saves the trace element's lookup when tracing is off
 		if idStr, _ := msg.GetString(proto.ElemTrace); idStr != "" {
 			tid = trace.ParseID(idStr)
 		}
 	}
-	var spOpen trace.Span
-	if tid != 0 {
-		spOpen = trace.Begin(tid, trace.StageOpen)
-	}
+	spOpen := trace.Begin(tid, trace.StageOpen)
 	alert := func(from keys.PeerID, reason string) {
 		// Audit before emitting so the alert payload can carry the audit
 		// record's sequence number alongside the trace ID.
 		payload := s.alertAudit(from, "open", reason, tid)
-		if tid != 0 {
+		if tid != 0 { // an untraced alert names no trace
 			payload["trace"] = trace.FormatID(tid)
-			tr.End(spOpen, trace.OutcomeAlert)
 		}
+		tr.End(spOpen, trace.OutcomeAlert)
 		s.Bus().Emit(events.Event{Type: events.SecurityAlert, From: from, Group: group, Payload: payload})
 	}
 	now := s.Now()
@@ -802,9 +802,7 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 		}
 		user = sender.Signer.SubjectName
 	}
-	if tid != 0 {
-		tr.End(spOpen, trace.OutcomeOK)
-	}
+	tr.End(spOpen, trace.OutcomeOK)
 	// A message sent again after a refusal that was not this peer's (it
 	// holds the channel and opened the frame) has been delivered already.
 	delivered := opened.resends != nil &&
@@ -1008,8 +1006,10 @@ const (
 // the session) or because the lookup frame itself was lost must not
 // condemn the message. Each attempt is individually bounded — a
 // silently dropped frame costs one openLookupTimeout, not the whole
-// openPatience — and terminal verdicts (untrusted chain, subject mismatch)
-// stop the loop at once.
+// openPatience — and a refused verdict (untrusted issuer, bad signature,
+// a signer that does not own the advertisement) ends the wait at once:
+// the lookup answers from the cache first, so another attempt would only
+// verify the same document again. A lapsed chain is asked again.
 const (
 	openPatience       = 10 * time.Second
 	openLookupAttempts = 4
@@ -1021,11 +1021,11 @@ func (s *SecureClient) senderKeyPatient(sender keys.PeerID, group string) (*xdsi
 	// held and so is its verdict, and a delivery builds no context and arms
 	// no timer. The verdict is the one every attempt reaches (peerVerdict,
 	// at this node's now). Anything else — no advertisement held, or one
-	// that does not verify — is asked again below, with the patience a
+	// whose chain lapsed — is asked again below, with the patience a
 	// broker lookup needs, from the first attempt.
 	if pipeAdv, doc, ok := s.CachedPipe(sender, group); ok {
-		if res, err := s.peerVerdict(sender, pipeAdv, doc); err == nil {
-			return res, nil
+		if res, err := s.peerVerdict(sender, pipeAdv, doc); err == nil || refused(err) {
+			return res, err
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), openPatience)
@@ -1037,7 +1037,7 @@ func (s *SecureClient) senderKeyPatient(sender keys.PeerID, group string) (*xdsi
 		res, _, err = s.verifiedPeer(ctx, sender, group)
 		return err
 	}, func(i int, err error) (time.Duration, error) {
-		if class, _ := classify(err); class == classTerminal {
+		if class, _ := classify(err); class == classTerminal || refused(err) {
 			return 0, err
 		}
 		return pol.Delay(i, nil), nil

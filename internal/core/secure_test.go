@@ -600,6 +600,56 @@ func TestSecureMsgRejectsUnsignedPipeAdv(t *testing.T) {
 	}
 }
 
+// TestForgedSenderAdvertisementRefusedAtOnce: bob's cache holds a copy of
+// alice's signed pipe advertisement with one bit of its signature
+// flipped, as anyone who reaches his client service can push him. A
+// message from alice is refused with one SecurityAlert after ONE verdict
+// on that copy: the lookup answers from the cache first, so asking again
+// would only verify the same forged bytes while bob's pump waits.
+func TestForgedSenderAdvertisementRefusedAtOnce(t *testing.T) {
+	h := newSecureHarness(t, true)
+	alice := h.secureClient("alice", core.WithMode(core.ModeFull))
+	bob := h.secureClient("bob")
+	h.join(bob, "pw-bob")
+	h.join(alice, "pw-alice")
+	alicePipe := advert.GroupPipeID(alice.PeerID(), "math")
+	waituntil.Must(t, 5*time.Second, func() bool {
+		_, err := bob.Cache().Lookup(advert.TypePipe, alicePipe)
+		return err == nil
+	}, "the broker never pushed alice's pipe advertisement to bob")
+	rec, err := bob.Cache().Lookup(advert.TypePipe, alicePipe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := bytes.Clone(rec.Doc.Canonical())
+	at := bytes.Index(forged, []byte("<SignatureValue>")) + len("<SignatureValue>")
+	forged[at] ^= 1
+	if _, err := bob.Cache().PutCanonical(forged); err != nil {
+		t.Fatal(err)
+	}
+	atBob := events.NewCollector(bob.Bus())
+	_, before := bob.VerifyCache().Stats()
+	start := time.Now()
+	if err := alice.SecureMsgPeer(testCtx(t), bob.PeerID(), "math", "from alice"); err != nil {
+		t.Fatal(err)
+	}
+	alert, ok := atBob.WaitFor(events.SecurityAlert, 5*time.Second)
+	if !ok {
+		t.Fatal("no security alert for the forged sender advertisement")
+	}
+	took := time.Since(start)
+	if alert.From != alice.PeerID() || !strings.Contains(alert.Payload["reason"], core.ErrSenderUnknown.Error()) {
+		t.Fatalf("alert %v against %s, want %v against alice", alert.Payload, alert.From, core.ErrSenderUnknown)
+	}
+	if _, after := bob.VerifyCache().Stats(); after-before != 1 {
+		t.Fatalf("bob verified the forged copy %d times, want 1", after-before)
+	}
+	if n := len(atBob.OfType(events.SecureMessage)); n != 0 {
+		t.Fatalf("%d messages delivered under a forged advertisement", n)
+	}
+	t.Logf("refused %v after the send", took)
+}
+
 // TestModeAblation: ModeFull, the paper's E_PK(m, S_SK(m)), is the one
 // envelope a sender can select; its delivery always names an
 // authenticated sender.

@@ -431,31 +431,22 @@ func (r *Relay) Submit(it Item) SubmitResult {
 	}
 	// Queue path: quota first (a refused item must not reach the WAL),
 	// then the durable append, then the in-memory queue.
-	traced := r.cfg.Tracer != nil && it.Trace != 0
-	var spEnq trace.Span
-	if traced {
-		spEnq = trace.Begin(it.Trace, trace.StageEnqueue)
-	}
+	spEnq := trace.Begin(it.Trace, trace.StageEnqueue)
 	if !r.reserveQuota(it) {
 		r.droppedQuota.Add(1)
 		r.audit(audit.Event{Kind: audit.KindRelayDrop, Peer: string(it.From), Op: "relay-submit", Reason: "quota", Trace: it.Trace})
-		if traced {
-			// Anomalous: force-captured even when the trace is unsampled,
-			// so the sender's quota refusal is always attributable.
-			r.cfg.Tracer.End(spEnq, trace.OutcomeQuota)
-		}
+		// Anomalous: force-captured even when the trace is unsampled,
+		// so the sender's quota refusal is always attributable.
+		r.cfg.Tracer.End(spEnq, trace.OutcomeQuota)
 		return SubmitDroppedQuota
 	}
 	// The queue keeps the item past Submit, so it keeps no source.
 	it.own()
 	if r.log != nil {
-		var spWAL trace.Span
-		if traced {
-			// Stage the trace for fsync attribution BEFORE the append:
-			// in sync-per-append mode the fsync happens inside AppendAdd.
-			r.stageFsyncTrace(it.Trace)
-			spWAL = trace.Begin(it.Trace, trace.StageWALAppend)
-		}
+		// Stage the trace for fsync attribution BEFORE the append:
+		// in sync-per-append mode the fsync happens inside AppendAdd.
+		r.stageFsyncTrace(it.Trace)
+		spWAL := trace.Begin(it.Trace, trace.StageWALAppend)
 		seq, err := r.log.AppendAdd(wal.Record{
 			To: it.To, From: it.From, Group: it.Group,
 			Payload: it.Payload, Expires: it.expires,
@@ -466,22 +457,16 @@ func (r *Relay) Submit(it Item) SubmitResult {
 			// count it: operators alert on WALErrors.
 			r.walErrors.Add(1)
 			r.audit(audit.Event{Kind: audit.KindWALError, Peer: string(it.From), Op: "relay-append", Reason: err.Error(), Trace: it.Trace})
-			if traced {
-				r.cfg.Tracer.End(spWAL, trace.OutcomeWALError)
-			}
+			r.cfg.Tracer.End(spWAL, trace.OutcomeWALError)
 		} else {
 			it.seq = seq
-			if traced {
-				r.cfg.Tracer.End(spWAL, trace.OutcomeOK)
-			}
+			r.cfg.Tracer.End(spWAL, trace.OutcomeOK)
 		}
 	}
 	s := r.shardOf(it.To)
 	it.enqueuedAt = r.cfg.Clock()
 	s.enqueue(it)
-	if traced {
-		r.cfg.Tracer.End(spEnq, trace.OutcomeOK)
-	}
+	r.cfg.Tracer.End(spEnq, trace.OutcomeOK)
 	// Close raced the enqueue: the workers are (or are about to be)
 	// gone and nothing will drain this item, so don't report it queued.
 	if r.closed.Load() {
@@ -625,7 +610,12 @@ const fsyncPendingCap = 512
 
 // stageFsyncTrace marks a traced item as staged behind the next WAL
 // fsync. Duplicates (several slices of one round) collapse to one span.
+// An untraced item, or a relay without the recorder whose hook drains
+// the list, stages nothing.
 func (r *Relay) stageFsyncTrace(id uint64) {
+	if id == 0 || r.cfg.Tracer == nil {
+		return
+	}
 	r.fsyncMu.Lock()
 	defer r.fsyncMu.Unlock()
 	if len(r.fsyncPending) >= fsyncPendingCap {
@@ -868,9 +858,10 @@ func (s *shard) drain(id keys.PeerID) {
 		}
 		s.r.retire(it, wal.AckDelivered)
 		s.r.deliveredFlushed.Add(1)
-		if s.r.cfg.Tracer != nil && it.Trace != 0 && !it.enqueuedAt.IsZero() {
+		if it.Trace != 0 && !it.enqueuedAt.IsZero() {
 			// Attribute the dwell time between enqueue and this flush
-			// delivery to the item's trace.
+			// delivery to the item's trace (the guard saves the clock
+			// read for an untraced or recovered item).
 			s.r.cfg.Tracer.Record(trace.Span{
 				TraceID:  it.Trace,
 				Stage:    trace.StageQueueWait,

@@ -153,9 +153,10 @@ type Span struct {
 // non-printable (binary) keys/values are rejected outright — dropped,
 // not truncated — so a mis-instrumented call site can never leak wire
 // bytes or ciphertext into the trace buffer. Excess attrs beyond the
-// fixed capacity are dropped too.
+// fixed capacity are dropped too. A span of trace 0 keeps nothing and
+// checks nothing.
 func (sp *Span) SetAttr(key, value string) {
-	if int(sp.nattrs) >= maxAttrs || !attrOK(key) || !attrOK(value) {
+	if sp.TraceID == 0 || int(sp.nattrs) >= maxAttrs || !attrOK(key) || !attrOK(value) {
 		return
 	}
 	sp.Attrs[sp.nattrs] = Attr{Key: key, Value: value}
@@ -179,9 +180,13 @@ func attrOK(s string) bool {
 
 // Begin opens a span: it stamps the start time and nothing else. The
 // span lives on the caller's stack until End decides whether it is
-// kept. Callers should guard Begin behind a tracer-nil check so a
-// disabled deployment pays literally zero.
+// kept. Trace 0 means untraced: Begin(0, …) returns the zero Span and
+// reads no clock, and SetAttr, End and Record do nothing with it, so a
+// call site needs no guard of its own to decide whether it is traced.
 func Begin(traceID uint64, stage Stage) Span {
+	if traceID == 0 {
+		return Span{}
+	}
 	return Span{TraceID: traceID, Stage: stage, Start: time.Now().UnixNano()}
 }
 

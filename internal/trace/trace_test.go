@@ -112,7 +112,7 @@ func TestSlowThresholdForcesCapture(t *testing.T) {
 }
 
 func TestAttrRejectsOversizedAndBinary(t *testing.T) {
-	var sp Span
+	sp := Span{TraceID: 1}
 	sp.SetAttr("op", "relayRound")
 	if sp.AttrCount() != 1 {
 		t.Fatal("plain attr rejected")
@@ -133,6 +133,40 @@ func TestAttrRejectsOversizedAndBinary(t *testing.T) {
 	sp.SetAttr("overflow", "dropped")
 	if sp.AttrCount() != maxAttrs {
 		t.Fatalf("attr capacity: got %d, want %d", sp.AttrCount(), maxAttrs)
+	}
+}
+
+// TestZeroTraceIsInert pins the rule call sites rely on instead of a
+// guard of their own: a span of trace 0 reads no clock, keeps no attr
+// and is never recorded, not even by a recorder that samples
+// everything, and the untraced Begin/SetAttr/End sequence allocates
+// nothing.
+func TestZeroTraceIsInert(t *testing.T) {
+	sp := Begin(0, StageOpen)
+	if sp != (Span{}) || sp.Start != 0 {
+		t.Fatalf("Begin(0) = %+v, want the zero span", sp)
+	}
+	sp.SetAttr("op", "relayRound")
+	if sp.AttrCount() != 0 {
+		t.Fatalf("SetAttr on trace 0 kept %d attrs", sp.AttrCount())
+	}
+	r := New(Config{SampleRate: 1, SlowThreshold: time.Nanosecond, Seed: 1})
+	if r.End(sp, OutcomeAlert) {
+		t.Fatal("End kept a span of trace 0")
+	}
+	if r.Record(Span{Stage: StageQueueWait, Outcome: OutcomeQuota, Start: 1, Duration: int64(time.Second)}) {
+		t.Fatal("Record kept a span of trace 0")
+	}
+	if rec, _ := r.Stats(); rec != 0 || len(r.Snapshot()) != 0 {
+		t.Fatalf("recorder holds %d spans of trace 0", rec)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := Begin(0, StageSeal)
+		sp.SetAttr("op", "relayRound")
+		r.End(sp, OutcomeOK)
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced Begin/SetAttr/End: %v allocs, want 0", allocs)
 	}
 }
 
