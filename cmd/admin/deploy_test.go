@@ -41,7 +41,7 @@ func TestInitBrokerAuditVerifyRoundTrip(t *testing.T) {
 	}
 
 	journal := filepath.Join(dir, "audit")
-	j, err := audit.Open(audit.Options{Dir: journal, SyncInterval: -1, CheckpointEvery: 4, Signer: kp, Chain: []*cred.Credential{brCred}})
+	j, err := audit.Open(audit.Options{Dir: journal, CheckpointEvery: 4, Signer: kp, Chain: []*cred.Credential{brCred}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // TestFetchAuditPage: `admin audit` reads the page the journal's handler
 // serves, filter included, through every URL form it accepts.
 func TestFetchAuditPage(t *testing.T) {
-	j, err := audit.Open(audit.Options{Dir: t.TempDir(), SyncInterval: -1})
+	j, err := audit.Open(audit.Options{Dir: t.TempDir(), SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

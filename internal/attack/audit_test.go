@@ -61,7 +61,7 @@ func newAuditParty(t *testing.T) *auditParty {
 func sealedJournal(t *testing.T, p *auditParty, dir string, events int) {
 	t.Helper()
 	j, err := audit.Open(audit.Options{
-		Dir: dir, SyncInterval: -1, SegmentBytes: 1 << 10,
+		Dir: dir, SegmentBytes: 1 << 10,
 		CheckpointEvery: 8, Signer: p.kp, Chain: p.chain,
 	})
 	if err != nil {

@@ -46,7 +46,7 @@ func credentialBytes(t *testing.T, sc *core.SecureClient) []byte {
 func checkpointPayload(t *testing.T, s *secureStack) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	j, err := audit.Open(audit.Options{Dir: dir, SyncInterval: -1, Signer: s.brKP, Chain: []*cred.Credential{s.brSec.Credential()}})
+	j, err := audit.Open(audit.Options{Dir: dir, SyncInterval: time.Hour, Signer: s.brKP, Chain: []*cred.Credential{s.brSec.Credential()}})
 	if err != nil {
 		t.Fatal(err)
 	}

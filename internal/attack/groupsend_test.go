@@ -20,10 +20,12 @@ import (
 
 // TestForgedRecipientDoesNotSinkResilientGroupSend: alice's cache holds
 // a copy of carol's signed pipe advertisement with one bit of its
-// signature flipped. Each resilient relayed send to the roster reaches
-// bob, reports carol's advertisement as invalid, and raises exactly one
-// SecurityAlert against her — the forged entry is refused once, not
-// retried until the send's budget is spent with nothing delivered.
+// signature flipped. The first resilient relayed send to the roster
+// reaches bob, reports carol's advertisement as invalid, and raises
+// exactly one SecurityAlert against her — the forged entry is refused
+// once, not retried until the send's budget is spent with nothing
+// delivered. The refused copy leaves alice's cache with that verdict, so
+// the second send asks the broker and reaches both, with no second alert.
 func TestForgedRecipientDoesNotSinkResilientGroupSend(t *testing.T) {
 	s := newSecureStack(t)
 	rly, err := core.EnableBrokerRelay(s.br, core.RelayConfig{})
@@ -67,24 +69,36 @@ func TestForgedRecipientDoesNotSinkResilientGroupSend(t *testing.T) {
 		}
 		return n
 	}
-	for i, text := range []string{"first round", "second round"} {
-		direct, queued, err := rc.SendGroupRelay(testCtx(t), "math", text)
-		if !errors.Is(err, core.ErrPeerAdvInvalid) || !errors.Is(err, xdsig.ErrBadSignature) {
-			t.Fatalf("send %d: err = %v, want carol reported as %v: %v", i, err, core.ErrPeerAdvInvalid, xdsig.ErrBadSignature)
-		}
-		if direct+queued != 1 {
-			t.Fatalf("send %d: direct %d + queued %d, want bob's one slice", i, direct, queued)
-		}
-		waituntil.Must(t, 5*time.Second, func() bool {
-			for _, e := range atBob.OfType(events.SecureMessage) {
+	opened := func(c *events.Collector, text string) func() bool {
+		return func() bool {
+			for _, e := range c.OfType(events.SecureMessage) {
 				if string(e.Data) == text {
 					return true
 				}
 			}
 			return false
-		}, "bob never opened the round")
-		if n := alertsAgainstCarol(); n != i+1 {
-			t.Fatalf("after send %d: %d alerts against carol, want %d: one per send", i, n, i+1)
 		}
+	}
+	direct, queued, err := rc.SendGroupRelay(testCtx(t), "math", "first round")
+	if !errors.Is(err, core.ErrPeerAdvInvalid) || !errors.Is(err, xdsig.ErrBadSignature) {
+		t.Fatalf("first send: err = %v, want carol reported as %v: %v", err, core.ErrPeerAdvInvalid, xdsig.ErrBadSignature)
+	}
+	if direct+queued != 1 {
+		t.Fatalf("first send: direct %d + queued %d, want bob's one slice", direct, queued)
+	}
+	waituntil.Must(t, 5*time.Second, opened(atBob, "first round"), "bob never opened the first round")
+	if n := alertsAgainstCarol(); n != 1 {
+		t.Fatalf("after the first send: %d alerts against carol, want 1", n)
+	}
+
+	atCarol := events.NewCollector(carol.Bus())
+	direct, queued, err = rc.SendGroupRelay(testCtx(t), "math", "second round")
+	if err != nil || direct+queued != 2 {
+		t.Fatalf("second send: direct %d + queued %d, err %v; want both members' slices", direct, queued, err)
+	}
+	waituntil.Must(t, 5*time.Second, opened(atBob, "second round"), "bob never opened the second round")
+	waituntil.Must(t, 5*time.Second, opened(atCarol, "second round"), "carol never opened the second round")
+	if n := alertsAgainstCarol(); n != 1 {
+		t.Fatalf("after the second send: %d alerts against carol, want still 1", n)
 	}
 }

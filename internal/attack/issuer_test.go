@@ -1,6 +1,7 @@
 package attack_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -87,5 +88,67 @@ func TestClientMintedCredentialRefused(t *testing.T) {
 	}, "bob neither raised nor refused the message under the minted credential")
 	if got := atBob.OfType(events.SecureMessage); len(got) != 0 {
 		t.Fatalf("bob delivered %q from %q, user %q", got[0].Data, got[0].From, got[0].Attr("user"))
+	}
+}
+
+// TestForgedLapsedSenderChainRefusedAtOnce: a stranger signs a pipe
+// advertisement for alice with a key of its own, under a chain whose leaf
+// it "issued" in the broker's name with a window that ended an hour ago,
+// and gets it into bob's cache. A link's signature is checked before its
+// window, so bob reads the forgery as one — not as a lapse a fresher copy
+// could mend, which he would ask again for while his pump waits — and
+// refuses alice's message after ONE verdict on the copy, with one
+// SecurityAlert naming core.ErrSenderUnknown.
+func TestForgedLapsedSenderChainRefusedAtOnce(t *testing.T) {
+	s := newSecureStack(t)
+	bob := s.join(t, "bob", "bob-secret-pw")
+	alice := s.join(t, "alice", "alice-secret-pw", core.WithMode(core.ModeFull))
+	alicePipe := advert.GroupPipeID(alice.PeerID(), "math")
+	waituntil.Must(t, 5*time.Second, func() bool {
+		_, err := bob.Cache().Lookup(advert.TypePipe, alicePipe)
+		return err == nil
+	}, "the broker never pushed alice's pipe advertisement to bob")
+
+	stranger, err := keys.NewKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	brCred := s.brSec.Credential()
+	leaf, err := cred.IssueAt(bob.Now().Add(-2*time.Hour), stranger, brCred.Subject, alice.PeerID(), "alice", cred.RoleClient, stranger.Public(), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := (&advert.Pipe{PipeID: alicePipe, PipeType: advert.PipeUnicast,
+		Name: "msg/math", PeerID: alice.PeerID(), Group: "math"}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := xdsig.Sign(doc, stranger, leaf, brCred); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bob.Cache().PutCanonical(doc.Canonical()); err != nil {
+		t.Fatal(err)
+	}
+
+	atBob := events.NewCollector(bob.Bus())
+	_, before := bob.VerifyCache().Stats()
+	if err := alice.SecureMsgPeer(testCtx(t), bob.PeerID(), "math", "from alice"); err != nil {
+		t.Fatal(err)
+	}
+	alert, ok := atBob.WaitFor(events.SecurityAlert, 5*time.Second)
+	if !ok {
+		t.Fatal("no security alert for the forged lapsed chain")
+	}
+	if alert.From != alice.PeerID() || !strings.Contains(alert.Payload["reason"], core.ErrSenderUnknown.Error()) {
+		t.Fatalf("alert %v against %s, want %v against alice", alert.Payload, alert.From, core.ErrSenderUnknown)
+	}
+	if _, after := bob.VerifyCache().Stats(); after-before != 1 {
+		t.Fatalf("bob verified the forged copy %d times, want 1", after-before)
+	}
+	if n := len(atBob.OfType(events.SecurityAlert)); n != 1 {
+		t.Fatalf("%d alerts, want 1", n)
+	}
+	if n := len(atBob.OfType(events.SecureMessage)); n != 0 {
+		t.Fatalf("%d messages delivered under a forged chain", n)
 	}
 }

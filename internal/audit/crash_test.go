@@ -100,7 +100,7 @@ func TestJournalCrashMatrix(t *testing.T) {
 // reported it tampered.
 func TestStrayFilesAreNotSegments(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestStrayFilesAreNotSegments(t *testing.T) {
 	if !rep.OK() || rep.Segments != 1 || rep.LastSeq != 5 {
 		t.Fatalf("verify beside stray files: %+v (fault %v)", rep, rep.Fault)
 	}
-	j2, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j2, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatalf("open beside stray files: %v", err)
 	}

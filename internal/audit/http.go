@@ -73,7 +73,7 @@ func (j *Journal) DebugHandler() http.Handler {
 		page.Head = base64.StdEncoding.EncodeToString(j.head[:])
 		page.Records = j.appended
 		page.Checkpoints = j.ckpts
-		page.Lost = j.lost
+		page.Lost = j.lost.Load()
 		n := len(j.ring)
 		for i := 0; i < n && len(page.Events) < limit; i++ {
 			e := j.ring[(j.ringNext+i)%n]

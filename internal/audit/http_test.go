@@ -88,7 +88,7 @@ func TestDebugHandlerConcurrentWithAppends(t *testing.T) {
 // kind, peer, op, trace and since.
 func TestDebugHandlerFilters(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,9 @@
 package audit
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"jxtaoverlay/internal/cred"
@@ -99,10 +99,11 @@ var ErrJournalDamaged = errors.New("audit: journal damaged")
 type Options struct {
 	// Dir is the directory holding the segments (required).
 	Dir string
-	// SyncInterval batches fsyncs exactly like the relay WAL: 0 syncs
-	// every append before it returns; a positive value stages appends
-	// in memory and a background flusher writes+fsyncs each batch that
-	// often; a negative value writes inline but never syncs (tests).
+	// SyncInterval is seglog's durability mode, as for the relay WAL: 0
+	// returns from every Record once an fsync covered it (concurrent
+	// callers share one); a positive value is the period of a
+	// background flusher that writes and fsyncs each staged batch.
+	// Negative is refused.
 	SyncInterval time.Duration
 	// SegmentBytes is the size the active segment may reach before a
 	// fresh one is started (0 = 4 MiB). Old segments are never deleted.
@@ -147,15 +148,15 @@ type Stats struct {
 type Journal struct {
 	opts Options
 
+	lost atomic.Uint64 // events counted lost (Stats.Lost)
+
 	log *seglog.Log // its append lock guards the fields below
 
-	seq       uint64
-	head      [HashSize]byte
+	chain
 	sinceCkpt int // records since the last checkpoint
 	recovered uint64
 	appended  uint64
 	ckpts     uint64
-	lost      uint64
 	tornBytes int64
 
 	ring     []ringEntry
@@ -207,7 +208,9 @@ func open(opts Options, faults seglog.FaultFunc) (*Journal, error) {
 		return true, nil
 	}
 	// The flusher may run PreFlush before j.log is assigned; that is safe
-	// because nothing is due for sealing until the first Record.
+	// because nothing is due for sealing until the first Record. PreFlush
+	// is the one checkpoint trigger, in both modes: every Sync seals a
+	// chain that is due before it takes its batch.
 	var err error
 	j.log, err = seglog.Open(seglog.Options{
 		Dir: opts.Dir, Format: format, Replay: j.replay, Stopped: stopped,
@@ -224,22 +227,17 @@ func open(opts Options, faults seglog.FaultFunc) (*Journal, error) {
 // chain links are re-checked during replay: appending onto an already
 // broken chain would launder the break into "it verified when written".
 func (j *Journal) replay(_ int64, framed []byte) error {
-	rec, err := decodeBody(framed[seglog.HeaderSize:])
+	rec, err := j.follow(framed, nil)
 	if err != nil {
 		return err
 	}
-	if rec.Seq != j.seq+1 || rec.Prev != j.head {
-		return fmt.Errorf("hash chain break at seq %d", rec.Seq)
-	}
 	j.recovered++
-	j.advance(rec, framed)
+	j.remember(rec)
 	return nil
 }
 
-// advance moves the chain head over one record's framed bytes.
-func (j *Journal) advance(rec Record, framed []byte) {
-	j.head = sha256.Sum256(framed)
-	j.seq = rec.Seq
+// remember keeps an event record in the query ring.
+func (j *Journal) remember(rec Record) {
 	if rec.Frame == FrameEvent {
 		j.ring[j.ringNext] = ringEntry{seq: rec.Seq, time: rec.Time, ev: Event{
 			Kind: rec.Kind, Peer: rec.Peer, Op: rec.Op, Reason: rec.Reason, Trace: rec.Trace,
@@ -249,31 +247,32 @@ func (j *Journal) advance(rec Record, framed []byte) {
 }
 
 // Record appends one event and returns its sequence number (0 when the
-// journal is nil or has failed — the event is counted lost, never
-// blocks the caller). This is the hot emit path: with a positive
+// journal is nil or has failed, or the batch holding the event failed —
+// the event is counted lost). With SyncInterval 0 it returns once an
+// fsync covered the event. This is the hot emit path: with a positive
 // SyncInterval it costs one encode, one SHA-256 and a ring store under
 // a mutex — no syscalls, no allocations steady-state (held by
-// TestGateRecordStaged).
+// TestGateRecordStaged); a due checkpoint is sealed by the next Sync
+// (seglog's PreFlush), keeping the signature off the emit path.
 func (j *Journal) Record(e Event) uint64 {
 	if j == nil {
 		return 0
 	}
 	clampEvent(&e)
 	j.log.Lock()
-	defer j.log.Unlock()
 	rec := Record{
 		Frame: FrameEvent, Seq: j.seq + 1, Prev: j.head,
 		Time:  time.Now().UnixNano(),
 		Trace: e.Trace, Kind: e.Kind, Peer: e.Peer, Op: e.Op, Reason: e.Reason,
 	}
-	if j.appendLocked(rec) != nil {
-		j.lost++
-		return 0
+	err := j.appendLocked(rec)
+	j.log.Unlock()
+	if err == nil {
+		err = j.log.Await()
 	}
-	if j.opts.SyncInterval <= 0 {
-		// Staged mode seals from the flusher instead (seglog's PreFlush),
-		// keeping the signature off the emit path.
-		j.maybeCheckpointLocked()
+	if err != nil {
+		j.lost.Add(1)
+		return 0
 	}
 	return rec.Seq
 }
@@ -294,11 +293,12 @@ func clampEvent(e *Event) {
 	}
 }
 
-// appendLocked encodes rec straight into the log's buffer, commits it,
-// and advances the chain over the framed bytes in the same critical
-// section — that is what keeps the head (and any checkpoint signed over
-// it) consistent with the chain position without a reservation
-// protocol. A record that cannot be encoded fails the journal.
+// appendLocked encodes rec straight into the log's staging buffer,
+// commits it, and advances the chain over the framed bytes in the same
+// critical section — that is what keeps the head (and any checkpoint
+// signed over it) consistent with the chain position without a
+// reservation protocol. A record that cannot be encoded fails the
+// journal.
 func (j *Journal) appendLocked(rec Record) error {
 	buf, err := j.log.Begin()
 	if err != nil {
@@ -307,11 +307,8 @@ func (j *Journal) appendLocked(rec Record) error {
 	if buf, err = AppendRecord(buf, rec); err != nil {
 		return j.log.Fail(err)
 	}
-	framed, err := j.log.Commit(buf)
-	if err != nil {
-		return err
-	}
-	j.advance(rec, framed)
+	j.advance(rec.Seq, j.log.Commit(buf))
+	j.remember(rec)
 	j.appended++
 	j.sinceCkpt++
 	if rec.Frame == FrameCheckpoint {
@@ -403,7 +400,7 @@ func (j *Journal) Stats() Stats {
 		Records:     j.appended,
 		Recovered:   j.recovered,
 		Checkpoints: j.ckpts,
-		Lost:        j.lost,
+		Lost:        j.lost.Load(),
 		TornBytes:   j.tornBytes,
 		Segments:    j.log.Segments(),
 		Seq:         j.seq,

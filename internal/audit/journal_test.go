@@ -18,7 +18,7 @@ import (
 // the recovered history — the whole directory verifies end to end.
 func TestAppendReopenContinuesChain(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestAppendReopenContinuesChain(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	j2, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j2, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestAppendReopenContinuesChain(t *testing.T) {
 // reopen link onto it.
 func TestLegacyPresenceReasonsVerify(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLegacyPresenceReasonsVerify(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j2, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestLegacyPresenceReasonsVerify(t *testing.T) {
 func TestCheckpointCadenceAndClose(t *testing.T) {
 	kp, chain, trust := signer(t)
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1, CheckpointEvery: 4, Signer: kp, Chain: chain})
+	j, err := Open(Options{Dir: dir, CheckpointEvery: 4, Signer: kp, Chain: chain})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestCheckpointCadenceAndClose(t *testing.T) {
 // boundaries, and a reopen walks all of it.
 func TestRotationKeepsHistory(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1, SegmentBytes: 512})
+	j, err := Open(Options{Dir: dir, SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRotationKeepsHistory(t *testing.T) {
 		t.Fatalf("%d segment files on disk, stats says %d — rotation deleted history?", len(segs), st.Segments)
 	}
 
-	j2, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen multi-segment journal: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestRotationKeepsHistory(t *testing.T) {
 // the clean boundary.
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j2, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatalf("open with torn tail: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 // ErrJournalDamaged — appending onto a broken chain would launder it.
 func TestDamagedJournalRefusesAppend(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestDamagedJournalRefusesAppend(t *testing.T) {
 	if _, err := FlipBit(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{Dir: dir, SyncInterval: -1}); !errors.Is(err, ErrJournalDamaged) {
+	if _, err := Open(Options{Dir: dir, SyncInterval: time.Hour}); !errors.Is(err, ErrJournalDamaged) {
 		t.Fatalf("Open on damaged journal: %v, want ErrJournalDamaged", err)
 	}
 }
@@ -302,7 +302,7 @@ func TestNilJournalIsInert(t *testing.T) {
 // the audit path refuse to record — the field is truncated instead.
 func TestOversizedEventClamped(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(Options{Dir: dir, SyncInterval: -1})
+	j, err := Open(Options{Dir: dir, SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestJournalTamperModel(t *testing.T) {
 			dir := t.TempDir()
 			open := func() *Journal {
 				j, err := Open(Options{
-					Dir: dir, SyncInterval: -1, SegmentBytes: 1 << 10,
+					Dir: dir, SegmentBytes: 1 << 10,
 					CheckpointEvery: 8, Signer: kp, Chain: chain,
 				})
 				if err != nil {

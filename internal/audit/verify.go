@@ -11,6 +11,39 @@ import (
 	"jxtaoverlay/internal/seglog"
 )
 
+// chain is the journal's hash-chain state and its one rule, which Open's
+// replay, Verify and every append follow.
+type chain struct {
+	seq  uint64         // the last record's sequence number
+	head [HashSize]byte // SHA-256 of the last record's framed bytes
+}
+
+// follow decodes a framed record and holds it to the rule — seq one more
+// than the last, Prev the last head — and to accept (nil: nothing more),
+// then advances the chain over it. On an error the chain stays put.
+func (c *chain) follow(framed []byte, accept func(Record) error) (Record, error) {
+	rec, err := decodeBody(framed[seglog.HeaderSize:])
+	switch {
+	case err != nil:
+	case rec.Seq != c.seq+1:
+		err = fmt.Errorf("sequence break: got seq %d, want %d", rec.Seq, c.seq+1)
+	case rec.Prev != c.head:
+		err = fmt.Errorf("hash chain break at seq %d: prev-hash does not match the preceding record", rec.Seq)
+	case accept != nil:
+		err = accept(rec)
+	}
+	if err == nil {
+		c.advance(rec.Seq, framed)
+	}
+	return rec, err
+}
+
+// advance moves the chain over record seq, framed as framed.
+func (c *chain) advance(seq uint64, framed []byte) {
+	c.head = sha256.Sum256(framed)
+	c.seq = seq
+}
+
 // VerifyOptions parameterizes a full-chain verification.
 type VerifyOptions struct {
 	// Trust, when set, requires every checkpoint's credential chain to
@@ -97,41 +130,34 @@ func Verify(dir string, opts VerifyOptions) (*Report, error) {
 		return nil, err
 	}
 	r := &Report{}
-	var head [HashSize]byte
-	var seq uint64
+	var c chain
 	lastSegName := ""
 	var lastSegEnd int64
 
-	// check holds one record against the chain state computed so far;
-	// its error is the fault's reason.
+	// check holds one record to the chain, and a checkpoint's signature
+	// to the head before it; its error is the fault's reason.
 	check := func(_ int64, framed []byte) error {
-		rec, err := decodeBody(framed[seglog.HeaderSize:])
+		var signer *cred.Credential
+		rec, err := c.follow(framed, func(rec Record) error {
+			if rec.Frame != FrameCheckpoint {
+				return nil
+			}
+			claim, err := parseCheckpoint(rec.Checkpoint)
+			if err == nil {
+				signer, err = claim.verify(rec, rec.Prev, opts.Trust, now)
+			}
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		if rec.Seq != seq+1 {
-			return fmt.Errorf("sequence break: got seq %d, want %d", rec.Seq, seq+1)
-		}
-		if rec.Prev != head {
-			return fmt.Errorf("hash chain break at seq %d: prev-hash does not match the preceding record", rec.Seq)
-		}
-		if rec.Frame == FrameCheckpoint {
-			claim, err := parseCheckpoint(rec.Checkpoint)
-			if err != nil {
-				return err
-			}
-			signer, err := claim.verify(rec, head, opts.Trust, now)
-			if err != nil {
-				return err
-			}
+		if signer != nil {
 			r.Checkpoints++
 			r.LastCheckpointSeq = rec.Seq
 			r.Signer = signer.SubjectName
 		} else {
 			r.Events++
 		}
-		head = sha256.Sum256(framed)
-		seq = rec.Seq
 		r.Records++
 		return nil
 	}
@@ -143,16 +169,15 @@ func Verify(dir string, opts VerifyOptions) (*Report, error) {
 		r.Segments++
 		lastSegName, lastSegEnd = seg.Name, stop.Size
 		if stop.Err != nil {
-			r.Fault = &Fault{Segment: seg.Name, Offset: stop.Offset, Seq: seq, Reason: stop.Err.Error()}
+			r.Fault = &Fault{Segment: seg.Name, Offset: stop.Offset, Seq: c.seq, Reason: stop.Err.Error()}
 			break
 		}
 	}
-	r.Head = head
-	r.LastSeq = seq
+	r.Head, r.LastSeq = c.head, c.seq
 	if r.LastCheckpointSeq > 0 {
-		r.Unsealed = seq - r.LastCheckpointSeq
+		r.Unsealed = c.seq - r.LastCheckpointSeq
 	} else {
-		r.Unsealed = seq
+		r.Unsealed = c.seq
 	}
 
 	// The internal chain is consistent — now hold it against the
@@ -160,15 +185,15 @@ func Verify(dir string, opts VerifyOptions) (*Report, error) {
 	// first bad offset of a rollback is the journal's end: everything
 	// on disk is genuine, it is the missing suffix that convicts.
 	if r.Fault == nil && (len(opts.ExpectHead) > 0 || opts.ExpectSeq > 0) {
-		rolledBack := opts.ExpectSeq > 0 && seq < opts.ExpectSeq
+		rolledBack := opts.ExpectSeq > 0 && c.seq < opts.ExpectSeq
 		if len(opts.ExpectHead) > 0 &&
-			(opts.ExpectSeq == 0 || opts.ExpectSeq == seq) &&
-			subtle.ConstantTimeCompare(head[:], opts.ExpectHead) != 1 {
+			(opts.ExpectSeq == 0 || opts.ExpectSeq == c.seq) &&
+			subtle.ConstantTimeCompare(c.head[:], opts.ExpectHead) != 1 {
 			rolledBack = true
 		}
 		if rolledBack {
-			r.Fault = &Fault{Segment: lastSegName, Offset: lastSegEnd, Seq: seq,
-				Reason: fmt.Sprintf("rollback: journal ends at seq %d, which is not the trust point (expect seq %d / remembered head)", seq, opts.ExpectSeq)}
+			r.Fault = &Fault{Segment: lastSegName, Offset: lastSegEnd, Seq: c.seq,
+				Reason: fmt.Sprintf("rollback: journal ends at seq %d, which is not the trust point (expect seq %d / remembered head)", c.seq, opts.ExpectSeq)}
 		}
 	}
 	return r, nil

@@ -199,7 +199,7 @@ func TestLogoutUnregisters(t *testing.T) {
 func TestPresenceRecordsAreLocal(t *testing.T) {
 	b, net := newBroker(t)
 	dir := t.TempDir()
-	j, err := audit.Open(audit.Options{Dir: dir, SyncInterval: -1, CheckpointEvery: -1})
+	j, err := audit.Open(audit.Options{Dir: dir, SyncInterval: time.Hour, CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestSecurityAlertCarriesRetrievableAuditSeq(t *testing.T) {
 	}
 	t.Cleanup(func() { rly.Close() })
 
-	jnl, err := audit.Open(audit.Options{Dir: t.TempDir(), SyncInterval: -1})
+	jnl, err := audit.Open(audit.Options{Dir: t.TempDir(), SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -405,7 +405,7 @@ func TestChannelReorderedFrames(t *testing.T) {
 // sent again — none per message — and four metrics that add up.
 func TestChannelAuditAndMetrics(t *testing.T) {
 	h := newSecureHarness(t, true)
-	jnl, err := audit.Open(audit.Options{Dir: t.TempDir(), SyncInterval: -1})
+	jnl, err := audit.Open(audit.Options{Dir: t.TempDir(), SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // in LivenessStats.
 func TestStaleRenewAndHeartbeatAuditedAlike(t *testing.T) {
 	h := newLeaseHarness(t)
-	jnl, err := audit.Open(audit.Options{Dir: t.TempDir(), SyncInterval: -1})
+	jnl, err := audit.Open(audit.Options{Dir: t.TempDir(), SyncInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,6 +75,7 @@ func TestRefusedVerdicts(t *testing.T) {
 		{"untrusted issuer", verdict(fmt.Errorf("xdsig: %w", fmt.Errorf("cred: chain root: %w: issuer %q", cred.ErrUntrusted, "x"))), true},
 		{"bad credential signature", verdict(fmt.Errorf("xdsig: %w", fmt.Errorf("cred: chain link 0: %w", cred.ErrBadSignature))), true},
 		{"signer does not own it", fmt.Errorf("%w: its signer does not own it", ErrPeerAdvInvalid), true},
+		{"forged lapsed chain", verdict(fmt.Errorf("xdsig: %w", forgedLapsedChain(t))), true},
 		{"lapsed chain", verdict(fmt.Errorf("xdsig: %w", fmt.Errorf("cred: chain link 0: %w", cred.ErrExpired))), false},
 		{"lookup failed", &client.OpError{Token: proto.ErrNotFound}, false},
 		{"lookup timed out", context.DeadlineExceeded, false},
@@ -84,6 +85,34 @@ func TestRefusedVerdicts(t *testing.T) {
 			t.Errorf("%s: refused(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
 		}
 	}
+}
+
+// forgedLapsedChain is a trust store's verdict on a chain whose leaf
+// evilKP "issued" under a genuine broker's name, with a window that ended
+// an hour ago: a forgery, whatever its window says.
+func forgedLapsedChain(t *testing.T) error {
+	now := time.Now()
+	adm, err := cred.SelfSigned(senderKP, "admin", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := cred.Issue(senderKP, adm.Subject, "urn:jxta:cbid-broker", "broker-1", cred.RoleBroker, recvKP.Public(), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := cred.IssueAt(now.Add(-2*time.Hour), evilKP, br.Subject, "urn:jxta:cbid-alice", "alice", cred.RoleClient, evilKP.Public(), time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := cred.NewTrustStore(adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ts.VerifyChain(now, leaf, br)
+	if err == nil {
+		t.Fatal("a forged chain verified")
+	}
+	return err
 }
 
 // TestBackoffJitterFollowsUsername: a client draws its waits from its

@@ -674,14 +674,20 @@ func (s *SecureClient) verifiedPeer(ctx context.Context, peer keys.PeerID, group
 // parsed from doc, at this node's now: a trusted chain, whose signer is
 // peer and owns the advertisement. The broker checks ownership at publish
 // too, so nothing a broker served fails it; the check reuses the parse the
-// lookup made.
+// lookup made. A refused doc leaves the cache, unless a copy of other
+// bytes replaced it there meanwhile: anyone can push a peer a forged copy,
+// and it must not answer every lookup for its lifetime — the next one asks
+// the broker, which verified its own copy at publish.
 func (s *SecureClient) peerVerdict(peer keys.PeerID, pipeAdv *advert.Pipe, doc *xmldoc.Element) (*xdsig.Result, error) {
 	res, err := s.vcache.VerifyTrusted(doc, s.Now())
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrPeerAdvInvalid, err)
+		err = fmt.Errorf("%w: %w", ErrPeerAdvInvalid, err)
+	} else if res.Signer.Subject != peer || CheckParsedAdvOwnership(pipeAdv, res.Signer.Subject) != nil {
+		err = fmt.Errorf("%w: its signer does not own it", ErrPeerAdvInvalid)
 	}
-	if res.Signer.Subject != peer || CheckParsedAdvOwnership(pipeAdv, res.Signer.Subject) != nil {
-		return nil, fmt.Errorf("%w: its signer does not own it", ErrPeerAdvInvalid)
+	if err != nil {
+		s.Cache().Forget(pipeAdv, doc)
+		return nil, err
 	}
 	return res, nil
 }
@@ -1008,8 +1014,9 @@ const (
 // silently dropped frame costs one openLookupTimeout, not the whole
 // openPatience — and a refused verdict (untrusted issuer, bad signature,
 // a signer that does not own the advertisement) ends the wait at once:
-// the lookup answers from the cache first, so another attempt would only
-// verify the same document again. A lapsed chain is asked again.
+// the delivery is refused with its alert, and the refused copy has left
+// the cache (peerVerdict), so the sender's next delivery asks the broker.
+// A lapsed chain is asked again.
 const (
 	openPatience       = 10 * time.Second
 	openLookupAttempts = 4

@@ -604,8 +604,9 @@ func TestSecureMsgRejectsUnsignedPipeAdv(t *testing.T) {
 // alice's signed pipe advertisement with one bit of its signature
 // flipped, as anyone who reaches his client service can push him. A
 // message from alice is refused with one SecurityAlert after ONE verdict
-// on that copy: the lookup answers from the cache first, so asking again
-// would only verify the same forged bytes while bob's pump waits.
+// on that copy, while bob's pump waits on nothing else; the refused copy
+// leaves his cache with it, so alice's next message, whose lookup asks
+// the broker, opens.
 func TestForgedSenderAdvertisementRefusedAtOnce(t *testing.T) {
 	h := newSecureHarness(t, true)
 	alice := h.secureClient("alice", core.WithMode(core.ModeFull))
@@ -648,6 +649,17 @@ func TestForgedSenderAdvertisementRefusedAtOnce(t *testing.T) {
 		t.Fatalf("%d messages delivered under a forged advertisement", n)
 	}
 	t.Logf("refused %v after the send", took)
+
+	if err := alice.SecureMsgPeer(testCtx(t), bob.PeerID(), "math", "from alice again"); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := atBob.WaitFor(events.SecureMessage, 5*time.Second)
+	if !ok || string(e.Data) != "from alice again" || e.From != alice.PeerID() {
+		t.Fatalf("alice's second message: delivered %v (%+v), want it opened from alice", ok, e)
+	}
+	if n := len(atBob.OfType(events.SecurityAlert)); n != 1 {
+		t.Fatalf("%d alerts after the second message, want still 1", n)
+	}
 }
 
 // TestModeAblation: ModeFull, the paper's E_PK(m, S_SK(m)), is the one

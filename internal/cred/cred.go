@@ -288,18 +288,20 @@ func SelfSigned(kp *keys.KeyPair, name string, validity time.Duration) (*Credent
 	return Issue(kp, id, id, name, RoleAdmin, kp.Public(), validity)
 }
 
-// Verify checks the credential signature against the issuer's public key
-// and the validity window against now.
+// Verify checks the credential signature against the issuer's public key,
+// then the validity window against now: a credential the key did not sign
+// is ErrBadSignature whatever its window says, and only a genuine one can
+// read ErrExpired.
 func (c *Credential) Verify(issuerKey *keys.PublicKey, now time.Time) error {
-	if now.Before(c.NotBefore) || now.After(c.NotAfter) {
-		return ErrExpired
-	}
 	signed, err := c.signed()
 	if err != nil {
 		return err
 	}
 	if err := issuerKey.Verify(signed, c.Signature); err != nil {
 		return ErrBadSignature
+	}
+	if now.Before(c.NotBefore) || now.After(c.NotAfter) {
+		return ErrExpired
 	}
 	return nil
 }

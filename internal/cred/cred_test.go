@@ -299,3 +299,35 @@ func TestTrustStoreRejectsFakeBrokerCredential(t *testing.T) {
 		t.Fatal("trust store verified a self-issued broker credential")
 	}
 }
+
+// TestForgedLapsedLinkIsBadSignature: a link's signature is checked
+// before its validity window. A leaf another key "issued" under the
+// broker's name reads ErrBadSignature even with a window that ended an
+// hour ago — a forgery is refused as one, not as a lapse a fresher
+// chain may mend — while the broker's own leaf with that window still
+// reads ErrExpired.
+func TestForgedLapsedLinkIsBadSignature(t *testing.T) {
+	adm, br, _ := setup(t)
+	ts, err := NewTrustStore(adm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	lapsed := func(kp *keys.KeyPair) *Credential {
+		c, err := IssueAt(now.Add(-2*time.Hour), kp, br.Subject, mustID(t, clientKP), "alice", RoleClient, clientKP.Public(), time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	forged, genuine := lapsed(otherKP), lapsed(brokerKP)
+	if err := forged.Verify(brokerKP.Public(), now); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("forged lapsed credential = %v, want ErrBadSignature", err)
+	}
+	if err := ts.VerifyChain(now, forged, br); !errors.Is(err, ErrBadSignature) || errors.Is(err, ErrExpired) {
+		t.Fatalf("chain with a forged lapsed leaf = %v, want ErrBadSignature", err)
+	}
+	if err := ts.VerifyChain(now, genuine, br); !errors.Is(err, ErrExpired) {
+		t.Fatalf("chain with a genuine lapsed leaf = %v, want ErrExpired", err)
+	}
+}

@@ -15,8 +15,9 @@
 // PutCanonical makes that copy itself; the broker's publish makes its own
 // before it verifies.
 //
-// A record is replaced by the next one put under its (type, id) and
-// otherwise lives one advertisement lifetime: lookups drop an expired
+// A record is replaced by the next one put under its (type, id), or
+// forgotten once its user's verdict refuses it (Forget), and otherwise
+// lives one advertisement lifetime: lookups drop an expired
 // record they touch, and a put sweeps the whole cache when a minute has
 // passed since the last sweep — all by the clock of the peer the cache
 // belongs to, fixed when it is made.
@@ -206,6 +207,19 @@ func (c *Cache) drop(key cacheKey) {
 		delete(c.bySum, rec.sum)
 	}
 	delete(c.recs, key)
+}
+
+// Forget drops the record stored under adv's (type, id) if its document
+// is still doc's bytes, by their digest: its user's verdict on doc
+// refused it, and the next lookup should ask for a copy of its own. A
+// record put there since, of other bytes, stays.
+func (c *Cache) Forget(adv advert.Advertisement, doc *xmldoc.Element) {
+	key, sum := cacheKey{adv.AdvType(), adv.AdvID()}, doc.CanonicalSum()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if rec := c.recs[key]; rec != nil && rec.Doc.CanonicalSum() == sum {
+		c.drop(key)
+	}
 }
 
 // PutAdv serializes and stores an advertisement (unsigned path), as

@@ -13,7 +13,7 @@ import (
 
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/events"
-	"jxtaoverlay/internal/relay/wal"
+	"jxtaoverlay/internal/seglog"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
 	"jxtaoverlay/internal/waituntil"
@@ -27,7 +27,7 @@ import (
 // BeforeAppend — the same table the wal package pins in isolation,
 // here verified through the full broker + secure-client stack).
 func TestRelayCrashRecoveryExactlyOnce(t *testing.T) {
-	for _, p := range []wal.FaultPoint{wal.BeforeAppend, wal.AfterAppend, wal.BeforeSync, wal.AfterSync} {
+	for _, p := range []seglog.FaultPoint{seglog.BeforeAppend, seglog.AfterAppend, seglog.BeforeSync, seglog.AfterSync} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			runCrashRecovery(t, p)
@@ -35,7 +35,7 @@ func TestRelayCrashRecoveryExactlyOnce(t *testing.T) {
 	}
 }
 
-func runCrashRecovery(t *testing.T, point wal.FaultPoint) {
+func runCrashRecovery(t *testing.T, point seglog.FaultPoint) {
 	net := simnet.NewNetwork(simnet.LinkProfile{})
 	defer net.Close()
 
@@ -52,9 +52,9 @@ func runCrashRecovery(t *testing.T, point wal.FaultPoint) {
 	var armed atomic.Bool
 	cfg := core.RelayConfig{}
 	cfg.WAL.Dir = walDir
-	cfg.WAL.Faults = func(fp wal.FaultPoint) error {
+	cfg.WAL.Faults = func(fp seglog.FaultPoint) error {
 		if armed.Load() && fp == point {
-			return wal.ErrInjected
+			return seglog.ErrInjected
 		}
 		return nil
 	}
@@ -101,7 +101,7 @@ func runCrashRecovery(t *testing.T, point wal.FaultPoint) {
 		t.Fatalf("recovery failed: %v", err)
 	}
 	wantRecovered := uint64(2)
-	if point == wal.BeforeAppend {
+	if point == seglog.BeforeAppend {
 		wantRecovered = 1 // round 2's bytes never reached the file
 	}
 	if m := rly.Metrics(); m.RecoveryReplayed != wantRecovered || m.RecoveryDiscardedGuard != 0 {

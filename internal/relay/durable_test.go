@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/relay"
-	"jxtaoverlay/internal/relay/wal"
+	"jxtaoverlay/internal/seglog"
 )
 
 func mustDurable(t *testing.T, dir string, cfg relay.Config, s *sink) *relay.Relay {
@@ -126,9 +126,9 @@ func TestWALFaultDegradesToMemory(t *testing.T) {
 	s := newSink()
 	cfg := relay.Config{}
 	cfg.WAL.Dir = dir
-	cfg.WAL.Faults = func(fp wal.FaultPoint) error {
-		if armed.Load() && fp == wal.BeforeAppend {
-			return wal.ErrInjected
+	cfg.WAL.Faults = func(fp seglog.FaultPoint) error {
+		if armed.Load() && fp == seglog.BeforeAppend {
+			return seglog.ErrInjected
 		}
 		return nil
 	}

@@ -10,7 +10,7 @@ import (
 
 	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/relay"
-	"jxtaoverlay/internal/relay/wal"
+	"jxtaoverlay/internal/seglog"
 	"jxtaoverlay/internal/waituntil"
 )
 
@@ -72,12 +72,12 @@ func runRecoveryModel(t *testing.T, rng *rand.Rand) {
 	// it durable. When armed, the fault kills the log at crashPoint and
 	// the relay runs memory-only from then on.
 	var armed atomic.Bool
-	crashPoint := []wal.FaultPoint{wal.BeforeAppend, wal.AfterAppend, wal.BeforeSync, wal.AfterSync}[rng.Intn(4)]
+	crashPoint := []seglog.FaultPoint{seglog.BeforeAppend, seglog.AfterAppend, seglog.BeforeSync, seglog.AfterSync}[rng.Intn(4)]
 	cfg := relay.Config{Clock: now, QueueCap: 1 << 16}
 	cfg.WAL.Dir = dir
-	cfg.WAL.Faults = func(fp wal.FaultPoint) error {
+	cfg.WAL.Faults = func(fp seglog.FaultPoint) error {
 		if armed.Load() && fp == crashPoint {
-			return wal.ErrInjected
+			return seglog.ErrInjected
 		}
 		return nil
 	}
@@ -148,7 +148,7 @@ func runRecoveryModel(t *testing.T, rng *rand.Rand) {
 		if r.Metrics().WALErrors == 0 {
 			t.Fatal("fault did not fire")
 		}
-		if crashPoint != wal.BeforeAppend {
+		if crashPoint != seglog.BeforeAppend {
 			model[to] = append(model[to], modelItem{"crash-trigger", now().Add(relayTTL)})
 		}
 		for i := 0; i < 10+rng.Intn(10); i++ {

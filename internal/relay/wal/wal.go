@@ -30,44 +30,24 @@ import (
 	"jxtaoverlay/internal/seglog"
 )
 
-// FaultPoint names an instant the fault-injection hook can observe (and
-// kill the log at); see seglog.FaultPoint.
-type FaultPoint = seglog.FaultPoint
-
-// Fault points.
-const (
-	BeforeAppend = seglog.BeforeAppend
-	AfterAppend  = seglog.AfterAppend
-	BeforeSync   = seglog.BeforeSync
-	AfterSync    = seglog.AfterSync
-)
-
-// FaultFunc is the deterministic fault-injection hook: a non-nil return
-// kills the log at that point (every later append or sync fails with
-// seglog.ErrFailed); see seglog.FaultFunc.
-type FaultFunc = seglog.FaultFunc
-
-// ErrInjected is a convenient error for FaultFunc implementations.
-var ErrInjected = seglog.ErrInjected
-
 // Options parameterizes a Log.
 type Options struct {
 	// Dir is the directory holding the segments. Empty disables the WAL
 	// entirely (the relay runs in-memory, the pre-durability behaviour).
 	Dir string
-	// SyncInterval batches fsyncs: 0 syncs every append before it
-	// returns (full durability, one fsync per record); a positive value
-	// stages appends in memory and starts a background flusher that
-	// writes each staged batch with one write() and fsyncs it that
-	// often, keeping both syscalls off the append path; a negative
-	// value writes inline but never syncs automatically (tests).
+	// SyncInterval is seglog's durability mode: 0 returns from every
+	// append once an fsync covered it (appenders that meet share one);
+	// a positive value is the period of a background flusher that
+	// writes and fsyncs each staged batch, keeping both syscalls off
+	// the append path. Negative is refused.
 	SyncInterval time.Duration
 	// Faults is the deterministic fault-injection hook (nil = none).
-	Faults FaultFunc
+	Faults seglog.FaultFunc
 	// OnSync, when set, observes every successful fsync with its start
 	// time and duration — the relay's tracer uses it to attribute
 	// fsync-wait to the traces staged behind that sync. The callback
-	// may run with log locks held and MUST NOT call back into the Log.
+	// runs with the log's sync lock held and MUST NOT call back into
+	// the Log.
 	OnSync func(start time.Time, d time.Duration)
 }
 
@@ -164,54 +144,57 @@ func Open(opts Options) (*Log, []Record, RecoveryStats, error) {
 }
 
 // AppendAdd persists one enqueued item and returns its sequence number.
-// With SyncInterval == 0 the record is fsynced before returning — the
-// caller may then report the item as accepted-durable. The payload is
-// retained (for compaction) until the matching AppendAck; the caller
-// must not mutate it in between.
+// With SyncInterval 0 it returns once an fsync covered the record — the
+// caller may then report the item as accepted-durable — or with the
+// error of the batch that failed. The payload is retained (for
+// compaction) until the matching AppendAck; the caller must not mutate
+// it in between.
 func (l *Log) AppendAdd(rec Record) (Seq, error) {
-	l.log.Lock()
-	defer l.log.Unlock()
 	rec.Kind = KindAdd
-	rec.Seq = l.nextSeq
-	if err := l.appendLocked(rec); err != nil {
-		return 0, err
-	}
-	return rec.Seq, nil
+	return l.append(rec)
 }
 
-// AppendAck retires a previously appended item. Acks for sequence 0
-// (items that were never persisted, e.g. because the disk died) are
-// silently ignored.
+// AppendAck retires a previously appended item, durably as AppendAdd.
+// Acks for sequence 0 (items that were never persisted, e.g. because
+// the disk died) are silently ignored.
 func (l *Log) AppendAck(seq Seq, reason AckReason) error {
 	if seq == 0 {
 		return nil
 	}
-	l.log.Lock()
-	defer l.log.Unlock()
-	return l.appendLocked(Record{Kind: KindAck, Seq: seq, Reason: reason})
+	_, err := l.append(Record{Kind: KindAck, Seq: seq, Reason: reason})
+	return err
 }
 
-// appendLocked encodes rec straight into the log's buffer and commits
-// it. The live set is brought up to date BEFORE the commit because a
-// commit that fills the segment compacts on the spot, and the
-// compaction must carry an add just written and drop one just acked; a
-// commit that fails leaves the log dead, so the set is never read again.
-func (l *Log) appendLocked(rec Record) error {
+// append stages rec (an add under the next sequence number) in the log,
+// keeping the live set in step with it — any Sync may compact, and the
+// compaction must carry an add just staged and drop one just acked —
+// then awaits its fsync with the lock released.
+func (l *Log) append(rec Record) (Seq, error) {
+	l.log.Lock()
 	buf, err := l.log.Begin()
+	if err == nil {
+		if rec.Kind == KindAdd {
+			rec.Seq = l.nextSeq
+		}
+		buf, err = AppendRecord(buf, rec)
+	}
+	if err == nil {
+		if rec.Kind == KindAdd {
+			l.nextSeq++
+			l.live[rec.Seq] = rec
+		} else {
+			delete(l.live, rec.Seq)
+		}
+		l.log.Commit(buf)
+	}
+	l.log.Unlock()
+	if err == nil {
+		err = l.log.Await()
+	}
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if buf, err = AppendRecord(buf, rec); err != nil {
-		return err
-	}
-	if rec.Kind == KindAdd {
-		l.nextSeq++
-		l.live[rec.Seq] = rec
-	} else {
-		delete(l.live, rec.Seq)
-	}
-	_, err = l.log.Commit(buf)
-	return err
+	return rec.Seq, nil
 }
 
 // compact is the rotation policy (seglog.Options.Compact): the fresh
@@ -235,10 +218,9 @@ func (l *Log) compact(w io.Writer) error {
 	return nil
 }
 
-// Sync forces an fsync of everything appended before the call. Unlike
-// the append-synchronous path (SyncInterval == 0), the fsync runs with
-// the append lock released, so concurrent appends are not stalled —
-// they are simply not covered by this sync.
+// Sync writes and fsyncs everything appended before the call, with the
+// append lock released, so concurrent appends are not stalled — they
+// are simply not covered by this sync.
 func (l *Log) Sync() error { return l.log.Sync() }
 
 // Close writes and syncs pending appends — including any staged batch

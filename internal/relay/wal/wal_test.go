@@ -230,7 +230,7 @@ func TestRecoveryStopsAtFlippedCRC(t *testing.T) {
 
 func TestCompactionReclaimsAckedRecords(t *testing.T) {
 	dir := t.TempDir()
-	l, _, _ := openT(t, Options{Dir: dir, SyncInterval: -1})
+	l, _, _ := openT(t, Options{Dir: dir})
 	// 64 KiB payloads fill the 4 MiB segment budget in 64 records; the
 	// loop stops at the first compaction.
 	const payloadBytes = 64 << 10
@@ -296,13 +296,13 @@ func TestSeqContinuesAfterRecovery(t *testing.T) {
 }
 
 func TestInjectedCrashIsSticky(t *testing.T) {
-	for _, p := range []FaultPoint{BeforeAppend, AfterAppend, BeforeSync, AfterSync} {
+	for _, p := range []seglog.FaultPoint{seglog.BeforeAppend, seglog.AfterAppend, seglog.BeforeSync, seglog.AfterSync} {
 		t.Run(p.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			armed := false
-			l, _, _ := openT(t, Options{Dir: dir, Faults: func(fp FaultPoint) error {
+			l, _, _ := openT(t, Options{Dir: dir, Faults: func(fp seglog.FaultPoint) error {
 				if armed && fp == p {
-					return ErrInjected
+					return seglog.ErrInjected
 				}
 				return nil
 			}})
@@ -311,7 +311,7 @@ func TestInjectedCrashIsSticky(t *testing.T) {
 			}
 			armed = true
 			_, err := l.AppendAdd(addRec("bob", "at-crash"))
-			if !errors.Is(err, ErrInjected) {
+			if !errors.Is(err, seglog.ErrInjected) {
 				t.Fatalf("append at crash point: %v", err)
 			}
 			// The log is dead: every later operation fails.
@@ -327,7 +327,7 @@ func TestInjectedCrashIsSticky(t *testing.T) {
 			// The pre-crash record was fsynced and must survive; the
 			// record at the crash point survives only if its bytes were
 			// written before the fault fired.
-			want := map[FaultPoint]int{BeforeAppend: 1, AfterAppend: 2, BeforeSync: 2, AfterSync: 2}[p]
+			want := map[seglog.FaultPoint]int{seglog.BeforeAppend: 1, seglog.AfterAppend: 2, seglog.BeforeSync: 2, seglog.AfterSync: 2}[p]
 			if len(recovered) != want {
 				t.Fatalf("recovered %d records after %s crash, want %d", len(recovered), p, want)
 			}
@@ -342,8 +342,8 @@ func TestBatchedSyncIntervalFlushes(t *testing.T) {
 	dir := t.TempDir()
 	var syncs int
 	l, _, _ := openT(t, Options{Dir: dir, SyncInterval: 5 * time.Millisecond,
-		Faults: func(fp FaultPoint) error {
-			if fp == AfterSync {
+		Faults: func(fp seglog.FaultPoint) error {
+			if fp == seglog.AfterSync {
 				syncs++
 			}
 			return nil

@@ -6,15 +6,20 @@
 // clients read their bodies through one Reader: the WAL's record
 // (wal.DecodeRecord) and the journal's (audit.DecodeRecord).
 //
-// Durability contract: an append is durable once it has been fsynced.
-// SyncInterval == 0 fsyncs every append before it returns; a positive
-// interval stages appends in memory and a background flusher writes
-// and fsyncs each batch that often; a negative interval writes inline
-// and fsyncs only on Sync, rotation and Close. Un-fsynced records MAY
-// survive a crash (the OS got them to disk anyway) or be lost entirely
-// (a staged append that never left the buffer); a crash mid-write
-// leaves at most one short record at the tail. Close leaves no
-// written byte unsynced.
+// One write path: an append (Begin … Commit) only stages its frame in
+// memory, under the append lock. Sync is the one place the file is
+// touched, under syncMu: it takes the staged batch, writes it with one
+// write() and fsyncs it with the append lock released, so appends keep
+// flowing while the disk catches up, then rotates a full segment. The
+// two durability modes differ only in who calls Sync: with a positive
+// SyncInterval a background flusher does, that often; with 0 the
+// appender does, through Await once it has released the lock — a group
+// commit: the append returns once an fsync covered it, and appenders
+// that stage while one fsync runs share the next. An append is durable
+// once it has been fsynced. Un-fsynced records MAY survive a crash (the
+// OS got them to disk anyway) or be lost entirely (a staged append that
+// never left the buffer); a crash mid-write leaves at most one short
+// record at the tail. Close leaves nothing staged or unsynced.
 //
 // Fail-stop: the first I/O error or injected fault makes the log
 // sticky-failed — every later append and sync returns ErrFailed — and
@@ -39,23 +44,23 @@ import (
 
 // FaultPoint names an instant the fault-injection hook can observe (and
 // kill the log at). The points bracket the two operations whose
-// ordering recovery invariants depend on: the buffered write of a
-// record and the fsync that makes it durable.
+// ordering recovery invariants depend on: the write of a record and the
+// fsync that makes it durable. Each fires under the append lock.
 type FaultPoint int
 
 // Fault points.
 const (
-	// BeforeAppend fires before a record's bytes are written (or, with
-	// batched syncing, staged): a crash here loses the record entirely.
+	// BeforeAppend fires before a record is staged: a crash here loses
+	// the record entirely.
 	BeforeAppend FaultPoint = iota
-	// AfterAppend fires after the write but before any fsync: the record
-	// is in the OS page cache (or, with batched syncing, the staging
-	// buffer), durable only by luck.
+	// AfterAppend fires once the batch holding a record is written,
+	// before its fsync: the record is in the OS page cache, durable only
+	// by luck.
 	AfterAppend
 	// BeforeSync fires on entry to fsync: everything written is still
 	// only as durable as the page cache.
 	BeforeSync
-	// AfterSync fires after a successful fsync: everything appended so
+	// AfterSync fires after a successful fsync: everything written so
 	// far is durable.
 	AfterSync
 )
@@ -103,7 +108,9 @@ type Options struct {
 	// truncates seg at stop.Offset so appends resume at a clean boundary;
 	// false leaves it and moves on; an error aborts Open.
 	Stopped func(seg Segment, later []Segment, stop Stop) (truncate bool, err error)
-	// SyncInterval selects the durability mode (see the package doc).
+	// SyncInterval selects the durability mode (see the package doc): 0
+	// fsyncs every append before Await returns, a positive interval is
+	// the flusher's period. Negative is refused.
 	SyncInterval time.Duration
 	// SegmentBytes is the size the active segment may reach before the
 	// log rotates (0 = 4 MiB).
@@ -111,18 +118,19 @@ type Options struct {
 	// Faults is the deterministic fault-injection hook (nil = none).
 	Faults FaultFunc
 	// OnSync, when set, observes every successful fsync with its start
-	// time and duration. It may run with log locks held and MUST NOT
-	// call back into the Log.
+	// time and duration. It runs under syncMu and MUST NOT call back
+	// into the Log.
 	OnSync func(start time.Time, d time.Duration)
-	// Compact is the rotation policy. Nil keeps history: the full
-	// segment is fsynced, the next opened, nothing deleted. Non-nil
-	// compacts: it writes the framed records still worth keeping to w (a
-	// fresh segment), which is fsynced before it becomes authoritative;
-	// then every older segment is deleted. Runs under the append lock.
+	// Compact is the rotation policy. Nil keeps history: the next
+	// segment is opened, nothing deleted. Non-nil compacts: it writes to
+	// w (a fresh segment) the framed records still worth keeping as of
+	// every Commit so far, staged ones included, so the staged batch is
+	// dropped; w is fsynced before it becomes authoritative, then every
+	// older segment is deleted. Runs under the append lock.
 	Compact func(w io.Writer) error
 	// PreFlush, when set, runs under the append lock at the start of
-	// every Sync and flusher pass, before the batch is taken — the place
-	// to stage a record that must ride in this batch.
+	// every Sync, before the batch is taken — the place to stage a
+	// record that must ride in this batch.
 	PreFlush func()
 }
 
@@ -133,22 +141,19 @@ type Options struct {
 type Log struct {
 	opts Options
 
-	// syncMu serializes batched fsyncs (the flusher and Sync). It is
-	// acquired BEFORE the append lock, never while holding it: the fsync
-	// itself runs with the append lock released, so appends keep flowing
-	// while the disk catches up — holding it across an fsync would turn
-	// every flush interval into a log-wide stall.
+	// syncMu serializes Sync, the one writer of the file: f is only
+	// read or replaced under it. It is acquired BEFORE the append lock,
+	// never while holding it: the write and fsync run with the append
+	// lock released, so appends keep flowing while the disk catches up.
 	syncMu sync.Mutex
+	f      *os.File
 
 	sync.Mutex
-	f        *os.File
 	first    int // lowest on-disk segment index
 	index    int // active segment index
 	segBytes int64
-	buf      []byte // inline mode: reusable encode buffer
-	stage    []byte // staged mode: framed records awaiting the flusher
-	spare    []byte // recycled staging buffer (swapped with stage per flush)
-	dirty    bool   // written but not fsynced
+	stage    []byte // framed records awaiting the next Sync
+	spare    []byte // recycled staging buffer (swapped with stage per Sync)
 	err      error  // sticky failure
 
 	stop chan struct{}
@@ -159,6 +164,9 @@ type Log struct {
 // Options.Stopped), then opens the highest-numbered one — or creates
 // the first — for appending.
 func Open(opts Options) (*Log, error) {
+	if opts.SyncInterval < 0 {
+		return nil, fmt.Errorf("seglog: SyncInterval %v is negative", opts.SyncInterval)
+	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
 	}
@@ -239,9 +247,9 @@ func (l *Log) fault(p FaultPoint) error {
 	return nil
 }
 
-// Begin starts one append and returns the buffer the client encodes
-// exactly one frame onto (BeginFrame … EndFrame) and hands to Commit. A
-// client whose encoder fails just never calls Commit.
+// Begin starts one append and returns the staging buffer the client
+// encodes exactly one frame onto (BeginFrame … EndFrame) and hands to
+// Commit. A client whose encoder fails just never calls Commit.
 func (l *Log) Begin() ([]byte, error) {
 	if l.err != nil {
 		return nil, l.err
@@ -249,65 +257,40 @@ func (l *Log) Begin() ([]byte, error) {
 	if err := l.fault(BeforeAppend); err != nil {
 		return nil, err
 	}
-	if l.opts.SyncInterval > 0 {
-		return l.stage, nil
-	}
-	return l.buf[:0], nil
+	return l.stage, nil
 }
 
-// Commit appends the frame encoded onto Begin's buffer and returns its
-// framed bytes, valid until the lock is released. Staged mode keeps it
-// in memory for the flusher (or Sync) to drain with one write() right
-// before its fsync, so the append path costs an encode and nothing
-// else. Inline mode writes it now, fsyncs when SyncInterval is 0, and
-// rotates a full segment — so a client whose Compact reads its own
-// state updates that state first. Any error means the log has failed.
-func (l *Log) Commit(buf []byte) ([]byte, error) {
-	if l.opts.SyncInterval > 0 {
-		framed := buf[len(l.stage):]
-		l.stage = buf
-		return framed, l.fault(AfterAppend)
-	}
-	l.buf = buf
-	n, err := l.f.Write(buf)
-	l.segBytes += int64(n)
-	if err != nil {
-		return nil, l.Fail(err)
-	}
-	l.dirty = true
-	if err := l.fault(AfterAppend); err != nil {
-		return nil, err
-	}
-	if l.opts.SyncInterval == 0 {
-		if err := l.fault(BeforeSync); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if err := l.f.Sync(); err != nil {
-			return nil, l.Fail(err)
-		}
-		if l.opts.OnSync != nil {
-			l.opts.OnSync(start, time.Since(start))
-		}
-		l.dirty = false
-		if err := l.fault(AfterSync); err != nil {
-			return nil, err
-		}
-	}
-	return buf, l.maybeRotate()
+// Commit stages the frame encoded onto Begin's buffer and returns its
+// framed bytes, valid until the lock is released. It touches no file:
+// the next Sync writes it. A client whose Compact reads its own state
+// must have brought that state up to date by then: any Sync may
+// compact, and the compaction stands in for every committed record.
+func (l *Log) Commit(buf []byte) []byte {
+	framed := buf[len(l.stage):]
+	l.stage = buf
+	return framed
 }
 
-// Sync makes everything appended before the call durable: it swaps out
-// the staging buffer under the append lock, then writes and fsyncs with
-// it released, so appends keep flowing while the disk catches up — they
-// are simply not covered by this sync. Staged mode never touches the file outside
-// syncMu, so the two syscalls cannot race anything. The post-fsync
-// re-validation covers the inline modes, where an append can rotate
-// the segment while a concurrent Sync is inside fsync: rotation made
-// the old segment's contents durable before retiring it (compaction
-// fsyncs the replacement before deleting anything, history-keeping
-// fsyncs the old segment before opening the next), so both the result
-// and any error from the stale file are moot.
+// Await is what an append calls once it has released the append lock.
+// With SyncInterval 0 it is Sync: the append returns only once an fsync
+// covered its record, and its error if that batch failed. With a
+// positive interval it returns at once and the flusher covers the
+// record.
+func (l *Log) Await() error {
+	if l.opts.SyncInterval > 0 {
+		return nil
+	}
+	return l.Sync()
+}
+
+// Sync makes everything committed before the call durable: under
+// syncMu it swaps out the staging buffer under the append lock, writes
+// and fsyncs the batch with that lock released — appends keep flowing,
+// they are simply not covered by this sync — and rotates a full segment.
+// A caller that finds nothing staged returns at once: whatever it
+// committed was written (or compacted) and fsynced by the Sync it
+// waited behind, or that Sync failed the log and the sticky error
+// answers.
 func (l *Log) Sync() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
@@ -315,7 +298,7 @@ func (l *Log) Sync() error {
 	if l.err == nil && l.opts.PreFlush != nil {
 		l.opts.PreFlush()
 	}
-	if l.err != nil || (len(l.stage) == 0 && !l.dirty) {
+	if l.err != nil || len(l.stage) == 0 {
 		err := l.err
 		l.Unlock()
 		return err
@@ -323,45 +306,35 @@ func (l *Log) Sync() error {
 	batch := l.stage
 	l.stage = l.spare[:0]
 	l.spare = nil
-	f := l.f
-	l.dirty = false
 	l.Unlock()
 
-	var written int
-	var werr error
-	if len(batch) > 0 {
-		written, werr = f.Write(batch)
-	}
+	written, err := l.f.Write(batch)
 
 	l.Lock()
 	if cap(batch) > cap(l.spare) {
 		l.spare = batch[:0]
 	}
 	l.segBytes += int64(written)
-	if werr == nil {
-		werr = l.fault(BeforeSync)
-	} else {
-		werr = l.Fail(werr)
+	if err != nil {
+		err = l.Fail(err)
+	} else if err = l.fault(AfterAppend); err == nil {
+		err = l.fault(BeforeSync)
 	}
 	l.Unlock()
-	if werr != nil {
-		return werr
+	if err != nil {
+		return err
 	}
 
 	start := time.Now()
-	serr := f.Sync()
-	if serr == nil && l.opts.OnSync != nil {
+	err = l.f.Sync()
+	if err == nil && l.opts.OnSync != nil {
 		l.opts.OnSync(start, time.Since(start))
 	}
 
 	l.Lock()
 	defer l.Unlock()
-	if l.f != f {
-		return nil // rotated mid-sync; the synced file is retired
-	}
-	if serr != nil {
-		l.dirty = true
-		return l.Fail(serr)
+	if err != nil {
+		return l.Fail(err)
 	}
 	if err := l.fault(AfterSync); err != nil {
 		return err
@@ -370,24 +343,21 @@ func (l *Log) Sync() error {
 }
 
 // maybeRotate starts a fresh segment once the active one outgrows its
-// budget, under the client's policy (see Options.Compact).
+// budget, under the client's policy (see Options.Compact). Sync calls
+// it right after an fsync, with nothing written since: the old segment
+// is durable as it stands.
 func (l *Log) maybeRotate() error {
 	if l.segBytes < l.opts.SegmentBytes {
 		return nil
 	}
 	next := l.path(l.index + 1)
 	if l.opts.Compact == nil {
-		// History stays, so the old segment must be durable before the
-		// log moves on: nothing will ever fsync it again.
-		if err := l.f.Sync(); err != nil {
-			return l.Fail(err)
-		}
 		nf, err := os.OpenFile(next, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return l.Fail(err)
 		}
 		l.f.Close()
-		l.f, l.segBytes, l.dirty = nf, 0, false
+		l.f, l.segBytes = nf, 0
 		l.index++
 		return nil
 	}
@@ -406,9 +376,11 @@ func (l *Log) maybeRotate() error {
 		os.Remove(next)
 		return l.Fail(err)
 	}
-	// The new segment is durable; retire the history.
+	// The new segment is durable and holds the staged records' effect;
+	// retire the history and the batch.
 	l.f.Close()
-	l.f, l.segBytes, l.dirty = nf, fi.Size(), false
+	l.f, l.segBytes = nf, fi.Size()
+	l.stage = l.stage[:0]
 	l.index++
 	for ; l.first < l.index; l.first++ {
 		os.Remove(l.path(l.first))
@@ -430,11 +402,10 @@ func (l *Log) flusher(stop <-chan struct{}) {
 	}
 }
 
-// Close stops the flusher, writes and syncs pending appends — any
-// staged batch, any inline write not yet fsynced — and releases the
-// file. A failed log closes without touching the file again (Sync
-// refuses): its on-disk state is whatever the "crash" left, and Close
-// returns the sticky error.
+// Close stops the flusher, writes and syncs the staged batch and
+// releases the file. A failed log closes without touching the file
+// again (Sync refuses): its on-disk state is whatever the "crash" left,
+// and Close returns the sticky error.
 func (l *Log) Close() error {
 	l.Lock()
 	if l.stop != nil {
@@ -446,8 +417,6 @@ func (l *Log) Close() error {
 	err := l.Sync()
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	l.Lock()
-	defer l.Unlock()
 	if l.f != nil {
 		if cerr := l.f.Close(); err == nil {
 			err = cerr

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -39,18 +40,25 @@ func openT(t *testing.T, opts Options, got *[][]byte) *Log {
 	return l
 }
 
-func appendT(l *Log, body []byte) error {
+// appendT appends body as a client does: stage it under the lock (and,
+// when kept is not nil, add it to the client state kept, which a test's
+// Compact writes), then Await with the lock released.
+func appendT(l *Log, body []byte, kept *[][]byte) error {
 	l.Lock()
-	defer l.Unlock()
 	buf, err := l.Begin()
+	if err == nil {
+		if framed := l.Commit(frame(buf, body)); !bytes.Equal(framed[HeaderSize:], body) {
+			err = fmt.Errorf("Commit returned %x, not the frame of %x", framed, body)
+		}
+		if kept != nil {
+			*kept = append(*kept, body)
+		}
+	}
+	l.Unlock()
 	if err != nil {
 		return err
 	}
-	framed, err := l.Commit(frame(buf, body))
-	if err == nil && !bytes.Equal(framed[HeaderSize:], body) {
-		err = fmt.Errorf("Commit returned %x, not the frame of %x", framed, body)
-	}
-	return err
+	return l.Await()
 }
 
 // TestListStrict: only a name that is exactly the canonical name of the
@@ -140,17 +148,17 @@ func TestWalkStopReasons(t *testing.T) {
 	}
 }
 
-// TestRotateDuringSync: in the inline modes an append can rotate the
-// segment while a concurrent Sync is inside fsync on the old file. The
-// post-fsync re-validation must swallow the stale file's result under
-// either rotation policy, and no record may be lost. Run under -race.
+// TestRotateDuringSync: at SyncInterval 0 two appenders each run a Sync
+// per append while another goroutine calls Sync in a loop, and a 128-byte
+// budget makes nearly every Sync rotate. Rotation runs only inside Sync,
+// under either policy, and no record may be lost. Run under -race.
 func TestRotateDuringSync(t *testing.T) {
 	const n = 300
 	for _, policy := range []string{"keep-history", "compact"} {
 		t.Run(policy, func(t *testing.T) {
 			dir := t.TempDir()
 			var kept [][]byte // guarded by the log's lock
-			opts := Options{Dir: dir, SyncInterval: -1, SegmentBytes: 128}
+			opts := Options{Dir: dir, SegmentBytes: 128}
 			if policy == "compact" {
 				opts.Compact = func(w io.Writer) error {
 					for _, body := range kept {
@@ -179,15 +187,23 @@ func TestRotateDuringSync(t *testing.T) {
 					}
 				}
 			}()
-			for i := 0; i < n; i++ {
-				body := []byte(fmt.Sprintf("record-%04d", i))
-				l.Lock()
-				kept = append(kept, body)
-				l.Unlock()
-				if err := appendT(l, body); err != nil {
-					t.Fatalf("append %d: %v", i, err)
-				}
+			// Two appenders, so a record is often staged while a Sync
+			// writes and compacts.
+			var appenders sync.WaitGroup
+			for a := 0; a < 2; a++ {
+				appenders.Add(1)
+				go func() {
+					defer appenders.Done()
+					for i := a; i < n; i += 2 {
+						body := []byte(fmt.Sprintf("record-%04d", i))
+						if err := appendT(l, body, &kept); err != nil {
+							t.Errorf("append %d: %v", i, err)
+							return
+						}
+					}
+				}()
 			}
+			appenders.Wait()
 			close(done)
 			wg.Wait()
 			l.Lock()
@@ -207,7 +223,7 @@ func TestRotateDuringSync(t *testing.T) {
 				t.Fatalf("history-keeping rotation kept %d of %d segments", segments, rotated+1)
 			}
 			var got [][]byte
-			openT(t, Options{Dir: dir, SyncInterval: -1}, &got).Close()
+			openT(t, Options{Dir: dir}, &got).Close()
 			if len(got) != n {
 				t.Fatalf("replayed %d of %d records", len(got), n)
 			}
@@ -220,17 +236,75 @@ func TestRotateDuringSync(t *testing.T) {
 	}
 }
 
-// TestCloseLeavesNothingUnsynced: a never-sync log still fsyncs what it
-// wrote on Close, and a second Close is harmless.
-func TestCloseLeavesNothingUnsynced(t *testing.T) {
-	syncs := 0
-	l := openT(t, Options{Dir: t.TempDir(), SyncInterval: -1,
-		OnSync: func(time.Time, time.Duration) { syncs++ }}, nil)
-	if err := appendT(l, []byte("written, not yet durable")); err != nil {
+// TestCompactionStandsInForTheStage: a record staged while a Sync
+// writes is in the client state a compaction right after that Sync
+// writes out, so the compaction drops the stage instead of letting the
+// next Sync write the record a second time. The client's state here is
+// a count, compacted to one short record that leaves the fresh segment
+// under its budget, so a record written twice would stay on disk.
+func TestCompactionStandsInForTheStage(t *testing.T) {
+	dir := t.TempDir()
+	committed := 0 // the client state; guarded by the log's lock
+	var l *Log
+	stage := func(body string) error {
+		l.Lock()
+		buf, err := l.Begin()
+		if err == nil {
+			l.Commit(frame(buf, []byte(body)))
+			committed++
+		}
+		l.Unlock()
+		return err
+	}
+	staged := false
+	l = openT(t, Options{Dir: dir, SyncInterval: time.Hour, SegmentBytes: 100,
+		Compact: func(w io.Writer) error {
+			_, err := w.Write(frame(nil, []byte(fmt.Sprintf("%d records", committed))))
+			return err
+		},
+		OnSync: func(time.Time, time.Duration) {
+			// After the first batch's write, before its rotation, with the
+			// append lock free.
+			if !staged {
+				staged = true
+				if err := stage("staged behind the first batch"); err != nil {
+					t.Error(err)
+				}
+			}
+		}}, nil)
+	for i := 0; i < 3; i++ {
+		if err := stage(fmt.Sprintf("record %d of the first batch....", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if syncs != 0 {
-		t.Fatalf("never-sync mode fsynced %d times on append", syncs)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	openT(t, Options{Dir: dir}, &got).Close()
+	if len(got) != 1 || string(got[0]) != "4 records" {
+		t.Fatalf("replayed %q, want the one compacted record of 4", got)
+	}
+}
+
+// TestCloseLeavesNothingUnsynced: a staged batch the flusher has not
+// reached yet touches no file until Close writes and fsyncs it, and a
+// second Close is harmless.
+func TestCloseLeavesNothingUnsynced(t *testing.T) {
+	dir := t.TempDir()
+	syncs := 0
+	l := openT(t, Options{Dir: dir, SyncInterval: time.Hour,
+		OnSync: func(time.Time, time.Duration) { syncs++ }}, nil)
+	for _, body := range []string{"staged", "not yet durable"} {
+		if err := appendT(l, []byte(body), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fi, err := os.Stat(filepath.Join(dir, testFormat.Name(0))); err != nil || fi.Size() != 0 || syncs != 0 {
+		t.Fatalf("a staged append reached the file (%v, err %v) or fsynced %d times", fi, err, syncs)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -240,6 +314,106 @@ func TestCloseLeavesNothingUnsynced(t *testing.T) {
 	}
 	if err := l.Close(); err != nil || syncs != 1 {
 		t.Fatalf("second Close: err %v, %d syncs", err, syncs)
+	}
+	var got [][]byte
+	openT(t, Options{Dir: dir}, &got).Close()
+	if len(got) != 2 {
+		t.Fatalf("recovered %d records, want the staged batch of 2", len(got))
+	}
+}
+
+// TestDurableAppendsShareOneFsync: at SyncInterval 0 an append returns
+// only once an fsync covered its record; appenders that stage while an
+// fsync runs share the next one; and when that shared fsync fails,
+// every appender in its batch gets the error and none gets nil. The
+// first appender's fsync is held (in OnSync) until the others have
+// staged, so the batches are fixed: one record, then the rest.
+func TestDurableAppendsShareOneFsync(t *testing.T) {
+	const n = 8
+	for _, fail := range []bool{false, true} {
+		t.Run(map[bool]string{false: "ok", true: "failed-fsync"}[fail], func(t *testing.T) {
+			dir := t.TempDir()
+			var begun, fsyncs atomic.Int32
+			staged, held := make(chan struct{}), make(chan struct{})
+			durable := map[string]bool{} // bodies on disk at an AfterSync; under the log's lock
+			l := openT(t, Options{Dir: dir, Faults: func(p FaultPoint) error {
+				switch p {
+				case BeforeAppend:
+					if begun.Add(1) == n {
+						close(staged)
+					}
+				case BeforeSync:
+					if fail && fsyncs.Load() == 1 {
+						return ErrInjected
+					}
+				case AfterSync:
+					fsyncs.Add(1)
+					if _, err := testFormat.Walk(filepath.Join(dir, testFormat.Name(0)), func(_ int64, framed []byte) error {
+						durable[string(framed[HeaderSize:])] = true
+						return nil
+					}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, OnSync: func(time.Time, time.Duration) {
+				if fsyncs.Load() == 0 {
+					close(held)
+					select {
+					case <-staged:
+					case <-time.After(10 * time.Second):
+						t.Error("the other appenders never staged")
+					}
+				}
+			}}, nil)
+			defer l.Close()
+
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			run := func(i int) {
+				defer wg.Done()
+				body := fmt.Sprintf("record-%d", i)
+				if errs[i] = appendT(l, []byte(body), nil); errs[i] == nil {
+					l.Lock()
+					if !durable[body] {
+						errs[i] = fmt.Errorf("%s returned before an fsync covered it", body)
+					}
+					l.Unlock()
+				}
+			}
+			wg.Add(n)
+			go run(0)
+			<-held // record-0's fsync is in progress
+			for i := 1; i < n; i++ {
+				go run(i)
+			}
+			wg.Wait()
+			if errs[0] != nil {
+				t.Fatalf("the first appender, alone in its batch: %v", errs[0])
+			}
+			for i, err := range errs[1:] {
+				if fail && (!errors.Is(err, ErrInjected) || !errors.Is(err, ErrFailed)) {
+					t.Fatalf("appender %d of the failed batch got %v", i+1, err)
+				}
+				if !fail && err != nil {
+					t.Fatalf("appender %d: %v", i+1, err)
+				}
+			}
+			if want := map[bool]int32{false: 2, true: 1}[fail]; fsyncs.Load() != want {
+				t.Fatalf("%d fsyncs for %d appends, want %d", fsyncs.Load(), n, want)
+			}
+		})
+	}
+}
+
+// TestNegativeSyncIntervalRefused: there is no never-fsync mode.
+func TestNegativeSyncIntervalRefused(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), Format: testFormat, SyncInterval: -1,
+		Replay:  func(int64, []byte) error { return nil },
+		Stopped: func(Segment, []Segment, Stop) (bool, error) { return true, nil }}
+	if l, err := Open(opts); err == nil {
+		l.Close()
+		t.Fatal("Open accepted a negative SyncInterval")
 	}
 }
 
@@ -255,21 +429,21 @@ func TestFailStopTouchesNothing(t *testing.T) {
 		}
 		return nil
 	}}, nil)
-	if err := appendT(l, []byte("durable")); err != nil {
+	if err := appendT(l, []byte("durable"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	armed = true
-	if err := appendT(l, []byte("written, then the crash")); err != nil {
+	if err := appendT(l, []byte("written, then the crash"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); !errors.Is(err, ErrInjected) || !errors.Is(err, ErrFailed) {
 		t.Fatalf("Sync at the fault: %v", err)
 	}
 	before, _ := os.ReadFile(filepath.Join(dir, testFormat.Name(0)))
-	if err := appendT(l, []byte("after")); !errors.Is(err, ErrFailed) {
+	if err := appendT(l, []byte("after"), nil); !errors.Is(err, ErrFailed) {
 		t.Fatalf("append after failure: %v", err)
 	}
 	if err := l.Sync(); !errors.Is(err, ErrFailed) {
@@ -300,7 +474,7 @@ func TestDamageHelpers(t *testing.T) {
 			}
 			l := openT(t, Options{Dir: dir}, nil)
 			for _, body := range []string{"first", "second", "third"} {
-				if err := appendT(l, []byte(body)); err != nil {
+				if err := appendT(l, []byte(body), nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -60,13 +60,8 @@ var surfaceExempt = map[string]string{
 	"keys.KeyPair.AgreeCalls":             "test support: TestRejoinCostsBrokerNoPrivateKeyOperation, TestRoundKeyAgreesOncePerPeer, TestLowOrderChallengeRefusedBeforeAgreement count X25519 operations",
 	"keys.KeyPairFrom":                    "test support: TestKeySizeFloor, TestPSECredentialPersistence; the mustKey helpers build fixed keys with it",
 	"lru.Cache.Len":                       "test support: TestUnwrapMemoCapped, TestSignDocumentCountsMissesOnly, TestTrustStoreModel hold a memo to its bound",
-	"relay/wal.AfterAppend":               "test support: TestInjectedCrashIsSticky, TestRelayCrashRecoveryExactlyOnce name a crash point",
-	"relay/wal.AfterSync":                 "test support: TestInjectedCrashIsSticky, TestBatchedSyncIntervalFlushes name a crash point",
-	"relay/wal.BeforeAppend":              "test support: TestInjectedCrashIsSticky, TestWALFaultDegradesToMemory name a crash point",
-	"relay/wal.BeforeSync":                "test support: TestInjectedCrashIsSticky, TestRelayCrashRecoveryExactlyOnce name a crash point",
 	"relay/wal.DecodeRecord":              "test support: FuzzWALDecode, TestDecodeRejectsTamper, TestRecordRoundTrip",
-	"relay/wal.ErrInjected":               "test support: TestInjectedCrashIsSticky, TestWALFaultDegradesToMemory inject a crash with it",
-	"relay/wal.FaultPoint":                "test support: TestInjectedCrashIsSticky, TestWALFaultDegradesToMemory, TestRelayCrashRecoveryExactlyOnce",
+	"seglog.ErrInjected":                  "test support: TestInjectedCrashIsSticky, TestJournalCrashMatrix, TestWALFaultDegradesToMemory inject a crash with it",
 	"seglog.Log.Index":                    "test support: TestRotateDuringSync, TestCompactionReclaimsAckedRecords, TestStrayFilesAreNotSegments read the active segment",
 	"telemetry.Registry.Get":              "test support: TestScenarioFeedsTelemetry, TestJoinSoakLeavesNothingBehind, TestChannelOfferFlood read one metric",
 	"trace.Recorder.TraceSpans":           "test support: TestForcedCaptureOnAnomaly, TestSecurityAlertCarriesRetrievableTraceID",
