@@ -32,15 +32,15 @@ type modelRec struct {
 }
 
 // TestPutCanonicalModel drives random sequences of puts (all three ways
-// in), refreshes, removals, clock advances, lookups and sweeps against a
-// plain map of what was last put under each (type, id). A PutCanonical
-// parses exactly when the model holds no fresh record of the same bytes
-// put the same way, so an index entry that outlived a replace, a removal
-// or an expiry shows up as a missing parse; a Refresh re-puts exactly
-// such a record and drops any other one under its key; every lookup must
-// find what the model says is there, received when the model says; and
-// after every step the index holds the current indexed records and
-// nothing else.
+// in), refreshes, removals, forgets, clock advances, lookups and sweeps
+// against a plain map of what was last put under each (type, id). A
+// PutCanonical parses exactly when the model holds no fresh record of the
+// same bytes put the same way, so an index entry that outlived a replace,
+// a removal or an expiry shows up as a missing parse; a Refresh re-puts
+// exactly such a record and drops any other one under its key; a Forget
+// drops only a record of the bytes it names; every lookup must find what
+// the model says is there, received when the model says; and after every
+// step the index holds the current indexed records and nothing else.
 func TestPutCanonicalModel(t *testing.T) {
 	// Two pipes (15 min) and two presences (2 min), three byte variants
 	// each: 12 documents under 4 (type, id) keys.
@@ -77,7 +77,7 @@ func TestPutCanonicalModel(t *testing.T) {
 		for step := 0; step < 500; step++ {
 			i := rng.Intn(len(advs))
 			k := keyOf(i)
-			switch op := rng.Intn(11); op {
+			switch op := rng.Intn(12); op {
 			case 0, 1, 2: // PutCanonical, from a frame the caller reuses
 				frame := bytes.Clone(wires[i])
 				m, ok := fresh(k)
@@ -159,6 +159,15 @@ func TestPutCanonicalModel(t *testing.T) {
 			case 5:
 				remove(c, k.typ, k.id)
 				delete(model, k)
+			case 11: // Forget, of a tree of wires[i]'s bytes: a record of other bytes stays
+				doc, err := xmldoc.ParseCanonical(bytes.Clone(wires[i]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Forget(advs[i], doc)
+				if m, ok := model[k]; ok && m.wire == string(wires[i]) {
+					delete(model, k)
+				}
 			case 6:
 				now = now.Add(time.Duration(rng.Intn(90)) * time.Second)
 			case 7:
