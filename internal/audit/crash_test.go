@@ -2,42 +2,45 @@ package audit
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/seglog"
 )
 
-// TestJournalCrashMatrix kills the journal at each of seglog's four
-// fault points, in the staged and the sync-per-append mode, and asserts
-// what the relay WAL's crash matrix asserts of queues: the directory
-// reopens, verifies clean, holds every record fsynced before the fault
-// and none that was never attempted, and appends continue the chain.
-// The fault point is the first subtest level so CI can select one
-// (-run 'TestJournalCrashMatrix/before-sync').
+// TestJournalCrashMatrix fails the journal's file system at each
+// boundary of the first batch after a durable one, in the staged and the
+// sync-per-append mode, and asserts what the relay WAL's crash tests
+// assert of queues: the journal fails and makes no file operation
+// again, and the directory reopens, verifies clean, holds every record
+// fsynced before the failure and none that was never attempted, and
+// appends continue the chain. The boundary is the first subtest level:
+// the batch's write fails (before-append); the write lands and the power
+// goes before its fsync (after-append); the fsync fails with the machine
+// up (before-sync); the fsync returns and the power goes at the next
+// operation (after-sync).
 func TestJournalCrashMatrix(t *testing.T) {
 	kp, chain, trust := signer(t)
 	modes := []struct {
 		name     string
 		interval time.Duration
 	}{{"staged", time.Hour}, {"sync-per-append", 0}}
-	for _, p := range []seglog.FaultPoint{seglog.BeforeAppend, seglog.AfterAppend, seglog.BeforeSync, seglog.AfterSync} {
+	points := []struct {
+		name  string
+		fail  int  // the operation after the durable batch that fails: 1 its write, 2 its fsync, 3 the next
+		crash bool // the power goes at the failure
+	}{{"before-append", 1, true}, {"after-append", 2, true}, {"before-sync", 2, false}, {"after-sync", 3, true}}
+	for i, p := range points {
 		for _, mode := range modes {
-			t.Run(p.String()+"/"+mode.name, func(t *testing.T) {
+			t.Run(p.name+"/"+mode.name, func(t *testing.T) {
 				dir := t.TempDir()
 				opts := Options{Dir: dir, SyncInterval: mode.interval, CheckpointEvery: 4, Signer: kp, Chain: chain}
-				armed, attempted := false, uint64(0)
-				j, err := open(opts, func(fp seglog.FaultPoint) error {
-					if fp == seglog.BeforeAppend {
-						attempted++ // events and checkpoints alike
-					}
-					if armed && fp == p {
-						return seglog.ErrInjected
-					}
-					return nil
-				})
+				fs := seglog.NewCrashFS(int64(i))
+				j, err := open(opts, fs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,10 +52,13 @@ func TestJournalCrashMatrix(t *testing.T) {
 				}
 				durable := j.Seq()
 
-				armed = true
+				failed := fs.Ops() + p.fail
+				fs.FailAt(failed)
 				for i := 0; i < 3; i++ {
 					j.Record(ev(100 + i))
 				}
+				j.Sync() // at after-sync it returns nil: the next batch meets the failure
+				j.Record(ev(103))
 				if err := j.Sync(); !errors.Is(err, seglog.ErrFailed) || !errors.Is(err, seglog.ErrInjected) {
 					t.Fatalf("Sync after the crash: %v", err)
 				}
@@ -60,36 +66,121 @@ func TestJournalCrashMatrix(t *testing.T) {
 				if seq := j.Record(ev(200)); seq != 0 || !st.Failed || j.Stats().Lost != st.Lost+1 {
 					t.Fatalf("failed journal accepted an event (seq %d, stats %+v)", seq, st)
 				}
+				attempted := j.Seq() // events and checkpoints alike
 				if err := j.Close(); !errors.Is(err, seglog.ErrFailed) {
 					t.Fatalf("Close after the crash: %v", err)
 				}
-
-				j2, err := Open(opts)
-				if err != nil {
-					t.Fatalf("reopen after %s crash: %v", p, err)
+				if ops := fs.Ops(); ops != failed {
+					t.Fatalf("a failed journal made %d file operations after the failing one", ops-failed)
 				}
-				recovered := j2.Stats().Recovered
-				if recovered < durable || recovered > attempted {
-					t.Fatalf("recovered %d records; %d were fsynced before the crash, %d ever attempted", recovered, durable, attempted)
+				if p.crash {
+					if _, _, err := fs.Crash(); err != nil {
+						t.Fatal(err)
+					}
 				}
-				rep, err := Verify(dir, VerifyOptions{Trust: trust})
-				if err != nil {
+				if err := checkRecovered(opts, trust, durable, attempted); err != nil {
 					t.Fatal(err)
-				}
-				if !rep.OK() || rep.LastSeq != recovered {
-					t.Fatalf("verify after crash: last seq %d of %d recovered, fault %v", rep.LastSeq, recovered, rep.Fault)
-				}
-				if seq := mustRecord(t, j2, ev(300)); seq != recovered+1 {
-					t.Fatalf("append after recovery got seq %d, want %d", seq, recovered+1)
-				}
-				if err := j2.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if rep, err = Verify(dir, VerifyOptions{Trust: trust}); err != nil || !rep.OK() || rep.Unsealed != 0 {
-					t.Fatalf("verify after resumed appends: %+v, err %v", rep, err)
 				}
 			})
 		}
+	}
+}
+
+// checkRecovered reopens a crashed journal on the os and holds it to
+// the recovery model: it opens, holds at least the durable records and
+// no more than were attempted, verifies clean through them, and an
+// append continues the chain, sealed by Close.
+func checkRecovered(opts Options, trust *cred.TrustStore, durable, attempted uint64) error {
+	j, err := Open(opts)
+	if err != nil {
+		return fmt.Errorf("reopen after the crash: %v", err)
+	}
+	defer j.Close()
+	recovered := j.Stats().Recovered
+	if recovered < durable || recovered > attempted {
+		return fmt.Errorf("recovered %d records; %d were fsynced before the crash, %d ever attempted", recovered, durable, attempted)
+	}
+	rep, err := Verify(opts.Dir, VerifyOptions{Trust: trust})
+	if err != nil {
+		return err
+	}
+	if !rep.OK() || rep.LastSeq != recovered {
+		return fmt.Errorf("verify after crash: last seq %d of %d recovered, fault %v", rep.LastSeq, recovered, rep.Fault)
+	}
+	if seq := j.Record(ev(300)); seq != recovered+1 {
+		return fmt.Errorf("append after recovery got seq %d, want %d", seq, recovered+1)
+	}
+	if err := j.Close(); err != nil {
+		return err
+	}
+	if rep, err = Verify(opts.Dir, VerifyOptions{Trust: trust}); err != nil || !rep.OK() || rep.Unsealed != 0 {
+		return fmt.Errorf("verify after resumed appends: %+v, err %v", rep, err)
+	}
+	return nil
+}
+
+// TestCrashAtEveryOperation runs one sequence of events, syncs,
+// checkpoints, history rotations and a sealing Close in both durability
+// modes and records its N file operations. Then, for every i from 0 to
+// N and two seeds, it runs the sequence again with operation i+1
+// failing, cuts the power and reopens what survives: the chain must
+// verify, hold every record whose Record returned a sequence number at
+// SyncInterval 0 (and every one a returned Sync covered, staged), and
+// continue (checkRecovered).
+func TestCrashAtEveryOperation(t *testing.T) {
+	kp, chain, trust := signer(t)
+	for _, mode := range []struct {
+		name     string
+		interval time.Duration
+	}{{"staged", time.Hour}, {"sync-per-append", 0}} {
+		t.Run(mode.name, func(t *testing.T) {
+			// A 512-byte budget rotates the history every few batches.
+			opts := Options{SyncInterval: mode.interval, SegmentBytes: 512, CheckpointEvery: 3, Signer: kp, Chain: chain}
+			run := func(dir string, fs *seglog.CrashFS) (durable, attempted uint64) {
+				opts := opts
+				opts.Dir = dir
+				j, err := open(opts, fs)
+				if err != nil {
+					return 0, 0
+				}
+				for i := 0; i < 8; i++ {
+					if seq := j.Record(ev(i)); seq != 0 && mode.interval == 0 {
+						durable = seq
+					}
+					if mode.interval > 0 && i%2 == 1 && j.Sync() == nil {
+						durable = j.Seq()
+					}
+				}
+				attempted = j.Seq() + 1 // Close seals with one more
+				if j.Close() == nil {
+					durable = j.Seq()
+				}
+				return durable, attempted
+			}
+			dry, dryDir := seglog.NewCrashFS(0), t.TempDir()
+			run(dryDir, dry)
+			if st, err := Verify(dryDir, VerifyOptions{Trust: trust}); err != nil || st.Segments < 3 || st.Checkpoints < 2 {
+				t.Fatalf("the sequence wrote %+v (err %v), want a few segments and checkpoints", st, err)
+			}
+			n := dry.Ops()
+			for i := 0; i <= n; i++ {
+				for seed := int64(1); seed <= 2; seed++ {
+					dir := t.TempDir()
+					fs := seglog.NewCrashFS(seed)
+					fs.FailAt(i + 1)
+					durable, attempted := run(dir, fs)
+					opts := opts
+					opts.Dir = dir
+					_, _, err := fs.Crash()
+					if err == nil {
+						err = checkRecovered(opts, trust, durable, attempted)
+					}
+					if err != nil {
+						t.Fatalf("seed %d, crash after operation %d of %d: %v", seed, i, n, err)
+					}
+				}
+			}
+		})
 	}
 }
 

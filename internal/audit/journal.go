@@ -176,9 +176,9 @@ type ringEntry struct {
 // locate it.
 func Open(opts Options) (*Journal, error) { return open(opts, nil) }
 
-// open is Open plus the fault-injection hook, which is the crash
-// matrix's and not a deployment option.
-func open(opts Options, faults seglog.FaultFunc) (*Journal, error) {
+// open is Open on the file system fs (nil = the os package), which is
+// the crash tests' and not a deployment option.
+func open(opts Options, fs seglog.FS) (*Journal, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("audit: Options.Dir is required")
 	}
@@ -215,7 +215,7 @@ func open(opts Options, faults seglog.FaultFunc) (*Journal, error) {
 	j.log, err = seglog.Open(seglog.Options{
 		Dir: opts.Dir, Format: format, Replay: j.replay, Stopped: stopped,
 		SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		Faults: faults, PreFlush: j.maybeCheckpointLocked,
+		FS: fs, PreFlush: j.maybeCheckpointLocked,
 	})
 	if err != nil {
 		return nil, err

@@ -1,13 +1,14 @@
 // Crash recovery end-to-end: the broker relay runs on its durable WAL,
-// dies at each injected fault point with slices still queued, and is
-// brought back on the same log. The recovered queues must deliver
-// every fsync-acknowledged slice exactly once through the real secure
-// pipeline — no loss, no resurrection of delivered traffic, no
-// duplicate surfacing past the recipients' replay guards.
+// whose file system (seglog.CrashFS) fails at a boundary of an append
+// with slices still queued; the power is cut where the boundary says,
+// and the relay is brought back on what the disk kept. The recovered
+// queues must deliver every fsync-acknowledged slice exactly once
+// through the real secure pipeline — no loss, no resurrection of
+// delivered traffic, no duplicate surfacing past the recipients' replay
+// guards.
 package integration_test
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,23 +20,30 @@ import (
 	"jxtaoverlay/internal/waituntil"
 )
 
-// TestRelayCrashRecoveryExactlyOnce kills the relay at every fault
-// point mid-queue and restarts it. Round 1's slice is accepted while
-// the log is healthy, so it is fsync-acknowledged and MUST survive.
-// Round 2's slice is being appended when the crash fires: it survives
-// at every point where its bytes reached the file (everything except
-// BeforeAppend — the same table the wal package pins in isolation,
-// here verified through the full broker + secure-client stack).
+// TestRelayCrashRecoveryExactlyOnce fails the relay's log at each
+// boundary of an append mid-queue and restarts it. Round 1's slice is
+// accepted while the log is healthy, so it is fsync-acknowledged and
+// MUST survive. Round 2's slice is being appended at the failure: its
+// write fails (before-append); it is written and the power goes before
+// its fsync (after-append); its fsync fails with the machine up
+// (before-sync); or its fsync returns and the power goes at the next
+// operation (after-sync). It survives where its bytes reached the disk
+// whole — the table the wal package pins in isolation, here verified
+// through the full broker + secure-client stack. The subtest's index is
+// the seed of what the power cut keeps.
 func TestRelayCrashRecoveryExactlyOnce(t *testing.T) {
-	for _, p := range []seglog.FaultPoint{seglog.BeforeAppend, seglog.AfterAppend, seglog.BeforeSync, seglog.AfterSync} {
-		p := p
-		t.Run(p.String(), func(t *testing.T) {
-			runCrashRecovery(t, p)
+	for i, p := range []struct {
+		name  string
+		fail  int  // the operation of round 2's append that fails: 1 its write, 2 its fsync, 3 the next
+		crash bool // the power goes at the failure
+	}{{"before-append", 1, true}, {"after-append", 2, true}, {"before-sync", 2, false}, {"after-sync", 3, true}} {
+		t.Run(p.name, func(t *testing.T) {
+			runCrashRecovery(t, int64(i), p.fail, p.crash)
 		})
 	}
 }
 
-func runCrashRecovery(t *testing.T, point seglog.FaultPoint) {
+func runCrashRecovery(t *testing.T, seed int64, fail int, crash bool) {
 	net := simnet.NewNetwork(simnet.LinkProfile{})
 	defer net.Close()
 
@@ -47,17 +55,12 @@ func runCrashRecovery(t *testing.T, point seglog.FaultPoint) {
 	}
 	br := startBroker(t, dep, net, "crash-broker", db, core.BrokerConfig{RequireSignedAdvs: true}).Broker
 
-	// Sync-per-append relay on a durable log, with an armable crash.
+	// Sync-per-append relay on a durable log, with an armable failure.
 	walDir := t.TempDir()
-	var armed atomic.Bool
+	fs := seglog.NewCrashFS(seed)
 	cfg := core.RelayConfig{}
 	cfg.WAL.Dir = walDir
-	cfg.WAL.Faults = func(fp seglog.FaultPoint) error {
-		if armed.Load() && fp == point {
-			return seglog.ErrInjected
-		}
-		return nil
-	}
+	cfg.WAL.FS = fs
 	rly, err := core.EnableBrokerRelay(br, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -86,23 +89,37 @@ func runCrashRecovery(t *testing.T, point seglog.FaultPoint) {
 		}
 	}
 	sendRound("round-1") // healthy log: fsync-acked
-	armed.Store(true)
+	fs.FailAt(fs.Ops() + fail)
 	sendRound("round-2") // the log dies appending carol's slice
+	rounds := 2
+	if fail == 3 {
+		sendRound("round-3") // round 2's slice is durable; this one's write fails
+		rounds = 3
+	}
 	if rly.Metrics().WALErrors == 0 {
 		t.Fatal("fault never fired — round 2 did not exercise the crash point")
 	}
 
 	// The crash: the relay goes down with carol's queue non-empty, and a
-	// fresh relay recovers from the same directory.
+	// fresh relay recovers from what the disk kept.
 	rly.Close()
-	cfg.WAL.Faults = nil
+	wantRecovered := uint64(2)
+	if fail == 1 {
+		wantRecovered = 1 // round 2's bytes never reached the file
+	}
+	if crash {
+		kept, lost, err := fs.Crash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fail == 2 && (kept == 0 || lost > 0) {
+			wantRecovered = 1 // the power cut round 2's unsynced write short
+		}
+	}
+	cfg.WAL.FS = nil
 	rly, err = core.EnableBrokerRelay(br, cfg)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
-	}
-	wantRecovered := uint64(2)
-	if point == seglog.BeforeAppend {
-		wantRecovered = 1 // round 2's bytes never reached the file
 	}
 	if m := rly.Metrics(); m.RecoveryReplayed != wantRecovered || m.RecoveryDiscardedGuard != 0 {
 		t.Fatalf("recovery metrics %+v, want %d replayed / 0 guard-discarded", m, wantRecovered)
@@ -139,8 +156,8 @@ func runCrashRecovery(t *testing.T, point seglog.FaultPoint) {
 	// and never entered the log — the restart must not replay anything
 	// at him, and nothing must surface twice at carol.
 	time.Sleep(150 * time.Millisecond)
-	if n := len(bobEvents.OfType(events.SecureMessage)); n != 2 {
-		t.Fatalf("bob saw %d messages, want exactly 2 (no post-recovery replays)", n)
+	if n := len(bobEvents.OfType(events.SecureMessage)); n != rounds {
+		t.Fatalf("bob saw %d messages, want exactly %d (no post-recovery replays)", n, rounds)
 	}
 	if n := len(carolEvents.OfType(events.SecureMessage)); uint64(n) != wantRecovered {
 		t.Fatalf("carol saw %d messages after settling, want %d", n, wantRecovered)

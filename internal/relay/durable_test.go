@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/relay"
 	"jxtaoverlay/internal/seglog"
+	"jxtaoverlay/internal/waituntil"
 )
 
 func mustDurable(t *testing.T, dir string, cfg relay.Config, s *sink) *relay.Relay {
@@ -117,28 +119,24 @@ func TestExpiredWhileDownDoesNotResurrect(t *testing.T) {
 	}
 }
 
-// TestWALFaultDegradesToMemory: a dying log (injected crash) must not
-// take the relay down with it — queueing continues in memory, the
-// failure is counted, and durability is all that is lost.
+// TestWALFaultDegradesToMemory: a dying log (the disk fails the next
+// append's write) must not take the relay down with it — queueing
+// continues in memory, the failure is counted, and durability is all
+// that is lost.
 func TestWALFaultDegradesToMemory(t *testing.T) {
 	dir := t.TempDir()
-	var armed atomic.Bool
+	fs := seglog.NewCrashFS(1)
 	s := newSink()
 	cfg := relay.Config{}
 	cfg.WAL.Dir = dir
-	cfg.WAL.Faults = func(fp seglog.FaultPoint) error {
-		if armed.Load() && fp == seglog.BeforeAppend {
-			return seglog.ErrInjected
-		}
-		return nil
-	}
+	cfg.WAL.FS = fs
 	r, err := relay.New(cfg, s.isOnline, s.deliver)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	r.Submit(item("bob", "durable"))
-	armed.Store(true)
+	fs.FailAt(fs.Ops() + 1)
 	if got := r.Submit(item("bob", "memory-only")); got != relay.SubmitQueued {
 		t.Fatalf("submit during WAL fault = %v, want SubmitQueued", got)
 	}
@@ -148,6 +146,54 @@ func TestWALFaultDegradesToMemory(t *testing.T) {
 	s.setOnline("bob", true)
 	r.Flush("bob")
 	waitFor(t, func() bool { return len(s.got("bob")) == 2 })
+}
+
+// TestRetireHoldsNoShardAcrossFsync: at SyncInterval 0 an enqueue that
+// finds an expired item in its peer's queue appends the item's ack, and
+// waits for its fsync, only once it has released the shard's lock. While
+// that fsync is held (in OnSync), a drain of another peer on the same
+// shard hands its item to the sink.
+func TestRetireHoldsNoShardAcrossFsync(t *testing.T) {
+	var clock atomic.Int64
+	now := func() time.Time { return time.Unix(1000+clock.Load(), 0) }
+	var fsyncs, holdAt atomic.Int32
+	held, release := make(chan struct{}), make(chan struct{})
+	cfg := relay.Config{Clock: now}
+	cfg.WAL.OnSync = func(time.Time, time.Duration) {
+		if fsyncs.Add(1) == holdAt.Load() {
+			close(held)
+			<-release
+		}
+	}
+	s := newSink()
+	r := mustDurable(t, t.TempDir(), cfg, s)
+	defer r.Close()
+	other := keys.PeerID("")
+	for i := 0; other == ""; i++ {
+		if id := keys.PeerID(fmt.Sprintf("peer-%d", i)); r.SameShard("bob", id) {
+			other = id
+		}
+	}
+	r.Submit(item("bob", "expires"))
+	clock.Store(100)
+	r.Submit(item(other, "waiting"))
+	clock.Store(int64(relayTTL/time.Second) + 10) // bob's item has expired, the other's not
+
+	holdAt.Store(fsyncs.Load() + 2) // the next submit's add, then the expired item's ack
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		r.Submit(item("bob", "late"))
+	}()
+	<-held
+	s.setOnline(other, true)
+	go r.Flush(other)
+	drained := waituntil.True(2*time.Second, func() bool { return len(s.got(other)) == 1 })
+	close(release)
+	<-submitted
+	if !drained {
+		t.Fatal("a drain of another peer on the shard waited for the fsync of an expired item's ack")
+	}
 }
 
 // TestSenderQuotaRefusesAndReleases: the third queued item from one

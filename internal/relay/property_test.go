@@ -15,8 +15,9 @@ import (
 )
 
 // TestRecoveryMatchesModel drives a durable relay through random
-// interleavings of submit / deliver / time-passing, optionally crashes
-// the log at a random fault point, restarts, and checks the recovered
+// interleavings of submit / deliver / time-passing, optionally fails
+// the log's file system at an operation drawn from the seed and cuts
+// the power (seglog.CrashFS), restarts, and checks the recovered
 // queues against an in-memory model of the same history filtered by
 // TTL and the delivery acks. The invariants under test:
 //
@@ -69,18 +70,15 @@ func runRecoveryModel(t *testing.T, rng *rand.Rand) {
 
 	// Sync-per-append (SyncInterval 0): every submission accepted while
 	// the log is healthy is fsync-acknowledged, so the model may count
-	// it durable. When armed, the fault kills the log at crashPoint and
-	// the relay runs memory-only from then on.
+	// it durable. When armed, the file system fails at crashOp of the
+	// next append — 1 its write, 2 its fsync — killing the log, and the
+	// relay runs memory-only from then on.
 	var armed atomic.Bool
-	crashPoint := []seglog.FaultPoint{seglog.BeforeAppend, seglog.AfterAppend, seglog.BeforeSync, seglog.AfterSync}[rng.Intn(4)]
+	crashOp := 1 + rng.Intn(2)
+	fs := seglog.NewCrashFS(rng.Int63())
 	cfg := relay.Config{Clock: now, QueueCap: 1 << 16}
 	cfg.WAL.Dir = dir
-	cfg.WAL.Faults = func(fp seglog.FaultPoint) error {
-		if armed.Load() && fp == crashPoint {
-			return seglog.ErrInjected
-		}
-		return nil
-	}
+	cfg.WAL.FS = fs
 
 	s := newSink()
 	r, err := relay.New(cfg, s.isOnline, s.deliver)
@@ -136,20 +134,21 @@ func runRecoveryModel(t *testing.T, rng *rand.Rand) {
 			ackedDelivery[id][p] = true
 		}
 	}
+	var trigger modelItem
+	var triggerTo keys.PeerID
 	if rng.Intn(2) == 0 {
 		armed.Store(true)
-		// The submission that trips the fault: its record reaches the
-		// disk unless the crash fired before the append wrote it.
-		to := peers[rng.Intn(len(peers))]
-		it := relay.Item{To: to, From: "sender", Group: "g", Payload: []byte("crash-trigger")}
+		fs.FailAt(fs.Ops() + crashOp)
+		// The submission that trips the failure: its record is in the
+		// file unless its write failed, and on the disk after the power
+		// cut only if the cut kept it whole (below).
+		triggerTo, trigger = peers[rng.Intn(len(peers))], modelItem{"crash-trigger", now().Add(relayTTL)}
+		it := relay.Item{To: triggerTo, From: "sender", Group: "g", Payload: []byte("crash-trigger")}
 		if r.Submit(it) != relay.SubmitQueued {
 			t.Fatal("crash-trigger submit not queued")
 		}
 		if r.Metrics().WALErrors == 0 {
 			t.Fatal("fault did not fire")
-		}
-		if crashPoint != seglog.BeforeAppend {
-			model[to] = append(model[to], modelItem{"crash-trigger", now().Add(relayTTL)})
 		}
 		for i := 0; i < 10+rng.Intn(10); i++ {
 			switch rng.Intn(3) {
@@ -163,6 +162,15 @@ func runRecoveryModel(t *testing.T, rng *rand.Rand) {
 		}
 	}
 	r.Close()
+	if armed.Load() {
+		kept, lost, err := fs.Crash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crashOp == 2 && kept > 0 && lost == 0 {
+			model[triggerTo] = append(model[triggerTo], trigger)
+		}
+	}
 	expireModel(model, now()) // recovery re-enforces TTL at this instant
 
 	s2 := newSink()

@@ -721,17 +721,18 @@ func (r *Relay) Close() {
 	}
 }
 
+// enqueue appends it to its peer's queue, pruning the expired items and
+// dropping the oldest on overflow. It retires those after unlocking, so
+// that no fsync of their acks holds the shard.
 func (s *shard) enqueue(it Item) {
 	now := s.r.cfg.Clock()
 	s.mu.Lock()
-	q := s.pruneLocked(it.To, now)
+	q, expired := s.pruneLocked(it.To, now)
+	var dropped []Item
 	if len(q.items) >= s.r.cfg.QueueCap {
 		// Drop-oldest: the front of the FIFO is the stalest traffic.
 		drop := len(q.items) - s.r.cfg.QueueCap + 1
-		for _, old := range q.items[:drop] {
-			s.r.retire(old, wal.AckDropped)
-			s.r.audit(audit.Event{Kind: audit.KindRelayDrop, Peer: string(old.From), Op: "relay-enqueue", Reason: "overflow", Trace: old.Trace})
-		}
+		dropped = append(dropped, q.items[:drop]...)
 		clear(q.items[:drop])
 		q.items = q.items[drop:]
 		s.r.droppedOverflow.Add(uint64(drop))
@@ -741,11 +742,24 @@ func (s *shard) enqueue(it Item) {
 	s.queues[it.To] = q
 	s.mu.Unlock()
 	s.r.enqueued.Add(1)
+	s.r.retireAll(expired, wal.AckExpired)
+	for _, old := range dropped {
+		s.r.retire(old, wal.AckDropped)
+		s.r.audit(audit.Event{Kind: audit.KindRelayDrop, Peer: string(old.From), Op: "relay-enqueue", Reason: "overflow", Trace: old.Trace})
+	}
+}
+
+// retireAll retires every item, for one reason.
+func (r *Relay) retireAll(items []Item, reason wal.AckReason) {
+	for _, it := range items {
+		r.retire(it, reason)
+	}
 }
 
 // retire logs an item's departure from its queue and returns its quota
 // occupancy. Every exit path (delivered, expired, dropped) funnels
-// through here so the WAL and the quota books can never disagree.
+// through here so the WAL and the quota books can never disagree. It
+// may fsync, so no shard lock is held across it.
 func (r *Relay) retire(it Item, reason wal.AckReason) {
 	r.releaseQuota(it)
 	if r.log != nil && it.seq != 0 {
@@ -763,19 +777,21 @@ func (r *Relay) audit(e audit.Event) { r.cfg.Auditor.Record(e) }
 
 // pruneLocked removes expired items wherever they sit in the peer's
 // queue (a clock stepped back between two submissions queues an item
-// behind one that expires later) and returns the surviving queue. Before
-// its due it reads nothing. Caller holds s.mu.
-func (s *shard) pruneLocked(id keys.PeerID, now time.Time) queue {
+// behind one that expires later) and returns the surviving queue and
+// the expired items, which the caller retires once it has unlocked (nil
+// when none expired). Before its due it reads nothing. Caller holds s.mu.
+func (s *shard) pruneLocked(id keys.PeerID, now time.Time) (queue, []Item) {
 	q := s.queues[id]
 	if !now.After(q.due) {
-		return q
+		return q, nil
 	}
+	var expired []Item
 	kept := q.items[:0]
 	q.due = time.Time{}
 	for _, it := range q.items {
 		if now.After(it.expires) {
 			s.r.expired.Add(1)
-			s.r.retire(it, wal.AckExpired)
+			expired = append(expired, it)
 			continue
 		}
 		q.bound(it.expires)
@@ -784,11 +800,11 @@ func (s *shard) pruneLocked(id keys.PeerID, now time.Time) queue {
 	clear(q.items[len(kept):])
 	if len(kept) == 0 {
 		delete(s.queues, id)
-		return queue{}
+		return queue{}, expired
 	}
 	q.items = kept
 	s.queues[id] = q
-	return q
+	return q, expired
 }
 
 func (s *shard) work() {
@@ -814,8 +830,9 @@ func (s *shard) work() {
 func (s *shard) drain(id keys.PeerID) {
 	flushed := 0
 	s.mu.Lock()
-	s.pruneLocked(id, s.r.cfg.Clock())
+	_, expired := s.pruneLocked(id, s.r.cfg.Clock())
 	s.mu.Unlock()
+	s.r.retireAll(expired, wal.AckExpired)
 	for {
 		s.mu.Lock()
 		q := s.queues[id]

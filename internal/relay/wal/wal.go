@@ -41,8 +41,9 @@ type Options struct {
 	// writes and fsyncs each staged batch, keeping both syscalls off
 	// the append path. Negative is refused.
 	SyncInterval time.Duration
-	// Faults is the deterministic fault-injection hook (nil = none).
-	Faults seglog.FaultFunc
+	// FS is the write side of the disk (nil = the os package); a crash
+	// test passes a seglog.CrashFS.
+	FS seglog.FS
 	// OnSync, when set, observes every successful fsync with its start
 	// time and duration — the relay's tracer uses it to attribute
 	// fsync-wait to the traces staged behind that sync. The callback
@@ -122,7 +123,7 @@ func Open(opts Options) (*Log, []Record, RecoveryStats, error) {
 	var err error
 	l.log, err = seglog.Open(seglog.Options{
 		Dir: opts.Dir, Format: format, Replay: replay, Stopped: stopped,
-		SyncInterval: opts.SyncInterval, Faults: opts.Faults, OnSync: opts.OnSync,
+		SyncInterval: opts.SyncInterval, FS: opts.FS, OnSync: opts.OnSync,
 		Compact: l.compact,
 	})
 	if err != nil {

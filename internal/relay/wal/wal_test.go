@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -295,22 +296,40 @@ func TestSeqContinuesAfterRecovery(t *testing.T) {
 	}
 }
 
+// TestInjectedCrashIsSticky fails the file system at each boundary of
+// the second append's batch and asserts the log dies at the failure:
+// the append there gets ErrInjected, every later call ErrFailed, and
+// the log makes no file operation after the failing one. Then it
+// reopens what survives: the first, fsynced record always; the second
+// as far as the failure let it reach the disk.
 func TestInjectedCrashIsSticky(t *testing.T) {
-	for _, p := range []seglog.FaultPoint{seglog.BeforeAppend, seglog.AfterAppend, seglog.BeforeSync, seglog.AfterSync} {
-		t.Run(p.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fail  int  // which operation of the second append fails: 1 its write, 2 its fsync, 3 the next
+		crash bool // the power goes at the failure (else the machine stays up)
+	}{
+		{"before-append", 1, true},
+		{"after-append", 2, true},
+		{"before-sync", 2, false},
+		{"after-sync", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			armed := false
-			l, _, _ := openT(t, Options{Dir: dir, Faults: func(fp seglog.FaultPoint) error {
-				if armed && fp == p {
-					return seglog.ErrInjected
-				}
-				return nil
-			}})
+			fs := seglog.NewCrashFS(1)
+			l, _, _ := openT(t, Options{Dir: dir, FS: fs})
 			if _, err := l.AppendAdd(addRec("bob", "durable")); err != nil {
 				t.Fatal(err)
 			}
-			armed = true
+			failed := fs.Ops() + tc.fail
+			fs.FailAt(failed)
 			_, err := l.AppendAdd(addRec("bob", "at-crash"))
+			if tc.fail == 3 {
+				// Its fsync returned: it is durable, and the next append meets the failure.
+				if err != nil {
+					t.Fatalf("append before the crash point: %v", err)
+				}
+				_, err = l.AppendAdd(addRec("bob", "meets-the-crash"))
+			}
 			if !errors.Is(err, seglog.ErrInjected) {
 				t.Fatalf("append at crash point: %v", err)
 			}
@@ -322,14 +341,24 @@ func TestInjectedCrashIsSticky(t *testing.T) {
 				t.Fatalf("sync after crash: %v", err)
 			}
 			l.Close()
-
+			if ops := fs.Ops(); ops != failed {
+				t.Fatalf("a failed log made %d file operations after the failing one", ops-failed)
+			}
+			// The record at the crash point survives if its fsync returned,
+			// or its write reached the file and nothing cut it short.
+			want := map[int]int{1: 1, 2: 2, 3: 2}[tc.fail]
+			if tc.crash {
+				kept, lost, err := fs.Crash()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.fail == 2 && (lost > 0 || kept == 0) {
+					want = 1
+				}
+			}
 			_, recovered, _ := openT(t, Options{Dir: dir})
-			// The pre-crash record was fsynced and must survive; the
-			// record at the crash point survives only if its bytes were
-			// written before the fault fired.
-			want := map[seglog.FaultPoint]int{seglog.BeforeAppend: 1, seglog.AfterAppend: 2, seglog.BeforeSync: 2, seglog.AfterSync: 2}[p]
 			if len(recovered) != want {
-				t.Fatalf("recovered %d records after %s crash, want %d", len(recovered), p, want)
+				t.Fatalf("recovered %d records after %s crash, want %d", len(recovered), tc.name, want)
 			}
 			if string(recovered[0].Payload) != "durable" {
 				t.Fatalf("fsynced record lost: %q", recovered[0].Payload)
@@ -340,36 +369,22 @@ func TestInjectedCrashIsSticky(t *testing.T) {
 
 func TestBatchedSyncIntervalFlushes(t *testing.T) {
 	dir := t.TempDir()
-	var syncs int
+	var syncs atomic.Int32
 	l, _, _ := openT(t, Options{Dir: dir, SyncInterval: 5 * time.Millisecond,
-		Faults: func(fp seglog.FaultPoint) error {
-			if fp == seglog.AfterSync {
-				syncs++
-			}
-			return nil
-		}})
+		OnSync: func(time.Time, time.Duration) { syncs.Add(1) }})
 	for i := 0; i < 10; i++ {
 		if _, err := l.AppendAdd(addRec("bob", "m")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for {
-		l.log.Lock()
-		n := syncs
-		l.log.Unlock()
-		if n >= 1 {
-			break
-		}
+	for syncs.Load() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("background flusher never synced")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	l.log.Lock()
-	n := syncs
-	l.log.Unlock()
-	if n >= 10 {
+	if n := syncs.Load(); n >= 10 {
 		t.Fatalf("%d fsyncs for 10 appends: batching is not batching", n)
 	}
 	l.Close()

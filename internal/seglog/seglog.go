@@ -21,10 +21,17 @@
 // never left the buffer); a crash mid-write leaves at most one short
 // record at the tail. Close leaves nothing staged or unsynced.
 //
-// Fail-stop: the first I/O error or injected fault makes the log
-// sticky-failed — every later append and sync returns ErrFailed — and
-// the files are never touched again, so what is on disk is exactly
-// what the "crash" left for the next Open to recover.
+// Fail-stop: the first I/O error makes the log sticky-failed — every
+// later append and sync returns ErrFailed — and the files are never
+// touched again, so what is on disk is exactly what the failure left
+// for the next Open to recover. A crash test gets that error from a
+// CrashFS at the file operation it chose.
+//
+// Every change to the directory goes through Options.FS; reads go to
+// the os package. A segment's name is fsynced into the directory before
+// a record in it can be durable: Open's first segment, a history
+// rotation's next and a compaction's fresh one. A compaction fsyncs the
+// directory again once it has unlinked the older segments.
 //
 // Recovery policy is the client's: Open replays what is on disk through
 // the client's Replay and, wherever a segment's walk stops short, asks
@@ -41,54 +48,6 @@ import (
 	"sync"
 	"time"
 )
-
-// FaultPoint names an instant the fault-injection hook can observe (and
-// kill the log at). The points bracket the two operations whose
-// ordering recovery invariants depend on: the write of a record and the
-// fsync that makes it durable. Each fires under the append lock.
-type FaultPoint int
-
-// Fault points.
-const (
-	// BeforeAppend fires before a record is staged: a crash here loses
-	// the record entirely.
-	BeforeAppend FaultPoint = iota
-	// AfterAppend fires once the batch holding a record is written,
-	// before its fsync: the record is in the OS page cache, durable only
-	// by luck.
-	AfterAppend
-	// BeforeSync fires on entry to fsync: everything written is still
-	// only as durable as the page cache.
-	BeforeSync
-	// AfterSync fires after a successful fsync: everything written so
-	// far is durable.
-	AfterSync
-)
-
-// String names the point for test output.
-func (p FaultPoint) String() string {
-	switch p {
-	case BeforeAppend:
-		return "before-append"
-	case AfterAppend:
-		return "after-append"
-	case BeforeSync:
-		return "before-sync"
-	case AfterSync:
-		return "after-sync"
-	default:
-		return fmt.Sprintf("fault-point-%d", int(p))
-	}
-}
-
-// FaultFunc is the deterministic fault-injection hook: return a non-nil
-// error to simulate the process dying at that point. The log goes
-// sticky-failed, so the test can then reopen the directory and assert
-// what recovery reconstructs from the bytes that made it to disk.
-type FaultFunc func(p FaultPoint) error
-
-// ErrInjected is a convenient error for FaultFunc implementations.
-var ErrInjected = errors.New("seglog: injected crash")
 
 // ErrFailed wraps the cause in every error a failed log returns.
 var ErrFailed = errors.New("seglog: log failed")
@@ -115,8 +74,9 @@ type Options struct {
 	// SegmentBytes is the size the active segment may reach before the
 	// log rotates (0 = 4 MiB).
 	SegmentBytes int64
-	// Faults is the deterministic fault-injection hook (nil = none).
-	Faults FaultFunc
+	// FS is the write side of the disk (nil = the os package); a crash
+	// test passes a CrashFS.
+	FS FS
 	// OnSync, when set, observes every successful fsync with its start
 	// time and duration. It runs under syncMu and MUST NOT call back
 	// into the Log.
@@ -134,6 +94,44 @@ type Options struct {
 	PreFlush func()
 }
 
+// FS is the write side of the disk: every change the log makes to its
+// directory. OpenFile takes os.OpenFile's flags and opens with mode
+// 0o644.
+type FS interface {
+	OpenFile(path string, flag int) (File, error)
+	SyncDir(dir string) error
+	Remove(path string) error
+}
+
+// File is a segment open for writing; *os.File is one.
+type File interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+// osFS is FS on the os package.
+type osFS struct{}
+
+func (osFS) OpenFile(path string, flag int) (File, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+func (osFS) Remove(path string) error { return os.Remove(path) }
+
 // Log is an open segment log. The embedded mutex is the append lock,
 // and the client's lock too: it guards whatever per-record state the
 // client keeps in step with the log, and Begin, Commit, Fail, Err, Index
@@ -146,7 +144,7 @@ type Log struct {
 	// never while holding it: the write and fsync run with the append
 	// lock released, so appends keep flowing while the disk catches up.
 	syncMu sync.Mutex
-	f      *os.File
+	f      File
 
 	sync.Mutex
 	first    int // lowest on-disk segment index
@@ -169,6 +167,9 @@ func Open(opts Options) (*Log, error) {
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 4 << 20
+	}
+	if opts.FS == nil {
+		opts.FS = osFS{}
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
@@ -198,11 +199,15 @@ func Open(opts Options) (*Log, error) {
 	if len(segs) > 0 {
 		l.first, l.index = segs[0].Index, segs[len(segs)-1].Index
 	}
-	f, err := os.OpenFile(l.path(l.index), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := l.path(l.index)
+	f, err := opts.FS.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
+	fi, err := os.Stat(path)
+	if err == nil && len(segs) == 0 {
+		err = opts.FS.SyncDir(opts.Dir) // the first segment's name
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -236,26 +241,12 @@ func (l *Log) Fail(err error) error {
 	return l.err
 }
 
-// fault runs the injection hook; a non-nil result kills the log.
-func (l *Log) fault(p FaultPoint) error {
-	if l.opts.Faults == nil {
-		return nil
-	}
-	if err := l.opts.Faults(p); err != nil {
-		return l.Fail(err)
-	}
-	return nil
-}
-
 // Begin starts one append and returns the staging buffer the client
 // encodes exactly one frame onto (BeginFrame … EndFrame) and hands to
 // Commit. A client whose encoder fails just never calls Commit.
 func (l *Log) Begin() ([]byte, error) {
 	if l.err != nil {
 		return nil, l.err
-	}
-	if err := l.fault(BeforeAppend); err != nil {
-		return nil, err
 	}
 	return l.stage, nil
 }
@@ -317,8 +308,6 @@ func (l *Log) Sync() error {
 	l.segBytes += int64(written)
 	if err != nil {
 		err = l.Fail(err)
-	} else if err = l.fault(AfterAppend); err == nil {
-		err = l.fault(BeforeSync)
 	}
 	l.Unlock()
 	if err != nil {
@@ -336,24 +325,27 @@ func (l *Log) Sync() error {
 	if err != nil {
 		return l.Fail(err)
 	}
-	if err := l.fault(AfterSync); err != nil {
-		return err
-	}
 	return l.maybeRotate()
 }
 
 // maybeRotate starts a fresh segment once the active one outgrows its
 // budget, under the client's policy (see Options.Compact). Sync calls
 // it right after an fsync, with nothing written since: the old segment
-// is durable as it stands.
+// is durable as it stands. A failure leaves the files as they are, a
+// half-written fresh segment included: the next Open replays it after
+// the history it stands in for.
 func (l *Log) maybeRotate() error {
 	if l.segBytes < l.opts.SegmentBytes {
 		return nil
 	}
 	next := l.path(l.index + 1)
 	if l.opts.Compact == nil {
-		nf, err := os.OpenFile(next, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		nf, err := l.opts.FS.OpenFile(next, os.O_CREATE|os.O_WRONLY|os.O_APPEND)
 		if err != nil {
+			return l.Fail(err)
+		}
+		if err := l.opts.FS.SyncDir(l.opts.Dir); err != nil {
+			nf.Close()
 			return l.Fail(err)
 		}
 		l.f.Close()
@@ -361,29 +353,35 @@ func (l *Log) maybeRotate() error {
 		l.index++
 		return nil
 	}
-	nf, err := os.OpenFile(next, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	nf, err := l.opts.FS.OpenFile(next, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return l.Fail(err)
 	}
 	var fi os.FileInfo
 	if err = l.opts.Compact(nf); err == nil {
 		if err = nf.Sync(); err == nil {
-			fi, err = nf.Stat()
+			if err = l.opts.FS.SyncDir(l.opts.Dir); err == nil {
+				fi, err = os.Stat(next)
+			}
 		}
 	}
 	if err != nil {
 		nf.Close()
-		os.Remove(next)
 		return l.Fail(err)
 	}
-	// The new segment is durable and holds the staged records' effect;
-	// retire the history and the batch.
+	// The new segment and its name are durable and hold the staged
+	// records' effect; retire the history and the batch.
 	l.f.Close()
 	l.f, l.segBytes = nf, fi.Size()
 	l.stage = l.stage[:0]
 	l.index++
 	for ; l.first < l.index; l.first++ {
-		os.Remove(l.path(l.first))
+		if err := l.opts.FS.Remove(l.path(l.first)); err != nil {
+			return l.Fail(err)
+		}
+	}
+	if err := l.opts.FS.SyncDir(l.opts.Dir); err != nil {
+		return l.Fail(err)
 	}
 	return nil
 }
@@ -404,7 +402,7 @@ func (l *Log) flusher(stop <-chan struct{}) {
 
 // Close stops the flusher, writes and syncs the staged batch and
 // releases the file. A failed log closes without touching the file
-// again (Sync refuses): its on-disk state is whatever the "crash" left,
+// again (Sync refuses): its on-disk state is whatever the failure left,
 // and Close returns the sticky error.
 func (l *Log) Close() error {
 	l.Lock()

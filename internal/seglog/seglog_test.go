@@ -44,21 +44,27 @@ func openT(t *testing.T, opts Options, got *[][]byte) *Log {
 // when kept is not nil, add it to the client state kept, which a test's
 // Compact writes), then Await with the lock released.
 func appendT(l *Log, body []byte, kept *[][]byte) error {
-	l.Lock()
-	buf, err := l.Begin()
-	if err == nil {
-		if framed := l.Commit(frame(buf, body)); !bytes.Equal(framed[HeaderSize:], body) {
-			err = fmt.Errorf("Commit returned %x, not the frame of %x", framed, body)
-		}
-		if kept != nil {
-			*kept = append(*kept, body)
-		}
-	}
-	l.Unlock()
-	if err != nil {
+	if err := stageT(l, body, kept); err != nil {
 		return err
 	}
 	return l.Await()
+}
+
+// stageT is appendT's first half: it stages body under the lock.
+func stageT(l *Log, body []byte, kept *[][]byte) error {
+	l.Lock()
+	defer l.Unlock()
+	buf, err := l.Begin()
+	if err != nil {
+		return err
+	}
+	if framed := l.Commit(frame(buf, body)); !bytes.Equal(framed[HeaderSize:], body) {
+		return fmt.Errorf("Commit returned %x, not the frame of %x", framed, body)
+	}
+	if kept != nil {
+		*kept = append(*kept, body)
+	}
+	return nil
 }
 
 // TestListStrict: only a name that is exactly the canonical name of the
@@ -327,58 +333,61 @@ func TestCloseLeavesNothingUnsynced(t *testing.T) {
 // fsync runs share the next one; and when that shared fsync fails,
 // every appender in its batch gets the error and none gets nil. The
 // first appender's fsync is held (in OnSync) until the others have
-// staged, so the batches are fixed: one record, then the rest.
+// staged, so the batches are fixed: one record, then the rest, and the
+// failing fsync is the file system's fourth operation after Open's.
 func TestDurableAppendsShareOneFsync(t *testing.T) {
 	const n = 8
 	for _, fail := range []bool{false, true} {
 		t.Run(map[bool]string{false: "ok", true: "failed-fsync"}[fail], func(t *testing.T) {
 			dir := t.TempDir()
-			var begun, fsyncs atomic.Int32
-			staged, held := make(chan struct{}), make(chan struct{})
-			durable := map[string]bool{} // bodies on disk at an AfterSync; under the log's lock
-			l := openT(t, Options{Dir: dir, Faults: func(p FaultPoint) error {
-				switch p {
-				case BeforeAppend:
-					if begun.Add(1) == n {
-						close(staged)
-					}
-				case BeforeSync:
-					if fail && fsyncs.Load() == 1 {
-						return ErrInjected
-					}
-				case AfterSync:
-					fsyncs.Add(1)
-					if _, err := testFormat.Walk(filepath.Join(dir, testFormat.Name(0)), func(_ int64, framed []byte) error {
-						durable[string(framed[HeaderSize:])] = true
-						return nil
-					}); err != nil {
-						return err
-					}
+			fs := NewCrashFS(1)
+			var staged atomic.Int32
+			allStaged, held := make(chan struct{}), make(chan struct{})
+			var mu sync.Mutex
+			fsyncs := 0
+			durable := map[string]bool{} // bodies on disk at a successful fsync
+			l := openT(t, Options{Dir: dir, FS: fs, OnSync: func(time.Time, time.Duration) {
+				mu.Lock()
+				fsyncs++
+				first := fsyncs == 1
+				if _, err := testFormat.Walk(filepath.Join(dir, testFormat.Name(0)), func(_ int64, framed []byte) error {
+					durable[string(framed[HeaderSize:])] = true
+					return nil
+				}); err != nil {
+					t.Error(err)
 				}
-				return nil
-			}, OnSync: func(time.Time, time.Duration) {
-				if fsyncs.Load() == 0 {
+				mu.Unlock()
+				if first {
 					close(held)
 					select {
-					case <-staged:
+					case <-allStaged:
 					case <-time.After(10 * time.Second):
 						t.Error("the other appenders never staged")
 					}
 				}
 			}}, nil)
 			defer l.Close()
+			if fail {
+				fs.FailAt(fs.Ops() + 4) // write, fsync, write, fsync
+			}
 
 			errs := make([]error, n)
 			var wg sync.WaitGroup
 			run := func(i int) {
 				defer wg.Done()
 				body := fmt.Sprintf("record-%d", i)
-				if errs[i] = appendT(l, []byte(body), nil); errs[i] == nil {
-					l.Lock()
+				if errs[i] = stageT(l, []byte(body), nil); errs[i] != nil {
+					return
+				}
+				if staged.Add(1) == n {
+					close(allStaged)
+				}
+				if errs[i] = l.Await(); errs[i] == nil {
+					mu.Lock()
 					if !durable[body] {
 						errs[i] = fmt.Errorf("%s returned before an fsync covered it", body)
 					}
-					l.Unlock()
+					mu.Unlock()
 				}
 			}
 			wg.Add(n)
@@ -399,8 +408,8 @@ func TestDurableAppendsShareOneFsync(t *testing.T) {
 					t.Fatalf("appender %d: %v", i+1, err)
 				}
 			}
-			if want := map[bool]int32{false: 2, true: 1}[fail]; fsyncs.Load() != want {
-				t.Fatalf("%d fsyncs for %d appends, want %d", fsyncs.Load(), n, want)
+			if want := map[bool]int{false: 2, true: 1}[fail]; fsyncs != want {
+				t.Fatalf("%d fsyncs for %d appends, want %d", fsyncs, n, want)
 			}
 		})
 	}
@@ -417,30 +426,28 @@ func TestNegativeSyncIntervalRefused(t *testing.T) {
 	}
 }
 
-// TestFailStopTouchesNothing: after the first failure every operation
-// returns the sticky error and the files stay exactly as the "crash"
-// left them — staged records included.
+// TestFailStopTouchesNothing: after the first failure, here an fsync
+// that fails with the machine still up, every operation returns the
+// sticky error and the log makes no file operation again: the files
+// stay exactly as the failure left them, the write before the failed
+// fsync included.
 func TestFailStopTouchesNothing(t *testing.T) {
 	dir := t.TempDir()
-	armed := false
-	l := openT(t, Options{Dir: dir, SyncInterval: time.Hour, Faults: func(p FaultPoint) error {
-		if armed && p == BeforeSync {
-			return ErrInjected
-		}
-		return nil
-	}}, nil)
+	fs := NewCrashFS(1)
+	l := openT(t, Options{Dir: dir, FS: fs, SyncInterval: time.Hour}, nil)
 	if err := appendT(l, []byte("durable"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	armed = true
-	if err := appendT(l, []byte("written, then the crash"), nil); err != nil {
+	failed := fs.Ops() + 2 // the next batch's write lands, its fsync fails
+	fs.FailAt(failed)
+	if err := appendT(l, []byte("written, then the failure"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); !errors.Is(err, ErrInjected) || !errors.Is(err, ErrFailed) {
-		t.Fatalf("Sync at the fault: %v", err)
+		t.Fatalf("Sync at the failure: %v", err)
 	}
 	before, _ := os.ReadFile(filepath.Join(dir, testFormat.Name(0)))
 	if err := appendT(l, []byte("after"), nil); !errors.Is(err, ErrFailed) {
@@ -451,6 +458,9 @@ func TestFailStopTouchesNothing(t *testing.T) {
 	}
 	if err := l.Close(); !errors.Is(err, ErrFailed) {
 		t.Fatalf("Close after failure: %v", err)
+	}
+	if ops := fs.Ops(); ops != failed {
+		t.Fatalf("a failed log made %d file operations after the failing one", ops-failed)
 	}
 	after, _ := os.ReadFile(filepath.Join(dir, testFormat.Name(0)))
 	if !bytes.Equal(before, after) {

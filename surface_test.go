@@ -40,6 +40,7 @@ var surfaceExempt = map[string]string{
 	"perfgate":             "test support: every regression gate (TestGateDeliverFrame, TestGateOpenSlice)",
 	"audit/tamper.go":      "test support: TestJournalTamperModel, TestAuditBitFlipPinpointed, TestAuditRollbackNeedsTrustPoint damage a closed journal through it",
 	"relay/wal/corrupt.go": "test support: TestRecoveryTruncatesTornTail, TestRecoveryStopsAtFlippedCRC, TestWALTornTailTruncatedFailStop damage a closed log through it",
+	"seglog/crashfs.go":    "test support: TestCrashAtEveryOperation, TestRelayCrashRecoveryExactlyOnce, TestFailStopTouchesNothing fail and crash a log through it",
 
 	// Test support: what tests observe the system through or drive it by.
 	"audit.DecodeRecord":                  "test support: FuzzAuditDecode, TestPresenceRecordsAreLocal read records a journal wrote",
@@ -61,7 +62,6 @@ var surfaceExempt = map[string]string{
 	"keys.KeyPairFrom":                    "test support: TestKeySizeFloor, TestPSECredentialPersistence; the mustKey helpers build fixed keys with it",
 	"lru.Cache.Len":                       "test support: TestUnwrapMemoCapped, TestSignDocumentCountsMissesOnly, TestTrustStoreModel hold a memo to its bound",
 	"relay/wal.DecodeRecord":              "test support: FuzzWALDecode, TestDecodeRejectsTamper, TestRecordRoundTrip",
-	"seglog.ErrInjected":                  "test support: TestInjectedCrashIsSticky, TestJournalCrashMatrix, TestWALFaultDegradesToMemory inject a crash with it",
 	"seglog.Log.Index":                    "test support: TestRotateDuringSync, TestCompactionReclaimsAckedRecords, TestStrayFilesAreNotSegments read the active segment",
 	"telemetry.Registry.Get":              "test support: TestScenarioFeedsTelemetry, TestJoinSoakLeavesNothingBehind, TestChannelOfferFlood read one metric",
 	"trace.Recorder.TraceSpans":           "test support: TestForcedCaptureOnAnomaly, TestSecurityAlertCarriesRetrievableTraceID",
@@ -86,7 +86,7 @@ var surfaceExempt = map[string]string{
 	// Settings no production code sets (TestConfigFieldsHaveProductionSetters).
 	"relay.Config.SenderQuota":       "item 7: bounds an ack-withholding recipient by TTL and quota; SECURITY.md's quota defense (TestSenderQuotaRefusesAndReleases, TestQuotaSurvivesRecovery)",
 	"relay.Config.GroupQuota":        "item 7: bounds an ack-withholding recipient by TTL and quota; SECURITY.md's quota defense (TestGroupQuotaIsolatesGroups)",
-	"relay/wal.Options.Faults":       "test support: TestInjectedCrashIsSticky, TestWALFaultDegradesToMemory, TestRecoveryMatchesModel inject a crash at a named point",
+	"relay/wal.Options.FS":           "test support: TestCrashAtEveryOperation, TestWALFaultDegradesToMemory, TestRecoveryMatchesModel run the log on a seglog.CrashFS",
 	"admission.Config.Clock":         "test support: TestBurstThenRefusal, TestOffenseEscalation, TestTrackedBound refill buckets by a test clock; Allow takes no time",
 	"core.BrokerConfig.CredValidity": "test support: TestResilientSurvivesCredentialExpiry, TestSessionCredentialReadAcrossResume lapse a credential in seconds of real time",
 }
