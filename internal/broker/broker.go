@@ -135,6 +135,7 @@ type OpHandler func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message
 // not-logged-in to a caller without an online session, before its
 // handler runs.
 type opEntry struct {
+	name   string
 	h      OpHandler
 	member bool
 }
@@ -300,7 +301,7 @@ func (b *Broker) DB() Authenticator { return b.cfg.DB }
 func (b *Broker) RegisterOp(name string, h OpHandler) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.ops[name] = opEntry{h: h}
+	b.ops[name] = opEntry{name: name, h: h}
 }
 
 // SetAdvVerifier installs the advertisement acceptance policy.
@@ -419,11 +420,12 @@ func (b *Broker) emitAdmissionAlert(from keys.PeerID, op, reason string, offense
 }
 
 // dispatch runs one op for from. One read of the tables finds the op, the
-// limiter and whether from has an online session.
+// limiter and whether from has an online session. The op is looked up by
+// the element's bytes, and named by its entry's string.
 func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-	op, _ := msg.GetString(proto.ElemOp)
+	name, _ := msg.Get(proto.ElemOp)
 	b.mu.RLock()
-	e, ok := b.ops[op]
+	e, ok := b.ops[string(name)]
 	adm := b.adm
 	s := b.peers[from]
 	online := s != nil && s.Online
@@ -431,6 +433,7 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 	if !ok {
 		return proto.Fail(proto.ErrUnknownOp)
 	}
+	op := e.name
 	b.opsDispatched.Add(1)
 	tid := b.TraceID(msg)
 	// The admission span is recorded for every traced dispatch, limiter
@@ -497,9 +500,9 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 }
 
 func (b *Broker) registerDefaultOps() {
-	b.ops[proto.OpConnect] = opEntry{h: b.handleConnect}
-	b.ops[proto.OpLogin] = opEntry{h: b.handleLogin}
-	b.ops[proto.OpLogout] = opEntry{h: b.handleLogout}
+	b.ops[proto.OpConnect] = opEntry{name: proto.OpConnect, h: b.handleConnect}
+	b.ops[proto.OpLogin] = opEntry{name: proto.OpLogin, h: b.handleLogin}
+	b.ops[proto.OpLogout] = opEntry{name: proto.OpLogout, h: b.handleLogout}
 	for name, h := range map[string]OpHandler{
 		proto.OpPublishAdv:  b.handlePublishAdv,
 		proto.OpLookupAdv:   b.handleLookupAdv,
@@ -511,7 +514,7 @@ func (b *Broker) registerDefaultOps() {
 		proto.OpGroupList:   b.handleGroupList,
 		proto.OpFileSearch:  b.handleFileSearch,
 	} {
-		b.ops[name] = opEntry{h: h, member: true}
+		b.ops[name] = opEntry{name: name, h: h, member: true}
 	}
 }
 
@@ -543,7 +546,7 @@ func (b *Broker) handleLogin(from keys.PeerID, msg *endpoint.Message) *endpoint.
 
 func (b *Broker) handleLogout(from keys.PeerID, _ *endpoint.Message) *endpoint.Message {
 	b.UnregisterPeer(from)
-	return proto.OK()
+	return proto.BareOK()
 }
 
 // RegisterPeer records a successfully authenticated peer, online in its
@@ -787,7 +790,7 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 		b.pushLocal(push, group, from)
 	}
 	tr.End(sp, trace.OutcomeOK)
-	return proto.OK()
+	return proto.BareOK()
 }
 
 // verifyAndParse runs the acceptance policy and yields the
@@ -1023,7 +1026,7 @@ func (b *Broker) handleGroupCreate(from keys.PeerID, msg *endpoint.Message) *end
 		b.ctl.Cache().PutParsed(doc, ga)
 	}
 	b.ctl.Emit(events.GroupUpdated, from, name, map[string]string{"action": "create"}, nil)
-	return proto.OK()
+	return proto.BareOK()
 }
 
 func (b *Broker) handleGroupJoin(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
@@ -1045,7 +1048,7 @@ func (b *Broker) handleGroupJoin(from keys.PeerID, msg *endpoint.Message) *endpo
 	}
 	b.pushPresence(from, user, name, advert.StatusOnline)
 	b.ctl.Emit(events.GroupUpdated, from, name, map[string]string{"action": "join"}, nil)
-	return proto.OK()
+	return proto.BareOK()
 }
 
 func (b *Broker) handleGroupLeave(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
@@ -1064,7 +1067,7 @@ func (b *Broker) handleGroupLeave(from keys.PeerID, msg *endpoint.Message) *endp
 	}
 	b.pushPresence(from, user, name, advert.StatusOffline)
 	b.ctl.Emit(events.GroupUpdated, from, name, map[string]string{"action": "leave"}, nil)
-	return proto.OK()
+	return proto.BareOK()
 }
 
 func (b *Broker) handleGroupList(from keys.PeerID, _ *endpoint.Message) *endpoint.Message {

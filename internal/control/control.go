@@ -65,9 +65,11 @@ type groupPipe struct {
 	exited chan struct{} // closed by the pump as it returns
 }
 
+// delivery is one queued message: a copy of its table the queue holds
+// (endpoint.Hold), given back once the pump's handler has returned.
 type delivery struct {
 	from keys.PeerID
-	msg  *endpoint.Message
+	msg  *endpoint.Held
 }
 
 // New creates a control module over an endpoint. handler consumes what
@@ -115,12 +117,16 @@ func (m *Module) BindGroupPipe(group string) (*advert.Pipe, error) {
 	}
 	p := &groupPipe{adv: adv, ch: make(chan delivery, pipeQueue), done: make(chan struct{}), exited: make(chan struct{})}
 	m.ep.RegisterHandler(PipeService+adv.PipeID, func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-		// A queued delivery's elements are views of its frame: the queue
-		// holds each frame whole. A full queue holds the fabric's delivery
-		// goroutine here, so nothing a sender was told is sent is dropped.
+		// msg's table is lent for this call only: the queue holds a copy
+		// from the same pool. A queued delivery's elements are views of its
+		// frame, so the queue holds each frame whole. A full queue holds the
+		// fabric's delivery goroutine here, so nothing a sender was told is
+		// sent is dropped.
+		held := endpoint.Hold(msg)
 		select {
-		case p.ch <- delivery{from, msg}:
+		case p.ch <- delivery{from, held}:
 		case <-p.done:
+			held.Release()
 		}
 		return nil
 	})
@@ -149,7 +155,8 @@ func (m *Module) pump(group string, p *groupPipe) {
 		}
 		select {
 		case d := <-p.ch:
-			m.handler(group, d.from, d.msg)
+			m.handler(group, d.from, &d.msg.Message)
+			d.msg.Release()
 		case <-p.done:
 			return
 		}

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -87,14 +88,22 @@ func TestMessagePumpDelivers(t *testing.T) {
 	}
 }
 
+// received is what a test handler reads of one message, in the call: a
+// handler's message table is taken back when it returns.
+type received struct {
+	from keys.PeerID
+	body string
+}
+
 // TestGroupPipeSendReceive: a bound group pipe is a unicast endpoint
 // service any peer can reach, control module or not. The handler sees the
 // sender's ID and the message body.
 func TestGroupPipeSendReceive(t *testing.T) {
 	net := testNet(t)
-	got := make(chan delivery, 1)
+	got := make(chan received, 1)
 	recv := newModule(t, net, "urn:jxta:b", func(_ string, from keys.PeerID, msg *endpoint.Message) {
-		got <- delivery{from, msg}
+		body, _ := msg.GetString("body")
+		got <- received{from, body}
 	})
 	a, err := endpoint.NewService(net, "urn:jxta:a")
 	if err != nil {
@@ -112,8 +121,8 @@ func TestGroupPipeSendReceive(t *testing.T) {
 		if d.from != a.PeerID() {
 			t.Fatalf("from = %q", d.from)
 		}
-		if body, _ := d.msg.GetString("body"); body != "ping" {
-			t.Fatalf("body = %q", body)
+		if d.body != "ping" {
+			t.Fatalf("body = %q", d.body)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("nothing delivered")
@@ -159,6 +168,83 @@ func TestGroupPipeBurstDeliveredOnce(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != burst {
 		t.Fatalf("%d of %d messages delivered", len(seen), burst)
+	}
+	for body, n := range seen {
+		if n != 1 {
+			t.Fatalf("message %s delivered %d times", body, n)
+		}
+	}
+}
+
+// TestGroupPipeBurstKeepsEachFramesElements: several senders burst into
+// one pipe while its handler is held, so its queue fills and deliveries
+// wait on the fabric's goroutines. Each queued message is a pooled copy of
+// the table lent to its delivery, given back once the handler returns,
+// and each reaches the handler once with its own frame's elements — its
+// sender, its number, a body made of both and as many padding elements as
+// its sender sends, on either side of the pooled table's room — never
+// another frame's.
+func TestGroupPipeBurstKeepsEachFramesElements(t *testing.T) {
+	const senders, each = 4, 64
+	net := testNet(t)
+	release := make(chan struct{})
+	var mu sync.Mutex
+	seen := make(map[string]int)
+	var wrong []string
+	recv := newModule(t, net, "urn:jxta:recv", func(_ string, from keys.PeerID, msg *endpoint.Message) {
+		<-release
+		who, _ := msg.GetString("who")
+		seq, _ := msg.GetString("seq")
+		body, _ := msg.GetString("body")
+		pad, _ := msg.GetString("pad")
+		mu.Lock()
+		defer mu.Unlock()
+		if n, _ := strconv.Atoi(pad); who != string(from) || body != who+"/"+seq || len(msg.Elements) != 4+n {
+			wrong = append(wrong, fmt.Sprintf("from %s: who=%s seq=%s body=%s, %d elements", from, who, seq, body, len(msg.Elements)))
+		}
+		seen[body]++
+	})
+	adv, err := recv.BindGroupPipe("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent sync.WaitGroup
+	for s := range senders {
+		send := newModule(t, net, "urn:jxta:send-"+strconv.Itoa(s), nil)
+		who := string(send.ep.PeerID())
+		pad := 3 * s
+		sent.Add(1)
+		go func() {
+			defer sent.Done()
+			for i := range each {
+				seq := strconv.Itoa(i)
+				elems := []endpoint.Element{{Name: "who", Data: []byte(who)}, {Name: "seq", Data: []byte(seq)},
+					{Name: "body", Data: []byte(who + "/" + seq)}, {Name: "pad", Data: []byte(strconv.Itoa(pad))}}
+				for range pad {
+					elems = append(elems, endpoint.Element{Name: "x", Data: []byte(seq)})
+				}
+				if err := send.SendOnPipe(adv, nil, elems...); err != nil {
+					t.Errorf("%s send %d: %v", who, i, err)
+					return
+				}
+			}
+		}()
+	}
+	sent.Wait()
+	close(release)
+	waituntil.True(10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) == senders*each
+	})
+	net.Close() // every delivery has returned: nothing more can arrive
+	mu.Lock()
+	defer mu.Unlock()
+	if len(wrong) > 0 {
+		t.Fatalf("%d messages reached the handler with another's elements, first: %s", len(wrong), wrong[0])
+	}
+	if len(seen) != senders*each {
+		t.Fatalf("%d of %d messages delivered", len(seen), senders*each)
 	}
 	for body, n := range seen {
 		if n != 1 {

@@ -70,7 +70,7 @@ func BenchmarkOpenSlice(b *testing.B) {
 	}
 }
 
-func TestGateOpenSlice(t *testing.T) { perfgate.Run(t, BenchmarkOpenSlice, 14, perfgate.NoLimit) }
+func TestGateOpenSlice(t *testing.T) { perfgate.Run(t, BenchmarkOpenSlice, 13, perfgate.NoLimit) }
 
 // BenchmarkFanOutRound is a sender's work for one 100-recipient round in
 // the steady state: verify every recipient's signed pipe advertisement
@@ -332,22 +332,27 @@ func benchChannelMessage(b *testing.B, size int) {
 	}
 }
 
-// BenchmarkDeliverFrame is one 64 B channel message delivered as a group
-// pipe delivers it: the sender builds the endpoint frame with the channel
-// frame sealed into it, and the recipient parses it and hands it to
-// handleEnvelope, which opens it where it lies and emits the
-// SecureMessage to a subscriber. Beyond BenchmarkChannelMessage's frame
-// and parse, a delivery allocates nothing: handleEnvelope opens into an
-// Opened of its own stack, the event's attributes are typed fields and the
-// bus dispatches without a copy.
+// BenchmarkDeliverFrame is one 64 B channel message delivered down a
+// group pipe: the sender builds the endpoint frame with the channel frame
+// sealed into it, the endpoint parses it into a table lent for the pipe
+// handler's call, the pipe queues a pooled copy of that table, and the
+// group's pump hands it to handleEnvelope, which opens the frame where it
+// lies and emits the SecureMessage to a subscriber. Beyond the frame, a
+// delivery allocates nothing: neither table is the delivery's own,
+// handleEnvelope opens into an Opened of its own stack, the event's
+// attributes are typed fields and the bus dispatches without a copy.
 func BenchmarkDeliverFrame(b *testing.B) {
 	r := benchRecipient(b)
+	r.login(b, "bench")
 	r.s.chans.install(&inChannel{id: tableChannelID, pair: pairKey{"urn:jxta:cbid-sender", "bench"}, user: "sender", aead: tableAEAD()}, time.Now().Add(time.Hour), time.Now())
 	pair := pairKey{r.s.PeerID(), "bench"}
 	var out channelTable
 	out.ready()
 	now := time.Now()
 	out.out.Put(pair, &outChannel{id: tableChannelID, aead: tableAEAD()}, now.Add(time.Hour), now)
+	opened := make(chan struct{}, 1)
+	r.s.Bus().Subscribe(events.SecureMessage, func(events.Event) { opened <- struct{}{} })
+	route := endpoint.Route{Src: "urn:jxta:cbid-sender", Service: "jxta:pipe:", Param: advert.GroupPipeID(r.s.PeerID(), "bench")}
 	text := string(make([]byte, 64))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -360,16 +365,13 @@ func BenchmarkDeliverFrame(b *testing.B) {
 		room := endpoint.Room{Size: frameSize(len(text)), Fill: func(dst []byte) ([]byte, error) {
 			return sealFrame(dst, aead, ref, endpoint.ReadOnlyBytes(text), at), nil
 		}}
-		frame, err := endpoint.BuildFrame(endpoint.Route{Src: "urn:jxta:cbid-sender", Service: "jxta:pipe:", Param: "bench"}, &room,
+		frame, err := endpoint.BuildFrame(route, &room,
 			endpoint.Element{Name: proto.ElemEnvelope}, endpoint.Element{Name: proto.ElemGroup, Data: endpoint.ReadOnlyBytes("bench")})
 		if err != nil {
 			b.Fatal(err)
 		}
-		f, err := endpoint.ParseFrame(frame)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r.s.handleEnvelope("bench", "urn:jxta:cbid-sender", f.Msg, pipeForms)
+		r.hop.deliver(simnet.Packet{Payload: frame})
+		<-opened
 	}
 	b.StopTimer()
 	if r.delivered != b.N {
@@ -377,8 +379,15 @@ func BenchmarkDeliverFrame(b *testing.B) {
 	}
 }
 
+// TestGateDeliverFrame holds a delivered channel message to its frame.
+// Under the race detector, whose sync.Pool drops one Put in four, it
+// allows one more for the tables and the nonce lent each message.
 func TestGateDeliverFrame(t *testing.T) {
-	perfgate.Run(t, BenchmarkDeliverFrame, channelMessageAllocs(), 50000)
+	allocs := int64(1)
+	if perfgate.Race {
+		allocs++
+	}
+	perfgate.Run(t, BenchmarkDeliverFrame, allocs, 50000)
 }
 
 // BenchmarkDeliverSlice is one relay-pushed slice of a round delivered to
@@ -442,7 +451,7 @@ func BenchmarkDeliverSlice(b *testing.B) {
 	}
 }
 
-func TestGateDeliverSlice(t *testing.T) { perfgate.Run(t, BenchmarkDeliverSlice, 12, perfgate.NoLimit) }
+func TestGateDeliverSlice(t *testing.T) { perfgate.Run(t, BenchmarkDeliverSlice, 11, perfgate.NoLimit) }
 
 // BenchmarkRelayRoundDirect is the broker's side of one relayed round,
 // all 16 recipients online: the relayRound handler EnableBrokerRelay
@@ -573,10 +582,10 @@ func benchPresenceNotices(b *testing.B, r *benchRecipientEnd) {
 
 // BenchmarkPresenceNotice is a resident of group bench told of a join,
 // with a handler for the event: the endpoint parses the broker's presence
-// notice and the client emits the PresenceUpdate from its four elements.
-// What it allocates is the parsed Message and the event's peer and user
-// strings; the group is the client's own string and the status the
-// package constant.
+// notice into a table lent for the call and the client emits the
+// PresenceUpdate from its four elements. What it allocates is the event's
+// peer and user strings; the group is the client's own string and the
+// status the package constant.
 func BenchmarkPresenceNotice(b *testing.B) {
 	r := benchRecipient(b)
 	r.login(b, "bench")
@@ -592,11 +601,11 @@ func BenchmarkPresenceNotice(b *testing.B) {
 	}
 }
 
-func TestGatePresenceNotice(t *testing.T) { perfgate.Run(t, BenchmarkPresenceNotice, 3, 20000) }
+func TestGatePresenceNotice(t *testing.T) { perfgate.Run(t, BenchmarkPresenceNotice, 2, 20000) }
 
 // BenchmarkPresenceNoticeUnheard is the same notice at a resident where
-// nothing listens for PresenceUpdate: no event is built, so what it
-// allocates is the parsed Message alone.
+// nothing listens for PresenceUpdate: no event is built, and the notice's
+// table is lent, so it allocates nothing.
 func BenchmarkPresenceNoticeUnheard(b *testing.B) {
 	r := benchRecipient(b)
 	r.login(b, "bench")
@@ -604,15 +613,15 @@ func BenchmarkPresenceNoticeUnheard(b *testing.B) {
 }
 
 func TestGatePresenceNoticeUnheard(t *testing.T) {
-	perfgate.Run(t, BenchmarkPresenceNoticeUnheard, 1, 20000)
+	perfgate.Run(t, BenchmarkPresenceNoticeUnheard, 0, 20000)
 }
 
 // BenchmarkRepushedAdvertisement is a resident pushed, again, the signed
 // pipe advertisement it holds — what every resident is pushed when a
 // peer re-joins, since a re-join's advertisement is byte for byte the
 // last one. The cache finds the bytes it parsed the record from and puts
-// that record again, received now: the parsed Message and the new
-// Record, no copy and no parse. Nothing is verified here either way; a
+// that record again, received now: the new Record, no copy, no parse,
+// and no table of the push's own. Nothing is verified here either way; a
 // pushed advertisement is verified where it is used.
 func BenchmarkRepushedAdvertisement(b *testing.B) {
 	r := benchRecipient(b)
@@ -639,7 +648,7 @@ func BenchmarkRepushedAdvertisement(b *testing.B) {
 // value, which the parse does not read — to a parse that replaces the
 // record, after which the old bytes are a stranger again.
 func TestGateRepushedAdvertisement(t *testing.T) {
-	perfgate.Run(t, BenchmarkRepushedAdvertisement, 2, 20000)
+	perfgate.Run(t, BenchmarkRepushedAdvertisement, 1, 20000)
 
 	r := benchRecipient(t)
 	senderID, doc := r.senderPipe(t)
@@ -677,8 +686,8 @@ func TestGateRepushedAdvertisement(t *testing.T) {
 // the owner of the signed pipe advertisement it holds published it again
 // unchanged — what every resident is sent when a peer re-joins. The
 // cache finds the record under the refresh's ID, its digest equal to the
-// refresh's, and puts it again, received now: the parsed Message and the
-// new Record, no copy, no parse and no hash.
+// refresh's, and puts it again, received now: the new Record, no copy,
+// no parse, no hash and no table of the refresh's own.
 func BenchmarkRefreshedAdvertisement(b *testing.B) {
 	r := benchRecipient(b)
 	senderID, doc := r.senderPipe(b)
@@ -711,7 +720,7 @@ func BenchmarkRefreshedAdvertisement(b *testing.B) {
 // to no parse and to no more allocations than a byte-identical re-push
 // (TestGateRepushedAdvertisement's ceiling).
 func TestGateRefreshedAdvertisement(t *testing.T) {
-	perfgate.Run(t, BenchmarkRefreshedAdvertisement, 2, 20000)
+	perfgate.Run(t, BenchmarkRefreshedAdvertisement, 1, 20000)
 }
 
 // advPushFrame is the broker's push of an advertisement's canonical bytes.

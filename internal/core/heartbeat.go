@@ -205,5 +205,5 @@ func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Messag
 		return proto.Fail(token)
 	}
 	bs.heartbeatsRenewed.Add(1)
-	return proto.OK()
+	return proto.BareOK()
 }

@@ -301,3 +301,39 @@ func TestIdempotentRetryDedup(t *testing.T) {
 		t.Fatal("duplicate create under a fresh key did not fail")
 	}
 }
+
+// TestBareOKSurvivesJoinCycle: the broker answers a publish, a group's
+// create, join and leave, a heartbeat and a logout with proto.BareOK, one
+// response every caller is handed. Two join cycles through all of them
+// leave it as it was built: one element, ok=1.
+func TestBareOKSurvivesJoinCycle(t *testing.T) {
+	h := newLeaseHarness(t)
+	ctx := testCtx(t)
+	shared := proto.BareOK()
+	for round := range 2 {
+		sc := h.secureClient("alice")
+		h.join(sc, "pw-alice")
+		group := "chess-" + strconv.Itoa(round)
+		if err := sc.SecureHeartbeat(ctx); err != nil {
+			t.Fatalf("round %d: heartbeat: %v", round, err)
+		}
+		if err := sc.CreateGroup(ctx, group, ""); err != nil {
+			t.Fatalf("round %d: create: %v", round, err)
+		}
+		if err := sc.JoinGroup(ctx, group); err != nil {
+			t.Fatalf("round %d: join: %v", round, err)
+		}
+		if err := sc.LeaveGroup(ctx, group); err != nil {
+			t.Fatalf("round %d: leave: %v", round, err)
+		}
+		if err := sc.Logout(ctx); err != nil {
+			t.Fatalf("round %d: logout: %v", round, err)
+		}
+	}
+	if proto.BareOK() != shared || len(shared.Elements) != 1 {
+		t.Fatalf("the shared response is now %+v", proto.BareOK().Elements)
+	}
+	if e := shared.Elements[0]; e.Name != proto.ElemOK || string(e.Data) != "1" {
+		t.Fatalf("the shared response's element is %q=%q", e.Name, e.Data)
+	}
+}

@@ -260,6 +260,55 @@ func TestSendToHandler(t *testing.T) {
 	}
 }
 
+// TestKeptMessageFindsEmptyTable: a delivered message's element table is
+// lent to its handler for the call. A handler that keeps msg, or its
+// Elements, past its return finds them empty once the delivery has
+// returned, whether the frame's elements fit the pooled table or not; a
+// Request's caller, which keeps its response, gets a table of its own.
+func TestKeptMessageFindsEmptyTable(t *testing.T) {
+	for _, n := range []int{2, 12} {
+		t.Run(fmt.Sprint(n, "-elements"), func(t *testing.T) {
+			net, a, b := pair(t)
+			var kept *Message
+			var keptElems []Element
+			b.RegisterHandler("keep", func(_ keys.PeerID, m *Message) *Message {
+				for i, e := range m.Elements {
+					if e.Name != fmt.Sprint("k", i) || string(e.Data) != fmt.Sprint("v", i) {
+						t.Errorf("element %d is %q=%q", i, e.Name, e.Data)
+					}
+				}
+				kept, keptElems = m, m.Elements
+				return NewMessage().AddString("kept", fmt.Sprint(len(m.Elements)))
+			})
+			msg := NewMessage()
+			for i := range n {
+				msg.AddString(fmt.Sprint("k", i), fmt.Sprint("v", i))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			resp, err := a.Request(ctx, b.PeerID(), "keep", msg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Close() // every delivery has returned, and given its table back
+			if len(keptElems) != n {
+				t.Fatalf("the handler was handed %d elements of %d", len(keptElems), n)
+			}
+			if len(kept.Elements) != 0 {
+				t.Fatalf("a kept message still shows %d elements after its handler returned", len(kept.Elements))
+			}
+			for i, e := range keptElems {
+				if e.Name != "" || e.Data != nil {
+					t.Fatalf("kept element %d still reads %q=%q", i, e.Name, e.Data)
+				}
+			}
+			if got, _ := resp.GetString("kept"); got != fmt.Sprint(n) {
+				t.Fatalf("the response the caller keeps reads %q", got)
+			}
+		})
+	}
+}
+
 func TestRequestResponse(t *testing.T) {
 	_, a, b := pair(t)
 	b.RegisterHandler("echo", func(from keys.PeerID, m *Message) *Message {

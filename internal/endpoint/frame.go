@@ -143,26 +143,34 @@ type Frame struct {
 // ParseFrame decodes a frame NewFrame built. A relay frame is not one:
 // cutRelay takes it apart.
 func ParseFrame(data []byte) (Frame, error) {
-	if len(data) < len(frameMagic) || [4]byte(data[:4]) != frameMagic {
-		return Frame{}, errMagic
+	f, section, err := cutPrefix(data)
+	if err != nil {
+		return Frame{}, err
 	}
-	var f Frame
+	if f.Msg, err = parseMessage(section); err != nil {
+		return Frame{}, err
+	}
+	return f, nil
+}
+
+// cutPrefix decodes a frame's magic and routing prefix, and returns the
+// element section behind them; Msg is left nil.
+func cutPrefix(data []byte) (f Frame, section []byte, err error) {
+	if len(data) < len(frameMagic) || [4]byte(data[:4]) != frameMagic {
+		return Frame{}, nil, errMagic
+	}
 	var rest []byte
 	var ok bool
 	f.Src, rest, _ = cutField(data[4:], 2)
 	f.Service, rest, ok = cutField(rest, 2)
 	if !ok || len(rest) < 1 || Corr(rest[0]) > CorrResponse {
-		return Frame{}, errPrefix
+		return Frame{}, nil, errPrefix
 	}
 	f.Corr = Corr(rest[0])
 	if f.CorrID, rest, ok = cutField(rest[1:], 2); !ok {
-		return Frame{}, errPrefix
+		return Frame{}, nil, errPrefix
 	}
-	var err error
-	if f.Msg, err = parseElements(rest); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
+	return f, rest, nil
 }
 
 // relayFrame wraps frame for a relay to forward to to. It is the one

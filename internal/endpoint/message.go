@@ -34,6 +34,18 @@
 // it means to use again (a replay of a captured frame) hands the
 // transport a copy.
 //
+// The bytes are the handler's; the table that indexes them is only lent:
+//
+//	a delivery parses its frame's elements into a table borrowed from one
+//	pool, hands it to the handler, and takes it back, cleared, when the
+//	handler returns.
+//
+// So receiving a frame allocates no table. A handler that hands a message
+// on past its return (a group pipe's queue) holds a copy from the same
+// pool (Hold) and Releases it once done; one that wrongly kept the table
+// reads empty elements. A Request's caller is handed a table of its own,
+// which it keeps.
+//
 // SendEach is the one exception to "its handler alone": it builds one
 // frame and sends that buffer to each of several peers, so every one of
 // their deliveries reads the same bytes, on delivery goroutines of their
@@ -46,6 +58,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"unsafe"
 )
 
@@ -209,7 +222,20 @@ func ParseMessage(data []byte) (*Message, error) {
 	if len(data) < len(wireMagic) || [4]byte(data[:4]) != wireMagic {
 		return nil, errMagic
 	}
-	return parseElements(data[4:])
+	return parseMessage(data[4:])
+}
+
+// parseMessage decodes an element section into a message of its own.
+func parseMessage(section []byte) (*Message, error) {
+	n, err := elementCount(section)
+	if err != nil {
+		return nil, err
+	}
+	msg := newMessage(n)
+	if err := parseElements(msg.Elements, section); err != nil {
+		return nil, err
+	}
+	return msg, nil
 }
 
 // elementsLen is the size of elems' element section.
@@ -233,32 +259,94 @@ func appendElements(out []byte, elems []Element) []byte {
 	return out
 }
 
-// parseElements decodes an element section that must fill data exactly.
-func parseElements(data []byte) (*Message, error) {
-	if len(data) < 2 {
-		return nil, errCount
+// elementCount reads the element count at the head of an element
+// section. An element is at least its 6 bytes of lengths: the count is
+// held against the bytes behind it before it sizes anything.
+func elementCount(section []byte) (int, error) {
+	if len(section) < 2 {
+		return 0, errCount
 	}
-	count := int(binary.BigEndian.Uint16(data))
-	data = data[2:]
-	// An element is at least its 6 bytes of lengths: the count is held
-	// against the bytes behind it before it sizes anything.
-	if count > maxElements || count > len(data)/6 {
-		return nil, errCount
+	n := int(binary.BigEndian.Uint16(section))
+	if n > maxElements || n > (len(section)-2)/6 {
+		return 0, errCount
 	}
-	msg := newMessage(count)
-	for i := range msg.Elements {
-		e := &msg.Elements[i]
+	return n, nil
+}
+
+// parseElements decodes an element section that must fill section
+// exactly into table, which holds as many elements as it counts
+// (elementCount). It is the one parser of the section, whether the table
+// is a message's own (parseMessage) or lent to a delivery (lendParsed).
+func parseElements(table []Element, section []byte) error {
+	data := section[2:]
+	for i := range table {
+		e := &table[i]
 		name, rest, _ := cutField(data, 2)
 		var ok bool
 		if e.Data, data, ok = cutField(rest, 4); !ok || len(e.Data) > maxElemData {
-			return nil, errTruncated
+			return errTruncated
 		}
 		e.Name = intern(name)
 	}
 	if len(data) != 0 {
-		return nil, errTrailing
+		return errTrailing
 	}
-	return msg, nil
+	return nil
+}
+
+// Held is an element table lent from the one pool every delivery borrows
+// its table from (the package comment): a Message with room for eight
+// elements behind it. Release gives it back.
+type Held struct {
+	Message
+	room [8]Element
+}
+
+var lent = sync.Pool{New: func() any { return new(Held) }}
+
+// lend returns a table from the pool with n zero elements in use; a
+// table of more than its room is made for the loan and dropped after it.
+func lend(n int) *Held {
+	h := lent.Get().(*Held)
+	if n <= len(h.room) {
+		h.Elements = h.room[:n]
+	} else {
+		h.Elements = make([]Element, n)
+	}
+	return h
+}
+
+// lendParsed parses an element section into a table lent from the pool.
+func lendParsed(section []byte) (*Held, error) {
+	n, err := elementCount(section)
+	if err != nil {
+		return nil, err
+	}
+	h := lend(n)
+	if err := parseElements(h.Elements, section); err != nil {
+		h.Release()
+		return nil, err
+	}
+	return h, nil
+}
+
+// Hold copies a delivered message's element table into one lent from the
+// pool, for a handler that keeps msg past its return (Handler); the
+// elements' data stay views of the frame. The holder calls Release once
+// it is done with the copy.
+func Hold(msg *Message) *Held {
+	h := lend(len(msg.Elements))
+	copy(h.Elements, msg.Elements)
+	return h
+}
+
+// Release clears h's table and gives it back to the pool. Whoever still
+// holds h's Message, or its Elements, reads empty elements from then on,
+// until the pool lends the table again.
+func (h *Held) Release() {
+	clear(h.Elements)
+	h.Elements = h.room[:0]
+	lent.Put(h)
 }
 
 // cutField reads one big-endian length of the given width and the field

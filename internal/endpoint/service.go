@@ -42,6 +42,12 @@ type Transport interface {
 // authenticates it. A non-nil return value is sent back as the response
 // when the message was a Request; it is only read, so one response may
 // be handed out any number of times.
+//
+// The frame's bytes, which msg's elements view, are the handler's to keep
+// (the package comment); msg's element table is not. It is lent to the
+// handler for the call and taken back, cleared, when the handler returns:
+// a handler that keeps msg past its return reads empty elements. One that
+// hands msg on (a queue) passes a copy it holds (Hold) instead.
 type Handler func(from keys.PeerID, msg *Message) *Message
 
 // Errors returned by Send/Request.
@@ -315,24 +321,37 @@ func (s *Service) release(id requestID, w *waiter) {
 
 // deliver runs on the transport's delivery goroutines. It reads the
 // prefix where it lies: the service and correlation lookups are keyed by
-// views and allocate nothing, and from is interned (peerNames). What
-// it does besides the handler call is in helpers of their own, so that a
-// delivery goroutine's first stack holds the parse.
+// views and allocate nothing, and from is interned (peerNames). The
+// elements are parsed into a table lent for the handler's call, and given
+// back when it returns (Handler). What it does besides the handler call
+// is in helpers of their own, so that a delivery goroutine's first stack
+// holds the parse.
 func (s *Service) deliver(pkt simnet.Packet) {
 	if to, inner, ok := cutRelay(pkt.Payload); ok {
 		s.forward(len(pkt.Payload), to, inner)
 		return
 	}
-	f, err := ParseFrame(pkt.Payload)
+	f, section, err := cutPrefix(pkt.Payload)
 	if err != nil {
 		return // malformed frames are dropped, as JXTA does
+	}
+	table, err := lendParsed(section)
+	if err != nil {
+		return
 	}
 	s.rxCount.Add(1)
 	s.rxBytes.Add(uint64(len(pkt.Payload)))
 	if string(f.Service) == svcResponse {
-		s.resolve(f.Corr, f.CorrID, f.Msg)
-		return
+		s.resolve(f.Corr, f.CorrID, &table.Message)
+	} else {
+		s.handle(f, &table.Message)
 	}
+	table.Release()
+}
+
+// handle runs the handler f is for, if any, on msg, and answers a request
+// with what it returns.
+func (s *Service) handle(f Frame, msg *Message) {
 	s.mu.RLock()
 	h, ok := s.handlers[string(f.Service)]
 	s.mu.RUnlock()
@@ -340,7 +359,7 @@ func (s *Service) deliver(pkt simnet.Packet) {
 		return
 	}
 	from := s.names.intern(f.Src)
-	if resp := h(from, f.Msg); resp != nil && f.Corr == CorrRequest && from != "" {
+	if resp := h(from, msg); resp != nil && f.Corr == CorrRequest && from != "" {
 		s.respond(from, f.CorrID, resp)
 	}
 }
@@ -381,7 +400,9 @@ func (s *Service) forward(n int, to, frame []byte) {
 }
 
 // resolve hands a response to the Request waiting for it, if any: one
-// whose correlation ID is not a request ID's length answers nothing.
+// whose correlation ID is not a request ID's length answers nothing. msg's
+// table is lent to the delivery, and the Request's caller keeps what it
+// is handed: it gets a message of its own.
 func (s *Service) resolve(corr Corr, id []byte, msg *Message) {
 	if corr != CorrResponse || len(id) != len(requestID{}) {
 		return
@@ -391,8 +412,10 @@ func (s *Service) resolve(corr Corr, id []byte, msg *Message) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if ch, ok := s.pending[requestID(id)]; ok {
+		own := newMessage(len(msg.Elements))
+		copy(own.Elements, msg.Elements)
 		select {
-		case ch <- msg:
+		case ch <- own:
 		default:
 		}
 	}

@@ -151,10 +151,17 @@ const (
 	OpTaskExec = "taskExec"
 )
 
-// OK builds a success response.
+// OK builds a success response, for a handler that adds elements to it.
 func OK() *endpoint.Message {
 	return endpoint.NewMessage().AddString(ElemOK, "1")
 }
+
+var bareOK = OK()
+
+// BareOK is the success response of no other element: one Message every
+// caller is handed, which is only read (endpoint.Handler) and never added
+// to. A response that carries more starts from OK.
+func BareOK() *endpoint.Message { return bareOK }
 
 // Fail builds an error response with a stable error token.
 func Fail(errToken string) *endpoint.Message {

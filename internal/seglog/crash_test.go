@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -198,6 +200,103 @@ func TestCrashAtEveryOperation(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestTornTailCutIsDurable: Open cuts a torn tail off its segment and
+// fsyncs the cut before it returns, so the records appended and fsynced
+// behind it survive a power cut. A cut that was never fsynced could be
+// undone by the crash, bringing the torn bytes back in front of those
+// records, and the next Open would cut them off with the tail. The torn
+// segment is on disk before Open, as the crash that tore it left it: the
+// CrashFS is told of it first, which takes it as durable.
+func TestTornTailCutIsDurable(t *testing.T) {
+	whole, torn := frame(nil, []byte("+00")), frame(nil, []byte("+01"))
+	for seed := int64(1); seed <= 8; seed++ {
+		dir := t.TempDir()
+		path := filepath.Join(dir, testFormat.Name(0))
+		if err := os.WriteFile(path, append(whole, torn[:len(torn)-2]...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs := NewCrashFS(seed)
+		fs.lookup(path)
+		l, err := Open(Options{Dir: dir, Format: testFormat, FS: fs,
+			Replay:  func(int64, []byte) error { return nil },
+			Stopped: func(Segment, []Segment, Stop) (bool, error) { return true, nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range []string{"+02", "+03"} {
+			if err := appendT(l, []byte(body), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := fs.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := replayAll(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"+00", "+02", "+03"}; !slices.Equal(got, want) {
+			t.Fatalf("seed %d: replayed %q after the crash, want %q: the fsynced appends behind the cut are lost", seed, got, want)
+		}
+	}
+}
+
+// TestCompactionLeavesNewestSegments: a compaction that starts from two
+// segments — an older one whose unlink an earlier crash lost, and the one
+// that holds the ack of an add in it — unlinks them oldest first, each
+// unlink made durable before the next. Crashing after each of its file
+// operations, recovery never keeps the older segment without the newer,
+// which would bring back the add its ack had retired.
+func TestCompactionLeavesNewestSegments(t *testing.T) {
+	older := slices.Concat(frame(nil, []byte("+00")), frame(nil, []byte("+01")))
+	newer := slices.Concat(older, frame(nil, []byte("-00")), frame(nil, []byte("+02")))
+	run := func(dir string, fs *CrashFS) {
+		for i, data := range [][]byte{older, newer} {
+			if err := os.WriteFile(filepath.Join(dir, testFormat.Name(i)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := &crashClient{live: map[string]bool{}}
+		var err error
+		c.l, err = Open(Options{Dir: dir, Format: testFormat, FS: fs, SegmentBytes: 40, Compact: c.compact,
+			Replay: func(_ int64, framed []byte) error {
+				if r := string(framed[HeaderSize:]); r[0] == '+' {
+					c.live[r[1:]] = true
+				} else {
+					delete(c.live, r[1:])
+				}
+				return nil
+			},
+			Stopped: func(Segment, []Segment, Stop) (bool, error) { return true, nil }})
+		if err != nil {
+			return // the crash came first
+		}
+		c.record("+03") // its Sync compacts
+		c.l.Close()
+	}
+	dry := NewCrashFS(0)
+	run(t.TempDir(), dry)
+	n := dry.Ops()
+	for i := 0; i <= n; i++ {
+		for seed := int64(1); seed <= 8; seed++ {
+			dir := t.TempDir()
+			fs := NewCrashFS(seed)
+			fs.FailAt(i + 1)
+			run(dir, fs)
+			if _, _, err := fs.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := replayAll(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live := liveSet(got); live["00"] || !live["01"] || !live["02"] {
+				t.Fatalf("seed %d, crash after operation %d of %d: replayed %q, live %v: want 01 and 02 live, 00 retired by its ack", seed, i, n, got, live)
+			}
 		}
 	}
 }

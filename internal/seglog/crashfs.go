@@ -22,8 +22,8 @@ var ErrInjected = errors.New("seglog: injected crash")
 // FailAt makes one operation, and every later one, fail with
 // ErrInjected, which kills the log as an I/O error does; Crash rewrites
 // the directory as a power cut leaves it, by the seed. The operations
-// are OpenFile, a File's Write and Sync, SyncDir and Remove; Close is
-// none. A CrashFS serves one log and is safe for concurrent use.
+// are OpenFile, a File's Write, Truncate and Sync, SyncDir and Remove;
+// Close is none. A CrashFS serves one log and is safe for concurrent use.
 type CrashFS struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -39,6 +39,9 @@ type CrashFS struct {
 type crashFile struct {
 	data   []byte // everything written: what a reader sees
 	synced int    // how much of data the last fsync covered
+	// revert is what the last fsync covered, while a truncate since has
+	// cut into it: a crash before the next fsync may bring it back.
+	revert []byte
 }
 
 // dirOp is a create (file set) or an unlink (file nil) of path.
@@ -113,7 +116,7 @@ func (c *CrashFS) OpenFile(path string, flag int) (File, error) {
 		c.pending = append(c.pending, dirOp{path, f})
 	}
 	if flag&os.O_TRUNC != 0 {
-		f.data, f.synced = nil, 0
+		f.data, f.synced, f.revert = nil, 0, nil
 	}
 	return &crashHandle{c: c, f: f, real: real}, nil
 }
@@ -160,9 +163,10 @@ func (c *CrashFS) Remove(path string) error {
 // the entries the last SyncDir covered, each create and unlink made
 // since kept or lost by a coin, and in each file that survives what
 // its last fsync covered plus none, all or a part of what was written
-// since. It reports the bytes written since an fsync that survive and
-// those lost, over the files that survive. Every operation fails from
-// then on.
+// since — or, by a coin, when a truncate since cut into what that fsync
+// covered, what it covered and nothing since. It reports the bytes
+// written since an fsync that survive and those lost, over the files
+// that survive. Every operation fails from then on.
 func (c *CrashFS) Crash() (kept, lost int64, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -177,6 +181,13 @@ func (c *CrashFS) Crash() (kept, lost int64, err error) {
 		f, ok := survive[path]
 		if !ok {
 			if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return kept, lost, err
+			}
+			continue
+		}
+		if f.revert != nil && c.rng.Intn(2) == 0 {
+			lost += int64(len(f.data) - f.synced)
+			if err := os.WriteFile(path, f.revert, 0o644); err != nil {
 				return kept, lost, err
 			}
 			continue
@@ -213,6 +224,28 @@ func (h *crashHandle) Write(p []byte) (int, error) {
 	return h.real.Write(p)
 }
 
+// Truncate cuts or extends the file to size. A cut into what the last
+// fsync covered is not durable until the next: a crash may revert it.
+func (h *crashHandle) Truncate(size int64) error {
+	h.c.mu.Lock()
+	defer h.c.mu.Unlock()
+	if err := h.c.op(); err != nil {
+		return err
+	}
+	if err := h.real.Truncate(size); err != nil {
+		return err
+	}
+	n := int(size)
+	if n < h.f.synced && h.f.revert == nil {
+		h.f.revert = slices.Clone(h.f.data[:h.f.synced])
+	}
+	if n > len(h.f.data) {
+		h.f.data = append(h.f.data, make([]byte, n-len(h.f.data))...)
+	}
+	h.f.data, h.f.synced = h.f.data[:n], min(h.f.synced, n)
+	return nil
+}
+
 // Sync marks what was written durable; the real file needs no fsync,
 // since no test cuts the power of the machine it runs on.
 func (h *crashHandle) Sync() error {
@@ -221,7 +254,7 @@ func (h *crashHandle) Sync() error {
 	if err := h.c.op(); err != nil {
 		return err
 	}
-	h.f.synced = len(h.f.data)
+	h.f.synced, h.f.revert = len(h.f.data), nil
 	return nil
 }
 

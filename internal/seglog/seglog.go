@@ -30,8 +30,11 @@
 // Every change to the directory goes through Options.FS; reads go to
 // the os package. A segment's name is fsynced into the directory before
 // a record in it can be durable: Open's first segment, a history
-// rotation's next and a compaction's fresh one. A compaction fsyncs the
-// directory again once it has unlinked the older segments.
+// rotation's next and a compaction's fresh one. A compaction unlinks the
+// older segments oldest first and fsyncs the directory after each unlink,
+// so the segments a crash leaves are always the newest ones. Open fsyncs
+// every torn tail it truncates before it returns, so the torn bytes
+// cannot come back in front of records appended behind them.
 //
 // Recovery policy is the client's: Open replays what is on disk through
 // the client's Replay and, wherever a segment's walk stops short, asks
@@ -106,6 +109,7 @@ type FS interface {
 // File is a segment open for writing; *os.File is one.
 type File interface {
 	io.Writer
+	Truncate(size int64) error
 	Sync() error
 	Close() error
 }
@@ -189,7 +193,7 @@ func Open(opts Options) (*Log, error) {
 		}
 		truncate, err := opts.Stopped(seg, segs[i+1:], stop)
 		if err == nil && truncate {
-			err = os.Truncate(path, stop.Offset)
+			err = cut(opts.FS, path, stop.Offset)
 		}
 		if err != nil {
 			return nil, err
@@ -218,6 +222,21 @@ func Open(opts Options) (*Log, error) {
 		go l.flusher(l.stop)
 	}
 	return l, nil
+}
+
+// cut truncates the segment at path to size and fsyncs it.
+func cut(fs FS, path string, size int64) error {
+	f, err := fs.OpenFile(path, os.O_WRONLY)
+	if err != nil {
+		return err
+	}
+	if err = f.Truncate(size); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (l *Log) path(i int) string { return filepath.Join(l.opts.Dir, l.opts.Format.Name(i)) }
@@ -375,13 +394,15 @@ func (l *Log) maybeRotate() error {
 	l.f, l.segBytes = nf, fi.Size()
 	l.stage = l.stage[:0]
 	l.index++
+	// Oldest first, each unlink durable before the next: a crash never
+	// keeps an older segment without the newer ones, whose acks it needs.
 	for ; l.first < l.index; l.first++ {
 		if err := l.opts.FS.Remove(l.path(l.first)); err != nil {
 			return l.Fail(err)
 		}
-	}
-	if err := l.opts.FS.SyncDir(l.opts.Dir); err != nil {
-		return l.Fail(err)
+		if err := l.opts.FS.SyncDir(l.opts.Dir); err != nil {
+			return l.Fail(err)
+		}
 	}
 	return nil
 }
