@@ -26,6 +26,7 @@ var wallReads = map[string]string{
 	"internal/cred/trust.go:NewTrustStore":           "no node yet: anchors are checked once, when a deployment or a tool builds the store",
 	"internal/admission/admission.go:New":            "default of the construction-time Config.Clock (cmd/perf builds a limiter and calls Allow(who))",
 	"internal/relay/relay.go:New":                    "default of the construction-time Config.Clock; EnableBrokerRelay fills it with its broker's",
+	"internal/relay/relay.go:shard.work":             "the deadline of the shard's one timer: RetryBackoff spaces retries on the wall, as a timer counts; no TTL is read from it",
 }
 
 // TestWallClockReadsAreListed walks the non-test source of the packages

@@ -19,8 +19,8 @@ import (
 )
 
 // TestForgedRecipientDoesNotSinkResilientGroupSend: alice's cache holds
-// a copy of carol's signed pipe advertisement with one bit of its
-// signature flipped. The first resilient relayed send to the roster
+// a copy of carol's signed pipe advertisement with one digit of its
+// signature changed. The first resilient relayed send to the roster
 // reaches bob, reports carol's advertisement as invalid, and raises
 // exactly one SecurityAlert against her — the forged entry is refused
 // once, not retried until the send's budget is spent with nothing
@@ -54,7 +54,14 @@ func TestForgedRecipientDoesNotSinkResilientGroupSend(t *testing.T) {
 	}
 	forged := bytes.Clone(rec.Doc.Canonical())
 	at := bytes.Index(forged, []byte("<SignatureValue>")) + len("<SignatureValue>")
-	forged[at] ^= 1
+	// Another base64 digit, so that the value still decodes and no longer
+	// verifies: a flipped low bit leaves the alphabet for 6 digits of 64
+	// ('A' ^ 1 is '@'), and the send then fails on the base64 instead.
+	if forged[at] == 'A' {
+		forged[at] = 'B'
+	} else {
+		forged[at] = 'A'
+	}
 	if _, err := alice.Cache().PutCanonical(forged); err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,9 @@ func FuzzAuditDecode(f *testing.F) {
 
 // FuzzParseCheckpoint feeds arbitrary bytes to the checkpoint decoder,
 // which reads every checkpoint payload back from a disk an adversary may
-// have reached. Seeds: a real checkpoint, a credential's bytes and a
-// signed request's — the two other forms of its codec. Properties: no
+// have reached. Seeds: a checkpoint built here, a credential's bytes and a
+// signed request's — the two other forms of its codec — and the
+// checkpoint vectors (testdata/vectors/checkpoint.json). Properties: no
 // panic; an accepted payload re-encodes to exactly its bytes; and every
 // field the claim keeps is a view inside the input, so a parse copies
 // nothing of an untrusted payload.
@@ -90,6 +91,9 @@ func FuzzParseCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(req)
+	for _, v := range checkpointVectors(f) {
+		f.Add(unhex(f, v.Hex))
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		c, err := parseCheckpoint(payload)

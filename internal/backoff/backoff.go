@@ -2,12 +2,13 @@
 // jitter, shared by every retry surface in the overlay: the client's one
 // retry loop (core's retry), which paces its resilient calls, its
 // session resumes and its patient lookups of an inbound push's sender
-// key, and the relay's re-drain timer (relay.RetryBackoff). One
-// implementation keeps the retry behaviour — and therefore the load a
-// fleet of recovering peers puts on a broker — analyzable in one place:
-// attempt n waits a uniformly random duration in (0, min(Cap, Base·2ⁿ)],
-// so synchronized failures (a partition heals, a broker restarts)
-// decorrelate instead of thundering back in lockstep.
+// key, and the retries a relay shard puts on its drain schedule
+// (relay.RetryBackoff). One implementation keeps the retry behaviour —
+// and therefore the load a fleet of recovering peers puts on a broker —
+// analyzable in one place: attempt n waits a uniformly random duration
+// in (0, min(Cap, Base·2ⁿ)], so synchronized failures (a partition
+// heals, a broker restarts) decorrelate instead of thundering back in
+// lockstep.
 package backoff
 
 import (

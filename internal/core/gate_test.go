@@ -242,26 +242,28 @@ func TestGateReplayAdmitFull(t *testing.T) { perfgate.Run(t, BenchmarkReplayAdmi
 
 // BenchmarkChannelMessage is one 64 B message on an established session
 // channel, end to end without the fabric: build the endpoint frame as a
-// pipe send does, the channel frame sealed into it, parse that as its
-// recipient does, and open the channel frame where it lies, freshness
-// check and sequence window included. No signature and no key agreement
-// at either end, which the gate asserts by count. What it allocates is
-// the endpoint frame and that frame's parse: the open's result is the
-// caller's, and each end's AEAD nonce is lent by a pool.
+// pipe send does, the channel frame sealed into it, deliver it to the
+// recipient's endpoint, which parses it into a table lent for its
+// handler's call as every delivery does, and open the channel frame in
+// that handler where it lies, freshness check and sequence window
+// included. No signature and no key agreement at either end, which the
+// gate asserts by count. What it allocates is the endpoint frame: the
+// element table and each end's AEAD nonce are lent by pools, and the
+// open's result is the caller's.
 func BenchmarkChannelMessage(b *testing.B) { benchChannelMessage(b, 64) }
 
 func TestGateChannelMessage(t *testing.T) {
 	perfgate.Run(t, BenchmarkChannelMessage, channelMessageAllocs(), 40000)
 }
 
-// channelMessageAllocs is the ceiling of a channel message: its frame and
-// the frame's parse, and under the race detector, whose sync.Pool drops
-// one Put in four, one more for the two nonces lent each message.
+// channelMessageAllocs is the ceiling of a channel message: its frame,
+// and under the race detector, whose sync.Pool drops one Put in four, one
+// more for the table and the two nonces lent each message.
 func channelMessageAllocs() int64 {
 	if perfgate.Race {
-		return 3
+		return 2
 	}
-	return 2
+	return 1
 }
 
 // BenchmarkChannelBulk is the same loop with one 256 KiB frame. The one
@@ -293,7 +295,26 @@ func benchChannelMessage(b *testing.B, size int) {
 	guard := NewReplayGuard(0, 0)
 	text := string(make([]byte, size))
 	signed, agreed := senderKP.SignCalls()+recvKP.SignCalls(), senderKP.AgreeCalls()+recvKP.AgreeCalls()
+	hop := new(oneHop)
+	ep, err := endpoint.NewService(hop, "urn:jxta:cbid-recipient")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ep.Close()
 	var opened Opened
+	received := 0
+	ep.RegisterHandler("jxta:pipe:bench", func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+		env, _ := msg.Get(proto.ElemEnvelope)
+		if len(env) != framePrefix+frameTimeSize+size+keys.AEADOverhead {
+			b.Fatalf("a frame of %d bytes for a body of %d: want the body, the prefix, the sent-at and the tag", len(env), size)
+		}
+		o, err := openWire(&opened, recvKP, env, formEnvelope|formSlice|formChannel, nil, guard, &in, time.Now())
+		if err != nil || len(o.Body) != len(text) || o.via == nil {
+			b.Fatalf("open: (%+v, %v)", o, err)
+		}
+		received++
+		return nil
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -310,20 +331,12 @@ func benchChannelMessage(b *testing.B, size int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		f, err := endpoint.ParseFrame(frame)
-		if err != nil {
-			b.Fatal(err)
-		}
-		env, _ := f.Msg.Get(proto.ElemEnvelope)
-		if len(env) != framePrefix+frameTimeSize+size+keys.AEADOverhead {
-			b.Fatalf("a frame of %d bytes for a body of %d: want the body, the prefix, the sent-at and the tag", len(env), size)
-		}
-		o, err := openWire(&opened, recvKP, env, formEnvelope|formSlice|formChannel, nil, guard, &in, time.Now())
-		if err != nil || len(o.Body) != len(text) || o.via == nil {
-			b.Fatalf("open: (%+v, %v)", o, err)
-		}
+		hop.deliver(simnet.Packet{Payload: frame})
 	}
 	b.StopTimer()
+	if received != b.N {
+		b.Fatalf("%d frames opened of %d delivered", received, b.N)
+	}
 	if s, a := senderKP.SignCalls()+recvKP.SignCalls()-signed, senderKP.AgreeCalls()+recvKP.AgreeCalls()-agreed; s != 0 || a != 0 {
 		b.Fatalf("%d signatures and %d X25519 on an established channel, want none", s, a)
 	}

@@ -261,11 +261,12 @@ func TestQuotaSurvivesRecovery(t *testing.T) {
 	}
 }
 
-// TestCloseCancelsArmedRetry: a retry timer armed by a failed drain
-// must die with the relay. Before the fix, Close left the 250ms
-// time.AfterFunc running and it fired Flush against a closed relay —
+// TestCloseCancelsArmedRetry: a retry a failed drain put on its shard's
+// schedule must die with the relay. Close once left a 250ms
+// time.AfterFunc running that fired Flush against a closed relay —
 // benign-looking, but a real shutdown race under -race and a leaked
-// timer per failed peer. Run with -race.
+// timer per failed peer; the worker that owns the schedule now empties
+// it as it returns. Run with -race.
 func TestCloseCancelsArmedRetry(t *testing.T) {
 	s := newSink()
 	r := mustRelay(t, relay.Config{}, s)
@@ -274,15 +275,15 @@ func TestCloseCancelsArmedRetry(t *testing.T) {
 	s.fail = true
 	s.mu.Unlock()
 	r.Submit(item("bob", "m0"))
-	waitFor(t, func() bool { return r.ArmedRetries() == 1 })
+	waitFor(t, func() bool { return r.ScheduledRetries() == 1 })
 	r.Close()
-	if n := r.ArmedRetries(); n != 0 {
-		t.Fatalf("%d retry timers still armed after Close", n)
+	if n := r.ScheduledRetries(); n != 0 {
+		t.Fatalf("%d retries still scheduled after Close", n)
 	}
 	// A retry that had already fired before Close must also be inert.
 	time.Sleep(2 * retryDelayForTest())
-	if n := r.ArmedRetries(); n != 0 {
-		t.Fatalf("retry re-armed after Close: %d", n)
+	if n := r.ScheduledRetries(); n != 0 {
+		t.Fatalf("retry scheduled again after Close: %d", n)
 	}
 }
 

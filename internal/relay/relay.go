@@ -6,6 +6,10 @@
 // peer's presence comes back (login events on the events.Bus). A relay
 // serves one broker: every item is for a peer resident at it, whose
 // login there drains the queue.
+// Each shard's worker drains from one schedule of peers, each due at an
+// instant: now after a Flush, or a RetryBackoff delay after a delivery
+// failed against a peer still online. One timer per worker waits for
+// the earliest; nothing else drains, and nothing fires after Close.
 //
 // Queues are durable when Config.WAL.Dir is set: every enqueue,
 // delivery, expiry and drop is written behind the in-memory state to an
@@ -167,12 +171,12 @@ const (
 	shardCount = 8
 )
 
-// RetryBackoff spaces the re-drain attempts armed after delivery
-// failures against a still-online peer: capped exponential with full
-// jitter, per-peer attempt counters resetting on a successful delivery.
-// A fixed spacing re-synchronizes every stuck peer's retries; the jitter
-// spreads them out. The first re-drain is as prompt as a quarter-second
-// timer, while a persistently failing peer's retries stretch to 5s.
+// RetryBackoff spaces, on the wall clock, the re-drains a shard schedules
+// after delivery failures against a still-online peer: capped exponential
+// with full jitter, on an attempt count the peer's queue keeps and a drain
+// that delivers resets. A fixed spacing re-synchronizes every stuck peer's
+// retries; the jitter spreads them out. The first re-drain comes within a
+// quarter second; a persistently failing peer's retries stretch to 5s.
 var RetryBackoff = backoff.Policy{Base: 250 * time.Millisecond, Cap: 5 * time.Second}
 
 // Metrics is a snapshot of the relay's counters.
@@ -225,13 +229,6 @@ type Relay struct {
 	bySender map[keys.PeerID]int
 	byGroup  map[string]int
 
-	// Armed mid-drain retry timers, cancelled by Close so a retry can
-	// never fire against a closed relay. retryAttempts drives the
-	// per-peer backoff schedule.
-	retryMu       sync.Mutex
-	retryTimers   map[keys.PeerID]*time.Timer
-	retryAttempts map[keys.PeerID]int
-
 	bus       *events.Bus // optional, set by BindBus; emits RelayFlushed
 	busCancel func()      // unsubscribes from the bus; called by Close
 
@@ -255,10 +252,14 @@ type Relay struct {
 }
 
 type shard struct {
-	r       *Relay
-	mu      sync.Mutex
-	queues  map[keys.PeerID]queue
-	flushCh chan keys.PeerID
+	r      *Relay
+	mu     sync.Mutex
+	queues map[keys.PeerID]queue
+	// sched is the drain schedule: each peer the worker must drain, with
+	// the wall-clock instant it may start (zero: now).
+	sched map[keys.PeerID]time.Time
+	// wake nudges the worker; its one slot stands for any number.
+	wake chan struct{}
 }
 
 // queue is one peer's FIFO. Enqueue appends, a drain pops the front and
@@ -269,6 +270,9 @@ type queue struct {
 	// clock passes it nothing queued has expired, and a prune reads
 	// nothing. A pop leaves it a bound; a prune makes it exact.
 	due time.Time
+	// attempts counts the drains that failed against the peer online
+	// since one delivered: the rung of RetryBackoff its retry waits on.
+	attempts int
 }
 
 // bound keeps q's due at or before expires, an item's joining q.
@@ -291,18 +295,16 @@ func New(cfg Config, online OnlineFunc, deliver DeliverFunc) (*Relay, error) {
 		cfg.Clock = time.Now
 	}
 	r := &Relay{
-		cfg:           cfg,
-		deliver:       deliver,
-		online:        online,
-		stop:          make(chan struct{}),
-		bySender:      make(map[keys.PeerID]int),
-		byGroup:       make(map[string]int),
-		retryTimers:   make(map[keys.PeerID]*time.Timer),
-		retryAttempts: make(map[keys.PeerID]int),
+		cfg:      cfg,
+		deliver:  deliver,
+		online:   online,
+		stop:     make(chan struct{}),
+		bySender: make(map[keys.PeerID]int),
+		byGroup:  make(map[string]int),
 	}
 	r.shards = make([]*shard, shardCount)
 	for i := range r.shards {
-		r.shards[i] = &shard{r: r, queues: make(map[keys.PeerID]queue), flushCh: make(chan keys.PeerID, 256)}
+		r.shards[i] = &shard{r: r, queues: make(map[keys.PeerID]queue), sched: make(map[keys.PeerID]time.Time), wake: make(chan struct{}, 1)}
 	}
 	if cfg.Tracer != nil && cfg.WAL.Dir != "" {
 		// Attribute each successful fsync to the traced items staged
@@ -317,7 +319,7 @@ func New(cfg Config, online OnlineFunc, deliver DeliverFunc) (*Relay, error) {
 	}
 	for _, s := range r.shards {
 		r.wg.Add(1)
-		go s.work()
+		go s.work(time.NewTimer(time.Hour))
 	}
 	return r, nil
 }
@@ -340,10 +342,7 @@ func (r *Relay) recover() error {
 		if now.After(rec.Expires) {
 			r.recoveryDiscardedTTL++
 			r.expired.Add(1)
-			if aerr := log.AppendAck(rec.Seq, wal.AckExpired); aerr != nil {
-				r.walErrors.Add(1)
-				r.audit(audit.Event{Kind: audit.KindWALError, Peer: string(rec.To), Op: "relay-recover", Reason: aerr.Error()})
-			}
+			r.ack(rec.Seq, wal.AckExpired, rec.To, "relay-recover", 0)
 			continue
 		}
 		it := Item{
@@ -353,10 +352,7 @@ func (r *Relay) recover() error {
 		if !r.reserveQuota(it) {
 			r.droppedQuota.Add(1)
 			r.audit(audit.Event{Kind: audit.KindRelayDrop, Peer: string(it.From), Op: "relay-recover", Reason: "quota"})
-			if aerr := log.AppendAck(rec.Seq, wal.AckDropped); aerr != nil {
-				r.walErrors.Add(1)
-				r.audit(audit.Event{Kind: audit.KindWALError, Peer: string(rec.To), Op: "relay-recover", Reason: aerr.Error()})
-			}
+			r.ack(rec.Seq, wal.AckDropped, rec.To, "relay-recover", 0)
 			continue
 		}
 		// Workers are not running yet, so enqueue touches shards
@@ -400,7 +396,7 @@ const (
 	// immediately.
 	SubmitDirect
 	// SubmitQueued means the item was stored for delivery at the
-	// recipient's next login (or the armed retry).
+	// recipient's next login (or its scheduled retry).
 	SubmitQueued
 	// SubmitDroppedQuota means the item was refused because its sender
 	// or group is over its queue quota. Distinct from SubmitDropped so
@@ -535,72 +531,35 @@ func (r *Relay) SenderOverQuota(id keys.PeerID) bool {
 	return r.bySender[id] >= r.cfg.SenderQuota
 }
 
-// retryFlush arms a delayed re-drain of the peer's queue, spaced by
-// the capped-exponential-with-jitter schedule (RetryBackoff) on
-// the peer's attempt counter. The timer is tracked so Close can cancel
-// it: without that, a retry armed just before shutdown could fire
-// against a closed relay (and, under -race, against freed state). One
-// armed timer per peer — re-arming replaces.
-func (r *Relay) retryFlush(id keys.PeerID) {
-	r.retryMu.Lock()
-	defer r.retryMu.Unlock()
-	if r.closed.Load() {
-		return
-	}
-	if t, ok := r.retryTimers[id]; ok {
-		t.Stop()
-	}
-	attempt := r.retryAttempts[id]
-	r.retryAttempts[id] = attempt + 1
-	delay := RetryBackoff.Delay(attempt, nil)
-	var tm *time.Timer
-	tm = time.AfterFunc(delay, func() {
-		r.retryMu.Lock()
-		if r.retryTimers[id] == tm {
-			delete(r.retryTimers, id)
-		}
-		r.retryMu.Unlock()
-		r.Flush(id)
-	})
-	r.retryTimers[id] = tm
-}
-
-// resetRetry rewinds a peer's backoff schedule after a successful
-// delivery, so the next transient failure starts from the base delay
-// again instead of the stretched tail.
-func (r *Relay) resetRetry(id keys.PeerID) {
-	r.retryMu.Lock()
-	delete(r.retryAttempts, id)
-	r.retryMu.Unlock()
-}
-
-// Flush schedules an asynchronous drain of the peer's queue on its
-// shard worker. Draining attempts delivery in FIFO order and stops at
-// the first failure (the peer went away again); expired items are
-// discarded.
+// Flush marks a peer with queued items due now on its shard's schedule
+// and nudges the worker, which drains it: delivery in FIFO order that
+// stops at the first failure (the peer went away again), expired items
+// discarded. It never blocks and starts nothing, so a login path may
+// call it at any rate.
 func (r *Relay) Flush(id keys.PeerID) {
 	if r.closed.Load() {
 		return
 	}
-	s := r.shardOf(id)
+	if s := r.shardOf(id); s.schedule(id, time.Time{}) {
+		select {
+		case s.wake <- struct{}{}:
+		default: // the nudge already pending stands for this one
+		}
+	}
+}
+
+// schedule marks a peer that has queued items due at at (zero: now),
+// unless it is due sooner, and reports whether it has any.
+func (s *shard) schedule(id keys.PeerID, at time.Time) bool {
 	s.mu.Lock()
-	pending := len(s.queues[id].items) > 0
-	s.mu.Unlock()
-	if !pending {
-		return
+	defer s.mu.Unlock()
+	if len(s.queues[id].items) == 0 {
+		return false
 	}
-	select {
-	case s.flushCh <- id:
-	default:
-		// Worker backlog: hand off without blocking the caller (which
-		// may be the broker's login path).
-		go func() {
-			select {
-			case s.flushCh <- id:
-			case <-r.stop:
-			}
-		}()
+	if cur, ok := s.sched[id]; !ok || at.Before(cur) {
+		s.sched[id] = at
 	}
+	return true
 }
 
 // fsyncPendingCap bounds the traced-item staging list so a sync stall
@@ -697,20 +656,14 @@ func (r *Relay) Metrics() Metrics {
 	}
 }
 
-// Close stops the delivery workers and cancels armed retries. Queued
-// items are abandoned in memory but remain in the WAL (graceful
-// shutdown does NOT ack them): a relay reopened on the same directory
-// recovers them.
+// Close stops the delivery workers, and with them every scheduled drain
+// and retry. Queued items are abandoned in memory but remain in the WAL
+// (graceful shutdown does NOT ack them): a relay reopened on the same
+// directory recovers them.
 func (r *Relay) Close() {
 	if r.closed.Swap(true) {
 		return
 	}
-	r.retryMu.Lock()
-	for id, t := range r.retryTimers {
-		t.Stop()
-		delete(r.retryTimers, id)
-	}
-	r.retryMu.Unlock()
 	if r.busCancel != nil {
 		r.busCancel()
 	}
@@ -742,31 +695,32 @@ func (s *shard) enqueue(it Item) {
 	s.queues[it.To] = q
 	s.mu.Unlock()
 	s.r.enqueued.Add(1)
-	s.r.retireAll(expired, wal.AckExpired)
+	s.r.retire(wal.AckExpired, expired...)
 	for _, old := range dropped {
-		s.r.retire(old, wal.AckDropped)
+		s.r.retire(wal.AckDropped, old)
 		s.r.audit(audit.Event{Kind: audit.KindRelayDrop, Peer: string(old.From), Op: "relay-enqueue", Reason: "overflow", Trace: old.Trace})
 	}
 }
 
-// retireAll retires every item, for one reason.
-func (r *Relay) retireAll(items []Item, reason wal.AckReason) {
-	for _, it := range items {
-		r.retire(it, reason)
-	}
-}
-
-// retire logs an item's departure from its queue and returns its quota
+// retire logs each item's departure from its queue and returns its quota
 // occupancy. Every exit path (delivered, expired, dropped) funnels
 // through here so the WAL and the quota books can never disagree. It
 // may fsync, so no shard lock is held across it.
-func (r *Relay) retire(it Item, reason wal.AckReason) {
-	r.releaseQuota(it)
-	if r.log != nil && it.seq != 0 {
-		if err := r.log.AppendAck(it.seq, reason); err != nil {
-			r.walErrors.Add(1)
-			r.audit(audit.Event{Kind: audit.KindWALError, Peer: string(it.To), Op: "relay-ack", Reason: err.Error(), Trace: it.Trace})
+func (r *Relay) retire(reason wal.AckReason, items ...Item) {
+	for _, it := range items {
+		r.releaseQuota(it)
+		if r.log != nil && it.seq != 0 {
+			r.ack(it.seq, reason, it.To, "relay-ack", it.Trace)
 		}
+	}
+}
+
+// ack logs a queued item's departure, for reason, to the WAL; a write
+// the log refuses is counted and audited.
+func (r *Relay) ack(seq wal.Seq, reason wal.AckReason, to keys.PeerID, op string, tr uint64) {
+	if err := r.log.AppendAck(seq, reason); err != nil {
+		r.walErrors.Add(1)
+		r.audit(audit.Event{Kind: audit.KindWALError, Peer: string(to), Op: op, Reason: err.Error(), Trace: tr})
 	}
 }
 
@@ -807,73 +761,120 @@ func (s *shard) pruneLocked(id keys.PeerID, now time.Time) (queue, []Item) {
 	return q, expired
 }
 
-func (s *shard) work() {
+// work drains every peer the schedule holds due, pass by pass, and
+// between passes waits for a nudge or timer, which each pass sets to the
+// earliest instant left or stops; New makes the timer, so that a started
+// worker allocates nothing of its own. A failed drain's retry is scheduled
+// on the wall clock, as a timer counts. Returning, it stops the timer and
+// empties the schedule.
+func (s *shard) work(timer *time.Timer) {
 	defer s.r.wg.Done()
+	defer func() {
+		timer.Stop()
+		s.mu.Lock()
+		clear(s.sched)
+		s.mu.Unlock()
+	}()
+	var room [8]keys.PeerID
+	ready := room[:0] // reused pass after pass
 	for {
-		select {
-		case <-s.r.stop:
-			return
-		case id := <-s.flushCh:
-			s.drain(id)
+		var next time.Time
+		if ready, next = s.takeDue(ready[:0], time.Now()); len(ready) == 0 {
+			if next.IsZero() {
+				timer.Stop()
+			} else {
+				timer.Reset(time.Until(next))
+			}
+			select {
+			case <-s.r.stop:
+				return
+			case <-s.wake:
+			case <-timer.C:
+			}
+		}
+		for _, id := range ready {
+			if retry := s.drain(id); retry > 0 {
+				s.schedule(id, time.Now().Add(retry))
+			}
 		}
 	}
+}
+
+// takeDue moves the peers due by now from the schedule onto ready and
+// returns the earliest instant of those it leaves (zero: none).
+func (s *shard) takeDue(ready []keys.PeerID, now time.Time) (_ []keys.PeerID, next time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, at := range s.sched {
+		if !at.After(now) {
+			ready = append(ready, id)
+			delete(s.sched, id)
+		} else if next.IsZero() || at.Before(next) {
+			next = at
+		}
+	}
+	return ready, next
 }
 
 // drain delivers the peer's queue in order: prune it once, then pop the
 // front under the lock and deliver it outside (delivery does wire I/O),
 // each pop a constant step whatever the queue's length; an item found
 // expired when popped is retired instead. On failure the item goes back
-// at the front and the drain stops. A successful delivery is acked to the
-// WAL AFTER the handoff to the wire — so a crash between the two
+// at the front and the drain stops, returning the delay before a retry
+// when the peer is still online (0: none). A successful delivery is acked
+// to the WAL AFTER the handoff to the wire — so a crash between the two
 // redelivers (at-least-once) rather than loses, and the recipient's replay
 // guard collapses the duplicate.
-func (s *shard) drain(id keys.PeerID) {
+func (s *shard) drain(id keys.PeerID) (retry time.Duration) {
 	flushed := 0
 	s.mu.Lock()
 	_, expired := s.pruneLocked(id, s.r.cfg.Clock())
 	s.mu.Unlock()
-	s.r.retireAll(expired, wal.AckExpired)
+	s.r.retire(wal.AckExpired, expired...)
 	for {
 		s.mu.Lock()
 		q := s.queues[id]
 		if len(q.items) == 0 {
+			// The queue leaves once drained, its attempt count with it.
+			delete(s.queues, id)
 			s.mu.Unlock()
 			break
 		}
 		it := q.items[0]
 		q.items[0] = Item{} // the queue's array keeps no payload it handed out
-		if q.items = q.items[1:]; len(q.items) == 0 {
-			delete(s.queues, id)
-		} else {
-			s.queues[id] = q
-		}
+		q.items = q.items[1:]
+		s.queues[id] = q
 		s.mu.Unlock()
 
 		if s.r.cfg.Clock().After(it.expires) {
 			s.r.expired.Add(1)
-			s.r.retire(it, wal.AckExpired)
+			s.r.retire(wal.AckExpired, it)
 			continue
 		}
 		if err := s.r.deliver(it); err != nil {
 			s.r.deliverErrors.Add(1)
 			// Put the item back where it was. Usually the peer went away
-			// again and the next presence event re-triggers the drain —
-			// but a TRANSIENT failure against a still-online peer has no
-			// such trigger, so arm a delayed retry; it re-enters this
-			// path (re-arming) until delivery succeeds, the peer drops
-			// offline, or the items expire.
+			// again and its next login flushes the queue — but a TRANSIENT
+			// failure against a still-online peer has no such trigger, so
+			// it retries on RetryBackoff's ladder, which a drain that
+			// delivered restarts.
+			online := s.r.online(id)
 			s.mu.Lock()
 			q := s.queues[id]
 			q.bound(it.expires)
 			q.items = append([]Item{it}, q.items...)
+			if flushed > 0 {
+				q.attempts = 0
+			}
+			if online {
+				retry = RetryBackoff.Delay(q.attempts, nil)
+				q.attempts++
+			}
 			s.queues[id] = q
 			s.mu.Unlock()
-			if s.r.online(id) {
-				s.r.retryFlush(id)
-			}
 			break
 		}
-		s.r.retire(it, wal.AckDelivered)
+		s.r.retire(wal.AckDelivered, it)
 		s.r.deliveredFlushed.Add(1)
 		if it.Trace != 0 && !it.enqueuedAt.IsZero() {
 			// Attribute the dwell time between enqueue and this flush
@@ -889,12 +890,10 @@ func (s *shard) drain(id keys.PeerID) {
 		}
 		flushed++
 	}
-	if flushed > 0 {
-		s.r.resetRetry(id)
-	}
 	if flushed > 0 && s.r.bus != nil && s.r.bus.Wants(events.RelayFlushed) {
 		s.r.bus.Emit(events.Event{Type: events.RelayFlushed, From: id, Payload: map[string]string{
 			"delivered": strconv.Itoa(flushed),
 		}})
 	}
+	return retry
 }

@@ -3,6 +3,7 @@ package relay_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -268,13 +269,75 @@ func TestTransientFailureRetriesWhileOnline(t *testing.T) {
 	waitFor(t, func() bool {
 		return r.Metrics().DeliverErrors >= 2 && r.QueueLen("bob") == 1
 	})
-	// The wire heals; nothing else happens. The armed retry must deliver.
+	// The wire heals; nothing else happens. The scheduled retry must deliver.
 	s.mu.Lock()
 	s.fail = false
 	s.mu.Unlock()
 	waitFor(t, func() bool { return len(s.got("bob")) == 1 })
 	if got := s.got("bob"); got[0] != "m0" {
 		t.Fatalf("delivered = %v", got)
+	}
+}
+
+// TestFlushBurstStartsNoGoroutine: Flush marks its peer due on the
+// shard's schedule and returns, however far behind the worker is. A
+// burst of flushes for a peer whose worker is held inside a delivery to
+// it starts no goroutine; when the delivery returns, the rest of the
+// queue drains.
+func TestFlushBurstStartsNoGoroutine(t *testing.T) {
+	var online atomic.Bool
+	entered, release := make(chan struct{}), make(chan struct{})
+	var delivered atomic.Int32
+	r, err := relay.New(relay.Config{}, func(keys.PeerID) bool { return online.Load() }, func(relay.Item) error {
+		if delivered.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.Submit(item("bob", "m0"))
+	r.Submit(item("bob", "m1"))
+	online.Store(true)
+	r.Flush("bob")
+	<-entered // the worker holds m0; m1 is still queued
+	before := runtime.NumGoroutine()
+	for i := 0; i < 300; i++ {
+		r.Flush("bob")
+	}
+	if rose := runtime.NumGoroutine() - before; rose > 0 {
+		t.Errorf("300 flushes behind a busy worker started %d goroutines, want none", rose)
+	}
+	close(release)
+	waitFor(t, func() bool { return delivered.Load() == 2 && r.QueueLen("bob") == 0 })
+}
+
+// TestRetryStateLeavesWithQueue: the retry ladder of a peer whose
+// deliveries failed while it was online is state of its queue. When the
+// peer goes offline and its queue expires, the prune that removes the
+// queue leaves nothing of the ladder behind: no scheduled drain and no
+// attempt count, although nothing was ever delivered to reset it.
+func TestRetryStateLeavesWithQueue(t *testing.T) {
+	var clock atomic.Int64 // seconds
+	now := func() time.Time { return time.Unix(1000+clock.Load(), 0) }
+	s := newSink()
+	r := mustRelay(t, relay.Config{Clock: now}, s)
+	defer r.Close()
+	s.mu.Lock()
+	s.online["bob"] = true
+	s.fail = true
+	s.mu.Unlock()
+	r.Submit(item("bob", "m0")) // direct fails, queued; the triggered drain fails and schedules a retry
+	waitFor(t, func() bool { return r.ScheduledRetries() == 1 })
+	s.setOnline("bob", false)
+	clock.Store(int64(relayTTL/time.Second) + 1)
+	r.Flush("bob")
+	waitFor(t, func() bool { return r.Metrics().Expired == 1 && r.QueueLen("bob") == 0 })
+	if r.RetryState("bob") {
+		t.Fatal("bob's queue expired, but retry state for bob remains")
 	}
 }
 
