@@ -6,10 +6,9 @@
 // peer's presence comes back (login events on the events.Bus). A relay
 // serves one broker: every item is for a peer resident at it, whose
 // login there drains the queue.
-// Each shard's worker drains from one schedule of peers, each due at an
-// instant: now after a Flush, or a RetryBackoff delay after a delivery
-// failed against a peer still online. One timer per worker waits for
-// the earliest; nothing else drains, and nothing fires after Close.
+// Each shard's worker drains from one schedule of peers, each due now (a
+// Flush) or after a RetryBackoff delay (a delivery failed against a peer
+// still online); nothing else drains, and nothing after Close.
 //
 // Queues are durable when Config.WAL.Dir is set: every enqueue,
 // delivery, expiry and drop is written behind the in-memory state to an
@@ -531,35 +530,25 @@ func (r *Relay) SenderOverQuota(id keys.PeerID) bool {
 	return r.bySender[id] >= r.cfg.SenderQuota
 }
 
-// Flush marks a peer with queued items due now on its shard's schedule
-// and nudges the worker, which drains it: delivery in FIFO order that
-// stops at the first failure (the peer went away again), expired items
-// discarded. It never blocks and starts nothing, so a login path may
-// call it at any rate.
+// Flush marks a peer's queue due now on its shard's schedule and nudges
+// the worker, which drains it in FIFO order, discarding expired items and
+// stopping at the first failure (the peer went away again). A queue whose
+// last item a drain holds counts, so that a login meanwhile is not lost
+// if that delivery fails. Flush never blocks and starts nothing.
 func (r *Relay) Flush(id keys.PeerID) {
 	if r.closed.Load() {
 		return
 	}
-	if s := r.shardOf(id); s.schedule(id, time.Time{}) {
+	s := r.shardOf(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, queued := s.queues[id]; queued {
+		s.sched[id] = time.Time{}
 		select {
 		case s.wake <- struct{}{}:
 		default: // the nudge already pending stands for this one
 		}
 	}
-}
-
-// schedule marks a peer that has queued items due at at (zero: now),
-// unless it is due sooner, and reports whether it has any.
-func (s *shard) schedule(id keys.PeerID, at time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.queues[id].items) == 0 {
-		return false
-	}
-	if cur, ok := s.sched[id]; !ok || at.Before(cur) {
-		s.sched[id] = at
-	}
-	return true
 }
 
 // fsyncPendingCap bounds the traced-item staging list so a sync stall
@@ -761,12 +750,10 @@ func (s *shard) pruneLocked(id keys.PeerID, now time.Time) (queue, []Item) {
 	return q, expired
 }
 
-// work drains every peer the schedule holds due, pass by pass, and
-// between passes waits for a nudge or timer, which each pass sets to the
-// earliest instant left or stops; New makes the timer, so that a started
-// worker allocates nothing of its own. A failed drain's retry is scheduled
-// on the wall clock, as a timer counts. Returning, it stops the timer and
-// empties the schedule.
+// work drains the peers the schedule holds due, pass after pass; between
+// passes it waits for a nudge or for its timer, set to the earliest instant
+// left (New makes it, so a started worker allocates nothing of its own).
+// Returning, it stops the timer and empties the schedule.
 func (s *shard) work(timer *time.Timer) {
 	defer s.r.wg.Done()
 	defer func() {
@@ -794,7 +781,11 @@ func (s *shard) work(timer *time.Timer) {
 		}
 		for _, id := range ready {
 			if retry := s.drain(id); retry > 0 {
-				s.schedule(id, time.Now().Add(retry))
+				s.mu.Lock()
+				if _, due := s.sched[id]; !due { // else a Flush since made it due now
+					s.sched[id] = time.Now().Add(retry)
+				}
+				s.mu.Unlock()
 			}
 		}
 	}

@@ -341,6 +341,42 @@ func TestRetryStateLeavesWithQueue(t *testing.T) {
 	}
 }
 
+// TestLoginWhileFailedItemIsOut: a drain pops bob's last item, its
+// delivery fails and the drain reads bob offline; bob logs in, and his
+// login's Flush runs, before the drain puts the item back. That Flush
+// must still drain him: the failed drain schedules no retry, having read
+// him offline, and no later login comes.
+func TestLoginWhileFailedItemIsOut(t *testing.T) {
+	var on, armed atomic.Bool
+	var r *relay.Relay
+	online := func(keys.PeerID) bool {
+		if armed.CompareAndSwap(true, false) {
+			// The drain's read after the failure: offline, and bob logs in
+			// before the drain goes on.
+			on.Store(true)
+			r.Flush("bob")
+			return false
+		}
+		return on.Load()
+	}
+	var got atomic.Int32
+	r, err := relay.New(relay.Config{}, online, func(relay.Item) error {
+		if !on.Load() {
+			return errors.New("unreachable")
+		}
+		got.Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.Submit(item("bob", "m0")) // offline: queued
+	armed.Store(true)
+	r.Flush("bob")
+	waitFor(t, func() bool { return got.Load() == 1 && r.QueueLen("bob") == 0 })
+}
+
 // TestDirectSuccessDrainsStragglers: a straggler left queued by a
 // failed drain is flushed by the next successful DIRECT delivery to the
 // same peer — newer traffic must not permanently overtake it.
