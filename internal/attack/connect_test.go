@@ -62,7 +62,7 @@ func newImpostor(t *testing.T, s *secureStack, connect broker.OpHandler) *impost
 	t.Cleanup(b.Close)
 	imp := &impostor{Broker: b}
 	b.RegisterOp(proto.OpSecureConnect, connect)
-	b.RegisterOp(proto.OpSecureLogin, func(keys.PeerID, *endpoint.Message) *endpoint.Message {
+	b.RegisterOp(proto.OpSecureLogin, func(broker.Caller, *endpoint.Message) *endpoint.Message {
 		imp.logins.Add(1)
 		return proto.Fail(proto.ErrBadRequest)
 	})
@@ -107,7 +107,7 @@ func TestImpersonatorReplayingShareStatementRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := newImpostor(t, s, func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+	imp := newImpostor(t, s, func(_ broker.Caller, msg *endpoint.Message) *endpoint.Message {
 		e, _ := msg.Get(proto.ElemChallenge)
 		share, _ := real.Get(proto.ElemShare)
 		secret, err := own.Agree(e)
@@ -132,7 +132,7 @@ func TestConnectTagReplayedToAnotherClientRefused(t *testing.T) {
 	eve := attack.NewEavesdropper(s.net)
 	alice := s.connected(t, "alice")
 	captured := connectAnswer(t, eve, alice.PeerID())
-	imp := newImpostor(t, s, func(keys.PeerID, *endpoint.Message) *endpoint.Message {
+	imp := newImpostor(t, s, func(broker.Caller, *endpoint.Message) *endpoint.Message {
 		answer := endpoint.NewMessage()
 		for _, e := range captured.Elements {
 			answer.Add(e.Name, bytes.Clone(e.Data))
@@ -165,7 +165,7 @@ func TestLowOrderChallengeRefusedBeforeAgreement(t *testing.T) {
 	}
 	var swapped []byte
 	var imp *impostor
-	imp = newImpostor(t, s, func(keys.PeerID, *endpoint.Message) *endpoint.Message {
+	imp = newImpostor(t, s, func(broker.Caller, *endpoint.Message) *endpoint.Message {
 		answer, err := imp.Endpoint().Request(testCtx(t), s.br.PeerID(), proto.BrokerService, endpoint.NewMessage().
 			AddString(proto.ElemOp, proto.OpSecureConnect).Add(proto.ElemChallenge, swapped), 0)
 		if err != nil {

@@ -20,7 +20,6 @@ import (
 	"jxtaoverlay/internal/core"
 	"jxtaoverlay/internal/cred"
 	"jxtaoverlay/internal/endpoint"
-	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
 )
 
@@ -126,7 +125,7 @@ func TestFormOfAnotherKindRefusedAtKindByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin.RegisterOp(proto.OpSecureConnect, func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+	twin.RegisterOp(proto.OpSecureConnect, func(_ broker.Caller, msg *endpoint.Message) *endpoint.Message {
 		e, _ := msg.Get(proto.ElemChallenge)
 		secret, _ := s.brKP.Agree(e)
 		tag, _ := core.ConnectKeys(secret, e, share[:], s.br.PeerID(), "deadbeef")

@@ -140,7 +140,7 @@ func TestBrokerAgreementKeyUnderShareStatement(t *testing.T) {
 				}
 				return b.Endpoint().Request(testCtx(t), s.br.PeerID(), proto.BrokerService, call, 0)
 			}
-			b.RegisterOp(proto.OpSecureConnect, func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+			b.RegisterOp(proto.OpSecureConnect, func(_ broker.Caller, msg *endpoint.Message) *endpoint.Message {
 				answer, err := forward(msg)
 				if err != nil {
 					return proto.Fail(proto.ErrBadRequest)
@@ -154,14 +154,14 @@ func TestBrokerAgreementKeyUnderShareStatement(t *testing.T) {
 				}
 				return resp
 			})
-			b.RegisterOp(proto.OpSecureLogin, func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+			b.RegisterOp(proto.OpSecureLogin, func(c broker.Caller, msg *endpoint.Message) *endpoint.Message {
 				resp, err := forward(msg)
 				if err != nil {
 					return proto.Fail(proto.ErrBadRequest)
 				}
 				// What the broker logged in, the twin serves.
 				if groups, _ := resp.GetString(proto.ElemGroups); resp.Has(proto.ElemCred) {
-					b.RegisterPeer(from, "alice", strings.Split(groups, ","))
+					b.RegisterPeer(c.ID, "alice", strings.Split(groups, ","))
 				}
 				return resp
 			})

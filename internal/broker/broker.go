@@ -93,9 +93,10 @@ type Lease struct {
 // that Peer copies out and, for a login granted one, the presence lease.
 // It is the only table of live group membership: a peer is a live member
 // of g while its record is online and names g. Groups is replaced, never
-// written in place, so a copy of the record keeps a stable list. It is
-// the broker's presence record too: a presence lookup no published
-// advertisement answers is answered from it (presenceOf).
+// written in place, so a copy of the record keeps a stable list; ID and
+// Username never change, and are read without b.mu. It is the broker's
+// presence record too: a presence lookup no published advertisement
+// answers is answered from it (presenceOf).
 type session struct {
 	PeerInfo
 	lease    Lease     // zero when the session holds none
@@ -128,12 +129,40 @@ func (s *session) presence(group string) *advert.Presence {
 	return p
 }
 
-// OpHandler processes one broker operation.
-type OpHandler func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message
+// Caller is who a broker op runs for, as Dispatch read it once: the
+// claimed peer ID, the frame's trace ID (0 when untraced or tracing is
+// off) and that peer's session record then (nil before its first login).
+// A handler acts on that record and looks no other up by the name. A
+// logout, an expiry or a later login ends the record, so a Caller read
+// before any of them finds it offline.
+type Caller struct {
+	ID    keys.PeerID
+	Trace uint64
+	s     *session
+	mu    *sync.RWMutex // b.mu, which the record is written under
+}
+
+// Online reports whether c's record is online.
+func (c Caller) Online() bool { return c.Member("") }
+
+// Member enforces the JXTA-Overlay interaction rule, that only members of
+// the same group may interact: c's record is online and names group. The
+// empty group (network-wide data) is every online caller's.
+func (c Caller) Member(group string) bool {
+	if c.s == nil {
+		return false
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.s.Online && (group == "" || slices.Contains(c.s.Groups, group))
+}
+
+// OpHandler processes one broker operation for the caller Dispatch read.
+type OpHandler func(c Caller, msg *endpoint.Message) *endpoint.Message
 
 // opEntry is one entry of the broker's ops table. A member op is refused
 // not-logged-in to a caller without an online session, before its
-// handler runs.
+// handler runs: the Caller its handler is handed holds a record.
 type opEntry struct {
 	name   string
 	h      OpHandler
@@ -265,7 +294,7 @@ func New(cfg Config) (*Broker, error) {
 		idem:   newIdemCache(),
 	}
 	b.registerDefaultOps()
-	ep.RegisterHandler(proto.BrokerService, b.dispatch)
+	ep.RegisterHandler(proto.BrokerService, b.Dispatch)
 	return b, nil
 }
 
@@ -295,9 +324,9 @@ func (b *Broker) Bus() *events.Bus { return b.ctl.Bus() }
 func (b *Broker) DB() Authenticator { return b.cfg.DB }
 
 // RegisterOp installs (or overrides) an operation handler; the security
-// extension uses it to add secureConnection and secureLogin. The op is
-// open to any caller: a handler that serves logged-in peers only checks
-// that itself.
+// extension uses it to add secureConnection, secureLogin, the heartbeat
+// and the relay upload. The op runs for any caller, logged in or not: its
+// handler reads the caller's standing from the Caller it is handed.
 func (b *Broker) RegisterOp(name string, h OpHandler) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -370,20 +399,6 @@ func (b *Broker) Auditor() *audit.Journal { return b.auditor.Load() }
 // handlers grafted on by internal/core.
 func (b *Broker) Audit(e audit.Event) uint64 { return b.auditor.Load().Record(e) }
 
-// TraceID extracts the message's lifecycle trace ID (0 when tracing is
-// off or the message is untraced). Op handlers outside this package
-// (relay, security extension) use it to continue the sender's trace.
-func (b *Broker) TraceID(msg *endpoint.Message) uint64 {
-	if b.tracer.Load() == nil {
-		return 0
-	}
-	s, ok := msg.GetString(proto.ElemTrace)
-	if !ok {
-		return 0
-	}
-	return trace.ParseID(s)
-}
-
 // RecordOffense feeds an out-of-band refusal (e.g. a relay quota
 // rejection) into the offender tracking and raises the SecurityAlert
 // audit event when the credential's streak crosses the threshold. A
@@ -419,28 +434,36 @@ func (b *Broker) emitAdmissionAlert(from keys.PeerID, op, reason string, offense
 	b.ctl.Emit(events.SecurityAlert, from, "", payload, nil)
 }
 
-// dispatch runs one op for from. One read of the tables finds the op, the
-// limiter and whether from has an online session. The op is looked up by
-// the element's bytes, and named by its entry's string.
-func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+// Dispatch is the broker's endpoint handler: it runs one op for from, the
+// peer the frame claims to come from. One read of the tables finds the
+// op, the limiter and from's session record, which the handler is handed
+// in its Caller; a member op is refused not-logged-in while it is not
+// online. The op is looked up by the element's bytes, and named by its
+// entry's string.
+func (b *Broker) Dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
 	name, _ := msg.Get(proto.ElemOp)
+	c := Caller{ID: from, mu: &b.mu}
 	b.mu.RLock()
 	e, ok := b.ops[string(name)]
 	adm := b.adm
-	s := b.peers[from]
-	online := s != nil && s.Online
+	c.s = b.peers[from]
+	online := c.s != nil && c.s.Online
 	b.mu.RUnlock()
 	if !ok {
 		return proto.Fail(proto.ErrUnknownOp)
 	}
 	op := e.name
 	b.opsDispatched.Add(1)
-	tid := b.TraceID(msg)
+	if b.tracer.Load() != nil {
+		if s, ok := msg.GetString(proto.ElemTrace); ok {
+			c.Trace = trace.ParseID(s)
+		}
+	}
 	// The admission span is recorded for every traced dispatch, limiter
 	// or not: "admitted in ~0" and "no limiter installed" read the same
 	// in a waterfall, and the stage is always present to anchor the
 	// broker side of the trace.
-	sp := trace.Begin(tid, trace.StageAdmission)
+	sp := trace.Begin(c.Trace, trace.StageAdmission)
 	sp.SetAttr("op", op)
 	if adm != nil {
 		if d := adm.Allow(string(from)); !d.Allowed {
@@ -450,9 +473,9 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 			// (and the trace's remaining stages) even when unsampled, so
 			// the alert's trace ID is always retrievable.
 			b.tracer.Load().End(sp, trace.OutcomeRateLimited)
-			b.Audit(audit.Event{Kind: audit.KindRateLimited, Peer: string(from), Op: op, Reason: proto.ErrRateLimited, Trace: tid})
+			b.Audit(audit.Event{Kind: audit.KindRateLimited, Peer: string(from), Op: op, Reason: proto.ErrRateLimited, Trace: c.Trace})
 			if d.Alert {
-				b.emitAdmissionAlert(from, op, proto.ErrRateLimited, d.Offenses, tid)
+				b.emitAdmissionAlert(from, op, proto.ErrRateLimited, d.Offenses, c.Trace)
 			}
 			// The refusal carries a backoff hint: one token's refill
 			// time. Resilient clients floor their retry delay on it so
@@ -480,11 +503,11 @@ func (b *Broker) dispatch(from keys.PeerID, msg *endpoint.Message) *endpoint.Mes
 	if honoured {
 		if cached, ok := b.idem.lookup(from, idemK, b.Now()); ok {
 			b.idemDeduped.Add(1)
-			b.Audit(audit.Event{Kind: audit.KindIdemDedup, Peer: string(from), Op: op, Reason: "replayed-key", Trace: tid})
+			b.Audit(audit.Event{Kind: audit.KindIdemDedup, Peer: string(from), Op: op, Reason: "replayed-key", Trace: c.Trace})
 			return cached
 		}
 	}
-	resp := e.h(from, msg)
+	resp := e.h(c, msg)
 	if resp != nil {
 		if ok, _ := proto.IsOK(resp); !ok {
 			b.opsFailed.Add(1)
@@ -520,14 +543,14 @@ func (b *Broker) registerDefaultOps() {
 
 // --- discovery ops ---
 
-func (b *Broker) handleConnect(from keys.PeerID, _ *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleConnect(_ Caller, _ *endpoint.Message) *endpoint.Message {
 	// The plain connect opens a channel and identifies the broker by
 	// name only — nothing proves legitimacy (the vulnerability
 	// secureConnection addresses).
 	return proto.OK().AddString(proto.ElemBroker, b.cfg.Name)
 }
 
-func (b *Broker) handleLogin(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleLogin(c Caller, msg *endpoint.Message) *endpoint.Message {
 	if b.cfg.RequireSecureLogin {
 		return proto.Fail(proto.ErrSecureRequired)
 	}
@@ -540,12 +563,23 @@ func (b *Broker) handleLogin(from keys.PeerID, msg *endpoint.Message) *endpoint.
 	if err != nil {
 		return proto.Fail(proto.ErrAuthFailed)
 	}
-	b.RegisterPeer(from, user, groups)
+	b.RegisterPeer(c.ID, user, groups)
 	return proto.OK().AddString(proto.ElemGroups, strings.Join(groups, ","))
 }
 
-func (b *Broker) handleLogout(from keys.PeerID, _ *endpoint.Message) *endpoint.Message {
-	b.UnregisterPeer(from)
+// handleLogout ends the caller's session if it is still online: the
+// session goes offline, out of its groups, and its lease ends with it.
+func (b *Broker) handleLogout(c Caller, _ *endpoint.Message) *endpoint.Message {
+	b.mu.Lock()
+	live := c.s != nil && c.s.Online
+	var info PeerInfo
+	if live {
+		info = c.s.end(b.Now())
+	}
+	b.mu.Unlock()
+	if live {
+		b.teardown(info, reasonLocal)
+	}
 	return proto.BareOK()
 }
 
@@ -558,9 +592,10 @@ func (b *Broker) RegisterPeer(id keys.PeerID, username string, groups []string) 
 // RegisterLeasedPeer is RegisterPeer for a secure login: the session it
 // records holds l, when l.ID is set, until a logout, an expiry or the
 // next login of the peer ends it. The session begins now, in place of the
-// peer's last one: its groups are the ones the login names, and the
-// members of a group the old session was live in and the new one does not
-// name are told it went offline, as a logout would tell them.
+// peer's last one, which it ends under the same lock: its groups are the
+// ones the login names, and the members of a group the old session was
+// live in and the new one does not name are told it went offline, as a
+// logout would tell them.
 func (b *Broker) RegisterLeasedPeer(id keys.PeerID, username string, groups []string, l Lease) {
 	now := b.Now()
 	s := &session{PeerInfo: PeerInfo{
@@ -572,17 +607,18 @@ func (b *Broker) RegisterLeasedPeer(id keys.PeerID, username string, groups []st
 		s.lease, s.deadline = l, now.Add(l.TTL)
 	}
 	b.mu.Lock()
-	old := b.peers[id]
+	var left PeerInfo // the session this one replaces, if it was online
+	if old := b.peers[id]; old != nil && old.Online {
+		left = old.end(now)
+	}
 	b.peers[id] = s
 	for _, g := range groups {
 		b.groups[g] = struct{}{}
 	}
 	b.mu.Unlock()
-	if old != nil && old.Online {
-		for _, g := range old.Groups {
-			if !slices.Contains(groups, g) {
-				b.pushPresence(id, old.Username, g, advert.StatusOffline)
-			}
+	for _, g := range left.Groups {
+		if !slices.Contains(groups, g) {
+			b.pushPresence(id, left.Username, g, advert.StatusOffline)
 		}
 	}
 	for _, g := range groups {
@@ -590,22 +626,6 @@ func (b *Broker) RegisterLeasedPeer(id keys.PeerID, username string, groups []st
 	}
 	b.Audit(audit.Event{Kind: audit.KindPeerUp, Peer: string(id), Op: "presence", Reason: reasonLocal})
 	b.ctl.Bus().Emit(events.Event{Type: events.PresenceUpdate, From: id, User: username, Status: advert.StatusOnline})
-}
-
-// UnregisterPeer ends a peer's online session (its logout): the session
-// goes offline, out of its groups, and its lease ends with it.
-func (b *Broker) UnregisterPeer(id keys.PeerID) {
-	b.mu.Lock()
-	s := b.peers[id]
-	live := s != nil && s.Online
-	var info PeerInfo
-	if live {
-		info = s.end(b.Now())
-	}
-	b.mu.Unlock()
-	if live {
-		b.teardown(info, reasonLocal)
-	}
 }
 
 // ExpireLeases ends every session whose presence lease has lapsed by the
@@ -705,7 +725,7 @@ func (b *Broker) Peer(id keys.PeerID) (PeerInfo, bool) {
 
 // rosterRows returns the session records group's roster lists, sorted
 // by peer ID. With all, that is every peer the broker has a record for,
-// online or offline, whose record names the group (KnownMember): the
+// online or offline, whose record names the group (MemberID): the
 // store-and-forward roster, the set of peers a relayed round may
 // address. Without, it is the group's live members. The empty group is
 // the whole network. The rows are the table's own records: the caller
@@ -721,27 +741,14 @@ func (b *Broker) rosterRows(group string, all bool) []*PeerInfo {
 	return rows
 }
 
-// memberOf enforces the JXTA-Overlay interaction rule: only members of
-// the same group may interact. The empty group (network-wide data) is
-// open to every logged-in peer.
-func (b *Broker) memberOf(id keys.PeerID, group string) bool {
-	if group == "" {
-		return true
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	s := b.peers[id]
-	return s != nil && s.liveIn(group)
-}
-
 // --- advertisement ops ---
 
-func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (b *Broker) handlePublishAdv(c Caller, msg *endpoint.Message) *endpoint.Message {
 	raw, ok := msg.Get(proto.ElemAdv)
 	if !ok {
 		return proto.Fail(proto.ErrBadRequest)
 	}
-	tid := b.TraceID(msg)
+	tid := c.Trace
 	tr := b.tracer.Load()
 	// Published advertisements must be canonical wire bytes — peers
 	// serialize with Canonical() — so the hardened fast-path parser is
@@ -773,7 +780,7 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	tr.End(sp, trace.OutcomeOK)
 	// A peer may only publish into groups it belongs to.
 	group := advGroup(parsed)
-	if group != "" && !b.memberOf(from, group) {
+	if group != "" && !c.Member(group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
 	sp = trace.Begin(tid, trace.StagePublish)
@@ -787,7 +794,7 @@ func (b *Broker) handlePublishAdv(from keys.PeerID, msg *endpoint.Message) *endp
 	}
 	b.advsPublished.Add(1)
 	if push != nil {
-		b.pushLocal(push, group, from)
+		b.pushLocal(push, group, c.ID)
 	}
 	tr.End(sp, trace.OutcomeOK)
 	return proto.BareOK()
@@ -903,7 +910,7 @@ func (b *Broker) pushPresence(id keys.PeerID, username, group, status string) {
 // handleLookupAdv answers a lookup from the cache of published
 // advertisements and, for a presence none was published for, from the
 // session record it names, rendered now.
-func (b *Broker) handleLookupAdv(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleLookupAdv(c Caller, msg *endpoint.Message) *endpoint.Message {
 	advType, _ := msg.GetString(proto.ElemAdvType)
 	advID, _ := msg.GetString(proto.ElemAdvID)
 	var adv advert.Advertisement
@@ -916,7 +923,7 @@ func (b *Broker) handleLookupAdv(from keys.PeerID, msg *endpoint.Message) *endpo
 	if adv == nil {
 		return proto.Fail(proto.ErrNotFound)
 	}
-	if group := advGroup(adv); group != "" && !b.memberOf(from, group) {
+	if group := advGroup(adv); group != "" && !c.Member(group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
 	return proto.OK().Add(proto.ElemAdv, doc.Canonical())
@@ -946,10 +953,10 @@ func (b *Broker) presenceOf(id string) (advert.Advertisement, *xmldoc.Element) {
 	return p, doc
 }
 
-func (b *Broker) handleLookupPipe(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleLookupPipe(c Caller, msg *endpoint.Message) *endpoint.Message {
 	peer, _ := msg.GetString(proto.ElemPeer)
 	group, _ := msg.GetString(proto.ElemGroup)
-	if !b.memberOf(from, group) {
+	if !c.Member(group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
 	rec, err := b.ctl.Cache().Lookup(advert.TypePipe, advert.GroupPipeID(keys.PeerID(peer), group))
@@ -964,9 +971,9 @@ func (b *Broker) handleLookupPipe(from keys.PeerID, msg *endpoint.Message) *endp
 	return proto.OK().Add(proto.ElemAdv, rec.Doc.Canonical())
 }
 
-func (b *Broker) handleListPeers(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleListPeers(c Caller, msg *endpoint.Message) *endpoint.Message {
 	group, _ := msg.GetString(proto.ElemGroup)
-	if !b.KnownMember(from, group) {
+	if !c.Member(group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
 	// With ElemAll, the store-and-forward roster: every known member,
@@ -1004,7 +1011,7 @@ func presence(p *PeerInfo) string {
 
 // --- group ops ---
 
-func (b *Broker) handleGroupCreate(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleGroupCreate(c Caller, msg *endpoint.Message) *endpoint.Message {
 	name, _ := msg.GetString(proto.ElemGroup)
 	desc, _ := msg.GetString(proto.ElemDesc)
 	if name == "" {
@@ -1021,56 +1028,48 @@ func (b *Broker) handleGroupCreate(from keys.PeerID, msg *endpoint.Message) *end
 	if exists {
 		return proto.Fail(proto.ErrGroupExists)
 	}
-	ga := &advert.Group{GroupID: id, Name: name, Desc: desc, Creator: from}
+	ga := &advert.Group{GroupID: id, Name: name, Desc: desc, Creator: c.ID}
 	if doc, err := ga.Document(); err == nil {
 		b.ctl.Cache().PutParsed(doc, ga)
 	}
-	b.ctl.Emit(events.GroupUpdated, from, name, map[string]string{"action": "create"}, nil)
+	b.ctl.Emit(events.GroupUpdated, c.ID, name, map[string]string{"action": "create"}, nil)
 	return proto.BareOK()
 }
 
-func (b *Broker) handleGroupJoin(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleGroupJoin(c Caller, msg *endpoint.Message) *endpoint.Message {
 	name, _ := msg.GetString(proto.ElemGroup)
 	b.mu.Lock()
 	_, exists := b.groups[name]
-	s := b.peers[from]
-	joined := exists && s != nil && s.Online
-	var user string
-	if joined {
-		user = s.Username
-		if !slices.Contains(s.Groups, name) {
-			s.Groups = append(slices.Clip(s.Groups), name)
-		}
+	joined := exists && c.s.Online
+	if joined && !slices.Contains(c.s.Groups, name) {
+		c.s.Groups = append(slices.Clip(c.s.Groups), name)
 	}
 	b.mu.Unlock()
 	if !joined {
 		return proto.Fail(proto.ErrNoGroup)
 	}
-	b.pushPresence(from, user, name, advert.StatusOnline)
-	b.ctl.Emit(events.GroupUpdated, from, name, map[string]string{"action": "join"}, nil)
+	b.pushPresence(c.ID, c.s.Username, name, advert.StatusOnline)
+	b.ctl.Emit(events.GroupUpdated, c.ID, name, map[string]string{"action": "join"}, nil)
 	return proto.BareOK()
 }
 
-func (b *Broker) handleGroupLeave(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleGroupLeave(c Caller, msg *endpoint.Message) *endpoint.Message {
 	name, _ := msg.GetString(proto.ElemGroup)
 	b.mu.Lock()
-	s := b.peers[from]
-	left := s != nil && s.liveIn(name)
-	var user string
+	left := c.s.liveIn(name)
 	if left {
-		user = s.Username
-		s.Groups = slices.DeleteFunc(slices.Clone(s.Groups), func(g string) bool { return g == name })
+		c.s.Groups = slices.DeleteFunc(slices.Clone(c.s.Groups), func(g string) bool { return g == name })
 	}
 	b.mu.Unlock()
 	if !left {
 		return proto.Fail(proto.ErrNoGroup)
 	}
-	b.pushPresence(from, user, name, advert.StatusOffline)
-	b.ctl.Emit(events.GroupUpdated, from, name, map[string]string{"action": "leave"}, nil)
+	b.pushPresence(c.ID, c.s.Username, name, advert.StatusOffline)
+	b.ctl.Emit(events.GroupUpdated, c.ID, name, map[string]string{"action": "leave"}, nil)
 	return proto.BareOK()
 }
 
-func (b *Broker) handleGroupList(from keys.PeerID, _ *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleGroupList(_ Caller, _ *endpoint.Message) *endpoint.Message {
 	b.mu.RLock()
 	names := make([]string, 0, len(b.groups))
 	for g := range b.groups {
@@ -1083,10 +1082,10 @@ func (b *Broker) handleGroupList(from keys.PeerID, _ *endpoint.Message) *endpoin
 
 // --- file index ops ---
 
-func (b *Broker) handleFileSearch(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (b *Broker) handleFileSearch(c Caller, msg *endpoint.Message) *endpoint.Message {
 	keyword, _ := msg.GetString(proto.ElemKeyword)
 	group, _ := msg.GetString(proto.ElemGroup)
-	if group != "" && !b.memberOf(from, group) {
+	if group != "" && !c.Member(group) {
 		return proto.Fail(proto.ErrNoGroup)
 	}
 	resp := proto.OK()
@@ -1098,7 +1097,7 @@ func (b *Broker) handleFileSearch(from keys.PeerID, msg *endpoint.Message) *endp
 		}
 		// Network-wide searches only surface files from the requester's
 		// own groups.
-		if group == "" && !b.memberOf(from, fl.Group) {
+		if group == "" && !c.Member(fl.Group) {
 			continue
 		}
 		for _, f := range fl.Files {

@@ -118,7 +118,7 @@ func TestLoginAndRegistry(t *testing.T) {
 	if len(info.Groups) != 1 || info.Groups[0] != "g1" {
 		t.Fatalf("groups = %v", info.Groups)
 	}
-	if !b.memberOf("urn:jxta:c1", "g1") || b.memberOf("urn:jxta:c1", "g2") {
+	if c := callerOf(b, "urn:jxta:c1"); !c.Member("g1") || c.Member("g2") {
 		t.Fatal("live membership is not the record's: want g1 alone")
 	}
 }
@@ -391,8 +391,8 @@ func TestPresenceLookupFollowsSession(t *testing.T) {
 
 func TestRegisterOpOverride(t *testing.T) {
 	b, net := newBroker(t)
-	b.RegisterOp("custom", func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-		return proto.OK().AddString("echo", string(from))
+	b.RegisterOp("custom", func(c Caller, msg *endpoint.Message) *endpoint.Message {
+		return proto.OK().AddString("echo", string(c.ID))
 	})
 	c := newCaller(t, net, b, "urn:jxta:c9")
 	resp := c.op("custom")
@@ -450,9 +450,9 @@ func TestOnlinePeersFilters(t *testing.T) {
 	if got := len(onlineIn(b, "missing")); got != 0 {
 		t.Fatalf("missing group online = %d", got)
 	}
-	b.UnregisterPeer("urn:jxta:c2")
+	mustOK(t, c2.op(proto.OpLogout))
 	if got := len(onlineIn(b, "g1")); got != 1 {
-		t.Fatalf("after unregister = %d", got)
+		t.Fatalf("after a logout = %d", got)
 	}
 }
 

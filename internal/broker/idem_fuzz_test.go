@@ -25,7 +25,7 @@ const unknownOp = "no-such-op"
 
 // FuzzIdemKey drives arbitrary idempotency keys (proto.ElemIdem), ops
 // and senders — a logged-in member, or a stranger who never logged in —
-// through Broker.dispatch, on one broker whose dedup table the whole run
+// through Broker.Dispatch, on one broker whose dedup table the whole run
 // fills. Properties: dispatch never panics; it never stores a key longer
 // than idemMaxKeyLen, nor one presented by a peer that was not logged in;
 // the table never holds more than idemMaxEntries; a key it honoured and
@@ -70,9 +70,9 @@ func FuzzIdemKey(f *testing.F) {
 	var before, after runtime.MemStats
 	f.Fuzz(func(t *testing.T, key string, opSel uint8, loggedIn bool) {
 		// Who is logged in is part of the input, not of the inputs before it.
-		b.dispatch(member, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpLogin).
+		b.Dispatch(member, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpLogin).
 			AddString(proto.ElemUser, "member").AddString(proto.ElemPass, "pw"))
-		b.dispatch(stranger, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpLogout))
+		b.Dispatch(stranger, endpoint.NewMessage().AddString(proto.ElemOp, proto.OpLogout))
 		if !online(b, member) || online(b, stranger) {
 			t.Fatal("the member is not logged in, or the stranger is")
 		}
@@ -94,7 +94,7 @@ func FuzzIdemKey(f *testing.F) {
 		honoured := key != "" && len(key) <= idemMaxKeyLen && loggedIn
 		req := request()
 		runtime.ReadMemStats(&before)
-		first := b.dispatch(from, req)
+		first := b.Dispatch(from, req)
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(allocFixed+allocPerByte*len(key)); got > limit {
 			t.Fatalf("%s with a %d-byte key allocated %d bytes, limit %d", op, len(key), got, limit)
@@ -117,7 +117,7 @@ func FuzzIdemKey(f *testing.F) {
 		if !stored || !online(b, from) {
 			return
 		}
-		if again := b.dispatch(from, request()); again != cached {
+		if again := b.Dispatch(from, request()); again != cached {
 			t.Fatalf("%s replayed with the stored key %q was not answered with the cached response", op, key)
 		}
 	})

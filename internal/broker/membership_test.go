@@ -47,6 +47,21 @@ func onlineIn(b *Broker, group string) []keys.PeerID {
 	return ids
 }
 
+// callerOf is the Caller Dispatch hands the handler of an op id sends
+// now: id's session record as the table holds it.
+func callerOf(b *Broker, id keys.PeerID) Caller {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return Caller{ID: id, s: b.peers[id], mu: &b.mu}
+}
+
+// knownIn reports whether the store-and-forward roster of group counts
+// id: whether id's record, online or not, names group.
+func knownIn(b *Broker, id keys.PeerID, group string) bool {
+	_, ok := b.MemberID([]byte(id), group)
+	return ok
+}
+
 // notice is one presence notice the broker pushed.
 type notice struct {
 	to                  simnet.NodeID
@@ -104,8 +119,9 @@ func TestReloginMembershipFollowsRecord(t *testing.T) {
 	}
 	for _, g := range []string{"g1", "chess"} {
 		named := slices.Contains(info.Groups, g)
-		if live := slices.Contains(onlineIn(b, g), info.ID); live != named || b.memberOf(info.ID, g) != named || b.KnownMember(info.ID, g) != named {
-			t.Fatalf("%s: named by the record %v, live member %v, memberOf %v, KnownMember %v", g, named, live, b.memberOf(info.ID, g), b.KnownMember(info.ID, g))
+		c := callerOf(b, info.ID)
+		if live := slices.Contains(onlineIn(b, g), info.ID); live != named || c.Member(g) != named || knownIn(b, info.ID, g) != named {
+			t.Fatalf("%s: named by the record %v, live member %v, Member %v, on the roster %v", g, named, live, c.Member(g), knownIn(b, info.ID, g))
 		}
 	}
 	left := notice{simnet.NodeID("urn:jxta:c2"), "urn:jxta:c1", "chess", "offline"}
@@ -138,8 +154,8 @@ func TestOverlappingMembership(t *testing.T) {
 	if got := onlineIn(b, "art"); !slices.Equal(got, []keys.PeerID{"urn:jxta:c3"}) {
 		t.Fatalf("art = %v, want carol", got)
 	}
-	if b.memberOf("urn:jxta:c1", "art") || !b.memberOf("urn:jxta:c3", "g1") {
-		t.Fatal("memberOf disagrees with the records")
+	if callerOf(b, "urn:jxta:c1").Member("art") || !callerOf(b, "urn:jxta:c3").Member("g1") {
+		t.Fatal("Member disagrees with the records")
 	}
 }
 
@@ -152,7 +168,7 @@ func TestGroupLeave(t *testing.T) {
 	mustOK(t, c.op(proto.OpGroupCreate, proto.ElemGroup, "lab"))
 	mustOK(t, c.op(proto.OpGroupJoin, proto.ElemGroup, "lab"))
 	mustOK(t, c.op(proto.OpGroupLeave, proto.ElemGroup, "lab"))
-	if b.memberOf("urn:jxta:c1", "lab") || len(onlineIn(b, "lab")) != 0 {
+	if callerOf(b, "urn:jxta:c1").Member("lab") || len(onlineIn(b, "lab")) != 0 {
 		t.Fatal("alice is still a live member of lab")
 	}
 	mustFail(t, c.op(proto.OpGroupLeave, proto.ElemGroup, "lab"), proto.ErrNoGroup)
@@ -169,10 +185,10 @@ func TestLogoutLeavesEveryGroup(t *testing.T) {
 	mustOK(t, c.op(proto.OpGroupJoin, proto.ElemGroup, "physics"))
 	mustOK(t, c.op(proto.OpLogout))
 	for _, g := range []string{"g1", "physics"} {
-		if b.memberOf("urn:jxta:c1", g) || len(onlineIn(b, g)) != 0 {
+		if callerOf(b, "urn:jxta:c1").Member(g) || len(onlineIn(b, g)) != 0 {
 			t.Fatalf("alice is still a live member of %s after her logout", g)
 		}
-		if !b.KnownMember("urn:jxta:c1", g) {
+		if !knownIn(b, "urn:jxta:c1", g) {
 			t.Fatalf("alice's record no longer names %s", g)
 		}
 	}
@@ -247,13 +263,13 @@ func TestConcurrentJoinLeave(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				if ok, tok := proto.IsOK(b.dispatch(id, op(proto.OpGroupJoin))); !ok {
+				if ok, tok := proto.IsOK(b.Dispatch(id, op(proto.OpGroupJoin))); !ok {
 					t.Errorf("join: %s", tok)
 					return
 				}
-				b.memberOf(id, "lab")
+				callerOf(b, id).Member("lab")
 				onlineIn(b, "lab")
-				if ok, tok := proto.IsOK(b.dispatch(id, op(proto.OpGroupLeave))); !ok {
+				if ok, tok := proto.IsOK(b.Dispatch(id, op(proto.OpGroupLeave))); !ok {
 					t.Errorf("leave: %s", tok)
 					return
 				}

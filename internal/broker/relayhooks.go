@@ -27,22 +27,11 @@ func (b *Broker) PeerOnline(id keys.PeerID) bool {
 	return online && b.ep.Reachable(id)
 }
 
-// KnownMember reports whether a peer — online or offline — belongs to a
-// group in its current session record. The empty group (network-wide
-// traffic) is open to every known peer, mirroring memberOf.
-func (b *Broker) KnownMember(id keys.PeerID, group string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	p, ok := b.peers[id]
-	if !ok {
-		return false
-	}
-	return group == "" || slices.Contains(p.Groups, group)
-}
-
-// MemberID is KnownMember for a peer named by a view (an entry of a
-// relayed round's recipient list): it returns the ID string the peer's
-// session record holds, so that what its caller keeps is no view.
+// MemberID reports whether a peer named by a view (an entry of a relayed
+// round's recipient list) belongs — online or offline — to a group in its
+// current session record; the empty group (network-wide traffic) is
+// every known peer's. It returns the ID string the record holds, so that
+// what its caller keeps is no view.
 func (b *Broker) MemberID(id []byte, group string) (keys.PeerID, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

@@ -234,7 +234,7 @@ func ConnectKeys(secret, e, share []byte, broker keys.PeerID, sid string) (tag [
 // key the agreement yields beside the tag waits in the sid table for the
 // login. A share of small order is refused before any of it: no
 // agreement, no sid.
-func (bs *BrokerSecurity) handleSecureConnect(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (bs *BrokerSecurity) handleSecureConnect(_ broker.Caller, msg *endpoint.Message) *endpoint.Message {
 	e, ok := msg.Get(proto.ElemChallenge)
 	if !ok || keys.CheckShare(e) != nil {
 		return proto.Fail(proto.ErrBadRequest)
@@ -300,7 +300,7 @@ func (bs *BrokerSecurity) auditAuth(kind string, peer keys.PeerID, op, reason st
 }
 
 // handleSecureLogin implements the broker side of §4.2.2.
-func (bs *BrokerSecurity) handleSecureLogin(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+func (bs *BrokerSecurity) handleSecureLogin(_ broker.Caller, msg *endpoint.Message) *endpoint.Message {
 	sid, _ := msg.GetString(proto.ElemSid)
 	sealed, ok := msg.Get(proto.ElemEnvelope)
 	if !ok || len(sealed) < keys.AEADNonceSize+keys.AEADOverhead {

@@ -467,8 +467,9 @@ func BenchmarkDeliverSlice(b *testing.B) {
 func TestGateDeliverSlice(t *testing.T) { perfgate.Run(t, BenchmarkDeliverSlice, 11, perfgate.NoLimit) }
 
 // BenchmarkRelayRoundDirect is the broker's side of one relayed round,
-// all 16 recipients online: the relayRound handler EnableBrokerRelay
-// registers takes the parsed upload, parses the round, checks each
+// all 16 recipients online: the broker's Dispatch hands the parsed upload
+// to the relayRound handler EnableBrokerRelay registers, which checks the
+// sender on the record Dispatch read, parses the round, checks each
 // recipient against its peer table, pushes each slice and answers the
 // five counts. The slices are cut into their push frames as they are
 // built, and the loop asserts the pushes byte for byte: each carries
@@ -507,9 +508,8 @@ func BenchmarkRelayRoundDirect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	handle := relayRoundHandler(br, rly)
 	round := func() {
-		resp := handle(sender, upload.Msg)
+		resp := br.Dispatch(sender, upload.Msg)
 		if ok, token := proto.IsOK(resp); !ok || countOf(resp, proto.ElemRelayDirect) != n {
 			b.Fatalf("round answered ok=%v %q, %d direct of %d", ok, token, countOf(resp, proto.ElemRelayDirect), n)
 		}

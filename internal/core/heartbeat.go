@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"jxtaoverlay/internal/audit"
+	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/client"
 	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
@@ -168,18 +169,20 @@ func (s *SecureClient) Lease() (string, time.Duration) {
 }
 
 // handleHeartbeat is the broker side. The request guard admits the
-// heartbeat under the key of the credential the lease of from holds —
+// heartbeat under the key of the credential the lease of c holds —
 // none for a peer without that lease (lease-expired), and only while the
 // credential's chain verifies now (bad-credential) — then the sequence
 // number renews the lease. Every refusal of a heartbeat in the form is
-// audited against from.
-func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+// audited against c.ID. The heartbeat alone reads the session by c.ID and
+// its lease ID, not from c's record: a lease ID names exactly one
+// session, and end clears it.
+func (bs *BrokerSecurity) handleHeartbeat(c broker.Caller, msg *endpoint.Message) *endpoint.Message {
 	raw, _ := msg.Get(proto.ElemBody)
 	now := bs.b.Now()
 	formed := false
 	req, err := bs.requests.Open(raw, proto.KindHeartbeat, now, func(r *proto.Request) (*keys.PublicKey, error) {
 		formed = true
-		held := bs.b.LeaseCredential(from, r.Field(proto.HeartbeatLease))
+		held := bs.b.LeaseCredential(c.ID, r.Field(proto.HeartbeatLease))
 		switch {
 		case held == nil:
 			return nil, refusal(proto.ErrLeaseExpired)
@@ -195,11 +198,11 @@ func (bs *BrokerSecurity) handleHeartbeat(from keys.PeerID, msg *endpoint.Messag
 	case len(req.Field(proto.HeartbeatSeq)) != 8:
 		token = proto.ErrBadRequest
 	default:
-		token = bs.b.RenewLease(from, req.Field(proto.HeartbeatLease), binary.BigEndian.Uint64(req.Field(proto.HeartbeatSeq)), now)
+		token = bs.b.RenewLease(c.ID, req.Field(proto.HeartbeatLease), binary.BigEndian.Uint64(req.Field(proto.HeartbeatSeq)), now)
 	}
 	if token != "" {
 		if formed {
-			bs.auditAuth(audit.KindHeartbeat, from, OpHeartbeat, token)
+			bs.auditAuth(audit.KindHeartbeat, c.ID, OpHeartbeat, token)
 		}
 		bs.heartbeatsRejected.Add(1)
 		return proto.Fail(token)

@@ -7,7 +7,6 @@ import (
 
 	"jxtaoverlay/internal/broker"
 	"jxtaoverlay/internal/endpoint"
-	"jxtaoverlay/internal/keys"
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/relay"
 	"jxtaoverlay/internal/trace"
@@ -118,13 +117,16 @@ func pushSlice(ep *endpoint.Service, it relay.Item) error {
 // relayRoundHandler processes one uploaded round: validate, slice,
 // route. The response reports how many slices went out directly, were
 // queued, were refused by quota, and were skipped as undeliverable.
+// The sender is checked on its record alone, not asked of the fabric as a
+// recipient is (PeerOnline): its frame has just arrived, and this op
+// sends it nothing but the answer.
 func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
-	return func(from keys.PeerID, msg *endpoint.Message) *endpoint.Message {
-		if !b.PeerOnline(from) {
+	return func(c broker.Caller, msg *endpoint.Message) *endpoint.Message {
+		if !c.Online() {
 			return proto.Fail(proto.ErrNotLoggedIn)
 		}
 		group, _ := msg.GetString(proto.ElemGroup)
-		if !b.KnownMember(from, group) {
+		if !c.Member(group) {
 			return proto.Fail(proto.ErrNoGroup)
 		}
 		// Fast-fail a sender already at its quota before paying for the
@@ -132,14 +134,13 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		// refusal also counts as an admission offense: a sender hammering
 		// a full queue escalates toward a SecurityAlert exactly like one
 		// hammering the op rate limit.
-		tid := b.TraceID(msg)
 		tr := b.Tracer()
-		if r.SenderOverQuota(from) {
-			b.RecordOffense(from, proto.OpRelayRound, proto.ErrRelayQuota, tid)
-			tr.End(trace.Begin(tid, trace.StageEnqueue), trace.OutcomeQuota)
+		if r.SenderOverQuota(c.ID) {
+			b.RecordOffense(c.ID, proto.OpRelayRound, proto.ErrRelayQuota, c.Trace)
+			tr.End(trace.Begin(c.Trace, trace.StageEnqueue), trace.OutcomeQuota)
 			return proto.Fail(proto.ErrRelayQuota)
 		}
-		spParse := trace.Begin(tid, trace.StageParse)
+		spParse := trace.Begin(c.Trace, trace.StageParse)
 		wire, ok := msg.Get(proto.ElemEnvelope)
 		if !ok || len(wire) == 0 || Mode(wire[0]) != ModeGroup {
 			tr.End(spParse, trace.OutcomeError)
@@ -163,7 +164,7 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		// (it holds no keys), but a mismapped slice is merely
 		// undeliverable: the wrong recipient fails ErrNotRecipient and the
 		// signed Merkle binding stops anything stronger.
-		spVerify := trace.Begin(tid, trace.StageVerify)
+		spVerify := trace.Begin(c.Trace, trace.StageVerify)
 		if bytes.Count(rcpts, comma)+1 != d.Recipients() {
 			spVerify.SetAttr("err", proto.ErrBadRound)
 			tr.End(spVerify, trace.OutcomeError)
@@ -179,19 +180,19 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 		// keeps — so no queued slice keeps the upload frame alive, and a
 		// refused recipient costs no cut at all.
 		direct, queued, quota, skipped := 0, 0, 0, 0
-		spSlice := trace.Begin(tid, trace.StageSlice)
+		spSlice := trace.Begin(c.Trace, trace.StageSlice)
 		for i, rest := 0, rcpts; i < d.Recipients(); i++ {
 			var raw []byte
 			raw, rest, _ = bytes.Cut(rest, comma)
 			id, known := b.MemberID(raw, group)
-			if !known || id == from {
+			if !known || id == c.ID {
 				// No session record for this member (e.g. the broker
 				// restarted and the peer never returned), or the sender
 				// addressed itself.
 				skipped++
 				continue
 			}
-			switch r.Submit(relay.Item{To: id, From: from, Group: group, Source: d, Part: i, Trace: tid}) {
+			switch r.Submit(relay.Item{To: id, From: c.ID, Group: group, Source: d, Part: i, Trace: c.Trace}) {
 			case relay.SubmitDirect:
 				direct++
 			case relay.SubmitQueued:
@@ -214,7 +215,7 @@ func relayRoundHandler(b *broker.Broker, r *relay.Relay) broker.OpHandler {
 			// One offense per throttled round (not per slice): the unit
 			// of sender behavior is the upload, and per-slice counting
 			// would let a single wide round trip the alert threshold.
-			b.RecordOffense(from, proto.OpRelayRound, proto.ErrRelayQuota, tid)
+			b.RecordOffense(c.ID, proto.OpRelayRound, proto.ErrRelayQuota, c.Trace)
 		} else {
 			tr.End(spSlice, trace.OutcomeOK)
 		}

@@ -95,7 +95,7 @@ func TestKeptSlicesOwnTheirBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := relayRoundHandler(br, rly)(alice.PeerID(), upload.Msg)
+	resp := br.Dispatch(alice.PeerID(), upload.Msg)
 	for elem, want := range map[string]int{proto.ElemRelayDirect: 0, proto.ElemRelayQueued: 2, proto.ElemRelaySkipped: 0} {
 		if got := countOf(resp, elem); got != want {
 			t.Fatalf("%s = %d, want %d", elem, got, want)

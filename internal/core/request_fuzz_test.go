@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 	"time"
 
@@ -14,16 +16,19 @@ import (
 	"jxtaoverlay/internal/simnet"
 )
 
-// FuzzSignedRequest feeds arbitrary bytes, as a heartbeat, to the broker's
-// heartbeat handler, on a fixture broker whose clock stands still so that
-// the seeds stay valid for the whole run, and whose one lease — holding a
-// credential the broker issued — is granted afresh for every input. The
-// seeds are a valid heartbeat for that lease, which it takes; and, which it
-// must refuse, a login, a database query and a database answer signed for
-// that broker, a heartbeat in the three-field layout that carried the
-// credential, the credential's own bytes, and the valid heartbeat bent one
-// way each: another lease id, signed for another broker, signed by another
-// key, a seq short of eight bytes.
+// FuzzSignedRequest feeds arbitrary bytes, as a heartbeat, through the
+// broker's Dispatch to its heartbeat handler, on a fixture broker whose
+// clock stands still so that the seeds stay valid for the whole run, and
+// whose one lease — holding a credential the broker issued — is granted
+// afresh for every input. The seeds are a valid heartbeat for that lease,
+// which it takes; and, which it must refuse, a login, a database query
+// and a database answer signed for that broker, a heartbeat in the
+// three-field layout that carried the credential, the credential's own
+// bytes, and the valid heartbeat bent one way each: another lease id,
+// signed for another broker, signed by another key, a seq short of eight
+// bytes; and the signed-request vectors of
+// internal/proto, one of each kind, signed by a key this broker never
+// issued a credential to, for another broker.
 // Properties: it never panics; every refusal is one of the proto error
 // tokens the handler answers with; and anything accepted carries a
 // signature, made for this broker, that verifies under the lease
@@ -60,7 +65,7 @@ func FuzzSignedRequest(f *testing.F) {
 	const leaseID = "ls-00"
 	heartbeat := func(raw []byte) (ok bool, token string) {
 		site.Broker.RegisterLeasedPeer(subject, "sender", nil, broker.Lease{ID: leaseID, TTL: time.Hour, Cred: issued})
-		return proto.IsOK(bs.handleHeartbeat(subject, endpoint.NewMessage().Add(proto.ElemBody, raw)))
+		return proto.IsOK(site.Broker.Dispatch(subject, endpoint.NewMessage().AddString(proto.ElemOp, OpHeartbeat).Add(proto.ElemBody, raw)))
 	}
 
 	wire, err := issued.Bytes()
@@ -97,7 +102,8 @@ func FuzzSignedRequest(f *testing.F) {
 		}
 		f.Add(raw)
 	}
-	for i, raw := range [][]byte{threeFieldHeartbeat(f, client, brokerID, at, wire, []byte(leaseID), seq), wire} {
+	extra := [][]byte{threeFieldHeartbeat(f, client, brokerID, at, wire, []byte(leaseID), seq), wire}
+	for i, raw := range append(extra, requestVectorSeeds(f)...) {
 		if ok, _ := heartbeat(raw); ok {
 			f.Fatalf("extra seed %d accepted", i)
 		}
@@ -121,6 +127,25 @@ func FuzzSignedRequest(f *testing.F) {
 			t.Fatalf("accepted a heartbeat whose signature does not verify under the lease credential's key for this broker: %v", err)
 		}
 	})
+}
+
+// requestVectorSeeds reads the bytes of internal/proto's signed-request
+// vectors.
+func requestVectorSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	js, err := os.ReadFile("../proto/testdata/vectors/request.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var vs []struct{ Hex string }
+	if err := json.Unmarshal(js, &vs); err != nil {
+		tb.Fatal(err)
+	}
+	seeds := make([][]byte, len(vs))
+	for i, v := range vs {
+		seeds[i] = unhex(tb, v.Hex)
+	}
+	return seeds
 }
 
 // threeFieldHeartbeat is a heartbeat in the layout that carried the

@@ -181,7 +181,7 @@ func TestSecureConnectionRejectsKeylessImpersonator(t *testing.T) {
 	// The impersonator answers secureConnection with the stolen
 	// credential, share and statement, and a tag under its own agreement
 	// key.
-	imp.RegisterOp(proto.OpSecureConnect, func(_ keys.PeerID, msg *endpoint.Message) *endpoint.Message {
+	imp.RegisterOp(proto.OpSecureConnect, func(_ broker.Caller, msg *endpoint.Message) *endpoint.Message {
 		e, _ := msg.Get(proto.ElemChallenge)
 		secret, _ := impKP.Agree(e)
 		tag, _ := core.ConnectKeys(secret, e, share[:], h.brCred.Subject, "deadbeef")
