@@ -3,6 +3,9 @@ package client
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
 	"testing"
 	"time"
 
@@ -69,6 +72,14 @@ func FuzzBrokerPush(f *testing.F) {
 	parsedID := advert.GroupPipeID("urn:jxta:cbid-local", "math")
 	sum := func(b []byte) []byte { s := sha256.Sum256(b); return s[:] }
 	refresh := uint16(withAdvID | withAdvSum)
+	for _, frame := range pushVectorFrames(f) {
+		// The relay's slice pushes, as the broker frames them.
+		op, _ := frame.Msg.GetString(proto.ElemOp)
+		peer, _ := frame.Msg.GetString(proto.ElemPeer)
+		group, _ := frame.Msg.GetString(proto.ElemGroup)
+		env, _ := frame.Msg.Get(proto.ElemEnvelope)
+		f.Add(op, uint16(withGroup|withPeer|withEnvelope), []byte(nil), []byte(nil), []byte(nil), peer, group, "", "", env)
+	}
 	for _, seed := range []struct {
 		op                        string
 		mask                      uint16
@@ -144,6 +155,31 @@ func FuzzBrokerPush(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// pushVectorFrames parses the broker's slice pushes that core's
+// testdata/vectors/push.json pins.
+func pushVectorFrames(tb testing.TB) []endpoint.Frame {
+	tb.Helper()
+	raw, err := os.ReadFile("../core/testdata/vectors/push.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var vs []struct{ Hex string }
+	if err := json.Unmarshal(raw, &vs); err != nil {
+		tb.Fatal(err)
+	}
+	frames := make([]endpoint.Frame, len(vs))
+	for i, v := range vs {
+		b, err := hex.DecodeString(v.Hex)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if frames[i], err = endpoint.ParseFrame(b); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return frames
 }
 
 // cacheBytes is every record c's cache holds, by type and ID, as its

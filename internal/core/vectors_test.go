@@ -8,7 +8,12 @@ import (
 	"reflect"
 	"testing"
 
+	"jxtaoverlay/internal/endpoint"
 	"jxtaoverlay/internal/keys"
+	"jxtaoverlay/internal/proto"
+	"jxtaoverlay/internal/relay"
+	"jxtaoverlay/internal/simnet"
+	"jxtaoverlay/internal/trace"
 )
 
 // headerVector is one signed header as appendHeader wrote it: its bytes in
@@ -148,5 +153,62 @@ func TestRoundVectors(t *testing.T) {
 	levels := d.sliceLevels()
 	if root, ok := verifySliceProof(&ps); !ok || root != levels[len(levels)-1][0] {
 		t.Fatal("the slice's proof does not reach the round's root")
+	}
+}
+
+// pushVector is the broker's push of relayed slices to one recipient, as
+// pushSlice frames it: the frame in hex, from Broker, and what it says of
+// the slice it carries, the slice of round.json.
+type pushVector struct {
+	Name          string
+	Hex           string
+	Broker        keys.PeerID
+	To            keys.PeerID
+	Group, Origin string
+	Trace         uint64
+}
+
+// pushVectors reads testdata/vectors/push.json: an untraced push and a
+// traced one.
+func pushVectors(tb testing.TB) []pushVector {
+	var vs []pushVector
+	readVectors(tb, "push.json", &vs)
+	return vs
+}
+
+// TestPushVectors: pushSlice frames each vector's slice, claimed group and
+// origin and trace ID as its bytes, and the frame parses to them.
+func TestPushVectors(t *testing.T) {
+	slice := unhex(t, roundVectors(t).Slice.Hex)
+	vs := pushVectors(t)
+	traced := false
+	for _, v := range vs {
+		fabric := &pushCapture{frames: make(map[simnet.NodeID][]byte)}
+		ep, err := endpoint.NewService(fabric, v.Broker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pushSlice(ep, relay.Item{To: v.To, From: keys.PeerID(v.Origin), Group: v.Group, Payload: slice, Trace: v.Trace}); err != nil {
+			t.Fatalf("%s: %v", v.Name, err)
+		}
+		got := fabric.last(simnet.NodeID(v.To))
+		if want := unhex(t, v.Hex); !bytes.Equal(got, want) {
+			t.Fatalf("%s: framed as\n%x\nwant\n%x", v.Name, got, want)
+		}
+		f, err := endpoint.ParseFrame(got)
+		if err != nil {
+			t.Fatalf("%s: %v", v.Name, err)
+		}
+		group, _ := f.Msg.GetString(proto.ElemGroup)
+		origin, _ := f.Msg.GetString(proto.ElemPeer)
+		wire, _ := f.Msg.Get(proto.ElemEnvelope)
+		id, _ := f.Msg.GetString(proto.ElemTrace)
+		if string(f.Src) != string(v.Broker) || group != v.Group || origin != v.Origin || !bytes.Equal(wire, slice) || trace.ParseID(id) != v.Trace {
+			t.Fatalf("%s: the frame parses to other fields than its vector's", v.Name)
+		}
+		traced = traced || v.Trace != 0
+	}
+	if len(vs) != 2 || !traced {
+		t.Fatalf("%d vectors (traced: %v), want an untraced and a traced one", len(vs), traced)
 	}
 }
