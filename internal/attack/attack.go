@@ -168,16 +168,18 @@ func SpoofedPipeEnvelope(claimedFrom, to keys.PeerID, group string, wire []byte)
 	return spoofedPipeFrame(claimedFrom, advert.GroupPipeID(to, group), group, proto.ElemEnvelope, wire)
 }
 
-// SpoofedSlicePush fabricates the broker relay's push of one slice
-// (proto.OpSliceDeliver to the client service), with any secure wire and
-// any claimed origin: the client service takes pushes from whoever sends
-// them.
-func SpoofedSlicePush(claimedFrom keys.PeerID, group string, wire []byte) []byte {
+// SpoofedSlicePush fabricates the broker relay's push of slices
+// (proto.OpSliceDeliver to the client service) from any claimed source:
+// one frame of recs, each any secure wire with any claimed group, origin
+// and trace ID. The client service takes pushes from whoever sends them.
+func SpoofedSlicePush(claimedFrom keys.PeerID, recs ...proto.SliceRecord) []byte {
+	var section []byte
+	for _, r := range recs {
+		section = append(proto.AppendSliceHead(section, string(r.Group), string(r.Origin), r.Trace, len(r.Slice)), r.Slice...)
+	}
 	return endpoint.NewFrame(endpoint.Route{Src: claimedFrom, Service: proto.ClientService},
 		endpoint.Element{Name: proto.ElemOp, Data: []byte(proto.OpSliceDeliver)},
-		endpoint.Element{Name: proto.ElemGroup, Data: []byte(group)},
-		endpoint.Element{Name: proto.ElemPeer, Data: []byte(claimedFrom)},
-		endpoint.Element{Name: proto.ElemEnvelope, Data: wire})
+		endpoint.Element{Name: proto.ElemSlices, Data: section})
 }
 
 // SpoofedAdvRefresh fabricates the broker's refresh of a pipe

@@ -74,12 +74,17 @@ type PeerSummary struct {
 	Status   string
 }
 
-// EnvelopeHandler is the security extension's receiver of a message that
-// carries a secure wire (proto.ElemEnvelope). from is whoever the routing
-// claims delivered it: on a group pipe, its sender; a relay push leaves
-// it empty, and its claimed origin is msg's proto.ElemPeer, which the
-// handler reads only if it names the deliverer (an alert).
+// EnvelopeHandler is the security extension's receiver of a group pipe's
+// message that carries a secure wire (proto.ElemEnvelope). from is its
+// sender, as the routing claims it.
 type EnvelopeHandler func(group string, from keys.PeerID, msg *endpoint.Message)
+
+// SliceHandler is the security extension's receiver of one slice a relay
+// push carries (proto.SliceRecord): the group the broker claims it is of,
+// as the client's own string for it; the claimed origin, which the
+// handler reads only if it names the deliverer (an alert); the slice; and
+// its trace ID (0: untraced). origin and wire are views of the push.
+type SliceHandler func(group string, origin, wire []byte, trace uint64)
 
 // Client is one client peer.
 type Client struct {
@@ -95,7 +100,8 @@ type Client struct {
 	advSigner AdvSigner
 	// The security extension's two receivers: one for what arrives on a
 	// group pipe, one for a slice the relay pushes.
-	onPipeWire, onSliceWire EnvelopeHandler
+	onPipeWire  EnvelopeHandler
+	onSliceWire SliceHandler
 
 	started time.Time
 
@@ -178,10 +184,10 @@ func (c *Client) Groups() []string {
 func (c *Client) Uptime() time.Duration { return c.Now().Sub(c.started) }
 
 // SetEnvelopeHandlers installs the security extension's receivers of
-// secure wires: pipe for a group pipe's deliveries, slice for the relay's
-// pushes. Each entry accepts what its sender produces; until they are
-// set, a secure wire raises a SecurityAlert.
-func (c *Client) SetEnvelopeHandlers(pipe, slice EnvelopeHandler) {
+// secure wires: pipe for a group pipe's deliveries, slice for each slice
+// of the relay's pushes. Each entry accepts what its sender produces;
+// until they are set, a secure wire raises a SecurityAlert.
+func (c *Client) SetEnvelopeHandlers(pipe EnvelopeHandler, slice SliceHandler) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onPipeWire, c.onSliceWire = pipe, slice
@@ -673,7 +679,11 @@ func (c *Client) onPipeDelivery(group string, from keys.PeerID, msg *endpoint.Me
 		c.mu.RLock()
 		h := c.onPipeWire
 		c.mu.RUnlock()
-		c.openSecure(h, group, from, msg)
+		if h == nil {
+			c.alertUnsecured(from, group)
+			return
+		}
+		h(group, from, msg)
 		return
 	}
 	if body, ok := msg.GetString(proto.ElemBody); ok {
@@ -681,16 +691,41 @@ func (c *Client) onPipeDelivery(group string, from keys.PeerID, msg *endpoint.Me
 	}
 }
 
-// openSecure hands a secure wire to the security extension's receiver h,
-// or alerts when there is none.
-func (c *Client) openSecure(h EnvelopeHandler, group string, from keys.PeerID, msg *endpoint.Message) {
-	if h == nil {
-		c.ctl.Emit(events.SecurityAlert, from, group, map[string]string{
-			"reason": "secure envelope received but security extension not enabled",
-		}, nil)
+// alertUnsecured raises the SecurityAlert of a secure wire that arrived
+// before the security extension installed its receivers.
+func (c *Client) alertUnsecured(from keys.PeerID, group string) {
+	c.ctl.Emit(events.SecurityAlert, from, group, map[string]string{
+		"reason": "secure envelope received but security extension not enabled",
+	}, nil)
+}
+
+// onSlices hands the slices of a relay push from the deliverer from to the
+// security extension's receiver, one record at a time. The record section
+// is read whole first: one that does not parse is refused whole, before
+// anything opens, with one SecurityAlert. Each record's group and origin
+// are the broker's claims (the signed sender is inside the slice, checked
+// by the receiver), and each slice is opened on its own, so a bad one
+// refuses only itself. The relay pushes nothing else, so its receiver
+// opens nothing else.
+func (c *Client) onSlices(from keys.PeerID, section []byte) {
+	c.mu.RLock()
+	h := c.onSliceWire
+	c.mu.RUnlock()
+	recs, err := proto.ParseSliceRecords(section)
+	switch {
+	case h == nil:
+		c.alertUnsecured(from, "")
+		return
+	case err != nil:
+		c.ctl.Emit(events.SecurityAlert, from, "", map[string]string{"reason": "relay push refused: " + err.Error()}, nil)
 		return
 	}
-	h(group, from, msg)
+	for rec, ok := recs.Next(); ok; rec, ok = recs.Next() {
+		c.mu.RLock()
+		group := c.groupNamed(rec.Group)
+		c.mu.RUnlock()
+		h(group, rec.Origin, rec.Slice, rec.Trace)
+	}
 }
 
 // onBrokerPush handles the broker's pushes: presence notices,
@@ -700,21 +735,11 @@ func (c *Client) onBrokerPush(from keys.PeerID, msg *endpoint.Message) *endpoint
 	op, _ := msg.Get(proto.ElemOp)
 	switch string(op) {
 	case proto.OpSliceDeliver:
-		// A per-recipient round slice cut by the broker relay — either a
-		// live push or a queued item drained at login. The claimed origin
-		// is the submitting peer (unauthenticated here — the signed sender
-		// is inside the slice, checked by the security extension), left in
-		// msg for the receiver to read if it alerts. The relay pushes
-		// nothing else, so its receiver opens nothing else.
-		if !msg.Has(proto.ElemEnvelope) {
-			return nil
+		// Per-recipient round slices cut by the broker relay — a live push
+		// of one, or a batch of a queue drained at login.
+		if section, ok := msg.Get(proto.ElemSlices); ok {
+			c.onSlices(from, section)
 		}
-		claimed, _ := msg.Get(proto.ElemGroup)
-		c.mu.RLock()
-		h := c.onSliceWire
-		group := c.groupNamed(claimed)
-		c.mu.RUnlock()
-		c.openSecure(h, group, "", msg)
 	case proto.OpPresencePush:
 		c.onPresence(msg)
 	case proto.OpAdvPush:

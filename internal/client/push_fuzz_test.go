@@ -57,6 +57,7 @@ const (
 	withUser
 	withStatus
 	withEnvelope
+	withSlices
 )
 
 // FuzzBrokerPush feeds the client's push handler — what anyone who
@@ -75,17 +76,15 @@ func FuzzBrokerPush(f *testing.F) {
 	for _, frame := range pushVectorFrames(f) {
 		// The relay's slice pushes, as the broker frames them.
 		op, _ := frame.Msg.GetString(proto.ElemOp)
-		peer, _ := frame.Msg.GetString(proto.ElemPeer)
-		group, _ := frame.Msg.GetString(proto.ElemGroup)
-		env, _ := frame.Msg.Get(proto.ElemEnvelope)
-		f.Add(op, uint16(withGroup|withPeer|withEnvelope), []byte(nil), []byte(nil), []byte(nil), peer, group, "", "", env)
+		section, _ := frame.Msg.Get(proto.ElemSlices)
+		f.Add(op, uint16(withSlices), []byte(nil), []byte(nil), []byte(nil), "", "", "", "", []byte(nil), section)
 	}
 	for _, seed := range []struct {
 		op                        string
 		mask                      uint16
 		id, digest, adv           []byte
 		peer, group, user, status string
-		env                       []byte
+		env, slices               []byte
 	}{
 		{op: proto.OpAdvRefresh, mask: refresh, id: []byte(heldID), digest: sum(fx.held)},
 		{op: proto.OpAdvRefresh, mask: refresh, id: []byte(heldID), digest: sum(fx.other)},
@@ -99,10 +98,11 @@ func FuzzBrokerPush(f *testing.F) {
 		{op: proto.OpAdvPush, mask: withAdv, adv: []byte("<PipeAdvertisement/>")},
 		{op: proto.OpPresencePush, mask: withPeer | withGroup | withUser | withStatus, peer: "urn:jxta:cbid-owner", group: "math", user: "owner", status: advert.StatusOnline},
 		{op: proto.OpSliceDeliver, mask: withGroup | withPeer | withEnvelope, peer: "urn:jxta:cbid-owner", group: "math", env: []byte{0x05, 0x00, 0x01}},
+		{op: proto.OpSliceDeliver, mask: withSlices, slices: []byte{0x00, 0x04, 'm', 'a', 't', 'h', 0x00, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0x00, 0x00, 0x03, 0x05, 0x00, 0x01}},
 	} {
-		f.Add(seed.op, seed.mask, seed.id, seed.digest, seed.adv, seed.peer, seed.group, seed.user, seed.status, seed.env)
+		f.Add(seed.op, seed.mask, seed.id, seed.digest, seed.adv, seed.peer, seed.group, seed.user, seed.status, seed.env, seed.slices)
 	}
-	f.Fuzz(func(t *testing.T, op string, mask uint16, id, digest, adv []byte, peer, group, user, status string, env []byte) {
+	f.Fuzz(func(t *testing.T, op string, mask uint16, id, digest, adv []byte, peer, group, user, status string, env, slices []byte) {
 		c, err := New(nowhere{}, membership.NewNone(), "resident")
 		if err != nil {
 			t.Fatal(err)
@@ -135,6 +135,7 @@ func FuzzBrokerPush(f *testing.F) {
 			{withUser, proto.ElemUser, []byte(user)},
 			{withStatus, proto.ElemStatus, []byte(status)},
 			{withEnvelope, proto.ElemEnvelope, env},
+			{withSlices, proto.ElemSlices, slices},
 		} {
 			if mask&e.bit != 0 {
 				msg.Add(e.name, e.data)

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"jxtaoverlay/internal/membership"
 	"jxtaoverlay/internal/perfgate"
 	"jxtaoverlay/internal/proto"
+	"jxtaoverlay/internal/relay"
 	"jxtaoverlay/internal/simnet"
 	"jxtaoverlay/internal/userdb"
 	"jxtaoverlay/internal/xdsig"
@@ -429,11 +431,10 @@ func BenchmarkDeliverSlice(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	slice := d.Slice(0)
 	push, err := endpoint.BuildFrame(endpoint.Route{Src: "urn:jxta:cbid-broker", Service: proto.ClientService}, nil,
 		endpoint.Element{Name: proto.ElemOp, Data: []byte(proto.OpSliceDeliver)},
-		endpoint.Element{Name: proto.ElemGroup, Data: []byte("bench")},
-		endpoint.Element{Name: proto.ElemPeer, Data: []byte(senderID)},
-		endpoint.Element{Name: proto.ElemEnvelope, Data: d.Slice(0)})
+		endpoint.Element{Name: proto.ElemSlices, Data: append(proto.AppendSliceHead(nil, "bench", string(senderID), 0, len(slice)), slice...)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -526,8 +527,13 @@ func BenchmarkRelayRoundDirect(b *testing.B) {
 		if err != nil {
 			b.Fatalf("push to recipient %d: %v", i, err)
 		}
-		if got, _ := f.Msg.Get(proto.ElemEnvelope); !bytes.Equal(got, d.Slice(i)) {
-			b.Fatalf("push to recipient %d carries %d bytes that are not its slice", i, len(got))
+		section, _ := f.Msg.Get(proto.ElemSlices)
+		recs, err := proto.ParseSliceRecords(section)
+		if rec, _ := recs.Next(); err != nil || !bytes.Equal(rec.Slice, d.Slice(i)) || string(rec.Group) != "bench" || string(rec.Origin) != string(sender) {
+			b.Fatalf("push to recipient %d carries %d bytes that are not its slice (%v)", i, len(rec.Slice), err)
+		}
+		if _, more := recs.Next(); more {
+			b.Fatalf("push to recipient %d carries more than its slice", i)
 		}
 	}
 	if got := rly.Metrics().Enqueued; got != 0 {
@@ -537,6 +543,107 @@ func BenchmarkRelayRoundDirect(b *testing.B) {
 
 func TestGateRelayRoundDirect(t *testing.T) {
 	perfgate.Run(t, BenchmarkRelayRoundDirect, 25, perfgate.NoLimit)
+}
+
+// drainSlices is how many slices BenchmarkDrainPush queues for its
+// returning peer: one drain's worth at cmd/perf's offline-drain (seed 7).
+const drainSlices = 40
+
+// BenchmarkDrainPush is the broker's side of a returning peer's drain: 40
+// slices of a 1 KiB round queued while it was away, pushed when its login
+// flushes the queue. An op is the drain, from Flush to the last slice on
+// the fabric; queueing the slices is not timed. Each op drains a peer of
+// its own, so that no drain still finishing takes the next op's slices.
+// The relay hands the broker the queue as one batch and the broker pushes
+// it as one frame, which is what a drain allocates.
+func BenchmarkDrainPush(b *testing.B) {
+	fabric := &gatedFabric{pushCapture: pushCapture{frames: make(map[simnet.NodeID][]byte)}}
+	db := userdb.NewStoreIter(4)
+	br, err := broker.New(broker.Config{Name: "bench-broker", PeerID: "urn:jxta:cbid-broker", Net: fabric, DB: broker.LocalDB(db)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(br.Close)
+	rly, err := EnableBrokerRelay(br, RelayConfig{QueueCap: drainSlices})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(rly.Close)
+	const sender keys.PeerID = "urn:jxta:cbid-sender"
+	br.RegisterPeer(sender, "sender", []string{"bench"})
+	d, err := SealGroupDetached(senderKP, sender, "bench", make([]byte, 1024), []*keys.PublicKey{recvKP.Public()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	item := relay.Item{From: sender, Group: "bench", Payload: d.Slice(0)}
+	var flushed uint64
+	drain := func(i int) {
+		// In no group: its login tells no one.
+		item.To = keys.PeerID(fmt.Sprintf("urn:jxta:cbid-returning-%d", i))
+		br.RegisterPeer(item.To, "returning", nil)
+		fabric.away.Store(true)
+		for j := 0; j < drainSlices; j++ {
+			if rly.Submit(item) != relay.SubmitQueued {
+				b.Fatal("a slice for the absent peer was not queued")
+			}
+		}
+		fabric.away.Store(false)
+		flushed += drainSlices
+		b.StartTimer()
+		rly.Flush(item.To)
+		for rly.Metrics().DeliveredFlushed < flushed {
+			runtime.Gosched()
+		}
+		b.StopTimer()
+	}
+	b.StopTimer()
+	drain(0)
+	frames := fabric.sent.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		drain(i)
+	}
+	if got := fabric.sent.Load() - frames; got != int64(b.N) {
+		b.Fatalf("%d drains of %d slices pushed %d frames, want one a drain", b.N, drainSlices, got)
+	}
+	f, err := endpoint.ParseFrame(fabric.last(simnet.NodeID(item.To)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	section, _ := f.Msg.Get(proto.ElemSlices)
+	recs, err := proto.ParseSliceRecords(section)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := 0
+	for rec, ok := recs.Next(); ok; rec, ok = recs.Next() {
+		if !bytes.Equal(rec.Slice, item.Payload) || string(rec.Origin) != string(sender) || string(rec.Group) != "bench" {
+			b.Fatalf("record %d of the drain's push is not the queued slice", n)
+		}
+		n++
+	}
+	if n != drainSlices {
+		b.Fatalf("the drain's push carries %d records, want %d", n, drainSlices)
+	}
+}
+
+// TestGateDrainPush holds a 40-slice drain to its one frame.
+func TestGateDrainPush(t *testing.T) { perfgate.Run(t, BenchmarkDrainPush, 1, perfgate.NoLimit) }
+
+// gatedFabric is a pushCapture that counts the frames it is sent and
+// reports every node detached while away is set.
+type gatedFabric struct {
+	pushCapture
+	away atomic.Bool
+	sent atomic.Int64
+}
+
+func (g *gatedFabric) Attached(simnet.NodeID) bool { return !g.away.Load() }
+
+func (g *gatedFabric) Send(from, to simnet.NodeID, frame []byte) error {
+	g.sent.Add(1)
+	return g.pushCapture.Send(from, to, frame)
 }
 
 // pushCapture is a broker's fabric that delivers nothing: it keeps the
@@ -794,7 +901,7 @@ func benchRecipient(b testing.TB) *benchRecipientEnd {
 	}
 	b.Cleanup(cl.Close)
 	r.s = &SecureClient{Client: cl, kp: recvKP, trust: trust, vcache: xdsig.NewVerifyCache(trust)}
-	cl.SetEnvelopeHandlers(r.s.receiver(pipeForms), r.s.receiver(formSlice))
+	cl.SetEnvelopeHandlers(r.s.receivePipe, r.s.receiveSlice)
 	cl.Bus().Subscribe(events.SecureMessage, func(events.Event) { r.delivered++ })
 	return r
 }

@@ -71,13 +71,23 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 		cfg.Clock = b.Now
 	}
 	tr := cfg.Tracer
-	deliver := func(it relay.Item) error {
-		sp := trace.Begin(it.Trace, trace.StageDeliver)
-		err := pushSlice(b.Endpoint(), it)
+	deliver := func(items []relay.Item) error {
+		// The traced items share the push, and so one clock reading starts
+		// each one's deliver span (none when none is traced).
+		var sp trace.Span
+		for i := 0; i < len(items) && sp.TraceID == 0; i++ {
+			sp = trace.Begin(items[i].Trace, trace.StageDeliver)
+		}
+		err := pushSlices(b.Endpoint(), items)
+		outcome := trace.OutcomeOK
 		if err != nil {
-			tr.End(sp, trace.OutcomeError)
-		} else {
-			tr.End(sp, trace.OutcomeOK)
+			outcome = trace.OutcomeError
+		}
+		for i := range items {
+			if items[i].Trace != 0 {
+				sp.TraceID = items[i].Trace
+				tr.End(sp, outcome)
+			}
 		}
 		return err
 	}
@@ -90,28 +100,34 @@ func EnableBrokerRelay(b *broker.Broker, cfg RelayConfig) (*relay.Relay, error) 
 	return r, nil
 }
 
-// pushSlice sends one slice to its recipient in the client push that
-// carries it — the same ClientService surface advertisement pushes use.
-// Its elements are views of the item's strings, which building the frame
-// only reads, and the slice is written into the frame as it is built: a
-// slice the item names uncut (a direct push) is cut there, once.
-func pushSlice(ep *endpoint.Service, it relay.Item) error {
+// pushSlices sends items' slices, all for one recipient, in the one client
+// push that carries them — the same ClientService surface advertisement
+// pushes use: a record a slice, in order, in its ElemSlices element
+// (proto.AppendSliceHead). A direct push is a batch of one. Each record is
+// written into the frame as it is built: a slice an item names uncut (a
+// direct push) is cut there, once.
+func pushSlices(ep *endpoint.Service, items []relay.Item) error {
+	size := 0
+	for i := range items {
+		n, err := proto.SliceRecordSize(items[i].Group, string(items[i].From), items[i].PayloadSize())
+		if err != nil {
+			return err
+		}
+		size += n
+	}
 	elems := [...]endpoint.Element{
 		{Name: proto.ElemOp, Data: endpoint.ReadOnlyBytes(proto.OpSliceDeliver)},
-		{Name: proto.ElemGroup, Data: endpoint.ReadOnlyBytes(it.Group)},
-		{Name: proto.ElemPeer, Data: endpoint.ReadOnlyBytes(string(it.From))},
-		{Name: proto.ElemEnvelope},
-		{Name: proto.ElemTrace},
+		{Name: proto.ElemSlices},
 	}
-	n := len(elems) - 1
-	if it.Trace != 0 {
-		elems[n].Data = endpoint.ReadOnlyBytes(trace.FormatID(it.Trace))
-		n++
-	}
-	room := endpoint.Room{Index: 3, Size: it.PayloadSize(), Fill: func(dst []byte) ([]byte, error) {
-		return it.AppendPayload(dst), nil
+	room := endpoint.Room{Index: 1, Size: size, Fill: func(dst []byte) ([]byte, error) {
+		for i := range items {
+			it := &items[i]
+			dst = proto.AppendSliceHead(dst, it.Group, string(it.From), it.Trace, it.PayloadSize())
+			dst = it.AppendPayload(dst)
+		}
+		return dst, nil
 	}}
-	return ep.SendElements(it.To, proto.ClientService, "", &room, elems[:n]...)
+	return ep.SendElements(items[0].To, proto.ClientService, "", &room, elems[:]...)
 }
 
 // relayRoundHandler processes one uploaded round: validate, slice,

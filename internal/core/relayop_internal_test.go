@@ -55,8 +55,7 @@ func TestKeptSlicesOwnTheirBytes(t *testing.T) {
 		}
 		t.Cleanup(cl.Close)
 		got := make(chan []byte, 1)
-		cl.SetEnvelopeHandlers(nil, func(_ string, _ keys.PeerID, msg *endpoint.Message) {
-			wire, _ := msg.Get(proto.ElemEnvelope)
+		cl.SetEnvelopeHandlers(nil, func(_ string, _, wire []byte, _ uint64) {
 			got <- bytes.Clone(wire)
 		})
 		if err := cl.Connect(ctx, br.PeerID()); err != nil {

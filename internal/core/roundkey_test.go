@@ -101,8 +101,15 @@ func TestRelayedRoundsAgreeOncePerRoundKey(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if wire, ok := f.Msg.Get(proto.ElemEnvelope); ok && core.Mode(wire[0]) == core.ModeSlice {
-			shares = append(shares, wire[1+4+4:1+4+4+keys.ShareSize])
+		section, _ := f.Msg.Get(proto.ElemSlices)
+		recs, err := proto.ParseSliceRecords(section)
+		if err != nil {
+			continue
+		}
+		for rec, ok := recs.Next(); ok; rec, ok = recs.Next() {
+			if wire := rec.Slice; core.Mode(wire[0]) == core.ModeSlice {
+				shares = append(shares, wire[1+4+4:1+4+4+keys.ShareSize])
+			}
 		}
 	}
 	if len(shares) != 4 || !bytes.Equal(shares[0], shares[1]) || !bytes.Equal(shares[0], shares[2]) || bytes.Equal(shares[2], shares[3]) {

@@ -136,7 +136,7 @@ func NewSecureClient(cl *client.Client, trust *cred.TrustStore, opts ...Option) 
 		opt(s)
 	}
 	s.vcache = xdsig.NewVerifyCache(trust)
-	cl.SetEnvelopeHandlers(s.receiver(pipeForms), s.receiver(formSlice))
+	cl.SetEnvelopeHandlers(s.receivePipe, s.receiveSlice)
 	return s, nil
 }
 
@@ -705,35 +705,47 @@ func refused(err error) bool {
 // push carries slices only (formSlice).
 const pipeForms = formEnvelope | formSlice | formChannel
 
-// receiver is the client's entry for one surface, which opens the forms
-// accept names and refuses the rest.
-func (s *SecureClient) receiver(accept wireForms) client.EnvelopeHandler {
-	return func(group string, from keys.PeerID, msg *endpoint.Message) {
-		s.handleEnvelope(group, from, msg, accept)
-	}
+// receivePipe is the client's entry for its group pipes
+// (client.EnvelopeHandler).
+func (s *SecureClient) receivePipe(group string, from keys.PeerID, msg *endpoint.Message) {
+	s.handleEnvelope(group, from, msg, pipeForms)
 }
 
-// handleEnvelope is the receiving side of §4.3.1 (steps 5-7): decrypt
-// with the own private key, then authenticate the sender through its
-// signed pipe advertisement. from is whoever delivered msg, or empty for
-// a relay push, whose claimed origin msg carries (client.EnvelopeHandler);
-// accept, the wire forms its surface takes.
+// receiveSlice is the client's entry for the relay's push, one slice of it
+// at a time (client.SliceHandler): it opens slices and refuses the rest.
+func (s *SecureClient) receiveSlice(group string, origin, wire []byte, tid uint64) {
+	s.handleWire(group, "", origin, wire, tid, formSlice)
+}
+
+// handleEnvelope hands the secure wire msg carries, and the trace ID it
+// may carry, to handleWire. from is whoever delivered msg; accept, the
+// wire forms its surface takes.
 func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpoint.Message, accept wireForms) {
 	wire, ok := msg.Get(proto.ElemEnvelope)
 	if !ok {
 		return
 	}
-	// Trace correlation: the push may carry the sender's trace ID. A
-	// security rejection below ends the open span with OutcomeAlert
-	// (force-captured) and stamps the same ID into the SecurityAlert
-	// payload, so an alert can be looked up as a full waterfall.
 	var tid uint64
-	tr := s.Tracer()
-	if tr != nil { // saves the trace element's lookup when tracing is off
+	if s.Tracer() != nil { // saves the trace element's lookup when tracing is off
 		if idStr, _ := msg.GetString(proto.ElemTrace); idStr != "" {
 			tid = trace.ParseID(idStr)
 		}
 	}
+	s.handleWire(group, from, nil, wire, tid, accept)
+}
+
+// handleWire is the receiving side of §4.3.1 (steps 5-7): decrypt with
+// the own private key, then authenticate the sender through its signed
+// pipe advertisement. from is whoever delivered the wire, or empty for a
+// relay push, whose claimed origin is read only when an alert names it;
+// tid is the sender's trace ID (0: untraced); accept, the wire forms the
+// surface takes.
+func (s *SecureClient) handleWire(group string, from keys.PeerID, origin, wire []byte, tid uint64, accept wireForms) {
+	// Trace correlation: a security rejection below ends the open span
+	// with OutcomeAlert (force-captured) and stamps the trace ID into the
+	// SecurityAlert payload, so an alert can be looked up as a full
+	// waterfall.
+	tr := s.Tracer()
 	spOpen := trace.Begin(tid, trace.StageOpen)
 	alert := func(from keys.PeerID, reason string) {
 		// Audit before emitting so the alert payload can carry the audit
@@ -758,7 +770,6 @@ func (s *SecureClient) handleEnvelope(group string, from keys.PeerID, msg *endpo
 		case opened == nil:
 			// Refused before the header parsed: only the deliverer is known.
 			if from == "" {
-				origin, _ := msg.GetString(proto.ElemPeer)
 				from = keys.PeerID(origin)
 			}
 			alert(from, "secure envelope rejected: "+err.Error())

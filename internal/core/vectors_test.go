@@ -13,7 +13,6 @@ import (
 	"jxtaoverlay/internal/proto"
 	"jxtaoverlay/internal/relay"
 	"jxtaoverlay/internal/simnet"
-	"jxtaoverlay/internal/trace"
 )
 
 // headerVector is one signed header as appendHeader wrote it: its bytes in
@@ -157,38 +156,47 @@ func TestRoundVectors(t *testing.T) {
 }
 
 // pushVector is the broker's push of relayed slices to one recipient, as
-// pushSlice frames it: the frame in hex, from Broker, and what it says of
-// the slice it carries, the slice of round.json.
+// pushSlices frames it: the frame in hex, from Broker, and each record's
+// claimed group, origin and trace ID. Every record's slice is round.json's.
 type pushVector struct {
-	Name          string
-	Hex           string
-	Broker        keys.PeerID
-	To            keys.PeerID
-	Group, Origin string
-	Trace         uint64
+	Name    string
+	Hex     string
+	Broker  keys.PeerID
+	To      keys.PeerID
+	Records []struct {
+		Group, Origin string
+		Trace         uint64
+	}
 }
 
-// pushVectors reads testdata/vectors/push.json: an untraced push and a
-// traced one.
+// pushVectors reads testdata/vectors/push.json: pushes of one slice and of
+// three, untraced and traced.
 func pushVectors(tb testing.TB) []pushVector {
 	var vs []pushVector
 	readVectors(tb, "push.json", &vs)
 	return vs
 }
 
-// TestPushVectors: pushSlice frames each vector's slice, claimed group and
-// origin and trace ID as its bytes, and the frame parses to them.
+// TestPushVectors: pushSlices frames each vector's records as its bytes,
+// and the frame parses to them.
 func TestPushVectors(t *testing.T) {
 	slice := unhex(t, roundVectors(t).Slice.Hex)
-	vs := pushVectors(t)
-	traced := false
-	for _, v := range vs {
+	seen := map[[2]int]bool{}
+	for _, v := range pushVectors(t) {
+		items := make([]relay.Item, len(v.Records))
+		traced := 0
+		for i, r := range v.Records {
+			items[i] = relay.Item{To: v.To, From: keys.PeerID(r.Origin), Group: r.Group, Payload: slice, Trace: r.Trace}
+			if r.Trace != 0 {
+				traced = 1
+			}
+		}
 		fabric := &pushCapture{frames: make(map[simnet.NodeID][]byte)}
 		ep, err := endpoint.NewService(fabric, v.Broker)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pushSlice(ep, relay.Item{To: v.To, From: keys.PeerID(v.Origin), Group: v.Group, Payload: slice, Trace: v.Trace}); err != nil {
+		if err := pushSlices(ep, items); err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
 		got := fabric.last(simnet.NodeID(v.To))
@@ -199,16 +207,26 @@ func TestPushVectors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", v.Name, err)
 		}
-		group, _ := f.Msg.GetString(proto.ElemGroup)
-		origin, _ := f.Msg.GetString(proto.ElemPeer)
-		wire, _ := f.Msg.Get(proto.ElemEnvelope)
-		id, _ := f.Msg.GetString(proto.ElemTrace)
-		if string(f.Src) != string(v.Broker) || group != v.Group || origin != v.Origin || !bytes.Equal(wire, slice) || trace.ParseID(id) != v.Trace {
-			t.Fatalf("%s: the frame parses to other fields than its vector's", v.Name)
+		op, _ := f.Msg.GetString(proto.ElemOp)
+		section, _ := f.Msg.Get(proto.ElemSlices)
+		recs, err := proto.ParseSliceRecords(section)
+		if string(f.Src) != string(v.Broker) || op != proto.OpSliceDeliver || len(f.Msg.Elements) != 2 || err != nil {
+			t.Fatalf("%s: the frame parses to other fields than its vector's (%v)", v.Name, err)
 		}
-		traced = traced || v.Trace != 0
+		for i, r := range v.Records {
+			rec, ok := recs.Next()
+			if !ok || string(rec.Group) != r.Group || string(rec.Origin) != r.Origin || rec.Trace != r.Trace || !bytes.Equal(rec.Slice, slice) {
+				t.Fatalf("%s: record %d parses to other fields than its vector's", v.Name, i)
+			}
+		}
+		if _, ok := recs.Next(); ok {
+			t.Fatalf("%s: records behind the vector's %d", v.Name, len(v.Records))
+		}
+		seen[[2]int{len(v.Records), traced}] = true
 	}
-	if len(vs) != 2 || !traced {
-		t.Fatalf("%d vectors (traced: %v), want an untraced and a traced one", len(vs), traced)
+	for _, want := range [][2]int{{1, 0}, {1, 1}, {3, 0}, {3, 1}} {
+		if !seen[want] {
+			t.Fatalf("no vector of %d records, traced %d", want[0], want[1])
+		}
 	}
 }

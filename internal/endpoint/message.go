@@ -383,7 +383,7 @@ var vocabulary = func(names ...string) map[string]string {
 	"sec:chall", "sec:sid", "sec:sig", "sec:cred", "sec:env", "sec:share", "sec:tag",
 	"file:name", "file:chunk", "file:data", "file:size", "file:nchunks", "file:digest",
 	"task:name", "task:args", "task:out",
-	"relay:rcpt", "relay:direct", "relay:queued", "relay:skipped", "relay:quota",
+	"relay:rcpt", "relay:direct", "relay:queued", "relay:skipped", "relay:quota", "slices",
 	"trace:id",
 	"lease:id", "lease:ttl", "idem:key", "retry:after",
 	"db:env", "db:body",

@@ -76,6 +76,9 @@ const (
 	// queue quota
 	ElemRelayQuota = "relay:quota"
 	ElemAll        = "all" // listPeers: include offline peers
+	// ElemSlices is a relay push's record section: each slice the push
+	// carries with its claimed group, origin and trace ID (slicepush.go).
+	ElemSlices = "slices"
 	// ElemTrace carries a message-lifecycle trace ID (hex, see
 	// internal/trace) end to end: the sending client mints it, the
 	// broker threads it through relay items, and delivery pushes
@@ -140,8 +143,9 @@ const (
 	// document. It is exactly as unauthenticated as the broker-built
 	// presence advertisement it replaced (SECURITY.md).
 	OpPresencePush = "presencePush"
-	// OpSliceDeliver pushes one per-recipient round slice cut by the
-	// broker relay (immediately, or from the offline queue at login).
+	// OpSliceDeliver pushes per-recipient round slices cut by the broker
+	// relay to their recipient, in one ElemSlices element: one slice
+	// immediately, or a batch from the offline queue at login.
 	OpSliceDeliver = "sliceDeliver"
 )
 

@@ -330,3 +330,33 @@ func TestForwardedRecordReplaysOnce(t *testing.T) {
 		t.Fatalf("after the delivery, recovery metrics = %+v, bob's queue %d: want nothing replayed", m, r2.QueueLen("bob"))
 	}
 }
+
+// TestDrainSyncsOncePerBatch: at SyncInterval 0 a drain of 40 queued
+// items, one batch, acks them all in one WAL append, under one fsync
+// (40 while each delivered item was acked alone), and a reopened relay
+// recovers none of them.
+func TestDrainSyncsOncePerBatch(t *testing.T) {
+	dir := t.TempDir()
+	var syncs atomic.Int64
+	cfg := relay.Config{QueueCap: 64}
+	cfg.WAL.OnSync = func(time.Time, time.Duration) { syncs.Add(1) }
+	s := newSink()
+	r := mustDurable(t, dir, cfg, s)
+	const n = 40
+	for i := 0; i < n; i++ {
+		r.Submit(item("bob", fmt.Sprintf("m%d", i)))
+	}
+	before := syncs.Load()
+	s.setOnline("bob", true)
+	r.Flush("bob")
+	waituntil.Must(t, 5*time.Second, func() bool { return r.Metrics().DeliveredFlushed == n }, "the drain did not finish")
+	if got := syncs.Load() - before; got != 1 {
+		t.Fatalf("draining %d items took %d fsyncs, want 1", n, got)
+	}
+	r.Close()
+	r = mustDurable(t, dir, relay.Config{}, newSink())
+	defer r.Close()
+	if got := r.Metrics().RecoveryReplayed; got != 0 {
+		t.Fatalf("%d delivered items recovered", got)
+	}
+}

@@ -54,7 +54,7 @@ func benchChurnRound(b *testing.B, durable bool) {
 	var delivered atomic.Uint64
 	r, err := relay.New(cfg,
 		func(id keys.PeerID) bool { return idx[id] >= nOffline || returned.Load() },
-		func(relay.Item) error { delivered.Add(1); return nil })
+		func(items []relay.Item) error { delivered.Add(uint64(len(items))); return nil })
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func BenchmarkDrainFullQueue(b *testing.B) {
 	var delivered atomic.Int64
 	r, err := relay.New(relay.Config{QueueCap: drainQueue},
 		func(keys.PeerID) bool { return online.Load() },
-		func(relay.Item) error { delivered.Add(1); return nil })
+		func(items []relay.Item) error { delivered.Add(int64(len(items))); return nil })
 	if err != nil {
 		b.Fatal(err)
 	}

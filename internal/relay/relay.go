@@ -114,11 +114,14 @@ func (it *Item) own() {
 	}
 }
 
-// DeliverFunc hands one item to its recipient. A non-nil error means
-// the recipient was not reached; the relay keeps (or re-queues) the
-// item until its TTL runs out. An item whose Source is set is read
-// there and then (PayloadSize, AppendPayload) and not kept.
-type DeliverFunc func(it Item) error
+// DeliverFunc hands items to their one recipient in one send, in the order
+// of its queue: the item Submit pushes directly, or the batch a drain takes
+// from the front of the queue (at most drainBatch items and drainBytes of
+// payload, or one item of more). A non-nil error means none was delivered;
+// the relay keeps (or re-queues) them all until their TTLs run out. The
+// items are read there and then — a named payload too (PayloadSize,
+// AppendPayload) — and neither they nor the slice are kept.
+type DeliverFunc = func(items []Item) error
 
 // OnlineFunc reports whether a peer is currently reachable for direct
 // delivery.
@@ -168,6 +171,15 @@ const (
 	// proceed in parallel while one peer's queue always drains in order
 	// from a single worker.
 	shardCount = 8
+	// drainBatch and drainBytes bound the batch a drain hands the deliverer
+	// in one call: its items, and their payload bytes unless the first
+	// item alone is more. The broker pushes a batch as one frame. Measured
+	// on cmd/perf's offline-drain, where a drain is 40 slices of ≈ 1.6 KB,
+	// one frame for the whole drain allocated no more than frames kept
+	// inside the allocator's 32 KiB size class; the byte budget bounds the
+	// frame when slices are large.
+	drainBatch = 64
+	drainBytes = 256 << 10
 )
 
 // RetryBackoff spaces, on the wall clock, the re-drains a shard schedules
@@ -215,6 +227,9 @@ type Relay struct {
 	cfg     Config
 	deliver DeliverFunc
 	online  OnlineFunc
+	// batch is the most items one deliver call takes: drainBatch, or 1 for
+	// a deliverer of one item.
+	batch int
 
 	shards []*shard
 	wg     sync.WaitGroup
@@ -259,6 +274,9 @@ type shard struct {
 	sched map[keys.PeerID]time.Time
 	// wake nudges the worker; its one slot stands for any number.
 	wake chan struct{}
+	// batch is the drain's batch, taken from a queue's front; only the
+	// worker touches it, and it keeps no item between two takes.
+	batch []Item
 }
 
 // queue is one peer's FIFO. Enqueue appends, a drain pops the front and
@@ -282,11 +300,13 @@ func (q *queue) bound(expires time.Time) {
 }
 
 // New starts a relay. online gates direct delivery; deliver performs
-// it. Both must be safe for concurrent use. With Config.WAL.Dir set the
-// previous process's queue log is replayed first: un-acked items
-// re-enter their queues (TTL re-checked, acked items never resurrected)
-// and the error reports an unreadable or unreplayable log.
-func New(cfg Config, online OnlineFunc, deliver DeliverFunc) (*Relay, error) {
+// it, a DeliverFunc or a func(Item) error, which is handed one item a
+// call (its drains are batches of one). Both must be safe for concurrent
+// use. With Config.WAL.Dir set the previous process's queue log is
+// replayed first: un-acked items re-enter their queues (TTL re-checked,
+// acked items never resurrected) and the error reports an unreadable or
+// unreplayable log.
+func New[D DeliverFunc | func(Item) error](cfg Config, online OnlineFunc, deliver D) (*Relay, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
@@ -295,11 +315,18 @@ func New(cfg Config, online OnlineFunc, deliver DeliverFunc) (*Relay, error) {
 	}
 	r := &Relay{
 		cfg:      cfg,
-		deliver:  deliver,
 		online:   online,
+		batch:    drainBatch,
 		stop:     make(chan struct{}),
 		bySender: make(map[keys.PeerID]int),
 		byGroup:  make(map[string]int),
+	}
+	switch d := any(deliver).(type) {
+	case DeliverFunc:
+		r.deliver = d
+	case func(Item) error:
+		r.deliver = func(items []Item) error { return d(items[0]) }
+		r.batch = 1
 	}
 	r.shards = make([]*shard, shardCount)
 	for i := range r.shards {
@@ -341,7 +368,7 @@ func (r *Relay) recover() error {
 		if now.After(rec.Expires) {
 			r.recoveryDiscardedTTL++
 			r.expired.Add(1)
-			r.ack(rec.Seq, wal.AckExpired, rec.To, "relay-recover", 0)
+			r.ack(rec.Seq, wal.AckExpired, rec.To)
 			continue
 		}
 		it := Item{
@@ -351,7 +378,7 @@ func (r *Relay) recover() error {
 		if !r.reserveQuota(it) {
 			r.droppedQuota.Add(1)
 			r.audit(audit.Event{Kind: audit.KindRelayDrop, Peer: string(it.From), Op: "relay-recover", Reason: "quota"})
-			r.ack(rec.Seq, wal.AckDropped, rec.To, "relay-recover", 0)
+			r.ack(rec.Seq, wal.AckDropped, rec.To)
 			continue
 		}
 		// Workers are not running yet, so enqueue touches shards
@@ -414,7 +441,7 @@ func (r *Relay) Submit(it Item) SubmitResult {
 	}
 	it.expires = r.cfg.Clock().Add(itemTTL)
 	if r.online(it.To) {
-		if err := r.deliver(it); err == nil {
+		if err := r.deliverOne(it); err == nil {
 			r.deliveredDirect.Add(1)
 			// A direct success proves the peer reachable: drain any
 			// stragglers an earlier failed flush put back in its queue,
@@ -450,8 +477,7 @@ func (r *Relay) Submit(it Item) SubmitResult {
 			// The log died (disk fault or injected crash). Keep serving
 			// from memory — a degraded relay beats a dead one — but
 			// count it: operators alert on WALErrors.
-			r.walErrors.Add(1)
-			r.audit(audit.Event{Kind: audit.KindWALError, Peer: string(it.From), Op: "relay-append", Reason: err.Error(), Trace: it.Trace})
+			r.walFault(1, it.From, "relay-append", err, it.Trace)
 			r.cfg.Tracer.End(spWAL, trace.OutcomeWALError)
 		} else {
 			it.seq = seq
@@ -476,6 +502,29 @@ func (r *Relay) Submit(it Item) SubmitResult {
 		r.Flush(it.To)
 	}
 	return SubmitQueued
+}
+
+// ones is a free list of the one-item batches Submit hands a direct push
+// in, so that the push allocates none: a leaky buffer, which makes a batch
+// when none is free and drops one when it is full.
+var ones = make(chan *[1]Item, 16)
+
+// deliverOne delivers it as a batch of one.
+func (r *Relay) deliverOne(it Item) error {
+	var one *[1]Item
+	select {
+	case one = <-ones:
+	default:
+		one = new([1]Item)
+	}
+	one[0] = it
+	err := r.deliver(one[:])
+	one[0] = Item{}
+	select {
+	case ones <- one:
+	default:
+	}
+	return err
 }
 
 // reserveQuota claims one unit of sender and group occupancy, refusing
@@ -691,26 +740,40 @@ func (s *shard) enqueue(it Item) {
 	}
 }
 
-// retire logs each item's departure from its queue and returns its quota
-// occupancy. Every exit path (delivered, expired, dropped) funnels
-// through here so the WAL and the quota books can never disagree. It
-// may fsync, so no shard lock is held across it.
+// retire logs the departure of items, all of one peer's queue, for
+// reason — in one WAL append, which at SyncInterval 0 waits for one fsync
+// — and returns their quota occupancy. Every exit path (delivered,
+// expired, dropped) funnels through here so the WAL and the quota books
+// can never disagree. It may fsync, so no shard lock is held across it.
 func (r *Relay) retire(reason wal.AckReason, items ...Item) {
+	var room [drainBatch]wal.Seq
+	seqs := room[:0] // a drain's batch fits; a longer list of expired items grows it
 	for _, it := range items {
 		r.releaseQuota(it)
-		if r.log != nil && it.seq != 0 {
-			r.ack(it.seq, reason, it.To, "relay-ack", it.Trace)
+		if it.seq != 0 {
+			seqs = append(seqs, it.seq)
 		}
+	}
+	if r.log == nil || len(seqs) == 0 {
+		return
+	}
+	if err := r.log.AppendAcks(reason, seqs...); err != nil {
+		r.walFault(len(seqs), items[0].To, "relay-ack", err, items[0].Trace)
 	}
 }
 
-// ack logs a queued item's departure, for reason, to the WAL; a write
-// the log refuses is counted and audited.
-func (r *Relay) ack(seq wal.Seq, reason wal.AckReason, to keys.PeerID, op string, tr uint64) {
+// ack logs a recovered item's departure, for reason, to the WAL.
+func (r *Relay) ack(seq wal.Seq, reason wal.AckReason, to keys.PeerID) {
 	if err := r.log.AppendAck(seq, reason); err != nil {
-		r.walErrors.Add(1)
-		r.audit(audit.Event{Kind: audit.KindWALError, Peer: string(to), Op: op, Reason: err.Error(), Trace: tr})
+		r.walFault(1, to, "relay-recover", err, 0)
 	}
+}
+
+// walFault counts n queue mutations the WAL refused to log and audits the
+// refusal once.
+func (r *Relay) walFault(n int, peer keys.PeerID, op string, err error, tr uint64) {
+	r.walErrors.Add(uint64(n))
+	r.audit(audit.Event{Kind: audit.KindWALError, Peer: string(peer), Op: op, Reason: err.Error(), Trace: tr})
 }
 
 // audit appends one record to the configured audit journal. Safe on a
@@ -807,15 +870,14 @@ func (s *shard) takeDue(ready []keys.PeerID, now time.Time) (_ []keys.PeerID, ne
 	return ready, next
 }
 
-// drain delivers the peer's queue in order: prune it once, then pop the
-// front under the lock and deliver it outside (delivery does wire I/O),
-// each pop a constant step whatever the queue's length; an item found
-// expired when popped is retired instead. On failure the item goes back
-// at the front and the drain stops, returning the delay before a retry
-// when the peer is still online (0: none). A successful delivery is acked
-// to the WAL AFTER the handoff to the wire — so a crash between the two
-// redelivers (at-least-once) rather than loses, and the recipient's replay
-// guard collapses the duplicate.
+// drain delivers the peer's queue in order, a batch at a time: prune it
+// once, then take a batch from the front under the lock (take) and deliver
+// it outside (delivery does wire I/O) in one call. On failure the batch
+// goes back at the front, in order, and the drain stops, returning the
+// delay before a retry when the peer is still online (0: none). A
+// delivered batch is acked to the WAL, in one append, AFTER the handoff to
+// the wire — so a crash between the two redelivers (at-least-once) rather
+// than loses, and the recipient's replay guard collapses the duplicates.
 func (s *shard) drain(id keys.PeerID) (retry time.Duration) {
 	flushed := 0
 	s.mu.Lock()
@@ -823,28 +885,16 @@ func (s *shard) drain(id keys.PeerID) (retry time.Duration) {
 	s.mu.Unlock()
 	s.r.retire(wal.AckExpired, expired...)
 	for {
-		s.mu.Lock()
-		q := s.queues[id]
-		if len(q.items) == 0 {
-			// The queue leaves once drained, its attempt count with it.
-			delete(s.queues, id)
-			s.mu.Unlock()
+		batch, more := s.take(id)
+		if !more {
 			break
 		}
-		it := q.items[0]
-		q.items[0] = Item{} // the queue's array keeps no payload it handed out
-		q.items = q.items[1:]
-		s.queues[id] = q
-		s.mu.Unlock()
-
-		if s.r.cfg.Clock().After(it.expires) {
-			s.r.expired.Add(1)
-			s.r.retire(wal.AckExpired, it)
+		if len(batch) == 0 {
 			continue
 		}
-		if err := s.r.deliver(it); err != nil {
+		if err := s.r.deliver(batch); err != nil {
 			s.r.deliverErrors.Add(1)
-			// Put the item back where it was. Usually the peer went away
+			// Put the batch back where it was. Usually the peer went away
 			// again and its next login flushes the queue — but a TRANSIENT
 			// failure against a still-online peer has no such trigger, so
 			// it retries on RetryBackoff's ladder, which a drain that
@@ -852,8 +902,10 @@ func (s *shard) drain(id keys.PeerID) (retry time.Duration) {
 			online := s.r.online(id)
 			s.mu.Lock()
 			q := s.queues[id]
-			q.bound(it.expires)
-			q.items = append([]Item{it}, q.items...)
+			for _, it := range batch {
+				q.bound(it.expires)
+			}
+			q.items = append(append(make([]Item, 0, len(batch)+len(q.items)), batch...), q.items...)
 			if flushed > 0 {
 				q.attempts = 0
 			}
@@ -863,23 +915,27 @@ func (s *shard) drain(id keys.PeerID) (retry time.Duration) {
 			}
 			s.queues[id] = q
 			s.mu.Unlock()
+			clear(batch)
 			break
 		}
-		s.r.retire(wal.AckDelivered, it)
-		s.r.deliveredFlushed.Add(1)
-		if it.Trace != 0 && !it.enqueuedAt.IsZero() {
-			// Attribute the dwell time between enqueue and this flush
-			// delivery to the item's trace (the guard saves the clock
-			// read for an untraced or recovered item).
-			s.r.cfg.Tracer.Record(trace.Span{
-				TraceID:  it.Trace,
-				Stage:    trace.StageQueueWait,
-				Outcome:  trace.OutcomeOK,
-				Start:    it.enqueuedAt.UnixNano(),
-				Duration: s.r.cfg.Clock().Sub(it.enqueuedAt).Nanoseconds(),
-			})
+		s.r.retire(wal.AckDelivered, batch...)
+		s.r.deliveredFlushed.Add(uint64(len(batch)))
+		for _, it := range batch {
+			if it.Trace != 0 && !it.enqueuedAt.IsZero() {
+				// Attribute the dwell time between enqueue and this flush
+				// delivery to the item's trace (the guard saves the clock
+				// read for an untraced or recovered item).
+				s.r.cfg.Tracer.Record(trace.Span{
+					TraceID:  it.Trace,
+					Stage:    trace.StageQueueWait,
+					Outcome:  trace.OutcomeOK,
+					Start:    it.enqueuedAt.UnixNano(),
+					Duration: s.r.cfg.Clock().Sub(it.enqueuedAt).Nanoseconds(),
+				})
+			}
 		}
-		flushed++
+		flushed += len(batch)
+		clear(batch)
 	}
 	if flushed > 0 && s.r.bus != nil && s.r.bus.Wants(events.RelayFlushed) {
 		s.r.bus.Emit(events.Event{Type: events.RelayFlushed, From: id, Payload: map[string]string{
@@ -887,4 +943,46 @@ func (s *shard) drain(id keys.PeerID) (retry time.Duration) {
 		}})
 	}
 	return retry
+}
+
+// take moves the front of the peer's queue into the shard's batch: at
+// most r.batch items and drainBytes of payload, or one item of more, in
+// a step that copies the batch whatever the queue's length. It retires the
+// items it finds expired and returns the others, in order; more is false
+// once the queue is empty, which it then deletes, its attempt count with
+// it. A queue whose last items a drain holds stays, so that a Flush
+// meanwhile counts.
+func (s *shard) take(id keys.PeerID) (batch []Item, more bool) {
+	s.mu.Lock()
+	q := s.queues[id]
+	if len(q.items) == 0 {
+		delete(s.queues, id)
+		s.mu.Unlock()
+		return nil, false
+	}
+	n, size := 1, len(q.items[0].Payload)
+	for ; n < len(q.items) && n < s.r.batch && size+len(q.items[n].Payload) <= drainBytes; n++ {
+		size += len(q.items[n].Payload)
+	}
+	s.batch = append(s.batch[:0], q.items[:n]...)
+	clear(q.items[:n]) // the queue's array keeps no payload it handed out
+	q.items = q.items[n:]
+	s.queues[id] = q
+	s.mu.Unlock()
+
+	// The live items move to the front, in order, and the expired ones
+	// behind them.
+	now, live := s.r.cfg.Clock(), 0
+	for i := range s.batch {
+		if !now.After(s.batch[i].expires) {
+			s.batch[live], s.batch[i] = s.batch[i], s.batch[live]
+			live++
+		}
+	}
+	if dead := s.batch[live:]; len(dead) > 0 {
+		s.r.expired.Add(uint64(len(dead)))
+		s.r.retire(wal.AckExpired, dead...)
+		clear(dead)
+	}
+	return s.batch[:live], true
 }

@@ -40,13 +40,20 @@ func (s *sink) isOnline(id keys.PeerID) bool {
 	return s.online[id]
 }
 
-func (s *sink) deliver(it relay.Item) error {
+// deliver takes a batch for one recipient whole, or fails it whole.
+func (s *sink) deliver(items []relay.Item) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fail || !s.online[it.To] {
+	to := items[0].To
+	if s.fail || !s.online[to] {
 		return errors.New("unreachable")
 	}
-	s.delivered[it.To] = append(s.delivered[it.To], string(it.AppendPayload(nil)))
+	for _, it := range items {
+		if it.To != to {
+			panic("a batch for two recipients")
+		}
+		s.delivered[to] = append(s.delivered[to], string(it.AppendPayload(nil)))
+	}
 	return nil
 }
 
@@ -453,4 +460,154 @@ func TestCloseStopsDelivery(t *testing.T) {
 		t.Fatalf("submit after close = %v, want SubmitDropped", got)
 	}
 	r.Flush("bob") // must not panic or hang
+}
+
+// batches records each batch a relay delivers, by its items' payloads.
+type batches struct {
+	mu  sync.Mutex
+	got [][]string
+	// fail, when set, decides whether the i-th batch (from 0) fails.
+	fail func(i int) bool
+}
+
+func (b *batches) deliver(items []relay.Item) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var payloads []string
+	for _, it := range items {
+		payloads = append(payloads, string(it.AppendPayload(nil)))
+	}
+	i := len(b.got)
+	b.got = append(b.got, payloads)
+	if b.fail != nil && b.fail(i) {
+		return errors.New("unreachable")
+	}
+	return nil
+}
+
+func (b *batches) all() [][]string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([][]string(nil), b.got...)
+}
+
+// sizes is the length of each batch.
+func sizes(bs [][]string) []int {
+	out := make([]int, len(bs))
+	for i, b := range bs {
+		out[i] = len(b)
+	}
+	return out
+}
+
+// TestDrainDeliversBatches: a drain hands its deliverer the queue in
+// order, in batches of at most 64 items and 256 KiB of payload (one item
+// over the budget goes alone), and a direct push is a batch of one.
+func TestDrainDeliversBatches(t *testing.T) {
+	var online atomic.Bool
+	b := new(batches)
+	r, err := relay.New(relay.Config{QueueCap: 200}, func(keys.PeerID) bool { return online.Load() }, b.deliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var want []string
+	for i := 0; i < 150; i++ {
+		want = append(want, fmt.Sprintf("m%03d", i))
+		r.Submit(item("bob", want[i]))
+	}
+	big := string(make([]byte, 100<<10))
+	for _, p := range []string{big, big, big, string(make([]byte, 300<<10)), big} {
+		want = append(want, p)
+		r.Submit(item("bob", p))
+	}
+	online.Store(true)
+	r.Flush("bob")
+	waitFor(t, func() bool { return r.Metrics().DeliveredFlushed == uint64(len(want)) })
+	got := b.all()
+	if fmt.Sprint(sizes(got)) != "[64 64 24 1 1 1]" {
+		t.Fatalf("the drain's batches hold %v items, want [64 64 24 1 1 1]", sizes(got))
+	}
+	var flat []string
+	for _, batch := range got {
+		flat = append(flat, batch...)
+	}
+	if fmt.Sprint(flat) != fmt.Sprint(want) {
+		t.Fatal("the drain delivered the queue out of order")
+	}
+	if r.Submit(item("bob", "direct")) != relay.SubmitDirect {
+		t.Fatal("a submit to an online peer was not pushed")
+	}
+	if got := b.all(); len(got) != 7 || fmt.Sprint(got[6]) != "[direct]" {
+		t.Fatalf("the direct push went out as %q", got[len(got)-1])
+	}
+}
+
+// TestFailedBatchGoesBackWhole: the second batch of a drain fails; the
+// drain stops, all of that batch goes back at the front of the queue in
+// order, and the retry the failure schedules delivers it and the rest
+// exactly once, in order.
+func TestFailedBatchGoesBackWhole(t *testing.T) {
+	var online atomic.Bool
+	b := &batches{fail: func(i int) bool { return i == 1 }}
+	r, err := relay.New(relay.Config{QueueCap: 200}, func(keys.PeerID) bool { return online.Load() }, b.deliver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var want []string
+	for i := 0; i < 150; i++ {
+		want = append(want, fmt.Sprintf("m%03d", i))
+		r.Submit(item("bob", want[i]))
+	}
+	online.Store(true)
+	r.Flush("bob")
+	waitFor(t, func() bool { return r.Metrics().DeliveredFlushed == 150 && r.QueueLen("bob") == 0 })
+	got := b.all()
+	var flat []string
+	for i, batch := range got {
+		if i != 1 {
+			flat = append(flat, batch...)
+		}
+	}
+	if fmt.Sprint(flat) != fmt.Sprint(want) || fmt.Sprint(got[1]) != fmt.Sprint(want[64:128]) {
+		t.Fatalf("batches of %v delivered the queue out of order or twice", sizes(got))
+	}
+}
+
+// TestItemDeliverFuncDeliversEachOnce: a relay built with a deliverer of
+// one item (the form cmd/perf passes) hands it one item a call, every
+// queued item exactly once, in order, and retries a failed one alone.
+func TestItemDeliverFuncDeliversEachOnce(t *testing.T) {
+	var online atomic.Bool
+	var mu sync.Mutex
+	var got []string
+	failed := false
+	r, err := relay.New(relay.Config{QueueCap: 200}, func(keys.PeerID) bool { return online.Load() }, func(it relay.Item) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(got) == 70 && !failed {
+			failed = true
+			return errors.New("unreachable")
+		}
+		got = append(got, string(it.Payload))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var want []string
+	for i := 0; i < 150; i++ {
+		want = append(want, fmt.Sprintf("m%03d", i))
+		r.Submit(item("bob", want[i]))
+	}
+	online.Store(true)
+	r.Flush("bob")
+	waitFor(t, func() bool { return r.Metrics().DeliveredFlushed == 150 })
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("delivered %d items, not the queue once in order", len(got))
+	}
 }

@@ -23,6 +23,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -149,43 +150,19 @@ func Open(opts Options) (*Log, []Record, RecoveryStats, error) {
 // caller may then report the item as accepted-durable — or with the
 // error of the batch that failed. The payload is retained (for
 // compaction) until the matching AppendAck; the caller must not mutate
-// it in between.
+// it in between. The live set moves with the staged record: any Sync may
+// compact, and the compaction must carry an add just staged.
 func (l *Log) AppendAdd(rec Record) (Seq, error) {
 	rec.Kind = KindAdd
-	return l.append(rec)
-}
-
-// AppendAck retires a previously appended item, durably as AppendAdd.
-// Acks for sequence 0 (items that were never persisted, e.g. because
-// the disk died) are silently ignored.
-func (l *Log) AppendAck(seq Seq, reason AckReason) error {
-	if seq == 0 {
-		return nil
-	}
-	_, err := l.append(Record{Kind: KindAck, Seq: seq, Reason: reason})
-	return err
-}
-
-// append stages rec (an add under the next sequence number) in the log,
-// keeping the live set in step with it — any Sync may compact, and the
-// compaction must carry an add just staged and drop one just acked —
-// then awaits its fsync with the lock released.
-func (l *Log) append(rec Record) (Seq, error) {
 	l.log.Lock()
 	buf, err := l.log.Begin()
 	if err == nil {
-		if rec.Kind == KindAdd {
-			rec.Seq = l.nextSeq
-		}
+		rec.Seq = l.nextSeq
 		buf, err = AppendRecord(buf, rec)
 	}
 	if err == nil {
-		if rec.Kind == KindAdd {
-			l.nextSeq++
-			l.live[rec.Seq] = rec
-		} else {
-			delete(l.live, rec.Seq)
-		}
+		l.nextSeq++
+		l.live[rec.Seq] = rec
 		l.log.Commit(buf)
 	}
 	l.log.Unlock()
@@ -196,6 +173,49 @@ func (l *Log) append(rec Record) (Seq, error) {
 		return 0, err
 	}
 	return rec.Seq, nil
+}
+
+// AppendAck retires a previously appended item, durably as AppendAdd.
+// Acks for sequence 0 (items that were never persisted, e.g. because
+// the disk died) are silently ignored.
+func (l *Log) AppendAck(seq Seq, reason AckReason) error {
+	return l.AppendAcks(reason, seq)
+}
+
+// AppendAcks retires items for one reason: it stages their acks under
+// one lock and awaits one fsync covering them all (with SyncInterval 0),
+// so a drain's batch costs the log what one ack does. Sequence 0 is
+// skipped, as AppendAck skips it; seqs of nothing else cost nothing.
+func (l *Log) AppendAcks(reason AckReason, seqs ...Seq) error {
+	if reason < AckDelivered || reason > AckDropped {
+		return fmt.Errorf("%w: bad ack reason", ErrCorruptRecord)
+	}
+	staged := false
+	l.log.Lock()
+	buf, err := l.log.Begin()
+	for _, seq := range seqs {
+		if seq == 0 {
+			continue
+		}
+		if staged = true; err != nil {
+			break
+		}
+		// An ack of a valid reason always encodes. The live set drops the
+		// add at once: a compaction must not carry it past its ack.
+		buf, _ = AppendRecord(buf, Record{Kind: KindAck, Seq: seq, Reason: reason})
+		delete(l.live, seq)
+	}
+	if staged && err == nil {
+		l.log.Commit(buf)
+	}
+	l.log.Unlock()
+	switch {
+	case !staged:
+		return nil
+	case err != nil:
+		return err
+	}
+	return l.log.Await()
 }
 
 // compact is the rotation policy (seglog.Options.Compact): the fresh

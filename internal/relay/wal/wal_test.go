@@ -400,3 +400,49 @@ func segmentIndex(l *Log) int {
 	defer l.log.Unlock()
 	return l.log.Index()
 }
+
+// TestAppendAcksShareOneFsync: at SyncInterval 0, AppendAcks retires k
+// items under one fsync (k AppendAck calls take k), skipping sequence 0;
+// on a log that failed it returns the failure, but acks of sequence 0
+// alone still cost nothing and fail nothing. A reopen finds every acked
+// item retired.
+func TestAppendAcksShareOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	var syncs atomic.Int64
+	fs := seglog.NewCrashFS(1)
+	l, _, _ := openT(t, Options{Dir: dir, FS: fs, OnSync: func(time.Time, time.Duration) { syncs.Add(1) }})
+	var seqs []Seq
+	for i := 0; i < 5; i++ {
+		seq, err := l.AppendAdd(addRec("bob", "m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+	}
+	before := syncs.Load()
+	if err := l.AppendAcks(AckDelivered, 0, seqs[0], seqs[1], seqs[2], 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := syncs.Load() - before; got != 1 {
+		t.Fatalf("3 acks in one call took %d fsyncs, want 1", got)
+	}
+	if err := l.AppendAcks(AckDelivered, 0); err != nil || syncs.Load()-before != 1 {
+		t.Fatalf("an ack of sequence 0 alone: %v, %d fsyncs", err, syncs.Load()-before-1)
+	}
+	if err := l.AppendAcks(AckReason(9), seqs[3]); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("an ack of reason 9: %v, want %v", err, ErrCorruptRecord)
+	}
+	fs.FailAt(fs.Ops() + 1)
+	if err := l.AppendAcks(AckDelivered, seqs[3]); !errors.Is(err, seglog.ErrFailed) {
+		t.Fatalf("an ack on a failing log: %v, want %v", err, seglog.ErrFailed)
+	}
+	if err := l.AppendAcks(AckDelivered, 0); err != nil {
+		t.Fatalf("an ack of sequence 0 alone on a failed log: %v", err)
+	}
+	l.Close()
+
+	_, recovered, stats := openT(t, Options{Dir: dir})
+	if stats.Acked != 3 || len(recovered) != 2 || recovered[0].Seq != seqs[3] || recovered[1].Seq != seqs[4] {
+		t.Fatalf("reopened with %d acked and %d live, want 3 and the last two adds", stats.Acked, len(recovered))
+	}
+}
